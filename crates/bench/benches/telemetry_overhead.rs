@@ -8,8 +8,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use tutel::{MoeConfig, MoeLayer};
-use tutel_gate::{route, RouteConfig};
-use tutel_kernels::{fast_encode, fast_encode_observed};
+use tutel_gate::{route, RaggedRouting, RouteConfig};
+use tutel_kernels::{ragged_encode, ragged_encode_observed};
 use tutel_obs::Telemetry;
 use tutel_tensor::Rng;
 
@@ -36,12 +36,13 @@ fn bench_overhead(c: &mut Criterion) {
     let logits = rng.normal_tensor(&[tokens, 8], 0.0, 1.0);
     let probs = logits.softmax_last();
     let routing = route(&probs, &RouteConfig::top2()).unwrap();
+    let bins = RaggedRouting::uniform_capacity(&routing);
     let disabled = Telemetry::disabled();
     group.bench_function("encode/plain", |b| {
-        b.iter(|| fast_encode(&x, &routing).unwrap())
+        b.iter(|| ragged_encode(&x, &routing, &bins).unwrap())
     });
     group.bench_function("encode/observed_disabled", |b| {
-        b.iter(|| fast_encode_observed(&x, &routing, &disabled).unwrap())
+        b.iter(|| ragged_encode_observed(&x, &routing, &bins, &disabled).unwrap())
     });
     group.finish();
 }

@@ -51,15 +51,6 @@ pub const WORLDS: [usize; 2] = [2, 4];
 /// Per-rank token counts the sweep executes.
 pub const TOKENS: [usize; 2] = [64, 256];
 
-/// Same world → topology mapping as the conformance harness.
-fn topology_for(world: usize) -> Topology {
-    match world {
-        1 => Topology::single_node(1),
-        2 => Topology::new(2, 1),
-        w => Topology::new(2, w / 2),
-    }
-}
-
 /// The sweep workload as [`LayerDims`], for the search's model prior.
 fn dims_for(tokens: usize) -> LayerDims {
     LayerDims {
@@ -170,7 +161,7 @@ pub fn run_point(world: usize, tokens: usize, strategy: PipelineStrategy) -> Swe
     let rows_per_chunk = tokens / degree;
     let chunk_bytes = (rows_per_chunk * MODEL_DIM * std::mem::size_of::<f32>()) as f64;
     let algo = strategy.algo;
-    let topo = topology_for(world);
+    let topo = Topology::for_world(world);
     let per_rank: Vec<(f64, Vec<f64>)> = run_threaded(topo, move |mut comm| {
         let w = weight(comm.rank());
         let input = input_chunks(comm.rank(), tokens, degree);

@@ -1,6 +1,10 @@
 //! The Tutel MoE layer: gating → fast encode → experts → fast decode,
 //! fully differentiable.
 //!
+//! Every pass runs one chain — `route → bins → ragged_encode →
+//! grouped FFN → ragged_decode` — over packed expert bins. The
+//! capacity policy only sizes the bins (`expert_bins`).
+//!
 //! This is the *functional* layer used for end-to-end training and for
 //! parity tests against the Fairseq baseline. Distribution across
 //! simulated GPUs changes only the layer's (simulated) execution time —
@@ -14,7 +18,6 @@ use tutel_gate::{
     LinearRouter, RaggedRouting, Router, Routing,
 };
 use tutel_kernels::{
-    fast_decode_backward, fast_decode_observed, fast_encode_backward, fast_encode_observed,
     ragged_decode_backward, ragged_decode_observed, ragged_encode_backward, ragged_encode_observed,
 };
 use tutel_obs::Telemetry;
@@ -72,12 +75,24 @@ struct SavedForward {
     x: Tensor,
     probs: Tensor,
     routing: Routing,
-    /// Padded `(E, C, M)` expert outputs, or packed `(R, M)` rows when
-    /// `ragged` is set.
+    /// Packed `(R, M)` expert outputs.
     expert_out: Tensor,
-    /// Present iff the forward took the dropless grouped path; backward
-    /// must then retrace it through the ragged kernels.
-    ragged: Option<RaggedRouting>,
+    /// The bins the forward packed its rows into.
+    ragged: RaggedRouting,
+}
+
+/// The expert bins for one routing decision — the only place the
+/// capacity policy touches the compute path. Dropless
+/// ([`CapacityPolicy::AutoMin`]) gets exact bins: no padding row
+/// exists, so a hot expert costs only its own rows. Clamping policies
+/// get uniform-capacity bins: `E·C` rows whatever was routed, so
+/// every buffer keeps one shape from step to step and recycles
+/// through the length-classed arena.
+fn expert_bins(routing: &Routing, policy: CapacityPolicy) -> RaggedRouting {
+    match policy {
+        CapacityPolicy::AutoMin => RaggedRouting::from_routing(routing),
+        _ => RaggedRouting::uniform_capacity(routing),
+    }
 }
 
 /// The Tutel MoE layer.
@@ -240,33 +255,63 @@ impl MoeLayer {
         let _span = self.obs.span("moe.infer");
         let mut cfg = self.cfg;
         cfg.capacity_factor = capacity_factor;
+        let (probs, routing, ragged) = self.gate(x, &cfg)?;
+        let packed = ragged_encode_observed(x, &routing, &ragged, &self.obs)?;
+        let expert_out = self.experts.infer_grouped(&packed, &ragged.offsets)?;
+        scratch::recycle(packed);
+        let output =
+            ragged_decode_observed(&expert_out, &routing, &ragged, x.dims()[0], &self.obs)?;
+        scratch::recycle(expert_out);
+        self.report(output, &probs, &routing)
+    }
+
+    fn forward_inner(&mut self, x: &Tensor) -> Result<(MoeOutput, SavedForward), TensorError> {
+        let _span = self.obs.span("moe.forward");
+        let (probs, routing, ragged) = self.gate(x, &self.cfg)?;
+        let packed = ragged_encode_observed(x, &routing, &ragged, &self.obs)?;
+        let expert_out = self.experts.forward_grouped(&packed, &ragged.offsets)?;
+        scratch::recycle(packed);
+        let output =
+            ragged_decode_observed(&expert_out, &routing, &ragged, x.dims()[0], &self.obs)?;
+        let out = self.report(output, &probs, &routing)?;
+        let saved = SavedForward {
+            x: x.clone(),
+            probs,
+            routing,
+            expert_out,
+            ragged,
+        };
+        Ok((out, saved))
+    }
+
+    /// Head of every pass: gate, route under `cfg`, size the bins.
+    fn gate(
+        &self,
+        x: &Tensor,
+        cfg: &MoeConfig,
+    ) -> Result<(Tensor, Routing, RaggedRouting), TensorError> {
+        let route_cfg = cfg.route_config();
         let (probs, routing) = {
             let _gate = self.obs.span("gate");
             let logits = self.router.as_dyn().logits(x)?;
             let probs = logits.softmax_last();
-            let routing = route(&probs, &cfg.route_config())?;
+            let routing = route(&probs, &route_cfg)?;
             (probs, routing)
         };
         observe_routing(&routing, &self.obs);
-        let output = if matches!(cfg.route_config().capacity, CapacityPolicy::AutoMin) {
-            // Dropless: packed ragged bins + grouped GEMM, no padding.
-            let ragged = RaggedRouting::from_routing(&routing);
-            let packed = ragged_encode_observed(x, &routing, &ragged, &self.obs)?;
-            let expert_out = self.experts.infer_grouped(&packed, &ragged.offsets)?;
-            scratch::recycle(packed);
-            let output =
-                ragged_decode_observed(&expert_out, &routing, &ragged, x.dims()[0], &self.obs)?;
-            scratch::recycle(expert_out);
-            output
-        } else {
-            let dispatched = fast_encode_observed(x, &routing, &self.obs)?;
-            let expert_out = self.experts.infer(&dispatched)?;
-            scratch::recycle(dispatched);
-            let output = fast_decode_observed(&expert_out, &routing, x.dims()[0], &self.obs)?;
-            scratch::recycle(expert_out);
-            output
-        };
-        let aux = aux_loss(&probs, &routing)?;
+        let ragged = expert_bins(&routing, route_cfg.capacity);
+        Ok((probs, routing, ragged))
+    }
+
+    /// Tail of every forward pass: the aux loss and the routing
+    /// statistics around `output`.
+    fn report(
+        &self,
+        output: Tensor,
+        probs: &Tensor,
+        routing: &Routing,
+    ) -> Result<MoeOutput, TensorError> {
+        let aux = aux_loss(probs, routing)?;
         self.obs.set_gauge("gate.aux_loss", aux as f64);
         Ok(MoeOutput {
             output,
@@ -277,56 +322,6 @@ impl MoeLayer {
             expert_load: routing.counts.clone(),
             dropped: routing.dropped(),
         })
-    }
-
-    fn forward_inner(&mut self, x: &Tensor) -> Result<(MoeOutput, SavedForward), TensorError> {
-        let _span = self.obs.span("moe.forward");
-        let (probs, routing) = {
-            let _gate = self.obs.span("gate");
-            let logits = self.router.as_dyn().logits(x)?;
-            let probs = logits.softmax_last();
-            let routing = route(&probs, &self.cfg.route_config())?;
-            (probs, routing)
-        };
-        observe_routing(&routing, &self.obs);
-        let ragged = if matches!(self.cfg.route_config().capacity, CapacityPolicy::AutoMin) {
-            Some(RaggedRouting::from_routing(&routing))
-        } else {
-            None
-        };
-        let (expert_out, output) = if let Some(rag) = &ragged {
-            let packed = ragged_encode_observed(x, &routing, rag, &self.obs)?;
-            let expert_out = self.experts.forward_grouped(&packed, &rag.offsets)?;
-            scratch::recycle(packed);
-            let output =
-                ragged_decode_observed(&expert_out, &routing, rag, x.dims()[0], &self.obs)?;
-            (expert_out, output)
-        } else {
-            let dispatched = fast_encode_observed(x, &routing, &self.obs)?;
-            let expert_out = self.experts.forward(&dispatched)?;
-            scratch::recycle(dispatched);
-            let output = fast_decode_observed(&expert_out, &routing, x.dims()[0], &self.obs)?;
-            (expert_out, output)
-        };
-        let aux = aux_loss(&probs, &routing)?;
-        self.obs.set_gauge("gate.aux_loss", aux as f64);
-        let out = MoeOutput {
-            output,
-            aux_loss: aux,
-            capacity_factor: routing.capacity_factor,
-            needed_factor: routing.needed_factor,
-            survival_rate: routing.survival_rate(),
-            expert_load: routing.counts.clone(),
-            dropped: routing.dropped(),
-        };
-        let saved = SavedForward {
-            x: x.clone(),
-            probs,
-            routing,
-            expert_out,
-            ragged,
-        };
-        Ok((out, saved))
     }
 
     /// Backward pass: consumes the cached forward, accumulates router
@@ -352,27 +347,14 @@ impl MoeLayer {
             .ok_or_else(|| TensorError::InvalidArgument("backward without forward".into()))?;
         let tokens = x.dims()[0];
 
-        // Decode → experts → encode, retracing whichever path the
-        // forward took. Gate-value gradients come out in the same
-        // token/selection order either way.
-        let (mut d_x, d_gates) = if let Some(rag) = &ragged {
-            let (d_packed_out, d_gates) =
-                ragged_decode_backward(d_out, &expert_out, &routing, rag)?;
-            scratch::recycle(expert_out);
-            let d_packed_in = self.experts.backward_grouped(&d_packed_out)?;
-            scratch::recycle(d_packed_out);
-            let d_x = ragged_encode_backward(&d_packed_in, &routing, rag, tokens)?;
-            scratch::recycle(d_packed_in);
-            (d_x, d_gates)
-        } else {
-            let (d_expert_out, d_gates) = fast_decode_backward(d_out, &expert_out, &routing)?;
-            scratch::recycle(expert_out);
-            let d_dispatched = self.experts.backward(&d_expert_out)?;
-            scratch::recycle(d_expert_out);
-            let d_x = fast_encode_backward(&d_dispatched, &routing, tokens)?;
-            scratch::recycle(d_dispatched);
-            (d_x, d_gates)
-        };
+        // Decode → experts → encode, retraced over the forward's bins.
+        let (d_packed_out, d_gates) =
+            ragged_decode_backward(d_out, &expert_out, &routing, &ragged)?;
+        scratch::recycle(expert_out);
+        let d_packed_in = self.experts.backward_grouped(&d_packed_out)?;
+        scratch::recycle(d_packed_out);
+        let mut d_x = ragged_encode_backward(&d_packed_in, &routing, &ragged, tokens)?;
+        scratch::recycle(d_packed_in);
 
         // Gate-value gradients → probability gradients. For k > 1 the
         // selected gates were normalized (g_i = v_i / Σv); chain
@@ -419,10 +401,7 @@ impl MoeLayer {
                 let (w, m) = r.weights();
                 sd.insert(&format!("{prefix}.router.proj"), w.clone());
                 sd.insert(&format!("{prefix}.router.embed"), m.clone());
-                sd.insert(
-                    &format!("{prefix}.router.tau"),
-                    Tensor::from_vec(vec![r.tau()], &[1]).expect("scalar tensor"),
-                );
+                sd.insert(&format!("{prefix}.router.tau"), Tensor::full(&[1], r.tau()));
             }
             AnyRouter::Hash(_) => {}
         }

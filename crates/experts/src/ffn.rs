@@ -2,13 +2,28 @@
 
 use tutel_obs::Telemetry;
 use tutel_tensor::{
-    gelu_backward_with_tanh, gelu_slice_with_tanh, gemm_nt, gemm_tn, grouped_gemm, grouped_gemm_nt,
-    grouped_gemm_tn, quantize_in_place, scratch, Precision, Rng, Tensor, TensorError,
+    gelu_backward_with_tanh, gelu_slice_with_tanh, grouped_gemm, grouped_gemm_nt, grouped_gemm_tn,
+    quantize_in_place, scratch, uniform_offsets, Precision, Rng, Tensor, TensorError,
 };
 
 /// A batch of `ΔE` expert FFNs: for each local expert `e`,
-/// `y = gelu(x · W1_e + b1_e) · W2_e + b2_e` with `x (C, M)`,
-/// `W1 (M, V)`, `W2 (V, M)`.
+/// `y = gelu(x · W1_e + b1_e) · W2_e + b2_e` with `W1 (M, V)`,
+/// `W2 (V, M)`.
+///
+/// Compute runs over **packed rows partitioned by CSR `offsets`**:
+/// expert `e` owns rows `offsets[e]..offsets[e+1]`, one grouped-GEMM
+/// launch per layer. That is the only implementation; the two input
+/// layouts are entry points into it:
+///
+/// | call | input | offsets |
+/// |---|---|---|
+/// | [`forward_grouped`](Self::forward_grouped) / [`infer_grouped`](Self::infer_grouped) | packed `(R, M)` | the caller's ragged bins |
+/// | [`forward`](Self::forward) / [`infer`](Self::infer) | padded `(ΔE, C, M)` | synthesized `[0, C, 2C, …]` |
+///
+/// A row's bits depend only on the row and its expert's weights —
+/// never on how many rows share its bin — so the same row computes
+/// identically through either entry point. Outputs and input
+/// gradients take the shape of the input they answer.
 ///
 /// Forward caches the activations needed by [`ExpertsBlock::backward`];
 /// gradients accumulate across calls until [`ExpertsBlock::step`].
@@ -43,13 +58,11 @@ pub struct ExpertsBlock {
     db1: Tensor,
     dw2: Tensor,
     db2: Tensor,
-    /// Saved activations from the last forward: the input `x`, the
-    /// pre-activation `h_pre`, the GELU output `h`, and the `tanh`
-    /// intermediate — so backward never re-evaluates `tanh`.
-    saved: Option<(Tensor, Tensor, Tensor, Tensor)>,
-    /// Saved activations from the last *grouped* forward: the same
-    /// four tensors in packed `(R, ·)` layout plus the bin offsets.
-    saved_grouped: Option<(Tensor, Tensor, Tensor, Tensor, Vec<usize>)>,
+    /// Saved activations from the last forward: the input `x` (in the
+    /// caller's shape), the pre-activation `h_pre`, the GELU output
+    /// `h`, the `tanh` intermediate — so backward never re-evaluates
+    /// `tanh` — and the bin offsets the rows were computed under.
+    saved: Option<(Tensor, Tensor, Tensor, Tensor, Vec<usize>)>,
     /// Weight *storage* format. Under [`Precision::Bf16`] the weights
     /// are kept rounded to the bf16-representable set at every rest
     /// point (construction, checkpoint restore, after each optimizer
@@ -80,7 +93,6 @@ impl ExpertsBlock {
             dw2: Tensor::zeros(&[local_experts, hidden_dim, model_dim]),
             db2: Tensor::zeros(&[local_experts, model_dim]),
             saved: None,
-            saved_grouped: None,
             storage: Precision::F32,
             obs: Telemetry::disabled(),
         }
@@ -165,10 +177,43 @@ impl ExpertsBlock {
             w2,
             b2,
             saved: None,
-            saved_grouped: None,
             storage: Precision::F32,
             obs: Telemetry::disabled(),
         })
+    }
+
+    /// Rank `rank`'s share of this expert bank split evenly over
+    /// `world` ranks along the expert axis: a fresh block (zero
+    /// gradients, nothing cached) over experts
+    /// `rank·ΔE/world..(rank+1)·ΔE/world`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`TensorError`] if `world` does not divide the expert
+    /// count or `rank >= world`.
+    pub fn rank_slice(&self, world: usize, rank: usize) -> Result<Self, TensorError> {
+        if world == 0 || !self.local_experts.is_multiple_of(world) || rank >= world {
+            return Err(TensorError::InvalidArgument(format!(
+                "no slice {rank} of {} experts over {world} ranks",
+                self.local_experts
+            )));
+        }
+        // Experts are the leading axis, so a rank's share of each
+        // parameter is one contiguous slab.
+        let slice = |t: &Tensor| -> Result<Tensor, TensorError> {
+            let mut dims = t.dims().to_vec();
+            dims[0] /= world;
+            let len = t.len() / world;
+            Tensor::from_vec(t.as_slice()[rank * len..(rank + 1) * len].to_vec(), &dims)
+        };
+        let mut local = ExpertsBlock::from_weights(
+            slice(&self.w1)?,
+            slice(&self.b1)?,
+            slice(&self.w2)?,
+            slice(&self.b2)?,
+        )?;
+        local.storage = self.storage;
+        Ok(local)
     }
 
     /// Number of local experts (`ΔE`).
@@ -225,92 +270,37 @@ impl ExpertsBlock {
         self.b2 = b2;
         self.round_weights_to_storage();
         self.saved = None;
-        self.saved_grouped = None;
         Ok(())
     }
 
-    /// Forward pass over `x (ΔE, C, M)`, producing `(ΔE, C, M)` and
-    /// caching activations for backward.
+    /// Forward pass over padded `x (ΔE, C, M)`, producing `(ΔE, C, M)`
+    /// and caching activations for backward.
     ///
     /// # Errors
     ///
     /// Returns a [`TensorError`] if `x` has the wrong shape.
     pub fn forward(&mut self, x: &Tensor) -> Result<Tensor, TensorError> {
-        let span = self.ffn_span("ffn", x);
-        self.check_input(x)?;
-        let c = x.dims()[1];
-        // Register backward's hidden-gradient slab class so its first
-        // `take_zeroed` already hits a warm buffer. Idempotent top-up:
-        // once the class retains a buffer this is a lock + a map probe.
-        tutel_rt::request_prewarm(c * self.hidden_dim, 1);
-        // h_pre = x · W1 + b1 (per expert).
-        let mut h_pre = x.bmm(&self.w1)?;
-        add_bias(&mut h_pre, &self.b1, c);
-        // Keep the GELU output and its tanh intermediate for backward:
-        // re-evaluating tanh there would dominate the backward pass.
-        let mut h = scratch::zeroed(h_pre.dims());
-        let mut tanh = scratch::zeroed(h_pre.dims());
-        gelu_slice_with_tanh(h_pre.as_slice(), h.as_mut_slice(), tanh.as_mut_slice());
-        let mut y = h.bmm(&self.w2)?;
-        add_bias(&mut y, &self.b2, c);
-        self.saved = Some((scratch::copy_of(x), h_pre, h, tanh));
-        drop(span);
-        Ok(y)
+        let offsets = self.uniform_bins(x)?;
+        self.forward_rows(x, &offsets)
     }
 
-    /// Forward without caching (inference).
+    /// Forward without caching (inference) over padded `x (ΔE, C, M)`.
     ///
     /// # Errors
     ///
     /// Returns a [`TensorError`] if `x` has the wrong shape.
     pub fn infer(&self, x: &Tensor) -> Result<Tensor, TensorError> {
-        let span = self.ffn_span("ffn", x);
-        let y = self.forward_only(x)?;
-        drop(span);
-        Ok(y)
-    }
-
-    /// Opens a span over an FFN pass and counts its FLOPs (two GEMMs,
-    /// `2·2·ΔE·C·M·V` multiply-adds). Returns a no-op span when
-    /// telemetry is disabled or `x` is misshapen (the pass itself will
-    /// report the shape error).
-    fn ffn_span(&self, name: &str, x: &Tensor) -> tutel_obs::Span {
-        if !self.obs.is_enabled() || x.rank() != 3 {
-            return self.obs.span(name);
-        }
-        let c = x.dims()[1];
-        let flops = 4 * self.local_experts * c * self.model_dim * self.hidden_dim;
-        self.obs.add_counter("experts.flops", flops as u64);
-        self.obs
-            .span(name)
-            .tag("local_experts", self.local_experts)
-            .tag("rows", c)
-            .tag("flops", flops)
-    }
-
-    // check:hot
-    fn forward_only(&self, x: &Tensor) -> Result<Tensor, TensorError> {
-        self.check_input(x)?;
-        let c = x.dims()[1];
-        // h_pre = x · W1 + b1 (per expert).
-        let mut h_pre = x.bmm(&self.w1)?;
-        add_bias(&mut h_pre, &self.b1, c);
-        let h = h_pre.gelu();
-        let mut y = h.bmm(&self.w2)?;
-        add_bias(&mut y, &self.b2, c);
-        scratch::recycle(h_pre);
-        scratch::recycle(h);
-        Ok(y)
+        let offsets = self.uniform_bins(x)?;
+        self.infer_rows(x, &offsets)
     }
 
     /// Grouped (dropless) forward over packed ragged bins: `x (R, M)`
-    /// where expert `e` owns rows `offsets[e]..offsets[e+1]`. One
-    /// grouped-GEMM launch per layer instead of a padded `bmm`; no
-    /// zero rows are computed. Produces `(R, M)` and caches packed
-    /// activations for [`ExpertsBlock::backward_grouped`].
+    /// where expert `e` owns rows `offsets[e]..offsets[e+1]`; no zero
+    /// rows are computed. Produces `(R, M)` and caches activations for
+    /// backward.
     ///
     /// Arithmetic accumulates in f32 regardless of the weight storage
-    /// format, exactly like the padded path — bf16 storage composes.
+    /// format — bf16 storage composes.
     ///
     /// # Errors
     ///
@@ -320,37 +310,8 @@ impl ExpertsBlock {
         x: &Tensor,
         offsets: &[usize],
     ) -> Result<Tensor, TensorError> {
-        let span = self.grouped_span("ffn", x, offsets);
         self.check_grouped(x, offsets)?;
-        let total = *offsets.last().unwrap_or(&0);
-        let (m, v) = (self.model_dim, self.hidden_dim);
-        tutel_rt::request_prewarm(total * v, 1);
-        let mut h_pre = scratch::zeroed(&[total, v]);
-        grouped_gemm(
-            x.as_slice(),
-            self.w1.as_slice(),
-            h_pre.as_mut_slice(),
-            offsets,
-            m,
-            v,
-        );
-        add_bias_grouped(&mut h_pre, &self.b1, offsets);
-        let mut h = scratch::zeroed(h_pre.dims());
-        let mut tanh = scratch::zeroed(h_pre.dims());
-        gelu_slice_with_tanh(h_pre.as_slice(), h.as_mut_slice(), tanh.as_mut_slice());
-        let mut y = scratch::zeroed(&[total, m]);
-        grouped_gemm(
-            h.as_slice(),
-            self.w2.as_slice(),
-            y.as_mut_slice(),
-            offsets,
-            v,
-            m,
-        );
-        add_bias_grouped(&mut y, &self.b2, offsets);
-        self.saved_grouped = Some((scratch::copy_of(x), h_pre, h, tanh, offsets.to_vec()));
-        drop(span);
-        Ok(y)
+        self.forward_rows(x, offsets)
     }
 
     /// Grouped forward without caching (inference).
@@ -358,122 +319,129 @@ impl ExpertsBlock {
     /// # Errors
     ///
     /// Returns a [`TensorError`] if `x` or `offsets` is inconsistent.
-    // check:hot
     pub fn infer_grouped(&self, x: &Tensor, offsets: &[usize]) -> Result<Tensor, TensorError> {
-        let span = self.grouped_span("ffn", x, offsets);
         self.check_grouped(x, offsets)?;
-        let total = *offsets.last().unwrap_or(&0);
-        let (m, v) = (self.model_dim, self.hidden_dim);
-        let mut h_pre = scratch::zeroed(&[total, v]);
-        grouped_gemm(
-            x.as_slice(),
-            self.w1.as_slice(),
-            h_pre.as_mut_slice(),
-            offsets,
-            m,
-            v,
-        );
-        add_bias_grouped(&mut h_pre, &self.b1, offsets);
-        let h = h_pre.gelu();
-        let mut y = scratch::zeroed(&[total, m]);
-        grouped_gemm(
-            h.as_slice(),
-            self.w2.as_slice(),
-            y.as_mut_slice(),
-            offsets,
-            v,
-            m,
-        );
-        add_bias_grouped(&mut y, &self.b2, offsets);
-        scratch::recycle(h_pre);
-        scratch::recycle(h);
-        drop(span);
-        Ok(y)
+        self.infer_rows(x, offsets)
     }
 
-    /// Backward of [`ExpertsBlock::forward_grouped`]: consumes the
-    /// cached packed activations, accumulates parameter gradients
-    /// (grouped TN launches straight into the gradient slabs), returns
-    /// `d_x (R, M)`.
+    /// Backward of a grouped forward; [`ExpertsBlock::backward`] under
+    /// the name the grouped entry points pair with.
     ///
     /// # Errors
     ///
-    /// Returns a [`TensorError`] if no grouped forward is cached or
-    /// shapes mismatch.
-    // check:hot
+    /// As [`ExpertsBlock::backward`].
     pub fn backward_grouped(&mut self, d_y: &Tensor) -> Result<Tensor, TensorError> {
-        let (x, h_pre, h, tanh, offsets) = self.saved_grouped.take().ok_or_else(|| {
-            TensorError::InvalidArgument("grouped backward without grouped forward".into())
-        })?;
-        let _span = self.grouped_span("ffn.backward", d_y, &offsets);
-        self.check_grouped(d_y, &offsets)?;
-        let total = *offsets.last().unwrap_or(&0);
-        let (m, v) = (self.model_dim, self.hidden_dim);
-        // dW2 += hᵀ · dY and db2 += Σ rows dY, bin by bin.
-        grouped_gemm_tn(
-            h.as_slice(),
-            d_y.as_slice(),
-            self.dw2.as_mut_slice(),
-            &offsets,
-            v,
-            m,
-        );
-        for e in 0..self.local_experts {
-            let rows = offsets[e + 1] - offsets[e];
-            accumulate_bias(
-                &mut self.db2,
-                e,
-                &d_y.as_slice()[offsets[e] * m..offsets[e + 1] * m],
-                rows,
-                m,
-            );
+        self.backward(d_y)
+    }
+
+    /// The training forward body: `x` is validated rows of `M` (either
+    /// layout) partitioned by `offsets`; the result takes `x`'s shape.
+    fn forward_rows(&mut self, x: &Tensor, offsets: &[usize]) -> Result<Tensor, TensorError> {
+        let _span = self.ffn_span("ffn", offsets);
+        let h_pre = self.layer(x.as_slice(), &self.w1, &self.b1, offsets);
+        // Keep the GELU output and its tanh intermediate for backward:
+        // re-evaluating tanh there would dominate the backward pass.
+        let mut h = scratch::zeroed(h_pre.dims());
+        let mut tanh = scratch::zeroed(h_pre.dims());
+        gelu_slice_with_tanh(h_pre.as_slice(), h.as_mut_slice(), tanh.as_mut_slice());
+        let mut y = self.layer(h.as_slice(), &self.w2, &self.b2, offsets);
+        y.reshape_in_place(x.dims())?;
+        self.saved = Some((scratch::copy_of(x), h_pre, h, tanh, offsets.to_vec()));
+        Ok(y)
+    }
+
+    /// The inference body: [`Self::forward_rows`] without the cache.
+    // check:hot
+    fn infer_rows(&self, x: &Tensor, offsets: &[usize]) -> Result<Tensor, TensorError> {
+        let _span = self.ffn_span("ffn", offsets);
+        let h_pre = self.layer(x.as_slice(), &self.w1, &self.b1, offsets);
+        let h = h_pre.gelu();
+        let mut y = self.layer(h.as_slice(), &self.w2, &self.b2, offsets);
+        y.reshape_in_place(x.dims())?;
+        scratch::recycle(h_pre);
+        scratch::recycle(h);
+        Ok(y)
+    }
+
+    /// One linear layer over packed rows: bin `e`'s rows times
+    /// `w[e] (K, N)` plus `b[e]`, as a single grouped-GEMM launch.
+    /// Returns `(R, N)`.
+    fn layer(&self, rows: &[f32], w: &Tensor, b: &Tensor, offsets: &[usize]) -> Tensor {
+        let (k, n) = (w.dims()[1], w.dims()[2]);
+        let mut out = scratch::zeroed(&[offsets[self.local_experts], n]);
+        grouped_gemm(rows, w.as_slice(), out.as_mut_slice(), offsets, k, n);
+        add_bias(out.as_mut_slice(), b, offsets);
+        out
+    }
+
+    /// Backward pass: consumes the cached activations, accumulates
+    /// parameter gradients (grouped TN launches straight into the
+    /// gradient slabs) and returns `d_x` in the shape of the forward's
+    /// input — `(ΔE, C, M)` after [`ExpertsBlock::forward`], `(R, M)`
+    /// after [`ExpertsBlock::forward_grouped`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`TensorError`] if no forward is cached or `d_y` does
+    /// not have the forward input's shape.
+    // check:hot
+    pub fn backward(&mut self, d_y: &Tensor) -> Result<Tensor, TensorError> {
+        let (x, h_pre, h, tanh, offsets) = self
+            .saved
+            .take()
+            .ok_or_else(|| TensorError::InvalidArgument("backward without forward".into()))?;
+        let _span = self.ffn_span("ffn.backward", &offsets);
+        if d_y.dims() != x.dims() {
+            return Err(TensorError::shape_mismatch(
+                "experts_backward",
+                d_y.dims(),
+                x.dims(),
+            ));
         }
-        // dh = dY · W2ᵀ, then through GELU in place over the whole
-        // packed buffer (elementwise — bins don't interact).
-        let arena = tutel_rt::arena();
-        let mut dh = arena.take_zeroed(total * v);
-        grouped_gemm_nt(d_y.as_slice(), self.w2.as_slice(), &mut dh, &offsets, m, v);
+        let (m, v) = (self.model_dim, self.hidden_dim);
+        let dys = d_y.as_slice();
+        // dW2 += hᵀ · dY and db2 += Σ rows dY, bin by bin.
+        grouped_gemm_tn(h.as_slice(), dys, self.dw2.as_mut_slice(), &offsets, v, m);
+        accumulate_bias(&mut self.db2, dys, &offsets);
+        // dW2 was the GELU output's last reader, so its buffer becomes
+        // the hidden-gradient slab: dh = dY · W2ᵀ, then through GELU in
+        // place (elementwise — bins don't interact).
+        let mut dh = h.into_vec();
+        dh.fill(0.0);
+        grouped_gemm_nt(dys, self.w2.as_slice(), &mut dh, &offsets, m, v);
         gelu_backward_with_tanh(h_pre.as_slice(), tanh.as_slice(), &mut dh);
         // dW1 += xᵀ · dh_pre; db1 += Σ rows dh_pre; dx = dh_pre · W1ᵀ.
         grouped_gemm_tn(x.as_slice(), &dh, self.dw1.as_mut_slice(), &offsets, m, v);
-        for e in 0..self.local_experts {
-            let rows = offsets[e + 1] - offsets[e];
-            accumulate_bias(
-                &mut self.db1,
-                e,
-                &dh[offsets[e] * v..offsets[e + 1] * v],
-                rows,
-                v,
-            );
-        }
+        accumulate_bias(&mut self.db1, &dh, &offsets);
         let mut dx = scratch::zeroed(x.dims());
         grouped_gemm_nt(&dh, self.w1.as_slice(), dx.as_mut_slice(), &offsets, v, m);
-        arena.put(dh);
+        tutel_rt::arena().put(dh);
         scratch::recycle(x);
         scratch::recycle(h_pre);
-        scratch::recycle(h);
         scratch::recycle(tanh);
         Ok(dx)
     }
 
-    /// Span + FLOP counter for a grouped pass: FLOPs are exact routed
-    /// rows (`4·R·M·V`), not `4·ΔE·C·M·V` — the telemetry shows the
-    /// padding waste the grouped path avoids.
-    fn grouped_span(&self, name: &str, x: &Tensor, offsets: &[usize]) -> tutel_obs::Span {
-        if !self.obs.is_enabled() || x.rank() != 2 {
+    /// Opens a span over an FFN pass and counts its FLOPs: two GEMMs
+    /// over every row of every bin, `4·R·M·V` multiply-adds — with
+    /// exact bins that is the routed rows only, with uniform bins
+    /// `4·ΔE·C·M·V`, so the counter shows the padding an exact-bin
+    /// caller avoids.
+    fn ffn_span(&self, name: &str, offsets: &[usize]) -> tutel_obs::Span {
+        if !self.obs.is_enabled() {
             return self.obs.span(name);
         }
-        let rows = *offsets.last().unwrap_or(&0);
+        let rows = offsets[self.local_experts];
         let flops = 4 * rows * self.model_dim * self.hidden_dim;
         self.obs.add_counter("experts.flops", flops as u64);
         self.obs
             .span(name)
             .tag("local_experts", self.local_experts)
             .tag("rows", rows)
-            .tag("grouped", 1usize)
             .tag("flops", flops)
     }
 
+    /// Validates a packed `(R, M)` input against caller-supplied bins.
     fn check_grouped(&self, x: &Tensor, offsets: &[usize]) -> Result<(), TensorError> {
         if offsets.len() != self.local_experts + 1
             || offsets[0] != 0
@@ -484,7 +452,7 @@ impl ExpertsBlock {
                 self.local_experts
             )));
         }
-        let total = *offsets.last().unwrap_or(&0);
+        let total = offsets[self.local_experts];
         if x.rank() != 2 || x.dims()[0] != total || x.dims()[1] != self.model_dim {
             return Err(TensorError::ShapeMismatch {
                 left: x.dims().to_vec(),
@@ -495,86 +463,17 @@ impl ExpertsBlock {
         Ok(())
     }
 
-    /// Backward pass: consumes the cached activations, accumulates
-    /// parameter gradients, returns `d_x (ΔE, C, M)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TensorError`] if no forward is cached or shapes
-    /// mismatch.
-    // check:hot
-    pub fn backward(&mut self, d_y: &Tensor) -> Result<Tensor, TensorError> {
-        let _span = self.ffn_span("ffn.backward", d_y);
-        let (x, h_pre, h, tanh) = self
-            .saved
-            .take()
-            .ok_or_else(|| TensorError::InvalidArgument("backward without forward".into()))?;
-        self.check_input(d_y)?;
-        let (de, c) = (x.dims()[0], x.dims()[1]);
-        let (m, v) = (self.model_dim, self.hidden_dim);
-        let mut dx = scratch::zeroed(x.dims());
-        let arena = tutel_rt::arena();
-        // Per-expert scratch, recycled across iterations: the hidden
-        // gradient slab.
-        let mut dh = arena.take_zeroed(c * v);
-        let xs = x.as_slice();
-        let hps = h_pre.as_slice();
-        let hs = h.as_slice();
-        let ts = tanh.as_slice();
-        let dys = d_y.as_slice();
-        for e in 0..de {
-            let xe = &xs[e * c * m..(e + 1) * c * m];
-            let hpe = &hps[e * c * v..(e + 1) * c * v];
-            let dye = &dys[e * c * m..(e + 1) * c * m];
-            // dW2 += hᵀ · dY (straight into the gradient slab), using
-            // the GELU output saved by forward; db2 += Σ rows dY.
-            gemm_tn(
-                &hs[e * c * v..(e + 1) * c * v],
-                dye,
-                &mut self.dw2.as_mut_slice()[e * v * m..(e + 1) * v * m],
-                v,
-                c,
-                m,
-            );
-            accumulate_bias(&mut self.db2, e, dye, c, m);
-            // dh = dY · W2ᵀ, then through GELU in place.
-            gemm_nt(
-                dye,
-                &self.w2.as_slice()[e * v * m..(e + 1) * v * m],
-                &mut dh,
-                c,
-                m,
-                v,
-            );
-            gelu_backward_with_tanh(hpe, &ts[e * c * v..(e + 1) * c * v], &mut dh);
-            // dW1 += xᵀ · dh_pre; db1 += Σ rows dh_pre; dx = dh_pre · W1ᵀ.
-            gemm_tn(
-                xe,
-                &dh,
-                &mut self.dw1.as_mut_slice()[e * m * v..(e + 1) * m * v],
-                m,
-                c,
-                v,
-            );
-            accumulate_bias(&mut self.db1, e, &dh, c, v);
-            gemm_nt(
-                &dh,
-                &self.w1.as_slice()[e * m * v..(e + 1) * m * v],
-                &mut dx.as_mut_slice()[e * c * m..(e + 1) * c * m],
-                c,
-                v,
-                m,
-            );
-            if e + 1 < de {
-                dh.fill(0.0);
-            }
+    /// Validates a padded `(ΔE, C, M)` input and synthesizes its bins:
+    /// `[0, C, 2C, …]`.
+    fn uniform_bins(&self, x: &Tensor) -> Result<Vec<usize>, TensorError> {
+        if x.rank() != 3 || x.dims()[0] != self.local_experts || x.dims()[2] != self.model_dim {
+            return Err(TensorError::ShapeMismatch {
+                left: x.dims().to_vec(),
+                right: vec![self.local_experts, 0, self.model_dim],
+                op: "experts_forward",
+            });
         }
-        arena.put(dh);
-        scratch::recycle(x);
-        scratch::recycle(h_pre);
-        scratch::recycle(h);
-        scratch::recycle(tanh);
-        Ok(dx)
+        Ok(uniform_offsets(self.local_experts, x.dims()[1]))
     }
 
     /// Maximum per-tensor gradient norm applied by [`ExpertsBlock::step`].
@@ -609,57 +508,32 @@ impl ExpertsBlock {
         self.dw2.as_mut_slice().fill(0.0);
         self.db2.as_mut_slice().fill(0.0);
     }
-
-    fn check_input(&self, x: &Tensor) -> Result<(), TensorError> {
-        if x.rank() != 3 || x.dims()[0] != self.local_experts || x.dims()[2] != self.model_dim {
-            return Err(TensorError::ShapeMismatch {
-                left: x.dims().to_vec(),
-                right: vec![self.local_experts, 0, self.model_dim],
-                op: "experts_forward",
-            });
-        }
-        Ok(())
-    }
 }
 
 /// Adds `bias (ΔE, cols)` to packed rows: expert `e`'s bias row lands
-/// on rows `offsets[e]..offsets[e+1]` of `t (R, cols)`. Same scalar
-/// add order per row as [`add_bias`], so grouped rows stay bitwise
-/// equal to their padded twins.
-fn add_bias_grouped(t: &mut Tensor, bias: &Tensor, offsets: &[usize]) {
-    let de = bias.dims()[0];
+/// on rows `offsets[e]..offsets[e+1]` of `t (R, cols)`.
+fn add_bias(t: &mut [f32], bias: &Tensor, offsets: &[usize]) {
     let cols = bias.dims()[1];
-    for e in 0..de {
+    for e in 0..bias.dims()[0] {
         let b = &bias.as_slice()[e * cols..(e + 1) * cols];
         for r in offsets[e]..offsets[e + 1] {
-            let off = r * cols;
-            for (o, bv) in t.as_mut_slice()[off..off + cols].iter_mut().zip(b) {
+            for (o, bv) in t[r * cols..(r + 1) * cols].iter_mut().zip(b) {
                 *o += bv;
             }
         }
     }
 }
 
-fn add_bias(t: &mut Tensor, bias: &Tensor, rows: usize) {
-    let de = bias.dims()[0];
-    let cols = bias.dims()[1];
-    for e in 0..de {
-        let b = &bias.as_slice()[e * cols..(e + 1) * cols];
-        for r in 0..rows {
-            let off = (e * rows + r) * cols;
-            for (o, bv) in t.as_mut_slice()[off..off + cols].iter_mut().zip(b) {
-                *o += bv;
+/// `db (ΔE, cols)[e] += Σ` of bin `e`'s rows of `d (R, cols)`, rows in
+/// packed order.
+fn accumulate_bias(db: &mut Tensor, d: &[f32], offsets: &[usize]) {
+    let cols = db.dims()[1];
+    for e in 0..db.dims()[0] {
+        let acc = &mut db.as_mut_slice()[e * cols..(e + 1) * cols];
+        for r in offsets[e]..offsets[e + 1] {
+            for (o, v) in acc.iter_mut().zip(&d[r * cols..(r + 1) * cols]) {
+                *o += v;
             }
-        }
-    }
-}
-
-fn accumulate_bias(db: &mut Tensor, e: usize, d: &[f32], rows: usize, cols: usize) {
-    let base = e * cols;
-    for r in 0..rows {
-        let row = &d[r * cols..(r + 1) * cols];
-        for (o, v) in db.as_mut_slice()[base..base + cols].iter_mut().zip(row) {
-            *o += v;
         }
     }
 }
@@ -784,31 +658,155 @@ mod tests {
         assert_eq!(inferred.as_slice(), grouped.as_slice());
     }
 
-    #[test]
-    fn grouped_backward_matches_padded_backward_on_uniform_bins() {
-        // With every bin exactly at capacity the two paths see the
-        // same rows with the same reduction shapes — gradients must
-        // agree bitwise.
+    /// Oracle sharing no code with the grouped path: one row at a time
+    /// through triple-loop GEMMs in f64 and a scalar tanh-GELU.
+    #[derive(Clone)]
+    struct NaiveFfn {
+        m: usize,
+        v: usize,
+        w1: Vec<f64>,
+        b1: Vec<f64>,
+        w2: Vec<f64>,
+        b2: Vec<f64>,
+    }
+
+    fn widen(s: &[f32]) -> Vec<f64> {
+        s.iter().map(|&x| f64::from(x)).collect()
+    }
+
+    impl NaiveFfn {
+        fn of(ex: &ExpertsBlock) -> Self {
+            NaiveFfn {
+                m: ex.model_dim,
+                v: ex.hidden_dim,
+                w1: widen(ex.w1.as_slice()),
+                b1: widen(ex.b1.as_slice()),
+                w2: widen(ex.w2.as_slice()),
+                b2: widen(ex.b2.as_slice()),
+            }
+        }
+
+        /// `y (R, M)` for packed rows `x (R, M)` binned by `offsets`.
+        fn forward(&self, x: &[f64], offsets: &[usize]) -> Vec<f64> {
+            let (m, v) = (self.m, self.v);
+            let mut y = vec![0.0; x.len()];
+            for e in 0..offsets.len() - 1 {
+                for r in offsets[e]..offsets[e + 1] {
+                    let mut h = vec![0.0; v];
+                    for (j, hj) in h.iter_mut().enumerate() {
+                        let mut pre = self.b1[e * v + j];
+                        for p in 0..m {
+                            pre += x[r * m + p] * self.w1[(e * m + p) * v + j];
+                        }
+                        let inner = (2.0 / std::f64::consts::PI).sqrt()
+                            * (pre + 0.044715 * pre * pre * pre);
+                        *hj = 0.5 * pre * (1.0 + inner.tanh());
+                    }
+                    for j in 0..m {
+                        let mut acc = self.b2[e * m + j];
+                        for (p, hp) in h.iter().enumerate() {
+                            acc += hp * self.w2[(e * v + p) * m + j];
+                        }
+                        y[r * m + j] = acc;
+                    }
+                }
+            }
+            y
+        }
+
+        /// The scalar the backward test differentiates: `⟨y, up⟩`.
+        fn loss(&self, x: &[f64], offsets: &[usize], up: &[f64]) -> f64 {
+            let y = self.forward(x, offsets);
+            y.iter().zip(up).map(|(a, b)| a * b).sum()
+        }
+    }
+
+    /// Central differences of `loss_at(i, shift)` over `n` coordinates.
+    fn central_differences(n: usize, loss_at: impl Fn(usize, f64) -> f64) -> Vec<f64> {
+        const EPS: f64 = 1e-5;
+        (0..n)
+            .map(|i| (loss_at(i, EPS) - loss_at(i, -EPS)) / (2.0 * EPS))
+            .collect()
+    }
+
+    fn assert_close(what: &str, got: &[f32], want: &[f64], tol: f64) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (i, (&g, &w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                (f64::from(g) - w).abs() <= tol * w.abs().max(1.0),
+                "{what}[{i}]: got {g}, oracle {w}"
+            );
+        }
+    }
+
+    /// A block with nonzero biases and bins that include an empty bin
+    /// and a 1-row bin.
+    fn oracle_fixture() -> (ExpertsBlock, [usize; 5], Tensor, Tensor) {
         let mut rng = Rng::seed(12);
-        let mut pad = ExpertsBlock::new(2, 4, 8, &mut rng);
-        let mut grp = pad.clone();
-        let x = rng.normal_tensor(&[2, 5, 4], 0.0, 1.0);
-        let dy = rng.normal_tensor(&[2, 5, 4], 0.0, 1.0);
-        let counts = [5usize, 5];
-        let (px, offsets) = pack(&x, &counts);
-        let (pdy, _) = pack(&dy, &counts);
+        let (de, m, v) = (4usize, 3usize, 5usize);
+        let ex = ExpertsBlock::from_weights(
+            rng.normal_tensor(&[de, m, v], 0.0, 0.8),
+            rng.normal_tensor(&[de, v], 0.0, 0.5),
+            rng.normal_tensor(&[de, v, m], 0.0, 0.8),
+            rng.normal_tensor(&[de, m], 0.0, 0.5),
+        )
+        .unwrap();
+        let offsets = [0usize, 3, 3, 4, 9];
+        let x = rng.normal_tensor(&[9, m], 0.0, 1.0);
+        let up = rng.normal_tensor(&[9, m], 0.0, 1.0);
+        (ex, offsets, x, up)
+    }
 
-        pad.forward(&x).unwrap();
-        let dx_pad = pad.backward(&dy).unwrap();
-        grp.forward_grouped(&px, &offsets).unwrap();
-        let dx_grp = grp.backward_grouped(&pdy).unwrap();
+    #[test]
+    fn grouped_forward_matches_naive_per_row_oracle() {
+        let (mut ex, offsets, x, _) = oracle_fixture();
+        let want = NaiveFfn::of(&ex).forward(&widen(x.as_slice()), &offsets);
+        // Blocked f32 accumulation reorders sums: the budget scales
+        // with the longer reduction, √k.
+        let tol = 1e-5 * (ex.hidden_dim.max(ex.model_dim) as f64).sqrt();
+        let trained = ex.forward_grouped(&x, &offsets).unwrap();
+        assert_close("forward_grouped", trained.as_slice(), &want, tol);
+        let inferred = ex.infer_grouped(&x, &offsets).unwrap();
+        assert_close("infer_grouped", inferred.as_slice(), &want, tol);
+    }
 
-        let (dx_packed, _) = pack(&dx_pad, &counts);
-        assert_eq!(dx_grp.as_slice(), dx_packed.as_slice());
-        assert_eq!(pad.dw1.as_slice(), grp.dw1.as_slice());
-        assert_eq!(pad.db1.as_slice(), grp.db1.as_slice());
-        assert_eq!(pad.dw2.as_slice(), grp.dw2.as_slice());
-        assert_eq!(pad.db2.as_slice(), grp.db2.as_slice());
+    #[test]
+    fn grouped_backward_matches_finite_differences_of_the_naive_oracle() {
+        let (mut ex, offsets, x, up) = oracle_fixture();
+        let oracle = NaiveFfn::of(&ex);
+        let (x64, up64) = (widen(x.as_slice()), widen(up.as_slice()));
+        ex.forward_grouped(&x, &offsets).unwrap();
+        let dx = ex.backward_grouped(&up).unwrap();
+
+        let tol = 1e-4;
+        let fd_x = central_differences(x64.len(), |i, d| {
+            let mut xs = x64.clone();
+            xs[i] += d;
+            oracle.loss(&xs, &offsets, &up64)
+        });
+        assert_close("dx", dx.as_slice(), &fd_x, tol);
+        // One perturbed copy of the oracle per parameter coordinate.
+        let fd_param = |n: usize, field: fn(&mut NaiveFfn) -> &mut Vec<f64>| {
+            central_differences(n, |i, d| {
+                let mut o = oracle.clone();
+                field(&mut o)[i] += d;
+                o.loss(&x64, &offsets, &up64)
+            })
+        };
+        let fd_w1 = fd_param(oracle.w1.len(), |o| &mut o.w1);
+        let fd_b1 = fd_param(oracle.b1.len(), |o| &mut o.b1);
+        let fd_w2 = fd_param(oracle.w2.len(), |o| &mut o.w2);
+        let fd_b2 = fd_param(oracle.b2.len(), |o| &mut o.b2);
+        assert_close("dw1", ex.dw1.as_slice(), &fd_w1, tol);
+        assert_close("db1", ex.db1.as_slice(), &fd_b1, tol);
+        assert_close("dw2", ex.dw2.as_slice(), &fd_w2, tol);
+        assert_close("db2", ex.db2.as_slice(), &fd_b2, tol);
+        // The empty bin's expert saw no row: its gradients stay zero.
+        let (m, v) = (ex.model_dim, ex.hidden_dim);
+        assert!(ex.dw1.as_slice()[m * v..2 * m * v]
+            .iter()
+            .all(|&g| g == 0.0));
+        assert!(ex.db2.as_slice()[m..2 * m].iter().all(|&g| g == 0.0));
     }
 
     #[test]
@@ -902,6 +900,25 @@ mod tests {
         let mut rng = Rng::seed(5);
         let mut ex = ExpertsBlock::new(1, 2, 2, &mut rng);
         assert!(ex.backward(&Tensor::zeros(&[1, 1, 2])).is_err());
+    }
+
+    #[test]
+    fn rank_slice_is_the_ranks_contiguous_share_of_the_bank() {
+        let mut rng = Rng::seed(17);
+        let bank = ExpertsBlock::new(6, 3, 4, &mut rng).with_storage_precision(Precision::Bf16);
+        for rank in 0..3 {
+            let local = bank.rank_slice(3, rank).unwrap();
+            assert_eq!(local.local_experts(), 2);
+            assert_eq!(local.storage_precision(), Precision::Bf16);
+            let (w1, b1, w2, b2) = local.weights();
+            assert_eq!(w1, &bank.w1.split_axis(0, 3).unwrap()[rank]);
+            assert_eq!(b1, &bank.b1.split_axis(0, 3).unwrap()[rank]);
+            assert_eq!(w2, &bank.w2.split_axis(0, 3).unwrap()[rank]);
+            assert_eq!(b2, &bank.b2.split_axis(0, 3).unwrap()[rank]);
+        }
+        assert!(bank.rank_slice(3, 3).is_err()); // rank outside the world
+        assert!(bank.rank_slice(4, 0).is_err()); // 4 does not divide 6
+        assert!(bank.rank_slice(0, 0).is_err());
     }
 
     #[test]

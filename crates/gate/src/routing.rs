@@ -2,7 +2,7 @@
 //! routing (BPR).
 
 use serde::{Deserialize, Serialize};
-use tutel_tensor::{Tensor, TensorError};
+use tutel_tensor::{uniform_offsets, Tensor, TensorError};
 
 use crate::{expert_capacity, needed_capacity_factor, CapacityPolicy};
 
@@ -112,47 +112,69 @@ impl Routing {
 }
 
 /// CSR-style ragged view of a [`Routing`]: per-expert bins packed
-/// back-to-back with **no capacity dimension** — the dropless dispatch
-/// layout.
+/// back-to-back — the one dispatch layout.
 ///
-/// `offsets` is the prefix sum of the clamped per-expert counts
-/// (`len == experts + 1`, `offsets[experts] == total routed
-/// assignments`); expert `e`'s bin is packed rows
-/// `offsets[e]..offsets[e + 1]`. The slot-major permutation arrays
-/// name the owner of every packed row: `slot_token[s]` is the source
-/// token and `slot_select[s]` which of its top-k selections landed
-/// there. Within a bin, rows keep the padded layout's capacity-slot
-/// order (`packed slot = offsets[e] + location`), so a row holds
-/// *identical bytes* in both layouts and grouped compute is bitwise
-/// comparable to the padded twin row by row.
+/// `offsets` is a monotone prefix sum (`len == experts + 1`); expert
+/// `e`'s bin is packed rows `offsets[e]..offsets[e + 1]`. Two
+/// constructors choose the bin sizes:
+///
+/// * [`RaggedRouting::from_routing`] — *exact* bins, one row per
+///   routed assignment and no capacity dimension (dropless);
+/// * [`RaggedRouting::uniform_capacity`] — every bin `capacity` rows,
+///   `offsets = [0, C, 2C, …]`: the padded `(E, C, M)` layout as a
+///   ragged view, with constant-shape buffers under clamping policies.
+///
+/// The slot-major permutation arrays name the owner of every packed
+/// row: `slot_token[s]` is the source token ([`RaggedRouting::UNOWNED`]
+/// for a capacity slot no assignment landed in — such rows stay zero)
+/// and `slot_select[s]` which of its top-k selections landed there.
+/// Within a bin, rows sit in capacity-slot order
+/// (`packed slot = offsets[e] + location`), so a row holds *identical
+/// bytes* under either constructor and grouped compute is bitwise
+/// comparable row by row.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RaggedRouting {
     /// Number of global experts (`offsets.len() - 1`).
     pub experts: usize,
-    /// Per-expert bin boundaries: monotone prefix sum of the clamped
-    /// counts.
+    /// Per-expert bin boundaries: monotone prefix sum of the bin sizes.
     pub offsets: Vec<usize>,
-    /// Source token per packed slot.
+    /// Source token per packed slot, or [`RaggedRouting::UNOWNED`].
     pub slot_token: Vec<u32>,
     /// Top-k selection index per packed slot.
     pub slot_select: Vec<u32>,
 }
 
 impl RaggedRouting {
-    /// Builds the ragged view of `routing`. Dropped assignments (only
-    /// possible under a clamping policy — the dropless path never has
-    /// any) simply own no packed slot.
+    /// `slot_token` marker for a slot no assignment owns.
+    pub const UNOWNED: u32 = u32::MAX;
+
+    /// Exact bins: expert `e`'s bin holds its `counts[e]` routed rows.
+    /// Dropped assignments (only possible under a clamping policy)
+    /// simply own no packed slot.
     pub fn from_routing(routing: &Routing) -> Self {
-        let experts = routing.experts;
-        let mut offsets = Vec::with_capacity(experts + 1);
+        let mut offsets = Vec::with_capacity(routing.experts + 1);
         let mut acc = 0usize;
         offsets.push(0);
         for &c in &routing.counts {
             acc += c;
             offsets.push(acc);
         }
-        let mut slot_token = vec![0u32; acc];
-        let mut slot_select = vec![0u32; acc];
+        Self::with_offsets(routing, offsets)
+    }
+
+    /// Uniform-capacity bins: every expert's bin holds
+    /// `routing.capacity` rows whether or not they were all granted,
+    /// so the packed buffer is the padded `(E, C, M)` buffer.
+    pub fn uniform_capacity(routing: &Routing) -> Self {
+        Self::with_offsets(routing, uniform_offsets(routing.experts, routing.capacity))
+    }
+
+    /// Fills the owner arrays for bins laid out at `offsets` (each bin
+    /// at least as long as its expert's routed count).
+    fn with_offsets(routing: &Routing, offsets: Vec<usize>) -> Self {
+        let total = offsets.last().copied().unwrap_or(0);
+        let mut slot_token = vec![Self::UNOWNED; total];
+        let mut slot_select = vec![0u32; total];
         for (t, (experts_of, locs)) in routing
             .expert_of
             .iter()
@@ -168,14 +190,14 @@ impl RaggedRouting {
             }
         }
         RaggedRouting {
-            experts,
+            experts: routing.experts,
             offsets,
             slot_token,
             slot_select,
         }
     }
 
-    /// Total packed rows (routed assignments after clamping).
+    /// Total packed rows (owned or not).
     pub fn total(&self) -> usize {
         self.offsets.last().copied().unwrap_or(0)
     }
@@ -432,6 +454,19 @@ mod tests {
         assert_eq!(ragged.total(), r.counts.iter().sum::<usize>());
         assert_eq!(ragged.total(), 8 - r.dropped());
         assert_eq!(ragged.offsets.len(), r.experts + 1);
+    }
+
+    #[test]
+    fn uniform_capacity_view_marks_unowned_slots() {
+        // All 8 tokens prefer expert 0 at capacity 2: two slots are
+        // granted, the other six capacity slots belong to nobody.
+        let probs = probs_preferring_expert0(8, 4);
+        let r = route(&probs, &RouteConfig::top1()).unwrap();
+        let ragged = RaggedRouting::uniform_capacity(&r);
+        assert_eq!(ragged.offsets, vec![0, 2, 4, 6, 8]);
+        assert_eq!(ragged.total(), r.experts * r.capacity);
+        let u = RaggedRouting::UNOWNED;
+        assert_eq!(ragged.slot_token, vec![0, 1, u, u, u, u, u, u]);
     }
 
     mod properties {

@@ -17,69 +17,16 @@
 
 use tutel::overlap::run_overlapped;
 use tutel_comm::runtime::{run_threaded, run_threaded_traced, Communicator};
-use tutel_experts::{ExpertsBlock, ShardedExpertParams};
+use tutel_experts::ExpertsBlock;
 use tutel_kernels::{fast_decode, fast_decode_backward, fast_encode_backward};
 use tutel_obs::trace::{TraceHub, TRACK_MAIN};
 use tutel_rt::with_parallelism_limit;
+use tutel_serve::exec::{rank_blocks, shard_sum};
 use tutel_simgpu::Topology;
 use tutel_tensor::Tensor;
 
 use crate::reference::{gate_and_encode, gate_backward, Fixture, Problem, RankResult};
-use crate::{Config, Strategy};
-
-/// The topology used for each simulated world size: single node for
-/// `w = 1`, and a 2-node hierarchy otherwise so 2DH exercises both
-/// intra- and inter-node phases.
-pub fn topology_for(world: usize) -> Topology {
-    match world {
-        1 => Topology::single_node(1),
-        2 => Topology::new(2, 1),
-        w => Topology::new(2, w / 2),
-    }
-}
-
-/// This rank's expert parameters in the form the strategy executes:
-/// P1 gathers the full local block; P2 keeps per-shard slices and sums
-/// their partial outputs.
-enum RankExperts {
-    Full(Box<ExpertsBlock>),
-    Sharded(ShardedExpertParams),
-}
-
-impl RankExperts {
-    fn for_rank(fixture: &Fixture, strategy: Strategy, world: usize, rank: usize) -> Self {
-        let (w1, b1, w2, b2) = fixture.experts.weights();
-        let slice =
-            |t: &Tensor| t.split_axis(0, world).expect("E divisible by world")[rank].clone();
-        let local = ExpertsBlock::from_weights(slice(w1), slice(b1), slice(w2), slice(b2))
-            .expect("sliced weights stay consistent");
-        match strategy {
-            Strategy::P1 => RankExperts::Full(Box::new(local)),
-            Strategy::P2 => RankExperts::Sharded(
-                ShardedExpertParams::from_block(&local, Problem::SHARDS)
-                    .expect("hidden dim divisible by SHARDS"),
-            ),
-        }
-    }
-
-    /// Fresh runnable block(s) for one pipeline chunk. Each chunk gets
-    /// its own blocks so forward activations stay cached per chunk for
-    /// the backward pass.
-    fn chunk_blocks(&self) -> Vec<ExpertsBlock> {
-        match self {
-            RankExperts::Full(block) => {
-                let (w1, b1, w2, b2) = block.weights();
-                vec![
-                    ExpertsBlock::from_weights(w1.clone(), b1.clone(), w2.clone(), b2.clone())
-                        .expect("weights round-trip"),
-                ]
-            }
-            RankExperts::Sharded(params) => (0..params.shards())
-                .map(|r| params.shard_block(r))
-                .collect(),
-        }
-    }
-}
+use crate::Config;
 
 /// Dispatch side of the wire, comm-free half: rebuild the expert-side
 /// `(ΔE, W·cc, M)` batch from a received origin-major wire buffer.
@@ -157,7 +104,7 @@ fn run_distributed_impl(
         0,
         "pipeline degree must divide capacity"
     );
-    let topo = topology_for(cfg.world);
+    let topo = Topology::for_world(cfg.world);
     assert_eq!(topo.world_size(), cfg.world, "topology/world mismatch");
     let cfg = *cfg;
     match hub {
@@ -191,12 +138,18 @@ fn run_rank(
     // construction.
     let gate_t0 = tracer.now_us();
     let (probs, routing, enc) = gate_and_encode(problem, fixture, rank);
-    let experts = RankExperts::for_rank(fixture, cfg.strategy, world, rank);
+    let experts = rank_blocks(
+        &fixture.experts,
+        cfg.strategy.serve(),
+        world,
+        rank,
+        Problem::SHARDS,
+    )
+    .expect("E divisible by world, hidden dim by SHARDS");
     tracer.span_at(TRACK_MAIN, "gate_encode", gate_t0, tracer.now_us());
 
     // Forward: the executed overlap schedule over the capacity
-    // dimension. Each chunk keeps its own expert block(s) so
-    // activations stay cached for backward.
+    // dimension.
     let enc_chunks = enc
         .split_axis(1, cfg.degree)
         .expect("degree divides capacity");
@@ -204,19 +157,11 @@ fn run_rank(
     let mut chunk_state: Vec<Vec<ExpertsBlock>> = Vec::with_capacity(cfg.degree);
     let fwd = run_overlapped(&mut comm, cfg.algo.comm_algo(), &enc_wire, |_, received| {
         let flex = flex_from_wire(received, world, cc);
-        let mut blocks = experts.chunk_blocks();
-        let mut partial: Option<Tensor> = None;
-        for block in &mut blocks {
-            let y = block.forward(&flex).expect("expert dims fixed");
-            partial = Some(match partial {
-                None => y,
-                Some(mut acc) => {
-                    acc.axpy(1.0, &y).expect("shard outputs share dims");
-                    acc
-                }
-            });
-        }
-        let expert_out = partial.expect("at least one block per chunk");
+        // Fresh block(s) per chunk, so forward activations stay
+        // cached per chunk for the backward pass.
+        let mut blocks = experts.clone();
+        let expert_out =
+            shard_sum(&mut blocks, |block| block.forward(&flex)).expect("expert dims fixed");
         chunk_state.push(blocks);
         wire_from_batch(&expert_out, world, cc)
     })
@@ -241,18 +186,8 @@ fn run_rank(
     let d_wire: Vec<Vec<f32>> = d_chunks.iter().map(|c| c.as_slice().to_vec()).collect();
     let bwd = run_overlapped(&mut comm, cfg.algo.comm_algo(), &d_wire, |i, received| {
         let d_flex = flex_from_wire(received, world, cc);
-        let mut d_batch: Option<Tensor> = None;
-        for block in chunk_state[i].iter_mut() {
-            let d = block.backward(&d_flex).expect("expert backward dims fixed");
-            d_batch = Some(match d_batch {
-                None => d,
-                Some(mut acc) => {
-                    acc.axpy(1.0, &d).expect("shard grads share dims");
-                    acc
-                }
-            });
-        }
-        let d_batch = d_batch.expect("at least one block per chunk");
+        let d_batch = shard_sum(&mut chunk_state[i], |block| block.backward(&d_flex))
+            .expect("expert backward dims fixed");
         wire_from_batch(&d_batch, world, cc)
     })
     .expect("fault-free overlapped backward");

@@ -19,9 +19,7 @@
 
 use tutel_comm::{FaultPlan, ReliableConfig, RetryPolicy};
 use tutel_obs::Telemetry;
-use tutel_serve::exec::{
-    execute_step, execute_step_reliable, reference_rows, ExecConfig, Strategy as ServeStrategy,
-};
+use tutel_serve::exec::{execute_step, execute_step_reliable, reference_rows, ExecConfig};
 use tutel_serve::model::{ModelDims, ServeModel};
 use tutel_serve::request::ServeError;
 use tutel_tensor::{Rng, Tensor};
@@ -65,10 +63,7 @@ impl GroupedCase {
 
     fn exec_config(&self, dropless: bool) -> ExecConfig {
         ExecConfig {
-            strategy: match self.strategy {
-                Strategy::P1 => ServeStrategy::P1,
-                Strategy::P2 => ServeStrategy::P2,
-            },
+            strategy: self.strategy.serve(),
             algo: self.algo.comm_algo(),
             degree: self.degree,
             world: self.world,

@@ -95,6 +95,14 @@ impl Strategy {
             Strategy::P2 => "P2",
         }
     }
+
+    /// The executor-side strategy this selects.
+    pub fn serve(&self) -> tutel_serve::exec::Strategy {
+        match self {
+            Strategy::P1 => tutel_serve::exec::Strategy::P1,
+            Strategy::P2 => tutel_serve::exec::Strategy::P2,
+        }
+    }
 }
 
 /// All-to-All algorithm under test.

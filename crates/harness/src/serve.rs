@@ -23,9 +23,7 @@ use tutel_comm::{FaultPlan, ReliableConfig, RetryPolicy};
 use tutel_obs::Telemetry;
 use tutel_serve::batcher::BatcherConfig;
 use tutel_serve::engine::{run_trace, EngineConfig, ServiceModel};
-use tutel_serve::exec::{
-    execute_step, execute_step_reliable, reference_rows, ExecConfig, Strategy as ServeStrategy,
-};
+use tutel_serve::exec::{execute_step, execute_step_reliable, reference_rows, ExecConfig};
 use tutel_serve::loadgen::{generate_trace, Arrival, TraceConfig};
 use tutel_serve::model::{ModelDims, ServeModel};
 use tutel_serve::request::ServeError;
@@ -69,16 +67,9 @@ impl ServeCase {
         }
     }
 
-    fn serve_strategy(&self) -> ServeStrategy {
-        match self.strategy {
-            Strategy::P1 => ServeStrategy::P1,
-            Strategy::P2 => ServeStrategy::P2,
-        }
-    }
-
     fn exec_config(&self) -> ExecConfig {
         ExecConfig {
-            strategy: self.serve_strategy(),
+            strategy: self.strategy.serve(),
             algo: self.algo.comm_algo(),
             degree: self.degree,
             world: self.world,

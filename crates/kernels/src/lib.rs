@@ -11,8 +11,10 @@
 //! * [`dense`] — the GShard/Fairseq einsum formulation, which
 //!   materializes a `(T, E, ΔC)` combine tensor and performs
 //!   `O(T·E·ΔC·M)` multiply-adds, almost all of them against zeros;
-//! * [`sparse`] — Tutel's formulation (the K0/K1/K2 kernels of
-//!   Figure 19), which touches only the `O(T·k·M)` useful elements.
+//! * [`ragged`] — Tutel's formulation (the K0/K1/K2 kernels of
+//!   Figure 19), which touches only the `O(T·k·M)` useful elements,
+//!   over CSR expert bins. [`sparse`] is its padded `(E, ΔC, M)`
+//!   view: the same kernels over uniform-capacity bins.
 //!
 //! Both are differentiable (forward + backward) and produce bit-equal
 //! results; the unit/property tests assert the equivalence, and
@@ -25,8 +27,6 @@ pub mod ragged;
 pub mod sparse;
 
 pub use dense::{DenseCombine, DenseEncoded};
-pub use observed::{
-    fast_decode_observed, fast_encode_observed, ragged_decode_observed, ragged_encode_observed,
-};
+pub use observed::{ragged_decode_observed, ragged_encode_observed};
 pub use ragged::{ragged_decode, ragged_decode_backward, ragged_encode, ragged_encode_backward};
 pub use sparse::{fast_decode, fast_decode_backward, fast_encode, fast_encode_backward};

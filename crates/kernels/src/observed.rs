@@ -1,4 +1,4 @@
-//! Telemetry-instrumented wrappers around the sparse kernels.
+//! Telemetry-instrumented wrappers around the dispatch kernels.
 //!
 //! Each wrapper times the kernel in a span (whose name doubles as the
 //! per-step stage key: `encode` / `decode`) and counts the elements it
@@ -10,67 +10,10 @@ use tutel_obs::Telemetry;
 use tutel_tensor::{Tensor, TensorError};
 
 use crate::ragged::{ragged_decode, ragged_encode};
-use crate::sparse::{fast_decode, fast_encode};
 
-/// [`fast_encode`] inside an `encode` span; counts the dispatched
-/// elements (`E·ΔC·M`) into `kernels.encode.elements` and the routed
-/// assignment slots into `kernels.encode.calls`.
-///
-/// # Errors
-///
-/// Returns whatever [`fast_encode`] returns.
-pub fn fast_encode_observed(
-    x: &Tensor,
-    routing: &Routing,
-    tel: &Telemetry,
-) -> Result<Tensor, TensorError> {
-    if !tel.is_enabled() {
-        return fast_encode(x, routing);
-    }
-    let span = tel
-        .span("encode")
-        .tag("tokens", routing.num_tokens())
-        .tag("experts", routing.experts)
-        .tag("capacity", routing.capacity);
-    let out = fast_encode(x, routing)?;
-    tel.add_counter("kernels.encode.elements", out.len() as u64);
-    tel.add_counter("kernels.encode.calls", 1);
-    drop(span);
-    Ok(out)
-}
-
-/// [`fast_decode`] inside a `decode` span; counts the combined output
-/// elements (`T·M`) into `kernels.decode.elements` and invocations
-/// into `kernels.decode.calls`.
-///
-/// # Errors
-///
-/// Returns whatever [`fast_decode`] returns.
-pub fn fast_decode_observed(
-    y: &Tensor,
-    routing: &Routing,
-    tokens: usize,
-    tel: &Telemetry,
-) -> Result<Tensor, TensorError> {
-    if !tel.is_enabled() {
-        return fast_decode(y, routing, tokens);
-    }
-    let span = tel
-        .span("decode")
-        .tag("tokens", tokens)
-        .tag("experts", routing.experts)
-        .tag("capacity", routing.capacity);
-    let out = fast_decode(y, routing, tokens)?;
-    tel.add_counter("kernels.decode.elements", out.len() as u64);
-    tel.add_counter("kernels.decode.calls", 1);
-    drop(span);
-    Ok(out)
-}
-
-/// [`ragged_encode`] inside an `encode` span; same stage key as the
-/// padded wrapper so per-step stage timings compare across paths, but
-/// tagged `packed_rows` instead of `capacity` — the ragged layout has
-/// no capacity dimension.
+/// [`ragged_encode`] inside an `encode` span; counts the dispatched
+/// elements (`R·M`) into `kernels.encode.elements` and invocations
+/// into `kernels.encode.calls`.
 ///
 /// # Errors
 ///
@@ -97,7 +40,8 @@ pub fn ragged_encode_observed(
 }
 
 /// [`ragged_decode`] inside a `decode` span; counts the combined
-/// output elements (`T·M`) like the padded wrapper.
+/// output elements (`T·M`) into `kernels.decode.elements` and
+/// invocations into `kernels.decode.calls`.
 ///
 /// # Errors
 ///
@@ -137,11 +81,16 @@ mod tests {
         let routing = route(&probs, &RouteConfig::top1().with_capacity_factor(4.0)).unwrap();
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[3, 2]).unwrap();
 
+        let bins = RaggedRouting::uniform_capacity(&routing);
+
         let tel = Telemetry::enabled();
-        let dispatched = fast_encode_observed(&x, &routing, &tel).unwrap();
-        assert_eq!(dispatched, fast_encode(&x, &routing).unwrap());
-        let combined = fast_decode_observed(&dispatched, &routing, 3, &tel).unwrap();
-        assert_eq!(combined, fast_decode(&dispatched, &routing, 3).unwrap());
+        let dispatched = ragged_encode_observed(&x, &routing, &bins, &tel).unwrap();
+        assert_eq!(dispatched, ragged_encode(&x, &routing, &bins).unwrap());
+        let combined = ragged_decode_observed(&dispatched, &routing, &bins, 3, &tel).unwrap();
+        assert_eq!(
+            combined,
+            ragged_decode(&dispatched, &routing, &bins, 3).unwrap()
+        );
 
         assert_eq!(
             tel.counter_value("kernels.encode.elements"),

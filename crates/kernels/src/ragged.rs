@@ -1,22 +1,26 @@
-//! Dropless dispatch: scatter/gather straight into packed ragged
-//! expert bins (MegaBlocks-style), no capacity dimension anywhere.
+//! The dispatch kernels: scatter/gather between token rows `(T, M)`
+//! and packed expert bins `(R, M)` laid out by a [`RaggedRouting`]'s
+//! CSR `offsets` (MegaBlocks-style). This is the only dispatch
+//! implementation — [`crate::sparse`]'s padded `(E, ΔC, M)` entry
+//! points call these kernels with uniform-capacity bins.
 //!
-//! Where [`crate::sparse`] moves rows through the padded `(E, ΔC, M)`
-//! buffer, these kernels use a [`RaggedRouting`]'s CSR `offsets` to
-//! place each routed assignment at packed row `offsets[e] + location`
-//! of an `(R, M)` buffer, `R` = total routed assignments. Zero padding
-//! rows exist, so compute and All-to-All bytes scale with what was
-//! actually routed — the padded path's skew cliff disappears.
+//! Each routed assignment sits at packed row `offsets[e] + location`.
+//! With exact bins (`RaggedRouting::from_routing`) no padding row
+//! exists, so compute and All-to-All bytes scale with what was
+//! actually routed; with uniform-capacity bins the rows no assignment
+//! owns are skipped and stay zero.
 //!
-//! The ownership-parallel structure is identical to the padded
-//! kernels: slot-major passes walk the packed rows (each row has
-//! exactly one owner, recorded in the ragged permutation arrays) and
-//! token-major passes walk token rows in selection order. Row blocks
-//! are fixed at [`ROW_CHUNK`] rows and all lane arithmetic routes
-//! through the kernel dispatch table, so results are bit-identical
-//! for every `TUTEL_THREADS` and `TUTEL_SIMD` setting — and, because
-//! a packed row holds the same bytes as its padded twin row, bitwise
-//! comparable to the padded kernels row by row.
+//! # Ownership parallelism
+//!
+//! Every pass has exactly **one writer** per output row — no atomics,
+//! no locks: slot-major passes ([`ragged_encode`], the `d_y` half of
+//! [`ragged_decode_backward`]) walk the packed rows, each owned by at
+//! most one (token, selection) pair recorded in the view's permutation
+//! arrays; token-major passes walk token rows in selection order. Row
+//! blocks are fixed at [`ROW_CHUNK`] rows and all lane arithmetic
+//! routes through the kernel dispatch table, so results are
+//! bit-identical for every `TUTEL_THREADS` and `TUTEL_SIMD` setting —
+//! and a packed row's bits never depend on how its bin was sized.
 
 use tutel_gate::{RaggedRouting, Routing};
 use tutel_tensor::{dispatch, scratch, Tensor, TensorError};
@@ -26,9 +30,10 @@ use tutel_tensor::{dispatch, scratch, Tensor, TensorError};
 const ROW_CHUNK: usize = 64;
 
 /// Ragged encode: scatters `x (T, M)` into the packed dispatch buffer
-/// `(R, M)` — expert `e`'s bin is rows `offsets[e]..offsets[e+1]`,
-/// with zero padding rows. Dispatch is unweighted (GShard semantics),
-/// exactly like [`crate::fast_encode`].
+/// `(R, M)` — expert `e`'s bin is rows `offsets[e]..offsets[e+1]`.
+/// Dispatch is *unweighted* (GShard semantics: gate values are applied
+/// at decode), so a routed token contributes its raw feature row;
+/// dropped assignments contribute nothing.
 ///
 /// # Errors
 ///
@@ -44,14 +49,16 @@ pub fn ragged_encode(
     check_pair(routing, ragged, "ragged_encode")?;
     let mut out = scratch::zeroed(&[ragged.total(), m]);
     let xs = x.as_slice();
-    // Slot-major: every packed row has exactly one owner (the ragged
-    // view drops unowned capacity slots at construction), so this is
-    // one memcpy per row with a single writer.
+    // Slot-major: each packed row is a copy of its owner token's
+    // feature row, or stays zero. One warp per row on GPU; one memcpy
+    // per owned row here.
     tutel_rt::parallel_chunks(out.as_mut_slice(), ROW_CHUNK * m, |blk, chunk| {
         let slot0 = blk * ROW_CHUNK;
         for (s, orow) in chunk.chunks_mut(m).enumerate() {
-            let t = ragged.slot_token[slot0 + s] as usize;
-            orow.copy_from_slice(&xs[t * m..(t + 1) * m]);
+            let t = ragged.slot_token[slot0 + s];
+            if t != RaggedRouting::UNOWNED {
+                orow.copy_from_slice(&xs[t as usize * m..(t as usize + 1) * m]);
+            }
         }
     });
     Ok(out)
@@ -74,8 +81,9 @@ pub fn ragged_encode_backward(
     check_pair(routing, ragged, "ragged_encode_backward")?;
     let mut dx = scratch::zeroed(&[tokens, m]);
     let dd = d_packed.as_slice();
-    // Token-major, selection order — the same accumulation order as
-    // the padded twin, lanewise through the kernel table.
+    // Token-major: each token row sums the gradients parked in its own
+    // slots, in selection order, lanewise through the kernel table
+    // (both modes add element-at-a-time, so bits match).
     tutel_rt::parallel_chunks(dx.as_mut_slice(), ROW_CHUNK * m, |blk, chunk| {
         let add_assign = dispatch::table().add_assign;
         let t0 = blk * ROW_CHUNK;
@@ -94,7 +102,7 @@ pub fn ragged_encode_backward(
 
 /// Ragged decode: combines packed expert outputs `y (R, M)` into the
 /// layer output `(T, M)`, weighting each gathered row by its gate
-/// value — [`crate::fast_decode`] without the capacity dimension.
+/// value. Dropped assignments contribute zeros (GShard semantics).
 ///
 /// # Errors
 ///
@@ -111,7 +119,8 @@ pub fn ragged_decode(
     let mut out = scratch::zeroed(&[tokens, m]);
     let ys = y.as_slice();
     // Token-major: gate-weighted sum over the token's ≤ k packed rows
-    // in selection order via the kernel table's axpy.
+    // in selection order via the kernel table's axpy (mul then add per
+    // lane in both modes, so scalar and SIMD stay bitwise identical).
     tutel_rt::parallel_chunks(out.as_mut_slice(), ROW_CHUNK * m, |blk, chunk| {
         let axpy = dispatch::table().axpy;
         let t0 = blk * ROW_CHUNK;
@@ -132,9 +141,10 @@ pub fn ragged_decode(
     Ok(out)
 }
 
-/// Backward of [`ragged_decode`]: returns `(d_y (R, M), d_gates)`,
-/// mirroring [`crate::fast_decode_backward`]'s two ownership-parallel
-/// passes (slot-major for `d_y`, token-major for the gate gradients).
+/// Backward of [`ragged_decode`]: returns `(d_y (R, M), d_gates)`
+/// where `d_gates[t][i]` is the gradient of the `i`-th gate value of
+/// token `t` (`⟨y_row, d_out_row⟩`, Figure 19). Two ownership-parallel
+/// passes: slot-major for `d_y`, token-major for the gate gradients.
 ///
 /// # Errors
 ///
@@ -165,15 +175,18 @@ pub fn ragged_decode_backward(
         let axpy = dispatch::table().axpy;
         let slot0 = blk * ROW_CHUNK;
         for (s, orow) in chunk.chunks_mut(m).enumerate() {
-            let t = ragged.slot_token[slot0 + s] as usize;
-            let i = ragged.slot_select[slot0 + s] as usize;
-            let g = routing.gate_of[t][i];
-            axpy(g, &ds[t * m..(t + 1) * m], orow);
+            let t = ragged.slot_token[slot0 + s];
+            if t != RaggedRouting::UNOWNED {
+                let t = t as usize;
+                let g = routing.gate_of[t][ragged.slot_select[slot0 + s] as usize];
+                axpy(g, &ds[t * m..(t + 1) * m], orow);
+            }
         }
     });
 
     // Pass 2, token-major: dgates[t][i] = ⟨y_row, d_out_t⟩ through the
-    // kernel table's reduction-tree dot.
+    // kernel table's 8-lane reduction-tree dot (same summation order
+    // in scalar and SIMD modes).
     let mut dgates: Vec<Vec<f32>> = routing.gate_of.iter().map(|g| vec![0.0; g.len()]).collect();
     tutel_rt::parallel_chunks(&mut dgates, ROW_CHUNK, |blk, chunk| {
         let dot = dispatch::table().dot;
@@ -214,38 +227,66 @@ fn check_tokens(x: &Tensor, routing: &Routing, op: &'static str) -> Result<usize
     Ok(x.dims()[1])
 }
 
+/// A packed buffer is `R` rows of `M`: `(R, M)` itself, or the
+/// `(E, C, M)` shape of a uniform-capacity view (same bytes).
 fn check_packed(
     y: &Tensor,
     ragged: &RaggedRouting,
     op: &'static str,
 ) -> Result<usize, TensorError> {
-    if y.rank() != 2 || y.dims()[0] != ragged.total() {
+    let m = y.dims().last().copied().unwrap_or(0);
+    if y.rank() < 2 || y.len() != ragged.total() * m {
         return Err(TensorError::shape_mismatch(
             op,
             y.dims(),
-            &[ragged.total(), 0],
+            &[ragged.total(), m],
         ));
     }
-    Ok(y.dims()[1])
+    Ok(m)
 }
 
+/// Validates once, up front, every index the kernels will derive from
+/// the pair: the view's fields are public, so one built by hand or for
+/// another batch must surface as a typed error, not a slice panic.
 fn check_pair(
     routing: &Routing,
     ragged: &RaggedRouting,
     op: &'static str,
 ) -> Result<(), TensorError> {
-    if ragged.experts != routing.experts
-        || ragged.offsets.len() != routing.experts + 1
-        || ragged.total() != routing.counts.iter().sum::<usize>()
+    let bad = |what: &str| {
+        Err(TensorError::InvalidArgument(format!(
+            "{op}: ragged view does not match routing ({what})"
+        )))
+    };
+    let total = ragged.total();
+    if ragged.experts != routing.experts || ragged.offsets.len() != routing.experts + 1 {
+        return bad("expert count");
+    }
+    if ragged.offsets[0] != 0 || ragged.offsets.windows(2).any(|w| w[0] > w[1]) {
+        return bad("offsets are not a monotone prefix sum");
+    }
+    if ragged.slot_token.len() != total || ragged.slot_select.len() != total {
+        return bad("owner arrays do not cover the packed rows");
+    }
+    // Token-major passes read row `offsets[e] + location`.
+    if (0..routing.experts).any(|e| ragged.bin_len(e) < routing.counts[e]) {
+        return bad("a bin is shorter than its routed count");
+    }
+    // Slot-major passes read `x[token]` and `gate_of[token][select]`.
+    let owner_ok = |(&t, &i): (&u32, &u32)| {
+        t == RaggedRouting::UNOWNED
+            || routing
+                .gate_of
+                .get(t as usize)
+                .is_some_and(|g| (i as usize) < g.len())
+    };
+    if !ragged
+        .slot_token
+        .iter()
+        .zip(&ragged.slot_select)
+        .all(owner_ok)
     {
-        return Err(TensorError::InvalidArgument(format!(
-            "{op}: ragged view does not match routing \
-             ({} experts vs {}, {} packed rows vs {} routed)",
-            ragged.experts,
-            routing.experts,
-            ragged.total(),
-            routing.counts.iter().sum::<usize>()
-        )));
+        return bad("a slot's owner is out of range");
     }
     Ok(())
 }
@@ -385,6 +426,44 @@ mod tests {
         mismatched.offsets.pop();
         mismatched.experts -= 1;
         assert!(ragged_encode(&x, &routing, &mismatched).is_err());
+    }
+
+    #[test]
+    fn corrupted_views_are_typed_errors_in_every_kernel() {
+        // The view's fields are public: one edited by hand (or built
+        // for another batch) must be rejected up front, never reach a
+        // slice index.
+        let (routing, ragged, x) = dropless_routing(6, 3, 2, 9);
+        assert!(routing.counts.iter().all(|&c| c > 0), "fixture bins");
+        let y = Tensor::zeros(&[ragged.total(), 6]);
+        let d_out = Tensor::zeros(&[6, 6]);
+        type Corruption = (&'static str, fn(&mut RaggedRouting));
+        let corruptions: [Corruption; 6] = [
+            ("token == T", |r| r.slot_token[0] = 6),
+            ("selection == k", |r| r.slot_select[0] = 2),
+            ("slot_token one short", |r| {
+                r.slot_token.pop();
+            }),
+            ("slot_select one short", |r| {
+                r.slot_select.pop();
+            }),
+            ("offsets not monotone", |r| r.offsets[1] = r.offsets[2] + 1),
+            ("bin 1 shorter than its routed count", |r| r.offsets[1] += 1),
+        ];
+        for (what, corrupt) in corruptions {
+            let mut bad = ragged.clone();
+            corrupt(&mut bad);
+            let invalid = |r: Result<(), TensorError>| {
+                assert!(
+                    matches!(r, Err(TensorError::InvalidArgument(_))),
+                    "{what}: {r:?}"
+                );
+            };
+            invalid(ragged_encode(&x, &routing, &bad).map(drop));
+            invalid(ragged_encode_backward(&y, &routing, &bad, 6).map(drop));
+            invalid(ragged_decode(&y, &routing, &bad, 6).map(drop));
+            invalid(ragged_decode_backward(&d_out, &y, &routing, &bad).map(drop));
+        }
     }
 
     mod properties {

@@ -1,78 +1,28 @@
-//! Tutel's sparse fast encode/decode (Figure 18b / Figure 19).
+//! Tutel's sparse fast encode/decode (Figure 18b / Figure 19) over
+//! the padded `(E, ΔC, M)` dispatch buffer.
 //!
 //! Complexity is `O(T·k·M)` — a factor `T` below the dense einsum —
 //! because each (token, selection) pair touches exactly one `M`-length
-//! row. The GPU kernels assign one warp per token row; this CPU
-//! equivalent parallelizes the same row-at-a-time structure on the
-//! `tutel-rt` pool.
+//! row.
 //!
-//! # Ownership parallelism
+//! The padded buffer is the packed ragged buffer whose bins all hold
+//! `ΔC` rows, so every function here is a view: it synthesizes the
+//! uniform-capacity bins (`offsets = [0, C, 2C, …]`), calls the
+//! [`crate::ragged`] kernel — the one implementation, where the
+//! ownership-parallel structure and the determinism contract live —
+//! and names the result's shape `(E, ΔC, M)`.
 //!
-//! Every pass is organized so each output row has exactly **one
-//! writer** — no atomics, no locks, and results that are bit-identical
-//! for any `TUTEL_THREADS`:
-//!
-//! * token-major passes (`fast_decode`, `fast_encode_backward`, gate
-//!   gradients) parallelize over token rows, each token reading its
-//!   own `≤ k` slots;
-//! * slot-major passes (`fast_encode`, the `d_y` half of
-//!   [`fast_decode_backward`]) parallelize over capacity-slot rows via
-//!   an inverse slot map (`slot → (token, selection)`), exploiting the
-//!   router's invariant that a capacity slot is granted to at most one
-//!   (token, selection) pair.
-//!
-//! Row blocks are fixed at [`ROW_CHUNK`] rows — a function of the
-//! problem shape only, never of the worker count.
+//! | padded call | ragged kernel |
+//! |---|---|
+//! | [`fast_encode`] | [`ragged_encode`] |
+//! | [`fast_encode_backward`] | [`ragged_encode_backward`] |
+//! | [`fast_decode`] | [`ragged_decode`] |
+//! | [`fast_decode_backward`] | [`ragged_decode_backward`] |
 
-use tutel_gate::Routing;
-use tutel_tensor::{dispatch, scratch, Tensor, TensorError};
+use tutel_gate::{RaggedRouting, Routing};
+use tutel_tensor::{Tensor, TensorError};
 
-/// Output rows per parallel chunk (fixed: part of the determinism
-/// contract, never derived from pool size).
-const ROW_CHUNK: usize = 64;
-
-/// Inverse slot map: for each `(expert, capacity)` slot, the
-/// `(token, selection)` pair that owns it, if any. The router grants
-/// each slot at most once (per-expert location counter), which is what
-/// makes single-writer slot-major passes possible.
-///
-/// Arena-backed: the map is rebuilt every iteration on the hot path,
-/// so it checks its buffer out of [`scratch`] (callers recycle it)
-/// instead of growing a fresh `Vec`. Owners are encoded as two f32
-/// lanes per slot — `token + 1` (`0.0` ⇒ unowned) and the selection
-/// index — exact because token counts sit far below 2²⁴.
-// check:hot
-fn slot_owners(routing: &Routing) -> Tensor {
-    let slots = routing.experts * routing.capacity;
-    let mut owners = scratch::zeroed(&[slots, 2]);
-    let os = owners.as_mut_slice();
-    for (t, (experts, locs)) in routing
-        .expert_of
-        .iter()
-        .zip(&routing.location_of)
-        .enumerate()
-    {
-        for (i, (&e, loc)) in experts.iter().zip(locs).enumerate() {
-            if let Some(l) = *loc {
-                let s = e * routing.capacity + l;
-                os[s * 2] = (t + 1) as f32;
-                os[s * 2 + 1] = i as f32;
-            }
-        }
-    }
-    owners
-}
-
-/// Decodes one slot of the arena-backed [`slot_owners`] map.
-#[inline]
-fn owner_of(os: &[f32], slot: usize) -> Option<(u32, u32)> {
-    let t = os[slot * 2];
-    if t == 0.0 {
-        None
-    } else {
-        Some((t as u32 - 1, os[slot * 2 + 1] as u32))
-    }
-}
+use crate::ragged::{ragged_decode, ragged_decode_backward, ragged_encode, ragged_encode_backward};
 
 /// Sparse encode (`moe.fast_encode`): scatters the MoE layer input
 /// `x (T, M)` into the All-to-All dispatch buffer `(E, ΔC, M)`.
@@ -103,26 +53,10 @@ fn owner_of(os: &[f32], slot: usize) -> Option<(u32, u32)> {
 /// assert_eq!(dispatched.as_slice(), &[1.0, 2.0, 3.0, 4.0]);
 /// # Ok::<(), tutel_tensor::TensorError>(())
 /// ```
-// check:hot
 pub fn fast_encode(x: &Tensor, routing: &Routing) -> Result<Tensor, TensorError> {
-    let m = check_tokens(x, routing)?;
-    // check:hot call site — the owner map comes from the arena.
-    let owners = slot_owners(routing);
-    let os = owners.as_slice();
-    let mut out = scratch::zeroed(&[routing.experts, routing.capacity, m]);
-    let xs = x.as_slice();
-    // Slot-major: each slot row is either a copy of its owner token's
-    // feature row or stays zero. One warp per row on GPU; one memcpy
-    // per owned row here.
-    tutel_rt::parallel_chunks(out.as_mut_slice(), ROW_CHUNK * m, |blk, chunk| {
-        let slot0 = blk * ROW_CHUNK;
-        for (s, orow) in chunk.chunks_mut(m).enumerate() {
-            if let Some((t, _)) = owner_of(os, slot0 + s) {
-                orow.copy_from_slice(&xs[t as usize * m..(t as usize + 1) * m]);
-            }
-        }
-    });
-    scratch::recycle(owners);
+    let mut out = ragged_encode(x, routing, &RaggedRouting::uniform_capacity(routing))?;
+    let m = out.dims()[1];
+    out.reshape_in_place(&[routing.experts, routing.capacity, m])?;
     Ok(out)
 }
 
@@ -132,35 +66,14 @@ pub fn fast_encode(x: &Tensor, routing: &Routing) -> Result<Tensor, TensorError>
 /// # Errors
 ///
 /// Returns a [`TensorError`] if `d_dispatched` has the wrong shape.
-// check:hot
 pub fn fast_encode_backward(
     d_dispatched: &Tensor,
     routing: &Routing,
     tokens: usize,
 ) -> Result<Tensor, TensorError> {
-    let m = check_dispatch(d_dispatched, routing)?;
-    let cap = routing.capacity;
-    let mut dx = scratch::zeroed(&[tokens, m]);
-    let dd = d_dispatched.as_slice();
-    // Token-major: each token row sums the gradients parked in its
-    // own slots, in selection order (same order as the serial kernel).
-    // Lanewise accumulation routes through the active kernel table;
-    // both modes add element-at-a-time, so results stay bitwise
-    // identical under any `TUTEL_SIMD` setting.
-    tutel_rt::parallel_chunks(dx.as_mut_slice(), ROW_CHUNK * m, |blk, chunk| {
-        let add_assign = dispatch::table().add_assign;
-        let t0 = blk * ROW_CHUNK;
-        for (ti, orow) in chunk.chunks_mut(m).enumerate() {
-            let t = t0 + ti;
-            for (&e, loc) in routing.expert_of[t].iter().zip(&routing.location_of[t]) {
-                if let Some(l) = *loc {
-                    let src = &dd[(e * cap + l) * m..(e * cap + l + 1) * m];
-                    add_assign(src, orow);
-                }
-            }
-        }
-    });
-    Ok(dx)
+    check_dispatch(d_dispatched, routing)?;
+    let bins = RaggedRouting::uniform_capacity(routing);
+    ragged_encode_backward(d_dispatched, routing, &bins, tokens)
 }
 
 /// Sparse decode (`moe.fast_decode`): combines expert outputs
@@ -171,128 +84,32 @@ pub fn fast_encode_backward(
 /// # Errors
 ///
 /// Returns a [`TensorError`] if `y` has the wrong shape.
-// check:hot
 pub fn fast_decode(y: &Tensor, routing: &Routing, tokens: usize) -> Result<Tensor, TensorError> {
-    let m = check_dispatch(y, routing)?;
-    let cap = routing.capacity;
-    let mut out = scratch::zeroed(&[tokens, m]);
-    let ys = y.as_slice();
-    // Token-major: each token row is a gate-weighted sum of its ≤ k
-    // expert output rows, accumulated in selection order via the
-    // kernel table's axpy (mul then add per lane in both modes, so
-    // scalar and SIMD stay bitwise identical).
-    tutel_rt::parallel_chunks(out.as_mut_slice(), ROW_CHUNK * m, |blk, chunk| {
-        let axpy = dispatch::table().axpy;
-        let t0 = blk * ROW_CHUNK;
-        for (ti, orow) in chunk.chunks_mut(m).enumerate() {
-            let t = t0 + ti;
-            for ((&e, loc), &g) in routing.expert_of[t]
-                .iter()
-                .zip(&routing.location_of[t])
-                .zip(&routing.gate_of[t])
-            {
-                if let Some(l) = *loc {
-                    let src = &ys[(e * cap + l) * m..(e * cap + l + 1) * m];
-                    axpy(g, src, orow);
-                }
-            }
-        }
-    });
-    Ok(out)
+    check_dispatch(y, routing)?;
+    let bins = RaggedRouting::uniform_capacity(routing);
+    ragged_decode(y, routing, &bins, tokens)
 }
 
 /// Backward of [`fast_decode`]: returns `(d_y, d_gates)` where `d_y`
 /// has shape `(E, ΔC, M)` and `d_gates[t][i]` is the gradient of the
 /// `i`-th gate value of token `t` (`⟨y_row, d_out_row⟩`, Figure 19).
 ///
-/// Runs as two ownership-parallel passes: slot-major for `d_y` (each
-/// slot's gradient is its owner's `g · d_out` row) and token-major for
-/// `d_gates`.
-///
 /// # Errors
 ///
 /// Returns a [`TensorError`] on any shape mismatch.
-// check:hot
 pub fn fast_decode_backward(
     d_out: &Tensor,
     y: &Tensor,
     routing: &Routing,
 ) -> Result<(Tensor, Vec<Vec<f32>>), TensorError> {
-    let m = check_tokens(d_out, routing)?;
-    let m2 = check_dispatch(y, routing)?;
-    if m != m2 {
-        return Err(TensorError::shape_mismatch(
-            "fast_decode_backward",
-            d_out.dims(),
-            y.dims(),
-        ));
-    }
-    let cap = routing.capacity;
-    // check:hot call site — the owner map comes from the arena.
-    let owners = slot_owners(routing);
-    let os = owners.as_slice();
-    let ds = d_out.as_slice();
-    let ys = y.as_slice();
-
-    // Pass 1, slot-major: dy[slot] = g · d_out[owner token].
-    let mut dy = scratch::zeroed(&[routing.experts, cap, m]);
-    tutel_rt::parallel_chunks(dy.as_mut_slice(), ROW_CHUNK * m, |blk, chunk| {
-        let axpy = dispatch::table().axpy;
-        let slot0 = blk * ROW_CHUNK;
-        for (s, orow) in chunk.chunks_mut(m).enumerate() {
-            if let Some((t, i)) = owner_of(os, slot0 + s) {
-                let g = routing.gate_of[t as usize][i as usize];
-                let drow = &ds[t as usize * m..(t as usize + 1) * m];
-                axpy(g, drow, orow);
-            }
-        }
-    });
-    scratch::recycle(owners);
-
-    // Pass 2, token-major: dgates[t][i] = ⟨y_slot, d_out_t⟩ through
-    // the kernel table's 8-lane reduction-tree dot (same summation
-    // order in scalar and SIMD modes).
-    let mut dgates: Vec<Vec<f32>> = routing.gate_of.iter().map(|g| vec![0.0; g.len()]).collect();
-    tutel_rt::parallel_chunks(&mut dgates, ROW_CHUNK, |blk, chunk| {
-        let dot = dispatch::table().dot;
-        let t0 = blk * ROW_CHUNK;
-        for (ti, grow) in chunk.iter_mut().enumerate() {
-            let t = t0 + ti;
-            let drow = &ds[t * m..(t + 1) * m];
-            for (i, (&e, loc)) in routing.expert_of[t]
-                .iter()
-                .zip(&routing.location_of[t])
-                .enumerate()
-            {
-                if let Some(l) = *loc {
-                    let yrow = &ys[(e * cap + l) * m..(e * cap + l + 1) * m];
-                    grow[i] = dot(yrow, drow);
-                }
-            }
-        }
-    });
+    check_dispatch(y, routing)?;
+    let bins = RaggedRouting::uniform_capacity(routing);
+    let (mut dy, dgates) = ragged_decode_backward(d_out, y, routing, &bins)?;
+    dy.reshape_in_place(y.dims())?;
     Ok((dy, dgates))
 }
 
-fn check_tokens(x: &Tensor, routing: &Routing) -> Result<usize, TensorError> {
-    if x.rank() != 2 {
-        return Err(TensorError::RankMismatch {
-            expected: 2,
-            actual: x.rank(),
-            op: "fast_encode",
-        });
-    }
-    if x.dims()[0] != routing.num_tokens() {
-        return Err(TensorError::ShapeMismatch {
-            left: x.dims().to_vec(),
-            right: vec![routing.num_tokens(), x.dims()[1]],
-            op: "fast_encode",
-        });
-    }
-    Ok(x.dims()[1])
-}
-
-fn check_dispatch(y: &Tensor, routing: &Routing) -> Result<usize, TensorError> {
+fn check_dispatch(y: &Tensor, routing: &Routing) -> Result<(), TensorError> {
     if y.rank() != 3 || y.dims()[0] != routing.experts || y.dims()[1] != routing.capacity {
         return Err(TensorError::shape_mismatch(
             "fast_decode",
@@ -300,14 +117,14 @@ fn check_dispatch(y: &Tensor, routing: &Routing) -> Result<usize, TensorError> {
             &[routing.experts, routing.capacity, 0],
         ));
     }
-    Ok(y.dims()[2])
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use tutel_gate::{route, RouteConfig};
-    use tutel_tensor::Rng;
+    use tutel_tensor::{dispatch, Rng};
 
     fn routing_and_input(tokens: usize, experts: usize, k: usize, seed: u64) -> (Routing, Tensor) {
         let mut rng = Rng::seed(seed);

@@ -31,7 +31,7 @@ use tutel::overlap::run_overlapped;
 use tutel_comm::runtime::{run_threaded, run_threaded_reliable, Communicator, ReliableConfig};
 use tutel_comm::AllToAllAlgo;
 use tutel_experts::{ExpertsBlock, ShardedExpertParams};
-use tutel_gate::{route, RaggedRouting, Router};
+use tutel_gate::{route, RaggedRouting, Router, Routing};
 use tutel_kernels::{fast_decode, fast_encode, ragged_decode, ragged_encode};
 use tutel_rt::with_parallelism_limit;
 use tutel_simgpu::Topology;
@@ -99,14 +99,10 @@ impl ExecConfig {
     }
 }
 
-/// The topology for each simulated world size: single node for one
-/// rank, a 2-node hierarchy otherwise so 2DH exercises both phases.
+/// The topology for each simulated world size:
+/// [`Topology::for_world`].
 pub fn topology_for(world: usize) -> Topology {
-    match world {
-        1 => Topology::single_node(1),
-        2 => Topology::new(2, 1),
-        w => Topology::new(2, w / 2),
-    }
+    Topology::for_world(world)
 }
 
 /// What one rank's program returns: its flat output rows, the
@@ -260,6 +256,87 @@ fn execute_step_with(
     })
 }
 
+/// The prologue shared by the padded and the dropless rank program:
+/// deal this rank its rows `(per_rank, M)` — global rows `rank`,
+/// `rank + world`, `rank + 2·world`, … — gate + route them dropless
+/// (per-row, identical to the reference by construction), and build
+/// the expert block(s) the strategy executes here.
+fn rank_setup(
+    model: &ServeModel,
+    cfg: &ExecConfig,
+    padded: &Tensor,
+    per_rank: usize,
+    rank: usize,
+) -> Result<(Tensor, Routing, Vec<ExpertsBlock>), ServeError> {
+    let dims = model.dims;
+    let m = dims.model_dim;
+    let mut rows = Vec::with_capacity(per_rank * m);
+    let src = padded.as_slice();
+    for local in 0..per_rank {
+        let g = local * cfg.world + rank;
+        rows.extend_from_slice(&src[g * m..(g + 1) * m]);
+    }
+    let x = Tensor::from_vec(rows, &[per_rank, m])?;
+    let probs = model.router.logits(&x)?.softmax_last();
+    let routing = route(&probs, &dims.route_config())?;
+    let blocks = rank_blocks(&model.experts, cfg.strategy, cfg.world, rank, dims.shards)?;
+    Ok((x, routing, blocks))
+}
+
+/// The expert block(s) `strategy` executes on `rank` of `world`: the
+/// rank's slice of the global `bank` in one block under P1, or that
+/// slice's `shards` hidden-dimension shards under P2 (their partial
+/// outputs are summed by [`shard_sum`]).
+///
+/// # Errors
+///
+/// Returns a [`TensorError`] if `world` does not divide the expert
+/// count or `shards` the hidden dimension.
+pub fn rank_blocks(
+    bank: &ExpertsBlock,
+    strategy: Strategy,
+    world: usize,
+    rank: usize,
+    shards: usize,
+) -> Result<Vec<ExpertsBlock>, TensorError> {
+    let local = bank.rank_slice(world, rank)?;
+    Ok(match strategy {
+        Strategy::P1 => vec![local],
+        Strategy::P2 => {
+            let params = ShardedExpertParams::from_block(&local, shards)?;
+            (0..params.shards())
+                .map(|r| params.shard_block(r))
+                .collect()
+        }
+    })
+}
+
+/// Applies `apply` to every block and sums the results in block
+/// (= shard) order — P2's one re-associated addition chain; under P1
+/// the single block's result passes through untouched.
+///
+/// # Errors
+///
+/// Propagates `apply`'s error; [`TensorError::InvalidArgument`] for
+/// an empty block list.
+pub fn shard_sum<B>(
+    blocks: impl IntoIterator<Item = B>,
+    mut apply: impl FnMut(B) -> Result<Tensor, TensorError>,
+) -> Result<Tensor, TensorError> {
+    let mut acc: Option<Tensor> = None;
+    for block in blocks {
+        let y = apply(block)?;
+        acc = Some(match acc {
+            None => y,
+            Some(mut a) => {
+                a.axpy(1.0, &y)?;
+                a
+            }
+        });
+    }
+    acc.ok_or_else(|| TensorError::InvalidArgument("strategy produced no expert blocks".into()))
+}
+
 /// One rank's program: gate + route its rows, reconcile capacity,
 /// drive the overlapped exchange, decode. Returns the rank's flat
 /// output rows, the reconciled capacity, and its wire payload volume.
@@ -272,22 +349,8 @@ fn run_rank(
 ) -> RankResult {
     let dims = model.dims;
     let world = cfg.world;
-    let rank = comm.rank();
     let m = dims.model_dim;
-
-    // This rank's rows: global rows rank, rank+world, rank+2·world, …
-    let mut rows = Vec::with_capacity(per_rank * m);
-    let src = padded.as_slice();
-    for local in 0..per_rank {
-        let g = local * world + rank;
-        rows.extend_from_slice(&src[g * m..(g + 1) * m]);
-    }
-    let x = Tensor::from_vec(rows, &[per_rank, m])?;
-
-    // Gate + dropless route, per-row and identical to the reference
-    // by construction.
-    let probs = model.router.logits(&x)?.softmax_last();
-    let mut routing = route(&probs, &dims.route_config())?;
+    let (x, mut routing, blocks) = rank_setup(model, cfg, padded, per_rank, comm.rank())?;
 
     // Reconcile capacity: ranks must agree on the wire shape. The
     // shared value is the max of the per-rank dropless minima, padded
@@ -310,19 +373,6 @@ fn run_rank(
     let enc = fast_encode(&x, &routing)?;
     let enc_chunks = enc.split_axis(1, cfg.degree)?;
     let enc_wire: Vec<Vec<f32>> = enc_chunks.iter().map(|c| c.as_slice().to_vec()).collect();
-
-    // This rank's expert slice, built once: the full local block
-    // under P1, or its hidden-dimension shards under P2.
-    let local = local_block(model, rank)?;
-    let blocks: Vec<ExpertsBlock> = match cfg.strategy {
-        Strategy::P1 => vec![local],
-        Strategy::P2 => {
-            let params = ShardedExpertParams::from_block(&local, dims.shards)?;
-            (0..params.shards())
-                .map(|r| params.shard_block(r))
-                .collect()
-        }
-    };
 
     // The overlap engine wants an infallible chunk-compute closure;
     // shape errors (impossible once dims validated, but typed anyway)
@@ -387,38 +437,16 @@ fn run_rank_grouped(
 ) -> RankResult {
     let dims = model.dims;
     let world = cfg.world;
-    let rank = comm.rank();
     let m = dims.model_dim;
     let le = dims.local_experts;
 
-    // This rank's rows: global rows rank, rank+world, rank+2·world, …
-    let mut rows = Vec::with_capacity(per_rank * m);
-    let src = padded.as_slice();
-    for local in 0..per_rank {
-        let g = local * world + rank;
-        rows.extend_from_slice(&src[g * m..(g + 1) * m]);
-    }
-    let x = Tensor::from_vec(rows, &[per_rank, m])?;
-
-    // Gate + dropless route; no capacity reconciliation — ranks don't
-    // need to agree on any buffer shape, only on the v-payloads they
-    // exchange, and those carry their own counts.
-    let probs = model.router.logits(&x)?.softmax_last();
-    let routing = route(&probs, &dims.route_config())?;
+    // No capacity reconciliation — ranks don't need to agree on any
+    // buffer shape, only on the v-payloads they exchange, and those
+    // carry their own counts.
+    let (x, routing, blocks) = rank_setup(model, cfg, padded, per_rank, comm.rank())?;
     let ragged = RaggedRouting::from_routing(&routing);
     let enc = ragged_encode(&x, &routing, &ragged)?;
     let es = enc.as_slice();
-
-    let local = local_block(model, rank)?;
-    let blocks: Vec<ExpertsBlock> = match cfg.strategy {
-        Strategy::P1 => vec![local],
-        Strategy::P2 => {
-            let params = ShardedExpertParams::from_block(&local, dims.shards)?;
-            (0..params.shards())
-                .map(|r| params.shard_block(r))
-                .collect()
-        }
-    };
 
     // Chunk c of bin e: the deterministic sub-range
     // [len·c/D, len·(c+1)/D) of the bin's packed rows.
@@ -487,19 +515,7 @@ fn run_rank_grouped(
                 }
             }
             let gx_t = Tensor::from_vec(gx, &[total, m])?;
-            let mut acc: Option<Tensor> = None;
-            for block in &blocks {
-                let y = block.infer_grouped(&gx_t, &offsets)?;
-                acc = Some(match acc {
-                    None => y,
-                    Some(mut a) => {
-                        a.axpy(1.0, &y)?;
-                        a
-                    }
-                });
-            }
-            let y_t =
-                acc.ok_or_else(|| ServeError::Config("strategy produced no expert blocks".into()))?;
+            let y_t = shard_sum(&blocks, |block| block.infer_grouped(&gx_t, &offsets))?;
             let ys = y_t.as_slice();
             (0..world)
                 .map(|s_rank| {
@@ -559,33 +575,10 @@ fn compute_chunk(
     let flex = Tensor::from_vec(received, &[world, dims.local_experts, cc, m])?
         .permute(&[1, 0, 2, 3])?
         .reshape(&[dims.local_experts, world * cc, m])?;
-    let mut acc: Option<Tensor> = None;
-    for block in blocks {
-        let y = block.infer(&flex)?;
-        acc = Some(match acc {
-            None => y,
-            Some(mut a) => {
-                a.axpy(1.0, &y)?;
-                a
-            }
-        });
-    }
-    let out = match acc {
-        Some(t) => t,
-        None => Tensor::zeros(flex.dims()),
-    };
-    out.reshape(&[dims.local_experts, world, cc, m])?
+    shard_sum(blocks, |block| block.infer(&flex))?
+        .reshape(&[dims.local_experts, world, cc, m])?
         .permute(&[1, 0, 2, 3])
         .map(|t| t.as_slice().to_vec())
-}
-
-/// The executing rank's slice of the global expert bank.
-fn local_block(model: &ServeModel, rank: usize) -> Result<ExpertsBlock, TensorError> {
-    let (w1, b1, w2, b2) = model.experts.weights();
-    let slice = |t: &Tensor| -> Result<Tensor, TensorError> {
-        Ok(t.split_axis(0, model.dims.world)?[rank].clone())
-    };
-    ExpertsBlock::from_weights(slice(w1)?, slice(b1)?, slice(w2)?, slice(b2)?)
 }
 
 /// The sequential per-request reference: the same gate → dropless

@@ -70,6 +70,20 @@ impl Topology {
         }
     }
 
+    /// The shape the threaded executors (serving, the conformance
+    /// harness, the overlap sweep) simulate `world` ranks on: a single
+    /// node for one rank, otherwise two nodes of `world / 2` so that
+    /// 2DH exercises both its intra- and inter-node phase. An odd
+    /// `world > 1` has no such shape; the result's
+    /// [`Topology::world_size`] then differs from `world`, which the
+    /// caller must check.
+    pub fn for_world(world: usize) -> Self {
+        match world {
+            0 | 1 => Topology::single_node(1),
+            w => Topology::new(2, w / 2),
+        }
+    }
+
     /// Number of nodes.
     pub fn nnodes(&self) -> usize {
         self.nnodes
@@ -134,6 +148,17 @@ impl fmt::Display for Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn for_world_is_two_nodes_beyond_one_rank() {
+        assert_eq!(Topology::for_world(1), Topology::single_node(1));
+        assert_eq!(Topology::for_world(2), Topology::new(2, 1));
+        assert_eq!(Topology::for_world(8), Topology::new(2, 4));
+        // No two-node shape holds an odd world: the caller sees it in
+        // the size.
+        assert_ne!(Topology::for_world(3).world_size(), 3);
+        assert_ne!(Topology::for_world(0).world_size(), 0);
+    }
 
     #[test]
     fn node_major_rank_layout() {

@@ -13,7 +13,8 @@
 //! * the output is split into fixed [`ROW_BLOCK`]-row chunks — block
 //!   boundaries depend only on the problem shape, never the worker
 //!   count, so results are **bit-identical for every `TUTEL_THREADS`**
-//!   (`bmm` parallelizes over `batch × row-blocks`);
+//!   (`bmm` is the grouped launch over equal bins, so it parallelizes
+//!   over `batch × row-blocks`);
 //! * inside a block, the `k` dimension is tiled by [`KC`] and an
 //!   [`MR`]`×`[`NR`] register micro-tile accumulates with a fixed,
 //!   branch-free inner loop the compiler can keep in vector registers
@@ -90,7 +91,7 @@ impl Tensor {
     /// This is the CPU analogue of `bgemm_strided_batched`, the operation
     /// the paper's Figure 7 profiles. Expert computation uses it with
     /// `b = ΔE` (local experts), `m = C` (capacity), `k = M`, `n = V`.
-    /// Parallelized over `batch × row-blocks`.
+    /// Runs as a [`grouped_gemm`] over `b` equal bins of `m` rows.
     ///
     /// # Errors
     ///
@@ -210,7 +211,9 @@ pub fn gemm_nn(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usi
 }
 
 /// Batched `out += a · b` over row-major buffers `a (B, m, k)`,
-/// `bb (B, k, n)`, `out (B, m, n)`, parallel over batch × row-blocks.
+/// `bb (B, k, n)`, `out (B, m, n)`: a [`grouped_gemm`] launch whose
+/// bins all hold `m` rows, so the block grid — and every output bit —
+/// is the grouped kernel's.
 pub fn gemm_bnn(
     a: &[f32],
     bb: &[f32],
@@ -220,36 +223,14 @@ pub fn gemm_bnn(
     k: usize,
     n: usize,
 ) {
-    debug_assert_eq!(a.len(), batches * m * k);
-    debug_assert_eq!(bb.len(), batches * k * n);
-    debug_assert_eq!(out.len(), batches * m * n);
-    if batches == 0 || m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    let blocks_per = m.div_ceil(ROW_BLOCK);
-    let ranges: Vec<(usize, usize)> = (0..batches * blocks_per)
-        .map(|idx| {
-            let (bi, blk) = (idx / blocks_per, idx % blocks_per);
-            let r0 = blk * ROW_BLOCK;
-            let r1 = (r0 + ROW_BLOCK).min(m);
-            (bi * m * n + r0 * n, bi * m * n + r1 * n)
-        })
-        .collect();
-    tutel_rt::parallel_ranges(out, &ranges, |idx, chunk| {
-        let (bi, blk) = (idx / blocks_per, idx % blocks_per);
-        let a_batch = &a[bi * m * k..(bi + 1) * m * k];
-        let b_batch = &bb[bi * k * n..(bi + 1) * k * n];
-        block_packed(
-            a_batch,
-            b_batch,
-            chunk,
-            blk * ROW_BLOCK,
-            chunk.len() / n,
-            k,
-            n,
-            Layout::Nn { k },
-        );
-    });
+    grouped_gemm(a, bb, out, &uniform_offsets(batches, m), k, n);
+}
+
+/// CSR offsets of `groups` equal bins of `rows` rows each:
+/// `[0, rows, 2·rows, …]`. The padded `(G, rows, ·)` layout is the
+/// ragged layout with these offsets.
+pub fn uniform_offsets(groups: usize, rows: usize) -> Vec<usize> {
+    (0..=groups).map(|g| g * rows).collect()
 }
 
 /// `out += aᵀ · b` over row-major buffers `a (k, m)`, `b (k, n)`,
