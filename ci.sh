@@ -15,7 +15,7 @@ cargo build --release
 echo "==> cargo test (tier-1: root suite)"
 cargo test -q
 
-echo "==> benchmark/: builds against this tree + 1-second smoke"
+echo "==> benchmark/: builds against this tree + 1-second smokes"
 # benchmark/ is its own workspace, so nothing above compiles it: an
 # API break against it would otherwise surface only when the pipeline
 # runs it. The smoke's exit code is the benchmark's own correctness
@@ -23,6 +23,10 @@ echo "==> benchmark/: builds against this tree + 1-second smoke"
 cargo check --release --offline --manifest-path benchmark/Cargo.toml
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
     --workload train_wide_ffn --seed 1 --seconds 1 --trace 0 > /dev/null
+# train_wide_ffn never touches comm or serve; serve_large_steps is
+# P2/2DH at degree 2 — the overlapped v-exchange end to end.
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload serve_large_steps --seed 1 --seconds 1 --trace 0 > /dev/null
 
 # tutel-bench's lib tests regenerate several full paper experiments and
 # take ~7 minutes; run them separately with `cargo test -p tutel-bench`.

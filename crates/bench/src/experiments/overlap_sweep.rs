@@ -128,15 +128,21 @@ fn weight(rank: usize) -> Tensor {
     Tensor::from_vec(data, &[MODEL_DIM, MODEL_DIM]).expect("square weight")
 }
 
-/// Deterministic per-rank input rows, split into `degree` chunks.
-fn input_chunks(rank: usize, tokens: usize, degree: usize) -> Vec<Vec<f32>> {
-    let rows_per_chunk = tokens / degree;
+/// Deterministic per-rank input rows as `[chunk][destination]`
+/// buffers: `degree` chunks, each dealt evenly across `world` ranks.
+fn input_chunks(rank: usize, tokens: usize, degree: usize, world: usize) -> Vec<Vec<Vec<f32>>> {
+    let per_dest = tokens / degree / world * MODEL_DIM;
+    let value = |c: usize, i: usize| {
+        let v = ((rank * 7919 + c * 977 + i * 31) % 997) as f32 / 997.0 - 0.5;
+        v * 0.25
+    };
     (0..degree)
         .map(|c| {
-            (0..rows_per_chunk * MODEL_DIM)
-                .map(|i| {
-                    let v = ((rank * 7919 + c * 977 + i * 31) % 997) as f32 / 997.0 - 0.5;
-                    v * 0.25
+            (0..world)
+                .map(|d| {
+                    (d * per_dest..(d + 1) * per_dest)
+                        .map(|i| value(c, i))
+                        .collect()
                 })
                 .collect()
         })
@@ -164,10 +170,13 @@ pub fn run_point(world: usize, tokens: usize, strategy: PipelineStrategy) -> Swe
     let topo = Topology::for_world(world);
     let per_rank: Vec<(f64, Vec<f64>)> = run_threaded(topo, move |mut comm| {
         let w = weight(comm.rank());
-        let input = input_chunks(comm.rank(), tokens, degree);
-        let run = run_overlapped(&mut comm, algo, &input, |_, flex| {
-            let x = Tensor::from_vec(flex, &[rows_per_chunk, MODEL_DIM]).expect("chunk shape");
-            x.matmul(&w).expect("ffn gemm").as_slice().to_vec()
+        let input = input_chunks(comm.rank(), tokens, degree, world);
+        let run = run_overlapped(&mut comm, algo, input, |_, _, received| {
+            let x = Tensor::from_vec(received.concat(), &[rows_per_chunk, MODEL_DIM])
+                .expect("chunk shape");
+            let y = x.matmul(&w).expect("ffn gemm");
+            let back = y.as_slice().chunks(y.len() / world);
+            Ok(back.map(<[f32]>::to_vec).collect())
         })
         .expect("fault-free sweep collective");
         (run.wall_s, run.chunk_compute_s)

@@ -451,20 +451,24 @@ impl Default for RaceConfig {
 pub fn combined_run(cfg: &RaceConfig, seed: u64) -> SeedRun {
     let topo = Topology::new(cfg.nnodes, cfg.gpus_per_node);
     let world = topo.world_size();
-    let len = world * cfg.per;
     let session = chk::Session::begin();
     let (results, report) = run_sched(topo, seed, |comm| {
         let rank = comm.rank();
         chk::with_logical_thread(rank + 1, || {
-            let input: Vec<Vec<f32>> = (0..cfg.degree)
+            // [chunk][destination]: `per` labeled elements each.
+            let input: Vec<Vec<Vec<f32>>> = (0..cfg.degree)
                 .map(|c| {
-                    (0..len)
-                        .map(|j| (rank * 1000 + c * 100 + j) as f32 * 1e-3)
+                    (0..world)
+                        .map(|d| {
+                            (d * cfg.per..(d + 1) * cfg.per)
+                                .map(|j| (rank * 1000 + c * 100 + j) as f32 * 1e-3)
+                                .collect()
+                        })
                         .collect()
                 })
                 .collect();
-            tutel::overlap::run_overlapped(comm, AllToAllAlgo::Linear, &input, |i, flex| {
-                compute_on_sim_pool(cfg, seed, rank, i, flex)
+            tutel::overlap::run_overlapped(comm, AllToAllAlgo::Linear, input, |_, i, received| {
+                Ok(compute_on_sim_pool(cfg, seed, rank, i, received))
             })
         })
     });
@@ -537,10 +541,8 @@ pub fn combined_run(cfg: &RaceConfig, seed: u64) -> SeedRun {
                 format!("rank {rank}: {e}"),
             )),
             Ok(run) => {
-                for buf in &run.combined {
-                    for v in buf {
-                        structure.mix(u64::from(v.to_bits()));
-                    }
+                for v in run.combined.iter().flatten().flatten() {
+                    structure.mix(u64::from(v.to_bits()));
                 }
             }
         }
@@ -554,15 +556,18 @@ pub fn combined_run(cfg: &RaceConfig, seed: u64) -> SeedRun {
 }
 
 /// The per-chunk compute stand-in: takes an output buffer from the
-/// global arena, fills it on the simulated pool under a seed-derived
-/// steal schedule, and recycles the wire buffer.
+/// global arena, fills it from the received buffers (flattened in
+/// source order) on the simulated pool under a seed-derived steal
+/// schedule, and hands it back cut into `per`-element buffers, one per
+/// destination.
 fn compute_on_sim_pool(
     cfg: &RaceConfig,
     seed: u64,
     rank: usize,
     chunk_idx: usize,
-    flex: Vec<f32>,
-) -> Vec<f32> {
+    received: Vec<Vec<f32>>,
+) -> Vec<Vec<f32>> {
+    let flex = received.concat();
     chk::note_access(&flex, false);
     let n = flex.len();
     let mut out = tutel_rt::arena().take_raw(n);
@@ -591,8 +596,10 @@ fn compute_on_sim_pool(
         );
     }
     chk::order_mark("compute.done", chunk_idx as u64);
+    let back = out.chunks(cfg.per.max(1)).map(<[f32]>::to_vec).collect();
     tutel_rt::arena().put(flex);
-    out
+    tutel_rt::arena().put(out);
+    back
 }
 
 /// Sweeps [`combined_run`] over `0..seeds`.

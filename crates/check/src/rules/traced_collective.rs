@@ -20,12 +20,13 @@ use crate::source::{item_end_line, SourceFile};
 
 /// The collective entry points required to trace themselves.
 const COLLECTIVES: &[&str] = &[
+    "ialltoall_v",
+    "all_to_all_v",
+    "all_to_all_v_2dh",
     "all_to_all",
     "all_to_all_2dh",
     "all_gather",
     "all_reduce_sum",
-    "ialltoall",
-    "ialltoall_2dh",
 ];
 
 pub struct TracedCollective;

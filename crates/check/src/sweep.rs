@@ -12,7 +12,7 @@ use crate::explore::Finding;
 
 use tutel_comm::runtime::Communicator;
 use tutel_comm::sched::run_sched;
-use tutel_comm::{linear_all_to_all, two_dh_all_to_all, CommError, RankBuffers};
+use tutel_comm::{linear_all_to_all, two_dh_all_to_all, AllToAllAlgo, CommError, RankBuffers};
 use tutel_simgpu::Topology;
 
 /// Sweep parameters: the topology and how many seeds to explore.
@@ -141,7 +141,7 @@ where
     }
 }
 
-/// Runs the full sweep over the four threaded collectives.
+/// Runs the full sweep over the threaded collectives.
 pub fn sweep_collectives(cfg: &SweepConfig) -> Vec<CollectiveSweep> {
     let topo = Topology::new(cfg.nnodes, cfg.gpus_per_node);
     let n = topo.world_size();
@@ -158,6 +158,21 @@ pub fn sweep_collectives(cfg: &SweepConfig) -> Vec<CollectiveSweep> {
     let gather_flat: Vec<f32> = gather_in.iter().flatten().copied().collect();
     let gather_expect: RankBuffers = vec![gather_flat; n];
 
+    // Two ragged 2DH exchanges in flight at once, the second moving
+    // nothing: destination `d` gets the first `(rank + d) % (chunk+1)`
+    // elements of its chunk of the labeled buffer.
+    let ragged_in = labeled(n, cfg.chunk, 6);
+    let cut = |src: usize, dst: usize, buf: &[f32]| {
+        buf[dst * cfg.chunk..][..(src + dst) % (cfg.chunk + 1)].to_vec()
+    };
+    let ragged_expect: RankBuffers = (0..n)
+        .map(|dst| {
+            (0..n)
+                .flat_map(|src| cut(src, dst, &ragged_in[src]))
+                .collect()
+        })
+        .collect();
+
     let reduce_in = labeled(n, cfg.chunk, 3);
     let mut reduce_sum = vec![0.0f32; n * cfg.chunk];
     for r in &reduce_in {
@@ -173,6 +188,14 @@ pub fn sweep_collectives(cfg: &SweepConfig) -> Vec<CollectiveSweep> {
         }),
         sweep_one("all_to_all_2dh", cfg, &twodh_in, &twodh_expect, |c, x| {
             c.all_to_all_2dh(x)
+        }),
+        sweep_one("ialltoall_v_x2", cfg, &ragged_in, &ragged_expect, |c, x| {
+            let sends = (0..n).map(|dst| cut(c.rank(), dst, x)).collect();
+            let full = c.ialltoall_v(AllToAllAlgo::TwoDh, sends)?;
+            let empty = c.ialltoall_v(AllToAllAlgo::TwoDh, vec![Vec::new(); n])?;
+            let mut got = full.wait(c)?.concat();
+            got.extend(empty.wait(c)?.concat());
+            Ok(got)
         }),
         sweep_one("all_gather", cfg, &gather_in, &gather_expect, |c, x| {
             c.all_gather(x)

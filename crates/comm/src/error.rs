@@ -53,6 +53,18 @@ pub enum CommError {
         /// Receive attempts made (1 initial + retries) before giving up.
         attempts: u32,
     },
+    /// A wire payload's in-band count header is unusable: missing,
+    /// not a finite non-negative integer, inexact in `f32`, or
+    /// inconsistent with the payload length. Raised on receive for a
+    /// peer's message and on send for a count this rank cannot encode.
+    Malformed {
+        /// The rank that detected it.
+        rank: usize,
+        /// The peer the payload came from (or was bound for).
+        peer: usize,
+        /// What was wrong with the header.
+        detail: String,
+    },
 }
 
 impl fmt::Display for CommError {
@@ -83,6 +95,12 @@ impl fmt::Display for CommError {
                     f,
                     "rank {rank}: timed out waiting on rank {peer} (tag {tag}) \
                      after {attempts} attempt(s)"
+                )
+            }
+            CommError::Malformed { rank, peer, detail } => {
+                write!(
+                    f,
+                    "rank {rank}: malformed payload with rank {peer}: {detail}"
                 )
             }
         }

@@ -8,12 +8,33 @@
 //! implements the collectives as each rank's local program — exactly
 //! the structure of Algorithm 1 and Algorithm 3 in the paper:
 //!
-//! * [`Communicator::all_to_all`] — the linear send/recv loop;
-//! * [`Communicator::all_to_all_2dh`] — stride-align, intra-node
-//!   exchange, align, inter-node exchange (Figure 15), with each rank
-//!   only ever touching its own buffers;
+//! * [`Communicator::ialltoall_v`] — the All-to-All, linear or 2DH
+//!   (stride-align, intra-node exchange, align, inter-node exchange —
+//!   Figure 15 — with each rank only ever touching its own buffers);
 //! * ring [`Communicator::all_gather`] and
 //!   [`Communicator::all_reduce_sum`].
+//!
+//! # One All-to-All
+//!
+//! One issue function and one [`CommHandle`] state machine move
+//! *ragged* per-destination buffers (`Vec<Vec<f32>>`, any lengths,
+//! empties legal) without blocking: the linear route is one phase; the
+//! 2DH route runs intra-node → re-bucket → inter-node, its hop
+//! messages carrying an in-band header of segment lengths (checked on
+//! receive, refused on send past 2^24 — [`CommError::Malformed`]).
+//! Everything else is a view of it:
+//!
+//! | entry point | is |
+//! |---|---|
+//! | [`Communicator::all_to_all_v`] | issue linear + `wait` |
+//! | [`Communicator::all_to_all_v_2dh`] | issue 2DH + `wait` |
+//! | [`Communicator::all_to_all`] | `W` equal buffers → linear → concatenate |
+//! | [`Communicator::all_to_all_2dh`] | `W` equal buffers → 2DH → concatenate |
+//!
+//! The sequential [`crate::linear_all_to_all`] and
+//! [`crate::two_dh_all_to_all`] (on the literal strided layout of
+//! Figure 15) share no code with it and stay as the unit tests'
+//! oracles.
 //!
 //! Every operation returns `Result<_, CommError>` instead of
 //! panicking, so rank programs can surface failures (and the
@@ -65,7 +86,7 @@ use tutel_simgpu::Topology;
 
 use crate::error::CommError;
 use crate::fault::{FaultAction, FaultPlan};
-use crate::stride_memcpy;
+use crate::AllToAllAlgo;
 
 /// Message class on the wire. Control traffic (`Retry`, `Ack`) exists
 /// only under the reliability layer and is handled inline by the
@@ -807,9 +828,218 @@ impl Communicator {
         Ok(len / chunks)
     }
 
-    /// Linear All-to-All (Algorithm 1): splits `input` into `W` equal
-    /// chunks laid out as `(W, chunk)`, sends chunk `d` to rank `d`,
-    /// returns the received chunks in source order.
+    /// Poisons the communicator and builds the typed error for a
+    /// payload exchanged with `peer` whose count header is unusable.
+    /// Public for the one codec above the communicator
+    /// (`tutel::overlap::exchange_bins`): a run that rejected a payload
+    /// skips the join-time mailbox audit like any failed run.
+    pub fn malformed<T>(&self, peer: usize, detail: String) -> Result<T, CommError> {
+        let rank = self.rank;
+        self.fail(CommError::Malformed { rank, peer, detail })
+    }
+
+    /// Appends `counts` to `buf` as an in-band `f32` header.
+    ///
+    /// # Errors
+    ///
+    /// [`CommError::Malformed`] for a count above 2^24, past which
+    /// `count as f32` silently rounds.
+    pub fn encode_counts(
+        &self,
+        peer: usize,
+        counts: impl IntoIterator<Item = usize>,
+        buf: &mut Vec<f32>,
+    ) -> Result<(), CommError> {
+        for count in counts {
+            if count > MAX_WIRE_COUNT {
+                return self.malformed(peer, format!("count {count} is inexact in f32"));
+            }
+            buf.push(count as f32);
+        }
+        Ok(())
+    }
+
+    /// Reads the `n`-count header at the front of a payload received
+    /// from `peer` and checks it against the body it announces, the
+    /// counted items laid out `(R, unit)` with `R = Σ counts`.
+    ///
+    /// # Errors
+    ///
+    /// [`CommError::Malformed`] unless the header is present, every
+    /// entry is an integer in `0..=2^24`, and `n + R · unit` is exactly
+    /// the payload length — a header from another rank is outside
+    /// input and never trusted to index a slice.
+    pub fn decode_counts(
+        &self,
+        peer: usize,
+        buf: &[f32],
+        n: usize,
+        unit: usize,
+    ) -> Result<Vec<usize>, CommError> {
+        let valid = |c: &f32| (0.0..=MAX_WIRE_COUNT as f32).contains(c) && c.fract() == 0.0;
+        let header = buf.get(..n).filter(|h| h.iter().all(valid));
+        let counts: Vec<usize> = header.unwrap_or(&[]).iter().map(|&c| c as usize).collect();
+        let body = counts.iter().sum::<usize>().checked_mul(unit);
+        if header.is_none() || body.and_then(|b| b.checked_add(n)) != Some(buf.len()) {
+            let seen = &buf[..buf.len().min(n)];
+            return self.malformed(
+                peer,
+                format!(
+                    "header {seen:?} (of {n}, x{unit}) vs {} elements",
+                    buf.len()
+                ),
+            );
+        }
+        Ok(counts)
+    }
+
+    /// One 2DH hop message: the segments' lengths, then the segments.
+    fn pack(&self, peer: usize, segs: &[&[f32]]) -> Result<Vec<f32>, CommError> {
+        let mut buf = Vec::with_capacity(segs.len() + segs.iter().map(|s| s.len()).sum::<usize>());
+        self.encode_counts(peer, segs.iter().map(|s| s.len()), &mut buf)?;
+        segs.iter().for_each(|seg| buf.extend_from_slice(seg));
+        Ok(buf)
+    }
+
+    /// Splits a 2DH hop message from `peer` into its `nseg` segments.
+    fn unpack(&self, peer: usize, buf: &[f32], nseg: usize) -> Result<Vec<Vec<f32>>, CommError> {
+        let mut at = nseg;
+        let lens = self.decode_counts(peer, buf, nseg, 1)?;
+        Ok(lens
+            .into_iter()
+            .map(|len| {
+                at += len;
+                buf[at - len..at].to_vec()
+            })
+            .collect())
+    }
+
+    /// This rank's 2DH coordinates: `(gpus per node, nodes, node,
+    /// local rank)`.
+    fn grid(&self) -> (usize, usize, usize, usize) {
+        let topo = &self.topology;
+        (
+            topo.gpus_per_node(),
+            topo.nnodes(),
+            topo.node_of(self.rank),
+            topo.local_rank(self.rank),
+        )
+    }
+
+    /// The All-to-All: sends `sends[d]` to rank `d` verbatim and
+    /// returns a [`CommHandle`] that completes as peers' buffers
+    /// arrive. Buffers may have any lengths, including zero (an expert
+    /// that received no tokens); lengths ride the messages, so no
+    /// count pre-exchange is needed. Every other All-to-All entry
+    /// point is a view of this one (see the
+    /// [module docs](self#one-all-to-all)).
+    ///
+    /// * [`AllToAllAlgo::Linear`] (Algorithm 1): one message per peer.
+    /// * [`AllToAllAlgo::TwoDh`] (Algorithm 3): buckets by destination
+    ///   local rank and exchanges intra-node; once every intra-node
+    ///   bucket has landed (during `poll` or `wait`) re-buckets by
+    ///   destination node and exchanges inter-node among
+    ///   same-local-rank peers. Each hop message carries an in-band
+    ///   header of its segment lengths. Both phase tags are allocated
+    ///   here, so tag lockstep across ranks does not depend on *when*
+    ///   each rank's poll observes the phase change.
+    ///
+    /// All first-phase sends are issued eagerly, so peers can complete
+    /// whether or not this rank ever polls.
+    ///
+    /// # Errors
+    ///
+    /// [`CommError::Indivisible`] if `sends.len()` is not the world
+    /// size, [`CommError::Malformed`] for a segment too long for the
+    /// header, plus any transport error during issue.
+    pub fn ialltoall_v(
+        &mut self,
+        algo: AllToAllAlgo,
+        mut sends: Vec<Vec<f32>>,
+    ) -> Result<CommHandle, CommError> {
+        let _span = self.tracer.span(TRACK_COMM, "ialltoall_v.issue");
+        let (n, me) = (self.world_size(), self.rank);
+        if sends.len() != n {
+            let len = sends.len();
+            return self.fail(CommError::Indivisible { len, chunks: n });
+        }
+        let mut out = vec![Vec::new(); n];
+        let mut handle = match algo {
+            AllToAllAlgo::Linear => {
+                let tag = self.fresh_tag();
+                for (peer, buf) in sends.into_iter().enumerate() {
+                    if peer == me {
+                        out[me] = buf;
+                    } else {
+                        self.send(peer, tag, buf)?;
+                    }
+                }
+                let pending = (0..n).filter(|&s| s != me).collect();
+                CommHandle {
+                    tags: vec![tag],
+                    out,
+                    pending,
+                    state: HandleState::Direct,
+                }
+            }
+            AllToAllAlgo::TwoDh => {
+                let (m, nnodes, node, local) = self.grid();
+                let tags = vec![self.fresh_tag(), self.fresh_tag()];
+                let mates = (node * m..(node + 1) * m).filter(|&r| r != me);
+                for dst in mates.clone() {
+                    let segs: Vec<&[f32]> = (0..nnodes)
+                        .map(|dst_node| sends[dst_node * m + dst % m].as_slice())
+                        .collect();
+                    let payload = self.pack(dst, &segs)?;
+                    self.send(dst, tags[0], payload)?;
+                }
+                // Every bucket holds `nnodes` segments from the start,
+                // so a handle that rejected a bucket can still promote.
+                let mut phase2 = vec![vec![Vec::new(); nnodes]; m];
+                phase2[local] = (0..nnodes)
+                    .map(|dst_node| std::mem::take(&mut sends[dst_node * m + local]))
+                    .collect();
+                CommHandle {
+                    tags,
+                    out,
+                    pending: mates.collect(),
+                    state: HandleState::Intra(phase2),
+                }
+            }
+        };
+        // Early arrivals may already be parked (a faster peer's sends
+        // land before we issue), and degenerate grids have no one to
+        // wait for: absorb now, which also runs the 2DH promotion.
+        handle.absorb(self)?;
+        Ok(handle)
+    }
+
+    /// Blocking ragged linear All-to-All: [`Communicator::ialltoall_v`]
+    /// issued and waited.
+    ///
+    /// # Errors
+    ///
+    /// As [`Communicator::ialltoall_v`] and [`CommHandle::wait`].
+    pub fn all_to_all_v(&mut self, sends: &[Vec<f32>]) -> Result<Vec<Vec<f32>>, CommError> {
+        let _span = self.tracer.span(TRACK_COMM, "all_to_all_v");
+        self.ialltoall_v(AllToAllAlgo::Linear, sends.to_vec())?
+            .wait(self)
+    }
+
+    /// Blocking ragged 2DH All-to-All: bitwise the result of
+    /// [`Communicator::all_to_all_v`], only the route differs.
+    ///
+    /// # Errors
+    ///
+    /// As [`Communicator::ialltoall_v`] and [`CommHandle::wait`].
+    pub fn all_to_all_v_2dh(&mut self, sends: &[Vec<f32>]) -> Result<Vec<Vec<f32>>, CommError> {
+        let _span = self.tracer.span(TRACK_COMM, "all_to_all_v_2dh");
+        self.ialltoall_v(AllToAllAlgo::TwoDh, sends.to_vec())?
+            .wait(self)
+    }
+
+    /// Equal-chunk linear All-to-All over the `(W, chunk)` layout: the
+    /// uniform-count view of [`Communicator::ialltoall_v`].
     ///
     /// # Errors
     ///
@@ -817,349 +1047,35 @@ impl Communicator {
     /// the world size, plus any transport error.
     pub fn all_to_all(&mut self, input: &[f32]) -> Result<Vec<f32>, CommError> {
         let _span = self.tracer.span(TRACK_COMM, "all_to_all");
-        let n = self.world_size();
-        let chunk = self.require_divisible(input.len(), n)?;
-        let tag = self.fresh_tag();
-        for peer in 0..n {
-            if peer != self.rank {
-                self.send(peer, tag, input[peer * chunk..(peer + 1) * chunk].to_vec())?;
-            }
-        }
-        let mut out = vec![0.0f32; input.len()];
-        out[self.rank * chunk..(self.rank + 1) * chunk]
-            .copy_from_slice(&input[self.rank * chunk..(self.rank + 1) * chunk]);
-        for src in 0..n {
-            if src != self.rank {
-                let payload = self.recv(src, tag)?;
-                out[src * chunk..(src + 1) * chunk].copy_from_slice(&payload);
-            }
-        }
-        self.collective_epilogue(&[tag])?;
-        Ok(out)
+        self.all_to_all_uniform(AllToAllAlgo::Linear, input)
     }
 
-    /// Flexible (ragged) linear All-to-All: sends `sends[d]` to rank
-    /// `d` verbatim and returns the received buffers in source order,
-    /// with no equal-chunk requirement — peers' payload lengths ride
-    /// the message itself, so no count pre-exchange is needed. Empty
-    /// buffers are legal (an expert that received no tokens). Runs
-    /// under the reliability layer and fault injection exactly like
-    /// [`Communicator::all_to_all`].
+    /// Equal-chunk 2DH All-to-All over the `(W, chunk)` layout: the
+    /// uniform-count view of the 2DH route (so its hop messages carry
+    /// the segment header too).
     ///
     /// # Errors
     ///
-    /// [`CommError::Indivisible`] if `sends.len()` is not the world
-    /// size, plus any transport error.
-    pub fn all_to_all_v(&mut self, sends: &[Vec<f32>]) -> Result<Vec<Vec<f32>>, CommError> {
-        let _span = self.tracer.span(TRACK_COMM, "all_to_all_v");
-        let n = self.world_size();
-        if sends.len() != n {
-            self.poisoned.set(true);
-            return Err(CommError::Indivisible {
-                len: sends.len(),
-                chunks: n,
-            });
-        }
-        let tag = self.fresh_tag();
-        for (peer, buf) in sends.iter().enumerate() {
-            if peer != self.rank {
-                self.send(peer, tag, buf.clone())?;
-            }
-        }
-        let me = self.rank;
-        let mut out = vec![Vec::new(); n];
-        out[me] = sends[me].clone();
-        for src in (0..n).filter(|&s| s != me) {
-            let buf = self.recv(src, tag)?;
-            out[src] = buf;
-        }
-        self.collective_epilogue(&[tag])?;
-        Ok(out)
-    }
-
-    /// Flexible (ragged) 2DH All-to-All: the hierarchical phases of
-    /// [`Communicator::all_to_all_2dh`] generalized to per-destination
-    /// buffer lengths. Because the intermediate hop must re-bucket a
-    /// concatenation of variable-length messages, each wire payload
-    /// carries an in-band header of per-segment lengths encoded as
-    /// f32 — exact below 2^24 elements per segment, far above any
-    /// routed bin this simulator produces.
-    ///
-    /// Bitwise-identical result to [`Communicator::all_to_all_v`]: both
-    /// deliver every source buffer verbatim, only the route differs.
-    ///
-    /// # Errors
-    ///
-    /// [`CommError::Indivisible`] if `sends.len()` is not the world
-    /// size, plus any transport error.
-    pub fn all_to_all_v_2dh(&mut self, sends: &[Vec<f32>]) -> Result<Vec<Vec<f32>>, CommError> {
-        let _span = self.tracer.span(TRACK_COMM, "all_to_all_v_2dh");
-        let n = self.world_size();
-        if sends.len() != n {
-            self.poisoned.set(true);
-            return Err(CommError::Indivisible {
-                len: sends.len(),
-                chunks: n,
-            });
-        }
-        let m = self.topology.gpus_per_node();
-        let nnodes = self.topology.nnodes();
-        let node = self.topology.node_of(self.rank);
-        let local = self.topology.local_rank(self.rank);
-
-        // Phase 1+2: bucket by destination *local rank* and exchange
-        // intra-node. Segment order inside a bucket is destination
-        // node order; the header block holds the nnodes lengths.
-        let pack = |segs: Vec<&[f32]>| -> Vec<f32> {
-            let mut buf =
-                Vec::with_capacity(segs.len() + segs.iter().map(|s| s.len()).sum::<usize>());
-            buf.extend(segs.iter().map(|s| s.len() as f32));
-            for s in &segs {
-                buf.extend_from_slice(s);
-            }
-            buf
-        };
-        let unpack = |buf: &[f32], nseg: usize| -> Vec<Vec<f32>> {
-            let mut segs = Vec::with_capacity(nseg);
-            let mut at = nseg;
-            for i in 0..nseg {
-                let len = buf[i] as usize;
-                segs.push(buf[at..at + len].to_vec());
-                at += len;
-            }
-            segs
-        };
-        let tag = self.fresh_tag();
-        for dst_local in 0..m {
-            let payload = pack(
-                (0..nnodes)
-                    .map(|dst_node| sends[dst_node * m + dst_local].as_slice())
-                    .collect(),
-            );
-            if dst_local != local {
-                self.send(node * m + dst_local, tag, payload)?;
-            }
-        }
-        // phase2[src_local][dst_node] = message from (node, src_local)
-        // bound for (dst_node, local).
-        let mut phase2: Vec<Vec<Vec<f32>>> = vec![Vec::new(); m];
-        phase2[local] = (0..nnodes)
-            .map(|dst_node| sends[dst_node * m + local].clone())
-            .collect();
-        for src_local in (0..m).filter(|&s| s != local) {
-            let payload = self.recv(node * m + src_local, tag)?;
-            phase2[src_local] = unpack(&payload, nnodes);
-        }
-
-        // Phase 3+4: re-bucket by destination node and exchange
-        // inter-node among same-local-rank peers. Segment order is
-        // source local-rank order.
-        let tag_inter = self.fresh_tag();
-        for dst_node in (0..nnodes).filter(|&d| d != node) {
-            let payload = pack(
-                phase2
-                    .iter()
-                    .map(|bucket| bucket[dst_node].as_slice())
-                    .collect(),
-            );
-            self.send(dst_node * m + local, tag_inter, payload)?;
-        }
-        let mut out = vec![Vec::new(); n];
-        for (src_local, bucket) in phase2.iter().enumerate() {
-            out[node * m + src_local] = bucket[node].clone();
-        }
-        for src_node in 0..nnodes {
-            if src_node != node {
-                let payload = self.recv(src_node * m + local, tag_inter)?;
-                for (src_local, seg) in unpack(&payload, m).into_iter().enumerate() {
-                    out[src_node * m + src_local] = seg;
-                }
-            }
-        }
-        self.collective_epilogue(&[tag, tag_inter])?;
-        Ok(out)
-    }
-
-    /// 2DH All-to-All (Algorithm 3): each rank runs the four phases of
-    /// Figure 15 locally over its `(W, chunk)` buffer, exchanging only
-    /// intra-node blocks in phase 2 and inter-node blocks in phase 4.
-    ///
-    /// # Errors
-    ///
-    /// [`CommError::Indivisible`] if `input.len()` is not divisible by
-    /// the world size, plus any transport error.
+    /// As [`Communicator::all_to_all`].
     pub fn all_to_all_2dh(&mut self, input: &[f32]) -> Result<Vec<f32>, CommError> {
         let _span = self.tracer.span(TRACK_COMM, "all_to_all_2dh");
-        let n = self.world_size();
-        let m = self.topology.gpus_per_node();
-        let nnodes = self.topology.nnodes();
-        let chunk = self.require_divisible(input.len(), n)?;
-        let node = self.topology.node_of(self.rank);
-        let local = self.topology.local_rank(self.rank);
-
-        // Phase 1: align chunks sharing a local destination GPU.
-        let aligned = stride_memcpy(input, chunk, m, nnodes);
-
-        // Phase 2: intra-node All-to-All of nnodes·chunk blocks.
-        let tag = self.fresh_tag();
-        let block = nnodes * chunk;
-        for dst_local in 0..m {
-            if dst_local != local {
-                let dst = node * m + dst_local;
-                self.send(
-                    dst,
-                    tag,
-                    aligned[dst_local * block..(dst_local + 1) * block].to_vec(),
-                )?;
-            }
-        }
-        let mut phase2 = vec![0.0f32; input.len()];
-        phase2[local * block..(local + 1) * block]
-            .copy_from_slice(&aligned[local * block..(local + 1) * block]);
-        for src_local in 0..m {
-            if src_local != local {
-                let src = node * m + src_local;
-                let payload = self.recv(src, tag)?;
-                phase2[src_local * block..(src_local + 1) * block].copy_from_slice(&payload);
-            }
-        }
-
-        // Phase 3: align chunks sharing a remote destination node.
-        let phase3 = stride_memcpy(&phase2, chunk, nnodes, m);
-
-        // Phase 4: inter-node All-to-All among same-local-rank peers.
-        let tag_inter = self.fresh_tag();
-        let nblock = m * chunk;
-        for dst_node in 0..nnodes {
-            if dst_node != node {
-                let dst = dst_node * m + local;
-                self.send(
-                    dst,
-                    tag_inter,
-                    phase3[dst_node * nblock..(dst_node + 1) * nblock].to_vec(),
-                )?;
-            }
-        }
-        let mut out = vec![0.0f32; input.len()];
-        out[node * nblock..(node + 1) * nblock]
-            .copy_from_slice(&phase3[node * nblock..(node + 1) * nblock]);
-        for src_node in 0..nnodes {
-            if src_node != node {
-                let src = src_node * m + local;
-                let payload = self.recv(src, tag_inter)?;
-                out[src_node * nblock..(src_node + 1) * nblock].copy_from_slice(&payload);
-            }
-        }
-        self.collective_epilogue(&[tag, tag_inter])?;
-        Ok(out)
+        self.all_to_all_uniform(AllToAllAlgo::TwoDh, input)
     }
 
-    /// Non-blocking linear All-to-All: issues every send eagerly and
-    /// returns a [`CommHandle`] that completes as peers' chunks
-    /// arrive. Same wire layout and bitwise-identical result as
-    /// [`Communicator::all_to_all`].
-    ///
-    /// # Errors
-    ///
-    /// [`CommError::Indivisible`] if `input.len()` is not divisible by
-    /// the world size, plus any transport error during issue.
-    pub fn ialltoall(&mut self, input: &[f32]) -> Result<CommHandle, CommError> {
-        let _span = self.tracer.span(TRACK_COMM, "ialltoall.issue");
+    /// Splits `input` into `W` equal buffers, exchanges them, and
+    /// concatenates what arrived in source order.
+    fn all_to_all_uniform(
+        &mut self,
+        algo: AllToAllAlgo,
+        input: &[f32],
+    ) -> Result<Vec<f32>, CommError> {
         let n = self.world_size();
         let chunk = self.require_divisible(input.len(), n)?;
-        let tag = self.fresh_tag();
-        for peer in 0..n {
-            if peer != self.rank {
-                self.send(peer, tag, input[peer * chunk..(peer + 1) * chunk].to_vec())?;
-            }
-        }
-        let mut out = vec![0.0f32; input.len()];
-        out[self.rank * chunk..(self.rank + 1) * chunk]
-            .copy_from_slice(&input[self.rank * chunk..(self.rank + 1) * chunk]);
-        let pending: Vec<usize> = (0..n).filter(|&s| s != self.rank).collect();
-        let mut handle = CommHandle {
-            op: "ialltoall",
-            tags: vec![tag],
-            state: if pending.is_empty() {
-                HandleState::Done { out }
-            } else {
-                HandleState::Linear {
-                    tag,
-                    chunk,
-                    pending,
-                    out,
-                }
-            },
-        };
-        // Early arrivals may already be parked (a faster peer's sends
-        // land before we issue); absorb them now.
-        handle.absorb(self)?;
-        Ok(handle)
-    }
-
-    /// Non-blocking 2DH All-to-All: phases 1–2 are issued eagerly;
-    /// phases 3–4 are issued automatically once every intra-node block
-    /// has arrived (during `poll` or `wait`). Both phase tags are
-    /// allocated up front so every rank's tag counter advances by the
-    /// same amount at issue time — tag lockstep across ranks must not
-    /// depend on *when* each rank's poll observes the phase
-    /// transition.
-    ///
-    /// # Errors
-    ///
-    /// [`CommError::Indivisible`] if `input.len()` is not divisible by
-    /// the world size, plus any transport error during issue.
-    pub fn ialltoall_2dh(&mut self, input: &[f32]) -> Result<CommHandle, CommError> {
-        let _span = self.tracer.span(TRACK_COMM, "ialltoall_2dh.issue");
-        let n = self.world_size();
-        let m = self.topology.gpus_per_node();
-        let nnodes = self.topology.nnodes();
-        let chunk = self.require_divisible(input.len(), n)?;
-        let node = self.topology.node_of(self.rank);
-        let local = self.topology.local_rank(self.rank);
-        let tag_intra = self.fresh_tag();
-        let tag_inter = self.fresh_tag();
-
-        // Phases 1–2: align and issue the intra-node exchange.
-        let aligned = stride_memcpy(input, chunk, m, nnodes);
-        let block = nnodes * chunk;
-        for dst_local in 0..m {
-            if dst_local != local {
-                let dst = node * m + dst_local;
-                self.send(
-                    dst,
-                    tag_intra,
-                    aligned[dst_local * block..(dst_local + 1) * block].to_vec(),
-                )?;
-            }
-        }
-        let mut phase2 = vec![0.0f32; input.len()];
-        phase2[local * block..(local + 1) * block]
-            .copy_from_slice(&aligned[local * block..(local + 1) * block]);
-        let pending_intra: Vec<usize> = (0..m).filter(|&l| l != local).collect();
-        let mut handle = CommHandle {
-            op: "ialltoall_2dh",
-            tags: vec![tag_intra, tag_inter],
-            state: HandleState::TwoDh {
-                tag_intra,
-                tag_inter,
-                chunk,
-                m,
-                nnodes,
-                node,
-                local,
-                phase2,
-                pending_intra,
-                inter_issued: false,
-                out: vec![0.0f32; input.len()],
-                pending_inter: (0..nnodes).filter(|&nd| nd != node).collect(),
-            },
-        };
-        // Degenerate topologies (m == 1, nnodes == 1) and early
-        // arrivals can already make progress — including issuing the
-        // inter-node phase — so absorb before handing the handle back.
-        handle.absorb(self)?;
-        Ok(handle)
+        let sends = (0..n).map(|d| input[d * chunk..(d + 1) * chunk].to_vec());
+        Ok(self
+            .ialltoall_v(algo, sends.collect())?
+            .wait(self)?
+            .concat())
     }
 
     /// Ring all-gather: returns the concatenation of every rank's
@@ -1251,48 +1167,29 @@ impl Communicator {
     }
 }
 
-/// Progress state of an in-flight non-blocking All-to-All.
+/// Largest count the in-band `f32` headers carry: every integer up to
+/// 2^24 round-trips through `f32` exactly.
+const MAX_WIRE_COUNT: usize = 1 << 24;
+
+/// What the sources an in-flight All-to-All still waits on deliver.
 enum HandleState {
-    /// Linear: waiting on one chunk from each pending source rank.
-    Linear {
-        tag: u64,
-        chunk: usize,
-        /// Source ranks whose chunk has not arrived yet.
-        pending: Vec<usize>,
-        out: Vec<f32>,
-    },
-    /// 2DH: intra-node exchange in flight, then (once `inter_issued`)
-    /// the inter-node exchange.
-    TwoDh {
-        tag_intra: u64,
-        tag_inter: u64,
-        chunk: usize,
-        m: usize,
-        nnodes: usize,
-        node: usize,
-        local: usize,
-        /// Intra-node landing buffer (phase 2 of Figure 15).
-        phase2: Vec<f32>,
-        /// Local ranks whose intra-node block has not arrived yet.
-        pending_intra: Vec<usize>,
-        /// Whether phases 3–4 (align + inter-node sends) have run.
-        inter_issued: bool,
-        out: Vec<f32>,
-        /// Nodes whose inter-node block has not arrived yet.
-        pending_inter: Vec<usize>,
-    },
-    /// All chunks arrived; `wait` takes the buffer out.
-    Done { out: Vec<f32> },
+    /// Linear: each source's buffer, verbatim.
+    Direct,
+    /// 2DH, intra-node exchange in flight. Node-mates' buckets land
+    /// here (phase 2 of Figure 15): `[src_local][dst_node]` is the
+    /// buffer from `(node, src_local)` bound for `(dst_node, local)`.
+    Intra(Vec<Vec<Vec<f32>>>),
+    /// 2DH, inter-node exchange in flight (phases 3–4 have run):
+    /// same-local-rank peers' buckets, one segment per source GPU.
+    Inter,
 }
 
-/// An in-flight non-blocking All-to-All issued by
-/// [`Communicator::ialltoall`] or [`Communicator::ialltoall_2dh`].
+/// An in-flight All-to-All issued by [`Communicator::ialltoall_v`].
 ///
 /// The handle owns the collective's receive state; pass the same
 /// communicator it was issued on back into [`CommHandle::poll`] to
 /// make non-blocking progress and [`CommHandle::wait`] to block for
-/// completion. All sends were issued eagerly at creation, so peers
-/// can complete their receives whether or not this rank ever polls.
+/// completion.
 ///
 /// Under the reliability layer, the closing ack/epoch exchange runs
 /// in `wait` only — never in `poll` — so every rank executes its
@@ -1304,36 +1201,36 @@ enum HandleState {
 /// dropped, even on error paths: an abandoned handle strands its
 /// peers' messages in the mailbox and the join-time audit will panic.
 pub struct CommHandle {
-    op: &'static str,
-    /// Every tag this collective sends under; the epilogue in `wait`
-    /// retires exactly these from the retransmit log.
+    /// Every tag this collective sends under (one per phase); the
+    /// epilogue in `wait` retires exactly these from the retransmit
+    /// log.
     tags: Vec<u64>,
+    /// Received buffers by source rank, filled as they arrive.
+    out: Vec<Vec<f32>>,
+    /// Source ranks whose message of the current phase has not
+    /// arrived yet.
+    pending: Vec<usize>,
     state: HandleState,
 }
 
 impl CommHandle {
-    /// The collective this handle tracks (`"ialltoall"` or
-    /// `"ialltoall_2dh"`).
-    pub fn op(&self) -> &'static str {
-        self.op
-    }
-
-    /// Whether every chunk has arrived. A complete handle's `wait`
+    /// Whether every buffer has arrived. A complete handle's `wait`
     /// returns without blocking on data (the reliability epilogue, if
     /// armed, still runs there).
     pub fn is_complete(&self) -> bool {
-        matches!(self.state, HandleState::Done { .. })
+        self.pending.is_empty() && !matches!(self.state, HandleState::Intra(_))
     }
 
     /// Makes non-blocking progress: drains arrivals already queued on
-    /// the endpoint, absorbs the chunks this collective was waiting
+    /// the endpoint, absorbs the buffers this collective was waiting
     /// for, and advances the 2DH phase machine. Returns
     /// [`Self::is_complete`].
     ///
     /// # Errors
     ///
     /// Propagates transport errors from draining or from issuing the
-    /// 2DH inter-node phase.
+    /// 2DH inter-node phase, and [`CommError::Malformed`] for a hop
+    /// message whose segment header does not match its payload.
     pub fn poll(&mut self, comm: &mut Communicator) -> Result<bool, CommError> {
         comm.drain_incoming()?;
         self.absorb(comm)?;
@@ -1342,226 +1239,101 @@ impl CommHandle {
 
     /// Blocks until the collective completes, closes it (the
     /// reliability epilogue runs under this handle's tags), and
-    /// returns the received buffer — bitwise identical to what the
-    /// blocking collective would have returned.
+    /// returns the received buffers in source order.
     ///
     /// # Errors
     ///
     /// [`CommError::Disconnected`] if a peer exited mid-collective;
     /// [`CommError::Deadlock`] under the deterministic scheduler;
-    /// [`CommError::Timeout`] when an armed retry budget is exhausted.
-    pub fn wait(mut self, comm: &mut Communicator) -> Result<Vec<f32>, CommError> {
-        let span_name = match self.op {
-            "ialltoall" => "ialltoall.wait",
-            _ => "ialltoall_2dh.wait",
-        };
-        let _span = comm.tracer.span(TRACK_COMM, span_name);
+    /// [`CommError::Timeout`] when an armed retry budget is exhausted;
+    /// [`CommError::Malformed`] as for [`Self::poll`].
+    pub fn wait(mut self, comm: &mut Communicator) -> Result<Vec<Vec<f32>>, CommError> {
+        let _span = comm.tracer.span(TRACK_COMM, "ialltoall_v.wait");
         loop {
+            // Absorb leaves an incomplete handle with a pending
+            // source: an intra-node phase that has nothing left to
+            // wait for is promoted on the spot.
             self.absorb(comm)?;
-            // After absorb, an incomplete handle always names a next
-            // source: the only source-less intermediate state (2DH
-            // with the inter-node phase unissued) is resolved by
-            // absorb the moment its last intra-node block lands.
-            let Some((src, tag)) = self.next_pending() else {
+            let Some(&src) = self.pending.first() else {
                 break;
             };
-            let payload = comm.recv(src, tag)?;
-            self.accept(src, tag, payload);
+            let payload = comm.recv(src, self.tag())?;
+            self.accept(comm, src, payload)?;
         }
         comm.collective_epilogue(&self.tags)?;
-        match self.state {
-            HandleState::Done { out } => Ok(out),
-            // check:allow(no_panic, the wait loop above only exits in the Done state)
-            _ => unreachable!("CommHandle::wait exited its drain loop before completion"),
-        }
+        Ok(self.out)
     }
 
-    /// The next `(src, tag)` this handle is blocked on, if any.
-    fn next_pending(&self) -> Option<(usize, u64)> {
-        match &self.state {
-            HandleState::Linear { tag, pending, .. } => pending.first().map(|&src| (src, *tag)),
-            HandleState::TwoDh {
-                tag_intra,
-                tag_inter,
-                m,
-                node,
-                local,
-                pending_intra,
-                inter_issued,
-                pending_inter,
-                ..
-            } => {
-                if let Some(&src_local) = pending_intra.first() {
-                    Some((*node * *m + src_local, *tag_intra))
-                } else if *inter_issued {
-                    pending_inter
-                        .first()
-                        .map(|&src_node| (src_node * *m + *local, *tag_inter))
-                } else {
-                    None
-                }
-            }
-            HandleState::Done { .. } => None,
-        }
+    /// The tag the pending sources send under: the second one once
+    /// the inter-node phase is issued.
+    fn tag(&self) -> u64 {
+        self.tags[usize::from(matches!(self.state, HandleState::Inter))]
     }
 
-    /// Accepts a payload received for `(src, tag)` and re-runs the
-    /// state machine (the arrival may complete a phase).
-    fn accept(&mut self, src: usize, tag: u64, payload: Vec<f32>) {
+    /// Files the current phase's payload from `src`. The source leaves
+    /// the pending list before its header is checked, so a handle that
+    /// rejected a payload never blocks on that source again.
+    fn accept(
+        &mut self,
+        comm: &Communicator,
+        src: usize,
+        payload: Vec<f32>,
+    ) -> Result<(), CommError> {
+        let (m, nnodes, ..) = comm.grid();
+        self.pending.retain(|&s| s != src);
         match &mut self.state {
-            HandleState::Linear {
-                chunk,
-                pending,
-                out,
-                ..
-            } => {
-                out[src * *chunk..(src + 1) * *chunk].copy_from_slice(&payload);
-                pending.retain(|&s| s != src);
-            }
-            HandleState::TwoDh {
-                tag_intra,
-                chunk,
-                m,
-                nnodes,
-                local,
-                phase2,
-                pending_intra,
-                out,
-                pending_inter,
-                ..
-            } => {
-                if tag == *tag_intra {
-                    let src_local = src % *m;
-                    let block = *nnodes * *chunk;
-                    phase2[src_local * block..(src_local + 1) * block].copy_from_slice(&payload);
-                    pending_intra.retain(|&l| l != src_local);
-                } else {
-                    let src_node = (src - *local) / *m;
-                    let nblock = *m * *chunk;
-                    out[src_node * nblock..(src_node + 1) * nblock].copy_from_slice(&payload);
-                    pending_inter.retain(|&nd| nd != src_node);
+            HandleState::Direct => self.out[src] = payload,
+            HandleState::Intra(phase2) => phase2[src % m] = comm.unpack(src, &payload, nnodes)?,
+            HandleState::Inter => {
+                let from_node = &mut self.out[src / m * m..][..m];
+                for (slot, seg) in from_node.iter_mut().zip(comm.unpack(src, &payload, m)?) {
+                    *slot = seg;
                 }
             }
-            HandleState::Done { .. } => {}
         }
-        self.promote();
+        Ok(())
     }
 
-    /// Absorbs every already-parked chunk this handle is waiting for
-    /// and advances phases. Never blocks and never runs the epilogue.
+    /// Absorbs every already-parked buffer this handle is waiting for
+    /// and, once the last intra-node bucket has landed, runs 2DH
+    /// phases 3–4 (re-bucket + inter-node sends). Never blocks and
+    /// never runs the epilogue.
     fn absorb(&mut self, comm: &mut Communicator) -> Result<(), CommError> {
-        while let Some((src, tag)) = self.next_takeable(comm) {
-            // next_takeable only names (src, tag) pairs with a parked
-            // message, so the take always yields.
-            if let Some(payload) = comm.take_parked(src, tag) {
-                self.accept(src, tag, payload);
-            }
-        }
-        self.issue_inter_if_ready(comm)
-    }
-
-    /// The first pending `(src, tag)` with a message already parked.
-    fn next_takeable(&self, comm: &Communicator) -> Option<(usize, u64)> {
-        match &self.state {
-            HandleState::Linear { tag, pending, .. } => pending
-                .iter()
-                .map(|&src| (src, *tag))
-                .find(|key| comm.mailbox.contains_key(&(key.0, key.1))),
-            HandleState::TwoDh {
-                tag_intra,
-                tag_inter,
-                m,
-                node,
-                local,
-                pending_intra,
-                inter_issued,
-                pending_inter,
-                ..
-            } => {
-                let intra = pending_intra
-                    .iter()
-                    .map(|&l| (*node * *m + l, *tag_intra))
-                    .find(|key| comm.mailbox.contains_key(&(key.0, key.1)));
-                if intra.is_some() {
-                    return intra;
-                }
-                if *inter_issued {
-                    pending_inter
-                        .iter()
-                        .map(|&nd| (nd * *m + *local, *tag_inter))
-                        .find(|key| comm.mailbox.contains_key(&(key.0, key.1)))
-                } else {
-                    None
+        loop {
+            let tag = self.tag();
+            while let Some(src) =
+                (self.pending.iter().copied()).find(|&src| comm.mailbox.contains_key(&(src, tag)))
+            {
+                // Only a source with a parked message was named, so
+                // the take always yields.
+                if let Some(payload) = comm.take_parked(src, tag) {
+                    self.accept(comm, src, payload)?;
                 }
             }
-            HandleState::Done { .. } => None,
-        }
-    }
-
-    /// Runs 2DH phases 3–4 (align + inter-node sends) once the last
-    /// intra-node block has landed, then re-absorbs: inter-node blocks
-    /// from faster peers may already be parked.
-    fn issue_inter_if_ready(&mut self, comm: &mut Communicator) -> Result<(), CommError> {
-        let HandleState::TwoDh {
-            tag_inter,
-            chunk,
-            m,
-            nnodes,
-            node,
-            local,
-            phase2,
-            pending_intra,
-            inter_issued,
-            out,
-            ..
-        } = &mut self.state
-        else {
-            return Ok(());
-        };
-        if *inter_issued || !pending_intra.is_empty() {
-            return Ok(());
-        }
-        let phase3 = stride_memcpy(phase2, *chunk, *nnodes, *m);
-        let nblock = *m * *chunk;
-        for dst_node in 0..*nnodes {
-            if dst_node != *node {
-                let dst = dst_node * *m + *local;
-                comm.send(
-                    dst,
-                    *tag_inter,
-                    phase3[dst_node * nblock..(dst_node + 1) * nblock].to_vec(),
-                )?;
+            let HandleState::Intra(phase2) = &mut self.state else {
+                return Ok(());
+            };
+            if !self.pending.is_empty() {
+                return Ok(());
             }
-        }
-        out[*node * nblock..(*node + 1) * nblock]
-            .copy_from_slice(&phase3[*node * nblock..(*node + 1) * nblock]);
-        *inter_issued = true;
-        // The moment the 2DH phase machine promotes from the
-        // intra-node to the inter-node exchange — visible on the
-        // timeline between the two tag families' flow edges.
-        comm.tracer.instant(TRACK_COMM, "2dh.promote");
-        self.promote();
-        self.absorb(comm)
-    }
-
-    /// Moves the state to `Done` when nothing is pending anymore.
-    fn promote(&mut self) {
-        let finished = match &mut self.state {
-            HandleState::Linear { pending, out, .. } => {
-                pending.is_empty().then(|| std::mem::take(out))
+            let (m, nnodes, node, local) = comm.grid();
+            for dst_node in (0..nnodes).filter(|&d| d != node) {
+                let segs: Vec<&[f32]> = phase2.iter().map(|b| b[dst_node].as_slice()).collect();
+                let payload = comm.pack(dst_node * m + local, &segs)?;
+                comm.send(dst_node * m + local, self.tags[1], payload)?;
             }
-            HandleState::TwoDh {
-                pending_intra,
-                inter_issued,
-                out,
-                pending_inter,
-                ..
-            } => (*inter_issued && pending_intra.is_empty() && pending_inter.is_empty())
-                .then(|| std::mem::take(out)),
-            HandleState::Done { .. } => None,
-        };
-        if let Some(out) = finished {
-            self.state = HandleState::Done { out };
+            for (slot, bucket) in self.out[node * m..].iter_mut().zip(phase2) {
+                *slot = std::mem::take(&mut bucket[node]);
+            }
+            let peers = (0..nnodes).filter(|&nd| nd != node);
+            self.pending = peers.map(|nd| nd * m + local).collect();
+            self.state = HandleState::Inter;
+            // The moment the phase machine promotes from the
+            // intra-node to the inter-node exchange — visible on the
+            // timeline between the two tag families' flow edges. Go
+            // around again: inter-node buckets from faster peers may
+            // already be parked.
+            comm.tracer.instant(TRACK_COMM, "2dh.promote");
         }
     }
 }
@@ -2146,112 +1918,120 @@ mod tests {
         );
     }
 
+    /// `buf` as `n` equal per-destination buffers: the uniform-count
+    /// sends of the `(W, chunk)` layout.
+    fn split(buf: &[f32], n: usize) -> Vec<Vec<f32>> {
+        buf.chunks(buf.len() / n).map(<[f32]>::to_vec).collect()
+    }
+
     #[test]
-    fn nonblocking_linear_matches_blocking_bitwise() {
+    fn polled_linear_handle_matches_sequential_reference() {
         let topo = Topology::new(2, 3);
         let bufs = labeled(6, 4);
         let bufs_ref = &bufs;
-        let blocking = run_threaded(topo, |mut comm| {
-            comm.all_to_all(&bufs_ref[comm.rank()]).unwrap()
-        });
-        let nonblocking = run_threaded(topo, |mut comm| {
-            let mut h = comm.ialltoall(&bufs_ref[comm.rank()]).unwrap();
+        let got = run_threaded(topo, |mut comm| {
+            let sends = split(&bufs_ref[comm.rank()], 6);
+            let mut h = comm.ialltoall_v(AllToAllAlgo::Linear, sends).unwrap();
             // A few polls are legal at any point before the wait.
             let _ = h.poll(&mut comm).unwrap();
             let _ = h.poll(&mut comm).unwrap();
             let out = h.wait(&mut comm).unwrap();
             assert_eq!(comm.parked_messages(), 0);
-            out
+            out.concat()
         });
-        assert_eq!(blocking, nonblocking);
+        assert_eq!(got, linear_all_to_all(&bufs));
     }
 
     #[test]
-    fn nonblocking_2dh_matches_blocking_bitwise() {
+    fn polled_2dh_handle_matches_sequential_reference() {
         let topo = Topology::new(2, 4);
         let bufs = labeled(8, 2);
         let bufs_ref = &bufs;
-        let blocking = run_threaded(topo, |mut comm| {
-            comm.all_to_all_2dh(&bufs_ref[comm.rank()]).unwrap()
-        });
-        let nonblocking = run_threaded(topo, |mut comm| {
-            let mut h = comm.ialltoall_2dh(&bufs_ref[comm.rank()]).unwrap();
+        let got = run_threaded(topo, |mut comm| {
+            let sends = split(&bufs_ref[comm.rank()], 8);
+            let mut h = comm.ialltoall_v(AllToAllAlgo::TwoDh, sends).unwrap();
             while !h.poll(&mut comm).unwrap() {
                 std::thread::yield_now();
             }
             assert!(h.is_complete());
             let out = h.wait(&mut comm).unwrap();
             assert_eq!(comm.parked_messages(), 0);
-            out
+            out.concat()
         });
-        assert_eq!(blocking, nonblocking);
+        assert_eq!(got, two_dh_all_to_all(&bufs, &topo));
     }
 
     #[test]
-    fn nonblocking_2dh_single_node_and_single_rank() {
-        for topo in [Topology::single_node(1), Topology::single_node(4)] {
+    fn degenerate_2dh_grids_complete_at_issue_or_after_one_phase() {
+        // One rank, one node (no inter phase), one GPU per node (no
+        // intra phase): the promotion must still run exactly once.
+        for topo in [
+            Topology::single_node(1),
+            Topology::single_node(4),
+            Topology::new(3, 1),
+        ] {
             let n = topo.world_size();
             let bufs = labeled(n, 3);
             let bufs_ref = &bufs;
-            let blocking = run_threaded(topo, |mut comm| {
+            let got = run_threaded(topo, |mut comm| {
                 comm.all_to_all_2dh(&bufs_ref[comm.rank()]).unwrap()
             });
-            let nonblocking = run_threaded(topo, |mut comm| {
-                let h = comm.ialltoall_2dh(&bufs_ref[comm.rank()]).unwrap();
-                h.wait(&mut comm).unwrap()
-            });
-            assert_eq!(blocking, nonblocking, "world {n}");
+            assert_eq!(got, linear_all_to_all(&bufs), "world {n}");
         }
     }
 
     #[test]
     fn overlapped_handles_do_not_cross_talk() {
-        // Two collectives in flight at once, drained in issue order,
-        // with a third blocking collective afterwards on the same
-        // communicator: payloads must not mix and the mailbox must be
-        // clean at join.
+        // A linear and a 2DH collective in flight at once, drained in
+        // issue order, with a third blocking collective afterwards on
+        // the same communicator: payloads must not mix and the mailbox
+        // must be clean at join.
         let topo = Topology::new(2, 2);
         let n = topo.world_size();
-        let expected_a = run_threaded(topo, |mut comm| {
-            comm.all_to_all(&vec![comm.rank() as f32; n * 2]).unwrap()
-        });
-        let expected_b = run_threaded(topo, |mut comm| {
-            comm.all_to_all_2dh(&vec![100.0 + comm.rank() as f32; n * 2])
-                .unwrap()
-        });
+        let a = labeled(n, 2);
+        let b: RankBuffers = a
+            .iter()
+            .map(|r| r.iter().map(|v| v + 1000.0).collect())
+            .collect();
+        let (ra, rb) = (&a, &b);
         let got = run_threaded(topo, |mut comm| {
-            let a_in = vec![comm.rank() as f32; n * 2];
-            let b_in = vec![100.0 + comm.rank() as f32; n * 2];
-            let mut ha = comm.ialltoall(&a_in).unwrap();
-            let mut hb = comm.ialltoall_2dh(&b_in).unwrap();
+            let rank = comm.rank();
+            let mut ha = comm
+                .ialltoall_v(AllToAllAlgo::Linear, split(&ra[rank], n))
+                .unwrap();
+            let mut hb = comm
+                .ialltoall_v(AllToAllAlgo::TwoDh, split(&rb[rank], n))
+                .unwrap();
             let _ = hb.poll(&mut comm).unwrap();
             let _ = ha.poll(&mut comm).unwrap();
-            let a = ha.wait(&mut comm).unwrap();
-            let b = hb.wait(&mut comm).unwrap();
-            let c = comm.all_to_all(&a_in).unwrap();
+            let a = ha.wait(&mut comm).unwrap().concat();
+            let b = hb.wait(&mut comm).unwrap().concat();
+            let c = comm.all_to_all(&ra[rank]).unwrap();
             assert_eq!(comm.parked_messages(), 0);
             (a, b, c)
         });
+        let (ea, eb) = (linear_all_to_all(&a), two_dh_all_to_all(&b, &topo));
         for (rank, (a, b, c)) in got.into_iter().enumerate() {
-            assert_eq!(a, expected_a[rank], "rank {rank}: first handle");
-            assert_eq!(b, expected_b[rank], "rank {rank}: second handle");
-            assert_eq!(c, expected_a[rank], "rank {rank}: trailing blocking op");
+            assert_eq!(a, ea[rank], "rank {rank}: first handle");
+            assert_eq!(b, eb[rank], "rank {rank}: second handle");
+            assert_eq!(c, ea[rank], "rank {rank}: trailing blocking op");
         }
     }
 
     #[test]
-    fn reliable_ialltoall_recovers_with_second_handle_in_flight() {
+    fn reliable_handles_recover_with_a_second_one_in_flight() {
         // The overlap regression the tag-selective epilogue exists
         // for: handle B's sends are logged before handle A's epilogue
         // runs, so A's epilogue must not erase B's retransmit entries
         // — a peer that lost B's data recovers it by retry after A
-        // closed.
+        // closed. Ragged sends, one route each.
         let topo = Topology::new(2, 2);
-        let bufs = labeled(4, 3);
-        let bufs_ref = &bufs;
         let program = |mut comm: Communicator| {
-            let ha = comm.ialltoall(&bufs_ref[comm.rank()]).unwrap();
-            let hb = comm.ialltoall(&bufs_ref[comm.rank()]).unwrap();
+            let sends = ragged_sends(4, comm.rank());
+            let ha = comm
+                .ialltoall_v(AllToAllAlgo::Linear, sends.clone())
+                .unwrap();
+            let hb = comm.ialltoall_v(AllToAllAlgo::TwoDh, sends).unwrap();
             let a = ha.wait(&mut comm).unwrap();
             let b = hb.wait(&mut comm).unwrap();
             assert_eq!(comm.parked_messages(), 0);
@@ -2289,22 +2069,108 @@ mod tests {
     }
 
     #[test]
-    fn reliable_nonblocking_2dh_matches_plain() {
+    fn equal_chunk_2dh_pays_the_segment_header() {
+        // The uniform view rides the ragged route, so each hop message
+        // carries its segment lengths: nnodes per intra-node message,
+        // m per inter-node one. The linear view carries none (pinned
+        // by sent_payload_elems_counts_data_volume).
         let topo = Topology::new(2, 2);
-        let bufs = labeled(4, 3);
+        let chunk = 5;
+        let bufs = labeled(4, chunk);
         let bufs_ref = &bufs;
-        let program = |mut comm: Communicator| {
-            let h = comm.ialltoall_2dh(&bufs_ref[comm.rank()]).unwrap();
-            h.wait(&mut comm).unwrap()
-        };
-        let plain = run_threaded(topo, program);
-        let cfg = ReliableConfig {
-            policy: fast_policy(6),
-            plan: Some(FaultPlan::new(0x2D).with_drops(25).with_delays(25, 2)),
-            telemetry: Telemetry::enabled(),
-        };
-        let reliable = run_threaded_reliable(topo, cfg, program);
-        assert_eq!(plain, reliable);
+        let counts = run_threaded(topo, |mut comm| {
+            comm.all_to_all_2dh(&bufs_ref[comm.rank()]).unwrap();
+            comm.sent_payload_elems()
+        });
+        for c in counts {
+            // One intra-node and one inter-node message of two
+            // chunk-long segments each.
+            assert_eq!(c, 2 * (2 + 2 * chunk as u64));
+        }
+    }
+
+    /// Rank 1 skips the collective and raw-sends `payload` under
+    /// `tag`, where rank 0's first collective listens for it; returns
+    /// what rank 0's `all_to_all_v_2dh` made of it.
+    fn with_rogue_peer(
+        topo: Topology,
+        tag: u64,
+        payload: Vec<f32>,
+    ) -> Result<Vec<Vec<f32>>, CommError> {
+        let payload = &payload;
+        run_threaded(topo, |mut comm| {
+            if comm.rank() == 1 {
+                comm.send(0, tag, payload.clone()).unwrap();
+                return Ok(Vec::new());
+            }
+            comm.all_to_all_v_2dh(&[vec![1.0, 2.0], vec![3.0]])
+        })
+        .swap_remove(0)
+    }
+
+    #[test]
+    fn malformed_segment_headers_are_typed_errors_not_slice_panics() {
+        // Both hops: a one-node grid unpacks the payload as an
+        // intra-node bucket (first tag), a one-GPU-per-node grid as an
+        // inter-node one (second tag); one segment either way.
+        for (topo, tag) in [(Topology::new(1, 2), 1), (Topology::new(2, 1), 2)] {
+            let bad: [(&str, Vec<f32>); 6] = [
+                ("no header", vec![]),
+                ("truncated", vec![3.0, 1.0]),
+                ("over-long", vec![1.0, 1.0, 2.0]),
+                ("NaN count", vec![f32::NAN, 1.0]),
+                ("fractional count", vec![1.5, 1.0]),
+                ("negative count", vec![-1.0]),
+            ];
+            for (what, payload) in bad {
+                match with_rogue_peer(topo, tag, payload) {
+                    Err(CommError::Malformed {
+                        rank: 0, peer: 1, ..
+                    }) => {}
+                    other => panic!("{what}: expected Malformed, got {other:?}"),
+                }
+            }
+            // The same route accepts a well-formed bucket.
+            let ok = with_rogue_peer(topo, tag, vec![2.0, 7.0, 8.0]).unwrap();
+            assert_eq!(ok, vec![vec![1.0, 2.0], vec![7.0, 8.0]]);
+        }
+    }
+
+    #[test]
+    fn a_handle_that_rejected_a_payload_still_drains() {
+        // The overlap executor's error path waits every open handle,
+        // including the one whose poll just failed: that wait must
+        // neither block on the rejected source nor trip over its
+        // missing bucket when it promotes.
+        let got = run_threaded(Topology::new(1, 2), |mut comm| {
+            if comm.rank() == 1 {
+                comm.send(0, 1, vec![f32::NAN]).unwrap();
+                return None;
+            }
+            let sends = vec![vec![1.0], vec![2.0]];
+            let mut h = comm.ialltoall_v(AllToAllAlgo::TwoDh, sends).unwrap();
+            let rejected = loop {
+                match h.poll(&mut comm) {
+                    Ok(_) => std::thread::yield_now(),
+                    Err(e) => break e,
+                }
+            };
+            Some((rejected, h.wait(&mut comm)))
+        });
+        let (rejected, drained) = got[0].clone().expect("rank 0 reports");
+        assert!(matches!(rejected, CommError::Malformed { peer: 1, .. }));
+        assert_eq!(drained, Ok(vec![vec![1.0], vec![]]));
+    }
+
+    #[test]
+    fn counts_beyond_f32_exactness_are_refused_on_send() {
+        let got = run_threaded(Topology::single_node(1), |comm| {
+            let mut buf = Vec::new();
+            let ok = comm.encode_counts(0, [0, 1 << 24], &mut buf);
+            assert_eq!((ok, buf.len()), (Ok(()), 2));
+            comm.encode_counts(0, [(1 << 24) + 1], &mut buf)
+        });
+        assert!(matches!(got[0], Err(CommError::Malformed { .. })));
     }
 
     #[test]
@@ -2323,9 +2189,10 @@ mod tests {
         assert_eq!(inv.edges, 12);
         assert_eq!(inv.cross_rank_edges, 12);
         assert_eq!(inv.retry_edges, 0);
-        // One all_to_all span per rank (plus nothing else on an
-        // unreliable run — no ack phase).
-        assert_eq!(inv.spans, 4);
+        // Per rank: the all_to_all view's span around its handle's
+        // issue and wait spans (and nothing else on an unreliable run
+        // — no ack phase).
+        assert_eq!(inv.spans, 12);
         for edge in merged.flow_edges() {
             assert!(edge.accepted, "clean run must accept every edge");
             assert!(edge.latency_us() >= 0.0);
@@ -2340,8 +2207,7 @@ mod tests {
         let bufs_ref = &bufs;
         let hub = TraceHub::new(4);
         run_threaded_traced(topo, &hub, |mut comm| {
-            let h = comm.ialltoall_2dh(&bufs_ref[comm.rank()]).unwrap();
-            h.wait(&mut comm).unwrap()
+            comm.all_to_all_2dh(&bufs_ref[comm.rank()]).unwrap()
         });
         let merged = hub.merged();
         merged.check_invariants().expect("clean traced run");

@@ -4,18 +4,18 @@
 //! degree, world size, and per-rank compute thread limit.
 //!
 //! Every rank is an OS thread with a real mailbox-based communicator.
-//! The forward pass pipelines the capacity dimension into
-//! `Config::degree` chunks driven through the **executed** overlap
-//! schedule ([`tutel::overlap::run_overlapped`]): chunk `i+1`'s
+//! Forward and backward each make one call to
+//! [`tutel::overlap::exchange_bins`] over the capacity layout's
+//! uniform bins, at `Config::degree` chunks per bin: chunk `i+1`'s
 //! dispatch All-to-All is in flight on the comm threads while chunk
 //! `i`'s expert FFN runs, and combines drain non-blockingly behind
 //! the compute (Section 3.3's multi-stream pipelining, executed
-//! rather than chunk-serial). Backward runs the mirrored wire format
-//! in reverse through the same schedule. Overlap only reorders *when*
-//! exchanges progress — every chunk's arithmetic is identical to the
-//! serial path, so the conformance budgets are unchanged.
+//! rather than chunk-serial). Backward ships the gradient rows the
+//! same way, in reverse. Overlap only reorders *when* exchanges
+//! progress — every chunk's arithmetic is identical to the serial
+//! path, so the conformance budgets are unchanged.
 
-use tutel::overlap::run_overlapped;
+use tutel::overlap::exchange_bins;
 use tutel_comm::runtime::{run_threaded, run_threaded_traced, Communicator};
 use tutel_experts::ExpertsBlock;
 use tutel_kernels::{fast_decode, fast_decode_backward, fast_encode_backward};
@@ -23,46 +23,10 @@ use tutel_obs::trace::{TraceHub, TRACK_MAIN};
 use tutel_rt::with_parallelism_limit;
 use tutel_serve::exec::{rank_blocks, shard_sum};
 use tutel_simgpu::Topology;
-use tutel_tensor::Tensor;
+use tutel_tensor::uniform_offsets;
 
 use crate::reference::{gate_and_encode, gate_backward, Fixture, Problem, RankResult};
 use crate::Config;
-
-/// Dispatch side of the wire, comm-free half: rebuild the expert-side
-/// `(ΔE, W·cc, M)` batch from a received origin-major wire buffer.
-fn flex_from_wire(received: Vec<f32>, world: usize, cc: usize) -> Tensor {
-    let recv = Tensor::from_vec(
-        received,
-        &[world, Problem::LOCAL_EXPERTS, cc, Problem::MODEL_DIM],
-    )
-    .expect("wire chunk has fixed dims");
-    recv.permute(&[1, 0, 2, 3])
-        .expect("rank-major permute")
-        .reshape(&[Problem::LOCAL_EXPERTS, world * cc, Problem::MODEL_DIM])
-        .expect("contiguous reshape")
-}
-
-/// Combine side of the wire, comm-free half: lay an expert-side
-/// `(ΔE, W·cc, M)` batch out rank-major for the return All-to-All.
-fn wire_from_batch(batch: &Tensor, world: usize, cc: usize) -> Vec<f32> {
-    batch
-        .reshape(&[Problem::LOCAL_EXPERTS, world, cc, Problem::MODEL_DIM])
-        .expect("batch has fixed dims")
-        .permute(&[1, 0, 2, 3])
-        .expect("rank-major permute")
-        .as_slice()
-        .to_vec()
-}
-
-/// Rebuild the origin-side `(E, cc, M)` chunk from a combined wire
-/// buffer.
-fn chunk_from_wire(combined: Vec<f32>, world: usize, cc: usize) -> Tensor {
-    Tensor::from_vec(
-        combined,
-        &[Problem::LOCAL_EXPERTS * world, cc, Problem::MODEL_DIM],
-    )
-    .expect("wire chunk has fixed dims")
-}
 
 /// Runs the full forward + backward under `cfg` on every rank and
 /// returns the per-rank results (index = rank).
@@ -125,7 +89,6 @@ fn run_rank(
 ) -> RankResult {
     let rank = comm.rank();
     let world = cfg.world;
-    let cc = Problem::CAPACITY / cfg.degree;
     let (_, d_out) = &fixture.per_rank[rank];
 
     // Phase spans on the main track bound the causal trace's critical
@@ -148,56 +111,46 @@ fn run_rank(
     .expect("E divisible by world, hidden dim by SHARDS");
     tracer.span_at(TRACK_MAIN, "gate_encode", gate_t0, tracer.now_us());
 
-    // Forward: the executed overlap schedule over the capacity
-    // dimension.
-    let enc_chunks = enc
-        .split_axis(1, cfg.degree)
-        .expect("degree divides capacity");
-    let enc_wire: Vec<Vec<f32>> = enc_chunks.iter().map(|c| c.as_slice().to_vec()).collect();
+    // Forward: the (E, C, M) buffer is its uniform bins' packed rows.
+    // Fresh block(s) per chunk, so forward activations stay cached
+    // per chunk for the backward pass.
+    let bins = uniform_offsets(problem.experts(), Problem::CAPACITY);
+    let algo = cfg.algo.comm_algo();
     let mut chunk_state: Vec<Vec<ExpertsBlock>> = Vec::with_capacity(cfg.degree);
-    let fwd = run_overlapped(&mut comm, cfg.algo.comm_algo(), &enc_wire, |_, received| {
-        let flex = flex_from_wire(received, world, cc);
-        // Fresh block(s) per chunk, so forward activations stay
-        // cached per chunk for the backward pass.
-        let mut blocks = experts.clone();
-        let expert_out =
-            shard_sum(&mut blocks, |block| block.forward(&flex)).expect("expert dims fixed");
-        chunk_state.push(blocks);
-        wire_from_batch(&expert_out, world, cc)
-    })
-    .expect("fault-free overlapped forward");
-    let out_chunks: Vec<Tensor> = fwd
-        .combined
-        .into_iter()
-        .map(|w| chunk_from_wire(w, world, cc))
-        .collect();
-    let combined = Tensor::concat_axis(&out_chunks, 1).expect("chunks tile the capacity dim");
+    let combined = exchange_bins(
+        &mut comm,
+        algo,
+        cfg.degree,
+        &enc,
+        &bins,
+        |_, rows, offsets| {
+            let mut blocks = experts.clone();
+            let y = shard_sum(&mut blocks, |block| block.forward_grouped(rows, offsets));
+            chunk_state.push(blocks);
+            y
+        },
+    )
+    .expect("fault-free overlapped forward")
+    .expect("expert dims fixed");
     let decode_t0 = tracer.now_us();
     let output = fast_decode(&combined, &routing, Problem::TOKENS).expect("decode dims fixed");
     let aux = tutel_gate::aux_loss(&probs, &routing).expect("aux dims fixed");
     tracer.span_at(TRACK_MAIN, "decode", decode_t0, tracer.now_us());
 
-    // Backward: mirror the wire format in reverse, chunk by chunk.
+    // Backward: the gradient rows retrace the same exchange, each
+    // chunk through the block(s) that ran its forward.
     let (d_combined, d_gates) =
         fast_decode_backward(d_out, &combined, &routing).expect("decode backward dims fixed");
-    let d_chunks = d_combined
-        .split_axis(1, cfg.degree)
-        .expect("degree divides capacity");
-    let d_wire: Vec<Vec<f32>> = d_chunks.iter().map(|c| c.as_slice().to_vec()).collect();
-    let bwd = run_overlapped(&mut comm, cfg.algo.comm_algo(), &d_wire, |i, received| {
-        let d_flex = flex_from_wire(received, world, cc);
-        let d_batch = shard_sum(&mut chunk_state[i], |block| block.backward(&d_flex))
-            .expect("expert backward dims fixed");
-        wire_from_batch(&d_batch, world, cc)
-    })
-    .expect("fault-free overlapped backward");
-    let d_disp_chunks: Vec<Tensor> = bwd
-        .combined
-        .into_iter()
-        .map(|w| chunk_from_wire(w, world, cc))
-        .collect();
-    let d_dispatched =
-        Tensor::concat_axis(&d_disp_chunks, 1).expect("chunks tile the capacity dim");
+    let d_dispatched = exchange_bins(
+        &mut comm,
+        algo,
+        cfg.degree,
+        &d_combined,
+        &bins,
+        |i, d_rows, _| shard_sum(&mut chunk_state[i], |block| block.backward(d_rows)),
+    )
+    .expect("fault-free overlapped backward")
+    .expect("expert backward dims fixed");
     let grad_t0 = tracer.now_us();
     let d_x_encode = fast_encode_backward(&d_dispatched, &routing, Problem::TOKENS)
         .expect("encode backward dims fixed");

@@ -32,9 +32,11 @@ pub enum Collective {
     AllToAll,
     /// Two-Dimensional Hierarchical All-to-All.
     AllToAll2dh,
-    /// Non-blocking linear All-to-All (handle issued, then waited) —
-    /// the overlap executor's dispatch/combine primitive.
-    IAllToAll,
+    /// Ragged linear All-to-All — the product step's exchange; the
+    /// sends include an empty buffer.
+    AllToAllV,
+    /// Ragged 2DH All-to-All, same sends.
+    AllToAllV2dh,
     /// Ring all-gather.
     AllGather,
     /// Ring all-reduce (sum).
@@ -42,10 +44,11 @@ pub enum Collective {
 }
 
 /// Every collective, in report order.
-pub const COLLECTIVES: [Collective; 5] = [
+pub const COLLECTIVES: [Collective; 6] = [
     Collective::AllToAll,
     Collective::AllToAll2dh,
-    Collective::IAllToAll,
+    Collective::AllToAllV,
+    Collective::AllToAllV2dh,
     Collective::AllGather,
     Collective::AllReduceSum,
 ];
@@ -56,7 +59,8 @@ impl Collective {
         match self {
             Collective::AllToAll => "all_to_all",
             Collective::AllToAll2dh => "all_to_all_2dh",
-            Collective::IAllToAll => "ialltoall",
+            Collective::AllToAllV => "all_to_all_v",
+            Collective::AllToAllV2dh => "all_to_all_v_2dh",
             Collective::AllGather => "all_gather",
             Collective::AllReduceSum => "all_reduce_sum",
         }
@@ -66,9 +70,9 @@ impl Collective {
         match self {
             Collective::AllToAll => comm.all_to_all(input),
             Collective::AllToAll2dh => comm.all_to_all_2dh(input),
-            Collective::IAllToAll => {
-                let handle = comm.ialltoall(input)?;
-                handle.wait(comm)
+            Collective::AllToAllV => Ok(comm.all_to_all_v(&ragged(comm.rank(), input))?.concat()),
+            Collective::AllToAllV2dh => {
+                Ok(comm.all_to_all_v_2dh(&ragged(comm.rank(), input))?.concat())
             }
             Collective::AllGather => comm.all_gather(input),
             Collective::AllReduceSum => comm.all_reduce_sum(input),
@@ -111,6 +115,17 @@ fn fault_topology() -> Topology {
 fn fault_input(rank: usize, world: usize) -> Vec<f32> {
     (0..world * 2)
         .map(|i| (rank * world * 2 + i) as f32 * 0.5 + 1.0)
+        .collect()
+}
+
+/// Ragged sends cut from a [`fault_input`]: destination `d` gets the
+/// first `(rank + d) % 3` elements of its chunk, so every rank sends
+/// lengths 0, 1 and 2 — at least one buffer is empty.
+fn ragged(rank: usize, input: &[f32]) -> Vec<Vec<f32>> {
+    input
+        .chunks(2)
+        .enumerate()
+        .map(|(d, chunk)| chunk[..(rank + d) % 3].to_vec())
         .collect()
 }
 
@@ -230,13 +245,15 @@ mod tests {
     }
 
     #[test]
-    fn default_seed_passes_for_nonblocking_all_to_all() {
-        // The overlap executor's primitive goes through the same three
-        // replayed scenarios: recover bitwise under a mixed plan, fail
-        // typed under an unrecoverable one, wedge detectably under the
-        // deterministic scheduler.
-        let report = run_fault_scenarios(Collective::IAllToAll, 0xFA17);
-        assert!(report.pass, "ialltoall fault scenarios failed: {report:?}");
+    fn default_seed_passes_for_the_ragged_exchanges() {
+        // The product step's exchange goes through the same three
+        // replayed scenarios on both routes: recover bitwise under a
+        // mixed plan, fail typed under an unrecoverable one, wedge
+        // detectably under the deterministic scheduler.
+        for collective in [Collective::AllToAllV, Collective::AllToAllV2dh] {
+            let report = run_fault_scenarios(collective, 0xFA17);
+            assert!(report.pass, "{}: {report:?}", collective.label());
+        }
     }
 
     #[test]

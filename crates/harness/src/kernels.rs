@@ -31,7 +31,7 @@
 //!   move the aux loss.
 //!
 //! Each cell additionally replays the seeded fault scenarios for the
-//! overlap executor's non-blocking All-to-All, proving the
+//! overlap executor's ragged All-to-All, proving the
 //! retry/recovery machinery is indifferent to the kernel mode.
 
 use tutel_experts::ExpertsBlock;
@@ -194,7 +194,7 @@ pub fn run_kernel_matrix(seed: u64, fault_seed: u64) -> Vec<KernelVerdict> {
                 .iter()
                 .map(|c| run_distributed(&problem, fixture, c))
                 .collect();
-            let fault = run_fault_scenarios(Collective::IAllToAll, fault_seed);
+            let fault = run_fault_scenarios(Collective::AllToAllV, fault_seed);
             (cell_runs, fault)
         });
         runs.push(cell_runs);

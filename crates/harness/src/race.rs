@@ -70,6 +70,8 @@ pub fn run_race_surface(seed: u64, tel: &Telemetry) -> RaceSurface {
                 .collect()
         })
         .collect();
+    // A flat (W, per) buffer as its W per-destination buffers.
+    let split = |buf: &[f32]| -> Vec<Vec<f32>> { buf.chunks(per).map(<[f32]>::to_vec).collect() };
 
     // Sequential oracle: all-to-all, compute, all-to-all — per chunk.
     let expect: Vec<RankBuffers> = {
@@ -94,8 +96,9 @@ pub fn run_race_surface(seed: u64, tel: &Telemetry) -> RaceSurface {
             tutel::overlap::run_overlapped(
                 &mut comm,
                 AllToAllAlgo::Linear,
-                &inputs[rank],
-                |c, flex| {
+                inputs[rank].iter().map(|chunk| split(chunk)).collect(),
+                |_, c, received| {
+                    let flex = received.concat();
                     chk::note_access(&flex, false);
                     let n = flex.len();
                     let mut out = tutel_rt::arena().take_raw(n);
@@ -111,8 +114,10 @@ pub fn run_race_surface(seed: u64, tel: &Telemetry) -> RaceSurface {
                         });
                     }
                     chk::order_mark("harness.compute", c as u64);
+                    let back = split(&out);
                     tutel_rt::arena().put(flex);
-                    out
+                    tutel_rt::arena().put(out);
+                    Ok(back)
                 },
             )
         })
@@ -132,7 +137,8 @@ pub fn run_race_surface(seed: u64, tel: &Telemetry) -> RaceSurface {
                 ));
             }
             Ok(run) => {
-                if run.combined != expect[rank] {
+                let combined: RankBuffers = run.combined.iter().map(|c| c.concat()).collect();
+                if combined != expect[rank] {
                     outputs_match = false;
                     findings.push(Finding::new(
                         "corruption",

@@ -74,7 +74,9 @@ impl ServeCase {
             degree: self.degree,
             world: self.world,
             threads: REF_THREADS,
-            dropless: false,
+            // The product wire. Its uniform-capacity view is pinned by
+            // `crate::grouped`'s twin column.
+            dropless: true,
         }
     }
 }

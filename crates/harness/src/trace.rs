@@ -23,7 +23,7 @@ use std::thread;
 use std::time::Duration;
 
 use tutel_comm::runtime::run_threaded_reliable_traced;
-use tutel_comm::{FaultPlan, ReliableConfig, RetryPolicy};
+use tutel_comm::{AllToAllAlgo, FaultPlan, ReliableConfig, RetryPolicy};
 use tutel_obs::trace::{TraceHub, TraceInvariants, TRACK_STREAM_COMM, TRACK_STREAM_COMPUTE};
 use tutel_obs::{analyze, Analysis, AnalyzerConfig, Telemetry, TraceEvent};
 use tutel_simgpu::Topology;
@@ -151,10 +151,10 @@ pub fn run_straggler_scenario(
         telemetry: tel.clone(),
     };
     let results = run_threaded_reliable_traced(topo, cfg, &hub, move |mut comm| {
-        let input: Vec<f32> = (0..world * 2)
-            .map(|i| (comm.rank() * world * 2 + i) as f32)
+        let sends = (0..world)
+            .map(|d| vec![(comm.rank() * world + d) as f32; 2])
             .collect();
-        let handle = comm.ialltoall(&input)?;
+        let handle = comm.ialltoall_v(AllToAllAlgo::Linear, sends)?;
         if comm.rank() == culprit {
             thread::sleep(STRAGGLER_STALL);
         }

@@ -39,6 +39,5 @@ pub mod pool;
 
 pub use arena::{arena, Arena, ArenaStats};
 pub use pool::{
-    parallel_chunks, parallel_for, parallel_ranges, pool_stats, request_prewarm,
-    with_parallelism_limit, PoolStats,
+    parallel_chunks, parallel_for, parallel_ranges, pool_stats, with_parallelism_limit, PoolStats,
 };

@@ -366,62 +366,6 @@ fn thread_limit() -> usize {
 
 static POOL: OnceLock<Pool> = OnceLock::new();
 
-/// Arena size classes registered before the pool exists, stocked at
-/// pool startup. `(len, count)` pairs; drained once by `global()`.
-static PREWARM_QUEUE: Mutex<Vec<(usize, usize)>> = Mutex::new(Vec::new());
-
-/// Set when the queue holds undrained requests; checked (one relaxed
-/// load when clear) on every `global()` call so draining adds nothing
-/// to the steady-state hot path.
-static PREWARM_PENDING: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-/// Registers an arena size class for pre-warming: `count` zeroed
-/// buffers of exactly `len` elements. If the global pool is already
-/// up, the class is stocked immediately; otherwise the request is
-/// queued and applied once at pool startup — so the first hot-path
-/// iteration after spin-up already hits the warm class instead of the
-/// heap.
-pub fn request_prewarm(len: usize, count: usize) {
-    use std::sync::atomic::Ordering;
-    if POOL.get().is_some() {
-        crate::arena::arena().prewarm(len, count);
-        return;
-    }
-    {
-        let mut queue = match PREWARM_QUEUE.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        queue.push((len, count));
-    }
-    PREWARM_PENDING.store(true, Ordering::Release);
-    // If the pool raced up while we queued, its startup drain may have
-    // run before our push — drain ourselves (idempotent under the
-    // queue lock) so the request is never stranded.
-    if POOL.get().is_some() && PREWARM_PENDING.swap(false, Ordering::AcqRel) {
-        drain_prewarm_queue(crate::arena::arena());
-    }
-}
-
-/// Applies every queued pre-warm request to `arena`.
-fn drain_prewarm_queue(arena: &crate::arena::Arena) {
-    let requests: Vec<(usize, usize)> = {
-        let mut queue = match PREWARM_QUEUE.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        queue.drain(..).collect()
-    };
-    apply_prewarm(arena, &requests);
-}
-
-/// Stocks `arena` with each requested `(len, count)` size class.
-fn apply_prewarm(arena: &crate::arena::Arena, requests: &[(usize, usize)]) {
-    for &(len, count) in requests {
-        arena.prewarm(len, count);
-    }
-}
-
 /// Pool size from the environment: `TUTEL_THREADS` if it parses as a
 /// positive integer, else the machine's available parallelism.
 fn configured_threads() -> usize {
@@ -441,16 +385,9 @@ fn default_threads() -> usize {
         .min(MAX_THREADS)
 }
 
-/// The lazily created global pool. Startup also stocks the arena with
-/// every size class registered via [`request_prewarm`] before the
-/// pool existed.
+/// The lazily created global pool.
 pub fn global() -> &'static Pool {
-    use std::sync::atomic::Ordering;
-    let pool = POOL.get_or_init(|| Pool::with_workers(configured_threads()));
-    if PREWARM_PENDING.load(Ordering::Acquire) && PREWARM_PENDING.swap(false, Ordering::AcqRel) {
-        drain_prewarm_queue(crate::arena::arena());
-    }
-    pool
+    POOL.get_or_init(|| Pool::with_workers(configured_threads()))
 }
 
 /// Snapshot of the global pool's cumulative counters (pool size,
@@ -560,33 +497,6 @@ impl<T> SendPtr<T> {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU32;
-
-    #[test]
-    fn prewarm_requests_stock_the_arena() {
-        // The startup path on a private arena (the global arena's
-        // counters are shared across concurrently running tests):
-        // queued requests land as warm classes, and steady-state
-        // take/put of a warm class never misses.
-        let a = crate::arena::Arena::new();
-        apply_prewarm(&a, &[(4096, 2), (128, 1)]);
-        assert_eq!(a.stats().retained_elems, 2 * 4096 + 128);
-        for _ in 0..10 {
-            let buf = a.take_zeroed(4096);
-            a.put(buf);
-        }
-        assert_eq!(a.stats().misses, 0, "warm class fell through to heap");
-        assert_eq!(a.stats().hits, 10);
-    }
-
-    #[test]
-    fn request_prewarm_is_safe_before_and_after_pool_startup() {
-        // Before startup the request queues; after `global()` it
-        // applies immediately. Distinctive lengths so no other test's
-        // traffic shares the class.
-        request_prewarm(999_983, 1);
-        let _ = global();
-        request_prewarm(999_979, 1);
-    }
 
     #[test]
     fn parallel_for_covers_every_index_once() {

@@ -22,12 +22,18 @@
 //! * P2 re-associates one addition chain (the hidden-shard partial
 //!   sum), so it is instead bounded by ≤ 4 scaled ULP.
 //!
-//! Capacity is only a **buffer shape**: each rank resolves its
-//! dropless minimum, ranks agree on the global maximum (one
-//! all-gather) padded up to a multiple of the pipeline degree, and
-//! the padded slots stay zero — no token ever decodes from them.
+//! Capacity therefore never materializes on the product path: a step
+//! ships its exact routed bins through
+//! [`tutel::overlap::exchange_bins`] (count header + rows on the wire,
+//! overlapped with the expert FFN at `degree > 1`). The padded
+//! capacity layout is the same step over uniform bins
+//! ([`ExecConfig::dropless`]` = false`), where capacity is only a
+//! **buffer shape**: ranks agree on the global maximum of their
+//! dropless minima (one all-gather) padded up to a multiple of the
+//! pipeline degree, and the padded slots stay zero — no token ever
+//! decodes from them.
 
-use tutel::overlap::run_overlapped;
+use tutel::overlap::exchange_bins;
 use tutel_comm::runtime::{run_threaded, run_threaded_reliable, Communicator, ReliableConfig};
 use tutel_comm::AllToAllAlgo;
 use tutel_experts::{ExpertsBlock, ShardedExpertParams};
@@ -67,17 +73,18 @@ pub struct ExecConfig {
     pub strategy: Strategy,
     /// All-to-All algorithm on the wire.
     pub algo: AllToAllAlgo,
-    /// Pipeline degree: capacity is split into this many overlapped
-    /// chunks.
+    /// Pipeline degree: every expert bin is split into this many
+    /// overlapped chunks.
     pub degree: usize,
     /// Simulated ranks; must equal the model's world.
     pub world: usize,
     /// Per-rank compute parallelism limit.
     pub threads: usize,
-    /// Route the expert exchange through packed ragged bins and
-    /// grouped GEMM — exact routed counts on the wire, no capacity
-    /// padding anywhere. `false` keeps the padded capacity twin, which
-    /// the harness diff-tests the grouped path against.
+    /// Ship exact routed bins — only routed rows on the wire and in
+    /// the grouped GEMM. `false` ships uniform-capacity bins instead
+    /// (every slot of the padded `(E, C, M)` layout, owned or not):
+    /// the same rank program over a different bin constructor, kept
+    /// as the twin the harness diff-tests the exact bins against.
     pub dropless: bool,
 }
 
@@ -105,8 +112,8 @@ pub fn topology_for(world: usize) -> Topology {
     Topology::for_world(world)
 }
 
-/// What one rank's program returns: its flat output rows, the
-/// reconciled capacity, and its wire payload volume.
+/// What one rank's program returns: its flat output rows, its largest
+/// expert bin, and its wire payload volume.
 type RankResult = Result<(Vec<f32>, usize, u64), ServeError>;
 
 /// What one executed step produced.
@@ -215,11 +222,7 @@ fn execute_step_with(
     let padded_ref = &padded;
     let program = move |comm: Communicator| {
         with_parallelism_limit(cfg.threads, || {
-            if cfg.dropless {
-                run_rank_grouped(model_ref, &cfg, padded_ref, per_rank, comm)
-            } else {
-                run_rank(model_ref, &cfg, padded_ref, per_rank, comm)
-            }
+            run_rank(model_ref, &cfg, padded_ref, per_rank, comm)
         })
     };
     let rank_results: Vec<RankResult> = match cfg_rel {
@@ -256,9 +259,9 @@ fn execute_step_with(
     })
 }
 
-/// The prologue shared by the padded and the dropless rank program:
-/// deal this rank its rows `(per_rank, M)` — global rows `rank`,
-/// `rank + world`, `rank + 2·world`, … — gate + route them dropless
+/// The rank program's prologue: deal this rank its rows
+/// `(per_rank, M)` — global rows `rank`, `rank + world`,
+/// `rank + 2·world`, … — gate + route them dropless
 /// (per-row, identical to the reference by construction), and build
 /// the expert block(s) the strategy executes here.
 fn rank_setup(
@@ -337,9 +340,17 @@ pub fn shard_sum<B>(
     acc.ok_or_else(|| TensorError::InvalidArgument("strategy produced no expert blocks".into()))
 }
 
-/// One rank's program: gate + route its rows, reconcile capacity,
-/// drive the overlapped exchange, decode. Returns the rank's flat
-/// output rows, the reconciled capacity, and its wire payload volume.
+/// One rank's program: `rank_setup → bins → ragged_encode →
+/// exchange_bins(shard_sum ∘ infer_grouped) → ragged_decode`. Returns
+/// the rank's flat output rows, its largest expert bin, and its wire
+/// payload volume.
+///
+/// `cfg.dropless` only picks the bin constructor: exact bins, or —
+/// once ranks agree on the capacity — uniform-capacity bins, where
+/// every capacity slot ships, owned or not. Raising the capacity after
+/// routing is safe (dropless slot assignment never clamped), and each
+/// output row's GEMM accumulation order is independent of its
+/// bin-mates, so the two layouts agree bit for bit.
 fn run_rank(
     model: &ServeModel,
     cfg: &ExecConfig,
@@ -347,238 +358,31 @@ fn run_rank(
     per_rank: usize,
     mut comm: Communicator,
 ) -> RankResult {
-    let dims = model.dims;
-    let world = cfg.world;
-    let m = dims.model_dim;
     let (x, mut routing, blocks) = rank_setup(model, cfg, padded, per_rank, comm.rank())?;
-
-    // Reconcile capacity: ranks must agree on the wire shape. The
-    // shared value is the max of the per-rank dropless minima, padded
-    // to a multiple of the pipeline degree. Raising capacity after
-    // routing is safe: dropless slot assignment never clamped, so
-    // every assigned slot stays valid and new slots stay empty.
-    let local_cap = routing.capacity;
-    let global_cap = if world > 1 {
-        let gathered = comm.all_gather(&[local_cap as f32])?;
-        gathered
-            .iter()
-            .fold(local_cap, |acc, &c| acc.max(c as usize))
+    let bins = if cfg.dropless {
+        RaggedRouting::from_routing(&routing)
     } else {
-        local_cap
+        let caps = comm.all_gather(&[routing.capacity as f32])?;
+        let cap = caps.iter().fold(0, |cap, &c| cap.max(c as usize));
+        routing.capacity = cap.div_ceil(cfg.degree) * cfg.degree;
+        RaggedRouting::uniform_capacity(&routing)
     };
-    let capacity = global_cap.div_ceil(cfg.degree) * cfg.degree;
-    routing.capacity = capacity;
-    let cc = capacity / cfg.degree;
-
-    let enc = fast_encode(&x, &routing)?;
-    let enc_chunks = enc.split_axis(1, cfg.degree)?;
-    let enc_wire: Vec<Vec<f32>> = enc_chunks.iter().map(|c| c.as_slice().to_vec()).collect();
-
-    // The overlap engine wants an infallible chunk-compute closure;
-    // shape errors (impossible once dims validated, but typed anyway)
-    // are parked here and surfaced after the exchange drains, with a
-    // zero chunk keeping the collective protocol in lock-step.
-    let wire_len = world * dims.local_experts * cc * m;
-    let mut parked: Option<TensorError> = None;
-    let run = run_overlapped(
+    let enc = ragged_encode(&x, &routing, &bins)?;
+    let y = exchange_bins(
         &mut comm,
         cfg.algo,
-        &enc_wire,
-        |_, received| match compute_chunk(model, &blocks, received, world, cc) {
-            Ok(wire) => wire,
-            Err(e) => {
-                parked.get_or_insert(e);
-                vec![0.0; wire_len]
-            }
-        },
-    )?;
-    if let Some(e) = parked {
-        return Err(ServeError::Tensor(e));
-    }
-
-    let mut out_chunks = Vec::with_capacity(cfg.degree);
-    for wire in run.combined {
-        out_chunks.push(Tensor::from_vec(
-            wire,
-            &[dims.local_experts * world, cc, m],
-        )?);
-    }
-    let combined = Tensor::concat_axis(&out_chunks, 1)?;
-    let output = fast_decode(&combined, &routing, per_rank)?;
+        cfg.degree,
+        &enc,
+        &bins.offsets,
+        |_, rows, offsets| shard_sum(&blocks, |block| block.infer_grouped(rows, offsets)),
+    )??;
+    let output = ragged_decode(&y, &routing, &bins, per_rank)?;
+    let largest_bin = (0..bins.experts).map(|e| bins.bin_len(e)).max();
     Ok((
         output.as_slice().to_vec(),
-        capacity,
+        largest_bin.unwrap_or(0),
         comm.sent_payload_elems(),
     ))
-}
-
-/// One rank's **dropless** program: route, pack ragged bins, exchange
-/// the exact routed rows over flexible (v-) All-to-Alls, grouped-GEMM
-/// the received bins, exchange back, decode. Capacity never
-/// materializes — the wire carries an `offsets`-shaped count header
-/// plus the rows themselves, not `E·C` padded slabs, so payloads
-/// shrink to the routed token counts and a hot expert costs only its
-/// own rows.
-///
-/// The pipeline degree splits every expert bin into `degree`
-/// deterministic sub-ranges and runs one blocking v-exchange per
-/// sub-range: overlap changes *when* rows move, never what they hold,
-/// and each output row's GEMM accumulation order is independent of
-/// its bin-mates, so the padded twin's bitwise contract carries over
-/// unchanged. The returned "capacity" is the rank's largest routed
-/// bin — the shape the padded twin would have inflated every expert
-/// to.
-fn run_rank_grouped(
-    model: &ServeModel,
-    cfg: &ExecConfig,
-    padded: &Tensor,
-    per_rank: usize,
-    mut comm: Communicator,
-) -> RankResult {
-    let dims = model.dims;
-    let world = cfg.world;
-    let m = dims.model_dim;
-    let le = dims.local_experts;
-
-    // No capacity reconciliation — ranks don't need to agree on any
-    // buffer shape, only on the v-payloads they exchange, and those
-    // carry their own counts.
-    let (x, routing, blocks) = rank_setup(model, cfg, padded, per_rank, comm.rank())?;
-    let ragged = RaggedRouting::from_routing(&routing);
-    let enc = ragged_encode(&x, &routing, &ragged)?;
-    let es = enc.as_slice();
-
-    // Chunk c of bin e: the deterministic sub-range
-    // [len·c/D, len·(c+1)/D) of the bin's packed rows.
-    let bin_chunk = |e: usize, c: usize| -> (usize, usize) {
-        let s = ragged.offsets[e];
-        let len = ragged.offsets[e + 1] - s;
-        (s + len * c / cfg.degree, s + len * (c + 1) / cfg.degree)
-    };
-
-    let mut y_packed = vec![0.0f32; ragged.total() * m];
-    for c in 0..cfg.degree {
-        // Outbound: rank d receives a header of its `le` bin-chunk
-        // row counts (f32-exact below 2^24) followed by the rows,
-        // expert-major.
-        let sends: Vec<Vec<f32>> = (0..world)
-            .map(|d| {
-                let mut buf = Vec::new();
-                for e in d * le..(d + 1) * le {
-                    let (s, t) = bin_chunk(e, c);
-                    buf.push((t - s) as f32);
-                }
-                for e in d * le..(d + 1) * le {
-                    let (s, t) = bin_chunk(e, c);
-                    buf.extend_from_slice(&es[s * m..t * m]);
-                }
-                buf
-            })
-            .collect();
-        let recvd = match cfg.algo {
-            AllToAllAlgo::Linear => comm.all_to_all_v(&sends)?,
-            AllToAllAlgo::TwoDh => comm.all_to_all_v_2dh(&sends)?,
-        };
-
-        // Regroup the (src, expert) segments into per-expert bins in
-        // source order and grouped-GEMM them with this rank's blocks.
-        let mut seg_len = vec![vec![0usize; le]; world];
-        for (s_rank, buf) in recvd.iter().enumerate() {
-            for e in 0..le {
-                seg_len[s_rank][e] = buf[e] as usize;
-            }
-        }
-        let mut offsets = vec![0usize; le + 1];
-        for e in 0..le {
-            offsets[e + 1] = offsets[e] + (0..world).map(|s| seg_len[s][e]).sum::<usize>();
-        }
-        let total = offsets[le];
-
-        let back: Vec<Vec<f32>> = if total == 0 {
-            // Nothing routed here this chunk (possible under heavy
-            // skew): keep the collective in lock-step with empties.
-            vec![Vec::new(); world]
-        } else {
-            let mut gx = vec![0.0f32; total * m];
-            // place[s][e]: packed row where src s's expert-e segment
-            // landed — the return trip reads it back out.
-            let mut place = vec![vec![0usize; le]; world];
-            let mut at = 0usize;
-            for e in 0..le {
-                for (s_rank, buf) in recvd.iter().enumerate() {
-                    let skip: usize = seg_len[s_rank][..e].iter().sum();
-                    let n = seg_len[s_rank][e];
-                    let from = le + skip * m;
-                    gx[at * m..(at + n) * m].copy_from_slice(&buf[from..from + n * m]);
-                    place[s_rank][e] = at;
-                    at += n;
-                }
-            }
-            let gx_t = Tensor::from_vec(gx, &[total, m])?;
-            let y_t = shard_sum(&blocks, |block| block.infer_grouped(&gx_t, &offsets))?;
-            let ys = y_t.as_slice();
-            (0..world)
-                .map(|s_rank| {
-                    let mut buf = Vec::new();
-                    for e in 0..le {
-                        let at = place[s_rank][e];
-                        let n = seg_len[s_rank][e];
-                        buf.extend_from_slice(&ys[at * m..(at + n) * m]);
-                    }
-                    buf
-                })
-                .collect()
-        };
-
-        let returned = match cfg.algo {
-            AllToAllAlgo::Linear => comm.all_to_all_v(&back)?,
-            AllToAllAlgo::TwoDh => comm.all_to_all_v_2dh(&back)?,
-        };
-        for (d, buf) in returned.iter().enumerate() {
-            let mut at = 0usize;
-            for e in d * le..(d + 1) * le {
-                let (s, t) = bin_chunk(e, c);
-                let n = (t - s) * m;
-                y_packed[s * m..t * m].copy_from_slice(&buf[at..at + n]);
-                at += n;
-            }
-        }
-    }
-
-    let y_t = Tensor::from_vec(y_packed, &[ragged.total(), m])?;
-    let output = ragged_decode(&y_t, &routing, &ragged, per_rank)?;
-    let eff_cap = (0..routing.experts)
-        .map(|e| ragged.bin_len(e))
-        .max()
-        .unwrap_or(0);
-    Ok((
-        output.as_slice().to_vec(),
-        eff_cap,
-        comm.sent_payload_elems(),
-    ))
-}
-
-/// Expert-side compute for one pipeline chunk: rebuild the
-/// `(ΔE, W·cc, M)` batch from the origin-major wire, apply the
-/// executing rank's expert blocks (one full block under P1, one per
-/// hidden shard under P2, partials summed in shard order), and lay
-/// the result back out rank-major for the return exchange.
-fn compute_chunk(
-    model: &ServeModel,
-    blocks: &[ExpertsBlock],
-    received: Vec<f32>,
-    world: usize,
-    cc: usize,
-) -> Result<Vec<f32>, TensorError> {
-    let dims = model.dims;
-    let m = dims.model_dim;
-    let flex = Tensor::from_vec(received, &[world, dims.local_experts, cc, m])?
-        .permute(&[1, 0, 2, 3])?
-        .reshape(&[dims.local_experts, world * cc, m])?;
-    shard_sum(blocks, |block| block.infer(&flex))?
-        .reshape(&[dims.local_experts, world, cc, m])?
-        .permute(&[1, 0, 2, 3])
-        .map(|t| t.as_slice().to_vec())
 }
 
 /// The sequential per-request reference: the same gate → dropless

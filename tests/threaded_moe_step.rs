@@ -1,20 +1,19 @@
 //! The capstone integration test: a complete distributed MoE forward
 //! step executed by real threads over the message-passing runtime —
-//! per-rank gating, fast encode, Flexible-All-to-All-equivalent
-//! exchange (via the threaded 2DH collective), rank-local expert
-//! compute, combine exchange, fast decode — compared against the
+//! per-rank gating, ragged encode, the expert exchange
+//! (`exchange_bins` over the 2DH route: dispatch, rank-local expert
+//! compute, combine), ragged decode — compared against the
 //! single-process reference layer.
 
 use tutel_suite::comm::runtime::run_threaded;
+use tutel_suite::comm::AllToAllAlgo;
 use tutel_suite::experts::ExpertsBlock;
-use tutel_suite::gate::{route, LinearRouter, RouteConfig, Router};
-use tutel_suite::kernels::{fast_decode, fast_encode};
+use tutel_suite::gate::{route, LinearRouter, RaggedRouting, RouteConfig, Router};
+use tutel_suite::kernels::{fast_decode, fast_encode, ragged_decode, ragged_encode};
 use tutel_suite::simgpu::Topology;
 use tutel_suite::tensor::{Rng, Tensor};
+use tutel_suite::tutel::overlap::exchange_bins;
 
-/// Flex-dispatch wire format: flatten the (E, dC, M) buffer so that the
-/// per-destination-rank chunk is contiguous (experts are rank-major),
-/// which is exactly what the All-to-All expects.
 fn run_distributed_step(topology: Topology, k: usize, seed: u64) {
     let w = topology.world_size();
     let local_experts = 2usize;
@@ -59,33 +58,23 @@ fn run_distributed_step(topology: Topology, k: usize, seed: u64) {
             ..RouteConfig::top1()
         };
         let routing = route(&probs, &cfg).unwrap();
-        let enc = fast_encode(x, &routing).unwrap(); // (E, dC, M)
-        let cap = routing.capacity;
+        let bins = RaggedRouting::from_routing(&routing);
+        let enc = ragged_encode(x, &routing, &bins).unwrap(); // (R, M)
 
-        // Dispatch: the (E, dC, M) buffer is already rank-major along
-        // E, so a plain All-to-All ships each destination rank its
-        // experts' slabs; the receiving side holds (W, dE, dC, M).
-        let received = comm.all_to_all_2dh(enc.as_slice()).unwrap();
-
-        // Rearrange to the flexible (dE, C = W·dC, M) layout locally
-        // and run this rank's experts.
-        let recv_t = Tensor::from_vec(received, &[w, local_experts, cap, m]).unwrap();
-        let flex = recv_t.permute(&[1, 0, 2, 3]).unwrap();
-        let flex = flex.reshape(&[local_experts, w * cap, m]).unwrap();
-        let (w1, b1, w2, b2) = experts_ref.weights();
-        let slice = |t: &Tensor| t.split_axis(0, w).unwrap()[rank].clone();
-        let local = ExpertsBlock::from_weights(slice(w1), slice(b1), slice(w2), slice(b2)).unwrap();
-        let expert_out = local.infer(&flex).unwrap();
-
-        // Combine: invert the layout and ship each source its tokens.
-        let back = expert_out
-            .reshape(&[local_experts, w, cap, m])
-            .unwrap()
-            .permute(&[1, 0, 2, 3])
-            .unwrap();
-        let combined = comm.all_to_all_2dh(back.as_slice()).unwrap();
-        let combined = Tensor::from_vec(combined, &[experts, cap, m]).unwrap();
-        fast_decode(&combined, &routing, tokens).unwrap()
+        // Dispatch, this rank's experts on the rows every rank routed
+        // to them, combine.
+        let local = experts_ref.rank_slice(w, rank).unwrap();
+        let out = exchange_bins(
+            &mut comm,
+            AllToAllAlgo::TwoDh,
+            1,
+            &enc,
+            &bins.offsets,
+            |_, rows, offsets| local.infer_grouped(rows, offsets),
+        )
+        .unwrap()
+        .unwrap();
+        ragged_decode(&out, &routing, &bins, tokens).unwrap()
     });
 
     for (rank, (got, expect)) in results.iter().zip(&reference).enumerate() {
