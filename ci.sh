@@ -60,6 +60,29 @@ echo "==> trace_overhead bench smoke (disabled-telemetry fast path)"
 cargo bench -q -p tutel-bench --bench trace_overhead -- \
     --warm-up-time 1 --measurement-time 1 disabled_ > /dev/null
 
+TRACE_DIR=$(mktemp -d)
+trap 'rm -rf "$TRACE_DIR"' EXIT
+
+echo "==> model-only repro bins vs the committed transcript (repro_output.txt)"
+# These nine bins print nothing but modelled numbers (deterministic, no
+# wall clock), so every non-empty stdout line must be a verbatim line of
+# repro_output.txt: a refactor of the pricing stack (PipelineTimeModel,
+# MoeLayerSimulator, the parallelism router, CollectiveTiming) that
+# moves one digit fails here. A deliberate model change regenerates
+# the transcript in the same commit.
+for bin in repro_table1 repro_fig3 repro_fig5 repro_table5 repro_table7 \
+    repro_fig22 repro_fig23 repro_table8 repro_ablations; do
+    cargo run --release -q -p tutel-bench --bin "$bin" > "$TRACE_DIR/$bin.txt"
+    if [ ! -s "$TRACE_DIR/$bin.txt" ]; then
+        echo "$bin printed nothing" >&2
+        exit 1
+    fi
+    if grep . "$TRACE_DIR/$bin.txt" | grep -vxFf repro_output.txt >&2; then
+        echo "$bin: the lines above are not in repro_output.txt" >&2
+        exit 1
+    fi
+done
+
 echo "==> executed adaptive pipelining sweep (BENCH_pipeline.json)"
 cargo run --release -q -p tutel-bench --bin repro_pipeline > /dev/null
 
@@ -67,8 +90,6 @@ echo "==> conformance harness (smoke matrix + fault suite + traced run)"
 # HARNESS_FULL=1 upgrades to the full 96-point matrix. --trace runs the
 # 4-rank traced smoke (invariant-checked, straggler attribution) and
 # exports per-rank JSONLs plus the merged Perfetto trace.
-TRACE_DIR=$(mktemp -d)
-trap 'rm -rf "$TRACE_DIR"' EXIT
 cargo run --release -q -p tutel-harness --bin harness -- \
     ${HARNESS_FULL:+--full} --json BENCH_harness.json \
     --trace "$TRACE_DIR/run"

@@ -18,7 +18,7 @@ use std::hint::black_box;
 /// path (two hook sites per round trip).
 fn bench_arena(c: &mut Criterion) {
     let arena = tutel_rt::Arena::new();
-    arena.prewarm(4096, 2);
+    arena.put(vec![0.0; 4096]);
     c.bench_function("disabled_arena_take_put", |b| {
         b.iter(|| {
             let buf = arena.take_raw(4096);

@@ -338,7 +338,7 @@ fn round2(x: f64) -> f64 {
 
 /// Replaces (or appends) the `grouped_gemm` section in the JSON file
 /// at `path`, preserving every other section and re-rendering the
-/// document with the repo's two-space pretty style.
+/// document with [`Value::to_pretty`].
 ///
 /// # Errors
 ///
@@ -368,60 +368,7 @@ pub fn merge_section(path: &str, section: Value) -> std::io::Result<()> {
             pairs.insert(at, ("grouped_gemm".to_string(), section));
         }
     }
-    std::fs::write(path, pretty(&Value::Obj(pairs), 0) + "\n")
-}
-
-/// Two-space pretty printer matching the hand-maintained style of the
-/// BENCH_*.json records: the document and its sections (depth 0–1) go
-/// multiline, as do arrays of composites or of long scalars; leaf
-/// objects nested deeper stay on one line.
-fn pretty(v: &Value, indent: usize) -> String {
-    let pad = "  ".repeat(indent);
-    let inner = "  ".repeat(indent + 1);
-    match v {
-        Value::Obj(pairs) if !pairs.is_empty() && (indent < 2 || has_composite(v)) => {
-            let body = pairs
-                .iter()
-                .map(|(k, val)| {
-                    format!(
-                        "{inner}{}: {}",
-                        Value::Str(k.clone()).to_json(),
-                        pretty(val, indent + 1)
-                    )
-                })
-                .collect::<Vec<_>>()
-                .join(",\n");
-            format!("{{\n{body}\n{pad}}}")
-        }
-        Value::Arr(items) if !items.is_empty() && (has_composite(v) || v.to_json().len() > 100) => {
-            let body = items
-                .iter()
-                .map(|val| format!("{inner}{}", pretty(val, indent + 1)))
-                .collect::<Vec<_>>()
-                .join(",\n");
-            format!("[\n{body}\n{pad}]")
-        }
-        Value::Obj(pairs) if !pairs.is_empty() => {
-            let body = pairs
-                .iter()
-                .map(|(k, val)| format!("{}: {}", Value::Str(k.clone()).to_json(), val.to_json()))
-                .collect::<Vec<_>>()
-                .join(", ");
-            format!("{{ {body} }}")
-        }
-        other => other.to_json(),
-    }
-}
-
-/// Whether any direct child is itself an object or array.
-fn has_composite(v: &Value) -> bool {
-    let children: Box<dyn Iterator<Item = &Value>> = match v {
-        Value::Obj(pairs) => Box::new(pairs.iter().map(|(_, v)| v)),
-        Value::Arr(items) => Box::new(items.iter()),
-        _ => return false,
-    };
-    let mut children = children;
-    children.any(|c| matches!(c, Value::Obj(_) | Value::Arr(_)))
+    std::fs::write(path, Value::Obj(pairs).to_pretty() + "\n")
 }
 
 #[cfg(test)]

@@ -21,10 +21,10 @@ use tutel_obs::json::Value;
 use tutel_obs::Telemetry;
 use tutel_serve::batcher::BatcherConfig;
 use tutel_serve::engine::{run_trace, EngineConfig, ServeReport, ServiceModel};
-use tutel_serve::exec::{ExecConfig, Strategy};
 use tutel_serve::loadgen::{generate_trace, Arrival, TraceConfig};
 use tutel_serve::model::{ModelDims, ServeModel};
 use tutel_serve::request::ServeError;
+use tutel_serve::ExecConfig;
 
 use crate::report::fmt_time;
 use crate::Table;
@@ -133,19 +133,8 @@ impl LoadResult {
     }
 }
 
-/// The distributed step both engines run: P1 over two threaded ranks
-/// with a degree-2 pipeline, `threads` compute workers per rank.
-fn exec_config(threads: usize) -> ExecConfig {
-    ExecConfig {
-        strategy: Strategy::P1,
-        algo: tutel_comm::AllToAllAlgo::Linear,
-        degree: 2,
-        world: 2,
-        threads,
-        dropless: true,
-    }
-}
-
+/// Both engines run the same distributed step: P1 over two threaded
+/// ranks with a degree-2 pipeline, `threads` compute workers per rank.
 fn engine_config(batcher: BatcherConfig, threads: usize) -> EngineConfig {
     EngineConfig {
         batcher,
@@ -154,7 +143,14 @@ fn engine_config(batcher: BatcherConfig, threads: usize) -> EngineConfig {
             per_token_us: 10,
         },
         queue_capacity: REQUESTS * 2,
-        exec: exec_config(threads),
+        exec: ExecConfig {
+            strategy: tutel_experts::Parallelism::P1,
+            algo: tutel_comm::AllToAllAlgo::Linear,
+            degree: 2,
+            world: 2,
+            threads,
+            dropless: true,
+        },
     }
 }
 

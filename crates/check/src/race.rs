@@ -268,8 +268,8 @@ pub fn analyze(events: &[RtEvent], seed: u64) -> RaceAnalysis {
                                 .with_sites(vec![site.clone(), take_site.clone()]),
                             );
                         }
-                        // Recycled from pre-session (or prewarm) stock:
-                        // no edge to establish.
+                        // Recycled from pre-session stock: no edge to
+                        // establish.
                         None => {}
                     }
                 }
@@ -306,12 +306,6 @@ pub fn analyze(events: &[RtEvent], seed: u64) -> RaceAnalysis {
                     // no longer names this buffer.
                     buffers.remove(&buf);
                 }
-            }
-            RtEvent::ArenaStock { buf, .. } => {
-                buffers.insert(
-                    buf,
-                    Shadow::Free(threads.clocks[ti].clone(), "arena prewarm".to_string()),
-                );
             }
             RtEvent::ArenaClear { .. } => {
                 // Every retained buffer was freed; forget all Free

@@ -23,6 +23,14 @@ impl AllToAllAlgo {
     /// All algorithms, in search order.
     pub const ALL: [AllToAllAlgo; 2] = [AllToAllAlgo::Linear, AllToAllAlgo::TwoDh];
 
+    /// Short label for grids, reports and audit records.
+    pub fn label(&self) -> &'static str {
+        match self {
+            AllToAllAlgo::Linear => "lin",
+            AllToAllAlgo::TwoDh => "2dh",
+        }
+    }
+
     /// Runs the functional exchange with this algorithm.
     ///
     /// Both algorithms produce identical outputs; the choice matters
@@ -65,8 +73,10 @@ mod tests {
     }
 
     #[test]
-    fn display_names() {
+    fn display_names_and_labels() {
         assert_eq!(AllToAllAlgo::Linear.to_string(), "Linear");
         assert_eq!(AllToAllAlgo::TwoDh.to_string(), "2DH");
+        assert_eq!(AllToAllAlgo::Linear.label(), "lin");
+        assert_eq!(AllToAllAlgo::TwoDh.label(), "2dh");
     }
 }

@@ -250,12 +250,6 @@ impl CollectiveTiming {
         self.ring_time(shard_bytes, group, 1.0)
     }
 
-    /// Ring reduce-scatter over `group` ranks of `shard_bytes` output
-    /// shards. Communication volume mirrors all-gather.
-    pub fn reduce_scatter_time(&self, shard_bytes: f64, group: usize) -> Seconds {
-        self.ring_time(shard_bytes, group, 1.0)
-    }
-
     /// Ring all-reduce of `bytes` over `group` ranks:
     /// reduce-scatter + all-gather, each moving `bytes × (g−1)/g`.
     pub fn all_reduce_time(&self, bytes: f64, group: usize) -> Seconds {
@@ -286,30 +280,6 @@ impl CollectiveTiming {
     ) -> Seconds {
         let t = self.all_to_all_time(algo, bytes, protocol);
         tel.collective(phase.op(), &algo.to_string(), bytes, t);
-        t
-    }
-
-    /// [`CollectiveTiming::all_gather_time`] with collective recording.
-    pub fn all_gather_time_observed(
-        &self,
-        shard_bytes: f64,
-        group: usize,
-        tel: &tutel_obs::Telemetry,
-    ) -> Seconds {
-        let t = self.all_gather_time(shard_bytes, group);
-        tel.collective("all_gather", &format!("ring/{group}"), shard_bytes, t);
-        t
-    }
-
-    /// [`CollectiveTiming::all_reduce_time`] with collective recording.
-    pub fn all_reduce_time_observed(
-        &self,
-        bytes: f64,
-        group: usize,
-        tel: &tutel_obs::Telemetry,
-    ) -> Seconds {
-        let t = self.all_reduce_time(bytes, group);
-        tel.collective("all_reduce", &format!("ring/{group}"), bytes, t);
         t
     }
 

@@ -133,22 +133,48 @@ impl MoeLayerSimulator {
         self.timing.world().size()
     }
 
-    /// Per-iteration time of the MoE layer under `features`.
-    pub fn step_time(&self, dims: &LayerDims, features: FeatureSet) -> Seconds {
+    /// The time model `features` selects.
+    fn model(&self, features: FeatureSet) -> PipelineTimeModel {
         let mut model = PipelineTimeModel::new(self.timing);
         model.sparse_kernels = features.tutel_kernels;
         model.flexible_layout = features.flexible_a2a;
-        let (strategy, _) = if features.adaptive_pipelining {
-            model.best_strategy(dims)
+        model
+    }
+
+    /// The strategy `features` runs under `model`: the modeled best
+    /// with adaptive pipelining (audited into `tel`), else the static
+    /// baseline.
+    fn pick_strategy(
+        model: &PipelineTimeModel,
+        dims: &LayerDims,
+        features: FeatureSet,
+        tel: &tutel_obs::Telemetry,
+    ) -> PipelineStrategy {
+        if features.adaptive_pipelining {
+            model.best_strategy_observed(dims, tel).0
         } else {
-            (PipelineStrategy::baseline(), 0.0)
-        };
-        let base = model.step_time(dims, strategy);
-        if features.adaptive_parallelism {
-            base - self.parallelism_saving(dims)
-        } else {
-            base
+            PipelineStrategy::baseline()
         }
+    }
+
+    /// `dims` as the parallelism router's [`MoeDims`], with
+    /// `global_experts` spread over this simulator's world.
+    fn moe_dims(&self, dims: &LayerDims, global_experts: usize) -> MoeDims {
+        MoeDims {
+            world: self.world_size(),
+            global_experts,
+            tokens: dims.tokens,
+            k: dims.k,
+            capacity_factor: dims.capacity_factor,
+            model_dim: dims.model_dim,
+            hidden_dim: dims.hidden_dim,
+            weight_precision: tutel_tensor::Precision::F32,
+        }
+    }
+
+    /// Per-iteration time of the MoE layer under `features`.
+    pub fn step_time(&self, dims: &LayerDims, features: FeatureSet) -> Seconds {
+        self.step_time_observed(dims, features, &tutel_obs::Telemetry::disabled())
     }
 
     /// [`MoeLayerSimulator::step_time`] that also threads a telemetry
@@ -161,14 +187,8 @@ impl MoeLayerSimulator {
         features: FeatureSet,
         tel: &tutel_obs::Telemetry,
     ) -> Seconds {
-        let mut model = PipelineTimeModel::new(self.timing);
-        model.sparse_kernels = features.tutel_kernels;
-        model.flexible_layout = features.flexible_a2a;
-        let (strategy, _) = if features.adaptive_pipelining {
-            model.best_strategy_observed(dims, tel)
-        } else {
-            (PipelineStrategy::baseline(), 0.0)
-        };
+        let model = self.model(features);
+        let strategy = Self::pick_strategy(&model, dims, features, tel);
         let base = model.step_time(dims, strategy);
         if tel.is_enabled() {
             // Record each priced All-to-All chunk under its phase —
@@ -203,10 +223,7 @@ impl MoeLayerSimulator {
         features: FeatureSet,
         strategy: PipelineStrategy,
     ) -> Seconds {
-        let mut model = PipelineTimeModel::new(self.timing);
-        model.sparse_kernels = features.tutel_kernels;
-        model.flexible_layout = features.flexible_a2a;
-        model.step_time(dims, strategy)
+        self.model(features).step_time(dims, strategy)
     }
 
     /// Computation-only overhead (curve (6) of Figure 23): gating,
@@ -240,27 +257,16 @@ impl MoeLayerSimulator {
         features: FeatureSet,
         placement: &ExpertPlacement,
     ) -> Seconds {
-        let w = self.world_size();
-        assert_eq!(placement.world(), w, "placement world mismatch");
-        let mut model = PipelineTimeModel::new(self.timing);
-        model.sparse_kernels = features.tutel_kernels;
-        model.flexible_layout = features.flexible_a2a;
-        let (strategy, _) = if features.adaptive_pipelining {
-            model.best_strategy(dims)
-        } else {
-            (PipelineStrategy::baseline(), 0.0)
-        };
+        assert_eq!(
+            placement.world(),
+            self.world_size(),
+            "placement world mismatch"
+        );
+        let model = self.model(features);
+        let strategy =
+            Self::pick_strategy(&model, dims, features, &tutel_obs::Telemetry::disabled());
         let base = model.step_time(dims, strategy);
-        let moe_dims = MoeDims {
-            world: w,
-            global_experts: placement.global_experts(),
-            tokens: dims.tokens,
-            k: dims.k,
-            capacity_factor: dims.capacity_factor,
-            model_dim: dims.model_dim,
-            hidden_dim: dims.hidden_dim,
-            weight_precision: tutel_tensor::Precision::F32,
-        };
+        let moe_dims = self.moe_dims(dims, placement.global_experts());
         if moe_dims.shards() <= 1 {
             return base;
         }
@@ -291,24 +297,11 @@ impl MoeLayerSimulator {
         if e_global >= w {
             return 0.0;
         }
-        let moe_dims = MoeDims {
-            world: w,
-            global_experts: e_global,
-            tokens: dims.tokens,
-            k: dims.k,
-            capacity_factor: dims.capacity_factor,
-            model_dim: dims.model_dim,
-            hidden_dim: dims.hidden_dim,
-            weight_precision: tutel_tensor::Precision::F32,
-        };
+        let moe_dims = self.moe_dims(dims, e_global);
         let router = InlineParallelismRouter::new(self.timing);
-        let worst = router
-            .cost_of(Parallelism::P1, &moe_dims)
-            .max(router.cost_of(Parallelism::P2, &moe_dims));
-        let best = router
-            .cost_of(Parallelism::P1, &moe_dims)
-            .min(router.cost_of(Parallelism::P2, &moe_dims));
-        worst - best
+        let p1 = router.cost_of(Parallelism::P1, &moe_dims);
+        let p2 = router.cost_of(Parallelism::P2, &moe_dims);
+        p1.max(p2) - p1.min(p2)
     }
 }
 

@@ -167,9 +167,18 @@ impl PipelineTimeModel {
         &self.timing
     }
 
-    /// Per-iteration time of the full MoE layer under `strategy`.
-    pub fn step_time(&self, dims: &LayerDims, strategy: PipelineStrategy) -> Seconds {
-        let d = strategy.degree.max(1);
+    /// Prices the pieces of one iteration at `degree`: the prologue and
+    /// one chunk of each partitioned stage, with `a2a_time` pricing a
+    /// chunk's All-to-All from its bytes and `comm_inflation` its
+    /// slowdown while streams overlap.
+    fn schedule(
+        &self,
+        dims: &LayerDims,
+        degree: usize,
+        comm_inflation: f64,
+        a2a_time: impl FnOnce(f64) -> Seconds,
+    ) -> Schedule {
+        let degree = degree.max(1);
         let world = self.timing.world();
         let w = world.size();
         let gpu = world.gpu();
@@ -184,43 +193,39 @@ impl PipelineTimeModel {
             2.0 * gpu.dense_encode_time(dims.tokens, e_global, dc, dims.model_dim)
         };
 
-        // Chunked portions.
-        let chunk_bytes = dims.a2a_bytes() / d as f64;
-        let a2a_once = self
-            .timing
-            .all_to_all_time(strategy.algo, chunk_bytes, Protocol::Simple);
-        let rows = dims.expert_rows();
-        let chunk_rows = (rows / d).max(1);
-        let expert_once = self.expert_time(dims, w, chunk_rows);
-
         // Interference inflation only applies when streams overlap.
-        let (comm_inflation, comp_inflation) = if d > 1 && self.interference {
-            let comm = match strategy.algo {
-                AllToAllAlgo::Linear => calib::OVERLAP_COMM_INFLATION_LINEAR,
-                AllToAllAlgo::TwoDh => calib::OVERLAP_COMM_INFLATION_2DH,
-            };
-            (comm, calib::OVERLAP_COMPUTE_INFLATION)
+        let (comm_inflation, comp_inflation) = if degree > 1 && self.interference {
+            (comm_inflation, calib::OVERLAP_COMPUTE_INFLATION)
         } else {
             (1.0, 1.0)
         };
+        Schedule {
+            degree,
+            gate,
+            encode_decode,
+            a2a_once: a2a_time(dims.a2a_bytes() / degree as f64),
+            expert_once: self.expert_time(dims, w, (dims.expert_rows() / degree).max(1)),
+            comm_inflation,
+            comp_inflation,
+        }
+    }
 
-        let comm = StreamId(0);
-        let comp = StreamId(1);
-        let mut tl = Timeline::new();
-        let mut dispatch_events = Vec::with_capacity(d);
-        for _ in 0..d {
-            dispatch_events.push(tl.push(comm, a2a_once * comm_inflation, &[]));
-        }
-        let mut expert_events = Vec::with_capacity(d);
-        for &dep in &dispatch_events {
-            expert_events.push(tl.push(comp, expert_once * comp_inflation, &[dep]));
-        }
-        for &dep in &expert_events {
-            tl.push(comm, a2a_once * comm_inflation, &[dep]);
-        }
-        let pipeline = tl.makespan() + if d > 1 { calib::BARRIER_OVERHEAD } else { 0.0 };
+    /// [`PipelineTimeModel::schedule`] for a strategy of the search
+    /// space, priced by the NCCL-style collectives.
+    fn strategy_schedule(&self, dims: &LayerDims, strategy: PipelineStrategy) -> Schedule {
+        let comm_inflation = match strategy.algo {
+            AllToAllAlgo::Linear => calib::OVERLAP_COMM_INFLATION_LINEAR,
+            AllToAllAlgo::TwoDh => calib::OVERLAP_COMM_INFLATION_2DH,
+        };
+        self.schedule(dims, strategy.degree, comm_inflation, |bytes| {
+            self.timing
+                .all_to_all_time(strategy.algo, bytes, Protocol::Simple)
+        })
+    }
 
-        gate + encode_decode + pipeline
+    /// Per-iteration time of the full MoE layer under `strategy`.
+    pub fn step_time(&self, dims: &LayerDims, strategy: PipelineStrategy) -> Seconds {
+        self.strategy_schedule(dims, strategy).step_time()
     }
 
     /// Expert GEMM time for `chunk_rows` rows per GPU, honoring the
@@ -242,11 +247,7 @@ impl PipelineTimeModel {
     /// The strategy with the lowest modeled time — the "oracle" the
     /// online search converges to.
     pub fn best_strategy(&self, dims: &LayerDims) -> (PipelineStrategy, Seconds) {
-        PipelineStrategy::all()
-            .into_iter()
-            .map(|s| (s, self.step_time(dims, s)))
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-            .expect("strategy space is non-empty")
+        self.best_strategy_observed(dims, &tutel_obs::Telemetry::disabled())
     }
 
     /// [`PipelineTimeModel::best_strategy`] that also appends an
@@ -257,9 +258,6 @@ impl PipelineTimeModel {
         dims: &LayerDims,
         tel: &tutel_obs::Telemetry,
     ) -> (PipelineStrategy, Seconds) {
-        if !tel.is_enabled() {
-            return self.best_strategy(dims);
-        }
         let costs: Vec<(PipelineStrategy, Seconds)> = PipelineStrategy::all()
             .into_iter()
             .map(|s| (s, self.step_time(dims, s)))
@@ -269,18 +267,12 @@ impl PipelineTimeModel {
             .copied()
             .min_by(|a, b| a.1.total_cmp(&b.1))
             .expect("strategy space is non-empty");
-        tel.decision(tutel_obs::DecisionRecord {
-            kind: "pipeline".to_string(),
-            capacity_factor: dims.capacity_factor,
-            candidates: costs.into_iter().map(|(s, t)| (s.to_string(), t)).collect(),
-            chosen: best.to_string(),
-            predicted_s: Some(best_t),
-            measured_s: None,
-            cause: None,
-            precision: Some(self.precision.label().to_string()),
-            dropless: dims.capacity_factor == 0.0,
-            step: None,
-        });
+        if tel.is_enabled() {
+            tel.decision(tutel_obs::DecisionRecord {
+                precision: Some(self.precision.label().to_string()),
+                ..decision_record("pipeline", dims.capacity_factor, costs, best, Some(best_t))
+            });
+        }
         (best, best_t)
     }
 
@@ -290,96 +282,90 @@ impl PipelineTimeModel {
     /// `gate + encode + a2a_dispatch + expert + a2a_combine + decode
     /// - overlap_saving == step_time` up to rounding.
     pub fn stage_breakdown(&self, dims: &LayerDims, strategy: PipelineStrategy) -> StageBreakdown {
-        let d = strategy.degree.max(1);
-        let world = self.timing.world();
-        let w = world.size();
-        let gpu = world.gpu();
-        let e_global = w * dims.local_experts;
-
-        let gate = gpu.gate_time(dims.tokens, e_global);
-        let encode_decode = if self.sparse_kernels {
-            2.0 * gpu.sparse_encode_time(dims.tokens, dims.k, dims.model_dim)
-        } else {
-            let dc = (dims.expert_rows() / e_global.max(1)).max(1);
-            2.0 * gpu.dense_encode_time(dims.tokens, e_global, dc, dims.model_dim)
-        };
-
-        let chunk_bytes = dims.a2a_bytes() / d as f64;
-        let a2a_once = self
-            .timing
-            .all_to_all_time(strategy.algo, chunk_bytes, Protocol::Simple);
-        let chunk_rows = (dims.expert_rows() / d).max(1);
-        let expert_once = self.expert_time(dims, w, chunk_rows);
-        let (comm_inflation, comp_inflation) = if d > 1 && self.interference {
-            let comm = match strategy.algo {
-                AllToAllAlgo::Linear => calib::OVERLAP_COMM_INFLATION_LINEAR,
-                AllToAllAlgo::TwoDh => calib::OVERLAP_COMM_INFLATION_2DH,
-            };
-            (comm, calib::OVERLAP_COMPUTE_INFLATION)
-        } else {
-            (1.0, 1.0)
-        };
-
-        let a2a_leg = d as f64 * a2a_once * comm_inflation;
-        let expert = d as f64 * expert_once * comp_inflation;
-        let serial = gate + encode_decode + 2.0 * a2a_leg + expert;
-        let overlap_saving = serial - self.step_time(dims, strategy);
+        let s = self.strategy_schedule(dims, strategy);
+        let a2a_leg = s.degree as f64 * s.a2a_once * s.comm_inflation;
+        let expert = s.degree as f64 * s.expert_once * s.comp_inflation;
+        let serial = s.gate + s.encode_decode + 2.0 * a2a_leg + expert;
+        let overlap_saving = serial - s.step_time();
         StageBreakdown {
             strategy,
-            gate,
-            encode: encode_decode / 2.0,
+            gate: s.gate,
+            encode: s.encode_decode / 2.0,
             a2a_dispatch: a2a_leg,
             expert,
             a2a_combine: a2a_leg,
-            decode: encode_decode / 2.0,
+            decode: s.encode_decode / 2.0,
             overlap_saving,
         }
     }
 
     /// Time of a 2DH step under the MSCCL fused implementation with the
-    /// best protocol — used by the Figure 21 comparison.
+    /// best protocol — used by the Figure 21 comparison. Same schedule
+    /// as [`PipelineTimeModel::step_time`] with the MSCCL pricer and no
+    /// stream-barrier term.
     pub fn two_dh_msccl_time(
         &self,
         dims: &LayerDims,
         degree: usize,
         protocol: Protocol,
     ) -> Seconds {
-        // Same schedule as step_time but with the MSCCL pricer.
-        let d = degree.max(1);
-        let chunk_bytes = dims.a2a_bytes() / d as f64;
-        let a2a_once = self
-            .timing
-            .two_dh_time_impl(chunk_bytes, protocol, A2aImpl::Msccl);
-        let rows = dims.expert_rows();
-        let expert_once = self.expert_time(dims, self.timing.world().size(), (rows / d).max(1));
-        let gpu = self.timing.world().gpu();
-        let fixed = gpu.gate_time(dims.tokens, self.timing.world().size() * dims.local_experts)
-            + 2.0 * gpu.sparse_encode_time(dims.tokens, dims.k, dims.model_dim);
+        let s = self.schedule(dims, degree, calib::OVERLAP_COMM_INFLATION_2DH, |bytes| {
+            self.timing
+                .two_dh_time_impl(bytes, protocol, A2aImpl::Msccl)
+        });
+        s.gate + s.encode_decode + s.makespan()
+    }
+}
+
+/// One iteration priced piecewise — what every view of
+/// [`PipelineTimeModel`] schedules or sums. Chunk times and inflations
+/// stay separate factors: the breakdown multiplies by `degree` first,
+/// the timeline by the inflation first, and the modeled numbers are
+/// pinned to the bit.
+struct Schedule {
+    /// Pipelining degree, ≥ 1.
+    degree: usize,
+    gate: Seconds,
+    /// Encode plus decode (equal halves).
+    encode_decode: Seconds,
+    /// One chunk's All-to-All, before interference.
+    a2a_once: Seconds,
+    /// One chunk's expert GEMMs, before interference.
+    expert_once: Seconds,
+    comm_inflation: f64,
+    comp_inflation: f64,
+}
+
+impl Schedule {
+    /// The pipelined iteration: prologue, two-stream makespan and —
+    /// when streams overlap — the barrier that rejoins them.
+    fn step_time(&self) -> Seconds {
+        let barrier = if self.degree > 1 {
+            calib::BARRIER_OVERHEAD
+        } else {
+            0.0
+        };
+        self.gate + self.encode_decode + (self.makespan() + barrier)
+    }
+
+    /// Makespan of Figure 14's dependency structure on two streams:
+    /// `degree` dispatch chunks (communication), each feeding an expert
+    /// chunk (computation), each feeding a combine chunk.
+    fn makespan(&self) -> Seconds {
         let comm = StreamId(0);
         let comp = StreamId(1);
+        let a2a = self.a2a_once * self.comm_inflation;
+        let expert = self.expert_once * self.comp_inflation;
         let mut tl = Timeline::new();
-        let infl = if d > 1 {
-            calib::OVERLAP_COMM_INFLATION_2DH
-        } else {
-            1.0
-        };
-        let cinfl = if d > 1 {
-            calib::OVERLAP_COMPUTE_INFLATION
-        } else {
-            1.0
-        };
-        let mut deps = Vec::new();
-        for _ in 0..d {
-            deps.push(tl.push(comm, a2a_once * infl, &[]));
+        let dispatched: Vec<_> = (0..self.degree).map(|_| tl.push(comm, a2a, &[])).collect();
+        let computed: Vec<_> = dispatched
+            .iter()
+            .map(|&dep| tl.push(comp, expert, &[dep]))
+            .collect();
+        for &dep in &computed {
+            tl.push(comm, a2a, &[dep]);
         }
-        let mut edeps = Vec::new();
-        for &dep in &deps {
-            edeps.push(tl.push(comp, expert_once * cinfl, &[dep]));
-        }
-        for &dep in &edeps {
-            tl.push(comm, a2a_once * infl, &[dep]);
-        }
-        fixed + tl.makespan()
+        tl.makespan()
     }
 }
 
@@ -436,34 +422,82 @@ fn fkey(f: f64) -> u64 {
     (f * 1e6).round() as u64
 }
 
+/// `time` observed at capacity factor `f`, rescaled to its bucket's
+/// lowest factor `lo` so measurements from different factors sharing
+/// the bucket are comparable.
+fn normalized(time: Seconds, lo: f64, f: f64) -> Seconds {
+    time * lo.max(f64::EPSILON) / f.max(f64::EPSILON)
+}
+
+/// The audit record every pipeline search emits; callers add what only
+/// they know (measured cost, cause, precision) by struct update.
+fn decision_record(
+    kind: &str,
+    f: f64,
+    candidates: Vec<(PipelineStrategy, Seconds)>,
+    chosen: PipelineStrategy,
+    predicted_s: Option<Seconds>,
+) -> tutel_obs::DecisionRecord {
+    tutel_obs::DecisionRecord {
+        kind: kind.to_string(),
+        capacity_factor: f,
+        candidates: candidates
+            .into_iter()
+            .map(|(s, t)| (s.to_string(), t))
+            .collect(),
+        chosen: chosen.to_string(),
+        predicted_s,
+        measured_s: None,
+        cause: None,
+        precision: None,
+        dropless: f == 0.0,
+        step: None,
+    }
+}
+
+/// Per-strategy evidence both searches keep: a (normalized) time per
+/// strategy tried so far.
 #[derive(Debug, Clone, Default)]
 struct Memo {
-    /// Measured (or normalized) time per tried strategy.
     tried: HashMap<PipelineStrategy, Seconds>,
 }
 
 impl Memo {
-    fn best(&self) -> Option<PipelineStrategy> {
+    fn best(&self) -> Option<(PipelineStrategy, Seconds)> {
         self.tried
             .iter()
             .min_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(s, _)| *s)
+            .map(|(&s, &t)| (s, t))
     }
 
-    fn untried(&self) -> Option<PipelineStrategy> {
+    /// Strategies without evidence yet, in search-space order.
+    fn untried(&self) -> impl Iterator<Item = PipelineStrategy> + '_ {
         PipelineStrategy::all()
             .into_iter()
-            .find(|s| !self.tried.contains_key(s))
+            .filter(|s| !self.tried.contains_key(s))
     }
 
     fn all_tried(&self) -> bool {
         self.tried.len() >= PipelineStrategy::all().len()
     }
+
+    /// Records `t` for `s` unless a cheaper time is already known.
+    fn keep_min(&mut self, s: PipelineStrategy, t: Seconds) {
+        let entry = self.tried.entry(s).or_insert(t);
+        *entry = entry.min(t);
+    }
+
+    /// The evidence, cheapest first.
+    fn ranked(&self) -> Vec<(PipelineStrategy, Seconds)> {
+        let mut ranked: Vec<_> = self.tried.iter().map(|(&s, &t)| (s, t)).collect();
+        ranked.sort_by(|a, b| a.1.total_cmp(&b.1));
+        ranked
+    }
 }
 
 #[derive(Debug, Clone)]
 struct Bucket {
-    /// Lowest f in the bucket (bucket spans `[lo, lo + len]`).
+    /// Lowest f in the bucket — the normalization anchor.
     lo: f64,
     memo: Memo,
 }
@@ -520,16 +554,17 @@ impl OnlineStrategySearch {
         if !self.known_fs.iter().any(|&k| fkey(k) == fkey(f)) {
             self.recompute_buckets(f);
         }
-        let fm = self.per_f.entry(fkey(f)).or_default();
-        if fm.all_tried() {
-            return fm.best().expect("all strategies tried implies non-empty");
-        }
-        let bucket = self.bucket_index(f).expect("f was just bucketed");
-        let bm = &self.buckets[bucket].memo;
-        if bm.all_tried() {
-            bm.best().expect("non-empty")
-        } else {
-            bm.untried().expect("not all tried")
+        let memo = self.memo_for(f).expect("f was just bucketed");
+        let probe = memo.untried().next();
+        probe.unwrap_or_else(|| memo.best().expect("all tried implies non-empty").0)
+    }
+
+    /// The evidence consulted for `f`: its own memo once that has tried
+    /// every strategy, else its bucket's shared memo.
+    fn memo_for(&self, f: f64) -> Option<&Memo> {
+        match self.per_f.get(&fkey(f)) {
+            Some(m) if m.all_tried() => Some(m),
+            _ => self.bucket_index(f).map(|b| &self.buckets[b].memo),
         }
     }
 
@@ -547,35 +582,19 @@ impl OnlineStrategySearch {
     ) -> PipelineStrategy {
         let choice = self.next_strategy(f);
         if tel.is_enabled() {
-            // Prefer the exact-f memo (what `next_strategy` consults
-            // first), falling back to the shared bucket memo.
-            let exact = self.per_f.get(&fkey(f));
-            let memo = match exact {
-                Some(m) if m.all_tried() => Some(m),
-                _ => self.bucket_index(f).map(|b| &self.buckets[b].memo),
+            let memo = self.memo_for(f);
+            let candidates = memo.map(Memo::ranked).unwrap_or_default();
+            let predicted_s = match memo {
+                Some(m) if m.all_tried() => candidates.first().map(|&(_, t)| t),
+                _ => None,
             };
-            let mut candidates: Vec<(String, Seconds)> = memo
-                .map(|m| m.tried.iter().map(|(s, &t)| (s.to_string(), t)).collect())
-                .unwrap_or_default();
-            candidates.sort_by(|a, b| a.1.total_cmp(&b.1));
-            let converged = memo.is_some_and(Memo::all_tried);
-            let predicted_s = if converged {
-                candidates.first().map(|(_, t)| *t)
-            } else {
-                None
-            };
-            tel.decision(tutel_obs::DecisionRecord {
-                kind: "pipeline.online".to_string(),
-                capacity_factor: f,
+            tel.decision(decision_record(
+                "pipeline.online",
+                f,
                 candidates,
-                chosen: choice.to_string(),
+                choice,
                 predicted_s,
-                measured_s: None,
-                cause: None,
-                precision: None,
-                dropless: f == 0.0,
-                step: None,
-            });
+            ));
         }
         choice
     }
@@ -589,16 +608,10 @@ impl OnlineStrategySearch {
             .tried
             .insert(strategy, time);
         if let Some(b) = self.bucket_index(f) {
-            let lo = self.buckets[b].lo.max(f64::EPSILON);
-            // Normalize by the bucket's lowest f so measurements from
-            // different factors are comparable.
-            let normalized = time * lo / f.max(f64::EPSILON);
-            let entry = self.buckets[b]
+            let bucket = &mut self.buckets[b];
+            bucket
                 .memo
-                .tried
-                .entry(strategy)
-                .or_insert(normalized);
-            *entry = entry.min(normalized);
+                .keep_min(strategy, normalized(time, bucket.lo, f));
         }
     }
 
@@ -639,11 +652,8 @@ impl OnlineStrategySearch {
             }
             let b = current.as_mut().expect("bucket exists after start check");
             if let Some(fm) = self.per_f.get(&fkey(kf)) {
-                let lo = b.lo.max(f64::EPSILON);
                 for (&s, &t) in &fm.tried {
-                    let normalized = t * lo / kf.max(f64::EPSILON);
-                    let entry = b.memo.tried.entry(s).or_insert(normalized);
-                    *entry = entry.min(normalized);
+                    b.memo.keep_min(s, normalized(t, b.lo, kf));
                 }
             }
         }
@@ -663,25 +673,6 @@ impl OnlineStrategySearch {
 /// [`MeasuredStrategySearch`]: heavy enough to track drift, light
 /// enough that one noisy chunk cannot flip a converged ranking.
 const MEASURED_EWMA_ALPHA: f64 = 0.4;
-
-/// Per-bucket state of the measured search: an EWMA of normalized
-/// wall-clock per strategy.
-#[derive(Debug, Clone)]
-struct MeasuredBucket {
-    /// Lowest capacity factor of the fixed-grid cell
-    /// (`⌊f/L⌋·L`) — the normalization anchor.
-    lo: f64,
-    ewma: HashMap<PipelineStrategy, Seconds>,
-}
-
-impl MeasuredBucket {
-    fn best(&self) -> Option<(PipelineStrategy, Seconds)> {
-        self.ewma
-            .iter()
-            .min_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(&s, &t)| (s, t))
-    }
-}
 
 /// Algorithm 2 ranked by **execution**, not by model: strategies are
 /// ordered by the measured wall-clock of the overlapped schedule
@@ -706,7 +697,9 @@ pub struct MeasuredStrategySearch {
     bucket_len: f64,
     alpha: f64,
     model: PipelineTimeModel,
-    buckets: HashMap<u64, MeasuredBucket>,
+    /// Fixed-grid cells keyed by `lo = ⌊f/L⌋·L`; each memo holds an
+    /// EWMA of normalized wall-clock per strategy.
+    buckets: HashMap<u64, Bucket>,
     /// Attributed cause (from the trace analyzer) carried into the
     /// *next* emitted decision record — see
     /// [`MeasuredStrategySearch::attribute`].
@@ -758,12 +751,17 @@ impl MeasuredStrategySearch {
         (f.max(0.0) / self.bucket_len).floor() * self.bucket_len
     }
 
-    fn bucket(&mut self, f: f64) -> &mut MeasuredBucket {
+    fn bucket(&mut self, f: f64) -> &mut Bucket {
         let lo = self.bucket_lo(f);
-        self.buckets.entry(fkey(lo)).or_insert(MeasuredBucket {
+        self.buckets.entry(fkey(lo)).or_insert(Bucket {
             lo,
-            ewma: HashMap::new(),
+            memo: Memo::default(),
         })
+    }
+
+    fn memo(&self, f: f64) -> Option<&Memo> {
+        let lo = self.bucket_lo(f);
+        self.buckets.get(&fkey(lo)).map(|b| &b.memo)
     }
 
     /// GETSTRATEGY, measured flavor: the strategy to execute for
@@ -773,26 +771,17 @@ impl MeasuredStrategySearch {
     /// even mid-exploration); once every strategy has a measurement,
     /// returns the measured argmin.
     pub fn next_strategy(&mut self, dims: &LayerDims) -> PipelineStrategy {
-        let prior_dims = *dims;
         let model = self.model;
-        let bucket = self.bucket(dims.capacity_factor);
-        let mut unmeasured: Vec<PipelineStrategy> = PipelineStrategy::all()
-            .into_iter()
-            .filter(|s| !bucket.ewma.contains_key(s))
-            .collect();
-        if unmeasured.is_empty() {
-            return bucket
-                .best()
-                .map(|(s, _)| s)
-                // check:allow(no_panic, all eight strategies measured implies the map is non-empty)
-                .expect("all measured implies non-empty");
-        }
-        unmeasured.sort_by(|&a, &b| {
+        let memo = &self.bucket(dims.capacity_factor).memo;
+        let probe = memo.untried().min_by(|&a, &b| {
             model
-                .step_time(&prior_dims, a)
-                .total_cmp(&model.step_time(&prior_dims, b))
+                .step_time(dims, a)
+                .total_cmp(&model.step_time(dims, b))
         });
-        unmeasured[0]
+        probe.unwrap_or_else(|| {
+            // check:allow(no_panic, all eight strategies measured implies the map is non-empty)
+            memo.best().expect("all measured implies non-empty").0
+        })
     }
 
     /// [`MeasuredStrategySearch::next_strategy`] that also appends an
@@ -809,25 +798,20 @@ impl MeasuredStrategySearch {
         let choice = self.next_strategy(dims);
         if tel.is_enabled() {
             let predicted = self.model.step_time(dims, choice);
-            let bucket = self.bucket(dims.capacity_factor);
-            let mut candidates: Vec<(String, Seconds)> = bucket
-                .ewma
-                .iter()
-                .map(|(s, &t)| (s.to_string(), t))
-                .collect();
-            candidates.sort_by(|a, b| a.1.total_cmp(&b.1));
-            let measured_s = bucket.ewma.get(&choice).copied();
+            let memo = &self.bucket(dims.capacity_factor).memo;
+            let record = decision_record(
+                "pipeline.measured",
+                dims.capacity_factor,
+                memo.ranked(),
+                choice,
+                Some(predicted),
+            );
+            let measured_s = memo.tried.get(&choice).copied();
             tel.decision(tutel_obs::DecisionRecord {
-                kind: "pipeline.measured".to_string(),
-                capacity_factor: dims.capacity_factor,
-                candidates,
-                chosen: choice.to_string(),
-                predicted_s: Some(predicted),
                 measured_s,
                 cause: self.pending_cause.take(),
                 precision: Some(self.model.precision.label().to_string()),
-                dropless: dims.capacity_factor == 0.0,
-                step: None,
+                ..record
             });
         }
         choice
@@ -840,13 +824,13 @@ impl MeasuredStrategySearch {
     pub fn record(&mut self, f: f64, strategy: PipelineStrategy, wall_s: Seconds) {
         let alpha = self.alpha;
         let bucket = self.bucket(f);
-        let lo = bucket.lo.max(f64::EPSILON);
-        let normalized = wall_s * lo / f.max(f64::EPSILON);
+        let t = normalized(wall_s, bucket.lo, f);
         bucket
-            .ewma
+            .memo
+            .tried
             .entry(strategy)
-            .and_modify(|e| *e = alpha * normalized + (1.0 - alpha) * *e)
-            .or_insert(normalized);
+            .and_modify(|e| *e = alpha * t + (1.0 - alpha) * *e)
+            .or_insert(t);
     }
 
     /// [`MeasuredStrategySearch::record`] that also backfills the most
@@ -863,13 +847,7 @@ impl MeasuredStrategySearch {
     ) {
         self.record(f, strategy, wall_s);
         if tel.is_enabled() {
-            let lo = self.bucket_lo(f);
-            let ewma = self
-                .buckets
-                .get(&fkey(lo))
-                .and_then(|b| b.ewma.get(&strategy))
-                .copied();
-            if let Some(ewma) = ewma {
+            if let Some(&ewma) = self.memo(f).and_then(|m| m.tried.get(&strategy)) {
                 tel.backfill_decision("pipeline.measured", &strategy.to_string(), ewma);
             }
         }
@@ -879,17 +857,13 @@ impl MeasuredStrategySearch {
     /// (i.e. [`MeasuredStrategySearch::next_strategy`] now returns
     /// the measured argmin rather than a probe).
     pub fn converged(&self, f: f64) -> bool {
-        let lo = self.bucket_lo(f);
-        self.buckets
-            .get(&fkey(lo))
-            .is_some_and(|b| b.ewma.len() >= PipelineStrategy::all().len())
+        self.memo(f).is_some_and(Memo::all_tried)
     }
 
     /// The measured argmin for `f`'s bucket, with its normalized EWMA
     /// seconds — `None` until the first measurement lands.
     pub fn measured_best(&self, f: f64) -> Option<(PipelineStrategy, Seconds)> {
-        let lo = self.bucket_lo(f);
-        self.buckets.get(&fkey(lo)).and_then(MeasuredBucket::best)
+        self.memo(f).and_then(Memo::best)
     }
 
     /// Number of buckets currently maintained.

@@ -21,6 +21,16 @@ pub enum Parallelism {
     P2,
 }
 
+impl Parallelism {
+    /// Short label for grids, reports and audit records.
+    pub fn label(&self) -> &'static str {
+        match self {
+            Parallelism::P1 => "P1",
+            Parallelism::P2 => "P2",
+        }
+    }
+}
+
 impl std::fmt::Display for Parallelism {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -173,25 +183,28 @@ impl InlineParallelismRouter {
 
     /// Picks the cheaper strategy for this iteration's dimensions.
     pub fn choose(&self, dims: &MoeDims) -> Parallelism {
-        if self.p1_cost(dims) <= self.p2_cost(dims) {
-            Parallelism::P1
-        } else {
-            Parallelism::P2
-        }
+        self.choose_observed(dims, &tutel_obs::Telemetry::disabled())
     }
 
     /// [`InlineParallelismRouter::choose`] that also appends an
     /// adaptive-decision audit record (both candidate costs and the
     /// winner) to `tel`.
     pub fn choose_observed(&self, dims: &MoeDims, tel: &tutel_obs::Telemetry) -> Parallelism {
-        let choice = self.choose(dims);
+        let p1 = self.p1_cost(dims);
+        let p2 = self.p2_cost(dims);
+        let choice = if p1 <= p2 {
+            Parallelism::P1
+        } else {
+            Parallelism::P2
+        };
         if tel.is_enabled() {
-            let p1 = self.p1_cost(dims);
-            let p2 = self.p2_cost(dims);
             tel.decision(tutel_obs::DecisionRecord {
                 kind: "parallelism".to_string(),
                 capacity_factor: dims.capacity_factor,
-                candidates: vec![("P1".to_string(), p1), ("P2".to_string(), p2)],
+                candidates: vec![
+                    (Parallelism::P1.label().to_string(), p1),
+                    (Parallelism::P2.label().to_string(), p2),
+                ],
                 chosen: choice.to_string(),
                 predicted_s: Some(p1.min(p2)),
                 measured_s: None,
@@ -330,6 +343,13 @@ mod tests {
         assert_eq!(decisions[0].precision.as_deref(), Some("f32"));
         assert_eq!(decisions[1].precision.as_deref(), Some("bf16"));
         assert_ne!(decisions[0].chosen, decisions[1].chosen);
+    }
+
+    #[test]
+    fn labels_are_the_grid_spelling() {
+        assert_eq!(Parallelism::P1.label(), "P1");
+        assert_eq!(Parallelism::P2.label(), "P2");
+        assert_eq!(Parallelism::P1.to_string(), "P1 (EP+DP)");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! Every rank is an OS thread with a real mailbox-based communicator.
 //! Forward and backward each make one call to
 //! [`tutel::overlap::exchange_bins`] over the capacity layout's
-//! uniform bins, at `Config::degree` chunks per bin: chunk `i+1`'s
+//! uniform bins, at [`ExecConfig::degree`] chunks per bin: chunk `i+1`'s
 //! dispatch All-to-All is in flight on the comm threads while chunk
 //! `i`'s expert FFN runs, and combines drain non-blockingly behind
 //! the compute (Section 3.3's multi-stream pipelining, executed
@@ -26,16 +26,18 @@ use tutel_simgpu::Topology;
 use tutel_tensor::uniform_offsets;
 
 use crate::reference::{gate_and_encode, gate_backward, Fixture, Problem, RankResult};
-use crate::Config;
+use crate::ExecConfig;
 
 /// Runs the full forward + backward under `cfg` on every rank and
-/// returns the per-rank results (index = rank).
+/// returns the per-rank results (index = rank). `cfg.dropless` is not
+/// consulted: backward replays the forward's chunks, so this executor
+/// always ships the capacity layout's uniform bins.
 ///
 /// # Panics
 ///
 /// Panics if any rank hits a communication error — conformance runs
 /// are fault-free, so an error here is itself a conformance failure.
-pub fn run_distributed(problem: &Problem, fixture: &Fixture, cfg: &Config) -> Vec<RankResult> {
+pub fn run_distributed(problem: &Problem, fixture: &Fixture, cfg: &ExecConfig) -> Vec<RankResult> {
     run_distributed_impl(problem, fixture, cfg, None)
 }
 
@@ -50,7 +52,7 @@ pub fn run_distributed(problem: &Problem, fixture: &Fixture, cfg: &Config) -> Ve
 pub fn run_distributed_traced(
     problem: &Problem,
     fixture: &Fixture,
-    cfg: &Config,
+    cfg: &ExecConfig,
     hub: &TraceHub,
 ) -> Vec<RankResult> {
     run_distributed_impl(problem, fixture, cfg, Some(hub))
@@ -59,7 +61,7 @@ pub fn run_distributed_traced(
 fn run_distributed_impl(
     problem: &Problem,
     fixture: &Fixture,
-    cfg: &Config,
+    cfg: &ExecConfig,
     hub: Option<&TraceHub>,
 ) -> Vec<RankResult> {
     assert_eq!(cfg.world, problem.world, "config/problem world mismatch");
@@ -69,22 +71,19 @@ fn run_distributed_impl(
         "pipeline degree must divide capacity"
     );
     let topo = Topology::for_world(cfg.world);
-    assert_eq!(topo.world_size(), cfg.world, "topology/world mismatch");
     let cfg = *cfg;
+    let program =
+        move |comm| with_parallelism_limit(cfg.threads, || run_rank(problem, fixture, &cfg, comm));
     match hub {
-        Some(hub) => run_threaded_traced(topo, hub, move |comm| {
-            with_parallelism_limit(cfg.threads, || run_rank(problem, fixture, &cfg, comm))
-        }),
-        None => run_threaded(topo, move |comm| {
-            with_parallelism_limit(cfg.threads, || run_rank(problem, fixture, &cfg, comm))
-        }),
+        Some(hub) => run_threaded_traced(topo, hub, program),
+        None => run_threaded(topo, program),
     }
 }
 
 fn run_rank(
     problem: &Problem,
     fixture: &Fixture,
-    cfg: &Config,
+    cfg: &ExecConfig,
     mut comm: Communicator,
 ) -> RankResult {
     let rank = comm.rank();
@@ -101,25 +100,18 @@ fn run_rank(
     // construction.
     let gate_t0 = tracer.now_us();
     let (probs, routing, enc) = gate_and_encode(problem, fixture, rank);
-    let experts = rank_blocks(
-        &fixture.experts,
-        cfg.strategy.serve(),
-        world,
-        rank,
-        Problem::SHARDS,
-    )
-    .expect("E divisible by world, hidden dim by SHARDS");
+    let experts = rank_blocks(&fixture.experts, cfg.strategy, world, rank, Problem::SHARDS)
+        .expect("E divisible by world, hidden dim by SHARDS");
     tracer.span_at(TRACK_MAIN, "gate_encode", gate_t0, tracer.now_us());
 
     // Forward: the (E, C, M) buffer is its uniform bins' packed rows.
     // Fresh block(s) per chunk, so forward activations stay cached
     // per chunk for the backward pass.
     let bins = uniform_offsets(problem.experts(), Problem::CAPACITY);
-    let algo = cfg.algo.comm_algo();
     let mut chunk_state: Vec<Vec<ExpertsBlock>> = Vec::with_capacity(cfg.degree);
     let combined = exchange_bins(
         &mut comm,
-        algo,
+        cfg.algo,
         cfg.degree,
         &enc,
         &bins,
@@ -143,7 +135,7 @@ fn run_rank(
         fast_decode_backward(d_out, &combined, &routing).expect("decode backward dims fixed");
     let d_dispatched = exchange_bins(
         &mut comm,
-        algo,
+        cfg.algo,
         cfg.degree,
         &d_combined,
         &bins,
@@ -168,19 +160,20 @@ fn run_rank(
 mod tests {
     use super::*;
     use crate::reference::run_reference;
-    use crate::{max_scaled_ulp, max_ulp, A2aAlgo, Strategy};
+    use crate::{max_scaled_ulp, max_ulp, ulp_budget, AllToAllAlgo, Parallelism};
 
     #[test]
     fn p1_single_thread_is_bitwise_identical() {
         let problem = Problem { world: 2, seed: 5 };
         let fixture = problem.materialize();
         let reference = run_reference(&problem, &fixture);
-        let cfg = Config {
-            strategy: Strategy::P1,
-            algo: A2aAlgo::Linear,
+        let cfg = ExecConfig {
+            strategy: Parallelism::P1,
+            algo: AllToAllAlgo::Linear,
             degree: 2,
             world: 2,
             threads: crate::reference::REF_THREADS,
+            dropless: false,
         };
         let got = run_distributed(&problem, &fixture, &cfg);
         for (rank, (g, r)) in got.iter().zip(&reference).enumerate() {
@@ -195,15 +188,16 @@ mod tests {
         let problem = Problem { world: 2, seed: 9 };
         let fixture = problem.materialize();
         let reference = run_reference(&problem, &fixture);
-        let cfg = Config {
-            strategy: Strategy::P2,
-            algo: A2aAlgo::TwoDh,
+        let cfg = ExecConfig {
+            strategy: Parallelism::P2,
+            algo: AllToAllAlgo::TwoDh,
             degree: 4,
             world: 2,
             threads: 4,
+            dropless: false,
         };
         let got = run_distributed(&problem, &fixture, &cfg);
-        let budget = f64::from(cfg.ulp_budget());
+        let budget = f64::from(ulp_budget(&cfg));
         for (rank, (g, r)) in got.iter().zip(&reference).enumerate() {
             assert!(
                 max_scaled_ulp(&g.output, &r.output) <= budget,

@@ -16,6 +16,10 @@
 //! A third scenario runs the deterministic scheduler with delivery-time
 //! drops and asserts the wedge is *detected* (typed deadlock carrying
 //! the replay seed) rather than silent.
+//!
+//! [`step_fault_replay`] arms the same recoverable plan under one whole
+//! product step ([`execute_step_reliable`]) — the single driver behind
+//! the serving grid's and the grouped grid's fault rows.
 
 use std::time::{Duration, Instant};
 
@@ -23,7 +27,13 @@ use tutel_comm::runtime::{run_threaded, run_threaded_reliable, Communicator};
 use tutel_comm::sched::run_sched_faulty;
 use tutel_comm::{CommError, FaultPlan, ReliableConfig, RetryPolicy};
 use tutel_obs::Telemetry;
+use tutel_serve::exec::{execute_step, execute_step_reliable, reference_rows};
+use tutel_serve::{ExecConfig, ServeError, ServeModel};
 use tutel_simgpu::Topology;
+use tutel_tensor::Tensor;
+
+use crate::reference::REF_THREADS;
+use crate::{AllToAllAlgo, Parallelism};
 
 /// The collectives under test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,6 +143,33 @@ fn retry_counter(t: &Telemetry, name: &str) -> u64 {
     t.counter_value(name).unwrap_or(0)
 }
 
+/// Faults of every kind the plan behind `t` actually injected.
+fn injected_faults(t: &Telemetry) -> u64 {
+    retry_counter(t, "comm.retry.injected_drops")
+        + retry_counter(t, "comm.retry.injected_dups")
+        + retry_counter(t, "comm.retry.injected_delays")
+}
+
+/// The recoverable arm: a seeded plan injecting drops, duplicates and
+/// two-deep delays at `percent` each, under a retry budget sized to
+/// absorb it.
+fn recoverable(seed: u64, percent: u8, telemetry: &Telemetry) -> ReliableConfig {
+    ReliableConfig {
+        policy: RetryPolicy {
+            timeout: Duration::from_millis(20),
+            max_retries: 6,
+            backoff: 2,
+        },
+        plan: Some(
+            FaultPlan::new(seed)
+                .with_drops(percent)
+                .with_duplicates(percent)
+                .with_delays(percent, 2),
+        ),
+        telemetry: telemetry.clone(),
+    }
+}
+
 /// Runs all three scenarios for one collective under `fault_seed`.
 pub fn run_fault_scenarios(collective: Collective, fault_seed: u64) -> FaultReport {
     let topo = fault_topology();
@@ -150,25 +187,9 @@ pub fn run_fault_scenarios(collective: Collective, fault_seed: u64) -> FaultRepo
     // Scenario 1: graceful degradation. A mixed recoverable plan plus
     // a retry budget must reproduce the baseline bitwise.
     let telemetry = Telemetry::enabled();
-    let cfg = ReliableConfig {
-        policy: RetryPolicy {
-            timeout: Duration::from_millis(20),
-            max_retries: 6,
-            backoff: 2,
-        },
-        plan: Some(
-            FaultPlan::new(fault_seed)
-                .with_drops(20)
-                .with_duplicates(20)
-                .with_delays(20, 2),
-        ),
-        telemetry: telemetry.clone(),
-    };
-    let recovered = run_threaded_reliable(topo, cfg, program);
+    let recovered = run_threaded_reliable(topo, recoverable(fault_seed, 20, &telemetry), program);
     let recovered_identical = recovered == plain;
-    let injected = retry_counter(&telemetry, "comm.retry.injected_drops")
-        + retry_counter(&telemetry, "comm.retry.injected_dups")
-        + retry_counter(&telemetry, "comm.retry.injected_delays");
+    let injected = injected_faults(&telemetry);
     let retransmits = retry_counter(&telemetry, "comm.retry.retransmits");
 
     // Scenario 2: clean failure. An unrecoverable plan with a zero
@@ -224,6 +245,64 @@ pub fn run_fault_scenarios(collective: Collective, fault_seed: u64) -> FaultRepo
         sched_detected,
         pass,
     }
+}
+
+/// The grid point both step-level fault rows replay: bitwise-eligible
+/// (P1 at [`REF_THREADS`]), two ranks, two chunks per bin so the retry
+/// protocol runs under overlapped exchanges.
+pub const FAULT_POINT: ExecConfig = ExecConfig {
+    strategy: Parallelism::P1,
+    algo: AllToAllAlgo::Linear,
+    degree: 2,
+    world: 2,
+    threads: REF_THREADS,
+    dropless: true,
+};
+
+/// Verdict of a whole-step fault replay.
+#[derive(Debug, Clone)]
+pub struct FaultReplay {
+    /// Faults the seeded plan actually injected (> 0 or the replay is
+    /// vacuous).
+    pub injected: u64,
+    /// Retransmissions the retry protocol served.
+    pub retransmits: u64,
+    /// Faulted outputs matched the fault-free step and the solo
+    /// reference bitwise.
+    pub identical: bool,
+    /// Overall verdict.
+    pub pass: bool,
+}
+
+/// Replays a seeded mixed drop/duplicate/delay [`FaultPlan`] under the
+/// All-to-Alls of one product step and demands bitwise recovery: the
+/// faulted step must equal both the fault-free step and the per-row
+/// reference exactly, so `cfg` must be a bitwise point ([`crate::ulp_budget`]
+/// 0).
+///
+/// # Errors
+///
+/// Propagates executor failures (the retry budget is sized to absorb
+/// the plan, so an error is a finding, not noise).
+pub fn step_fault_replay(
+    model: &ServeModel,
+    cfg: &ExecConfig,
+    batch: &Tensor,
+    seed: u64,
+) -> Result<FaultReplay, ServeError> {
+    let telemetry = Telemetry::enabled();
+    let faulted = execute_step_reliable(model, cfg, batch, recoverable(seed, 12, &telemetry))?;
+    let baseline = execute_step(model, cfg, batch)?;
+    let reference = reference_rows(model, batch)?;
+    let injected = injected_faults(&telemetry);
+    let identical = faulted.outputs.as_slice() == reference.as_slice()
+        && faulted.outputs.as_slice() == baseline.outputs.as_slice();
+    Ok(FaultReplay {
+        injected,
+        retransmits: retry_counter(&telemetry, "comm.retry.retransmits"),
+        identical,
+        pass: identical && injected > 0,
+    })
 }
 
 /// Runs the scenarios for every collective.

@@ -40,7 +40,7 @@ use tutel_tensor::{dispatch, Precision};
 use crate::dist::run_distributed;
 use crate::faults::{run_fault_scenarios, Collective};
 use crate::reference::{Fixture, Problem, RankResult};
-use crate::{max_scaled_ulp, max_ulp, A2aAlgo, Config, Strategy};
+use crate::{max_scaled_ulp, max_ulp, AllToAllAlgo, ExecConfig, Parallelism};
 
 /// Scale-aware ULP budget for bf16-storage cells against their f32
 /// twins: 2¹⁷ scaled ULPs ≈ 2⁻⁶ relative error at the tensor's scale
@@ -94,21 +94,23 @@ pub const KERNEL_CELLS: [KernelCell; 4] = [
 /// point (P1, single-threaded) and one fully adaptive point (P2 + 2DH +
 /// deep pipeline + thread pool), so both arms of the strategy ULP
 /// policy are crossed with both kernel axes.
-pub fn kernel_configs() -> [Config; 2] {
+pub fn kernel_configs() -> [ExecConfig; 2] {
     [
-        Config {
-            strategy: Strategy::P1,
-            algo: A2aAlgo::Linear,
+        ExecConfig {
+            strategy: Parallelism::P1,
+            algo: AllToAllAlgo::Linear,
             degree: 2,
             world: 2,
             threads: 1,
+            dropless: false,
         },
-        Config {
-            strategy: Strategy::P2,
-            algo: A2aAlgo::TwoDh,
+        ExecConfig {
+            strategy: Parallelism::P2,
+            algo: AllToAllAlgo::TwoDh,
             degree: 4,
             world: 2,
             threads: 4,
+            dropless: false,
         },
     ]
 }

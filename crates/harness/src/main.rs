@@ -18,14 +18,17 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use tutel_harness::faults::{run_fault_suite, FaultReport};
-use tutel_harness::grouped::{run_grouped_fault, run_grouped_suite, GroupedVerdict};
-use tutel_harness::kernels::{run_kernel_matrix, KernelVerdict, BF16_ULP_BUDGET};
-use tutel_harness::matrix::{configs, run_matrix, Mode, Verdict};
+use tutel_harness::faults::{run_fault_suite, FaultReplay};
+use tutel_harness::grouped::{grouped_grid, run_grouped_case, run_grouped_fault};
+use tutel_harness::kernels::{run_kernel_matrix, BF16_ULP_BUDGET};
+use tutel_harness::matrix::{configs, run_matrix, Mode};
 use tutel_harness::race::run_race_surface;
-use tutel_harness::serve::{run_serve_fault, run_serve_suite, ServeVerdict};
+use tutel_harness::serve::{run_serve_case, run_serve_fault, serve_grid};
 use tutel_harness::trace::{run_straggler_scenario, run_trace_smoke};
+use tutel_harness::{cell_label, ulp_budget, Verdict};
+use tutel_obs::json::Value;
 use tutel_obs::Telemetry;
+use tutel_serve::ServeError;
 
 /// Default problem seed (parameters + inputs).
 const DEFAULT_SEED: u64 = 42;
@@ -85,40 +88,171 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-fn print_matrix(verdicts: &[Verdict]) {
-    println!("conformance matrix ({} configurations):", verdicts.len());
+/// One section's outcome: what the summary line, the exit code and
+/// the JSON record read.
+struct Tally {
+    /// Name on the summary line.
+    name: &'static str,
+    /// `BENCH_harness.json` key prefix, and the noun its case count
+    /// goes under (`matrix_configs`, `fault_collectives`, …).
+    keys: (&'static str, &'static str),
+    cases: usize,
+    pass: usize,
+    /// Further record fields under the prefix: worst distances, budgets.
+    extras: Vec<(&'static str, f64)>,
+    wall_s: f64,
+    /// Every case passed — and the section's fault replay, if it has one.
+    ok: bool,
+}
+
+impl Tally {
+    fn new(
+        name: &'static str,
+        keys: (&'static str, &'static str),
+        (cases, pass): (usize, usize),
+        extras: Vec<(&'static str, f64)>,
+    ) -> Tally {
+        Tally {
+            name,
+            keys,
+            cases,
+            pass,
+            extras,
+            wall_s: 0.0,
+            ok: pass == cases,
+        }
+    }
+}
+
+/// Runs one section and stamps its wall time.
+fn timed(section: impl FnOnce() -> Tally) -> Tally {
+    let t0 = Instant::now();
+    let mut tally = section();
+    tally.wall_s = t0.elapsed().as_secs_f64();
+    tally
+}
+
+/// Prints one row per point of an `ExecConfig` grid (`cells` formats
+/// everything left of the verdict column); returns (cases, passes) and
+/// the worst scaled ULP over the grid.
+fn print_rows<D>(
+    results: &[Result<Verdict<D>, ServeError>],
+    cells: impl Fn(&Verdict<D>) -> String,
+) -> ((usize, usize), f64) {
+    let mut pass = 0usize;
+    let mut worst = 0.0f64;
+    for res in results {
+        match res {
+            Ok(v) => {
+                println!("  {}  {}", cells(v), v.outcome());
+                worst = worst.max(v.worst.scaled_ulp);
+                pass += usize::from(v.pass);
+            }
+            Err(e) => println!("  ERROR: {e}"),
+        }
+    }
+    ((results.len(), pass), worst)
+}
+
+/// Prints a grid's whole-step fault replay; returns whether it passed.
+fn print_replay(what: &str, replay: Result<FaultReplay, ServeError>) -> bool {
+    match replay {
+        Ok(v) => {
+            println!(
+                "{what}: {} injected, {} retransmits, outputs {} — {}",
+                v.injected,
+                v.retransmits,
+                if v.identical { "bitwise" } else { "DIVERGED" },
+                if v.pass { "pass" } else { "FAIL" }
+            );
+            v.pass
+        }
+        Err(e) => {
+            eprintln!("{what} FAILED: {e}");
+            false
+        }
+    }
+}
+
+fn matrix_section(mode: Mode, seed: u64) -> Tally {
+    let results: Vec<_> = run_matrix(mode, seed).into_iter().map(Ok).collect();
+    println!("conformance matrix ({} configurations):", results.len());
     println!(
         "  {:<18} {:>10} {:>8} {:>8} {:>6}  verdict",
         "config", "budget", "out", "d_x", "aux"
     );
-    for v in verdicts {
-        println!(
-            "  {:<18} {:>7} ULP {:>8.2} {:>8.2} {:>6}  {}",
-            v.config.label(),
-            v.config.ulp_budget(),
-            v.output_ulp,
-            v.d_x_ulp,
-            if v.aux_bitwise { "bit" } else { "DIFF" },
-            if v.pass {
-                if v.bitwise {
-                    "pass (bitwise)"
-                } else {
-                    "pass"
-                }
-            } else {
-                "FAIL"
-            }
-        );
-    }
+    let (counts, worst) = print_rows(&results, |v| {
+        format!(
+            "{:<18} {:>7} ULP {:>8.2} {:>8.2} {:>6}",
+            cell_label(&v.config, true),
+            ulp_budget(&v.config),
+            v.detail.output_ulp,
+            v.detail.d_x_ulp,
+            if v.detail.aux_bitwise { "bit" } else { "DIFF" }
+        )
+    });
+    let extras = vec![("worst_ulp", worst)];
+    Tally::new("matrix", ("matrix", "configs"), counts, extras)
 }
 
-fn print_faults(reports: &[FaultReport]) {
+fn serve_section(seed: u64, fault_seed: u64) -> Tally {
+    let grid = serve_grid();
+    let results: Vec<_> = grid.iter().map(|c| run_serve_case(c, seed)).collect();
+    println!("serving grid ({} cases):", results.len());
+    println!(
+        "  {:<14} {:>9} {:>6} {:>10} {:>12}  verdict",
+        "case", "completed", "steps", "ulp", "scaled-ulp"
+    );
+    let (counts, worst) = print_rows(&results, |v| {
+        format!(
+            "{:<14} {:>5}/{:<3} {:>6} {:>10} {:>12.2}",
+            cell_label(&v.config, false),
+            v.detail.completed,
+            v.detail.offered,
+            v.detail.steps,
+            v.worst.ulp,
+            v.worst.scaled_ulp
+        )
+    });
+    let extras = vec![("worst_scaled_ulp", worst)];
+    let mut tally = Tally::new("serve", ("serve", "cases"), counts, extras);
+    tally.ok &= print_replay("serve fault replay", run_serve_fault(fault_seed));
+    tally
+}
+
+fn grouped_section(seed: u64, fault_seed: u64) -> Tally {
+    let grid = grouped_grid();
+    let results: Vec<_> = grid.iter().map(|c| run_grouped_case(c, seed)).collect();
+    println!("dropless grouped grid ({} cases):", results.len());
+    println!(
+        "  {:<14} {:>6} {:>12} {:>6} {:>16}  verdict",
+        "case", "ulp", "scaled-ulp", "twin", "wire (vs padded)"
+    );
+    let (counts, worst) = print_rows(&results, |v| {
+        format!(
+            "{:<14} {:>6} {:>12.2} {:>6} {:>7}/{:<7}",
+            cell_label(&v.config, false),
+            v.worst.ulp,
+            v.worst.scaled_ulp,
+            if v.detail.twin_bitwise { "bit" } else { "DIFF" },
+            v.detail.wire_grouped,
+            v.detail.wire_padded
+        )
+    });
+    let extras = vec![("worst_scaled_ulp", worst)];
+    let mut tally = Tally::new("grouped", ("grouped", "cases"), counts, extras);
+    tally.ok &= print_replay("ragged a2a fault replay", run_grouped_fault(fault_seed));
+    tally
+}
+
+fn faults_section(fault_seed: u64) -> Tally {
+    let reports = run_fault_suite(fault_seed);
     println!("fault-injection suite:");
     println!(
         "  {:<16} {:>9} {:>11} {:>8} {:>7} {:>8} {:>6}  verdict",
         "collective", "injected", "retransmits", "recover", "typed", "no-leak", "sched"
     );
-    for r in reports {
+    for r in &reports {
         let yn = |b: bool| if b { "yes" } else { "NO" };
         println!(
             "  {:<16} {:>9} {:>11} {:>8} {:>7} {:>8} {:>6}  {}",
@@ -132,15 +266,19 @@ fn print_faults(reports: &[FaultReport]) {
             if r.pass { "pass" } else { "FAIL" }
         );
     }
+    let pass = reports.iter().filter(|r| r.pass).count();
+    let counts = (reports.len(), pass);
+    Tally::new("faults", ("fault", "collectives"), counts, Vec::new())
 }
 
-fn print_kernels(verdicts: &[KernelVerdict]) {
+fn kernels_section(seed: u64, fault_seed: u64) -> Tally {
+    let verdicts = run_kernel_matrix(seed, fault_seed);
     println!("kernel-mode matrix ({} cells):", verdicts.len());
     println!(
         "  {:<12} {:>8} {:>14} {:>9} {:>6} {:>7}  verdict",
         "cell", "simd", "vs-f32 ULP", "budget", "aux", "faults"
     );
-    for v in verdicts {
+    for v in &verdicts {
         let budget = if v.cell.precision == tutel_tensor::Precision::F32 {
             "0".to_string()
         } else {
@@ -163,239 +301,41 @@ fn print_kernels(verdicts: &[KernelVerdict]) {
             if v.pass { "pass" } else { "FAIL" }
         );
     }
-}
-
-/// Prints the serving grid and the fault-replay verdict; returns
-/// whether every point (and the replay) passed, plus summary counts
-/// for the JSON record.
-fn run_serve_section(seed: u64, fault_seed: u64) -> (bool, usize, usize, f64) {
-    let results = run_serve_suite(seed);
-    println!("serving grid ({} cases):", results.len());
-    println!(
-        "  {:<14} {:>9} {:>6} {:>10} {:>12}  verdict",
-        "case", "completed", "steps", "ulp", "scaled-ulp"
-    );
-    let mut pass = 0usize;
-    let mut worst_scaled = 0.0f64;
-    let mut all_ok = true;
-    for res in &results {
-        match res {
-            Ok(v) => {
-                let ServeVerdict {
-                    case_,
-                    completed,
-                    offered,
-                    steps,
-                    worst_ulp,
-                    worst_scaled_ulp,
-                    budget,
-                    pass: ok,
-                } = v;
-                println!(
-                    "  {:<14} {:>5}/{:<3} {:>6} {:>10} {:>12.2}  {}",
-                    case_.label(),
-                    completed,
-                    offered,
-                    steps,
-                    worst_ulp,
-                    worst_scaled_ulp,
-                    if *ok {
-                        if *budget == 0 {
-                            "pass (bitwise)"
-                        } else {
-                            "pass"
-                        }
-                    } else {
-                        "FAIL"
-                    }
-                );
-                worst_scaled = worst_scaled.max(*worst_scaled_ulp);
-                if *ok {
-                    pass += 1;
-                } else {
-                    all_ok = false;
-                }
-            }
-            Err(e) => {
-                println!("  ERROR: {e}");
-                all_ok = false;
-            }
-        }
-    }
-    match run_serve_fault(fault_seed) {
-        Ok(v) => {
-            println!(
-                "serve fault replay: {} injected, {} retransmits, outputs {} — {}",
-                v.injected,
-                v.retransmits,
-                if v.identical { "bitwise" } else { "DIVERGED" },
-                if v.pass { "pass" } else { "FAIL" }
-            );
-            all_ok &= v.pass;
-        }
-        Err(e) => {
-            eprintln!("serve fault replay FAILED: {e}");
-            all_ok = false;
-        }
-    }
-    (all_ok, pass, results.len(), worst_scaled)
-}
-
-/// Prints the dropless grouped grid (vs reference and vs the padded
-/// capacity twin) and the ragged fault replay; returns overall pass
-/// plus summary counts for the JSON record.
-fn run_grouped_section(seed: u64, fault_seed: u64) -> (bool, usize, usize, f64) {
-    let results = run_grouped_suite(seed);
-    println!("dropless grouped grid ({} cases):", results.len());
-    println!(
-        "  {:<14} {:>6} {:>12} {:>6} {:>16}  verdict",
-        "case", "ulp", "scaled-ulp", "twin", "wire (vs padded)"
-    );
-    let mut pass = 0usize;
-    let mut worst_scaled = 0.0f64;
-    let mut all_ok = true;
-    for res in &results {
-        match res {
-            Ok(v) => {
-                let GroupedVerdict {
-                    case_,
-                    worst_ulp,
-                    worst_scaled_ulp,
-                    twin_bitwise,
-                    wire_grouped,
-                    wire_padded,
-                    budget,
-                    pass: ok,
-                } = v;
-                println!(
-                    "  {:<14} {:>6} {:>12.2} {:>6} {:>7}/{:<8} {}",
-                    case_.label(),
-                    worst_ulp,
-                    worst_scaled_ulp,
-                    if *twin_bitwise { "bit" } else { "DIFF" },
-                    wire_grouped,
-                    wire_padded,
-                    if *ok {
-                        if *budget == 0 {
-                            "pass (bitwise)"
-                        } else {
-                            "pass"
-                        }
-                    } else {
-                        "FAIL"
-                    }
-                );
-                worst_scaled = worst_scaled.max(*worst_scaled_ulp);
-                if *ok {
-                    pass += 1;
-                } else {
-                    all_ok = false;
-                }
-            }
-            Err(e) => {
-                println!("  ERROR: {e}");
-                all_ok = false;
-            }
-        }
-    }
-    match run_grouped_fault(fault_seed) {
-        Ok(v) => {
-            println!(
-                "ragged a2a fault replay: {} injected, {} retransmits, outputs {} — {}",
-                v.injected,
-                v.retransmits,
-                if v.identical { "bitwise" } else { "DIVERGED" },
-                if v.pass { "pass" } else { "FAIL" }
-            );
-            all_ok &= v.pass;
-        }
-        Err(e) => {
-            eprintln!("ragged a2a fault replay FAILED: {e}");
-            all_ok = false;
-        }
-    }
-    (all_ok, pass, results.len(), worst_scaled)
-}
-
-fn write_json(
-    path: &str,
-    args: &Args,
-    verdicts: &[Verdict],
-    reports: &[FaultReport],
-    kernels: &[KernelVerdict],
-    // Serving grid and dropless grouped grid summaries, each
-    // (pass, cases, worst scaled ULP).
-    sections: [(usize, usize, f64); 2],
-    wall: [f64; 5],
-) -> std::io::Result<()> {
-    let [matrix_secs, fault_secs, kernel_secs, serve_secs, grouped_secs] = wall;
-    let [(serve_pass, serve_cases, serve_worst_scaled), (grouped_pass, grouped_cases, grouped_worst_scaled)] =
-        sections;
-    let matrix_pass = verdicts.iter().filter(|v| v.pass).count();
-    let fault_pass = reports.iter().filter(|r| r.pass).count();
-    let kernel_pass = kernels.iter().filter(|v| v.pass).count();
-    let worst_ulp = verdicts
-        .iter()
-        .map(|v| v.output_ulp.max(v.d_x_ulp))
-        .fold(0.0f64, f64::max);
-    let worst_bf16_ulp = kernels
+    let pass = verdicts.iter().filter(|v| v.pass).count();
+    let worst = verdicts
         .iter()
         .map(|v| v.precision_ulp)
         .fold(0.0f64, f64::max);
-    let body = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"harness\",\n",
-            "  \"mode\": \"{}\",\n",
-            "  \"seed\": {},\n",
-            "  \"fault_seed\": {},\n",
-            "  \"matrix_configs\": {},\n",
-            "  \"matrix_pass\": {},\n",
-            "  \"matrix_worst_ulp\": {:.3},\n",
-            "  \"matrix_wall_s\": {:.3},\n",
-            "  \"fault_collectives\": {},\n",
-            "  \"fault_pass\": {},\n",
-            "  \"fault_wall_s\": {:.3},\n",
-            "  \"kernel_cells\": {},\n",
-            "  \"kernel_pass\": {},\n",
-            "  \"kernel_worst_bf16_ulp\": {:.3},\n",
-            "  \"kernel_bf16_budget\": {:.0},\n",
-            "  \"kernel_wall_s\": {:.3},\n",
-            "  \"serve_cases\": {},\n",
-            "  \"serve_pass\": {},\n",
-            "  \"serve_worst_scaled_ulp\": {:.3},\n",
-            "  \"serve_wall_s\": {:.3},\n",
-            "  \"grouped_cases\": {},\n",
-            "  \"grouped_pass\": {},\n",
-            "  \"grouped_worst_scaled_ulp\": {:.3},\n",
-            "  \"grouped_wall_s\": {:.3}\n",
-            "}}\n"
-        ),
-        args.mode.label(),
-        args.seed,
-        args.fault_seed,
-        verdicts.len(),
-        matrix_pass,
-        worst_ulp,
-        matrix_secs,
-        reports.len(),
-        fault_pass,
-        fault_secs,
-        kernels.len(),
-        kernel_pass,
-        worst_bf16_ulp,
-        BF16_ULP_BUDGET,
-        kernel_secs,
-        serve_cases,
-        serve_pass,
-        serve_worst_scaled,
-        serve_secs,
-        grouped_cases,
-        grouped_pass,
-        grouped_worst_scaled,
-        grouped_secs,
-    );
-    std::fs::write(path, body)
+    let extras = vec![("worst_bf16_ulp", worst), ("bf16_budget", BF16_ULP_BUDGET)];
+    Tally::new(
+        "kernels",
+        ("kernel", "cells"),
+        (verdicts.len(), pass),
+        extras,
+    )
+}
+
+/// The `BENCH_harness.json` record: run identity, then each section's
+/// case count, pass count, extras and wall time under its key prefix;
+/// fractions rounded to three places.
+fn record(args: &Args, sections: &[Tally]) -> Value {
+    let milli = |x: f64| Value::Num((x * 1000.0).round() / 1000.0);
+    let mut pairs = vec![
+        ("bench".to_string(), Value::from("harness")),
+        ("mode".to_string(), Value::from(args.mode.label())),
+        ("seed".to_string(), Value::from(args.seed)),
+        ("fault_seed".to_string(), Value::from(args.fault_seed)),
+    ];
+    for t in sections {
+        let (prefix, noun) = t.keys;
+        pairs.push((format!("{prefix}_{noun}"), Value::from(t.cases)));
+        pairs.push((format!("{prefix}_pass"), Value::from(t.pass)));
+        for &(key, x) in &t.extras {
+            pairs.push((format!("{prefix}_{key}"), milli(x)));
+        }
+        pairs.push((format!("{prefix}_wall_s"), milli(t.wall_s)));
+    }
+    Value::Obj(pairs)
 }
 
 fn main() -> ExitCode {
@@ -415,30 +355,13 @@ fn main() -> ExitCode {
         args.fault_seed
     );
 
-    let t0 = Instant::now();
-    let verdicts = run_matrix(args.mode, args.seed);
-    let matrix_secs = t0.elapsed().as_secs_f64();
-    print_matrix(&verdicts);
-
-    let t1 = Instant::now();
-    let reports = run_fault_suite(args.fault_seed);
-    let fault_secs = t1.elapsed().as_secs_f64();
-    print_faults(&reports);
-
-    let t2 = Instant::now();
-    let kernel_verdicts = run_kernel_matrix(args.seed, args.fault_seed);
-    let kernel_secs = t2.elapsed().as_secs_f64();
-    print_kernels(&kernel_verdicts);
-
-    let t3 = Instant::now();
-    let (serve_ok, serve_pass, serve_cases, serve_worst_scaled) =
-        run_serve_section(args.seed, args.fault_seed);
-    let serve_secs = t3.elapsed().as_secs_f64();
-
-    let t4 = Instant::now();
-    let (grouped_ok, grouped_pass, grouped_cases, grouped_worst_scaled) =
-        run_grouped_section(args.seed, args.fault_seed);
-    let grouped_secs = t4.elapsed().as_secs_f64();
+    let sections = [
+        timed(|| matrix_section(args.mode, args.seed)),
+        timed(|| faults_section(args.fault_seed)),
+        timed(|| kernels_section(args.seed, args.fault_seed)),
+        timed(|| serve_section(args.seed, args.fault_seed)),
+        timed(|| grouped_section(args.seed, args.fault_seed)),
+    ];
 
     let trace_ok = match &args.trace {
         None => true,
@@ -447,55 +370,26 @@ fn main() -> ExitCode {
 
     let race_ok = run_race_scenario(args.seed);
 
-    let matrix_ok = verdicts.iter().all(|v| v.pass);
-    let faults_ok = reports.iter().all(|r| r.pass);
-    let kernels_ok = kernel_verdicts.iter().all(|v| v.pass);
-    println!(
-        "matrix: {}/{} pass in {:.2}s; faults: {}/{} pass in {:.2}s; kernels: {}/{} pass in \
-         {:.2}s; serve: {}/{} pass in {:.2}s; grouped: {}/{} pass in {:.2}s",
-        verdicts.iter().filter(|v| v.pass).count(),
-        verdicts.len(),
-        matrix_secs,
-        reports.iter().filter(|r| r.pass).count(),
-        reports.len(),
-        fault_secs,
-        kernel_verdicts.iter().filter(|v| v.pass).count(),
-        kernel_verdicts.len(),
-        kernel_secs,
-        serve_pass,
-        serve_cases,
-        serve_secs,
-        grouped_pass,
-        grouped_cases,
-        grouped_secs
-    );
+    let summary: Vec<String> = sections
+        .iter()
+        .map(|t| {
+            format!(
+                "{}: {}/{} pass in {:.2}s",
+                t.name, t.pass, t.cases, t.wall_s
+            )
+        })
+        .collect();
+    println!("{}", summary.join("; "));
 
     if let Some(path) = &args.json {
-        if let Err(e) = write_json(
-            path,
-            &args,
-            &verdicts,
-            &reports,
-            &kernel_verdicts,
-            [
-                (serve_pass, serve_cases, serve_worst_scaled),
-                (grouped_pass, grouped_cases, grouped_worst_scaled),
-            ],
-            [
-                matrix_secs,
-                fault_secs,
-                kernel_secs,
-                serve_secs,
-                grouped_secs,
-            ],
-        ) {
+        if let Err(e) = std::fs::write(path, record(&args, &sections).to_pretty() + "\n") {
             eprintln!("failed to write {path}: {e}");
             return ExitCode::FAILURE;
         }
         println!("wrote {path}");
     }
 
-    if matrix_ok && faults_ok && kernels_ok && serve_ok && grouped_ok && trace_ok && race_ok {
+    if sections.iter().all(|t| t.ok) && trace_ok && race_ok {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -4,12 +4,8 @@
 
 use crate::dist::run_distributed;
 use crate::reference::{run_reference, Problem, RankResult};
-use crate::{max_scaled_ulp, max_ulp, A2aAlgo, Config, Strategy};
+use crate::{grid, ExecConfig, Worst};
 
-/// The axes of the full matrix.
-pub const STRATEGIES: [Strategy; 2] = [Strategy::P1, Strategy::P2];
-/// All-to-All algorithms.
-pub const ALGOS: [A2aAlgo; 2] = [A2aAlgo::Linear, A2aAlgo::TwoDh];
 /// Pipeline degrees (all divide [`Problem::CAPACITY`]).
 pub const DEGREES: [usize; 4] = [1, 2, 4, 8];
 /// Simulated world sizes.
@@ -38,92 +34,60 @@ impl Mode {
     }
 }
 
-/// The configurations the mode selects, in stable order.
-pub fn configs(mode: Mode) -> Vec<Config> {
-    let mut out = Vec::new();
-    for world in WORLDS {
-        for strategy in STRATEGIES {
-            for algo in ALGOS {
-                for degree in DEGREES {
-                    for threads in THREADS {
-                        let keep = match mode {
-                            Mode::Full => true,
-                            // One bitwise-eligible point (d1 t1), the
-                            // executed-overlap ladder at single-thread
-                            // bitwise eligibility (d4 t1, d8 t1), and
-                            // one mid multi-thread point (d2 t4).
-                            Mode::Smoke => {
-                                matches!((degree, threads), (1, 1) | (2, 4) | (4, 1) | (8, 1))
-                            }
-                        };
-                        if keep {
-                            out.push(Config {
-                                strategy,
-                                algo,
-                                degree,
-                                world,
-                                threads,
-                            });
-                        }
-                    }
-                }
-            }
-        }
+/// The configurations the mode selects, in stable order. The matrix
+/// executes the capacity layout (uniform bins of
+/// [`Problem::CAPACITY`]), hence `dropless: false`.
+pub fn configs(mode: Mode) -> Vec<ExecConfig> {
+    let mut out = grid(&DEGREES, &WORLDS, &THREADS, false);
+    if mode == Mode::Smoke {
+        // One bitwise-eligible point (d1 t1), the executed-overlap
+        // ladder at single-thread bitwise eligibility (d4 t1, d8 t1),
+        // and one mid multi-thread point (d2 t4).
+        out.retain(|c| matches!((c.degree, c.threads), (1, 1) | (2, 4) | (4, 1) | (8, 1)));
     }
     out
 }
 
-/// Verdict for one matrix point.
-#[derive(Debug, Clone)]
-pub struct Verdict {
-    /// The configuration that ran.
-    pub config: Config,
-    /// Whether outputs and gradients matched bitwise on every rank.
-    pub bitwise: bool,
+/// What a matrix point records beside the shared verdict core.
+#[derive(Debug, Clone, Copy)]
+pub struct MatrixDetail {
     /// Largest output scale-aware ULP error across ranks.
     pub output_ulp: f64,
     /// Largest input-gradient scale-aware ULP error across ranks.
     pub d_x_ulp: f64,
     /// Whether the aux loss matched bitwise on every rank.
     pub aux_bitwise: bool,
-    /// Whether the point passed its budget.
-    pub pass: bool,
 }
 
-impl Verdict {
-    fn judge(config: Config, reference: &[RankResult], got: &[RankResult]) -> Self {
-        let mut bitwise = got.len() == reference.len();
-        let mut output_ulp = 0.0f64;
-        let mut d_x_ulp = 0.0f64;
-        let mut aux_bitwise = got.len() == reference.len();
-        for (g, r) in got.iter().zip(reference) {
-            bitwise &= max_ulp(&g.output, &r.output) == 0 && max_ulp(&g.d_x, &r.d_x) == 0;
-            output_ulp = output_ulp.max(max_scaled_ulp(&g.output, &r.output));
-            d_x_ulp = d_x_ulp.max(max_scaled_ulp(&g.d_x, &r.d_x));
-            aux_bitwise &= g.aux.to_bits() == r.aux.to_bits();
-        }
-        let budget = config.ulp_budget();
-        let within_budget = if budget == 0 {
-            bitwise
-        } else {
-            output_ulp <= f64::from(budget) && d_x_ulp <= f64::from(budget)
-        };
-        let pass = within_budget && aux_bitwise;
-        Verdict {
-            config,
-            bitwise,
-            output_ulp,
-            d_x_ulp,
-            aux_bitwise,
-            pass,
-        }
+/// Verdict for one matrix point; `worst.ulp == 0` iff outputs and
+/// gradients matched bitwise on every rank.
+pub type Verdict = crate::Verdict<MatrixDetail>;
+
+fn judge(config: ExecConfig, reference: &[RankResult], got: &[RankResult]) -> Verdict {
+    let (mut output, mut d_x) = (Worst::default(), Worst::default());
+    let mut aux_bitwise = got.len() == reference.len();
+    for (g, r) in got.iter().zip(reference) {
+        output.observe(&g.output, &r.output);
+        d_x.observe(&g.d_x, &r.d_x);
+        aux_bitwise &= g.aux.to_bits() == r.aux.to_bits();
     }
+    let worst = Worst {
+        ulp: output.ulp.max(d_x.ulp),
+        scaled_ulp: output.scaled_ulp.max(d_x.scaled_ulp),
+    };
+    let detail = MatrixDetail {
+        output_ulp: output.scaled_ulp,
+        d_x_ulp: d_x.scaled_ulp,
+        aux_bitwise,
+    };
+    Verdict::judge(config, worst, detail, aux_bitwise)
 }
 
 /// Runs the matrix for `mode` and returns one verdict per
-/// configuration, in [`configs`] order. The reference and fixture are
-/// built once per world size from `seed` so every configuration of a
-/// world compares against the identical baseline.
+/// configuration, world-major (each world's points in [`configs`]
+/// order). The reference and fixture are built once per world size
+/// from `seed` so every configuration of a world compares against the
+/// identical baseline.
 pub fn run_matrix(mode: Mode, seed: u64) -> Vec<Verdict> {
     let mut verdicts = Vec::new();
     for &world in &WORLDS {
@@ -132,7 +96,7 @@ pub fn run_matrix(mode: Mode, seed: u64) -> Vec<Verdict> {
         let reference = run_reference(&problem, &fixture);
         for config in configs(mode).into_iter().filter(|c| c.world == world) {
             let got = run_distributed(&problem, &fixture, &config);
-            verdicts.push(Verdict::judge(config, &reference, &got));
+            verdicts.push(judge(config, &reference, &got));
         }
     }
     verdicts
@@ -150,7 +114,11 @@ mod tests {
         assert_eq!(full.len(), 2 * 2 * 4 * 3 * 2);
         assert_eq!(smoke.len(), 2 * 2 * 4 * 3);
         for c in &smoke {
-            assert!(full.contains(c), "{} missing from full", c.label());
+            assert!(
+                full.contains(c),
+                "{} missing from full",
+                crate::cell_label(c, true)
+            );
         }
     }
 
@@ -158,8 +126,8 @@ mod tests {
     fn smoke_covers_every_strategy_algo_world() {
         let smoke = configs(Mode::Smoke);
         for world in WORLDS {
-            for strategy in STRATEGIES {
-                for algo in ALGOS {
+            for strategy in [crate::Parallelism::P1, crate::Parallelism::P2] {
+                for algo in crate::AllToAllAlgo::ALL {
                     assert!(
                         smoke
                             .iter()

@@ -10,119 +10,52 @@
 //! * a seeded bursty trace is pushed through the full ingress → EDF
 //!   admission → fill-or-timeout batcher → distributed step path, for
 //!   every {P1, P2} × {linear, 2DH} × degree {1, 2} × world {1, 2}
-//!   point at the reference thread count;
+//!   point at the reference thread count — each the [`ExecConfig`]
+//!   the engine is configured with, not a harness-side copy of it;
 //! * every completed request is replayed solo through the reference
 //!   and compared under the crate's [ULP tolerance
 //!   policy](crate#ulp-tolerance-policy) — **bitwise** for P1 (the
 //!   serve path routes dropless, so batch-mates cannot couple), ≤ 4
 //!   scaled ULP for P2 (hidden-shard re-association);
-//! * a seeded [`FaultPlan`] replay arms the reliability layer on the
-//!   step's All-to-All and demands recovery keep every output bit.
+//! * a seeded fault replay ([`step_fault_replay`]) arms the
+//!   reliability layer on the step's All-to-All and demands recovery
+//!   keep every output bit.
 
-use tutel_comm::{FaultPlan, ReliableConfig, RetryPolicy};
 use tutel_obs::Telemetry;
 use tutel_serve::batcher::BatcherConfig;
 use tutel_serve::engine::{run_trace, EngineConfig, ServiceModel};
-use tutel_serve::exec::{execute_step, execute_step_reliable, reference_rows, ExecConfig};
+use tutel_serve::exec::reference_rows;
 use tutel_serve::loadgen::{generate_trace, Arrival, TraceConfig};
 use tutel_serve::model::{ModelDims, ServeModel};
 use tutel_serve::request::ServeError;
 use tutel_tensor::Rng;
 
+use crate::faults::{step_fault_replay, FaultReplay, FAULT_POINT};
 use crate::reference::REF_THREADS;
-use crate::{max_scaled_ulp, max_ulp, A2aAlgo, Strategy};
-
-/// One point of the serving conformance grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServeCase {
-    /// P1 or P2 expert parallelism for every step.
-    pub strategy: Strategy,
-    /// Linear or 2DH exchange on the wire.
-    pub algo: A2aAlgo,
-    /// Pipeline degree of the step executor.
-    pub degree: usize,
-    /// Simulated world size.
-    pub world: usize,
-}
-
-impl ServeCase {
-    /// Grid label, e.g. `P2/2dh d2 w2`.
-    pub fn label(&self) -> String {
-        format!(
-            "{}/{} d{} w{}",
-            self.strategy.label(),
-            self.algo.label(),
-            self.degree,
-            self.world
-        )
-    }
-
-    /// The tolerance for this case, mirroring
-    /// [`crate::Config::ulp_budget`]: the grid always runs at
-    /// [`REF_THREADS`], so only the strategy decides.
-    pub fn ulp_budget(&self) -> u32 {
-        match self.strategy {
-            Strategy::P1 => 0,
-            Strategy::P2 => 4,
-        }
-    }
-
-    fn exec_config(&self) -> ExecConfig {
-        ExecConfig {
-            strategy: self.strategy.serve(),
-            algo: self.algo.comm_algo(),
-            degree: self.degree,
-            world: self.world,
-            threads: REF_THREADS,
-            // The product wire. Its uniform-capacity view is pinned by
-            // `crate::grouped`'s twin column.
-            dropless: true,
-        }
-    }
-}
+use crate::{grid, ExecConfig, Worst};
 
 /// The full serving grid: {P1, P2} × {lin, 2dh} × degree {1, 2} ×
-/// world {1, 2}.
-pub fn serve_grid() -> Vec<ServeCase> {
-    let mut grid = Vec::new();
-    for strategy in [Strategy::P1, Strategy::P2] {
-        for algo in [A2aAlgo::Linear, A2aAlgo::TwoDh] {
-            for degree in [1usize, 2] {
-                for world in [1usize, 2] {
-                    grid.push(ServeCase {
-                        strategy,
-                        algo,
-                        degree,
-                        world,
-                    });
-                }
-            }
-        }
-    }
-    grid
+/// world {1, 2} at the reference thread count, on the product wire
+/// (its uniform-capacity view is pinned by [`crate::grouped`]'s twin
+/// column).
+pub fn serve_grid() -> Vec<ExecConfig> {
+    grid(&[1, 2], &[1, 2], &[REF_THREADS], true)
 }
 
-/// Verdict for one grid point.
-#[derive(Debug, Clone)]
-pub struct ServeVerdict {
-    /// The case exercised.
-    pub case_: ServeCase,
+/// What a serving point records beside the shared verdict core.
+#[derive(Debug, Clone, Copy)]
+pub struct ServeDetail {
     /// Requests completed by the engine (must cover the trace).
     pub completed: usize,
     /// Requests the trace offered.
     pub offered: usize,
     /// Micro-batch steps the batcher actually composed.
     pub steps: u64,
-    /// Worst element-wise ULP distance to any request's solo
-    /// reference (the P1 metric).
-    pub worst_ulp: u32,
-    /// Worst scale-aware ULP distance (the P2 metric).
-    pub worst_scaled_ulp: f64,
-    /// Budget applied (0 → bitwise, else scaled).
-    pub budget: u32,
-    /// Whether the case met its budget and completed every request.
-    pub pass: bool,
 }
+
+/// Verdict for one grid point, worst case over every request's solo
+/// reference.
+pub type ServeVerdict = crate::Verdict<ServeDetail>;
 
 /// The seeded request mix every grid point serves: bursts of three
 /// so admission composes mixed batches, token counts 1–4 so batch
@@ -167,137 +100,65 @@ fn engine_config(exec: ExecConfig) -> EngineConfig {
 ///
 /// Propagates engine/executor failures (a failure is itself a grid
 /// fail — the caller reports it).
-pub fn run_serve_case(case: &ServeCase, seed: u64) -> Result<ServeVerdict, ServeError> {
-    let dims = ModelDims::small(case.world);
+pub fn run_serve_case(cfg: &ExecConfig, seed: u64) -> Result<ServeVerdict, ServeError> {
+    let dims = ModelDims::small(cfg.world);
     let model = ServeModel::materialize(dims, seed ^ 0x5E57E)?;
     let trace = serve_trace(seed, dims.model_dim);
     let requests = generate_trace(&trace, 0);
     let originals = requests.clone();
 
     let tel = Telemetry::disabled();
-    let report = run_trace(&model, &engine_config(case.exec_config()), requests, &tel)?;
+    let report = run_trace(&model, &engine_config(*cfg), requests, &tel)?;
 
-    let mut worst_ulp = 0u32;
-    let mut worst_scaled = 0.0f64;
+    let mut worst = Worst::default();
     for outcome in &report.outcomes {
         let Some(req) = originals.iter().find(|r| r.id == outcome.id) else {
-            worst_ulp = u32::MAX;
-            worst_scaled = f64::INFINITY;
+            worst = Worst {
+                ulp: u32::MAX,
+                scaled_ulp: f64::INFINITY,
+            };
             continue;
         };
         let reference = reference_rows(&model, &req.tokens)?;
-        worst_ulp = worst_ulp.max(max_ulp(outcome.output.as_slice(), reference.as_slice()));
-        worst_scaled = worst_scaled.max(max_scaled_ulp(
-            outcome.output.as_slice(),
-            reference.as_slice(),
-        ));
+        worst.observe(outcome.output.as_slice(), reference.as_slice());
     }
 
-    let budget = case.ulp_budget();
-    let within = if budget == 0 {
-        worst_ulp == 0
-    } else {
-        worst_scaled <= f64::from(budget)
-    };
-    let completed = report.completed();
-    Ok(ServeVerdict {
-        case_: *case,
-        completed,
+    let detail = ServeDetail {
+        completed: report.completed(),
         offered: trace.requests,
         steps: report.steps,
-        worst_ulp,
-        worst_scaled_ulp: worst_scaled,
-        budget,
-        pass: within && completed == trace.requests && report.rejected == 0,
-    })
+    };
+    let served = detail.completed == detail.offered && report.rejected == 0;
+    Ok(ServeVerdict::judge(*cfg, worst, detail, served))
 }
 
-/// Runs the whole grid under one seed.
-pub fn run_serve_suite(seed: u64) -> Vec<Result<ServeVerdict, ServeError>> {
-    serve_grid()
-        .iter()
-        .map(|case| run_serve_case(case, seed))
-        .collect()
-}
-
-/// Verdict of the fault-replay differential.
-#[derive(Debug, Clone)]
-pub struct ServeFaultVerdict {
-    /// Faults the seeded plan actually injected (> 0 or the scenario
-    /// is vacuous).
-    pub injected: u64,
-    /// Retransmissions the retry protocol served.
-    pub retransmits: u64,
-    /// Faulted outputs matched the solo reference bitwise.
-    pub identical: bool,
-    /// Overall verdict.
-    pub pass: bool,
-}
-
-/// Replays a seeded mixed drop/duplicate/delay [`FaultPlan`] against
-/// one P1 serving step at world 2 and demands bitwise recovery: the
-/// faulted step must still equal the per-row reference exactly.
+/// [`step_fault_replay`] under one serving step of six seeded rows.
 ///
 /// # Errors
 ///
-/// Propagates executor failures (the retry budget is sized to absorb
-/// the plan, so an error is a finding, not noise).
-pub fn run_serve_fault(seed: u64) -> Result<ServeFaultVerdict, ServeError> {
-    let case = ServeCase {
-        strategy: Strategy::P1,
-        algo: A2aAlgo::Linear,
-        degree: 2,
-        world: 2,
-    };
-    let dims = ModelDims::small(case.world);
+/// As [`step_fault_replay`].
+pub fn run_serve_fault(seed: u64) -> Result<FaultReplay, ServeError> {
+    let dims = ModelDims::small(FAULT_POINT.world);
     let model = ServeModel::materialize(dims, seed ^ 0xFA17)?;
-    let mut rng = Rng::seed(seed);
-    let batch = rng.normal_tensor(&[6, dims.model_dim], 0.0, 1.0);
-
-    let telemetry = Telemetry::enabled();
-    let rel = ReliableConfig {
-        policy: RetryPolicy {
-            timeout: std::time::Duration::from_millis(20),
-            max_retries: 6,
-            backoff: 2,
-        },
-        plan: Some(
-            FaultPlan::new(seed)
-                .with_drops(12)
-                .with_duplicates(12)
-                .with_delays(12, 2),
-        ),
-        telemetry: telemetry.clone(),
-    };
-    let faulted = execute_step_reliable(&model, &case.exec_config(), &batch, rel)?;
-    let baseline = execute_step(&model, &case.exec_config(), &batch)?;
-    let reference = reference_rows(&model, &batch)?;
-
-    let injected = telemetry
-        .counter_value("comm.retry.injected_drops")
-        .unwrap_or(0)
-        + telemetry
-            .counter_value("comm.retry.injected_dups")
-            .unwrap_or(0)
-        + telemetry
-            .counter_value("comm.retry.injected_delays")
-            .unwrap_or(0);
-    let retransmits = telemetry
-        .counter_value("comm.retry.retransmits")
-        .unwrap_or(0);
-    let identical = faulted.outputs.as_slice() == reference.as_slice()
-        && faulted.outputs.as_slice() == baseline.outputs.as_slice();
-    Ok(ServeFaultVerdict {
-        injected,
-        retransmits,
-        identical,
-        pass: identical && injected > 0,
-    })
+    let batch = Rng::seed(seed).normal_tensor(&[6, dims.model_dim], 0.0, 1.0);
+    step_fault_replay(&model, &FAULT_POINT, &batch, seed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{cell_label, AllToAllAlgo, Parallelism};
+
+    fn point(strategy: Parallelism, algo: AllToAllAlgo, degree: usize) -> ExecConfig {
+        ExecConfig {
+            strategy,
+            algo,
+            degree,
+            world: 2,
+            threads: REF_THREADS,
+            dropless: true,
+        }
+    }
 
     #[test]
     fn grid_covers_the_issue_matrix() {
@@ -305,35 +166,26 @@ mod tests {
         assert_eq!(grid.len(), 16);
         assert!(grid
             .iter()
-            .any(|c| c.strategy == Strategy::P2 && c.degree == 2 && c.world == 2));
+            .any(|c| c.strategy == Parallelism::P2 && c.degree == 2 && c.world == 2));
+        assert!(grid.iter().all(|c| c.dropless && c.threads == REF_THREADS));
     }
 
     #[test]
     fn p1_batched_serving_is_bitwise_against_the_reference() {
-        let case = ServeCase {
-            strategy: Strategy::P1,
-            algo: A2aAlgo::TwoDh,
-            degree: 2,
-            world: 2,
-        };
+        let case = point(Parallelism::P1, AllToAllAlgo::TwoDh, 2);
         let v = run_serve_case(&case, 0xBEEF).unwrap();
-        assert!(v.pass, "{}: {v:?}", case.label());
-        assert_eq!(v.worst_ulp, 0);
-        assert_eq!(v.completed, v.offered);
-        assert!(v.steps > 0);
+        assert!(v.pass, "{}: {v:?}", cell_label(&case, false));
+        assert_eq!(v.worst.ulp, 0);
+        assert_eq!(v.detail.completed, v.detail.offered);
+        assert!(v.detail.steps > 0);
     }
 
     #[test]
     fn p2_batched_serving_stays_within_the_scaled_budget() {
-        let case = ServeCase {
-            strategy: Strategy::P2,
-            algo: A2aAlgo::Linear,
-            degree: 2,
-            world: 2,
-        };
+        let case = point(Parallelism::P2, AllToAllAlgo::Linear, 2);
         let v = run_serve_case(&case, 0xBEEF).unwrap();
-        assert!(v.pass, "{}: {v:?}", case.label());
-        assert!(v.worst_scaled_ulp <= 4.0);
+        assert!(v.pass, "{}: {v:?}", cell_label(&case, false));
+        assert!(v.worst.scaled_ulp <= 4.0);
     }
 
     #[test]
@@ -344,17 +196,73 @@ mod tests {
     }
 
     #[test]
+    fn the_chosen_plan_executes() {
+        // What the policies emit is what the executor consumes: the
+        // router's P1/P2 and the measured search's {algo, degree} go
+        // into `ExecConfig` as they are, and each executed probe's wall
+        // time goes back into the search. The policies price a paper-
+        // scale deployment; the plan runs on the threaded 2-rank world.
+        use tutel::pipeline::{LayerDims, MeasuredStrategySearch, PipelineTimeModel};
+        use tutel_comm::{CollectiveTiming, World};
+        use tutel_experts::{InlineParallelismRouter, MoeDims};
+        use tutel_serve::exec::execute_step;
+
+        let dims = ModelDims::small(2);
+        let model = ServeModel::materialize(dims, 0xC0DE).unwrap();
+        let batch = Rng::seed(3).normal_tensor(&[16, dims.model_dim], 0.0, 1.0);
+        let reference = reference_rows(&model, &batch).unwrap();
+
+        let timing = CollectiveTiming::new(World::azure(8));
+        let router = InlineParallelismRouter::new(timing);
+        let mut search = MeasuredStrategySearch::new(0.25, PipelineTimeModel::new(timing));
+        let mut executed = std::collections::HashSet::new();
+        // The router's crossover (Table 5a): P2 at f = 1, P1 at f = 16.
+        for capacity_factor in [1.0, 16.0] {
+            let strategy = router.choose(&MoeDims {
+                world: 8,
+                global_experts: 2,
+                tokens: 2048,
+                k: dims.top_k,
+                capacity_factor,
+                model_dim: 2048,
+                hidden_dim: 8192,
+                weight_precision: tutel_tensor::Precision::F32,
+            });
+            let layer = LayerDims {
+                capacity_factor,
+                ..LayerDims::figure23()
+            };
+            for _ in 0..8 {
+                let plan = search.next_strategy(&layer);
+                let cfg = ExecConfig {
+                    strategy,
+                    algo: plan.algo,
+                    degree: plan.degree,
+                    world: dims.world,
+                    threads: REF_THREADS,
+                    dropless: true,
+                };
+                let t0 = std::time::Instant::now();
+                let got = execute_step(&model, &cfg, &batch).unwrap();
+                search.record(capacity_factor, plan, t0.elapsed().as_secs_f64());
+                let mut worst = Worst::default();
+                worst.observe(got.outputs.as_slice(), reference.as_slice());
+                let v = crate::Verdict::judge(cfg, worst, (), true);
+                assert!(v.pass, "{}: {v:?}", cell_label(&cfg, false));
+                executed.insert((cfg.strategy, cfg.algo, cfg.degree));
+            }
+            assert!(search.converged(capacity_factor));
+        }
+        assert_eq!(executed.len(), 16, "both strategies × all eight plans ran");
+    }
+
+    #[test]
     fn verdicts_are_seed_deterministic() {
-        let case = ServeCase {
-            strategy: Strategy::P1,
-            algo: A2aAlgo::Linear,
-            degree: 1,
-            world: 2,
-        };
+        let case = point(Parallelism::P1, AllToAllAlgo::Linear, 1);
         let a = run_serve_case(&case, 7).unwrap();
         let b = run_serve_case(&case, 7).unwrap();
-        assert_eq!(a.steps, b.steps);
-        assert_eq!(a.worst_ulp, b.worst_ulp);
+        assert_eq!(a.detail.steps, b.detail.steps);
+        assert_eq!(a.worst, b.worst);
         assert_eq!(a.pass, b.pass);
     }
 }

@@ -30,7 +30,7 @@ use tutel_simgpu::Topology;
 
 use crate::dist::run_distributed_traced;
 use crate::reference::Problem;
-use crate::{A2aAlgo, Config, Strategy};
+use crate::{ExecConfig, Parallelism};
 
 /// Outcome of the clean traced smoke run.
 #[derive(Debug, Clone)]
@@ -62,12 +62,13 @@ const STRAGGLER_STALL: Duration = Duration::from_millis(12);
 pub fn run_trace_smoke(prefix: &str) -> Result<TraceSmoke, String> {
     let problem = Problem { world: 4, seed: 42 };
     let fixture = problem.materialize();
-    let cfg = Config {
-        strategy: Strategy::P2,
-        algo: A2aAlgo::TwoDh,
+    let cfg = ExecConfig {
+        strategy: Parallelism::P2,
+        algo: AllToAllAlgo::TwoDh,
         degree: 2,
         world: 4,
         threads: 4,
+        dropless: false,
     };
     let hub = TraceHub::new(cfg.world);
     run_distributed_traced(&problem, &fixture, &cfg, &hub);

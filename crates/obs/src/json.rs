@@ -40,6 +40,63 @@ impl Value {
         out
     }
 
+    /// Serializes in the two-space style of the `BENCH_*.json` records:
+    /// the document and its sections (depth 0–1) go multiline, as do
+    /// arrays of composites or of long scalars; leaf objects nested
+    /// deeper stay on one line. No trailing newline.
+    pub fn to_pretty(&self) -> String {
+        self.pretty(0)
+    }
+
+    fn pretty(&self, indent: usize) -> String {
+        let pad = "  ".repeat(indent);
+        let inner = "  ".repeat(indent + 1);
+        let key = |k: &str| {
+            let mut out = String::new();
+            write_escaped(k, &mut out);
+            out
+        };
+        match self {
+            Value::Obj(pairs) if !pairs.is_empty() && (indent < 2 || self.has_composite()) => {
+                let body = pairs
+                    .iter()
+                    .map(|(k, val)| format!("{inner}{}: {}", key(k), val.pretty(indent + 1)))
+                    .collect::<Vec<_>>()
+                    .join(",\n");
+                format!("{{\n{body}\n{pad}}}")
+            }
+            Value::Arr(items)
+                if !items.is_empty() && (self.has_composite() || self.to_json().len() > 100) =>
+            {
+                let body = items
+                    .iter()
+                    .map(|val| format!("{inner}{}", val.pretty(indent + 1)))
+                    .collect::<Vec<_>>()
+                    .join(",\n");
+                format!("[\n{body}\n{pad}]")
+            }
+            Value::Obj(pairs) if !pairs.is_empty() => {
+                let body = pairs
+                    .iter()
+                    .map(|(k, val)| format!("{}: {}", key(k), val.to_json()))
+                    .collect::<Vec<_>>()
+                    .join(", ");
+                format!("{{ {body} }}")
+            }
+            other => other.to_json(),
+        }
+    }
+
+    /// Whether any direct child is itself an object or array.
+    fn has_composite(&self) -> bool {
+        let composite = |c: &Value| matches!(c, Value::Obj(_) | Value::Arr(_));
+        match self {
+            Value::Obj(pairs) => pairs.iter().any(|(_, v)| composite(v)),
+            Value::Arr(items) => items.iter().any(composite),
+            _ => false,
+        }
+    }
+
     /// Parses one JSON document (object, array, or scalar), rejecting
     /// trailing garbage.
     ///
@@ -444,6 +501,27 @@ mod tests {
         ]);
         let parsed = Value::parse(&v.to_json()).unwrap();
         assert_eq!(parsed, v);
+    }
+
+    #[test]
+    fn pretty_matches_the_bench_record_style_and_parses_back() {
+        let v = Value::obj([
+            ("bench", Value::from("x")),
+            (
+                "section",
+                Value::obj([
+                    ("leaf", Value::obj([("a", Value::from(1u64))])),
+                    ("xs", Value::Arr(vec![Value::from(1u64), Value::from(2u64)])),
+                    ("rows", Value::Arr(vec![Value::obj([("k", Value::Null)])])),
+                ]),
+            ),
+            ("empty", Value::Obj(Vec::new())),
+        ]);
+        let expect = "{\n  \"bench\": \"x\",\n  \"section\": {\n    \"leaf\": { \"a\": 1 },\n    \
+                      \"xs\": [1,2],\n    \"rows\": [\n      { \"k\": null }\n    ]\n  },\n  \
+                      \"empty\": {}\n}";
+        assert_eq!(v.to_pretty(), expect);
+        assert_eq!(Value::parse(&v.to_pretty()).unwrap(), v);
     }
 
     #[test]

@@ -155,34 +155,6 @@ impl Arena {
         }
     }
 
-    /// Tops the `len` size class up to at least `count` retained
-    /// buffers (zeroed), so the first steady-state `take_zeroed` of
-    /// the class already hits. Idempotent: a class already holding
-    /// `count` buffers is left untouched, making per-iteration
-    /// registration free. Warm-up allocation is not steady-state
-    /// traffic: it counts as neither hit, miss, nor return, and it
-    /// respects the same per-class and whole-arena caps as `put`.
-    pub fn prewarm(&self, len: usize, count: usize) {
-        if len == 0 {
-            return;
-        }
-        let mut classes = match self.classes.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        loop {
-            let have = classes.by_len.get(&len).map_or(0, Vec::len);
-            if have >= count.min(PER_CLASS_CAP) || classes.retained_elems + len > TOTAL_CAP_ELEMS {
-                break;
-            }
-            let buf = vec![0.0; len];
-            #[cfg(feature = "check-race")]
-            crate::chk::on_arena_stock(buf.as_ptr() as usize, len);
-            classes.by_len.entry(len).or_default().push(buf);
-            classes.retained_elems += len;
-        }
-    }
-
     /// Returns a buffer to its size class for later reuse. Dropped
     /// silently if empty or if retaining it would exceed the
     /// per-class or whole-arena cap.
@@ -277,48 +249,6 @@ mod tests {
         assert_eq!(s.hits, 1);
         assert_eq!(s.misses, 1);
         assert_eq!(s.returns, 1);
-    }
-
-    #[test]
-    fn prewarmed_class_takes_with_zero_heap_allocations() {
-        // The regression the pool-startup pre-warm exists for: once a
-        // class is warm, a steady-state take/put loop must never fall
-        // through to the heap (misses stay at zero — a miss *is* a
-        // heap allocation).
-        let a = Arena::new();
-        a.prewarm(2048, 1);
-        let s = a.stats();
-        assert_eq!(s.misses, 0, "prewarm is not steady-state traffic");
-        assert_eq!(s.hits, 0);
-        assert_eq!(s.retained_elems, 2048);
-        for _ in 0..100 {
-            let mut buf = a.take_zeroed(2048);
-            assert!(buf.iter().all(|&v| v == 0.0));
-            buf.fill(7.0);
-            a.put(buf);
-        }
-        let s = a.stats();
-        assert_eq!(s.misses, 0, "warm class must never allocate");
-        assert_eq!(s.hits, 100);
-    }
-
-    #[test]
-    fn prewarm_respects_class_cap() {
-        let a = Arena::new();
-        a.prewarm(16, PER_CLASS_CAP + 50);
-        assert_eq!(a.stats().retained_elems, PER_CLASS_CAP * 16);
-    }
-
-    #[test]
-    fn prewarm_is_an_idempotent_top_up() {
-        let a = Arena::new();
-        a.prewarm(64, 1);
-        a.prewarm(64, 1);
-        assert_eq!(a.stats().retained_elems, 64, "re-registration adds nothing");
-        // A recycled buffer counts toward the target too.
-        a.put(vec![1.0; 64]);
-        a.prewarm(64, 2);
-        assert_eq!(a.stats().retained_elems, 2 * 64);
     }
 
     #[test]

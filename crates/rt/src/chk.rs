@@ -93,14 +93,6 @@ pub enum RtEvent {
         retained: bool,
         site: Site,
     },
-    /// An arena stocked a freshly-allocated buffer directly into its
-    /// free list (prewarm): the address is now arena-owned without a
-    /// preceding take.
-    ArenaStock {
-        thread: usize,
-        buf: usize,
-        len: usize,
-    },
     /// An arena dropped every retained buffer (`Arena::clear`).
     ArenaClear { thread: usize },
     /// An explicit access probe ([`note_access`]) on a buffer.
@@ -131,7 +123,6 @@ impl RtEvent {
             | RtEvent::JobJoin { thread, .. }
             | RtEvent::ArenaTake { thread, .. }
             | RtEvent::ArenaPut { thread, .. }
-            | RtEvent::ArenaStock { thread, .. }
             | RtEvent::ArenaClear { thread }
             | RtEvent::ArenaAccess { thread, .. }
             | RtEvent::OrderMark { thread, .. }
@@ -292,14 +283,6 @@ pub(crate) fn on_arena_put(buf: usize, len: usize, retained: bool, site: Site) {
         len,
         retained,
         site,
-    });
-}
-
-pub(crate) fn on_arena_stock(buf: usize, len: usize) {
-    record(RtEvent::ArenaStock {
-        thread: current_thread(),
-        buf,
-        len,
     });
 }
 

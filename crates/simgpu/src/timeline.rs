@@ -97,15 +97,6 @@ impl Timeline {
         self.ops[id.0].start
     }
 
-    /// Finish time of an event.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id is invalid.
-    pub fn finish_of(&self, id: EventId) -> Seconds {
-        self.ops[id.0].finish
-    }
-
     /// Completion time of the whole schedule (0 when empty).
     pub fn makespan(&self) -> Seconds {
         self.ops.iter().map(|o| o.finish).fold(0.0, f64::max)

@@ -71,16 +71,17 @@ impl Topology {
     }
 
     /// The shape the threaded executors (serving, the conformance
-    /// harness, the overlap sweep) simulate `world` ranks on: a single
-    /// node for one rank, otherwise two nodes of `world / 2` so that
-    /// 2DH exercises both its intra- and inter-node phase. An odd
-    /// `world > 1` has no such shape; the result's
-    /// [`Topology::world_size`] then differs from `world`, which the
-    /// caller must check.
+    /// harness, the overlap sweep) simulate `world` ranks on: two
+    /// nodes of `world / 2` for an even world, so that 2DH exercises
+    /// both its intra- and inter-node phase; an odd world has no such
+    /// shape and gets a single node of `world` ranks (2DH's degenerate
+    /// one-node grid). The result's [`Topology::world_size`] is
+    /// `world` (1 for `world == 0`).
     pub fn for_world(world: usize) -> Self {
-        match world {
-            0 | 1 => Topology::single_node(1),
-            w => Topology::new(2, w / 2),
+        if world >= 2 && world.is_multiple_of(2) {
+            Topology::new(2, world / 2)
+        } else {
+            Topology::single_node(world.max(1))
         }
     }
 
@@ -150,14 +151,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn for_world_is_two_nodes_beyond_one_rank() {
+    fn for_world_is_two_nodes_for_even_worlds_and_total() {
         assert_eq!(Topology::for_world(1), Topology::single_node(1));
         assert_eq!(Topology::for_world(2), Topology::new(2, 1));
         assert_eq!(Topology::for_world(8), Topology::new(2, 4));
-        // No two-node shape holds an odd world: the caller sees it in
-        // the size.
-        assert_ne!(Topology::for_world(3).world_size(), 3);
-        assert_ne!(Topology::for_world(0).world_size(), 0);
+        // No two-node shape holds an odd world: one node of all ranks.
+        assert_eq!(Topology::for_world(3), Topology::single_node(3));
+        for world in 1..=9 {
+            assert_eq!(Topology::for_world(world).world_size(), world);
+        }
+        assert_eq!(Topology::for_world(0), Topology::single_node(1));
     }
 
     #[test]

@@ -818,12 +818,6 @@ pub fn bf16_unpack_slice(src: &[u16], dst: &mut [f32]) {
     (table().bf16_unpack)(src, dst);
 }
 
-/// Rounds every element to its nearest bf16 value in place, through
-/// the active table.
-pub fn bf16_round_slice(data: &mut [f32]) {
-    (table().bf16_round)(data);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -5,6 +5,7 @@
 
 use tutel_harness::faults::{run_fault_scenarios, Collective};
 use tutel_harness::matrix::{configs, run_matrix, Mode};
+use tutel_harness::{cell_label, ulp_budget};
 
 #[test]
 fn smoke_matrix_passes() {
@@ -16,10 +17,14 @@ fn smoke_matrix_passes() {
         .map(|v| {
             format!(
                 "{}: out {:.2} ULP, d_x {:.2} ULP, aux {}",
-                v.config.label(),
-                v.output_ulp,
-                v.d_x_ulp,
-                if v.aux_bitwise { "bitwise" } else { "DIFFERS" }
+                cell_label(&v.config, true),
+                v.detail.output_ulp,
+                v.detail.d_x_ulp,
+                if v.detail.aux_bitwise {
+                    "bitwise"
+                } else {
+                    "DIFFERS"
+                }
             )
         })
         .collect();
@@ -35,8 +40,13 @@ fn bitwise_eligible_points_are_actually_bitwise() {
     let verdicts = run_matrix(Mode::Smoke, 7);
     let mut bitwise_points = 0;
     for v in &verdicts {
-        if v.config.ulp_budget() == 0 {
-            assert!(v.bitwise, "{} must be bitwise", v.config.label());
+        if ulp_budget(&v.config) == 0 {
+            assert_eq!(
+                v.worst.ulp,
+                0,
+                "{} must be bitwise",
+                cell_label(&v.config, true)
+            );
             bitwise_points += 1;
         }
     }

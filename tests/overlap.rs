@@ -11,7 +11,7 @@
 
 use tutel_harness::dist::run_distributed;
 use tutel_harness::reference::Problem;
-use tutel_harness::{A2aAlgo, Config, Strategy};
+use tutel_harness::{cell_label, AllToAllAlgo, ExecConfig, Parallelism};
 
 const DEGREES: [usize; 3] = [2, 4, 8];
 
@@ -49,29 +49,21 @@ fn overlapped_degrees_are_bitwise_identical_to_serial_under_p1() {
             seed: 0xD1CE,
         };
         let fixture = problem.materialize();
-        for algo in [A2aAlgo::Linear, A2aAlgo::TwoDh] {
+        for algo in AllToAllAlgo::ALL {
             for threads in [1usize, 4] {
-                let serial = run_distributed(
-                    &problem,
-                    &fixture,
-                    &Config {
-                        strategy: Strategy::P1,
-                        algo,
-                        degree: 1,
-                        world,
-                        threads,
-                    },
-                );
+                let at_degree = |degree| ExecConfig {
+                    strategy: Parallelism::P1,
+                    algo,
+                    degree,
+                    world,
+                    threads,
+                    dropless: false,
+                };
+                let serial = run_distributed(&problem, &fixture, &at_degree(1));
                 for degree in DEGREES {
-                    let cfg = Config {
-                        strategy: Strategy::P1,
-                        algo,
-                        degree,
-                        world,
-                        threads,
-                    };
+                    let cfg = at_degree(degree);
                     let got = run_distributed(&problem, &fixture, &cfg);
-                    assert_ranks_bitwise(&serial, &got, &cfg.label());
+                    assert_ranks_bitwise(&serial, &got, &cell_label(&cfg, true));
                 }
             }
         }
@@ -87,26 +79,18 @@ fn overlap_is_seed_independent_of_degree_ordering() {
         seed: 0xBEEF,
     };
     let fixture = problem.materialize();
-    let serial = run_distributed(
-        &problem,
-        &fixture,
-        &Config {
-            strategy: Strategy::P1,
-            algo: A2aAlgo::Linear,
-            degree: 1,
-            world: 2,
-            threads: 1,
-        },
-    );
+    let at_degree = |degree| ExecConfig {
+        strategy: Parallelism::P1,
+        algo: AllToAllAlgo::Linear,
+        degree,
+        world: 2,
+        threads: 1,
+        dropless: false,
+    };
+    let serial = run_distributed(&problem, &fixture, &at_degree(1));
     for degree in DEGREES.iter().rev() {
-        let cfg = Config {
-            strategy: Strategy::P1,
-            algo: A2aAlgo::Linear,
-            degree: *degree,
-            world: 2,
-            threads: 1,
-        };
+        let cfg = at_degree(*degree);
         let got = run_distributed(&problem, &fixture, &cfg);
-        assert_ranks_bitwise(&serial, &got, &cfg.label());
+        assert_ranks_bitwise(&serial, &got, &cell_label(&cfg, true));
     }
 }
