@@ -7,11 +7,11 @@
 //! pushes, atomics).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use tutel::{MoeConfig, MoeLayer};
-use tutel_gate::{route, RaggedRouting, RouteConfig};
-use tutel_kernels::{ragged_encode, ragged_encode_observed};
+use tutel::{step, MoeConfig, MoeLayer};
+use tutel_gate::{route, LinearRouter, RaggedRouting, RouteConfig, Router};
+use tutel_kernels::{ragged_decode, ragged_encode};
 use tutel_obs::Telemetry;
-use tutel_tensor::Rng;
+use tutel_tensor::{scratch, Rng, TensorError};
 
 fn bench_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("telemetry_overhead");
@@ -31,18 +31,36 @@ fn bench_overhead(c: &mut Criterion) {
         b.iter(|| layer.infer(&x).unwrap())
     });
 
-    // Kernel-level: the plain encode vs the instrumented wrapper with
-    // a disabled handle — the pure price of the branch.
-    let logits = rng.normal_tensor(&[tokens, 8], 0.0, 1.0);
-    let probs = logits.softmax_last();
-    let routing = route(&probs, &RouteConfig::top2()).unwrap();
-    let bins = RaggedRouting::uniform_capacity(&routing);
+    // Stage-level: the chain written out on the plain kernels vs the
+    // instrumented step with a disabled handle, over an identity
+    // expert stage — the pure price of the per-stage branches.
+    let router = LinearRouter::new(32, 8, &mut rng);
+    let route_cfg = RouteConfig::top2();
     let disabled = Telemetry::disabled();
-    group.bench_function("encode/plain", |b| {
-        b.iter(|| ragged_encode(&x, &routing, &bins).unwrap())
+    group.bench_function("stages/plain", |b| {
+        b.iter(|| {
+            let probs = router.logits(&x).unwrap().softmax_last();
+            let routing = route(&probs, &route_cfg).unwrap();
+            let bins = RaggedRouting::uniform_capacity(&routing);
+            let packed = ragged_encode(&x, &routing, &bins).unwrap();
+            let expert_out = scratch::copy_of(&packed);
+            scratch::recycle(packed);
+            let out = ragged_decode(&expert_out, &routing, &bins, tokens).unwrap();
+            scratch::recycle(expert_out);
+            out
+        })
     });
-    group.bench_function("encode/observed_disabled", |b| {
-        b.iter(|| ragged_encode_observed(&x, &routing, &bins, &disabled).unwrap())
+    group.bench_function("stages/step_disabled", |b| {
+        b.iter(|| {
+            let (probs, routing) = step::gate(&router, &x, &route_cfg, &disabled).unwrap();
+            let bins = RaggedRouting::uniform_capacity(&routing);
+            let (out, saved) = step::forward(&x, probs, routing, bins, &disabled, |packed, _| {
+                Ok::<_, TensorError>(scratch::copy_of(packed))
+            })
+            .unwrap();
+            scratch::recycle(saved.expert_out);
+            out
+        })
     });
     group.finish();
 }

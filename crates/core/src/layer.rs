@@ -1,9 +1,10 @@
 //! The Tutel MoE layer: gating → fast encode → experts → fast decode,
 //! fully differentiable.
 //!
-//! Every pass runs one chain — `route → bins → ragged_encode →
-//! grouped FFN → ragged_decode` — over packed expert bins. The
-//! capacity policy only sizes the bins (`expert_bins`).
+//! Every pass is the rank program of [`crate::step`] with the local
+//! [`ExpertsBlock`] as its expert stage; the layer adds the parameters,
+//! the per-iteration knobs and the report around it. The capacity
+//! policy only sizes the bins (`expert_bins`).
 //!
 //! This is the *functional* layer used for end-to-end training and for
 //! parity tests against the Fairseq baseline. Distribution across
@@ -14,17 +15,14 @@
 
 use tutel_experts::ExpertsBlock;
 use tutel_gate::{
-    aux_loss, aux_loss_grad, observe_routing, route, CapacityPolicy, CosineRouter, HashRouter,
-    LinearRouter, RaggedRouting, Router, Routing,
-};
-use tutel_kernels::{
-    ragged_decode_backward, ragged_decode_observed, ragged_encode_backward, ragged_encode_observed,
+    aux_loss, CapacityPolicy, CosineRouter, HashRouter, LinearRouter, RaggedRouting, Router,
+    Routing,
 };
 use tutel_obs::Telemetry;
 use tutel_tensor::{scratch, Rng, Tensor, TensorError};
 
 use crate::checkpoint::{RestoreError, StateDict};
-use crate::{MoeConfig, RouterKind};
+use crate::{step, MoeConfig, RouterKind};
 
 /// Output of one MoE layer forward pass.
 #[derive(Debug, Clone)]
@@ -73,12 +71,9 @@ impl AnyRouter {
 
 struct SavedForward {
     x: Tensor,
-    probs: Tensor,
-    routing: Routing,
-    /// Packed `(R, M)` expert outputs.
-    expert_out: Tensor,
-    /// The bins the forward packed its rows into.
-    ragged: RaggedRouting,
+    step: step::Saved,
+    /// The aux-loss weight in force when the forward ran.
+    aux_weight: f32,
 }
 
 /// The expert bins for one routing decision — the only place the
@@ -93,6 +88,35 @@ fn expert_bins(routing: &Routing, policy: CapacityPolicy) -> RaggedRouting {
         CapacityPolicy::AutoMin => RaggedRouting::from_routing(routing),
         _ => RaggedRouting::uniform_capacity(routing),
     }
+}
+
+/// One forward pass under `cfg`: [`step::gate`] and [`step::forward`]
+/// with `experts` as the expert stage, and the aux loss and routing
+/// statistics around the output.
+fn pass(
+    router: &dyn Router,
+    obs: &Telemetry,
+    cfg: &MoeConfig,
+    x: &Tensor,
+    experts: impl FnOnce(&Tensor, &[usize]) -> Result<Tensor, TensorError>,
+) -> Result<(MoeOutput, step::Saved), TensorError> {
+    let route_cfg = cfg.route_config();
+    let (probs, routing) = step::gate(router, x, &route_cfg, obs)?;
+    let bins = expert_bins(&routing, route_cfg.capacity);
+    let (output, saved) = step::forward(x, probs, routing, bins, obs, experts)?;
+    let routing = &saved.routing;
+    let aux = aux_loss(&saved.probs, routing)?;
+    obs.set_gauge("gate.aux_loss", aux as f64);
+    let out = MoeOutput {
+        output,
+        aux_loss: aux,
+        capacity_factor: routing.capacity_factor,
+        needed_factor: routing.needed_factor,
+        survival_rate: routing.survival_rate(),
+        expert_load: routing.counts.clone(),
+        dropped: routing.dropped(),
+    };
+    Ok((out, saved))
 }
 
 /// The Tutel MoE layer.
@@ -213,10 +237,22 @@ impl MoeLayer {
     ///
     /// # Errors
     ///
-    /// Returns a [`TensorError`] on shape mismatch.
+    /// Returns a [`TensorError`] on shape mismatch or invalid routing
+    /// input (a NaN selected gate, a non-finite capacity factor).
     pub fn forward(&mut self, x: &Tensor) -> Result<MoeOutput, TensorError> {
-        let (out, saved) = self.forward_inner(x)?;
-        self.saved = Some(saved);
+        let _span = self.obs.span("moe.forward");
+        let (out, saved) = pass(
+            self.router.as_dyn(),
+            &self.obs,
+            &self.cfg,
+            x,
+            |rows, bins| self.experts.forward_grouped(rows, bins),
+        )?;
+        self.saved = Some(SavedForward {
+            x: x.clone(),
+            step: saved,
+            aux_weight: self.cfg.aux_weight,
+        });
         Ok(out)
     }
 
@@ -225,7 +261,7 @@ impl MoeLayer {
     ///
     /// # Errors
     ///
-    /// Returns a [`TensorError`] on shape mismatch.
+    /// As [`MoeLayer::forward`].
     pub fn infer(&self, x: &Tensor) -> Result<MoeOutput, TensorError> {
         self.infer_with(x, self.cfg.capacity_factor)
     }
@@ -236,12 +272,14 @@ impl MoeLayer {
     /// row handling anywhere, and in particular a batch of one token
     /// takes exactly the same kernel path (blocked GEMM, softmax,
     /// top-k, encode/FFN/decode) as a large batch and produces
-    /// bitwise-identical rows. This is the path the serving engine
-    /// builds its per-request differential oracle on.
+    /// bitwise-identical rows. The serving step makes the same
+    /// promise; its per-request oracle is
+    /// `tutel_serve::exec::reference_rows`, built on the kernel crates
+    /// rather than on this layer.
     ///
     /// # Errors
     ///
-    /// Returns a [`TensorError`] on shape mismatch.
+    /// As [`MoeLayer::forward`].
     pub fn infer_dropless(&self, x: &Tensor) -> Result<MoeOutput, TensorError> {
         self.infer_with(x, 0.0)
     }
@@ -250,144 +288,44 @@ impl MoeLayer {
     ///
     /// # Errors
     ///
-    /// Returns a [`TensorError`] on shape mismatch.
+    /// As [`MoeLayer::forward`].
     pub fn infer_with(&self, x: &Tensor, capacity_factor: f64) -> Result<MoeOutput, TensorError> {
         let _span = self.obs.span("moe.infer");
         let mut cfg = self.cfg;
         cfg.capacity_factor = capacity_factor;
-        let (probs, routing, ragged) = self.gate(x, &cfg)?;
-        let packed = ragged_encode_observed(x, &routing, &ragged, &self.obs)?;
-        let expert_out = self.experts.infer_grouped(&packed, &ragged.offsets)?;
-        scratch::recycle(packed);
-        let output =
-            ragged_decode_observed(&expert_out, &routing, &ragged, x.dims()[0], &self.obs)?;
-        scratch::recycle(expert_out);
-        self.report(output, &probs, &routing)
-    }
-
-    fn forward_inner(&mut self, x: &Tensor) -> Result<(MoeOutput, SavedForward), TensorError> {
-        let _span = self.obs.span("moe.forward");
-        let (probs, routing, ragged) = self.gate(x, &self.cfg)?;
-        let packed = ragged_encode_observed(x, &routing, &ragged, &self.obs)?;
-        let expert_out = self.experts.forward_grouped(&packed, &ragged.offsets)?;
-        scratch::recycle(packed);
-        let output =
-            ragged_decode_observed(&expert_out, &routing, &ragged, x.dims()[0], &self.obs)?;
-        let out = self.report(output, &probs, &routing)?;
-        let saved = SavedForward {
-            x: x.clone(),
-            probs,
-            routing,
-            expert_out,
-            ragged,
-        };
-        Ok((out, saved))
-    }
-
-    /// Head of every pass: gate, route under `cfg`, size the bins.
-    fn gate(
-        &self,
-        x: &Tensor,
-        cfg: &MoeConfig,
-    ) -> Result<(Tensor, Routing, RaggedRouting), TensorError> {
-        let route_cfg = cfg.route_config();
-        let (probs, routing) = {
-            let _gate = self.obs.span("gate");
-            let logits = self.router.as_dyn().logits(x)?;
-            let probs = logits.softmax_last();
-            let routing = route(&probs, &route_cfg)?;
-            (probs, routing)
-        };
-        observe_routing(&routing, &self.obs);
-        let ragged = expert_bins(&routing, route_cfg.capacity);
-        Ok((probs, routing, ragged))
-    }
-
-    /// Tail of every forward pass: the aux loss and the routing
-    /// statistics around `output`.
-    fn report(
-        &self,
-        output: Tensor,
-        probs: &Tensor,
-        routing: &Routing,
-    ) -> Result<MoeOutput, TensorError> {
-        let aux = aux_loss(probs, routing)?;
-        self.obs.set_gauge("gate.aux_loss", aux as f64);
-        Ok(MoeOutput {
-            output,
-            aux_loss: aux,
-            capacity_factor: routing.capacity_factor,
-            needed_factor: routing.needed_factor,
-            survival_rate: routing.survival_rate(),
-            expert_load: routing.counts.clone(),
-            dropped: routing.dropped(),
-        })
+        let (out, saved) = pass(self.router.as_dyn(), &self.obs, &cfg, x, |rows, bins| {
+            self.experts.infer_grouped(rows, bins)
+        })?;
+        scratch::recycle(saved.expert_out);
+        Ok(out)
     }
 
     /// Backward pass: consumes the cached forward, accumulates router
     /// and expert gradients (including the auxiliary-loss term), and
-    /// returns `d_x (T, M)`.
+    /// returns `d_x (T, M)`. It differentiates the routing the forward
+    /// ran: knobs changed since (`set_top_k`, `set_capacity_factor`)
+    /// apply from the next forward on.
     ///
     /// # Errors
     ///
     /// Returns a [`TensorError`] if no forward is cached or shapes
     /// mismatch.
-    // check:hot
     pub fn backward(&mut self, d_out: &Tensor) -> Result<Tensor, TensorError> {
         let _span = self.obs.span("moe.backward");
-        let SavedForward {
-            x,
-            probs,
-            routing,
-            expert_out,
-            ragged,
-        } = self
+        let fwd = self
             .saved
             .take()
             .ok_or_else(|| TensorError::InvalidArgument("backward without forward".into()))?;
-        let tokens = x.dims()[0];
-
-        // Decode → experts → encode, retraced over the forward's bins.
-        let (d_packed_out, d_gates) =
-            ragged_decode_backward(d_out, &expert_out, &routing, &ragged)?;
-        scratch::recycle(expert_out);
-        let d_packed_in = self.experts.backward_grouped(&d_packed_out)?;
-        scratch::recycle(d_packed_out);
-        let mut d_x = ragged_encode_backward(&d_packed_in, &routing, &ragged, tokens)?;
-        scratch::recycle(d_packed_in);
-
-        // Gate-value gradients → probability gradients. For k > 1 the
-        // selected gates were normalized (g_i = v_i / Σv); chain
-        // through that. For k = 1 the raw probability was the gate.
-        let mut d_probs = scratch::zeroed(probs.dims());
-        for (t, (experts, dg)) in routing.expert_of.iter().zip(&d_gates).enumerate() {
-            if self.cfg.top_k > 1 {
-                let vals: Vec<f32> = experts.iter().map(|&e| probs.at(&[t, e])).collect();
-                let s: f32 = vals.iter().sum::<f32>().max(1e-9);
-                let gates: Vec<f32> = vals.iter().map(|v| v / s).collect();
-                let dot: f32 = dg.iter().zip(&gates).map(|(d, g)| d * g).sum();
-                for (i, &e) in experts.iter().enumerate() {
-                    d_probs.set(&[t, e], (dg[i] - dot) / s);
-                }
-            } else if let (Some(&e), Some(&d)) = (experts.first(), dg.first()) {
-                d_probs.set(&[t, e], d);
-            }
-        }
-
-        // Auxiliary loss gradient (straight-through on the fractions).
-        let d_aux = aux_loss_grad(&probs, &routing)?;
-        d_probs.axpy(self.cfg.aux_weight, &d_aux)?;
-        scratch::recycle(d_aux);
-
-        // Through softmax and the router.
-        let d_logits = probs.softmax_last_backward(&d_probs)?;
-        scratch::recycle(d_probs);
-        scratch::recycle(probs);
-        let d_x_router = self.router.as_dyn_mut().backward(&x, &d_logits)?;
-        scratch::recycle(d_logits);
-        scratch::recycle(x);
-        d_x.axpy(1.0, &d_x_router)?;
-        scratch::recycle(d_x_router);
+        let d_x = step::backward(
+            self.router.as_dyn_mut(),
+            &fwd.x,
+            fwd.step,
+            d_out,
+            fwd.aux_weight,
+            &self.obs,
+            |d_packed| self.experts.backward_grouped(d_packed),
+        )?;
+        scratch::recycle(fwd.x);
         Ok(d_x)
     }
 
@@ -671,6 +609,175 @@ mod tests {
         let mut rng = Rng::seed(9);
         assert!(MoeLayer::new(&MoeConfig::new(8, 16, 4).with_top_k(5), &mut rng).is_err());
         assert!(MoeLayer::new(&MoeConfig::new(8, 16, 4).with_top_k(0), &mut rng).is_err());
+    }
+
+    #[test]
+    fn backward_differentiates_the_routing_the_forward_ran() {
+        // top-2 forward normalizes its gates; lowering top_k before
+        // backward must not switch the gate-gradient chain to the
+        // unnormalized top-1 form.
+        let cfg = MoeConfig::new(8, 16, 4).with_top_k(2);
+        let (mut a, mut rng) = layer(&cfg, 14);
+        let (mut b, _) = layer(&cfg, 14);
+        let x = rng.normal_tensor(&[32, 8], 0.0, 1.0);
+        let up = rng.normal_tensor(&[32, 8], 0.0, 1.0);
+        a.forward(&x).unwrap();
+        b.forward(&x).unwrap();
+        b.set_top_k(1).unwrap();
+        b.set_capacity_factor(4.0);
+        assert_eq!(a.backward(&up).unwrap(), b.backward(&up).unwrap());
+    }
+
+    #[test]
+    fn hostile_routing_inputs_are_typed_errors_never_panics() {
+        use tutel_gate::route;
+        let nan = f32::NAN;
+        let cfg = MoeConfig::new(8, 16, 4).with_top_k(2);
+        let (mut l, mut rng) = layer(&cfg, 15);
+
+        // Layer inputs. A NaN activation makes every logit of its row
+        // NaN, so for the layer "mixed" and "whole row" both end in a
+        // selected NaN gate.
+        let good = rng.normal_tensor(&[16, 8], 0.0, 1.0);
+        let mut mixed = good.clone();
+        mixed
+            .as_mut_slice()
+            .iter_mut()
+            .step_by(3)
+            .for_each(|v| *v = nan);
+        let mut one_row = good.clone();
+        one_row.as_mut_slice()[8..16].fill(nan);
+        let empty = Tensor::zeros(&[0, 8]);
+
+        // `route` inputs with the same defects, wide enough that a
+        // comparator that is not a total order is caught by `sort_by`.
+        let probs = rng.uniform_tensor(&[64, 64], 0.0, 1.0).softmax_last();
+        let mut p_mixed = probs.clone();
+        for row in p_mixed.as_mut_slice().chunks_mut(64) {
+            row.iter_mut().step_by(3).for_each(|v| *v = nan);
+        }
+        let mut p_one_row = probs.clone();
+        p_one_row.as_mut_slice()[64..128].fill(nan);
+        let p_empty = Tensor::zeros(&[0, 64]);
+
+        // (case, layer input, route input, capacity factor, whether
+        // route / the layer answer with a finite output)
+        let table = [
+            // Numbers outrank NaN: 42 numbers a row, k = 2 routes on them.
+            ("mixed NaN", &mixed, &p_mixed, 1.0, true, false),
+            ("all-NaN row", &one_row, &p_one_row, 1.0, false, false),
+            ("NaN factor", &good, &probs, f64::NAN, false, false),
+            ("+Inf factor", &good, &probs, f64::INFINITY, false, false),
+            ("zero tokens", &empty, &p_empty, 1.0, true, true),
+        ];
+        for (name, x, probs, factor, route_ok, layer_ok) in table {
+            let mut route_cfg = cfg.route_config();
+            route_cfg.capacity = CapacityPolicy::from_arg(factor);
+            match route(probs, &route_cfg) {
+                Ok(r) => {
+                    assert!(route_ok, "{name}: route should refuse");
+                    assert!(r.gate_of.iter().flatten().all(|g| g.is_finite()), "{name}");
+                }
+                Err(e) => {
+                    assert!(!route_ok, "{name}: route: {e}");
+                    assert!(matches!(e, TensorError::InvalidArgument(_)), "{name}: {e}");
+                }
+            }
+
+            l.set_capacity_factor(factor);
+            for got in [l.forward(x), l.infer_with(x, factor)] {
+                match got {
+                    Ok(out) => {
+                        assert!(layer_ok, "{name}: the layer should refuse");
+                        assert_eq!(out.output.dims(), &[x.dims()[0], 8]);
+                        assert!(out.output.as_slice().iter().all(|v| v.is_finite()));
+                        assert!(out.aux_loss.is_finite());
+                    }
+                    Err(e) => {
+                        assert!(!layer_ok, "{name}: layer: {e}");
+                        assert!(matches!(e, TensorError::InvalidArgument(_)), "{name}: {e}");
+                    }
+                }
+            }
+            // The layer is not poisoned: the next well-formed call works.
+            l.set_capacity_factor(1.0);
+            let out = l.forward(&good).unwrap();
+            assert!(
+                out.output.as_slice().iter().all(|v| v.is_finite()),
+                "{name}"
+            );
+            l.backward(&good).unwrap();
+        }
+    }
+
+    /// One traced forward + backward over a warmed layer: the
+    /// `moe.backward` span and the four stage spans inside it.
+    fn traced_backward_spans() -> (tutel_obs::SpanRecord, Vec<tutel_obs::SpanRecord>) {
+        use tutel_obs::Event;
+        let cfg = MoeConfig::new(32, 64, 8).with_top_k(2);
+        let (mut l, mut rng) = layer(&cfg, 16);
+        let x = rng.normal_tensor(&[512, 32], 0.0, 1.0);
+        let up = rng.normal_tensor(&[512, 32], 0.0, 1.0);
+        // Warm the arena so the traced pass is steady state.
+        l.forward(&x).unwrap();
+        l.backward(&up).unwrap();
+        let tel = Telemetry::enabled();
+        l.set_telemetry(tel.clone());
+        l.forward(&x).unwrap();
+        l.backward(&up).unwrap();
+        let span = |name: &str| {
+            let mut spans = tel.events().into_iter().filter_map(|e| match e {
+                Event::Span(s) if s.name == name => Some(s),
+                _ => None,
+            });
+            let first = spans.next().unwrap_or_else(|| panic!("no `{name}` span"));
+            assert!(spans.next().is_none(), "one `{name}` span per backward");
+            first
+        };
+        let stages = [
+            "decode.backward",
+            "ffn.backward",
+            "encode.backward",
+            "gate.backward",
+        ];
+        (span("moe.backward"), stages.map(span).to_vec())
+    }
+
+    #[test]
+    fn backward_stage_spans_nest_in_order_inside_the_backward_pass() {
+        // The deterministic half of the attribution contract: each
+        // stage span exists exactly once, they follow one another in
+        // stage order, and all of them sit inside `moe.backward`.
+        let (whole, stages) = traced_backward_spans();
+        let mut at = whole.start_s;
+        for s in &stages {
+            assert!(
+                s.start_s >= at,
+                "`{}` starts before its predecessor ends",
+                s.name
+            );
+            at = s.start_s + s.dur_s;
+        }
+        assert!(
+            at <= whole.start_s + whole.dur_s,
+            "stages outlast moe.backward"
+        );
+    }
+
+    #[test]
+    #[ignore = "wall-clock bound: ci.sh runs it alone, not under the parallel suite"]
+    fn backward_stage_spans_account_for_the_backward_pass() {
+        // What the stage spans leave unattributed is the glue between
+        // them; best of a few passes, since one preemption between two
+        // spans is charged to nobody.
+        let best = (0..9)
+            .map(|_| {
+                let (whole, stages) = traced_backward_spans();
+                let parts: f64 = stages.iter().map(|s| s.dur_s).sum();
+                (whole.dur_s - parts) / whole.dur_s
+            })
+            .fold(f64::MAX, f64::min);
+        assert!(best <= 0.10, "unattributed backward share {best:.3}");
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //!   (linear / cosine / hash routers, top-ANY, dynamic capacity
 //!   factor, BPR), sparse fast encode/decode, expert FFNs, auxiliary
 //!   load-balancing loss;
+//! * [`step`] — the rank program the layer and every distributed
+//!   executor run, with the expert stage supplied by the caller;
 //! * [`FairseqMoeLayer`] — the dense-einsum GShard/Fairseq baseline,
 //!   numerically equivalent (tested) but asymptotically slower;
 //! * [`pipeline`] — adaptive pipelining: token partitioning for
@@ -46,6 +48,7 @@ mod layer;
 pub mod model;
 pub mod overlap;
 pub mod pipeline;
+pub mod step;
 pub mod trainer;
 
 pub use api::{moe, net};

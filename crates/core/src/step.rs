@@ -1,0 +1,225 @@
+//! The rank program: one MoE step on one rank — `logits → softmax →
+//! route → bins → encode → [experts] → decode`, and the gate-gradient
+//! chain that retraces it.
+//!
+//! Distribution is a *plan*, never a second implementation: the step
+//! owns everything rank-local and takes the **expert stage** — whatever
+//! turns packed bin rows into packed expert outputs — as a closure.
+//! [`crate::MoeLayer`] passes its local experts, `tutel_serve::exec` and
+//! `tutel_harness::dist` pass [`crate::overlap::exchange_bins`]; kernel
+//! failures convert into the caller's error type and the closure's
+//! errors pass through. The caller sizes the expert bins between
+//! [`gate`] and [`forward`] — the one point where ranks may have to
+//! agree on a capacity, and the last one where a rank can fail on its
+//! own rows alone. Stage boundaries are span boundaries (`gate`,
+//! `encode`, `decode` and their `.backward` twins; the expert stage
+//! opens its own `ffn` spans): one branch per stage when `tel` is
+//! disabled.
+
+use tutel_gate::{
+    aux_loss_grad, observe_routing, route, RaggedRouting, RouteConfig, Router, Routing,
+};
+use tutel_kernels::{ragged_decode, ragged_decode_backward, ragged_encode, ragged_encode_backward};
+use tutel_obs::{Span, Telemetry};
+use tutel_tensor::{scratch, Tensor, TensorError};
+
+/// What [`forward`] ran, for [`backward`] and the caller's report.
+#[derive(Debug)]
+pub struct Saved {
+    /// Gating probabilities `(T, E)`.
+    pub probs: Tensor,
+    /// The routing decision; it records whether the gates were
+    /// normalized, so backward never re-derives that from a config
+    /// changed since.
+    pub routing: Routing,
+    /// The bins the rows were packed into.
+    pub bins: RaggedRouting,
+    /// Packed expert outputs, in the bins' layout.
+    pub expert_out: Tensor,
+}
+
+/// Opens stage span `name` tagged with the step's sizes.
+fn stage_span(tel: &Telemetry, name: &str, routing: &Routing, bins: &RaggedRouting) -> Span {
+    if !tel.is_enabled() {
+        return tel.span(name);
+    }
+    tel.span(name)
+        .tag("tokens", routing.num_tokens())
+        .tag("experts", routing.experts)
+        .tag("packed_rows", bins.total())
+}
+
+/// The gate stage over `x (T, M)`: router logits, softmax, and the
+/// routing decision under `route_cfg`. Returns the probabilities
+/// `(T, E)` and the routing.
+///
+/// # Errors
+///
+/// A [`TensorError`] on shape mismatch or invalid routing input (a
+/// non-finite capacity factor, a selected NaN gate). This is the only
+/// failure of a step that depends on the rank's own rows, so a
+/// distributed caller sees it before it enters any collective.
+// check:hot
+pub fn gate(
+    router: &dyn Router,
+    x: &Tensor,
+    route_cfg: &RouteConfig,
+    tel: &Telemetry,
+) -> Result<(Tensor, Routing), TensorError> {
+    let gate = tel.span("gate");
+    let probs = router.logits(x)?.softmax_last();
+    let routing = route(&probs, route_cfg)?;
+    drop(gate);
+    observe_routing(&routing, tel);
+    Ok((probs, routing))
+}
+
+/// The forward step after [`gate`]: encode `x (T, M)` into `bins`
+/// (sized by the caller from `routing`, whose `capacity` it may first
+/// raise to what ranks agreed on), run `experts` on the packed rows and
+/// their CSR offsets, decode. Returns the output `(T, M)`.
+///
+/// # Errors
+///
+/// A converted [`TensorError`] on shape mismatch; otherwise whatever
+/// `experts` returned.
+// check:hot
+pub fn forward<E: From<TensorError>>(
+    x: &Tensor,
+    probs: Tensor,
+    routing: Routing,
+    bins: RaggedRouting,
+    tel: &Telemetry,
+    experts: impl FnOnce(&Tensor, &[usize]) -> Result<Tensor, E>,
+) -> Result<(Tensor, Saved), E> {
+    let encode = stage_span(tel, "encode", &routing, &bins);
+    let packed = ragged_encode(x, &routing, &bins)?;
+    tel.add_counter("kernels.encode.elements", packed.len() as u64);
+    tel.add_counter("kernels.encode.calls", 1);
+    drop(encode);
+    let expert_out = experts(&packed, &bins.offsets)?;
+    scratch::recycle(packed);
+    let decode = stage_span(tel, "decode", &routing, &bins);
+    let output = ragged_decode(&expert_out, &routing, &bins, routing.num_tokens())?;
+    tel.add_counter("kernels.decode.elements", output.len() as u64);
+    tel.add_counter("kernels.decode.calls", 1);
+    drop(decode);
+
+    let saved = Saved {
+        probs,
+        routing,
+        bins,
+        expert_out,
+    };
+    Ok((output, saved))
+}
+
+/// The backward step: retraces decode → `experts_backward` → encode
+/// over the forward's bins, then chains the gate gradients through
+/// gate normalization, the auxiliary loss (`aux_weight`, straight-
+/// through on the fractions), softmax and the router. `x` is the
+/// forward's input; router gradients accumulate in `router`. Returns
+/// `d_x (T, M)`, router term included.
+///
+/// # Errors
+///
+/// As [`forward`].
+// check:hot
+pub fn backward<E: From<TensorError>>(
+    router: &mut dyn Router,
+    x: &Tensor,
+    saved: Saved,
+    d_out: &Tensor,
+    aux_weight: f32,
+    tel: &Telemetry,
+    experts_backward: impl FnOnce(&Tensor) -> Result<Tensor, E>,
+) -> Result<Tensor, E> {
+    let (probs, routing, bins) = (&saved.probs, &saved.routing, &saved.bins);
+    let decode = stage_span(tel, "decode.backward", routing, bins);
+    let (d_packed_out, d_gates) = ragged_decode_backward(d_out, &saved.expert_out, routing, bins)?;
+    drop(decode);
+    scratch::recycle(saved.expert_out);
+    let d_packed_in = experts_backward(&d_packed_out)?;
+    scratch::recycle(d_packed_out);
+    let encode = stage_span(tel, "encode.backward", routing, bins);
+    let mut d_x = ragged_encode_backward(&d_packed_in, routing, bins, routing.num_tokens())?;
+    drop(encode);
+    scratch::recycle(d_packed_in);
+
+    let _gate = tel.span("gate.backward");
+    // Gate-value gradients → probability gradients. Normalized gates
+    // were g_i = v_i / Σv: chain through that. Otherwise the raw
+    // probability was the gate.
+    let mut d_probs = scratch::zeroed(probs.dims());
+    for (t, (experts, dg)) in routing.expert_of.iter().zip(&d_gates).enumerate() {
+        if routing.normalized {
+            let vals: Vec<f32> = experts.iter().map(|&e| probs.at(&[t, e])).collect();
+            let s: f32 = vals.iter().sum::<f32>().max(1e-9);
+            let dot: f32 = dg.iter().zip(&vals).map(|(d, v)| d * (v / s)).sum();
+            for (&e, d) in experts.iter().zip(dg) {
+                d_probs.set(&[t, e], (d - dot) / s);
+            }
+        } else {
+            for (&e, &d) in experts.iter().zip(dg) {
+                d_probs.set(&[t, e], d);
+            }
+        }
+    }
+
+    let d_aux = aux_loss_grad(probs, routing)?;
+    d_probs.axpy(aux_weight, &d_aux)?;
+    scratch::recycle(d_aux);
+
+    let d_logits = probs.softmax_last_backward(&d_probs)?;
+    scratch::recycle(d_probs);
+    scratch::recycle(saved.probs);
+    let d_x_router = router.backward(x, &d_logits)?;
+    scratch::recycle(d_logits);
+    d_x.axpy(1.0, &d_x_router)?;
+    scratch::recycle(d_x_router);
+    Ok(d_x)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tutel_gate::LinearRouter;
+    use tutel_obs::Event;
+    use tutel_tensor::Rng;
+
+    #[test]
+    fn observed_step_matches_plain_and_counts_elements() {
+        let mut rng = Rng::seed(3);
+        let router = LinearRouter::new(4, 2, &mut rng);
+        let x = rng.normal_tensor(&[6, 4], 0.0, 1.0);
+        let run = |tel: &Telemetry| {
+            let cfg = RouteConfig::top1().with_capacity_factor(4.0);
+            let (probs, routing) = gate(&router, &x, &cfg, tel).unwrap();
+            let bins = RaggedRouting::uniform_capacity(&routing);
+            forward(&x, probs, routing, bins, tel, |packed, _| {
+                Ok::<_, TensorError>(packed.clone())
+            })
+            .unwrap()
+        };
+        let tel = Telemetry::enabled();
+        let (plain, _) = run(&Telemetry::disabled());
+        let (observed, saved) = run(&tel);
+        assert_eq!(plain, observed);
+
+        let packed = saved.expert_out.len() as u64;
+        assert_eq!(tel.counter_value("kernels.encode.elements"), Some(packed));
+        assert_eq!(tel.counter_value("kernels.encode.calls"), Some(1));
+        assert_eq!(tel.counter_value("kernels.decode.elements"), Some(24));
+        assert_eq!(tel.counter_value("kernels.decode.calls"), Some(1));
+        // The stage spans made it into the ring, in stage order.
+        let spans: Vec<String> = tel
+            .events()
+            .into_iter()
+            .filter_map(|e| match e {
+                Event::Span(s) => Some(s.name),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(spans, ["gate", "encode", "decode"]);
+    }
+}

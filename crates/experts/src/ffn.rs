@@ -354,11 +354,10 @@ impl ExpertsBlock {
     // check:hot
     fn infer_rows(&self, x: &Tensor, offsets: &[usize]) -> Result<Tensor, TensorError> {
         let _span = self.ffn_span("ffn", offsets);
-        let h_pre = self.layer(x.as_slice(), &self.w1, &self.b1, offsets);
-        let h = h_pre.gelu();
+        let mut h = self.layer(x.as_slice(), &self.w1, &self.b1, offsets);
+        h.gelu_in_place();
         let mut y = self.layer(h.as_slice(), &self.w2, &self.b2, offsets);
         y.reshape_in_place(x.dims())?;
-        scratch::recycle(h_pre);
         scratch::recycle(h);
         Ok(y)
     }

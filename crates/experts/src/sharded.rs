@@ -12,7 +12,7 @@
 
 use tutel_tensor::{dispatch, Precision, Rng, Tensor, TensorError};
 
-use crate::ExpertsBlock;
+use crate::{ExpertsBlock, Parallelism};
 
 /// Expert parameters sharded across the `R` ranks of one replica group.
 ///
@@ -298,16 +298,61 @@ pub fn p1_forward(params: &ShardedExpertParams, x: &Tensor) -> Result<Tensor, Te
 ///
 /// Returns a [`TensorError`] if `x` is not `(ΔE, C, M)`.
 pub fn p2_forward(params: &ShardedExpertParams, x: &Tensor) -> Result<Tensor, TensorError> {
+    shard_sum(0..params.shards(), |r| params.shard_block(r).infer(x))
+}
+
+/// The expert block(s) `strategy` executes on `rank` of `world`: the
+/// rank's slice of the global `bank` in one block under P1, or that
+/// slice's `shards` hidden-dimension shards under P2 (their partial
+/// outputs are summed by [`shard_sum`]).
+///
+/// # Errors
+///
+/// Returns a [`TensorError`] if `world` does not divide the expert
+/// count or `shards` the hidden dimension.
+pub fn rank_blocks(
+    bank: &ExpertsBlock,
+    strategy: Parallelism,
+    world: usize,
+    rank: usize,
+    shards: usize,
+) -> Result<Vec<ExpertsBlock>, TensorError> {
+    let local = bank.rank_slice(world, rank)?;
+    Ok(match strategy {
+        Parallelism::P1 => vec![local],
+        Parallelism::P2 => {
+            let params = ShardedExpertParams::from_block(&local, shards)?;
+            (0..params.shards())
+                .map(|r| params.shard_block(r))
+                .collect()
+        }
+    })
+}
+
+/// Applies `apply` to every block and sums the results in block
+/// (= shard) order — P2's one re-associated addition chain; under P1
+/// the single block's result passes through untouched.
+///
+/// # Errors
+///
+/// Propagates `apply`'s error; [`TensorError::InvalidArgument`] for
+/// an empty block list.
+pub fn shard_sum<B>(
+    blocks: impl IntoIterator<Item = B>,
+    mut apply: impl FnMut(B) -> Result<Tensor, TensorError>,
+) -> Result<Tensor, TensorError> {
     let mut acc: Option<Tensor> = None;
-    for r in 0..params.shards() {
-        let partial = params.shard_block(r).infer(x)?;
+    for block in blocks {
+        let y = apply(block)?;
         acc = Some(match acc {
-            None => partial,
-            Some(a) => a.add(&partial)?,
+            None => y,
+            Some(mut a) => {
+                a.axpy(1.0, &y)?;
+                a
+            }
         });
     }
-    // check:allow(no_panic, shards() >= 1 is a SlabParams invariant)
-    Ok(acc.expect("at least one shard"))
+    acc.ok_or_else(|| TensorError::InvalidArgument("strategy produced no expert blocks".into()))
 }
 
 #[cfg(test)]

@@ -51,19 +51,16 @@ pub enum CapacityPolicy {
 }
 
 impl CapacityPolicy {
-    /// Parses the paper's single-argument convention.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is NaN.
+    /// Parses the paper's single-argument convention. A NaN argument
+    /// is carried as `Fixed(NaN)`, which [`crate::route`] rejects with
+    /// a typed error (as it does any non-finite factor).
     pub fn from_arg(x: f64) -> Self {
-        assert!(!x.is_nan(), "capacity_factor must not be NaN");
-        if x > 0.0 {
-            CapacityPolicy::Fixed(x)
-        } else if x == 0.0 {
+        if x == 0.0 {
             CapacityPolicy::AutoMin
-        } else {
+        } else if x < 0.0 {
             CapacityPolicy::AutoCapped(-x)
+        } else {
+            CapacityPolicy::Fixed(x)
         }
     }
 
@@ -133,6 +130,10 @@ mod tests {
             CapacityPolicy::from_arg(-4.0),
             CapacityPolicy::AutoCapped(4.0)
         );
+        assert!(matches!(
+            CapacityPolicy::from_arg(f64::NAN),
+            CapacityPolicy::Fixed(f) if f.is_nan()
+        ));
     }
 
     #[test]

@@ -76,6 +76,9 @@ pub struct Routing {
     /// normalization); dropped assignments keep their weight but have
     /// no location.
     pub gate_of: Vec<Vec<f32>>,
+    /// Whether `gate_of` was normalized to sum to 1 over each token's
+    /// selected experts — what a backward pass must differentiate.
+    pub normalized: bool,
     /// For each token, the capacity slot per selected expert, `None` if
     /// the token overflowed the expert's capacity and was dropped.
     pub location_of: Vec<Vec<Option<usize>>>,
@@ -217,8 +220,10 @@ impl RaggedRouting {
 ///
 /// # Errors
 ///
-/// Returns a [`TensorError`] if `probs` is not a rank-2 tensor or `k`
-/// exceeds the number of experts.
+/// Returns a [`TensorError`] if `probs` is not a rank-2 tensor, `k`
+/// exceeds the number of experts, the capacity factor is not finite, a
+/// selected gate is NaN (a NaN that loses the top-k is ignored), or the
+/// `E·C` slot count overflows `usize`.
 ///
 /// # Example
 ///
@@ -250,13 +255,22 @@ pub fn route(probs: &Tensor, cfg: &RouteConfig) -> Result<Routing, TensorError> 
         )));
     }
 
+    if let CapacityPolicy::Fixed(f) | CapacityPolicy::AutoCapped(f) = cfg.capacity {
+        if !f.is_finite() {
+            return Err(TensorError::InvalidArgument(format!(
+                "capacity factor {f} is not finite"
+            )));
+        }
+    }
+
     let (idxs, vals) = probs.topk_last(cfg.k)?;
 
     // Gate weights, optionally normalized over the selected k.
+    let normalized = cfg.normalize_gates && cfg.k > 1;
     let gate_of: Vec<Vec<f32>> = vals
         .iter()
         .map(|v| {
-            if cfg.normalize_gates && cfg.k > 1 {
+            if normalized {
                 let s: f32 = v.iter().sum::<f32>().max(1e-9);
                 v.iter().map(|g| g / s).collect()
             } else {
@@ -264,6 +278,11 @@ pub fn route(probs: &Tensor, cfg: &RouteConfig) -> Result<Routing, TensorError> 
             }
         })
         .collect();
+    if let Some(t) = gate_of.iter().position(|g| g.iter().any(|g| g.is_nan())) {
+        return Err(TensorError::InvalidArgument(format!(
+            "token {t} selected a NaN gate"
+        )));
+    }
 
     // Raw (unclamped) per-expert demand, for the dynamic policy and the
     // Figure 1 telemetry.
@@ -276,6 +295,11 @@ pub fn route(probs: &Tensor, cfg: &RouteConfig) -> Result<Routing, TensorError> 
     let needed = needed_capacity_factor(&raw_counts, cfg.k, tokens);
     let factor = cfg.capacity.resolve(&raw_counts, cfg.k, tokens);
     let capacity = expert_capacity(cfg.k, factor, tokens, experts);
+    if experts.checked_mul(capacity).is_none() {
+        return Err(TensorError::InvalidArgument(format!(
+            "{experts} experts × capacity {capacity} overflows"
+        )));
+    }
 
     // Capacity-slot assignment order: token order, or confidence order
     // under BPR (descending top-1 gate probability).
@@ -312,6 +336,7 @@ pub fn route(probs: &Tensor, cfg: &RouteConfig) -> Result<Routing, TensorError> 
         needed_factor: needed,
         expert_of: idxs,
         gate_of,
+        normalized,
         location_of,
         counts,
         raw_counts,

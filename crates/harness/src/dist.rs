@@ -1,37 +1,40 @@
-//! The distributed executor: the same MoE layer as [`crate::reference`],
-//! run over the threaded `comm::runtime` under every combination of
-//! strategy knobs — P1/P2 parallelism, linear/2DH All-to-All, pipeline
-//! degree, world size, and per-rank compute thread limit.
+//! The distributed executor: the product's rank program
+//! ([`tutel::step`]) run over the threaded `comm::runtime` under every
+//! combination of strategy knobs — P1/P2 parallelism, linear/2DH
+//! All-to-All, pipeline degree, world size, per-rank compute thread
+//! limit, and exact vs uniform-capacity bins. This is the *product*
+//! side of the conformance matrix: it shares the [`Problem`]/[`Fixture`]
+//! data with [`crate::reference`] and no code.
 //!
 //! Every rank is an OS thread with a real mailbox-based communicator.
-//! Forward and backward each make one call to
-//! [`tutel::overlap::exchange_bins`] over the capacity layout's
-//! uniform bins, at [`ExecConfig::degree`] chunks per bin: chunk `i+1`'s
-//! dispatch All-to-All is in flight on the comm threads while chunk
-//! `i`'s expert FFN runs, and combines drain non-blockingly behind
-//! the compute (Section 3.3's multi-stream pipelining, executed
-//! rather than chunk-serial). Backward ships the gradient rows the
-//! same way, in reverse. Overlap only reorders *when* exchanges
-//! progress — every chunk's arithmetic is identical to the serial
-//! path, so the conformance budgets are unchanged.
+//! The step's expert stage, forward and backward, is one call to
+//! [`tutel::overlap::exchange_bins`] at [`ExecConfig::degree`] chunks
+//! per bin: chunk `i+1`'s dispatch All-to-All is in flight on the comm
+//! threads while chunk `i`'s expert FFN runs, and combines drain
+//! non-blockingly behind the compute (Section 3.3's multi-stream
+//! pipelining, executed rather than chunk-serial). Backward ships the
+//! gradient rows the same way, in reverse. Overlap only reorders *when*
+//! exchanges progress — every chunk's arithmetic is identical to the
+//! serial path, so the conformance budgets are unchanged.
 
 use tutel::overlap::exchange_bins;
+use tutel::step;
 use tutel_comm::runtime::{run_threaded, run_threaded_traced, Communicator};
-use tutel_experts::ExpertsBlock;
-use tutel_kernels::{fast_decode, fast_decode_backward, fast_encode_backward};
+use tutel_experts::{rank_blocks, shard_sum, ExpertsBlock};
+use tutel_gate::{aux_loss, RaggedRouting};
 use tutel_obs::trace::{TraceHub, TRACK_MAIN};
+use tutel_obs::Telemetry;
 use tutel_rt::with_parallelism_limit;
-use tutel_serve::exec::{rank_blocks, shard_sum};
 use tutel_simgpu::Topology;
-use tutel_tensor::uniform_offsets;
+use tutel_tensor::Tensor;
 
-use crate::reference::{gate_and_encode, gate_backward, Fixture, Problem, RankResult};
+use crate::reference::{Fixture, Problem, RankResult};
 use crate::ExecConfig;
 
 /// Runs the full forward + backward under `cfg` on every rank and
-/// returns the per-rank results (index = rank). `cfg.dropless` is not
-/// consulted: backward replays the forward's chunks, so this executor
-/// always ships the capacity layout's uniform bins.
+/// returns the per-rank results (index = rank). `cfg.dropless` picks
+/// the bins the clamped routing is packed into, forward and backward:
+/// exact, or the capacity layout's uniform bins.
 ///
 /// # Panics
 ///
@@ -86,68 +89,66 @@ fn run_rank(
     cfg: &ExecConfig,
     mut comm: Communicator,
 ) -> RankResult {
-    let rank = comm.rank();
-    let world = cfg.world;
-    let (_, d_out) = &fixture.per_rank[rank];
+    let (rank, world) = (comm.rank(), cfg.world);
+    let (x, d_out) = &fixture.per_rank[rank];
+    let off = Telemetry::disabled();
 
     // Phase spans on the main track bound the causal trace's critical
-    // path; the forward/backward exchanges inside them land on the
+    // path; the forward/backward exchanges between them land on the
     // overlap stream tracks instead.
     let tracer = comm.tracer().clone();
     let _step = tracer.span(TRACK_MAIN, "step");
+    let mut phase_t0 = tracer.now_us();
 
-    // Gate + encode, rank-local and identical to the reference by
-    // construction.
-    let gate_t0 = tracer.now_us();
-    let (probs, routing, enc) = gate_and_encode(problem, fixture, rank);
     let experts = rank_blocks(&fixture.experts, cfg.strategy, world, rank, Problem::SHARDS)
         .expect("E divisible by world, hidden dim by SHARDS");
-    tracer.span_at(TRACK_MAIN, "gate_encode", gate_t0, tracer.now_us());
-
-    // Forward: the (E, C, M) buffer is its uniform bins' packed rows.
-    // Fresh block(s) per chunk, so forward activations stay cached
-    // per chunk for the backward pass.
-    let bins = uniform_offsets(problem.experts(), Problem::CAPACITY);
-    let mut chunk_state: Vec<Vec<ExpertsBlock>> = Vec::with_capacity(cfg.degree);
-    let combined = exchange_bins(
-        &mut comm,
-        cfg.algo,
-        cfg.degree,
-        &enc,
-        &bins,
-        |_, rows, offsets| {
-            let mut blocks = experts.clone();
-            let y = shard_sum(&mut blocks, |block| block.forward_grouped(rows, offsets));
-            chunk_state.push(blocks);
-            y
-        },
-    )
-    .expect("fault-free overlapped forward")
-    .expect("expert dims fixed");
-    let decode_t0 = tracer.now_us();
-    let output = fast_decode(&combined, &routing, Problem::TOKENS).expect("decode dims fixed");
-    let aux = tutel_gate::aux_loss(&probs, &routing).expect("aux dims fixed");
-    tracer.span_at(TRACK_MAIN, "decode", decode_t0, tracer.now_us());
+    // Fresh block(s) per chunk, so forward activations stay cached per
+    // chunk for the backward pass (`None`: the chunk brought this rank
+    // no rows, so neither pass computes it).
+    let mut chunk_state: Vec<Option<Vec<ExpertsBlock>>> = vec![None; cfg.degree];
+    let (probs, routing) =
+        step::gate(&fixture.router, x, &problem.route_config(), &off).expect("gate dims fixed");
+    let bins = if cfg.dropless {
+        RaggedRouting::from_routing(&routing)
+    } else {
+        RaggedRouting::uniform_capacity(&routing)
+    };
+    let (output, saved) = step::forward(x, probs, routing, bins, &off, |packed, offsets| {
+        tracer.span_at(TRACK_MAIN, "gate_encode", phase_t0, tracer.now_us());
+        let forward = |i: usize, rows: &Tensor, offsets: &[usize]| {
+            let blocks = chunk_state[i].insert(experts.clone());
+            shard_sum(blocks, |block| block.forward_grouped(rows, offsets))
+        };
+        let combined = exchange_bins(&mut comm, cfg.algo, cfg.degree, packed, offsets, forward)
+            .expect("fault-free overlapped forward");
+        phase_t0 = tracer.now_us();
+        combined
+    })
+    .expect("forward dims fixed");
+    let aux = aux_loss(&saved.probs, &saved.routing).expect("aux dims fixed");
+    tracer.span_at(TRACK_MAIN, "decode", phase_t0, tracer.now_us());
 
     // Backward: the gradient rows retrace the same exchange, each
-    // chunk through the block(s) that ran its forward.
-    let (d_combined, d_gates) =
-        fast_decode_backward(d_out, &combined, &routing).expect("decode backward dims fixed");
-    let d_dispatched = exchange_bins(
-        &mut comm,
-        cfg.algo,
-        cfg.degree,
-        &d_combined,
-        &bins,
-        |i, d_rows, _| shard_sum(&mut chunk_state[i], |block| block.backward(d_rows)),
-    )
-    .expect("fault-free overlapped backward")
-    .expect("expert backward dims fixed");
-    let grad_t0 = tracer.now_us();
-    let d_x_encode = fast_encode_backward(&d_dispatched, &routing, Problem::TOKENS)
-        .expect("encode backward dims fixed");
-    let d_x = gate_backward(fixture, rank, &probs, &routing, &d_gates, d_x_encode);
-    tracer.span_at(TRACK_MAIN, "gate_backward", grad_t0, tracer.now_us());
+    // chunk through the block(s) that ran its forward. The shared
+    // router is read-only; clone so gradient accumulation stays local
+    // to this rank's execution.
+    let offsets = saved.bins.offsets.clone();
+    let mut router = fixture.router.clone();
+    let aux_weight = Problem::AUX_WEIGHT;
+    let d_x = step::backward(&mut router, x, saved, d_out, aux_weight, &off, |d_packed| {
+        let backward = |i: usize, d_rows: &Tensor, _: &[usize]| {
+            let blocks = chunk_state[i].as_mut().expect("forward ran this chunk");
+            shard_sum(blocks, |block| block.backward(d_rows))
+        };
+        let d = exchange_bins(
+            &mut comm, cfg.algo, cfg.degree, d_packed, &offsets, backward,
+        )
+        .expect("fault-free overlapped backward");
+        phase_t0 = tracer.now_us();
+        d
+    })
+    .expect("backward dims fixed");
+    tracer.span_at(TRACK_MAIN, "gate_backward", phase_t0, tracer.now_us());
 
     RankResult {
         output: output.as_slice().to_vec(),
@@ -162,24 +163,31 @@ mod tests {
     use crate::reference::run_reference;
     use crate::{max_scaled_ulp, max_ulp, ulp_budget, AllToAllAlgo, Parallelism};
 
+    // Both tests run the capacity layout's uniform bins and, under the
+    // same clamping policy, the exact bins of the clamped routing —
+    // distributed training over the latter, forward and backward.
+
     #[test]
     fn p1_single_thread_is_bitwise_identical() {
         let problem = Problem { world: 2, seed: 5 };
         let fixture = problem.materialize();
         let reference = run_reference(&problem, &fixture);
-        let cfg = ExecConfig {
-            strategy: Parallelism::P1,
-            algo: AllToAllAlgo::Linear,
-            degree: 2,
-            world: 2,
-            threads: crate::reference::REF_THREADS,
-            dropless: false,
-        };
-        let got = run_distributed(&problem, &fixture, &cfg);
-        for (rank, (g, r)) in got.iter().zip(&reference).enumerate() {
-            assert_eq!(max_ulp(&g.output, &r.output), 0, "rank {rank} output");
-            assert_eq!(max_ulp(&g.d_x, &r.d_x), 0, "rank {rank} d_x");
-            assert_eq!(g.aux.to_bits(), r.aux.to_bits(), "rank {rank} aux");
+        for dropless in [false, true] {
+            let cfg = ExecConfig {
+                strategy: Parallelism::P1,
+                algo: AllToAllAlgo::Linear,
+                degree: 2,
+                world: 2,
+                threads: crate::reference::REF_THREADS,
+                dropless,
+            };
+            let got = run_distributed(&problem, &fixture, &cfg);
+            for (rank, (g, r)) in got.iter().zip(&reference).enumerate() {
+                let at = format!("rank {rank} ({})", cfg.label());
+                assert_eq!(max_ulp(&g.output, &r.output), 0, "{at} output");
+                assert_eq!(max_ulp(&g.d_x, &r.d_x), 0, "{at} d_x");
+                assert_eq!(g.aux.to_bits(), r.aux.to_bits(), "{at} aux");
+            }
         }
     }
 
@@ -188,28 +196,31 @@ mod tests {
         let problem = Problem { world: 2, seed: 9 };
         let fixture = problem.materialize();
         let reference = run_reference(&problem, &fixture);
-        let cfg = ExecConfig {
-            strategy: Parallelism::P2,
-            algo: AllToAllAlgo::TwoDh,
-            degree: 4,
-            world: 2,
-            threads: 4,
-            dropless: false,
-        };
-        let got = run_distributed(&problem, &fixture, &cfg);
-        let budget = f64::from(ulp_budget(&cfg));
-        for (rank, (g, r)) in got.iter().zip(&reference).enumerate() {
-            assert!(
-                max_scaled_ulp(&g.output, &r.output) <= budget,
-                "rank {rank} output exceeds budget: {} scaled ULP",
-                max_scaled_ulp(&g.output, &r.output)
-            );
-            assert!(
-                max_scaled_ulp(&g.d_x, &r.d_x) <= budget,
-                "rank {rank} d_x exceeds budget: {} scaled ULP",
-                max_scaled_ulp(&g.d_x, &r.d_x)
-            );
-            assert_eq!(g.aux.to_bits(), r.aux.to_bits(), "rank {rank} aux");
+        for dropless in [false, true] {
+            let cfg = ExecConfig {
+                strategy: Parallelism::P2,
+                algo: AllToAllAlgo::TwoDh,
+                degree: 4,
+                world: 2,
+                threads: 4,
+                dropless,
+            };
+            let got = run_distributed(&problem, &fixture, &cfg);
+            let budget = f64::from(ulp_budget(&cfg));
+            for (rank, (g, r)) in got.iter().zip(&reference).enumerate() {
+                let at = format!("rank {rank} ({})", cfg.label());
+                assert!(
+                    max_scaled_ulp(&g.output, &r.output) <= budget,
+                    "{at} output exceeds budget: {} scaled ULP",
+                    max_scaled_ulp(&g.output, &r.output)
+                );
+                assert!(
+                    max_scaled_ulp(&g.d_x, &r.d_x) <= budget,
+                    "{at} d_x exceeds budget: {} scaled ULP",
+                    max_scaled_ulp(&g.d_x, &r.d_x)
+                );
+                assert_eq!(g.aux.to_bits(), r.aux.to_bits(), "{at} aux");
+            }
         }
     }
 }

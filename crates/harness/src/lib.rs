@@ -7,9 +7,12 @@
 //!
 //! * [`reference`] is a single-threaded, single-rank executor for the
 //!   full layer (gate → capacity → dispatch → FFN → combine → aux
-//!   loss, forward **and** backward) with no strategy knobs at all;
-//! * [`dist`] executes the same layer over the threaded
-//!   `comm::runtime` under every combination of strategy knobs;
+//!   loss, forward **and** backward) with no strategy knobs at all —
+//!   an independent spelling that shares no code with what it judges;
+//! * [`dist`] runs the product's rank program (`tutel::step`, the
+//!   functions `MoeLayer` and `tutel_serve::exec` call) over the
+//!   threaded `comm::runtime` under every combination of strategy
+//!   knobs;
 //! * [`matrix`] drives the cross-product and compares outputs,
 //!   input gradients, and aux loss against the reference under the
 //!   [ULP tolerance policy](#ulp-tolerance-policy);

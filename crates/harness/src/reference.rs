@@ -3,10 +3,12 @@
 //! One fixed, strategy-free execution of the full MoE layer — gate →
 //! capacity → dispatch (fast encode) → FFN → combine (fast decode) →
 //! aux loss, forward and backward — against which every point of the
-//! conformance matrix is compared. It mirrors the exact operation
-//! order of `tutel::MoeLayer` but is built directly on the kernel
-//! crates so the harness does not depend on the layer it is meant to
-//! cross-check.
+//! conformance matrix is compared. It follows the exact operation
+//! order of the product's rank program (`tutel::step`) but is written
+//! out independently on the kernel crates' padded `(E, C, M)` entry
+//! points: the oracle lends no code to what it judges, and borrows
+//! none from it. [`crate::dist`] shares only the [`Problem`] /
+//! [`Fixture`] data and the [`RankResult`] it is compared in.
 //!
 //! All compute runs under a parallelism limit of [`REF_THREADS`]
 //! thread (the `tutel-rt` chunk grids are bit-identical at any worker
@@ -119,14 +121,8 @@ pub struct RankResult {
     pub aux: f32,
 }
 
-/// Runs gate → encode on one rank's input; shared verbatim by the
-/// reference and the distributed executor so the routing decision is
-/// identical by construction.
-pub fn gate_and_encode(
-    problem: &Problem,
-    fixture: &Fixture,
-    rank: usize,
-) -> (Tensor, Routing, Tensor) {
+/// Runs gate → encode on one rank's input.
+fn gate_and_encode(problem: &Problem, fixture: &Fixture, rank: usize) -> (Tensor, Routing, Tensor) {
     let (x, _) = &fixture.per_rank[rank];
     let probs = fixture
         .router
@@ -144,9 +140,10 @@ pub fn gate_and_encode(
 }
 
 /// The gate-side backward chain — decode gate gradients through gate
-/// normalization, aux loss, softmax, and the router — mirrored from
-/// `MoeLayer::backward`. Returns `d_x` (router term included).
-pub fn gate_backward(
+/// normalization, aux loss, softmax, and the router — the oracle's own
+/// spelling of what `tutel::step::backward` does. Returns `d_x`
+/// (router term included).
+fn gate_backward(
     fixture: &Fixture,
     rank: usize,
     probs: &Tensor,
@@ -210,7 +207,7 @@ fn run_reference_rank(problem: &Problem, fixture: &Fixture, rank: usize) -> Rank
     let output = fast_decode(&expert_out, &routing, Problem::TOKENS).expect("decode dims fixed");
     let aux = aux_loss(&probs, &routing).expect("aux dims fixed");
 
-    // Backward, mirroring MoeLayer::backward operation for operation.
+    // Backward, in the rank program's operation order.
     let (d_expert_out, d_gates) =
         fast_decode_backward(d_out, &expert_out, &routing).expect("decode backward dims fixed");
     let d_dispatched = experts

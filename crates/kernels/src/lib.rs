@@ -22,11 +22,9 @@
 
 pub mod dense;
 pub mod memory;
-pub mod observed;
 pub mod ragged;
 pub mod sparse;
 
 pub use dense::{DenseCombine, DenseEncoded};
-pub use observed::{ragged_decode_observed, ragged_encode_observed};
 pub use ragged::{ragged_decode, ragged_decode_backward, ragged_encode, ragged_encode_backward};
 pub use sparse::{fast_decode, fast_decode_backward, fast_encode, fast_encode_backward};

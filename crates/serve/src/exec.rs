@@ -1,7 +1,9 @@
-//! Micro-batch execution: one serving step through the overlapped
-//! dispatch → expert FFN → combine path, plus the sequential
-//! per-request reference executor the differential oracle compares
-//! against.
+//! Micro-batch execution: one serving step — every rank runs the
+//! product's rank program, [`tutel::step`], with the overlapped
+//! dispatch → expert FFN → combine exchange as its expert stage — plus the sequential per-request reference executor the
+//! differential oracle compares against ([`reference_rows`], written
+//! out separately on the padded kernels so it shares nothing with the
+//! step it judges).
 //!
 //! # The serving oracle contract
 //!
@@ -43,14 +45,15 @@
 //! the conformance harness enumerates this type rather than a copy.
 
 use tutel::overlap::exchange_bins;
+use tutel::step;
 use tutel_comm::runtime::{run_threaded, run_threaded_reliable, Communicator, ReliableConfig};
 use tutel_comm::AllToAllAlgo;
-use tutel_experts::{ExpertsBlock, ShardedExpertParams};
-use tutel_gate::{route, RaggedRouting, Router, Routing};
-use tutel_kernels::{fast_decode, fast_encode, ragged_decode, ragged_encode};
+use tutel_gate::{route, RaggedRouting, Router};
+use tutel_kernels::{fast_decode, fast_encode};
+use tutel_obs::Telemetry;
 use tutel_rt::with_parallelism_limit;
 use tutel_simgpu::Topology;
-use tutel_tensor::{Tensor, TensorError};
+use tutel_tensor::Tensor;
 
 use crate::model::ServeModel;
 use crate::request::ServeError;
@@ -58,6 +61,8 @@ use crate::request::ServeError;
 /// Expert-parallel strategy of the serving step — what
 /// [`tutel_experts::InlineParallelismRouter::choose`] returns.
 pub use tutel_experts::Parallelism as Strategy;
+/// P1/P2 execution on one rank lives in `tutel_experts`.
+pub use tutel_experts::{rank_blocks, shard_sum};
 
 /// Knobs of the distributed serving step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,7 +135,9 @@ pub struct StepOutput {
 ///
 /// [`ServeError::Config`] for an empty batch or a config/model
 /// mismatch; [`ServeError::Tensor`]/[`ServeError::Comm`] propagated
-/// from execution.
+/// from execution. A row that gates to NaN fails the whole step with
+/// [`ServeError::Tensor`]: the rank it was dealt to still completes the
+/// step's collectives, so no peer is left waiting.
 pub fn execute_step(
     model: &ServeModel,
     cfg: &ExecConfig,
@@ -186,26 +193,14 @@ fn execute_step_with(
         )));
     }
 
-    // Zero-pad to a multiple of world so every rank serves the same
-    // row count. A zero row routes deterministically (uniform gate)
-    // and its output is discarded below; under dropless routing it
-    // cannot perturb any real row (see module docs).
+    // Every rank serves the same row count; zero rows pad the tail.
     let world = cfg.world;
-    let bp = b.div_ceil(world) * world;
-    let per_rank = bp / world;
-    let mut padded = batch.as_slice().to_vec();
-    padded.resize(bp * dims.model_dim, 0.0);
-    let padded = Tensor::from_vec(padded, &[bp, dims.model_dim])?;
-
+    let per_rank = b.div_ceil(world);
     let topo = topology_for(world);
 
     let cfg = *cfg;
-    let model_ref = model;
-    let padded_ref = &padded;
     let program = move |comm: Communicator| {
-        with_parallelism_limit(cfg.threads, || {
-            run_rank(model_ref, &cfg, padded_ref, per_rank, comm)
-        })
+        with_parallelism_limit(cfg.threads, || run_rank(model, &cfg, batch, per_rank, comm))
     };
     let rank_results: Vec<RankResult> = match cfg_rel {
         None => run_threaded(topo, program),
@@ -241,91 +236,34 @@ fn execute_step_with(
     })
 }
 
-/// The rank program's prologue: deal this rank its rows
-/// `(per_rank, M)` — global rows `rank`, `rank + world`,
-/// `rank + 2·world`, … — gate + route them dropless
-/// (per-row, identical to the reference by construction), and build
-/// the expert block(s) the strategy executes here.
-fn rank_setup(
-    model: &ServeModel,
-    cfg: &ExecConfig,
-    padded: &Tensor,
+/// Deals `rank` its `(per_rank, M)` rows of the batch: global rows
+/// `rank`, `rank + world`, `rank + 2·world`, … Past the batch's end a
+/// zero row stands in: it routes deterministically (uniform gate), its
+/// output is discarded, and under dropless routing it cannot perturb
+/// any real row (see module docs).
+fn rank_rows(
+    batch: &Tensor,
     per_rank: usize,
-    rank: usize,
-) -> Result<(Tensor, Routing, Vec<ExpertsBlock>), ServeError> {
-    let dims = model.dims;
-    let m = dims.model_dim;
-    let mut rows = Vec::with_capacity(per_rank * m);
-    let src = padded.as_slice();
-    for local in 0..per_rank {
-        let g = local * cfg.world + rank;
-        rows.extend_from_slice(&src[g * m..(g + 1) * m]);
-    }
-    let x = Tensor::from_vec(rows, &[per_rank, m])?;
-    let probs = model.router.logits(&x)?.softmax_last();
-    let routing = route(&probs, &dims.route_config())?;
-    let blocks = rank_blocks(&model.experts, cfg.strategy, cfg.world, rank, dims.shards)?;
-    Ok((x, routing, blocks))
-}
-
-/// The expert block(s) `strategy` executes on `rank` of `world`: the
-/// rank's slice of the global `bank` in one block under P1, or that
-/// slice's `shards` hidden-dimension shards under P2 (their partial
-/// outputs are summed by [`shard_sum`]).
-///
-/// # Errors
-///
-/// Returns a [`TensorError`] if `world` does not divide the expert
-/// count or `shards` the hidden dimension.
-pub fn rank_blocks(
-    bank: &ExpertsBlock,
-    strategy: Strategy,
     world: usize,
     rank: usize,
-    shards: usize,
-) -> Result<Vec<ExpertsBlock>, TensorError> {
-    let local = bank.rank_slice(world, rank)?;
-    Ok(match strategy {
-        Strategy::P1 => vec![local],
-        Strategy::P2 => {
-            let params = ShardedExpertParams::from_block(&local, shards)?;
-            (0..params.shards())
-                .map(|r| params.shard_block(r))
-                .collect()
+) -> Result<Tensor, ServeError> {
+    let m = batch.dims().last().copied().unwrap_or(0);
+    let mut rows = vec![0.0f32; per_rank * m];
+    for (local, row) in rows.chunks_mut(m).enumerate() {
+        let g = local * world + rank;
+        if let Some(src) = batch.as_slice().get(g * m..(g + 1) * m) {
+            row.copy_from_slice(src);
         }
-    })
-}
-
-/// Applies `apply` to every block and sums the results in block
-/// (= shard) order — P2's one re-associated addition chain; under P1
-/// the single block's result passes through untouched.
-///
-/// # Errors
-///
-/// Propagates `apply`'s error; [`TensorError::InvalidArgument`] for
-/// an empty block list.
-pub fn shard_sum<B>(
-    blocks: impl IntoIterator<Item = B>,
-    mut apply: impl FnMut(B) -> Result<Tensor, TensorError>,
-) -> Result<Tensor, TensorError> {
-    let mut acc: Option<Tensor> = None;
-    for block in blocks {
-        let y = apply(block)?;
-        acc = Some(match acc {
-            None => y,
-            Some(mut a) => {
-                a.axpy(1.0, &y)?;
-                a
-            }
-        });
     }
-    acc.ok_or_else(|| TensorError::InvalidArgument("strategy produced no expert blocks".into()))
+    Ok(Tensor::from_vec(rows, &[per_rank, m])?)
 }
 
-/// One rank's program: `rank_setup → bins → ragged_encode →
-/// exchange_bins(shard_sum ∘ infer_grouped) → ragged_decode`. Returns
-/// the rank's flat output rows, its largest expert bin, and its wire
-/// payload volume.
+/// One rank's program: the product's step ([`tutel::step`]) over the
+/// rank's rows with `exchange_bins(shard_sum ∘ infer_grouped)` as its
+/// expert stage — gate + dropless route per row (identical to the
+/// reference by construction), encode, the overlapped exchange, decode.
+/// Returns the rank's flat output rows, its largest expert bin, and its
+/// wire payload volume.
 ///
 /// `cfg.dropless` only picks the bin constructor: exact bins, or —
 /// once ranks agree on the capacity — uniform-capacity bins, where
@@ -336,11 +274,25 @@ pub fn shard_sum<B>(
 fn run_rank(
     model: &ServeModel,
     cfg: &ExecConfig,
-    padded: &Tensor,
+    batch: &Tensor,
     per_rank: usize,
     mut comm: Communicator,
 ) -> RankResult {
-    let (x, mut routing, blocks) = rank_setup(model, cfg, padded, per_rank, comm.rank())?;
+    let (rank, dims) = (comm.rank(), model.dims);
+    let blocks = rank_blocks(&model.experts, cfg.strategy, cfg.world, rank, dims.shards)?;
+    let mut x = rank_rows(batch, per_rank, cfg.world, rank)?;
+    let (route_cfg, tel) = (dims.route_config(), Telemetry::disabled());
+    // Gating is the one failure that depends on the rows this rank was
+    // dealt (a NaN row). Its peers are already heading into the step's
+    // collectives, so the rank joins them with no rows of its own and
+    // fails the step afterwards.
+    let mut failed = None;
+    let gated = step::gate(&model.router, &x, &route_cfg, &tel).or_else(|e| {
+        failed = Some(e);
+        x = Tensor::zeros(&[0, dims.model_dim]);
+        step::gate(&model.router, &x, &route_cfg, &tel)
+    });
+    let (probs, mut routing) = gated?;
     let bins = if cfg.dropless {
         RaggedRouting::from_routing(&routing)
     } else {
@@ -349,16 +301,21 @@ fn run_rank(
         routing.capacity = cap.div_ceil(cfg.degree) * cfg.degree;
         RaggedRouting::uniform_capacity(&routing)
     };
-    let enc = ragged_encode(&x, &routing, &bins)?;
-    let y = exchange_bins(
-        &mut comm,
-        cfg.algo,
-        cfg.degree,
-        &enc,
-        &bins.offsets,
-        |_, rows, offsets| shard_sum(&blocks, |block| block.infer_grouped(rows, offsets)),
-    )??;
-    let output = ragged_decode(&y, &routing, &bins, per_rank)?;
+    let stepped = step::forward(&x, probs, routing, bins, &tel, |packed, offsets| {
+        Ok::<_, ServeError>(exchange_bins(
+            &mut comm,
+            cfg.algo,
+            cfg.degree,
+            packed,
+            offsets,
+            |_, rows, offsets| shard_sum(&blocks, |block| block.infer_grouped(rows, offsets)),
+        )??)
+    });
+    if let Some(e) = failed {
+        return Err(e.into());
+    }
+    let (output, saved) = stepped?;
+    let bins = &saved.bins;
     let largest_bin = (0..bins.experts).map(|e| bins.bin_len(e)).max();
     Ok((
         output.as_slice().to_vec(),
@@ -454,6 +411,59 @@ mod tests {
                 };
                 let got = execute_step(&model, &cfg, &x).unwrap();
                 assert_eq!(got.outputs.as_slice(), expect.as_slice(), "{}", cfg.label());
+            }
+        }
+    }
+
+    #[test]
+    fn a_nan_row_fails_the_step_on_every_rank_without_blocking() {
+        // Only rank 1 is dealt the NaN row (row 3 of 9, world 2). It
+        // must still walk through the all-gather and the exchange, or
+        // rank 0 waits for it forever: run the step on a thread so a
+        // hang fails the test instead of stalling the suite.
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let dims = ModelDims::small(2);
+        let good = batch(&dims, 9, 23);
+        let mut nan = good.clone();
+        nan.as_mut_slice()[3 * dims.model_dim] = f32::NAN;
+        // ±inf logits: softmax subtracts the row maximum, inf − inf.
+        let mut inf = good.clone();
+        inf.as_mut_slice()[3 * dims.model_dim..4 * dims.model_dim].fill(f32::INFINITY);
+        // Every rank dealt a bad row: nobody has rows left to ship.
+        let mut all = nan.clone();
+        all.as_mut_slice()[2 * dims.model_dim] = f32::NAN;
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let model = ServeModel::materialize(dims, 7).unwrap();
+            for strategy in [Strategy::P1, Strategy::P2] {
+                for (dropless, degree) in [(true, 1), (true, 2), (false, 1), (false, 2)] {
+                    let cfg = ExecConfig {
+                        strategy,
+                        algo: AllToAllAlgo::Linear,
+                        degree,
+                        world: 2,
+                        threads: 1,
+                        dropless,
+                    };
+                    for x in [&nan, &inf, &all] {
+                        let got = execute_step(&model, &cfg, x).map(|out| out.capacity);
+                        tx.send((cfg.label(), got)).unwrap();
+                    }
+                    // The failed step leaves nothing behind.
+                    execute_step(&model, &cfg, &good).unwrap();
+                }
+            }
+        });
+        for _ in 0..24 {
+            let (label, got) = rx
+                .recv_timeout(Duration::from_secs(60))
+                .expect("a rank is blocked on a peer that failed to gate");
+            match got {
+                Err(ServeError::Tensor(e)) => {
+                    assert!(e.to_string().contains("NaN"), "{label}: {e}")
+                }
+                other => panic!("{label}: expected a NaN gate error, got {other:?}"),
             }
         }
     }

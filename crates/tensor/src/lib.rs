@@ -36,7 +36,7 @@ pub use linalg::{
     gemm_bnn, gemm_nn, gemm_nn_sparse, gemm_nt, gemm_tn, grouped_gemm, grouped_gemm_nt,
     grouped_gemm_tn, uniform_offsets,
 };
-pub use ops::{gelu_backward_in_place, gelu_backward_with_tanh, gelu_slice, gelu_slice_with_tanh};
+pub use ops::{gelu_backward_with_tanh, gelu_slice_with_tanh};
 pub use precision::{quantize, quantize_in_place, Precision};
 pub use shape::Shape;
 pub use tensor::Tensor;

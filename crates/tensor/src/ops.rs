@@ -95,6 +95,14 @@ impl Tensor {
         self.map(gelu_scalar)
     }
 
+    /// [`Tensor::gelu`] in place, for a pre-activation that is dead
+    /// once activated.
+    pub fn gelu_in_place(&mut self) {
+        for v in self.as_mut_slice() {
+            *v = gelu_scalar(*v);
+        }
+    }
+
     /// Derivative of GELU (tanh approximation) times `upstream`.
     ///
     /// # Errors
@@ -215,7 +223,9 @@ impl Tensor {
 
     /// Per-row top-k over the last axis: returns `(indices, values)` each
     /// of shape `rows × k`, sorted by descending value (ties broken by
-    /// lower index, matching deterministic GPU top-k).
+    /// lower index, matching deterministic GPU top-k). NaN sorts after
+    /// every number, so it is selected only when a row holds fewer than
+    /// `k` numbers.
     ///
     /// # Errors
     ///
@@ -234,10 +244,12 @@ impl Tensor {
         for r in 0..rows {
             let row = &self.as_slice()[r * cols..(r + 1) * cols];
             let mut order: Vec<usize> = (0..cols).collect();
+            // A total order (`sort_by` may panic on anything less):
+            // unordered pairs involve a NaN, which goes last.
             order.sort_by(|&a, &b| {
                 row[b]
                     .partial_cmp(&row[a])
-                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .unwrap_or_else(|| row[a].is_nan().cmp(&row[b].is_nan()))
                     .then(a.cmp(&b))
             });
             order.truncate(k);
@@ -268,29 +280,12 @@ impl Tensor {
     }
 }
 
-/// Scalar GELU, tanh approximation.
-/// Slice form of [`Tensor::gelu`]: writes `gelu(h_pre[i])` into
-/// `out[i]`. Hot backward paths use this on arena buffers to avoid
-/// materializing whole-activation temporaries.
-pub fn gelu_slice(h_pre: &[f32], out: &mut [f32]) {
-    for (o, &pre) in out.iter_mut().zip(h_pre) {
-        *o = gelu_scalar(pre);
-    }
-}
-
-/// In-place slice form of [`Tensor::gelu_backward`]: scales each
-/// upstream gradient by `gelu'(h_pre[i])`.
-pub fn gelu_backward_in_place(h_pre: &[f32], upstream: &mut [f32]) {
-    for (g, &pre) in upstream.iter_mut().zip(h_pre) {
-        *g *= gelu_grad_scalar(pre);
-    }
-}
-
-/// Like [`gelu_slice`], but also stores the intermediate `tanh` value
-/// in `tanh_out[i]`. Training forward passes use this so the backward
+/// Slice form of [`Tensor::gelu`] that also stores the intermediate
+/// `tanh` value in `tanh_out[i]`: writes `gelu(h_pre[i])` into `out[i]`.
+/// Training forward passes use this on arena buffers so the backward
 /// pass can apply [`gelu_backward_with_tanh`] without re-evaluating
 /// `tanh`, which dominates the activation cost. Bit-identical to
-/// [`gelu_slice`] on `out`.
+/// [`Tensor::gelu`] on `out`.
 pub fn gelu_slice_with_tanh(h_pre: &[f32], out: &mut [f32], tanh_out: &mut [f32]) {
     const SQRT_2_OVER_PI: f32 = 0.797_884_6;
     for ((o, t), &x) in out.iter_mut().zip(tanh_out.iter_mut()).zip(h_pre) {
@@ -300,9 +295,10 @@ pub fn gelu_slice_with_tanh(h_pre: &[f32], out: &mut [f32], tanh_out: &mut [f32]
     }
 }
 
-/// In-place GELU backward reusing the `tanh` values captured by
-/// [`gelu_slice_with_tanh`]. Bit-identical to
-/// [`gelu_backward_in_place`] (the gradient expression is evaluated in
+/// In-place slice form of [`Tensor::gelu_backward`] reusing the `tanh`
+/// values captured by [`gelu_slice_with_tanh`]: scales each upstream
+/// gradient by `gelu'(h_pre[i])`. Bit-identical to
+/// [`Tensor::gelu_backward`] (the gradient expression is evaluated in
 /// the same order, only the `tanh` is read instead of recomputed).
 pub fn gelu_backward_with_tanh(h_pre: &[f32], tanh: &[f32], upstream: &mut [f32]) {
     const SQRT_2_OVER_PI: f32 = 0.797_884_6;
@@ -312,6 +308,7 @@ pub fn gelu_backward_with_tanh(h_pre: &[f32], tanh: &[f32], upstream: &mut [f32]
     }
 }
 
+/// Scalar GELU, tanh approximation.
 fn gelu_scalar(x: f32) -> f32 {
     const SQRT_2_OVER_PI: f32 = 0.797_884_6;
     0.5 * x * (1.0 + (SQRT_2_OVER_PI * (x + 0.044715 * x * x * x)).tanh())
@@ -335,21 +332,48 @@ mod tests {
     }
 
     #[test]
-    fn gelu_with_tanh_is_bit_identical_to_plain_forms() {
-        let h_pre: Vec<f32> = (-40..40).map(|i| i as f32 * 0.17).collect();
-        let mut plain = vec![0.0; h_pre.len()];
-        gelu_slice(&h_pre, &mut plain);
-        let mut cached = vec![0.0; h_pre.len()];
-        let mut tanh = vec![0.0; h_pre.len()];
-        gelu_slice_with_tanh(&h_pre, &mut cached, &mut tanh);
-        assert_eq!(plain, cached);
+    fn gelu_with_tanh_is_bit_identical_to_the_tensor_forms() {
+        let n = 80;
+        let h_pre = Tensor::from_vec((-40..40).map(|i| i as f32 * 0.17).collect(), &[n]).unwrap();
+        let mut cached = vec![0.0; n];
+        let mut tanh = vec![0.0; n];
+        gelu_slice_with_tanh(h_pre.as_slice(), &mut cached, &mut tanh);
+        assert_eq!(h_pre.gelu().as_slice(), cached);
+        let mut in_place = h_pre.clone();
+        in_place.gelu_in_place();
+        assert_eq!(in_place.as_slice(), cached);
 
-        let upstream: Vec<f32> = (0..h_pre.len()).map(|i| 0.3 + i as f32 * 0.01).collect();
-        let mut g_plain = upstream.clone();
-        gelu_backward_in_place(&h_pre, &mut g_plain);
-        let mut g_cached = upstream;
-        gelu_backward_with_tanh(&h_pre, &tanh, &mut g_cached);
-        assert_eq!(g_plain, g_cached);
+        let upstream = Tensor::from_vec((0..n).map(|i| 0.3 + i as f32 * 0.01).collect(), &[n]);
+        let upstream = upstream.unwrap();
+        let mut g_cached = upstream.as_slice().to_vec();
+        gelu_backward_with_tanh(h_pre.as_slice(), &tanh, &mut g_cached);
+        assert_eq!(h_pre.gelu_backward(&upstream).unwrap().as_slice(), g_cached);
+    }
+
+    #[test]
+    fn topk_sorts_nan_last_without_moving_numbers() {
+        let nan = f32::NAN;
+        // NaN in every third column: the comparator must stay a total
+        // order (sort_by panics otherwise) and pick among the numbers
+        // exactly as if the NaNs were absent.
+        let row: Vec<f32> = (0..64)
+            .map(|i| {
+                if i % 3 == 0 {
+                    nan
+                } else {
+                    (i * 37 % 64) as f32
+                }
+            })
+            .collect();
+        let t = Tensor::from_vec(row.repeat(64), &[64, 64]).unwrap();
+        let clean = t.map(|v| if v.is_nan() { f32::NEG_INFINITY } else { v });
+        let (idxs, vals) = t.topk_last(8).unwrap();
+        assert_eq!(idxs, clean.topk_last(8).unwrap().0);
+        assert!(vals.iter().flatten().all(|v| !v.is_nan()));
+        // Fewer numbers than k: NaNs fill the tail, in index order.
+        let few = Tensor::from_vec(vec![nan, 2.0, nan, 5.0], &[1, 4]).unwrap();
+        let (idxs, _) = few.topk_last(4).unwrap();
+        assert_eq!(idxs[0], vec![3, 1, 0, 2]);
     }
 
     #[test]

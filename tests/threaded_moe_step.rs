@@ -1,18 +1,20 @@
 //! The capstone integration test: a complete distributed MoE forward
 //! step executed by real threads over the message-passing runtime —
-//! per-rank gating, ragged encode, the expert exchange
-//! (`exchange_bins` over the 2DH route: dispatch, rank-local expert
-//! compute, combine), ragged decode — compared against the
-//! single-process reference layer.
+//! the product's rank program (`tutel::step`) with the expert
+//! exchange (`exchange_bins` over the 2DH route: dispatch, rank-local
+//! expert compute, combine) as its expert stage — compared against
+//! the single-process chain written out on the padded kernels.
 
 use tutel_suite::comm::runtime::run_threaded;
 use tutel_suite::comm::AllToAllAlgo;
 use tutel_suite::experts::ExpertsBlock;
 use tutel_suite::gate::{route, LinearRouter, RaggedRouting, RouteConfig, Router};
-use tutel_suite::kernels::{fast_decode, fast_encode, ragged_decode, ragged_encode};
+use tutel_suite::kernels::{fast_decode, fast_encode};
+use tutel_suite::obs::Telemetry;
 use tutel_suite::simgpu::Topology;
 use tutel_suite::tensor::{Rng, Tensor};
 use tutel_suite::tutel::overlap::exchange_bins;
+use tutel_suite::tutel::step;
 
 fn run_distributed_step(topology: Topology, k: usize, seed: u64) {
     let w = topology.world_size();
@@ -50,31 +52,30 @@ fn run_distributed_step(topology: Topology, k: usize, seed: u64) {
     let inputs_ref = &inputs;
     let results = run_threaded(topology, move |mut comm| {
         let rank = comm.rank();
-        let x = &inputs_ref[rank];
-        // Gate + route + encode, all rank-local.
-        let probs = router_ref.logits(x).unwrap().softmax_last();
         let cfg = RouteConfig {
             k,
             ..RouteConfig::top1()
         };
-        let routing = route(&probs, &cfg).unwrap();
-        let bins = RaggedRouting::from_routing(&routing);
-        let enc = ragged_encode(x, &routing, &bins).unwrap(); // (R, M)
-
-        // Dispatch, this rank's experts on the rows every rank routed
-        // to them, combine.
+        // This rank's experts on the exact bins of rows every rank
+        // routed to them.
         let local = experts_ref.rank_slice(w, rank).unwrap();
-        let out = exchange_bins(
-            &mut comm,
-            AllToAllAlgo::TwoDh,
-            1,
-            &enc,
-            &bins.offsets,
-            |_, rows, offsets| local.infer_grouped(rows, offsets),
-        )
-        .unwrap()
+        let x = &inputs_ref[rank];
+        let tel = Telemetry::disabled();
+        let (probs, routing) = step::gate(router_ref, x, &cfg, &tel).unwrap();
+        let bins = RaggedRouting::from_routing(&routing);
+        let (out, _) = step::forward(x, probs, routing, bins, &tel, |packed, offsets| {
+            exchange_bins(
+                &mut comm,
+                AllToAllAlgo::TwoDh,
+                1,
+                packed,
+                offsets,
+                |_, rows, offsets| local.infer_grouped(rows, offsets),
+            )
+            .unwrap()
+        })
         .unwrap();
-        ragged_decode(&out, &routing, &bins, tokens).unwrap()
+        out
     });
 
     for (rank, (got, expect)) in results.iter().zip(&reference).enumerate() {
