@@ -113,6 +113,18 @@ echo "==> conformance harness: replayed fault seed"
 cargo run --release -q -p tutel-harness --bin harness -- \
     --fault-seed 0xB0B0 > /dev/null
 
+# The two executed digests below are compared across cells of this run
+# and, through `pinned`, against the commit before: the reference line
+# must be a verbatim line of repro_output.txt, so bits that move
+# identically in every cell fail too. A deliberate numeric change
+# regenerates the line in the same commit.
+pinned() {
+    if ! grep -qxF -- "$1" repro_output.txt; then
+        echo "'$1' is not a line of repro_output.txt" >&2
+        exit 1
+    fi
+}
+
 echo "==> serving: smoke grid + seeded load-gen sweep at TUTEL_THREADS={1,4}"
 # The serving engine runs on a virtual clock, so the whole goodput
 # sweep (continuous vs serial batching over seeded poisson/bursty/
@@ -133,6 +145,7 @@ if [ "$D1" != "$D4" ]; then
     echo "serve digest diverged across TUTEL_THREADS: '$D1' vs '$D4'" >&2
     exit 1
 fi
+pinned "$D1"
 
 echo "==> dropless imbalance sweep + grouped determinism at TUTEL_SIMD={0,1} x TUTEL_THREADS={1,4}"
 # The grouped (dropless) path computes exactly the routed rows, so its
@@ -152,6 +165,7 @@ TUTEL_SIMD=1 TUTEL_THREADS=1 cargo run --release -q -p tutel-bench --bin repro_d
 TUTEL_SIMD=1 TUTEL_THREADS=4 cargo run --release -q -p tutel-bench --bin repro_dropless -- \
     --digest-only > "$TRACE_DIR/dropless_s1t4.txt"
 DREF=$(grep "dropless digest" "$TRACE_DIR/dropless_s0t1.txt")
+pinned "$DREF"
 for cell in s0t4 s1t1 s1t4; do
     DGOT=$(grep "dropless digest" "$TRACE_DIR/dropless_$cell.txt")
     if [ "$DREF" != "$DGOT" ]; then

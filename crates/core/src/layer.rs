@@ -676,7 +676,8 @@ mod tests {
             match route(probs, &route_cfg) {
                 Ok(r) => {
                     assert!(route_ok, "{name}: route should refuse");
-                    assert!(r.gate_of.iter().flatten().all(|g| g.is_finite()), "{name}");
+                    let mut gates = (0..r.num_tokens()).flat_map(|t| r.gates_of(t));
+                    assert!(gates.all(|g| g.is_finite()), "{name}");
                 }
                 Err(e) => {
                     assert!(!route_ok, "{name}: route: {e}");

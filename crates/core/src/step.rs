@@ -15,6 +15,13 @@
 //! `encode`, `decode` and their `.backward` twins; the expert stage
 //! opens its own `ffn` spans): one branch per stage when `tel` is
 //! disabled.
+//!
+//! The routing record is read through [`Routing`]'s accessors only;
+//! gate gradients travel as one flat `(T·k)` array in the record's
+//! order. Every `(T, E)` tensor of the gate chain — logits,
+//! probabilities, and the three gradients behind them — is taken from
+//! `scratch` and recycled here, takes equal to puts, so the arena's
+//! `(T·E)` class neither grows nor evicts from step to step.
 
 use tutel_gate::{
     aux_loss_grad, observe_routing, route, RaggedRouting, RouteConfig, Router, Routing,
@@ -67,7 +74,9 @@ pub fn gate(
     tel: &Telemetry,
 ) -> Result<(Tensor, Routing), TensorError> {
     let gate = tel.span("gate");
-    let probs = router.logits(x)?.softmax_last();
+    let logits = router.logits(x)?;
+    let probs = logits.softmax_last();
+    scratch::recycle(logits);
     let routing = route(&probs, route_cfg)?;
     drop(gate);
     observe_routing(&routing, tel);
@@ -151,17 +160,25 @@ pub fn backward<E: From<TensorError>>(
     // were g_i = v_i / Σv: chain through that. Otherwise the raw
     // probability was the gate.
     let mut d_probs = scratch::zeroed(probs.dims());
-    for (t, (experts, dg)) in routing.expert_of.iter().zip(&d_gates).enumerate() {
+    let cols = routing.experts;
+    let rows = probs.as_slice().chunks(cols);
+    let d_rows = d_probs.as_mut_slice().chunks_mut(cols);
+    let per_token = d_gates.chunks(routing.k()).zip(rows).zip(d_rows);
+    for (t, ((dg, prow), drow)) in per_token.enumerate() {
+        let picked = || routing.experts_of(t).iter().map(|&e| e as usize);
         if routing.normalized {
-            let vals: Vec<f32> = experts.iter().map(|&e| probs.at(&[t, e])).collect();
-            let s: f32 = vals.iter().sum::<f32>().max(1e-9);
-            let dot: f32 = dg.iter().zip(&vals).map(|(d, v)| d * (v / s)).sum();
-            for (&e, d) in experts.iter().zip(dg) {
-                d_probs.set(&[t, e], (d - dot) / s);
+            let s: f32 = picked().map(|e| prow[e]).sum::<f32>().max(1e-9);
+            let dot: f32 = dg
+                .iter()
+                .zip(picked())
+                .map(|(d, e)| d * (prow[e] / s))
+                .sum();
+            for (e, d) in picked().zip(dg) {
+                drow[e] = (d - dot) / s;
             }
         } else {
-            for (&e, &d) in experts.iter().zip(dg) {
-                d_probs.set(&[t, e], d);
+            for (e, &d) in picked().zip(dg) {
+                drow[e] = d;
             }
         }
     }

@@ -5,9 +5,19 @@
 //! the mean gate probability of expert `e` over the batch. Perfectly
 //! balanced routing yields `l_aux = 1`; concentration raises it.
 
-use tutel_tensor::{Tensor, TensorError};
+use tutel_tensor::{scratch, Tensor, TensorError};
 
 use crate::Routing;
+
+/// `fraction_e`: the share of tokens whose top-1 choice is expert `e`.
+fn top1_fraction(routing: &Routing) -> Vec<f32> {
+    let t = routing.num_tokens();
+    let mut fraction = vec![0.0f32; routing.experts];
+    for ti in 0..t {
+        fraction[routing.experts_of(ti)[0] as usize] += 1.0 / t as f32;
+    }
+    fraction
+}
 
 /// Computes the auxiliary load-balancing loss from gate probabilities
 /// `probs` (shape `(T, E)`) and the routing decision.
@@ -16,19 +26,14 @@ use crate::Routing;
 ///
 /// Returns a [`TensorError`] if `probs` does not match the routing's
 /// token/expert counts.
-#[allow(clippy::needless_range_loop)]
+// check:hot
 pub fn aux_loss(probs: &Tensor, routing: &Routing) -> Result<f32, TensorError> {
     let (t, e) = check(probs, routing)?;
-    let mut fraction = vec![0.0f32; e];
-    for choice in &routing.expert_of {
-        if let Some(&top1) = choice.first() {
-            fraction[top1] += 1.0 / t as f32;
-        }
-    }
+    let fraction = top1_fraction(routing);
     let mut mean_prob = vec![0.0f32; e];
-    for ti in 0..t {
-        for ei in 0..e {
-            mean_prob[ei] += probs.at(&[ti, ei]) / t as f32;
+    for row in probs.as_slice().chunks(e) {
+        for (mean, p) in mean_prob.iter_mut().zip(row) {
+            *mean += p / t as f32;
         }
     }
     Ok(e as f32
@@ -41,26 +46,22 @@ pub fn aux_loss(probs: &Tensor, routing: &Routing) -> Result<f32, TensorError> {
 
 /// Gradient of [`aux_loss`] with respect to `probs`, treating the
 /// routing decision (the `fraction` term) as constant — the GShard
-/// straight-through convention.
+/// straight-through convention. The result is arena-backed.
 ///
 /// # Errors
 ///
 /// Returns a [`TensorError`] if `probs` does not match the routing.
-#[allow(clippy::needless_range_loop)]
+// check:hot
 pub fn aux_loss_grad(probs: &Tensor, routing: &Routing) -> Result<Tensor, TensorError> {
     let (t, e) = check(probs, routing)?;
-    let mut fraction = vec![0.0f32; e];
-    for choice in &routing.expert_of {
-        if let Some(&top1) = choice.first() {
-            fraction[top1] += 1.0 / t as f32;
-        }
+    // d l / d probs[t][e] = E · fraction_e / T: one row, T times.
+    let mut row = top1_fraction(routing);
+    for f in &mut row {
+        *f = e as f32 * *f / t as f32;
     }
-    // d l / d probs[t][e] = E · fraction_e / T.
-    let mut grad = Tensor::zeros(&[t, e]);
-    for ti in 0..t {
-        for ei in 0..e {
-            grad.set(&[ti, ei], e as f32 * fraction[ei] / t as f32);
-        }
+    let mut grad = scratch::zeroed(&[t, e]);
+    for out in grad.as_mut_slice().chunks_mut(e) {
+        out.copy_from_slice(&row);
     }
     Ok(grad)
 }

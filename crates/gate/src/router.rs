@@ -1,6 +1,6 @@
 //! Routers: the trainable functions producing token→expert logits.
 
-use tutel_tensor::{gemm_tn, Rng, Tensor, TensorError};
+use tutel_tensor::{gemm_tn, scratch, Rng, Tensor, TensorError};
 
 /// A gating router: maps token features `(T, C)` to expert logits
 /// `(T, E)`.
@@ -12,7 +12,7 @@ pub trait Router {
     fn num_experts(&self) -> usize;
 
     /// Computes logits `(T, E)` for token features `x` of shape
-    /// `(T, C)`.
+    /// `(T, C)`, in an arena-backed tensor (the step recycles it).
     ///
     /// # Errors
     ///
@@ -190,7 +190,7 @@ impl Router for CosineRouter {
         let y = x.matmul(&self.w)?; // (T, D)
         let (t, d) = (y.dims()[0], y.dims()[1]);
         let e = self.m.dims()[0];
-        let mut out = Tensor::zeros(&[t, e]);
+        let mut out = scratch::zeroed(&[t, e]);
         for ti in 0..t {
             let yv = &y.as_slice()[ti * d..(ti + 1) * d];
             let ynorm = yv.iter().map(|v| v * v).sum::<f32>().sqrt().max(1e-8);
@@ -289,7 +289,8 @@ impl Router for HashRouter {
 
     fn logits(&self, x: &Tensor) -> Result<Tensor, TensorError> {
         let t = x.dims()[0];
-        let mut out = Tensor::full(&[t, self.experts], -10.0);
+        let mut out = scratch::zeroed(&[t, self.experts]);
+        out.as_mut_slice().fill(-10.0);
         for ti in 0..t {
             // Hash the token's position (stable across feature noise).
             let h = (ti as u64).wrapping_mul(0x9e3779b97f4a7c15) >> 33;

@@ -1,5 +1,9 @@
 //! Top-k / top-ANY routing with expert capacity and batch prioritized
 //! routing (BPR).
+//!
+//! This module owns the routing record's data format: nothing outside
+//! this file indexes a [`Routing`]'s flat arrays, and [`route`] builds
+//! them in a fixed number of allocations, whatever `T`.
 
 use serde::{Deserialize, Serialize};
 use tutel_tensor::{uniform_offsets, Tensor, TensorError};
@@ -59,6 +63,14 @@ impl RouteConfig {
 
 /// The outcome of routing `T` tokens to `E` experts: everything encode,
 /// combine, and the framework's telemetry need.
+///
+/// The decision itself is three private token-major `(T·k)` arrays —
+/// selected expert, gate weight, capacity slot — read through the
+/// accessors below; selection `i` of token `t` is flat *assignment*
+/// `t·k + i`, the index a [`RaggedRouting`] names its slot owners by
+/// and the layout of a decode backward's gate gradients. [`route`] is
+/// the only constructor, so every expert is `< experts` and the granted
+/// slots of expert `e` are exactly `0..counts[e]`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Routing {
     /// Number of global experts.
@@ -70,47 +82,91 @@ pub struct Routing {
     /// The minimum factor that would have dropped no token — the
     /// Figure 1 telemetry signal.
     pub needed_factor: f64,
-    /// For each token, its selected experts (up to `k`).
-    pub expert_of: Vec<Vec<usize>>,
-    /// For each token, the gate weight per selected expert (post
-    /// normalization); dropped assignments keep their weight but have
-    /// no location.
-    pub gate_of: Vec<Vec<f32>>,
-    /// Whether `gate_of` was normalized to sum to 1 over each token's
+    /// Whether the gates were normalized to sum to 1 over each token's
     /// selected experts — what a backward pass must differentiate.
     pub normalized: bool,
-    /// For each token, the capacity slot per selected expert, `None` if
-    /// the token overflowed the expert's capacity and was dropped.
-    pub location_of: Vec<Vec<Option<usize>>>,
     /// Tokens routed to each expert after capacity clamping.
     pub counts: Vec<usize>,
     /// Tokens routed to each expert before capacity clamping.
     pub raw_counts: Vec<usize>,
+    /// Experts selected per token.
+    k: usize,
+    /// Assignments the capacity clamp dropped.
+    dropped: usize,
+    /// Selected expert per assignment.
+    expert: Vec<u32>,
+    /// Gate weight per assignment (post normalization); a dropped
+    /// assignment keeps its weight.
+    gate: Vec<f32>,
+    /// Capacity slot per assignment, [`DROPPED`] if it overflowed.
+    slot: Vec<u32>,
+}
+
+/// `slot` marker for an assignment the capacity clamp dropped.
+const DROPPED: u32 = u32::MAX;
+
+/// A stored slot as a location: `None` for [`DROPPED`].
+fn granted(slot: u32) -> Option<usize> {
+    (slot != DROPPED).then_some(slot as usize)
 }
 
 impl Routing {
+    /// Experts selected per token.
+    pub fn k(&self) -> usize {
+        self.k
+    }
+
     /// Number of tokens routed.
     pub fn num_tokens(&self) -> usize {
-        self.expert_of.len()
+        self.expert.len() / self.k
+    }
+
+    /// Token `t`'s flat assignments.
+    fn span(&self, t: usize) -> std::ops::Range<usize> {
+        t * self.k..(t + 1) * self.k
+    }
+
+    /// Token `t`'s selected experts, best first.
+    pub fn experts_of(&self, t: usize) -> &[u32] {
+        &self.expert[self.span(t)]
+    }
+
+    /// Token `t`'s gate weight per selected expert.
+    pub fn gates_of(&self, t: usize) -> &[f32] {
+        &self.gate[self.span(t)]
+    }
+
+    /// The capacity slot of token `t`'s selection `i`, `None` if it
+    /// overflowed the expert's capacity and was dropped.
+    pub fn location(&self, t: usize, i: usize) -> Option<usize> {
+        granted(self.slot[self.span(t)][i])
+    }
+
+    /// Token `t`'s selections in order: `(expert, gate, location)`.
+    pub fn selections(&self, t: usize) -> impl Iterator<Item = (usize, f32, Option<usize>)> + '_ {
+        let picks = self.experts_of(t).iter().zip(self.gates_of(t));
+        picks
+            .zip(&self.slot[self.span(t)])
+            .map(|((&e, &g), &slot)| (e as usize, g, granted(slot)))
+    }
+
+    /// The token and gate weight of flat assignment `a` (`< T·k`).
+    pub fn assignment(&self, a: usize) -> (usize, f32) {
+        (a / self.k, self.gate[a])
     }
 
     /// Total (token, expert) assignments that were dropped by the
     /// capacity clamp.
     pub fn dropped(&self) -> usize {
-        self.location_of
-            .iter()
-            .flatten()
-            .filter(|l| l.is_none())
-            .count()
+        self.dropped
     }
 
     /// Fraction of assignments that survived the capacity clamp.
     pub fn survival_rate(&self) -> f64 {
-        let total: usize = self.location_of.iter().map(|l| l.len()).sum();
-        if total == 0 {
+        if self.slot.is_empty() {
             return 1.0;
         }
-        1.0 - self.dropped() as f64 / total as f64
+        1.0 - self.dropped as f64 / self.slot.len() as f64
     }
 }
 
@@ -127,10 +183,9 @@ impl Routing {
 ///   `offsets = [0, C, 2C, …]`: the padded `(E, C, M)` layout as a
 ///   ragged view, with constant-shape buffers under clamping policies.
 ///
-/// The slot-major permutation arrays name the owner of every packed
-/// row: `slot_token[s]` is the source token ([`RaggedRouting::UNOWNED`]
-/// for a capacity slot no assignment landed in — such rows stay zero)
-/// and `slot_select[s]` which of its top-k selections landed there.
+/// `slot_owner[s]` names the flat assignment that owns packed row `s`
+/// ([`RaggedRouting::UNOWNED`] for a capacity slot no assignment landed
+/// in — such rows stay zero); [`Routing::assignment`] resolves it.
 /// Within a bin, rows sit in capacity-slot order
 /// (`packed slot = offsets[e] + location`), so a row holds *identical
 /// bytes* under either constructor and grouped compute is bitwise
@@ -141,19 +196,18 @@ pub struct RaggedRouting {
     pub experts: usize,
     /// Per-expert bin boundaries: monotone prefix sum of the bin sizes.
     pub offsets: Vec<usize>,
-    /// Source token per packed slot, or [`RaggedRouting::UNOWNED`].
-    pub slot_token: Vec<u32>,
-    /// Top-k selection index per packed slot.
-    pub slot_select: Vec<u32>,
+    /// Owning assignment per packed slot, or [`RaggedRouting::UNOWNED`].
+    pub slot_owner: Vec<u32>,
 }
 
 impl RaggedRouting {
-    /// `slot_token` marker for a slot no assignment owns.
+    /// `slot_owner` marker for a slot no assignment owns.
     pub const UNOWNED: u32 = u32::MAX;
 
     /// Exact bins: expert `e`'s bin holds its `counts[e]` routed rows.
     /// Dropped assignments (only possible under a clamping policy)
     /// simply own no packed slot.
+    // check:hot
     pub fn from_routing(routing: &Routing) -> Self {
         let mut offsets = Vec::with_capacity(routing.experts + 1);
         let mut acc = 0usize;
@@ -168,35 +222,24 @@ impl RaggedRouting {
     /// Uniform-capacity bins: every expert's bin holds
     /// `routing.capacity` rows whether or not they were all granted,
     /// so the packed buffer is the padded `(E, C, M)` buffer.
+    // check:hot
     pub fn uniform_capacity(routing: &Routing) -> Self {
         Self::with_offsets(routing, uniform_offsets(routing.experts, routing.capacity))
     }
 
-    /// Fills the owner arrays for bins laid out at `offsets` (each bin
+    /// Fills the owner array for bins laid out at `offsets` (each bin
     /// at least as long as its expert's routed count).
     fn with_offsets(routing: &Routing, offsets: Vec<usize>) -> Self {
-        let total = offsets.last().copied().unwrap_or(0);
-        let mut slot_token = vec![Self::UNOWNED; total];
-        let mut slot_select = vec![0u32; total];
-        for (t, (experts_of, locs)) in routing
-            .expert_of
-            .iter()
-            .zip(&routing.location_of)
-            .enumerate()
-        {
-            for (i, (&e, loc)) in experts_of.iter().zip(locs).enumerate() {
-                if let Some(l) = loc {
-                    let s = offsets[e] + l;
-                    slot_token[s] = t as u32;
-                    slot_select[s] = i as u32;
-                }
+        let mut slot_owner = vec![Self::UNOWNED; offsets.last().copied().unwrap_or(0)];
+        for (a, (&e, &slot)) in routing.expert.iter().zip(&routing.slot).enumerate() {
+            if let Some(l) = granted(slot) {
+                slot_owner[offsets[e as usize] + l] = a as u32;
             }
         }
         RaggedRouting {
             experts: routing.experts,
             offsets,
-            slot_token,
-            slot_select,
+            slot_owner,
         }
     }
 
@@ -222,8 +265,9 @@ impl RaggedRouting {
 ///
 /// Returns a [`TensorError`] if `probs` is not a rank-2 tensor, `k`
 /// exceeds the number of experts, the capacity factor is not finite, a
-/// selected gate is NaN (a NaN that loses the top-k is ignored), or the
-/// `E·C` slot count overflows `usize`.
+/// selected gate is NaN (a NaN that loses the top-k is ignored), the
+/// `E·C` slot count overflows `usize`, or `E` or `T·k` does not fit the
+/// record's `u32` indices.
 ///
 /// # Example
 ///
@@ -237,8 +281,11 @@ impl RaggedRouting {
 /// // f = 1, k = 1 → capacity 2: two tokens overflow expert 0.
 /// assert_eq!(routing.capacity, 2);
 /// assert_eq!(routing.dropped(), 2);
+/// assert_eq!(routing.location(1, 0), Some(1));
+/// assert_eq!(routing.location(2, 0), None);
 /// # Ok::<(), tutel_tensor::TensorError>(())
 /// ```
+// check:hot
 pub fn route(probs: &Tensor, cfg: &RouteConfig) -> Result<Routing, TensorError> {
     if probs.rank() != 2 {
         return Err(TensorError::RankMismatch {
@@ -248,10 +295,17 @@ pub fn route(probs: &Tensor, cfg: &RouteConfig) -> Result<Routing, TensorError> 
         });
     }
     let (tokens, experts) = (probs.dims()[0], probs.dims()[1]);
-    if cfg.k == 0 || cfg.k > experts {
+    let k = cfg.k;
+    if k == 0 || k > experts {
         return Err(TensorError::InvalidArgument(format!(
-            "top-k with k={} over {experts} experts",
-            cfg.k
+            "top-k with k={k} over {experts} experts"
+        )));
+    }
+    // Experts, slots and assignments are stored as `u32`, the last
+    // value being the `DROPPED` / `UNOWNED` marker.
+    if experts.max(tokens * k) >= u32::MAX as usize {
+        return Err(TensorError::InvalidArgument(format!(
+            "{experts} experts or {tokens}·{k} assignments exceed u32"
         )));
     }
 
@@ -263,38 +317,33 @@ pub fn route(probs: &Tensor, cfg: &RouteConfig) -> Result<Routing, TensorError> 
         }
     }
 
-    let (idxs, vals) = probs.topk_last(cfg.k)?;
+    let (idxs, vals) = probs.topk_last(k)?;
 
     // Gate weights, optionally normalized over the selected k.
-    let normalized = cfg.normalize_gates && cfg.k > 1;
-    let gate_of: Vec<Vec<f32>> = vals
-        .iter()
-        .map(|v| {
-            if normalized {
-                let s: f32 = v.iter().sum::<f32>().max(1e-9);
-                v.iter().map(|g| g / s).collect()
-            } else {
-                v.clone()
-            }
-        })
-        .collect();
-    if let Some(t) = gate_of.iter().position(|g| g.iter().any(|g| g.is_nan())) {
+    let normalized = cfg.normalize_gates && k > 1;
+    let mut gate = vals.clone();
+    if normalized {
+        for g in gate.chunks_mut(k) {
+            let s: f32 = g.iter().sum::<f32>().max(1e-9);
+            g.iter_mut().for_each(|g| *g /= s);
+        }
+    }
+    if let Some(a) = gate.iter().position(|g| g.is_nan()) {
         return Err(TensorError::InvalidArgument(format!(
-            "token {t} selected a NaN gate"
+            "token {} selected a NaN gate",
+            a / k
         )));
     }
 
     // Raw (unclamped) per-expert demand, for the dynamic policy and the
     // Figure 1 telemetry.
     let mut raw_counts = vec![0usize; experts];
-    for tk in &idxs {
-        for &e in tk {
-            raw_counts[e] += 1;
-        }
+    for &e in &idxs {
+        raw_counts[e] += 1;
     }
-    let needed = needed_capacity_factor(&raw_counts, cfg.k, tokens);
-    let factor = cfg.capacity.resolve(&raw_counts, cfg.k, tokens);
-    let capacity = expert_capacity(cfg.k, factor, tokens, experts);
+    let needed = needed_capacity_factor(&raw_counts, k, tokens);
+    let factor = cfg.capacity.resolve(&raw_counts, k, tokens);
+    let capacity = expert_capacity(k, factor, tokens, experts);
     if experts.checked_mul(capacity).is_none() {
         return Err(TensorError::InvalidArgument(format!(
             "{experts} experts × capacity {capacity} overflows"
@@ -306,27 +355,26 @@ pub fn route(probs: &Tensor, cfg: &RouteConfig) -> Result<Routing, TensorError> 
     let mut order: Vec<usize> = (0..tokens).collect();
     if cfg.bpr {
         order.sort_by(|&a, &b| {
-            let ga = vals[a].first().copied().unwrap_or(0.0);
-            let gb = vals[b].first().copied().unwrap_or(0.0);
-            gb.partial_cmp(&ga)
+            vals[b * k]
+                .partial_cmp(&vals[a * k])
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then(a.cmp(&b))
         });
     }
 
     let mut counts = vec![0usize; experts];
-    let mut location_of = vec![Vec::new(); tokens];
+    let mut slot = vec![DROPPED; tokens * k];
+    let mut dropped = 0;
     for &t in &order {
-        let mut locs = Vec::with_capacity(cfg.k);
-        for &e in &idxs[t] {
+        for a in t * k..(t + 1) * k {
+            let e = idxs[a];
             if counts[e] < capacity {
-                locs.push(Some(counts[e]));
+                slot[a] = counts[e] as u32;
                 counts[e] += 1;
             } else {
-                locs.push(None);
+                dropped += 1;
             }
         }
-        location_of[t] = locs;
     }
 
     Ok(Routing {
@@ -334,12 +382,14 @@ pub fn route(probs: &Tensor, cfg: &RouteConfig) -> Result<Routing, TensorError> 
         capacity,
         capacity_factor: factor,
         needed_factor: needed,
-        expert_of: idxs,
-        gate_of,
         normalized,
-        location_of,
         counts,
         raw_counts,
+        k,
+        dropped,
+        expert: idxs.iter().map(|&e| e as u32).collect(),
+        gate,
+        slot,
     })
 }
 
@@ -369,9 +419,9 @@ mod tests {
         let r = route(&probs, &RouteConfig::top1()).unwrap();
         // k=1, f=1, T=8, E=4 → capacity 2; expert 0 keeps tokens 0, 1.
         assert_eq!(r.capacity, 2);
-        assert_eq!(r.location_of[0][0], Some(0));
-        assert_eq!(r.location_of[1][0], Some(1));
-        assert_eq!(r.location_of[2][0], None);
+        assert_eq!(r.location(0, 0), Some(0));
+        assert_eq!(r.location(1, 0), Some(1));
+        assert_eq!(r.location(2, 0), None);
         assert_eq!(r.counts[0], 2);
         assert_eq!(r.raw_counts[0], 8);
     }
@@ -390,13 +440,13 @@ mod tests {
         }
         let no_bpr = route(&probs, &RouteConfig::top1()).unwrap();
         // Token order: tokens 0 and 1 survive.
-        assert_eq!(no_bpr.location_of[0][0], Some(0));
-        assert!(no_bpr.location_of[7][0].is_none());
+        assert_eq!(no_bpr.location(0, 0), Some(0));
+        assert!(no_bpr.location(7, 0).is_none());
         let bpr = route(&probs, &RouteConfig::top1().with_bpr(true)).unwrap();
         // Confidence order: tokens 7 and 6 survive.
-        assert!(bpr.location_of[7][0].is_some());
-        assert!(bpr.location_of[6][0].is_some());
-        assert!(bpr.location_of[0][0].is_none());
+        assert!(bpr.location(7, 0).is_some());
+        assert!(bpr.location(6, 0).is_some());
+        assert!(bpr.location(0, 0).is_none());
     }
 
     #[test]
@@ -404,7 +454,8 @@ mod tests {
         let mut rng = Rng::seed(1);
         let probs = rng.uniform_tensor(&[16, 8], 0.0, 1.0).softmax_last();
         let r = route(&probs, &RouteConfig::top2()).unwrap();
-        for g in &r.gate_of {
+        for t in 0..16 {
+            let g = r.gates_of(t);
             assert_eq!(g.len(), 2);
             assert!((g.iter().sum::<f32>() - 1.0).abs() < 1e-5);
         }
@@ -420,7 +471,8 @@ mod tests {
                 ..RouteConfig::top1()
             };
             let r = route(&probs, &cfg).unwrap();
-            assert!(r.expert_of.iter().all(|e| e.len() == k));
+            assert_eq!(r.k(), k);
+            assert!((0..8).all(|t| r.experts_of(t).len() == k && r.selections(t).count() == k));
         }
         let cfg = RouteConfig {
             k: 9,
@@ -467,8 +519,7 @@ mod tests {
         assert_eq!(ragged.total(), 8);
         assert_eq!(ragged.bin_len(0), 8);
         // Token order == capacity-slot order under top-1 without BPR.
-        assert_eq!(ragged.slot_token, (0..8u32).collect::<Vec<_>>());
-        assert!(ragged.slot_select.iter().all(|&s| s == 0));
+        assert_eq!(ragged.slot_owner, (0..8u32).collect::<Vec<_>>());
     }
 
     #[test]
@@ -491,7 +542,7 @@ mod tests {
         assert_eq!(ragged.offsets, vec![0, 2, 4, 6, 8]);
         assert_eq!(ragged.total(), r.experts * r.capacity);
         let u = RaggedRouting::UNOWNED;
-        assert_eq!(ragged.slot_token, vec![0, 1, u, u, u, u, u, u]);
+        assert_eq!(ragged.slot_owner, vec![0, 1, u, u, u, u, u, u]);
     }
 
     mod properties {
@@ -536,15 +587,14 @@ mod tests {
                 // The permutation is a bijection onto surviving
                 // assignments, consistent with the padded layout.
                 let mut seen = vec![false; ragged.total()];
-                for (t, locs) in r.location_of.iter().enumerate() {
-                    for (i, loc) in locs.iter().enumerate() {
+                for t in 0..tokens {
+                    for (i, (e, gate, loc)) in r.selections(t).enumerate() {
                         if let Some(l) = loc {
-                            let e = r.expert_of[t][i];
                             let s = ragged.offsets[e] + l;
                             prop_assert!(!seen[s]);
                             seen[s] = true;
-                            prop_assert_eq!(ragged.slot_token[s] as usize, t);
-                            prop_assert_eq!(ragged.slot_select[s] as usize, i);
+                            prop_assert_eq!(ragged.slot_owner[s] as usize, t * k + i);
+                            prop_assert_eq!(r.assignment(t * k + i), (t, gate));
                         }
                     }
                 }

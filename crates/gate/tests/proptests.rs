@@ -44,11 +44,11 @@ proptest! {
         let cfg = RouteConfig { bpr, ..RouteConfig::top1() };
         let r = route(&random_probs(tokens, experts, seed), &cfg).unwrap();
         let mut seen = std::collections::HashSet::new();
-        for (t, (es, ls)) in r.expert_of.iter().zip(&r.location_of).enumerate() {
-            for (&e, l) in es.iter().zip(ls) {
+        for t in 0..tokens {
+            for (e, _, l) in r.selections(t) {
                 if let Some(slot) = l {
-                    prop_assert!(*slot < r.capacity);
-                    prop_assert!(seen.insert((e, *slot)), "token {t}: slot ({e},{slot}) reused");
+                    prop_assert!(slot < r.capacity);
+                    prop_assert!(seen.insert((e, slot)), "token {t}: slot ({e},{slot}) reused");
                 }
             }
         }
@@ -114,9 +114,9 @@ proptest! {
             let mut survived = Vec::new();
             let mut dropped = Vec::new();
             for t in 0..tokens {
-                if r.expert_of[t][0] == e {
+                if r.experts_of(t)[0] as usize == e {
                     let conf = probs.at(&[t, e]);
-                    if r.location_of[t][0].is_some() {
+                    if r.location(t, 0).is_some() {
                         survived.push(conf);
                     } else {
                         dropped.push(conf);

@@ -148,12 +148,13 @@ fn gate_backward(
     rank: usize,
     probs: &Tensor,
     routing: &Routing,
-    d_gates: &[Vec<f32>],
+    d_gates: &[f32],
     d_x_encode: Tensor,
 ) -> Tensor {
     let (x, _) = &fixture.per_rank[rank];
     let mut d_probs = Tensor::zeros(probs.dims());
-    for (t, (experts, dg)) in routing.expert_of.iter().zip(d_gates).enumerate() {
+    for (t, dg) in d_gates.chunks(Problem::TOP_K).enumerate() {
+        let experts: Vec<usize> = routing.selections(t).map(|(e, _, _)| e).collect();
         if Problem::TOP_K > 1 {
             let vals: Vec<f32> = experts.iter().map(|&e| probs.at(&[t, e])).collect();
             let s: f32 = vals.iter().sum::<f32>().max(1e-9);

@@ -5,7 +5,8 @@
 //! multiplications by zero, plus `O(T·E·ΔC)` extra memory. This is the
 //! implementation Tutel's sparse kernels replace; it exists here so the
 //! equivalence can be tested and the memory/time gap benchmarked
-//! (Figure 24, Table 4).
+//! (Figure 24, Table 4). The combine tensor is filled from
+//! [`Routing::selections`], the same accessor the sparse kernels walk.
 
 use tutel_gate::Routing;
 use tutel_tensor::{Tensor, TensorError};
@@ -24,15 +25,9 @@ impl DenseCombine {
         let t = routing.num_tokens();
         let (e, cap) = (routing.experts, routing.capacity);
         let mut weights = Tensor::zeros(&[t, e, cap]);
-        for (ti, ((experts, locs), gates)) in routing
-            .expert_of
-            .iter()
-            .zip(&routing.location_of)
-            .zip(&routing.gate_of)
-            .enumerate()
-        {
-            for ((&ei, loc), &g) in experts.iter().zip(locs).zip(gates) {
-                if let Some(l) = *loc {
+        for ti in 0..t {
+            for (ei, g, loc) in routing.selections(ti) {
+                if let Some(l) = loc {
                     weights.set(&[ti, ei, l], g);
                 }
             }

@@ -4,6 +4,13 @@
 //! implementation — [`crate::sparse`]'s padded `(E, ΔC, M)` entry
 //! points call these kernels with uniform-capacity bins.
 //!
+//! The routing decision is read only through [`Routing`]'s accessors
+//! (its flat `(T·k)` arrays are private to `tutel_gate`): token-major
+//! passes iterate [`Routing::selections`], slot-major passes resolve a
+//! slot's owner — the flat assignment index in
+//! `RaggedRouting::slot_owner` — with [`Routing::assignment`], and gate
+//! gradients come back in the same flat order, `d_gates[t·k + i]`.
+//!
 //! Each routed assignment sits at packed row `offsets[e] + location`.
 //! With exact bins (`RaggedRouting::from_routing`) no padding row
 //! exists, so compute and All-to-All bytes scale with what was
@@ -15,8 +22,9 @@
 //! Every pass has exactly **one writer** per output row — no atomics,
 //! no locks: slot-major passes ([`ragged_encode`], the `d_y` half of
 //! [`ragged_decode_backward`]) walk the packed rows, each owned by at
-//! most one (token, selection) pair recorded in the view's permutation
-//! arrays; token-major passes walk token rows in selection order. Row
+//! most one assignment recorded in the view's `slot_owner`; token-major
+//! passes walk token rows in selection order through
+//! [`Routing::selections`]. Row
 //! blocks are fixed at [`ROW_CHUNK`] rows and all lane arithmetic
 //! routes through the kernel dispatch table, so results are
 //! bit-identical for every `TUTEL_THREADS` and `TUTEL_SIMD` setting —
@@ -55,9 +63,10 @@ pub fn ragged_encode(
     tutel_rt::parallel_chunks(out.as_mut_slice(), ROW_CHUNK * m, |blk, chunk| {
         let slot0 = blk * ROW_CHUNK;
         for (s, orow) in chunk.chunks_mut(m).enumerate() {
-            let t = ragged.slot_token[slot0 + s];
-            if t != RaggedRouting::UNOWNED {
-                orow.copy_from_slice(&xs[t as usize * m..(t as usize + 1) * m]);
+            let a = ragged.slot_owner[slot0 + s];
+            if a != RaggedRouting::UNOWNED {
+                let (t, _) = routing.assignment(a as usize);
+                orow.copy_from_slice(&xs[t * m..(t + 1) * m]);
             }
         }
     });
@@ -88,9 +97,8 @@ pub fn ragged_encode_backward(
         let add_assign = dispatch::table().add_assign;
         let t0 = blk * ROW_CHUNK;
         for (ti, orow) in chunk.chunks_mut(m).enumerate() {
-            let t = t0 + ti;
-            for (&e, loc) in routing.expert_of[t].iter().zip(&routing.location_of[t]) {
-                if let Some(l) = *loc {
+            for (e, _, loc) in routing.selections(t0 + ti) {
+                if let Some(l) = loc {
                     let s = ragged.offsets[e] + l;
                     add_assign(&dd[s * m..(s + 1) * m], orow);
                 }
@@ -125,13 +133,8 @@ pub fn ragged_decode(
         let axpy = dispatch::table().axpy;
         let t0 = blk * ROW_CHUNK;
         for (ti, orow) in chunk.chunks_mut(m).enumerate() {
-            let t = t0 + ti;
-            for ((&e, loc), &g) in routing.expert_of[t]
-                .iter()
-                .zip(&routing.location_of[t])
-                .zip(&routing.gate_of[t])
-            {
-                if let Some(l) = *loc {
+            for (e, g, loc) in routing.selections(t0 + ti) {
+                if let Some(l) = loc {
                     let s = ragged.offsets[e] + l;
                     axpy(g, &ys[s * m..(s + 1) * m], orow);
                 }
@@ -142,9 +145,10 @@ pub fn ragged_decode(
 }
 
 /// Backward of [`ragged_decode`]: returns `(d_y (R, M), d_gates)`
-/// where `d_gates[t][i]` is the gradient of the `i`-th gate value of
-/// token `t` (`⟨y_row, d_out_row⟩`, Figure 19). Two ownership-parallel
-/// passes: slot-major for `d_y`, token-major for the gate gradients.
+/// where the flat `d_gates[t·k + i]` is the gradient of the `i`-th gate
+/// value of token `t` (`⟨y_row, d_out_row⟩`, Figure 19; zero for a
+/// dropped assignment). Two ownership-parallel passes: slot-major for
+/// `d_y`, token-major for the gate gradients.
 ///
 /// # Errors
 ///
@@ -155,7 +159,7 @@ pub fn ragged_decode_backward(
     y: &Tensor,
     routing: &Routing,
     ragged: &RaggedRouting,
-) -> Result<(Tensor, Vec<Vec<f32>>), TensorError> {
+) -> Result<(Tensor, Vec<f32>), TensorError> {
     let m = check_tokens(d_out, routing, "ragged_decode_backward")?;
     let m2 = check_packed(y, ragged, "ragged_decode_backward")?;
     if m != m2 {
@@ -175,33 +179,29 @@ pub fn ragged_decode_backward(
         let axpy = dispatch::table().axpy;
         let slot0 = blk * ROW_CHUNK;
         for (s, orow) in chunk.chunks_mut(m).enumerate() {
-            let t = ragged.slot_token[slot0 + s];
-            if t != RaggedRouting::UNOWNED {
-                let t = t as usize;
-                let g = routing.gate_of[t][ragged.slot_select[slot0 + s] as usize];
+            let a = ragged.slot_owner[slot0 + s];
+            if a != RaggedRouting::UNOWNED {
+                let (t, g) = routing.assignment(a as usize);
                 axpy(g, &ds[t * m..(t + 1) * m], orow);
             }
         }
     });
 
-    // Pass 2, token-major: dgates[t][i] = ⟨y_row, d_out_t⟩ through the
-    // kernel table's 8-lane reduction-tree dot (same summation order
-    // in scalar and SIMD modes).
-    let mut dgates: Vec<Vec<f32>> = routing.gate_of.iter().map(|g| vec![0.0; g.len()]).collect();
-    tutel_rt::parallel_chunks(&mut dgates, ROW_CHUNK, |blk, chunk| {
+    // Pass 2, token-major: dgates[t·k + i] = ⟨y_row, d_out_t⟩ through
+    // the kernel table's 8-lane reduction-tree dot (same summation
+    // order in scalar and SIMD modes).
+    let k = routing.k();
+    let mut dgates = vec![0.0f32; routing.num_tokens() * k];
+    tutel_rt::parallel_chunks(&mut dgates, ROW_CHUNK * k, |blk, chunk| {
         let dot = dispatch::table().dot;
         let t0 = blk * ROW_CHUNK;
-        for (ti, grow) in chunk.iter_mut().enumerate() {
+        for (ti, grow) in chunk.chunks_mut(k).enumerate() {
             let t = t0 + ti;
             let drow = &ds[t * m..(t + 1) * m];
-            for (i, (&e, loc)) in routing.expert_of[t]
-                .iter()
-                .zip(&routing.location_of[t])
-                .enumerate()
-            {
-                if let Some(l) = *loc {
+            for (g, (e, _, loc)) in grow.iter_mut().zip(routing.selections(t)) {
+                if let Some(l) = loc {
                     let s = ragged.offsets[e] + l;
-                    grow[i] = dot(&ys[s * m..(s + 1) * m], drow);
+                    *g = dot(&ys[s * m..(s + 1) * m], drow);
                 }
             }
         }
@@ -265,27 +265,17 @@ fn check_pair(
     if ragged.offsets[0] != 0 || ragged.offsets.windows(2).any(|w| w[0] > w[1]) {
         return bad("offsets are not a monotone prefix sum");
     }
-    if ragged.slot_token.len() != total || ragged.slot_select.len() != total {
-        return bad("owner arrays do not cover the packed rows");
+    if ragged.slot_owner.len() != total {
+        return bad("the owner array does not cover the packed rows");
     }
     // Token-major passes read row `offsets[e] + location`.
     if (0..routing.experts).any(|e| ragged.bin_len(e) < routing.counts[e]) {
         return bad("a bin is shorter than its routed count");
     }
-    // Slot-major passes read `x[token]` and `gate_of[token][select]`.
-    let owner_ok = |(&t, &i): (&u32, &u32)| {
-        t == RaggedRouting::UNOWNED
-            || routing
-                .gate_of
-                .get(t as usize)
-                .is_some_and(|g| (i as usize) < g.len())
-    };
-    if !ragged
-        .slot_token
-        .iter()
-        .zip(&ragged.slot_select)
-        .all(owner_ok)
-    {
+    // Slot-major passes resolve each owner through `Routing::assignment`.
+    let assignments = routing.num_tokens() * routing.k();
+    let owner_ok = |&a: &u32| a == RaggedRouting::UNOWNED || (a as usize) < assignments;
+    if !ragged.slot_owner.iter().all(owner_ok) {
         return bad("a slot's owner is out of range");
     }
     Ok(())
@@ -438,14 +428,10 @@ mod tests {
         let y = Tensor::zeros(&[ragged.total(), 6]);
         let d_out = Tensor::zeros(&[6, 6]);
         type Corruption = (&'static str, fn(&mut RaggedRouting));
-        let corruptions: [Corruption; 6] = [
-            ("token == T", |r| r.slot_token[0] = 6),
-            ("selection == k", |r| r.slot_select[0] = 2),
-            ("slot_token one short", |r| {
-                r.slot_token.pop();
-            }),
-            ("slot_select one short", |r| {
-                r.slot_select.pop();
+        let corruptions: [Corruption; 4] = [
+            ("assignment == T·k", |r| r.slot_owner[0] = 6 * 2),
+            ("slot_owner one short", |r| {
+                r.slot_owner.pop();
             }),
             ("offsets not monotone", |r| r.offsets[1] = r.offsets[2] + 1),
             ("bin 1 shorter than its routed count", |r| r.offsets[1] += 1),
@@ -484,14 +470,13 @@ mod tests {
                 seed in 0u64..1024,
             ) {
                 let mut rng = Rng::seed(seed);
-                let probs = rng
-                    .uniform_tensor(&[tokens, experts], 0.0, 1.0)
-                    .softmax_last();
-                let cfg = RouteConfig::top1().with_capacity_factor(0.0);
-                let mut routing = route(&probs, &cfg).unwrap();
-                for g in &mut routing.gate_of {
-                    g.fill(1.0);
+                // One-hot rows: the top-1 gate is exactly 1.0.
+                let mut probs = Tensor::zeros(&[tokens, experts]);
+                for t in 0..tokens {
+                    probs.set(&[t, rng.below(experts)], 1.0);
                 }
+                let cfg = RouteConfig::top1().with_capacity_factor(0.0);
+                let routing = route(&probs, &cfg).unwrap();
                 let ragged = RaggedRouting::from_routing(&routing);
                 let x = rng.normal_tensor(&[tokens, m], 0.0, 1.0);
                 let packed = ragged_encode(&x, &routing, &ragged).unwrap();

@@ -2,8 +2,9 @@
 
 use crate::{Result, Tensor, TensorError};
 
-/// Per-row top-k result: `(indices, values)`, each `rows × k`.
-pub type TopK = (Vec<Vec<usize>>, Vec<Vec<f32>>);
+/// Per-row top-k result: `(indices, values)`, each a flat row-major
+/// `rows · k` array (row `r`'s selections are `[r·k .. (r+1)·k]`).
+pub type TopK = (Vec<usize>, Vec<f32>);
 
 impl Tensor {
     /// Elementwise addition.
@@ -194,16 +195,17 @@ impl Tensor {
     /// # Errors
     ///
     /// Returns [`TensorError::ShapeMismatch`] if shapes differ.
+    // check:hot
     pub fn softmax_last_backward(&self, upstream: &Tensor) -> Result<Tensor> {
         if self.shape() != upstream.shape() {
-            return Err(TensorError::ShapeMismatch {
-                left: self.dims().to_vec(),
-                right: upstream.dims().to_vec(),
-                op: "softmax_last_backward",
-            });
+            return Err(TensorError::shape_mismatch(
+                "softmax_last_backward",
+                self.dims(),
+                upstream.dims(),
+            ));
         }
         let cols = *self.dims().last().unwrap_or(&1);
-        let mut out = self.clone();
+        let mut out = crate::scratch::copy_of(self);
         if cols == 0 {
             return Ok(out);
         }
@@ -221,16 +223,17 @@ impl Tensor {
         Ok(out)
     }
 
-    /// Per-row top-k over the last axis: returns `(indices, values)` each
-    /// of shape `rows × k`, sorted by descending value (ties broken by
-    /// lower index, matching deterministic GPU top-k). NaN sorts after
-    /// every number, so it is selected only when a row holds fewer than
-    /// `k` numbers.
+    /// Per-row top-k over the last axis: returns `(indices, values)`,
+    /// each a flat `rows · k` array, every row's `k` sorted by descending
+    /// value (ties broken by lower index, matching deterministic GPU
+    /// top-k). NaN sorts after every number, so it is selected only when
+    /// a row holds fewer than `k` numbers.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::InvalidArgument`] if `k` is zero or larger
     /// than the last-axis length.
+    // check:hot
     pub fn topk_last(&self, k: usize) -> Result<TopK> {
         let cols = *self.dims().last().unwrap_or(&0);
         if k == 0 || k > cols {
@@ -239,22 +242,25 @@ impl Tensor {
             )));
         }
         let rows = self.len() / cols;
-        let mut idxs = Vec::with_capacity(rows);
-        let mut vals = Vec::with_capacity(rows);
-        for r in 0..rows {
-            let row = &self.as_slice()[r * cols..(r + 1) * cols];
-            let mut order: Vec<usize> = (0..cols).collect();
-            // A total order (`sort_by` may panic on anything less):
-            // unordered pairs involve a NaN, which goes last.
-            order.sort_by(|&a, &b| {
-                row[b]
-                    .partial_cmp(&row[a])
-                    .unwrap_or_else(|| row[a].is_nan().cmp(&row[b].is_nan()))
-                    .then(a.cmp(&b))
-            });
-            order.truncate(k);
-            vals.push(order.iter().map(|&i| row[i]).collect());
-            idxs.push(order);
+        let mut idxs = Vec::with_capacity(rows * k);
+        let mut vals = Vec::with_capacity(rows * k);
+        // One index buffer for every row: the comparator below is a
+        // strict total order over column indices, so a row's first `k`
+        // do not depend on the permutation the previous row left behind.
+        let mut order: Vec<usize> = (0..cols).collect();
+        for row in self.as_slice().chunks(cols) {
+            // Unordered pairs involve a NaN, which goes last; equal
+            // values fall through to the index.
+            let by_value_then_index = |a: &usize, b: &usize| {
+                row[*b]
+                    .partial_cmp(&row[*a])
+                    .unwrap_or_else(|| row[*a].is_nan().cmp(&row[*b].is_nan()))
+                    .then(a.cmp(b))
+            };
+            order.select_nth_unstable_by(k - 1, by_value_then_index);
+            order[..k].sort_unstable_by(by_value_then_index);
+            idxs.extend_from_slice(&order[..k]);
+            vals.extend(order[..k].iter().map(|&i| row[i]));
         }
         Ok((idxs, vals))
     }
@@ -354,8 +360,8 @@ mod tests {
     fn topk_sorts_nan_last_without_moving_numbers() {
         let nan = f32::NAN;
         // NaN in every third column: the comparator must stay a total
-        // order (sort_by panics otherwise) and pick among the numbers
-        // exactly as if the NaNs were absent.
+        // order (the sorts may panic otherwise) and pick among the
+        // numbers exactly as if the NaNs were absent.
         let row: Vec<f32> = (0..64)
             .map(|i| {
                 if i % 3 == 0 {
@@ -369,11 +375,15 @@ mod tests {
         let clean = t.map(|v| if v.is_nan() { f32::NEG_INFINITY } else { v });
         let (idxs, vals) = t.topk_last(8).unwrap();
         assert_eq!(idxs, clean.topk_last(8).unwrap().0);
-        assert!(vals.iter().flatten().all(|v| !v.is_nan()));
-        // Fewer numbers than k: NaNs fill the tail, in index order.
-        let few = Tensor::from_vec(vec![nan, 2.0, nan, 5.0], &[1, 4]).unwrap();
+        assert_eq!((idxs.len(), vals.len()), (64 * 8, 64 * 8));
+        assert!(vals.iter().all(|v| !v.is_nan()));
+        // Fewer numbers than k: NaNs fill the tail, in index order —
+        // in every row, whatever order the row before left the shared
+        // index buffer in.
+        let few = [nan, 2.0, nan, 5.0, 1.0, nan, 7.0, nan];
+        let few = Tensor::from_vec(few.to_vec(), &[2, 4]).unwrap();
         let (idxs, _) = few.topk_last(4).unwrap();
-        assert_eq!(idxs[0], vec![3, 1, 0, 2]);
+        assert_eq!(idxs, vec![3, 1, 0, 2, 2, 0, 1, 3]);
     }
 
     #[test]
@@ -461,8 +471,8 @@ mod tests {
     fn topk_orders_descending_with_index_tiebreak() {
         let t = Tensor::from_vec(vec![0.1, 0.9, 0.9, 0.3], &[1, 4]).unwrap();
         let (idxs, vals) = t.topk_last(3).unwrap();
-        assert_eq!(idxs[0], vec![1, 2, 3]);
-        assert_eq!(vals[0], vec![0.9, 0.9, 0.3]);
+        assert_eq!(idxs, vec![1, 2, 3]);
+        assert_eq!(vals, vec![0.9, 0.9, 0.3]);
     }
 
     #[test]

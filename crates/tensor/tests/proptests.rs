@@ -78,15 +78,15 @@ proptest! {
         let mut rng = tutel_tensor::Rng::seed(seed);
         let t = rng.normal_tensor(&[3, cols], 0.0, 1.0);
         let (idxs, vals) = t.topk_last(k).unwrap();
+        prop_assert_eq!((idxs.len(), vals.len()), (3 * k, 3 * k));
         for r in 0..3 {
             let row = &t.as_slice()[r * cols..(r + 1) * cols];
+            let (idxs, vals) = (&idxs[r * k..(r + 1) * k], &vals[r * k..(r + 1) * k]);
             let mut sorted: Vec<f32> = row.to_vec();
             sorted.sort_by(|a, b| b.total_cmp(a));
-            for (i, &v) in vals[r].iter().enumerate() {
-                prop_assert_eq!(v, sorted[i]);
-            }
+            prop_assert_eq!(vals, &sorted[..k]);
             // Indices actually point at the values.
-            for (&i, &v) in idxs[r].iter().zip(&vals[r]) {
+            for (&i, &v) in idxs.iter().zip(vals) {
                 prop_assert_eq!(row[i], v);
             }
         }

@@ -86,7 +86,7 @@ fn main() -> Result<(), TensorError> {
         let out = fast_decode(buf, crit, per_rank_tokens)?;
         // With a doubling "expert" and top-1 gates g, output = 2·g·x for
         // surviving tokens.
-        let g0 = crit.gate_of[0][0];
+        let g0 = crit.gates_of(0)[0];
         let expect = inputs[r].at(&[0, 0]) * 2.0 * g0;
         assert!((out.at(&[0, 0]) - expect).abs() < 1e-4);
         if r == 0 {

@@ -208,13 +208,8 @@ fn assignment_rows(
             .collect()
     };
     let mut rows = RowBits::new();
-    for (t, (experts, locs)) in routing
-        .expert_of
-        .iter()
-        .zip(&routing.location_of)
-        .enumerate()
-    {
-        for (i, (&e, loc)) in experts.iter().zip(locs).enumerate() {
+    for t in 0..routing.num_tokens() {
+        for (i, (e, _, loc)) in routing.selections(t).enumerate() {
             if let Some(l) = loc {
                 let s = bins.offsets[e] + l;
                 rows.insert((t, i), (bits(&y, s), bits(&d_packed, s)));
@@ -255,7 +250,7 @@ proptest! {
         let clamped = route(&probs, &cfg(0.5)).unwrap();
         prop_assert!(clamped.dropped() > 0);
         let uniform = RaggedRouting::uniform_capacity(&roomy);
-        prop_assert!(uniform.slot_token.contains(&RaggedRouting::UNOWNED));
+        prop_assert!(uniform.slot_owner.contains(&RaggedRouting::UNOWNED));
         let layouts = [
             ("exact", &dropless, RaggedRouting::from_routing(&dropless)),
             ("uniform", &roomy, uniform),

@@ -1,0 +1,120 @@
+//! Heap allocations and arena balance of the gate chain, as exact
+//! counts — a signal no wall clock can blur.
+//!
+//! One `#[test]` in its own binary: the counting `#[global_allocator]`
+//! and the process-global arena must not see other tests. Counts are
+//! per thread and the step runs under `with_parallelism_limit(1)`, so
+//! everything counted happened on the calling thread.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use tutel_suite::gate::{route, RaggedRouting, RouteConfig};
+use tutel_suite::rt::{arena, with_parallelism_limit};
+use tutel_suite::tensor::Rng;
+use tutel_suite::tutel::{MoeConfig, MoeLayer};
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+impl Counting {
+    fn count() {
+        // `try_with`: the allocator also runs during thread teardown.
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; counting touches only a
+// `const`-initialised thread-local `Cell`, which never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        Self::count();
+        // SAFETY: the caller's `alloc` obligations, passed through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        Self::count();
+        // SAFETY: the caller's `alloc_zeroed` obligations, passed through.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        Self::count();
+        // SAFETY: the caller's `realloc` obligations, passed through.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through the methods above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocator calls `f` made on this thread.
+fn allocs_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (ALLOCS.with(Cell::get) - before, out)
+}
+
+const EXPERTS: usize = 64;
+
+#[test]
+fn gate_chain_allocations_do_not_scale_with_tokens_and_the_arena_balances() {
+    with_parallelism_limit(1, || {
+        let mut rng = Rng::seed(20);
+
+        // (a) The routing record: a fixed number of arrays, whatever T.
+        let cfg = RouteConfig::top2().with_capacity_factor(0.0);
+        let [small, large] = [256, 4096].map(|tokens| {
+            let probs = rng
+                .uniform_tensor(&[tokens, EXPERTS], 0.0, 1.0)
+                .softmax_last();
+            let (n, bins) = allocs_in(|| {
+                let routing = route(&probs, &cfg).unwrap();
+                RaggedRouting::from_routing(&routing)
+            });
+            assert_eq!(bins.total(), tokens * 2);
+            n
+        });
+        assert_eq!(small, large, "route + bins allocations scale with T");
+        assert!(small <= 16, "route + bins allocated {small} times");
+
+        // (b) + (c) The many-experts train step, 40 times on one input.
+        let (m, tokens) = (32, 8192);
+        let moe = MoeConfig::new(m, 32, EXPERTS)
+            .with_top_k(2)
+            .with_capacity_factor(0.0);
+        let mut layer = MoeLayer::new(&moe, &mut rng).unwrap();
+        let x = rng.normal_tensor(&[tokens, m], 0.0, 1.0);
+        let d_out = rng.normal_tensor(&[tokens, m], 0.0, 1.0);
+        let mut at_step_8 = None;
+        for step in 1..=40 {
+            let (n, ()) = allocs_in(|| {
+                layer.forward(&x).unwrap();
+                layer.backward(&d_out).unwrap();
+            });
+            assert!(n <= 1000, "step {step} allocated {n} times");
+            let stats = arena().stats();
+            if step == 8 {
+                at_step_8 = Some((stats.evictions, stats.retained_elems));
+            }
+            if let Some((evictions, retained)) = at_step_8 {
+                assert_eq!(stats.evictions, evictions, "evictions moved at step {step}");
+                assert!(
+                    stats.retained_elems <= retained,
+                    "step {step} retains {} elements, step 8 retained {retained}",
+                    stats.retained_elems
+                );
+            }
+        }
+    });
+}
