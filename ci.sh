@@ -36,11 +36,14 @@ done
 echo "==> cargo test --workspace (minus tutel-bench)"
 cargo test -q --workspace --exclude tutel-bench
 
-echo "==> backward stage attribution (wall-clock bound, run alone)"
-# The stage spans must cover moe.backward to within 10 %. A timing
-# ratio has no place in the parallel suite above (or under --sched /
-# --race below), so the test is #[ignore]d there and run here by name.
+echo "==> backward stage + FFN child-span attribution (wall-clock bounds, run alone)"
+# The stage spans must cover moe.backward to within 10 %, and
+# ffn.gemm1 / ffn.act / ffn.gemm2 must nest in order and cover ffn to
+# within 10 %. A timing ratio has no place in the parallel suite above
+# (or under --sched / --race below), so both tests are #[ignore]d
+# there and run here by name.
 cargo test -q -p tutel --lib -- --ignored backward_stage_spans_account
+cargo test -q -p tutel-experts --lib -- --ignored ffn_child_spans
 
 echo "==> determinism suite: TUTEL_SIMD={0,1} x TUTEL_THREADS={1,4}"
 # The kernel-table axis crossed with the pool axis: every cell of the
@@ -72,28 +75,31 @@ cargo bench -q -p tutel-bench --bench trace_overhead -- \
 TRACE_DIR=$(mktemp -d)
 trap 'rm -rf "$TRACE_DIR"' EXIT
 
-echo "==> model-only repro bins vs the committed transcript (repro_output.txt)"
-# These nine bins print nothing but modelled numbers (deterministic, no
-# wall clock), so every non-empty stdout line must be a verbatim line of
-# repro_output.txt: a refactor of the pricing stack (PipelineTimeModel,
-# MoeLayerSimulator, the parallelism router, CollectiveTiming) that
-# moves one digit fails here. A deliberate model change regenerates
-# the transcript in the same commit.
-for bin in repro_table1 repro_fig3 repro_fig5 repro_table5 repro_table7 \
-    repro_fig22 repro_fig23 repro_table8 repro_ablations; do
-    cargo run --release -q -p tutel-bench --bin "$bin" > "$TRACE_DIR/$bin.txt"
-    if [ ! -s "$TRACE_DIR/$bin.txt" ]; then
-        echo "$bin printed nothing" >&2
+# Every paper experiment and executed sweep is `repro <name>`: one
+# binary, one table of names (crates/bench/src/bin/repro.rs).
+REPRO="cargo run --release -q -p tutel-bench --bin repro --"
+
+echo "==> model-only repro experiments vs the committed transcript (repro_output.txt)"
+# These nine experiments print nothing but modelled numbers
+# (deterministic, no wall clock), so every non-empty stdout line must
+# be a verbatim line of repro_output.txt: a refactor of the pricing
+# stack (PipelineTimeModel, MoeLayerSimulator, the parallelism router,
+# CollectiveTiming) that moves one digit fails here. A deliberate model
+# change regenerates the transcript in the same commit.
+for name in table1 fig3 fig5 table5 table7 fig22 fig23 table8 ablations; do
+    $REPRO "$name" > "$TRACE_DIR/$name.txt"
+    if [ ! -s "$TRACE_DIR/$name.txt" ]; then
+        echo "repro $name printed nothing" >&2
         exit 1
     fi
-    if grep . "$TRACE_DIR/$bin.txt" | grep -vxFf repro_output.txt >&2; then
-        echo "$bin: the lines above are not in repro_output.txt" >&2
+    if grep . "$TRACE_DIR/$name.txt" | grep -vxFf repro_output.txt >&2; then
+        echo "repro $name: the lines above are not in repro_output.txt" >&2
         exit 1
     fi
 done
 
 echo "==> executed adaptive pipelining sweep (BENCH_pipeline.json)"
-cargo run --release -q -p tutel-bench --bin repro_pipeline > /dev/null
+$REPRO pipeline > /dev/null
 
 echo "==> conformance harness (smoke matrix + fault suite + traced run)"
 # HARNESS_FULL=1 upgrades to the full 96-point matrix. --trace runs the
@@ -129,16 +135,15 @@ echo "==> serving: smoke grid + seeded load-gen sweep at TUTEL_THREADS={1,4}"
 # The serving engine runs on a virtual clock, so the whole goodput
 # sweep (continuous vs serial batching over seeded poisson/bursty/
 # diurnal traces) must be bit-identical at any worker count: the
-# repro_serve digest line is compared across both settings, and the
+# `repro serve` digest line is compared across both settings, and the
 # acceptance criterion (continuous beats serial at every offered load)
 # is enforced by the binary's exit code. The serve unit/property tests
 # are also swept at both widths to pin the env-var path.
 TUTEL_THREADS=1 cargo test -q -p tutel-serve
 TUTEL_THREADS=4 cargo test -q -p tutel-serve
-TUTEL_THREADS=1 cargo run --release -q -p tutel-bench --bin repro_serve -- \
-    BENCH_serve.json | tee "$TRACE_DIR/serve_t1.txt" | grep "serve digest"
-TUTEL_THREADS=4 cargo run --release -q -p tutel-bench --bin repro_serve -- \
-    "$TRACE_DIR/BENCH_serve_t4.json" > "$TRACE_DIR/serve_t4.txt"
+TUTEL_THREADS=1 $REPRO serve BENCH_serve.json \
+    | tee "$TRACE_DIR/serve_t1.txt" | grep "serve digest"
+TUTEL_THREADS=4 $REPRO serve "$TRACE_DIR/BENCH_serve_t4.json" > "$TRACE_DIR/serve_t4.txt"
 D1=$(grep "serve digest" "$TRACE_DIR/serve_t1.txt")
 D4=$(grep "serve digest" "$TRACE_DIR/serve_t4.txt")
 if [ "$D1" != "$D4" ]; then
@@ -156,14 +161,11 @@ echo "==> dropless imbalance sweep + grouped determinism at TUTEL_SIMD={0,1} x T
 # 1.5x, grouped beating padded from Zipf(1.0) up), rewriting the
 # grouped_gemm section of BENCH_compute.json; the other three cells
 # run digest-only.
-TUTEL_SIMD=0 TUTEL_THREADS=1 cargo run --release -q -p tutel-bench --bin repro_dropless -- \
-    BENCH_compute.json | tee "$TRACE_DIR/dropless_s0t1.txt" | grep "dropless digest"
-TUTEL_SIMD=0 TUTEL_THREADS=4 cargo run --release -q -p tutel-bench --bin repro_dropless -- \
-    --digest-only > "$TRACE_DIR/dropless_s0t4.txt"
-TUTEL_SIMD=1 TUTEL_THREADS=1 cargo run --release -q -p tutel-bench --bin repro_dropless -- \
-    --digest-only > "$TRACE_DIR/dropless_s1t1.txt"
-TUTEL_SIMD=1 TUTEL_THREADS=4 cargo run --release -q -p tutel-bench --bin repro_dropless -- \
-    --digest-only > "$TRACE_DIR/dropless_s1t4.txt"
+TUTEL_SIMD=0 TUTEL_THREADS=1 $REPRO dropless BENCH_compute.json \
+    | tee "$TRACE_DIR/dropless_s0t1.txt" | grep "dropless digest"
+TUTEL_SIMD=0 TUTEL_THREADS=4 $REPRO dropless --digest-only > "$TRACE_DIR/dropless_s0t4.txt"
+TUTEL_SIMD=1 TUTEL_THREADS=1 $REPRO dropless --digest-only > "$TRACE_DIR/dropless_s1t1.txt"
+TUTEL_SIMD=1 TUTEL_THREADS=4 $REPRO dropless --digest-only > "$TRACE_DIR/dropless_s1t4.txt"
 DREF=$(grep "dropless digest" "$TRACE_DIR/dropless_s0t1.txt")
 pinned "$DREF"
 for cell in s0t4 s1t1 s1t4; do

@@ -2,7 +2,7 @@
 //! the threaded runtime at both sweep world sizes, measuring the raw
 //! executed wall-clock of `run_overlapped` per strategy. The link
 //! model (and the acceptance comparison against degree 1) lives in
-//! the `repro_pipeline` binary; this bench tracks the executor's own
+//! `repro pipeline`; this bench tracks the executor's own
 //! overhead so schedule regressions show up as criterion deltas.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

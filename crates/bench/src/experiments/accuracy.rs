@@ -2,7 +2,7 @@
 //! clustered-token task: Figure 1 (dynamic capacity telemetry),
 //! Tables 9–13, Figure 25 (BPR at reduced inference capacity).
 //!
-//! Every function takes a step budget so the `repro_*` binaries can run
+//! Every function takes a step budget so `repro <name> [steps]` can run
 //! full-fidelity sweeps while unit tests use quick budgets.
 
 use tutel::data::SyntheticVision;
@@ -462,7 +462,7 @@ mod tests {
     #[test]
     fn fig25_bpr_wins_at_reduced_capacity() {
         // Quick budget: just assert the table renders with the right
-        // shape hooks; the full-budget run (repro_fig25) shows BPR
+        // shape hooks; the full-budget run (`repro fig25`) shows BPR
         // dominating for f in [0.25, 1.0].
         let t = fig25(150);
         assert_eq!(t.len(), 6);
@@ -478,7 +478,7 @@ mod tests {
         // budget the w/o-BPR variant can stay at chance level (equal
         // accuracies) depending on the RNG stream — the offline rand
         // shim draws a different stream than upstream rand 0.8 — so
-        // this is `>=`, not `>`; the full-budget `repro_fig25` run is
+        // this is `>=`, not `>`; the full-budget `repro fig25` run is
         // the strict check that BPR dominates for f in [0.25, 1.0].
         let (bpr_low, bpr_full) = (accs[0], accs[8]);
         let (plain_low, plain_full) = (accs[1], accs[9]);

@@ -4,8 +4,8 @@
 //! Each experiment lives in [`experiments`] as a pure function
 //! returning printable rows, consumed by:
 //!
-//! * the `repro_*` binaries (one per table/figure — run
-//!   `cargo run -p tutel-bench --bin repro_all --release` for the full
+//! * the `repro` binary (`repro <name>`, one name per table/figure —
+//!   run `cargo run -p tutel-bench --release --bin repro -- all` for the full
 //!   sweep), and
 //! * the Criterion benches under `benches/` for the experiments where
 //!   real CPU wall-clock is the measurement (e.g. Figure 24's kernel

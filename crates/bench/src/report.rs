@@ -1,4 +1,4 @@
-//! Plain-text table rendering for the `repro_*` binaries.
+//! Plain-text table rendering for the `repro` binary.
 
 use std::fmt::Write as _;
 

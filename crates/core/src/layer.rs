@@ -219,18 +219,10 @@ impl MoeLayer {
         self.frozen
     }
 
-    /// Number of parameters (router excluded for hash).
+    /// Number of parameters: the router's own count (zero for hash)
+    /// plus the experts'.
     pub fn num_params(&self) -> usize {
-        let router = match &self.router {
-            AnyRouter::Linear(_) => self.cfg.model_dim * self.cfg.experts,
-            AnyRouter::Cosine(_) => {
-                self.cfg.model_dim * self.cfg.cosine_proj_dim.min(self.cfg.model_dim)
-                    + self.cfg.experts * self.cfg.cosine_proj_dim.min(self.cfg.model_dim)
-                    + 1
-            }
-            AnyRouter::Hash(_) => 0,
-        };
-        router + self.experts.num_params()
+        self.router.as_dyn().num_params() + self.experts.num_params()
     }
 
     /// Training forward pass over `x (T, M)`, caching for backward.

@@ -19,20 +19,23 @@
 //!                                               SwinV2-MoE)
 //! head: mean-pool tokens → Linear(C → K) → softmax CE
 //! ```
+//!
+//! Every trainable tensor is a [`Param`] — [`Linear`]'s weight and bias
+//! here, the FFN's and routers' inside their crates — so `step` is one
+//! `Param::step` per tensor all the way down and allocates nothing.
+//! Inference is the pooled [`SwinLiteMoe::features`] plus the head.
 
 use tutel_experts::ExpertsBlock;
-use tutel_tensor::{Rng, Tensor, TensorError};
+use tutel_tensor::{Param, Rng, Tensor, TensorError};
 
 use crate::checkpoint::{RestoreError, StateDict};
 use crate::{MoeConfig, MoeLayer};
 
-/// A trainable affine layer `y = x·W + b` with gradient accumulation.
+/// A trainable affine layer `y = x·W + b`; `W` and `b` are [`Param`]s.
 #[derive(Debug, Clone)]
 pub struct Linear {
-    w: Tensor,
-    b: Tensor,
-    dw: Tensor,
-    db: Tensor,
+    w: Param,
+    b: Param,
     saved_x: Option<Tensor>,
 }
 
@@ -40,10 +43,8 @@ impl Linear {
     /// Creates a Kaiming-initialized layer.
     pub fn new(inputs: usize, outputs: usize, rng: &mut Rng) -> Self {
         Linear {
-            w: rng.kaiming(inputs, outputs),
-            b: Tensor::zeros(&[outputs]),
-            dw: Tensor::zeros(&[inputs, outputs]),
-            db: Tensor::zeros(&[outputs]),
+            w: Param::new(rng.kaiming(inputs, outputs)),
+            b: Param::new(Tensor::zeros(&[outputs])),
             saved_x: None,
         }
     }
@@ -64,10 +65,10 @@ impl Linear {
     ///
     /// Returns a [`TensorError`] on shape mismatch.
     pub fn infer(&self, x: &Tensor) -> Result<Tensor, TensorError> {
-        let mut y = x.matmul(&self.w)?;
+        let mut y = x.matmul(self.w.w())?;
         let cols = self.b.len();
         for row in y.as_mut_slice().chunks_mut(cols) {
-            for (v, b) in row.iter_mut().zip(self.b.as_slice()) {
+            for (v, b) in row.iter_mut().zip(self.b.w().as_slice()) {
                 *v += b;
             }
         }
@@ -84,25 +85,21 @@ impl Linear {
             .saved_x
             .take()
             .ok_or_else(|| TensorError::InvalidArgument("backward without forward".into()))?;
-        self.dw.axpy(1.0, &x.matmul_tn(d_y)?)?;
+        self.w.accumulate(&x.matmul_tn(d_y)?)?;
         let cols = self.b.len();
         for row in d_y.as_slice().chunks(cols) {
-            for (g, v) in self.db.as_mut_slice().iter_mut().zip(row) {
+            for (g, v) in self.b.g_mut().iter_mut().zip(row) {
                 *g += v;
             }
         }
-        d_y.matmul_nt(&self.w)
+        d_y.matmul_nt(self.w.w())
     }
 
     /// SGD update with per-tensor gradient-norm clipping; clears
-    /// gradients.
+    /// gradients in place.
     pub fn step(&mut self, lr: f32) {
-        self.dw.clip_norm(1.0);
-        self.db.clip_norm(1.0);
-        self.w.axpy(-lr, &self.dw).expect("shape");
-        self.b.axpy(-lr, &self.db).expect("shape");
-        self.dw = Tensor::zeros(self.dw.dims());
-        self.db = Tensor::zeros(self.db.dims());
+        self.w.step(lr);
+        self.b.step(lr);
     }
 
     /// Parameter count.
@@ -111,8 +108,8 @@ impl Linear {
     }
 
     fn export_state(&self, prefix: &str, sd: &mut StateDict) {
-        sd.insert(&format!("{prefix}.weight"), self.w.clone());
-        sd.insert(&format!("{prefix}.bias"), self.b.clone());
+        sd.insert(&format!("{prefix}.weight"), self.w.w().clone());
+        sd.insert(&format!("{prefix}.bias"), self.b.w().clone());
     }
 
     fn import_state(&mut self, prefix: &str, sd: &StateDict) -> Result<(), RestoreError> {
@@ -122,12 +119,9 @@ impl Linear {
         let b = sd
             .get(&format!("{prefix}.bias"))
             .ok_or_else(|| RestoreError::Missing(format!("{prefix}.bias")))?;
-        if w.dims() != self.w.dims() || b.dims() != self.b.dims() {
-            return Err(RestoreError::ShapeMismatch(prefix.to_string()));
-        }
-        self.w = w.clone();
-        self.b = b.clone();
-        Ok(())
+        let misshapen = |_| RestoreError::ShapeMismatch(prefix.to_string());
+        self.w.set(w.clone()).map_err(misshapen)?;
+        self.b.set(b.clone()).map_err(misshapen)
     }
 }
 
@@ -428,25 +422,7 @@ impl SwinLiteMoe {
     ///
     /// Returns a [`TensorError`] on shape mismatch.
     pub fn infer(&self, x: &Tensor, batch: usize) -> Result<Tensor, TensorError> {
-        let t = self.cfg.tokens_per_sample;
-        let mut h = self.embed.infer(x)?;
-        for block in &self.blocks {
-            let pre = block.mixer.infer(&h)?;
-            h = h.add(&pre)?;
-            match &block.ffn {
-                FfnSlot::Dense { block: ffn } => {
-                    let rows = h.dims()[0];
-                    let x3 = h.reshape(&[1, rows, self.cfg.channels])?;
-                    let y3 = ffn.infer(&x3)?;
-                    h = h.add(&y3.reshape(&[rows, self.cfg.channels])?)?;
-                }
-                FfnSlot::Moe(m) => {
-                    h = h.add(&m.infer(&h)?.output)?;
-                }
-            }
-        }
-        let pooled = mean_pool(&h, batch, t, self.cfg.channels)?;
-        self.head.infer(&pooled)
+        self.head.infer(&self.features(x, batch)?)
     }
 
     /// Pooled features before the head (for the few-shot linear eval).

@@ -1,6 +1,10 @@
 //! Routers: the trainable functions producing token→expert logits.
+//!
+//! Every trainable matrix is a [`Param`] (weights + same-shaped
+//! gradient), so a router's `step` is one [`Param::step`] per matrix
+//! and its parameter count is the sum of their lengths.
 
-use tutel_tensor::{gemm_tn, scratch, Rng, Tensor, TensorError};
+use tutel_tensor::{grouped_gemm_tn, scratch, Param, Rng, Tensor, TensorError};
 
 /// A gating router: maps token features `(T, C)` to expert logits
 /// `(T, E)`.
@@ -30,27 +34,28 @@ pub trait Router {
     /// Applies accumulated gradients with learning rate `lr` and clears
     /// them.
     fn step(&mut self, lr: f32);
+
+    /// Number of trainable parameters.
+    fn num_params(&self) -> usize;
 }
 
 /// The standard linear router: `logits = x · W`, `W ∈ R^{C×E}`.
 #[derive(Debug, Clone)]
 pub struct LinearRouter {
-    w: Tensor,
-    dw: Tensor,
+    w: Param,
 }
 
 impl LinearRouter {
     /// Creates a router for `channels`-dim tokens over `experts`
     /// experts, with small random initialization.
     pub fn new(channels: usize, experts: usize, rng: &mut Rng) -> Self {
-        let w = rng.normal_tensor(&[channels, experts], 0.0, 0.02);
-        let dw = Tensor::zeros(&[channels, experts]);
-        LinearRouter { w, dw }
+        let w = Param::new(rng.normal_tensor(&[channels, experts], 0.0, 0.02));
+        LinearRouter { w }
     }
 
     /// The weight matrix (for tests / checkpointing).
     pub fn weights(&self) -> &Tensor {
-        &self.w
+        self.w.w()
     }
 
     /// Replaces the weight matrix (checkpoint restore).
@@ -59,30 +64,22 @@ impl LinearRouter {
     ///
     /// Returns a [`TensorError`] if the shape differs.
     pub fn set_weights(&mut self, w: Tensor) -> Result<(), TensorError> {
-        if w.dims() != self.w.dims() {
-            return Err(TensorError::shape_mismatch(
-                "set_weights",
-                w.dims(),
-                self.w.dims(),
-            ));
-        }
-        self.w = w;
-        Ok(())
+        self.w.set(w)
     }
 }
 
 impl Router for LinearRouter {
     fn num_experts(&self) -> usize {
-        self.w.dims()[1]
+        self.w.w().dims()[1]
     }
 
     fn logits(&self, x: &Tensor) -> Result<Tensor, TensorError> {
-        x.matmul(&self.w)
+        x.matmul(self.w.w())
     }
 
     // check:hot
     fn backward(&mut self, x: &Tensor, d_logits: &Tensor) -> Result<Tensor, TensorError> {
-        let (c, e) = (self.w.dims()[0], self.w.dims()[1]);
+        let (c, e) = (self.w.w().dims()[0], self.w.w().dims()[1]);
         if x.rank() != 2
             || d_logits.rank() != 2
             || x.dims()[0] != d_logits.dims()[0]
@@ -95,25 +92,25 @@ impl Router for LinearRouter {
                 d_logits.dims(),
             ));
         }
-        // dW += xᵀ · d_logits, straight into the gradient buffer.
-        gemm_tn(
+        // dW += xᵀ · d_logits, straight into the gradient buffer: the
+        // one-group launch whose bin is the T reduction rows.
+        grouped_gemm_tn(
             x.as_slice(),
             d_logits.as_slice(),
-            self.dw.as_mut_slice(),
+            self.w.g_mut(),
+            &[0, x.dims()[0]],
             c,
-            x.dims()[0],
             e,
         );
-        d_logits.matmul_nt(&self.w)
+        d_logits.matmul_nt(self.w.w())
     }
 
     fn step(&mut self, lr: f32) {
-        self.dw.clip_norm(1.0);
-        self.w
-            .axpy(-lr, &self.dw)
-            // check:allow(no_panic, dw is allocated with w's dims at construction)
-            .expect("gradient shape matches weights");
-        self.dw.as_mut_slice().fill(0.0);
+        self.w.step(lr);
+    }
+
+    fn num_params(&self) -> usize {
+        self.w.len()
     }
 }
 
@@ -126,11 +123,9 @@ impl Router for LinearRouter {
 /// learnable temperature `τ` is clamped to at least 0.01.
 #[derive(Debug, Clone)]
 pub struct CosineRouter {
-    w: Tensor,
-    m: Tensor,
+    w: Param,
+    m: Param,
     tau: f32,
-    dw: Tensor,
-    dm: Tensor,
     dtau: f32,
 }
 
@@ -142,11 +137,9 @@ impl CosineRouter {
     /// `experts` experts, with `τ = 0.07` initial temperature.
     pub fn new(channels: usize, proj_dim: usize, experts: usize, rng: &mut Rng) -> Self {
         CosineRouter {
-            w: rng.normal_tensor(&[channels, proj_dim], 0.0, 0.02),
-            m: rng.normal_tensor(&[experts, proj_dim], 0.0, 0.02),
+            w: Param::new(rng.normal_tensor(&[channels, proj_dim], 0.0, 0.02)),
+            m: Param::new(rng.normal_tensor(&[experts, proj_dim], 0.0, 0.02)),
             tau: 0.07,
-            dw: Tensor::zeros(&[channels, proj_dim]),
-            dm: Tensor::zeros(&[experts, proj_dim]),
             dtau: 0.0,
         }
     }
@@ -158,7 +151,7 @@ impl CosineRouter {
 
     /// The projection and expert-embedding matrices (checkpointing).
     pub fn weights(&self) -> (&Tensor, &Tensor) {
-        (&self.w, &self.m)
+        (self.w.w(), self.m.w())
     }
 
     /// Restores the router's parameters.
@@ -167,15 +160,16 @@ impl CosineRouter {
     ///
     /// Returns a [`TensorError`] if any shape differs.
     pub fn set_weights(&mut self, w: Tensor, m: Tensor, tau: f32) -> Result<(), TensorError> {
-        if w.dims() != self.w.dims() || m.dims() != self.m.dims() {
+        // Both are checked before either is replaced.
+        if w.dims() != self.w.w().dims() || m.dims() != self.m.w().dims() {
             return Err(TensorError::shape_mismatch(
                 "set_weights",
                 w.dims(),
-                self.w.dims(),
+                self.w.w().dims(),
             ));
         }
-        self.w = w;
-        self.m = m;
+        self.w.set(w)?;
+        self.m.set(m)?;
         self.tau = tau.max(Self::MIN_TAU);
         Ok(())
     }
@@ -183,19 +177,19 @@ impl CosineRouter {
 
 impl Router for CosineRouter {
     fn num_experts(&self) -> usize {
-        self.m.dims()[0]
+        self.m.w().dims()[0]
     }
 
     fn logits(&self, x: &Tensor) -> Result<Tensor, TensorError> {
-        let y = x.matmul(&self.w)?; // (T, D)
+        let y = x.matmul(self.w.w())?; // (T, D)
         let (t, d) = (y.dims()[0], y.dims()[1]);
-        let e = self.m.dims()[0];
+        let e = self.num_experts();
         let mut out = scratch::zeroed(&[t, e]);
         for ti in 0..t {
             let yv = &y.as_slice()[ti * d..(ti + 1) * d];
             let ynorm = yv.iter().map(|v| v * v).sum::<f32>().sqrt().max(1e-8);
             for ei in 0..e {
-                let mv = &self.m.as_slice()[ei * d..(ei + 1) * d];
+                let mv = &self.m.w().as_slice()[ei * d..(ei + 1) * d];
                 let mnorm = mv.iter().map(|v| v * v).sum::<f32>().sqrt().max(1e-8);
                 let dot: f32 = yv.iter().zip(mv).map(|(a, b)| a * b).sum();
                 out.set(&[ti, ei], dot / (ynorm * mnorm * self.tau));
@@ -205,9 +199,9 @@ impl Router for CosineRouter {
     }
 
     fn backward(&mut self, x: &Tensor, d_logits: &Tensor) -> Result<Tensor, TensorError> {
-        let y = x.matmul(&self.w)?;
+        let y = x.matmul(self.w.w())?;
         let (t, d) = (y.dims()[0], y.dims()[1]);
-        let e = self.m.dims()[0];
+        let e = self.num_experts();
         if d_logits.dims() != [t, e] {
             return Err(TensorError::shape_mismatch(
                 "cosine_router_backward",
@@ -216,6 +210,7 @@ impl Router for CosineRouter {
             ));
         }
         let mut dy = Tensor::zeros(&[t, d]);
+        let (m, dm) = self.m.w_and_g_mut();
         for ti in 0..t {
             let yv = &y.as_slice()[ti * d..(ti + 1) * d];
             let ynorm = yv.iter().map(|v| v * v).sum::<f32>().sqrt().max(1e-8);
@@ -224,7 +219,7 @@ impl Router for CosineRouter {
                 if g == 0.0 {
                     continue;
                 }
-                let mv = &self.m.as_slice()[ei * d..(ei + 1) * d];
+                let mv = &m.as_slice()[ei * d..(ei + 1) * d];
                 let mnorm = mv.iter().map(|v| v * v).sum::<f32>().sqrt().max(1e-8);
                 let dot: f32 = yv.iter().zip(mv).map(|(a, b)| a * b).sum();
                 let cos = dot / (ynorm * mnorm);
@@ -234,31 +229,25 @@ impl Router for CosineRouter {
                     let dcos_dy = mv[j] / (ynorm * mnorm) - cos * yv[j] / (ynorm * ynorm);
                     dy.as_mut_slice()[ti * d + j] += scale * dcos_dy;
                     let dcos_dm = yv[j] / (ynorm * mnorm) - cos * mv[j] / (mnorm * mnorm);
-                    self.dm.as_mut_slice()[ei * d + j] += scale * dcos_dm;
+                    dm[ei * d + j] += scale * dcos_dm;
                 }
                 // d logit / d τ = −cos / τ².
                 self.dtau += -g * cos / (self.tau * self.tau);
             }
         }
-        self.dw.axpy(1.0, &x.matmul_tn(&dy)?)?;
-        dy.matmul_nt(&self.w)
+        self.w.accumulate(&x.matmul_tn(&dy)?)?;
+        dy.matmul_nt(self.w.w())
     }
 
     fn step(&mut self, lr: f32) {
-        self.dw.clip_norm(1.0);
-        self.dm.clip_norm(1.0);
-        self.w
-            .axpy(-lr, &self.dw)
-            // check:allow(no_panic, dw is allocated with w's dims at construction)
-            .expect("gradient shape matches weights");
-        self.m
-            .axpy(-lr, &self.dm)
-            // check:allow(no_panic, dm is allocated with m's dims at construction)
-            .expect("gradient shape matches embeddings");
+        self.w.step(lr);
+        self.m.step(lr);
         self.tau = (self.tau - lr * self.dtau).max(Self::MIN_TAU);
-        self.dw.as_mut_slice().fill(0.0);
-        self.dm.as_mut_slice().fill(0.0);
         self.dtau = 0.0;
+    }
+
+    fn num_params(&self) -> usize {
+        self.w.len() + self.m.len() + 1
     }
 }
 
@@ -305,6 +294,10 @@ impl Router for HashRouter {
     }
 
     fn step(&mut self, _lr: f32) {}
+
+    fn num_params(&self) -> usize {
+        0
+    }
 }
 
 #[cfg(test)]

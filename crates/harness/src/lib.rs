@@ -361,7 +361,7 @@ mod tests {
             "P1/lin d1 w2 t4"
         );
         // The product's own label is a different string and stays so:
-        // audit records and the repro_serve digest read it.
+        // audit records and the `repro serve` digest read it.
         assert_eq!(cfg.label(), "P2/2dh d4 w4 dl");
         cfg.dropless = false;
         assert_eq!(cfg.label(), "P2/2dh d4 w4");

@@ -23,6 +23,7 @@ mod error;
 mod init;
 mod linalg;
 mod ops;
+mod param;
 pub mod precision;
 pub mod scratch;
 mod shape;
@@ -32,11 +33,9 @@ mod tensor;
 pub use dispatch::{set_simd_override, simd_available, simd_mode, SimdMode};
 pub use error::TensorError;
 pub use init::Rng;
-pub use linalg::{
-    gemm_bnn, gemm_nn, gemm_nn_sparse, gemm_nt, gemm_tn, grouped_gemm, grouped_gemm_nt,
-    grouped_gemm_tn, uniform_offsets,
-};
+pub use linalg::{grouped_gemm, grouped_gemm_nt, grouped_gemm_tn, uniform_offsets};
 pub use ops::{gelu_backward_with_tanh, gelu_slice_with_tanh};
+pub use param::Param;
 pub use precision::{quantize, quantize_in_place, Precision};
 pub use shape::Shape;
 pub use tensor::Tensor;

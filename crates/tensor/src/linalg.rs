@@ -4,35 +4,36 @@
 //! (`bgemm_strided_batched` in PyTorch); the simulator's cost model keys
 //! off the same shapes these functions take.
 //!
+//! # One launch per transposition
+//!
+//! Every product in the workspace is one of three grouped launches over
+//! CSR row bins — [`grouped_gemm`] (`A·B`), [`grouped_gemm_nt`]
+//! (`A·Bᵀ`) and [`grouped_gemm_tn`] (`Aᵀ·B`) — and they are the only
+//! functions that touch the packed microkernel or the strip-mined
+//! `dot`. A dense product is the one-group launch: [`Tensor::matmul`],
+//! [`Tensor::matmul_nt`] and [`Tensor::matmul_tn`] pass the single bin
+//! `[0, rows]`, [`Tensor::bmm`] passes [`uniform_offsets`]. A backward
+//! pass that accumulates straight into a gradient buffer calls the
+//! grouped function itself with the same one-bin offsets.
+//!
 //! # Kernel design
 //!
-//! All four entry points (`matmul`, `bmm`, `matmul_nt`, `matmul_tn`)
-//! route through cache-blocked, panel-packed slice kernels that run on
-//! the `tutel-rt` pool:
-//!
-//! * the output is split into fixed [`ROW_BLOCK`]-row chunks — block
-//!   boundaries depend only on the problem shape, never the worker
-//!   count, so results are **bit-identical for every `TUTEL_THREADS`**
-//!   (`bmm` is the grouped launch over equal bins, so it parallelizes
-//!   over `batch × row-blocks`);
+//! * the output is split into fixed [`ROW_BLOCK`]-row chunks laid out
+//!   *within* each group — block boundaries depend only on the offsets,
+//!   never the worker count, so results are **bit-identical for every
+//!   `TUTEL_THREADS`** (a launch parallelizes over `groups ×
+//!   row-blocks`);
 //! * inside a block, the `k` dimension is tiled by [`KC`] and an
 //!   [`MR`]`×`[`NR`] register micro-tile accumulates with a fixed,
 //!   branch-free inner loop the compiler can keep in vector registers
 //!   (A panels are packed `kc × MR`-interleaved so the microkernel
 //!   reads both operands contiguously);
-//! * the old `av == 0.0` skip is gone from the dense path — on dense
-//!   operands the branch costs more than the multiply and blocks
-//!   vectorization. [`gemm_nn_sparse`] keeps that behaviour for
-//!   operands whose zeros are *structural* (one-hot dispatch masks),
-//!   which is the only place value-sparsity is worth a branch.
-//!
-//! The slice-level kernels ([`gemm_nn`], [`gemm_tn`], [`gemm_nt`],
-//! [`gemm_bnn`]) are public so backward passes can accumulate straight
-//! into pre-allocated gradient buffers without materializing
-//! intermediate tensors.
+//! * there is no value-sparsity branch: on dense operands an
+//!   `av == 0.0` skip costs more than the multiply and blocks
+//!   vectorization.
 
 use crate::dispatch::{self, MR, NR};
-use crate::{Result, Tensor, TensorError};
+use crate::{scratch, Result, Tensor, TensorError};
 
 /// `k`-dimension panel depth: one packed A panel is `KC × MR` floats
 /// (4 KiB), comfortably L1-resident.
@@ -42,15 +43,35 @@ const KC: usize = 256;
 /// are identical for every pool size.
 const ROW_BLOCK: usize = 32;
 
-/// Builds a tensor around an arena buffer whose length already equals
-/// `dims` product (the fallback allocation is unreachable and exists
-/// only to keep this path typed-error free).
-fn tensor_from_scratch(data: Vec<f32>, dims: &[usize]) -> Tensor {
-    Tensor::from_vec(data, dims).unwrap_or_else(|_| Tensor::zeros(dims))
+/// The operand check every product shares: both tensors have rank
+/// `rank`, and each `(l, r)` in `agree` names axes that must be equal
+/// (`lhs.dims()[l] == rhs.dims()[r]` — the contracted axis, and the
+/// batch axis for `bmm`).
+fn check_operands(
+    op: &'static str,
+    lhs: &Tensor,
+    rhs: &Tensor,
+    rank: usize,
+    agree: &[(usize, usize)],
+) -> Result<()> {
+    for t in [lhs, rhs] {
+        if t.rank() != rank {
+            return Err(TensorError::RankMismatch {
+                expected: rank,
+                actual: t.rank(),
+                op,
+            });
+        }
+    }
+    if agree.iter().any(|&(l, r)| lhs.dims()[l] != rhs.dims()[r]) {
+        return Err(TensorError::shape_mismatch(op, lhs.dims(), rhs.dims()));
+    }
+    Ok(())
 }
 
 impl Tensor {
     /// Matrix product of two rank-2 tensors: `(m, k) × (k, n) → (m, n)`.
+    /// The one-group [`grouped_gemm`] launch.
     ///
     /// # Errors
     ///
@@ -58,32 +79,12 @@ impl Tensor {
     /// [`TensorError::ShapeMismatch`] if the inner dimensions disagree.
     // check:hot
     pub fn matmul(&self, rhs: &Tensor) -> Result<Tensor> {
-        if self.rank() != 2 {
-            return Err(TensorError::RankMismatch {
-                expected: 2,
-                actual: self.rank(),
-                op: "matmul",
-            });
-        }
-        if rhs.rank() != 2 {
-            return Err(TensorError::RankMismatch {
-                expected: 2,
-                actual: rhs.rank(),
-                op: "matmul",
-            });
-        }
-        let (m, k) = (self.dims()[0], self.dims()[1]);
-        let (k2, n) = (rhs.dims()[0], rhs.dims()[1]);
-        if k != k2 {
-            return Err(TensorError::shape_mismatch(
-                "matmul",
-                self.dims(),
-                rhs.dims(),
-            ));
-        }
-        let mut out = tutel_rt::arena().take_zeroed(m * n);
-        gemm_nn(self.as_slice(), rhs.as_slice(), &mut out, m, k, n);
-        Ok(tensor_from_scratch(out, &[m, n]))
+        check_operands("matmul", self, rhs, 2, &[(1, 0)])?;
+        let (m, k, n) = (self.dims()[0], self.dims()[1], rhs.dims()[1]);
+        let mut out = scratch::zeroed(&[m, n]);
+        let o = out.as_mut_slice();
+        grouped_gemm(self.as_slice(), rhs.as_slice(), o, &[0, m], k, n);
+        Ok(out)
     }
 
     /// Batched matrix product: `(b, m, k) × (b, k, n) → (b, m, n)`.
@@ -99,31 +100,21 @@ impl Tensor {
     /// [`TensorError::ShapeMismatch`] if batch or inner dims disagree.
     // check:hot
     pub fn bmm(&self, rhs: &Tensor) -> Result<Tensor> {
-        if self.rank() != 3 {
-            return Err(TensorError::RankMismatch {
-                expected: 3,
-                actual: self.rank(),
-                op: "bmm",
-            });
-        }
-        if rhs.rank() != 3 {
-            return Err(TensorError::RankMismatch {
-                expected: 3,
-                actual: rhs.rank(),
-                op: "bmm",
-            });
-        }
-        let (b, m, k) = (self.dims()[0], self.dims()[1], self.dims()[2]);
-        let (b2, k2, n) = (rhs.dims()[0], rhs.dims()[1], rhs.dims()[2]);
-        if b != b2 || k != k2 {
-            return Err(TensorError::shape_mismatch("bmm", self.dims(), rhs.dims()));
-        }
-        let mut out = tutel_rt::arena().take_zeroed(b * m * n);
-        gemm_bnn(self.as_slice(), rhs.as_slice(), &mut out, b, m, k, n);
-        Ok(tensor_from_scratch(out, &[b, m, n]))
+        check_operands("bmm", self, rhs, 3, &[(0, 0), (2, 1)])?;
+        let (b, m, k, n) = (
+            self.dims()[0],
+            self.dims()[1],
+            self.dims()[2],
+            rhs.dims()[2],
+        );
+        let mut out = scratch::zeroed(&[b, m, n]);
+        let (o, bins) = (out.as_mut_slice(), uniform_offsets(b, m));
+        grouped_gemm(self.as_slice(), rhs.as_slice(), o, &bins, k, n);
+        Ok(out)
     }
 
     /// `self × rhsᵀ` for rank-2 tensors: `(m, k) × (n, k)ᵀ → (m, n)`.
+    /// The one-group [`grouped_gemm_nt`] launch.
     ///
     /// Used by backward passes (`dX = dY Wᵀ`) without materializing the
     /// transpose.
@@ -134,28 +125,17 @@ impl Tensor {
     /// [`TensorError::ShapeMismatch`] analogous to [`Tensor::matmul`].
     // check:hot
     pub fn matmul_nt(&self, rhs: &Tensor) -> Result<Tensor> {
-        if self.rank() != 2 || rhs.rank() != 2 {
-            return Err(TensorError::RankMismatch {
-                expected: 2,
-                actual: self.rank().max(rhs.rank()),
-                op: "matmul_nt",
-            });
-        }
-        let (m, k) = (self.dims()[0], self.dims()[1]);
-        let (n, k2) = (rhs.dims()[0], rhs.dims()[1]);
-        if k != k2 {
-            return Err(TensorError::shape_mismatch(
-                "matmul_nt",
-                self.dims(),
-                rhs.dims(),
-            ));
-        }
-        let mut out = tutel_rt::arena().take_zeroed(m * n);
-        gemm_nt(self.as_slice(), rhs.as_slice(), &mut out, m, k, n);
-        Ok(tensor_from_scratch(out, &[m, n]))
+        check_operands("matmul_nt", self, rhs, 2, &[(1, 1)])?;
+        let (m, k, n) = (self.dims()[0], self.dims()[1], rhs.dims()[0]);
+        let mut out = scratch::zeroed(&[m, n]);
+        let o = out.as_mut_slice();
+        grouped_gemm_nt(self.as_slice(), rhs.as_slice(), o, &[0, m], k, n);
+        Ok(out)
     }
 
     /// `selfᵀ × rhs` for rank-2 tensors: `(k, m)ᵀ × (k, n) → (m, n)`.
+    /// The one-group [`grouped_gemm_tn`] launch: the single bin is the
+    /// `k` reduction rows.
     ///
     /// Used by backward passes (`dW = Xᵀ dY`).
     ///
@@ -165,65 +145,13 @@ impl Tensor {
     /// [`TensorError::ShapeMismatch`] analogous to [`Tensor::matmul`].
     // check:hot
     pub fn matmul_tn(&self, rhs: &Tensor) -> Result<Tensor> {
-        if self.rank() != 2 || rhs.rank() != 2 {
-            return Err(TensorError::RankMismatch {
-                expected: 2,
-                actual: self.rank().max(rhs.rank()),
-                op: "matmul_tn",
-            });
-        }
-        let (k, m) = (self.dims()[0], self.dims()[1]);
-        let (k2, n) = (rhs.dims()[0], rhs.dims()[1]);
-        if k != k2 {
-            return Err(TensorError::shape_mismatch(
-                "matmul_tn",
-                self.dims(),
-                rhs.dims(),
-            ));
-        }
-        let mut out = tutel_rt::arena().take_zeroed(m * n);
-        gemm_tn(self.as_slice(), rhs.as_slice(), &mut out, m, k, n);
-        Ok(tensor_from_scratch(out, &[m, n]))
+        check_operands("matmul_tn", self, rhs, 2, &[(0, 0)])?;
+        let (k, m, n) = (self.dims()[0], self.dims()[1], rhs.dims()[1]);
+        let mut out = scratch::zeroed(&[m, n]);
+        let o = out.as_mut_slice();
+        grouped_gemm_tn(self.as_slice(), rhs.as_slice(), o, &[0, k], m, n);
+        Ok(out)
     }
-}
-
-/// `out += a · b` over row-major buffers `a (m, k)`, `b (k, n)`,
-/// `out (m, n)`, parallel over fixed row blocks.
-pub fn gemm_nn(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    tutel_rt::parallel_chunks(out, ROW_BLOCK * n, |blk, chunk| {
-        block_packed(
-            a,
-            b,
-            chunk,
-            blk * ROW_BLOCK,
-            chunk.len() / n,
-            k,
-            n,
-            Layout::Nn { k },
-        );
-    });
-}
-
-/// Batched `out += a · b` over row-major buffers `a (B, m, k)`,
-/// `bb (B, k, n)`, `out (B, m, n)`: a [`grouped_gemm`] launch whose
-/// bins all hold `m` rows, so the block grid — and every output bit —
-/// is the grouped kernel's.
-pub fn gemm_bnn(
-    a: &[f32],
-    bb: &[f32],
-    out: &mut [f32],
-    batches: usize,
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    grouped_gemm(a, bb, out, &uniform_offsets(batches, m), k, n);
 }
 
 /// CSR offsets of `groups` equal bins of `rows` rows each:
@@ -231,81 +159,6 @@ pub fn gemm_bnn(
 /// ragged layout with these offsets.
 pub fn uniform_offsets(groups: usize, rows: usize) -> Vec<usize> {
     (0..=groups).map(|g| g * rows).collect()
-}
-
-/// `out += aᵀ · b` over row-major buffers `a (k, m)`, `b (k, n)`,
-/// `out (m, n)`, parallel over fixed row blocks. Shares the packed
-/// microkernel with [`gemm_nn`]; only the A-panel packer differs
-/// (column gather instead of row copy).
-pub fn gemm_tn(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), k * m);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    tutel_rt::parallel_chunks(out, ROW_BLOCK * n, |blk, chunk| {
-        block_packed(
-            a,
-            b,
-            chunk,
-            blk * ROW_BLOCK,
-            chunk.len() / n,
-            k,
-            n,
-            Layout::Tn { m },
-        );
-    });
-}
-
-/// `out += a · bᵀ` over row-major buffers `a (m, k)`, `b (n, k)`,
-/// `out (m, n)`, parallel over fixed row blocks. Both operands are
-/// row-major over `k`, so each output element is an 8-lane strip-mined
-/// dot product with a fixed horizontal-sum order.
-pub fn gemm_nt(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), n * k);
-    debug_assert_eq!(out.len(), m * n);
-    if m == 0 || n == 0 {
-        return;
-    }
-    tutel_rt::parallel_chunks(out, ROW_BLOCK * n, |blk, chunk| {
-        let dot = dispatch::table().dot;
-        let row0 = blk * ROW_BLOCK;
-        for (i, orow) in chunk.chunks_mut(n).enumerate() {
-            let arow = &a[(row0 + i) * k..(row0 + i + 1) * k];
-            for (j, o) in orow.iter_mut().enumerate() {
-                *o += dot(arow, &b[j * k..(j + 1) * k]);
-            }
-        }
-    });
-}
-
-/// Serial value-sparsity-aware `out += a · b` over row-major buffers
-/// `a (m, k)`, `b (k, n)`, `out (m, n)`: rows of `a` that are
-/// structurally zero (one-hot dispatch/combine masks) skip their
-/// whole `n`-length update. Only worth it when zeros carry
-/// meaning — on dense operands use [`gemm_nn`], where the branch-free
-/// microkernel wins.
-pub fn gemm_nn_sparse(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
-    // The surviving row updates go through the same dispatch table as
-    // the dense microkernel, so structural sparsity no longer opts out
-    // of the SIMD path — only the zero-skip test stays scalar.
-    let axpy = dispatch::table().axpy;
-    for i in 0..m {
-        for p in 0..k {
-            let av = a[i * k + p];
-            if av == 0.0 {
-                continue;
-            }
-            let brow = &b[p * n..(p + 1) * n];
-            let orow = &mut out[i * n..(i + 1) * n];
-            axpy(av, brow, orow);
-        }
-    }
 }
 
 /// Grouped `out += a · b` over ragged expert bins — the dropless
@@ -342,8 +195,9 @@ pub fn grouped_gemm(a: &[f32], b: &[f32], out: &mut [f32], offsets: &[usize], k:
 
 /// Grouped `out += a · bᵀ` over ragged bins: `a` packed `(R, k)`,
 /// `b` one `(n, k)` matrix per group (row-major over `k`), `out`
-/// packed `(R, n)`. The backward-input primitive (`dH = dY · W2ᵀ`),
-/// an 8-lane strip-mined dot per element exactly like [`gemm_nt`].
+/// packed `(R, n)`. The backward-input primitive (`dH = dY · W2ᵀ`):
+/// both operands are row-major over `k`, so each output element is an
+/// 8-lane strip-mined dot product with a fixed horizontal-sum order.
 pub fn grouped_gemm_nt(
     a: &[f32],
     b: &[f32],
@@ -399,8 +253,8 @@ pub fn grouped_gemm_tn(
     // Output blocks tile the dense (G, ma, n) buffer; the ragged axis
     // is the per-group reduction length k_g = rows_g.
     let blocks_per = ma.div_ceil(ROW_BLOCK);
-    let mut ranges = Vec::new();
-    let mut meta = Vec::new();
+    let mut ranges = Vec::with_capacity(groups * blocks_per);
+    let mut meta = Vec::with_capacity(groups * blocks_per);
     for g in 0..groups {
         if offsets[g + 1] == offsets[g] {
             continue;
@@ -440,8 +294,13 @@ type GroupedSchedule = (Vec<(usize, usize)>, Vec<(usize, usize)>);
 /// every pool size.
 fn grouped_ranges(offsets: &[usize], cols: usize) -> GroupedSchedule {
     let groups = offsets.len() - 1;
-    let mut ranges = Vec::new();
-    let mut meta = Vec::new();
+    // Sized up front: one allocation per half, whatever the block count.
+    let blocks: usize = offsets
+        .windows(2)
+        .map(|w| (w[1] - w[0]).div_ceil(ROW_BLOCK))
+        .sum();
+    let mut ranges = Vec::with_capacity(blocks);
+    let mut meta = Vec::with_capacity(blocks);
     for g in 0..groups {
         let rows_g = offsets[g + 1] - offsets[g];
         let mut r = 0;
@@ -725,44 +584,26 @@ mod tests {
     }
 
     #[test]
-    fn sparse_gemm_matches_dense_kernel() {
-        let mut rng = crate::Rng::seed(5);
-        let (m, k, n) = (20usize, 30usize, 10usize);
-        let mut a = rng.normal_tensor(&[m, k], 0.0, 1.0);
-        // Structural sparsity: zero out most of A.
-        for (i, v) in a.as_mut_slice().iter_mut().enumerate() {
-            if i % 3 != 0 {
-                *v = 0.0;
-            }
-        }
-        let b = rng.normal_tensor(&[k, n], 0.0, 1.0);
-        let mut sparse = vec![0.0f32; m * n];
-        gemm_nn_sparse(a.as_slice(), b.as_slice(), &mut sparse, m, k, n);
-        let want = gemm_ref(a.as_slice(), b.as_slice(), m, k, n);
-        assert_close(&sparse, &want, k);
-    }
-
-    #[test]
     fn slice_kernels_accumulate_into_out() {
         let a = [1.0f32, 0.0, 0.0, 1.0];
         let b = [2.0f32, 3.0, 4.0, 5.0];
         let mut out = [10.0f32; 4];
-        gemm_nn(&a, &b, &mut out, 2, 2, 2);
+        grouped_gemm(&a, &b, &mut out, &[0, 2], 2, 2);
         assert_eq!(out, [12.0, 13.0, 14.0, 15.0]);
     }
 
     /// Per-expert reference for the grouped kernels: slice each bin
-    /// out and run the plain slice GEMMs group by group.
+    /// out and run it alone, as a one-group launch.
     fn grouped_ref_nn(a: &[f32], b: &[f32], offsets: &[usize], k: usize, n: usize) -> Vec<f32> {
         let total = *offsets.last().unwrap();
         let mut out = vec![0.0f32; total * n];
         for g in 0..offsets.len() - 1 {
             let rows = offsets[g + 1] - offsets[g];
-            gemm_nn(
+            grouped_gemm(
                 &a[offsets[g] * k..offsets[g + 1] * k],
                 &b[g * k * n..(g + 1) * k * n],
                 &mut out[offsets[g] * n..offsets[g + 1] * n],
-                rows,
+                &[0, rows],
                 k,
                 n,
             );
@@ -799,11 +640,11 @@ mod tests {
         for g in 0..groups {
             let rows = offsets[g + 1] - offsets[g];
             let mut want = vec![0.0f32; rows * n];
-            gemm_nt(
+            grouped_gemm_nt(
                 &a.as_slice()[offsets[g] * k..offsets[g + 1] * k],
                 &b.as_slice()[g * n * k..(g + 1) * n * k],
                 &mut want,
-                rows,
+                &[0, rows],
                 k,
                 n,
             );
@@ -825,12 +666,12 @@ mod tests {
         for g in 0..groups {
             let rows = offsets[g + 1] - offsets[g];
             let mut want = vec![0.0f32; ma * n];
-            gemm_tn(
+            grouped_gemm_tn(
                 &a.as_slice()[offsets[g] * ma..offsets[g + 1] * ma],
                 &b.as_slice()[offsets[g] * n..offsets[g + 1] * n],
                 &mut want,
+                &[0, rows],
                 ma,
-                rows,
                 n,
             );
             assert_eq!(&out[g * ma * n..(g + 1) * ma * n], &want[..], "g{g}");
@@ -926,7 +767,7 @@ mod tests {
                     }
                 }
                 let mut tn = vec![0.0f32; m * n];
-                gemm_tn(&at, b.as_slice(), &mut tn, m, k, n);
+                grouped_gemm_tn(&at, b.as_slice(), &mut tn, &[0, k], m, n);
                 assert_close(&tn, &want, k);
 
                 // B stored transposed: b_t (n, k).
@@ -937,7 +778,7 @@ mod tests {
                     }
                 }
                 let mut nt = vec![0.0f32; m * n];
-                gemm_nt(a.as_slice(), &btr, &mut nt, m, k, n);
+                grouped_gemm_nt(a.as_slice(), &btr, &mut nt, &[0, m], k, n);
                 assert_close(&nt, &want, k);
             }
 
@@ -954,20 +795,13 @@ mod tests {
                     let at = rng.normal_tensor(&[k, m], 0.0, 1.0);
                     let ba = rng.normal_tensor(&[3, m, k], 0.0, 1.0);
                     let bb = rng.normal_tensor(&[3, k, n], 0.0, 1.0);
-                    let mut sp = a.clone();
-                    for (i, v) in sp.as_mut_slice().iter_mut().enumerate() {
-                        if i % 3 != 0 { *v = 0.0; }
-                    }
                     let run = |force: bool| {
                         crate::dispatch::with_simd_mode(Some(force), || {
-                            let mut sparse = vec![0.0f32; m * n];
-                            gemm_nn_sparse(sp.as_slice(), b.as_slice(), &mut sparse, m, k, n);
                             (
                                 a.matmul(&b).unwrap(),
                                 a.matmul_nt(&bt).unwrap(),
                                 at.matmul_tn(&b).unwrap(),
                                 ba.bmm(&bb).unwrap(),
-                                sparse,
                             )
                         })
                     };
@@ -978,7 +812,6 @@ mod tests {
                     prop_assert_eq!(bits(scalar.1.as_slice()), bits(simd.1.as_slice()), "nt");
                     prop_assert_eq!(bits(scalar.2.as_slice()), bits(simd.2.as_slice()), "tn");
                     prop_assert_eq!(bits(scalar.3.as_slice()), bits(simd.3.as_slice()), "bmm");
-                    prop_assert_eq!(bits(&scalar.4), bits(&simd.4), "gemm_nn_sparse");
                 }
             }
 

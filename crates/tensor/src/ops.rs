@@ -1,6 +1,39 @@
 //! Elementwise and reduction operations used by gating and training.
+//!
+//! GELU (tanh approximation) is defined once, as the scalar pair
+//! `gelu_scalar` / `gelu_derivative`, and reached through three loops:
+//! [`Tensor::gelu_in_place`] (inference: the pre-activation is dead
+//! once activated), [`gelu_slice_with_tanh`] (training forward: keeps
+//! `tanh` for the backward) and [`gelu_backward_with_tanh`] (training
+//! backward: reads that `tanh` instead of re-evaluating it).
 
 use crate::{Result, Tensor, TensorError};
+
+/// `√(2/π)`, the tanh approximation's inner scale.
+const SQRT_2_OVER_PI: f32 = 0.797_884_6;
+/// The tanh approximation's cubic coefficient.
+const GELU_CUBIC: f32 = 0.044715;
+
+/// GELU, tanh approximation: `(gelu(x), tanh(inner(x)))`. The `tanh`
+/// is the expensive half and the only part the derivative shares.
+fn gelu_scalar(x: f32) -> (f32, f32) {
+    let th = (SQRT_2_OVER_PI * (x + GELU_CUBIC * x * x * x)).tanh();
+    (0.5 * x * (1.0 + th), th)
+}
+
+/// `gelu'(x)` given `t = tanh(inner(x))` from [`gelu_scalar`].
+fn gelu_derivative(x: f32, t: f32) -> f32 {
+    let dinner = SQRT_2_OVER_PI * (1.0 + 3.0 * GELU_CUBIC * x * x);
+    0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
+}
+
+/// `acc[i] += alpha · rhs[i]` over equal-length slices: the one update
+/// loop behind [`Tensor::axpy`] and [`crate::Param::step`].
+pub(crate) fn axpy_slices(acc: &mut [f32], alpha: f32, rhs: &[f32]) {
+    for (a, b) in acc.iter_mut().zip(rhs) {
+        *a += alpha * b;
+    }
+}
 
 /// Per-row top-k result: `(indices, values)`, each a flat row-major
 /// `rows · k` array (row `r`'s selections are `[r·k .. (r+1)·k]`).
@@ -48,9 +81,7 @@ impl Tensor {
                 op: "axpy",
             });
         }
-        for (a, b) in self.as_mut_slice().iter_mut().zip(rhs.as_slice()) {
-            *a += alpha * b;
-        }
+        axpy_slices(self.as_mut_slice(), alpha, rhs.as_slice());
         Ok(())
     }
 
@@ -72,47 +103,13 @@ impl Tensor {
         out
     }
 
-    /// ReLU activation.
-    pub fn relu(&self) -> Tensor {
-        self.map(|v| v.max(0.0))
-    }
-
-    /// Derivative mask of ReLU with respect to this (pre-activation)
-    /// tensor, multiplied into `upstream`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if shapes differ.
-    pub fn relu_backward(&self, upstream: &Tensor) -> Result<Tensor> {
-        self.zip_with(
-            upstream,
-            "relu_backward",
-            |pre, g| if pre > 0.0 { g } else { 0.0 },
-        )
-    }
-
-    /// GELU activation (tanh approximation, as used by transformer FFNs).
-    pub fn gelu(&self) -> Tensor {
-        self.map(gelu_scalar)
-    }
-
-    /// [`Tensor::gelu`] in place, for a pre-activation that is dead
-    /// once activated.
+    /// GELU activation (tanh approximation, as used by transformer
+    /// FFNs) in place, for a pre-activation that is dead once
+    /// activated — the inference loop.
     pub fn gelu_in_place(&mut self) {
         for v in self.as_mut_slice() {
-            *v = gelu_scalar(*v);
+            *v = gelu_scalar(*v).0;
         }
-    }
-
-    /// Derivative of GELU (tanh approximation) times `upstream`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if shapes differ.
-    pub fn gelu_backward(&self, upstream: &Tensor) -> Result<Tensor> {
-        self.zip_with(upstream, "gelu_backward", |pre, g| {
-            gelu_grad_scalar(pre) * g
-        })
     }
 
     /// Sum of all elements.
@@ -286,47 +283,25 @@ impl Tensor {
     }
 }
 
-/// Slice form of [`Tensor::gelu`] that also stores the intermediate
-/// `tanh` value in `tanh_out[i]`: writes `gelu(h_pre[i])` into `out[i]`.
-/// Training forward passes use this on arena buffers so the backward
-/// pass can apply [`gelu_backward_with_tanh`] without re-evaluating
-/// `tanh`, which dominates the activation cost. Bit-identical to
-/// [`Tensor::gelu`] on `out`.
+/// The capturing GELU loop: writes `gelu(h_pre[i])` into `out[i]` and
+/// the intermediate `tanh` into `tanh_out[i]`. Training forward passes
+/// use this on arena buffers so the backward pass can apply
+/// [`gelu_backward_with_tanh`] without re-evaluating `tanh`, which
+/// dominates the activation cost. `out` is bit-identical to
+/// [`Tensor::gelu_in_place`] on the same values.
 pub fn gelu_slice_with_tanh(h_pre: &[f32], out: &mut [f32], tanh_out: &mut [f32]) {
-    const SQRT_2_OVER_PI: f32 = 0.797_884_6;
     for ((o, t), &x) in out.iter_mut().zip(tanh_out.iter_mut()).zip(h_pre) {
-        let th = (SQRT_2_OVER_PI * (x + 0.044715 * x * x * x)).tanh();
-        *t = th;
-        *o = 0.5 * x * (1.0 + th);
+        (*o, *t) = gelu_scalar(x);
     }
 }
 
-/// In-place slice form of [`Tensor::gelu_backward`] reusing the `tanh`
-/// values captured by [`gelu_slice_with_tanh`]: scales each upstream
-/// gradient by `gelu'(h_pre[i])`. Bit-identical to
-/// [`Tensor::gelu_backward`] (the gradient expression is evaluated in
-/// the same order, only the `tanh` is read instead of recomputed).
+/// The GELU backward loop, in place: scales each upstream gradient by
+/// `gelu'(h_pre[i])`, reading the `tanh` values captured by
+/// [`gelu_slice_with_tanh`].
 pub fn gelu_backward_with_tanh(h_pre: &[f32], tanh: &[f32], upstream: &mut [f32]) {
-    const SQRT_2_OVER_PI: f32 = 0.797_884_6;
     for ((g, &x), &t) in upstream.iter_mut().zip(h_pre).zip(tanh) {
-        let dinner = SQRT_2_OVER_PI * (1.0 + 3.0 * 0.044715 * x * x);
-        *g *= 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner;
+        *g *= gelu_derivative(x, t);
     }
-}
-
-/// Scalar GELU, tanh approximation.
-fn gelu_scalar(x: f32) -> f32 {
-    const SQRT_2_OVER_PI: f32 = 0.797_884_6;
-    0.5 * x * (1.0 + (SQRT_2_OVER_PI * (x + 0.044715 * x * x * x)).tanh())
-}
-
-/// Derivative of the tanh-approximated GELU.
-fn gelu_grad_scalar(x: f32) -> f32 {
-    const SQRT_2_OVER_PI: f32 = 0.797_884_6;
-    let inner = SQRT_2_OVER_PI * (x + 0.044715 * x * x * x);
-    let t = inner.tanh();
-    let dinner = SQRT_2_OVER_PI * (1.0 + 3.0 * 0.044715 * x * x);
-    0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
 }
 
 #[cfg(test)]
@@ -338,22 +313,27 @@ mod tests {
     }
 
     #[test]
-    fn gelu_with_tanh_is_bit_identical_to_the_tensor_forms() {
+    fn in_place_and_capturing_gelu_loops_agree_bit_for_bit() {
         let n = 80;
         let h_pre = Tensor::from_vec((-40..40).map(|i| i as f32 * 0.17).collect(), &[n]).unwrap();
         let mut cached = vec![0.0; n];
         let mut tanh = vec![0.0; n];
         gelu_slice_with_tanh(h_pre.as_slice(), &mut cached, &mut tanh);
-        assert_eq!(h_pre.gelu().as_slice(), cached);
         let mut in_place = h_pre.clone();
         in_place.gelu_in_place();
         assert_eq!(in_place.as_slice(), cached);
 
-        let upstream = Tensor::from_vec((0..n).map(|i| 0.3 + i as f32 * 0.01).collect(), &[n]);
-        let upstream = upstream.unwrap();
-        let mut g_cached = upstream.as_slice().to_vec();
-        gelu_backward_with_tanh(h_pre.as_slice(), &tanh, &mut g_cached);
-        assert_eq!(h_pre.gelu_backward(&upstream).unwrap().as_slice(), g_cached);
+        // The backward loop scales, elementwise and in place: run on
+        // ones it yields the derivative, run on any upstream it yields
+        // that upstream times the same derivative.
+        let mut derivative = vec![1.0; n];
+        gelu_backward_with_tanh(h_pre.as_slice(), &tanh, &mut derivative);
+        let upstream: Vec<f32> = (0..n).map(|i| 0.3 + i as f32 * 0.01).collect();
+        let mut scaled = upstream.clone();
+        gelu_backward_with_tanh(h_pre.as_slice(), &tanh, &mut scaled);
+        for i in 0..n {
+            assert_eq!(scaled[i], upstream[i] * derivative[i], "i={i}");
+        }
     }
 
     #[test]
@@ -484,30 +464,29 @@ mod tests {
     }
 
     #[test]
-    fn relu_and_backward() {
-        let x = Tensor::from_vec(vec![-1.0, 0.0, 2.0], &[3]).unwrap();
-        assert_eq!(x.relu().as_slice(), &[0.0, 0.0, 2.0]);
-        let g = Tensor::ones(&[3]);
-        assert_eq!(x.relu_backward(&g).unwrap().as_slice(), &[0.0, 0.0, 1.0]);
-    }
-
-    #[test]
     fn gelu_backward_matches_finite_difference() {
-        let x = Tensor::from_vec(vec![-2.0, -0.5, 0.0, 0.5, 2.0], &[5]).unwrap();
-        let g = Tensor::ones(&[5]);
-        let analytic = x.gelu_backward(&g).unwrap();
+        let x = [-2.0f32, -0.5, 0.0, 0.5, 2.0];
+        let mut tanh = [0.0f32; 5];
+        gelu_slice_with_tanh(&x, &mut [0.0; 5], &mut tanh);
+        let mut analytic = [1.0f32; 5];
+        gelu_backward_with_tanh(&x, &tanh, &mut analytic);
+        let gelu_sum = |x: &[f32]| {
+            let mut t = Tensor::from_vec(x.to_vec(), &[5]).unwrap();
+            t.gelu_in_place();
+            t.sum()
+        };
         let eps = 1e-3;
         for i in 0..5 {
-            let mut xp = x.clone();
-            xp.as_mut_slice()[i] += eps;
-            let mut xm = x.clone();
-            xm.as_mut_slice()[i] -= eps;
-            let fd = (xp.gelu().sum() - xm.gelu().sum()) / (2.0 * eps);
+            let mut xp = x;
+            xp[i] += eps;
+            let mut xm = x;
+            xm[i] -= eps;
+            let fd = (gelu_sum(&xp) - gelu_sum(&xm)) / (2.0 * eps);
             assert!(
-                (fd - analytic.as_slice()[i]).abs() < 1e-2,
+                (fd - analytic[i]).abs() < 1e-2,
                 "fd {} vs analytic {}",
                 fd,
-                analytic.as_slice()[i]
+                analytic[i]
             );
         }
     }

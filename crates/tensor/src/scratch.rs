@@ -10,14 +10,13 @@
 //! Numerics are unaffected by recycling: [`zeroed`] buffers are
 //! re-zeroed on checkout, so arena on/off cannot change results.
 
-use crate::{Shape, Tensor};
+use crate::Tensor;
 
 /// An all-zero tensor of the given shape, backed by a recycled buffer
 /// when one of the right size is available. Drop-in replacement for
 /// [`Tensor::zeros`] on hot paths.
 pub fn zeroed(dims: &[usize]) -> Tensor {
-    let len = Shape::new(dims).len();
-    let data = tutel_rt::arena().take_zeroed(len);
+    let data = tutel_rt::arena().take_zeroed(dims.iter().product());
     // Length matches the shape product by construction; the fallback
     // keeps this path free of typed errors.
     Tensor::from_vec(data, dims).unwrap_or_else(|_| Tensor::zeros(dims))
