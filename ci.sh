@@ -22,8 +22,9 @@ echo "==> benchmark/: builds against this tree + 1-second smokes"
 # check (outputs verified, no failed step).
 cargo check --release --offline --manifest-path benchmark/Cargo.toml
 # All four frozen workloads: every caller of the rank program has its
-# own. train_wide_ffn is MoeLayer over uniform bins, train_many_experts
-# MoeLayer over exact bins; neither touches comm or serve.
+# own. train_wide_ffn is MoeLayer over the exact bins of a clamped
+# routing, train_many_experts over dropless ones; neither touches comm
+# or serve.
 # serve_small_steps is run_rank at P1/linear, serve_large_steps at
 # P2/2DH degree 2 — the overlapped v-exchange end to end.
 for workload in train_wide_ffn train_many_experts serve_small_steps serve_large_steps; do
@@ -35,6 +36,14 @@ done
 # take ~7 minutes; run them separately with `cargo test -p tutel-bench`.
 echo "==> cargo test --workspace (minus tutel-bench)"
 cargo test -q --workspace --exclude tutel-bench
+
+echo "==> tutel-rt unit tests under check-race, 40 runs"
+# The recorder's session log is process-global, so the chk tests share
+# it with the arena and pool tests running beside them: a rerun loop
+# keeps an order-dependent assertion from passing by luck.
+for _ in $(seq 40); do
+    cargo test -q -p tutel-rt --features check-race --lib > /dev/null
+done
 
 echo "==> backward stage + FFN child-span attribution (wall-clock bounds, run alone)"
 # The stage spans must cover moe.backward to within 10 %, and

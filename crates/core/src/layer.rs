@@ -4,7 +4,9 @@
 //! Every pass is the rank program of [`crate::step`] with the local
 //! [`ExpertsBlock`] as its expert stage; the layer adds the parameters,
 //! the per-iteration knobs and the report around it. The capacity
-//! policy only sizes the bins (`expert_bins`).
+//! policy decides which assignments survive, never the layout: the
+//! experts compute exact bins ([`RaggedRouting::from_routing`]) — the
+//! surviving rows and no padding row — under every policy.
 //!
 //! This is the *functional* layer used for end-to-end training and for
 //! parity tests against the Fairseq baseline. Distribution across
@@ -14,10 +16,7 @@
 //! developers".
 
 use tutel_experts::ExpertsBlock;
-use tutel_gate::{
-    aux_loss, CapacityPolicy, CosineRouter, HashRouter, LinearRouter, RaggedRouting, Router,
-    Routing,
-};
+use tutel_gate::{aux_loss, CosineRouter, HashRouter, LinearRouter, RaggedRouting, Router};
 use tutel_obs::Telemetry;
 use tutel_tensor::{scratch, Rng, Tensor, TensorError};
 
@@ -76,20 +75,6 @@ struct SavedForward {
     aux_weight: f32,
 }
 
-/// The expert bins for one routing decision — the only place the
-/// capacity policy touches the compute path. Dropless
-/// ([`CapacityPolicy::AutoMin`]) gets exact bins: no padding row
-/// exists, so a hot expert costs only its own rows. Clamping policies
-/// get uniform-capacity bins: `E·C` rows whatever was routed, so
-/// every buffer keeps one shape from step to step and recycles
-/// through the length-classed arena.
-fn expert_bins(routing: &Routing, policy: CapacityPolicy) -> RaggedRouting {
-    match policy {
-        CapacityPolicy::AutoMin => RaggedRouting::from_routing(routing),
-        _ => RaggedRouting::uniform_capacity(routing),
-    }
-}
-
 /// One forward pass under `cfg`: [`step::gate`] and [`step::forward`]
 /// with `experts` as the expert stage, and the aux loss and routing
 /// statistics around the output.
@@ -102,7 +87,7 @@ fn pass(
 ) -> Result<(MoeOutput, step::Saved), TensorError> {
     let route_cfg = cfg.route_config();
     let (probs, routing) = step::gate(router, x, &route_cfg, obs)?;
-    let bins = expert_bins(&routing, route_cfg.capacity);
+    let bins = RaggedRouting::from_routing(&routing);
     let (output, saved) = step::forward(x, probs, routing, bins, obs, experts)?;
     let routing = &saved.routing;
     let aux = aux_loss(&saved.probs, routing)?;
@@ -503,24 +488,35 @@ mod tests {
 
     #[test]
     fn dropless_grouped_path_matches_padded_rows_bitwise() {
-        // The dropless path runs ragged encode → grouped GEMM →
-        // ragged decode; the padded path at a capacity large enough to
-        // drop nothing computes the same rows through the (E, C, M)
-        // twin. Per-row accumulation order is identical, so the outputs
-        // must agree bit for bit — training forward, dropless
-        // inference, and padded inference alike.
+        // A clamping policy runs exact bins — the surviving rows, no
+        // padding row — where the padded API views (`fast_encode` →
+        // `ExpertsBlock::infer` → `fast_decode`) compute all `E·C`
+        // slots. Per-row accumulation order is identical and a padding
+        // row reaches no output, so the outputs must agree bit for
+        // bit — training forward and inference alike.
+        use tutel_kernels::{fast_decode, fast_encode};
         let cfg = MoeConfig::new(8, 16, 4)
             .with_top_k(2)
-            .with_capacity_factor(0.0);
+            .with_capacity_factor(0.5);
         let (mut l, mut rng) = layer(&cfg, 21);
         let x = rng.normal_tensor(&[32, 8], 0.0, 1.0);
         let grouped = l.forward(&x).unwrap();
-        let infer = l.infer_dropless(&x).unwrap();
-        let padded = l.infer_with(&x, cfg.experts as f64).unwrap();
-        assert_eq!(padded.dropped, 0, "padded twin must not drop");
-        assert_eq!(grouped.output, infer.output);
-        assert_eq!(grouped.output, padded.output);
-        assert_eq!(grouped.expert_load, padded.expert_load);
+        assert!(grouped.dropped > 0, "the clamp must drop");
+        let probs = l.router.as_dyn().logits(&x).unwrap().softmax_last();
+        let routing = tutel_gate::route(&probs, &cfg.route_config()).unwrap();
+        let y = l
+            .experts
+            .infer(&fast_encode(&x, &routing).unwrap())
+            .unwrap();
+        let padded = fast_decode(&y, &routing, 32).unwrap();
+        assert_eq!(grouped.output, padded);
+        assert_eq!(l.infer(&x).unwrap().output, padded);
+        // A clamp roomy enough to drop nothing runs the dropless bins.
+        let roomy = l.infer_with(&x, cfg.experts as f64).unwrap();
+        let dropless = l.infer_dropless(&x).unwrap();
+        assert_eq!(roomy.dropped, 0, "the roomy clamp must not drop");
+        assert_eq!(roomy.output, dropless.output);
+        assert_eq!(roomy.expert_load, dropless.expert_load);
     }
 
     #[test]
@@ -622,7 +618,7 @@ mod tests {
 
     #[test]
     fn hostile_routing_inputs_are_typed_errors_never_panics() {
-        use tutel_gate::route;
+        use tutel_gate::{route, CapacityPolicy};
         let nan = f32::NAN;
         let cfg = MoeConfig::new(8, 16, 4).with_top_k(2);
         let (mut l, mut rng) = layer(&cfg, 15);

@@ -257,12 +257,11 @@ where
 /// expert, applies `compute` there, and brings the results home —
 /// overlapped at `degree > 1` through [`run_overlapped`].
 ///
-/// `packed` is `R` rows of `M` (any leading shape — `(R, M)` exact
-/// bins or the `(E, C, M)` uniform-capacity view alike) partitioned
-/// into `E` expert bins by the CSR `offsets`; experts are rank-major,
-/// so rank `d` owns global experts `d·E/W .. (d+1)·E/W`. Chunk `c` of
-/// bin `e` is the bin's rows `[len·c/D, len·(c+1)/D)`: the chunk grid
-/// is a function of the bins alone, and chunks may be empty.
+/// `packed` is `R` rows of `M` partitioned into `E` expert bins by the
+/// CSR `offsets`; experts are rank-major, so rank `d` owns global
+/// experts `d·E/W .. (d+1)·E/W`. Chunk `c` of bin `e` is the bin's
+/// rows `[len·c/D, len·(c+1)/D)`: the chunk grid is a function of the
+/// bins alone, and chunks may be empty.
 ///
 /// Per chunk, the message to rank `d` is a header of its `E/W`
 /// bin-chunk row counts followed by those rows, expert-major. The

@@ -8,13 +8,13 @@
 //! [`crate::MoeLayer`] passes its local experts, `tutel_serve::exec` and
 //! `tutel_harness::dist` pass [`crate::overlap::exchange_bins`]; kernel
 //! failures convert into the caller's error type and the closure's
-//! errors pass through. The caller sizes the expert bins between
-//! [`gate`] and [`forward`] — the one point where ranks may have to
-//! agree on a capacity, and the last one where a rank can fail on its
-//! own rows alone. Stage boundaries are span boundaries (`gate`,
-//! `encode`, `decode` and their `.backward` twins; the expert stage
-//! opens its own `ffn` spans): one branch per stage when `tel` is
-//! disabled.
+//! errors pass through. The caller builds the expert bins between
+//! [`gate`] and [`forward`] — exact bins of the routing,
+//! [`RaggedRouting::from_routing`], on every caller — and [`gate`] is
+//! the last point where a rank can fail on its own rows alone. Stage
+//! boundaries are span boundaries (`gate`, `encode`, `decode` and
+//! their `.backward` twins; the expert stage opens its own `ffn`
+//! spans): one branch per stage when `tel` is disabled.
 //!
 //! The routing record is read through [`Routing`]'s accessors only;
 //! gate gradients travel as one flat `(T·k)` array in the record's
@@ -84,9 +84,8 @@ pub fn gate(
 }
 
 /// The forward step after [`gate`]: encode `x (T, M)` into `bins`
-/// (sized by the caller from `routing`, whose `capacity` it may first
-/// raise to what ranks agreed on), run `experts` on the packed rows and
-/// their CSR offsets, decode. Returns the output `(T, M)`.
+/// (built by the caller from `routing`), run `experts` on the packed
+/// rows and their CSR offsets, decode. Returns the output `(T, M)`.
 ///
 /// # Errors
 ///
@@ -212,7 +211,7 @@ mod tests {
         let run = |tel: &Telemetry| {
             let cfg = RouteConfig::top1().with_capacity_factor(4.0);
             let (probs, routing) = gate(&router, &x, &cfg, tel).unwrap();
-            let bins = RaggedRouting::uniform_capacity(&routing);
+            let bins = RaggedRouting::from_routing(&routing);
             forward(&x, probs, routing, bins, tel, |packed, _| {
                 Ok::<_, TensorError>(packed.clone())
             })

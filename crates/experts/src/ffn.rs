@@ -464,9 +464,7 @@ impl ExpertsBlock {
 
     /// Opens a span over an FFN pass and counts its FLOPs: two GEMMs
     /// over every row of every bin, `4·R·M·V` multiply-adds — with
-    /// exact bins that is the routed rows only, with uniform bins
-    /// `4·ΔE·C·M·V`, so the counter shows the padding an exact-bin
-    /// caller avoids.
+    /// exact bins that is the routed rows only.
     fn ffn_span(&self, name: &str, offsets: &[usize]) -> tutel_obs::Span {
         if !self.obs.is_enabled() {
             return self.obs.span(name);

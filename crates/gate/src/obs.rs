@@ -14,11 +14,8 @@ use crate::routing::Routing;
 /// * gauges `gate.capacity_factor`, `gate.needed_factor`,
 ///   `gate.survival_rate` — the Figure 1 signals driving the adaptive
 ///   layer;
-/// * gauges `dispatch.padded_slots` / `dispatch.routed_tokens` — the
-///   padded `(E, C)` buffer's slot count vs the assignments that
-///   actually landed. Their gap is the zero-fill the padded twin
-///   burns FLOPs on and the ragged path never materializes; the
-///   analyzer turns the ratio into a wasted-FLOP fraction.
+/// * gauge `dispatch.routed_tokens` — the assignments that survived
+///   the clamp, which is exactly the rows the experts compute.
 ///
 /// No-op (one branch) when `tel` is disabled.
 pub fn observe_routing(routing: &Routing, tel: &Telemetry) {
@@ -34,10 +31,6 @@ pub fn observe_routing(routing: &Routing, tel: &Telemetry) {
     tel.set_gauge("gate.needed_factor", routing.needed_factor);
     tel.set_gauge("gate.survival_rate", routing.survival_rate());
     let routed: usize = routing.counts.iter().sum();
-    tel.set_gauge(
-        "dispatch.padded_slots",
-        (routing.experts * routing.capacity) as f64,
-    );
     tel.set_gauge("dispatch.routed_tokens", routed as f64);
 }
 
@@ -76,10 +69,6 @@ mod tests {
             .histogram("gate.expert_load")
             .expect("histogram registered");
         assert_eq!(hist.total_count(), routing.counts.len() as u64);
-        assert_eq!(
-            tel.gauge_value("dispatch.padded_slots"),
-            Some((routing.experts * routing.capacity) as f64)
-        );
         assert_eq!(
             tel.gauge_value("dispatch.routed_tokens"),
             Some(routing.counts.iter().sum::<usize>() as f64)

@@ -178,10 +178,11 @@ impl Routing {
 /// constructors choose the bin sizes:
 ///
 /// * [`RaggedRouting::from_routing`] — *exact* bins, one row per
-///   routed assignment and no capacity dimension (dropless);
+///   surviving assignment and no capacity dimension: what every step
+///   computes, under every capacity policy;
 /// * [`RaggedRouting::uniform_capacity`] — every bin `capacity` rows,
 ///   `offsets = [0, C, 2C, …]`: the padded `(E, C, M)` layout as a
-///   ragged view, with constant-shape buffers under clamping policies.
+///   ragged view, behind the kernel crate's `fast_*` API views.
 ///
 /// `slot_owner[s]` names the flat assignment that owns packed row `s`
 /// ([`RaggedRouting::UNOWNED`] for a capacity slot no assignment landed

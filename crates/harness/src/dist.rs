@@ -1,10 +1,11 @@
 //! The distributed executor: the product's rank program
 //! ([`tutel::step`]) run over the threaded `comm::runtime` under every
 //! combination of strategy knobs — P1/P2 parallelism, linear/2DH
-//! All-to-All, pipeline degree, world size, per-rank compute thread
-//! limit, and exact vs uniform-capacity bins. This is the *product*
-//! side of the conformance matrix: it shares the [`Problem`]/[`Fixture`]
-//! data with [`crate::reference`] and no code.
+//! All-to-All, pipeline degree, world size and per-rank compute
+//! thread limit — over the exact bins of the clamped routing, the
+//! layout `MoeLayer` computes too. This is the *product* side of the
+//! conformance matrix: it shares the [`Problem`]/[`Fixture`] data with
+//! [`crate::reference`] and no code.
 //!
 //! Every rank is an OS thread with a real mailbox-based communicator.
 //! The step's expert stage, forward and backward, is one call to
@@ -32,9 +33,7 @@ use crate::reference::{Fixture, Problem, RankResult};
 use crate::ExecConfig;
 
 /// Runs the full forward + backward under `cfg` on every rank and
-/// returns the per-rank results (index = rank). `cfg.dropless` picks
-/// the bins the clamped routing is packed into, forward and backward:
-/// exact, or the capacity layout's uniform bins.
+/// returns the per-rank results (index = rank).
 ///
 /// # Panics
 ///
@@ -68,11 +67,6 @@ fn run_distributed_impl(
     hub: Option<&TraceHub>,
 ) -> Vec<RankResult> {
     assert_eq!(cfg.world, problem.world, "config/problem world mismatch");
-    assert_eq!(
-        Problem::CAPACITY % cfg.degree,
-        0,
-        "pipeline degree must divide capacity"
-    );
     let topo = Topology::for_world(cfg.world);
     let cfg = *cfg;
     let program =
@@ -108,11 +102,7 @@ fn run_rank(
     let mut chunk_state: Vec<Option<Vec<ExpertsBlock>>> = vec![None; cfg.degree];
     let (probs, routing) =
         step::gate(&fixture.router, x, &problem.route_config(), &off).expect("gate dims fixed");
-    let bins = if cfg.dropless {
-        RaggedRouting::from_routing(&routing)
-    } else {
-        RaggedRouting::uniform_capacity(&routing)
-    };
+    let bins = RaggedRouting::from_routing(&routing);
     let (output, saved) = step::forward(x, probs, routing, bins, &off, |packed, offsets| {
         tracer.span_at(TRACK_MAIN, "gate_encode", phase_t0, tracer.now_us());
         let forward = |i: usize, rows: &Tensor, offsets: &[usize]| {
@@ -163,31 +153,40 @@ mod tests {
     use crate::reference::run_reference;
     use crate::{max_scaled_ulp, max_ulp, ulp_budget, AllToAllAlgo, Parallelism};
 
-    // Both tests run the capacity layout's uniform bins and, under the
-    // same clamping policy, the exact bins of the clamped routing —
-    // distributed training over the latter, forward and backward.
+    // Both tests run the exact bins of a clamped routing that drops,
+    // forward and backward, against the padded reference.
+
+    /// Assignments the problem's clamp drops, over every rank.
+    fn drops(problem: &Problem, fixture: &Fixture) -> usize {
+        let (cfg, off) = (problem.route_config(), Telemetry::disabled());
+        let gate = |x| step::gate(&fixture.router, x, &cfg, &off).unwrap();
+        fixture
+            .per_rank
+            .iter()
+            .map(|(x, _)| gate(x).1.dropped())
+            .sum()
+    }
 
     #[test]
     fn p1_single_thread_is_bitwise_identical() {
         let problem = Problem { world: 2, seed: 5 };
         let fixture = problem.materialize();
         let reference = run_reference(&problem, &fixture);
-        for dropless in [false, true] {
-            let cfg = ExecConfig {
-                strategy: Parallelism::P1,
-                algo: AllToAllAlgo::Linear,
-                degree: 2,
-                world: 2,
-                threads: crate::reference::REF_THREADS,
-                dropless,
-            };
-            let got = run_distributed(&problem, &fixture, &cfg);
-            for (rank, (g, r)) in got.iter().zip(&reference).enumerate() {
-                let at = format!("rank {rank} ({})", cfg.label());
-                assert_eq!(max_ulp(&g.output, &r.output), 0, "{at} output");
-                assert_eq!(max_ulp(&g.d_x, &r.d_x), 0, "{at} d_x");
-                assert_eq!(g.aux.to_bits(), r.aux.to_bits(), "{at} aux");
-            }
+        assert!(drops(&problem, &fixture) > 0, "the clamp must drop");
+        let cfg = ExecConfig {
+            strategy: Parallelism::P1,
+            algo: AllToAllAlgo::Linear,
+            degree: 2,
+            world: 2,
+            threads: crate::reference::REF_THREADS,
+            dropless: true,
+        };
+        let got = run_distributed(&problem, &fixture, &cfg);
+        for (rank, (g, r)) in got.iter().zip(&reference).enumerate() {
+            let at = format!("rank {rank} ({})", cfg.label());
+            assert_eq!(max_ulp(&g.output, &r.output), 0, "{at} output");
+            assert_eq!(max_ulp(&g.d_x, &r.d_x), 0, "{at} d_x");
+            assert_eq!(g.aux.to_bits(), r.aux.to_bits(), "{at} aux");
         }
     }
 
@@ -196,31 +195,30 @@ mod tests {
         let problem = Problem { world: 2, seed: 9 };
         let fixture = problem.materialize();
         let reference = run_reference(&problem, &fixture);
-        for dropless in [false, true] {
-            let cfg = ExecConfig {
-                strategy: Parallelism::P2,
-                algo: AllToAllAlgo::TwoDh,
-                degree: 4,
-                world: 2,
-                threads: 4,
-                dropless,
-            };
-            let got = run_distributed(&problem, &fixture, &cfg);
-            let budget = f64::from(ulp_budget(&cfg));
-            for (rank, (g, r)) in got.iter().zip(&reference).enumerate() {
-                let at = format!("rank {rank} ({})", cfg.label());
-                assert!(
-                    max_scaled_ulp(&g.output, &r.output) <= budget,
-                    "{at} output exceeds budget: {} scaled ULP",
-                    max_scaled_ulp(&g.output, &r.output)
-                );
-                assert!(
-                    max_scaled_ulp(&g.d_x, &r.d_x) <= budget,
-                    "{at} d_x exceeds budget: {} scaled ULP",
-                    max_scaled_ulp(&g.d_x, &r.d_x)
-                );
-                assert_eq!(g.aux.to_bits(), r.aux.to_bits(), "{at} aux");
-            }
+        assert!(drops(&problem, &fixture) > 0, "the clamp must drop");
+        let cfg = ExecConfig {
+            strategy: Parallelism::P2,
+            algo: AllToAllAlgo::TwoDh,
+            degree: 4,
+            world: 2,
+            threads: 4,
+            dropless: true,
+        };
+        let got = run_distributed(&problem, &fixture, &cfg);
+        let budget = f64::from(ulp_budget(&cfg));
+        for (rank, (g, r)) in got.iter().zip(&reference).enumerate() {
+            let at = format!("rank {rank} ({})", cfg.label());
+            assert!(
+                max_scaled_ulp(&g.output, &r.output) <= budget,
+                "{at} output exceeds budget: {} scaled ULP",
+                max_scaled_ulp(&g.output, &r.output)
+            );
+            assert!(
+                max_scaled_ulp(&g.d_x, &r.d_x) <= budget,
+                "{at} d_x exceeds budget: {} scaled ULP",
+                max_scaled_ulp(&g.d_x, &r.d_x)
+            );
+            assert_eq!(g.aux.to_bits(), r.aux.to_bits(), "{at} aux");
         }
     }
 }

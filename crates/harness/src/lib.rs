@@ -70,12 +70,11 @@
 //! P2 — for every batch composition the scheduler composes, including
 //! under a seeded `FaultPlan` replay on the step's All-to-All.
 //!
-//! [`grouped`] diff-tests the dropless ragged path specifically: the
-//! grouped-GEMM serving step against both the per-row reference and
-//! its padded capacity twin across {P1, P2} × {lin, 2DH} × degree ×
-//! world (bitwise for P1 at `REF_THREADS`, ≤ 4 scaled ULP for P2, and
-//! always bitwise against the twin), plus a seeded fault replay on
-//! the ragged v-All-to-Alls.
+//! [`grouped`] diff-tests the ragged serving step on skewed batches:
+//! the grouped-GEMM step against the per-row reference across
+//! {P1, P2} × {lin, 2DH} × degree × world (bitwise for P1 at
+//! `REF_THREADS`, ≤ 4 scaled ULP for P2), plus a seeded fault replay
+//! on the ragged v-All-to-Alls.
 
 pub mod dist;
 pub mod faults;
@@ -94,12 +93,7 @@ pub use tutel_serve::ExecConfig;
 /// Every `{P1, P2} × {linear, 2DH} × degrees × worlds × threads` point
 /// as the product's own [`ExecConfig`], nested in that order. A grid
 /// that fixes an axis passes a one-element slice for it.
-pub fn grid(
-    degrees: &[usize],
-    worlds: &[usize],
-    threads: &[usize],
-    dropless: bool,
-) -> Vec<ExecConfig> {
+pub fn grid(degrees: &[usize], worlds: &[usize], threads: &[usize]) -> Vec<ExecConfig> {
     let mut out = Vec::new();
     for strategy in [Parallelism::P1, Parallelism::P2] {
         for algo in AllToAllAlgo::ALL {
@@ -111,7 +105,7 @@ pub fn grid(
                         degree,
                         world,
                         threads,
-                        dropless,
+                        dropless: true,
                     }));
                 }
             }
@@ -120,23 +114,15 @@ pub fn grid(
     out
 }
 
-/// Grid label, e.g. `P2/2dh d4 w4`, with ` t{threads}` appended for
-/// the one grid that varies the thread axis ([`matrix`]).
-/// [`ExecConfig::label`] is the product's own (it tags ` dl`, and audit
-/// records and digests read it), so the harness formats its cells here.
+/// Grid label: [`ExecConfig::label`], e.g. `P2/2dh d4 w4`, with
+/// ` t{threads}` appended for the one grid that varies the thread axis
+/// ([`matrix`]).
 pub fn cell_label(cfg: &ExecConfig, with_threads: bool) -> String {
-    let threads = if with_threads {
-        format!(" t{}", cfg.threads)
+    if with_threads {
+        format!("{} t{}", cfg.label(), cfg.threads)
     } else {
-        String::new()
-    };
-    format!(
-        "{}/{} d{} w{}{threads}",
-        cfg.strategy.label(),
-        cfg.algo.label(),
-        cfg.degree,
-        cfg.world
-    )
+        cfg.label()
+    }
 }
 
 /// The ULP budget for a grid point (see the
@@ -182,8 +168,7 @@ pub struct Verdict<D> {
 
 impl<D> Verdict<D> {
     /// Applies [`ulp_budget`] to `worst`; `side_ok` carries the grid's
-    /// non-numeric conditions (aux loss bitwise, every request served,
-    /// twin bitwise).
+    /// non-numeric conditions (aux loss bitwise, every request served).
     pub fn judge(config: ExecConfig, worst: Worst, detail: D, side_ok: bool) -> Self {
         let budget = ulp_budget(&config);
         let within = if budget == 0 {
@@ -360,11 +345,12 @@ mod tests {
             cell_label(&point(Parallelism::P1, 4), true),
             "P1/lin d1 w2 t4"
         );
-        // The product's own label is a different string and stays so:
-        // audit records and the `repro serve` digest read it.
-        assert_eq!(cfg.label(), "P2/2dh d4 w4 dl");
-        cfg.dropless = false;
-        assert_eq!(cfg.label(), "P2/2dh d4 w4");
+        // The product's own label reads no ignored field.
+        let ignored = ExecConfig {
+            dropless: false,
+            ..cfg
+        };
+        assert_eq!(ignored.label(), "P2/2dh d4 w4");
     }
 
     #[test]
@@ -379,11 +365,11 @@ mod tests {
 
     #[test]
     fn grid_is_the_full_cross_product_in_stable_order() {
-        let g = grid(&[1, 2], &[1, 2, 4], &[1], true);
+        let g = grid(&[1, 2], &[1, 2, 4], &[1]);
         assert_eq!(g.len(), 2 * 2 * 2 * 3);
         assert_eq!(cell_label(&g[0], false), "P1/lin d1 w1");
         assert_eq!(cell_label(&g[1], false), "P1/lin d1 w2");
         assert_eq!(cell_label(&g[23], false), "P2/2dh d2 w4");
-        assert!(g.iter().all(|c| c.dropless && c.threads == 1));
+        assert!(g.iter().all(|c| c.threads == 1));
     }
 }

@@ -225,18 +225,16 @@ fn grouped_section(seed: u64, fault_seed: u64) -> Tally {
     let results: Vec<_> = grid.iter().map(|c| run_grouped_case(c, seed)).collect();
     println!("dropless grouped grid ({} cases):", results.len());
     println!(
-        "  {:<14} {:>6} {:>12} {:>6} {:>16}  verdict",
-        "case", "ulp", "scaled-ulp", "twin", "wire (vs padded)"
+        "  {:<14} {:>6} {:>12} {:>8}  verdict",
+        "case", "ulp", "scaled-ulp", "wire"
     );
     let (counts, worst) = print_rows(&results, |v| {
         format!(
-            "{:<14} {:>6} {:>12.2} {:>6} {:>7}/{:<7}",
+            "{:<14} {:>6} {:>12.2} {:>8}",
             cell_label(&v.config, false),
             v.worst.ulp,
             v.worst.scaled_ulp,
-            if v.detail.twin_bitwise { "bit" } else { "DIFF" },
-            v.detail.wire_grouped,
-            v.detail.wire_padded
+            v.detail.wire
         )
     });
     let extras = vec![("worst_scaled_ulp", worst)];

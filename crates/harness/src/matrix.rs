@@ -6,7 +6,7 @@ use crate::dist::run_distributed;
 use crate::reference::{run_reference, Problem, RankResult};
 use crate::{grid, ExecConfig, Worst};
 
-/// Pipeline degrees (all divide [`Problem::CAPACITY`]).
+/// Pipeline degrees.
 pub const DEGREES: [usize; 4] = [1, 2, 4, 8];
 /// Simulated world sizes.
 pub const WORLDS: [usize; 3] = [1, 2, 4];
@@ -34,11 +34,9 @@ impl Mode {
     }
 }
 
-/// The configurations the mode selects, in stable order. The matrix
-/// executes the capacity layout (uniform bins of
-/// [`Problem::CAPACITY`]), hence `dropless: false`.
+/// The configurations the mode selects, in stable order.
 pub fn configs(mode: Mode) -> Vec<ExecConfig> {
-    let mut out = grid(&DEGREES, &WORLDS, &THREADS, false);
+    let mut out = grid(&DEGREES, &WORLDS, &THREADS);
     if mode == Mode::Smoke {
         // One bitwise-eligible point (d1 t1), the executed-overlap
         // ladder at single-thread bitwise eligibility (d4 t1, d8 t1),

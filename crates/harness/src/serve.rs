@@ -35,11 +35,9 @@ use crate::reference::REF_THREADS;
 use crate::{grid, ExecConfig, Worst};
 
 /// The full serving grid: {P1, P2} × {lin, 2dh} × degree {1, 2} ×
-/// world {1, 2} at the reference thread count, on the product wire
-/// (its uniform-capacity view is pinned by [`crate::grouped`]'s twin
-/// column).
+/// world {1, 2} at the reference thread count, on the product wire.
 pub fn serve_grid() -> Vec<ExecConfig> {
-    grid(&[1, 2], &[1, 2], &[REF_THREADS], true)
+    grid(&[1, 2], &[1, 2], &[REF_THREADS])
 }
 
 /// What a serving point records beside the shared verdict core.
@@ -167,7 +165,7 @@ mod tests {
         assert!(grid
             .iter()
             .any(|c| c.strategy == Parallelism::P2 && c.degree == 2 && c.world == 2));
-        assert!(grid.iter().all(|c| c.dropless && c.threads == REF_THREADS));
+        assert!(grid.iter().all(|c| c.threads == REF_THREADS));
     }
 
     #[test]

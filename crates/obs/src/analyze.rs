@@ -129,31 +129,7 @@ pub fn analyze_with_load(
     expert_load: &[u64],
 ) -> Analysis {
     let mut analysis = analyze(trace, cfg);
-    expert_imbalance(expert_load, cfg, None, &mut analysis);
-    analysis
-}
-
-/// [`analyze_with_load`] plus the padding-waste telemetry published
-/// by the gate (`dispatch.padded_slots` / `dispatch.routed_tokens`
-/// gauges): when a hot expert trips the imbalance alert, the anomaly
-/// detail also quantifies the fraction of dispatch FLOPs the *padded*
-/// compute path wastes on empty capacity slots this step — the cost
-/// the dropless grouped path avoids entirely.
-pub fn analyze_with_dispatch(
-    trace: &MergedTrace,
-    cfg: &AnalyzerConfig,
-    expert_load: &[u64],
-    tel: &crate::Telemetry,
-) -> Analysis {
-    let mut analysis = analyze(trace, cfg);
-    let waste = match (
-        tel.gauge_value("dispatch.padded_slots"),
-        tel.gauge_value("dispatch.routed_tokens"),
-    ) {
-        (Some(padded), Some(routed)) if padded > 0.0 => Some((padded, routed)),
-        _ => None,
-    };
-    expert_imbalance(expert_load, cfg, waste, &mut analysis);
+    expert_imbalance(expert_load, cfg, &mut analysis);
     analysis
 }
 
@@ -391,12 +367,7 @@ fn latency_straggler(trace: &MergedTrace, cfg: &AnalyzerConfig, analysis: &mut A
     }
 }
 
-fn expert_imbalance(
-    expert_load: &[u64],
-    cfg: &AnalyzerConfig,
-    waste: Option<(f64, f64)>,
-    analysis: &mut Analysis,
-) {
+fn expert_imbalance(expert_load: &[u64], cfg: &AnalyzerConfig, analysis: &mut Analysis) {
     if expert_load.is_empty() {
         return;
     }
@@ -412,15 +383,8 @@ fn expert_imbalance(
         .unwrap_or((0, &0));
     let ratio = load as f64 / mean;
     if ratio > cfg.imbalance_ratio {
-        let mut detail =
+        let detail =
             format!("expert {hot} holds {load} of {total} tokens ({ratio:.1}x the mean load)");
-        if let Some((padded, routed)) = waste {
-            let wasted = 100.0 * (1.0 - routed / padded).max(0.0);
-            detail.push_str(&format!(
-                "; padded dispatch wastes {wasted:.0}% of its FLOPs \
-                 ({routed:.0} routed rows in {padded:.0} capacity slots)"
-            ));
-        }
         analysis.anomalies.push(AnomalyRecord {
             kind: "expert_imbalance".into(),
             rank: None,
@@ -586,42 +550,6 @@ mod tests {
             .anomalies
             .iter()
             .any(|a| a.kind == "expert_imbalance"));
-    }
-
-    #[test]
-    fn imbalance_detail_quantifies_padded_flop_waste() {
-        // With the gate's dispatch gauges available, the alert prices
-        // what the skew costs the padded path: one 500-token expert
-        // pads all 8 bins to 500 slots, so 4000 slots carry 580 rows.
-        let tel = crate::Telemetry::enabled();
-        tel.set_gauge("dispatch.padded_slots", 4000.0);
-        tel.set_gauge("dispatch.routed_tokens", 580.0);
-        let trace = MergedTrace::default();
-        let load = [10, 10, 10, 500, 10, 10, 10, 10];
-        let analysis = analyze_with_dispatch(&trace, &AnalyzerConfig::default(), &load, &tel);
-        let hot = analysis
-            .anomalies
-            .iter()
-            .find(|a| a.kind == "expert_imbalance")
-            .expect("imbalance anomaly");
-        assert!(
-            hot.detail.contains("wastes 86% of its FLOPs"),
-            "{}",
-            hot.detail
-        );
-        // Without the gauges the detail stays load-only.
-        let plain = analyze_with_dispatch(
-            &trace,
-            &AnalyzerConfig::default(),
-            &load,
-            &crate::Telemetry::disabled(),
-        );
-        let hot = plain
-            .anomalies
-            .iter()
-            .find(|a| a.kind == "expert_imbalance")
-            .expect("imbalance anomaly");
-        assert!(!hot.detail.contains("wastes"), "{}", hot.detail);
     }
 
     #[test]

@@ -149,10 +149,9 @@ pub struct DecisionRecord {
     /// reduced-precision weights halve parameter-collective bytes, so
     /// the audit trail must say which price book was in effect.
     pub precision: Option<String>,
-    /// Whether the decided configuration runs the dropless compute
-    /// path (ragged bins + grouped GEMM, no capacity padding) — the
-    /// cost books differ, so the audit trail records which one priced
-    /// the candidates.
+    /// Whether the decided configuration routes dropless (`AutoMin`:
+    /// no assignment is clamped away) — the cost books differ, so the
+    /// audit trail records which one priced the candidates.
     pub dropless: bool,
     /// Training step active when recorded, if any.
     pub step: Option<u64>,

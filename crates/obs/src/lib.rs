@@ -78,9 +78,7 @@ pub mod runtime;
 mod telemetry;
 pub mod trace;
 
-pub use analyze::{
-    analyze, analyze_with_dispatch, analyze_with_load, Analysis, AnalyzerConfig, CriticalPath,
-};
+pub use analyze::{analyze, analyze_with_load, Analysis, AnalyzerConfig, CriticalPath};
 pub use events::{
     AnomalyRecord, CollectiveRecord, DecisionRecord, Event, SpanRecord, StepRecord, TagValue,
 };

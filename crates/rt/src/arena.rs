@@ -17,15 +17,23 @@
 //! * [`Arena::take_raw`] skips the zeroing; the caller must fully
 //!   overwrite the contents before reading them. Use it only when the
 //!   very next operation writes every element.
-//! * Buffers are classed by **exact length**; `put` files a buffer
-//!   under `buf.len()` (capacity beyond the length is kept but never
-//!   observed). Zero-length buffers are dropped.
-//! * Per-class and whole-arena caps bound retained memory; `put`
-//!   beyond a cap silently drops the buffer.
+//! * Buffers are classed by **power-of-two capacity**. A take of `len`
+//!   pops from class `len.next_power_of_two()` and re-lengthens the
+//!   buffer inside its capacity, never reallocating; a miss allocates
+//!   the whole class. `put` files a buffer under the largest power of
+//!   two its capacity holds, so a foreign `Vec` lands where every take
+//!   it can serve fits. Lengths that vary from step to step — exact
+//!   expert bins under a clamping capacity policy — therefore keep
+//!   hitting the same classes. Zero-length buffers are dropped.
+//! * Per-class and whole-arena caps bound retained memory, counted in
+//!   capacity; `put` beyond a cap silently drops the buffer.
 //!
 //! Recycling never affects numerics: a taken buffer's observable
 //! contents are fully defined (`take_zeroed`) or fully overwritten by
-//! contract (`take_raw`), so arena on/off cannot change results.
+//! contract (`take_raw`), so arena on/off cannot change results. Nor
+//! does the class headroom cost resident memory: a miss allocates
+//! zeroed memory, and capacity no take's length reaches is never
+//! written, so the OS never backs those pages.
 
 use std::collections::BTreeMap;
 #[cfg(feature = "check-race")]
@@ -33,9 +41,9 @@ use std::panic::Location;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-/// Most buffers retained per size class.
+/// Most buffers retained per capacity class.
 const PER_CLASS_CAP: usize = 16;
-/// Most `f32`s retained across the whole arena (256 MiB).
+/// Most `f32` capacity retained across the whole arena (256 MiB).
 const TOTAL_CAP_ELEMS: usize = 64 << 20;
 
 /// Cumulative arena counters, exported for telemetry.
@@ -49,7 +57,7 @@ pub struct ArenaStats {
     pub returns: u64,
     /// Buffers `put` dropped because a cap was reached.
     pub evictions: u64,
-    /// `f32` elements currently retained in free lists.
+    /// `f32` capacity currently retained in free lists.
     pub retained_elems: usize,
 }
 
@@ -65,8 +73,8 @@ impl ArenaStats {
     }
 }
 
-/// Size-classed free lists behind a single mutex. Lock hold times are
-/// a map lookup plus a `Vec` push/pop — nanoseconds against the
+/// Capacity-classed free lists behind a single mutex. Lock hold times
+/// are a map lookup plus a `Vec` push/pop — nanoseconds against the
 /// microseconds-to-milliseconds kernels the buffers feed.
 pub struct Arena {
     classes: Mutex<Classes>,
@@ -76,9 +84,10 @@ pub struct Arena {
     evictions: AtomicU64,
 }
 
+/// Free buffers by class: class `c` holds buffers of capacity `≥ c`.
 #[derive(Default)]
 struct Classes {
-    by_len: BTreeMap<usize, Vec<Vec<f32>>>,
+    by_class: BTreeMap<usize, Vec<Vec<f32>>>,
     retained_elems: usize,
 }
 
@@ -99,15 +108,32 @@ impl Arena {
         }
     }
 
+    /// A recycled buffer of capacity `≥ len`, at its previous length
+    /// (a hit).
     fn pop(&self, len: usize) -> Option<Vec<f32>> {
         let mut classes = match self.classes.lock() {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
         };
-        let buf = classes.by_len.get_mut(&len).and_then(Vec::pop);
-        if buf.is_some() {
-            classes.retained_elems = classes.retained_elems.saturating_sub(len);
+        let buf = classes
+            .by_class
+            .get_mut(&len.next_power_of_two())
+            .and_then(Vec::pop);
+        if let Some(buf) = &buf {
+            classes.retained_elems = classes.retained_elems.saturating_sub(buf.capacity());
+            self.hits.fetch_add(1, Ordering::Relaxed);
         }
+        buf
+    }
+
+    /// A miss: zeroed memory for `len`'s whole class, `len` of it in use.
+    fn fresh(&self, len: usize) -> Vec<f32> {
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        if len == 0 {
+            return Vec::new();
+        }
+        let mut buf = vec![0.0; len.next_power_of_two()];
+        buf.truncate(len);
         buf
     }
 
@@ -116,15 +142,14 @@ impl Arena {
     pub fn take_zeroed(&self, len: usize) -> Vec<f32> {
         match self.pop(len) {
             Some(mut buf) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                buf.fill(0.0);
+                buf.clear();
+                buf.resize(len, 0.0);
                 #[cfg(feature = "check-race")]
                 crate::chk::on_arena_take(buf.as_ptr() as usize, len, true, Location::caller());
                 buf
             }
             None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                let buf = vec![0.0; len];
+                let buf = self.fresh(len);
                 #[cfg(feature = "check-race")]
                 crate::chk::on_arena_take(buf.as_ptr() as usize, len, false, Location::caller());
                 buf
@@ -134,20 +159,19 @@ impl Arena {
 
     /// Checks out a buffer of exactly `len` elements with
     /// **unspecified contents** (stale data from a previous user, or
-    /// zeros if freshly allocated). The caller must overwrite every
-    /// element before reading any.
+    /// zeros where the buffer is fresh or grew). The caller must
+    /// overwrite every element before reading any.
     #[cfg_attr(feature = "check-race", track_caller)]
     pub fn take_raw(&self, len: usize) -> Vec<f32> {
         match self.pop(len) {
-            Some(buf) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
+            Some(mut buf) => {
+                buf.resize(len, 0.0);
                 #[cfg(feature = "check-race")]
                 crate::chk::on_arena_take(buf.as_ptr() as usize, len, true, Location::caller());
                 buf
             }
             None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                let buf = vec![0.0; len];
+                let buf = self.fresh(len);
                 #[cfg(feature = "check-race")]
                 crate::chk::on_arena_take(buf.as_ptr() as usize, len, false, Location::caller());
                 buf
@@ -155,12 +179,12 @@ impl Arena {
         }
     }
 
-    /// Returns a buffer to its size class for later reuse. Dropped
-    /// silently if empty or if retaining it would exceed the
+    /// Returns a buffer to the class of its capacity for later reuse.
+    /// Dropped silently if empty or if retaining it would exceed the
     /// per-class or whole-arena cap.
     #[cfg_attr(feature = "check-race", track_caller)]
     pub fn put(&self, buf: Vec<f32>) {
-        let len = buf.len();
+        let (len, cap) = (buf.len(), buf.capacity());
         if len == 0 {
             return;
         }
@@ -174,14 +198,14 @@ impl Arena {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
         };
-        if classes.retained_elems + len > TOTAL_CAP_ELEMS {
+        if classes.retained_elems + cap > TOTAL_CAP_ELEMS {
             drop(classes);
             self.evictions.fetch_add(1, Ordering::Relaxed);
             #[cfg(feature = "check-race")]
             crate::chk::on_arena_put(chk_buf, len, false, chk_site);
             return;
         }
-        let class = classes.by_len.entry(len).or_default();
+        let class = classes.by_class.entry(1 << cap.ilog2()).or_default();
         if class.len() >= PER_CLASS_CAP {
             drop(classes);
             self.evictions.fetch_add(1, Ordering::Relaxed);
@@ -190,7 +214,7 @@ impl Arena {
             return;
         }
         class.push(buf);
-        classes.retained_elems += len;
+        classes.retained_elems += cap;
         drop(classes);
         self.returns.fetch_add(1, Ordering::Relaxed);
         #[cfg(feature = "check-race")]
@@ -203,7 +227,7 @@ impl Arena {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
         };
-        classes.by_len.clear();
+        classes.by_class.clear();
         classes.retained_elems = 0;
         #[cfg(feature = "check-race")]
         crate::chk::on_arena_clear();
@@ -252,15 +276,63 @@ mod tests {
     }
 
     #[test]
-    fn classes_are_exact_length() {
+    fn a_take_reuses_a_buffer_put_at_another_length_of_its_class() {
         let a = Arena::new();
-        a.put(vec![1.0; 64]);
-        let buf = a.take_raw(65);
-        assert_eq!(buf.len(), 65);
-        assert_eq!(a.stats().misses, 1, "different length never matches");
-        let hit = a.take_raw(64);
-        assert_eq!(hit.len(), 64);
-        assert_eq!(a.stats().hits, 1);
+        let buf = a.take_raw(100);
+        assert_eq!(
+            (buf.len(), buf.capacity()),
+            (100, 128),
+            "a miss allocates the class"
+        );
+        let at = buf.as_ptr();
+        a.put(buf);
+        assert_eq!(a.stats().retained_elems, 128, "retention counts capacity");
+        let grown = a.take_raw(120);
+        assert_eq!(grown.len(), 120);
+        assert_eq!(
+            grown.as_ptr(),
+            at,
+            "re-lengthened in place, not reallocated"
+        );
+        a.put(grown);
+        let shrunk = a.take_zeroed(65);
+        assert_eq!((shrunk.len(), shrunk.as_ptr()), (65, at));
+        let next_class = a.take_raw(129);
+        assert_eq!(next_class.capacity(), 256);
+        let s = a.stats();
+        assert_eq!((s.hits, s.misses), (2, 2));
+    }
+
+    #[test]
+    fn take_zeroed_rezeros_a_buffer_last_used_longer() {
+        let a = Arena::new();
+        let mut buf = a.take_raw(128);
+        buf.fill(7.0);
+        a.put(buf);
+        let short = a.take_zeroed(70);
+        assert_eq!(short.len(), 70);
+        assert!(short.iter().all(|&v| v == 0.0));
+        a.put(short);
+        // Grown back over the stale tail it left behind.
+        let full = a.take_zeroed(128);
+        assert!(full.iter().all(|&v| v == 0.0));
+        assert_eq!(a.stats().hits, 2);
+    }
+
+    #[test]
+    fn a_foreign_vec_files_under_its_floor_class() {
+        let a = Arena::new();
+        let foreign = vec![1.0; 100];
+        let at = foreign.as_ptr();
+        a.put(foreign);
+        assert_eq!(a.stats().retained_elems, 100);
+        // Class 128 holds nothing: a take of 100 must not pop a buffer
+        // filed under 64, whose capacity need not reach 128.
+        assert_eq!(a.take_raw(100).capacity(), 128);
+        let fits = a.take_raw(40);
+        assert_eq!((fits.len(), fits.as_ptr()), (40, at));
+        let s = a.stats();
+        assert_eq!((s.hits, s.misses, s.retained_elems), (1, 1, 0));
     }
 
     #[test]
@@ -269,10 +341,29 @@ mod tests {
         for _ in 0..PER_CLASS_CAP + 3 {
             a.put(vec![0.0; 8]);
         }
+        // Another length, the same class.
+        let mut short = Vec::with_capacity(8);
+        short.push(0.0);
+        a.put(short);
         let s = a.stats();
         assert_eq!(s.returns, PER_CLASS_CAP as u64);
-        assert_eq!(s.evictions, 3);
+        assert_eq!(s.evictions, 4);
         assert_eq!(s.retained_elems, PER_CLASS_CAP * 8);
+    }
+
+    #[test]
+    fn the_whole_arena_cap_counts_capacity() {
+        let a = Arena::new();
+        let half = || {
+            let mut buf = Vec::with_capacity(TOTAL_CAP_ELEMS / 2 + 1);
+            buf.push(1.0);
+            buf
+        };
+        a.put(half());
+        a.put(half());
+        let s = a.stats();
+        assert_eq!((s.returns, s.evictions), (1, 1));
+        assert_eq!(s.retained_elems, TOTAL_CAP_ELEMS / 2 + 1);
     }
 
     #[test]
@@ -298,6 +389,7 @@ mod tests {
     fn zero_length_put_is_dropped() {
         let a = Arena::new();
         a.put(Vec::new());
+        a.put(Vec::with_capacity(64));
         assert_eq!(a.stats().returns, 0);
         assert_eq!(a.stats().retained_elems, 0);
     }

@@ -541,6 +541,24 @@ mod tests {
         assert!(run.claims.iter().all(|c| c.participant == 0));
     }
 
+    /// The events of `job` alone. The session log is process-global:
+    /// while a test's session is armed, the pool, arena and sim tests
+    /// running beside it in this binary record into the same log —
+    /// the sim ones under logical ids of their own — so a test reads
+    /// only the job it drove.
+    fn of_job(events: Vec<RtEvent>, job: u64) -> Vec<RtEvent> {
+        events
+            .into_iter()
+            .filter(|e| match *e {
+                RtEvent::JobSubmit { job: j, .. }
+                | RtEvent::ChunkClaim { job: j, .. }
+                | RtEvent::ChunkDone { job: j, .. }
+                | RtEvent::JobJoin { job: j, .. } => j == job,
+                _ => false,
+            })
+            .collect()
+    }
+
     #[test]
     fn session_records_sim_events_in_order() {
         let session = Session::begin();
@@ -557,14 +575,14 @@ mod tests {
                 &mut |_c, _p| {},
             )
         });
-        let events = session.finish();
+        let events = of_job(session.finish(), run.job);
         assert!(matches!(
             events.first(),
             Some(RtEvent::JobSubmit { thread: 9, .. })
         ));
         assert!(matches!(
             events.last(),
-            Some(RtEvent::JobJoin { thread: 9, job }) if *job == run.job
+            Some(RtEvent::JobJoin { thread: 9, .. })
         ));
         let dones = events
             .iter()
@@ -576,21 +594,31 @@ mod tests {
     #[test]
     fn aborted_run_records_shutdown_and_leaks() {
         let session = Session::begin();
-        let run = sim_pool_run_bounded(2, 6, 60, &mut |_n| 0, &mut |_c, _p| {}, Some(2));
+        let run = with_logical_thread(8, || {
+            sim_pool_run_bounded(2, 6, 60, &mut |_n| 0, &mut |_c, _p| {}, Some(2))
+        });
         let events = session.finish();
         assert!(!run.joined);
         assert_eq!(run.leaked, 4);
-        assert!(events.iter().any(|e| matches!(e, RtEvent::Shutdown { .. })));
-        assert!(!events.iter().any(|e| matches!(e, RtEvent::JobJoin { .. })));
+        assert!(events
+            .iter()
+            .any(|e| matches!(e, RtEvent::Shutdown { thread: 8 })));
+        assert!(!of_job(events, run.job)
+            .iter()
+            .any(|e| matches!(e, RtEvent::JobJoin { .. })));
     }
 
     #[test]
     fn recording_is_off_outside_sessions() {
+        // Holding the gate keeps every session out meanwhile.
+        let gate = lock(&SESSION_GATE);
         assert!(!is_recording());
+        let logged = lock(&LOG).len();
         record(RtEvent::Shutdown { thread: 0 });
-        let session = Session::begin();
-        let events = session.finish();
-        assert!(events.is_empty());
+        assert_eq!(lock(&LOG).len(), logged);
+        drop(gate);
+        let events = Session::begin().finish();
+        assert!(!events.iter().any(|e| e.thread() == 0));
     }
 
     #[test]

@@ -458,7 +458,8 @@ impl<'a> Engine<'a> {
             measured_s: Some(makespan as f64 * 1e-6),
             cause: None,
             precision: None,
-            dropless: self.cfg.exec.dropless,
+            // Serving always routes `AutoMin`.
+            dropless: true,
             step: None,
         });
 

@@ -24,16 +24,12 @@
 //! * P2 re-associates one addition chain (the hidden-shard partial
 //!   sum), so it is instead bounded by ≤ 4 scaled ULP.
 //!
-//! Capacity therefore never materializes on the product path: a step
-//! ships its exact routed bins through
-//! [`tutel::overlap::exchange_bins`] (count header + rows on the wire,
-//! overlapped with the expert FFN at `degree > 1`). The padded
-//! capacity layout is the same step over uniform bins
-//! ([`ExecConfig::dropless`]` = false`), where capacity is only a
-//! **buffer shape**: ranks agree on the global maximum of their
-//! dropless minima (one all-gather) padded up to a multiple of the
-//! pipeline degree, and the padded slots stay zero — no token ever
-//! decodes from them.
+//! Capacity therefore never materializes on this path: a step ships
+//! its exact routed bins through [`tutel::overlap::exchange_bins`]
+//! (count header + rows on the wire, overlapped with the expert FFN at
+//! `degree > 1`), so ranks need not agree on any buffer shape. The
+//! padded `(E, C, M)` layout survives only in [`reference_rows`], the
+//! oracle.
 //!
 //! # The plan is a value
 //!
@@ -78,11 +74,9 @@ pub struct ExecConfig {
     pub world: usize,
     /// Per-rank compute parallelism limit.
     pub threads: usize,
-    /// Ship exact routed bins — only routed rows on the wire and in
-    /// the grouped GEMM. `false` ships uniform-capacity bins instead
-    /// (every slot of the padded `(E, C, M)` layout, owned or not):
-    /// the same rank program over a different bin constructor, kept
-    /// as the twin the harness diff-tests the exact bins against.
+    /// **Ignored**: every step ships exact routed bins. The field
+    /// stays only because the frozen benchmark's struct literal names
+    /// it; nothing reads it.
     pub dropless: bool,
 }
 
@@ -90,12 +84,11 @@ impl ExecConfig {
     /// Grid label, e.g. `P1/lin d2 w2`.
     pub fn label(&self) -> String {
         format!(
-            "{}/{} d{} w{}{}",
+            "{}/{} d{} w{}",
             self.strategy.label(),
             self.algo.label(),
             self.degree,
-            self.world,
-            if self.dropless { " dl" } else { "" }
+            self.world
         )
     }
 }
@@ -114,8 +107,7 @@ type RankResult = Result<(Vec<f32>, usize, u64), ServeError>;
 pub struct StepOutput {
     /// Per-token outputs `(B, model_dim)`, row `i` for batch row `i`.
     pub outputs: Tensor,
-    /// Shared expert capacity the step ran with (after degree
-    /// padding).
+    /// The largest expert bin any rank routed this step.
     pub capacity: usize,
     /// Total `f32` elements all ranks pushed onto the wire as
     /// collective payload during the step.
@@ -128,8 +120,7 @@ pub struct StepOutput {
 /// `i mod world`; the batch is zero-padded up to a multiple of the
 /// world size, and padded rows are dropped from the output). Each
 /// rank gates and routes its own rows with the replicated router,
-/// dropless; capacity is reconciled globally so every rank's
-/// All-to-All wires agree.
+/// dropless, and ships its exact bins.
 ///
 /// # Errors
 ///
@@ -264,13 +255,6 @@ fn rank_rows(
 /// reference by construction), encode, the overlapped exchange, decode.
 /// Returns the rank's flat output rows, its largest expert bin, and its
 /// wire payload volume.
-///
-/// `cfg.dropless` only picks the bin constructor: exact bins, or —
-/// once ranks agree on the capacity — uniform-capacity bins, where
-/// every capacity slot ships, owned or not. Raising the capacity after
-/// routing is safe (dropless slot assignment never clamped), and each
-/// output row's GEMM accumulation order is independent of its
-/// bin-mates, so the two layouts agree bit for bit.
 fn run_rank(
     model: &ServeModel,
     cfg: &ExecConfig,
@@ -292,15 +276,8 @@ fn run_rank(
         x = Tensor::zeros(&[0, dims.model_dim]);
         step::gate(&model.router, &x, &route_cfg, &tel)
     });
-    let (probs, mut routing) = gated?;
-    let bins = if cfg.dropless {
-        RaggedRouting::from_routing(&routing)
-    } else {
-        let caps = comm.all_gather(&[routing.capacity as f32])?;
-        let cap = caps.iter().fold(0, |cap, &c| cap.max(c as usize));
-        routing.capacity = cap.div_ceil(cfg.degree) * cfg.degree;
-        RaggedRouting::uniform_capacity(&routing)
-    };
+    let (probs, routing) = gated?;
+    let bins = RaggedRouting::from_routing(&routing);
     let stepped = step::forward(&x, probs, routing, bins, &tel, |packed, offsets| {
         Ok::<_, ServeError>(exchange_bins(
             &mut comm,
@@ -353,64 +330,30 @@ mod tests {
     }
 
     #[test]
-    fn grouped_step_matches_padded_twin_and_reference_bitwise() {
-        // P1 at one thread: the dropless grouped step, the padded
-        // capacity twin, and the solo reference must agree bit for
-        // bit — only the wire layout differs.
-        let dims = ModelDims::small(2);
-        let model = ServeModel::materialize(dims, 7).unwrap();
-        let x = batch(&dims, 9, 11);
-        let expect = reference_rows(&model, &x).unwrap();
-        for algo in [AllToAllAlgo::Linear, AllToAllAlgo::TwoDh] {
-            for degree in [1, 2] {
-                let mut cfg = ExecConfig {
-                    strategy: Strategy::P1,
-                    algo,
-                    degree,
-                    world: 2,
-                    threads: 1,
-                    dropless: true,
-                };
-                let grouped = execute_step(&model, &cfg, &x).unwrap();
-                cfg.dropless = false;
-                let padded = execute_step(&model, &cfg, &x).unwrap();
-                assert_eq!(
-                    grouped.outputs.as_slice(),
-                    expect.as_slice(),
-                    "grouped vs reference ({})",
-                    cfg.label()
-                );
-                assert_eq!(
-                    grouped.outputs.as_slice(),
-                    padded.outputs.as_slice(),
-                    "grouped vs padded twin ({})",
-                    cfg.label()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn odd_world_step_is_bitwise_against_the_reference() {
-        // World 3 has no two-node shape; `Topology::for_world` serves
-        // it on one node of three ranks (2DH's degenerate grid).
-        let dims = ModelDims::small(3);
-        assert_eq!(dims.local_experts, 2);
-        let model = ServeModel::materialize(dims, 13).unwrap();
-        let x = batch(&dims, 10, 17);
-        let expect = reference_rows(&model, &x).unwrap();
-        for algo in AllToAllAlgo::ALL {
-            for degree in [1, 2] {
-                let cfg = ExecConfig {
-                    strategy: Strategy::P1,
-                    algo,
-                    degree,
-                    world: 3,
-                    threads: 1,
-                    dropless: true,
-                };
-                let got = execute_step(&model, &cfg, &x).unwrap();
-                assert_eq!(got.outputs.as_slice(), expect.as_slice(), "{}", cfg.label());
+    fn step_is_bitwise_against_the_reference() {
+        // P1 at one thread: the exact-bin step and the solo reference
+        // (padded kernels) must agree bit for bit — only the layout
+        // differs. World 3 has no two-node shape; `Topology::for_world`
+        // serves it on one node of three ranks (2DH's degenerate grid).
+        for (world, model_seed, rows, batch_seed) in [(2, 7, 9, 11), (3, 13, 10, 17)] {
+            let dims = ModelDims::small(world);
+            assert_eq!(dims.local_experts, 2);
+            let model = ServeModel::materialize(dims, model_seed).unwrap();
+            let x = batch(&dims, rows, batch_seed);
+            let expect = reference_rows(&model, &x).unwrap();
+            for algo in AllToAllAlgo::ALL {
+                for degree in [1, 2] {
+                    let cfg = ExecConfig {
+                        strategy: Strategy::P1,
+                        algo,
+                        degree,
+                        world,
+                        threads: 1,
+                        dropless: true,
+                    };
+                    let got = execute_step(&model, &cfg, &x).unwrap();
+                    assert_eq!(got.outputs.as_slice(), expect.as_slice(), "{}", cfg.label());
+                }
             }
         }
     }
@@ -418,8 +361,8 @@ mod tests {
     #[test]
     fn a_nan_row_fails_the_step_on_every_rank_without_blocking() {
         // Only rank 1 is dealt the NaN row (row 3 of 9, world 2). It
-        // must still walk through the all-gather and the exchange, or
-        // rank 0 waits for it forever: run the step on a thread so a
+        // must still walk through the exchange, or rank 0 waits for
+        // it forever: run the step on a thread so a
         // hang fails the test instead of stalling the suite.
         use std::sync::mpsc;
         use std::time::Duration;
@@ -437,14 +380,14 @@ mod tests {
         std::thread::spawn(move || {
             let model = ServeModel::materialize(dims, 7).unwrap();
             for strategy in [Strategy::P1, Strategy::P2] {
-                for (dropless, degree) in [(true, 1), (true, 2), (false, 1), (false, 2)] {
+                for degree in [1, 2] {
                     let cfg = ExecConfig {
                         strategy,
                         algo: AllToAllAlgo::Linear,
                         degree,
                         world: 2,
                         threads: 1,
-                        dropless,
+                        dropless: true,
                     };
                     for x in [&nan, &inf, &all] {
                         let got = execute_step(&model, &cfg, x).map(|out| out.capacity);
@@ -455,7 +398,7 @@ mod tests {
                 }
             }
         });
-        for _ in 0..24 {
+        for _ in 0..12 {
             let (label, got) = rx
                 .recv_timeout(Duration::from_secs(60))
                 .expect("a rank is blocked on a peer that failed to gate");
@@ -466,33 +409,5 @@ mod tests {
                 other => panic!("{label}: expected a NaN gate error, got {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn grouped_step_moves_fewer_wire_elements_than_padded() {
-        // The point of the exercise: exact routed counts on the wire.
-        // Header overhead is a few f32 per (peer, chunk); the padded
-        // twin ships E·C·M slabs regardless of routing.
-        let dims = ModelDims::small(4);
-        let model = ServeModel::materialize(dims, 3).unwrap();
-        let x = batch(&dims, 32, 5);
-        let mut cfg = ExecConfig {
-            strategy: Strategy::P1,
-            algo: AllToAllAlgo::Linear,
-            degree: 1,
-            world: 4,
-            threads: 1,
-            dropless: true,
-        };
-        let grouped = execute_step(&model, &cfg, &x).unwrap();
-        cfg.dropless = false;
-        let padded = execute_step(&model, &cfg, &x).unwrap();
-        assert_eq!(grouped.outputs.as_slice(), padded.outputs.as_slice());
-        assert!(
-            grouped.a2a_elems < padded.a2a_elems,
-            "grouped wire {} !< padded wire {}",
-            grouped.a2a_elems,
-            padded.a2a_elems
-        );
     }
 }

@@ -222,10 +222,11 @@ fn assignment_rows(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// One layout, three bin sizings: a routed row's bits — forward
+    /// One layout, four bin sizings: a routed row's bits — forward
     /// and backward — are the same under exact bins, under
     /// uniform-capacity bins with unowned slots, and under a clamped
-    /// routing that dropped some of its bin-mates, at either worker
+    /// routing that dropped some of its bin-mates, in its padded bins
+    /// or in the exact bins every product path runs, at either worker
     /// count and in either SIMD table.
     #[test]
     fn a_rows_bits_do_not_depend_on_how_its_bin_is_sized(
@@ -255,6 +256,7 @@ proptest! {
             ("exact", &dropless, RaggedRouting::from_routing(&dropless)),
             ("uniform", &roomy, uniform),
             ("clamped", &clamped, RaggedRouting::uniform_capacity(&clamped)),
+            ("clamped exact", &clamped, RaggedRouting::from_routing(&clamped)),
         ];
 
         let reference = dispatch::with_simd_mode(Some(false), || {

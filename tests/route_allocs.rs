@@ -1,5 +1,6 @@
-//! Heap allocations and arena balance of the gate chain, as exact
-//! counts — a signal no wall clock can blur.
+//! Heap allocations and arena balance of the gate chain and of a
+//! clamped step's exact bins, as exact counts — a signal no wall clock
+//! can blur.
 //!
 //! One `#[test]` in its own binary: the counting `#[global_allocator]`
 //! and the process-global arena must not see other tests. Counts are
@@ -10,8 +11,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use tutel_suite::gate::{route, RaggedRouting, RouteConfig};
+use tutel_suite::obs::{Event, TagValue, Telemetry};
 use tutel_suite::rt::{arena, with_parallelism_limit};
-use tutel_suite::tensor::Rng;
+use tutel_suite::tensor::{scratch, Rng};
 use tutel_suite::tutel::data::SyntheticVision;
 use tutel_suite::tutel::model::{cross_entropy, SwinLiteConfig, SwinLiteMoe};
 use tutel_suite::tutel::{MoeConfig, MoeLayer};
@@ -69,6 +71,17 @@ fn allocs_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
 
 const EXPERTS: usize = 64;
 
+/// The `packed_rows` tag of the newest `encode` span in `tel`.
+fn packed_rows(tel: &Telemetry) -> Option<u64> {
+    tel.events().into_iter().rev().find_map(|e| match e {
+        Event::Span(s) if s.name == "encode" => s.tags.into_iter().find_map(|(k, v)| match v {
+            TagValue::U64(n) if k == "packed_rows" => Some(n),
+            _ => None,
+        }),
+        _ => None,
+    })
+}
+
 #[test]
 fn gate_chain_allocations_do_not_scale_with_tokens_and_the_arena_balances() {
     with_parallelism_limit(1, || {
@@ -121,7 +134,11 @@ fn gate_chain_allocations_do_not_scale_with_tokens_and_the_arena_balances() {
             }
         }
         // Reported for the log; the bound stays the ≤ 1 000 above.
-        println!("many-experts fwd+bwd: {last} allocations per step");
+        let stats = arena().stats();
+        println!(
+            "many-experts fwd+bwd: {last} allocations per step, {} elements retained, {} evictions",
+            stats.retained_elems, stats.evictions
+        );
 
         // (d) The optimizer step of the default four-block model (six
         // `Linear`s, two dense FFNs, two MoE layers): every parameter
@@ -135,5 +152,61 @@ fn gate_chain_allocations_do_not_scale_with_tokens_and_the_arena_balances() {
             let (n, ()) = allocs_in(|| model.step(0.05));
             assert_eq!(n, 0, "SwinLiteMoe::step allocated {n} times");
         }
+
+        // (e) A clamping policy computes exactly its routed rows: the
+        // exact bins change length every step, and the arena's
+        // power-of-two capacity classes recycle them all the same.
+        let (m, tokens, experts) = (32, 1024usize, 8);
+        let moe = MoeConfig::new(m, 64, experts)
+            .with_top_k(2)
+            .with_capacity_factor(1.0);
+        let mut layer = MoeLayer::new(&moe, &mut rng).unwrap();
+        let tel = Telemetry::enabled();
+        layer.set_telemetry(tel.clone());
+        // E·C slots at f = 1: C = ⌈k·T/E⌉.
+        let slots = (2 * tokens).div_ceil(experts) * experts;
+        arena().clear();
+        let evictions = arena().stats().evictions;
+        let mut drops = std::collections::BTreeSet::new();
+        let (mut at_step_2, mut first, mut steady) = (None, 0, 0);
+        for step in 1..=40 {
+            let x = rng.normal_tensor(&[tokens, m], 0.0, 1.0);
+            let d_out = rng.normal_tensor(&[tokens, m], 0.0, 1.0);
+            let misses = arena().stats().misses;
+            let (n, out) = allocs_in(|| {
+                let out = layer.forward(&x).unwrap();
+                layer.backward(&d_out).unwrap();
+                layer.step(0.01);
+                out
+            });
+            if step == 1 {
+                first = n;
+            }
+            // The output leaves the step, the saved `x` clone enters
+            // it: hand the output back so takes and puts balance.
+            scratch::recycle(out.output);
+            let routed: usize = out.expert_load.iter().sum();
+            assert_eq!(packed_rows(&tel), Some(routed as u64), "step {step}");
+            assert_eq!(routed + out.dropped, 2 * tokens, "step {step}");
+            assert!(
+                out.dropped > 0 && routed < slots,
+                "step {step} dropped nothing"
+            );
+            drops.insert(out.dropped);
+            let stats = arena().stats();
+            assert_eq!(stats.evictions, evictions, "step {step} evicted");
+            if step > 1 {
+                assert_eq!(stats.misses, misses, "step {step} missed");
+                let retained = *at_step_2.get_or_insert(stats.retained_elems);
+                assert_eq!(
+                    stats.retained_elems, retained,
+                    "step {step} retention moved"
+                );
+                steady = steady.max(n);
+            }
+        }
+        assert!(drops.len() > 1, "every step dropped the same {drops:?}");
+        assert!(steady <= 200, "a clamped step allocated {steady} times");
+        println!("clamped fwd+bwd+step: {first} allocations at step 1, at most {steady} after");
     });
 }
