@@ -47,12 +47,20 @@ done
 
 echo "==> backward stage + FFN child-span attribution (wall-clock bounds, run alone)"
 # The stage spans must cover moe.backward to within 10 %, and
-# ffn.gemm1 / ffn.act / ffn.gemm2 must nest in order and cover ffn to
-# within 10 %. A timing ratio has no place in the parallel suite above
-# (or under --sched / --race below), so both tests are #[ignore]d
-# there and run here by name.
+# ffn.gemm1 (GEMM + bias + GELU epilogue) / ffn.gemm2 must nest in
+# order and cover ffn to within 10 %. A timing ratio has no place in
+# the parallel suite above (or under --sched / --race below), so both
+# tests are #[ignore]d there and run here by name.
 cargo test -q -p tutel --lib -- --ignored backward_stage_spans_account
 cargo test -q -p tutel-experts --lib -- --ignored ffn_child_spans
+
+echo "==> tanh port: all 2^32 inputs vs the host libm and the AVX2 lanes"
+# GELU's tanh is a port of glibc 2.36's tanhf, the libm every pinned
+# digest was recorded with: on every bit pattern the scalar port must
+# equal f32::tanh, and the AVX2 tanh / gelu / gelu_backward lanes the
+# scalar kernels. Release build, about 4 minutes on 2 cores; the
+# default suite runs an edge table plus every 65 537th pattern.
+cargo test -q --release -p tutel-tensor --lib -- --ignored tanh_port_matches_libm_and_avx2_exhaustively
 
 echo "==> determinism suite: TUTEL_SIMD={0,1} x TUTEL_THREADS={1,4}"
 # The kernel-table axis crossed with the pool axis: every cell of the

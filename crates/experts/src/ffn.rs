@@ -2,15 +2,19 @@
 //!
 //! `layer → GELU → layer` has one body, [`ExpertsBlock::ffn`]: training
 //! and inference differ only in whether it captures the activations the
-//! backward pass reads. Under enabled telemetry its three sub-stages
-//! are the child spans `ffn.gemm1` / `ffn.act` / `ffn.gemm2` of `ffn`.
-//! The four parameters are [`Param`]s, so the optimizer step is one
-//! call per parameter.
+//! backward pass reads. Each layer is one storing grouped-GEMM launch
+//! whose per-row-block epilogue adds the bias and, after the first
+//! layer, applies GELU (the kernel table's `gelu`) while the block is
+//! still in cache; the backward applies GELU′ the same way. Under
+//! enabled telemetry the two launches are the child spans `ffn.gemm1`
+//! / `ffn.gemm2` of `ffn`. The four parameters are [`Param`]s, so the
+//! optimizer step is one call per parameter.
 
 use tutel_obs::Telemetry;
+use tutel_rt::SameRanges;
 use tutel_tensor::{
-    gelu_backward_with_tanh, gelu_slice_with_tanh, grouped_gemm, grouped_gemm_nt, grouped_gemm_tn,
-    quantize_in_place, scratch, uniform_offsets, Param, Precision, Rng, Tensor, TensorError,
+    dispatch, grouped_gemm_into, grouped_gemm_nt_into, grouped_gemm_tn, quantize_in_place, scratch,
+    uniform_offsets, Param, Precision, Rng, Tensor, TensorError,
 };
 
 /// What a training forward keeps for [`ExpertsBlock::backward`]: the
@@ -281,7 +285,7 @@ impl ExpertsBlock {
     /// Returns a [`TensorError`] if `x` has the wrong shape.
     pub fn forward(&mut self, x: &Tensor) -> Result<Tensor, TensorError> {
         let offsets = self.uniform_bins(x)?;
-        self.forward_rows(x, &offsets)
+        Ok(self.forward_rows(x, &offsets))
     }
 
     /// Forward without caching (inference) over padded `x (ΔE, C, M)`.
@@ -291,7 +295,7 @@ impl ExpertsBlock {
     /// Returns a [`TensorError`] if `x` has the wrong shape.
     pub fn infer(&self, x: &Tensor) -> Result<Tensor, TensorError> {
         let offsets = self.uniform_bins(x)?;
-        self.infer_rows(x, &offsets)
+        Ok(self.infer_rows(x, &offsets))
     }
 
     /// Grouped (dropless) forward over packed ragged bins: `x (R, M)`
@@ -311,7 +315,7 @@ impl ExpertsBlock {
         offsets: &[usize],
     ) -> Result<Tensor, TensorError> {
         self.check_grouped(x, offsets)?;
-        self.forward_rows(x, offsets)
+        Ok(self.forward_rows(x, offsets))
     }
 
     /// Grouped forward without caching (inference).
@@ -321,7 +325,7 @@ impl ExpertsBlock {
     /// Returns a [`TensorError`] if `x` or `offsets` is inconsistent.
     pub fn infer_grouped(&self, x: &Tensor, offsets: &[usize]) -> Result<Tensor, TensorError> {
         self.check_grouped(x, offsets)?;
-        self.infer_rows(x, offsets)
+        Ok(self.infer_rows(x, offsets))
     }
 
     /// Backward of a grouped forward; [`ExpertsBlock::backward`] under
@@ -337,16 +341,16 @@ impl ExpertsBlock {
     /// Training forward over validated rows: the FFN body with capture
     /// on, its activations parked for [`Self::backward`] beside a copy
     /// of the input and the bins.
-    fn forward_rows(&mut self, x: &Tensor, offsets: &[usize]) -> Result<Tensor, TensorError> {
-        let (y, kept) = self.ffn(x, offsets, true)?;
+    fn forward_rows(&mut self, x: &Tensor, offsets: &[usize]) -> Tensor {
+        let (y, kept) = self.ffn(x, offsets, true);
         self.saved =
             kept.map(|[h_pre, h, tanh]| (scratch::copy_of(x), h_pre, h, tanh, offsets.to_vec()));
-        Ok(y)
+        y
     }
 
     /// Inference over validated rows: the FFN body with capture off.
-    fn infer_rows(&self, x: &Tensor, offsets: &[usize]) -> Result<Tensor, TensorError> {
-        Ok(self.ffn(x, offsets, false)?.0)
+    fn infer_rows(&self, x: &Tensor, offsets: &[usize]) -> Tensor {
+        self.ffn(x, offsets, false).0
     }
 
     /// The FFN body, `layer → GELU → layer`: `x` is validated rows of
@@ -354,38 +358,39 @@ impl ExpertsBlock {
     /// `x`'s shape. With `capture` it also returns `[h_pre, h, tanh]` —
     /// the pre-activation, the GELU output and its `tanh`, which
     /// backward would otherwise spend most of its time re-evaluating;
-    /// without, the activation runs in place and the hidden buffer is
-    /// recycled.
+    /// without, the hidden buffer is recycled.
     // check:hot
-    fn ffn(
-        &self,
-        x: &Tensor,
-        offsets: &[usize],
-        capture: bool,
-    ) -> Result<(Tensor, Option<[Tensor; 3]>), TensorError> {
-        let _span = self.ffn_span("ffn", offsets);
-        let mut h = {
-            let _stage = self.obs.span("ffn.gemm1");
-            self.layer(x.as_slice(), &self.w1, &self.b1, offsets)
-        };
+    fn ffn(&self, x: &Tensor, offsets: &[usize], capture: bool) -> (Tensor, Option<[Tensor; 3]>) {
+        let _span = self.ffn_span(true, offsets);
+        let gelu = dispatch::table().gelu;
+        let mut h = scratch::raw(&[offsets[self.local_experts], self.hidden_dim]);
         let captured = {
-            let _stage = self.obs.span("ffn.act");
+            let _stage = self.obs.span("ffn.gemm1");
+            let (w1, b1) = (&self.w1, &self.b1);
             if capture {
-                let h_pre = h;
-                h = scratch::zeroed(h_pre.dims());
-                let mut tanh = scratch::zeroed(h_pre.dims());
-                gelu_slice_with_tanh(h_pre.as_slice(), h.as_mut_slice(), tanh.as_mut_slice());
+                // GELU in place over the launch's own output; its input
+                // and `tanh` land beside it, in the block's rows.
+                let (mut h_pre, mut tanh) = (scratch::raw(h.dims()), scratch::raw(h.dims()));
+                let beside =
+                    SameRanges::new(h.as_slice(), [h_pre.as_mut_slice(), tanh.as_mut_slice()]);
+                self.layer(x.as_slice(), w1, b1, offsets, h.as_mut_slice(), |block| {
+                    let (block, [pre, tanh]) = beside.split(block);
+                    gelu(block, Some((pre, tanh)));
+                });
                 Some((h_pre, tanh))
             } else {
-                h.gelu_in_place();
+                self.layer(x.as_slice(), w1, b1, offsets, h.as_mut_slice(), |block| {
+                    gelu(block, None)
+                });
                 None
             }
         };
-        let mut y = {
+        let mut y = scratch::raw(x.dims());
+        {
             let _stage = self.obs.span("ffn.gemm2");
-            self.layer(h.as_slice(), &self.w2, &self.b2, offsets)
-        };
-        y.reshape_in_place(x.dims())?;
+            let (w2, b2) = (&self.w2, &self.b2);
+            self.layer(h.as_slice(), w2, b2, offsets, y.as_mut_slice(), |_| {});
+        }
         let kept = match captured {
             Some((h_pre, tanh)) => Some([h_pre, h, tanh]),
             None => {
@@ -393,18 +398,30 @@ impl ExpertsBlock {
                 None
             }
         };
-        Ok((y, kept))
+        (y, kept)
     }
 
-    /// One linear layer over packed rows: bin `e`'s rows times
-    /// `w[e] (K, N)` plus `b[e]`, as a single grouped-GEMM launch.
-    /// Returns `(R, N)`.
-    fn layer(&self, rows: &[f32], w: &Param, b: &Param, offsets: &[usize]) -> Tensor {
+    /// One linear layer over packed rows, stored into `out (R, N)`: bin
+    /// `e`'s rows times `w[e] (K, N)` plus `b[e]`, then `act` on every
+    /// finished row block — all inside a single grouped-GEMM launch.
+    fn layer(
+        &self,
+        rows: &[f32],
+        w: &Param,
+        b: &Param,
+        offsets: &[usize],
+        out: &mut [f32],
+        act: impl Fn(&mut [f32]) + Sync,
+    ) {
         let (k, n) = (w.w().dims()[1], w.w().dims()[2]);
-        let mut out = scratch::zeroed(&[offsets[self.local_experts], n]);
-        grouped_gemm(rows, w.w().as_slice(), out.as_mut_slice(), offsets, k, n);
-        add_bias(out.as_mut_slice(), b.w(), offsets);
-        out
+        let (bias, add_assign) = (b.w().as_slice(), dispatch::table().add_assign);
+        grouped_gemm_into(rows, w.w().as_slice(), out, offsets, k, n, |g, _, block| {
+            let b_g = &bias[g * n..(g + 1) * n];
+            for row in block.chunks_mut(n) {
+                add_assign(b_g, row);
+            }
+            act(block);
+        });
     }
 
     /// Backward pass: consumes the cached activations, accumulates
@@ -416,45 +433,48 @@ impl ExpertsBlock {
     /// # Errors
     ///
     /// Returns a [`TensorError`] if no forward is cached or `d_y` does
-    /// not have the forward input's shape.
+    /// not have the forward input's shape; a rejected `d_y` leaves the
+    /// cached activations in place for a corrected retry.
     // check:hot
     pub fn backward(&mut self, d_y: &Tensor) -> Result<Tensor, TensorError> {
-        let (x, h_pre, h, tanh, offsets) = self
-            .saved
-            .take()
-            .ok_or_else(|| TensorError::InvalidArgument("backward without forward".into()))?;
-        let _span = self.ffn_span("ffn.backward", &offsets);
-        if d_y.dims() != x.dims() {
-            return Err(TensorError::shape_mismatch(
-                "experts_backward",
-                d_y.dims(),
-                x.dims(),
-            ));
-        }
+        let (x, h_pre, h, tanh, offsets) = match self.saved.take() {
+            Some(saved) if saved.0.dims() == d_y.dims() => saved,
+            Some(saved) => {
+                let err =
+                    TensorError::shape_mismatch("experts_backward", d_y.dims(), saved.0.dims());
+                self.saved = Some(saved);
+                return Err(err);
+            }
+            None => {
+                return Err(TensorError::InvalidArgument(
+                    "backward without forward".into(),
+                ))
+            }
+        };
+        let _span = self.ffn_span(false, &offsets);
         let (m, v) = (self.model_dim, self.hidden_dim);
         let dys = d_y.as_slice();
         // dW2 += hᵀ · dY and db2 += Σ rows dY, bin by bin.
         grouped_gemm_tn(h.as_slice(), dys, self.w2.g_mut(), &offsets, v, m);
         accumulate_bias(&mut self.b2, dys, &offsets);
         // dW2 was the GELU output's last reader, so its buffer becomes
-        // the hidden-gradient slab: dh = dY · W2ᵀ, then through GELU in
-        // place (elementwise — bins don't interact).
+        // the hidden-gradient slab: dh = dY · W2ᵀ, each block scaled by
+        // GELU′ over its own rows inside the launch.
         let mut dh = h.into_vec();
-        dh.fill(0.0);
-        grouped_gemm_nt(dys, self.w2.w().as_slice(), &mut dh, &offsets, m, v);
-        gelu_backward_with_tanh(h_pre.as_slice(), tanh.as_slice(), &mut dh);
+        let gelu_backward = dispatch::table().gelu_backward;
+        let (pre, th) = (h_pre.as_slice(), tanh.as_slice());
+        let w2 = self.w2.w().as_slice();
+        grouped_gemm_nt_into(dys, w2, &mut dh, &offsets, m, v, |g, r0, block| {
+            let start = (offsets[g] + r0) * v;
+            let rows = start..start + block.len();
+            gelu_backward(&pre[rows.clone()], &th[rows], block);
+        });
         // dW1 += xᵀ · dh_pre; db1 += Σ rows dh_pre; dx = dh_pre · W1ᵀ.
         grouped_gemm_tn(x.as_slice(), &dh, self.w1.g_mut(), &offsets, m, v);
         accumulate_bias(&mut self.b1, &dh, &offsets);
-        let mut dx = scratch::zeroed(x.dims());
-        grouped_gemm_nt(
-            &dh,
-            self.w1.w().as_slice(),
-            dx.as_mut_slice(),
-            &offsets,
-            v,
-            m,
-        );
+        let mut dx = scratch::raw(x.dims());
+        let w1 = self.w1.w().as_slice();
+        grouped_gemm_nt_into(&dh, w1, dx.as_mut_slice(), &offsets, v, m, |_, _, _| {});
         tutel_rt::arena().put(dh);
         scratch::recycle(x);
         scratch::recycle(h_pre);
@@ -462,16 +482,23 @@ impl ExpertsBlock {
         Ok(dx)
     }
 
-    /// Opens a span over an FFN pass and counts its FLOPs: two GEMMs
-    /// over every row of every bin, `4·R·M·V` multiply-adds — with
-    /// exact bins that is the routed rows only.
-    fn ffn_span(&self, name: &str, offsets: &[usize]) -> tutel_obs::Span {
+    /// Opens the `ffn` (forward) or `ffn.backward` span and counts the
+    /// pass's work: two GEMMs over every row of every bin, `4·R·M·V`
+    /// multiply-adds — with exact bins that is the routed rows only —
+    /// and, forward only, `R·V` GELU evaluations (one `tanh` each).
+    fn ffn_span(&self, forward: bool, offsets: &[usize]) -> tutel_obs::Span {
+        let name = if forward { "ffn" } else { "ffn.backward" };
         if !self.obs.is_enabled() {
             return self.obs.span(name);
         }
         let rows = offsets[self.local_experts];
         let flops = 4 * rows * self.model_dim * self.hidden_dim;
         self.obs.add_counter("experts.flops", flops as u64);
+        if forward {
+            let gelu_elems = rows * self.hidden_dim;
+            self.obs
+                .add_counter("experts.gelu_elems", gelu_elems as u64);
+        }
         self.obs
             .span(name)
             .tag("local_experts", self.local_experts)
@@ -529,20 +556,6 @@ impl ExpertsBlock {
     pub fn zero_grad(&mut self) {
         for p in [&mut self.w1, &mut self.b1, &mut self.w2, &mut self.b2] {
             p.zero_grad();
-        }
-    }
-}
-
-/// Adds `bias (ΔE, cols)` to packed rows: expert `e`'s bias row lands
-/// on rows `offsets[e]..offsets[e+1]` of `t (R, cols)`.
-fn add_bias(t: &mut [f32], bias: &Tensor, offsets: &[usize]) {
-    let cols = bias.dims()[1];
-    for e in 0..bias.dims()[0] {
-        let b = &bias.as_slice()[e * cols..(e + 1) * cols];
-        for r in offsets[e]..offsets[e + 1] {
-            for (o, bv) in t[r * cols..(r + 1) * cols].iter_mut().zip(b) {
-                *o += bv;
-            }
         }
     }
 }
@@ -929,7 +942,8 @@ mod tests {
         ex.forward(&x).unwrap();
         ex.infer(&x).unwrap();
         // One traced pass, capture on or off: the `ffn` span and its
-        // three children, each exactly once.
+        // two children (GELU runs inside `ffn.gemm1`), each exactly
+        // once.
         let mut traced = |capture: bool| -> (SpanRecord, Vec<SpanRecord>) {
             let tel = Telemetry::enabled();
             ex.set_telemetry(tel.clone());
@@ -947,7 +961,7 @@ mod tests {
                 assert!(spans.next().is_none(), "one `{name}` span per pass");
                 first
             };
-            let children = ["ffn.gemm1", "ffn.act", "ffn.gemm2"];
+            let children = ["ffn.gemm1", "ffn.gemm2"];
             (span("ffn"), children.map(span).to_vec())
         };
         for capture in [true, false] {
@@ -981,6 +995,47 @@ mod tests {
         let mut rng = Rng::seed(5);
         let mut ex = ExpertsBlock::new(1, 2, 2, &mut rng);
         assert!(ex.backward(&Tensor::zeros(&[1, 1, 2])).is_err());
+    }
+
+    #[test]
+    fn a_rejected_upstream_keeps_the_forward_for_a_corrected_retry() {
+        let mut rng = Rng::seed(19);
+        let ex = ExpertsBlock::new(2, 3, 4, &mut rng);
+        let offsets = [0usize, 2, 5];
+        let x = rng.normal_tensor(&[5, 3], 0.0, 1.0);
+        let up = rng.normal_tensor(&[5, 3], 0.0, 1.0);
+        let mut clean = ex.clone();
+        clean.forward_grouped(&x, &offsets).unwrap();
+        let want = clean.backward_grouped(&up).unwrap();
+        let mut retried = ex;
+        retried.forward_grouped(&x, &offsets).unwrap();
+        assert!(retried.backward_grouped(&Tensor::zeros(&[4, 3])).is_err());
+        let got = retried.backward_grouped(&up).unwrap();
+        assert_eq!(got, want);
+        assert_eq!(retried.w1.g(), clean.w1.g());
+        assert_eq!(retried.b2.g(), clean.b2.g());
+    }
+
+    #[test]
+    fn gelu_elems_counts_rows_times_hidden_per_forward_only() {
+        let mut rng = Rng::seed(20);
+        let (m, v) = (3usize, 5usize);
+        let mut ex = ExpertsBlock::new(3, m, v, &mut rng);
+        let tel = Telemetry::enabled();
+        ex.set_telemetry(tel.clone());
+        let offsets = [0usize, 4, 4, 11];
+        let x = rng.normal_tensor(&[11, m], 0.0, 1.0);
+        ex.forward_grouped(&x, &offsets).unwrap();
+        assert_eq!(tel.counter_value("experts.gelu_elems"), Some(11 * v as u64));
+        ex.infer_grouped(&x, &offsets).unwrap();
+        ex.backward_grouped(&x).unwrap();
+        assert_eq!(
+            tel.counter_value("experts.gelu_elems"),
+            Some(2 * 11 * v as u64)
+        );
+        // Padded input: every capacity row is a computed row.
+        ex.infer(&rng.normal_tensor(&[3, 2, m], 0.0, 1.0)).unwrap();
+        assert_eq!(tel.counter_value("experts.gelu_elems"), Some(28 * v as u64));
     }
 
     #[test]

@@ -40,4 +40,5 @@ pub mod pool;
 pub use arena::{arena, Arena, ArenaStats};
 pub use pool::{
     parallel_chunks, parallel_for, parallel_ranges, pool_stats, with_parallelism_limit, PoolStats,
+    SameRanges,
 };

@@ -475,6 +475,98 @@ pub fn parallel_ranges<T: Send>(
     });
 }
 
+/// Buffers written *beside* a primary one from inside pool chunks:
+/// [`split`](Self::split) trades a chunk `&mut primary[s..e]` for the
+/// chunk plus `&mut other[s..e]` of every other buffer. A chunk job of
+/// [`parallel_ranges`] over the primary can so fill several outputs
+/// over its own range — an epilogue storing an activation beside its
+/// input, say — with disjointness still proven by the types: the
+/// ranges are read off the chunk's address, and live `&mut` chunks
+/// never overlap.
+///
+/// ```
+/// let mut primary = vec![1.0f32; 64];
+/// let (mut twice, mut thrice) = (vec![0.0f32; 64], vec![0.0f32; 64]);
+/// let beside = tutel_rt::SameRanges::new(&primary, [&mut twice, &mut thrice]);
+/// tutel_rt::parallel_chunks(&mut primary, 16, |_, chunk| {
+///     let (chunk, [two, three]) = beside.split(chunk);
+///     for ((v, t2), t3) in chunk.iter_mut().zip(two).zip(three) {
+///         (*t2, *t3) = (2.0 * *v, 3.0 * *v);
+///         *v = 0.0;
+///     }
+/// });
+/// assert_eq!((twice[5], thrice[63], primary[0]), (2.0, 3.0, 0.0));
+/// ```
+pub struct SameRanges<'a, T, const N: usize> {
+    /// Address and element length of the primary buffer.
+    base: usize,
+    len: usize,
+    /// The other buffers, each `len` long, borrowed for `'a`.
+    others: [*mut T; N],
+    _borrow: std::marker::PhantomData<&'a mut [T]>,
+}
+
+// SAFETY: the pointers come from `&'a mut [T]` borrows held for `'a`,
+// and `split` hands out only ranges matching a live, exclusive chunk
+// of the primary, so concurrent callers touch disjoint elements — the
+// `parallel_ranges` argument. Elements are mutated (and so sent)
+// across threads, hence `T: Send` for both.
+unsafe impl<T: Send, const N: usize> Send for SameRanges<'_, T, N> {}
+// SAFETY: as above.
+unsafe impl<T: Send, const N: usize> Sync for SameRanges<'_, T, N> {}
+
+impl<'a, T, const N: usize> SameRanges<'a, T, N> {
+    /// Pairs `others` with `primary`'s element ranges.
+    ///
+    /// # Panics
+    ///
+    /// If an `others` buffer's length differs from `primary`'s, or `T`
+    /// is zero-sized.
+    pub fn new(primary: &[T], others: [&'a mut [T]; N]) -> Self {
+        assert!(
+            std::mem::size_of::<T>() > 0,
+            "SameRanges needs sized elements"
+        );
+        assert!(
+            others.iter().all(|o| o.len() == primary.len()),
+            "SameRanges buffers must all have the primary's length"
+        );
+        SameRanges {
+            base: primary.as_ptr() as usize,
+            len: primary.len(),
+            others: others.map(|o| o.as_mut_ptr()),
+            _borrow: std::marker::PhantomData,
+        }
+    }
+
+    /// `chunk`, a sub-slice of the primary buffer, back along with
+    /// every other buffer's elements over the same range.
+    ///
+    /// # Panics
+    ///
+    /// If a non-empty `chunk` does not lie on the primary's elements.
+    pub fn split<'c>(&'c self, chunk: &'c mut [T]) -> (&'c mut [T], [&'c mut [T]; N]) {
+        if chunk.is_empty() {
+            return (chunk, std::array::from_fn(|_| <&mut [T]>::default()));
+        }
+        let size = std::mem::size_of::<T>();
+        let offset = (chunk.as_ptr() as usize).wrapping_sub(self.base);
+        let start = offset / size;
+        assert!(
+            offset.is_multiple_of(size) && start <= self.len && chunk.len() <= self.len - start,
+            "SameRanges::split: the chunk is not part of the primary buffer"
+        );
+        let others = self.others.map(|p| {
+            // SAFETY: in bounds by the check above, in a buffer `'a`
+            // keeps borrowed; exclusive because `chunk` is a live `&mut`
+            // over the same range of the primary for `'c` and no other
+            // live chunk overlaps it, so no other `split` hands it out.
+            unsafe { std::slice::from_raw_parts_mut(p.add(start), chunk.len()) }
+        });
+        (chunk, others)
+    }
+}
+
 /// Raw-pointer wrapper that may cross threads; disjointness is
 /// guaranteed by the caller ([`parallel_ranges`]).
 struct SendPtr<T>(*mut T);
@@ -556,6 +648,33 @@ mod tests {
         assert_eq!(data[5], 2);
         assert_eq!(data[0], 1);
         assert_eq!(data[9], 1);
+    }
+
+    #[test]
+    fn same_ranges_pairs_every_chunk_with_its_range_and_nothing_else() {
+        let mut primary: Vec<u32> = (0..1000).collect();
+        let mut copy = vec![0u32; 1000];
+        {
+            let beside = SameRanges::new(&primary, [&mut copy]);
+            let ranges = [(0, 3), (3, 3), (10, 500), (500, 1000)];
+            parallel_ranges(&mut primary, &ranges, |_, chunk| {
+                let (chunk, [copy]) = beside.split(chunk);
+                copy.copy_from_slice(chunk);
+            });
+        }
+        // Elements 3..10 lie in no range: untouched beside as well.
+        assert!(copy[..3].iter().zip(0..).all(|(&c, i)| c == i));
+        assert!(copy[3..10].iter().all(|&c| c == 0));
+        assert!(copy[10..].iter().zip(10..).all(|(&c, i)| c == i));
+    }
+
+    #[test]
+    #[should_panic(expected = "not part of the primary")]
+    fn same_ranges_rejects_a_chunk_of_another_buffer() {
+        let primary = vec![0u8; 8];
+        let (mut other, mut stranger) = (vec![0u8; 8], vec![0u8; 8]);
+        let beside = SameRanges::new(&primary, [&mut other]);
+        beside.split(&mut stranger[2..4]);
     }
 
     #[test]

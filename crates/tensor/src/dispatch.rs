@@ -37,12 +37,26 @@
 //!    then the pair, then the scalar tail — in *both* modes; the AVX2
 //!    path accumulates the lanes in one register and extracts them
 //!    into the very same tree.
+//! 4. **Transcendentals are ported, not called.** A libm call is
+//!    scalar, branchy, and defined by whichever libm the host links,
+//!    so neither the AVX2 twin nor another host could match it bit
+//!    for bit. The GELU's `tanh` is therefore `dispatch::tanh`, a
+//!    branch-free port of glibc 2.36's `s_tanhf.c` + `s_expm1f.c`
+//!    that computes every path and selects by mask, with an AVX2 twin
+//!    that is the same data flow lane for lane (rule 2 — separate
+//!    `mul`/`add`, truncating `cvtt` for `k`, integer shifts for the
+//!    exponent tricks, `blendv` for the selects). The port equals
+//!    glibc 2.36's `tanhf` on all 2³² inputs, so digests pinned
+//!    against that libm keep their bits, and no digest depends on the
+//!    host's libm any more: elsewhere, the port is the definition.
+//!    (Softmax's `exp` is still a libm call, scalar in both modes.)
 //!
 //! Mode selection: `TUTEL_SIMD=0` forces scalar, unset or `1` uses
 //! AVX2 when the host has it (read once); [`set_simd_override`] flips
 //! the mode in-process so differential harnesses can compare both
 //! sides without re-exec.
 
+use std::hint::select_unpredictable as select;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -90,6 +104,10 @@ pub type Bf16PackFn = fn(&[f32], &mut [u16]);
 pub type Bf16UnpackFn = fn(&[u16], &mut [f32]);
 /// In-place rounding of every element to its nearest bf16 value.
 pub type Bf16RoundFn = fn(&mut [f32]);
+/// GELU in place, `h[i] ← gelu(h[i])`; see [`KernelTable::gelu`].
+pub type GeluFn = fn(&mut [f32], Option<(&mut [f32], &mut [f32])>);
+/// `g[i] *= gelu'(pre[i])`; see [`KernelTable::gelu_backward`].
+pub type GeluBackwardFn = fn(&[f32], &[f32], &mut [f32]);
 
 /// The resolved kernel set for one [`SimdMode`]. All pointers are
 /// plain safe `fn`s; the AVX2 entries wrap `#[target_feature]` bodies
@@ -121,6 +139,15 @@ pub struct KernelTable {
     pub bf16_unpack: Bf16UnpackFn,
     /// In-place bf16 rounding (`unpack(pack(x))` without the u16 hop).
     pub bf16_round: Bf16RoundFn,
+    /// GELU (tanh approximation) in place: `(h, keep)` replaces each
+    /// `h[i]` by `gelu(h[i])`; with `keep = Some((pre, tanh))`
+    /// (training) it also stores the input in `pre[i]` and
+    /// `tanh(inner(h[i]))` in `tanh[i]`, equal-length slices. Every
+    /// element is `ops::gelu_scalar` over the ported `tanh` (rule 4).
+    pub gelu: GeluFn,
+    /// `(pre, tanh, g)`: `g[i] *= gelu'(pre[i])`, reading the `tanh` a
+    /// capturing [`gelu`](Self::gelu) stored (`ops::gelu_derivative`).
+    pub gelu_backward: GeluBackwardFn,
 }
 
 static SCALAR_TABLE: KernelTable = KernelTable {
@@ -135,6 +162,8 @@ static SCALAR_TABLE: KernelTable = KernelTable {
     bf16_pack: scalar::bf16_pack,
     bf16_unpack: scalar::bf16_unpack,
     bf16_round: scalar::bf16_round,
+    gelu: scalar::gelu,
+    gelu_backward: scalar::gelu_backward,
 };
 
 /// `OVERRIDE` encodes [`set_simd_override`]: 0 = follow the
@@ -287,11 +316,97 @@ fn max_lanes_tree(lanes: &[f32; NR]) -> f32 {
     maxps(m0, m1)
 }
 
+/// `ln 2` split for the `expm1` argument reduction: `k · LN2_HI` is
+/// exact for every `k` the reduction produces (glibc `s_expm1f.c`).
+const LN2_HI: f32 = f32::from_bits(0x3f31_7180);
+const LN2_LO: f32 = f32::from_bits(0x3717_f7d1);
+const INV_LN2: f32 = f32::from_bits(0x3fb8_aa3b);
+/// `s_expm1f.c`'s scaled rational coefficients `Q1..Q5`.
+const EXPM1_Q: [f32; 5] = [
+    f32::from_bits(0xbd08_8889),
+    f32::from_bits(0x3ad0_0d01),
+    f32::from_bits(0xb8a6_70cd),
+    f32::from_bits(0x3686_7e54),
+    f32::from_bits(0xb457_edbb),
+];
+
+/// `tanh(x)`, bit-identical to glibc 2.36's `tanhf` (`s_tanhf.c` +
+/// `s_expm1f.c`, fdlibm) on every `f32` — the [module-level](self)
+/// rule 4. Branch-free: every path is computed and the result picked
+/// by an unpredictable select, which the AVX2 twin mirrors with
+/// `blendv`; no libm call. NaN in, NaN out. Always inlined, so a plain
+/// loop over it (the scalar table's `gelu`) auto-vectorises: every
+/// step is a lane-wise IEEE operation, so that moves no bit.
+#[inline(always)]
+pub(crate) fn tanh(x: f32) -> f32 {
+    let ix = x.to_bits() & 0x7fff_ffff;
+    // |x| ≥ 1: tanh = 1 − 2/(expm1(2|x|) + 2); below: −t/(t + 2) with
+    // t = expm1(−2|x|).
+    let big = ix >= 0x3f80_0000;
+    let ax = f32::from_bits(ix);
+    let t = expm1_for_tanh(select(big, 2.0 * ax, -2.0 * ax));
+    let z = select(big, 1.0 - 2.0 / (t + 2.0), -t / (t + 2.0));
+    // |x| ≥ 22 (and ±inf): ±1 (`one - tiny` rounds to 1).
+    let z = select(ix >= 0x41b0_0000, 1.0, z);
+    let z = select(x.is_sign_negative(), -z, z);
+    // |x| < 2⁻⁵⁵, ±0 included.
+    let z = select(ix < 0x2400_0000, x * (1.0 + x), z);
+    select(ix > 0x7f80_0000, x + x, z)
+}
+
+/// `expm1(y)` (`s_expm1f.c`) on the arguments [`tanh`] selects:
+/// `2 ≤ y < 44` or `−2 < y ≤ 0`. That domain never meets the huge or
+/// non-finite filters nor the `k = 1` branch, so those are not ported;
+/// arguments outside it (from lanes [`tanh`] then discards) return an
+/// unspecified value without panicking.
+#[inline(always)]
+fn expm1_for_tanh(y: f32) -> f32 {
+    let hx = y.to_bits() & 0x7fff_ffff;
+    let neg = y.is_sign_negative();
+    // Reduce y = k·ln2 + x, |x| ≤ ln2/2: `k = ±1` on (ln2/2, 3·ln2/2),
+    // 0 below, where the formulas reduce exactly to `x = y`, `c = 0`.
+    // `as` truncates toward zero, as C's float → int conversion.
+    let k_far = (INV_LN2 * y + select(neg, -0.5, 0.5)) as i32;
+    let k = select(hx < 0x3f85_1592, select(neg, -1, 1), k_far);
+    let k = select(hx > 0x3eb1_7218, k, 0);
+    let kf = k as f32;
+    let hi = y - kf * LN2_HI;
+    let lo = kf * LN2_LO;
+    let x = hi - lo;
+    let c = (hi - x) - lo;
+    let [q1, q2, q3, q4, q5] = EXPM1_Q;
+    let hfx = 0.5 * x;
+    let hxs = x * hfx;
+    let r1 = 1.0 + hxs * (q1 + hxs * (q2 + hxs * (q3 + hxs * (q4 + hxs * q5))));
+    let t = 3.0 - r1 * hfx;
+    let e0 = hxs * ((r1 - t) / (6.0 - x * t));
+    let e = (x * (e0 - c) - c) - hxs;
+    // Adds `k` to a float's exponent field.
+    let scale = |v: f32| f32::from_bits(v.to_bits().wrapping_add((k << 23) as u32));
+    let r_k0 = x - (x * e0 - hxs);
+    let r_km1 = 0.5 * (x - e) - 0.5;
+    let r_far = scale(1.0 - (e - x)) - 1.0;
+    // 2 ≤ k < 23: t = 1 − 2⁻ᵏ (`checked_shr` is `srlv`'s 0 past 31).
+    let t_small = 0x3f80_0000 - 0x0100_0000u32.checked_shr(k as u32).unwrap_or(0);
+    let r_small = scale(f32::from_bits(t_small) - (e - x));
+    // 23 ≤ k ≤ 56: t = 2⁻ᵏ.
+    let t_mid = (0x7f_i32.wrapping_sub(k) as u32) << 23;
+    let r_mid = scale((x - (e + f32::from_bits(t_mid))) + 1.0);
+    // The C if-chain, lowest priority first.
+    let r = select(k < 23, r_small, r_mid);
+    let r = select(k <= -2 || k > 56, r_far, r);
+    let r = select(k == -1, r_km1, r);
+    let r = select(k == 0, r_k0, r);
+    // |y| < 2⁻²⁵: expm1(y) rounds to y.
+    select(hx < 0x3300_0000, y, r)
+}
+
 /// Portable reference kernels. These define the semantics; the AVX2
 /// twins must match them bit-for-bit (pinned by the dispatch
 /// proptests and the harness kernel-mode matrix).
 mod scalar {
     use super::{max_lanes_tree, maxps, sum_lanes_tree, MR, NR};
+    use crate::ops::{gelu_derivative, gelu_scalar};
 
     // The 9-ary signature IS the `MicroTileFn` table ABI: both modes
     // must share it exactly so the pointers are interchangeable.
@@ -416,6 +531,30 @@ mod scalar {
             *v = super::bf16_round_one(*v);
         }
     }
+
+    pub(super) fn gelu(h: &mut [f32], keep: Option<(&mut [f32], &mut [f32])>) {
+        match keep {
+            Some((pre, tanh)) => {
+                debug_assert!(pre.len() == h.len() && tanh.len() == h.len());
+                for ((v, p), t) in h.iter_mut().zip(pre).zip(tanh) {
+                    *p = *v;
+                    (*v, *t) = gelu_scalar(*v);
+                }
+            }
+            None => {
+                for v in h {
+                    *v = gelu_scalar(*v).0;
+                }
+            }
+        }
+    }
+
+    pub(super) fn gelu_backward(pre: &[f32], tanh: &[f32], g: &mut [f32]) {
+        debug_assert!(pre.len() == g.len() && tanh.len() == g.len());
+        for ((g, &x), &t) in g.iter_mut().zip(pre).zip(tanh) {
+            *g *= gelu_derivative(x, t);
+        }
+    }
 }
 
 /// Explicit AVX2 `f32x8` kernels. Every entry is a safe wrapper whose
@@ -425,13 +564,21 @@ mod scalar {
 /// [`simd_available`](super::simd_available) confirmed AVX2+FMA.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{max_lanes_tree, maxps, sum_lanes_tree, KernelTable, SimdMode, MR, NR};
+    use super::{
+        max_lanes_tree, maxps, sum_lanes_tree, KernelTable, SimdMode, EXPM1_Q, INV_LN2, LN2_HI,
+        LN2_LO, MR, NR,
+    };
+    use crate::ops::{gelu_derivative, gelu_scalar, GELU_CUBIC, SQRT_2_OVER_PI};
     use core::arch::x86_64::{
-        __m128i, __m256, __m256i, _mm256_add_epi32, _mm256_add_ps, _mm256_and_si256,
-        _mm256_cvtepu16_epi32, _mm256_div_ps, _mm256_loadu_ps, _mm256_loadu_si256, _mm256_max_ps,
-        _mm256_mul_ps, _mm256_packus_epi32, _mm256_permute4x64_epi64, _mm256_set1_epi32,
-        _mm256_set1_ps, _mm256_setzero_ps, _mm256_slli_epi32, _mm256_srli_epi32, _mm256_storeu_ps,
-        _mm256_storeu_si256, _mm_loadu_si128,
+        __m128i, __m256, __m256i, _mm256_add_epi32, _mm256_add_ps, _mm256_and_ps, _mm256_and_si256,
+        _mm256_blendv_epi8, _mm256_blendv_ps, _mm256_castps_si256, _mm256_castsi256_ps,
+        _mm256_cmpeq_epi32, _mm256_cmpgt_epi32, _mm256_cvtepi32_ps, _mm256_cvtepu16_epi32,
+        _mm256_cvttps_epi32, _mm256_div_ps, _mm256_loadu_ps, _mm256_loadu_si256, _mm256_max_ps,
+        _mm256_mul_ps, _mm256_or_si256, _mm256_packus_epi32, _mm256_permute4x64_epi64,
+        _mm256_set1_epi32, _mm256_set1_ps, _mm256_setzero_ps, _mm256_setzero_si256,
+        _mm256_slli_epi32, _mm256_srai_epi32, _mm256_srli_epi32, _mm256_srlv_epi32,
+        _mm256_storeu_ps, _mm256_storeu_si256, _mm256_sub_epi32, _mm256_sub_ps, _mm256_xor_ps,
+        _mm_loadu_si128,
     };
 
     pub(super) static TABLE: KernelTable = KernelTable {
@@ -446,6 +593,8 @@ mod avx2 {
         bf16_pack,
         bf16_unpack,
         bf16_round,
+        gelu,
+        gelu_backward,
     };
 
     /// Loads 8 consecutive `f32`s from a slice of length ≥ `off + 8`.
@@ -805,6 +954,273 @@ mod avx2 {
             *v = super::bf16_round_one(*v);
         }
     }
+
+    /// [`super::tanh`] on 8 lanes, the same operations in the same
+    /// order: each scalar `select` is a `blendv` between both computed
+    /// sides.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2.
+    #[target_feature(enable = "avx2")]
+    // SAFETY: `target_feature` makes this fn unsafe-to-call; callers
+    // are themselves AVX2-gated bodies. Register-only arithmetic.
+    unsafe fn tanh8(x: __m256) -> __m256 {
+        let ix = _mm256_and_si256(_mm256_castps_si256(x), _mm256_set1_epi32(0x7fff_ffff));
+        let big = _mm256_castsi256_ps(_mm256_cmpgt_epi32(ix, _mm256_set1_epi32(0x3f7f_ffff)));
+        let ax = _mm256_castsi256_ps(ix);
+        let (one, two, sign) = (
+            _mm256_set1_ps(1.0),
+            _mm256_set1_ps(2.0),
+            _mm256_set1_ps(-0.0),
+        );
+        let y = _mm256_blendv_ps(
+            _mm256_mul_ps(_mm256_set1_ps(-2.0), ax),
+            _mm256_mul_ps(two, ax),
+            big,
+        );
+        let t = expm1_for_tanh8(y);
+        let tp2 = _mm256_add_ps(t, two);
+        let z = _mm256_blendv_ps(
+            _mm256_div_ps(_mm256_xor_ps(t, sign), tp2),
+            _mm256_sub_ps(one, _mm256_div_ps(two, tp2)),
+            big,
+        );
+        let sat = _mm256_cmpgt_epi32(ix, _mm256_set1_epi32(0x41af_ffff));
+        let z = _mm256_blendv_ps(z, one, _mm256_castsi256_ps(sat));
+        // `-z` where x is negative: xor in x's sign bit.
+        let z = _mm256_xor_ps(z, _mm256_and_ps(x, sign));
+        let tiny = _mm256_cmpgt_epi32(_mm256_set1_epi32(0x2400_0000), ix);
+        let small = _mm256_mul_ps(x, _mm256_add_ps(one, x));
+        let z = _mm256_blendv_ps(z, small, _mm256_castsi256_ps(tiny));
+        let nan = _mm256_cmpgt_epi32(ix, _mm256_set1_epi32(0x7f80_0000));
+        _mm256_blendv_ps(z, _mm256_add_ps(x, x), _mm256_castsi256_ps(nan))
+    }
+
+    /// [`super::expm1_for_tanh`] on 8 lanes.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2.
+    #[target_feature(enable = "avx2")]
+    // SAFETY: `target_feature` makes this fn unsafe-to-call; callers
+    // are themselves AVX2-gated bodies. Register-only arithmetic.
+    unsafe fn expm1_for_tanh8(y: __m256) -> __m256 {
+        let ybits = _mm256_castps_si256(y);
+        let hx = _mm256_and_si256(ybits, _mm256_set1_epi32(0x7fff_ffff));
+        // `blendv` selects on the mask's sign bit, so `y` itself is
+        // the `y < 0` mask.
+        let half = _mm256_blendv_ps(_mm256_set1_ps(0.5), _mm256_set1_ps(-0.5), y);
+        let k_far = _mm256_cvttps_epi32(_mm256_add_ps(
+            _mm256_mul_ps(_mm256_set1_ps(INV_LN2), y),
+            half,
+        ));
+        // ±1 by y's sign: (y >> 31 arithmetic) | 1.
+        let k_one = _mm256_or_si256(_mm256_srai_epi32::<31>(ybits), _mm256_set1_epi32(1));
+        let far = _mm256_cmpgt_epi32(hx, _mm256_set1_epi32(0x3f85_1591));
+        let k = _mm256_blendv_epi8(k_one, k_far, far);
+        let k = _mm256_and_si256(k, _mm256_cmpgt_epi32(hx, _mm256_set1_epi32(0x3eb1_7218)));
+        let kf = _mm256_cvtepi32_ps(k);
+        let hi = _mm256_sub_ps(y, _mm256_mul_ps(kf, _mm256_set1_ps(LN2_HI)));
+        let lo = _mm256_mul_ps(kf, _mm256_set1_ps(LN2_LO));
+        let x = _mm256_sub_ps(hi, lo);
+        let c = _mm256_sub_ps(_mm256_sub_ps(hi, x), lo);
+        let one = _mm256_set1_ps(1.0);
+        let half = _mm256_set1_ps(0.5);
+        let hfx = _mm256_mul_ps(half, x);
+        let hxs = _mm256_mul_ps(x, hfx);
+        let mut poly = _mm256_set1_ps(EXPM1_Q[4]);
+        for q in [EXPM1_Q[3], EXPM1_Q[2], EXPM1_Q[1], EXPM1_Q[0]] {
+            poly = _mm256_add_ps(_mm256_set1_ps(q), _mm256_mul_ps(hxs, poly));
+        }
+        let r1 = _mm256_add_ps(one, _mm256_mul_ps(hxs, poly));
+        let t = _mm256_sub_ps(_mm256_set1_ps(3.0), _mm256_mul_ps(r1, hfx));
+        let e0 = _mm256_mul_ps(
+            hxs,
+            _mm256_div_ps(
+                _mm256_sub_ps(r1, t),
+                _mm256_sub_ps(_mm256_set1_ps(6.0), _mm256_mul_ps(x, t)),
+            ),
+        );
+        let e = _mm256_sub_ps(
+            _mm256_sub_ps(_mm256_mul_ps(x, _mm256_sub_ps(e0, c)), c),
+            hxs,
+        );
+        let k23 = _mm256_slli_epi32::<23>(k);
+        let r_k0 = _mm256_sub_ps(x, _mm256_sub_ps(_mm256_mul_ps(x, e0), hxs));
+        let r_km1 = _mm256_sub_ps(_mm256_mul_ps(half, _mm256_sub_ps(x, e)), half);
+        let r_far = _mm256_sub_ps(
+            add_exponent(_mm256_sub_ps(one, _mm256_sub_ps(e, x)), k23),
+            one,
+        );
+        let t_small = _mm256_castsi256_ps(_mm256_sub_epi32(
+            _mm256_set1_epi32(0x3f80_0000),
+            _mm256_srlv_epi32(_mm256_set1_epi32(0x0100_0000), k),
+        ));
+        let r_small = add_exponent(_mm256_sub_ps(t_small, _mm256_sub_ps(e, x)), k23);
+        let t_mid = _mm256_castsi256_ps(_mm256_slli_epi32::<23>(_mm256_sub_epi32(
+            _mm256_set1_epi32(0x7f),
+            k,
+        )));
+        let r_mid = add_exponent(
+            _mm256_add_ps(_mm256_sub_ps(x, _mm256_add_ps(e, t_mid)), one),
+            k23,
+        );
+        // The scalar if-chain, applied lowest priority first.
+        let is_far = _mm256_or_si256(
+            _mm256_cmpgt_epi32(_mm256_set1_epi32(-1), k),
+            _mm256_cmpgt_epi32(k, _mm256_set1_epi32(56)),
+        );
+        let picks = [
+            (r_small, _mm256_cmpgt_epi32(_mm256_set1_epi32(23), k)),
+            (r_far, is_far),
+            (r_km1, _mm256_cmpeq_epi32(k, _mm256_set1_epi32(-1))),
+            (r_k0, _mm256_cmpeq_epi32(k, _mm256_setzero_si256())),
+            (y, _mm256_cmpgt_epi32(_mm256_set1_epi32(0x3300_0000), hx)),
+        ];
+        let mut r = r_mid;
+        for (value, mask) in picks {
+            r = _mm256_blendv_ps(r, value, _mm256_castsi256_ps(mask));
+        }
+        r
+    }
+
+    /// Adds the pre-shifted `k << 23` to each lane's exponent field.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2.
+    #[target_feature(enable = "avx2")]
+    // SAFETY: `target_feature` makes this fn unsafe-to-call; callers
+    // are themselves AVX2-gated bodies. Register-only integer add.
+    unsafe fn add_exponent(v: __m256, k23: __m256i) -> __m256 {
+        _mm256_castsi256_ps(_mm256_add_epi32(_mm256_castps_si256(v), k23))
+    }
+
+    /// `ops::gelu_scalar` on 8 lanes: `(gelu, tanh(inner))`.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2.
+    #[target_feature(enable = "avx2")]
+    // SAFETY: `target_feature` makes this fn unsafe-to-call; callers
+    // are themselves AVX2-gated bodies. Register-only arithmetic.
+    unsafe fn gelu8(x: __m256) -> (__m256, __m256) {
+        let cube = _mm256_mul_ps(
+            _mm256_mul_ps(_mm256_mul_ps(_mm256_set1_ps(GELU_CUBIC), x), x),
+            x,
+        );
+        let th = tanh8(_mm256_mul_ps(
+            _mm256_set1_ps(SQRT_2_OVER_PI),
+            _mm256_add_ps(x, cube),
+        ));
+        let half_x = _mm256_mul_ps(_mm256_set1_ps(0.5), x);
+        (
+            _mm256_mul_ps(half_x, _mm256_add_ps(_mm256_set1_ps(1.0), th)),
+            th,
+        )
+    }
+
+    fn gelu(h: &mut [f32], keep: Option<(&mut [f32], &mut [f32])>) {
+        // SAFETY: reachable only through the detection-gated `TABLE`.
+        unsafe { gelu_body(h, keep) }
+    }
+
+    /// # Safety
+    ///
+    /// Requires AVX2 (guaranteed by the dispatch table's detection
+    /// gate).
+    #[target_feature(enable = "avx2")]
+    // SAFETY: `target_feature` makes this fn unsafe-to-call; the only
+    // caller is the detection-gated wrapper above.
+    unsafe fn gelu_body(h: &mut [f32], keep: Option<(&mut [f32], &mut [f32])>) {
+        match keep {
+            Some((pre, tanh)) => {
+                // The common prefix, as the scalar kernel's `zip`:
+                // every 8-lane access below is then in bounds.
+                let n = h.len().min(pre.len()).min(tanh.len());
+                let (h, pre, tanh) = (&mut h[..n], &mut pre[..n], &mut tanh[..n]);
+                let blocks = n / NR;
+                for c in 0..blocks {
+                    let x = load8(h, c * NR);
+                    let (g, t) = gelu8(x);
+                    store8(pre, c * NR, x);
+                    store8(h, c * NR, g);
+                    store8(tanh, c * NR, t);
+                }
+                for i in blocks * NR..n {
+                    pre[i] = h[i];
+                    (h[i], tanh[i]) = gelu_scalar(h[i]);
+                }
+            }
+            None => {
+                let blocks = h.len() / NR;
+                for c in 0..blocks {
+                    let (g, _) = gelu8(load8(h, c * NR));
+                    store8(h, c * NR, g);
+                }
+                for v in &mut h[blocks * NR..] {
+                    *v = gelu_scalar(*v).0;
+                }
+            }
+        }
+    }
+
+    fn gelu_backward(pre: &[f32], tanh: &[f32], g: &mut [f32]) {
+        // SAFETY: reachable only through the detection-gated `TABLE`.
+        unsafe { gelu_backward_body(pre, tanh, g) }
+    }
+
+    /// # Safety
+    ///
+    /// Requires AVX2 (guaranteed by the dispatch table's detection
+    /// gate).
+    #[target_feature(enable = "avx2")]
+    // SAFETY: `target_feature` makes this fn unsafe-to-call; the only
+    // caller is the detection-gated wrapper above.
+    unsafe fn gelu_backward_body(pre: &[f32], tanh: &[f32], g: &mut [f32]) {
+        let n = g.len().min(pre.len()).min(tanh.len());
+        let (pre, tanh, g) = (&pre[..n], &tanh[..n], &mut g[..n]);
+        let blocks = n / NR;
+        let (one, half) = (_mm256_set1_ps(1.0), _mm256_set1_ps(0.5));
+        // `ops::gelu_derivative`'s `3.0 * GELU_CUBIC * x * x` folds
+        // left to right, so the constant product comes first.
+        let cubic3 = _mm256_set1_ps(3.0 * GELU_CUBIC);
+        for c in 0..blocks {
+            let (x, t) = (load8(pre, c * NR), load8(tanh, c * NR));
+            let dinner = _mm256_mul_ps(
+                _mm256_set1_ps(SQRT_2_OVER_PI),
+                _mm256_add_ps(one, _mm256_mul_ps(_mm256_mul_ps(cubic3, x), x)),
+            );
+            let d = _mm256_add_ps(
+                _mm256_mul_ps(half, _mm256_add_ps(one, t)),
+                _mm256_mul_ps(
+                    _mm256_mul_ps(
+                        _mm256_mul_ps(half, x),
+                        _mm256_sub_ps(one, _mm256_mul_ps(t, t)),
+                    ),
+                    dinner,
+                ),
+            );
+            store8(g, c * NR, _mm256_mul_ps(load8(g, c * NR), d));
+        }
+        for i in blocks * NR..n {
+            g[i] *= gelu_derivative(pre[i], tanh[i]);
+        }
+    }
+
+    /// The AVX2 `tanh` lanes over every whole 8-lane block of `xs`
+    /// (a tail shorter than 8 is left as is), for the sweeps that
+    /// compare them with the scalar port.
+    #[cfg(test)]
+    pub(super) fn tanh_lanes(xs: &mut [f32]) {
+        assert!(super::simd_available(), "AVX2 lanes need an AVX2 host");
+        for c in 0..xs.len() / NR {
+            // SAFETY: AVX2 was detected just above; `c * NR + NR` is
+            // within `xs` by the loop bound.
+            unsafe { store8(xs, c * NR, tanh8(load8(xs, c * NR))) }
+        }
+    }
 }
 
 /// Packs `src` into bf16 storage (round-to-nearest-even) through the
@@ -947,6 +1363,117 @@ mod tests {
 
     fn bits(v: &[f32]) -> Vec<u32> {
         v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Equal bits, or both NaN.
+    fn same(a: f32, b: f32) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    /// Panics at the first `x` in `xs` where the scalar `tanh` port
+    /// differs from the host's `f32::tanh` or — on AVX2 hosts — from
+    /// the AVX2 `tanh` lanes. NaN equals NaN.
+    fn check_tanh(xs: &[f32]) {
+        let port: Vec<f32> = xs.iter().map(|&x| tanh(x)).collect();
+        for (&x, &p) in xs.iter().zip(&port) {
+            let libm = x.tanh();
+            assert!(
+                same(p, libm),
+                "tanh({x:e} = {:#010x}): port {p:e}, host libm {libm:e}. The port \
+                 reproduces glibc 2.36's s_tanhf.c + s_expm1f.c bit for bit; under \
+                 another libm the port is the definition",
+                x.to_bits()
+            );
+        }
+        if !simd_available() {
+            return;
+        }
+        let mut lanes = xs.to_vec();
+        avx2::tanh_lanes(&mut lanes);
+        let whole = xs.len() / NR * NR;
+        for ((&x, &p), &v) in xs.iter().zip(&port).zip(&lanes).take(whole) {
+            assert!(same(v, p), "AVX2 tanh({x:e}) = {v:e}, scalar {p:e}");
+        }
+    }
+
+    /// On AVX2 hosts, panics at the first `x` in `xs` where the AVX2
+    /// `gelu` (output, kept input, kept `tanh`) or `gelu_backward`
+    /// entry differs from the scalar one. NaN equals NaN.
+    fn check_gelu(xs: &[f32]) {
+        if !simd_available() {
+            return;
+        }
+        let run = |kt: &KernelTable| {
+            let mut h = xs.to_vec();
+            let (mut pre, mut th) = (vec![0.0; xs.len()], vec![0.0; xs.len()]);
+            (kt.gelu)(&mut h, Some((&mut pre, &mut th)));
+            let mut g: Vec<f32> = (0..xs.len()).map(|i| 0.5 + (i % 7) as f32).collect();
+            (kt.gelu_backward)(&pre, &th, &mut g);
+            [h, pre, th, g]
+        };
+        let (scalar, simd) = (run(&SCALAR_TABLE), run(simd_table()));
+        for (what, (s, v)) in ["gelu", "pre", "tanh", "gelu_backward"]
+            .iter()
+            .zip(scalar.iter().zip(&simd))
+        {
+            for ((&x, &s), &v) in xs.iter().zip(s).zip(v) {
+                assert!(same(s, v), "{what} at {x:e}: scalar {s:e}, AVX2 {v:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn tanh_port_matches_libm_and_avx2_on_edges_and_a_stride() {
+        // The branch boundaries of both glibc sources, a step either
+        // side, both signs: `tanh`'s own thresholds on x, and
+        // `expm1`'s on its argument ∓2|x| (so at x of half the size —
+        // one less in the exponent field).
+        let boundaries = [
+            0u32,
+            1,
+            0x2400_0000,
+            0x3eb1_7218,
+            0x3e31_7218,
+            0x3f85_1592,
+            0x3f05_1592,
+            0x3280_0000,
+            0x3f80_0000,
+            0x41b0_0000,
+            0x7f80_0000,
+            0x7fc0_0000,
+        ];
+        let mut xs: Vec<f32> = boundaries
+            .iter()
+            .flat_map(|&b| [b.saturating_sub(1), b, b + 1])
+            .flat_map(|b| [b, b | 0x8000_0000])
+            .map(f32::from_bits)
+            .collect();
+        xs.extend((0..=u32::MAX).step_by(65_537).map(f32::from_bits));
+        check_tanh(&xs);
+        check_gelu(&xs);
+    }
+
+    #[test]
+    #[ignore = "sweeps all 2^32 inputs (minutes in release): ci.sh runs it by name"]
+    fn tanh_port_matches_libm_and_avx2_exhaustively() {
+        // Small enough that the checks' scratch vectors stay below
+        // the allocator's mmap threshold and are recycled, not faulted.
+        const CHUNK: u64 = 1 << 12;
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
+        let chunks = (1u64 << 32) / CHUNK;
+        std::thread::scope(|s| {
+            for w in 0..workers {
+                s.spawn(move || {
+                    for c in (w..chunks).step_by(workers as usize) {
+                        let xs: Vec<f32> = (c * CHUNK..(c + 1) * CHUNK)
+                            .map(|b| f32::from_bits(b as u32))
+                            .collect();
+                        check_tanh(&xs);
+                        check_gelu(&xs);
+                    }
+                });
+            }
+        });
     }
 
     mod properties {

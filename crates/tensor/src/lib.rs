@@ -33,8 +33,9 @@ mod tensor;
 pub use dispatch::{set_simd_override, simd_available, simd_mode, SimdMode};
 pub use error::TensorError;
 pub use init::Rng;
-pub use linalg::{grouped_gemm, grouped_gemm_nt, grouped_gemm_tn, uniform_offsets};
-pub use ops::{gelu_backward_with_tanh, gelu_slice_with_tanh};
+pub use linalg::{
+    grouped_gemm, grouped_gemm_into, grouped_gemm_nt_into, grouped_gemm_tn, uniform_offsets,
+};
 pub use param::Param;
 pub use precision::{quantize, quantize_in_place, Precision};
 pub use shape::Shape;

@@ -7,14 +7,24 @@
 //! # One launch per transposition
 //!
 //! Every product in the workspace is one of three grouped launches over
-//! CSR row bins — [`grouped_gemm`] (`A·B`), [`grouped_gemm_nt`]
-//! (`A·Bᵀ`) and [`grouped_gemm_tn`] (`Aᵀ·B`) — and they are the only
-//! functions that touch the packed microkernel or the strip-mined
-//! `dot`. A dense product is the one-group launch: [`Tensor::matmul`],
+//! CSR row bins — [`grouped_gemm`] (`A·B`), [`grouped_gemm_nt_into`]
+//! (`A·Bᵀ`) and [`grouped_gemm_tn`] (`Aᵀ·B`) — and they (with
+//! [`grouped_gemm_into`], `A·B`'s storing form) are the only functions
+//! that touch the packed microkernel or the strip-mined `dot`. A dense
+//! product is the one-group launch: [`Tensor::matmul`],
 //! [`Tensor::matmul_nt`] and [`Tensor::matmul_tn`] pass the single bin
 //! `[0, rows]`, [`Tensor::bmm`] passes [`uniform_offsets`]. A backward
 //! pass that accumulates straight into a gradient buffer calls the
 //! grouped function itself with the same one-bin offsets.
+//!
+//! The `_into` launches *store* their product and take a per-row-block
+//! epilogue: each block is zero-filled, computed and then handed to the
+//! caller's closure inside one pool job, which is how the expert FFN
+//! applies bias and GELU (GELU′ in its backward) while the block is
+//! still in cache. The epilogue is elementwise per block, so it
+//! inherits the launch's determinism. `A·B` also accumulates
+//! ([`grouped_gemm`]), and `Aᵀ·B` only accumulates: its callers sum
+//! weight gradients.
 //!
 //! # Kernel design
 //!
@@ -114,7 +124,7 @@ impl Tensor {
     }
 
     /// `self × rhsᵀ` for rank-2 tensors: `(m, k) × (n, k)ᵀ → (m, n)`.
-    /// The one-group [`grouped_gemm_nt`] launch.
+    /// The one-group [`grouped_gemm_nt_into`] launch.
     ///
     /// Used by backward passes (`dX = dY Wᵀ`) without materializing the
     /// transpose.
@@ -127,9 +137,9 @@ impl Tensor {
     pub fn matmul_nt(&self, rhs: &Tensor) -> Result<Tensor> {
         check_operands("matmul_nt", self, rhs, 2, &[(1, 1)])?;
         let (m, k, n) = (self.dims()[0], self.dims()[1], rhs.dims()[0]);
-        let mut out = scratch::zeroed(&[m, n]);
-        let o = out.as_mut_slice();
-        grouped_gemm_nt(self.as_slice(), rhs.as_slice(), o, &[0, m], k, n);
+        let mut out = scratch::raw(&[m, n]);
+        let (a, b, o) = (self.as_slice(), rhs.as_slice(), out.as_mut_slice());
+        grouped_gemm_nt_into(a, b, o, &[0, m], k, n, |_, _, _| {});
         Ok(out)
     }
 
@@ -176,48 +186,80 @@ pub fn uniform_offsets(groups: usize, rows: usize) -> Vec<usize> {
 /// which rows share its micro-tile: grouped results are bit-identical
 /// to running the padded per-expert GEMM on the same rows.
 pub fn grouped_gemm(a: &[f32], b: &[f32], out: &mut [f32], offsets: &[usize], k: usize, n: usize) {
-    let groups = offsets.len().saturating_sub(1);
-    let total = offsets.last().copied().unwrap_or(0);
-    debug_assert_eq!(a.len(), total * k);
-    debug_assert_eq!(b.len(), groups * k * n);
-    debug_assert_eq!(out.len(), total * n);
-    if groups == 0 || total == 0 || n == 0 || k == 0 {
-        return;
+    if k > 0 {
+        nn(a, b, out, offsets, k, n, false, |_, _, _| {});
     }
-    let (ranges, meta) = grouped_ranges(offsets, n);
-    tutel_rt::parallel_ranges(out, &ranges, |idx, chunk| {
-        let (g, r0) = meta[idx];
-        let a_g = &a[offsets[g] * k..offsets[g + 1] * k];
-        let b_g = &b[g * k * n..(g + 1) * k * n];
-        block_packed(a_g, b_g, chunk, r0, chunk.len() / n, k, n, Layout::Nn { k });
-    });
 }
 
-/// Grouped `out += a · bᵀ` over ragged bins: `a` packed `(R, k)`,
-/// `b` one `(n, k)` matrix per group (row-major over `k`), `out`
-/// packed `(R, n)`. The backward-input primitive (`dH = dY · W2ᵀ`):
-/// both operands are row-major over `k`, so each output element is an
-/// 8-lane strip-mined dot product with a fixed horizontal-sum order.
-pub fn grouped_gemm_nt(
+/// Grouped `out = epilogue(a · b)` over the same layouts — `a` packed
+/// `(R, k)`, `b` `(G, k, n)`, `out` packed `(R, n)`: the
+/// [`grouped_gemm`] product *stored* rather than added (each row block
+/// is zero-filled inside its own pool job, so `out`'s prior contents
+/// are never read — an unzeroed arena buffer will do), then finished
+/// by `epilogue(group, first_row, block)` in that same job, while the
+/// block is still in cache. `first_row` is group-relative and `block`
+/// is that group's rows `first_row..first_row + block.len() / n`.
+/// Every block runs its epilogue even when `k == 0`, so a bias or an
+/// activation still lands on an empty reduction.
+#[allow(clippy::too_many_arguments)]
+pub fn grouped_gemm_into(
     a: &[f32],
     b: &[f32],
     out: &mut [f32],
     offsets: &[usize],
     k: usize,
     n: usize,
+    epilogue: impl Fn(usize, usize, &mut [f32]) + Sync,
 ) {
-    let groups = offsets.len().saturating_sub(1);
+    nn(a, b, out, offsets, k, n, true, epilogue);
+}
+
+/// The `A·B` launch behind [`grouped_gemm`] / [`grouped_gemm_into`].
+#[allow(clippy::too_many_arguments)]
+fn nn(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    offsets: &[usize],
+    k: usize,
+    n: usize,
+    store: bool,
+    epilogue: impl Fn(usize, usize, &mut [f32]) + Sync,
+) {
     let total = offsets.last().copied().unwrap_or(0);
     debug_assert_eq!(a.len(), total * k);
-    debug_assert_eq!(b.len(), groups * n * k);
-    debug_assert_eq!(out.len(), total * n);
-    if groups == 0 || total == 0 || n == 0 {
-        return;
-    }
-    let (ranges, meta) = grouped_ranges(offsets, n);
-    tutel_rt::parallel_ranges(out, &ranges, |idx, chunk| {
+    debug_assert_eq!(b.len(), offsets.len().saturating_sub(1) * k * n);
+    row_blocks(out, offsets, n, store, |g, r0, chunk| {
+        let a_g = &a[offsets[g] * k..offsets[g + 1] * k];
+        let b_g = &b[g * k * n..(g + 1) * k * n];
+        block_packed(a_g, b_g, chunk, r0, chunk.len() / n, k, n, Layout::Nn { k });
+        epilogue(g, r0, chunk);
+    });
+}
+
+/// Grouped `out = epilogue(a · bᵀ)` over ragged bins: `a` packed
+/// `(R, k)`, `b` one `(n, k)` matrix per group (row-major over `k`),
+/// `out` packed `(R, n)`. The backward-input primitive
+/// (`dH = dY · W2ᵀ`): both operands are row-major over `k`, so each
+/// output element is an 8-lane strip-mined dot product with a fixed
+/// horizontal-sum order. The product is stored and finished block by
+/// block exactly as [`grouped_gemm_into`] does for `a · b` (pass
+/// `|_, _, _| {}` for the bare product).
+#[allow(clippy::too_many_arguments)]
+pub fn grouped_gemm_nt_into(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    offsets: &[usize],
+    k: usize,
+    n: usize,
+    epilogue: impl Fn(usize, usize, &mut [f32]) + Sync,
+) {
+    let total = offsets.last().copied().unwrap_or(0);
+    debug_assert_eq!(a.len(), total * k);
+    debug_assert_eq!(b.len(), offsets.len().saturating_sub(1) * n * k);
+    row_blocks(out, offsets, n, true, |g, r0, chunk| {
         let dot = dispatch::table().dot;
-        let (g, r0) = meta[idx];
         let b_g = &b[g * n * k..(g + 1) * n * k];
         for (i, orow) in chunk.chunks_mut(n).enumerate() {
             let row = offsets[g] + r0 + i;
@@ -226,6 +268,33 @@ pub fn grouped_gemm_nt(
                 *o += dot(arow, &b_g[j * k..(j + 1) * k]);
             }
         }
+        epilogue(g, r0, chunk);
+    });
+}
+
+/// Runs `job(group, first_row, block)` over the row blocks of a packed
+/// `(R, cols)` output on the pool (one job per launch), zero-filling
+/// each block first when `store`. Blocks and their order come from
+/// [`grouped_ranges`] alone.
+fn row_blocks(
+    out: &mut [f32],
+    offsets: &[usize],
+    cols: usize,
+    store: bool,
+    job: impl Fn(usize, usize, &mut [f32]) + Sync,
+) {
+    let total = offsets.last().copied().unwrap_or(0);
+    debug_assert_eq!(out.len(), total * cols);
+    if offsets.len() < 2 || total == 0 || cols == 0 {
+        return;
+    }
+    let (ranges, meta) = grouped_ranges(offsets, cols);
+    tutel_rt::parallel_ranges(out, &ranges, |idx, chunk| {
+        let (g, r0) = meta[idx];
+        if store {
+            chunk.fill(0.0);
+        }
+        job(g, r0, chunk);
     });
 }
 
@@ -636,17 +705,26 @@ mod tests {
         let a = rng.normal_tensor(&[total, k], 0.0, 1.0);
         let b = rng.normal_tensor(&[groups, n, k], 0.0, 1.0);
         let mut out = vec![0.0f32; total * n];
-        grouped_gemm_nt(a.as_slice(), b.as_slice(), &mut out, &offsets, k, n);
+        grouped_gemm_nt_into(
+            a.as_slice(),
+            b.as_slice(),
+            &mut out,
+            &offsets,
+            k,
+            n,
+            |_, _, _| {},
+        );
         for g in 0..groups {
             let rows = offsets[g + 1] - offsets[g];
             let mut want = vec![0.0f32; rows * n];
-            grouped_gemm_nt(
+            grouped_gemm_nt_into(
                 &a.as_slice()[offsets[g] * k..offsets[g + 1] * k],
                 &b.as_slice()[g * n * k..(g + 1) * n * k],
                 &mut want,
                 &[0, rows],
                 k,
                 n,
+                |_, _, _| {},
             );
             assert_eq!(&out[offsets[g] * n..offsets[g + 1] * n], &want[..], "g{g}");
         }
@@ -778,7 +856,7 @@ mod tests {
                     }
                 }
                 let mut nt = vec![0.0f32; m * n];
-                grouped_gemm_nt(a.as_slice(), &btr, &mut nt, &[0, m], k, n);
+                grouped_gemm_nt_into(a.as_slice(), &btr, &mut nt, &[0, m], k, n, |_, _, _| {});
                 assert_close(&nt, &want, k);
             }
 
@@ -853,6 +931,73 @@ mod tests {
                                 out
                             });
                             assert_eq!(par, want, "mode {mode:?} limit {limit}");
+                        }
+                    });
+                }
+            }
+
+            /// A storing launch with an epilogue equals the separate
+            /// passes bit for bit: `A·B` + bias + GELU against
+            /// zeroed `grouped_gemm` → a bias loop → the table's
+            /// `gelu`, and `A·Bᵀ` + GELU′ against the bare product →
+            /// `gelu_backward` — over ragged bins with empty ones,
+            /// `k = 0` (bias and GELU still land), both kernel tables
+            /// and 1 or 4 workers. `out` starts as NaN, so a block the
+            /// launch failed to zero-fill shows.
+            #[test]
+            fn epilogue_launches_equal_the_separate_passes(
+                sizes in bins(),
+                k in 0usize..40,
+                n in 1usize..24,
+                seed in 0u64..1024,
+            ) {
+                let mut offsets = vec![0usize];
+                for s in &sizes {
+                    offsets.push(offsets.last().unwrap() + s);
+                }
+                let (groups, total) = (sizes.len(), *offsets.last().unwrap());
+                let mut rng = crate::Rng::seed(seed);
+                let mut draw = |len: usize| rng.normal_tensor(&[len.max(1)], 0.0, 1.0).as_slice()[..len].to_vec();
+                let (a, b, bt) = (draw(total * k), draw(groups * k * n), draw(groups * n * k));
+                let (bias, pre) = (draw(groups * n), draw(total * n));
+                let tanh: Vec<f32> = pre.iter().map(|&x| crate::ops::gelu_scalar(x).1).collect();
+                let modes: &[bool] = if crate::dispatch::simd_available() { &[false, true] } else { &[false] };
+                for &simd in modes {
+                    crate::dispatch::with_simd_mode(Some(simd), || {
+                        let kt = crate::dispatch::table();
+                        let mut want = vec![0.0f32; total * n];
+                        grouped_gemm(&a, &b, &mut want, &offsets, k, n);
+                        for g in 0..groups {
+                            for row in want[offsets[g] * n..offsets[g + 1] * n].chunks_mut(n) {
+                                for (o, bv) in row.iter_mut().zip(&bias[g * n..(g + 1) * n]) {
+                                    *o += bv;
+                                }
+                            }
+                        }
+                        (kt.gelu)(&mut want, None);
+                        let mut want_nt = vec![0.0f32; total * n];
+                        grouped_gemm_nt_into(&a, &bt, &mut want_nt, &offsets, k, n, |_, _, _| {});
+                        (kt.gelu_backward)(&pre, &tanh, &mut want_nt);
+                        for limit in [1usize, 4] {
+                            let (got, got_nt) = tutel_rt::with_parallelism_limit(limit, || {
+                                let mut got = vec![f32::NAN; total * n];
+                                grouped_gemm_into(&a, &b, &mut got, &offsets, k, n, |g, _, block| {
+                                    for row in block.chunks_mut(n) {
+                                        (kt.add_assign)(&bias[g * n..(g + 1) * n], row);
+                                    }
+                                    (kt.gelu)(block, None);
+                                });
+                                let mut got_nt = vec![f32::NAN; total * n];
+                                grouped_gemm_nt_into(&a, &bt, &mut got_nt, &offsets, k, n, |g, r0, block| {
+                                    let s = (offsets[g] + r0) * n;
+                                    let rows = s..s + block.len();
+                                    (kt.gelu_backward)(&pre[rows.clone()], &tanh[rows], block);
+                                });
+                                (got, got_nt)
+                            });
+                            let bits = |s: &[f32]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                            assert_eq!(bits(&got), bits(&want), "nn simd={simd} limit {limit}");
+                            assert_eq!(bits(&got_nt), bits(&want_nt), "nt simd={simd} limit {limit}");
                         }
                     });
                 }

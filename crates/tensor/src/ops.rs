@@ -1,28 +1,31 @@
 //! Elementwise and reduction operations used by gating and training.
 //!
 //! GELU (tanh approximation) is defined once, as the scalar pair
-//! `gelu_scalar` / `gelu_derivative`, and reached through three loops:
-//! [`Tensor::gelu_in_place`] (inference: the pre-activation is dead
-//! once activated), [`gelu_slice_with_tanh`] (training forward: keeps
-//! `tanh` for the backward) and [`gelu_backward_with_tanh`] (training
-//! backward: reads that `tanh` instead of re-evaluating it).
+//! `gelu_scalar` / `gelu_derivative` over the ported `dispatch::tanh`
+//! (no libm call: rule 4 of the [`dispatch`](crate::dispatch) module).
+//! It is reached only through the kernel table's `gelu` /
+//! `gelu_backward` entries, whose AVX2 twins are the same formulas
+//! lane for lane; the expert FFN runs them inside its grouped-GEMM
+//! epilogues.
 
 use crate::{Result, Tensor, TensorError};
 
 /// `√(2/π)`, the tanh approximation's inner scale.
-const SQRT_2_OVER_PI: f32 = 0.797_884_6;
+pub(crate) const SQRT_2_OVER_PI: f32 = 0.797_884_6;
 /// The tanh approximation's cubic coefficient.
-const GELU_CUBIC: f32 = 0.044715;
+pub(crate) const GELU_CUBIC: f32 = 0.044715;
 
 /// GELU, tanh approximation: `(gelu(x), tanh(inner(x)))`. The `tanh`
 /// is the expensive half and the only part the derivative shares.
-fn gelu_scalar(x: f32) -> (f32, f32) {
-    let th = (SQRT_2_OVER_PI * (x + GELU_CUBIC * x * x * x)).tanh();
+#[inline(always)]
+pub(crate) fn gelu_scalar(x: f32) -> (f32, f32) {
+    let th = crate::dispatch::tanh(SQRT_2_OVER_PI * (x + GELU_CUBIC * x * x * x));
     (0.5 * x * (1.0 + th), th)
 }
 
 /// `gelu'(x)` given `t = tanh(inner(x))` from [`gelu_scalar`].
-fn gelu_derivative(x: f32, t: f32) -> f32 {
+#[inline(always)]
+pub(crate) fn gelu_derivative(x: f32, t: f32) -> f32 {
     let dinner = SQRT_2_OVER_PI * (1.0 + 3.0 * GELU_CUBIC * x * x);
     0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
 }
@@ -101,15 +104,6 @@ impl Tensor {
             *v = f(*v);
         }
         out
-    }
-
-    /// GELU activation (tanh approximation, as used by transformer
-    /// FFNs) in place, for a pre-activation that is dead once
-    /// activated — the inference loop.
-    pub fn gelu_in_place(&mut self) {
-        for v in self.as_mut_slice() {
-            *v = gelu_scalar(*v).0;
-        }
     }
 
     /// Sum of all elements.
@@ -283,27 +277,6 @@ impl Tensor {
     }
 }
 
-/// The capturing GELU loop: writes `gelu(h_pre[i])` into `out[i]` and
-/// the intermediate `tanh` into `tanh_out[i]`. Training forward passes
-/// use this on arena buffers so the backward pass can apply
-/// [`gelu_backward_with_tanh`] without re-evaluating `tanh`, which
-/// dominates the activation cost. `out` is bit-identical to
-/// [`Tensor::gelu_in_place`] on the same values.
-pub fn gelu_slice_with_tanh(h_pre: &[f32], out: &mut [f32], tanh_out: &mut [f32]) {
-    for ((o, t), &x) in out.iter_mut().zip(tanh_out.iter_mut()).zip(h_pre) {
-        (*o, *t) = gelu_scalar(x);
-    }
-}
-
-/// The GELU backward loop, in place: scales each upstream gradient by
-/// `gelu'(h_pre[i])`, reading the `tanh` values captured by
-/// [`gelu_slice_with_tanh`].
-pub fn gelu_backward_with_tanh(h_pre: &[f32], tanh: &[f32], upstream: &mut [f32]) {
-    for ((g, &x), &t) in upstream.iter_mut().zip(h_pre).zip(tanh) {
-        *g *= gelu_derivative(x, t);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -313,26 +286,35 @@ mod tests {
     }
 
     #[test]
-    fn in_place_and_capturing_gelu_loops_agree_bit_for_bit() {
-        let n = 80;
-        let h_pre = Tensor::from_vec((-40..40).map(|i| i as f32 * 0.17).collect(), &[n]).unwrap();
-        let mut cached = vec![0.0; n];
-        let mut tanh = vec![0.0; n];
-        gelu_slice_with_tanh(h_pre.as_slice(), &mut cached, &mut tanh);
-        let mut in_place = h_pre.clone();
-        in_place.gelu_in_place();
-        assert_eq!(in_place.as_slice(), cached);
+    fn in_place_and_capturing_gelu_agree_bit_for_bit() {
+        let n = 83;
+        let h_pre: Vec<f32> = (0..n).map(|i| (i as f32 - 41.0) * 0.17).collect();
+        for force in [false, true] {
+            crate::dispatch::with_simd_mode(Some(force), || {
+                let kt = crate::dispatch::table();
+                let mut captured = h_pre.clone();
+                let (mut pre, mut tanh) = (vec![0.0; n], vec![0.0; n]);
+                (kt.gelu)(&mut captured, Some((&mut pre, &mut tanh)));
+                assert_eq!(pre, h_pre);
+                let mut in_place = h_pre.clone();
+                (kt.gelu)(&mut in_place, None);
+                assert_eq!(in_place, captured);
+                for i in 0..n {
+                    assert_eq!(gelu_scalar(h_pre[i]), (captured[i], tanh[i]), "i={i}");
+                }
 
-        // The backward loop scales, elementwise and in place: run on
-        // ones it yields the derivative, run on any upstream it yields
-        // that upstream times the same derivative.
-        let mut derivative = vec![1.0; n];
-        gelu_backward_with_tanh(h_pre.as_slice(), &tanh, &mut derivative);
-        let upstream: Vec<f32> = (0..n).map(|i| 0.3 + i as f32 * 0.01).collect();
-        let mut scaled = upstream.clone();
-        gelu_backward_with_tanh(h_pre.as_slice(), &tanh, &mut scaled);
-        for i in 0..n {
-            assert_eq!(scaled[i], upstream[i] * derivative[i], "i={i}");
+                // The backward scales, elementwise and in place: run on
+                // ones it yields the derivative, run on any upstream it
+                // yields that upstream times the same derivative.
+                let mut derivative = vec![1.0; n];
+                (kt.gelu_backward)(&h_pre, &tanh, &mut derivative);
+                let upstream: Vec<f32> = (0..n).map(|i| 0.3 + i as f32 * 0.01).collect();
+                let mut scaled = upstream.clone();
+                (kt.gelu_backward)(&h_pre, &tanh, &mut scaled);
+                for i in 0..n {
+                    assert_eq!(scaled[i], upstream[i] * derivative[i], "i={i}");
+                }
+            });
         }
     }
 
@@ -466,15 +448,13 @@ mod tests {
     #[test]
     fn gelu_backward_matches_finite_difference() {
         let x = [-2.0f32, -0.5, 0.0, 0.5, 2.0];
-        let mut tanh = [0.0f32; 5];
-        gelu_slice_with_tanh(&x, &mut [0.0; 5], &mut tanh);
+        let tanh = x.map(|v| gelu_scalar(v).1);
         let mut analytic = [1.0f32; 5];
-        gelu_backward_with_tanh(&x, &tanh, &mut analytic);
-        let gelu_sum = |x: &[f32]| {
-            let mut t = Tensor::from_vec(x.to_vec(), &[5]).unwrap();
-            t.gelu_in_place();
-            t.sum()
-        };
+        x.iter()
+            .zip(&tanh)
+            .zip(&mut analytic)
+            .for_each(|((&x, &t), g)| *g *= gelu_derivative(x, t));
+        let gelu_sum = |x: &[f32]| x.iter().map(|&v| gelu_scalar(v).0).sum::<f32>();
         let eps = 1e-3;
         for i in 0..5 {
             let mut xp = x;

@@ -8,7 +8,8 @@
 //! may simply be dropped.
 //!
 //! Numerics are unaffected by recycling: [`zeroed`] buffers are
-//! re-zeroed on checkout, so arena on/off cannot change results.
+//! re-zeroed on checkout and [`raw`] ones are fully overwritten by
+//! their first writer, so arena on/off cannot change results.
 
 use crate::Tensor;
 
@@ -19,6 +20,15 @@ pub fn zeroed(dims: &[usize]) -> Tensor {
     let data = tutel_rt::arena().take_zeroed(dims.iter().product());
     // Length matches the shape product by construction; the fallback
     // keeps this path free of typed errors.
+    Tensor::from_vec(data, dims).unwrap_or_else(|_| Tensor::zeros(dims))
+}
+
+/// A tensor of the given shape with **unspecified contents**, backed
+/// by a recycled buffer when one fits — for an output whose very next
+/// writer stores every element, such as a storing grouped launch
+/// ([`crate::grouped_gemm_into`]), which zero-fills inside its jobs.
+pub fn raw(dims: &[usize]) -> Tensor {
+    let data = tutel_rt::arena().take_raw(dims.iter().product());
     Tensor::from_vec(data, dims).unwrap_or_else(|_| Tensor::zeros(dims))
 }
 
