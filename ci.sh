@@ -15,6 +15,12 @@ cargo build --release
 echo "==> cargo test (tier-1: root suite)"
 cargo test -q
 
+echo "==> quickstart example: the Figure 8 custom layer on threaded ranks"
+# The paper's Figure 8 program (gate, fast encode, two Flexible
+# All-to-Alls, fast decode) runs per rank under run_threaded and
+# asserts its own output.
+cargo run --release -q --example quickstart > /dev/null
+
 echo "==> benchmark/: builds against this tree + 1-second smokes"
 # benchmark/ is its own workspace, so nothing above compiles it: an
 # API break against it would otherwise surface only when the pipeline

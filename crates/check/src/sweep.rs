@@ -12,7 +12,7 @@ use crate::explore::Finding;
 
 use tutel_comm::runtime::Communicator;
 use tutel_comm::sched::run_sched;
-use tutel_comm::{linear_all_to_all, two_dh_all_to_all, AllToAllAlgo, CommError, RankBuffers};
+use tutel_comm::{linear_all_to_all, AllToAllAlgo, CommError, RankBuffers};
 use tutel_simgpu::Topology;
 
 /// Sweep parameters: the topology and how many seeds to explore.
@@ -150,7 +150,7 @@ pub fn sweep_collectives(cfg: &SweepConfig) -> Vec<CollectiveSweep> {
     let a2a_expect = linear_all_to_all(&a2a_in);
 
     let twodh_in = labeled(n, cfg.chunk, 2);
-    let twodh_expect = two_dh_all_to_all(&twodh_in, &topo);
+    let twodh_expect = linear_all_to_all(&twodh_in);
 
     let gather_in: RankBuffers = (0..n)
         .map(|r| (0..cfg.chunk).map(|i| (r * 10 + i) as f32).collect())

@@ -1,9 +1,5 @@
 use std::fmt;
 
-use tutel_simgpu::Topology;
-
-use crate::{linear_all_to_all, two_dh_all_to_all, RankBuffers};
-
 /// All-to-All algorithm choice.
 ///
 /// Figure 5 of the paper shows neither algorithm dominates: linear wins
@@ -30,22 +26,6 @@ impl AllToAllAlgo {
             AllToAllAlgo::TwoDh => "2dh",
         }
     }
-
-    /// Runs the functional exchange with this algorithm.
-    ///
-    /// Both algorithms produce identical outputs; the choice matters
-    /// only for (simulated) performance.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the preconditions of the chosen algorithm (see
-    /// [`linear_all_to_all`] / [`two_dh_all_to_all`]).
-    pub fn run(&self, bufs: &RankBuffers, topology: &Topology) -> RankBuffers {
-        match self {
-            AllToAllAlgo::Linear => linear_all_to_all(bufs),
-            AllToAllAlgo::TwoDh => two_dh_all_to_all(bufs, topology),
-        }
-    }
 }
 
 impl fmt::Display for AllToAllAlgo {
@@ -60,17 +40,6 @@ impl fmt::Display for AllToAllAlgo {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn both_algorithms_agree() {
-        let topo = Topology::new(2, 2);
-        let bufs: RankBuffers = (0..4)
-            .map(|r| (0..8).map(|i| (r * 100 + i) as f32).collect())
-            .collect();
-        let a = AllToAllAlgo::Linear.run(&bufs, &topo);
-        let b = AllToAllAlgo::TwoDh.run(&bufs, &topo);
-        assert_eq!(a, b);
-    }
 
     #[test]
     fn display_names_and_labels() {

@@ -8,16 +8,15 @@
 //! chunks along and the dimension to *split* the input along — so that
 //! dispatch can produce `(ΔE, C, M)` whose shape is independent of `W`.
 
-use tutel_simgpu::Topology;
 use tutel_tensor::{Tensor, TensorError};
 
-use crate::{AllToAllAlgo, RankBuffers};
+use crate::runtime::Communicator;
+use crate::{AllToAllAlgo, CommError};
 
-/// Functional Flexible All-to-All over per-rank tensors.
-///
-/// Splits each rank's tensor into `W` equal parts along `split_dim`,
-/// exchanges part `d` of rank `s` to rank `d` (via `algo`), and
-/// concatenates the parts received by each rank along `concat_dim` in
+/// This rank's Flexible All-to-All, the paper's
+/// `net.flex_all2all(y, concat_dim, split_dim)`: splits `y` into `W`
+/// equal parts along `split_dim`, sends part `d` to rank `d` over
+/// `algo`, and concatenates the parts received along `concat_dim` in
 /// source-rank order.
 ///
 /// For MoE dispatch call with `(concat_dim, split_dim) = (1, 0)`:
@@ -26,182 +25,134 @@ use crate::{AllToAllAlgo, RankBuffers};
 ///
 /// # Errors
 ///
-/// Returns a [`TensorError`] if shapes are ragged across ranks, the
-/// split dimension is not divisible by `W`, or the dimension indices
-/// are out of range.
+/// The outer [`CommError`] is the exchange's: transport, or a received
+/// part whose length is not this rank's part length
+/// ([`CommError::Malformed`] — the peer passed another shape). The
+/// inner [`TensorError`] is this rank's alone: `y` does not split into
+/// `W` parts along `split_dim`, or `concat_dim` is out of range. A rank
+/// whose `y` does not split still joins the exchange with empty parts,
+/// so no peer blocks on it.
 ///
 /// # Example
 ///
 /// ```
-/// use tutel_comm::{flex::flex_all_to_all, AllToAllAlgo};
+/// use tutel_comm::{flex::flex_all_to_all, run_threaded, AllToAllAlgo};
 /// use tutel_simgpu::Topology;
 /// use tutel_tensor::Tensor;
 ///
 /// // W = 2, E = 2 experts, ΔC = 2, M = 1.
-/// let topo = Topology::single_node(2);
-/// let r0 = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2, 1])?;
-/// let r1 = Tensor::from_vec(vec![5.0, 6.0, 7.0, 8.0], &[2, 2, 1])?;
-/// let out = flex_all_to_all(&[r0, r1], 1, 0, AllToAllAlgo::Linear, &topo)?;
+/// let out = run_threaded(Topology::single_node(2), |mut comm| {
+///     let first = 1.0 + 4.0 * comm.rank() as f32;
+///     let y = Tensor::from_vec((0..4).map(|i| first + i as f32).collect(), &[2, 2, 1])?;
+///     flex_all_to_all(&mut comm, AllToAllAlgo::Linear, &y, 1, 0).unwrap()
+/// });
 /// // Rank 0 now owns expert 0 with capacity gathered from both ranks.
-/// assert_eq!(out[0].dims(), &[1, 4, 1]);
-/// assert_eq!(out[0].as_slice(), &[1.0, 2.0, 5.0, 6.0]);
-/// # Ok::<(), tutel_tensor::TensorError>(())
+/// let on_rank0 = out[0].as_ref().unwrap();
+/// assert_eq!(on_rank0.dims(), &[1, 4, 1]);
+/// assert_eq!(on_rank0.as_slice(), &[1.0, 2.0, 5.0, 6.0]);
 /// ```
 pub fn flex_all_to_all(
-    inputs: &[Tensor],
+    comm: &mut Communicator,
+    algo: AllToAllAlgo,
+    y: &Tensor,
     concat_dim: usize,
     split_dim: usize,
-    algo: AllToAllAlgo,
-    topology: &Topology,
-) -> Result<Vec<Tensor>, TensorError> {
-    let w = topology.world_size();
-    if inputs.len() != w {
-        return Err(TensorError::InvalidArgument(format!(
-            "{} input tensors for world size {w}",
-            inputs.len()
-        )));
-    }
-    let first_dims = inputs[0].dims().to_vec();
-    for t in inputs {
-        if t.dims() != first_dims.as_slice() {
-            return Err(TensorError::ShapeMismatch {
-                left: first_dims.clone(),
-                right: t.dims().to_vec(),
-                op: "flex_all_to_all",
-            });
+) -> Result<Result<Tensor, TensorError>, CommError> {
+    let world = comm.world_size();
+    let (sends, part_dims) = match y.split_axis(split_dim, world) {
+        Ok(parts) => {
+            let dims = parts[0].dims().to_vec();
+            (parts.into_iter().map(Tensor::into_vec).collect(), Ok(dims))
+        }
+        Err(e) => (vec![Vec::new(); world], Err(e)),
+    };
+    let received = comm.ialltoall_v(algo, sends)?.wait(comm)?;
+    let part_dims = match part_dims {
+        Ok(dims) => dims,
+        Err(e) => return Ok(Err(e)),
+    };
+    let mut parts = Vec::with_capacity(world);
+    for (src, buf) in received.into_iter().enumerate() {
+        let len = buf.len();
+        match Tensor::from_vec(buf, &part_dims) {
+            Ok(part) => parts.push(part),
+            Err(_) => {
+                return comm.malformed(src, format!("{len} elements for a {part_dims:?} part"))
+            }
         }
     }
-
-    // Split each rank's tensor and flatten the parts into one wire
-    // buffer per rank (part d occupies chunk d).
-    let mut part_dims: Vec<usize> = Vec::new();
-    let mut wire: RankBuffers = Vec::with_capacity(w);
-    for t in inputs {
-        let parts = t.split_axis(split_dim, w)?;
-        part_dims = parts[0].dims().to_vec();
-        let mut buf = Vec::with_capacity(t.len());
-        for p in parts {
-            buf.extend_from_slice(p.as_slice());
-        }
-        wire.push(buf);
-    }
-
-    // The exchange itself (both algorithms are exchange-equivalent).
-    let exchanged = algo.run(&wire, topology);
-
-    // Unflatten each received chunk and concatenate along concat_dim.
-    let chunk_len: usize = part_dims.iter().product();
-    let mut out = Vec::with_capacity(w);
-    for buf in exchanged {
-        let parts: Vec<Tensor> = buf
-            .chunks(chunk_len)
-            .map(|c| Tensor::from_vec(c.to_vec(), &part_dims))
-            .collect::<Result<_, _>>()?;
-        out.push(Tensor::concat_axis(&parts, concat_dim)?);
-    }
-    Ok(out)
-}
-
-/// The rigid layout a plain All-to-All produces for dispatch:
-/// `(E, ΔC, M) → (W·ΔE, ΔC, M)` (i.e. `(W, ΔE, ΔC, M)` flattened).
-///
-/// This is what Fairseq/DeepSpeed feed their expert GEMM; provided so
-/// benchmarks can compare expert-compute efficiency under both layouts.
-///
-/// # Errors
-///
-/// Returns a [`TensorError`] under the same conditions as
-/// [`flex_all_to_all`].
-pub fn rigid_all_to_all(
-    inputs: &[Tensor],
-    algo: AllToAllAlgo,
-    topology: &Topology,
-) -> Result<Vec<Tensor>, TensorError> {
-    flex_all_to_all(inputs, 0, 0, algo, topology)
+    Ok(Tensor::concat_axis(&parts, concat_dim))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run_threaded;
+    use tutel_simgpu::Topology;
 
-    /// Builds rank tensors (E, dc, m) where element value encodes
+    /// Rank `r`'s `(e, dc, m)` tensor; every element value encodes
     /// (rank, expert, cap, m) uniquely.
-    fn inputs(w: usize, e: usize, dc: usize, m: usize) -> Vec<Tensor> {
-        (0..w)
-            .map(|r| {
-                let data: Vec<f32> = (0..e * dc * m)
-                    .map(|i| (r * e * dc * m + i) as f32)
-                    .collect();
-                Tensor::from_vec(data, &[e, dc, m]).unwrap()
-            })
-            .collect()
-    }
-
-    #[test]
-    fn dispatch_layout_is_scale_independent() {
-        let topo = Topology::new(2, 2);
-        let (e, dc, m) = (4, 3, 2);
-        let out = flex_all_to_all(&inputs(4, e, dc, m), 1, 0, AllToAllAlgo::Linear, &topo).unwrap();
-        // ΔE = E/W = 1, C = W·ΔC = 12.
-        assert_eq!(out[0].dims(), &[1, 12, 2]);
+    fn input(rank: usize, e: usize, dc: usize, m: usize) -> Tensor {
+        let data = (0..e * dc * m).map(|i| (rank * e * dc * m + i) as f32);
+        Tensor::from_vec(data.collect(), &[e, dc, m]).unwrap()
     }
 
     #[test]
     fn dispatch_routes_expert_slabs_to_owners() {
-        let topo = Topology::single_node(2);
-        let (e, dc, m) = (2, 2, 1);
-        let ins = inputs(2, e, dc, m);
-        let out = flex_all_to_all(&ins, 1, 0, AllToAllAlgo::Linear, &topo).unwrap();
+        let out = run_threaded(Topology::single_node(2), |mut comm| {
+            let y = input(comm.rank(), 2, 2, 1);
+            flex_all_to_all(&mut comm, AllToAllAlgo::Linear, &y, 1, 0)
+        });
         // Rank 1 owns expert 1; capacity slots from rank 0 then rank 1.
-        let expect: Vec<f32> = vec![
-            ins[0].at(&[1, 0, 0]),
-            ins[0].at(&[1, 1, 0]),
-            ins[1].at(&[1, 0, 0]),
-            ins[1].at(&[1, 1, 0]),
+        let (r0, r1) = (input(0, 2, 2, 1), input(1, 2, 2, 1));
+        let expect = [
+            r0.at(&[1, 0, 0]),
+            r0.at(&[1, 1, 0]),
+            r1.at(&[1, 0, 0]),
+            r1.at(&[1, 1, 0]),
         ];
-        assert_eq!(out[1].as_slice(), expect.as_slice());
+        assert_eq!(
+            out[1],
+            Ok(Ok(Tensor::from_vec(expect.to_vec(), &[1, 4, 1]).unwrap()))
+        );
     }
 
     #[test]
-    fn combine_inverts_dispatch() {
-        let topo = Topology::new(2, 2);
-        let ins = inputs(4, 4, 2, 3);
-        let dispatched = flex_all_to_all(&ins, 1, 0, AllToAllAlgo::TwoDh, &topo).unwrap();
-        let combined = flex_all_to_all(&dispatched, 0, 1, AllToAllAlgo::TwoDh, &topo).unwrap();
-        for (orig, back) in ins.iter().zip(&combined) {
-            assert_eq!(orig, back);
+    fn one_rank_with_a_bad_shape_fails_every_rank_without_hanging() {
+        // Rank 2's experts do not split over the world: it joins with
+        // empty parts and reports its own error; every peer then
+        // receives a part of the wrong length. Rank 1's capacity
+        // differs: its parts have another length, so every peer of
+        // rank 1 — and rank 1 itself — sees a foreign length.
+        for (bad, dims) in [(2, [3, 2, 2]), (1, [4, 3, 2])] {
+            let got = run_threaded(Topology::new(2, 2), |mut comm| {
+                let rank = comm.rank();
+                let y = if rank == bad {
+                    Tensor::zeros(&dims)
+                } else {
+                    input(rank, 4, 2, 2)
+                };
+                let r = flex_all_to_all(&mut comm, AllToAllAlgo::TwoDh, &y, 1, 0);
+                (r, comm.parked_messages())
+            });
+            for (rank, (r, parked)) in got.into_iter().enumerate() {
+                match r {
+                    Ok(Err(_)) if rank == bad && dims[0] == 3 => {}
+                    Err(CommError::Malformed { rank: at, .. }) if at == rank => {}
+                    other => panic!("bad rank {bad}, rank {rank}: got {other:?}"),
+                }
+                assert_eq!(parked, 0, "rank {rank} leaked its mailbox");
+            }
         }
     }
 
     #[test]
-    fn linear_and_two_dh_produce_identical_flex_output() {
-        let topo = Topology::new(2, 4);
-        let ins = inputs(8, 8, 2, 2);
-        let a = flex_all_to_all(&ins, 1, 0, AllToAllAlgo::Linear, &topo).unwrap();
-        let b = flex_all_to_all(&ins, 1, 0, AllToAllAlgo::TwoDh, &topo).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn rigid_layout_keeps_world_dim() {
-        let topo = Topology::single_node(4);
-        let out = rigid_all_to_all(&inputs(4, 4, 3, 2), AllToAllAlgo::Linear, &topo).unwrap();
-        // (W·ΔE, ΔC, M) = (4·1, 3, 2).
-        assert_eq!(out[0].dims(), &[4, 3, 2]);
-    }
-
-    #[test]
-    fn rejects_wrong_rank_count() {
-        let topo = Topology::single_node(4);
-        let err = flex_all_to_all(&inputs(2, 4, 1, 1), 1, 0, AllToAllAlgo::Linear, &topo);
-        assert!(err.is_err());
-    }
-
-    #[test]
-    fn rejects_indivisible_split_dim() {
-        let topo = Topology::single_node(4);
-        // E = 3 not divisible by W = 4.
-        let err = flex_all_to_all(&inputs(4, 3, 1, 1), 1, 0, AllToAllAlgo::Linear, &topo);
-        assert!(err.is_err());
+    fn split_dim_not_divisible_by_the_world_is_a_local_error() {
+        // E = 3 over W = 4 on every rank: all join with empty parts.
+        let got = run_threaded(Topology::single_node(4), |mut comm| {
+            let y = input(comm.rank(), 3, 1, 1);
+            flex_all_to_all(&mut comm, AllToAllAlgo::Linear, &y, 1, 0)
+        });
+        assert!(got.iter().all(|r| matches!(r, Ok(Err(_)))), "{got:?}");
     }
 }

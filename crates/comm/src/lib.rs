@@ -2,39 +2,37 @@
 //!
 //! Implements the All-to-All family the paper builds on, in two layers:
 //!
-//! * a **functional layer** that actually moves `f32`s between per-rank
-//!   buffers — bit-exact, used by correctness tests and the end-to-end
-//!   model runs at small simulated world sizes; and
+//! * an **executed layer**, [`runtime`], that runs every simulated rank
+//!   on its own thread and moves real `f32`s between them over
+//!   point-to-point channels — bit-exact, and the only code that moves
+//!   data between ranks; and
 //! * a **timing layer** that prices every collective on a
 //!   [`tutel_simgpu`] cluster (link α–β models, message-size-dependent
 //!   bandwidth, strided-copy penalties) — used by the adaptive
 //!   mechanisms and the scaling benchmarks up to 4,096 simulated GPUs.
 //!
-//! The algorithms:
+//! The executed collectives are each rank's local program:
 //!
-//! * [`linear_all_to_all`] — NCCL-style point-to-point loop
-//!   (Algorithm 1 of the paper).
-//! * [`two_dh_all_to_all`] — the paper's Two-Dimensional Hierarchical
-//!   All-to-All (Algorithm 3): stride-memcpy align, intra-node exchange,
-//!   align again, inter-node exchange.
-//! * [`naive_local_agg_all_to_all`] — the strawman local-aggregation
-//!   algorithm of Figure 15 whose non-contiguous memory access 2DH
-//!   eliminates.
+//! * [`runtime::Communicator::ialltoall_v`] — the All-to-All, linear
+//!   (Algorithm 1 of the paper) or Two-Dimensional Hierarchical
+//!   (Algorithm 3), with its blocking and equal-chunk views;
 //! * [`flex::flex_all_to_all`] — Flexible All-to-All, whose output
-//!   layout `(ΔE, C, M)` is independent of world size.
-//! * ring [`primitives`]: all-gather, reduce-scatter, all-reduce.
+//!   layout `(ΔE, C, M)` is independent of world size;
+//! * ring [`runtime::Communicator::all_gather`] and
+//!   [`runtime::Communicator::all_reduce_sum`].
+//!
+//! [`linear_all_to_all`] is the one sequential collective: it takes
+//! every rank's buffer at once and is the tests' oracle for the
+//! exchange.
 
 mod algo;
 mod error;
 pub mod fault;
 pub mod flex;
 mod linear;
-mod local_agg;
-pub mod primitives;
 pub mod runtime;
 #[cfg(feature = "check-sched")]
 pub mod sched;
-mod stride;
 mod timing;
 mod world;
 
@@ -42,21 +40,16 @@ pub use algo::AllToAllAlgo;
 pub use error::CommError;
 pub use fault::{FaultAction, FaultPlan};
 pub use linear::linear_all_to_all;
-pub use local_agg::naive_local_agg_all_to_all;
 pub use runtime::{
     run_threaded, run_threaded_reliable, run_threaded_reliable_traced, run_threaded_traced,
     CommHandle, ReliableConfig, RetryPolicy,
 };
-pub use stride::stride_memcpy;
 pub use timing::{A2aImpl, A2aPhase, CollectiveTiming};
-pub use two_dh::two_dh_all_to_all;
 pub use world::World;
-
-mod two_dh;
 
 /// Per-rank buffers: `bufs[r]` is the flat row-major payload on rank `r`.
 ///
-/// Every functional collective takes and returns this shape. All ranks
-/// must hold equally sized buffers divisible into the per-peer chunks
-/// the collective requires.
+/// The sequential oracle [`linear_all_to_all`] takes and returns this
+/// shape. All ranks must hold equally sized buffers divisible into one
+/// chunk per rank.
 pub type RankBuffers = Vec<Vec<f32>>;

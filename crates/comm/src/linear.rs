@@ -1,13 +1,13 @@
-//! Linear All-to-All (Algorithm 1 of the paper): the NCCL
-//! `ncclSend`/`ncclRecv` loop every mainstream framework uses.
+//! The sequential All-to-All oracle: the exchange of Algorithm 1 of
+//! the paper, computed over every rank's buffer at once.
 
 use crate::RankBuffers;
 
-/// Functional linear All-to-All.
+/// Sequential linear All-to-All over all ranks' buffers.
 ///
 /// Each rank `r` splits its buffer into `n` equal chunks; chunk `d` of
 /// rank `r` is delivered to rank `d` at chunk position `r`. This is the
-/// exchange every variant in this crate must be equivalent to.
+/// exchange both routes of the threaded runtime are tested against.
 ///
 /// # Panics
 ///

@@ -1,18 +1,20 @@
-//! A threaded message-passing runtime: the NCCL-equivalent substrate.
+//! A threaded message-passing runtime: the NCCL-equivalent substrate,
+//! and the only code in this crate that moves data between ranks.
 //!
-//! The sequential functions in this crate ([`crate::linear_all_to_all`]
-//! etc.) compute collectives over all ranks at once — convenient for
-//! tests, but nothing like how a real cluster executes. This module
-//! runs every simulated rank on its **own OS thread** with only
-//! point-to-point channels between them (MPMC channels), and
-//! implements the collectives as each rank's local program — exactly
-//! the structure of Algorithm 1 and Algorithm 3 in the paper:
+//! Every simulated rank runs on its **own OS thread** with only
+//! point-to-point channels between them (MPMC channels), and the
+//! collectives are each rank's local program — exactly the structure
+//! of Algorithm 1 and Algorithm 3 in the paper:
 //!
 //! * [`Communicator::ialltoall_v`] — the All-to-All, linear or 2DH
-//!   (stride-align, intra-node exchange, align, inter-node exchange —
-//!   Figure 15 — with each rank only ever touching its own buffers);
+//!   (bucket by destination local rank, intra-node exchange, re-bucket
+//!   by destination node, inter-node exchange — Figure 15 — with each
+//!   rank only ever touching its own buffers);
 //! * ring [`Communicator::all_gather`] and
 //!   [`Communicator::all_reduce_sum`].
+//!
+//! [`crate::flex::flex_all_to_all`] is a per-rank view over
+//! [`Communicator::ialltoall_v`].
 //!
 //! # One All-to-All
 //!
@@ -30,11 +32,6 @@
 //! | [`Communicator::all_to_all_v_2dh`] | issue 2DH + `wait` |
 //! | [`Communicator::all_to_all`] | `W` equal buffers → linear → concatenate |
 //! | [`Communicator::all_to_all_2dh`] | `W` equal buffers → 2DH → concatenate |
-//!
-//! The sequential [`crate::linear_all_to_all`] and
-//! [`crate::two_dh_all_to_all`] (on the literal strided layout of
-//! Figure 15) share no code with it and stay as the unit tests'
-//! oracles.
 //!
 //! Every operation returns `Result<_, CommError>` instead of
 //! panicking, so rank programs can surface failures (and the
@@ -71,8 +68,8 @@
 //! When no reliability config is armed, none of this state exists and
 //! the hot path is exactly the plain channel send/recv.
 //!
-//! Unit tests assert bit-equality against the sequential reference
-//! implementations.
+//! Tests assert both routes bit-equal to the sequential oracle
+//! [`crate::linear_all_to_all`], which shares no code with them.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
@@ -1084,7 +1081,11 @@ impl Communicator {
     ///
     /// # Errors
     ///
-    /// Propagates any transport error.
+    /// [`CommError::Malformed`] if a shard arriving from the previous
+    /// rank is not `input.len()` long (ranks passed unequal inputs),
+    /// plus any transport error. A bad shard is skipped, not copied,
+    /// and the ring still runs to the end, so no peer blocks on this
+    /// rank.
     pub fn all_gather(&mut self, input: &[f32]) -> Result<Vec<f32>, CommError> {
         let _span = self.tracer.span(TRACK_COMM, "all_gather");
         let n = self.world_size();
@@ -1094,19 +1095,30 @@ impl Communicator {
         out[self.rank * shard..(self.rank + 1) * shard].copy_from_slice(input);
         let next = (self.rank + 1) % n;
         let prev = (self.rank + n - 1) % n;
+        let mut bad = None;
         // At step s, forward the shard that originated at rank - s.
         let mut carry = input.to_vec();
         for s in 0..n.saturating_sub(1) {
             self.send(next, tag + s as u64 * 0x10000, carry)?;
             carry = self.recv(prev, tag + s as u64 * 0x10000)?;
             let origin = (self.rank + n - 1 - s) % n;
-            out[origin * shard..(origin + 1) * shard].copy_from_slice(&carry);
+            if carry.len() == shard {
+                out[origin * shard..(origin + 1) * shard].copy_from_slice(&carry);
+            } else {
+                bad.get_or_insert((origin, carry.len()));
+            }
         }
         let tags: Vec<u64> = (0..n.saturating_sub(1))
             .map(|s| tag + s as u64 * 0x10000)
             .collect();
         self.collective_epilogue(&tags)?;
-        Ok(out)
+        match bad {
+            Some((origin, len)) => self.malformed(
+                prev,
+                format!("rank {origin}'s shard has {len} elements, not {shard}"),
+            ),
+            None => Ok(out),
+        }
     }
 
     /// Ring all-reduce (sum): reduce-scatter pass followed by an
@@ -1116,7 +1128,10 @@ impl Communicator {
     /// # Errors
     ///
     /// [`CommError::Indivisible`] if `input.len()` is not divisible by
-    /// the world size, plus any transport error.
+    /// the world size; [`CommError::Malformed`] if a shard arriving
+    /// from the previous rank is not `input.len()/n` long (it is
+    /// neither summed nor copied, and the ring still runs to the end);
+    /// plus any transport error.
     pub fn all_reduce_sum(&mut self, input: &[f32]) -> Result<Vec<f32>, CommError> {
         let _span = self.tracer.span(TRACK_COMM, "all_reduce_sum");
         let n = self.world_size();
@@ -1127,6 +1142,7 @@ impl Communicator {
         let next = (self.rank + 1) % n;
         let prev = (self.rank + n - 1) % n;
         let mut buf = input.to_vec();
+        let mut bad = None;
         let tag = self.fresh_tag();
         // Reduce-scatter: after n−1 steps, rank r owns the full sum of
         // shard (r+1) mod n.
@@ -1139,6 +1155,10 @@ impl Communicator {
                 buf[send_idx * shard..(send_idx + 1) * shard].to_vec(),
             )?;
             let payload = self.recv(prev, tag + s as u64 * 0x10000)?;
+            if payload.len() != shard {
+                bad.get_or_insert(payload.len());
+                continue;
+            }
             for (o, v) in buf[recv_idx * shard..(recv_idx + 1) * shard]
                 .iter_mut()
                 .zip(payload)
@@ -1157,13 +1177,20 @@ impl Communicator {
                 buf[send_idx * shard..(send_idx + 1) * shard].to_vec(),
             )?;
             let payload = self.recv(prev, tag_ag + s as u64 * 0x10000)?;
+            if payload.len() != shard {
+                bad.get_or_insert(payload.len());
+                continue;
+            }
             buf[recv_idx * shard..(recv_idx + 1) * shard].copy_from_slice(&payload);
         }
         let tags: Vec<u64> = (0..n - 1)
             .flat_map(|s| [tag + s as u64 * 0x10000, tag_ag + s as u64 * 0x10000])
             .collect();
         self.collective_epilogue(&tags)?;
-        Ok(buf)
+        match bad {
+            Some(len) => self.malformed(prev, format!("shard of {len} elements, not {shard}")),
+            None => Ok(buf),
+        }
     }
 }
 
@@ -1505,7 +1532,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{linear_all_to_all, two_dh_all_to_all, RankBuffers};
+    use crate::{linear_all_to_all, RankBuffers};
     use tutel_obs::trace::TraceHub;
 
     fn labeled(n: usize, chunk: usize) -> RankBuffers {
@@ -1530,7 +1557,7 @@ mod tests {
     fn threaded_2dh_matches_sequential() {
         let topo = Topology::new(2, 4);
         let bufs = labeled(8, 3);
-        let expect = two_dh_all_to_all(&bufs, &topo);
+        let expect = linear_all_to_all(&bufs);
         let bufs_ref = &bufs;
         let got = run_threaded(topo, |mut comm| {
             comm.all_to_all_2dh(&bufs_ref[comm.rank()]).unwrap()
@@ -1958,7 +1985,7 @@ mod tests {
             assert_eq!(comm.parked_messages(), 0);
             out.concat()
         });
-        assert_eq!(got, two_dh_all_to_all(&bufs, &topo));
+        assert_eq!(got, linear_all_to_all(&bufs));
     }
 
     #[test]
@@ -2010,7 +2037,7 @@ mod tests {
             assert_eq!(comm.parked_messages(), 0);
             (a, b, c)
         });
-        let (ea, eb) = (linear_all_to_all(&a), two_dh_all_to_all(&b, &topo));
+        let (ea, eb) = (linear_all_to_all(&a), linear_all_to_all(&b));
         for (rank, (a, b, c)) in got.into_iter().enumerate() {
             assert_eq!(a, ea[rank], "rank {rank}: first handle");
             assert_eq!(b, eb[rank], "rank {rank}: second handle");
@@ -2160,6 +2187,78 @@ mod tests {
         let (rejected, drained) = got[0].clone().expect("rank 0 reports");
         assert!(matches!(rejected, CommError::Malformed { peer: 1, .. }));
         assert_eq!(drained, Ok(vec![vec![1.0], vec![]]));
+    }
+
+    type Ring = fn(&mut Communicator, &[f32]) -> Result<Vec<f32>, CommError>;
+
+    /// Rank 1 skips the ring and raw-sends `[9.0; lens[i]]` under tag
+    /// `i + 1`, where rank 0's ring over `[1, 2, 3, 4]` listens (a
+    /// fresh communicator's first collective tags are 1, 2, …);
+    /// returns rank 0's result and how many messages its mailbox still
+    /// holds.
+    fn ring_with_rogue_peer(ring: Ring, lens: &[usize]) -> (Result<Vec<f32>, CommError>, usize) {
+        run_threaded(Topology::new(1, 2), |mut comm| {
+            if comm.rank() == 1 {
+                for (tag, &len) in (1..).zip(lens) {
+                    comm.send(0, tag, vec![9.0; len]).unwrap();
+                }
+                return (Ok(Vec::new()), 0);
+            }
+            let got = ring(&mut comm, &[1.0, 2.0, 3.0, 4.0]);
+            (got, comm.parked_messages())
+        })
+        .swap_remove(0)
+    }
+
+    #[test]
+    fn ring_collectives_refuse_a_peer_shard_of_the_wrong_length() {
+        // The shard length is outside input: a short all-gather shard
+        // used to panic in `copy_from_slice`, a short reduce-scatter
+        // shard was silently summed truncated, and a long shard in
+        // all-reduce's gather pass panicked.
+        let cases: [(&str, Ring, &[usize]); 3] = [
+            ("all_gather", Communicator::all_gather, &[1]),
+            ("reduce-scatter pass", Communicator::all_reduce_sum, &[1, 2]),
+            ("all-gather pass", Communicator::all_reduce_sum, &[2, 3]),
+        ];
+        for (what, ring, lens) in cases {
+            match ring_with_rogue_peer(ring, lens) {
+                (
+                    Err(CommError::Malformed {
+                        rank: 0, peer: 1, ..
+                    }),
+                    0,
+                ) => {}
+                other => panic!("{what}: expected Malformed and a clean mailbox, got {other:?}"),
+            }
+        }
+        // Well-formed shards from the same rogue are accepted.
+        let ok = ring_with_rogue_peer(Communicator::all_gather, &[4]);
+        assert_eq!(ok, (Ok(vec![1.0, 2.0, 3.0, 4.0, 9.0, 9.0, 9.0, 9.0]), 0));
+        let ok = ring_with_rogue_peer(Communicator::all_reduce_sum, &[2, 2]);
+        assert_eq!(ok, (Ok(vec![9.0, 9.0, 12.0, 13.0]), 0));
+    }
+
+    #[test]
+    fn unequal_all_gather_inputs_fail_every_rank_without_hanging() {
+        // Rank 1's shard is longer: every rank meets a foreign length
+        // at some ring step, and every rank still runs the ring to the
+        // end, so nobody waits on a rank that gave up.
+        let program = |mut comm: Communicator| {
+            let mine = vec![comm.rank() as f32; 2 + usize::from(comm.rank() == 1)];
+            (comm.all_gather(&mine), comm.parked_messages())
+        };
+        let topo = Topology::new(2, 2);
+        let plain = run_threaded(topo, program);
+        let reliable = run_threaded_reliable(topo, ReliableConfig::default(), program);
+        for (rank, (got, parked)) in plain.into_iter().chain(reliable).enumerate() {
+            let rank = rank % 4;
+            assert!(
+                matches!(got, Err(CommError::Malformed { rank: at, .. }) if at == rank),
+                "rank {rank}: {got:?}"
+            );
+            assert_eq!(parked, 0, "rank {rank} leaked its mailbox");
+        }
     }
 
     #[test]

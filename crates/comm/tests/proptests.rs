@@ -1,10 +1,10 @@
-//! Property-based tests: every All-to-All variant must implement the
-//! same exchange, and Flexible All-to-All must be self-inverse.
+//! Property-based tests: both routes of the threaded All-to-All must
+//! implement the sequential oracle's exchange, and Flexible All-to-All
+//! must be self-inverse.
 
 use proptest::prelude::*;
 use tutel_comm::{
-    flex::flex_all_to_all, linear_all_to_all, naive_local_agg_all_to_all, stride_memcpy,
-    two_dh_all_to_all, AllToAllAlgo, RankBuffers,
+    flex::flex_all_to_all, linear_all_to_all, run_threaded, AllToAllAlgo, RankBuffers,
 };
 use tutel_simgpu::Topology;
 use tutel_tensor::Tensor;
@@ -36,20 +36,22 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let topo = Topology::new(nnodes, gpn);
+        let n = topo.world_size();
         let bufs = rank_buffers(nnodes, gpn, chunk, seed);
-        prop_assert_eq!(two_dh_all_to_all(&bufs, &topo), linear_all_to_all(&bufs));
-    }
-
-    #[test]
-    fn naive_agg_equals_linear(
-        nnodes in 1usize..5,
-        gpn in 1usize..5,
-        chunk in 1usize..6,
-        seed in any::<u64>(),
-    ) {
-        let topo = Topology::new(nnodes, gpn);
-        let bufs = rank_buffers(nnodes, gpn, chunk, seed);
-        prop_assert_eq!(naive_local_agg_all_to_all(&bufs, &topo), linear_all_to_all(&bufs));
+        let bufs_ref = &bufs;
+        let got = run_threaded(topo, |mut comm| {
+            let mine = &bufs_ref[comm.rank()];
+            let equal = comm.all_to_all_2dh(mine).unwrap();
+            let sends: Vec<Vec<f32>> = mine.chunks(chunk).map(<[f32]>::to_vec).collect();
+            let ragged = comm.all_to_all_v_2dh(&sends).unwrap().concat();
+            (equal, ragged, comm.parked_messages())
+        });
+        let expect = linear_all_to_all(&bufs);
+        for (rank, (equal, ragged, parked)) in got.into_iter().enumerate() {
+            prop_assert_eq!(&equal, &expect[rank]);
+            prop_assert_eq!(&ragged, &expect[rank]);
+            prop_assert_eq!(parked, 0, "rank {} of {}", rank, n);
+        }
     }
 
     #[test]
@@ -75,66 +77,26 @@ proptest! {
         let topo = Topology::new(nnodes, gpn);
         let w = topo.world_size();
         let e = experts_per_rank * w;
-        let mut sd = seed;
-        let ins: Vec<Tensor> = (0..w).map(|_| {
-            sd = sd.wrapping_mul(6364136223846793005).wrapping_add(1);
+        let got = run_threaded(topo, |mut comm| {
+            let sd = seed.wrapping_add(comm.rank() as u64).wrapping_mul(6364136223846793005);
             let data: Vec<f32> = (0..e * dc * m)
                 .map(|i| ((sd.wrapping_add(i as u64) % 997) as f32) / 31.0)
                 .collect();
-            Tensor::from_vec(data, &[e, dc, m]).unwrap()
-        }).collect();
-        let dispatched = flex_all_to_all(&ins, 1, 0, AllToAllAlgo::TwoDh, &topo).unwrap();
-        // Dispatch output shape is W-independent: (ΔE, C, M).
-        prop_assert_eq!(dispatched[0].dims(), &[experts_per_rank, w * dc, m]);
-        let combined = flex_all_to_all(&dispatched, 0, 1, AllToAllAlgo::Linear, &topo).unwrap();
-        prop_assert_eq!(&combined, &ins);
-    }
-
-    #[test]
-    fn stride_align_unalign_is_identity_permutation(
-        row in 1usize..9,
-        col in 1usize..9,
-        chunk in 1usize..8,
-        seed in any::<u64>(),
-    ) {
-        // 2DH's align (phase 1/3) composed with its unalign (the same
-        // transpose with row/col swapped) must be the identity — in
-        // particular on *non-uniform* shapes where row ≠ col (a world
-        // size not divisible by the local world), where a wrong index
-        // formula would still pass square-shape tests.
-        let mut state = seed | 1;
-        let buf: Vec<f32> = (0..row * col * chunk).map(|_| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state % 4096) as f32 / 16.0
-        }).collect();
-        let aligned = stride_memcpy(&buf, chunk, row, col);
-        let back = stride_memcpy(&aligned, chunk, col, row);
-        let same_bits = back.iter().zip(&buf).all(|(a, b)| a.to_bits() == b.to_bits());
-        prop_assert!(same_bits, "round-trip is not the identity at row={row} col={col} chunk={chunk}");
-        // And the forward pass alone is a permutation (no chunk lost).
-        let mut before: Vec<u32> = buf.iter().map(|v| v.to_bits()).collect();
-        let mut after: Vec<u32> = aligned.iter().map(|v| v.to_bits()).collect();
-        before.sort_unstable();
-        after.sort_unstable();
-        prop_assert_eq!(before, after);
-    }
-
-    #[test]
-    fn exchange_conserves_multiset_of_values(
-        nnodes in 1usize..4,
-        gpn in 1usize..4,
-        chunk in 1usize..4,
-        seed in any::<u64>(),
-    ) {
-        let topo = Topology::new(nnodes, gpn);
-        let bufs = rank_buffers(nnodes, gpn, chunk, seed);
-        let out = two_dh_all_to_all(&bufs, &topo);
-        let mut before: Vec<u32> = bufs.iter().flatten().map(|v| v.to_bits()).collect();
-        let mut after: Vec<u32> = out.iter().flatten().map(|v| v.to_bits()).collect();
-        before.sort_unstable();
-        after.sort_unstable();
-        prop_assert_eq!(before, after);
+            let y = Tensor::from_vec(data, &[e, dc, m]).unwrap();
+            let mut flex = |algo, y: &Tensor, concat, split| {
+                flex_all_to_all(&mut comm, algo, y, concat, split).unwrap().unwrap()
+            };
+            let dispatched = flex(AllToAllAlgo::TwoDh, &y, 1, 0);
+            let linear = flex(AllToAllAlgo::Linear, &y, 1, 0);
+            let combined = flex(AllToAllAlgo::Linear, &dispatched, 0, 1);
+            (y, dispatched, linear, combined)
+        });
+        for (y, dispatched, linear, combined) in got {
+            // Dispatch output is (ΔE, C, M): only C = W·ΔC grows with W.
+            prop_assert_eq!(dispatched.dims(), &[experts_per_rank, w * dc, m]);
+            let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&dispatched), bits(&linear));
+            prop_assert_eq!(&combined, &y);
+        }
     }
 }

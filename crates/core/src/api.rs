@@ -19,7 +19,11 @@
 //!
 //! and this module provides the same vocabulary in Rust:
 //! [`moe::top_k_routing`], [`moe::fast_encode`], [`moe::fast_decode`],
-//! [`net::flex_all2all`].
+//! [`net::flex_all2all`]. As in the paper, the program is one rank's:
+//! `flex_all2all` takes the rank's
+//! [`Communicator`](tutel_comm::runtime::Communicator), so the layer
+//! runs on every rank of a [`run_threaded`](tutel_comm::run_threaded)
+//! world.
 
 /// `from tutel import moe` — routing and encode/decode.
 pub mod moe {
@@ -53,65 +57,56 @@ pub mod moe {
 
 /// `from tutel import net` — the communication layer.
 pub mod net {
-    use tutel_comm::AllToAllAlgo;
-    use tutel_simgpu::Topology;
+    use tutel_comm::runtime::Communicator;
+    use tutel_comm::{AllToAllAlgo, CommError};
     use tutel_tensor::{Tensor, TensorError};
 
-    /// Flexible All-to-All over per-rank tensors — the
+    /// This rank's Flexible All-to-All over the 2DH route — the
     /// `net.flex_all2all(y, concat_dim, split_dim)` of Figure 8 and
     /// Table 3. Dispatch: `(E, ΔC, M) → (ΔE, C, M)` with `(1, 0)`;
     /// combine: the inverse with `(0, 1)`.
     ///
     /// # Errors
     ///
-    /// Returns a [`TensorError`] under the conditions of
-    /// [`tutel_comm::flex::flex_all_to_all`].
+    /// As [`tutel_comm::flex::flex_all_to_all`]: the outer
+    /// [`CommError`] is the exchange's, the inner [`TensorError`] this
+    /// rank's own.
     pub fn flex_all2all(
-        inputs: &[Tensor],
+        comm: &mut Communicator,
+        y: &Tensor,
         concat_dim: usize,
         split_dim: usize,
-        topology: &Topology,
-    ) -> Result<Vec<Tensor>, TensorError> {
-        tutel_comm::flex::flex_all_to_all(
-            inputs,
-            concat_dim,
-            split_dim,
-            AllToAllAlgo::TwoDh,
-            topology,
-        )
+    ) -> Result<Result<Tensor, TensorError>, CommError> {
+        tutel_comm::flex::flex_all_to_all(comm, AllToAllAlgo::TwoDh, y, concat_dim, split_dim)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::{moe, net};
+    use tutel_comm::run_threaded;
     use tutel_simgpu::Topology;
     use tutel_tensor::{Rng, Tensor};
 
     #[test]
     fn figure8_custom_layer_end_to_end() {
-        // The full Figure 8 program, with a doubling "CustomExpert".
-        let topo = Topology::single_node(2);
-        let w = topo.world_size();
+        // The full Figure 8 program on every rank, with a doubling
+        // "CustomExpert".
         let (tokens, experts, m) = (8usize, 2usize, 4usize);
-        let mut rng = Rng::seed(1);
-        let gate_w = rng.normal_tensor(&[m, experts], 0.0, 0.1);
-
-        let mut encoded = Vec::new();
-        let mut crits = Vec::new();
-        for _ in 0..w {
-            let x = rng.normal_tensor(&[tokens, m], 0.0, 1.0);
-            let scores = x.matmul(&gate_w).unwrap().softmax_last();
+        let gate_w = Rng::seed(1).normal_tensor(&[m, experts], 0.0, 0.1);
+        let gate_w = &gate_w;
+        let outs = run_threaded(Topology::single_node(2), |mut comm| {
+            let x = Rng::seed(2 + comm.rank() as u64).normal_tensor(&[tokens, m], 0.0, 1.0);
+            let scores = x.matmul(gate_w).unwrap().softmax_last();
             let (crit, l_aux) = moe::top_k_routing(&scores, 2).unwrap();
             assert!(l_aux > 0.0);
-            encoded.push(moe::fast_encode(&x, &crit).unwrap());
-            crits.push(crit);
-        }
-        let dispatched = net::flex_all2all(&encoded, 1, 0, &topo).unwrap();
-        let expert_out: Vec<Tensor> = dispatched.iter().map(|t| t.scale(2.0)).collect();
-        let combined = net::flex_all2all(&expert_out, 0, 1, &topo).unwrap();
-        for (buf, crit) in combined.iter().zip(&crits) {
-            let out = moe::fast_decode(buf, crit, tokens).unwrap();
+            let y = moe::fast_encode(&x, &crit).unwrap();
+            let y = net::flex_all2all(&mut comm, &y, 1, 0).unwrap().unwrap();
+            let y = y.scale(2.0);
+            let y = net::flex_all2all(&mut comm, &y, 0, 1).unwrap().unwrap();
+            moe::fast_decode(&y, &crit, tokens).unwrap()
+        });
+        for out in outs {
             assert_eq!(out.dims(), &[tokens, m]);
             assert!(out.max_abs().is_finite());
         }

@@ -10,7 +10,7 @@
 //! parallelism). Switching between them changes only the communication
 //! plan — no parameter migration ever happens.
 
-use tutel_tensor::{dispatch, Precision, Rng, Tensor, TensorError};
+use tutel_tensor::{Precision, Rng, Tensor, TensorError};
 
 use crate::{ExpertsBlock, Parallelism};
 
@@ -212,54 +212,6 @@ impl ShardedExpertParams {
         )
     }
 
-    /// [`ShardedExpertParams::gather`] through the *wire format*, with
-    /// collective telemetry: under bf16 storage each slice is packed
-    /// into 2-byte values before "transmission" and unpacked on
-    /// arrival — an exact round trip because stored weights always sit
-    /// on the storage grid — and the recorded `all_gather` bytes are
-    /// the packed ones, i.e. half the `f32` figure.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TensorError`] if concatenation fails (cannot happen
-    /// for internally consistent shards).
-    pub fn gather_observed(&self, tel: &tutel_obs::Telemetry) -> Result<ExpertsBlock, TensorError> {
-        if tel.is_enabled() && self.shards > 1 {
-            tel.collective(
-                "all_gather",
-                &format!("params/{}/{}", self.precision.label(), self.shards),
-                (self.shard_bytes() * (self.shards as u64 - 1)) as f64,
-                0.0,
-            );
-        }
-        if self.precision != Precision::Bf16 {
-            return self.gather();
-        }
-        let through_wire = |t: &Tensor| {
-            let kt = dispatch::table();
-            let mut packed = vec![0u16; t.len()];
-            (kt.bf16_pack)(t.as_slice(), &mut packed);
-            let mut out = t.clone();
-            (kt.bf16_unpack)(&packed, out.as_mut_slice());
-            out
-        };
-        let w1: Vec<Tensor> = self.slices.iter().map(|s| through_wire(&s.w1)).collect();
-        let b1: Vec<Tensor> = self.slices.iter().map(|s| through_wire(&s.b1)).collect();
-        let w2: Vec<Tensor> = self.slices.iter().map(|s| through_wire(&s.w2)).collect();
-        let full_w1 = Tensor::concat_axis(&w1, 2)?;
-        let full_b1 = Tensor::concat_axis(&b1, 1)?;
-        let full_w2 = Tensor::concat_axis(&w2, 1)?;
-        Ok(
-            ExpertsBlock::from_weights(
-                full_w1,
-                full_b1,
-                full_w2,
-                through_wire(&self.slices[0].b2),
-            )?
-            .with_storage_precision(self.precision),
-        )
-    }
-
     /// A fingerprint of the per-shard parameter bytes, used to assert
     /// that switching parallelism never migrates parameters.
     pub fn placement_fingerprint(&self) -> u64 {
@@ -413,40 +365,12 @@ mod tests {
     }
 
     #[test]
-    fn bf16_halves_shard_bytes_and_wire_gather_is_exact() {
+    fn bf16_halves_shard_bytes() {
         let mut rng = Rng::seed(7);
         let f32_params = ShardedExpertParams::new(2, 4, 8, 2, &mut rng).unwrap();
         let f32_bytes = f32_params.shard_bytes();
         let params = f32_params.with_storage_precision(Precision::Bf16);
         assert_eq!(params.shard_bytes() * 2, f32_bytes);
-
-        // Stored slices sit on the bf16 grid, so the packed 2-byte
-        // wire format loses nothing: gather-through-wire == gather.
-        let tel = tutel_obs::Telemetry::enabled();
-        let direct = params.gather().unwrap();
-        let wired = params.gather_observed(&tel).unwrap();
-        let (w1a, b1a, w2a, b2a) = direct.weights();
-        let (w1b, b1b, w2b, b2b) = wired.weights();
-        assert_eq!(w1a, w1b);
-        assert_eq!(b1a, b1b);
-        assert_eq!(w2a, w2b);
-        assert_eq!(b2a, b2b);
-
-        // And the telemetry records the halved byte count.
-        let recorded: Vec<_> = tel
-            .events()
-            .into_iter()
-            .filter_map(|e| match e {
-                tutel_obs::Event::Collective(c) if c.op == "all_gather" => Some(c),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(recorded.len(), 1);
-        assert_eq!(
-            recorded[0].bytes,
-            (params.shard_bytes() * (params.shards() as u64 - 1)) as f64
-        );
-        assert!(recorded[0].algo.contains("bf16"));
     }
 
     #[test]

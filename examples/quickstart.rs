@@ -4,14 +4,18 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use tutel_suite::comm::{flex::flex_all_to_all, AllToAllAlgo};
+use tutel_suite::comm::runtime::Communicator;
+use tutel_suite::comm::{flex::flex_all_to_all, run_threaded, AllToAllAlgo};
 use tutel_suite::gate::{route, RouteConfig};
 use tutel_suite::kernels::{fast_decode, fast_encode};
 use tutel_suite::simgpu::Topology;
-use tutel_suite::tensor::{Rng, Tensor, TensorError};
+use tutel_suite::tensor::Rng;
 use tutel_suite::tutel::{MoeConfig, MoeLayer};
 
-fn main() -> Result<(), TensorError> {
+/// Any error a rank of the custom layer can return.
+type BoxError = Box<dyn std::error::Error + Send + Sync>;
+
+fn main() -> Result<(), BoxError> {
     // ------------------------------------------------------------------
     // 1. The batteries-included layer.
     // ------------------------------------------------------------------
@@ -52,46 +56,45 @@ fn main() -> Result<(), TensorError> {
     //    y = net.flex_all2all(y, 0, 1)
     //    output = moe.fast_decode(y, crit)
     // ------------------------------------------------------------------
-    let world = Topology::new(2, 2); // 2 nodes × 2 GPUs, simulated
+    let world = Topology::new(2, 2); // 2 nodes × 2 GPUs, one thread each
     let w = world.world_size();
     let experts = 4; // ΔE = 1 per rank
     let per_rank_tokens = 32;
 
-    // Per-rank inputs and a custom (here: random-projection) gate.
+    // A custom (here: random-projection) gate, shared by every rank.
     let gate_w = rng.normal_tensor(&[16, experts], 0.0, 0.1);
-    let mut dispatched = Vec::new();
-    let mut routings = Vec::new();
-    let mut inputs = Vec::new();
-    for _ in 0..w {
-        let xr = rng.normal_tensor(&[per_rank_tokens, 16], 0.0, 1.0);
-        let scores = xr.matmul(&gate_w)?.softmax_last();
+    let gate_w = &gate_w;
+    let custom_layer = |mut comm: Communicator| -> Result<(), BoxError> {
+        let rank = comm.rank();
+        let x = Rng::seed(100 + rank as u64).normal_tensor(&[per_rank_tokens, 16], 0.0, 1.0);
+        let scores = x.matmul(gate_w)?.softmax_last();
         let crit = route(&scores, &RouteConfig::top1())?;
-        let enc = fast_encode(&xr, &crit)?; // (E, dC, M)
-        dispatched.push(enc);
-        routings.push(crit);
-        inputs.push(xr);
-    }
+        let y = fast_encode(&x, &crit)?; // (E, dC, M)
 
-    // Dispatch: flexible All-to-All, concat dim 1, split dim 0 — the
-    // output layout (ΔE, C, M) is world-size independent.
-    let on_experts = flex_all_to_all(&dispatched, 1, 0, AllToAllAlgo::TwoDh, &world)?;
-    println!("per-rank expert input layout: {}", on_experts[0].shape());
+        // Dispatch: flexible All-to-All, concat dim 1, split dim 0 — the
+        // output layout (ΔE, C, M) is world-size independent.
+        let y = flex_all_to_all(&mut comm, AllToAllAlgo::TwoDh, &y, 1, 0)??;
+        if rank == 0 {
+            println!("per-rank expert input layout: {}", y.shape());
+        }
 
-    // CustomExpert: each rank doubles its tokens (stands in for any FFN).
-    let expert_out: Vec<Tensor> = on_experts.iter().map(|t| t.scale(2.0)).collect();
+        // CustomExpert: each rank doubles its tokens (stands in for any FFN).
+        let y = y.scale(2.0);
 
-    // Combine: the inverse flexible All-to-All, then fast decode.
-    let back = flex_all_to_all(&expert_out, 0, 1, AllToAllAlgo::TwoDh, &world)?;
-    for (r, (buf, crit)) in back.iter().zip(&routings).enumerate() {
-        let out = fast_decode(buf, crit, per_rank_tokens)?;
+        // Combine: the inverse flexible All-to-All, then fast decode.
+        let y = flex_all_to_all(&mut comm, AllToAllAlgo::TwoDh, &y, 0, 1)??;
+        let out = fast_decode(&y, &crit, per_rank_tokens)?;
         // With a doubling "expert" and top-1 gates g, output = 2·g·x for
         // surviving tokens.
-        let g0 = crit.gates_of(0)[0];
-        let expect = inputs[r].at(&[0, 0]) * 2.0 * g0;
+        let expect = x.at(&[0, 0]) * 2.0 * crit.gates_of(0)[0];
         assert!((out.at(&[0, 0]) - expect).abs() < 1e-4);
-        if r == 0 {
-            println!("custom layer rank {r} output shape: {}", out.shape());
+        if rank == 0 {
+            println!("custom layer rank {rank} output shape: {}", out.shape());
         }
+        Ok(())
+    };
+    for rank_result in run_threaded(world, custom_layer) {
+        rank_result?;
     }
     println!("custom MoE layer (Figure 8 style) verified on {w} simulated ranks");
     Ok(())

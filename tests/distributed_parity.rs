@@ -7,7 +7,7 @@
 //! its optimizations are transparent to the model: distribution changes
 //! time, never math.
 
-use tutel_suite::comm::{flex::flex_all_to_all, AllToAllAlgo};
+use tutel_suite::comm::{flex::flex_all_to_all, run_threaded, AllToAllAlgo};
 use tutel_suite::experts::ExpertsBlock;
 use tutel_suite::gate::{route, RouteConfig, Routing};
 use tutel_suite::kernels::{fast_decode, fast_encode};
@@ -72,31 +72,27 @@ fn run_parity(topology: Topology, local_experts: usize, k: usize, algo: AllToAll
         })
         .collect();
 
-    // Distributed path: encode → Flexible All-to-All (dispatch) →
-    // rank-local expert slice → Flexible All-to-All (combine) → decode.
-    let encoded: Vec<Tensor> = ranks
-        .iter()
-        .map(|r| fast_encode(&r.x, &r.routing).unwrap())
-        .collect();
-    let dispatched = flex_all_to_all(&encoded, 1, 0, algo, &topology).unwrap();
-    let (w1, b1, w2, b2) = global_experts.weights();
-    let expert_outs: Vec<Tensor> = dispatched
-        .iter()
-        .enumerate()
-        .map(|(rank, input)| {
-            // Rank `rank` owns experts [rank·ΔE, (rank+1)·ΔE).
-            let slice = |t: &Tensor| t.split_axis(0, w).unwrap()[rank].clone();
-            let local =
-                ExpertsBlock::from_weights(slice(w1), slice(b1), slice(w2), slice(b2)).unwrap();
-            local.infer(input).unwrap()
-        })
-        .collect();
-    let combined = flex_all_to_all(&expert_outs, 0, 1, algo, &topology).unwrap();
-    let distributed: Vec<Tensor> = combined
-        .iter()
-        .zip(&ranks)
-        .map(|(buf, r)| fast_decode(buf, &r.routing, tokens).unwrap())
-        .collect();
+    // Distributed path, one thread per rank: encode → Flexible
+    // All-to-All (dispatch) → rank-local expert slice → Flexible
+    // All-to-All (combine) → decode.
+    let (ranks, global_experts) = (&ranks, &global_experts);
+    let distributed = run_threaded(topology, |mut comm| {
+        let rank = comm.rank();
+        let r = &ranks[rank];
+        let encoded = fast_encode(&r.x, &r.routing).unwrap();
+        let input = flex_all_to_all(&mut comm, algo, &encoded, 1, 0)
+            .unwrap()
+            .unwrap();
+        // Rank `rank` owns experts [rank·ΔE, (rank+1)·ΔE).
+        let (w1, b1, w2, b2) = global_experts.weights();
+        let slice = |t: &Tensor| t.split_axis(0, w).unwrap()[rank].clone();
+        let local = ExpertsBlock::from_weights(slice(w1), slice(b1), slice(w2), slice(b2)).unwrap();
+        let expert_out = local.infer(&input).unwrap();
+        let combined = flex_all_to_all(&mut comm, algo, &expert_out, 0, 1)
+            .unwrap()
+            .unwrap();
+        fast_decode(&combined, &r.routing, tokens).unwrap()
+    });
 
     for (rank, (a, b)) in reference.iter().zip(&distributed).enumerate() {
         let diff = max_diff(a, b);
@@ -134,11 +130,18 @@ fn parity_across_algorithms_is_bit_identical() {
     let topology = Topology::new(2, 2);
     let w = topology.world_size();
     let ranks = make_ranks(w, 16, w, 8, 1, 9);
-    let encoded: Vec<Tensor> = ranks
-        .iter()
-        .map(|r| fast_encode(&r.x, &r.routing).unwrap())
-        .collect();
-    let a = flex_all_to_all(&encoded, 1, 0, AllToAllAlgo::Linear, &topology).unwrap();
-    let b = flex_all_to_all(&encoded, 1, 0, AllToAllAlgo::TwoDh, &topology).unwrap();
-    assert_eq!(a, b);
+    let ranks = &ranks;
+    let dispatched = run_threaded(topology, |mut comm| {
+        let r = &ranks[comm.rank()];
+        let encoded = fast_encode(&r.x, &r.routing).unwrap();
+        let mut flex = |algo| {
+            flex_all_to_all(&mut comm, algo, &encoded, 1, 0)
+                .unwrap()
+                .unwrap()
+        };
+        (flex(AllToAllAlgo::Linear), flex(AllToAllAlgo::TwoDh))
+    });
+    for (a, b) in dispatched {
+        assert_eq!(a, b);
+    }
 }
