@@ -17,10 +17,11 @@ use tutel_suite::experts::ExpertsBlock;
 use tutel_suite::rt::with_parallelism_limit;
 use tutel_suite::tensor::dispatch::with_simd_mode;
 use tutel_suite::tensor::{Precision, Rng, Tensor};
+use tutel_suite::tutel::checkpoint::StateDict;
 use tutel_suite::tutel::data::SyntheticVision;
 use tutel_suite::tutel::model::{SwinLiteConfig, SwinLiteMoe};
 use tutel_suite::tutel::trainer::{train, TrainConfig};
-use tutel_suite::tutel::{MoeConfig, RouterKind};
+use tutel_suite::tutel::{MoeConfig, MoeLayer, RouterKind};
 
 /// Order-sensitive FNV-1a fold over 32-bit words.
 struct Fnv(u64);
@@ -215,4 +216,49 @@ fn twenty_training_steps_keep_their_bits_for_every_router() {
         .map(|(name, loss, weights)| format!("(\"{name}\", {loss:#010x}, {weights:#018x})"))
         .collect();
     assert_eq!(got, want);
+}
+
+const MANY_EXPERTS_DIGEST: u64 = 0x4714_b50d_2d2d_0668;
+
+/// Three fwd+bwd+step rounds of a many-experts `MoeLayer` (E = 64,
+/// top-2, dropless, tokens from Zipf-weighted clusters so the load is
+/// skewed): per-expert load, output, aux loss and `d_x` of every round,
+/// then every post-step parameter. T = 2048 spans many row chunks of
+/// the gate's top-k and backward passes.
+#[test]
+fn many_experts_training_steps_keep_their_bits() {
+    let got = digest_in_every_cell("many experts", |h| {
+        let mut rng = Rng::seed(2204);
+        let (t, m, clusters) = (2048usize, 32usize, 16usize);
+        let cfg = MoeConfig::new(m, 32, 64)
+            .with_top_k(2)
+            .with_capacity_factor(0.0);
+        let mut layer = MoeLayer::new(&cfg, &mut rng).unwrap();
+        let centres = rng.normal_tensor(&[clusters, m], 0.0, 2.0);
+        let zipf: Vec<f32> = (1..=clusters).map(|r| 1.0 / r as f32).collect();
+        let mut rows = Vec::with_capacity(t * m);
+        for _ in 0..t {
+            let c = rng.categorical(&zipf);
+            let centre = &centres.as_slice()[c * m..(c + 1) * m];
+            rows.extend(centre.iter().map(|&v| v + 0.3 * rng.normal()));
+        }
+        let x = Tensor::from_vec(rows, &[t, m]).unwrap();
+        let d_out = rng.normal_tensor(&[t, m], 0.0, 1.0);
+        for _ in 0..3 {
+            let out = layer.forward(&x).unwrap();
+            for &load in &out.expert_load {
+                h.word(load as u32);
+            }
+            h.tensor(&out.output);
+            h.word(out.aux_loss.to_bits());
+            h.tensor(&layer.backward(&d_out).unwrap());
+            layer.step(0.05);
+        }
+        let mut sd = StateDict::default();
+        layer.export_state("l", &mut sd);
+        for (_, w) in sd.iter() {
+            h.tensor(w);
+        }
+    });
+    assert_eq!(got, MANY_EXPERTS_DIGEST, "got {got:#018x}");
 }
