@@ -77,6 +77,13 @@ TUTEL_SIMD=0 TUTEL_THREADS=4 cargo test -q --test determinism
 TUTEL_SIMD=1 TUTEL_THREADS=1 cargo test -q --test determinism
 TUTEL_SIMD=1 TUTEL_THREADS=4 cargo test -q --test determinism
 
+echo "==> tensor + gate tests at TUTEL_THREADS=1 and =4 (row-chunked top-k)"
+# `topk_last` runs its rows in fixed chunks on the pool, and `route`
+# takes its record from it: both crates' oracles (the full-sort top-k
+# and `naive_route`) must hold on the env-var path at either width.
+TUTEL_THREADS=1 cargo test -q -p tutel-tensor -p tutel-gate
+TUTEL_THREADS=4 cargo test -q -p tutel-tensor -p tutel-gate
+
 echo "==> executed-overlap determinism sweep at TUTEL_THREADS=1 and =4"
 TUTEL_THREADS=1 cargo test -q --test overlap
 TUTEL_THREADS=4 cargo test -q --test overlap

@@ -5,7 +5,7 @@
 //! the mean gate probability of expert `e` over the batch. Perfectly
 //! balanced routing yields `l_aux = 1`; concentration raises it.
 
-use tutel_tensor::{scratch, Tensor, TensorError};
+use tutel_tensor::{Tensor, TensorError};
 
 use crate::Routing;
 
@@ -46,24 +46,21 @@ pub fn aux_loss(probs: &Tensor, routing: &Routing) -> Result<f32, TensorError> {
 
 /// Gradient of [`aux_loss`] with respect to `probs`, treating the
 /// routing decision (the `fraction` term) as constant — the GShard
-/// straight-through convention. The result is arena-backed.
+/// straight-through convention. It is the same row for every token,
+/// `∂l/∂probs[t][e] = E · fraction_e / T`, so this returns that one
+/// row (length `E`); the gate backward adds it to each token's row.
 ///
 /// # Errors
 ///
 /// Returns a [`TensorError`] if `probs` does not match the routing.
 // check:hot
-pub fn aux_loss_grad(probs: &Tensor, routing: &Routing) -> Result<Tensor, TensorError> {
+pub fn aux_loss_grad_row(probs: &Tensor, routing: &Routing) -> Result<Vec<f32>, TensorError> {
     let (t, e) = check(probs, routing)?;
-    // d l / d probs[t][e] = E · fraction_e / T: one row, T times.
     let mut row = top1_fraction(routing);
     for f in &mut row {
         *f = e as f32 * *f / t as f32;
     }
-    let mut grad = scratch::zeroed(&[t, e]);
-    for out in grad.as_mut_slice().chunks_mut(e) {
-        out.copy_from_slice(&row);
-    }
-    Ok(grad)
+    Ok(row)
 }
 
 fn check(probs: &Tensor, routing: &Routing) -> Result<(usize, usize), TensorError> {
@@ -132,7 +129,8 @@ mod tests {
             }
         }
         let r = route(&probs, &RouteConfig::top1()).unwrap();
-        let g = aux_loss_grad(&probs, &r).unwrap();
+        let g = aux_loss_grad_row(&probs, &r).unwrap();
+        assert_eq!(g.len(), e);
         let eps = 1e-3;
         for i in 0..probs.len() {
             let mut pp = probs.clone();
@@ -144,9 +142,9 @@ mod tests {
             let lm = aux_loss(&pm, &r).unwrap();
             let fd = (lp - lm) / (2.0 * eps);
             assert!(
-                (fd - g.as_slice()[i]).abs() < 1e-3,
+                (fd - g[i % e]).abs() < 1e-3,
                 "i={i} fd={fd} got={}",
-                g.as_slice()[i]
+                g[i % e]
             );
         }
     }
@@ -157,6 +155,6 @@ mod tests {
         let r = route(&probs.softmax_last(), &RouteConfig::top1()).unwrap();
         let wrong = Tensor::zeros(&[4, 5]);
         assert!(aux_loss(&wrong, &r).is_err());
-        assert!(aux_loss_grad(&wrong, &r).is_err());
+        assert!(aux_loss_grad_row(&wrong, &r).is_err());
     }
 }

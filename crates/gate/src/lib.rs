@@ -22,7 +22,7 @@ mod obs;
 mod router;
 mod routing;
 
-pub use aux::{aux_loss, aux_loss_grad};
+pub use aux::{aux_loss, aux_loss_grad_row};
 pub use capacity::{expert_capacity, needed_capacity_factor, CapacityPolicy};
 pub use controller::CapacityController;
 pub use obs::observe_routing;

@@ -9,8 +9,10 @@ use crate::routing::Routing;
 ///
 /// * histogram `gate.expert_load` — post-capacity token count of every
 ///   expert (one observation per expert per iteration);
-/// * counter `gate.routed_tokens` / `gate.dropped_tokens` — tokens
-///   seen and tokens lost to the capacity clamp;
+/// * counter `gate.routed_tokens` / `gate.dropped_tokens` — counted in
+///   *assignments* (a token's `k` selections are `k` assignments, as
+///   [`Routing::dropped`] counts them): the `T·k` seen and those lost
+///   to the capacity clamp, so their ratio is `1 −` the survival rate;
 /// * gauges `gate.capacity_factor`, `gate.needed_factor`,
 ///   `gate.survival_rate` — the Figure 1 signals driving the adaptive
 ///   layer;
@@ -25,7 +27,8 @@ pub fn observe_routing(routing: &Routing, tel: &Telemetry) {
     for &count in &routing.counts {
         tel.record_hist_with("gate.expert_load", count as f64, Histogram::magnitude);
     }
-    tel.add_counter("gate.routed_tokens", routing.num_tokens() as u64);
+    let assignments = routing.num_tokens() * routing.k();
+    tel.add_counter("gate.routed_tokens", assignments as u64);
     tel.add_counter("gate.dropped_tokens", routing.dropped() as u64);
     tel.set_gauge("gate.capacity_factor", routing.capacity_factor);
     tel.set_gauge("gate.needed_factor", routing.needed_factor);
@@ -72,6 +75,28 @@ mod tests {
         assert_eq!(
             tel.gauge_value("dispatch.routed_tokens"),
             Some(routing.counts.iter().sum::<usize>() as f64)
+        );
+    }
+
+    #[test]
+    fn drop_counters_share_one_unit_at_top2() {
+        // Every token picks both experts; capacity ⌈2 · 0.75 · 4 / 2⌉ = 3
+        // per expert, so token 3 loses both of its selections.
+        let probs =
+            Tensor::from_vec(vec![0.6, 0.4, 0.7, 0.3, 0.2, 0.8, 0.5, 0.5], &[4, 2]).unwrap();
+        let routing = route(&probs, &RouteConfig::top2().with_capacity_factor(0.75)).unwrap();
+        assert_eq!(
+            (routing.location(3, 0), routing.location(3, 1)),
+            (None, None)
+        );
+        let tel = Telemetry::enabled();
+        observe_routing(&routing, &tel);
+        let routed = tel.counter_value("gate.routed_tokens").unwrap();
+        let dropped = tel.counter_value("gate.dropped_tokens").unwrap();
+        assert_eq!((routed, dropped), (8, 2));
+        assert_eq!(
+            dropped as f64 / routed as f64,
+            1.0 - routing.survival_rate()
         );
     }
 

@@ -318,11 +318,10 @@ pub fn route(probs: &Tensor, cfg: &RouteConfig) -> Result<Routing, TensorError> 
         }
     }
 
-    let (idxs, vals) = probs.topk_last(k)?;
-
-    // Gate weights, optionally normalized over the selected k.
+    // The top-k lands in the record's own arrays; the gates are then
+    // normalized in place.
+    let (expert, mut gate) = probs.topk_last(k)?;
     let normalized = cfg.normalize_gates && k > 1;
-    let mut gate = vals.clone();
     if normalized {
         for g in gate.chunks_mut(k) {
             let s: f32 = g.iter().sum::<f32>().max(1e-9);
@@ -339,8 +338,8 @@ pub fn route(probs: &Tensor, cfg: &RouteConfig) -> Result<Routing, TensorError> 
     // Raw (unclamped) per-expert demand, for the dynamic policy and the
     // Figure 1 telemetry.
     let mut raw_counts = vec![0usize; experts];
-    for &e in &idxs {
-        raw_counts[e] += 1;
+    for &e in &expert {
+        raw_counts[e as usize] += 1;
     }
     let needed = needed_capacity_factor(&raw_counts, k, tokens);
     let factor = cfg.capacity.resolve(&raw_counts, k, tokens);
@@ -351,24 +350,14 @@ pub fn route(probs: &Tensor, cfg: &RouteConfig) -> Result<Routing, TensorError> 
         )));
     }
 
-    // Capacity-slot assignment order: token order, or confidence order
-    // under BPR (descending top-1 gate probability).
-    let mut order: Vec<usize> = (0..tokens).collect();
-    if cfg.bpr {
-        order.sort_by(|&a, &b| {
-            vals[b * k]
-                .partial_cmp(&vals[a * k])
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-    }
-
+    // Capacity slots go in token order, or under BPR in confidence
+    // order: descending top-1 probability, read back from `probs`.
     let mut counts = vec![0usize; experts];
     let mut slot = vec![DROPPED; tokens * k];
     let mut dropped = 0;
-    for &t in &order {
+    let mut grant = |t: usize| {
         for a in t * k..(t + 1) * k {
-            let e = idxs[a];
+            let e = expert[a] as usize;
             if counts[e] < capacity {
                 slot[a] = counts[e] as u32;
                 counts[e] += 1;
@@ -376,6 +365,20 @@ pub fn route(probs: &Tensor, cfg: &RouteConfig) -> Result<Routing, TensorError> 
                 dropped += 1;
             }
         }
+    };
+    if cfg.bpr {
+        let p = probs.as_slice();
+        let top1 = |t: usize| p[t * experts + expert[t * k] as usize];
+        let mut order: Vec<usize> = (0..tokens).collect();
+        order.sort_by(|&a, &b| {
+            top1(b)
+                .partial_cmp(&top1(a))
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.cmp(&b))
+        });
+        order.into_iter().for_each(&mut grant);
+    } else {
+        (0..tokens).for_each(&mut grant);
     }
 
     Ok(Routing {
@@ -388,7 +391,7 @@ pub fn route(probs: &Tensor, cfg: &RouteConfig) -> Result<Routing, TensorError> 
         raw_counts,
         k,
         dropped,
-        expert: idxs.iter().map(|&e| e as u32).collect(),
+        expert,
         gate,
         slot,
     })

@@ -123,10 +123,12 @@ fn naive_route(probs: &Tensor, cfg: &RouteConfig) -> NaiveRouting {
     }
 }
 
-/// `(T, E)` probabilities on four levels, so ties are the common case,
-/// with up to `E − k` NaNs per row — NaNs that lose the top-k.
-fn quantised_probs(tokens: usize, experts: usize, k: usize, seed: u64) -> Tensor {
+/// `(T, E)` probabilities on four levels plus `-0.0` (equal to `+0.0`),
+/// so ties are the common case, and with `infs` also `±∞`; up to
+/// `E − k` NaNs per row — NaNs that lose the top-k.
+fn quantised_probs(tokens: usize, experts: usize, k: usize, infs: bool, seed: u64) -> Tensor {
     let mut rng = Rng::seed(seed);
+    let levels = if infs { 7 } else { 5 };
     let mut data = Vec::with_capacity(tokens * experts);
     for _ in 0..tokens {
         let mut nans = rng.below(experts - k + 1);
@@ -135,11 +137,99 @@ fn quantised_probs(tokens: usize, experts: usize, k: usize, seed: u64) -> Tensor
                 data.push(f32::NAN);
                 nans -= 1;
             } else {
-                data.push(rng.below(4) as f32 / 4.0);
+                data.push(match rng.below(levels) {
+                    4 => -0.0,
+                    5 => f32::INFINITY,
+                    6 => f32::NEG_INFINITY,
+                    q => q as f32 / 4.0,
+                });
             }
         }
     }
     Tensor::from_vec(data, &[tokens, experts]).unwrap()
+}
+
+/// Routes one drawn problem through `route` and `naive_route` and
+/// compares every field of the record and both bin views. A selected
+/// `+∞` normalizes to a NaN gate: then `route` must refuse the batch.
+#[allow(clippy::too_many_arguments)]
+fn flat_equals_naive(
+    tokens: usize,
+    experts: usize,
+    k: usize,
+    bpr: bool,
+    normalize_gates: bool,
+    policy: usize,
+    infs: bool,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let capacity = [
+        CapacityPolicy::Fixed(0.5),
+        CapacityPolicy::Fixed(4.0),
+        CapacityPolicy::AutoMin,
+        CapacityPolicy::AutoCapped(1.25),
+    ][policy];
+    let cfg = RouteConfig {
+        k,
+        capacity,
+        bpr,
+        normalize_gates,
+    };
+    let probs = quantised_probs(tokens, experts, k, infs, seed);
+    let naive = naive_route(&probs, &cfg);
+    if naive.gate_of.iter().flatten().any(|g| g.is_nan()) {
+        prop_assert!(route(&probs, &cfg).is_err(), "a NaN gate was routed");
+        return Ok(());
+    }
+    let flat = route(&probs, &cfg).unwrap();
+
+    prop_assert_eq!(
+        (flat.num_tokens(), flat.k(), flat.experts),
+        (tokens, k, experts)
+    );
+    for t in 0..tokens {
+        let picks: Vec<_> = flat.selections(t).collect();
+        prop_assert_eq!(picks.len(), k);
+        for (i, &(e, g, loc)) in picks.iter().enumerate() {
+            prop_assert_eq!(e, naive.expert_of[t][i], "token {} selection {}", t, i);
+            prop_assert_eq!(g.to_bits(), naive.gate_of[t][i].to_bits());
+            prop_assert_eq!(loc, naive.location_of[t][i]);
+            prop_assert_eq!(flat.experts_of(t)[i] as usize, e);
+            prop_assert_eq!(flat.gates_of(t)[i].to_bits(), g.to_bits());
+            prop_assert_eq!(flat.location(t, i), loc);
+            prop_assert_eq!(flat.assignment(t * k + i), (t, g));
+        }
+    }
+    prop_assert_eq!(&flat.counts, &naive.counts);
+    prop_assert_eq!(&flat.raw_counts, &naive.raw_counts);
+    prop_assert_eq!(flat.capacity, naive.capacity);
+    prop_assert_eq!(
+        flat.capacity_factor.to_bits(),
+        naive.capacity_factor.to_bits()
+    );
+    prop_assert_eq!(flat.needed_factor.to_bits(), naive.needed_factor.to_bits());
+    prop_assert_eq!(flat.normalized, normalize_gates && k > 1);
+    prop_assert_eq!(flat.dropped(), naive.dropped());
+    prop_assert_eq!(
+        flat.survival_rate().to_bits(),
+        naive.survival_rate().to_bits()
+    );
+
+    let exact = RaggedRouting::from_routing(&flat);
+    let uniform = RaggedRouting::uniform_capacity(&flat);
+    prop_assert_eq!(exact.total(), naive.counts.iter().sum::<usize>());
+    prop_assert_eq!(&uniform.offsets, &uniform_offsets(experts, naive.capacity));
+    for view in [&exact, &uniform] {
+        let owners = naive.owners(&view.offsets);
+        prop_assert_eq!(view.slot_owner.len(), owners.len());
+        for (&a, owner) in view.slot_owner.iter().zip(owners) {
+            match owner {
+                Some((t, i)) => prop_assert_eq!(a as usize, t * k + i),
+                None => prop_assert_eq!(a, RaggedRouting::UNOWNED),
+            }
+        }
+    }
+    Ok(())
 }
 
 proptest! {
@@ -153,56 +243,31 @@ proptest! {
         bpr in any::<bool>(),
         normalize_gates in any::<bool>(),
         policy in 0usize..4,
+        infs in any::<bool>(),
         seed in any::<u64>(),
     ) {
         let k = 1 + k_off % experts;
-        let capacity = [
-            CapacityPolicy::Fixed(0.5),
-            CapacityPolicy::Fixed(4.0),
-            CapacityPolicy::AutoMin,
-            CapacityPolicy::AutoCapped(1.25),
-        ][policy];
-        let cfg = RouteConfig { k, capacity, bpr, normalize_gates };
-        let probs = quantised_probs(tokens, experts, k, seed);
-        let flat = route(&probs, &cfg).unwrap();
-        let naive = naive_route(&probs, &cfg);
+        flat_equals_naive(tokens, experts, k, bpr, normalize_gates, policy, infs, seed)?;
+    }
+}
 
-        prop_assert_eq!((flat.num_tokens(), flat.k(), flat.experts), (tokens, k, experts));
-        for t in 0..tokens {
-            let picks: Vec<_> = flat.selections(t).collect();
-            prop_assert_eq!(picks.len(), k);
-            for (i, &(e, g, loc)) in picks.iter().enumerate() {
-                prop_assert_eq!(e, naive.expert_of[t][i], "token {} selection {}", t, i);
-                prop_assert_eq!(g.to_bits(), naive.gate_of[t][i].to_bits());
-                prop_assert_eq!(loc, naive.location_of[t][i]);
-                prop_assert_eq!(flat.experts_of(t)[i] as usize, e);
-                prop_assert_eq!(flat.gates_of(t)[i].to_bits(), g.to_bits());
-                prop_assert_eq!(flat.location(t, i), loc);
-                prop_assert_eq!(flat.assignment(t * k + i), (t, g));
-            }
-        }
-        prop_assert_eq!(&flat.counts, &naive.counts);
-        prop_assert_eq!(&flat.raw_counts, &naive.raw_counts);
-        prop_assert_eq!(flat.capacity, naive.capacity);
-        prop_assert_eq!(flat.capacity_factor.to_bits(), naive.capacity_factor.to_bits());
-        prop_assert_eq!(flat.needed_factor.to_bits(), naive.needed_factor.to_bits());
-        prop_assert_eq!(flat.normalized, normalize_gates && k > 1);
-        prop_assert_eq!(flat.dropped(), naive.dropped());
-        prop_assert_eq!(flat.survival_rate().to_bits(), naive.survival_rate().to_bits());
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
-        let exact = RaggedRouting::from_routing(&flat);
-        let uniform = RaggedRouting::uniform_capacity(&flat);
-        prop_assert_eq!(exact.total(), naive.counts.iter().sum::<usize>());
-        prop_assert_eq!(&uniform.offsets, &uniform_offsets(experts, naive.capacity));
-        for view in [&exact, &uniform] {
-            let owners = naive.owners(&view.offsets);
-            prop_assert_eq!(view.slot_owner.len(), owners.len());
-            for (&a, owner) in view.slot_owner.iter().zip(owners) {
-                match owner {
-                    Some((t, i)) => prop_assert_eq!(a as usize, t * k + i),
-                    None => prop_assert_eq!(a, RaggedRouting::UNOWNED),
-                }
-            }
-        }
+    /// Many experts and tokens: `route`'s top-k runs over many row
+    /// chunks here, which the small shapes above never leave.
+    #[test]
+    fn flat_record_equals_the_nested_record_at_many_experts(
+        tokens in 0usize..=2048,
+        experts in 1usize..=64,
+        k_off in 0usize..8,
+        bpr in any::<bool>(),
+        normalize_gates in any::<bool>(),
+        policy in 0usize..4,
+        infs in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let k = 1 + k_off % experts;
+        flat_equals_naive(tokens, experts, k, bpr, normalize_gates, policy, infs, seed)?;
     }
 }

@@ -16,7 +16,7 @@
 //! thread count" arm of the ULP policy unambiguous).
 
 use tutel_experts::ExpertsBlock;
-use tutel_gate::{aux_loss, aux_loss_grad, route, LinearRouter, RouteConfig, Router, Routing};
+use tutel_gate::{aux_loss, aux_loss_grad_row, route, LinearRouter, RouteConfig, Router, Routing};
 use tutel_kernels::{fast_decode, fast_decode_backward, fast_encode, fast_encode_backward};
 use tutel_rt::with_parallelism_limit;
 use tutel_tensor::{Rng, Tensor};
@@ -167,7 +167,11 @@ fn gate_backward(
             d_probs.set(&[t, e], d);
         }
     }
-    let d_aux = aux_loss_grad(probs, routing).expect("aux grad dims fixed");
+    // The aux loss's gradient is one row for every token: written out
+    // as the `(T, E)` tensor the unfused chain adds.
+    let aux_row = aux_loss_grad_row(probs, routing).expect("aux grad dims fixed");
+    let d_aux = Tensor::from_vec(aux_row.repeat(Problem::TOKENS), probs.dims())
+        .expect("aux grad shape matches probs");
     d_probs
         .axpy(Problem::AUX_WEIGHT, &d_aux)
         .expect("aux grad shape matches probs");

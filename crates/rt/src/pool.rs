@@ -482,7 +482,9 @@ pub fn parallel_ranges<T: Send>(
 /// over its own range — an epilogue storing an activation beside its
 /// input, say — with disjointness still proven by the types: the
 /// ranges are read off the chunk's address, and live `&mut` chunks
-/// never overlap.
+/// never overlap. Ranges are counted in elements, so the other
+/// buffers may hold another element type `T` than the primary's `P`
+/// (indices beside values).
 ///
 /// ```
 /// let mut primary = vec![1.0f32; 64];
@@ -497,34 +499,39 @@ pub fn parallel_ranges<T: Send>(
 /// });
 /// assert_eq!((twice[5], thrice[63], primary[0]), (2.0, 3.0, 0.0));
 /// ```
-pub struct SameRanges<'a, T, const N: usize> {
+pub struct SameRanges<'a, T, const N: usize, P = T> {
     /// Address and element length of the primary buffer.
     base: usize,
     len: usize,
     /// The other buffers, each `len` long, borrowed for `'a`.
     others: [*mut T; N],
     _borrow: std::marker::PhantomData<&'a mut [T]>,
+    /// Only the primary's address is kept, never its elements.
+    _primary: std::marker::PhantomData<fn(&[P])>,
 }
 
+// The primary is kept only as an address and a length, never read
+// through, so `P` needs no bound.
+//
 // SAFETY: the pointers come from `&'a mut [T]` borrows held for `'a`,
 // and `split` hands out only ranges matching a live, exclusive chunk
 // of the primary, so concurrent callers touch disjoint elements — the
 // `parallel_ranges` argument. Elements are mutated (and so sent)
 // across threads, hence `T: Send` for both.
-unsafe impl<T: Send, const N: usize> Send for SameRanges<'_, T, N> {}
+unsafe impl<T: Send, const N: usize, P> Send for SameRanges<'_, T, N, P> {}
 // SAFETY: as above.
-unsafe impl<T: Send, const N: usize> Sync for SameRanges<'_, T, N> {}
+unsafe impl<T: Send, const N: usize, P> Sync for SameRanges<'_, T, N, P> {}
 
-impl<'a, T, const N: usize> SameRanges<'a, T, N> {
+impl<'a, T, const N: usize, P> SameRanges<'a, T, N, P> {
     /// Pairs `others` with `primary`'s element ranges.
     ///
     /// # Panics
     ///
     /// If an `others` buffer's length differs from `primary`'s, or `T`
-    /// is zero-sized.
-    pub fn new(primary: &[T], others: [&'a mut [T]; N]) -> Self {
+    /// or `P` is zero-sized.
+    pub fn new(primary: &[P], others: [&'a mut [T]; N]) -> Self {
         assert!(
-            std::mem::size_of::<T>() > 0,
+            std::mem::size_of::<T>() > 0 && std::mem::size_of::<P>() > 0,
             "SameRanges needs sized elements"
         );
         assert!(
@@ -536,6 +543,7 @@ impl<'a, T, const N: usize> SameRanges<'a, T, N> {
             len: primary.len(),
             others: others.map(|o| o.as_mut_ptr()),
             _borrow: std::marker::PhantomData,
+            _primary: std::marker::PhantomData,
         }
     }
 
@@ -545,11 +553,11 @@ impl<'a, T, const N: usize> SameRanges<'a, T, N> {
     /// # Panics
     ///
     /// If a non-empty `chunk` does not lie on the primary's elements.
-    pub fn split<'c>(&'c self, chunk: &'c mut [T]) -> (&'c mut [T], [&'c mut [T]; N]) {
+    pub fn split<'c>(&'c self, chunk: &'c mut [P]) -> (&'c mut [P], [&'c mut [T]; N]) {
         if chunk.is_empty() {
             return (chunk, std::array::from_fn(|_| <&mut [T]>::default()));
         }
-        let size = std::mem::size_of::<T>();
+        let size = std::mem::size_of::<P>();
         let offset = (chunk.as_ptr() as usize).wrapping_sub(self.base);
         let start = offset / size;
         assert!(
@@ -652,14 +660,18 @@ mod tests {
 
     #[test]
     fn same_ranges_pairs_every_chunk_with_its_range_and_nothing_else() {
+        // A wider element type beside the primary: ranges are counted
+        // in elements, not bytes.
         let mut primary: Vec<u32> = (0..1000).collect();
-        let mut copy = vec![0u32; 1000];
+        let mut copy = vec![0u64; 1000];
         {
             let beside = SameRanges::new(&primary, [&mut copy]);
             let ranges = [(0, 3), (3, 3), (10, 500), (500, 1000)];
             parallel_ranges(&mut primary, &ranges, |_, chunk| {
                 let (chunk, [copy]) = beside.split(chunk);
-                copy.copy_from_slice(chunk);
+                copy.iter_mut()
+                    .zip(chunk)
+                    .for_each(|(c, &mut p)| *c = u64::from(p));
             });
         }
         // Elements 3..10 lie in no range: untouched beside as well.

@@ -40,7 +40,57 @@ pub(crate) fn axpy_slices(acc: &mut [f32], alpha: f32, rhs: &[f32]) {
 
 /// Per-row top-k result: `(indices, values)`, each a flat row-major
 /// `rows · k` array (row `r`'s selections are `[r·k .. (r+1)·k]`).
-pub type TopK = (Vec<usize>, Vec<f32>);
+pub type TopK = (Vec<u32>, Vec<f32>);
+
+/// Rows per parallel chunk of [`Tensor::topk_last`] (fixed: part of the
+/// determinism contract, never derived from pool size).
+const TOPK_ROWS: usize = 64;
+
+/// Column `col` holding `v` as one integer in top-k order, larger
+/// being better: the value's order bits above the inverted column.
+/// `+ 0.0` maps −0 to +0; flipping every bit of a negative and the sign
+/// bit of a positive makes the bits monotone in value; every NaN takes
+/// 0, below −∞. Ties (and every NaN) so fall through to the lower
+/// column, and no two columns of a row share a key.
+#[inline(always)]
+fn topk_key(v: f32, col: u32) -> u64 {
+    let bits = (v + 0.0).to_bits();
+    let ordered = bits ^ (((bits as i32) >> 31) as u32 | 0x8000_0000);
+    let ordered = if v.is_nan() { 0 } else { ordered };
+    (u64::from(ordered) << 32) | u64::from(!col)
+}
+
+/// One row's top `idx.len()`: a single scan that keeps the best columns
+/// so far in `idx`, best first, re-deriving a kept column's key from
+/// the row when an insertion passes it; then the values, read back
+/// from the row so they keep its bits.
+#[inline(always)]
+fn topk_row(row: &[f32], idx: &mut [u32], val: &mut [f32]) {
+    let k = idx.len();
+    let key_of = |col: u32| topk_key(row[col as usize], col);
+    // `filled` columns are kept; once `k` are, a column must beat the
+    // last one's key, `worst`.
+    let (mut filled, mut worst) = (0, 0);
+    for (j, &v) in (0u32..).zip(row) {
+        let key = topk_key(v, j);
+        if filled == k && key < worst {
+            continue;
+        }
+        let mut i = filled.min(k - 1);
+        filled = (filled + 1).min(k);
+        while i > 0 && key_of(idx[i - 1]) < key {
+            idx[i] = idx[i - 1];
+            i -= 1;
+        }
+        idx[i] = j;
+        if filled == k {
+            worst = key_of(idx[k - 1]);
+        }
+    }
+    for (v, &col) in val.iter_mut().zip(idx.iter()) {
+        *v = row[col as usize];
+    }
+}
 
 impl Tensor {
     /// Elementwise addition.
@@ -217,42 +267,39 @@ impl Tensor {
     /// Per-row top-k over the last axis: returns `(indices, values)`,
     /// each a flat `rows · k` array, every row's `k` sorted by descending
     /// value (ties broken by lower index, matching deterministic GPU
-    /// top-k). NaN sorts after every number, so it is selected only when
-    /// a row holds fewer than `k` numbers.
+    /// top-k). The order is strict and total: `-0.0` equals `+0.0`, and
+    /// NaN (of either sign) sorts after every number, so it is selected
+    /// only when a row holds fewer than `k` numbers. Values are read
+    /// back from the row, bit for bit.
+    ///
+    /// Each row is one scan keeping its best `k` in order (one code
+    /// path for every `k`), and rows run in fixed 64-row chunks on the
+    /// `tutel-rt` pool, so the result is the same for any worker count.
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::InvalidArgument`] if `k` is zero or larger
-    /// than the last-axis length.
+    /// Returns [`TensorError::InvalidArgument`] if `k` is zero, larger
+    /// than the last-axis length, or that length does not fit a `u32`
+    /// index.
     // check:hot
     pub fn topk_last(&self, k: usize) -> Result<TopK> {
         let cols = *self.dims().last().unwrap_or(&0);
-        if k == 0 || k > cols {
+        if k == 0 || k > cols || u32::try_from(cols).is_err() {
             return Err(TensorError::InvalidArgument(format!(
                 "top-k with k={k} over axis of length {cols}"
             )));
         }
         let rows = self.len() / cols;
-        let mut idxs = Vec::with_capacity(rows * k);
-        let mut vals = Vec::with_capacity(rows * k);
-        // One index buffer for every row: the comparator below is a
-        // strict total order over column indices, so a row's first `k`
-        // do not depend on the permutation the previous row left behind.
-        let mut order: Vec<usize> = (0..cols).collect();
-        for row in self.as_slice().chunks(cols) {
-            // Unordered pairs involve a NaN, which goes last; equal
-            // values fall through to the index.
-            let by_value_then_index = |a: &usize, b: &usize| {
-                row[*b]
-                    .partial_cmp(&row[*a])
-                    .unwrap_or_else(|| row[*a].is_nan().cmp(&row[*b].is_nan()))
-                    .then(a.cmp(b))
-            };
-            order.select_nth_unstable_by(k - 1, by_value_then_index);
-            order[..k].sort_unstable_by(by_value_then_index);
-            idxs.extend_from_slice(&order[..k]);
-            vals.extend(order[..k].iter().map(|&i| row[i]));
-        }
+        let (mut idxs, mut vals) = (vec![0u32; rows * k], vec![0.0f32; rows * k]);
+        let beside = tutel_rt::SameRanges::new(&idxs, [vals.as_mut_slice()]);
+        let x = self.as_slice();
+        tutel_rt::parallel_chunks(&mut idxs, TOPK_ROWS * k, |blk, chunk| {
+            let (idx, [val]) = beside.split(chunk);
+            let rows = x[blk * TOPK_ROWS * cols..].chunks(cols);
+            for ((row, idx), val) in rows.zip(idx.chunks_mut(k)).zip(val.chunks_mut(k)) {
+                topk_row(row, idx, val);
+            }
+        });
         Ok((idxs, vals))
     }
 
@@ -321,8 +368,7 @@ mod tests {
     #[test]
     fn topk_sorts_nan_last_without_moving_numbers() {
         let nan = f32::NAN;
-        // NaN in every third column: the comparator must stay a total
-        // order (the sorts may panic otherwise) and pick among the
+        // NaN in every third column: the selection picks among the
         // numbers exactly as if the NaNs were absent.
         let row: Vec<f32> = (0..64)
             .map(|i| {
@@ -339,13 +385,25 @@ mod tests {
         assert_eq!(idxs, clean.topk_last(8).unwrap().0);
         assert_eq!((idxs.len(), vals.len()), (64 * 8, 64 * 8));
         assert!(vals.iter().all(|v| !v.is_nan()));
-        // Fewer numbers than k: NaNs fill the tail, in index order —
-        // in every row, whatever order the row before left the shared
-        // index buffer in.
-        let few = [nan, 2.0, nan, 5.0, 1.0, nan, 7.0, nan];
+        // Fewer numbers than k: NaNs of either sign fill the tail, in
+        // index order.
+        let neg_nan = f32::from_bits(0xffc0_0000);
+        let few = [nan, 2.0, neg_nan, 5.0, 1.0, neg_nan, 7.0, nan];
         let few = Tensor::from_vec(few.to_vec(), &[2, 4]).unwrap();
         let (idxs, _) = few.topk_last(4).unwrap();
         assert_eq!(idxs, vec![3, 1, 0, 2, 2, 0, 1, 3]);
+    }
+
+    #[test]
+    fn topk_ties_signed_zeros_and_keeps_their_bits() {
+        // -0.0 == +0.0: the lower index wins, and each value comes back
+        // with its own sign bit.
+        let t = Tensor::from_vec(vec![-1.0, 0.0, -0.0, f32::NEG_INFINITY, -0.0], &[1, 5]).unwrap();
+        let (idxs, vals) = t.topk_last(5).unwrap();
+        assert_eq!(idxs, vec![1, 2, 4, 0, 3]);
+        let bits: Vec<u32> = vals.iter().map(|v| v.to_bits()).collect();
+        let want = [0.0f32, -0.0, -0.0, -1.0, f32::NEG_INFINITY];
+        assert_eq!(bits, want.map(f32::to_bits));
     }
 
     #[test]

@@ -10,6 +10,34 @@ fn arb_tensor(max_dim: usize) -> impl Strategy<Value = Tensor> {
     })
 }
 
+/// Values that make ties, signed zeros, infinities and NaNs of both
+/// signs common in a row.
+const PALETTE: [f32; 9] = [
+    0.0,
+    -0.0,
+    1.0,
+    -1.0,
+    0.5,
+    f32::INFINITY,
+    f32::NEG_INFINITY,
+    f32::NAN,
+    -f32::NAN,
+];
+
+/// Every column of `row`, best first, by a full sort in `topk_last`'s
+/// documented order: value descending (`-0.0 == +0.0`), NaN after every
+/// number, then the lower index.
+fn sorted_columns(row: &[f32]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..row.len()).collect();
+    order.sort_by(|&a, &b| {
+        row[b]
+            .partial_cmp(&row[a])
+            .unwrap_or_else(|| row[a].is_nan().cmp(&row[b].is_nan()))
+            .then(a.cmp(&b))
+    });
+    order
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -87,7 +115,40 @@ proptest! {
             prop_assert_eq!(vals, &sorted[..k]);
             // Indices actually point at the values.
             for (&i, &v) in idxs.iter().zip(vals) {
-                prop_assert_eq!(row[i], v);
+                prop_assert_eq!(row[i as usize], v);
+            }
+        }
+    }
+
+    #[test]
+    fn topk_equals_a_full_sort_in_the_same_order(
+        rows in 0usize..200,
+        cols in 1usize..=80,
+        k_sel in 0usize..=80,
+        seed in any::<u64>(),
+    ) {
+        // `k_sel == 0` selects the whole row.
+        let k = if k_sel == 0 { cols } else { 1 + k_sel % cols };
+        let mut rng = tutel_tensor::Rng::seed(seed);
+        let data: Vec<f32> = (0..rows * cols)
+            .map(|_| match rng.below(12) {
+                i @ 0..=8 => PALETTE[i],
+                _ => rng.normal(),
+            })
+            .collect();
+        let t = Tensor::from_vec(data, &[rows, cols]).unwrap();
+        // Rows cross the 64-row chunk grain; the pool width must not
+        // matter.
+        for limit in [1, 4] {
+            let (idxs, vals) = tutel_rt::with_parallelism_limit(limit, || t.topk_last(k).unwrap());
+            prop_assert_eq!((idxs.len(), vals.len()), (rows * k, rows * k));
+            for (r, row) in t.as_slice().chunks(cols).enumerate() {
+                let want = sorted_columns(row);
+                for i in 0..k {
+                    let (got, v) = (idxs[r * k + i] as usize, vals[r * k + i]);
+                    prop_assert_eq!(got, want[i], "row {} pick {} (k {}, limit {})", r, i, k, limit);
+                    prop_assert_eq!(v.to_bits(), row[got].to_bits());
+                }
             }
         }
     }
