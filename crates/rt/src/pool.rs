@@ -510,8 +510,7 @@ pub struct SameRanges<'a, T, const N: usize, P = T> {
     _primary: std::marker::PhantomData<fn(&[P])>,
 }
 
-// The primary is kept only as an address and a length, never read
-// through, so `P` needs no bound.
+// `P` needs no bound: no primary element is ever touched through it.
 //
 // SAFETY: the pointers come from `&'a mut [T]` borrows held for `'a`,
 // and `split` hands out only ranges matching a live, exclusive chunk
