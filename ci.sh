@@ -13,6 +13,13 @@ echo "==> cargo build --release"
 cargo build --release
 
 echo "==> cargo test (tier-1: root suite)"
+# Includes tests/route_allocs.rs, whose counts are the "disabled =
+# free" budgets: a disabled Telemetry or Tracer handle, a warmed arena
+# take + put and a parallel_chunks fan-out each make an exact number of
+# heap allocations, pool jobs and recorded events per call (they
+# replace the trace_overhead / race_overhead disabled_* and
+# compute_runtime_arena bench smokes). Time is measured only by
+# benchmark/ below, paired and from outside.
 cargo test -q
 
 echo "==> quickstart example: the Figure 8 custom layer on threaded ranks"
@@ -88,20 +95,6 @@ echo "==> executed-overlap determinism sweep at TUTEL_THREADS=1 and =4"
 TUTEL_THREADS=1 cargo test -q --test overlap
 TUTEL_THREADS=4 cargo test -q --test overlap
 
-echo "==> compute_runtime bench smoke (2s warmup-only run)"
-cargo bench -q -p tutel-bench --bench compute_runtime -- --warm-up-time 1 --measurement-time 1 --sample-size 10 compute_runtime_arena > /dev/null
-
-echo "==> pipeline_overlap bench smoke (executed degree sweep, incl. d1/d4)"
-cargo bench -q -p tutel-bench --bench pipeline_overlap > /dev/null
-
-echo "==> simd_precision bench smoke (scalar-vs-AVX2 + bf16 wire)"
-cargo bench -q -p tutel-bench --bench simd_precision -- \
-    --warm-up-time 1 --measurement-time 1 bf16_wire > /dev/null
-
-echo "==> trace_overhead bench smoke (disabled-telemetry fast path)"
-cargo bench -q -p tutel-bench --bench trace_overhead -- \
-    --warm-up-time 1 --measurement-time 1 disabled_ > /dev/null
-
 TRACE_DIR=$(mktemp -d)
 trap 'rm -rf "$TRACE_DIR"' EXIT
 
@@ -129,12 +122,20 @@ for name in table1 fig3 fig5 table5 table7 fig22 fig23 table8 ablations; do
 done
 
 echo "==> executed adaptive pipelining sweep (BENCH_pipeline.json)"
+# Executes all eight strategies at both world sizes through the overlap
+# executor, and exits non-zero unless every cell's best overlapped
+# strategy beats degree 1 and the search's choice is the measured argmin
+# (this replaces the pipeline_overlap bench smoke).
 $REPRO pipeline > /dev/null
 
 echo "==> conformance harness (smoke matrix + fault suite + traced run)"
 # HARNESS_FULL=1 upgrades to the full 96-point matrix. --trace runs the
 # 4-rank traced smoke (invariant-checked, straggler attribution) and
-# exports per-rank JSONLs plus the merged Perfetto trace.
+# exports per-rank JSONLs plus the merged Perfetto trace. The kernel
+# grid crosses {scalar, simd} x {f32, bf16}; with the tensor crate's
+# bf16 RNE proptests and experts::sharded::bf16_halves_shard_bytes (both
+# in the suites above) it holds the bf16 wire the simd_precision
+# bench smoke used to run.
 cargo run --release -q -p tutel-harness --bin harness -- \
     ${HARNESS_FULL:+--full} --json BENCH_harness.json \
     --trace "$TRACE_DIR/run"
@@ -219,12 +220,5 @@ echo "==> tutel-check: happens-before race sweep at TUTEL_THREADS=1 and =4"
 # the real-arena selftests, so both widths are swept.
 TUTEL_THREADS=1 cargo run --release -q -p tutel-check -- --race --seeds 128
 TUTEL_THREADS=4 cargo run --release -q -p tutel-check -- --race --seeds 128
-
-echo "==> race_overhead bench smoke (check-race compiled out)"
-# Pins the feature-off cost of the rt instrumentation hooks at ~zero:
-# tutel-bench builds without tutel-check, so these rows measure the
-# true production arena/pool paths.
-cargo bench -q -p tutel-bench --bench race_overhead -- \
-    --warm-up-time 1 --measurement-time 1 disabled_ > /dev/null
 
 echo "ci.sh: all gates green"

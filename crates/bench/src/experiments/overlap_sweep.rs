@@ -46,10 +46,10 @@ pub const MODEL_DIM: usize = 64;
 pub const LINK_BYTES_PER_S: f64 = 32.0 * 1024.0 * 1024.0;
 
 /// World sizes the sweep executes (threaded ranks, not modeled GPUs).
-pub const WORLDS: [usize; 2] = [2, 4];
+const WORLDS: [usize; 2] = [2, 4];
 
 /// Per-rank token counts the sweep executes.
-pub const TOKENS: [usize; 2] = [64, 256];
+const TOKENS: [usize; 2] = [64, 256];
 
 /// The sweep workload as [`LayerDims`], for the search's model prior.
 fn dims_for(tokens: usize) -> LayerDims {
@@ -157,7 +157,7 @@ fn input_chunks(rank: usize, tokens: usize, degree: usize, world: usize) -> Vec<
 /// Panics if `tokens` is not divisible by `world * degree` (the sweep
 /// grids are chosen so it always is) or if a collective fails on the
 /// fault-free runtime.
-pub fn run_point(world: usize, tokens: usize, strategy: PipelineStrategy) -> SweepPoint {
+fn run_point(world: usize, tokens: usize, strategy: PipelineStrategy) -> SweepPoint {
     let degree = strategy.degree.max(1);
     assert_eq!(
         tokens % (world * degree),

@@ -59,18 +59,6 @@ const ALLOWED: &[(&str, &[&str])] = &[
             "proptest::TestRng",
         ],
     ),
-    (
-        "criterion",
-        &[
-            "criterion::Criterion",
-            "criterion::BenchmarkGroup",
-            "criterion::BenchmarkId",
-            "criterion::Bencher",
-            "criterion::black_box",
-            "criterion::criterion_group",
-            "criterion::criterion_main",
-        ],
-    ),
 ];
 
 fn shim_allowlist(root: &str) -> Option<&'static [&'static str]> {

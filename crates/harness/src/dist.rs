@@ -33,34 +33,16 @@ use crate::reference::{Fixture, Problem, RankResult};
 use crate::ExecConfig;
 
 /// Runs the full forward + backward under `cfg` on every rank and
-/// returns the per-rank results (index = rank).
+/// returns the per-rank results (index = rank). With `Some(hub)` every
+/// rank is wired to a tracer from `hub`, and the run leaves a causal
+/// trace (main-track phase spans, the overlap schedule's two streams,
+/// and cross-rank flow edges) on the hub's shared timebase.
 ///
 /// # Panics
 ///
 /// Panics if any rank hits a communication error — conformance runs
 /// are fault-free, so an error here is itself a conformance failure.
-pub fn run_distributed(problem: &Problem, fixture: &Fixture, cfg: &ExecConfig) -> Vec<RankResult> {
-    run_distributed_impl(problem, fixture, cfg, None)
-}
-
-/// [`run_distributed`] with every rank wired to a tracer from `hub`:
-/// the run leaves a causal trace (main-track phase spans, the overlap
-/// schedule's two streams, and cross-rank flow edges) on the hub's
-/// shared timebase.
-///
-/// # Panics
-///
-/// As [`run_distributed`].
-pub fn run_distributed_traced(
-    problem: &Problem,
-    fixture: &Fixture,
-    cfg: &ExecConfig,
-    hub: &TraceHub,
-) -> Vec<RankResult> {
-    run_distributed_impl(problem, fixture, cfg, Some(hub))
-}
-
-fn run_distributed_impl(
+pub fn run_distributed(
     problem: &Problem,
     fixture: &Fixture,
     cfg: &ExecConfig,
@@ -181,7 +163,7 @@ mod tests {
             threads: crate::reference::REF_THREADS,
             dropless: true,
         };
-        let got = run_distributed(&problem, &fixture, &cfg);
+        let got = run_distributed(&problem, &fixture, &cfg, None);
         for (rank, (g, r)) in got.iter().zip(&reference).enumerate() {
             let at = format!("rank {rank} ({})", cfg.label());
             assert_eq!(max_ulp(&g.output, &r.output), 0, "{at} output");
@@ -204,7 +186,7 @@ mod tests {
             threads: 4,
             dropless: true,
         };
-        let got = run_distributed(&problem, &fixture, &cfg);
+        let got = run_distributed(&problem, &fixture, &cfg, None);
         let budget = f64::from(ulp_budget(&cfg));
         for (rank, (g, r)) in got.iter().zip(&reference).enumerate() {
             let at = format!("rank {rank} ({})", cfg.label());

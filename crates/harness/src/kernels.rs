@@ -194,7 +194,7 @@ pub fn run_kernel_matrix(seed: u64, fault_seed: u64) -> Vec<KernelVerdict> {
         let (cell_runs, fault) = dispatch::with_simd_mode(Some(cell.simd), || {
             let cell_runs: Vec<Vec<RankResult>> = configs
                 .iter()
-                .map(|c| run_distributed(&problem, fixture, c))
+                .map(|c| run_distributed(&problem, fixture, c, None))
                 .collect();
             let fault = run_fault_scenarios(Collective::AllToAllV, fault_seed);
             (cell_runs, fault)

@@ -93,7 +93,7 @@ pub fn run_matrix(mode: Mode, seed: u64) -> Vec<Verdict> {
         let fixture = problem.materialize();
         let reference = run_reference(&problem, &fixture);
         for config in configs(mode).into_iter().filter(|c| c.world == world) {
-            let got = run_distributed(&problem, &fixture, &config);
+            let got = run_distributed(&problem, &fixture, &config, None);
             verdicts.push(judge(config, &reference, &got));
         }
     }

@@ -28,7 +28,7 @@ use tutel_obs::trace::{TraceHub, TraceInvariants, TRACK_STREAM_COMM, TRACK_STREA
 use tutel_obs::{analyze, Analysis, AnalyzerConfig, Telemetry, TraceEvent};
 use tutel_simgpu::Topology;
 
-use crate::dist::run_distributed_traced;
+use crate::dist::run_distributed;
 use crate::reference::Problem;
 use crate::{ExecConfig, Parallelism};
 
@@ -71,7 +71,7 @@ pub fn run_trace_smoke(prefix: &str) -> Result<TraceSmoke, String> {
         dropless: false,
     };
     let hub = TraceHub::new(cfg.world);
-    run_distributed_traced(&problem, &fixture, &cfg, &hub);
+    run_distributed(&problem, &fixture, &cfg, Some(&hub));
 
     let rank_paths = hub
         .export_rank_jsonls(prefix)

@@ -59,10 +59,10 @@ fn overlapped_degrees_are_bitwise_identical_to_serial_under_p1() {
                     threads,
                     dropless: false,
                 };
-                let serial = run_distributed(&problem, &fixture, &at_degree(1));
+                let serial = run_distributed(&problem, &fixture, &at_degree(1), None);
                 for degree in DEGREES {
                     let cfg = at_degree(degree);
-                    let got = run_distributed(&problem, &fixture, &cfg);
+                    let got = run_distributed(&problem, &fixture, &cfg, None);
                     assert_ranks_bitwise(&serial, &got, &cell_label(&cfg, true));
                 }
             }
@@ -87,10 +87,10 @@ fn overlap_is_seed_independent_of_degree_ordering() {
         threads: 1,
         dropless: false,
     };
-    let serial = run_distributed(&problem, &fixture, &at_degree(1));
+    let serial = run_distributed(&problem, &fixture, &at_degree(1), None);
     for degree in DEGREES.iter().rev() {
         let cfg = at_degree(*degree);
-        let got = run_distributed(&problem, &fixture, &cfg);
+        let got = run_distributed(&problem, &fixture, &cfg, None);
         assert_ranks_bitwise(&serial, &got, &cell_label(&cfg, true));
     }
 }
