@@ -91,6 +91,15 @@ echo "==> tensor + gate tests at TUTEL_THREADS=1 and =4 (row-chunked top-k)"
 TUTEL_THREADS=1 cargo test -q -p tutel-tensor -p tutel-gate
 TUTEL_THREADS=4 cargo test -q -p tutel-tensor -p tutel-gate
 
+echo "==> resident rank group at TUTEL_THREADS=1 and =4"
+# comm::group: one parked thread per rank for the group's life (same
+# ThreadId over 100 runs), the step-boundary audit (a leak, a poisoned
+# rank or an exhausted retry budget leaves the group typed-dead), a
+# rank's panic re-raised after every rank reported, and faulted runs
+# recovering bitwise across step boundaries.
+TUTEL_THREADS=1 cargo test -q -p tutel-comm --lib group::
+TUTEL_THREADS=4 cargo test -q -p tutel-comm --lib group::
+
 echo "==> executed-overlap determinism sweep at TUTEL_THREADS=1 and =4"
 TUTEL_THREADS=1 cargo test -q --test overlap
 TUTEL_THREADS=4 cargo test -q --test overlap

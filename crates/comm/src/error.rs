@@ -65,6 +65,16 @@ pub enum CommError {
         /// What was wrong with the header.
         detail: String,
     },
+    /// A resident run ended with messages parked in a rank's mailbox:
+    /// some collective sent under a tag nobody consumed. The rank
+    /// group's step-boundary audit raises it where a one-shot run's
+    /// join would panic.
+    Leaked {
+        /// The rank whose mailbox was not empty.
+        rank: usize,
+        /// Each stranded `(src, tag)` queue and its length.
+        detail: String,
+    },
 }
 
 impl fmt::Display for CommError {
@@ -102,6 +112,9 @@ impl fmt::Display for CommError {
                     f,
                     "rank {rank}: malformed payload with rank {peer}: {detail}"
                 )
+            }
+            CommError::Leaked { rank, detail } => {
+                write!(f, "rank {rank}: mailbox not empty after the run: {detail}")
             }
         }
     }

@@ -5,7 +5,9 @@
 //! * an **executed layer**, [`runtime`], that runs every simulated rank
 //!   on its own thread and moves real `f32`s between them over
 //!   point-to-point channels — bit-exact, and the only code that moves
-//!   data between ranks; and
+//!   data between ranks. Its threads are a [`RankGroup`]: one parked
+//!   thread per rank, each owning its communicator for the group's
+//!   life; [`run_threaded`] is a one-shot group; and
 //! * a **timing layer** that prices every collective on a
 //!   [`tutel_simgpu`] cluster (link α–β models, message-size-dependent
 //!   bandwidth, strided-copy penalties) — used by the adaptive
@@ -29,6 +31,7 @@ mod algo;
 mod error;
 pub mod fault;
 pub mod flex;
+pub mod group;
 mod linear;
 pub mod runtime;
 #[cfg(feature = "check-sched")]
@@ -39,6 +42,7 @@ mod world;
 pub use algo::AllToAllAlgo;
 pub use error::CommError;
 pub use fault::{FaultAction, FaultPlan};
+pub use group::RankGroup;
 pub use linear::linear_all_to_all;
 pub use runtime::{
     run_threaded, run_threaded_reliable, run_threaded_reliable_traced, run_threaded_traced,

@@ -38,10 +38,12 @@
 //! `check-sched` deterministic scheduler can inject them) without
 //! unwinding across threads.
 //!
-//! The transport is pluggable: production runs use MPMC channels via
-//! [`run_threaded`]; under `feature = "check-sched"` the same
-//! `Communicator` can instead be backed by the adversarial
-//! deterministic scheduler in [`crate::sched`].
+//! The transport is pluggable: production runs use MPMC channels, wired
+//! up by [`crate::group::RankGroup`] (the resident rank threads) and
+//! its one-shot wrappers [`run_threaded`] & co., re-exported here; under
+//! `feature = "check-sched"` the same `Communicator` can instead be
+//! backed by the adversarial deterministic scheduler in
+//! [`crate::sched`].
 //!
 //! # Reliability layer
 //!
@@ -84,6 +86,10 @@ use tutel_simgpu::Topology;
 use crate::error::CommError;
 use crate::fault::{FaultAction, FaultPlan};
 use crate::AllToAllAlgo;
+
+pub use crate::group::{
+    run_threaded, run_threaded_reliable, run_threaded_reliable_traced, run_threaded_traced,
+};
 
 /// Message class on the wire. Control traffic (`Retry`, `Ack`) exists
 /// only under the reliability layer and is handled inline by the
@@ -220,13 +226,15 @@ enum Endpoint {
     Sched(Arc<crate::sched::SchedNet>),
 }
 
-/// One rank's endpoint in a [`run_threaded`] run: point-to-point
-/// sends/receives plus the collectives built on them.
+/// One rank's endpoint in a [`crate::group::RankGroup`] (or a one-shot
+/// [`run_threaded`] run): point-to-point sends/receives plus the
+/// collectives built on them.
 ///
-/// Not `Clone`: exactly one communicator exists per rank per run.
-/// When dropped at the end of a healthy run, it audits that its
-/// mailbox is empty — a parked message at join means some collective
-/// sent under a tag nobody consumed.
+/// Not `Clone`: exactly one communicator exists per rank per group.
+/// Its mailbox must be empty wherever a healthy run ends — a parked
+/// message means some collective sent under a tag nobody consumed. A
+/// resident group audits that after every run ([`Self::audit`]); a
+/// communicator dropped at the end of a healthy run panics on it.
 pub struct Communicator {
     rank: usize,
     topology: Topology,
@@ -236,11 +244,15 @@ pub struct Communicator {
     /// map stays empty across healthy collectives.
     mailbox: HashMap<(usize, u64), Vec<Vec<f32>>>,
     /// Monotone per-collective tag so concurrent collectives on the
-    /// same communicator pair never mix messages.
+    /// same communicator pair never mix messages. Never reset: in a
+    /// resident group, step n + 1's tags are all fresh, so nothing
+    /// step n left on the wire can be taken for step n + 1's data.
     next_tag: u64,
-    /// Set once any operation errored; disables the drop-time mailbox
-    /// audit (a failed run legitimately strands messages).
-    poisoned: Cell<bool>,
+    /// The first error any operation returned. Once set, the
+    /// communicator is poisoned: the drop-time mailbox audit is off (a
+    /// failed run legitimately strands messages) and a resident group
+    /// is typed-dead with this error.
+    failure: RefCell<Option<CommError>>,
     /// Armed by [`run_threaded_reliable`]; `None` keeps the plain
     /// fast path (and is always `None` on the sched endpoint, whose
     /// delivery faults live in the scheduler itself).
@@ -291,7 +303,7 @@ impl Communicator {
             endpoint: Endpoint::Sched(net),
             mailbox: HashMap::new(),
             next_tag: 0,
-            poisoned: Cell::new(false),
+            failure: RefCell::new(None),
             reliability: None,
             tracer: Tracer::disabled(),
             send_seqs: RefCell::new(HashMap::new()),
@@ -299,10 +311,89 @@ impl Communicator {
         }
     }
 
+    /// One communicator per rank of `topology`, joined by one MPMC
+    /// channel per rank and a shared barrier: the only place
+    /// channel-backed communicators are built. `reliable` arms the
+    /// reliability layer on every rank (sharing its telemetry); `hub`
+    /// gives each rank its tracer.
+    pub(crate) fn mesh(
+        topology: Topology,
+        reliable: Option<&ReliableConfig>,
+        hub: Option<&TraceHub>,
+    ) -> Vec<Communicator> {
+        let n = topology.world_size();
+        let (senders, receivers): (Vec<_>, Vec<_>) = (0..n).map(|_| unbounded()).unzip();
+        let barrier = Arc::new(Barrier::new(n));
+        (receivers.into_iter().enumerate())
+            .map(|(rank, receiver)| Communicator {
+                rank,
+                topology,
+                endpoint: Endpoint::Channel {
+                    senders: senders.clone(),
+                    receiver,
+                    barrier: Arc::clone(&barrier),
+                },
+                mailbox: HashMap::new(),
+                next_tag: 0,
+                failure: RefCell::new(None),
+                reliability: reliable.map(|c| Reliability {
+                    policy: c.policy,
+                    plan: c.plan,
+                    obs: c.telemetry.clone(),
+                    state: RefCell::new(RelState::default()),
+                }),
+                tracer: hub.map_or_else(Tracer::disabled, |h| h.tracer(rank)),
+                send_seqs: RefCell::new(HashMap::new()),
+                sent_elems: Cell::new(0),
+            })
+            .collect()
+    }
+
+    /// The step-boundary audit of a resident run: the check a dropped
+    /// communicator makes at join, returned as a value. A poisoned
+    /// communicator reports its first error; a healthy one must have
+    /// consumed every message it parked. A leak poisons the
+    /// communicator too, so it is reported once, as the run's error,
+    /// and never again by the drop-time audit.
+    ///
+    /// Only parked messages are audited, as at join. A healthy run
+    /// leaves nothing else behind: every plain send is received, and
+    /// the only reliable traffic that can outlive a run is a late
+    /// duplicate or retransmit, which the next run's receive discards
+    /// through the dedupe set (kept for the communicator's life for
+    /// exactly that reason).
+    ///
+    /// # Errors
+    ///
+    /// The poisoning error, or [`CommError::Leaked`] naming each
+    /// stranded `(src, tag)`.
+    pub(crate) fn audit(&mut self) -> Result<(), CommError> {
+        if let Some(err) = self.failure.borrow().clone() {
+            return Err(err);
+        }
+        if self.mailbox.is_empty() {
+            return Ok(());
+        }
+        let detail = self.mailbox_detail();
+        self.fail(CommError::Leaked {
+            rank: self.rank,
+            detail,
+        })
+    }
+
+    /// What the mailbox holds, for the two audits' messages.
+    fn mailbox_detail(&self) -> String {
+        let detail: Vec<String> = (self.mailbox.iter())
+            .map(|((src, tag), q)| format!("{} from rank {src} under tag {tag}", q.len()))
+            .collect();
+        detail.join(", ")
+    }
+
     /// Total `f32` elements transmitted on the wire as collective
-    /// payload so far (control traffic excluded). Monotone within a
-    /// run; the serve engine samples it around each micro-batch step
-    /// to report per-step communication volume.
+    /// payload so far (control traffic excluded). Monotone for the
+    /// communicator's life, across a resident group's runs; the serve
+    /// executor samples it around each micro-batch step to report
+    /// per-step communication volume.
     pub fn sent_payload_elems(&self) -> u64 {
         self.sent_elems.get()
     }
@@ -328,8 +419,10 @@ impl Communicator {
         self.mailbox.clear();
     }
 
+    /// Poisons the communicator with `err` (the first error sticks) and
+    /// returns it.
     fn fail<T>(&self, err: CommError) -> Result<T, CommError> {
-        self.poisoned.set(true);
+        self.failure.borrow_mut().get_or_insert_with(|| err.clone());
         Err(err)
     }
 
@@ -470,10 +563,7 @@ impl Communicator {
         match &mut self.endpoint {
             Endpoint::Channel { receiver, .. } => match receiver.recv() {
                 Ok(m) => Ok(m),
-                Err(_) => {
-                    self.poisoned.set(true);
-                    Err(CommError::Disconnected { rank: self.rank })
-                }
+                Err(_) => self.fail(CommError::Disconnected { rank: self.rank }),
             },
             #[cfg(feature = "check-sched")]
             Endpoint::Sched(net) => match net.recv(self.rank) {
@@ -484,10 +574,7 @@ impl Communicator {
                     seq: 0,
                     payload,
                 }),
-                Err(e) => {
-                    self.poisoned.set(true);
-                    Err(e)
-                }
+                Err(e) => self.fail(e),
             },
         }
     }
@@ -544,8 +631,7 @@ impl Communicator {
                 Ok(m) => Ok(Some(m)),
                 Err(RecvTimeoutError::Timeout) => Ok(None),
                 Err(RecvTimeoutError::Disconnected) => {
-                    self.poisoned.set(true);
-                    Err(CommError::Disconnected { rank: self.rank })
+                    self.fail(CommError::Disconnected { rank: self.rank })
                 }
             },
             #[cfg(feature = "check-sched")]
@@ -557,10 +643,7 @@ impl Communicator {
                     seq: 0,
                     payload,
                 })),
-                Err(e) => {
-                    self.poisoned.set(true);
-                    Err(e)
-                }
+                Err(e) => self.fail(e),
             },
         }
     }
@@ -819,8 +902,7 @@ impl Communicator {
 
     fn require_divisible(&self, len: usize, chunks: usize) -> Result<usize, CommError> {
         if chunks == 0 || !len.is_multiple_of(chunks) {
-            self.poisoned.set(true);
-            return Err(CommError::Indivisible { len, chunks });
+            return self.fail(CommError::Indivisible { len, chunks });
         }
         Ok(len / chunks)
     }
@@ -1370,163 +1452,16 @@ impl Drop for Communicator {
         // Mailbox audit at join: a healthy run consumes every message
         // it was sent. Skipped when the run already failed (poisoned
         // or panicking) — stranded messages are expected then.
-        if !std::thread::panicking() && !self.poisoned.get() && !self.mailbox.is_empty() {
-            let detail: Vec<String> = self
-                .mailbox
-                .iter()
-                .map(|((src, tag), q)| format!("{} from rank {src} under tag {tag}", q.len()))
-                .collect();
+        if !std::thread::panicking() && self.failure.get_mut().is_none() && !self.mailbox.is_empty()
+        {
             // check:allow(no_panic, join-time audit must abort the rank on leaked messages)
             panic!(
                 "rank {}: mailbox not empty at join: {}",
                 self.rank,
-                detail.join(", ")
+                self.mailbox_detail()
             );
         }
     }
-}
-
-/// Spawns one OS thread per rank and runs `program` on each with its
-/// own [`Communicator`]; returns the per-rank results in rank order.
-///
-/// # Example
-///
-/// ```
-/// use tutel_comm::runtime::run_threaded;
-/// use tutel_simgpu::Topology;
-///
-/// let results = run_threaded(Topology::new(2, 2), |mut comm| {
-///     let rank = comm.rank() as f32;
-///     comm.all_to_all(&[rank; 4]).unwrap()
-/// });
-/// // Rank 0 received one element from each rank.
-/// assert_eq!(results[0], vec![0.0, 1.0, 2.0, 3.0]);
-/// ```
-///
-/// # Panics
-///
-/// Panics if any rank's program panics (the panic payload is
-/// re-raised on the caller's thread).
-pub fn run_threaded<F, R>(topology: Topology, program: F) -> Vec<R>
-where
-    F: Fn(Communicator) -> R + Send + Sync,
-    R: Send,
-{
-    run_threaded_impl(topology, None, None, program)
-}
-
-/// Like [`run_threaded`], but arms each rank's communicator with a
-/// [`Tracer`] from `hub`, so every collective records comm-track spans
-/// and `(src, dst, tag, seq)`-stamped flow edges on the hub's shared
-/// timebase. After the run, merge and export via
-/// [`TraceHub::export_rank_jsonls`] or [`TraceHub::merged`].
-pub fn run_threaded_traced<F, R>(topology: Topology, hub: &TraceHub, program: F) -> Vec<R>
-where
-    F: Fn(Communicator) -> R + Send + Sync,
-    R: Send,
-{
-    run_threaded_impl(topology, None, Some(hub), program)
-}
-
-/// [`run_threaded_reliable`] with causal tracing armed: retransmits,
-/// duplicate discards, and the ack phase all become visible timeline
-/// events, which is what lets the straggler analyzer attribute an
-/// injected per-rank fault to its source.
-pub fn run_threaded_reliable_traced<F, R>(
-    topology: Topology,
-    cfg: ReliableConfig,
-    hub: &TraceHub,
-    program: F,
-) -> Vec<R>
-where
-    F: Fn(Communicator) -> R + Send + Sync,
-    R: Send,
-{
-    run_threaded_impl(topology, Some(cfg), Some(hub), program)
-}
-
-/// Like [`run_threaded`], but arms the reliability layer on every
-/// rank: sends are logged for retransmission, receives time out and
-/// retry with backoff per `cfg.policy`, each collective ends with an
-/// acknowledgement phase, and an optional [`FaultPlan`] injects
-/// seeded, replayable faults into data transmissions.
-///
-/// Fault-free, a reliable run produces bitwise the same collective
-/// results as [`run_threaded`]; with a recoverable plan (and a
-/// nonzero retry budget) it still does — that is the graceful-
-/// degradation property the conformance harness asserts. Unrecoverable
-/// plans surface [`CommError::Timeout`] within the policy's bounded
-/// wait instead of hanging.
-pub fn run_threaded_reliable<F, R>(topology: Topology, cfg: ReliableConfig, program: F) -> Vec<R>
-where
-    F: Fn(Communicator) -> R + Send + Sync,
-    R: Send,
-{
-    run_threaded_impl(topology, Some(cfg), None, program)
-}
-
-fn run_threaded_impl<F, R>(
-    topology: Topology,
-    cfg: Option<ReliableConfig>,
-    hub: Option<&TraceHub>,
-    program: F,
-) -> Vec<R>
-where
-    F: Fn(Communicator) -> R + Send + Sync,
-    R: Send,
-{
-    let n = topology.world_size();
-    let mut senders = Vec::with_capacity(n);
-    let mut receivers = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (s, r) = unbounded();
-        senders.push(s);
-        receivers.push(r);
-    }
-    let barrier = Arc::new(Barrier::new(n));
-    let program = &program;
-    let senders = &senders;
-    let cfg = &cfg;
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(n);
-        for (rank, receiver) in receivers.into_iter().enumerate() {
-            let barrier = Arc::clone(&barrier);
-            handles.push(scope.spawn(move || {
-                let comm = Communicator {
-                    rank,
-                    topology,
-                    endpoint: Endpoint::Channel {
-                        senders: senders.clone(),
-                        receiver,
-                        barrier,
-                    },
-                    mailbox: HashMap::new(),
-                    next_tag: 0,
-                    poisoned: Cell::new(false),
-                    reliability: cfg.as_ref().map(|c| Reliability {
-                        policy: c.policy,
-                        plan: c.plan,
-                        obs: c.telemetry.clone(),
-                        state: RefCell::new(RelState::default()),
-                    }),
-                    tracer: match hub {
-                        Some(h) => h.tracer(rank),
-                        None => Tracer::disabled(),
-                    },
-                    send_seqs: RefCell::new(HashMap::new()),
-                    sent_elems: Cell::new(0),
-                };
-                program(comm)
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(v) => v,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    })
 }
 
 #[cfg(test)]
@@ -1757,28 +1692,6 @@ mod tests {
             }
         });
         assert_eq!(got[0], 0, "drained mailbox entry was not removed");
-    }
-
-    #[test]
-    fn leaked_mailbox_message_panics_at_join() {
-        let topo = Topology::new(1, 2);
-        let result = std::panic::catch_unwind(|| {
-            run_threaded(topo, |mut comm| {
-                if comm.rank() == 1 {
-                    // Tag 42 is never consumed; tag 1 unblocks rank 0.
-                    comm.send(0, 42, vec![1.0]).unwrap();
-                    comm.send(0, 1, vec![2.0]).unwrap();
-                } else {
-                    comm.recv(1, 1).unwrap();
-                }
-            })
-        });
-        let payload = result.expect_err("leak must panic at join");
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
-        assert!(msg.contains("mailbox not empty"), "got: {msg}");
     }
 
     use crate::fault::FaultPlan;

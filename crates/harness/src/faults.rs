@@ -17,9 +17,10 @@
 //! drops and asserts the wedge is *detected* (typed deadlock carrying
 //! the replay seed) rather than silent.
 //!
-//! [`step_fault_replay`] arms the same recoverable plan under one whole
-//! product step ([`execute_step_reliable`]) — the single driver behind
-//! the serving grid's and the grouped grid's fault rows.
+//! [`step_fault_replay`] arms the same recoverable plan under two
+//! consecutive product steps on one resident reliable
+//! [`StepExecutor`] — the single driver behind the serving grid's and
+//! the grouped grid's fault rows.
 
 use std::time::{Duration, Instant};
 
@@ -27,7 +28,7 @@ use tutel_comm::runtime::{run_threaded, run_threaded_reliable, Communicator};
 use tutel_comm::sched::run_sched_faulty;
 use tutel_comm::{CommError, FaultPlan, ReliableConfig, RetryPolicy};
 use tutel_obs::Telemetry;
-use tutel_serve::exec::{execute_step, execute_step_reliable, reference_rows};
+use tutel_serve::exec::{execute_step, reference_rows, StepExecutor};
 use tutel_serve::{ExecConfig, ServeError, ServeModel};
 use tutel_simgpu::Topology;
 use tutel_tensor::Tensor;
@@ -262,23 +263,26 @@ pub const FAULT_POINT: ExecConfig = ExecConfig {
 /// Verdict of a whole-step fault replay.
 #[derive(Debug, Clone)]
 pub struct FaultReplay {
-    /// Faults the seeded plan actually injected (> 0 or the replay is
-    /// vacuous).
-    pub injected: u64,
-    /// Retransmissions the retry protocol served.
+    /// Faults the seeded plan actually injected in each of the two
+    /// steps (each > 0 or the replay is vacuous).
+    pub injected: [u64; 2],
+    /// Retransmissions the retry protocol served over both steps.
     pub retransmits: u64,
-    /// Faulted outputs matched the fault-free step and the solo
-    /// reference bitwise.
+    /// Each faulted step's outputs matched the fault-free step and the
+    /// solo reference bitwise.
     pub identical: bool,
     /// Overall verdict.
     pub pass: bool,
 }
 
 /// Replays a seeded mixed drop/duplicate/delay [`FaultPlan`] under the
-/// All-to-Alls of one product step and demands bitwise recovery: the
-/// faulted step must equal both the fault-free step and the per-row
-/// reference exactly, so `cfg` must be a bitwise point ([`crate::ulp_budget`]
-/// 0).
+/// All-to-Alls of two consecutive product steps on one resident
+/// reliable [`StepExecutor`], one step per batch, and demands bitwise
+/// recovery: each faulted step must equal both the fault-free step and
+/// the per-row reference exactly, so `cfg` must be a bitwise point
+/// ([`crate::ulp_budget`] 0). The second step runs on the retry state
+/// the first left behind: its tags continue the first's, and a late
+/// duplicate or retransmit of the first may arrive during it.
 ///
 /// # Errors
 ///
@@ -287,21 +291,27 @@ pub struct FaultReplay {
 pub fn step_fault_replay(
     model: &ServeModel,
     cfg: &ExecConfig,
-    batch: &Tensor,
+    batches: [&Tensor; 2],
     seed: u64,
 ) -> Result<FaultReplay, ServeError> {
     let telemetry = Telemetry::enabled();
-    let faulted = execute_step_reliable(model, cfg, batch, recoverable(seed, 12, &telemetry))?;
-    let baseline = execute_step(model, cfg, batch)?;
-    let reference = reference_rows(model, batch)?;
-    let injected = injected_faults(&telemetry);
-    let identical = faulted.outputs.as_slice() == reference.as_slice()
-        && faulted.outputs.as_slice() == baseline.outputs.as_slice();
+    let mut exec = StepExecutor::new(model, *cfg, Some(recoverable(seed, 12, &telemetry)))?;
+    let mut injected = [0; 2];
+    let mut identical = true;
+    for (count, batch) in injected.iter_mut().zip(batches) {
+        let before = injected_faults(&telemetry);
+        let faulted = exec.step(batch)?;
+        *count = injected_faults(&telemetry) - before;
+        let baseline = execute_step(model, cfg, batch)?;
+        let reference = reference_rows(model, batch)?;
+        identical &= faulted.outputs.as_slice() == reference.as_slice()
+            && faulted.outputs.as_slice() == baseline.outputs.as_slice();
+    }
     Ok(FaultReplay {
         injected,
         retransmits: retry_counter(&telemetry, "comm.retry.retransmits"),
         identical,
-        pass: identical && injected > 0,
+        pass: identical && injected.iter().all(|&n| n > 0),
     })
 }
 

@@ -15,8 +15,9 @@
 //!   point, because ragged bin shapes are exactly what the grouped
 //!   kernels must not let leak into the math;
 //! * a seeded fault replay ([`step_fault_replay`]) arms the
-//!   reliability layer under the ragged v-All-to-Alls and demands
-//!   bitwise recovery.
+//!   reliability layer under the ragged v-All-to-Alls of two
+//!   consecutive steps on one resident executor and demands bitwise
+//!   recovery.
 
 use tutel_serve::exec::{execute_step, reference_rows};
 use tutel_serve::model::{ModelDims, ServeModel};
@@ -87,8 +88,8 @@ pub fn run_grouped_case(cfg: &ExecConfig, seed: u64) -> Result<GroupedVerdict, S
     Ok(GroupedVerdict::judge(*cfg, worst, detail, true))
 }
 
-/// [`step_fault_replay`] under the ragged v-All-to-Alls of a skewed
-/// batch, so some payloads are empty.
+/// [`step_fault_replay`] under the ragged v-All-to-Alls of two skewed
+/// batches, so some payloads are empty.
 ///
 /// # Errors
 ///
@@ -96,7 +97,9 @@ pub fn run_grouped_case(cfg: &ExecConfig, seed: u64) -> Result<GroupedVerdict, S
 pub fn run_grouped_fault(seed: u64) -> Result<FaultReplay, ServeError> {
     let dims = ModelDims::small(FAULT_POINT.world);
     let model = ServeModel::materialize(dims, seed ^ 0xD8FA)?;
-    step_fault_replay(&model, &FAULT_POINT, &skewed_batch(&dims, 9, seed), seed)
+    let first = skewed_batch(&dims, 9, seed);
+    let second = skewed_batch(&dims, 7, seed ^ 0x2);
+    step_fault_replay(&model, &FAULT_POINT, [&first, &second], seed)
 }
 
 #[cfg(test)]
@@ -146,6 +149,6 @@ mod tests {
     fn ragged_fault_replay_recovers_every_output_bit() {
         let v = run_grouped_fault(0x5EED).unwrap();
         assert!(v.pass, "{v:?}");
-        assert!(v.injected > 0);
+        assert!(v.injected.iter().all(|&n| n > 0), "{v:?}");
     }
 }

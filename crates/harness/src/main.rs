@@ -159,8 +159,9 @@ fn print_replay(what: &str, replay: Result<FaultReplay, ServeError>) -> bool {
     match replay {
         Ok(v) => {
             println!(
-                "{what}: {} injected, {} retransmits, outputs {} — {}",
-                v.injected,
+                "{what}: {} + {} injected over two steps, {} retransmits, outputs {} — {}",
+                v.injected[0],
+                v.injected[1],
                 v.retransmits,
                 if v.identical { "bitwise" } else { "DIVERGED" },
                 if v.pass { "pass" } else { "FAIL" }

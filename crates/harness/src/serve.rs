@@ -18,8 +18,8 @@
 //!   serve path routes dropless, so batch-mates cannot couple), ≤ 4
 //!   scaled ULP for P2 (hidden-shard re-association);
 //! * a seeded fault replay ([`step_fault_replay`]) arms the
-//!   reliability layer on the step's All-to-All and demands recovery
-//!   keep every output bit.
+//!   reliability layer on two consecutive steps' All-to-Alls, on one
+//!   resident executor, and demands recovery keep every output bit.
 
 use tutel_obs::Telemetry;
 use tutel_serve::batcher::BatcherConfig;
@@ -130,7 +130,8 @@ pub fn run_serve_case(cfg: &ExecConfig, seed: u64) -> Result<ServeVerdict, Serve
     Ok(ServeVerdict::judge(*cfg, worst, detail, served))
 }
 
-/// [`step_fault_replay`] under one serving step of six seeded rows.
+/// [`step_fault_replay`] under two serving steps of six and five
+/// seeded rows.
 ///
 /// # Errors
 ///
@@ -138,8 +139,10 @@ pub fn run_serve_case(cfg: &ExecConfig, seed: u64) -> Result<ServeVerdict, Serve
 pub fn run_serve_fault(seed: u64) -> Result<FaultReplay, ServeError> {
     let dims = ModelDims::small(FAULT_POINT.world);
     let model = ServeModel::materialize(dims, seed ^ 0xFA17)?;
-    let batch = Rng::seed(seed).normal_tensor(&[6, dims.model_dim], 0.0, 1.0);
-    step_fault_replay(&model, &FAULT_POINT, &batch, seed)
+    let mut rng = Rng::seed(seed);
+    let first = rng.normal_tensor(&[6, dims.model_dim], 0.0, 1.0);
+    let second = rng.normal_tensor(&[5, dims.model_dim], 0.0, 1.0);
+    step_fault_replay(&model, &FAULT_POINT, [&first, &second], seed)
 }
 
 #[cfg(test)]
@@ -190,7 +193,7 @@ mod tests {
     fn fault_replay_recovers_every_output_bit() {
         let v = run_serve_fault(0x5EED).unwrap();
         assert!(v.pass, "{v:?}");
-        assert!(v.injected > 0);
+        assert!(v.injected.iter().all(|&n| n > 0), "{v:?}");
     }
 
     #[test]

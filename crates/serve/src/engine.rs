@@ -15,7 +15,7 @@ use tutel_obs::{AnomalyRecord, DecisionRecord, Telemetry};
 use tutel_tensor::Tensor;
 
 use crate::batcher::{BatcherConfig, ContinuousBatcher};
-use crate::exec::{execute_step, ExecConfig};
+use crate::exec::{ExecConfig, StepExecutor};
 use crate::model::ServeModel;
 use crate::queue::IngressQueue;
 use crate::request::{Request, RequestId, RequestOutcome, ServeError};
@@ -128,9 +128,14 @@ struct Tracked {
 /// The discrete-event serving loop. [`run_trace`] covers the open
 /// arrival model; the closed-loop generator drives [`Engine`]
 /// directly so completions can trigger the next arrivals.
+///
+/// The engine owns one [`StepExecutor`] for its whole life: its rank
+/// threads are spawned and its rank blocks built in [`Engine::new`],
+/// so [`Engine::pump`] spawns no thread and slices no weight.
 pub struct Engine<'a> {
     model: &'a ServeModel,
     cfg: EngineConfig,
+    executor: StepExecutor<'a>,
     tel: &'a Telemetry,
     queue: IngressQueue,
     batcher: ContinuousBatcher,
@@ -145,25 +150,22 @@ pub struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    /// Creates an idle engine at virtual time zero.
+    /// Creates an idle engine at virtual time zero, with its executor's
+    /// rank threads parked and rank blocks built.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Config`] if the model and exec config disagree.
+    /// [`ServeError::Config`] if the model and exec config disagree;
+    /// [`ServeError::Tensor`] if the expert bank does not split.
     pub fn new(
         model: &'a ServeModel,
         cfg: &EngineConfig,
         tel: &'a Telemetry,
     ) -> Result<Self, ServeError> {
-        if cfg.exec.world != model.dims.world {
-            return Err(ServeError::Config(format!(
-                "engine exec world {} != model world {}",
-                cfg.exec.world, model.dims.world
-            )));
-        }
         Ok(Engine {
             model,
             cfg: *cfg,
+            executor: StepExecutor::new(model, cfg.exec, None)?,
             tel,
             queue: IngressQueue::new(cfg.queue_capacity),
             batcher: ContinuousBatcher::new(cfg.batcher),
@@ -310,7 +312,7 @@ impl<'a> Engine<'a> {
             .span("serve.step")
             .tag("tokens", occupancy as u64)
             .tag("inflight", plan.entries.len() as u64);
-        let step_out = execute_step(self.model, &self.cfg.exec, &batch)?;
+        let step_out = self.executor.step(&batch)?;
         drop(span);
         self.a2a_elems += step_out.a2a_elems;
         self.steps += 1;

@@ -39,11 +39,31 @@
 //! [`tutel_comm::AllToAllAlgo`], so what the parallelism router and the
 //! pipeline search choose is written into it without conversion, and
 //! the conformance harness enumerates this type rather than a copy.
+//!
+//! # Resident ranks
+//!
+//! A [`StepExecutor`] holds what outlives a step: a
+//! [`tutel_comm::RankGroup`] (one parked OS thread per rank, each owning
+//! its communicator) and every rank's expert blocks, which each rank
+//! builds once with [`rank_blocks`] on its own thread. A step wakes the
+//! ranks, runs the rank program on their prebuilt blocks and the
+//! borrowed batch, and parks them again: no thread is spawned and no
+//! weight is sliced. [`crate::Engine`] owns one executor for its life;
+//! [`execute_step`] and [`execute_step_reliable`] build one, run one
+//! step and drop it.
+//!
+//! After each step every rank audits its communicator. A collective
+//! that failed, or a message nobody consumed, fails the step with
+//! [`ServeError::Comm`] and leaves the group typed-dead, so every later
+//! step returns the same error at once. A row that fails to gate does
+//! not touch the communicator (its rank still walks the collectives),
+//! so the next step runs as usual.
 
 use tutel::overlap::exchange_bins;
 use tutel::step;
-use tutel_comm::runtime::{run_threaded, run_threaded_reliable, Communicator, ReliableConfig};
-use tutel_comm::AllToAllAlgo;
+use tutel_comm::runtime::{Communicator, ReliableConfig};
+use tutel_comm::{AllToAllAlgo, RankGroup};
+use tutel_experts::ExpertsBlock;
 use tutel_gate::{route, RaggedRouting, Router};
 use tutel_kernels::{fast_decode, fast_encode};
 use tutel_obs::Telemetry;
@@ -122,6 +142,11 @@ pub struct StepOutput {
 /// rank gates and routes its own rows with the replicated router,
 /// dropless, and ships its exact bins.
 ///
+/// A one-shot [`StepExecutor`]: it is built, runs this one step and is
+/// dropped, so its rank threads and rank blocks last one step. A caller
+/// that steps repeatedly holds an executor instead, as
+/// [`crate::Engine`] does.
+///
 /// # Errors
 ///
 /// [`ServeError::Config`] for an empty batch or a config/model
@@ -134,7 +159,7 @@ pub fn execute_step(
     cfg: &ExecConfig,
     batch: &Tensor,
 ) -> Result<StepOutput, ServeError> {
-    execute_step_with(model, cfg, batch, None)
+    StepExecutor::new(model, *cfg, None)?.step(batch)
 }
 
 /// [`execute_step`] with the comm reliability layer armed: sends are
@@ -153,78 +178,131 @@ pub fn execute_step_reliable(
     batch: &Tensor,
     cfg_rel: ReliableConfig,
 ) -> Result<StepOutput, ServeError> {
-    execute_step_with(model, cfg, batch, Some(cfg_rel))
+    StepExecutor::new(model, *cfg, Some(cfg_rel))?.step(batch)
 }
 
-fn execute_step_with(
-    model: &ServeModel,
-    cfg: &ExecConfig,
-    batch: &Tensor,
-    cfg_rel: Option<ReliableConfig>,
-) -> Result<StepOutput, ServeError> {
-    let dims = model.dims;
-    if cfg.world != dims.world {
-        return Err(ServeError::Config(format!(
-            "exec world {} != model world {}",
-            cfg.world, dims.world
-        )));
-    }
-    if cfg.degree == 0 {
-        return Err(ServeError::Config("pipeline degree must be nonzero".into()));
-    }
-    let b = batch.dims().first().copied().unwrap_or(0);
-    if b == 0 {
-        return Err(ServeError::Config("empty micro-batch".into()));
-    }
-    if batch.dims() != [b, dims.model_dim] {
-        return Err(ServeError::Config(format!(
-            "batch dims {:?} != (B, {})",
-            batch.dims(),
-            dims.model_dim
-        )));
+/// The resident step executor: one [`RankGroup`] and every rank's
+/// expert blocks, both built once in [`StepExecutor::new`] and kept
+/// for the executor's life, so a [`StepExecutor::step`] spawns no
+/// thread and slices no weight.
+///
+/// The blocks cannot go stale: the executor borrows the model for its
+/// whole life, so the borrow checker keeps the weights from changing
+/// under it.
+pub struct StepExecutor<'m> {
+    model: &'m ServeModel,
+    cfg: ExecConfig,
+    /// `blocks[rank]`: [`rank_blocks`] of that rank.
+    blocks: Vec<Vec<ExpertsBlock>>,
+    group: RankGroup,
+}
+
+impl<'m> StepExecutor<'m> {
+    /// Checks `cfg` against the model, spawns the rank group (with the
+    /// reliability layer armed when `reliable` is given) and has every
+    /// rank build its expert blocks on its own thread.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::Config`] for a config/model mismatch;
+    /// [`ServeError::Tensor`] if the expert bank does not split.
+    pub fn new(
+        model: &'m ServeModel,
+        cfg: ExecConfig,
+        reliable: Option<ReliableConfig>,
+    ) -> Result<Self, ServeError> {
+        let dims = model.dims;
+        if cfg.world != dims.world {
+            return Err(ServeError::Config(format!(
+                "exec world {} != model world {}",
+                cfg.world, dims.world
+            )));
+        }
+        if cfg.degree == 0 {
+            return Err(ServeError::Config("pipeline degree must be nonzero".into()));
+        }
+        let mut group = RankGroup::new(topology_for(cfg.world), reliable, None);
+        let build = |comm: &mut Communicator| {
+            with_parallelism_limit(cfg.threads, || {
+                rank_blocks(
+                    &model.experts,
+                    cfg.strategy,
+                    cfg.world,
+                    comm.rank(),
+                    dims.shards,
+                )
+            })
+        };
+        let blocks = group.run(&build)?.into_iter().collect::<Result<_, _>>()?;
+        Ok(StepExecutor {
+            model,
+            cfg,
+            blocks,
+            group,
+        })
     }
 
-    // Every rank serves the same row count; zero rows pad the tail.
-    let world = cfg.world;
-    let per_rank = b.div_ceil(world);
-    let topo = topology_for(world);
+    /// Runs one micro-batch step on the resident ranks, as
+    /// [`execute_step`] describes.
+    ///
+    /// # Errors
+    ///
+    /// As [`execute_step`]. A failure in the collectives leaves the
+    /// rank group typed-dead: this step and every later one return
+    /// [`ServeError::Comm`] with the first error. A failure of the rows
+    /// themselves (a NaN row) does not: the next step runs.
+    pub fn step(&mut self, batch: &Tensor) -> Result<StepOutput, ServeError> {
+        let (model, cfg, blocks) = (self.model, self.cfg, &self.blocks);
+        let m = model.dims.model_dim;
+        let b = batch.dims().first().copied().unwrap_or(0);
+        if b == 0 {
+            return Err(ServeError::Config("empty micro-batch".into()));
+        }
+        if batch.dims() != [b, m] {
+            return Err(ServeError::Config(format!(
+                "batch dims {:?} != (B, {m})",
+                batch.dims()
+            )));
+        }
 
-    let cfg = *cfg;
-    let program = move |comm: Communicator| {
-        with_parallelism_limit(cfg.threads, || run_rank(model, &cfg, batch, per_rank, comm))
-    };
-    let rank_results: Vec<RankResult> = match cfg_rel {
-        None => run_threaded(topo, program),
-        Some(rel) => run_threaded_reliable(topo, rel, program),
-    };
+        // Every rank serves the same row count; zero rows pad the tail.
+        let world = cfg.world;
+        let per_rank = b.div_ceil(world);
+        let program = |comm: &mut Communicator| {
+            let blocks = blocks.get(comm.rank()).map_or(&[][..], Vec::as_slice);
+            with_parallelism_limit(cfg.threads, || {
+                run_rank(model, &cfg, blocks, batch, per_rank, comm)
+            })
+        };
+        let rank_results: Vec<RankResult> = self.group.run(&program)?;
 
-    let mut outs = Vec::with_capacity(world);
-    let mut capacity = 0usize;
-    let mut a2a_elems = 0u64;
-    for res in rank_results {
-        let (out, cap, sent) = res?;
-        capacity = capacity.max(cap);
-        a2a_elems += sent;
-        outs.push(out);
+        let mut outs = Vec::with_capacity(world);
+        let mut capacity = 0usize;
+        let mut a2a_elems = 0u64;
+        for res in rank_results {
+            let (out, cap, sent) = res?;
+            capacity = capacity.max(cap);
+            a2a_elems += sent;
+            outs.push(out);
+        }
+
+        // Stitch rank outputs back round-robin and drop the padding rows.
+        let mut stitched = vec![0.0f32; b * m];
+        for (i, row) in stitched.chunks_mut(m).enumerate() {
+            let rank = i % world;
+            let local = i / world;
+            let src = outs
+                .get(rank)
+                .and_then(|o| o.get(local * m..(local + 1) * m))
+                .ok_or_else(|| ServeError::Config("rank output shorter than its rows".into()))?;
+            row.copy_from_slice(src);
+        }
+        Ok(StepOutput {
+            outputs: Tensor::from_vec(stitched, &[b, m])?,
+            capacity,
+            a2a_elems,
+        })
     }
-
-    // Stitch rank outputs back round-robin and drop the padding rows.
-    let m = dims.model_dim;
-    let mut stitched = vec![0.0f32; b * m];
-    for (i, row) in stitched.chunks_mut(m).enumerate() {
-        let rank = i % world;
-        let local = i / world;
-        let src = outs
-            .get(rank)
-            .and_then(|o| o.get(local * m..(local + 1) * m))
-            .ok_or_else(|| ServeError::Config("rank output shorter than its rows".into()))?;
-        row.copy_from_slice(src);
-    }
-    Ok(StepOutput {
-        outputs: Tensor::from_vec(stitched, &[b, m])?,
-        capacity,
-        a2a_elems,
-    })
 }
 
 /// Deals `rank` its `(per_rank, M)` rows of the batch: global rows
@@ -250,20 +328,23 @@ fn rank_rows(
 }
 
 /// One rank's program: the product's step ([`tutel::step`]) over the
-/// rank's rows with `exchange_bins(shard_sum ∘ infer_grouped)` as its
-/// expert stage — gate + dropless route per row (identical to the
-/// reference by construction), encode, the overlapped exchange, decode.
-/// Returns the rank's flat output rows, its largest expert bin, and its
-/// wire payload volume.
+/// rank's rows with `exchange_bins(shard_sum ∘ infer_grouped)` over the
+/// rank's prebuilt `blocks` as its expert stage — gate + dropless route
+/// per row (identical to the reference by construction), encode, the
+/// overlapped exchange, decode. Returns the rank's flat output rows,
+/// its largest expert bin, and the wire payload volume it sent during
+/// this step.
 fn run_rank(
     model: &ServeModel,
     cfg: &ExecConfig,
+    blocks: &[ExpertsBlock],
     batch: &Tensor,
     per_rank: usize,
-    mut comm: Communicator,
+    comm: &mut Communicator,
 ) -> RankResult {
     let (rank, dims) = (comm.rank(), model.dims);
-    let blocks = rank_blocks(&model.experts, cfg.strategy, cfg.world, rank, dims.shards)?;
+    // The communicator's payload counter runs for the group's life.
+    let sent_before = comm.sent_payload_elems();
     let mut x = rank_rows(batch, per_rank, cfg.world, rank)?;
     let (route_cfg, tel) = (dims.route_config(), Telemetry::disabled());
     // Gating is the one failure that depends on the rows this rank was
@@ -280,12 +361,12 @@ fn run_rank(
     let bins = RaggedRouting::from_routing(&routing);
     let stepped = step::forward(&x, probs, routing, bins, &tel, |packed, offsets| {
         Ok::<_, ServeError>(exchange_bins(
-            &mut comm,
+            comm,
             cfg.algo,
             cfg.degree,
             packed,
             offsets,
-            |_, rows, offsets| shard_sum(&blocks, |block| block.infer_grouped(rows, offsets)),
+            |_, rows, offsets| shard_sum(blocks, |block| block.infer_grouped(rows, offsets)),
         )??)
     });
     if let Some(e) = failed {
@@ -297,7 +378,7 @@ fn run_rank(
     Ok((
         output.as_slice().to_vec(),
         largest_bin.unwrap_or(0),
-        comm.sent_payload_elems(),
+        comm.sent_payload_elems() - sent_before,
     ))
 }
 
@@ -362,10 +443,12 @@ mod tests {
     fn a_nan_row_fails_the_step_on_every_rank_without_blocking() {
         // Only rank 1 is dealt the NaN row (row 3 of 9, world 2). It
         // must still walk through the exchange, or rank 0 waits for
-        // it forever: run the step on a thread so a
+        // it forever — and the resident group must come out of the
+        // failed step ready for the next one. Run on a thread so a
         // hang fails the test instead of stalling the suite.
         use std::sync::mpsc;
-        use std::time::Duration;
+        use std::time::{Duration, Instant};
+        use tutel_comm::{CommError, FaultPlan, RetryPolicy};
         let dims = ModelDims::small(2);
         let good = batch(&dims, 9, 23);
         let mut nan = good.clone();
@@ -377,8 +460,10 @@ mod tests {
         let mut all = nan.clone();
         all.as_mut_slice()[2 * dims.model_dim] = f32::NAN;
         let (tx, rx) = mpsc::channel();
+        let (dead_tx, dead_rx) = mpsc::channel();
         std::thread::spawn(move || {
             let model = ServeModel::materialize(dims, 7).unwrap();
+            let reference = reference_rows(&model, &good).unwrap();
             for strategy in [Strategy::P1, Strategy::P2] {
                 for degree in [1, 2] {
                     let cfg = ExecConfig {
@@ -389,25 +474,78 @@ mod tests {
                         threads: 1,
                         dropless: true,
                     };
-                    for x in [&nan, &inf, &all] {
-                        let got = execute_step(&model, &cfg, x).map(|out| out.capacity);
-                        tx.send((cfg.label(), got)).unwrap();
+                    // P2 re-associates the shard sum, so it is held to
+                    // the one-shot step instead of the reference.
+                    let expect = match strategy {
+                        Strategy::P1 => reference.clone(),
+                        Strategy::P2 => execute_step(&model, &cfg, &good).unwrap().outputs,
+                    };
+                    let mut exec = StepExecutor::new(&model, cfg, None).unwrap();
+                    for x in [&nan, &good, &inf, &good, &all, &good] {
+                        let got = exec.step(x).map(|out| out.outputs);
+                        tx.send((
+                            cfg.label(),
+                            x.as_slice() == good.as_slice(),
+                            got,
+                            expect.clone(),
+                        ))
+                        .unwrap();
                     }
-                    // The failed step leaves nothing behind.
-                    execute_step(&model, &cfg, &good).unwrap();
                 }
             }
+            // A failure in the collectives is different: a fault plan
+            // that exhausts the retry budget fails the step with a
+            // timeout and leaves the group typed-dead, so the next
+            // step returns the same error without running a rank.
+            let rel = ReliableConfig {
+                policy: RetryPolicy {
+                    timeout: Duration::from_millis(200),
+                    max_retries: 0,
+                    backoff: 2,
+                },
+                plan: Some(FaultPlan::new(3).with_drops(100)),
+                telemetry: Telemetry::disabled(),
+            };
+            let cfg = ExecConfig {
+                strategy: Strategy::P1,
+                algo: AllToAllAlgo::Linear,
+                degree: 2,
+                world: 2,
+                threads: 1,
+                dropless: true,
+            };
+            let mut exec = StepExecutor::new(&model, cfg, Some(rel)).unwrap();
+            let failed = exec.step(&good).map(|_| ());
+            let started = Instant::now();
+            let next = exec.step(&good).map(|_| ());
+            dead_tx.send((failed, next, started.elapsed())).unwrap();
         });
-        for _ in 0..12 {
-            let (label, got) = rx
+        for _ in 0..24 {
+            let (label, is_good, got, expect) = rx
                 .recv_timeout(Duration::from_secs(60))
                 .expect("a rank is blocked on a peer that failed to gate");
             match got {
-                Err(ServeError::Tensor(e)) => {
+                // The failed step leaves nothing behind on the group.
+                Ok(out) if is_good => assert_eq!(out.as_slice(), expect.as_slice(), "{label}"),
+                Err(ServeError::Tensor(e)) if !is_good => {
                     assert!(e.to_string().contains("NaN"), "{label}: {e}")
                 }
-                other => panic!("{label}: expected a NaN gate error, got {other:?}"),
+                other => panic!("{label}: unexpected {:?}", other.map(|_| ())),
             }
         }
+        let (failed, next, waited) = dead_rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("a dead group blocked");
+        let Err(ServeError::Comm(first @ CommError::Timeout { .. })) = failed else {
+            panic!("expected a timeout, got {failed:?}");
+        };
+        match next {
+            Err(ServeError::Comm(e)) => assert_eq!(e, first),
+            other => panic!("expected the same timeout, got {other:?}"),
+        }
+        assert!(
+            waited < Duration::from_millis(100),
+            "the dead group waited {waited:?}"
+        );
     }
 }

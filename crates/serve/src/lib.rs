@@ -14,8 +14,9 @@
 //!   per running sequence per step, fill-or-timeout launch;
 //! * [`exec`] — one micro-batch step through the overlapped
 //!   dispatch → expert FFN → combine path (`tutel::overlap` over the
-//!   threaded comm runtime), plus the sequential per-request
-//!   reference executor;
+//!   threaded comm runtime), run by a resident executor whose rank
+//!   threads and rank blocks outlive the step, plus the sequential
+//!   per-request reference executor;
 //! * [`engine`] — the virtual-time discrete-event loop joining the
 //!   three, with per-request latency/SLO accounting (`serve.*`
 //!   metrics, p50/p99, deadline misses) exported through `obs`;

@@ -1,14 +1,18 @@
 //! Heap allocations, arena balance and pool jobs as exact counts — a
 //! signal no wall clock can blur.
 //!
-//! Two `#[test]`s in their own binary: the counting `#[global_allocator]`
+//! Three `#[test]`s in their own binary: the counting `#[global_allocator]`
 //! and the process-global arena must not see other tests. Counts are
 //! per thread. The first test (the gate chain, the many-experts step and
 //! a clamped step's exact bins) runs under `with_parallelism_limit(1)`,
 //! so everything it counts happened on the calling thread and it
 //! dispatches no pool job. The second touches only thread-local counts,
 //! a private `Arena` and the pool jobs it dispatches itself, so the two
-//! can run side by side.
+//! can run side by side. The third counts what a warm serving engine's
+//! `pump` allocates on the calling thread (its rank threads' own
+//! allocations are theirs). It shares the process-global arena with the
+//! first, so the two hold one lock, and the third empties the arena
+//! before it lets go.
 //!
 //! The second test is the "disabled = free" budget of the hot-path
 //! hooks: a disabled `Telemetry` or `Tracer` call, a warmed arena take +
@@ -23,7 +27,13 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::{Mutex, PoisonError};
 
+use tutel_serve::{
+    BatcherConfig, Engine, EngineConfig, ExecConfig, ModelDims, Request, ServeModel, ServiceModel,
+    Strategy,
+};
+use tutel_suite::comm::AllToAllAlgo;
 use tutel_suite::gate::{route, RaggedRouting, RouteConfig};
 use tutel_suite::obs::trace::{FlowKind, Tracer, TRACK_COMM, TRACK_MAIN};
 use tutel_suite::obs::{Event, TagValue, Telemetry};
@@ -77,6 +87,9 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
+/// Held by each test that uses the process-global arena.
+static GLOBAL_ARENA: Mutex<()> = Mutex::new(());
+
 /// Allocator calls `f` made on this thread.
 fn allocs_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
     let before = ALLOCS.with(Cell::get);
@@ -99,6 +112,7 @@ fn packed_rows(tel: &Telemetry) -> Option<u64> {
 
 #[test]
 fn gate_chain_allocations_do_not_scale_with_tokens_and_the_arena_balances() {
+    let _arena = GLOBAL_ARENA.lock().unwrap_or_else(PoisonError::into_inner);
     with_parallelism_limit(1, || {
         let mut rng = Rng::seed(20);
 
@@ -313,4 +327,83 @@ fn disabled_instrumentation_and_warm_runtime_paths_are_exact_counts() {
         (CALLS, 0, 0)
     };
     assert_eq!(fan_out(4), parallel, "fan-out at limit 4");
+}
+
+/// Pumps of the closed loop below, after as many again to warm up.
+const PUMPS: usize = 200;
+
+#[test]
+fn a_warm_serving_engine_pumps_with_a_pinned_allocation_count() {
+    // A closed loop at P1 / linear over two ranks: eight users, eight
+    // slots, each completion submits the next request (built outside
+    // the count). The engine spawned its rank threads and built its
+    // rank blocks when it was made, so a pump's allocations on this
+    // thread are the batch, the step's result slots and stitched
+    // output, and the engine's own bookkeeping; no thread handle and
+    // no weight slice.
+    let _arena = GLOBAL_ARENA.lock().unwrap_or_else(PoisonError::into_inner);
+    let dims = ModelDims::small(2);
+    let model = ServeModel::materialize(dims, 7).unwrap();
+    let cfg = EngineConfig {
+        batcher: BatcherConfig {
+            max_batch_tokens: 8,
+            max_inflight: 8,
+            admit_timeout_us: 0,
+        },
+        service: ServiceModel {
+            step_floor_us: 100,
+            per_token_us: 10,
+        },
+        queue_capacity: 16,
+        exec: ExecConfig {
+            strategy: Strategy::P1,
+            algo: AllToAllAlgo::Linear,
+            degree: 1,
+            world: 2,
+            threads: 1,
+            dropless: true,
+        },
+    };
+    let mut rng = Rng::seed(31);
+    let pool: Vec<_> = (0..16)
+        .map(|i| rng.normal_tensor(&[1 + i % 3, dims.model_dim], 0.0, 1.0))
+        .collect();
+    let tel = Telemetry::disabled();
+    let mut engine = Engine::new(&model, &cfg, &tel).unwrap();
+    let mut next_id = 0u64;
+    let mut submit = |engine: &mut Engine<'_>| {
+        let now = engine.now_us();
+        engine.submit(Request {
+            id: next_id,
+            tokens: pool[next_id as usize % pool.len()].clone(),
+            arrival_us: now,
+            deadline_us: now + 10_000,
+        });
+        next_id += 1;
+    };
+    for _ in 0..8 {
+        submit(&mut engine);
+    }
+    let mut counted = 0;
+    for pump in 0..2 * PUMPS {
+        let (n, progressed) = allocs_in(|| engine.pump().unwrap());
+        assert!(progressed, "pump {pump}: the loop ran dry");
+        if pump >= PUMPS {
+            counted += n;
+        }
+        for _ in 0..engine.completed_last_pump().len() {
+            submit(&mut engine);
+        }
+    }
+    // The parent of the resident executor spawned two rank threads and
+    // sliced two rank blocks per pump: 7 211 allocations on this thread
+    // over the same loop, 16 more per pump.
+    assert_eq!(
+        counted, 4011,
+        "{PUMPS} warm pumps allocated {counted} times"
+    );
+    // Dropping the engine joins its rank threads, so every buffer they
+    // return is in the arena before it is emptied.
+    drop(engine);
+    arena().clear();
 }
