@@ -6,7 +6,9 @@
 
 use std::collections::BTreeMap;
 
-use crate::diag::{json_escape, Diagnostic};
+use tutel_obs::json::Value;
+
+use crate::diag::Diagnostic;
 
 /// Violation counts keyed by `"<file>:<rule>"` (BTreeMap for stable
 /// serialization order).
@@ -31,42 +33,33 @@ impl Baseline {
 
     /// Serializes to the committed JSON format.
     pub fn render(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"total\": {},\n", self.total()));
-        out.push_str("  \"counts\": {");
-        for (i, (k, v)) in self.counts.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str(&format!("    \"{}\": {v}", json_escape(k)));
-        }
-        if !self.counts.is_empty() {
-            out.push('\n');
-        }
-        out.push_str("  }\n}\n");
-        out
+        let counts = self
+            .counts
+            .iter()
+            .map(|(k, &n)| (k.clone(), Value::from(n)));
+        let doc = Value::obj([
+            ("total", Value::from(self.total())),
+            ("counts", Value::Obj(counts.collect())),
+        ]);
+        doc.to_pretty() + "\n"
     }
 
-    /// Parses the committed JSON format (strict: objects, strings,
-    /// and unsigned integers only).
+    /// Parses the committed JSON format strictly: only the `total` and
+    /// `counts` keys, every count a non-negative integer, and a `total`,
+    /// if given, equal to the sum of the counts.
     pub fn parse(text: &str) -> Result<Baseline, String> {
-        let mut p = Parser {
-            chars: text.chars().collect(),
-            pos: 0,
+        let Value::Obj(top) = Value::parse(text)? else {
+            return Err("baseline is not a JSON object".into());
         };
-        p.skip_ws();
-        let top = p.object()?;
         let mut counts = BTreeMap::new();
         let mut declared_total = None;
         for (key, val) in top {
             match (key.as_str(), val) {
-                ("total", Value::Num(n)) => declared_total = Some(n),
+                ("total", n) => declared_total = Some(count(&key, &n)?),
                 ("counts", Value::Obj(entries)) => {
-                    for (k, v) in entries {
-                        match v {
-                            Value::Num(n) => {
-                                counts.insert(k, n);
-                            }
-                            _ => return Err(format!("count for {k:?} is not an integer")),
-                        }
+                    for (k, n) in entries {
+                        let n = count(&k, &n)?;
+                        counts.insert(k, n);
                     }
                 }
                 (other, _) => return Err(format!("unexpected key {other:?} in baseline")),
@@ -82,6 +75,14 @@ impl Baseline {
             }
         }
         Ok(baseline)
+    }
+}
+
+/// The count under `key`: a non-negative integral JSON number.
+fn count(key: &str, n: &Value) -> Result<u64, String> {
+    match n.as_f64() {
+        Some(x) if x >= 0.0 && x.fract() == 0.0 => Ok(x as u64),
+        _ => Err(format!("count for {key:?} is not a non-negative integer")),
     }
 }
 
@@ -124,116 +125,6 @@ impl Ratchet {
 
     pub fn passed(&self) -> bool {
         self.regressions.is_empty() && self.stale.is_empty()
-    }
-}
-
-enum Value {
-    Num(u64),
-    Str(#[allow(dead_code)] String),
-    Obj(Vec<(String, Value)>),
-}
-
-struct Parser {
-    chars: Vec<char>,
-    pos: usize,
-}
-
-impl Parser {
-    fn peek(&self) -> Option<char> {
-        self.chars.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(' ' | '\t' | '\r' | '\n')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, c: char) -> Result<(), String> {
-        self.skip_ws();
-        if self.peek() == Some(c) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected {c:?} at offset {}, found {:?}",
-                self.pos,
-                self.peek()
-            ))
-        }
-    }
-
-    fn object(&mut self) -> Result<Vec<(String, Value)>, String> {
-        self.expect('{')?;
-        let mut out = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some('}') {
-            self.pos += 1;
-            return Ok(out);
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(':')?;
-            out.push((key, self.value()?));
-            self.skip_ws();
-            match self.peek() {
-                Some(',') => self.pos += 1,
-                Some('}') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                other => return Err(format!("expected ',' or '}}', found {other:?}")),
-            }
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some('{') => Ok(Value::Obj(self.object()?)),
-            Some('"') => Ok(Value::Str(self.string()?)),
-            Some(c) if c.is_ascii_digit() => {
-                let mut n: u64 = 0;
-                while let Some(c) = self.peek().filter(char::is_ascii_digit) {
-                    n = n
-                        .checked_mul(10)
-                        .and_then(|n| n.checked_add(c as u64 - '0' as u64))
-                        .ok_or("integer overflow in baseline")?;
-                    self.pos += 1;
-                }
-                Ok(Value::Num(n))
-            }
-            other => Err(format!("unexpected token {other:?}")),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect('"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some('"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some('\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or("dangling escape")?;
-                    out.push(match esc {
-                        'n' => '\n',
-                        't' => '\t',
-                        'r' => '\r',
-                        other => other,
-                    });
-                    self.pos += 1;
-                }
-                Some(c) => {
-                    out.push(c);
-                    self.pos += 1;
-                }
-            }
-        }
     }
 }
 
@@ -317,5 +208,17 @@ mod tests {
     fn corrupt_baseline_is_an_error() {
         assert!(Baseline::parse("{\"total\": 5, \"counts\": {}}").is_err());
         assert!(Baseline::parse("not json").is_err());
+        assert!(Baseline::parse("[]").is_err());
+        assert!(Baseline::parse("{\"counts\": {}, \"extra\": 1}").is_err());
+        assert!(Baseline::parse("{\"counts\": {\"a.rs:no_panic\": 1.5}}").is_err());
+        assert!(Baseline::parse("{\"counts\": {\"a.rs:no_panic\": -1}}").is_err());
+        assert!(Baseline::parse("{\"counts\": {\"a.rs:no_panic\": \"1\"}}").is_err());
+        assert!(Baseline::parse("{\"total\": -0.5, \"counts\": {}}").is_err());
+    }
+
+    #[test]
+    fn committed_baseline_renders_back_byte_for_byte() {
+        let committed = include_str!("../../../check-baseline.json");
+        assert_eq!(Baseline::parse(committed).unwrap().render(), committed);
     }
 }

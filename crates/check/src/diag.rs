@@ -3,6 +3,8 @@
 
 use std::fmt;
 
+use tutel_obs::json::Value;
+
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
@@ -30,40 +32,18 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// Minimal JSON string escaping (the only JSON writer this crate
-/// needs; nothing here nests beyond strings and integers).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders a diagnostic batch as a JSON array (stable field order).
 pub fn diagnostics_to_json(diags: &[Diagnostic]) -> String {
-    let mut out = String::from("[\n");
-    for (i, d) in diags.iter().enumerate() {
-        out.push_str(&format!(
-            "  {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"message\": \"{}\", \"snippet\": \"{}\"}}{}\n",
-            json_escape(d.rule),
-            json_escape(&d.file),
-            d.line,
-            json_escape(&d.message),
-            json_escape(&d.snippet),
-            if i + 1 == diags.len() { "" } else { "," }
-        ));
-    }
-    out.push(']');
-    out
+    let rows = diags.iter().map(|d| {
+        Value::obj([
+            ("rule", Value::from(d.rule)),
+            ("file", Value::from(d.file.as_str())),
+            ("line", Value::from(u64::from(d.line))),
+            ("message", Value::from(d.message.as_str())),
+            ("snippet", Value::from(d.snippet.as_str())),
+        ])
+    });
+    Value::Arr(rows.collect()).to_pretty()
 }
 
 #[cfg(test)]

@@ -25,6 +25,7 @@ use std::time::Instant;
 use tutel_check::race::{combined_sweep, run_selftests, RaceConfig};
 use tutel_check::sweep::{broken_tag_selftest, sweep_collectives, SweepConfig};
 use tutel_check::{diagnostics_to_json, Baseline, Ratchet};
+use tutel_obs::json::Value;
 
 struct Opts {
     root: PathBuf,
@@ -123,14 +124,16 @@ fn run_lint(opts: &Opts) -> Result<bool, String> {
     let current = Baseline::from_diagnostics(&report.diagnostics);
 
     if let Some(path) = &opts.emit_timing {
-        let timing = format!(
-            "{{\"lint_wall_ms\": {:.3}, \"files_scanned\": {}, \"crates_scanned\": {}, \"violations\": {}}}\n",
-            wall.as_secs_f64() * 1e3,
-            report.files_scanned,
-            report.crates_scanned,
-            current.total()
-        );
-        std::fs::write(path, timing)
+        let timing = Value::obj([
+            (
+                "lint_wall_ms",
+                Value::from((wall.as_secs_f64() * 1e6).round() / 1e3),
+            ),
+            ("files_scanned", Value::from(report.files_scanned)),
+            ("crates_scanned", Value::from(report.crates_scanned)),
+            ("violations", Value::from(current.total())),
+        ]);
+        std::fs::write(path, timing.to_pretty() + "\n")
             .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
     }
 

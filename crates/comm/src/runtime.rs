@@ -75,7 +75,6 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
@@ -215,15 +214,14 @@ const RETRY_COUNTERS: &[&str] = &[
 /// The wire under a [`Communicator`]: real channels for production
 /// runs, or the deterministic scheduler when model checking.
 enum Endpoint {
-    /// One MPMC channel per rank plus a shared barrier.
+    /// One MPMC channel per rank.
     Channel {
         senders: Vec<Sender<Message>>,
         receiver: Receiver<Message>,
-        barrier: Arc<Barrier>,
     },
     /// Scheduler-mediated transport (see [`crate::sched`]).
     #[cfg(feature = "check-sched")]
-    Sched(Arc<crate::sched::SchedNet>),
+    Sched(std::sync::Arc<crate::sched::SchedNet>),
 }
 
 /// One rank's endpoint in a [`crate::group::RankGroup`] (or a one-shot
@@ -295,7 +293,7 @@ impl Communicator {
     pub(crate) fn with_sched(
         rank: usize,
         topology: Topology,
-        net: Arc<crate::sched::SchedNet>,
+        net: std::sync::Arc<crate::sched::SchedNet>,
     ) -> Self {
         Communicator {
             rank,
@@ -312,7 +310,7 @@ impl Communicator {
     }
 
     /// One communicator per rank of `topology`, joined by one MPMC
-    /// channel per rank and a shared barrier: the only place
+    /// channel per rank: the only place
     /// channel-backed communicators are built. `reliable` arms the
     /// reliability layer on every rank (sharing its telemetry); `hub`
     /// gives each rank its tracer.
@@ -323,7 +321,6 @@ impl Communicator {
     ) -> Vec<Communicator> {
         let n = topology.world_size();
         let (senders, receivers): (Vec<_>, Vec<_>) = (0..n).map(|_| unbounded()).unzip();
-        let barrier = Arc::new(Barrier::new(n));
         (receivers.into_iter().enumerate())
             .map(|(rank, receiver)| Communicator {
                 rank,
@@ -331,7 +328,6 @@ impl Communicator {
                 endpoint: Endpoint::Channel {
                     senders: senders.clone(),
                     receiver,
-                    barrier: Arc::clone(&barrier),
                 },
                 mailbox: HashMap::new(),
                 next_tag: 0,
@@ -873,26 +869,6 @@ impl Communicator {
             }
         }
         Ok(())
-    }
-
-    /// Blocks until every rank reaches the same barrier call.
-    ///
-    /// # Errors
-    ///
-    /// [`CommError::Deadlock`] under the deterministic scheduler when
-    /// the barrier can never trip; infallible on the channel endpoint.
-    pub fn barrier(&self) -> Result<(), CommError> {
-        match &self.endpoint {
-            Endpoint::Channel { barrier, .. } => {
-                barrier.wait();
-                Ok(())
-            }
-            #[cfg(feature = "check-sched")]
-            Endpoint::Sched(net) => match net.barrier(self.rank) {
-                Ok(()) => Ok(()),
-                Err(e) => self.fail(e),
-            },
-        }
     }
 
     fn fresh_tag(&mut self) -> u64 {
@@ -1629,20 +1605,6 @@ mod tests {
             assert_eq!(first, ea[rank]);
             assert_eq!(second, eb[rank]);
         }
-    }
-
-    #[test]
-    fn barrier_synchronizes() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let counter = AtomicUsize::new(0);
-        let topo = Topology::new(1, 4);
-        let counter_ref = &counter;
-        run_threaded(topo, |comm| {
-            counter_ref.fetch_add(1, Ordering::SeqCst);
-            comm.barrier().unwrap();
-            // After the barrier every rank must observe all increments.
-            assert_eq!(counter_ref.load(Ordering::SeqCst), 4);
-        });
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! [`crate::runtime`]: instead of crossbeam channels, every rank talks
 //! through a shared [`SchedNet`] that *buffers* all sends and only
 //! releases a message when the whole world has quiesced (every live
-//! rank blocked in `recv` or `barrier`). At each quiescent point the
+//! rank blocked in `recv`). At each quiescent point the
 //! scheduler picks *which* pending message to deliver next from a
 //! seeded PRNG, so one `u64` seed names one complete interleaving —
 //! including arbitrarily delayed and reordered arrivals across tags —
@@ -13,8 +13,8 @@
 //!
 //! Detected failure classes:
 //!
-//! * **deadlock** — the world quiesced with no deliverable message
-//!   (or with a barrier that can never complete); every blocked rank
+//! * **deadlock** — the world quiesced with no deliverable message;
+//!   every blocked rank
 //!   gets [`CommError::Deadlock`] carrying the seed. A watchdog
 //!   backstops the quiescence accounting itself.
 //! * **tag-collision mixing** — the harness compares results against
@@ -76,8 +76,6 @@ enum Wait {
     Running,
     /// Blocked inside `recv` with an empty inbox.
     Recv,
-    /// Blocked inside `barrier`.
-    Barrier,
     /// Program returned.
     Done,
 }
@@ -105,7 +103,7 @@ impl SchedState {
         self.waiting.iter().enumerate().all(|(r, w)| match w {
             Wait::Running => false,
             Wait::Recv => self.inboxes[r].is_empty(),
-            Wait::Barrier | Wait::Done => true,
+            Wait::Done => true,
         })
     }
 
@@ -115,7 +113,6 @@ impl SchedState {
             let s = match w {
                 Wait::Running => continue,
                 Wait::Recv => format!("rank {r} blocked in recv"),
-                Wait::Barrier => format!("rank {r} blocked in barrier"),
                 Wait::Done => format!("rank {r} done"),
             };
             parts.push(s);
@@ -164,33 +161,12 @@ impl SchedNet {
         }
     }
 
-    /// Runs the scheduler while the world is quiescent: releases one
-    /// barrier or delivers seeded-chosen pending messages until some
-    /// receiver becomes runnable (or declares deadlock).
+    /// Runs the scheduler while the world is quiescent: delivers
+    /// seeded-chosen pending messages until some receiver becomes
+    /// runnable (or declares deadlock).
     fn try_schedule(&self, st: &mut SchedState) {
         while st.deadlock.is_none() && st.quiescent() {
-            let live: Vec<usize> = (0..st.waiting.len())
-                .filter(|&r| st.waiting[r] != Wait::Done)
-                .collect();
-            if live.is_empty() {
-                return;
-            }
-            if live.iter().all(|&r| st.waiting[r] == Wait::Barrier) {
-                if live.len() == st.waiting.len() {
-                    // Full house: the barrier trips.
-                    for &r in &live {
-                        st.waiting[r] = Wait::Running;
-                    }
-                    self.cv.notify_all();
-                } else {
-                    st.deadlock = Some(format!(
-                        "barrier can never complete: {} of {} ranks already done ({})",
-                        st.waiting.len() - live.len(),
-                        st.waiting.len(),
-                        st.wait_summary()
-                    ));
-                    self.cv.notify_all();
-                }
+            if st.waiting.iter().all(|&w| w == Wait::Done) {
                 return;
             }
             // At least one rank is blocked in recv. Deliverable = any
@@ -261,16 +237,11 @@ impl SchedNet {
             st.signature
                 .mix_many(&[msg.src as u64, msg.dst as u64, msg.tag, msg.seq]);
             st.deliveries += 1;
-            let woke_receiver = st.waiting[msg.dst] == Wait::Recv;
+            // Every live rank is blocked in recv, so this wakes one:
+            // quiescent() is false until it drains its inbox.
             st.inboxes[msg.dst].push_back((msg.src, msg.tag, msg.payload));
-            if woke_receiver {
-                // quiescent() is now false until the receiver drains
-                // its inbox, so the loop exits; wake it.
-                self.cv.notify_all();
-                return;
-            }
-            // Delivered into a barrier-waiter's inbox: the world is
-            // still quiescent, keep scheduling.
+            self.cv.notify_all();
+            return;
         }
     }
 
@@ -340,41 +311,6 @@ impl SchedNet {
             if timeout.timed_out() && st.inboxes[rank].is_empty() && st.deadlock.is_none() {
                 st.deadlock = Some(format!(
                     "watchdog fired after {WATCHDOG:?} with no progress ({})",
-                    st.wait_summary()
-                ));
-                self.cv.notify_all();
-                return Err(self.deadlock_err(&st));
-            }
-        }
-    }
-
-    /// Scheduler-mediated barrier: trips only when every rank of the
-    /// world is parked in it (matching `std::sync::Barrier::new(n)`).
-    pub(crate) fn barrier(&self, rank: usize) -> Result<(), CommError> {
-        let mut st = self.lock();
-        if st.deadlock.is_some() {
-            return Err(self.deadlock_err(&st));
-        }
-        st.waiting[rank] = Wait::Barrier;
-        self.try_schedule(&mut st);
-        loop {
-            if st.waiting[rank] != Wait::Barrier {
-                return Ok(());
-            }
-            if st.deadlock.is_some() {
-                return Err(self.deadlock_err(&st));
-            }
-            let (guard, timeout) = match self.cv.wait_timeout(st, WATCHDOG) {
-                Ok(pair) => pair,
-                Err(poisoned) => {
-                    let (g, t) = poisoned.into_inner();
-                    (g, t)
-                }
-            };
-            st = guard;
-            if timeout.timed_out() && st.waiting[rank] == Wait::Barrier && st.deadlock.is_none() {
-                st.deadlock = Some(format!(
-                    "watchdog fired in barrier after {WATCHDOG:?} ({})",
                     st.wait_summary()
                 ));
                 self.cv.notify_all();
@@ -595,17 +531,6 @@ mod tests {
         }
         assert!(saw_mailbox_leak, "no seed parked the stray message");
         assert!(saw_undelivered, "no seed left the stray undelivered");
-    }
-
-    #[test]
-    fn barrier_trips_under_scheduler() {
-        let topo = Topology::new(1, 3);
-        let (results, report) = run_sched(topo, 5, |comm| comm.barrier().map(|()| comm.rank()));
-        assert!(report.clean());
-        assert_eq!(
-            results.into_iter().collect::<Result<Vec<_>, _>>(),
-            Ok(vec![0, 1, 2])
-        );
     }
 
     #[test]

@@ -95,16 +95,6 @@ pub fn train(model: &mut SwinLiteMoe, dataset: &SyntheticVision, cfg: &TrainConf
     train_observed(model, dataset, cfg, &tutel_obs::Telemetry::disabled())
 }
 
-/// [`train`] with a telemetry handle: attaches `tel` to the model's
-/// MoE layers and emits one [`tutel_obs::StepRecord`] per step —
-/// loss, learning rate, summed aux loss, per-layer needed factors,
-/// element-wise summed expert load, dropped-token total, and the
-/// per-stage durations the layer spans accumulated during the step.
-///
-/// # Panics
-///
-/// Panics if a forward/backward pass fails on internally generated
-/// shapes (a bug, not a user error).
 /// Copies the cumulative `tutel-rt` pool and arena counters into a
 /// telemetry-friendly snapshot (see [`tutel_obs::runtime`]).
 pub fn runtime_snapshot() -> tutel_obs::RuntimeSnapshot {
@@ -122,6 +112,16 @@ pub fn runtime_snapshot() -> tutel_obs::RuntimeSnapshot {
     }
 }
 
+/// [`train`] with a telemetry handle: attaches `tel` to the model's
+/// MoE layers and emits one [`tutel_obs::StepRecord`] per step —
+/// loss, learning rate, summed aux loss, per-layer needed factors,
+/// element-wise summed expert load, dropped-token total, and the
+/// per-stage durations the layer spans accumulated during the step.
+///
+/// # Panics
+///
+/// Panics if a forward/backward pass fails on internally generated
+/// shapes (a bug, not a user error).
 pub fn train_observed(
     model: &mut SwinLiteMoe,
     dataset: &SyntheticVision,
@@ -248,8 +248,7 @@ pub fn few_shot_linear_eval(
         let (_, grad) = cross_entropy(&logits, &y_train);
         let dw = feats.matmul_tn(&grad).expect("shapes");
         w.axpy(-0.5, &dw).expect("shapes");
-        for (i, row) in grad.as_slice().chunks(classes).enumerate() {
-            let _ = i;
+        for row in grad.as_slice().chunks(classes) {
             for (bg, g) in b.as_mut_slice().iter_mut().zip(row) {
                 *bg -= 0.5 * g;
             }

@@ -10,12 +10,11 @@
 //! * [`ShardedExpertParams`] — the ZeRO-style parameter placement that
 //!   both parallelism strategies share, making them switchable at zero
 //!   migration cost;
-//! * [`p1_forward`] / [`p2_forward`] — functional implementations of
-//!   Switchable Expert + Data Parallelism (P1: all-gather parameters,
+//! * Switchable Expert + Data Parallelism (P1: all-gather parameters,
 //!   keep tokens put) and Switchable Expert + Model Parallelism (P2:
-//!   replicate tokens, keep parameter slices put), and their executed
-//!   form on one rank: [`rank_blocks`] builds the block(s) a strategy
-//!   runs there, [`shard_sum`] is P2's partial-output reduction;
+//!   replicate tokens, keep parameter slices put) as executed on one
+//!   rank: [`rank_blocks`] builds the block(s) a strategy runs there,
+//!   [`shard_sum`] is P2's partial-output reduction;
 //! * [`InlineParallelismRouter`] — the O(1) cost-function router that
 //!   picks P1 or P2 each iteration from communication volume alone.
 
@@ -27,4 +26,4 @@ mod sharded;
 pub use ffn::ExpertsBlock;
 pub use placement::ExpertPlacement;
 pub use router::{InlineParallelismRouter, MoeDims, Parallelism};
-pub use sharded::{p1_forward, p2_forward, rank_blocks, shard_sum, ShardedExpertParams};
+pub use sharded::{rank_blocks, shard_sum, ShardedExpertParams};

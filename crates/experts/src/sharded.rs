@@ -24,15 +24,13 @@ use crate::{ExpertsBlock, Parallelism};
 /// # Example
 ///
 /// ```
-/// use tutel_experts::{p1_forward, p2_forward, ShardedExpertParams};
+/// use tutel_experts::{ExpertsBlock, ShardedExpertParams};
 /// use tutel_tensor::Rng;
 ///
-/// let mut rng = Rng::seed(0);
-/// let params = ShardedExpertParams::new(1, 8, 16, 4, &mut rng)?;
-/// let x = rng.normal_tensor(&[1, 6, 8], 0.0, 1.0);
-/// let y1 = p1_forward(&params, &x)?;
-/// let y2 = p2_forward(&params, &x)?;
-/// assert!(y1.sub(&y2)?.max_abs() < 1e-4); // identical math, either path
+/// let full = ExpertsBlock::new(1, 8, 16, &mut Rng::seed(0));
+/// let params = ShardedExpertParams::from_block(&full, 4)?;
+/// assert_eq!(params.shard_block(0).hidden_dim(), 4); // a quarter of V
+/// assert_eq!(params.gather()?.weights(), full.weights()); // lossless
 /// # Ok::<(), tutel_tensor::TensorError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -192,8 +190,8 @@ impl ShardedExpertParams {
             .with_storage_precision(self.precision)
     }
 
-    /// Materializes the full parameters via (functional) all-gather —
-    /// what P1 executes.
+    /// Materializes the full parameters by concatenating the shards —
+    /// the value P1's all-gather produces.
     ///
     /// # Errors
     ///
@@ -211,46 +209,6 @@ impl ShardedExpertParams {
                 .with_storage_precision(self.precision),
         )
     }
-
-    /// A fingerprint of the per-shard parameter bytes, used to assert
-    /// that switching parallelism never migrates parameters.
-    pub fn placement_fingerprint(&self) -> u64 {
-        let mut h = 0xcbf29ce484222325u64;
-        let mut mix = |t: &Tensor| {
-            for v in t.as_slice() {
-                h ^= v.to_bits() as u64;
-                h = h.wrapping_mul(0x100000001b3);
-            }
-        };
-        for s in &self.slices {
-            mix(&s.w1);
-            mix(&s.b1);
-            mix(&s.w2);
-            mix(&s.b2);
-        }
-        h
-    }
-}
-
-/// P1 — Switchable Expert + Data Parallelism (Figure 11): all-gather
-/// the sharded parameters into full experts, then compute locally.
-///
-/// # Errors
-///
-/// Returns a [`TensorError`] if `x` is not `(ΔE, C, M)`.
-pub fn p1_forward(params: &ShardedExpertParams, x: &Tensor) -> Result<Tensor, TensorError> {
-    params.gather()?.infer(x)
-}
-
-/// P2 — Switchable Expert + Model Parallelism (Figure 12): every shard
-/// computes on the (replicated) tokens with its local slice; partial
-/// outputs are sum-reduced.
-///
-/// # Errors
-///
-/// Returns a [`TensorError`] if `x` is not `(ΔE, C, M)`.
-pub fn p2_forward(params: &ShardedExpertParams, x: &Tensor) -> Result<Tensor, TensorError> {
-    shard_sum(0..params.shards(), |r| params.shard_block(r).infer(x))
 }
 
 /// The expert block(s) `strategy` executes on `rank` of `world`: the
@@ -262,6 +220,25 @@ pub fn p2_forward(params: &ShardedExpertParams, x: &Tensor) -> Result<Tensor, Te
 ///
 /// Returns a [`TensorError`] if `world` does not divide the expert
 /// count or `shards` the hidden dimension.
+///
+/// # Example
+///
+/// ```
+/// use tutel_experts::{rank_blocks, shard_sum, ExpertsBlock, Parallelism};
+/// use tutel_tensor::Rng;
+///
+/// let mut rng = Rng::seed(0);
+/// let bank = ExpertsBlock::new(2, 8, 16, &mut rng);
+/// let rows = rng.normal_tensor(&[6, 8], 0.0, 1.0);
+/// let offsets = [0, 4, 6]; // expert 0 owns rows 0..4, expert 1 rows 4..6
+/// let run = |strategy| {
+///     let blocks = rank_blocks(&bank, strategy, 1, 0, 4)?;
+///     shard_sum(&blocks, |b| b.infer_grouped(&rows, &offsets))
+/// };
+/// let (y1, y2) = (run(Parallelism::P1)?, run(Parallelism::P2)?);
+/// assert!(y1.sub(&y2)?.max_abs() < 1e-4); // identical math, either path
+/// # Ok::<(), tutel_tensor::TensorError>(())
+/// ```
 pub fn rank_blocks(
     bank: &ExpertsBlock,
     strategy: Parallelism,
@@ -311,14 +288,23 @@ pub fn shard_sum<B>(
 mod tests {
     use super::*;
 
+    /// One rank's output over the whole `bank` under `strategy`, the
+    /// way serving computes it, on uniform bins of `rows / ΔE` rows.
+    fn served(bank: &ExpertsBlock, strategy: Parallelism, shards: usize, rows: &Tensor) -> Tensor {
+        let per = rows.dims()[0] / bank.local_experts();
+        let offsets: Vec<usize> = (0..=bank.local_experts()).map(|e| e * per).collect();
+        let blocks = rank_blocks(bank, strategy, 1, 0, shards).unwrap();
+        shard_sum(&blocks, |b| b.infer_grouped(rows, &offsets)).unwrap()
+    }
+
     #[test]
     fn p1_and_p2_compute_identical_outputs() {
         let mut rng = Rng::seed(1);
         for shards in [1, 2, 4] {
-            let params = ShardedExpertParams::new(2, 6, 8, shards, &mut rng).unwrap();
-            let x = rng.normal_tensor(&[2, 5, 6], 0.0, 1.0);
-            let y1 = p1_forward(&params, &x).unwrap();
-            let y2 = p2_forward(&params, &x).unwrap();
+            let bank = ExpertsBlock::new(2, 6, 8, &mut rng);
+            let rows = rng.normal_tensor(&[10, 6], 0.0, 1.0);
+            let y1 = served(&bank, Parallelism::P1, shards, &rows);
+            let y2 = served(&bank, Parallelism::P2, shards, &rows);
             assert!(y1.sub(&y2).unwrap().max_abs() < 1e-4, "shards {shards}");
         }
     }
@@ -335,21 +321,6 @@ mod tests {
         assert_eq!(b1a, b1b);
         assert_eq!(w2a, w2b);
         assert_eq!(b2a, b2b);
-    }
-
-    #[test]
-    fn switching_does_not_migrate_parameters() {
-        let mut rng = Rng::seed(3);
-        let params = ShardedExpertParams::new(1, 4, 8, 2, &mut rng).unwrap();
-        let x = rng.normal_tensor(&[1, 3, 4], 0.0, 1.0);
-        let fp0 = params.placement_fingerprint();
-        let _ = p1_forward(&params, &x).unwrap();
-        let fp1 = params.placement_fingerprint();
-        let _ = p2_forward(&params, &x).unwrap();
-        let fp2 = params.placement_fingerprint();
-        let _ = p1_forward(&params, &x).unwrap();
-        let fp3 = params.placement_fingerprint();
-        assert!(fp0 == fp1 && fp1 == fp2 && fp2 == fp3, "parameters moved");
     }
 
     #[test]
@@ -376,12 +347,10 @@ mod tests {
     #[test]
     fn bf16_p1_and_p2_still_agree() {
         let mut rng = Rng::seed(8);
-        let params = ShardedExpertParams::new(2, 6, 8, 2, &mut rng)
-            .unwrap()
-            .with_storage_precision(Precision::Bf16);
-        let x = rng.normal_tensor(&[2, 5, 6], 0.0, 1.0);
-        let y1 = p1_forward(&params, &x).unwrap();
-        let y2 = p2_forward(&params, &x).unwrap();
+        let bank = ExpertsBlock::new(2, 6, 8, &mut rng).with_storage_precision(Precision::Bf16);
+        let rows = rng.normal_tensor(&[10, 6], 0.0, 1.0);
+        let y1 = served(&bank, Parallelism::P1, 2, &rows);
+        let y2 = served(&bank, Parallelism::P2, 2, &rows);
         assert!(y1.sub(&y2).unwrap().max_abs() < 1e-4);
     }
 
@@ -395,10 +364,10 @@ mod tests {
     #[test]
     fn single_shard_is_the_trivial_case() {
         let mut rng = Rng::seed(6);
-        let params = ShardedExpertParams::new(2, 4, 8, 1, &mut rng).unwrap();
-        let x = rng.normal_tensor(&[2, 3, 4], 0.0, 1.0);
-        let y1 = p1_forward(&params, &x).unwrap();
-        let y2 = p2_forward(&params, &x).unwrap();
+        let bank = ExpertsBlock::new(2, 4, 8, &mut rng);
+        let rows = rng.normal_tensor(&[6, 4], 0.0, 1.0);
+        let y1 = served(&bank, Parallelism::P1, 1, &rows);
+        let y2 = served(&bank, Parallelism::P2, 1, &rows);
         assert_eq!(y1, y2);
     }
 }

@@ -4,8 +4,8 @@
 use proptest::prelude::*;
 use tutel_comm::{CollectiveTiming, World};
 use tutel_experts::{
-    p1_forward, p2_forward, ExpertPlacement, ExpertsBlock, InlineParallelismRouter, MoeDims,
-    ShardedExpertParams,
+    rank_blocks, shard_sum, ExpertPlacement, ExpertsBlock, InlineParallelismRouter, MoeDims,
+    Parallelism, ShardedExpertParams,
 };
 use tutel_tensor::Rng;
 
@@ -24,13 +24,17 @@ proptest! {
         let v = v_base * shards; // divisible hidden dim
         let mut rng = Rng::seed(seed);
         let full = ExpertsBlock::new(de, m, v, &mut rng);
-        let params = ShardedExpertParams::from_block(&full, shards).unwrap();
         let x = rng.normal_tensor(&[de, c, m], 0.0, 1.0);
-        let reference = full.infer(&x).unwrap();
-        let y1 = p1_forward(&params, &x).unwrap();
-        let y2 = p2_forward(&params, &x).unwrap();
-        prop_assert!(reference.sub(&y1).unwrap().max_abs() < 1e-3);
-        prop_assert!(reference.sub(&y2).unwrap().max_abs() < 1e-3);
+        let reference = full.infer(&x).unwrap().reshape(&[de * c, m]).unwrap();
+        // The product path: the block(s) one rank runs, each over the
+        // uniform bins as grouped rows, summed in shard order.
+        let rows = x.reshape(&[de * c, m]).unwrap();
+        let offsets: Vec<usize> = (0..=de).map(|e| e * c).collect();
+        for strategy in [Parallelism::P1, Parallelism::P2] {
+            let blocks = rank_blocks(&full, strategy, 1, 0, shards).unwrap();
+            let y = shard_sum(&blocks, |b| b.infer_grouped(&rows, &offsets)).unwrap();
+            prop_assert!(reference.sub(&y).unwrap().max_abs() < 1e-3, "{:?}", strategy);
+        }
     }
 
     #[test]

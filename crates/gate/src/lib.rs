@@ -17,14 +17,12 @@
 
 mod aux;
 mod capacity;
-mod controller;
 mod obs;
 mod router;
 mod routing;
 
 pub use aux::{aux_loss, aux_loss_grad_row};
 pub use capacity::{expert_capacity, needed_capacity_factor, CapacityPolicy};
-pub use controller::CapacityController;
 pub use obs::observe_routing;
 pub use router::{CosineRouter, HashRouter, LinearRouter, Router};
 pub use routing::{route, RaggedRouting, RouteConfig, Routing};

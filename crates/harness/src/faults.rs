@@ -19,8 +19,7 @@
 //!
 //! [`step_fault_replay`] arms the same recoverable plan under two
 //! consecutive product steps on one resident reliable
-//! [`StepExecutor`] — the single driver behind the serving grid's and
-//! the grouped grid's fault rows.
+//! [`StepExecutor`] — the driver behind the serving grid's fault row.
 
 use std::time::{Duration, Instant};
 
@@ -248,7 +247,7 @@ pub fn run_fault_scenarios(collective: Collective, fault_seed: u64) -> FaultRepo
     }
 }
 
-/// The grid point both step-level fault rows replay: bitwise-eligible
+/// The grid point the step-level fault row replays: bitwise-eligible
 /// (P1 at [`REF_THREADS`]), two ranks, two chunks per bin so the retry
 /// protocol runs under overlapped exchanges.
 pub const FAULT_POINT: ExecConfig = ExecConfig {

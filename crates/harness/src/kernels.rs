@@ -29,16 +29,11 @@
 //!   f32 router regardless of expert-weight storage, and the gate
 //!   kernels are bitwise across SIMD modes, so not even bf16 cells may
 //!   move the aux loss.
-//!
-//! Each cell additionally replays the seeded fault scenarios for the
-//! overlap executor's ragged All-to-All, proving the
-//! retry/recovery machinery is indifferent to the kernel mode.
 
 use tutel_experts::ExpertsBlock;
 use tutel_tensor::{dispatch, Precision};
 
 use crate::dist::run_distributed;
-use crate::faults::{run_fault_scenarios, Collective};
 use crate::reference::{Fixture, Problem, RankResult};
 use crate::{max_scaled_ulp, max_ulp, AllToAllAlgo, ExecConfig, Parallelism};
 
@@ -128,8 +123,6 @@ pub struct KernelVerdict {
     pub precision_ulp: f64,
     /// Whether the aux loss matched the scalar/f32 baseline bitwise.
     pub aux_bitwise: bool,
-    /// Whether the seeded fault scenarios passed under this mode.
-    pub fault_pass: bool,
     /// Overall verdict.
     pub pass: bool,
 }
@@ -175,32 +168,26 @@ fn worst_scaled_ulp(got: &[Vec<RankResult>], twin: &[Vec<RankResult>]) -> f64 {
 /// Runs the kernel-mode grid and returns one verdict per cell, in
 /// [`KERNEL_CELLS`] order. Every cell executes the same seeded problem
 /// under [`kernel_configs`] with its kernel table pinned via
-/// [`dispatch::with_simd_mode`], then replays the seeded fault
-/// scenarios for the non-blocking All-to-All under the same mode.
-pub fn run_kernel_matrix(seed: u64, fault_seed: u64) -> Vec<KernelVerdict> {
+/// [`dispatch::with_simd_mode`].
+pub fn run_kernel_matrix(seed: u64) -> Vec<KernelVerdict> {
     let problem = Problem { world: 2, seed };
     let f32_fix = problem.materialize();
     let bf16_fix = bf16_fixture(&f32_fix);
     let configs = kernel_configs();
 
     let mut runs: Vec<Vec<Vec<RankResult>>> = Vec::with_capacity(KERNEL_CELLS.len());
-    let mut fault_passes: Vec<bool> = Vec::with_capacity(KERNEL_CELLS.len());
     for cell in KERNEL_CELLS {
         let fixture = if cell.precision == Precision::Bf16 {
             &bf16_fix
         } else {
             &f32_fix
         };
-        let (cell_runs, fault) = dispatch::with_simd_mode(Some(cell.simd), || {
-            let cell_runs: Vec<Vec<RankResult>> = configs
+        runs.push(dispatch::with_simd_mode(Some(cell.simd), || {
+            configs
                 .iter()
                 .map(|c| run_distributed(&problem, fixture, c, None))
-                .collect();
-            let fault = run_fault_scenarios(Collective::AllToAllV, fault_seed);
-            (cell_runs, fault)
-        });
-        runs.push(cell_runs);
-        fault_passes.push(fault.pass);
+                .collect()
+        }));
     }
 
     KERNEL_CELLS
@@ -225,14 +212,12 @@ pub fn run_kernel_matrix(seed: u64, fault_seed: u64) -> Vec<KernelVerdict> {
                 Precision::F32 => precision_ulp == 0.0,
                 _ => precision_ulp <= BF16_ULP_BUDGET,
             };
-            let fault_pass = fault_passes[i];
-            let pass = simd_bitwise && within_budget && aux_bitwise && fault_pass;
+            let pass = simd_bitwise && within_budget && aux_bitwise;
             KernelVerdict {
                 cell,
                 simd_bitwise,
                 precision_ulp,
                 aux_bitwise,
-                fault_pass,
                 pass,
             }
         })
@@ -255,7 +240,7 @@ mod tests {
 
     #[test]
     fn kernel_matrix_passes_and_bf16_error_is_nonzero() {
-        let verdicts = run_kernel_matrix(42, 0xFA17);
+        let verdicts = run_kernel_matrix(42);
         assert_eq!(verdicts.len(), KERNEL_CELLS.len());
         for v in &verdicts {
             assert!(v.pass, "{} failed: {v:?}", v.cell.label());
@@ -287,7 +272,7 @@ mod tests {
         // SIMD is bitwise, so the two bf16 cells' precision errors must
         // agree exactly — a cheap cross-check that the twin indexing
         // compares what it claims to.
-        let verdicts = run_kernel_matrix(7, 0xFA17);
+        let verdicts = run_kernel_matrix(7);
         assert_eq!(
             verdicts[2].precision_ulp.to_bits(),
             verdicts[3].precision_ulp.to_bits()

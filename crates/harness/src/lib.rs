@@ -67,18 +67,12 @@
 //! request mixes flow through `tutel-serve`'s continuous batcher and
 //! every completed request must reproduce its *solo* reference run —
 //! bitwise for P1 at [`reference::REF_THREADS`], ≤ 4 scaled ULP for
-//! P2 — for every batch composition the scheduler composes, including
-//! under a seeded `FaultPlan` replay on the step's All-to-All.
-//!
-//! [`grouped`] diff-tests the ragged serving step on skewed batches:
-//! the grouped-GEMM step against the per-row reference across
-//! {P1, P2} × {lin, 2DH} × degree × world (bitwise for P1 at
-//! `REF_THREADS`, ≤ 4 scaled ULP for P2), plus a seeded fault replay
-//! on the ragged v-All-to-Alls.
+//! P2 — for every batch composition the scheduler composes and for a
+//! skewed batch's ragged bins, including under a seeded `FaultPlan`
+//! replay on the step's ragged All-to-Alls.
 
 pub mod dist;
 pub mod faults;
-pub mod grouped;
 pub mod kernels;
 pub mod matrix;
 pub mod race;
@@ -357,8 +351,7 @@ mod tests {
     fn grid_sizes_are_pinned() {
         assert_eq!(matrix::configs(matrix::Mode::Smoke).len(), 48);
         assert_eq!(matrix::configs(matrix::Mode::Full).len(), 96);
-        assert_eq!(grouped::grouped_grid().len(), 24);
-        assert_eq!(serve::serve_grid().len(), 16);
+        assert_eq!(serve::serve_grid().len(), 24);
         assert_eq!(faults::COLLECTIVES.len(), 6);
         assert_eq!(kernels::KERNEL_CELLS.len(), 4);
     }

@@ -19,7 +19,6 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use tutel_harness::faults::{run_fault_suite, FaultReplay};
-use tutel_harness::grouped::{grouped_grid, run_grouped_case, run_grouped_fault};
 use tutel_harness::kernels::{run_kernel_matrix, BF16_ULP_BUDGET};
 use tutel_harness::matrix::{configs, run_matrix, Mode};
 use tutel_harness::race::run_race_surface;
@@ -201,16 +200,17 @@ fn serve_section(seed: u64, fault_seed: u64) -> Tally {
     let results: Vec<_> = grid.iter().map(|c| run_serve_case(c, seed)).collect();
     println!("serving grid ({} cases):", results.len());
     println!(
-        "  {:<14} {:>9} {:>6} {:>10} {:>12}  verdict",
-        "case", "completed", "steps", "ulp", "scaled-ulp"
+        "  {:<14} {:>9} {:>6} {:>8} {:>10} {:>12}  verdict",
+        "case", "completed", "steps", "wire", "ulp", "scaled-ulp"
     );
     let (counts, worst) = print_rows(&results, |v| {
         format!(
-            "{:<14} {:>5}/{:<3} {:>6} {:>10} {:>12.2}",
+            "{:<14} {:>5}/{:<3} {:>6} {:>8} {:>10} {:>12.2}",
             cell_label(&v.config, false),
             v.detail.completed,
             v.detail.offered,
             v.detail.steps,
+            v.detail.wire,
             v.worst.ulp,
             v.worst.scaled_ulp
         )
@@ -218,29 +218,6 @@ fn serve_section(seed: u64, fault_seed: u64) -> Tally {
     let extras = vec![("worst_scaled_ulp", worst)];
     let mut tally = Tally::new("serve", ("serve", "cases"), counts, extras);
     tally.ok &= print_replay("serve fault replay", run_serve_fault(fault_seed));
-    tally
-}
-
-fn grouped_section(seed: u64, fault_seed: u64) -> Tally {
-    let grid = grouped_grid();
-    let results: Vec<_> = grid.iter().map(|c| run_grouped_case(c, seed)).collect();
-    println!("dropless grouped grid ({} cases):", results.len());
-    println!(
-        "  {:<14} {:>6} {:>12} {:>8}  verdict",
-        "case", "ulp", "scaled-ulp", "wire"
-    );
-    let (counts, worst) = print_rows(&results, |v| {
-        format!(
-            "{:<14} {:>6} {:>12.2} {:>8}",
-            cell_label(&v.config, false),
-            v.worst.ulp,
-            v.worst.scaled_ulp,
-            v.detail.wire
-        )
-    });
-    let extras = vec![("worst_scaled_ulp", worst)];
-    let mut tally = Tally::new("grouped", ("grouped", "cases"), counts, extras);
-    tally.ok &= print_replay("ragged a2a fault replay", run_grouped_fault(fault_seed));
     tally
 }
 
@@ -270,12 +247,12 @@ fn faults_section(fault_seed: u64) -> Tally {
     Tally::new("faults", ("fault", "collectives"), counts, Vec::new())
 }
 
-fn kernels_section(seed: u64, fault_seed: u64) -> Tally {
-    let verdicts = run_kernel_matrix(seed, fault_seed);
+fn kernels_section(seed: u64) -> Tally {
+    let verdicts = run_kernel_matrix(seed);
     println!("kernel-mode matrix ({} cells):", verdicts.len());
     println!(
-        "  {:<12} {:>8} {:>14} {:>9} {:>6} {:>7}  verdict",
-        "cell", "simd", "vs-f32 ULP", "budget", "aux", "faults"
+        "  {:<12} {:>8} {:>14} {:>9} {:>6}  verdict",
+        "cell", "simd", "vs-f32 ULP", "budget", "aux"
     );
     for v in &verdicts {
         let budget = if v.cell.precision == tutel_tensor::Precision::F32 {
@@ -284,7 +261,7 @@ fn kernels_section(seed: u64, fault_seed: u64) -> Tally {
             format!("{BF16_ULP_BUDGET:.0}")
         };
         println!(
-            "  {:<12} {:>8} {:>14.2} {:>9} {:>6} {:>7}  {}",
+            "  {:<12} {:>8} {:>14.2} {:>9} {:>6}  {}",
             v.cell.label(),
             if !v.cell.simd {
                 "base"
@@ -296,7 +273,6 @@ fn kernels_section(seed: u64, fault_seed: u64) -> Tally {
             v.precision_ulp,
             budget,
             if v.aux_bitwise { "bit" } else { "DIFF" },
-            if v.fault_pass { "pass" } else { "FAIL" },
             if v.pass { "pass" } else { "FAIL" }
         );
     }
@@ -357,9 +333,8 @@ fn main() -> ExitCode {
     let sections = [
         timed(|| matrix_section(args.mode, args.seed)),
         timed(|| faults_section(args.fault_seed)),
-        timed(|| kernels_section(args.seed, args.fault_seed)),
+        timed(|| kernels_section(args.seed)),
         timed(|| serve_section(args.seed, args.fault_seed)),
-        timed(|| grouped_section(args.seed, args.fault_seed)),
     ];
 
     let trace_ok = match &args.trace {

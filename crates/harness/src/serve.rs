@@ -9,7 +9,7 @@
 //!
 //! * a seeded bursty trace is pushed through the full ingress → EDF
 //!   admission → fill-or-timeout batcher → distributed step path, for
-//!   every {P1, P2} × {linear, 2DH} × degree {1, 2} × world {1, 2}
+//!   every {P1, P2} × {linear, 2DH} × degree {1, 2} × world {1, 2, 4}
 //!   point at the reference thread count — each the [`ExecConfig`]
 //!   the engine is configured with, not a harness-side copy of it;
 //! * every completed request is replayed solo through the reference
@@ -17,27 +17,31 @@
 //!   policy](crate#ulp-tolerance-policy) — **bitwise** for P1 (the
 //!   serve path routes dropless, so batch-mates cannot couple), ≤ 4
 //!   scaled ULP for P2 (hidden-shard re-association);
+//! * each point also steps one skewed batch (one expert's basin holds
+//!   most rows), because ragged bin shapes are exactly what the
+//!   grouped kernels must not let leak into the math;
 //! * a seeded fault replay ([`step_fault_replay`]) arms the
-//!   reliability layer on two consecutive steps' All-to-Alls, on one
-//!   resident executor, and demands recovery keep every output bit.
+//!   reliability layer on two consecutive skewed steps' ragged
+//!   All-to-Alls, some payloads empty, on one resident executor, and
+//!   demands recovery keep every output bit.
 
 use tutel_obs::Telemetry;
 use tutel_serve::batcher::BatcherConfig;
 use tutel_serve::engine::{run_trace, EngineConfig, ServiceModel};
-use tutel_serve::exec::reference_rows;
+use tutel_serve::exec::{execute_step, reference_rows};
 use tutel_serve::loadgen::{generate_trace, Arrival, TraceConfig};
 use tutel_serve::model::{ModelDims, ServeModel};
 use tutel_serve::request::ServeError;
-use tutel_tensor::Rng;
+use tutel_tensor::{Rng, Tensor};
 
 use crate::faults::{step_fault_replay, FaultReplay, FAULT_POINT};
 use crate::reference::REF_THREADS;
 use crate::{grid, ExecConfig, Worst};
 
 /// The full serving grid: {P1, P2} × {lin, 2dh} × degree {1, 2} ×
-/// world {1, 2} at the reference thread count, on the product wire.
+/// world {1, 2, 4} at the reference thread count, on the product wire.
 pub fn serve_grid() -> Vec<ExecConfig> {
-    grid(&[1, 2], &[1, 2], &[REF_THREADS])
+    grid(&[1, 2], &[1, 2, 4], &[REF_THREADS])
 }
 
 /// What a serving point records beside the shared verdict core.
@@ -49,6 +53,8 @@ pub struct ServeDetail {
     pub offered: usize,
     /// Micro-batch steps the batcher actually composed.
     pub steps: u64,
+    /// Wire elements the engine's steps moved.
+    pub wire: u64,
 }
 
 /// Verdict for one grid point, worst case over every request's solo
@@ -91,8 +97,30 @@ fn engine_config(exec: ExecConfig) -> EngineConfig {
     }
 }
 
+/// A batch whose routing skews hard: most rows sit in one tight
+/// cluster (one expert's basin) with a few dissenters, so bin shapes
+/// are maximally ragged while staying seed-deterministic.
+fn skewed_batch(dims: &ModelDims, rows: usize, seed: u64) -> Tensor {
+    let mut rng = Rng::seed(seed);
+    let anchor: Vec<f32> = (0..dims.model_dim).map(|_| rng.normal()).collect();
+    let mut data = Vec::with_capacity(rows * dims.model_dim);
+    for r in 0..rows {
+        for (j, &a) in anchor.iter().enumerate() {
+            let jitter = 0.05 * rng.normal();
+            // Three of every four rows hug the anchor; the rest roam.
+            if r % 4 != 3 {
+                data.push(a + jitter);
+            } else {
+                data.push(jitter * 20.0 + (j as f32 * 0.37).sin());
+            }
+        }
+    }
+    Tensor::from_vec(data, &[rows, dims.model_dim]).expect("batch shape")
+}
+
 /// Serves the seeded trace at one grid point and compares every
-/// request against its solo reference.
+/// request against its solo reference, then steps one skewed batch
+/// and compares it the same way.
 ///
 /// # Errors
 ///
@@ -120,28 +148,34 @@ pub fn run_serve_case(cfg: &ExecConfig, seed: u64) -> Result<ServeVerdict, Serve
         let reference = reference_rows(&model, &req.tokens)?;
         worst.observe(outcome.output.as_slice(), reference.as_slice());
     }
+    let skewed = skewed_batch(&dims, 13, seed ^ 2);
+    let stepped = execute_step(&model, cfg, &skewed)?;
+    worst.observe(
+        stepped.outputs.as_slice(),
+        reference_rows(&model, &skewed)?.as_slice(),
+    );
 
     let detail = ServeDetail {
         completed: report.completed(),
         offered: trace.requests,
         steps: report.steps,
+        wire: report.a2a_elems,
     };
     let served = detail.completed == detail.offered && report.rejected == 0;
     Ok(ServeVerdict::judge(*cfg, worst, detail, served))
 }
 
-/// [`step_fault_replay`] under two serving steps of six and five
-/// seeded rows.
+/// [`step_fault_replay`] under two serving steps of nine and seven
+/// skewed rows, so some ragged payloads are empty.
 ///
 /// # Errors
 ///
 /// As [`step_fault_replay`].
 pub fn run_serve_fault(seed: u64) -> Result<FaultReplay, ServeError> {
     let dims = ModelDims::small(FAULT_POINT.world);
-    let model = ServeModel::materialize(dims, seed ^ 0xFA17)?;
-    let mut rng = Rng::seed(seed);
-    let first = rng.normal_tensor(&[6, dims.model_dim], 0.0, 1.0);
-    let second = rng.normal_tensor(&[5, dims.model_dim], 0.0, 1.0);
+    let model = ServeModel::materialize(dims, seed ^ 0xD8FA)?;
+    let first = skewed_batch(&dims, 9, seed);
+    let second = skewed_batch(&dims, 7, seed ^ 0x2);
     step_fault_replay(&model, &FAULT_POINT, [&first, &second], seed)
 }
 
@@ -150,12 +184,12 @@ mod tests {
     use super::*;
     use crate::{cell_label, AllToAllAlgo, Parallelism};
 
-    fn point(strategy: Parallelism, algo: AllToAllAlgo, degree: usize) -> ExecConfig {
+    fn point(strategy: Parallelism, algo: AllToAllAlgo, world: usize) -> ExecConfig {
         ExecConfig {
             strategy,
             algo,
-            degree,
-            world: 2,
+            degree: 2,
+            world,
             threads: REF_THREADS,
             dropless: true,
         }
@@ -164,21 +198,23 @@ mod tests {
     #[test]
     fn grid_covers_the_issue_matrix() {
         let grid = serve_grid();
-        assert_eq!(grid.len(), 16);
-        assert!(grid
-            .iter()
-            .any(|c| c.strategy == Parallelism::P2 && c.degree == 2 && c.world == 2));
+        assert_eq!(grid.len(), 24);
+        assert!(grid.iter().any(|c| c.strategy == Parallelism::P2
+            && c.algo == AllToAllAlgo::TwoDh
+            && c.degree == 2
+            && c.world == 4));
         assert!(grid.iter().all(|c| c.threads == REF_THREADS));
     }
 
     #[test]
     fn p1_batched_serving_is_bitwise_against_the_reference() {
-        let case = point(Parallelism::P1, AllToAllAlgo::TwoDh, 2);
+        let case = point(Parallelism::P1, AllToAllAlgo::TwoDh, 4);
         let v = run_serve_case(&case, 0xBEEF).unwrap();
         assert!(v.pass, "{}: {v:?}", cell_label(&case, false));
         assert_eq!(v.worst.ulp, 0);
         assert_eq!(v.detail.completed, v.detail.offered);
         assert!(v.detail.steps > 0);
+        assert!(v.detail.wire > 0);
     }
 
     #[test]
@@ -206,7 +242,6 @@ mod tests {
         use tutel::pipeline::{LayerDims, MeasuredStrategySearch, PipelineTimeModel};
         use tutel_comm::{CollectiveTiming, World};
         use tutel_experts::{InlineParallelismRouter, MoeDims};
-        use tutel_serve::exec::execute_step;
 
         let dims = ModelDims::small(2);
         let model = ServeModel::materialize(dims, 0xC0DE).unwrap();
@@ -259,7 +294,7 @@ mod tests {
 
     #[test]
     fn verdicts_are_seed_deterministic() {
-        let case = point(Parallelism::P1, AllToAllAlgo::Linear, 1);
+        let case = point(Parallelism::P1, AllToAllAlgo::Linear, 2);
         let a = run_serve_case(&case, 7).unwrap();
         let b = run_serve_case(&case, 7).unwrap();
         assert_eq!(a.detail.steps, b.detail.steps);

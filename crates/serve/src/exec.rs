@@ -49,8 +49,7 @@
 //! ranks, runs the rank program on their prebuilt blocks and the
 //! borrowed batch, and parks them again: no thread is spawned and no
 //! weight is sliced. [`crate::Engine`] owns one executor for its life;
-//! [`execute_step`] and [`execute_step_reliable`] build one, run one
-//! step and drop it.
+//! [`execute_step`] builds one, runs one step and drops it.
 //!
 //! After each step every rank audits its communicator. A collective
 //! that failed, or a message nobody consumed, fails the step with
@@ -160,25 +159,6 @@ pub fn execute_step(
     batch: &Tensor,
 ) -> Result<StepOutput, ServeError> {
     StepExecutor::new(model, *cfg, None)?.step(batch)
-}
-
-/// [`execute_step`] with the comm reliability layer armed: sends are
-/// logged for retransmission and `cfg_rel.plan` (if any) injects
-/// seeded drop/duplicate/delay faults, which the retry protocol must
-/// absorb without changing a single output bit.
-///
-/// # Errors
-///
-/// As [`execute_step`]; additionally [`ServeError::Comm`] with
-/// [`tutel_comm::CommError::Timeout`] when the fault plan exhausts
-/// the retry budget.
-pub fn execute_step_reliable(
-    model: &ServeModel,
-    cfg: &ExecConfig,
-    batch: &Tensor,
-    cfg_rel: ReliableConfig,
-) -> Result<StepOutput, ServeError> {
-    StepExecutor::new(model, *cfg, Some(cfg_rel))?.step(batch)
 }
 
 /// The resident step executor: one [`RankGroup`] and every rank's

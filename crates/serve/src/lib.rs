@@ -45,7 +45,7 @@ pub mod request;
 
 pub use batcher::{BatcherConfig, ContinuousBatcher, StepPlan};
 pub use engine::{Engine, EngineConfig, ServeReport, ServiceModel};
-pub use exec::{execute_step, execute_step_reliable, reference_rows, ExecConfig, Strategy};
+pub use exec::{execute_step, reference_rows, ExecConfig, Strategy};
 pub use loadgen::{
     generate_trace, run_closed_loop_to_report, Arrival, ClosedLoopConfig, TraceConfig,
 };

@@ -6,7 +6,7 @@
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use tutel_suite::experts::{p1_forward, p2_forward, ExpertsBlock, ShardedExpertParams};
+use tutel_suite::experts::{rank_blocks, shard_sum, ExpertsBlock, Parallelism};
 use tutel_suite::gate::{route, RaggedRouting, RouteConfig, Routing};
 use tutel_suite::kernels::{ragged_decode_backward, ragged_encode};
 use tutel_suite::rt::with_parallelism_limit;
@@ -34,16 +34,27 @@ fn tutel_equals_fairseq_over_many_seeds_and_configs() {
     }
 }
 
+/// One rank's output over the whole `bank` under `strategy`, computed
+/// as serving computes it: the product's `rank_blocks`, each block's
+/// grouped inference over uniform bins of `rows / ΔE` rows, and
+/// `shard_sum`.
+fn served(bank: &ExpertsBlock, strategy: Parallelism, shards: usize, rows: &Tensor) -> Tensor {
+    let per = rows.dims()[0] / bank.local_experts();
+    let offsets: Vec<usize> = (0..=bank.local_experts()).map(|e| e * per).collect();
+    let blocks = rank_blocks(bank, strategy, 1, 0, shards).unwrap();
+    shard_sum(&blocks, |b| b.infer_grouped(rows, &offsets)).unwrap()
+}
+
 #[test]
 fn p1_p2_and_unsharded_all_agree() {
     let mut rng = Rng::seed(77);
     let full = ExpertsBlock::new(2, 8, 12, &mut rng);
     let x = rng.normal_tensor(&[2, 6, 8], 0.0, 1.0);
-    let reference = full.infer(&x).unwrap();
+    let reference = full.infer(&x).unwrap().reshape(&[12, 8]).unwrap();
+    let rows = x.reshape(&[12, 8]).unwrap();
     for shards in [1usize, 2, 3, 4, 6] {
-        let params = ShardedExpertParams::from_block(&full, shards).unwrap();
-        let y1 = p1_forward(&params, &x).unwrap();
-        let y2 = p2_forward(&params, &x).unwrap();
+        let y1 = served(&full, Parallelism::P1, shards, &rows);
+        let y2 = served(&full, Parallelism::P2, shards, &rows);
         assert!(
             reference.sub(&y1).unwrap().max_abs() < 1e-4,
             "P1 with {shards} shards diverged"
@@ -57,23 +68,28 @@ fn p1_p2_and_unsharded_all_agree() {
 
 #[test]
 fn switching_parallelism_mid_run_changes_nothing() {
-    // Alternate P1/P2 across "iterations" and verify outputs and the
-    // parameter fingerprint never drift — the zero-cost switch.
+    // Alternate P1/P2 across "iterations" and verify outputs never
+    // drift and P2's shards are the same bits every time they are cut
+    // from the one bank — the zero-cost switch.
     let mut rng = Rng::seed(78);
-    let params = ShardedExpertParams::new(1, 6, 8, 4, &mut rng).unwrap();
-    let x = rng.normal_tensor(&[1, 5, 6], 0.0, 1.0);
-    let reference = p1_forward(&params, &x).unwrap();
-    let fp = params.placement_fingerprint();
+    let bank = ExpertsBlock::new(1, 6, 8, &mut rng);
+    let rows = rng.normal_tensor(&[5, 6], 0.0, 1.0);
+    let reference = served(&bank, Parallelism::P1, 4, &rows);
+    let shards = rank_blocks(&bank, Parallelism::P2, 1, 0, 4).unwrap();
     for i in 0..6 {
-        let y = if i % 2 == 0 {
-            p2_forward(&params, &x).unwrap()
+        let strategy = if i % 2 == 0 {
+            Parallelism::P2
         } else {
-            p1_forward(&params, &x).unwrap()
+            Parallelism::P1
         };
+        let y = served(&bank, strategy, 4, &rows);
         assert!(reference.sub(&y).unwrap().max_abs() < 1e-4, "iteration {i}");
-        assert_eq!(
-            params.placement_fingerprint(),
-            fp,
+        let recut = rank_blocks(&bank, Parallelism::P2, 1, 0, 4).unwrap();
+        assert!(
+            recut
+                .iter()
+                .zip(&shards)
+                .all(|(a, b)| a.weights() == b.weights()),
             "parameters migrated at {i}"
         );
     }
