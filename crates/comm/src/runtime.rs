@@ -310,10 +310,9 @@ impl Communicator {
     }
 
     /// One communicator per rank of `topology`, joined by one MPMC
-    /// channel per rank: the only place
-    /// channel-backed communicators are built. `reliable` arms the
-    /// reliability layer on every rank (sharing its telemetry); `hub`
-    /// gives each rank its tracer.
+    /// channel per rank: the only place channel-backed communicators
+    /// are built. `reliable` arms the reliability layer on every rank
+    /// (sharing its telemetry); `hub` gives each rank its tracer.
     pub(crate) fn mesh(
         topology: Topology,
         reliable: Option<&ReliableConfig>,

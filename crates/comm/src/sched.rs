@@ -5,8 +5,8 @@
 //! [`crate::runtime`]: instead of crossbeam channels, every rank talks
 //! through a shared [`SchedNet`] that *buffers* all sends and only
 //! releases a message when the whole world has quiesced (every live
-//! rank blocked in `recv`). At each quiescent point the
-//! scheduler picks *which* pending message to deliver next from a
+//! rank blocked in `recv`). At each quiescent point the scheduler
+//! picks *which* pending message to deliver next from a
 //! seeded PRNG, so one `u64` seed names one complete interleaving —
 //! including arbitrarily delayed and reordered arrivals across tags —
 //! and replaying the seed replays the schedule bit-for-bit.
@@ -14,9 +14,8 @@
 //! Detected failure classes:
 //!
 //! * **deadlock** — the world quiesced with no deliverable message;
-//!   every blocked rank
-//!   gets [`CommError::Deadlock`] carrying the seed. A watchdog
-//!   backstops the quiescence accounting itself.
+//!   every blocked rank gets [`CommError::Deadlock`] carrying the seed.
+//!   A watchdog backstops the quiescence accounting itself.
 //! * **tag-collision mixing** — the harness compares results against
 //!   the sequential references; reordered same-tag messages surface
 //!   as value corruption under some seed.
