@@ -143,7 +143,7 @@ echo "==> conformance harness (smoke matrix + fault suite + traced run)"
 # exports per-rank JSONLs plus the merged Perfetto trace. The kernel
 # grid crosses {scalar, simd} x {f32, bf16}; with the tensor crate's
 # bf16 RNE proptests and experts::sharded::bf16_halves_shard_bytes (both
-# in the suites above) it holds the bf16 wire the simd_precision
+# in the suites above) it holds the bf16 storage path the simd_precision
 # bench smoke used to run.
 cargo run --release -q -p tutel-harness --bin harness -- \
     ${HARNESS_FULL:+--full} --json BENCH_harness.json \
@@ -216,8 +216,8 @@ for cell in s0t4 s1t1 s1t4; do
     fi
 done
 
-echo "==> tutel-check: workspace lint (baseline ratchet)"
-cargo run --release -q -p tutel-check -- --baseline check-baseline.json
+echo "==> tutel-check: workspace lint (any diagnostic fails)"
+cargo run --release -q -p tutel-check
 
 echo "==> tutel-check: deterministic concurrency sweep (fixed seeds)"
 cargo run --release -q -p tutel-check -- --sched --seeds 128

@@ -14,6 +14,10 @@ use tutel_tensor::Rng;
 use crate::report::fmt_pct;
 use crate::Table;
 
+/// Every model built from a [`Setup`] takes its datasets' samples, so
+/// training and evaluation cannot fail on shape.
+const FITS: &str = "setup models fit setup datasets";
+
 /// Model size analogues of SwinV2-S / SwinV2-B.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ModelSize {
@@ -107,7 +111,7 @@ impl Setup {
             seed: self.data_seed ^ 1,
             ..TrainConfig::default()
         };
-        let stats = train(&mut model, &self.dataset(), &tc);
+        let stats = train(&mut model, &self.dataset(), &tc).expect(FITS);
         (model, stats)
     }
 }
@@ -179,8 +183,8 @@ pub fn table9(steps: usize) -> Table {
         ),
     ] {
         let (mut model, _) = setup.pretrain(ModelSize::B, moe, steps);
-        let pre = evaluate(&model, &ds, 8, 99);
-        let shot = few_shot_linear_eval(&model, &ds, 5, 100);
+        let pre = evaluate(&model, &ds, 8, 99).expect(FITS);
+        let shot = few_shot_linear_eval(&model, &ds, 5, 100).expect(FITS);
         // Transfer: fine-tune on the shifted task with MoE layers fixed
         // (the Table 10-validated strategy).
         model.set_moe_frozen(true);
@@ -191,8 +195,8 @@ pub fn table9(steps: usize) -> Table {
             seed: 3,
             ..TrainConfig::default()
         };
-        train(&mut model, &shifted, &tc);
-        let transfer = evaluate(&model, &shifted, 8, 101);
+        train(&mut model, &shifted, &tc).expect(FITS);
+        let transfer = evaluate(&model, &shifted, 8, 101).expect(FITS);
         t.row(&[
             name.to_string(),
             fmt_pct(pre),
@@ -244,7 +248,7 @@ pub fn table10(steps: usize) -> Table {
             label.to_string(),
             "SwinLite-B (dense)".into(),
             "-".into(),
-            fmt_pct(evaluate(&dense, &shifted, 8, 7)),
+            fmt_pct(evaluate(&dense, &shifted, 8, 7).expect(FITS)),
         ]);
         for (mode, freeze) in [("tuned", false), ("fixed", true)] {
             let moe = MoeConfig::new(0, 0, 8).with_capacity_factor(1.25);
@@ -254,7 +258,7 @@ pub fn table10(steps: usize) -> Table {
                 label.to_string(),
                 "SwinLite-MoE-B (E=8)".into(),
                 mode.into(),
-                fmt_pct(evaluate(&model, &shifted, 8, 7)),
+                fmt_pct(evaluate(&model, &shifted, 8, 7).expect(FITS)),
             ]);
         }
     }
@@ -290,8 +294,8 @@ pub fn table11(steps: usize) -> Table {
             model.num_params().to_string(),
             model.active_params().to_string(),
             format!("{:.3}", stats.final_loss),
-            fmt_pct(evaluate(&model, &ds, 8, 99)),
-            fmt_pct(few_shot_linear_eval(&model, &ds, 5, 100)),
+            fmt_pct(evaluate(&model, &ds, 8, 99).expect(FITS)),
+            fmt_pct(few_shot_linear_eval(&model, &ds, 5, 100).expect(FITS)),
         ]);
         for e in [2usize, 4, 8, 16, 32] {
             let moe = MoeConfig::new(0, 0, e).with_capacity_factor(0.0);
@@ -302,8 +306,8 @@ pub fn table11(steps: usize) -> Table {
                 model.num_params().to_string(),
                 model.active_params().to_string(),
                 format!("{:.3}", stats.final_loss),
-                fmt_pct(evaluate(&model, &ds, 8, 99)),
-                fmt_pct(few_shot_linear_eval(&model, &ds, 5, 100)),
+                fmt_pct(evaluate(&model, &ds, 8, 99).expect(FITS)),
+                fmt_pct(few_shot_linear_eval(&model, &ds, 5, 100).expect(FITS)),
             ]);
         }
     }
@@ -326,7 +330,7 @@ pub fn table12(steps: usize) -> Table {
         let (mut model, _) = setup.pretrain(ModelSize::B, Some(moe), steps);
         for infer_f in [0.5, 0.625, 1.0, 1.25] {
             model.set_capacity_factor(infer_f);
-            let acc = evaluate(&model, &ds, 8, 99);
+            let acc = evaluate(&model, &ds, 8, 99).expect(FITS);
             // Relative expert compute: proportional to k·min(f, 1)
             // (capacity caps the processed rows).
             let rel = k as f64 * infer_f.min(1.5);
@@ -364,8 +368,8 @@ pub fn table13(steps: usize) -> Table {
             t.row(&[
                 name.to_string(),
                 format!("{router:?}"),
-                fmt_pct(evaluate(&model, &ds, 8, 99)),
-                fmt_pct(few_shot_linear_eval(&model, &ds, 5, 100)),
+                fmt_pct(evaluate(&model, &ds, 8, 99).expect(FITS)),
+                fmt_pct(few_shot_linear_eval(&model, &ds, 5, 100).expect(FITS)),
             ]);
         }
     }
@@ -394,8 +398,8 @@ pub fn fig25(steps: usize) -> Table {
         without.set_capacity_factor(infer_f);
         t.row(&[
             format!("{infer_f}"),
-            fmt_pct(evaluate(&with_bpr, &ds, 6, 99)),
-            fmt_pct(evaluate(&without, &ds, 6, 99)),
+            fmt_pct(evaluate(&with_bpr, &ds, 6, 99).expect(FITS)),
+            fmt_pct(evaluate(&without, &ds, 6, 99).expect(FITS)),
         ]);
     }
     t

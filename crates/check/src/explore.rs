@@ -1,6 +1,5 @@
 //! The shared schedule-exploration framework, re-exported from
-//! `tutel-explore` plus the bridges into this crate's diagnostic
-//! formats.
+//! `tutel-explore`, plus its bridge into the telemetry audit ring.
 //!
 //! Both dynamic checkers run on it: [`crate::sweep`] (the comm
 //! scheduler sweep; `comm::sched` itself draws its choices and folds
@@ -11,13 +10,9 @@
 //! its replay seed, and per-seed structure signatures assert the
 //! determinism contract structurally.
 //!
-//! Bridges:
-//! * [`finding_to_diagnostic`] keys a dynamic finding like a lint
-//!   diagnostic (`file:rule`), so race findings can ride the same
-//!   baseline ratchet as source rules.
-//! * [`finding_to_anomaly`] types a finding as a `tutel-obs`
-//!   [`AnomalyRecord`], so harness scenarios land checker findings in
-//!   the same audit ring as stragglers and imbalance.
+//! Bridge: [`finding_to_anomaly`] types a finding as a `tutel-obs`
+//! [`AnomalyRecord`], so harness scenarios land checker findings in
+//! the same audit ring as stragglers and imbalance.
 
 use tutel_obs::AnomalyRecord;
 
@@ -25,30 +20,6 @@ pub use tutel_explore::{
     derive_seed, splitmix64, sweep_seeds, Chooser, Finding, SeedRun, SigHash, SweepOutcome, VClock,
     FNV_OFFSET, FNV_PRIME,
 };
-
-use crate::diag::Diagnostic;
-
-/// Converts a dynamic finding into a lint-style [`Diagnostic`] so it
-/// ratchets under the same `file:rule` baseline keys as source rules.
-/// The "file" is the finding's first captured site when it has one,
-/// else the synthetic `runtime` location.
-pub fn finding_to_diagnostic(f: &Finding) -> Diagnostic {
-    let (file, line) = f
-        .sites
-        .first()
-        .and_then(|s| {
-            let (path, rest) = s.rsplit_once(':')?;
-            Some((path.to_string(), rest.parse().ok()?))
-        })
-        .unwrap_or_else(|| ("runtime".to_string(), 0));
-    Diagnostic {
-        rule: f.rule,
-        file,
-        line,
-        message: format!("{} (replay seed {})", f.detail, f.seed),
-        snippet: f.sites.join(", "),
-    }
-}
 
 /// Types a finding as an [`AnomalyRecord`] for the telemetry audit
 /// ring: kind `check.<rule>`, the replay seed stamped as the step.
@@ -71,25 +42,6 @@ pub fn finding_to_anomaly(f: &Finding) -> AnomalyRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn finding_with_site_keys_like_a_lint_diagnostic() {
-        let f = Finding::new("arena_alias", 7, "use after put".to_string())
-            .with_sites(vec!["crates/core/src/overlap.rs:219".to_string()]);
-        let d = finding_to_diagnostic(&f);
-        assert_eq!(d.rule, "arena_alias");
-        assert_eq!(d.file, "crates/core/src/overlap.rs");
-        assert_eq!(d.line, 219);
-        assert!(d.message.contains("replay seed 7"));
-    }
-
-    #[test]
-    fn finding_without_site_uses_runtime_location() {
-        let f = Finding::new("leak", 3, "job never joined".to_string());
-        let d = finding_to_diagnostic(&f);
-        assert_eq!(d.file, "runtime");
-        assert_eq!(d.line, 0);
-    }
 
     #[test]
     fn anomaly_carries_rule_kind_and_replay_seed() {

@@ -18,10 +18,9 @@
 //!      this rule alone, since the strict data-path contracts exempt
 //!      test code by design.
 //!
-//!    Pre-existing violations are pinned by a committed baseline
-//!    ([`Baseline`] / [`Ratchet`]): new ones fail, counts may only
-//!    ratchet down. Per-site escapes use
-//!    `// check:allow(rule, reason)`.
+//!    The lint is a plain gate: any diagnostic fails the run. The one
+//!    escape is a per-site `// check:allow(rule, reason)` that names
+//!    why the site is sound.
 //!
 //! 2. **Dynamic schedule-exploration checkers** on the shared
 //!    [`explore`] framework (seeded choice points, canonical
@@ -40,7 +39,6 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-pub mod baseline;
 pub mod diag;
 pub mod explore;
 pub mod lexer;
@@ -49,9 +47,8 @@ pub mod rules;
 pub mod source;
 pub mod sweep;
 
-pub use baseline::{Baseline, Ratchet};
 pub use diag::{diagnostics_to_json, Diagnostic};
-pub use explore::{finding_to_anomaly, finding_to_diagnostic};
+pub use explore::finding_to_anomaly;
 pub use rules::layering::{check_layering, parse_manifest, Manifest};
 pub use rules::{check_source, check_test_source, STRICT_CRATES};
 pub use source::SourceFile;
@@ -76,7 +73,7 @@ pub fn lint_source(crate_name: &str, rel_path: &str, text: &str) -> Vec<Diagnost
 /// the layering rule, each `src/**/*.rs` feeds the source rules, and
 /// each test tree (`crates/*/tests/` and the root `tests/`) feeds the
 /// test-only rules ([`check_test_source`]). The walk order is sorted,
-/// so output and baselines are deterministic.
+/// so the output is deterministic.
 pub fn lint_workspace(root: &Path) -> Result<LintReport, String> {
     let crates_dir = root.join("crates");
     let mut crate_dirs = read_dir_sorted(&crates_dir)

@@ -3,8 +3,7 @@
 //! Lint mode (default):
 //!
 //! ```text
-//! tutel-check [--root DIR] [--json] [--baseline FILE]
-//!             [--write-baseline FILE] [--emit-timing FILE]
+//! tutel-check [--root DIR] [--json]
 //! ```
 //!
 //! Concurrency modes:
@@ -15,58 +14,45 @@
 //!                                   # planted-bug selftests
 //! ```
 //!
-//! Exit codes: 0 = clean (or ratchet passed), 1 = violations or
-//! schedule failures, 2 = usage / IO error.
+//! Exit codes: 0 = clean, 1 = any lint diagnostic or schedule
+//! failure, 2 = usage / IO error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Instant;
 
+use tutel_check::diagnostics_to_json;
 use tutel_check::race::{combined_sweep, run_selftests, RaceConfig};
 use tutel_check::sweep::{broken_tag_selftest, sweep_collectives, SweepConfig};
-use tutel_check::{diagnostics_to_json, Baseline, Ratchet};
-use tutel_obs::json::Value;
 
 struct Opts {
     root: PathBuf,
     json: bool,
-    baseline: Option<PathBuf>,
-    write_baseline: Option<PathBuf>,
     sched: bool,
     race: bool,
     seeds: u64,
-    emit_timing: Option<PathBuf>,
 }
 
 fn usage() -> &'static str {
-    "usage: tutel-check [--root DIR] [--json] [--baseline FILE] \
-     [--write-baseline FILE] [--emit-timing FILE] | --sched [--seeds N] \
-     | --race [--seeds N]"
+    "usage: tutel-check [--root DIR] [--json] | --sched [--seeds N] | --race [--seeds N]"
 }
 
 fn parse_opts() -> Result<Opts, String> {
     let mut opts = Opts {
         root: PathBuf::from("."),
         json: false,
-        baseline: None,
-        write_baseline: None,
         sched: false,
         race: false,
         seeds: 128,
-        emit_timing: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let path_arg = |args: &mut dyn Iterator<Item = String>| {
-            args.next()
-                .map(PathBuf::from)
-                .ok_or_else(|| format!("{arg} needs a value"))
-        };
         match arg.as_str() {
-            "--root" => opts.root = path_arg(&mut args)?,
-            "--baseline" => opts.baseline = Some(path_arg(&mut args)?),
-            "--write-baseline" => opts.write_baseline = Some(path_arg(&mut args)?),
-            "--emit-timing" => opts.emit_timing = Some(path_arg(&mut args)?),
+            "--root" => {
+                opts.root = args
+                    .next()
+                    .map(PathBuf::from)
+                    .ok_or("--root needs a value")?;
+            }
             "--json" => opts.json = true,
             "--sched" => opts.sched = true,
             "--race" => opts.race = true,
@@ -116,27 +102,10 @@ fn main() -> ExitCode {
     }
 }
 
-/// Lint mode; returns Ok(true) when the run should exit 0.
+/// Lint mode; returns Ok(true) when the run should exit 0, i.e. when
+/// no rule fired anywhere in the workspace.
 fn run_lint(opts: &Opts) -> Result<bool, String> {
-    let started = Instant::now();
     let report = tutel_check::lint_workspace(&opts.root)?;
-    let wall = started.elapsed();
-    let current = Baseline::from_diagnostics(&report.diagnostics);
-
-    if let Some(path) = &opts.emit_timing {
-        let timing = Value::obj([
-            (
-                "lint_wall_ms",
-                Value::from((wall.as_secs_f64() * 1e6).round() / 1e3),
-            ),
-            ("files_scanned", Value::from(report.files_scanned)),
-            ("crates_scanned", Value::from(report.crates_scanned)),
-            ("violations", Value::from(current.total())),
-        ]);
-        std::fs::write(path, timing.to_pretty() + "\n")
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-    }
-
     if opts.json {
         println!("{}", diagnostics_to_json(&report.diagnostics));
     } else {
@@ -144,59 +113,11 @@ fn run_lint(opts: &Opts) -> Result<bool, String> {
             println!("{d}");
         }
     }
-
-    if let Some(path) = &opts.write_baseline {
-        std::fs::write(path, current.render())
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        eprintln!(
-            "tutel-check: wrote baseline ({} violation(s) across {} file:rule key(s)) to {}",
-            current.total(),
-            current.counts.len(),
-            path.display()
-        );
-        return Ok(true);
-    }
-
-    if let Some(path) = &opts.baseline {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read baseline {}: {e}", path.display()))?;
-        let committed =
-            Baseline::parse(&text).map_err(|e| format!("baseline {}: {e}", path.display()))?;
-        let ratchet = Ratchet::compare(&current, &committed);
-        for (key, cur, base) in &ratchet.regressions {
-            eprintln!("tutel-check: REGRESSION {key}: {cur} violation(s), baseline allows {base}");
-        }
-        for (key, cur, base) in &ratchet.improvements {
-            eprintln!(
-                "tutel-check: improved {key}: {cur} (baseline {base}) — \
-                 re-run with --write-baseline to tighten the ratchet"
-            );
-        }
-        for (key, base) in &ratchet.stale {
-            eprintln!(
-                "tutel-check: STALE {key}: baseline allows {base} but the key no \
-                 longer produces any diagnostic — prune with --write-baseline"
-            );
-        }
-        eprintln!(
-            "tutel-check: {} file(s), {} violation(s) (baseline {}), {} regression(s), \
-             {} stale entr{} — {}",
-            report.files_scanned,
-            current.total(),
-            committed.total(),
-            ratchet.regressions.len(),
-            ratchet.stale.len(),
-            if ratchet.stale.len() == 1 { "y" } else { "ies" },
-            if ratchet.passed() { "PASS" } else { "FAIL" }
-        );
-        return Ok(ratchet.passed());
-    }
-
     eprintln!(
         "tutel-check: {} file(s) in {} crate(s), {} violation(s)",
         report.files_scanned,
         report.crates_scanned,
-        current.total()
+        report.diagnostics.len()
     );
     Ok(report.diagnostics.is_empty())
 }

@@ -42,8 +42,8 @@ pub const STRICT_CRATES: &[&str] = &[
 
 /// A source-level lint rule.
 pub trait Rule {
-    /// Stable rule id used in diagnostics, baselines, and
-    /// `check:allow` suppressions.
+    /// Stable rule id used in diagnostics and `check:allow`
+    /// suppressions.
     fn id(&self) -> &'static str;
     /// Inspects one file, pushing findings into `sink`.
     fn check_file(&self, file: &SourceFile, sink: &mut Vec<Diagnostic>);

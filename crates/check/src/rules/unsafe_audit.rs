@@ -6,8 +6,7 @@
 //! `unsafe` is where the compiler stops checking and the comment is
 //! the only remaining proof obligation; an unannotated site cannot be
 //! reviewed. Genuinely self-evident sites can still escape with
-//! `// check:allow(unsafe_audit, reason)`, and pre-existing offenders
-//! ratchet down through the committed baseline like any other rule.
+//! `// check:allow(unsafe_audit, reason)`.
 
 use super::Rule;
 use crate::diag::Diagnostic;

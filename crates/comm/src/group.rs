@@ -1,4 +1,5 @@
-//! Resident rank threads: the one place rank threads are spawned.
+//! Resident rank threads: where the runtime spawns its rank threads
+//! (under `check-sched`, `sched::run_sched` spawns its own).
 //!
 //! A [`RankGroup`] spawns one OS thread per rank of a topology and
 //! gives each its [`Communicator`] for as long as the group lives.

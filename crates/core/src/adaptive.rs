@@ -189,7 +189,7 @@ impl MoeLayerSimulator {
     ) -> Seconds {
         let model = self.model(features);
         let strategy = Self::pick_strategy(&model, dims, features, tel);
-        let base = model.step_time(dims, strategy);
+        let time = model.step_time(dims, strategy);
         if tel.is_enabled() {
             // Record each priced All-to-All chunk under its phase —
             // dispatch and combine are separate collectives in the
@@ -208,11 +208,7 @@ impl MoeLayerSimulator {
                 }
             }
         }
-        if features.adaptive_parallelism {
-            base - self.parallelism_saving(dims)
-        } else {
-            base
-        }
+        time
     }
 
     /// Per-iteration time under an explicit pipelining strategy
@@ -286,22 +282,6 @@ impl MoeLayerSimulator {
             surcharge(Parallelism::P1)
         };
         base + extra
-    }
-
-    /// Communication saving from the inline parallelism router, when
-    /// experts are replicated/sharded (`E < W`). Zero when every GPU
-    /// owns whole, unreplicated experts (the Figure 23 setting).
-    fn parallelism_saving(&self, dims: &LayerDims) -> Seconds {
-        let w = self.world_size();
-        let e_global = w * dims.local_experts;
-        if e_global >= w {
-            return 0.0;
-        }
-        let moe_dims = self.moe_dims(dims, e_global);
-        let router = InlineParallelismRouter::new(self.timing);
-        let p1 = router.cost_of(Parallelism::P1, &moe_dims);
-        let p2 = router.cost_of(Parallelism::P2, &moe_dims);
-        p1.max(p2) - p1.min(p2)
     }
 }
 

@@ -21,6 +21,7 @@
 //! ```
 
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 use std::io::{self, Read, Write};
 
 use tutel_tensor::Tensor;
@@ -77,8 +78,10 @@ impl StateDict {
     /// Serializes to the `TUTELSD1` binary format.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        self.write_to(&mut out)
-            .expect("writing to a Vec cannot fail");
+        let Ok(()) = self.encode(|bytes| {
+            out.extend_from_slice(bytes);
+            Ok::<(), Infallible>(())
+        });
         out
     }
 
@@ -88,19 +91,25 @@ impl StateDict {
     ///
     /// Returns any I/O error from the writer.
     pub fn write_to<W: Write>(&self, mut w: W) -> io::Result<()> {
-        w.write_all(MAGIC)?;
-        w.write_all(&(self.entries.len() as u32).to_le_bytes())?;
+        self.encode(|bytes| w.write_all(bytes))
+    }
+
+    /// Feeds the binary format to `put` piece by piece, stopping at
+    /// the first error.
+    fn encode<E>(&self, mut put: impl FnMut(&[u8]) -> Result<(), E>) -> Result<(), E> {
+        put(MAGIC)?;
+        put(&(self.entries.len() as u32).to_le_bytes())?;
         for (name, tensor) in &self.entries {
             let name_bytes = name.as_bytes();
-            w.write_all(&(name_bytes.len() as u32).to_le_bytes())?;
-            w.write_all(name_bytes)?;
+            put(&(name_bytes.len() as u32).to_le_bytes())?;
+            put(name_bytes)?;
             let dims = tensor.dims();
-            w.write_all(&(dims.len() as u32).to_le_bytes())?;
+            put(&(dims.len() as u32).to_le_bytes())?;
             for &d in dims {
-                w.write_all(&(d as u64).to_le_bytes())?;
+                put(&(d as u64).to_le_bytes())?;
             }
             for v in tensor.as_slice() {
-                w.write_all(&v.to_le_bytes())?;
+                put(&v.to_le_bytes())?;
             }
         }
         Ok(())

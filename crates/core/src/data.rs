@@ -187,6 +187,7 @@ impl SyntheticVision {
 
     fn rotate(&self, x: Tensor) -> Tensor {
         match &self.rotation {
+            // check:allow(no_panic, `shifted` builds the rotation (C, C) and every caller builds x (rows, C))
             Some(rot) => x.matmul(rot).expect("rotation is (C, C)"),
             None => x,
         }

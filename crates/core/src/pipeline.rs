@@ -19,15 +19,12 @@ pub struct PipelineStrategy {
 }
 
 impl PipelineStrategy {
-    /// The paper's strategy space: {Linear, 2DH} × {1, 2, 4, 8}.
-    pub fn all() -> Vec<PipelineStrategy> {
-        let mut v = Vec::with_capacity(8);
-        for algo in AllToAllAlgo::ALL {
-            for degree in [1usize, 2, 4, 8] {
-                v.push(PipelineStrategy { algo, degree });
-            }
-        }
-        v
+    /// The paper's strategy space: {Linear, 2DH} × {1, 2, 4, 8}, in
+    /// search order (the [`baseline`](Self::baseline) first).
+    pub fn all() -> [PipelineStrategy; 8] {
+        let [[a, b, c, d], [e, f, g, h]] = AllToAllAlgo::ALL
+            .map(|algo| [1, 2, 4, 8].map(|degree| PipelineStrategy { algo, degree }));
+        [a, b, c, d, e, f, g, h]
     }
 
     /// The static baseline every comparison in Table 7 is against:
@@ -258,19 +255,25 @@ impl PipelineTimeModel {
         dims: &LayerDims,
         tel: &tutel_obs::Telemetry,
     ) -> (PipelineStrategy, Seconds) {
-        let costs: Vec<(PipelineStrategy, Seconds)> = PipelineStrategy::all()
-            .into_iter()
-            .map(|s| (s, self.step_time(dims, s)))
-            .collect();
-        let (best, best_t) = costs
-            .iter()
-            .copied()
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-            .expect("strategy space is non-empty");
+        let costs = PipelineStrategy::all().map(|s| (s, self.step_time(dims, s)));
+        // The first strategy of least cost, in search order.
+        let (best, best_t) = costs.into_iter().fold(costs[0], |best, c| {
+            if c.1.total_cmp(&best.1).is_lt() {
+                c
+            } else {
+                best
+            }
+        });
         if tel.is_enabled() {
             tel.decision(tutel_obs::DecisionRecord {
                 precision: Some(self.precision.label().to_string()),
-                ..decision_record("pipeline", dims.capacity_factor, costs, best, Some(best_t))
+                ..decision_record(
+                    "pipeline",
+                    dims.capacity_factor,
+                    costs.to_vec(),
+                    best,
+                    Some(best_t),
+                )
             });
         }
         (best, best_t)
@@ -481,6 +484,15 @@ impl Memo {
         self.tried.len() >= PipelineStrategy::all().len()
     }
 
+    /// GETSTRATEGY over this evidence: the first untried strategy in
+    /// search order, else the cheapest tried one. Never `None`: a memo
+    /// with nothing untried holds all eight strategies.
+    fn choice(&self) -> Option<PipelineStrategy> {
+        self.untried()
+            .next()
+            .or_else(|| self.best().map(|(s, _)| s))
+    }
+
     /// Records `t` for `s` unless a cheaper time is already known.
     fn keep_min(&mut self, s: PipelineStrategy, t: Seconds) {
         let entry = self.tried.entry(s).or_insert(t);
@@ -554,9 +566,11 @@ impl OnlineStrategySearch {
         if !self.known_fs.iter().any(|&k| fkey(k) == fkey(f)) {
             self.recompute_buckets(f);
         }
-        let memo = self.memo_for(f).expect("f was just bucketed");
-        let probe = memo.untried().next();
-        probe.unwrap_or_else(|| memo.best().expect("all tried implies non-empty").0)
+        // `f` is bucketed by now; evidence-free, the search would probe
+        // the first strategy, the baseline.
+        self.memo_for(f)
+            .and_then(Memo::choice)
+            .unwrap_or_else(PipelineStrategy::baseline)
     }
 
     /// The evidence consulted for `f`: its own memo once that has tried
@@ -634,32 +648,26 @@ impl OnlineStrategySearch {
         self.known_fs.sort_by(|a, b| a.total_cmp(b));
         self.known_fs.dedup_by(|a, b| fkey(*a) == fkey(*b));
         self.buckets.clear();
-        let mut current: Option<Bucket> = None;
-        let fs = self.known_fs.clone();
-        for &kf in &fs {
-            let start_new = match &current {
-                None => true,
-                Some(b) => kf - b.lo > self.bucket_len,
-            };
-            if start_new {
-                if let Some(b) = current.take() {
-                    self.buckets.push(b);
-                }
-                current = Some(Bucket {
-                    lo: kf,
-                    memo: Memo::default(),
-                });
+        let Some(&first) = self.known_fs.first() else {
+            return;
+        };
+        let bucket_at = |lo| Bucket {
+            lo,
+            memo: Memo::default(),
+        };
+        let mut current = bucket_at(first);
+        for &kf in &self.known_fs {
+            if kf - current.lo > self.bucket_len {
+                let full = std::mem::replace(&mut current, bucket_at(kf));
+                self.buckets.push(full);
             }
-            let b = current.as_mut().expect("bucket exists after start check");
             if let Some(fm) = self.per_f.get(&fkey(kf)) {
                 for (&s, &t) in &fm.tried {
-                    b.memo.keep_min(s, normalized(t, b.lo, kf));
+                    current.memo.keep_min(s, normalized(t, current.lo, kf));
                 }
             }
         }
-        if let Some(b) = current {
-            self.buckets.push(b);
-        }
+        self.buckets.push(current);
     }
 
     fn bucket_index(&self, f: f64) -> Option<usize> {
@@ -778,10 +786,11 @@ impl MeasuredStrategySearch {
                 .step_time(dims, a)
                 .total_cmp(&model.step_time(dims, b))
         });
-        probe.unwrap_or_else(|| {
-            // check:allow(no_panic, all eight strategies measured implies the map is non-empty)
-            memo.best().expect("all measured implies non-empty").0
-        })
+        // Nothing unmeasured means all eight are measured, so `best` is
+        // `Some`.
+        probe
+            .or_else(|| memo.best().map(|(s, _)| s))
+            .unwrap_or_else(PipelineStrategy::baseline)
     }
 
     /// [`MeasuredStrategySearch::next_strategy`] that also appends an

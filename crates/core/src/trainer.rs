@@ -1,7 +1,7 @@
 //! Training loops and evaluation protocols for the accuracy
 //! experiments (Tables 9–13, Figures 1 and 25).
 
-use tutel_tensor::{Rng, Tensor};
+use tutel_tensor::{Rng, Tensor, TensorError};
 
 use crate::data::SyntheticVision;
 use crate::model::{accuracy, cross_entropy, SwinLiteMoe};
@@ -87,11 +87,14 @@ pub struct TrainStats {
 
 /// Trains `model` on `dataset` in place and returns the run's stats.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if a forward/backward pass fails on internally generated
-/// shapes (a bug, not a user error).
-pub fn train(model: &mut SwinLiteMoe, dataset: &SyntheticVision, cfg: &TrainConfig) -> TrainStats {
+/// As [`train_observed`].
+pub fn train(
+    model: &mut SwinLiteMoe,
+    dataset: &SyntheticVision,
+    cfg: &TrainConfig,
+) -> Result<TrainStats, TensorError> {
     train_observed(model, dataset, cfg, &tutel_obs::Telemetry::disabled())
 }
 
@@ -118,16 +121,17 @@ pub fn runtime_snapshot() -> tutel_obs::RuntimeSnapshot {
 /// element-wise summed expert load, dropped-token total, and the
 /// per-stage durations the layer spans accumulated during the step.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if a forward/backward pass fails on internally generated
-/// shapes (a bug, not a user error).
+/// Returns a [`TensorError`] when a forward or backward pass fails,
+/// e.g. when the model's input shape does not match the dataset's
+/// samples (`in_channels` vs `channels`, tokens per sample).
 pub fn train_observed(
     model: &mut SwinLiteMoe,
     dataset: &SyntheticVision,
     cfg: &TrainConfig,
     tel: &tutel_obs::Telemetry,
-) -> TrainStats {
+) -> Result<TrainStats, TensorError> {
     model.set_telemetry(tel.clone());
     let mut rng = Rng::seed(cfg.seed);
     let mut loss_curve = Vec::with_capacity(cfg.steps);
@@ -135,11 +139,11 @@ pub fn train_observed(
     for step in 0..cfg.steps {
         tel.begin_step(step as u64);
         let (x, y) = dataset.batch(cfg.batch, &mut rng);
-        let (logits, aux, layer_tel) = model.forward(&x, cfg.batch).expect("forward");
+        let (logits, aux, layer_tel) = model.forward(&x, cfg.batch)?;
         let (loss, d_logits) = cross_entropy(&logits, &y);
         loss_curve.push(loss);
         trace.push(layer_tel.iter().map(|t| t.needed_factor).collect());
-        model.backward(&d_logits).expect("backward");
+        model.backward(&d_logits)?;
         let lr = cfg.schedule.lr_at(cfg.lr, step, cfg.steps);
         model.step(lr);
         if tel.is_enabled() {
@@ -170,20 +174,25 @@ pub fn train_observed(
     }
     let window = (cfg.steps / 10).max(1);
     let final_loss = loss_curve.iter().rev().take(window).sum::<f32>() / window as f32;
-    TrainStats {
+    Ok(TrainStats {
         loss_curve,
         final_loss,
         needed_factor_trace: trace,
-    }
+    })
 }
 
 /// Evaluates top-1 accuracy over `batches` held-out batches of 32
 /// samples each.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if inference fails on internally generated shapes.
-pub fn evaluate(model: &SwinLiteMoe, dataset: &SyntheticVision, batches: usize, seed: u64) -> f64 {
+/// As [`evaluate_with_batch`].
+pub fn evaluate(
+    model: &SwinLiteMoe,
+    dataset: &SyntheticVision,
+    batches: usize,
+    seed: u64,
+) -> Result<f64, TensorError> {
     evaluate_with_batch(model, dataset, batches, 32, seed)
 }
 
@@ -192,26 +201,30 @@ pub fn evaluate(model: &SwinLiteMoe, dataset: &SyntheticVision, batches: usize, 
 /// is not a special case (the serving engine relies on this when it
 /// re-batches straggling single requests).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `batch` is zero or inference fails on internally
-/// generated shapes.
+/// Returns a [`TensorError`] if `batch` is zero or inference fails,
+/// e.g. on a model whose input shape does not match the dataset's.
 pub fn evaluate_with_batch(
     model: &SwinLiteMoe,
     dataset: &SyntheticVision,
     batches: usize,
     batch: usize,
     seed: u64,
-) -> f64 {
-    assert!(batch > 0, "evaluation batch must be nonzero");
+) -> Result<f64, TensorError> {
+    if batch == 0 {
+        return Err(TensorError::InvalidArgument(
+            "evaluation batch must be nonzero".into(),
+        ));
+    }
     let mut rng = Rng::seed(seed);
     let mut total = 0.0;
     for _ in 0..batches {
         let (x, y) = dataset.batch(batch, &mut rng);
-        let logits = model.infer(&x, batch).expect("infer");
+        let logits = model.infer(&x, batch)?;
         total += accuracy(&logits, &y);
     }
-    total / batches.max(1) as f64
+    Ok(total / batches.max(1) as f64)
 }
 
 /// The paper's 5-shot linear evaluation: freeze the backbone, extract
@@ -219,19 +232,20 @@ pub fn evaluate_with_batch(
 /// classifier by a few steps of softmax regression, report held-out
 /// accuracy.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if feature extraction fails on internally generated shapes.
+/// Returns a [`TensorError`] if feature extraction fails, e.g. on a
+/// model whose input shape does not match the dataset's.
 pub fn few_shot_linear_eval(
     model: &SwinLiteMoe,
     dataset: &SyntheticVision,
     shots: usize,
     seed: u64,
-) -> f64 {
+) -> Result<f64, TensorError> {
     let mut rng = Rng::seed(seed);
     let (x_train, y_train) = dataset.few_shot(shots, &mut rng);
     let n_train = y_train.len();
-    let feats = model.features(&x_train, n_train).expect("features");
+    let feats = model.features(&x_train, n_train)?;
     let classes = dataset.classes();
     let dim = feats.dims()[1];
 
@@ -239,15 +253,15 @@ pub fn few_shot_linear_eval(
     let mut w = Tensor::zeros(&[dim, classes]);
     let mut b = Tensor::zeros(&[classes]);
     for _ in 0..200 {
-        let mut logits = feats.matmul(&w).expect("shapes");
+        let mut logits = feats.matmul(&w)?;
         for row in logits.as_mut_slice().chunks_mut(classes) {
             for (v, bias) in row.iter_mut().zip(b.as_slice()) {
                 *v += bias;
             }
         }
         let (_, grad) = cross_entropy(&logits, &y_train);
-        let dw = feats.matmul_tn(&grad).expect("shapes");
-        w.axpy(-0.5, &dw).expect("shapes");
+        let dw = feats.matmul_tn(&grad)?;
+        w.axpy(-0.5, &dw)?;
         for row in grad.as_slice().chunks(classes) {
             for (bg, g) in b.as_mut_slice().iter_mut().zip(row) {
                 *bg -= 0.5 * g;
@@ -261,8 +275,8 @@ pub fn few_shot_linear_eval(
     let evals = 8;
     for _ in 0..evals {
         let (x, y) = dataset.batch(batch, &mut rng);
-        let f = model.features(&x, batch).expect("features");
-        let mut logits = f.matmul(&w).expect("shapes");
+        let f = model.features(&x, batch)?;
+        let mut logits = f.matmul(&w)?;
         for row in logits.as_mut_slice().chunks_mut(classes) {
             for (v, bias) in row.iter_mut().zip(b.as_slice()) {
                 *v += bias;
@@ -270,7 +284,7 @@ pub fn few_shot_linear_eval(
         }
         total += accuracy(&logits, &y);
     }
-    total / evals as f64
+    Ok(total / evals as f64)
 }
 
 #[cfg(test)]
@@ -330,7 +344,7 @@ mod tests {
                 floor_fraction: 0.05,
             },
         };
-        let stats = train(&mut model, &ds, &cfg);
+        let stats = train(&mut model, &ds, &cfg).unwrap();
         assert!(stats.final_loss.is_finite());
         assert!(stats.final_loss < stats.loss_curve[0] * 1.2);
     }
@@ -345,7 +359,7 @@ mod tests {
             seed: 1,
             ..TrainConfig::default()
         };
-        let stats = train(&mut model, &ds, &cfg);
+        let stats = train(&mut model, &ds, &cfg).unwrap();
         assert_eq!(stats.loss_curve.len(), 30);
         assert_eq!(stats.needed_factor_trace.len(), 30);
         assert_eq!(stats.needed_factor_trace[0].len(), 1);
@@ -363,15 +377,15 @@ mod tests {
             seed: 2,
             ..TrainConfig::default()
         };
-        let s1 = train(&mut m1, &ds, &cfg);
-        let s2 = train(&mut m2, &ds, &cfg);
+        let s1 = train(&mut m1, &ds, &cfg).unwrap();
+        let s2 = train(&mut m2, &ds, &cfg).unwrap();
         assert_eq!(s1.loss_curve, s2.loss_curve);
     }
 
     #[test]
     fn evaluation_runs_and_bounds() {
         let (model, ds) = quick_setup(false);
-        let acc = evaluate(&model, &ds, 2, 3);
+        let acc = evaluate(&model, &ds, 2, 3).unwrap();
         assert!((0.0..=1.0).contains(&acc));
     }
 
@@ -382,14 +396,14 @@ mod tests {
         // well-formed accuracy, and the MoE variant does too.
         for moe in [false, true] {
             let (model, ds) = quick_setup(moe);
-            let acc = evaluate_with_batch(&model, &ds, 4, 1, 3);
+            let acc = evaluate_with_batch(&model, &ds, 4, 1, 3).unwrap();
             assert!((0.0..=1.0).contains(&acc), "batch-1 accuracy {acc}");
         }
         // The default entry point is exactly the batch-32 case.
         let (model, ds) = quick_setup(false);
         assert_eq!(
-            evaluate(&model, &ds, 2, 3),
-            evaluate_with_batch(&model, &ds, 2, 32, 3)
+            evaluate(&model, &ds, 2, 3).unwrap(),
+            evaluate_with_batch(&model, &ds, 2, 32, 3).unwrap()
         );
     }
 
@@ -403,8 +417,31 @@ mod tests {
             seed: 4,
             ..TrainConfig::default()
         };
-        train(&mut model, &ds, &cfg);
-        let acc = few_shot_linear_eval(&model, &ds, 5, 5);
+        train(&mut model, &ds, &cfg).unwrap();
+        let acc = few_shot_linear_eval(&model, &ds, 5, 5).unwrap();
         assert!(acc > 0.45, "few-shot accuracy {acc} (chance 0.33)");
+    }
+
+    #[test]
+    fn a_model_that_does_not_fit_the_dataset_is_an_error() {
+        // The model reads 8 input channels, the dataset writes 6: every
+        // entry point reports the mismatch instead of panicking.
+        for moe in [false, true] {
+            let (mut model, _) = quick_setup(moe);
+            let ds = SyntheticVision::new(6, 4, 3, 4, 11);
+            let cfg = TrainConfig {
+                steps: 2,
+                batch: 4,
+                ..TrainConfig::default()
+            };
+            assert!(matches!(
+                train(&mut model, &ds, &cfg),
+                Err(TensorError::ShapeMismatch { .. })
+            ));
+            assert!(evaluate(&model, &ds, 1, 3).is_err());
+            assert!(few_shot_linear_eval(&model, &ds, 2, 5).is_err());
+        }
+        let (model, ds) = quick_setup(false);
+        assert!(evaluate_with_batch(&model, &ds, 1, 0, 3).is_err());
     }
 }

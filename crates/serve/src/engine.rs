@@ -126,7 +126,7 @@ struct Tracked {
 }
 
 /// The discrete-event serving loop. [`run_trace`] covers the open
-/// arrival model; the closed-loop generator drives [`Engine`]
+/// arrival model; a closed-loop load generator pumps [`Engine`]
 /// directly so completions can trigger the next arrivals.
 ///
 /// The engine owns one [`StepExecutor`] for its whole life: its rank

@@ -20,8 +20,8 @@
 //! * [`engine`] — the virtual-time discrete-event loop joining the
 //!   three, with per-request latency/SLO accounting (`serve.*`
 //!   metrics, p50/p99, deadline misses) exported through `obs`;
-//! * [`loadgen`] — seeded open (Poisson, uniform, bursty, diurnal)
-//!   and closed-loop workload generators.
+//! * [`loadgen`] — seeded open workload generators (Poisson,
+//!   uniform, bursty, diurnal).
 //!
 //! # Why serving is differentially testable
 //!
@@ -46,9 +46,7 @@ pub mod request;
 pub use batcher::{BatcherConfig, ContinuousBatcher, StepPlan};
 pub use engine::{Engine, EngineConfig, ServeReport, ServiceModel};
 pub use exec::{execute_step, reference_rows, ExecConfig, Strategy};
-pub use loadgen::{
-    generate_trace, run_closed_loop_to_report, Arrival, ClosedLoopConfig, TraceConfig,
-};
+pub use loadgen::{generate_trace, Arrival, TraceConfig};
 pub use model::{ModelDims, ServeModel};
 pub use queue::IngressQueue;
 pub use request::{Request, RequestId, RequestOutcome, ServeError};

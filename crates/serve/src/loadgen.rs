@@ -1,19 +1,15 @@
-//! Seeded load generation: open and closed arrival models, plus
-//! bursty and diurnal traces.
+//! Seeded load generation: open arrival models, plus bursty and
+//! diurnal traces.
 //!
 //! Nothing here reads a wall clock or an OS entropy source — every
-//! arrival time, token count, and think time derives from a
-//! [`tutel_tensor::Rng`] seed, so a trace replays bit-identically
-//! (the `test_determinism` lint enforces the absence of ambient
-//! randomness). Open models pre-compute the full arrival trace;
-//! the closed-loop generator drives an [`Engine`] interactively,
-//! issuing each user's next request when its previous one completes.
+//! arrival time and token count derives from a [`tutel_tensor::Rng`]
+//! seed, so a trace replays bit-identically (the `test_determinism`
+//! lint enforces the absence of ambient randomness). Each model
+//! pre-computes the full arrival trace.
 
 use tutel_tensor::Rng;
 
-use crate::engine::{Engine, ServeReport};
-use crate::model::ServeModel;
-use crate::request::{Request, RequestId, ServeError};
+use crate::request::{Request, RequestId};
 
 /// Arrival process of an open (trace-driven) workload.
 #[derive(Debug, Clone, Copy)]
@@ -122,113 +118,6 @@ pub fn generate_trace(cfg: &TraceConfig, first_id: RequestId) -> Vec<Request> {
         });
     }
     out
-}
-
-/// Closed-loop workload: `users` concurrent users, each thinking for
-/// a seeded exponential gap after a completion before issuing its
-/// next request.
-#[derive(Debug, Clone, Copy)]
-pub struct ClosedLoopConfig {
-    /// Concurrent users.
-    pub users: usize,
-    /// Requests each user issues in total.
-    pub requests_per_user: usize,
-    /// Mean think time between a completion and the next issue, µs.
-    pub think_mean_us: u64,
-    /// Token range and deadline budget, as in [`TraceConfig`].
-    pub tokens_min: usize,
-    /// Maximum token rows per request (inclusive).
-    pub tokens_max: usize,
-    /// Per-request latency budget.
-    pub deadline_us: u64,
-    /// Token feature width.
-    pub model_dim: usize,
-    /// Seed for think times, token counts, and features.
-    pub seed: u64,
-}
-
-/// Drives `engine` closed-loop until every user has issued and
-/// completed its quota. Completions feed back into arrivals, so the
-/// offered load self-regulates around the engine's service rate —
-/// the classic closed system.
-///
-/// # Errors
-///
-/// Propagates executor failures from the engine.
-pub fn run_closed_loop(
-    model: &ServeModel,
-    engine: &mut Engine<'_>,
-    cfg: &ClosedLoopConfig,
-) -> Result<(), ServeError> {
-    let _ = model;
-    let mut rng = Rng::seed(cfg.seed);
-    let lo = cfg.tokens_min.min(cfg.tokens_max).max(1);
-    let span = cfg.tokens_max.max(cfg.tokens_min) - lo + 1;
-    // user id ↔ request id mapping: request ids are issued densely;
-    // remaining[u] counts requests user u still has to issue.
-    let mut remaining: Vec<usize> = vec![cfg.requests_per_user; cfg.users];
-    let mut owner: Vec<(RequestId, usize)> = Vec::new();
-    let mut next_id: RequestId = 0;
-    let mut issue = |engine: &mut Engine<'_>,
-                     rng: &mut Rng,
-                     owner: &mut Vec<(RequestId, usize)>,
-                     user: usize,
-                     at_us: u64| {
-        let tokens = lo + rng.below(span);
-        let id = next_id;
-        next_id += 1;
-        owner.push((id, user));
-        engine.submit(Request {
-            id,
-            tokens: rng.normal_tensor(&[tokens, cfg.model_dim], 0.0, 1.0),
-            arrival_us: at_us,
-            deadline_us: at_us + cfg.deadline_us,
-        });
-    };
-    // Every user issues its first request at t=0 (staggered by think
-    // time so the burst is not fully synchronized).
-    for (u, quota) in remaining.iter_mut().enumerate() {
-        let stagger = exp_gap_us(&mut rng, 1e6 / cfg.think_mean_us.max(1) as f64);
-        *quota -= 1;
-        issue(engine, &mut rng, &mut owner, u, stagger);
-    }
-    loop {
-        let progressed = engine.pump()?;
-        let finished: Vec<RequestId> = engine.completed_last_pump().to_vec();
-        let now = engine.now_us();
-        for id in finished {
-            let Some(pos) = owner.iter().position(|&(rid, _)| rid == id) else {
-                continue;
-            };
-            let (_, user) = owner.swap_remove(pos);
-            if remaining[user] > 0 {
-                remaining[user] -= 1;
-                let think = exp_gap_us(&mut rng, 1e6 / cfg.think_mean_us.max(1) as f64);
-                issue(engine, &mut rng, &mut owner, user, now + think);
-            }
-        }
-        if !progressed && !engine.has_work() {
-            break;
-        }
-    }
-    Ok(())
-}
-
-/// Convenience wrapper: build an engine, run the closed loop, return
-/// the report.
-///
-/// # Errors
-///
-/// As [`run_closed_loop`].
-pub fn run_closed_loop_to_report(
-    model: &ServeModel,
-    engine_cfg: &crate::engine::EngineConfig,
-    cfg: &ClosedLoopConfig,
-    tel: &tutel_obs::Telemetry,
-) -> Result<ServeReport, ServeError> {
-    let mut engine = Engine::new(model, engine_cfg, tel)?;
-    run_closed_loop(model, &mut engine, cfg)?;
-    Ok(engine.finish())
 }
 
 #[cfg(test)]

@@ -98,10 +98,6 @@ pub type AddAssignFn = fn(&[f32], &mut [f32]);
 pub type RowReduceFn = fn(&[f32]) -> f32;
 /// `row[i] /= denom`.
 pub type DivAssignFn = fn(&mut [f32], f32);
-/// Round-to-nearest-even `f32 → bf16` pack (equal-length slices).
-pub type Bf16PackFn = fn(&[f32], &mut [u16]);
-/// `bf16 → f32` unpack (exact; equal-length slices).
-pub type Bf16UnpackFn = fn(&[u16], &mut [f32]);
 /// In-place rounding of every element to its nearest bf16 value.
 pub type Bf16RoundFn = fn(&mut [f32]);
 /// GELU in place, `h[i] ← gelu(h[i])`; see [`KernelTable::gelu`].
@@ -133,11 +129,8 @@ pub struct KernelTable {
     pub row_sum: RowReduceFn,
     /// Lanewise `row[i] /= denom`.
     pub div_assign: DivAssignFn,
-    /// Round-to-nearest-even `f32 → bf16` storage pack.
-    pub bf16_pack: Bf16PackFn,
-    /// Exact `bf16 → f32` unpack.
-    pub bf16_unpack: Bf16UnpackFn,
-    /// In-place bf16 rounding (`unpack(pack(x))` without the u16 hop).
+    /// In-place round-to-nearest-even to the bf16 grid
+    /// ([`bf16_round_one`] per element).
     pub bf16_round: Bf16RoundFn,
     /// GELU (tanh approximation) in place: `(h, keep)` replaces each
     /// `h[i]` by `gelu(h[i])`; with `keep = Some((pre, tanh))`
@@ -159,8 +152,6 @@ static SCALAR_TABLE: KernelTable = KernelTable {
     row_max: scalar::row_max,
     row_sum: scalar::row_sum,
     div_assign: scalar::div_assign,
-    bf16_pack: scalar::bf16_pack,
-    bf16_unpack: scalar::bf16_unpack,
     bf16_round: scalar::bf16_round,
     gelu: scalar::gelu,
     gelu_backward: scalar::gelu_backward,
@@ -264,7 +255,7 @@ fn simd_table() -> &'static KernelTable {
 
 /// Rounds one `f32` to its nearest bf16-representable value
 /// (round-to-nearest-even on the dropped 16 bits). The scalar
-/// reference both tables' pack kernels must match bit-for-bit.
+/// reference both tables' `bf16_round` kernels must match bit-for-bit.
 #[inline]
 pub fn bf16_round_one(v: f32) -> f32 {
     f32::from_bits((u32::from(bf16_pack_one(v))) << 16)
@@ -277,12 +268,6 @@ pub fn bf16_pack_one(v: f32) -> u16 {
     // Round-to-nearest-even on the truncated 16 low bits.
     let rounding_bias = 0x7FFF + ((bits >> 16) & 1);
     (bits.wrapping_add(rounding_bias) >> 16) as u16
-}
-
-/// Unpacks bf16 storage bits into the exact `f32` they denote.
-#[inline]
-pub fn bf16_unpack_one(h: u16) -> f32 {
-    f32::from_bits(u32::from(h) << 16)
 }
 
 /// The scalar maximum with `_mm256_max_ps` lane semantics
@@ -512,20 +497,6 @@ mod scalar {
         }
     }
 
-    pub(super) fn bf16_pack(src: &[f32], dst: &mut [u16]) {
-        debug_assert_eq!(src.len(), dst.len());
-        for (d, &s) in dst.iter_mut().zip(src) {
-            *d = super::bf16_pack_one(s);
-        }
-    }
-
-    pub(super) fn bf16_unpack(src: &[u16], dst: &mut [f32]) {
-        debug_assert_eq!(src.len(), dst.len());
-        for (d, &s) in dst.iter_mut().zip(src) {
-            *d = super::bf16_unpack_one(s);
-        }
-    }
-
     pub(super) fn bf16_round(data: &mut [f32]) {
         for v in data.iter_mut() {
             *v = super::bf16_round_one(*v);
@@ -570,15 +541,14 @@ mod avx2 {
     };
     use crate::ops::{gelu_derivative, gelu_scalar, GELU_CUBIC, SQRT_2_OVER_PI};
     use core::arch::x86_64::{
-        __m128i, __m256, __m256i, _mm256_add_epi32, _mm256_add_ps, _mm256_and_ps, _mm256_and_si256,
+        __m256, __m256i, _mm256_add_epi32, _mm256_add_ps, _mm256_and_ps, _mm256_and_si256,
         _mm256_blendv_epi8, _mm256_blendv_ps, _mm256_castps_si256, _mm256_castsi256_ps,
-        _mm256_cmpeq_epi32, _mm256_cmpgt_epi32, _mm256_cvtepi32_ps, _mm256_cvtepu16_epi32,
-        _mm256_cvttps_epi32, _mm256_div_ps, _mm256_loadu_ps, _mm256_loadu_si256, _mm256_max_ps,
-        _mm256_mul_ps, _mm256_or_si256, _mm256_packus_epi32, _mm256_permute4x64_epi64,
-        _mm256_set1_epi32, _mm256_set1_ps, _mm256_setzero_ps, _mm256_setzero_si256,
-        _mm256_slli_epi32, _mm256_srai_epi32, _mm256_srli_epi32, _mm256_srlv_epi32,
-        _mm256_storeu_ps, _mm256_storeu_si256, _mm256_sub_epi32, _mm256_sub_ps, _mm256_xor_ps,
-        _mm_loadu_si128,
+        _mm256_cmpeq_epi32, _mm256_cmpgt_epi32, _mm256_cvtepi32_ps, _mm256_cvttps_epi32,
+        _mm256_div_ps, _mm256_loadu_ps, _mm256_loadu_si256, _mm256_max_ps, _mm256_mul_ps,
+        _mm256_or_si256, _mm256_set1_epi32, _mm256_set1_ps, _mm256_setzero_ps,
+        _mm256_setzero_si256, _mm256_slli_epi32, _mm256_srai_epi32, _mm256_srli_epi32,
+        _mm256_srlv_epi32, _mm256_storeu_ps, _mm256_storeu_si256, _mm256_sub_epi32, _mm256_sub_ps,
+        _mm256_xor_ps,
     };
 
     pub(super) static TABLE: KernelTable = KernelTable {
@@ -590,8 +560,6 @@ mod avx2 {
         row_max,
         row_sum,
         div_assign,
-        bf16_pack,
-        bf16_unpack,
         bf16_round,
         gelu,
         gelu_backward,
@@ -857,73 +825,6 @@ mod avx2 {
         let lsb = _mm256_and_si256(_mm256_srli_epi32::<16>(bits), _mm256_set1_epi32(1));
         let bias = _mm256_add_epi32(_mm256_set1_epi32(0x7FFF), lsb);
         _mm256_srli_epi32::<16>(_mm256_add_epi32(bits, bias))
-    }
-
-    fn bf16_pack(src: &[f32], dst: &mut [u16]) {
-        // SAFETY: reachable only through the detection-gated `TABLE`.
-        unsafe { bf16_pack_body(src, dst) }
-    }
-
-    /// # Safety
-    ///
-    /// Requires AVX2 (guaranteed by the dispatch table's detection
-    /// gate).
-    #[target_feature(enable = "avx2")]
-    // SAFETY: `target_feature` makes this fn unsafe-to-call; the only
-    // caller is the detection-gated wrapper above.
-    unsafe fn bf16_pack_body(src: &[f32], dst: &mut [u16]) {
-        debug_assert_eq!(src.len(), dst.len());
-        let blocks = src.len() / 16;
-        for c in 0..blocks {
-            // The rounded 32-bit lanes are in [0, 0xFFFF], so the
-            // signed-input `packus` saturation never fires, and
-            // `permute4x64(0b11011000)` undoes the lane interleave
-            // `packus` introduces.
-            // SAFETY: each iteration reads f32s `[c*16, c*16 + 16)`
-            // and writes u16s over the same index range, both in
-            // bounds by the `blocks` computation; `loadu`/`storeu`
-            // permit unaligned access.
-            unsafe {
-                let lo = _mm256_loadu_si256(src.as_ptr().add(c * 16).cast::<__m256i>());
-                let hi = _mm256_loadu_si256(src.as_ptr().add(c * 16 + 8).cast::<__m256i>());
-                let packed = _mm256_packus_epi32(bf16_bias_shift(lo), bf16_bias_shift(hi));
-                let fixed = _mm256_permute4x64_epi64::<0b1101_1000>(packed);
-                _mm256_storeu_si256(dst.as_mut_ptr().add(c * 16).cast::<__m256i>(), fixed);
-            }
-        }
-        for i in blocks * 16..src.len() {
-            dst[i] = super::bf16_pack_one(src[i]);
-        }
-    }
-
-    fn bf16_unpack(src: &[u16], dst: &mut [f32]) {
-        // SAFETY: reachable only through the detection-gated `TABLE`.
-        unsafe { bf16_unpack_body(src, dst) }
-    }
-
-    /// # Safety
-    ///
-    /// Requires AVX2 (guaranteed by the dispatch table's detection
-    /// gate).
-    #[target_feature(enable = "avx2")]
-    // SAFETY: `target_feature` makes this fn unsafe-to-call; the only
-    // caller is the detection-gated wrapper above.
-    unsafe fn bf16_unpack_body(src: &[u16], dst: &mut [f32]) {
-        debug_assert_eq!(src.len(), dst.len());
-        let blocks = src.len() / NR;
-        for c in 0..blocks {
-            // SAFETY: each iteration reads 8 u16s and writes 8 f32s at
-            // index `c*8`, in bounds by the `blocks` computation; the
-            // widen-then-shift reproduces `(h as u32) << 16` per lane.
-            unsafe {
-                let h = _mm_loadu_si128(src.as_ptr().add(c * NR).cast::<__m128i>());
-                let wide = _mm256_slli_epi32::<16>(_mm256_cvtepu16_epi32(h));
-                _mm256_storeu_si256(dst.as_mut_ptr().add(c * NR).cast::<__m256i>(), wide);
-            }
-        }
-        for i in blocks * NR..src.len() {
-            dst[i] = super::bf16_unpack_one(src[i]);
-        }
     }
 
     fn bf16_round(data: &mut [f32]) {
@@ -1223,17 +1124,6 @@ mod avx2 {
     }
 }
 
-/// Packs `src` into bf16 storage (round-to-nearest-even) through the
-/// active kernel table. Panics in debug builds on length mismatch.
-pub fn bf16_pack_slice(src: &[f32], dst: &mut [u16]) {
-    (table().bf16_pack)(src, dst);
-}
-
-/// Unpacks bf16 storage into exact `f32`s through the active table.
-pub fn bf16_unpack_slice(src: &[u16], dst: &mut [f32]) {
-    (table().bf16_unpack)(src, dst);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1295,29 +1185,18 @@ mod tests {
     }
 
     #[test]
-    fn bf16_pack_unpack_round_trip_matches_scalar() {
+    fn bf16_round_matches_scalar() {
         if !simd_available() {
             return;
         }
         let src = ramp(53, 3);
-        let simd = simd_table();
-        let mut packed_s = vec![0u16; src.len()];
-        let mut packed_v = vec![0u16; src.len()];
-        (SCALAR_TABLE.bf16_pack)(&src, &mut packed_s);
-        (simd.bf16_pack)(&src, &mut packed_v);
-        assert_eq!(packed_s, packed_v, "pack");
-        let mut un_s = vec![0.0f32; src.len()];
-        let mut un_v = vec![0.0f32; src.len()];
-        (SCALAR_TABLE.bf16_unpack)(&packed_s, &mut un_s);
-        (simd.bf16_unpack)(&packed_v, &mut un_v);
-        assert_eq!(bits(&un_s), bits(&un_v), "unpack");
         let mut r_s = src.clone();
-        let mut r_v = src;
+        let mut r_v = src.clone();
         (SCALAR_TABLE.bf16_round)(&mut r_s);
-        (simd.bf16_round)(&mut r_v);
+        (simd_table().bf16_round)(&mut r_v);
         assert_eq!(bits(&r_s), bits(&r_v), "round");
-        // Rounding in place ≡ pack-then-unpack.
-        assert_eq!(bits(&r_s), bits(&un_s), "round vs pack∘unpack");
+        let one: Vec<f32> = src.into_iter().map(bf16_round_one).collect();
+        assert_eq!(bits(&r_s), bits(&one), "kernel vs bf16_round_one");
     }
 
     #[test]
@@ -1342,15 +1221,14 @@ mod tests {
     }
 
     #[test]
-    fn modes_swap_under_override_for_slice_helpers() {
+    fn modes_swap_under_override_for_the_active_table() {
         for force in [false, true] {
             with_simd_mode(Some(force), || {
                 let mode = simd_mode();
+                assert_eq!(table().mode, mode);
                 let src = ramp(31, 8);
-                let mut packed = vec![0u16; src.len()];
-                bf16_pack_slice(&src, &mut packed);
-                let mut back = vec![0.0f32; src.len()];
-                bf16_unpack_slice(&packed, &mut back);
+                let mut back = src.clone();
+                (table().bf16_round)(&mut back);
                 for (s, b) in src.iter().zip(&back) {
                     assert!(
                         (s - b).abs() <= s.abs() / 128.0 + 1e-6,
@@ -1486,12 +1364,12 @@ mod tests {
         /// Defined for finite inputs only.
         fn bf16_reference(v: f32) -> u16 {
             let down = (v.to_bits() >> 16) as u16;
-            let lo = super::bf16_unpack_one(down);
+            let lo = unpack(down);
             if lo == v {
                 return down;
             }
             let up = down.wrapping_add(1);
-            let hi = super::bf16_unpack_one(up);
+            let hi = unpack(up);
             // When `up` overflows past the largest finite bf16 it
             // encodes ±inf, but for rounding purposes it denotes the
             // phantom value ±2¹²⁸ (exact in f64) — IEEE RNE overflows
@@ -1516,10 +1394,15 @@ mod tests {
             }
         }
 
+        /// The exact `f32` that bf16 storage bits denote.
+        fn unpack(h: u16) -> f32 {
+            f32::from_bits(u32::from(h) << 16)
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(256))]
 
-            /// The pack kernel implements round-to-nearest-even on
+            /// `bf16_pack_one` implements round-to-nearest-even on
             /// every finite input, per the independent reference.
             #[test]
             fn bf16_pack_is_round_to_nearest_even(raw in any::<u32>()) {
@@ -1529,40 +1412,28 @@ mod tests {
                 }
             }
 
-            /// Unpack is exact and pack∘unpack is the identity on
-            /// storage bits (no double rounding).
+            /// Packing a bf16 value gives back its storage bits, and
+            /// rounding it is the identity (no double rounding).
             #[test]
             fn bf16_round_trip_is_stable(raw in any::<u32>()) {
                 let h = (raw & 0xFFFF) as u16;
-                let v = bf16_unpack_one(h);
+                let v = unpack(h);
                 if !v.is_nan() {
                     prop_assert_eq!(bf16_pack_one(v), h);
                 }
                 prop_assert_eq!(bf16_round_one(v).to_bits(), v.to_bits());
             }
 
-            /// Scalar and AVX2 bf16 kernels agree bit-for-bit on
-            /// arbitrary bit patterns (they are pure integer
+            /// Scalar and AVX2 `bf16_round` agree bit-for-bit on
+            /// arbitrary bit patterns (both are pure integer
             /// pipelines, so even NaN payloads must match).
             #[test]
-            fn bf16_kernels_agree_across_modes(raws in proptest::collection::vec(any::<u32>(), 1..64)) {
+            fn bf16_round_agrees_across_modes(raws in proptest::collection::vec(any::<u32>(), 1..64)) {
                 if simd_available() {
-                    let src: Vec<f32> = raws.iter().map(|&r| f32::from_bits(r)).collect();
-                    let simd = simd_table();
-                    let mut ps = vec![0u16; src.len()];
-                    let mut pv = vec![0u16; src.len()];
-                    (SCALAR_TABLE.bf16_pack)(&src, &mut ps);
-                    (simd.bf16_pack)(&src, &mut pv);
-                    prop_assert_eq!(&ps, &pv, "pack");
-                    let mut us = vec![0.0f32; src.len()];
-                    let mut uv = vec![0.0f32; src.len()];
-                    (SCALAR_TABLE.bf16_unpack)(&ps, &mut us);
-                    (simd.bf16_unpack)(&pv, &mut uv);
-                    prop_assert_eq!(bits(&us), bits(&uv), "unpack");
-                    let mut rs = src.clone();
-                    let mut rv = src;
+                    let mut rs: Vec<f32> = raws.iter().map(|&r| f32::from_bits(r)).collect();
+                    let mut rv = rs.clone();
                     (SCALAR_TABLE.bf16_round)(&mut rs);
-                    (simd.bf16_round)(&mut rv);
+                    (simd_table().bf16_round)(&mut rv);
                     prop_assert_eq!(bits(&rs), bits(&rv), "round");
                 }
             }

@@ -76,8 +76,8 @@ pub fn quantize_in_place(data: &mut [f32], precision: Precision) {
 }
 
 /// Delegates to the dispatch module's scalar reference so the
-/// emulation path and the bf16 *storage* kernels (`dispatch::bf16_*`)
-/// can never disagree on the rounding rule.
+/// emulation path and the tables' `bf16_round` kernels can never
+/// disagree on the rounding rule.
 fn bf16_round(v: f32) -> f32 {
     crate::dispatch::bf16_round_one(v)
 }

@@ -31,7 +31,8 @@ fn trained_model_roundtrips_through_bytes() {
             seed: 3,
             ..TrainConfig::default()
         },
-    );
+    )
+    .unwrap();
 
     let bytes = model.state_dict().to_bytes();
     let restored_sd = StateDict::from_bytes(&bytes).unwrap();
@@ -65,7 +66,8 @@ fn cosine_router_checkpoints_too() {
             seed: 5,
             ..TrainConfig::default()
         },
-    );
+    )
+    .unwrap();
     let sd = model.state_dict();
     let mut fresh = SwinLiteMoe::new(&cfg(RouterKind::Cosine), &mut Rng::seed(77)).unwrap();
     fresh.load_state_dict(&sd).unwrap();
@@ -89,7 +91,7 @@ fn resumed_training_step_is_bitwise_identical() {
         seed: 31,
         ..TrainConfig::default()
     };
-    train(&mut model, &ds, &warmup);
+    train(&mut model, &ds, &warmup).unwrap();
     let bytes = model.state_dict().to_bytes();
 
     // Uninterrupted: one more step with a fresh data seed.
@@ -100,7 +102,7 @@ fn resumed_training_step_is_bitwise_identical() {
         seed: 32,
         ..TrainConfig::default()
     };
-    let uninterrupted = train(&mut model, &ds, &resume_cfg);
+    let uninterrupted = train(&mut model, &ds, &resume_cfg).unwrap();
 
     // Interrupted: restore the checkpoint into a differently-seeded
     // fresh model, then take the same step.
@@ -108,7 +110,7 @@ fn resumed_training_step_is_bitwise_identical() {
     resumed
         .load_state_dict(&StateDict::from_bytes(&bytes).unwrap())
         .unwrap();
-    let restored = train(&mut resumed, &ds, &resume_cfg);
+    let restored = train(&mut resumed, &ds, &resume_cfg).unwrap();
 
     assert_eq!(uninterrupted.loss_curve.len(), 1);
     assert_eq!(

@@ -179,7 +179,7 @@ fn train_digest(router: Option<RouterKind>) -> (u32, u64) {
             batch: 8,
             ..TrainConfig::default()
         };
-        let stats = train(&mut model, &data, &train_cfg);
+        let stats = train(&mut model, &data, &train_cfg).unwrap();
         for loss in &stats.loss_curve {
             h.word(loss.to_bits());
         }

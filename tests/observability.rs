@@ -89,7 +89,7 @@ fn training_emits_complete_step_records() {
         batch: 8,
         ..TrainConfig::default()
     };
-    let stats = train_observed(&mut model, &ds, &cfg, &tel);
+    let stats = train_observed(&mut model, &ds, &cfg, &tel).unwrap();
     let steps = tel.steps();
     assert_eq!(steps.len(), 12);
     for (i, s) in steps.iter().enumerate() {
@@ -130,8 +130,8 @@ fn observation_does_not_change_training() {
         batch: 8,
         ..TrainConfig::default()
     };
-    let plain = tutel_suite::tutel::trainer::train(&mut m1, &ds, &cfg);
-    let observed = train_observed(&mut m2, &ds, &cfg, &Telemetry::enabled());
+    let plain = tutel_suite::tutel::trainer::train(&mut m1, &ds, &cfg).unwrap();
+    let observed = train_observed(&mut m2, &ds, &cfg, &Telemetry::enabled()).unwrap();
     assert_eq!(plain.loss_curve, observed.loss_curve);
     assert_eq!(plain.needed_factor_trace, observed.needed_factor_trace);
 }
@@ -148,7 +148,7 @@ fn jsonl_export_is_line_delimited_and_typed() {
         batch: 8,
         ..TrainConfig::default()
     };
-    train_observed(&mut model, &ds, &cfg, &tel);
+    train_observed(&mut model, &ds, &cfg, &tel).unwrap();
     let mut out = Vec::new();
     tel.export_jsonl(&mut out).unwrap();
     let text = String::from_utf8(out).unwrap();
@@ -189,7 +189,7 @@ fn spans_are_stamped_with_their_step() {
         batch: 8,
         ..TrainConfig::default()
     };
-    train_observed(&mut model, &ds, &cfg, &tel);
+    train_observed(&mut model, &ds, &cfg, &tel).unwrap();
     let spans: Vec<_> = tel
         .events()
         .into_iter()

@@ -39,14 +39,15 @@ fn bf16_weights_preserve_accuracy() {
             seed: 4,
             ..TrainConfig::default()
         },
-    );
-    let full = evaluate(&model, &ds, 6, 9);
+    )
+    .unwrap();
+    let full = evaluate(&model, &ds, 6, 9).unwrap();
     assert!(full > 0.5, "fixture must train above chance, got {full}");
 
     for (p, tolerance) in [(Precision::Bf16, 0.10), (Precision::F16, 0.05)] {
         let mut quantized = SwinLiteMoe::new(&cfg, &mut Rng::seed(999)).unwrap();
         quantize_model(&model, &mut quantized, p);
-        let acc = evaluate(&quantized, &ds, 6, 9);
+        let acc = evaluate(&quantized, &ds, 6, 9).unwrap();
         assert!(
             acc >= full - tolerance,
             "{p:?}: accuracy collapsed {full} → {acc}"
