@@ -219,8 +219,22 @@ done
 echo "==> tutel-check: workspace lint (any diagnostic fails)"
 cargo run --release -q -p tutel-check
 
-echo "==> tutel-check: deterministic concurrency sweep (fixed seeds)"
-cargo run --release -q -p tutel-check -- --sched --seeds 128
+echo "==> tutel-check: deterministic concurrency sweep (fixed seeds) vs repro_output.txt"
+# The sweep's stdout (schedule counts, distinct signatures, the
+# selftest's first failing seed) is a pure function of the seeds, so,
+# as for the model-only transcripts above, every non-empty line must
+# be a verbatim line of repro_output.txt: a change to the scheduler,
+# or to the rank threads it runs on, that moves one schedule fails
+# here.
+cargo run --release -q -p tutel-check -- --sched --seeds 128 > "$TRACE_DIR/sched.txt"
+if [ ! -s "$TRACE_DIR/sched.txt" ]; then
+    echo "tutel-check --sched printed nothing" >&2
+    exit 1
+fi
+if grep . "$TRACE_DIR/sched.txt" | grep -vxFf repro_output.txt >&2; then
+    echo "tutel-check --sched: the lines above are not in repro_output.txt" >&2
+    exit 1
+fi
 
 echo "==> tutel-check: happens-before race sweep at TUTEL_THREADS=1 and =4"
 # 128 seeded schedules over the combined overlap+pool+comm surface,

@@ -4,6 +4,7 @@
 
 use tutel::pipeline::{LayerDims, OnlineStrategySearch, PipelineTimeModel};
 use tutel_comm::{A2aImpl, CollectiveTiming, World};
+use tutel_obs::Telemetry;
 use tutel_simgpu::Protocol;
 
 use crate::report::{fmt_bytes, fmt_pct, fmt_time};
@@ -27,6 +28,7 @@ fn fig22_dims(f: f64) -> LayerDims {
 /// interference-blind search picks a strategy whose *actual* (with
 /// interference) time can be worse than the interference-aware pick.
 pub fn ablation_interference() -> Table {
+    let off = Telemetry::disabled();
     let mut t = Table::new(
         "Ablation: interference-aware vs interference-blind pipelining search",
         &[
@@ -48,8 +50,8 @@ pub fn ablation_interference() -> Table {
             let dims = fig22_dims(f);
             // Each model picks its best strategy; both are *executed*
             // under the interference-aware model (reality).
-            let (aware_pick, aware_actual) = aware.best_strategy(&dims);
-            let (blind_pick, _) = blind.best_strategy(&dims);
+            let (aware_pick, aware_actual) = aware.best_strategy(&dims, &off);
+            let (blind_pick, _) = blind.best_strategy(&dims, &off);
             let blind_actual = aware.step_time(&dims, blind_pick);
             t.row(&[
                 w.to_string(),
@@ -121,6 +123,7 @@ pub fn ablation_three_dh() -> Table {
 /// which mis-generalizes (persistent suboptimal picks *and* regret).
 /// The sweet spot is in between — exactly why the paper buckets.
 pub fn ablation_bucket_length() -> Table {
+    let off = Telemetry::disabled();
     let mut t = Table::new(
         "Ablation: Algorithm 2 bucket length L (dynamic f schedule, 128 GPUs)",
         &["L", "Suboptimal picks", "Buckets", "Final regret"],
@@ -136,8 +139,8 @@ pub fn ablation_bucket_length() -> Table {
         let mut explorations = 0usize;
         for &f in &schedule {
             let dims = fig22_dims(f);
-            let s = search.next_strategy(f);
-            if s != model.best_strategy(&dims).0 {
+            let s = search.next_strategy(f, &off);
+            if s != model.best_strategy(&dims, &off).0 {
                 explorations += 1;
             }
             search.record(f, s, model.step_time(&dims, s));
@@ -147,8 +150,8 @@ pub fn ablation_bucket_length() -> Table {
         let fs = [1.0, 4.0, 12.0];
         for &f in &fs {
             let dims = fig22_dims(f);
-            let chosen = search.next_strategy(f);
-            regret += model.step_time(&dims, chosen) / model.best_strategy(&dims).1 - 1.0;
+            let chosen = search.next_strategy(f, &off);
+            regret += model.step_time(&dims, chosen) / model.best_strategy(&dims, &off).1 - 1.0;
         }
         t.row(&[
             format!("{bucket_len}"),

@@ -9,6 +9,7 @@ use tutel::data::SyntheticVision;
 use tutel::model::{SwinLiteConfig, SwinLiteMoe};
 use tutel::trainer::{evaluate, few_shot_linear_eval, train, TrainConfig, TrainStats};
 use tutel::{MoeConfig, RouterKind};
+use tutel_obs::Telemetry;
 use tutel_tensor::Rng;
 
 use crate::report::fmt_pct;
@@ -111,7 +112,7 @@ impl Setup {
             seed: self.data_seed ^ 1,
             ..TrainConfig::default()
         };
-        let stats = train(&mut model, &self.dataset(), &tc).expect(FITS);
+        let stats = train(&mut model, &self.dataset(), &tc, &Telemetry::disabled()).expect(FITS);
         (model, stats)
     }
 }
@@ -195,7 +196,7 @@ pub fn table9(steps: usize) -> Table {
             seed: 3,
             ..TrainConfig::default()
         };
-        train(&mut model, &shifted, &tc).expect(FITS);
+        train(&mut model, &shifted, &tc, &Telemetry::disabled()).expect(FITS);
         let transfer = evaluate(&model, &shifted, 8, 101).expect(FITS);
         t.row(&[
             name.to_string(),

@@ -42,7 +42,7 @@ pub fn breakdown_rows(tel: &Telemetry) -> Vec<BreakdownRow> {
     for w in [16usize, 64, 256, 1024] {
         let model = PipelineTimeModel::new(CollectiveTiming::new(World::azure(w)));
         let d = dims();
-        let (best, _) = model.best_strategy_observed(&d, tel);
+        let (best, _) = model.best_strategy(&d, tel);
         for strategy in [PipelineStrategy::baseline(), best] {
             rows.push(BreakdownRow {
                 world: w,

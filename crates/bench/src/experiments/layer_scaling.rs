@@ -4,6 +4,7 @@
 use tutel::adaptive::{FeatureSet, MoeLayerSimulator};
 use tutel::pipeline::LayerDims;
 use tutel_experts::ExpertPlacement;
+use tutel_obs::Telemetry;
 
 use crate::report::fmt_speedup;
 use crate::Table;
@@ -12,6 +13,7 @@ use crate::Table;
 /// plus computation-only overhead (curve 6).
 pub fn fig23() -> Table {
     let dims = LayerDims::figure23();
+    let off = Telemetry::disabled();
     let mut t = Table::new(
         "Figure 23: single MoE layer improvement breakdown (times in ms)",
         &[
@@ -27,10 +29,10 @@ pub fn fig23() -> Table {
     );
     for w in [16usize, 32, 64, 128, 256, 512, 1024, 2048] {
         let sim = MoeLayerSimulator::azure(w);
-        let ms = |f: FeatureSet| format!("{:.1}", sim.step_time(&dims, f) * 1e3);
+        let ms = |f: FeatureSet| format!("{:.1}", sim.step_time(&dims, f, &off) * 1e3);
         let ladder = FeatureSet::ladder();
-        let base = sim.step_time(&dims, ladder[0].1);
-        let full = sim.step_time(&dims, ladder[4].1);
+        let base = sim.step_time(&dims, ladder[0].1, &off);
+        let full = sim.step_time(&dims, ladder[4].1, &off);
         t.row(&[
             w.to_string(),
             ms(ladder[0].1),
@@ -156,7 +158,7 @@ impl SwinSpeedModel {
                     k: 1,
                     capacity_factor: 1.0,
                 };
-                let per_layer = sim.step_time(&dims, f);
+                let per_layer = sim.step_time(&dims, f, &Telemetry::disabled());
                 dense_time + self.moe_layers as f64 * per_layer * moe_factor
             }
         };

@@ -244,14 +244,14 @@ pub fn sweep(tel: &Telemetry) -> Vec<SweepCell> {
             for _ in 0..PipelineStrategy::all().len() {
                 tel.begin_step(step);
                 step += 1;
-                let strategy = search.next_strategy_observed(&dims, tel);
+                let strategy = search.next_strategy(&dims, tel);
                 let point = run_point(world, tokens, strategy);
-                search.record_observed(dims.capacity_factor, strategy, point.link_wall_s, tel);
+                search.record(dims.capacity_factor, strategy, point.link_wall_s, tel);
                 points.push(point);
             }
             tel.begin_step(step);
             step += 1;
-            let chosen = search.next_strategy_observed(&dims, tel);
+            let chosen = search.next_strategy(&dims, tel);
             let measured_best = search
                 .measured_best(dims.capacity_factor)
                 .map(|(s, _)| s)
@@ -418,13 +418,13 @@ mod tests {
         let mut points = Vec::new();
         for step in 0..PipelineStrategy::all().len() {
             tel.begin_step(step as u64);
-            let s = search.next_strategy_observed(&dims, &tel);
+            let s = search.next_strategy(&dims, &tel);
             let p = run_point(2, 64, s);
-            search.record_observed(dims.capacity_factor, s, p.link_wall_s, &tel);
+            search.record(dims.capacity_factor, s, p.link_wall_s, &tel);
             points.push(p);
         }
         tel.begin_step(PipelineStrategy::all().len() as u64);
-        let chosen = search.next_strategy_observed(&dims, &tel);
+        let chosen = search.next_strategy(&dims, &tel);
         let best = search.measured_best(dims.capacity_factor).unwrap().0;
         assert_eq!(chosen, best, "converged choice is the measured argmin");
         let decisions = tel.decisions();

@@ -3,6 +3,7 @@
 
 use tutel_comm::{CollectiveTiming, World};
 use tutel_experts::{InlineParallelismRouter, MoeDims, Parallelism};
+use tutel_obs::Telemetry;
 
 use crate::report::fmt_pct;
 use crate::Table;
@@ -82,7 +83,7 @@ pub fn table5a() -> Table {
             format!("f{f}"),
             fmt_pct((p1 - best) / p1),
             fmt_pct((p2 - best) / p2),
-            r.choose(&dims).to_string(),
+            r.choose(&dims, &Telemetry::disabled()).to_string(),
         ]);
     }
     t

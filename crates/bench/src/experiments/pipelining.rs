@@ -6,6 +6,7 @@ use std::collections::HashMap;
 
 use tutel::pipeline::{LayerDims, PipelineStrategy, PipelineTimeModel};
 use tutel_comm::{CollectiveTiming, World};
+use tutel_obs::Telemetry;
 
 use crate::report::fmt_pct;
 use crate::Table;
@@ -52,7 +53,7 @@ pub fn fig5() -> Table {
     for w in [16usize, 32, 64, 128, 256] {
         let model = PipelineTimeModel::new(CollectiveTiming::new(World::azure(w)));
         for dims in table6_settings() {
-            let (best, _) = model.best_strategy(&dims);
+            let (best, _) = model.best_strategy(&dims, &Telemetry::disabled());
             *histogram.entry(best).or_default() += 1;
         }
     }
@@ -90,7 +91,10 @@ pub fn table7(worst: bool) -> Table {
         let model = PipelineTimeModel::new(CollectiveTiming::new(World::azure(w)));
         let settings = table6_settings();
         // Precompute best per setting.
-        let bests: Vec<f64> = settings.iter().map(|d| model.best_strategy(d).1).collect();
+        let bests: Vec<f64> = settings
+            .iter()
+            .map(|d| model.best_strategy(d, &Telemetry::disabled()).1)
+            .collect();
         for algo in tutel_comm::AllToAllAlgo::ALL {
             let mut cells = vec![w.to_string(), algo.to_string()];
             for degree in [1usize, 2, 4, 8] {
@@ -137,7 +141,7 @@ pub fn fig22() -> Table {
                 capacity_factor: f,
             };
             let baseline = model.step_time(&dims, PipelineStrategy::baseline());
-            let (_, best) = model.best_strategy(&dims);
+            let (_, best) = model.best_strategy(&dims, &Telemetry::disabled());
             cells.push(fmt_pct(baseline / best - 1.0));
         }
         t.row(&cells);

@@ -446,7 +446,7 @@ pub fn combined_run(cfg: &RaceConfig, seed: u64) -> SeedRun {
     let topo = Topology::new(cfg.nnodes, cfg.gpus_per_node);
     let world = topo.world_size();
     let session = chk::Session::begin();
-    let (results, report) = run_sched(topo, seed, |comm| {
+    let (results, report) = run_sched(topo, seed, None, |comm| {
         let rank = comm.rank();
         chk::with_logical_thread(rank + 1, || {
             // [chunk][destination]: `per` labeled elements each.

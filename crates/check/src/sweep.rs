@@ -7,6 +7,7 @@
 //! replays it.
 
 use std::collections::HashSet;
+use std::ops::Range;
 
 use crate::explore::Finding;
 
@@ -113,10 +114,11 @@ fn judge(
     }
 }
 
-/// Sweeps one collective across `cfg.seeds` schedules.
+/// Sweeps one collective across the schedules of `seeds`.
 fn sweep_one<F>(
     name: &'static str,
     cfg: &SweepConfig,
+    seeds: Range<u64>,
     inputs: &RankBuffers,
     expect: &RankBuffers,
     collective: F,
@@ -125,17 +127,19 @@ where
     F: Fn(&mut Communicator, &[f32]) -> Result<Vec<f32>, CommError> + Send + Sync,
 {
     let topo = Topology::new(cfg.nnodes, cfg.gpus_per_node);
+    let schedules = seeds.end - seeds.start;
     let mut signatures = HashSet::new();
     let mut failures = Vec::new();
-    for seed in 0..cfg.seeds {
-        let (results, report) =
-            run_sched(topo, seed, |comm| collective(comm, &inputs[comm.rank()]));
+    for seed in seeds {
+        let (results, report) = run_sched(topo, seed, None, |comm| {
+            collective(comm, &inputs[comm.rank()])
+        });
         signatures.insert(report.signature);
         judge(name, seed, &results, &report, expect, &mut failures);
     }
     CollectiveSweep {
         name,
-        schedules: cfg.seeds,
+        schedules,
         distinct: signatures.len(),
         failures,
     }
@@ -183,26 +187,53 @@ pub fn sweep_collectives(cfg: &SweepConfig) -> Vec<CollectiveSweep> {
     let reduce_expect: RankBuffers = vec![reduce_sum; n];
 
     vec![
-        sweep_one("all_to_all", cfg, &a2a_in, &a2a_expect, |c, x| {
-            c.all_to_all(x)
-        }),
-        sweep_one("all_to_all_2dh", cfg, &twodh_in, &twodh_expect, |c, x| {
-            c.all_to_all_2dh(x)
-        }),
-        sweep_one("ialltoall_v_x2", cfg, &ragged_in, &ragged_expect, |c, x| {
-            let sends = (0..n).map(|dst| cut(c.rank(), dst, x)).collect();
-            let full = c.ialltoall_v(AllToAllAlgo::TwoDh, sends)?;
-            let empty = c.ialltoall_v(AllToAllAlgo::TwoDh, vec![Vec::new(); n])?;
-            let mut got = full.wait(c)?.concat();
-            got.extend(empty.wait(c)?.concat());
-            Ok(got)
-        }),
-        sweep_one("all_gather", cfg, &gather_in, &gather_expect, |c, x| {
-            c.all_gather(x)
-        }),
-        sweep_one("all_reduce_sum", cfg, &reduce_in, &reduce_expect, |c, x| {
-            c.all_reduce_sum(x)
-        }),
+        sweep_one(
+            "all_to_all",
+            cfg,
+            0..cfg.seeds,
+            &a2a_in,
+            &a2a_expect,
+            |c, x| c.all_to_all(x),
+        ),
+        sweep_one(
+            "all_to_all_2dh",
+            cfg,
+            0..cfg.seeds,
+            &twodh_in,
+            &twodh_expect,
+            |c, x| c.all_to_all_2dh(x),
+        ),
+        sweep_one(
+            "ialltoall_v_x2",
+            cfg,
+            0..cfg.seeds,
+            &ragged_in,
+            &ragged_expect,
+            |c, x| {
+                let sends = (0..n).map(|dst| cut(c.rank(), dst, x)).collect();
+                let full = c.ialltoall_v(AllToAllAlgo::TwoDh, sends)?;
+                let empty = c.ialltoall_v(AllToAllAlgo::TwoDh, vec![Vec::new(); n])?;
+                let mut got = full.wait(c)?.concat();
+                got.extend(empty.wait(c)?.concat());
+                Ok(got)
+            },
+        ),
+        sweep_one(
+            "all_gather",
+            cfg,
+            0..cfg.seeds,
+            &gather_in,
+            &gather_expect,
+            |c, x| c.all_gather(x),
+        ),
+        sweep_one(
+            "all_reduce_sum",
+            cfg,
+            0..cfg.seeds,
+            &reduce_in,
+            &reduce_expect,
+            |c, x| c.all_reduce_sum(x),
+        ),
     ]
 }
 
@@ -233,84 +264,44 @@ fn manual_all_to_all(
     Ok(out)
 }
 
+/// The broken-tag case over `seeds`: two back-to-back labelled rounds
+/// of [`manual_all_to_all`] sharing one tag (each rank's input is the
+/// two rounds concatenated), judged against the concatenation of both
+/// rounds' oracles.
+fn broken_tag_case(cfg: &SweepConfig, seeds: Range<u64>) -> CollectiveSweep {
+    let n = cfg.nnodes * cfg.gpus_per_node;
+    let round1 = labeled(n, cfg.chunk, 4);
+    let round2 = labeled(n, cfg.chunk, 5);
+    let expect1 = linear_all_to_all(&round1);
+    let expect2 = linear_all_to_all(&round2);
+    let concat = |a: &RankBuffers, b: &RankBuffers| -> RankBuffers {
+        (0..n).map(|r| [a[r].as_slice(), &b[r]].concat()).collect()
+    };
+    let inputs = concat(&round1, &round2);
+    let expect = concat(&expect1, &expect2);
+    sweep_one("broken_tag", cfg, seeds, &inputs, &expect, |c, x| {
+        let (first, second) = x.split_at(x.len() / 2);
+        let mut out = manual_all_to_all(c, first, 7)?;
+        out.extend(manual_all_to_all(c, second, 7)?);
+        Ok(out)
+    })
+}
+
 /// Self-test for the checker: two back-to-back all-to-alls sharing a
 /// tag MUST be caught mixing messages under some schedule. Returns
 /// the sweep (whose failures carry the replayable seed) — an *empty*
 /// failure list here means the checker has lost its teeth.
 pub fn broken_tag_selftest(cfg: &SweepConfig) -> CollectiveSweep {
-    let topo = Topology::new(cfg.nnodes, cfg.gpus_per_node);
-    let n = topo.world_size();
-    let round1 = labeled(n, cfg.chunk, 4);
-    let round2 = labeled(n, cfg.chunk, 5);
-    let expect1 = linear_all_to_all(&round1);
-    let expect2 = linear_all_to_all(&round2);
-    // The per-rank oracle is the concatenation of both rounds.
-    let expect: RankBuffers = (0..n)
-        .map(|r| {
-            let mut v = expect1[r].clone();
-            v.extend_from_slice(&expect2[r]);
-            v
-        })
-        .collect();
-    let mut signatures = HashSet::new();
-    let mut failures = Vec::new();
-    for seed in 0..cfg.seeds {
-        let (results, report) = run_sched(topo, seed, |comm| {
-            let rank = comm.rank();
-            let mut out = manual_all_to_all(comm, &round1[rank], 7)?;
-            out.extend(manual_all_to_all(comm, &round2[rank], 7)?);
-            Ok::<_, CommError>(out)
-        });
-        signatures.insert(report.signature);
-        judge(
-            "broken_tag",
-            seed,
-            &results,
-            &report,
-            &expect,
-            &mut failures,
-        );
-    }
     CollectiveSweep {
         name: "broken_tag (intentional bug)",
-        schedules: cfg.seeds,
-        distinct: signatures.len(),
-        failures,
+        ..broken_tag_case(cfg, 0..cfg.seeds)
     }
 }
 
 /// Replays a single seed of the broken-tag program and reports
 /// whether it failed — used to confirm a reported seed reproduces.
 pub fn broken_tag_replay(cfg: &SweepConfig, seed: u64) -> Vec<Finding> {
-    let topo = Topology::new(cfg.nnodes, cfg.gpus_per_node);
-    let n = topo.world_size();
-    let round1 = labeled(n, cfg.chunk, 4);
-    let round2 = labeled(n, cfg.chunk, 5);
-    let expect1 = linear_all_to_all(&round1);
-    let expect2 = linear_all_to_all(&round2);
-    let expect: RankBuffers = (0..n)
-        .map(|r| {
-            let mut v = expect1[r].clone();
-            v.extend_from_slice(&expect2[r]);
-            v
-        })
-        .collect();
-    let mut failures = Vec::new();
-    let (results, report) = run_sched(topo, seed, |comm| {
-        let rank = comm.rank();
-        let mut out = manual_all_to_all(comm, &round1[rank], 7)?;
-        out.extend(manual_all_to_all(comm, &round2[rank], 7)?);
-        Ok::<_, CommError>(out)
-    });
-    judge(
-        "broken_tag",
-        seed,
-        &results,
-        &report,
-        &expect,
-        &mut failures,
-    );
-    failures
+    broken_tag_case(cfg, seed..seed + 1).failures
 }
 
 #[cfg(test)]

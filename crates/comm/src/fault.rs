@@ -11,13 +11,14 @@
 //!
 //! Two layers consume plans:
 //!
-//! * the channel-backed runtime ([`crate::runtime::run_threaded_reliable`])
-//!   applies the action at *send* time: `Drop` withholds the first
-//!   transmission (recoverable via the retry protocol), `Duplicate`
-//!   transmits twice (exercising receiver dedupe), `Delay` holds the
-//!   message back until the collective's acknowledgement phase
-//!   (exercising late, out-of-order arrival);
-//! * the deterministic scheduler ([`crate::sched`], under
+//! * the channel-backed runtime (a [`crate::ReliableConfig`] with a
+//!   plan, armed through [`crate::RankGroup::new`]) applies the action
+//!   at *send* time: `Drop` withholds the first transmission
+//!   (recoverable via the retry protocol), `Duplicate` transmits twice
+//!   (exercising receiver dedupe), `Delay` holds the message back until
+//!   the collective's acknowledgement phase (exercising late,
+//!   out-of-order arrival);
+//! * the deterministic scheduler (`sched::run_sched` with a plan, under
 //!   `feature = "check-sched"`) applies the action at *delivery* time,
 //!   where `Delay(k)` postpones a delivery by `k` scheduler steps.
 

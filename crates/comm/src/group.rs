@@ -1,5 +1,6 @@
-//! Resident rank threads: where the runtime spawns its rank threads
-//! (under `check-sched`, `sched::run_sched` spawns its own).
+//! Resident rank threads: the only code that spawns rank threads, for
+//! channel-backed communicators and (under `check-sched`) the
+//! scheduler-backed ones of `sched::run_sched` alike.
 //!
 //! A [`RankGroup`] spawns one OS thread per rank of a topology and
 //! gives each its [`Communicator`] for as long as the group lives.
@@ -29,11 +30,12 @@
 //!
 //! # One-shot runs
 //!
-//! [`run_threaded`] and its reliable and traced variants build a group,
-//! run the program once with each rank's communicator moved in by
-//! value, and drop the group, joining its threads. A rank's
+//! [`RankGroup::run_once`] runs a program once with each rank's
+//! communicator moved in by value and drops the group, joining its
+//! threads; [`run_threaded`] is that run over a plain group. A rank's
 //! communicator is dropped where its program ends, so a leaked message
-//! still panics at join.
+//! still panics at join. A reliable or traced one-shot run is
+//! `RankGroup::new(topology, reliable, hub).run_once(program)`.
 
 use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
@@ -95,15 +97,25 @@ pub struct RankGroup {
 impl RankGroup {
     /// Spawns one thread per rank of `topology`, each parked with its
     /// communicator. `reliable` arms the reliability layer on every
-    /// rank; `hub` gives each rank its tracer.
+    /// rank: fault-free, or under a recoverable plan with a nonzero
+    /// retry budget, its collectives return bitwise what plain ones
+    /// return, and an unrecoverable plan surfaces
+    /// [`CommError::Timeout`] within the policy's bounded wait. `hub`
+    /// gives each rank its tracer, so every collective records
+    /// comm-track spans and flow edges on the hub's shared timebase.
     pub fn new(
         topology: Topology,
         reliable: Option<ReliableConfig>,
         hub: Option<&TraceHub>,
     ) -> Self {
+        Self::from_comms(Communicator::mesh(topology, reliable.as_ref(), hub))
+    }
+
+    /// Spawns one thread per communicator, rank `r` owning `comms[r]`.
+    pub(crate) fn from_comms(comms: Vec<Communicator>) -> Self {
         let (report, done) = unbounded();
-        let mut wake = Vec::with_capacity(topology.world_size());
-        let threads = (Communicator::mesh(topology, reliable.as_ref(), hub).into_iter())
+        let mut wake = Vec::with_capacity(comms.len());
+        let threads = (comms.into_iter())
             .enumerate()
             .map(|(rank, comm)| {
                 let (waker, parked) = unbounded();
@@ -169,8 +181,15 @@ impl RankGroup {
     }
 
     /// Moves each rank's communicator into `program`, runs it once and
-    /// drops the group.
-    fn run_once<F, R>(mut self, program: F) -> Vec<R>
+    /// drops the group, joining its threads; the results come back in
+    /// rank order.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a rank's panic once every other rank has reported,
+    /// including the join-time mailbox audit of a communicator dropped
+    /// with messages still parked.
+    pub fn run_once<F, R>(mut self, program: F) -> Vec<R>
     where
         F: Fn(Communicator) -> R + Sync,
         R: Send,
@@ -280,56 +299,6 @@ where
     R: Send,
 {
     RankGroup::new(topology, None, None).run_once(program)
-}
-
-/// Like [`run_threaded`], but arms each rank's communicator with a
-/// [`tutel_obs::trace::Tracer`] from `hub`, so every collective records
-/// comm-track spans and `(src, dst, tag, seq)`-stamped flow edges on
-/// the hub's shared timebase. After the run, merge and export via
-/// [`TraceHub::export_rank_jsonls`] or [`TraceHub::merged`].
-pub fn run_threaded_traced<F, R>(topology: Topology, hub: &TraceHub, program: F) -> Vec<R>
-where
-    F: Fn(Communicator) -> R + Send + Sync,
-    R: Send,
-{
-    RankGroup::new(topology, None, Some(hub)).run_once(program)
-}
-
-/// [`run_threaded_reliable`] with causal tracing armed: retransmits,
-/// duplicate discards, and the ack phase all become visible timeline
-/// events, which is what lets the straggler analyzer attribute an
-/// injected per-rank fault to its source.
-pub fn run_threaded_reliable_traced<F, R>(
-    topology: Topology,
-    cfg: ReliableConfig,
-    hub: &TraceHub,
-    program: F,
-) -> Vec<R>
-where
-    F: Fn(Communicator) -> R + Send + Sync,
-    R: Send,
-{
-    RankGroup::new(topology, Some(cfg), Some(hub)).run_once(program)
-}
-
-/// Like [`run_threaded`], but arms the reliability layer on every
-/// rank: sends are logged for retransmission, receives time out and
-/// retry with backoff per `cfg.policy`, each collective ends with an
-/// acknowledgement phase, and an optional [`crate::FaultPlan`] injects
-/// seeded, replayable faults into data transmissions.
-///
-/// Fault-free, a reliable run produces bitwise the same collective
-/// results as [`run_threaded`]; with a recoverable plan (and a
-/// nonzero retry budget) it still does — that is the graceful-
-/// degradation property the conformance harness asserts. Unrecoverable
-/// plans surface [`CommError::Timeout`] within the policy's bounded
-/// wait instead of hanging.
-pub fn run_threaded_reliable<F, R>(topology: Topology, cfg: ReliableConfig, program: F) -> Vec<R>
-where
-    F: Fn(Communicator) -> R + Send + Sync,
-    R: Send,
-{
-    RankGroup::new(topology, Some(cfg), None).run_once(program)
 }
 
 #[cfg(test)]

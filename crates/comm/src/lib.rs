@@ -5,9 +5,12 @@
 //! * an **executed layer**, [`runtime`], that runs every simulated rank
 //!   on its own thread and moves real `f32`s between them over
 //!   point-to-point channels — bit-exact, and the only code that moves
-//!   data between ranks. Its threads are a [`RankGroup`]: one parked
-//!   thread per rank, each owning its communicator for the group's
-//!   life; [`run_threaded`] is a one-shot group; and
+//!   data between ranks. Its threads are a [`RankGroup`], the only
+//!   code that spawns rank threads: one parked thread per rank, each
+//!   owning its communicator for the group's life;
+//!   [`RankGroup::run_once`] is a one-shot run (reliable and traced
+//!   runs pass their config and trace hub to [`RankGroup::new`]) and
+//!   [`run_threaded`] its plain form; and
 //! * a **timing layer** that prices every collective on a
 //!   [`tutel_simgpu`] cluster (link α–β models, message-size-dependent
 //!   bandwidth, strided-copy penalties) — used by the adaptive
@@ -44,10 +47,7 @@ pub use error::CommError;
 pub use fault::{FaultAction, FaultPlan};
 pub use group::RankGroup;
 pub use linear::linear_all_to_all;
-pub use runtime::{
-    run_threaded, run_threaded_reliable, run_threaded_reliable_traced, run_threaded_traced,
-    CommHandle, ReliableConfig, RetryPolicy,
-};
+pub use runtime::{run_threaded, CommHandle, ReliableConfig, RetryPolicy};
 pub use timing::{A2aImpl, A2aPhase, CollectiveTiming};
 pub use world::World;
 

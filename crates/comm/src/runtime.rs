@@ -39,18 +39,18 @@
 //! unwinding across threads.
 //!
 //! The transport is pluggable: production runs use MPMC channels, wired
-//! up by [`crate::group::RankGroup`] (the resident rank threads) and
-//! its one-shot wrappers [`run_threaded`] & co., re-exported here; under
-//! `feature = "check-sched"` the same `Communicator` can instead be
-//! backed by the adversarial deterministic scheduler in
-//! [`crate::sched`].
+//! up by [`crate::group::RankGroup`] (the resident rank threads; its
+//! one-shot run over a plain group is [`run_threaded`], re-exported
+//! here); under `feature = "check-sched"` the same `Communicator` can
+//! instead be backed by the adversarial deterministic scheduler in
+//! [`crate::sched`], whose ranks run on a `RankGroup` too.
 //!
 //! # Reliability layer
 //!
-//! [`run_threaded_reliable`] arms an optional end-to-end reliability
-//! protocol on top of the same collectives, used by the conformance
-//! harness to prove graceful degradation under injected faults
-//! ([`crate::fault::FaultPlan`]):
+//! A [`ReliableConfig`] passed to [`crate::group::RankGroup::new`]
+//! arms an optional end-to-end reliability protocol on top of the same
+//! collectives, used by the conformance harness to prove graceful
+//! degradation under injected faults ([`crate::fault::FaultPlan`]):
 //!
 //! * every data send is kept in a per-collective **retransmit log**;
 //! * a receiver whose wait exceeds the [`RetryPolicy`] timeout sends a
@@ -86,9 +86,7 @@ use crate::error::CommError;
 use crate::fault::{FaultAction, FaultPlan};
 use crate::AllToAllAlgo;
 
-pub use crate::group::{
-    run_threaded, run_threaded_reliable, run_threaded_reliable_traced, run_threaded_traced,
-};
+pub use crate::group::run_threaded;
 
 /// Message class on the wire. Control traffic (`Retry`, `Ack`) exists
 /// only under the reliability layer and is handled inline by the
@@ -151,7 +149,7 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Configuration for [`run_threaded_reliable`].
+/// Reliability-layer configuration for [`crate::group::RankGroup::new`].
 #[derive(Clone, Default)]
 pub struct ReliableConfig {
     /// Timeout/retry schedule.
@@ -251,7 +249,7 @@ pub struct Communicator {
     /// failed run legitimately strands messages) and a resident group
     /// is typed-dead with this error.
     failure: RefCell<Option<CommError>>,
-    /// Armed by [`run_threaded_reliable`]; `None` keeps the plain
+    /// Armed by a [`ReliableConfig`]; `None` keeps the plain
     /// fast path (and is always `None` on the sched endpoint, whose
     /// delivery faults live in the scheduler itself).
     reliability: Option<Reliability>,
@@ -1442,7 +1440,7 @@ impl Drop for Communicator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{linear_all_to_all, RankBuffers};
+    use crate::{linear_all_to_all, RankBuffers, RankGroup};
     use tutel_obs::trace::TraceHub;
 
     fn labeled(n: usize, chunk: usize) -> RankBuffers {
@@ -1679,7 +1677,8 @@ mod tests {
             (a, b, c, d)
         };
         let plain = run_threaded(topo, program);
-        let reliable = run_threaded_reliable(topo, ReliableConfig::default(), program);
+        let reliable =
+            RankGroup::new(topo, Some(ReliableConfig::default()), None).run_once(program);
         assert_eq!(plain, reliable);
     }
 
@@ -1708,7 +1707,7 @@ mod tests {
             ),
             telemetry: telemetry.clone(),
         };
-        let reliable = run_threaded_reliable(topo, cfg, program);
+        let reliable = RankGroup::new(topo, Some(cfg), None).run_once(program);
         assert_eq!(plain, reliable, "faulted run diverged from plain run");
         let injected = telemetry
             .counter_value("comm.retry.injected_drops")
@@ -1753,7 +1752,7 @@ mod tests {
             ),
             telemetry: telemetry.clone(),
         };
-        let reliable = run_threaded_reliable(topo, cfg, program);
+        let reliable = RankGroup::new(topo, Some(cfg), None).run_once(program);
         assert_eq!(plain, reliable, "faulted ragged run diverged");
         let injected = telemetry
             .counter_value("comm.retry.injected_drops")
@@ -1777,7 +1776,7 @@ mod tests {
             telemetry: telemetry.clone(),
         };
         let started = std::time::Instant::now();
-        let got = run_threaded_reliable(topo, cfg, |mut comm| {
+        let got = RankGroup::new(topo, Some(cfg), None).run_once(|mut comm| {
             let r = comm.all_to_all(&[comm.rank() as f32; 2]);
             (r, comm.parked_messages())
         });
@@ -1808,7 +1807,7 @@ mod tests {
             plan: Some(FaultPlan::new(4).with_duplicates(100)),
             telemetry: telemetry.clone(),
         };
-        let reliable = run_threaded_reliable(topo, cfg, program);
+        let reliable = RankGroup::new(topo, Some(cfg), None).run_once(program);
         assert_eq!(plain, reliable);
         assert!(
             telemetry
@@ -1950,7 +1949,7 @@ mod tests {
             ),
             telemetry: telemetry.clone(),
         };
-        let reliable = run_threaded_reliable(topo, cfg, program);
+        let reliable = RankGroup::new(topo, Some(cfg), None).run_once(program);
         assert_eq!(plain, reliable, "faulted overlapped run diverged");
         let injected = telemetry
             .counter_value("comm.retry.injected_drops")
@@ -2124,7 +2123,8 @@ mod tests {
         };
         let topo = Topology::new(2, 2);
         let plain = run_threaded(topo, program);
-        let reliable = run_threaded_reliable(topo, ReliableConfig::default(), program);
+        let reliable =
+            RankGroup::new(topo, Some(ReliableConfig::default()), None).run_once(program);
         for (rank, (got, parked)) in plain.into_iter().chain(reliable).enumerate() {
             let rank = rank % 4;
             assert!(
@@ -2152,9 +2152,8 @@ mod tests {
         let bufs = labeled(4, 2);
         let bufs_ref = &bufs;
         let hub = TraceHub::new(4);
-        let got = run_threaded_traced(topo, &hub, |mut comm| {
-            comm.all_to_all(&bufs_ref[comm.rank()]).unwrap()
-        });
+        let got = RankGroup::new(topo, None, Some(&hub))
+            .run_once(|mut comm| comm.all_to_all(&bufs_ref[comm.rank()]).unwrap());
         assert_eq!(got, linear_all_to_all(&bufs));
         let merged = hub.merged();
         let inv = merged.check_invariants().expect("clean traced run");
@@ -2179,9 +2178,8 @@ mod tests {
         let bufs = labeled(4, 2);
         let bufs_ref = &bufs;
         let hub = TraceHub::new(4);
-        run_threaded_traced(topo, &hub, |mut comm| {
-            comm.all_to_all_2dh(&bufs_ref[comm.rank()]).unwrap()
-        });
+        RankGroup::new(topo, None, Some(&hub))
+            .run_once(|mut comm| comm.all_to_all_2dh(&bufs_ref[comm.rank()]).unwrap());
         let merged = hub.merged();
         merged.check_invariants().expect("clean traced run");
         for rank in &merged.ranks {
@@ -2203,9 +2201,8 @@ mod tests {
             plan: Some(FaultPlan::new(4).with_duplicates(100)),
             telemetry: Telemetry::disabled(),
         };
-        let got = run_threaded_reliable_traced(topo, cfg, &hub, |mut comm| {
-            comm.all_to_all(&bufs_ref[comm.rank()]).unwrap()
-        });
+        let got = RankGroup::new(topo, Some(cfg), Some(&hub))
+            .run_once(|mut comm| comm.all_to_all(&bufs_ref[comm.rank()]).unwrap());
         assert_eq!(got, linear_all_to_all(&bufs));
         let merged = hub.merged();
         merged.check_invariants().expect("duplicated traced run");
@@ -2238,9 +2235,8 @@ mod tests {
             plan: Some(FaultPlan::new(4).with_delays(100, 1).only_from(1)),
             telemetry: Telemetry::disabled(),
         };
-        let got = run_threaded_reliable_traced(topo, cfg, &hub, |mut comm| {
-            comm.all_to_all(&bufs_ref[comm.rank()]).unwrap()
-        });
+        let got = RankGroup::new(topo, Some(cfg), Some(&hub))
+            .run_once(|mut comm| comm.all_to_all(&bufs_ref[comm.rank()]).unwrap());
         assert_eq!(got, linear_all_to_all(&bufs));
         let merged = hub.merged();
         // The flush reuses the seq assigned at logical send time, so

@@ -45,6 +45,7 @@ use tutel_simgpu::Topology;
 
 use crate::error::CommError;
 use crate::fault::{FaultAction, FaultPlan};
+use crate::group::RankGroup;
 use crate::runtime::Communicator;
 
 /// How long a blocked rank waits before re-auditing the quiescence
@@ -125,7 +126,7 @@ impl SchedState {
 /// [`Communicator`].
 pub struct SchedNet {
     seed: u64,
-    /// Delivery-time fault injection, if armed (see [`run_sched_faulty`]).
+    /// Delivery-time fault injection, if armed (see [`run_sched`]).
     plan: Option<FaultPlan>,
     state: Mutex<SchedState>,
     cv: Condvar,
@@ -362,40 +363,22 @@ impl SchedReport {
 
 /// Runs `program` on every rank under the deterministic scheduler
 /// with the given `seed`; returns per-rank results plus the
-/// [`SchedReport`] describing the schedule that was executed.
+/// [`SchedReport`] describing the schedule that was executed. The
+/// ranks run on a one-shot [`RankGroup`] over scheduler-backed
+/// communicators.
+///
+/// `plan` arms delivery-time fault injection: at each scheduling point
+/// the picked message is dropped, duplicated, or postponed per
+/// `plan.action(src, dst, tag)`. The combination `(topology, program,
+/// seed, plan)` replays bit-for-bit, so a seed that wedges a collective
+/// (drop → detected deadlock) or corrupts a mailbox (duplicate →
+/// reported leak) names a reproducible failure.
 ///
 /// Unlike [`crate::runtime::run_threaded`], the program receives
 /// `&mut Communicator` so the harness can audit the mailbox after the
 /// program returns. Rank programs should surface [`CommError`]s in
 /// their return value (e.g. return `Result`) rather than panicking.
-pub fn run_sched<F, R>(topology: Topology, seed: u64, program: F) -> (Vec<R>, SchedReport)
-where
-    F: Fn(&mut Communicator) -> R + Send + Sync,
-    R: Send,
-{
-    run_sched_impl(topology, seed, None, program)
-}
-
-/// [`run_sched`] with a delivery-time [`FaultPlan`] armed: at each
-/// scheduling point the picked message is dropped, duplicated, or
-/// postponed per `plan.action(src, dst, tag)`. The combination
-/// `(topology, program, seed, plan)` replays bit-for-bit, so a seed
-/// that wedges a collective (drop → detected deadlock) or corrupts a
-/// mailbox (duplicate → reported leak) names a reproducible failure.
-pub fn run_sched_faulty<F, R>(
-    topology: Topology,
-    seed: u64,
-    plan: FaultPlan,
-    program: F,
-) -> (Vec<R>, SchedReport)
-where
-    F: Fn(&mut Communicator) -> R + Send + Sync,
-    R: Send,
-{
-    run_sched_impl(topology, seed, Some(plan), program)
-}
-
-fn run_sched_impl<F, R>(
+pub fn run_sched<F, R>(
     topology: Topology,
     seed: u64,
     plan: Option<FaultPlan>,
@@ -407,30 +390,22 @@ where
 {
     let n = topology.world_size();
     let net = Arc::new(SchedNet::new(n, seed, plan));
-    let program = &program;
-    let (results, leaks): (Vec<R>, Vec<(usize, usize)>) = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(n);
-        for rank in 0..n {
-            let net = Arc::clone(&net);
-            handles.push(scope.spawn(move || {
-                let mut comm = Communicator::with_sched(rank, topology, Arc::clone(&net));
-                let out = program(&mut comm);
-                let parked = comm.parked_messages();
-                // The leak is reported through SchedReport; clear so
-                // the mailbox Drop audit doesn't re-panic about it.
-                comm.clear_mailbox();
-                net.mark_done(rank);
-                (out, (rank, parked))
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(pair) => pair,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .unzip()
-    });
+    let comms = (0..n)
+        .map(|rank| Communicator::with_sched(rank, topology, Arc::clone(&net)))
+        .collect();
+    let (results, leaks): (Vec<R>, Vec<(usize, usize)>) = RankGroup::from_comms(comms)
+        .run_once(|mut comm| {
+            let rank = comm.rank();
+            let out = program(&mut comm);
+            let parked = comm.parked_messages();
+            // The leak is reported through SchedReport; clear so the
+            // mailbox Drop audit doesn't re-panic about it.
+            comm.clear_mailbox();
+            net.mark_done(rank);
+            (out, (rank, parked))
+        })
+        .into_iter()
+        .unzip();
     let st = net.lock();
     let report = SchedReport {
         seed,
@@ -454,7 +429,7 @@ mod tests {
     fn same_seed_same_signature() {
         let topo = Topology::new(2, 2);
         let run = |seed| {
-            let (_, report) = run_sched(topo, seed, |comm| {
+            let (_, report) = run_sched(topo, seed, None, |comm| {
                 let mine = vec![comm.rank() as f32; 4];
                 comm.all_to_all(&mine)
             });
@@ -471,7 +446,7 @@ mod tests {
         let topo = Topology::new(2, 2);
         let mut sigs = std::collections::HashSet::new();
         for seed in 0..32 {
-            let (_, report) = run_sched(topo, seed, |comm| {
+            let (_, report) = run_sched(topo, seed, None, |comm| {
                 let mine: Vec<f32> = (0..8).map(|i| (comm.rank() * 8 + i) as f32).collect();
                 comm.all_to_all(&mine)
             });
@@ -489,7 +464,7 @@ mod tests {
     fn detects_deadlock_with_replayable_seed() {
         // Rank 0 waits for a message nobody ever sends.
         let topo = Topology::new(1, 2);
-        let (results, report) = run_sched(topo, 13, |comm| {
+        let (results, report) = run_sched(topo, 13, None, |comm| {
             if comm.rank() == 0 {
                 comm.recv(1, 999).map(|_| ())
             } else {
@@ -515,7 +490,7 @@ mod tests {
         let mut saw_mailbox_leak = false;
         let mut saw_undelivered = false;
         for seed in 0..16 {
-            let (_, report) = run_sched(topo, seed, |comm| {
+            let (_, report) = run_sched(topo, seed, None, |comm| {
                 if comm.rank() == 1 {
                     comm.send(0, 77, vec![1.0])?;
                     comm.send(0, 88, vec![2.0])?;
@@ -539,7 +514,7 @@ mod tests {
         // a hang or silent corruption.
         let topo = Topology::new(1, 2);
         let plan = FaultPlan::new(0xD0).with_drops(100);
-        let (results, report) = run_sched_faulty(topo, 21, plan, |comm| {
+        let (results, report) = run_sched(topo, 21, Some(plan), |comm| {
             let mine = vec![comm.rank() as f32; 4];
             comm.all_to_all(&mine)
         });
@@ -554,7 +529,7 @@ mod tests {
     fn injected_duplicate_is_reported_as_leak() {
         let topo = Topology::new(1, 2);
         let plan = FaultPlan::new(0xD1).with_duplicates(100);
-        let (results, report) = run_sched_faulty(topo, 3, plan, |comm| {
+        let (results, report) = run_sched(topo, 3, Some(plan), |comm| {
             let mine = vec![comm.rank() as f32; 2];
             comm.all_to_all(&mine)
         });
@@ -575,7 +550,7 @@ mod tests {
     fn injected_delays_reorder_but_preserve_results() {
         let topo = Topology::new(2, 2);
         let plan = FaultPlan::new(0xD2).with_delays(60, 3);
-        let (results, report) = run_sched_faulty(topo, 11, plan, |comm| {
+        let (results, report) = run_sched(topo, 11, Some(plan), |comm| {
             let mine: Vec<f32> = (0..8).map(|i| (comm.rank() * 8 + i) as f32).collect();
             comm.all_to_all(&mine)
         });
@@ -596,7 +571,7 @@ mod tests {
         let topo = Topology::new(1, 2);
         let plan = FaultPlan::new(7).with_delays(50, 2).with_duplicates(20);
         let run = || {
-            let (results, report) = run_sched_faulty(topo, 9, plan, |comm| {
+            let (results, report) = run_sched(topo, 9, Some(plan), |comm| {
                 let mine = vec![comm.rank() as f32; 4];
                 comm.all_to_all(&mine)
             });

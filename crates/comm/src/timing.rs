@@ -9,8 +9,8 @@ use tutel_simgpu::{calib, fabric_contention, Protocol, Seconds};
 use crate::{AllToAllAlgo, World};
 
 /// Which leg of the MoE iteration an All-to-All serves. The two legs
-/// carry different payloads under asymmetric capacity, so observed
-/// pricing attributes them to separate telemetry buckets.
+/// carry different payloads under asymmetric capacity, so a priced
+/// step records them under separate telemetry buckets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum A2aPhase {
     /// Token dispatch: encode → experts.
@@ -159,37 +159,6 @@ impl CollectiveTiming {
         }
     }
 
-    /// Naïve local-aggregation All-to-All (Figure 15 top): intra-node
-    /// aggregation via `n/m` exchanges of *non-contiguous* `S/n` chunks
-    /// (the scattered-access cost 2DH eliminates) plus the same
-    /// inter-node phase as 2DH.
-    pub fn naive_local_agg_time(&self, bytes: f64, protocol: Protocol) -> Seconds {
-        let topo = self.world.topology();
-        let n = topo.world_size();
-        let m = topo.gpus_per_node();
-        let nnodes = topo.nnodes();
-        if n <= 1 || bytes <= 0.0 {
-            return 0.0;
-        }
-        let gpu = self.world.gpu();
-        let nv = self.world.nvlink();
-        let chunk = bytes / n as f64;
-        // Scattered gather/scatter at S/n granularity dominates as n
-        // grows (anchor: ~600 µs → ~5 ms for S = 128 MiB, m = 8).
-        let scattered = gpu.strided_copy_time(bytes, chunk);
-        let intra =
-            nv.base_latency() + nv.burst_time(m - 1, bytes / m as f64, protocol) + scattered;
-        if nnodes == 1 {
-            return intra;
-        }
-        let ib = self.world.infiniband();
-        let inter_block = bytes * m as f64 / n as f64;
-        let contention = fabric_contention(nnodes);
-        let inter =
-            ib.base_latency() + ib.burst_time(nnodes - 1, inter_block, protocol) * contention;
-        intra + inter
-    }
-
     /// Three-dimensional hierarchical All-to-All (Section 4.3,
     /// "Extension"): for dragonfly-style fabrics, the inter-node phase
     /// is itself split into intra-group and inter-group exchanges,
@@ -247,55 +216,7 @@ impl CollectiveTiming {
     ///
     /// Used by P1 to materialize ZeRO-sharded expert parameters.
     pub fn all_gather_time(&self, shard_bytes: f64, group: usize) -> Seconds {
-        self.ring_time(shard_bytes, group, 1.0)
-    }
-
-    /// Ring all-reduce of `bytes` over `group` ranks:
-    /// reduce-scatter + all-gather, each moving `bytes × (g−1)/g`.
-    pub fn all_reduce_time(&self, bytes: f64, group: usize) -> Seconds {
-        if group <= 1 || bytes <= 0.0 {
-            return 0.0;
-        }
-        self.ring_time(bytes / group as f64, group, 2.0)
-    }
-
-    /// [`CollectiveTiming::all_to_all_time`] that also records the
-    /// priced collective (operation, algorithm, payload bytes, modeled
-    /// seconds) into `tel` — the per-collective audit trail of a
-    /// simulated run. No-op recording when `tel` is disabled.
-    ///
-    /// The MoE iteration runs *two* All-to-Alls per layer — token
-    /// dispatch and expert-output combine — whose payloads differ
-    /// whenever the capacity is asymmetric (e.g. top-ANY routing or
-    /// chunked pipelining). They are attributed to separate `op`
-    /// buckets via [`A2aPhase`]; summing them into one `"all_to_all"`
-    /// bucket skewed the Algorithm-2 prior.
-    pub fn all_to_all_time_observed(
-        &self,
-        phase: A2aPhase,
-        algo: AllToAllAlgo,
-        bytes: f64,
-        protocol: Protocol,
-        tel: &tutel_obs::Telemetry,
-    ) -> Seconds {
-        let t = self.all_to_all_time(algo, bytes, protocol);
-        tel.collective(phase.op(), &algo.to_string(), bytes, t);
-        t
-    }
-
-    /// Bus bandwidth (bytes/s) achieved by an All-to-All of `bytes` per
-    /// GPU: the standard nccl-tests metric `S·(n−1)/n / t`.
-    pub fn bus_bandwidth(&self, algo: AllToAllAlgo, bytes: f64, protocol: Protocol) -> f64 {
-        let n = self.world.size() as f64;
-        let t = self.all_to_all_time(algo, bytes, protocol);
-        if t <= 0.0 {
-            return 0.0;
-        }
-        bytes * (n - 1.0) / n / t
-    }
-
-    fn ring_time(&self, step_bytes: f64, group: usize, passes: f64) -> Seconds {
-        if group <= 1 || step_bytes <= 0.0 {
+        if group <= 1 || shard_bytes <= 0.0 {
             return 0.0;
         }
         let topo = self.world.topology();
@@ -311,8 +232,18 @@ impl CollectiveTiming {
         } else {
             1.0
         };
-        link.base_latency()
-            + passes * link.burst_time(group - 1, step_bytes, Protocol::Simple) * contention
+        link.base_latency() + link.burst_time(group - 1, shard_bytes, Protocol::Simple) * contention
+    }
+
+    /// Bus bandwidth (bytes/s) achieved by an All-to-All of `bytes` per
+    /// GPU: the standard nccl-tests metric `S·(n−1)/n / t`.
+    pub fn bus_bandwidth(&self, algo: AllToAllAlgo, bytes: f64, protocol: Protocol) -> f64 {
+        let n = self.world.size() as f64;
+        let t = self.all_to_all_time(algo, bytes, protocol);
+        if t <= 0.0 {
+            return 0.0;
+        }
+        bytes * (n - 1.0) / n / t
     }
 }
 
@@ -365,30 +296,6 @@ mod tests {
     }
 
     #[test]
-    fn naive_agg_degrades_with_scale_more_than_2dh() {
-        // Both algorithms pay the (roughly constant) inter-node phase;
-        // the naïve one additionally pays scattered S/n-granular memory
-        // access that collapses as n grows (Section 3.4 anchor:
-        // ~600 µs → ~5 ms). Compare growth from 16 to 2,048 GPUs.
-        let big = CollectiveTiming::new(World::azure(2048));
-        let s = 128.0 * MIB;
-        // At scale the naïve algorithm is strictly worse than 2DH.
-        let naive = big.naive_local_agg_time(s, Protocol::Simple);
-        let two_dh = big.two_dh_time_impl(s, Protocol::Simple, A2aImpl::NcclApi);
-        assert!(naive > two_dh, "naive {naive} vs 2DH {two_dh}");
-        // The scattered-access local phase costs milliseconds at
-        // n = 2048 while 2DH's aligned copies stay scale-independent
-        // (and far cheaper).
-        let scattered = big.world().gpu().strided_copy_time(s, s / 2048.0);
-        let aligned = 1.25 * big.world().gpu().copy_time(s);
-        assert!(scattered > 1e-3, "scattered access {scattered}");
-        assert!(
-            scattered > 4.0 * aligned,
-            "scattered {scattered} vs aligned {aligned}"
-        );
-    }
-
-    #[test]
     fn three_dh_beats_two_dh_for_tiny_messages_at_extreme_scale() {
         // Section 4.3 Extension: with n/m still large, a third level of
         // aggregation pays off for small payloads.
@@ -423,56 +330,7 @@ mod tests {
     fn single_rank_collectives_are_free() {
         let t = CollectiveTiming::new(World::azure(1));
         assert_eq!(t.linear_time(MIB, Protocol::Simple), 0.0);
-        assert_eq!(t.all_reduce_time(MIB, 1), 0.0);
         assert_eq!(t.all_gather_time(MIB, 1), 0.0);
-    }
-
-    #[test]
-    fn allreduce_costs_about_twice_allgather() {
-        let t = CollectiveTiming::new(World::azure(8));
-        let ag = t.all_gather_time(MIB, 8);
-        let ar = t.all_reduce_time(8.0 * MIB, 8);
-        let ratio = ar / ag;
-        assert!(ratio > 1.5 && ratio < 2.5, "ratio {ratio}");
-    }
-
-    #[test]
-    fn observed_pricing_attributes_dispatch_and_combine_separately() {
-        let t = CollectiveTiming::new(World::azure(64));
-        let tel = tutel_obs::Telemetry::enabled();
-        // Asymmetric legs: a chunked dispatch ships a quarter of what
-        // the combine returns.
-        let td = t.all_to_all_time_observed(
-            A2aPhase::Dispatch,
-            AllToAllAlgo::Linear,
-            MIB / 4.0,
-            Protocol::Simple,
-            &tel,
-        );
-        let tc = t.all_to_all_time_observed(
-            A2aPhase::Combine,
-            AllToAllAlgo::Linear,
-            MIB,
-            Protocol::Simple,
-            &tel,
-        );
-        assert!(td < tc, "smaller dispatch must price below combine");
-        let ops: Vec<(String, f64)> = tel
-            .events()
-            .into_iter()
-            .filter_map(|e| match e {
-                tutel_obs::Event::Collective(c) => Some((c.op, c.bytes)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(
-            ops,
-            vec![
-                ("a2a_dispatch".to_string(), MIB / 4.0),
-                ("a2a_combine".to_string(), MIB),
-            ],
-            "each leg must land in its own op bucket"
-        );
     }
 
     #[test]

@@ -67,11 +67,6 @@ impl World {
     pub fn gpu(&self) -> &GpuCostModel {
         &self.gpu
     }
-
-    /// Whether the world spans more than one node.
-    pub fn is_multi_node(&self) -> bool {
-        self.topology.nnodes() > 1
-    }
 }
 
 #[cfg(test)]
@@ -80,8 +75,8 @@ mod tests {
 
     #[test]
     fn azure_presets() {
-        assert!(!World::azure(8).is_multi_node());
-        assert!(World::azure(16).is_multi_node());
+        assert_eq!(World::azure(8).topology().nnodes(), 1);
+        assert_eq!(World::azure(16).topology().nnodes(), 2);
         assert_eq!(World::azure(2048).topology().nnodes(), 256);
     }
 }

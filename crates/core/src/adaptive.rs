@@ -92,11 +92,12 @@ impl FeatureSet {
 /// ```
 /// use tutel::adaptive::{FeatureSet, MoeLayerSimulator};
 /// use tutel::pipeline::LayerDims;
+/// use tutel_obs::Telemetry;
 ///
 /// let sim = MoeLayerSimulator::azure(16);
 /// let dims = LayerDims::figure23();
-/// let base = sim.step_time(&dims, FeatureSet::fairseq_baseline());
-/// let full = sim.step_time(&dims, FeatureSet::full());
+/// let base = sim.step_time(&dims, FeatureSet::fairseq_baseline(), &Telemetry::disabled());
+/// let full = sim.step_time(&dims, FeatureSet::full(), &Telemetry::disabled());
 /// assert!(base / full > 2.0, "Tutel must clearly beat Fairseq at 16 GPUs");
 /// ```
 #[derive(Debug, Clone, Copy)]
@@ -151,7 +152,7 @@ impl MoeLayerSimulator {
         tel: &tutel_obs::Telemetry,
     ) -> PipelineStrategy {
         if features.adaptive_pipelining {
-            model.best_strategy_observed(dims, tel).0
+            model.best_strategy(dims, tel).0
         } else {
             PipelineStrategy::baseline()
         }
@@ -173,15 +174,12 @@ impl MoeLayerSimulator {
     }
 
     /// Per-iteration time of the MoE layer under `features`.
-    pub fn step_time(&self, dims: &LayerDims, features: FeatureSet) -> Seconds {
-        self.step_time_observed(dims, features, &tutel_obs::Telemetry::disabled())
-    }
-
-    /// [`MoeLayerSimulator::step_time`] that also threads a telemetry
-    /// handle through the strategy search, so every simulated iteration
-    /// with `adaptive_pipelining` leaves an audit record (all eight
-    /// candidate strategies, modeled costs, and the winner) in `tel`.
-    pub fn step_time_observed(
+    ///
+    /// An enabled `tel` gets the strategy search's audit record (all
+    /// eight candidate strategies, modeled costs, and the winner) when
+    /// `features` has `adaptive_pipelining`, and one collective record
+    /// per priced All-to-All chunk.
+    pub fn step_time(
         &self,
         dims: &LayerDims,
         features: FeatureSet,
@@ -194,17 +192,16 @@ impl MoeLayerSimulator {
             // Record each priced All-to-All chunk under its phase —
             // dispatch and combine are separate collectives in the
             // executed schedule and must not share a telemetry bucket.
+            // Their payloads differ whenever the capacity is asymmetric
+            // (top-ANY routing, chunked pipelining); one `"all_to_all"`
+            // bucket skewed the Algorithm-2 prior.
             let d = strategy.degree.max(1);
             let chunk_bytes = dims.a2a_bytes() / d as f64;
             for phase in [A2aPhase::Dispatch, A2aPhase::Combine] {
                 for _ in 0..d {
-                    self.timing.all_to_all_time_observed(
-                        phase,
-                        strategy.algo,
-                        chunk_bytes,
-                        Protocol::Simple,
-                        tel,
-                    );
+                    let t =
+                        (self.timing).all_to_all_time(strategy.algo, chunk_bytes, Protocol::Simple);
+                    tel.collective(phase.op(), &strategy.algo.to_string(), chunk_bytes, t);
                 }
             }
         }
@@ -288,6 +285,7 @@ impl MoeLayerSimulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tutel_obs::Telemetry;
 
     #[test]
     fn ladder_is_monotonically_non_worse() {
@@ -296,7 +294,7 @@ mod tests {
             let dims = LayerDims::figure23();
             let mut last = f64::INFINITY;
             for (name, fs) in FeatureSet::ladder() {
-                let t = sim.step_time(&dims, fs);
+                let t = sim.step_time(&dims, fs, &Telemetry::disabled());
                 assert!(
                     t <= last * 1.0001,
                     "{name} at {world} GPUs regressed: {t} after {last}"
@@ -313,8 +311,11 @@ mod tests {
         let dims = LayerDims::figure23();
         let speedup = |w: usize| {
             let sim = MoeLayerSimulator::azure(w);
-            sim.step_time(&dims, FeatureSet::fairseq_baseline())
-                / sim.step_time(&dims, FeatureSet::full())
+            sim.step_time(
+                &dims,
+                FeatureSet::fairseq_baseline(),
+                &Telemetry::disabled(),
+            ) / sim.step_time(&dims, FeatureSet::full(), &Telemetry::disabled())
         };
         let s16 = speedup(16);
         let s2048 = speedup(2048);
@@ -329,8 +330,11 @@ mod tests {
         let dims = LayerDims::figure23();
         let gain = |w: usize| {
             let sim = MoeLayerSimulator::azure(w);
-            sim.step_time(&dims, FeatureSet::fairseq_baseline())
-                / sim.step_time(&dims, FeatureSet::kernels())
+            sim.step_time(
+                &dims,
+                FeatureSet::fairseq_baseline(),
+                &Telemetry::disabled(),
+            ) / sim.step_time(&dims, FeatureSet::kernels(), &Telemetry::disabled())
         };
         let g16 = gain(16);
         let g2048 = gain(2048);
@@ -346,8 +350,12 @@ mod tests {
         let dims = LayerDims::figure23();
         let gain = |w: usize| {
             let sim = MoeLayerSimulator::azure(w);
-            sim.step_time(&dims, FeatureSet::kernels())
-                / sim.step_time(&dims, FeatureSet::kernels_pipelining())
+            sim.step_time(&dims, FeatureSet::kernels(), &Telemetry::disabled())
+                / sim.step_time(
+                    &dims,
+                    FeatureSet::kernels_pipelining(),
+                    &Telemetry::disabled(),
+                )
         };
         assert!(
             gain(2048) > gain(16),
@@ -385,7 +393,11 @@ mod tests {
             "adaptive {adaptive} vs static {static_p1}"
         );
         // And both exceed the unreplicated base (the surcharge is real).
-        let unreplicated = sim.step_time(&dims, FeatureSet::kernels_pipelining_flex());
+        let unreplicated = sim.step_time(
+            &dims,
+            FeatureSet::kernels_pipelining_flex(),
+            &Telemetry::disabled(),
+        );
         assert!(static_p1 > unreplicated);
         // Small f with a fat expert (V = 16K: expensive parameters,
         // cheap tokens) favors P2 strongly → the adaptive gap must
@@ -402,23 +414,33 @@ mod tests {
     fn observed_step_prices_dispatch_and_combine_separately() {
         let sim = MoeLayerSimulator::azure(64);
         let dims = LayerDims::figure23();
-        let tel = tutel_obs::Telemetry::enabled();
-        let t = sim.step_time_observed(&dims, FeatureSet::full(), &tel);
-        assert_eq!(t, sim.step_time(&dims, FeatureSet::full()));
-        let ops: Vec<String> = tel
+        let tel = Telemetry::enabled();
+        let t = sim.step_time(&dims, FeatureSet::full(), &tel);
+        assert_eq!(
+            t,
+            sim.step_time(&dims, FeatureSet::full(), &Telemetry::disabled())
+        );
+        let records: Vec<(String, f64)> = tel
             .events()
             .into_iter()
             .filter_map(|e| match e {
-                tutel_obs::Event::Collective(c) => Some(c.op),
+                tutel_obs::Event::Collective(c) => Some((c.op, c.bytes)),
                 _ => None,
             })
             .collect();
-        let dispatches = ops.iter().filter(|o| *o == "a2a_dispatch").count();
-        let combines = ops.iter().filter(|o| *o == "a2a_combine").count();
+        let ops: Vec<&str> = records.iter().map(|(op, _)| op.as_str()).collect();
+        let dispatches = ops.iter().filter(|o| **o == "a2a_dispatch").count();
+        let combines = ops.iter().filter(|o| **o == "a2a_combine").count();
         assert!(dispatches > 0, "dispatch leg must be recorded: {ops:?}");
         assert_eq!(dispatches, combines, "one combine chunk per dispatch chunk");
+        // Each record carries its own chunk's payload.
+        let chunk_bytes = dims.a2a_bytes() / dispatches as f64;
         assert!(
-            !ops.iter().any(|o| o == "all_to_all"),
+            records.iter().all(|&(_, b)| b == chunk_bytes),
+            "{records:?}"
+        );
+        assert!(
+            !ops.contains(&"all_to_all"),
             "no leg may fall into the old summed bucket: {ops:?}"
         );
     }
@@ -429,8 +451,12 @@ mod tests {
         // ΔE = 2: E = 32 > W → no replication → curves 4 and 5 match.
         let dims = LayerDims::figure23();
         assert_eq!(
-            sim.step_time(&dims, FeatureSet::kernels_pipelining_flex()),
-            sim.step_time(&dims, FeatureSet::full())
+            sim.step_time(
+                &dims,
+                FeatureSet::kernels_pipelining_flex(),
+                &Telemetry::disabled()
+            ),
+            sim.step_time(&dims, FeatureSet::full(), &Telemetry::disabled())
         );
     }
 }

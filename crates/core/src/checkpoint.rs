@@ -21,8 +21,7 @@
 //! ```
 
 use std::collections::BTreeMap;
-use std::convert::Infallible;
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 
 use tutel_tensor::Tensor;
 
@@ -78,41 +77,22 @@ impl StateDict {
     /// Serializes to the `TUTELSD1` binary format.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        let Ok(()) = self.encode(|bytes| {
-            out.extend_from_slice(bytes);
-            Ok::<(), Infallible>(())
-        });
-        out
-    }
-
-    /// Writes the binary format to `w` (pass `&mut file` for files).
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from the writer.
-    pub fn write_to<W: Write>(&self, mut w: W) -> io::Result<()> {
-        self.encode(|bytes| w.write_all(bytes))
-    }
-
-    /// Feeds the binary format to `put` piece by piece, stopping at
-    /// the first error.
-    fn encode<E>(&self, mut put: impl FnMut(&[u8]) -> Result<(), E>) -> Result<(), E> {
-        put(MAGIC)?;
-        put(&(self.entries.len() as u32).to_le_bytes())?;
+        out.extend_from_slice(MAGIC);
+        out.extend_from_slice(&(self.entries.len() as u32).to_le_bytes());
         for (name, tensor) in &self.entries {
             let name_bytes = name.as_bytes();
-            put(&(name_bytes.len() as u32).to_le_bytes())?;
-            put(name_bytes)?;
+            out.extend_from_slice(&(name_bytes.len() as u32).to_le_bytes());
+            out.extend_from_slice(name_bytes);
             let dims = tensor.dims();
-            put(&(dims.len() as u32).to_le_bytes())?;
+            out.extend_from_slice(&(dims.len() as u32).to_le_bytes());
             for &d in dims {
-                put(&(d as u64).to_le_bytes())?;
+                out.extend_from_slice(&(d as u64).to_le_bytes());
             }
             for v in tensor.as_slice() {
-                put(&v.to_le_bytes())?;
+                out.extend_from_slice(&v.to_le_bytes());
             }
         }
-        Ok(())
+        out
     }
 
     /// Deserializes from the binary format.

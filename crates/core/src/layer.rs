@@ -199,11 +199,6 @@ impl MoeLayer {
         self.frozen = frozen;
     }
 
-    /// Whether the layer is frozen.
-    pub fn is_frozen(&self) -> bool {
-        self.frozen
-    }
-
     /// Number of parameters: the router's own count (zero for hash)
     /// plus the experts'.
     pub fn num_params(&self) -> usize {

@@ -2,10 +2,16 @@
 //! multi-stream comm/compute overlap, a timing model for any
 //! (All-to-All algorithm × pipelining degree) strategy, and the online
 //! strategy search of Algorithm 2.
+//!
+//! Each decision is one function that takes the telemetry handle:
+//! [`PipelineTimeModel::best_strategy`] and both searches'
+//! `next_strategy` (plus [`MeasuredStrategySearch::record`], which
+//! backfills the measured cost) append their audit record to an
+//! enabled handle and record nothing through a disabled one.
 
 use std::collections::HashMap;
 
-use tutel_comm::{A2aImpl, AllToAllAlgo, CollectiveTiming};
+use tutel_comm::{AllToAllAlgo, CollectiveTiming};
 use tutel_simgpu::{calib, Protocol, Seconds, StreamId, Timeline};
 
 /// One pipelining strategy: which All-to-All algorithm to run and how
@@ -112,11 +118,6 @@ pub struct PipelineTimeModel {
     /// 2.3). Disable for the ablation that shows how an
     /// interference-blind search over-pipelines.
     pub interference: bool,
-    /// Multiplier on expert GEMM time (1.0 = calibration baseline).
-    /// SIMD microkernels shrink compute without touching the wire, so
-    /// a `< 1` scale shifts every comm/compute tradeoff the search
-    /// prices — overlap degree and All-to-All algorithm included.
-    pub compute_scale: f64,
     /// Weight storage precision in effect, carried into every audit
     /// record this model emits. Expert GEMMs accumulate in `f32`
     /// regardless, so this does not change modeled compute time; it
@@ -132,24 +133,8 @@ impl PipelineTimeModel {
             sparse_kernels: true,
             flexible_layout: true,
             interference: true,
-            compute_scale: 1.0,
             precision: tutel_tensor::Precision::F32,
         }
-    }
-
-    /// Sets the expert-compute scale (e.g. a measured SIMD speedup of
-    /// 2× → `0.5`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scale` is not positive and finite.
-    pub fn with_compute_scale(mut self, scale: f64) -> Self {
-        assert!(
-            scale > 0.0 && scale.is_finite(),
-            "compute scale must be positive and finite"
-        );
-        self.compute_scale = scale;
-        self
     }
 
     /// Tags the model (and its audit records) with a weight storage
@@ -164,18 +149,11 @@ impl PipelineTimeModel {
         &self.timing
     }
 
-    /// Prices the pieces of one iteration at `degree`: the prologue and
-    /// one chunk of each partitioned stage, with `a2a_time` pricing a
-    /// chunk's All-to-All from its bytes and `comm_inflation` its
-    /// slowdown while streams overlap.
-    fn schedule(
-        &self,
-        dims: &LayerDims,
-        degree: usize,
-        comm_inflation: f64,
-        a2a_time: impl FnOnce(f64) -> Seconds,
-    ) -> Schedule {
-        let degree = degree.max(1);
+    /// Prices the pieces of one iteration under `strategy`: the
+    /// prologue and one chunk of each partitioned stage, its All-to-All
+    /// priced by the NCCL-style collectives.
+    fn strategy_schedule(&self, dims: &LayerDims, strategy: PipelineStrategy) -> Schedule {
+        let degree = strategy.degree.max(1);
         let world = self.timing.world();
         let w = world.size();
         let gpu = world.gpu();
@@ -192,6 +170,10 @@ impl PipelineTimeModel {
 
         // Interference inflation only applies when streams overlap.
         let (comm_inflation, comp_inflation) = if degree > 1 && self.interference {
+            let comm_inflation = match strategy.algo {
+                AllToAllAlgo::Linear => calib::OVERLAP_COMM_INFLATION_LINEAR,
+                AllToAllAlgo::TwoDh => calib::OVERLAP_COMM_INFLATION_2DH,
+            };
             (comm_inflation, calib::OVERLAP_COMPUTE_INFLATION)
         } else {
             (1.0, 1.0)
@@ -200,24 +182,15 @@ impl PipelineTimeModel {
             degree,
             gate,
             encode_decode,
-            a2a_once: a2a_time(dims.a2a_bytes() / degree as f64),
+            a2a_once: self.timing.all_to_all_time(
+                strategy.algo,
+                dims.a2a_bytes() / degree as f64,
+                Protocol::Simple,
+            ),
             expert_once: self.expert_time(dims, w, (dims.expert_rows() / degree).max(1)),
             comm_inflation,
             comp_inflation,
         }
-    }
-
-    /// [`PipelineTimeModel::schedule`] for a strategy of the search
-    /// space, priced by the NCCL-style collectives.
-    fn strategy_schedule(&self, dims: &LayerDims, strategy: PipelineStrategy) -> Schedule {
-        let comm_inflation = match strategy.algo {
-            AllToAllAlgo::Linear => calib::OVERLAP_COMM_INFLATION_LINEAR,
-            AllToAllAlgo::TwoDh => calib::OVERLAP_COMM_INFLATION_2DH,
-        };
-        self.schedule(dims, strategy.degree, comm_inflation, |bytes| {
-            self.timing
-                .all_to_all_time(strategy.algo, bytes, Protocol::Simple)
-        })
     }
 
     /// Per-iteration time of the full MoE layer under `strategy`.
@@ -238,19 +211,14 @@ impl PipelineTimeModel {
             (world * de, (chunk_rows / (world * de)).max(1))
         };
         let gpu = self.timing.world().gpu();
-        (gpu.gemm_time(batch, rows, m, v) + gpu.gemm_time(batch, rows, v, m)) * self.compute_scale
+        gpu.gemm_time(batch, rows, m, v) + gpu.gemm_time(batch, rows, v, m)
     }
 
     /// The strategy with the lowest modeled time — the "oracle" the
-    /// online search converges to.
-    pub fn best_strategy(&self, dims: &LayerDims) -> (PipelineStrategy, Seconds) {
-        self.best_strategy_observed(dims, &tutel_obs::Telemetry::disabled())
-    }
-
-    /// [`PipelineTimeModel::best_strategy`] that also appends an
-    /// adaptive-decision audit record to `tel`: all eight candidate
-    /// strategies with their modeled costs, plus the winner.
-    pub fn best_strategy_observed(
+    /// online search converges to. An enabled `tel` gets an
+    /// adaptive-decision audit record: all eight candidate strategies
+    /// with their modeled costs, plus the winner.
+    pub fn best_strategy(
         &self,
         dims: &LayerDims,
         tel: &tutel_obs::Telemetry,
@@ -300,23 +268,6 @@ impl PipelineTimeModel {
             decode: s.encode_decode / 2.0,
             overlap_saving,
         }
-    }
-
-    /// Time of a 2DH step under the MSCCL fused implementation with the
-    /// best protocol — used by the Figure 21 comparison. Same schedule
-    /// as [`PipelineTimeModel::step_time`] with the MSCCL pricer and no
-    /// stream-barrier term.
-    pub fn two_dh_msccl_time(
-        &self,
-        dims: &LayerDims,
-        degree: usize,
-        protocol: Protocol,
-    ) -> Seconds {
-        let s = self.schedule(dims, degree, calib::OVERLAP_COMM_INFLATION_2DH, |bytes| {
-            self.timing
-                .two_dh_time_impl(bytes, protocol, A2aImpl::Msccl)
-        });
-        s.gate + s.encode_decode + s.makespan()
     }
 }
 
@@ -526,15 +477,16 @@ struct Bucket {
 ///
 /// ```
 /// use tutel::pipeline::{OnlineStrategySearch, PipelineStrategy};
+/// use tutel_obs::Telemetry;
 ///
 /// let mut search = OnlineStrategySearch::new(1.0);
 /// // Feed it a synthetic workload where the oracle is (2DH, d=4).
 /// let oracle = |s: PipelineStrategy| if s.degree == 4 { 1.0 } else { 2.0 };
 /// for _ in 0..20 {
-///     let s = search.next_strategy(1.3);
+///     let s = search.next_strategy(1.3, &Telemetry::disabled());
 ///     search.record(1.3, s, oracle(s));
 /// }
-/// assert_eq!(search.next_strategy(1.3).degree, 4);
+/// assert_eq!(search.next_strategy(1.3, &Telemetry::disabled()).degree, 4);
 /// ```
 #[derive(Debug, Clone)]
 pub struct OnlineStrategySearch {
@@ -562,41 +514,24 @@ impl OnlineStrategySearch {
 
     /// GETSTRATEGY: the strategy to run for capacity factor `f` this
     /// iteration.
-    pub fn next_strategy(&mut self, f: f64) -> PipelineStrategy {
+    ///
+    /// An enabled `tel` gets an adaptive-decision audit record: every
+    /// strategy the relevant memo has measured so far (normalized
+    /// seconds), the choice made this iteration, and — once the bucket
+    /// has finished exploring — the predicted cost of that choice.
+    /// While still exploring, `predicted_s` is `None` (the pick is a
+    /// probe, not a prediction).
+    pub fn next_strategy(&mut self, f: f64, tel: &tutel_obs::Telemetry) -> PipelineStrategy {
         if !self.known_fs.iter().any(|&k| fkey(k) == fkey(f)) {
             self.recompute_buckets(f);
         }
         // `f` is bucketed by now; evidence-free, the search would probe
         // the first strategy, the baseline.
-        self.memo_for(f)
+        let memo = self.memo_for(f);
+        let choice = memo
             .and_then(Memo::choice)
-            .unwrap_or_else(PipelineStrategy::baseline)
-    }
-
-    /// The evidence consulted for `f`: its own memo once that has tried
-    /// every strategy, else its bucket's shared memo.
-    fn memo_for(&self, f: f64) -> Option<&Memo> {
-        match self.per_f.get(&fkey(f)) {
-            Some(m) if m.all_tried() => Some(m),
-            _ => self.bucket_index(f).map(|b| &self.buckets[b].memo),
-        }
-    }
-
-    /// [`OnlineStrategySearch::next_strategy`] that also appends an
-    /// adaptive-decision audit record to `tel`: every strategy the
-    /// relevant memo has measured so far (normalized seconds), the
-    /// choice made this iteration, and — once the bucket has finished
-    /// exploring — the predicted cost of that choice. While still
-    /// exploring, `predicted_s` is `None` (the pick is a probe, not a
-    /// prediction).
-    pub fn next_strategy_observed(
-        &mut self,
-        f: f64,
-        tel: &tutel_obs::Telemetry,
-    ) -> PipelineStrategy {
-        let choice = self.next_strategy(f);
+            .unwrap_or_else(PipelineStrategy::baseline);
         if tel.is_enabled() {
-            let memo = self.memo_for(f);
             let candidates = memo.map(Memo::ranked).unwrap_or_default();
             let predicted_s = match memo {
                 Some(m) if m.all_tried() => candidates.first().map(|&(_, t)| t),
@@ -611,6 +546,15 @@ impl OnlineStrategySearch {
             ));
         }
         choice
+    }
+
+    /// The evidence consulted for `f`: its own memo once that has tried
+    /// every strategy, else its bucket's shared memo.
+    fn memo_for(&self, f: f64) -> Option<&Memo> {
+        match self.per_f.get(&fkey(f)) {
+            Some(m) if m.all_tried() => Some(m),
+            _ => self.bucket_index(f).map(|b| &self.buckets[b].memo),
+        }
     }
 
     /// OPTIMIZESTRATEGY: records a measured iteration time for
@@ -677,8 +621,7 @@ impl OnlineStrategySearch {
     }
 }
 
-/// Default EWMA weight for new measurements in
-/// [`MeasuredStrategySearch`]: heavy enough to track drift, light
+/// EWMA weight for new measurements in [`MeasuredStrategySearch`]: heavy enough to track drift, light
 /// enough that one noisy chunk cannot flip a converged ranking.
 const MEASURED_EWMA_ALPHA: f64 = 0.4;
 
@@ -703,7 +646,6 @@ const MEASURED_EWMA_ALPHA: f64 = 0.4;
 #[derive(Debug, Clone)]
 pub struct MeasuredStrategySearch {
     bucket_len: f64,
-    alpha: f64,
     model: PipelineTimeModel,
     /// Fixed-grid cells keyed by `lo = ⌊f/L⌋·L`; each memo holds an
     /// EWMA of normalized wall-clock per strategy.
@@ -725,7 +667,6 @@ impl MeasuredStrategySearch {
         assert!(bucket_len > 0.0, "bucket length must be positive");
         MeasuredStrategySearch {
             bucket_len,
-            alpha: MEASURED_EWMA_ALPHA,
             model,
             buckets: HashMap::new(),
             pending_cause: None,
@@ -734,20 +675,12 @@ impl MeasuredStrategySearch {
 
     /// Attaches an attributed cause (e.g. a straggler or imbalance
     /// anomaly found by [`tutel_obs::analyze`]) to the next decision
-    /// record emitted by
-    /// [`MeasuredStrategySearch::next_strategy_observed`] — so when a
+    /// record emitted by [`MeasuredStrategySearch::next_strategy`] — so
+    /// when a
     /// measured regression changes (or fails to change) the chosen
     /// strategy, the audit log says *why* the measurement moved.
     pub fn attribute(&mut self, cause: impl Into<String>) {
         self.pending_cause = Some(cause.into());
-    }
-
-    /// Overrides the EWMA weight given to each new measurement
-    /// (`1.0` = keep only the latest sample).
-    pub fn with_alpha(mut self, alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "EWMA weight must be in (0, 1]");
-        self.alpha = alpha;
-        self
     }
 
     /// The exploration prior.
@@ -778,7 +711,17 @@ impl MeasuredStrategySearch {
     /// the most promising first, so early iterations are near-optimal
     /// even mid-exploration); once every strategy has a measurement,
     /// returns the measured argmin.
-    pub fn next_strategy(&mut self, dims: &LayerDims) -> PipelineStrategy {
+    ///
+    /// An enabled `tel` gets an audit record (`kind =
+    /// "pipeline.measured"`): the measured candidates so far, the
+    /// choice, the model's predicted cost of the choice, and — when the
+    /// choice already has evidence — its measured EWMA, so the log
+    /// carries the measured-vs-predicted delta for every iteration.
+    pub fn next_strategy(
+        &mut self,
+        dims: &LayerDims,
+        tel: &tutel_obs::Telemetry,
+    ) -> PipelineStrategy {
         let model = self.model;
         let memo = &self.bucket(dims.capacity_factor).memo;
         let probe = memo.untried().min_by(|&a, &b| {
@@ -788,26 +731,11 @@ impl MeasuredStrategySearch {
         });
         // Nothing unmeasured means all eight are measured, so `best` is
         // `Some`.
-        probe
+        let choice = probe
             .or_else(|| memo.best().map(|(s, _)| s))
-            .unwrap_or_else(PipelineStrategy::baseline)
-    }
-
-    /// [`MeasuredStrategySearch::next_strategy`] that also appends an
-    /// audit record (`kind = "pipeline.measured"`): the measured
-    /// candidates so far, the choice, the model's predicted cost of
-    /// the choice, and — when the choice already has evidence — its
-    /// measured EWMA, so the log carries the measured-vs-predicted
-    /// delta for every iteration.
-    pub fn next_strategy_observed(
-        &mut self,
-        dims: &LayerDims,
-        tel: &tutel_obs::Telemetry,
-    ) -> PipelineStrategy {
-        let choice = self.next_strategy(dims);
+            .unwrap_or_else(PipelineStrategy::baseline);
         if tel.is_enabled() {
-            let predicted = self.model.step_time(dims, choice);
-            let memo = &self.bucket(dims.capacity_factor).memo;
+            let predicted = model.step_time(dims, choice);
             let record = decision_record(
                 "pipeline.measured",
                 dims.capacity_factor,
@@ -819,7 +747,7 @@ impl MeasuredStrategySearch {
             tel.decision(tutel_obs::DecisionRecord {
                 measured_s,
                 cause: self.pending_cause.take(),
-                precision: Some(self.model.precision.label().to_string()),
+                precision: Some(model.precision.label().to_string()),
                 ..record
             });
         }
@@ -830,35 +758,29 @@ impl MeasuredStrategySearch {
     /// iteration's wall-clock seconds into the (bucket, strategy)
     /// EWMA, normalized by `lo / f` so factors sharing the bucket
     /// stay comparable.
-    pub fn record(&mut self, f: f64, strategy: PipelineStrategy, wall_s: Seconds) {
-        let alpha = self.alpha;
-        let bucket = self.bucket(f);
-        let t = normalized(wall_s, bucket.lo, f);
-        bucket
-            .memo
-            .tried
-            .entry(strategy)
-            .and_modify(|e| *e = alpha * t + (1.0 - alpha) * *e)
-            .or_insert(t);
-    }
-
-    /// [`MeasuredStrategySearch::record`] that also backfills the most
-    /// recent `pipeline.measured` decision record for `strategy` with
-    /// the updated EWMA — so the audit log's `measured_s` reflects the
-    /// evidence the decision actually produced, not `null` until the
-    /// strategy happens to be re-chosen.
-    pub fn record_observed(
+    ///
+    /// An enabled `tel` has its most recent `pipeline.measured`
+    /// decision record for `strategy` backfilled with the updated EWMA
+    /// — so the audit log's `measured_s` reflects the evidence the
+    /// decision actually produced, not `null` until the strategy
+    /// happens to be re-chosen.
+    pub fn record(
         &mut self,
         f: f64,
         strategy: PipelineStrategy,
         wall_s: Seconds,
         tel: &tutel_obs::Telemetry,
     ) {
-        self.record(f, strategy, wall_s);
+        let bucket = self.bucket(f);
+        let t = normalized(wall_s, bucket.lo, f);
+        let ewma = *bucket
+            .memo
+            .tried
+            .entry(strategy)
+            .and_modify(|e| *e = MEASURED_EWMA_ALPHA * t + (1.0 - MEASURED_EWMA_ALPHA) * *e)
+            .or_insert(t);
         if tel.is_enabled() {
-            if let Some(&ewma) = self.memo(f).and_then(|m| m.tried.get(&strategy)) {
-                tel.backfill_decision("pipeline.measured", &strategy.to_string(), ewma);
-            }
+            tel.backfill_decision("pipeline.measured", &strategy.to_string(), ewma);
         }
     }
 
@@ -885,6 +807,7 @@ impl MeasuredStrategySearch {
 mod tests {
     use super::*;
     use tutel_comm::World;
+    use tutel_obs::Telemetry;
 
     fn model(world_size: usize) -> PipelineTimeModel {
         PipelineTimeModel::new(CollectiveTiming::new(World::azure(world_size)))
@@ -948,7 +871,7 @@ mod tests {
         // with large messages, linear is competitive; at 2,048 GPUs the
         // payload chunks are tiny and 2DH must win.
         let dims = LayerDims::figure23();
-        let (best_big, _) = model(2048).best_strategy(&dims);
+        let (best_big, _) = model(2048).best_strategy(&dims, &Telemetry::disabled());
         assert_eq!(
             best_big.algo,
             AllToAllAlgo::TwoDh,
@@ -956,7 +879,7 @@ mod tests {
         );
         let mut small = dims;
         small.tokens = 65536; // huge per-GPU payload at 16 GPUs
-        let (best_small, _) = model(16).best_strategy(&small);
+        let (best_small, _) = model(16).best_strategy(&small, &Telemetry::disabled());
         assert_eq!(
             best_small.algo,
             AllToAllAlgo::Linear,
@@ -1013,62 +936,10 @@ mod tests {
     }
 
     #[test]
-    fn msccl_with_protocol_choice_beats_ncclapi_2dh() {
-        let m = model(256);
-        let dims = LayerDims::figure23();
-        let nccl = m.step_time(
-            &dims,
-            PipelineStrategy {
-                algo: AllToAllAlgo::TwoDh,
-                degree: 2,
-            },
-        );
-        let msccl = m
-            .two_dh_msccl_time(&dims, 2, Protocol::Simple)
-            .min(m.two_dh_msccl_time(&dims, 2, Protocol::Ll128));
-        assert!(msccl < nccl);
-    }
-
-    #[test]
-    fn compute_scale_reprices_the_strategy_search() {
-        // SIMD-accelerated experts shrink compute relative to comm;
-        // the modeled optimum must move for some workload in the
-        // Figure 22/23 family (typically to a lower overlap degree —
-        // there is less compute left to hide the All-to-All behind).
-        let base = model(64);
-        let fast = model(64).with_compute_scale(0.25);
-        let mut flipped = None;
-        'outer: for tokens in [256usize, 1024, 4096, 16384, 65536] {
-            for hidden in [1024usize, 2048, 4096, 8192] {
-                let dims = LayerDims {
-                    tokens,
-                    model_dim: 2048,
-                    hidden_dim: hidden,
-                    local_experts: 2,
-                    k: 2,
-                    capacity_factor: 1.0,
-                };
-                let (b, _) = base.best_strategy(&dims);
-                let (f, _) = fast.best_strategy(&dims);
-                if b != f {
-                    flipped = Some((dims, b, f));
-                    break 'outer;
-                }
-            }
-        }
-        let (dims, slow_best, fast_best) =
-            flipped.expect("4x faster compute must re-rank some strategy");
-        assert_ne!(slow_best, fast_best);
-        // Sanity: the scaled model still prices the scaled winner best.
-        let (again, _) = fast.best_strategy(&dims);
-        assert_eq!(again, fast_best);
-    }
-
-    #[test]
     fn pipeline_decision_records_carry_precision() {
         let m = model(64).with_precision(tutel_tensor::Precision::Bf16);
-        let tel = tutel_obs::Telemetry::enabled();
-        let _ = m.best_strategy_observed(&figure22_dims(), &tel);
+        let tel = Telemetry::enabled();
+        let _ = m.best_strategy(&figure22_dims(), &tel);
         let decisions = tel.decisions();
         assert_eq!(decisions.len(), 1);
         assert_eq!(decisions[0].precision.as_deref(), Some("bf16"));
@@ -1081,7 +952,7 @@ mod tests {
         let mut search = OnlineStrategySearch::new(1.0);
         let mut seen = std::collections::HashSet::new();
         for _ in 0..PipelineStrategy::all().len() {
-            let s = search.next_strategy(2.0);
+            let s = search.next_strategy(2.0, &Telemetry::disabled());
             assert!(seen.insert(s), "strategy {s} repeated during exploration");
             search.record(2.0, s, 1.0);
         }
@@ -1099,10 +970,10 @@ mod tests {
             }
         };
         for _ in 0..16 {
-            let s = search.next_strategy(3.1);
+            let s = search.next_strategy(3.1, &Telemetry::disabled());
             search.record(3.1, s, oracle(s));
         }
-        let s = search.next_strategy(3.1);
+        let s = search.next_strategy(3.1, &Telemetry::disabled());
         assert_eq!(
             s,
             PipelineStrategy {
@@ -1115,15 +986,15 @@ mod tests {
     #[test]
     fn close_factors_share_a_bucket_far_ones_do_not() {
         let mut search = OnlineStrategySearch::new(1.0);
-        let s = search.next_strategy(1.0);
+        let s = search.next_strategy(1.0, &Telemetry::disabled());
         search.record(1.0, s, 1.0);
-        search.next_strategy(1.5);
+        search.next_strategy(1.5, &Telemetry::disabled());
         assert_eq!(
             search.num_buckets(),
             1,
             "1.0 and 1.5 share a bucket of length 1"
         );
-        search.next_strategy(4.0);
+        search.next_strategy(4.0, &Telemetry::disabled());
         assert_eq!(search.num_buckets(), 2, "4.0 starts a new bucket");
         assert_eq!(search.known_factors(), 3);
     }
@@ -1136,10 +1007,10 @@ mod tests {
         let mut search = OnlineStrategySearch::new(1.0);
         let oracle = |s: PipelineStrategy| if s.degree == 4 { 0.5 } else { 1.5 };
         for _ in 0..8 {
-            let s = search.next_strategy(1.0);
+            let s = search.next_strategy(1.0, &Telemetry::disabled());
             search.record(1.0, s, oracle(s));
         }
-        let s = search.next_strategy(1.4);
+        let s = search.next_strategy(1.4, &Telemetry::disabled());
         assert_eq!(
             s.degree, 4,
             "bucket must transfer the f=1.0 optimum to f=1.4"
@@ -1151,20 +1022,20 @@ mod tests {
         let mut search = OnlineStrategySearch::new(2.0);
         // Bucket [1.0, 3.0] converges on degree 8...
         for _ in 0..8 {
-            let s = search.next_strategy(1.0);
+            let s = search.next_strategy(1.0, &Telemetry::disabled());
             search.record(1.0, s, if s.degree == 8 { 0.1 } else { 1.0 });
         }
-        assert_eq!(search.next_strategy(1.0).degree, 8);
+        assert_eq!(search.next_strategy(1.0, &Telemetry::disabled()).degree, 8);
         // ...while f = 5.0 opens a fresh bucket, explores on its own,
         // and converges to its own optimum.
         for _ in 0..8 {
-            let s = search.next_strategy(5.0);
+            let s = search.next_strategy(5.0, &Telemetry::disabled());
             search.record(5.0, s, if s.degree == 1 { 0.05 } else { 0.9 });
         }
         assert_eq!(search.num_buckets(), 2);
-        assert_eq!(search.next_strategy(5.0).degree, 1);
+        assert_eq!(search.next_strategy(5.0, &Telemetry::disabled()).degree, 1);
         // The first bucket's knowledge is unaffected.
-        assert_eq!(search.next_strategy(1.0).degree, 8);
+        assert_eq!(search.next_strategy(1.0, &Telemetry::disabled()).degree, 8);
     }
 
     #[test]
@@ -1180,8 +1051,8 @@ mod tests {
         let m = model(64);
         let dims = figure22_dims();
         let mut search = MeasuredStrategySearch::new(0.5, m);
-        let first = search.next_strategy(&dims);
-        let (model_best, _) = m.best_strategy(&dims);
+        let first = search.next_strategy(&dims, &Telemetry::disabled());
+        let (model_best, _) = m.best_strategy(&dims, &Telemetry::disabled());
         assert_eq!(
             first, model_best,
             "the first probe must be the model's favorite"
@@ -1205,12 +1076,12 @@ mod tests {
             }
         };
         for _ in 0..PipelineStrategy::all().len() {
-            let s = search.next_strategy(&dims);
+            let s = search.next_strategy(&dims, &Telemetry::disabled());
             assert!(!search.converged(f));
-            search.record(f, s, measured_oracle(s));
+            search.record(f, s, measured_oracle(s), &Telemetry::disabled());
         }
         assert!(search.converged(f));
-        let chosen = search.next_strategy(&dims);
+        let chosen = search.next_strategy(&dims, &Telemetry::disabled());
         assert_eq!(
             chosen,
             PipelineStrategy {
@@ -1229,14 +1100,14 @@ mod tests {
         let m = model(64);
         let dims = figure22_dims();
         let f = dims.capacity_factor;
-        let mut search = MeasuredStrategySearch::new(0.5, m).with_alpha(0.5);
+        let mut search = MeasuredStrategySearch::new(0.5, m);
         let a = PipelineStrategy::baseline();
-        search.record(f, a, 1.0);
-        search.record(f, a, 2.0);
+        search.record(f, a, 1.0, &Telemetry::disabled());
+        search.record(f, a, 2.0, &Telemetry::disabled());
         let (_, t) = search.measured_best(f).expect("one strategy measured");
         assert!(
-            (t - 1.5).abs() < 1e-12,
-            "EWMA(α=0.5) of [1, 2] is 1.5, got {t}"
+            (t - 1.4).abs() < 1e-12,
+            "EWMA(α=0.4) of [1, 2] is 1.4, got {t}"
         );
     }
 
@@ -1247,13 +1118,13 @@ mod tests {
         let mut search = MeasuredStrategySearch::new(1.0, m);
         // 1.1 and 1.9 share cell [1, 2); 2.1 opens a new one.
         dims.capacity_factor = 1.1;
-        let probe = search.next_strategy(&dims);
-        search.record(1.1, probe, 1.0);
+        let probe = search.next_strategy(&dims, &Telemetry::disabled());
+        search.record(1.1, probe, 1.0, &Telemetry::disabled());
         dims.capacity_factor = 1.9;
-        let _ = search.next_strategy(&dims);
+        let _ = search.next_strategy(&dims, &Telemetry::disabled());
         assert_eq!(search.num_buckets(), 1);
         dims.capacity_factor = 2.1;
-        let _ = search.next_strategy(&dims);
+        let _ = search.next_strategy(&dims, &Telemetry::disabled());
         assert_eq!(search.num_buckets(), 2);
     }
 
@@ -1264,11 +1135,11 @@ mod tests {
         let f = dims.capacity_factor;
         let mut search = MeasuredStrategySearch::new(0.5, m);
         for _ in 0..PipelineStrategy::all().len() {
-            let s = search.next_strategy(&dims);
-            search.record(f, s, 0.003);
+            let s = search.next_strategy(&dims, &Telemetry::disabled());
+            search.record(f, s, 0.003, &Telemetry::disabled());
         }
-        let tel = tutel_obs::Telemetry::enabled();
-        let chosen = search.next_strategy_observed(&dims, &tel);
+        let tel = Telemetry::enabled();
+        let chosen = search.next_strategy(&dims, &tel);
         let decisions = tel.decisions();
         let rec = decisions
             .iter()
@@ -1288,29 +1159,29 @@ mod tests {
         let dims = figure22_dims();
         let f = dims.capacity_factor;
         let mut search = MeasuredStrategySearch::new(0.5, m);
-        let tel = tutel_obs::Telemetry::enabled();
+        let tel = Telemetry::enabled();
 
         // First probe: no EWMA exists yet, so the record is emitted
         // with measured_s = None...
-        let s0 = search.next_strategy_observed(&dims, &tel);
+        let s0 = search.next_strategy(&dims, &tel);
         assert!(tel.decisions()[0].measured_s.is_none());
         // ...until the executed iteration reports back and backfills.
-        search.record_observed(f, s0, 0.004, &tel);
+        search.record(f, s0, 0.004, &tel);
         let backfilled = tel.decisions()[0]
             .measured_s
-            .expect("record_observed backfills measured_s");
+            .expect("record backfills measured_s");
         assert!(backfilled > 0.0);
 
         // An attributed cause rides the next decision record, once.
         search.attribute("straggler: rank 2");
-        let _ = search.next_strategy_observed(&dims, &tel);
+        let _ = search.next_strategy(&dims, &tel);
         let decisions = tel.decisions();
         assert_eq!(
             decisions[1].cause.as_deref(),
             Some("straggler: rank 2"),
             "attributed cause lands on the next record"
         );
-        let _ = search.next_strategy_observed(&dims, &tel);
+        let _ = search.next_strategy(&dims, &tel);
         assert!(
             tel.decisions()[2].cause.is_none(),
             "cause is consumed, not sticky"

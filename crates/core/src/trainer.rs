@@ -85,19 +85,6 @@ pub struct TrainStats {
     pub needed_factor_trace: Vec<Vec<f64>>,
 }
 
-/// Trains `model` on `dataset` in place and returns the run's stats.
-///
-/// # Errors
-///
-/// As [`train_observed`].
-pub fn train(
-    model: &mut SwinLiteMoe,
-    dataset: &SyntheticVision,
-    cfg: &TrainConfig,
-) -> Result<TrainStats, TensorError> {
-    train_observed(model, dataset, cfg, &tutel_obs::Telemetry::disabled())
-}
-
 /// Copies the cumulative `tutel-rt` pool and arena counters into a
 /// telemetry-friendly snapshot (see [`tutel_obs::runtime`]).
 pub fn runtime_snapshot() -> tutel_obs::RuntimeSnapshot {
@@ -115,18 +102,20 @@ pub fn runtime_snapshot() -> tutel_obs::RuntimeSnapshot {
     }
 }
 
-/// [`train`] with a telemetry handle: attaches `tel` to the model's
-/// MoE layers and emits one [`tutel_obs::StepRecord`] per step —
-/// loss, learning rate, summed aux loss, per-layer needed factors,
-/// element-wise summed expert load, dropped-token total, and the
-/// per-stage durations the layer spans accumulated during the step.
+/// Trains `model` on `dataset` in place and returns the run's stats.
+///
+/// Attaches `tel` to the model's MoE layers; an enabled handle gets one
+/// [`tutel_obs::StepRecord`] per step — loss, learning rate, summed aux
+/// loss, per-layer needed factors, element-wise summed expert load,
+/// dropped-token total, and the per-stage durations the layer spans
+/// accumulated during the step.
 ///
 /// # Errors
 ///
 /// Returns a [`TensorError`] when a forward or backward pass fails,
 /// e.g. when the model's input shape does not match the dataset's
 /// samples (`in_channels` vs `channels`, tokens per sample).
-pub fn train_observed(
+pub fn train(
     model: &mut SwinLiteMoe,
     dataset: &SyntheticVision,
     cfg: &TrainConfig,
@@ -292,6 +281,7 @@ mod tests {
     use super::*;
     use crate::model::SwinLiteConfig;
     use crate::MoeConfig;
+    use tutel_obs::Telemetry;
 
     fn quick_setup(moe: bool) -> (SwinLiteMoe, SyntheticVision) {
         let mut cfg = SwinLiteConfig::new(8, 4, 3);
@@ -344,7 +334,7 @@ mod tests {
                 floor_fraction: 0.05,
             },
         };
-        let stats = train(&mut model, &ds, &cfg).unwrap();
+        let stats = train(&mut model, &ds, &cfg, &Telemetry::disabled()).unwrap();
         assert!(stats.final_loss.is_finite());
         assert!(stats.final_loss < stats.loss_curve[0] * 1.2);
     }
@@ -359,7 +349,7 @@ mod tests {
             seed: 1,
             ..TrainConfig::default()
         };
-        let stats = train(&mut model, &ds, &cfg).unwrap();
+        let stats = train(&mut model, &ds, &cfg, &Telemetry::disabled()).unwrap();
         assert_eq!(stats.loss_curve.len(), 30);
         assert_eq!(stats.needed_factor_trace.len(), 30);
         assert_eq!(stats.needed_factor_trace[0].len(), 1);
@@ -377,8 +367,8 @@ mod tests {
             seed: 2,
             ..TrainConfig::default()
         };
-        let s1 = train(&mut m1, &ds, &cfg).unwrap();
-        let s2 = train(&mut m2, &ds, &cfg).unwrap();
+        let s1 = train(&mut m1, &ds, &cfg, &Telemetry::disabled()).unwrap();
+        let s2 = train(&mut m2, &ds, &cfg, &Telemetry::disabled()).unwrap();
         assert_eq!(s1.loss_curve, s2.loss_curve);
     }
 
@@ -417,7 +407,7 @@ mod tests {
             seed: 4,
             ..TrainConfig::default()
         };
-        train(&mut model, &ds, &cfg).unwrap();
+        train(&mut model, &ds, &cfg, &Telemetry::disabled()).unwrap();
         let acc = few_shot_linear_eval(&model, &ds, 5, 5).unwrap();
         assert!(acc > 0.45, "few-shot accuracy {acc} (chance 0.33)");
     }
@@ -435,7 +425,7 @@ mod tests {
                 ..TrainConfig::default()
             };
             assert!(matches!(
-                train(&mut model, &ds, &cfg),
+                train(&mut model, &ds, &cfg, &Telemetry::disabled()),
                 Err(TensorError::ShapeMismatch { .. })
             ));
             assert!(evaluate(&model, &ds, 1, 3).is_err());

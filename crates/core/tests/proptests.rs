@@ -5,6 +5,7 @@
 use proptest::prelude::*;
 use tutel::pipeline::{OnlineStrategySearch, PipelineStrategy};
 use tutel::{MoeConfig, MoeLayer};
+use tutel_obs::Telemetry;
 use tutel_tensor::Rng;
 
 proptest! {
@@ -18,7 +19,7 @@ proptest! {
         let mut search = OnlineStrategySearch::new(bucket_len);
         let space = PipelineStrategy::all();
         for (i, &f) in fs.iter().enumerate() {
-            let s = search.next_strategy(f);
+            let s = search.next_strategy(f, &Telemetry::disabled());
             prop_assert!(space.contains(&s), "returned an out-of-space strategy");
             // Synthetic measurement: deterministic in (f, s).
             let t = 1.0 + (s.degree as f64) * (f % 1.7) + if i % 3 == 0 { 0.1 } else { 0.0 };
@@ -37,11 +38,11 @@ proptest! {
         let best = space[best_idx];
         let mut search = OnlineStrategySearch::new(1.0);
         for _ in 0..=space.len() {
-            let s = search.next_strategy(f);
+            let s = search.next_strategy(f, &Telemetry::disabled());
             let t = if s == best { 1.0 } else { 2.0 };
             search.record(f, s, t);
         }
-        prop_assert_eq!(search.next_strategy(f), best);
+        prop_assert_eq!(search.next_strategy(f, &Telemetry::disabled()), best);
     }
 
     #[test]

@@ -83,11 +83,6 @@ impl ExpertPlacement {
         }
     }
 
-    /// Local experts per GPU, as a (possibly fractional) `ΔE`.
-    pub fn local_experts_fraction(&self) -> f64 {
-        self.global_experts() as f64 / self.world as f64
-    }
-
     /// GPUs into which each expert is sharded (1 when unsharded) —
     /// "n-sharded" in the paper's P2 description.
     pub fn shards_per_expert(&self) -> usize {
@@ -163,7 +158,6 @@ mod tests {
         assert_eq!(p.owners_of(3), vec![6, 7]);
         assert_eq!(p.experts_on(5), vec![2]);
         assert_eq!(p.shards_per_expert(), 2);
-        assert!((p.local_experts_fraction() - 0.5).abs() < 1e-12);
     }
 
     #[test]

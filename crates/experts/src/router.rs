@@ -109,6 +109,7 @@ impl MoeDims {
 /// ```
 /// use tutel_comm::{CollectiveTiming, World};
 /// use tutel_experts::{InlineParallelismRouter, MoeDims, Parallelism};
+/// use tutel_obs::Telemetry;
 ///
 /// let router = InlineParallelismRouter::new(CollectiveTiming::new(World::azure(8)));
 /// let mut dims = MoeDims {
@@ -117,10 +118,10 @@ impl MoeDims {
 ///     weight_precision: tutel_tensor::Precision::F32,
 /// };
 /// // Small workload: avoid moving the big expert weights → P2.
-/// assert_eq!(router.choose(&dims), Parallelism::P2);
+/// assert_eq!(router.choose(&dims, &Telemetry::disabled()), Parallelism::P2);
 /// // 16× the workload: token traffic dominates → P1.
 /// dims.capacity_factor = 16.0;
-/// assert_eq!(router.choose(&dims), Parallelism::P1);
+/// assert_eq!(router.choose(&dims, &Telemetry::disabled()), Parallelism::P1);
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct InlineParallelismRouter {
@@ -181,15 +182,10 @@ impl InlineParallelismRouter {
         a2a + local
     }
 
-    /// Picks the cheaper strategy for this iteration's dimensions.
-    pub fn choose(&self, dims: &MoeDims) -> Parallelism {
-        self.choose_observed(dims, &tutel_obs::Telemetry::disabled())
-    }
-
-    /// [`InlineParallelismRouter::choose`] that also appends an
-    /// adaptive-decision audit record (both candidate costs and the
-    /// winner) to `tel`.
-    pub fn choose_observed(&self, dims: &MoeDims, tel: &tutel_obs::Telemetry) -> Parallelism {
+    /// Picks the cheaper strategy for this iteration's dimensions, and
+    /// appends an adaptive-decision audit record (both candidate costs
+    /// and the winner) to `tel` when it is enabled.
+    pub fn choose(&self, dims: &MoeDims, tel: &tutel_obs::Telemetry) -> Parallelism {
         let p1 = self.p1_cost(dims);
         let p2 = self.p2_cost(dims);
         let choice = if p1 <= p2 {
@@ -231,6 +227,7 @@ impl InlineParallelismRouter {
 mod tests {
     use super::*;
     use tutel_comm::World;
+    use tutel_obs::Telemetry;
 
     fn router() -> InlineParallelismRouter {
         InlineParallelismRouter::new(CollectiveTiming::new(World::azure(8)))
@@ -253,13 +250,19 @@ mod tests {
     fn small_f_prefers_p2_large_f_prefers_p1() {
         // Table 5a setting: E2, S2K, V8K, sweep f.
         let r = router();
-        assert_eq!(r.choose(&dims(2, 2048, 8192, 1.0)), Parallelism::P2);
-        assert_eq!(r.choose(&dims(2, 2048, 8192, 16.0)), Parallelism::P1);
+        assert_eq!(
+            r.choose(&dims(2, 2048, 8192, 1.0), &Telemetry::disabled()),
+            Parallelism::P2
+        );
+        assert_eq!(
+            r.choose(&dims(2, 2048, 8192, 16.0), &Telemetry::disabled()),
+            Parallelism::P1
+        );
         // The choice flips exactly once as f grows.
         let mut flips = 0;
-        let mut last = r.choose(&dims(2, 2048, 8192, 0.5));
+        let mut last = r.choose(&dims(2, 2048, 8192, 0.5), &Telemetry::disabled());
         for i in 1..64 {
-            let cur = r.choose(&dims(2, 2048, 8192, 0.5 * i as f64));
+            let cur = r.choose(&dims(2, 2048, 8192, 0.5 * i as f64), &Telemetry::disabled());
             if cur != last {
                 flips += 1;
                 last = cur;
@@ -272,16 +275,28 @@ mod tests {
     fn large_tokens_prefer_p1() {
         // Table 5b: f1,E2,S16K,V2K and S32K → P1.
         let r = router();
-        assert_eq!(r.choose(&dims(2, 16384, 2048, 1.0)), Parallelism::P1);
-        assert_eq!(r.choose(&dims(2, 32768, 2048, 1.0)), Parallelism::P1);
+        assert_eq!(
+            r.choose(&dims(2, 16384, 2048, 1.0), &Telemetry::disabled()),
+            Parallelism::P1
+        );
+        assert_eq!(
+            r.choose(&dims(2, 32768, 2048, 1.0), &Telemetry::disabled()),
+            Parallelism::P1
+        );
     }
 
     #[test]
     fn large_hidden_dim_prefers_p2() {
         // Table 5b: f1,E4,S1K,V4K / V8K → P2 (parameter traffic hurts P1).
         let r = router();
-        assert_eq!(r.choose(&dims(4, 1024, 4096, 1.0)), Parallelism::P2);
-        assert_eq!(r.choose(&dims(4, 1024, 8192, 1.0)), Parallelism::P2);
+        assert_eq!(
+            r.choose(&dims(4, 1024, 4096, 1.0), &Telemetry::disabled()),
+            Parallelism::P2
+        );
+        assert_eq!(
+            r.choose(&dims(4, 1024, 8192, 1.0), &Telemetry::disabled()),
+            Parallelism::P2
+        );
     }
 
     #[test]
@@ -289,8 +304,14 @@ mod tests {
         // Table 5b: f1,E4,S4K,V8K → P2 but f1,E1,S4K,V8K → P1, because
         // E = 1 forces 8-way sharding (8× token replication).
         let r = router();
-        assert_eq!(r.choose(&dims(4, 4096, 8192, 1.0)), Parallelism::P2);
-        assert_eq!(r.choose(&dims(1, 4096, 8192, 1.0)), Parallelism::P1);
+        assert_eq!(
+            r.choose(&dims(4, 4096, 8192, 1.0), &Telemetry::disabled()),
+            Parallelism::P2
+        );
+        assert_eq!(
+            r.choose(&dims(1, 4096, 8192, 1.0), &Telemetry::disabled()),
+            Parallelism::P1
+        );
     }
 
     #[test]
@@ -302,7 +323,7 @@ mod tests {
         let d = dims(8, 4096, 4096, 1.0);
         assert_eq!(d.shards(), 1);
         assert!((r.p1_cost(&d) - r.p2_cost(&d)).abs() < 1e-12);
-        assert_eq!(r.choose(&d), Parallelism::P1);
+        assert_eq!(r.choose(&d, &Telemetry::disabled()), Parallelism::P1);
     }
 
     #[test]
@@ -316,9 +337,9 @@ mod tests {
         for i in 1..256 {
             let f = 0.125 * i as f64;
             let mut d = dims(2, 2048, 8192, f);
-            let f32_choice = r.choose(&d);
+            let f32_choice = r.choose(&d, &Telemetry::disabled());
             d.weight_precision = Precision::Bf16;
-            let bf16_choice = r.choose(&d);
+            let bf16_choice = r.choose(&d, &Telemetry::disabled());
             if f32_choice == Parallelism::P2 && bf16_choice == Parallelism::P1 {
                 flipped_at = Some(f);
                 break;
@@ -333,11 +354,11 @@ mod tests {
         // The audit trail shows the flip: same dims, two precision
         // modes, two different winners — each record tagged with the
         // price book it used.
-        let tel = tutel_obs::Telemetry::enabled();
+        let tel = Telemetry::enabled();
         let mut d = dims(2, 2048, 8192, f);
-        assert_eq!(r.choose_observed(&d, &tel), Parallelism::P2);
+        assert_eq!(r.choose(&d, &tel), Parallelism::P2);
         d.weight_precision = Precision::Bf16;
-        assert_eq!(r.choose_observed(&d, &tel), Parallelism::P1);
+        assert_eq!(r.choose(&d, &tel), Parallelism::P1);
         let decisions = tel.decisions();
         assert_eq!(decisions.len(), 2);
         assert_eq!(decisions[0].precision.as_deref(), Some("f32"));
@@ -357,7 +378,7 @@ mod tests {
         let r = router();
         for f in [0.5, 1.0, 2.0, 4.0, 8.0, 16.0] {
             let d = dims(2, 2048, 8192, f);
-            let best = r.choose(&d);
+            let best = r.choose(&d, &Telemetry::disabled());
             assert!(r.cost_of(best, &d) <= r.cost_of(Parallelism::P1, &d) + 1e-15);
             assert!(r.cost_of(best, &d) <= r.cost_of(Parallelism::P2, &d) + 1e-15);
         }

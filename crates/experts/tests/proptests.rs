@@ -7,6 +7,7 @@ use tutel_experts::{
     rank_blocks, shard_sum, ExpertPlacement, ExpertsBlock, InlineParallelismRouter, MoeDims,
     Parallelism, ShardedExpertParams,
 };
+use tutel_obs::Telemetry;
 use tutel_tensor::Rng;
 
 proptest! {
@@ -99,7 +100,7 @@ proptest! {
             hidden_dim: 1 << hidden_pow,
             weight_precision: tutel_tensor::Precision::F32,
         };
-        let choice = router.choose(&dims);
+        let choice = router.choose(&dims, &Telemetry::disabled());
         let chosen = router.cost_of(choice, &dims);
         prop_assert!(chosen <= router.p1_cost(&dims) + 1e-15);
         prop_assert!(chosen <= router.p2_cost(&dims) + 1e-15);

@@ -20,7 +20,8 @@
 
 use tutel::overlap::exchange_bins;
 use tutel::step;
-use tutel_comm::runtime::{run_threaded, run_threaded_traced, Communicator};
+use tutel_comm::runtime::Communicator;
+use tutel_comm::RankGroup;
 use tutel_experts::{rank_blocks, shard_sum, ExpertsBlock};
 use tutel_gate::{aux_loss, RaggedRouting};
 use tutel_obs::trace::{TraceHub, TRACK_MAIN};
@@ -53,10 +54,7 @@ pub fn run_distributed(
     let cfg = *cfg;
     let program =
         move |comm| with_parallelism_limit(cfg.threads, || run_rank(problem, fixture, &cfg, comm));
-    match hub {
-        Some(hub) => run_threaded_traced(topo, hub, program),
-        None => run_threaded(topo, program),
-    }
+    RankGroup::new(topo, None, hub).run_once(program)
 }
 
 fn run_rank(

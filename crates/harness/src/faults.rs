@@ -23,9 +23,9 @@
 
 use std::time::{Duration, Instant};
 
-use tutel_comm::runtime::{run_threaded, run_threaded_reliable, Communicator};
-use tutel_comm::sched::run_sched_faulty;
-use tutel_comm::{CommError, FaultPlan, ReliableConfig, RetryPolicy};
+use tutel_comm::runtime::{run_threaded, Communicator};
+use tutel_comm::sched::run_sched;
+use tutel_comm::{CommError, FaultPlan, RankGroup, ReliableConfig, RetryPolicy};
 use tutel_obs::Telemetry;
 use tutel_serve::exec::{execute_step, reference_rows, StepExecutor};
 use tutel_serve::{ExecConfig, ServeError, ServeModel};
@@ -187,7 +187,8 @@ pub fn run_fault_scenarios(collective: Collective, fault_seed: u64) -> FaultRepo
     // Scenario 1: graceful degradation. A mixed recoverable plan plus
     // a retry budget must reproduce the baseline bitwise.
     let telemetry = Telemetry::enabled();
-    let recovered = run_threaded_reliable(topo, recoverable(fault_seed, 20, &telemetry), program);
+    let recovered =
+        RankGroup::new(topo, Some(recoverable(fault_seed, 20, &telemetry)), None).run_once(program);
     let recovered_identical = recovered == plain;
     let injected = injected_faults(&telemetry);
     let retransmits = retry_counter(&telemetry, "comm.retry.retransmits");
@@ -206,7 +207,7 @@ pub fn run_fault_scenarios(collective: Collective, fault_seed: u64) -> FaultRepo
         telemetry: fail_telemetry.clone(),
     };
     let started = Instant::now();
-    let failed = run_threaded_reliable(topo, fail_cfg, program);
+    let failed = RankGroup::new(topo, Some(fail_cfg), None).run_once(program);
     let bounded = started.elapsed() < Duration::from_secs(10);
     let failed_typed = failed
         .iter()
@@ -220,10 +221,10 @@ pub fn run_fault_scenarios(collective: Collective, fault_seed: u64) -> FaultRepo
         let input = fault_input(comm.rank(), world);
         collective.invoke(comm, &input)
     };
-    let (results, report) = run_sched_faulty(
+    let (results, report) = run_sched(
         topo,
         fault_seed,
-        FaultPlan::new(fault_seed).with_drops(100),
+        Some(FaultPlan::new(fault_seed).with_drops(100)),
         sched_program,
     );
     let sched_detected = report.deadlock.is_some()

@@ -254,22 +254,25 @@ mod tests {
         let mut executed = std::collections::HashSet::new();
         // The router's crossover (Table 5a): P2 at f = 1, P1 at f = 16.
         for capacity_factor in [1.0, 16.0] {
-            let strategy = router.choose(&MoeDims {
-                world: 8,
-                global_experts: 2,
-                tokens: 2048,
-                k: dims.top_k,
-                capacity_factor,
-                model_dim: 2048,
-                hidden_dim: 8192,
-                weight_precision: tutel_tensor::Precision::F32,
-            });
+            let strategy = router.choose(
+                &MoeDims {
+                    world: 8,
+                    global_experts: 2,
+                    tokens: 2048,
+                    k: dims.top_k,
+                    capacity_factor,
+                    model_dim: 2048,
+                    hidden_dim: 8192,
+                    weight_precision: tutel_tensor::Precision::F32,
+                },
+                &Telemetry::disabled(),
+            );
             let layer = LayerDims {
                 capacity_factor,
                 ..LayerDims::figure23()
             };
             for _ in 0..8 {
-                let plan = search.next_strategy(&layer);
+                let plan = search.next_strategy(&layer, &Telemetry::disabled());
                 let cfg = ExecConfig {
                     strategy,
                     algo: plan.algo,
@@ -280,7 +283,12 @@ mod tests {
                 };
                 let t0 = std::time::Instant::now();
                 let got = execute_step(&model, &cfg, &batch).unwrap();
-                search.record(capacity_factor, plan, t0.elapsed().as_secs_f64());
+                search.record(
+                    capacity_factor,
+                    plan,
+                    t0.elapsed().as_secs_f64(),
+                    &Telemetry::disabled(),
+                );
                 let mut worst = Worst::default();
                 worst.observe(got.outputs.as_slice(), reference.as_slice());
                 let v = crate::Verdict::judge(cfg, worst, (), true);

@@ -22,8 +22,7 @@
 use std::thread;
 use std::time::Duration;
 
-use tutel_comm::runtime::run_threaded_reliable_traced;
-use tutel_comm::{AllToAllAlgo, FaultPlan, ReliableConfig, RetryPolicy};
+use tutel_comm::{AllToAllAlgo, FaultPlan, RankGroup, ReliableConfig, RetryPolicy};
 use tutel_obs::trace::{TraceHub, TraceInvariants, TRACK_STREAM_COMM, TRACK_STREAM_COMPUTE};
 use tutel_obs::{analyze, Analysis, AnalyzerConfig, Telemetry, TraceEvent};
 use tutel_simgpu::Topology;
@@ -151,7 +150,7 @@ pub fn run_straggler_scenario(
         plan: Some(FaultPlan::new(seed).with_delays(100, 2).only_from(culprit)),
         telemetry: tel.clone(),
     };
-    let results = run_threaded_reliable_traced(topo, cfg, &hub, move |mut comm| {
+    let results = RankGroup::new(topo, Some(cfg), Some(&hub)).run_once(move |mut comm| {
         let sends = (0..world)
             .map(|d| vec![(comm.rank() * world + d) as f32; 2])
             .collect();

@@ -71,13 +71,6 @@ pub struct CriticalPath {
     pub phases: Vec<(String, f64)>,
 }
 
-impl CriticalPath {
-    /// The phase that bounds the step (largest exclusive share).
-    pub fn bounding_phase(&self) -> Option<&(String, f64)> {
-        self.phases.first()
-    }
-}
-
 /// The analyzer's output for one merged trace window.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Analysis {
@@ -515,7 +508,7 @@ mod tests {
         let cp = analysis.critical_path.expect("critical path");
         assert_eq!(cp.rank, 0);
         assert!((cp.wall_us - 100.0).abs() < 1e-9);
-        assert_eq!(cp.bounding_phase().map(|(n, _)| n.as_str()), Some("ffn"));
+        assert_eq!(cp.phases.first().map(|(n, _)| n.as_str()), Some("ffn"));
         let get = |name: &str| {
             cp.phases
                 .iter()

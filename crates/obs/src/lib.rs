@@ -49,7 +49,11 @@
 //! allocation, no locking. Instrumented hot paths are therefore safe
 //! to leave in release builds. `tests/route_allocs.rs` pins this as
 //! exact counts: disabled [`Telemetry`] and [`Tracer`] calls make zero
-//! heap allocations and record zero events. A count cannot see the
+//! heap allocations and record zero events. The adaptive decisions
+//! (the P1/P2 `choose`, `best_strategy`, both pipeline searches and the
+//! layer simulator's `step_time`) take the handle as a parameter, with
+//! no untraced twin; the same test pins each under a disabled handle at
+//! zero events and exactly the allocations of its own pricing. A count cannot see the
 //! branch itself. What an *enabled* handle costs is `benchmark/`'s
 //! `obs.telemetry_enabled_overhead_pct` row; no row times an enabled
 //! [`Tracer`].

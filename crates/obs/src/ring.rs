@@ -56,17 +56,6 @@ impl<T> RingBuffer<T> {
         self.dropped.load(Ordering::Relaxed)
     }
 
-    /// Removes and returns all retained items, oldest first. The drop
-    /// counter is left untouched (it counts lifetime evictions, not
-    /// takes).
-    pub fn take(&self) -> Vec<T> {
-        self.items
-            .lock()
-            .expect("ring poisoned")
-            .drain(..)
-            .collect()
-    }
-
     /// Scans retained items newest-first, applying `f` until it
     /// returns `Some`; that value is returned. Used to patch the most
     /// recent matching record in place (e.g. backfilling a decision's
@@ -113,17 +102,6 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn rejects_zero_capacity() {
         let _ = RingBuffer::<u8>::new(0);
-    }
-
-    #[test]
-    fn take_drains_but_keeps_drop_counter() {
-        let ring = RingBuffer::new(2);
-        for i in 0..3 {
-            ring.push(i);
-        }
-        assert_eq!(ring.take(), vec![1, 2]);
-        assert!(ring.is_empty());
-        assert_eq!(ring.dropped(), 1);
     }
 
     #[test]

@@ -318,13 +318,6 @@ impl Tracer {
         Tracer { inner: None }
     }
 
-    /// An enabled standalone tracer with its own epoch — fine for
-    /// single-rank use; multi-rank runs should share a [`TraceHub`]
-    /// epoch instead.
-    pub fn for_rank(rank: usize) -> Tracer {
-        Tracer::with_epoch(rank, Instant::now(), DEFAULT_TRACE_CAPACITY)
-    }
-
     fn with_epoch(rank: usize, epoch: Instant, cap: usize) -> Tracer {
         Tracer {
             inner: Some(Arc::new(TracerInner {
@@ -456,15 +449,6 @@ impl Tracer {
         }
     }
 
-    /// Drains the ring (for per-step online analysis), returning this
-    /// step's events and leaving the tracer armed for the next step.
-    pub fn drain(&self) -> Vec<TraceEvent> {
-        match &self.inner {
-            Some(inner) => inner.ring.take(),
-            None => Vec::new(),
-        }
-    }
-
     /// Writes this rank's buffer as JSONL: a `trace_meta` header
     /// carrying the rank and the ring's drop counter, then one event
     /// per line, oldest first.
@@ -576,22 +560,6 @@ impl TraceHub {
     /// Merges all ranks' current buffers (non-destructively).
     pub fn merged(&self) -> MergedTrace {
         MergedTrace::from_ranks(self.tracers.iter().map(Tracer::rank_trace).collect())
-    }
-
-    /// Drains all ranks' buffers into a merged trace — the per-step
-    /// form: analyze this step's window, leave the rings empty for the
-    /// next one.
-    pub fn drain_merged(&self) -> MergedTrace {
-        MergedTrace::from_ranks(
-            self.tracers
-                .iter()
-                .map(|t| RankTrace {
-                    rank: t.rank().unwrap_or(0),
-                    dropped: t.dropped(),
-                    events: t.drain(),
-                })
-                .collect(),
-        )
     }
 
     /// Writes each rank's buffer to `{prefix}.rank{r}.jsonl`.
@@ -1130,7 +1098,7 @@ mod tests {
 
     #[test]
     fn jsonl_roundtrip_preserves_events() {
-        let tr = Tracer::for_rank(3);
+        let tr = TraceHub::new(4).tracer(3);
         tr.span_at_args(TRACK_STREAM_COMM, "dispatch", 10.0, 25.5, &[("chunk", 2.0)]);
         tr.instant(TRACK_COMM, "2dh.promote");
         tr.flow_send(0, 9, 1, FlowKind::Retry, 16);
@@ -1216,16 +1184,6 @@ mod tests {
         assert!(json.contains("rank 1"), "{json}");
         // Loadable means parseable; round-trip through our own parser.
         assert!(Value::parse(&json).is_ok());
-    }
-
-    #[test]
-    fn drain_empties_the_ring() {
-        let hub = TraceHub::new(1);
-        hub.tracer(0).instant(TRACK_MAIN, "a");
-        let step1 = hub.drain_merged();
-        assert_eq!(step1.ranks[0].events.len(), 1);
-        let step2 = hub.drain_merged();
-        assert!(step2.ranks[0].events.is_empty());
     }
 
     #[test]

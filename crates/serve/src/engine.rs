@@ -192,11 +192,6 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Whether any work remains anywhere in the pipeline.
-    pub fn has_work(&self) -> bool {
-        !self.queue.is_empty() || !self.batcher.is_idle()
-    }
-
     /// Advances the loop by one event — an admission wait or an
     /// executed step — and returns the ids of requests that completed
     /// during it. Returns `Ok(false)` when no work remains.

@@ -9,9 +9,6 @@
 /// Bytes per MiB.
 pub const MIB: f64 = 1024.0 * 1024.0;
 
-/// Bytes per GiB.
-pub const GIB: f64 = 1024.0 * MIB;
-
 /// Peak dense GEMM throughput, FLOP/s.
 ///
 /// Anchor: A100 BF16 tensor-core peak is 312 TFLOP/s; sustained

@@ -88,15 +88,6 @@ impl Timeline {
         EventId(self.ops.len() - 1)
     }
 
-    /// Start time of an event.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id is invalid.
-    pub fn start_of(&self, id: EventId) -> Seconds {
-        self.ops[id.0].start
-    }
-
     /// Completion time of the whole schedule (0 when empty).
     pub fn makespan(&self) -> Seconds {
         self.ops.iter().map(|o| o.finish).fold(0.0, f64::max)
@@ -178,8 +169,7 @@ mod tests {
     fn dependencies_cross_streams() {
         let mut tl = Timeline::new();
         let a = tl.push(COMM, 2.0, &[]);
-        let b = tl.push(COMP, 3.0, &[a]);
-        assert_eq!(tl.start_of(b), 2.0);
+        tl.push(COMP, 3.0, &[a]);
         assert_eq!(tl.makespan(), 5.0);
     }
 

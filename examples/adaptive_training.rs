@@ -85,7 +85,7 @@ fn main() {
         };
         // Algorithm 2: pick a strategy, "measure" it on the simulator,
         // feed the measurement back.
-        let strategy = search.next_strategy_observed(f, &tel);
+        let strategy = search.next_strategy(f, &tel);
         let t = time_model.step_time(&dims, strategy);
         search.record(f, strategy, t);
         // The functional layer never moves real bytes, so the two
@@ -109,7 +109,7 @@ fn main() {
             hidden_dim: 4096,
             weight_precision: tutel_suite::tensor::Precision::F32,
         };
-        let choice = par_router.choose_observed(&pdims, &tel);
+        let choice = par_router.choose(&pdims, &tel);
 
         if tel.is_enabled() {
             let mut expert_load: Vec<u64> = Vec::new();
@@ -149,7 +149,7 @@ fn main() {
         search.known_factors(),
         search.num_buckets()
     );
-    let final_strategy = search.next_strategy(1.0);
+    let final_strategy = search.next_strategy(1.0, &Telemetry::disabled());
     println!("converged strategy for f=1.0: {final_strategy}");
 
     // Final compute-runtime counters (pool utilization, steal counts,

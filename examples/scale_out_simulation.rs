@@ -5,6 +5,7 @@
 //! Run with: `cargo run --release --example scale_out_simulation`
 
 use tutel_suite::comm::{A2aImpl, CollectiveTiming, World};
+use tutel_suite::obs::Telemetry;
 use tutel_suite::simgpu::Protocol;
 use tutel_suite::tutel::adaptive::{FeatureSet, MoeLayerSimulator};
 use tutel_suite::tutel::pipeline::LayerDims;
@@ -37,11 +38,23 @@ fn main() {
     );
     for w in [16usize, 64, 256, 1024, 2048] {
         let sim = MoeLayerSimulator::azure(w);
-        let base = sim.step_time(&dims, FeatureSet::fairseq_baseline());
-        let k = sim.step_time(&dims, FeatureSet::kernels());
-        let p = sim.step_time(&dims, FeatureSet::kernels_pipelining());
-        let f = sim.step_time(&dims, FeatureSet::kernels_pipelining_flex());
-        let full = sim.step_time(&dims, FeatureSet::full());
+        let base = sim.step_time(
+            &dims,
+            FeatureSet::fairseq_baseline(),
+            &Telemetry::disabled(),
+        );
+        let k = sim.step_time(&dims, FeatureSet::kernels(), &Telemetry::disabled());
+        let p = sim.step_time(
+            &dims,
+            FeatureSet::kernels_pipelining(),
+            &Telemetry::disabled(),
+        );
+        let f = sim.step_time(
+            &dims,
+            FeatureSet::kernels_pipelining_flex(),
+            &Telemetry::disabled(),
+        );
+        let full = sim.step_time(&dims, FeatureSet::full(), &Telemetry::disabled());
         println!(
             "{w:>6} {:>10.1}ms {:>10.1}ms {:>10.1}ms {:>10.1}ms {:>8.2}x",
             base * 1e3,

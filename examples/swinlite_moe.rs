@@ -6,6 +6,7 @@
 //! (≈2 minutes on one core; pass a smaller step count as the first
 //! argument for a quicker look, e.g. `-- 200`.)
 
+use tutel_suite::obs::Telemetry;
 use tutel_suite::tensor::{Rng, TensorError};
 use tutel_suite::tutel::data::SyntheticVision;
 use tutel_suite::tutel::model::{cross_entropy, SwinLiteConfig, SwinLiteMoe};
@@ -42,9 +43,9 @@ fn main() -> Result<(), TensorError> {
 
     println!("pre-training dense and MoE models ({steps} steps each)...");
     let mut dense = build(false, 7);
-    let dense_stats = train(&mut dense, &dataset, &tc)?;
+    let dense_stats = train(&mut dense, &dataset, &tc, &Telemetry::disabled())?;
     let mut moe = build(true, 7);
-    let moe_stats = train(&mut moe, &dataset, &tc)?;
+    let moe_stats = train(&mut moe, &dataset, &tc, &Telemetry::disabled())?;
 
     println!("\n== Pre-training (ImageNet-22K analogue) ==");
     println!(
@@ -70,7 +71,7 @@ fn main() -> Result<(), TensorError> {
     let ft_steps = (steps / 2).clamp(100, 400);
     for freeze in [false, true] {
         let mut model = build(true, 7);
-        train(&mut model, &dataset, &tc)?;
+        train(&mut model, &dataset, &tc, &Telemetry::disabled())?;
         model.set_moe_frozen(freeze);
         let mut pool_rng = Rng::seed(42);
         let pool: Vec<_> = (0..8).map(|_| shifted.batch(16, &mut pool_rng)).collect();

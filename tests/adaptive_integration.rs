@@ -5,6 +5,7 @@
 
 use tutel_suite::comm::{CollectiveTiming, World};
 use tutel_suite::experts::{InlineParallelismRouter, MoeDims};
+use tutel_suite::obs::Telemetry;
 use tutel_suite::tutel::adaptive::{FeatureSet, MoeLayerSimulator};
 use tutel_suite::tutel::pipeline::{
     LayerDims, OnlineStrategySearch, PipelineStrategy, PipelineTimeModel,
@@ -33,13 +34,13 @@ fn online_search_converges_to_simulator_oracle() {
         .map(|i| if i % 2 == 0 { 1.0 } else { 4.0 })
         .collect();
     for &f in &schedule {
-        let s = search.next_strategy(f);
+        let s = search.next_strategy(f, &Telemetry::disabled());
         let t = model.step_time(&dims_with_f(f), s);
         search.record(f, s, t);
     }
     for f in [1.0, 4.0] {
-        let chosen = search.next_strategy(f);
-        let (oracle, oracle_t) = model.best_strategy(&dims_with_f(f));
+        let chosen = search.next_strategy(f, &Telemetry::disabled());
+        let (oracle, oracle_t) = model.best_strategy(&dims_with_f(f), &Telemetry::disabled());
         let chosen_t = model.step_time(&dims_with_f(f), chosen);
         // The chosen strategy must be the oracle or within measurement
         // noise of it (our "measurements" are deterministic, so exact).
@@ -58,8 +59,10 @@ fn online_search_explores_at_most_once_per_bucket() {
     // All these factors land in one bucket of length 1.
     for i in 0..24 {
         let f = 1.0 + (i % 4) as f64 * 0.2;
-        let s = search.next_strategy(f);
-        let best = model.best_strategy(&dims_with_f(f)).0;
+        let s = search.next_strategy(f, &Telemetry::disabled());
+        let best = model
+            .best_strategy(&dims_with_f(f), &Telemetry::disabled())
+            .0;
         // Count explorations of non-optimal strategies.
         if s != best {
             *tried.entry(s).or_default() += 1;
@@ -89,7 +92,7 @@ fn parallelism_router_crossover_is_consistent_with_costs() {
     };
     for f in [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0] {
         let d = dims(f);
-        let chosen = router.choose(&d);
+        let chosen = router.choose(&d, &Telemetry::disabled());
         let other = match chosen {
             tutel_suite::experts::Parallelism::P1 => tutel_suite::experts::Parallelism::P2,
             tutel_suite::experts::Parallelism::P2 => tutel_suite::experts::Parallelism::P1,
@@ -109,7 +112,7 @@ fn feature_ladder_holds_across_the_sweep() {
         let ladder = FeatureSet::ladder();
         let mut last = f64::INFINITY;
         for (name, fs) in ladder {
-            let t = sim.step_time(&dims, fs);
+            let t = sim.step_time(&dims, fs, &Telemetry::disabled());
             assert!(t <= last * 1.0001, "{name} regressed at {w} GPUs");
             assert!(t > 0.0);
             last = t;
@@ -126,8 +129,11 @@ fn final_speedups_are_in_the_papers_ballpark() {
     let dims = LayerDims::figure23();
     for (w, paper) in [(16usize, 4.96f64), (2048, 5.75)] {
         let sim = MoeLayerSimulator::azure(w);
-        let ours = sim.step_time(&dims, FeatureSet::fairseq_baseline())
-            / sim.step_time(&dims, FeatureSet::full());
+        let ours = sim.step_time(
+            &dims,
+            FeatureSet::fairseq_baseline(),
+            &Telemetry::disabled(),
+        ) / sim.step_time(&dims, FeatureSet::full(), &Telemetry::disabled());
         assert!(
             ours > paper / 2.5 && ours < paper * 2.5,
             "{w} GPUs: ours {ours:.2} vs paper {paper}"

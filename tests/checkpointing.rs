@@ -1,6 +1,7 @@
 //! Checkpoint round-trip integration: train → save → restore into a
 //! fresh model → bit-identical behaviour.
 
+use tutel_suite::obs::Telemetry;
 use tutel_suite::tensor::Rng;
 use tutel_suite::tutel::checkpoint::StateDict;
 use tutel_suite::tutel::data::SyntheticVision;
@@ -31,6 +32,7 @@ fn trained_model_roundtrips_through_bytes() {
             seed: 3,
             ..TrainConfig::default()
         },
+        &Telemetry::disabled(),
     )
     .unwrap();
 
@@ -66,6 +68,7 @@ fn cosine_router_checkpoints_too() {
             seed: 5,
             ..TrainConfig::default()
         },
+        &Telemetry::disabled(),
     )
     .unwrap();
     let sd = model.state_dict();
@@ -91,7 +94,7 @@ fn resumed_training_step_is_bitwise_identical() {
         seed: 31,
         ..TrainConfig::default()
     };
-    train(&mut model, &ds, &warmup).unwrap();
+    train(&mut model, &ds, &warmup, &Telemetry::disabled()).unwrap();
     let bytes = model.state_dict().to_bytes();
 
     // Uninterrupted: one more step with a fresh data seed.
@@ -102,7 +105,7 @@ fn resumed_training_step_is_bitwise_identical() {
         seed: 32,
         ..TrainConfig::default()
     };
-    let uninterrupted = train(&mut model, &ds, &resume_cfg).unwrap();
+    let uninterrupted = train(&mut model, &ds, &resume_cfg, &Telemetry::disabled()).unwrap();
 
     // Interrupted: restore the checkpoint into a differently-seeded
     // fresh model, then take the same step.
@@ -110,7 +113,7 @@ fn resumed_training_step_is_bitwise_identical() {
     resumed
         .load_state_dict(&StateDict::from_bytes(&bytes).unwrap())
         .unwrap();
-    let restored = train(&mut resumed, &ds, &resume_cfg).unwrap();
+    let restored = train(&mut resumed, &ds, &resume_cfg, &Telemetry::disabled()).unwrap();
 
     assert_eq!(uninterrupted.loss_curve.len(), 1);
     assert_eq!(

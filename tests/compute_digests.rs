@@ -14,6 +14,7 @@
 //! `{1, 4}` cell.
 
 use tutel_suite::experts::ExpertsBlock;
+use tutel_suite::obs::Telemetry;
 use tutel_suite::rt::with_parallelism_limit;
 use tutel_suite::tensor::dispatch::with_simd_mode;
 use tutel_suite::tensor::{Precision, Rng, Tensor};
@@ -179,7 +180,7 @@ fn train_digest(router: Option<RouterKind>) -> (u32, u64) {
             batch: 8,
             ..TrainConfig::default()
         };
-        let stats = train(&mut model, &data, &train_cfg).unwrap();
+        let stats = train(&mut model, &data, &train_cfg, &Telemetry::disabled()).unwrap();
         for loss in &stats.loss_curve {
             h.word(loss.to_bits());
         }

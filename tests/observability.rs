@@ -9,7 +9,7 @@ use tutel_suite::tutel::adaptive::{FeatureSet, MoeLayerSimulator};
 use tutel_suite::tutel::data::SyntheticVision;
 use tutel_suite::tutel::model::{SwinLiteConfig, SwinLiteMoe};
 use tutel_suite::tutel::pipeline::{LayerDims, PipelineStrategy};
-use tutel_suite::tutel::trainer::{train_observed, TrainConfig};
+use tutel_suite::tutel::trainer::{train, TrainConfig};
 use tutel_suite::tutel::MoeConfig;
 
 /// The audit log's chosen strategy and predicted cost must match an
@@ -24,7 +24,7 @@ fn audit_log_matches_exhaustive_strategy_search() {
     for &f in &factors {
         let mut dims = LayerDims::figure23();
         dims.capacity_factor = f;
-        sim.step_time_observed(&dims, features, &tel);
+        sim.step_time(&dims, features, &tel);
     }
     let decisions = tel.decisions();
     assert_eq!(
@@ -77,7 +77,7 @@ fn tiny_moe_setup() -> (SwinLiteMoe, SyntheticVision) {
     (model, ds)
 }
 
-/// `train_observed` must leave one complete step record per step:
+/// `train` must leave one complete step record per step:
 /// loss, expert load, drop counts, and wall-clock stage durations from
 /// the layer spans.
 #[test]
@@ -89,7 +89,7 @@ fn training_emits_complete_step_records() {
         batch: 8,
         ..TrainConfig::default()
     };
-    let stats = train_observed(&mut model, &ds, &cfg, &tel).unwrap();
+    let stats = train(&mut model, &ds, &cfg, &tel).unwrap();
     let steps = tel.steps();
     assert_eq!(steps.len(), 12);
     for (i, s) in steps.iter().enumerate() {
@@ -119,8 +119,8 @@ fn training_emits_complete_step_records() {
     assert!(tel.histogram("gate.expert_load").is_some());
 }
 
-/// `train` (no telemetry) and `train_observed` must produce identical
-/// training trajectories — instrumentation must not perturb the math.
+/// `train` under a disabled and an enabled handle must produce
+/// identical training trajectories — instrumentation must not perturb the math.
 #[test]
 fn observation_does_not_change_training() {
     let (mut m1, ds) = tiny_moe_setup();
@@ -130,8 +130,8 @@ fn observation_does_not_change_training() {
         batch: 8,
         ..TrainConfig::default()
     };
-    let plain = tutel_suite::tutel::trainer::train(&mut m1, &ds, &cfg).unwrap();
-    let observed = train_observed(&mut m2, &ds, &cfg, &Telemetry::enabled()).unwrap();
+    let plain = train(&mut m1, &ds, &cfg, &Telemetry::disabled()).unwrap();
+    let observed = train(&mut m2, &ds, &cfg, &Telemetry::enabled()).unwrap();
     assert_eq!(plain.loss_curve, observed.loss_curve);
     assert_eq!(plain.needed_factor_trace, observed.needed_factor_trace);
 }
@@ -148,7 +148,7 @@ fn jsonl_export_is_line_delimited_and_typed() {
         batch: 8,
         ..TrainConfig::default()
     };
-    train_observed(&mut model, &ds, &cfg, &tel).unwrap();
+    train(&mut model, &ds, &cfg, &tel).unwrap();
     let mut out = Vec::new();
     tel.export_jsonl(&mut out).unwrap();
     let text = String::from_utf8(out).unwrap();
@@ -189,7 +189,7 @@ fn spans_are_stamped_with_their_step() {
         batch: 8,
         ..TrainConfig::default()
     };
-    train_observed(&mut model, &ds, &cfg, &tel).unwrap();
+    train(&mut model, &ds, &cfg, &tel).unwrap();
     let spans: Vec<_> = tel
         .events()
         .into_iter()

@@ -3,6 +3,7 @@
 //! decisions and keep outputs close — the property that lets Tutel run
 //! MoE layers in half precision (Section 4.1).
 
+use tutel_suite::obs::Telemetry;
 use tutel_suite::tensor::{quantize, Precision, Rng};
 use tutel_suite::tutel::checkpoint::StateDict;
 use tutel_suite::tutel::data::SyntheticVision;
@@ -39,6 +40,7 @@ fn bf16_weights_preserve_accuracy() {
             seed: 4,
             ..TrainConfig::default()
         },
+        &Telemetry::disabled(),
     )
     .unwrap();
     let full = evaluate(&model, &ds, 6, 9).unwrap();

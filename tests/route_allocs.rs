@@ -17,7 +17,10 @@
 //! The second test is the "disabled = free" budget of the hot-path
 //! hooks: a disabled `Telemetry` or `Tracer` call, a warmed arena take +
 //! put and a pool fan-out each make an exact number of heap allocations
-//! and pool jobs, and record no event. This binary links `tutel-rt` with
+//! and pool jobs, and record no event. The adaptive decisions, which
+//! take the telemetry handle as a parameter, are held to the same
+//! contract under a disabled one: no event, and exactly the
+//! allocations of their own pricing and memos. This binary links `tutel-rt` with
 //! `check-race` (through the `tutel-check` dev-dependency), so these are
 //! the counts of the disarmed race hooks, which include everything a
 //! feature-off build compiles. A count cannot see a branch or an atomic
@@ -27,20 +30,26 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::hint::black_box;
 use std::sync::{Mutex, PoisonError};
 
 use tutel_serve::{
     BatcherConfig, Engine, EngineConfig, ExecConfig, ModelDims, Request, ServeModel, ServiceModel,
     Strategy,
 };
-use tutel_suite::comm::AllToAllAlgo;
+use tutel_suite::comm::{AllToAllAlgo, CollectiveTiming, World};
+use tutel_suite::experts::{InlineParallelismRouter, MoeDims};
 use tutel_suite::gate::{route, RaggedRouting, RouteConfig};
 use tutel_suite::obs::trace::{FlowKind, Tracer, TRACK_COMM, TRACK_MAIN};
 use tutel_suite::obs::{Event, TagValue, Telemetry};
 use tutel_suite::rt::{arena, parallel_chunks, pool_stats, with_parallelism_limit, Arena};
-use tutel_suite::tensor::{scratch, Rng};
+use tutel_suite::tensor::{scratch, Precision, Rng};
+use tutel_suite::tutel::adaptive::{FeatureSet, MoeLayerSimulator};
 use tutel_suite::tutel::data::SyntheticVision;
 use tutel_suite::tutel::model::{cross_entropy, SwinLiteConfig, SwinLiteMoe};
+use tutel_suite::tutel::pipeline::{
+    LayerDims, MeasuredStrategySearch, OnlineStrategySearch, PipelineStrategy, PipelineTimeModel,
+};
 use tutel_suite::tutel::{MoeConfig, MoeLayer};
 
 thread_local! {
@@ -278,6 +287,67 @@ fn disabled_instrumentation_and_warm_runtime_paths_are_exact_counts() {
     });
     assert_eq!(n, 0, "disabled tracing allocated {n} times");
     assert_eq!(tracer.events().len(), 0);
+
+    // The adaptive decisions under the same disabled handle record
+    // nothing and allocate exactly what their own bookkeeping does:
+    // `choose` nothing, `best_strategy` and `step_time` the pricing
+    // timelines (44 and 48 per call), the searches their memos.
+    let timing = CollectiveTiming::new(World::azure(16));
+    let moe_dims = MoeDims {
+        world: 16,
+        global_experts: 8,
+        tokens: 4096,
+        k: 2,
+        capacity_factor: 1.0,
+        model_dim: 2048,
+        hidden_dim: 2048,
+        weight_precision: Precision::F32,
+    };
+    let router = InlineParallelismRouter::new(timing);
+    let (n, ()) = allocs_in(|| {
+        for _ in 0..CALLS {
+            black_box(router.choose(&moe_dims, &tel));
+        }
+    });
+    assert_eq!((n, tel.events().len()), (0, 0), "choose");
+    let dims = LayerDims::figure23();
+    let model = PipelineTimeModel::new(timing);
+    let (n, ()) = allocs_in(|| {
+        for _ in 0..CALLS {
+            black_box(model.best_strategy(&dims, &tel));
+        }
+    });
+    assert_eq!((n, tel.events().len()), (44 * CALLS, 0), "best_strategy");
+    let sim = MoeLayerSimulator::new(timing);
+    let (n, ()) = allocs_in(|| {
+        for _ in 0..CALLS {
+            black_box(sim.step_time(&dims, FeatureSet::full(), &tel));
+        }
+    });
+    assert_eq!((n, tel.events().len()), (48 * CALLS, 0), "step_time");
+    // Both searches cycle four capacity factors over two buckets.
+    let factors = [1.0, 1.3, 2.5, 4.0];
+    let wall = |s: PipelineStrategy| 1e-3 * (1 + s.degree) as f64;
+    let mut online = OnlineStrategySearch::new(1.0);
+    let (n, ()) = allocs_in(|| {
+        for f in factors.into_iter().cycle().take(CALLS as usize) {
+            let s = online.next_strategy(f, &tel);
+            online.record(f, s, wall(s));
+        }
+    });
+    assert_eq!((n, tel.events().len()), (27, 0), "online search");
+    let mut measured = MeasuredStrategySearch::new(1.0, model);
+    let (n, ()) = allocs_in(|| {
+        for f in factors.into_iter().cycle().take(CALLS as usize) {
+            let layer = LayerDims {
+                capacity_factor: f,
+                ..dims
+            };
+            let s = measured.next_strategy(&layer, &tel);
+            measured.record(f, s, wall(s), &tel);
+        }
+    });
+    assert_eq!((n, tel.events().len()), (934, 0), "measured search");
 
     // A warmed private arena: every take is a hit, every put a return.
     let private = Arena::new();
