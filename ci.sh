@@ -75,6 +75,13 @@ echo "==> tanh port: all 2^32 inputs vs the host libm and the AVX2 lanes"
 # default suite runs an edge table plus every 65 537th pattern.
 cargo test -q --release -p tutel-tensor --lib -- --ignored tanh_port_matches_libm_and_avx2_exhaustively
 
+echo "==> GEMM tile edges: every small shape, both SIMD modes"
+# Every m ≤ 2·MR + 1 (13), n ≤ 2·TILE_COLS + 1 (33) and k in 0..=17 or
+# either side of one and two KC panels: the three grouped launches,
+# scalar against AVX2, bit for bit. The default suite samples these
+# edges by proptest; this enumerates them (seconds in release).
+cargo test -q --release -p tutel-tensor --lib -- --ignored grouped_launches_match_across_simd_modes_on_every_tile_edge
+
 echo "==> determinism suite: TUTEL_SIMD={0,1} x TUTEL_THREADS={1,4}"
 # The kernel-table axis crossed with the pool axis: every cell of the
 # sweep must be bit-identical to every other (the suite pins the

@@ -31,12 +31,12 @@
 //!    `div`/`max` is the same IEEE operation per lane as the scalar
 //!    loop it replaces, so any kernel that is already lane-parallel
 //!    (the micro-tile, `axpy`, lanewise divide) is bitwise for free.
-//! 3. **Shared reduction trees.** Horizontal reductions (dot, row
-//!    max, row sum) strip-mine into [`NR`] = 8 lanes and collapse
-//!    them with one fixed tree — `(l0+l4)+(l1+l5)`, `(l2+l6)+(l3+l7)`,
-//!    then the pair, then the scalar tail — in *both* modes; the AVX2
-//!    path accumulates the lanes in one register and extracts them
-//!    into the very same tree.
+//! 3. **Shared reduction trees.** Horizontal reductions (dot, the
+//!    dot tile, row max, row sum) strip-mine into [`NR`] = 8 lanes and
+//!    collapse them with one fixed tree — `(l0+l4)+(l1+l5)`,
+//!    `(l2+l6)+(l3+l7)`, then the pair, then the scalar tail — in
+//!    *both* modes; the AVX2 path accumulates the lanes in one register
+//!    per output and extracts them into the very same tree.
 //! 4. **Transcendentals are ported, not called.** A libm call is
 //!    scalar, branchy, and defined by whichever libm the host links,
 //!    so neither the AVX2 twin nor another host could match it bit
@@ -61,10 +61,16 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// Rows per register micro-tile.
-pub const MR: usize = 4;
-/// Columns per register micro-tile — also the strip-mining width of
-/// every lane-tree reduction.
+pub const MR: usize = 6;
+/// Columns per register micro-tile: two [`NR`]-lane vectors, so a
+/// full tile is `MR × 2` = 12 AVX2 accumulators.
+pub const TILE_COLS: usize = 16;
+/// The strip-mining width of every lane-tree reduction (one `f32x8`).
 pub const NR: usize = 8;
+/// Rows of A per [`KernelTable::dot_tile`] block.
+pub const DOT_ROWS: usize = 4;
+/// Rows of B (output columns) per [`KernelTable::dot_tile`] block.
+pub const DOT_COLS: usize = 3;
 
 /// Which kernel family the active table dispatches to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,11 +91,14 @@ impl SimdMode {
     }
 }
 
-/// `out_rows[(ir + r) * n + jc ..][..NR] += apanel · b` micro-tile;
-/// see [`KernelTable::micro_tile`].
+/// `out_rows[(ir + r) * n + jc ..][..TILE_COLS] += apanel · b`
+/// micro-tile; see [`KernelTable::micro_tile`].
 pub type MicroTileFn = fn(&[f32], usize, &[f32], usize, usize, usize, &mut [f32], usize, usize);
 /// Strip-mined dot product with the fixed lane tree.
 pub type DotFn = fn(&[f32], &[f32]) -> f32;
+/// `out[r * ldo + j] += dot(a_r, b_j)` over a `DOT_ROWS × DOT_COLS`
+/// block; see [`KernelTable::dot_tile`].
+pub type DotTileFn = fn(&[f32], &[f32], usize, &mut [f32], usize);
 /// `out[i] += a * v[i]`.
 pub type AxpyFn = fn(f32, &[f32], &mut [f32]);
 /// `out[i] += v[i]`.
@@ -111,14 +120,22 @@ pub type GeluBackwardFn = fn(&[f32], &[f32], &mut [f32]);
 pub struct KernelTable {
     /// Which family this table belongs to.
     pub mode: SimdMode,
-    /// Full `MR × NR` GEMM micro-tile:
+    /// Full `MR × TILE_COLS` GEMM micro-tile:
     /// `(apanel, kc_len, b, n, pc, jc, out_rows, ir, mr_eff)` —
     /// `apanel` is `kc_len × MR` interleaved (zero-padded short
-    /// tiles), `b` is the full `k × n` operand, and the tile
-    /// accumulates into `out_rows` at block-relative row `ir`.
+    /// tiles), `b` is the full `k × n` operand read in place at stride
+    /// `n` (`jc + TILE_COLS ≤ n`), and the tile accumulates into
+    /// `out_rows` at block-relative row `ir`. Each element sums its
+    /// `kc_len` products from zero in `p` order, then adds the sum to
+    /// `out_rows`: the order is the element's, not the tile's.
     pub micro_tile: MicroTileFn,
     /// 8-lane strip-mined dot product (fixed reduction tree).
     pub dot: DotFn,
+    /// `DOT_ROWS × DOT_COLS` block of [`dot`](Self::dot)s:
+    /// `(a, b, k, out, ldo)` — `a` holds `DOT_ROWS` rows of length `k`
+    /// back to back, `b` holds `DOT_COLS`, and
+    /// `out[r * ldo + j] += dot(a_r, b_j)`, bit for bit.
+    pub dot_tile: DotTileFn,
     /// `out += a * v` over equal-length slices.
     pub axpy: AxpyFn,
     /// `out += v` over equal-length slices.
@@ -147,6 +164,7 @@ static SCALAR_TABLE: KernelTable = KernelTable {
     mode: SimdMode::Scalar,
     micro_tile: scalar::micro_tile,
     dot: scalar::dot,
+    dot_tile: scalar::dot_tile,
     axpy: scalar::axpy,
     add_assign: scalar::add_assign,
     row_max: scalar::row_max,
@@ -390,7 +408,7 @@ fn expm1_for_tanh(y: f32) -> f32 {
 /// twins must match them bit-for-bit (pinned by the dispatch
 /// proptests and the harness kernel-mode matrix).
 mod scalar {
-    use super::{max_lanes_tree, maxps, sum_lanes_tree, MR, NR};
+    use super::{max_lanes_tree, maxps, sum_lanes_tree, DOT_COLS, DOT_ROWS, MR, NR, TILE_COLS};
     use crate::ops::{gelu_derivative, gelu_scalar};
 
     // The 9-ary signature IS the `MicroTileFn` table ABI: both modes
@@ -407,11 +425,10 @@ mod scalar {
         ir: usize,
         mr_eff: usize,
     ) {
-        let mut acc = [[0.0f32; NR]; MR];
-        for p in 0..kc_len {
+        let mut acc = [[0.0f32; TILE_COLS]; MR];
+        for (p, avals) in apanel[..kc_len * MR].chunks_exact(MR).enumerate() {
             let boff = (pc + p) * n + jc;
-            let brow = &b[boff..boff + NR];
-            let avals = &apanel[p * MR..p * MR + MR];
+            let brow = &b[boff..boff + TILE_COLS];
             for (accr, &av) in acc.iter_mut().zip(avals) {
                 for (aj, &bv) in accr.iter_mut().zip(brow) {
                     *aj += av * bv;
@@ -420,7 +437,7 @@ mod scalar {
         }
         for (r, accr) in acc.iter().enumerate().take(mr_eff) {
             let ooff = (ir + r) * n + jc;
-            let orow = &mut out_rows[ooff..ooff + NR];
+            let orow = &mut out_rows[ooff..ooff + TILE_COLS];
             for (o, &aj) in orow.iter_mut().zip(accr) {
                 *o += aj;
             }
@@ -443,6 +460,15 @@ mod scalar {
             tail += x[i] * y[i];
         }
         sum_lanes_tree(&lanes) + tail
+    }
+
+    pub(super) fn dot_tile(a: &[f32], b: &[f32], k: usize, out: &mut [f32], ldo: usize) {
+        for r in 0..DOT_ROWS {
+            let arow = &a[r * k..(r + 1) * k];
+            for j in 0..DOT_COLS {
+                out[r * ldo + j] += dot(arow, &b[j * k..(j + 1) * k]);
+            }
+        }
     }
 
     pub(super) fn axpy(a: f32, v: &[f32], out: &mut [f32]) {
@@ -536,8 +562,8 @@ mod scalar {
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::{
-        max_lanes_tree, maxps, sum_lanes_tree, KernelTable, SimdMode, EXPM1_Q, INV_LN2, LN2_HI,
-        LN2_LO, MR, NR,
+        max_lanes_tree, maxps, sum_lanes_tree, KernelTable, SimdMode, DOT_COLS, DOT_ROWS, EXPM1_Q,
+        INV_LN2, LN2_HI, LN2_LO, MR, NR, TILE_COLS,
     };
     use crate::ops::{gelu_derivative, gelu_scalar, GELU_CUBIC, SQRT_2_OVER_PI};
     use core::arch::x86_64::{
@@ -555,6 +581,7 @@ mod avx2 {
         mode: SimdMode::Avx2,
         micro_tile,
         dot,
+        dot_tile,
         axpy,
         add_assign,
         row_max,
@@ -621,23 +648,29 @@ mod avx2 {
         ir: usize,
         mr_eff: usize,
     ) {
-        let mut acc = [_mm256_setzero_ps(); MR];
-        for p in 0..kc_len {
+        // 12 accumulators, two B vectors and one broadcast: 15 of the
+        // 16 `ymm` registers.
+        let mut acc = [[_mm256_setzero_ps(); TILE_COLS / NR]; MR];
+        for (p, avals) in apanel[..kc_len * MR].chunks_exact(MR).enumerate() {
             let boff = (pc + p) * n + jc;
-            debug_assert!(boff + NR <= b.len());
-            let bv = load8(b, boff);
-            let avals = &apanel[p * MR..p * MR + MR];
+            debug_assert!(boff + TILE_COLS <= b.len());
+            let bv = [load8(b, boff), load8(b, boff + NR)];
             for (accr, &av) in acc.iter_mut().zip(avals) {
-                // Two roundings (mul, then add) exactly like the
-                // scalar kernel; `_mm256_fmadd_ps` would fuse them
-                // and break the bitwise contract.
-                *accr = _mm256_add_ps(*accr, _mm256_mul_ps(_mm256_set1_ps(av), bv));
+                let av = _mm256_set1_ps(av);
+                for (accv, &bv) in accr.iter_mut().zip(&bv) {
+                    // Two roundings (mul, then add) exactly like the
+                    // scalar kernel; `_mm256_fmadd_ps` would fuse them
+                    // and break the bitwise contract.
+                    *accv = _mm256_add_ps(*accv, _mm256_mul_ps(av, bv));
+                }
             }
         }
         for (r, accr) in acc.iter().enumerate().take(mr_eff) {
             let ooff = (ir + r) * n + jc;
-            let sum = _mm256_add_ps(load8(out_rows, ooff), *accr);
-            store8(out_rows, ooff, sum);
+            for (h, accv) in accr.iter().enumerate() {
+                let sum = _mm256_add_ps(load8(out_rows, ooff + h * NR), *accv);
+                store8(out_rows, ooff + h * NR, sum);
+            }
         }
     }
 
@@ -671,6 +704,51 @@ mod avx2 {
             tail += x[i] * y[i];
         }
         sum_lanes_tree(&lanes) + tail
+    }
+
+    fn dot_tile(a: &[f32], b: &[f32], k: usize, out: &mut [f32], ldo: usize) {
+        // SAFETY: reachable only through the detection-gated `TABLE`.
+        unsafe { dot_tile_body(a, b, k, out, ldo) }
+    }
+
+    /// # Safety
+    ///
+    /// Requires AVX2 (guaranteed by the dispatch table's detection
+    /// gate).
+    #[target_feature(enable = "avx2")]
+    // SAFETY: `target_feature` makes this fn unsafe-to-call; the only
+    // caller is the detection-gated wrapper above.
+    unsafe fn dot_tile_body(a: &[f32], b: &[f32], k: usize, out: &mut [f32], ldo: usize) {
+        let (a, b) = (&a[..DOT_ROWS * k], &b[..DOT_COLS * k]);
+        let blocks = k / NR;
+        // `dot_body`'s lane accumulator for each of the 12 elements,
+        // with each 8-float block of a B row loaded once for 4 rows.
+        let mut acc = [[_mm256_setzero_ps(); DOT_COLS]; DOT_ROWS];
+        for c in 0..blocks {
+            let mut bv = [_mm256_setzero_ps(); DOT_COLS];
+            for (j, v) in bv.iter_mut().enumerate() {
+                *v = load8(b, j * k + c * NR);
+            }
+            for (r, accr) in acc.iter_mut().enumerate() {
+                let av = load8(a, r * k + c * NR);
+                for (accv, &bv) in accr.iter_mut().zip(&bv) {
+                    *accv = _mm256_add_ps(*accv, _mm256_mul_ps(av, bv));
+                }
+            }
+        }
+        for (r, accr) in acc.iter().enumerate() {
+            let arow = &a[r * k..(r + 1) * k];
+            for (j, &accv) in accr.iter().enumerate() {
+                let brow = &b[j * k..(j + 1) * k];
+                let mut lanes = [0.0f32; NR];
+                store8(&mut lanes[..], 0, accv);
+                let mut tail = 0.0f32;
+                for i in blocks * NR..k {
+                    tail += arow[i] * brow[i];
+                }
+                out[r * ldo + j] += sum_lanes_tree(&lanes) + tail;
+            }
+        }
     }
 
     fn axpy(a: f32, v: &[f32], out: &mut [f32]) {
@@ -1205,7 +1283,7 @@ mod tests {
             return;
         }
         let simd = simd_table();
-        let (n, kc_len) = (13usize, 9usize);
+        let (n, kc_len) = (TILE_COLS + 5, 9usize);
         let b = ramp(kc_len * n, 4);
         let mut apanel = vec![0.0f32; kc_len * MR];
         for (i, v) in ramp(kc_len * MR, 5).iter().enumerate() {
@@ -1399,8 +1477,85 @@ mod tests {
             f32::from_bits(u32::from(h) << 16)
         }
 
+        /// `len` values from `seed`, as a sub-slice starting at the odd
+        /// float offset `skew` of a larger buffer, so no 8-lane access
+        /// into it is 32-byte aligned.
+        fn skewed(len: usize, seed: u64, skew: usize) -> Vec<f32> {
+            let mut buf = ramp(skew, seed ^ 0x5eed);
+            buf.extend(ramp(len, seed));
+            buf
+        }
+
+        /// Odd float offsets for [`skewed`].
+        fn skew() -> impl Strategy<Value = usize> {
+            (0usize..4).prop_map(|s| 2 * s + 1)
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// The AVX2 6 × 16 micro-tile equals the scalar one bit for
+            /// bit on every short tile (`mr_eff ∈ 1..=MR`), every panel
+            /// depth from `kc_len = 0`, a panel below the first
+            /// (`pc > 0`) and a tile right of the first (`jc > 0`) of an
+            /// `n` off the tile width, with all four operands at odd
+            /// offsets and `b` / `out_rows` exactly as long as the tile
+            /// reaches.
+            #[test]
+            fn micro_tile_agrees_across_modes_on_edges(
+                mr_eff in 1usize..=MR,
+                kc_len in 0usize..20,
+                (pc, ir) in (0usize..3, 0usize..3),
+                (jt, rem) in (1usize..3, 1usize..TILE_COLS),
+                skews in (skew(), skew(), skew()),
+                seed in 0u64..1024,
+            ) {
+                if simd_available() {
+                    let (n, jc) = ((jt + 1) * TILE_COLS + rem, jt * TILE_COLS);
+                    let apanel = skewed(kc_len * MR, seed, skews.0);
+                    let b = skewed((pc + kc_len) * n, seed + 1, skews.1);
+                    let out = skewed((ir + mr_eff) * n, seed + 2, skews.2);
+                    let (a_s, b_s) = (&apanel[skews.0..], &b[skews.1..]);
+                    let mut out_s = out.clone();
+                    let mut out_v = out;
+                    let o = skews.2;
+                    (SCALAR_TABLE.micro_tile)(a_s, kc_len, b_s, n, pc, jc, &mut out_s[o..], ir, mr_eff);
+                    (simd_table().micro_tile)(a_s, kc_len, b_s, n, pc, jc, &mut out_v[o..], ir, mr_eff);
+                    prop_assert_eq!(bits(&out_s), bits(&out_v));
+                }
+            }
+
+            /// The AVX2 4 × 3 `dot_tile` equals the scalar one — `dot`
+            /// per element — bit for bit for `k ∈ {0, 1..7, 8q + r}`,
+            /// any output stride, with the operands at odd offsets and
+            /// `out` exactly as long as the block reaches.
+            #[test]
+            fn dot_tile_agrees_across_modes_on_edges(
+                (kq, kr) in (0usize..6, 0usize..NR),
+                ldo in DOT_COLS..DOT_COLS + 5,
+                skews in (skew(), skew(), skew()),
+                seed in 0u64..1024,
+            ) {
+                let k = kq * NR + kr;
+                let a = skewed(DOT_ROWS * k, seed, skews.0);
+                let b = skewed(DOT_COLS * k, seed + 1, skews.1);
+                let out = skewed((DOT_ROWS - 1) * ldo + DOT_COLS, seed + 2, skews.2);
+                let (a_s, b_s, o) = (&a[skews.0..], &b[skews.1..], skews.2);
+                let mut want = out[o..].to_vec();
+                for r in 0..DOT_ROWS {
+                    for j in 0..DOT_COLS {
+                        want[r * ldo + j] += (SCALAR_TABLE.dot)(&a_s[r * k..][..k], &b_s[j * k..][..k]);
+                    }
+                }
+                let mut out_s = out.clone();
+                (SCALAR_TABLE.dot_tile)(a_s, b_s, k, &mut out_s[o..], ldo);
+                prop_assert_eq!(bits(&out_s[o..]), bits(&want));
+                if simd_available() {
+                    let mut out_v = out;
+                    (simd_table().dot_tile)(a_s, b_s, k, &mut out_v[o..], ldo);
+                    prop_assert_eq!(bits(&out_v), bits(&out_s));
+                }
+            }
 
             /// `bf16_pack_one` implements round-to-nearest-even on
             /// every finite input, per the independent reference.

@@ -34,24 +34,29 @@
 //!   `TUTEL_THREADS`** (a launch parallelizes over `groups ×
 //!   row-blocks`);
 //! * inside a block, the `k` dimension is tiled by [`KC`] and an
-//!   [`MR`]`×`[`NR`] register micro-tile accumulates with a fixed,
-//!   branch-free inner loop the compiler can keep in vector registers
+//!   [`MR`]`×`[`TILE_COLS`] (6 × 16) register micro-tile accumulates
+//!   with a fixed, branch-free inner loop kept in vector registers
 //!   (A panels are packed `kc × MR`-interleaved so the microkernel
-//!   reads both operands contiguously);
+//!   reads them contiguously; B is read in place at stride `n`);
+//! * `A·Bᵀ` reads both operands along `k`, so it runs the table's
+//!   [`DOT_ROWS`]`×`[`DOT_COLS`] (4 × 3) `dot_tile`: twelve
+//!   strip-mined dot products at once, each in `dot`'s own order;
 //! * there is no value-sparsity branch: on dense operands an
 //!   `av == 0.0` skip costs more than the multiply and blocks
 //!   vectorization.
 
-use crate::dispatch::{self, MR, NR};
+use crate::dispatch::{self, KernelTable, DOT_COLS, DOT_ROWS, MR, TILE_COLS};
 use crate::{scratch, Result, Tensor, TensorError};
 
 /// `k`-dimension panel depth: one packed A panel is `KC × MR` floats
-/// (4 KiB), comfortably L1-resident.
+/// (6 KiB), comfortably L1-resident. Part of every element's
+/// accumulation order (a sum restarts from zero per panel), so it is
+/// fixed.
 const KC: usize = 256;
-/// Output rows per parallel chunk. Fixed (never derived from worker
-/// count) so chunk boundaries — and therefore accumulation order —
-/// are identical for every pool size.
-const ROW_BLOCK: usize = 32;
+/// Output rows per parallel chunk, a multiple of [`MR`]. Fixed (never
+/// derived from worker count) so chunk boundaries are identical for
+/// every pool size.
+const ROW_BLOCK: usize = 48;
 
 /// The operand check every product shares: both tensors have rank
 /// `rank`, and each `(l, r)` in `agree` names axes that must be equal
@@ -242,7 +247,8 @@ fn nn(
 /// `out` packed `(R, n)`. The backward-input primitive
 /// (`dH = dY · W2ᵀ`): both operands are row-major over `k`, so each
 /// output element is an 8-lane strip-mined dot product with a fixed
-/// horizontal-sum order. The product is stored and finished block by
+/// horizontal-sum order, computed [`DOT_ROWS`]`×`[`DOT_COLS`] at a time
+/// by the table's `dot_tile`. The product is stored and finished block by
 /// block exactly as [`grouped_gemm_into`] does for `a · b` (pass
 /// `|_, _, _| {}` for the bare product).
 #[allow(clippy::too_many_arguments)]
@@ -259,17 +265,39 @@ pub fn grouped_gemm_nt_into(
     debug_assert_eq!(a.len(), total * k);
     debug_assert_eq!(b.len(), offsets.len().saturating_sub(1) * n * k);
     row_blocks(out, offsets, n, true, |g, r0, chunk| {
-        let dot = dispatch::table().dot;
+        let first = offsets[g] + r0;
+        let a_blk = &a[first * k..(first + chunk.len() / n) * k];
         let b_g = &b[g * n * k..(g + 1) * n * k];
-        for (i, orow) in chunk.chunks_mut(n).enumerate() {
-            let row = offsets[g] + r0 + i;
-            let arow = &a[row * k..(row + 1) * k];
-            for (j, o) in orow.iter_mut().enumerate() {
-                *o += dot(arow, &b_g[j * k..(j + 1) * k]);
-            }
-        }
+        block_dots(dispatch::table(), a_blk, b_g, chunk, k, n);
         epilogue(g, r0, chunk);
     });
+}
+
+/// `out += a · bᵀ` for one `rows × n` block: `a` is the block's
+/// `rows × k` rows, `b` the group's `n × k`. Full `DOT_ROWS × DOT_COLS`
+/// tiles go through `dot_tile`, the edges through `dot`; every element
+/// is the same `dot` either way.
+fn block_dots(kt: &KernelTable, a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
+    let rows = out.len() / n;
+    let (full_rows, full_cols) = (rows - rows % DOT_ROWS, n - n % DOT_COLS);
+    let dot = |i: usize, j: usize| (kt.dot)(&a[i * k..(i + 1) * k], &b[j * k..(j + 1) * k]);
+    for i in (0..full_rows).step_by(DOT_ROWS) {
+        let a_tile = &a[i * k..(i + DOT_ROWS) * k];
+        for j in (0..full_cols).step_by(DOT_COLS) {
+            let b_tile = &b[j * k..(j + DOT_COLS) * k];
+            (kt.dot_tile)(a_tile, b_tile, k, &mut out[i * n + j..], n);
+        }
+        for r in i..i + DOT_ROWS {
+            for j in full_cols..n {
+                out[r * n + j] += dot(r, j);
+            }
+        }
+    }
+    for r in full_rows..rows {
+        for j in 0..n {
+            out[r * n + j] += dot(r, j);
+        }
+    }
 }
 
 /// Runs `job(group, first_row, block)` over the row blocks of a packed
@@ -447,13 +475,13 @@ fn block_packed(
             }
             let mut jc = 0;
             while jc < n {
-                let nr_eff = NR.min(n - jc);
-                if nr_eff == NR {
+                let nr_eff = TILE_COLS.min(n - jc);
+                if nr_eff == TILE_COLS {
                     micro_tile(&apanel, kc_len, b, n, pc, jc, out_rows, ir, mr_eff);
                 } else {
                     micro_tile_edge(&apanel, kc_len, b, n, pc, jc, nr_eff, out_rows, ir, mr_eff);
                 }
-                jc += NR;
+                jc += TILE_COLS;
             }
             ir += MR;
         }
@@ -461,10 +489,10 @@ fn block_packed(
     }
 }
 
-/// Ragged right-edge tile (`nr_eff < NR` columns). Shared scalar code
-/// in both dispatch modes: it never spans a full vector, so keeping
-/// one copy guarantees the bitwise contract on the N-remainder for
-/// free (the full `MR × NR` tile lives in [`dispatch`]).
+/// Ragged right-edge tile (`nr_eff < TILE_COLS` columns). Shared
+/// scalar code in both dispatch modes, so the bitwise contract holds
+/// on the N-remainder for free (the full `MR × TILE_COLS` tile lives
+/// in [`dispatch`]); each element keeps the full tile's order.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn micro_tile_edge(
@@ -479,7 +507,7 @@ fn micro_tile_edge(
     ir: usize,
     mr_eff: usize,
 ) {
-    let mut acc = [[0.0f32; NR]; MR];
+    let mut acc = [[0.0f32; TILE_COLS]; MR];
     for p in 0..kc_len {
         let boff = (pc + p) * n + jc;
         let brow = &b[boff..boff + nr_eff];
@@ -794,8 +822,73 @@ mod tests {
         }
     }
 
+    /// The `A·Bᵀ` launch as it was before `dot_tile`: one `dot` per
+    /// element, row by row, from zero. The oracle the tiled launch must
+    /// equal bit for bit.
+    fn nt_per_element_dots(
+        a: &[f32],
+        b: &[f32],
+        offsets: &[usize],
+        k: usize,
+        n: usize,
+    ) -> Vec<f32> {
+        let dot = dispatch::table().dot;
+        let mut out = vec![0.0f32; offsets.last().unwrap() * n];
+        for g in 0..offsets.len() - 1 {
+            let b_g = &b[g * n * k..(g + 1) * n * k];
+            for row in offsets[g]..offsets[g + 1] {
+                let arow = &a[row * k..(row + 1) * k];
+                for (j, o) in out[row * n..(row + 1) * n].iter_mut().enumerate() {
+                    *o += dot(arow, &b_g[j * k..(j + 1) * k]);
+                }
+            }
+        }
+        out
+    }
+
+    /// Every `m ≤ 2·MR + 1`, `n ≤ 2·TILE_COLS + 1` and `k` at the
+    /// small sizes and either side of one and two `KC` panels: the three
+    /// grouped launches over two bins, scalar against AVX2, bit for bit.
+    #[test]
+    #[ignore = "enumerates ~9 400 shapes × 3 launches × 2 modes (seconds in release): ci.sh runs it by name"]
+    fn grouped_launches_match_across_simd_modes_on_every_tile_edge() {
+        if !dispatch::simd_available() {
+            return;
+        }
+        let (max_m, max_n) = (2 * MR + 1, 2 * TILE_COLS + 1);
+        let ks: Vec<usize> = (0..=17).chain([KC - 1, KC, KC + 1, 2 * KC + 3]).collect();
+        let max_k = *ks.iter().max().unwrap();
+        let mut rng = crate::Rng::seed(36);
+        let mut draw = |len: usize| rng.normal_tensor(&[len], 0.0, 1.0).into_vec();
+        let (a_pool, b_pool) = (draw(2 * max_m * max_k), draw(2 * max_k * max_n));
+        for &k in &ks {
+            for m in 1..=max_m {
+                for n in 1..=max_n {
+                    let (a, b) = (&a_pool[..2 * m * k], &b_pool[..2 * k * n]);
+                    let (rows, reduce) = ([0, m, 2 * m], [0, k, 2 * k]);
+                    let run = |simd: bool| {
+                        dispatch::with_simd_mode(Some(simd), || {
+                            let mut nn = vec![f32::NAN; 2 * m * n];
+                            grouped_gemm_into(a, b, &mut nn, &rows, k, n, |_, _, _| {});
+                            let mut nt = vec![f32::NAN; 2 * m * n];
+                            grouped_gemm_nt_into(a, b, &mut nt, &rows, k, n, |_, _, _| {});
+                            let mut tn = vec![0.0f32; 2 * m * n];
+                            grouped_gemm_tn(&a_pool[..2 * k * m], b, &mut tn, &reduce, m, n);
+                            [nn, nt, tn].map(|v| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+                        })
+                    };
+                    let (scalar, simd) = (run(false), run(true));
+                    for (what, (s, v)) in ["nn", "nt", "tn"].iter().zip(scalar.iter().zip(&simd)) {
+                        assert_eq!(s, v, "{what} at m {m} n {n} k {k}");
+                    }
+                }
+            }
+        }
+    }
+
     mod properties {
         use super::*;
+        use crate::dispatch::NR;
         use proptest::prelude::*;
 
         fn dims() -> impl Strategy<Value = (usize, usize, usize)> {
@@ -809,16 +902,34 @@ mod tests {
         }
 
         /// Shapes guaranteed to leave a nonzero remainder on every
-        /// blocking axis: `m % MR ≠ 0`, `k % KC ≠ 0`, `n % NR ≠ 0`.
+        /// blocking axis: `m % MR ≠ 0`, `k % KC ≠ 0`, and
+        /// `n % TILE_COLS` in either edge regime — at most one vector
+        /// (`1..=NR`) or more (`NR + 1..TILE_COLS`). `m` reaches past
+        /// one `ROW_BLOCK`.
         fn ragged_dims() -> impl Strategy<Value = (usize, usize, usize)> {
             (
                 (0usize..10, 1usize..MR),
                 (0usize..2, 1usize..KC),
-                (0usize..5, 1usize..NR),
+                (0usize..4, any::<bool>(), 1usize..=NR, NR + 1..TILE_COLS),
             )
-                .prop_map(|((mq, mrr), (kq, krr), (nq, nrr))| {
-                    (mq * MR + mrr, kq * KC + krr, nq * NR + nrr)
+                .prop_map(|((mq, mrr), (kq, krr), (nq, wide, narrow_r, wide_r))| {
+                    let nrr = if wide { wide_r } else { narrow_r };
+                    (mq * MR + mrr, kq * KC + krr, nq * TILE_COLS + nrr)
                 })
+        }
+
+        /// Bin sizes off every `DOT_ROWS` multiple, with empty bins and
+        /// bins longer than one `ROW_BLOCK`.
+        fn nt_bins() -> impl Strategy<Value = Vec<usize>> {
+            // One bin in four is empty.
+            let rows = (0usize..4, 0usize..15, 0usize..DOT_ROWS).prop_map(|(empty, q, r)| {
+                if empty == 0 {
+                    0
+                } else {
+                    q * DOT_ROWS + r
+                }
+            });
+            prop::collection::vec(rows, 1..6)
         }
 
         proptest! {
@@ -998,6 +1109,43 @@ mod tests {
                             let bits = |s: &[f32]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                             assert_eq!(bits(&got), bits(&want), "nn simd={simd} limit {limit}");
                             assert_eq!(bits(&got_nt), bits(&want_nt), "nt simd={simd} limit {limit}");
+                        }
+                    });
+                }
+            }
+
+            /// The tiled `A·Bᵀ` launch equals the per-element `dot`
+            /// loop bit for bit over every `rows % DOT_ROWS`,
+            /// `n % DOT_COLS` and `k % NR`, with empty bins, in both
+            /// kernel tables at 1 or 4 workers.
+            #[test]
+            fn nt_tiles_equal_the_per_element_dot_loop(
+                sizes in nt_bins(),
+                (nq, nr) in (0usize..8, 0usize..DOT_COLS),
+                (kq, kr) in (0usize..6, 0usize..NR),
+                seed in 0u64..1024,
+            ) {
+                let (n, k) = (nq * DOT_COLS + nr, kq * NR + kr);
+                let mut offsets = vec![0usize];
+                for s in &sizes {
+                    offsets.push(offsets.last().unwrap() + s);
+                }
+                let (groups, total) = (sizes.len(), *offsets.last().unwrap());
+                let mut rng = crate::Rng::seed(seed);
+                let mut draw = |len: usize| rng.normal_tensor(&[len.max(1)], 0.0, 1.0).as_slice()[..len].to_vec();
+                let (a, b) = (draw(total * k), draw(groups * n * k));
+                let modes: &[bool] = if crate::dispatch::simd_available() { &[false, true] } else { &[false] };
+                for &simd in modes {
+                    crate::dispatch::with_simd_mode(Some(simd), || {
+                        let want = nt_per_element_dots(&a, &b, &offsets, k, n);
+                        for limit in [1usize, 4] {
+                            let got = tutel_rt::with_parallelism_limit(limit, || {
+                                let mut got = vec![f32::NAN; total * n];
+                                grouped_gemm_nt_into(&a, &b, &mut got, &offsets, k, n, |_, _, _| {});
+                                got
+                            });
+                            let bits = |s: &[f32]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                            assert_eq!(bits(&got), bits(&want), "simd={simd} limit {limit}");
                         }
                     });
                 }

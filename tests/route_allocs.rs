@@ -17,7 +17,9 @@
 //! The second test is the "disabled = free" budget of the hot-path
 //! hooks: a disabled `Telemetry` or `Tracer` call, a warmed arena take +
 //! put and a pool fan-out each make an exact number of heap allocations
-//! and pool jobs, and record no event. The adaptive decisions, which
+//! and pool jobs, and record no event. It also pins what one warm launch
+//! of each grouped GEMM allocates and dispatches: its allocations, pool
+//! jobs and pool chunks. The adaptive decisions, which
 //! take the telemetry handle as a parameter, are held to the same
 //! contract under a disabled one: no event, and exactly the
 //! allocations of their own pricing and memos. This binary links `tutel-rt` with
@@ -43,7 +45,10 @@ use tutel_suite::gate::{route, RaggedRouting, RouteConfig};
 use tutel_suite::obs::trace::{FlowKind, Tracer, TRACK_COMM, TRACK_MAIN};
 use tutel_suite::obs::{Event, TagValue, Telemetry};
 use tutel_suite::rt::{arena, parallel_chunks, pool_stats, with_parallelism_limit, Arena};
-use tutel_suite::tensor::{scratch, Precision, Rng};
+use tutel_suite::tensor::{
+    grouped_gemm_into, grouped_gemm_nt_into, grouped_gemm_tn, scratch, uniform_offsets, Precision,
+    Rng,
+};
 use tutel_suite::tutel::adaptive::{FeatureSet, MoeLayerSimulator};
 use tutel_suite::tutel::data::SyntheticVision;
 use tutel_suite::tutel::model::{cross_entropy, SwinLiteConfig, SwinLiteMoe};
@@ -397,6 +402,50 @@ fn disabled_instrumentation_and_warm_runtime_paths_are_exact_counts() {
         (CALLS, 0, 0)
     };
     assert_eq!(fan_out(4), parallel, "fan-out at limit 4");
+
+    // The three grouped GEMM launches at `train_wide_ffn`'s expert
+    // shape (8 bins of 256 rows, M = 128, V = 512), warm: the forward's
+    // `X·W1`, the backward's `dY·W2ᵀ` and `Xᵀ·dH`. Each builds its
+    // row-block schedule (two lists) and, on the pool, runs it as one
+    // job with one chunk per row block: 6 per 256-row bin for the two
+    // row-blocked launches, 3 per 128-row weight slab for `Aᵀ·B`.
+    let (bins, m, v) = (8usize, 128usize, 512usize);
+    let offsets = uniform_offsets(bins, 256);
+    let rows = offsets[bins];
+    let x = rng_normals(rows * m, 40);
+    let w = rng_normals(bins * m * v, 41);
+    let mut wide = vec![0.0f32; rows * v];
+    let mut grad = vec![0.0f32; bins * m * v];
+    let mut launches = |limit| {
+        with_parallelism_limit(limit, || {
+            let counted = |launch: &mut dyn FnMut()| {
+                let before = pool_stats();
+                let (n, ()) = allocs_in(launch);
+                let after = pool_stats();
+                (n, after.jobs - before.jobs, after.chunks - before.chunks)
+            };
+            [
+                counted(&mut || grouped_gemm_into(&x, &w, &mut wide, &offsets, m, v, |_, _, _| {})),
+                counted(&mut || {
+                    grouped_gemm_nt_into(&x, &w, &mut wide, &offsets, m, v, |_, _, _| {})
+                }),
+                counted(&mut || grouped_gemm_tn(&x, &wide, &mut grad, &offsets, m, v)),
+            ]
+        })
+    };
+    launches(4);
+    assert_eq!(launches(1), [(2, 0, 0); 3], "serial grouped launches");
+    let parallel = if pool_stats().workers >= 2 {
+        [(5, 1, 48), (5, 1, 48), (5, 1, 24)]
+    } else {
+        [(2, 0, 0); 3]
+    };
+    assert_eq!(launches(4), parallel, "grouped launches at limit 4");
+}
+
+/// `len` normal draws from `seed`.
+fn rng_normals(len: usize, seed: u64) -> Vec<f32> {
+    Rng::seed(seed).normal_tensor(&[len], 0.0, 1.0).into_vec()
 }
 
 /// Pumps of the closed loop below, after as many again to warm up.
