@@ -147,18 +147,27 @@ $REPRO pipeline > /dev/null
 echo "==> conformance harness (smoke matrix + fault suite + traced run)"
 # HARNESS_FULL=1 upgrades to the full 96-point matrix. --trace runs the
 # 4-rank traced smoke (invariant-checked, straggler attribution) and
-# exports per-rank JSONLs plus the merged Perfetto trace. The kernel
-# grid crosses {scalar, simd} x {f32, bf16}; with the tensor crate's
-# bf16 RNE proptests and experts::sharded::bf16_halves_shard_bytes (both
-# in the suites above) it holds the bf16 storage path the simd_precision
-# bench smoke used to run.
+# exports the run's one JSONL stream plus the merged Perfetto trace. The
+# kernel grid crosses {scalar, simd} x {f32, bf16}; with the tensor
+# crate's bf16 RNE proptests and experts::sharded::bf16_halves_shard_bytes
+# (both in the suites above) it holds the bf16 storage path the
+# simd_precision bench smoke used to run.
 cargo run --release -q -p tutel-harness --bin harness -- \
     ${HARNESS_FULL:+--full} --json BENCH_harness.json \
     --trace "$TRACE_DIR/run"
 
-echo "==> tutel-trace: merge exported rank JSONLs (standalone path)"
+echo "==> tutel-trace: merge the harness run's stream (standalone path)"
 cargo run --release -q -p tutel-obs --bin tutel-trace -- \
-    "$TRACE_DIR/merged.trace.json" "$TRACE_DIR"/run.rank*.jsonl > /dev/null
+    "$TRACE_DIR/merged.trace.json" "$TRACE_DIR/run.jsonl" > /dev/null
+
+echo "==> tutel-trace: a training run's stream (stage spans + steps in one file)"
+# The adaptive_training example's --telemetry export carries its step
+# records and rank 0's stage spans in one stream; tutel-trace must parse
+# it and find the trace's invariants intact.
+cargo run --release -q --example adaptive_training -- \
+    --telemetry "$TRACE_DIR/train.jsonl" > /dev/null
+cargo run --release -q -p tutel-obs --bin tutel-trace -- \
+    "$TRACE_DIR/train.trace.json" "$TRACE_DIR/train.jsonl" > /dev/null
 
 echo "==> conformance harness: replayed fault seed"
 # A second, fixed fault seed so every collective's retry/recovery path

@@ -35,7 +35,7 @@
 //! threads; [`run_threaded`] is that run over a plain group. A rank's
 //! communicator is dropped where its program ends, so a leaked message
 //! still panics at join. A reliable or traced one-shot run is
-//! `RankGroup::new(topology, reliable, hub).run_once(program)`.
+//! `RankGroup::new(topology, reliable, tel).run_once(program)`.
 
 use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
@@ -43,7 +43,7 @@ use std::sync::{Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use tutel_obs::trace::TraceHub;
+use tutel_obs::Telemetry;
 use tutel_simgpu::Topology;
 
 use crate::error::CommError;
@@ -73,9 +73,10 @@ type Report = (usize, std::thread::Result<()>);
 ///
 /// ```
 /// use tutel_comm::RankGroup;
+/// use tutel_obs::Telemetry;
 /// use tutel_simgpu::Topology;
 ///
-/// let mut group = RankGroup::new(Topology::new(1, 2), None, None);
+/// let mut group = RankGroup::new(Topology::new(1, 2), None, &Telemetry::disabled());
 /// for step in 0..3 {
 ///     let got = group
 ///         .run(&|comm| comm.all_to_all(&[comm.rank() as f32 + step as f32; 2]))
@@ -100,15 +101,12 @@ impl RankGroup {
     /// rank: fault-free, or under a recoverable plan with a nonzero
     /// retry budget, its collectives return bitwise what plain ones
     /// return, and an unrecoverable plan surfaces
-    /// [`CommError::Timeout`] within the policy's bounded wait. `hub`
-    /// gives each rank its tracer, so every collective records
-    /// comm-track spans and flow edges on the hub's shared timebase.
-    pub fn new(
-        topology: Topology,
-        reliable: Option<ReliableConfig>,
-        hub: Option<&TraceHub>,
-    ) -> Self {
-        Self::from_comms(Communicator::mesh(topology, reliable.as_ref(), hub))
+    /// [`CommError::Timeout`] within the policy's bounded wait. Rank
+    /// `r` records on `tel.tracer(r)`: with an enabled handle every
+    /// collective records comm-track spans and flow edges on its
+    /// epoch; a disabled one leaves the ranks untraced.
+    pub fn new(topology: Topology, reliable: Option<ReliableConfig>, tel: &Telemetry) -> Self {
+        Self::from_comms(Communicator::mesh(topology, reliable.as_ref(), tel))
     }
 
     /// Spawns one thread per communicator, rank `r` owning `comms[r]`.
@@ -298,7 +296,7 @@ where
     F: Fn(Communicator) -> R + Send + Sync,
     R: Send,
 {
-    RankGroup::new(topology, None, None).run_once(program)
+    RankGroup::new(topology, None, &Telemetry::disabled()).run_once(program)
 }
 
 #[cfg(test)]
@@ -309,7 +307,6 @@ mod tests {
     use crate::{linear_all_to_all, RankBuffers};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::{Duration, Instant};
-    use tutel_obs::Telemetry;
 
     /// Run `step`'s per-rank buffers: rank `s` holds `n·chunk` labelled
     /// values, shifted per step so every run moves different data.
@@ -327,7 +324,7 @@ mod tests {
     fn every_rank_keeps_its_thread_across_runs() {
         // `ThreadId`s are never reused, so an id that holds across 100
         // runs means no rank thread was spawned after the group was.
-        let mut group = RankGroup::new(Topology::new(2, 2), None, None);
+        let mut group = RankGroup::new(Topology::new(2, 2), None, &Telemetry::disabled());
         let program = |_: &mut Communicator| std::thread::current().id();
         let first = group.run(&program).unwrap();
         for run in 1..100 {
@@ -345,7 +342,7 @@ mod tests {
         // Tags, mailboxes and payload counters carry over: each run's
         // collectives see fresh tags and a clean mailbox, and the
         // payload counter keeps counting.
-        let mut group = RankGroup::new(Topology::new(2, 2), None, None);
+        let mut group = RankGroup::new(Topology::new(2, 2), None, &Telemetry::disabled());
         for step in 0..5 {
             let bufs = labeled(4, 3, step);
             let got = group
@@ -366,7 +363,7 @@ mod tests {
 
     #[test]
     fn a_panicking_rank_is_reraised_after_every_rank_reports() {
-        let mut group = RankGroup::new(Topology::new(1, 4), None, None);
+        let mut group = RankGroup::new(Topology::new(1, 4), None, &Telemetry::disabled());
         let reported = AtomicUsize::new(0);
         let result = panic::catch_unwind(AssertUnwindSafe(|| {
             group.run(&|comm| {
@@ -392,7 +389,7 @@ mod tests {
 
     #[test]
     fn a_leaked_message_is_a_typed_error_and_the_group_stays_dead() {
-        let mut group = RankGroup::new(Topology::new(1, 2), None, None);
+        let mut group = RankGroup::new(Topology::new(1, 2), None, &Telemetry::disabled());
         let ran = AtomicUsize::new(0);
         let leaky = |comm: &mut Communicator| {
             ran.fetch_add(1, Ordering::SeqCst);
@@ -421,7 +418,7 @@ mod tests {
 
     #[test]
     fn a_poisoned_rank_ends_the_group_with_its_first_error() {
-        let mut group = RankGroup::new(Topology::new(1, 2), None, None);
+        let mut group = RankGroup::new(Topology::new(1, 2), None, &Telemetry::disabled());
         let got = group.run(&|comm| comm.all_to_all(&[1.0, 2.0, 3.0]));
         let err = CommError::Indivisible { len: 3, chunks: 2 };
         assert_eq!(got, Err(err.clone()));
@@ -462,7 +459,7 @@ mod tests {
             ),
             telemetry: telemetry.clone(),
         };
-        let mut group = RankGroup::new(Topology::new(2, 2), Some(cfg), None);
+        let mut group = RankGroup::new(Topology::new(2, 2), Some(cfg), &Telemetry::disabled());
         let mut per_run = Vec::new();
         for step in 0..6 {
             let bufs = labeled(4, 2, step);
@@ -508,7 +505,7 @@ mod tests {
             plan: Some(FaultPlan::new(9).with_drops(100)),
             telemetry: Telemetry::disabled(),
         };
-        let mut group = RankGroup::new(Topology::new(1, 2), Some(cfg), None);
+        let mut group = RankGroup::new(Topology::new(1, 2), Some(cfg), &Telemetry::disabled());
         let program = |comm: &mut Communicator| comm.all_to_all(&[comm.rank() as f32; 2]).is_ok();
         let err = group.run(&program).expect_err("every send is dropped");
         assert!(matches!(err, CommError::Timeout { rank: 0, .. }), "{err:?}");

@@ -9,8 +9,8 @@
 //!   code that spawns rank threads: one parked thread per rank, each
 //!   owning its communicator for the group's life;
 //!   [`RankGroup::run_once`] is a one-shot run (reliable and traced
-//!   runs pass their config and trace hub to [`RankGroup::new`]) and
-//!   [`run_threaded`] its plain form; and
+//!   runs pass their config and telemetry handle to
+//!   [`RankGroup::new`]) and [`run_threaded`] its plain form; and
 //! * a **timing layer** that prices every collective on a
 //!   [`tutel_simgpu`] cluster (link α–β models, message-size-dependent
 //!   bandwidth, strided-copy penalties) — used by the adaptive

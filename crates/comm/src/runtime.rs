@@ -78,7 +78,7 @@ use std::collections::{HashMap, HashSet};
 use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use tutel_obs::trace::{FlowKind, TraceHub, Tracer, TRACK_COMM};
+use tutel_obs::trace::{FlowKind, Tracer, TRACK_COMM};
 use tutel_obs::Telemetry;
 use tutel_simgpu::Topology;
 
@@ -254,8 +254,8 @@ pub struct Communicator {
     /// delivery faults live in the scheduler itself).
     reliability: Option<Reliability>,
     /// Causal tracer for this rank; disabled (one branch per call, no
-    /// clock or allocation) unless the run was started via a traced
-    /// runner with a [`TraceHub`].
+    /// clock or allocation) unless the run was started with an enabled
+    /// [`Telemetry`] handle.
     tracer: Tracer,
     /// Transmission-attempt counters per `(peer, tag, kind)`, backing
     /// the `seq` stamp on [`Message`]. Only touched when the tracer is
@@ -310,11 +310,11 @@ impl Communicator {
     /// One communicator per rank of `topology`, joined by one MPMC
     /// channel per rank: the only place channel-backed communicators
     /// are built. `reliable` arms the reliability layer on every rank
-    /// (sharing its telemetry); `hub` gives each rank its tracer.
+    /// (sharing its telemetry); `tel` gives each rank its tracer.
     pub(crate) fn mesh(
         topology: Topology,
         reliable: Option<&ReliableConfig>,
-        hub: Option<&TraceHub>,
+        tel: &Telemetry,
     ) -> Vec<Communicator> {
         let n = topology.world_size();
         let (senders, receivers): (Vec<_>, Vec<_>) = (0..n).map(|_| unbounded()).unzip();
@@ -335,7 +335,7 @@ impl Communicator {
                     obs: c.telemetry.clone(),
                     state: RefCell::new(RelState::default()),
                 }),
-                tracer: hub.map_or_else(Tracer::disabled, |h| h.tracer(rank)),
+                tracer: tel.tracer(rank),
                 send_seqs: RefCell::new(HashMap::new()),
                 sent_elems: Cell::new(0),
             })
@@ -1441,7 +1441,6 @@ impl Drop for Communicator {
 mod tests {
     use super::*;
     use crate::{linear_all_to_all, RankBuffers, RankGroup};
-    use tutel_obs::trace::TraceHub;
 
     fn labeled(n: usize, chunk: usize) -> RankBuffers {
         (0..n)
@@ -1677,8 +1676,12 @@ mod tests {
             (a, b, c, d)
         };
         let plain = run_threaded(topo, program);
-        let reliable =
-            RankGroup::new(topo, Some(ReliableConfig::default()), None).run_once(program);
+        let reliable = RankGroup::new(
+            topo,
+            Some(ReliableConfig::default()),
+            &Telemetry::disabled(),
+        )
+        .run_once(program);
         assert_eq!(plain, reliable);
     }
 
@@ -1707,7 +1710,7 @@ mod tests {
             ),
             telemetry: telemetry.clone(),
         };
-        let reliable = RankGroup::new(topo, Some(cfg), None).run_once(program);
+        let reliable = RankGroup::new(topo, Some(cfg), &Telemetry::disabled()).run_once(program);
         assert_eq!(plain, reliable, "faulted run diverged from plain run");
         let injected = telemetry
             .counter_value("comm.retry.injected_drops")
@@ -1752,7 +1755,7 @@ mod tests {
             ),
             telemetry: telemetry.clone(),
         };
-        let reliable = RankGroup::new(topo, Some(cfg), None).run_once(program);
+        let reliable = RankGroup::new(topo, Some(cfg), &Telemetry::disabled()).run_once(program);
         assert_eq!(plain, reliable, "faulted ragged run diverged");
         let injected = telemetry
             .counter_value("comm.retry.injected_drops")
@@ -1776,7 +1779,7 @@ mod tests {
             telemetry: telemetry.clone(),
         };
         let started = std::time::Instant::now();
-        let got = RankGroup::new(topo, Some(cfg), None).run_once(|mut comm| {
+        let got = RankGroup::new(topo, Some(cfg), &Telemetry::disabled()).run_once(|mut comm| {
             let r = comm.all_to_all(&[comm.rank() as f32; 2]);
             (r, comm.parked_messages())
         });
@@ -1807,7 +1810,7 @@ mod tests {
             plan: Some(FaultPlan::new(4).with_duplicates(100)),
             telemetry: telemetry.clone(),
         };
-        let reliable = RankGroup::new(topo, Some(cfg), None).run_once(program);
+        let reliable = RankGroup::new(topo, Some(cfg), &Telemetry::disabled()).run_once(program);
         assert_eq!(plain, reliable);
         assert!(
             telemetry
@@ -1949,7 +1952,7 @@ mod tests {
             ),
             telemetry: telemetry.clone(),
         };
-        let reliable = RankGroup::new(topo, Some(cfg), None).run_once(program);
+        let reliable = RankGroup::new(topo, Some(cfg), &Telemetry::disabled()).run_once(program);
         assert_eq!(plain, reliable, "faulted overlapped run diverged");
         let injected = telemetry
             .counter_value("comm.retry.injected_drops")
@@ -2123,8 +2126,12 @@ mod tests {
         };
         let topo = Topology::new(2, 2);
         let plain = run_threaded(topo, program);
-        let reliable =
-            RankGroup::new(topo, Some(ReliableConfig::default()), None).run_once(program);
+        let reliable = RankGroup::new(
+            topo,
+            Some(ReliableConfig::default()),
+            &Telemetry::disabled(),
+        )
+        .run_once(program);
         for (rank, (got, parked)) in plain.into_iter().chain(reliable).enumerate() {
             let rank = rank % 4;
             assert!(
@@ -2151,11 +2158,11 @@ mod tests {
         let topo = Topology::new(2, 2);
         let bufs = labeled(4, 2);
         let bufs_ref = &bufs;
-        let hub = TraceHub::new(4);
-        let got = RankGroup::new(topo, None, Some(&hub))
+        let tel = Telemetry::enabled();
+        let got = RankGroup::new(topo, None, &tel)
             .run_once(|mut comm| comm.all_to_all(&bufs_ref[comm.rank()]).unwrap());
         assert_eq!(got, linear_all_to_all(&bufs));
-        let merged = hub.merged();
+        let merged = tel.trace();
         let inv = merged.check_invariants().expect("clean traced run");
         // 4 ranks each send to 3 peers, exactly once.
         assert_eq!(inv.edges, 12);
@@ -2177,10 +2184,10 @@ mod tests {
         let topo = Topology::new(2, 2);
         let bufs = labeled(4, 2);
         let bufs_ref = &bufs;
-        let hub = TraceHub::new(4);
-        RankGroup::new(topo, None, Some(&hub))
+        let tel = Telemetry::enabled();
+        RankGroup::new(topo, None, &tel)
             .run_once(|mut comm| comm.all_to_all_2dh(&bufs_ref[comm.rank()]).unwrap());
-        let merged = hub.merged();
+        let merged = tel.trace();
         merged.check_invariants().expect("clean traced run");
         for rank in &merged.ranks {
             let promoted = rank.events.iter().any(|e| {
@@ -2195,16 +2202,16 @@ mod tests {
         let topo = Topology::new(1, 2);
         let bufs = labeled(2, 4);
         let bufs_ref = &bufs;
-        let hub = TraceHub::new(2);
+        let tel = Telemetry::enabled();
         let cfg = ReliableConfig {
             policy: fast_policy(4),
             plan: Some(FaultPlan::new(4).with_duplicates(100)),
             telemetry: Telemetry::disabled(),
         };
-        let got = RankGroup::new(topo, Some(cfg), Some(&hub))
+        let got = RankGroup::new(topo, Some(cfg), &tel)
             .run_once(|mut comm| comm.all_to_all(&bufs_ref[comm.rank()]).unwrap());
         assert_eq!(got, linear_all_to_all(&bufs));
-        let merged = hub.merged();
+        let merged = tel.trace();
         merged.check_invariants().expect("duplicated traced run");
         let edges = merged.flow_edges();
         let dup_rejected = edges
@@ -2222,7 +2229,7 @@ mod tests {
         let topo = Topology::new(1, 2);
         let bufs = labeled(2, 4);
         let bufs_ref = &bufs;
-        let hub = TraceHub::new(2);
+        let tel = Telemetry::enabled();
         let cfg = ReliableConfig {
             // A generous timeout so no retry fires: the delayed copy
             // itself (flushed at rank 1's ack phase) is the accepted
@@ -2235,10 +2242,10 @@ mod tests {
             plan: Some(FaultPlan::new(4).with_delays(100, 1).only_from(1)),
             telemetry: Telemetry::disabled(),
         };
-        let got = RankGroup::new(topo, Some(cfg), Some(&hub))
+        let got = RankGroup::new(topo, Some(cfg), &tel)
             .run_once(|mut comm| comm.all_to_all(&bufs_ref[comm.rank()]).unwrap());
         assert_eq!(got, linear_all_to_all(&bufs));
-        let merged = hub.merged();
+        let merged = tel.trace();
         // The flush reuses the seq assigned at logical send time, so
         // the delayed copy still binds exactly one send/recv pair.
         merged.check_invariants().expect("delayed traced run");

@@ -694,10 +694,13 @@ mod tests {
         }
     }
 
+    /// A recorded span as `(name, t0_us, dur_us)`.
+    type Span = (String, f64, f64);
+
     /// One traced forward + backward over a warmed layer: the
     /// `moe.backward` span and the four stage spans inside it.
-    fn traced_backward_spans() -> (tutel_obs::SpanRecord, Vec<tutel_obs::SpanRecord>) {
-        use tutel_obs::Event;
+    fn traced_backward_spans() -> (Span, Vec<Span>) {
+        use tutel_obs::TraceEvent;
         let cfg = MoeConfig::new(32, 64, 8).with_top_k(2);
         let (mut l, mut rng) = layer(&cfg, 16);
         let x = rng.normal_tensor(&[512, 32], 0.0, 1.0);
@@ -709,9 +712,15 @@ mod tests {
         l.set_telemetry(tel.clone());
         l.forward(&x).unwrap();
         l.backward(&up).unwrap();
+        let events = tel.tracer(0).events();
         let span = |name: &str| {
-            let mut spans = tel.events().into_iter().filter_map(|e| match e {
-                Event::Span(s) if s.name == name => Some(s),
+            let mut spans = events.iter().filter_map(|e| match e {
+                TraceEvent::Span {
+                    name: n,
+                    t0_us,
+                    dur_us,
+                    ..
+                } if n == name => Some((n.clone(), *t0_us, *dur_us)),
                 _ => None,
             });
             let first = spans.next().unwrap_or_else(|| panic!("no `{name}` span"));
@@ -733,19 +742,12 @@ mod tests {
         // stage span exists exactly once, they follow one another in
         // stage order, and all of them sit inside `moe.backward`.
         let (whole, stages) = traced_backward_spans();
-        let mut at = whole.start_s;
-        for s in &stages {
-            assert!(
-                s.start_s >= at,
-                "`{}` starts before its predecessor ends",
-                s.name
-            );
-            at = s.start_s + s.dur_s;
+        let mut at = whole.1;
+        for (name, t0, dur) in &stages {
+            assert!(*t0 >= at, "`{name}` starts before its predecessor ends");
+            at = t0 + dur;
         }
-        assert!(
-            at <= whole.start_s + whole.dur_s,
-            "stages outlast moe.backward"
-        );
+        assert!(at <= whole.1 + whole.2, "stages outlast moe.backward");
     }
 
     #[test]
@@ -757,8 +759,8 @@ mod tests {
         let best = (0..9)
             .map(|_| {
                 let (whole, stages) = traced_backward_spans();
-                let parts: f64 = stages.iter().map(|s| s.dur_s).sum();
-                (whole.dur_s - parts) / whole.dur_s
+                let parts: f64 = stages.iter().map(|s| s.2).sum();
+                (whole.2 - parts) / whole.2
             })
             .fold(f64::MAX, f64::min);
         assert!(best <= 0.10, "unattributed backward share {best:.3}");

@@ -168,7 +168,7 @@ where
                 "dispatch.drain",
                 drain_t0,
                 tracer.now_us(),
-                &[("chunk", i as f64)],
+                &[("chunk", i as u64)],
             );
             let rt0 = if traced {
                 tutel_rt::pool_stats()
@@ -185,7 +185,7 @@ where
                 "compute",
                 compute_t0,
                 compute_t1,
-                &[("chunk", i as f64)],
+                &[("chunk", i as u64)],
             );
             if traced {
                 // Process-global pool counters: the deltas bound this
@@ -197,12 +197,12 @@ where
                     compute_t0,
                     compute_t1,
                     &[
-                        ("chunks", rt1.chunks.saturating_sub(rt0.chunks) as f64),
+                        ("chunks", rt1.chunks.saturating_sub(rt0.chunks)),
                         (
                             "worker_chunks",
-                            rt1.worker_chunks.saturating_sub(rt0.worker_chunks) as f64,
+                            rt1.worker_chunks.saturating_sub(rt0.worker_chunks),
                         ),
-                        ("steals", rt1.steals.saturating_sub(rt0.steals) as f64),
+                        ("steals", rt1.steals.saturating_sub(rt0.steals)),
                     ],
                 );
             }
@@ -230,7 +230,7 @@ where
                 "combine.drain",
                 drain_t0,
                 tracer.now_us(),
-                &[("chunk", idx as f64)],
+                &[("chunk", idx)],
             );
         }
         Ok(())

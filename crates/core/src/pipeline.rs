@@ -358,7 +358,7 @@ impl StageBreakdown {
     }
 
     /// The stages as `(name, seconds)` pairs, in execution order —
-    /// ready for [`tutel_obs::Telemetry::add_stage`].
+    /// ready for [`tutel_obs::StepRecord::stages`].
     pub fn stages(&self) -> [(&'static str, Seconds); 6] {
         [
             ("gate", self.gate),

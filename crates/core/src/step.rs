@@ -28,7 +28,7 @@ use tutel_gate::{
     aux_loss_grad_row, observe_routing, route, RaggedRouting, RouteConfig, Router, Routing,
 };
 use tutel_kernels::{ragged_decode, ragged_decode_backward, ragged_encode, ragged_encode_backward};
-use tutel_obs::{Span, Telemetry};
+use tutel_obs::{Telemetry, TraceSpan};
 use tutel_tensor::{scratch, Tensor, TensorError};
 
 /// What [`forward`] ran, for [`backward`] and the caller's report.
@@ -47,14 +47,14 @@ pub struct Saved {
 }
 
 /// Opens stage span `name` tagged with the step's sizes.
-fn stage_span(tel: &Telemetry, name: &str, routing: &Routing, bins: &RaggedRouting) -> Span {
+fn stage_span(tel: &Telemetry, name: &str, routing: &Routing, bins: &RaggedRouting) -> TraceSpan {
     if !tel.is_enabled() {
         return tel.span(name);
     }
     tel.span(name)
-        .tag("tokens", routing.num_tokens())
-        .tag("experts", routing.experts)
-        .tag("packed_rows", bins.total())
+        .arg("tokens", routing.num_tokens() as u64)
+        .arg("experts", routing.experts as u64)
+        .arg("packed_rows", bins.total() as u64)
 }
 
 /// The gate stage over `x (T, M)`: router logits, softmax, and the
@@ -236,7 +236,7 @@ fn gate_logits_grad(
 mod tests {
     use super::*;
     use tutel_gate::LinearRouter;
-    use tutel_obs::Event;
+    use tutel_obs::TraceEvent;
     use tutel_tensor::Rng;
 
     #[test]
@@ -265,10 +265,11 @@ mod tests {
         assert_eq!(tel.counter_value("kernels.decode.calls"), Some(1));
         // The stage spans made it into the ring, in stage order.
         let spans: Vec<String> = tel
+            .tracer(0)
             .events()
             .into_iter()
             .filter_map(|e| match e {
-                Event::Span(s) => Some(s.name),
+                TraceEvent::Span { name, .. } => Some(name),
                 _ => None,
             })
             .collect();

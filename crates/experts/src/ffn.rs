@@ -486,7 +486,7 @@ impl ExpertsBlock {
     /// pass's work: two GEMMs over every row of every bin, `4·R·M·V`
     /// multiply-adds — with exact bins that is the routed rows only —
     /// and, forward only, `R·V` GELU evaluations (one `tanh` each).
-    fn ffn_span(&self, forward: bool, offsets: &[usize]) -> tutel_obs::Span {
+    fn ffn_span(&self, forward: bool, offsets: &[usize]) -> tutel_obs::TraceSpan {
         let name = if forward { "ffn" } else { "ffn.backward" };
         if !self.obs.is_enabled() {
             return self.obs.span(name);
@@ -501,9 +501,9 @@ impl ExpertsBlock {
         }
         self.obs
             .span(name)
-            .tag("local_experts", self.local_experts)
-            .tag("rows", rows)
-            .tag("flops", flops)
+            .arg("local_experts", self.local_experts as u64)
+            .arg("rows", rows as u64)
+            .arg("flops", flops as u64)
     }
 
     /// Validates a packed `(R, M)` input against caller-supplied bins.
@@ -934,7 +934,7 @@ mod tests {
     #[test]
     #[ignore = "wall-clock bound: ci.sh runs it alone, not under the parallel suite"]
     fn ffn_child_spans_nest_in_order_and_account_for_the_ffn() {
-        use tutel_obs::{Event, SpanRecord};
+        use tutel_obs::TraceEvent;
         let mut rng = Rng::seed(18);
         let mut ex = ExpertsBlock::new(8, 32, 64, &mut rng);
         let x = rng.normal_tensor(&[8, 64, 32], 0.0, 1.0);
@@ -943,8 +943,9 @@ mod tests {
         ex.infer(&x).unwrap();
         // One traced pass, capture on or off: the `ffn` span and its
         // two children (GELU runs inside `ffn.gemm1`), each exactly
-        // once.
-        let mut traced = |capture: bool| -> (SpanRecord, Vec<SpanRecord>) {
+        // once, as `(name, t0_us, dur_us)`.
+        type Span = (String, f64, f64);
+        let mut traced = |capture: bool| -> (Span, Vec<Span>) {
             let tel = Telemetry::enabled();
             ex.set_telemetry(tel.clone());
             if capture {
@@ -952,9 +953,15 @@ mod tests {
             } else {
                 ex.infer(&x).unwrap();
             }
+            let events = tel.tracer(0).events();
             let span = |name: &str| {
-                let mut spans = tel.events().into_iter().filter_map(|e| match e {
-                    Event::Span(s) if s.name == name => Some(s),
+                let mut spans = events.iter().filter_map(|e| match e {
+                    TraceEvent::Span {
+                        name: n,
+                        t0_us,
+                        dur_us,
+                        ..
+                    } if n == name => Some((n.clone(), *t0_us, *dur_us)),
                     _ => None,
                 });
                 let first = spans.next().unwrap_or_else(|| panic!("no `{name}` span"));
@@ -970,18 +977,14 @@ mod tests {
             let mut best = f64::MAX;
             for _ in 0..9 {
                 let (whole, children) = traced(capture);
-                let mut at = whole.start_s;
-                for c in &children {
-                    assert!(
-                        c.start_s >= at,
-                        "`{}` starts before its predecessor ends",
-                        c.name
-                    );
-                    at = c.start_s + c.dur_s;
+                let mut at = whole.1;
+                for (name, t0, dur) in &children {
+                    assert!(*t0 >= at, "`{name}` starts before its predecessor ends");
+                    at = t0 + dur;
                 }
-                assert!(at <= whole.start_s + whole.dur_s, "children outlast ffn");
-                let parts: f64 = children.iter().map(|c| c.dur_s).sum();
-                best = best.min((whole.dur_s - parts) / whole.dur_s);
+                assert!(at <= whole.1 + whole.2, "children outlast ffn");
+                let parts: f64 = children.iter().map(|c| c.2).sum();
+                best = best.min((whole.2 - parts) / whole.2);
             }
             assert!(
                 best <= 0.10,

@@ -24,7 +24,7 @@ use tutel_comm::runtime::Communicator;
 use tutel_comm::RankGroup;
 use tutel_experts::{rank_blocks, shard_sum, ExpertsBlock};
 use tutel_gate::{aux_loss, RaggedRouting};
-use tutel_obs::trace::{TraceHub, TRACK_MAIN};
+use tutel_obs::trace::TRACK_MAIN;
 use tutel_obs::Telemetry;
 use tutel_rt::with_parallelism_limit;
 use tutel_simgpu::Topology;
@@ -34,10 +34,10 @@ use crate::reference::{Fixture, Problem, RankResult};
 use crate::ExecConfig;
 
 /// Runs the full forward + backward under `cfg` on every rank and
-/// returns the per-rank results (index = rank). With `Some(hub)` every
-/// rank is wired to a tracer from `hub`, and the run leaves a causal
+/// returns the per-rank results (index = rank). Rank `r` records on
+/// `tel.tracer(r)`: with an enabled handle the run leaves a causal
 /// trace (main-track phase spans, the overlap schedule's two streams,
-/// and cross-rank flow edges) on the hub's shared timebase.
+/// and cross-rank flow edges) on the handle's epoch.
 ///
 /// # Panics
 ///
@@ -47,14 +47,14 @@ pub fn run_distributed(
     problem: &Problem,
     fixture: &Fixture,
     cfg: &ExecConfig,
-    hub: Option<&TraceHub>,
+    tel: &Telemetry,
 ) -> Vec<RankResult> {
     assert_eq!(cfg.world, problem.world, "config/problem world mismatch");
     let topo = Topology::for_world(cfg.world);
     let cfg = *cfg;
     let program =
         move |comm| with_parallelism_limit(cfg.threads, || run_rank(problem, fixture, &cfg, comm));
-    RankGroup::new(topo, None, hub).run_once(program)
+    RankGroup::new(topo, None, tel).run_once(program)
 }
 
 fn run_rank(
@@ -161,7 +161,7 @@ mod tests {
             threads: crate::reference::REF_THREADS,
             dropless: true,
         };
-        let got = run_distributed(&problem, &fixture, &cfg, None);
+        let got = run_distributed(&problem, &fixture, &cfg, &Telemetry::disabled());
         for (rank, (g, r)) in got.iter().zip(&reference).enumerate() {
             let at = format!("rank {rank} ({})", cfg.label());
             assert_eq!(max_ulp(&g.output, &r.output), 0, "{at} output");
@@ -184,7 +184,7 @@ mod tests {
             threads: 4,
             dropless: true,
         };
-        let got = run_distributed(&problem, &fixture, &cfg, None);
+        let got = run_distributed(&problem, &fixture, &cfg, &Telemetry::disabled());
         let budget = f64::from(ulp_budget(&cfg));
         for (rank, (g, r)) in got.iter().zip(&reference).enumerate() {
             let at = format!("rank {rank} ({})", cfg.label());

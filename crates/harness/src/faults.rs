@@ -187,8 +187,12 @@ pub fn run_fault_scenarios(collective: Collective, fault_seed: u64) -> FaultRepo
     // Scenario 1: graceful degradation. A mixed recoverable plan plus
     // a retry budget must reproduce the baseline bitwise.
     let telemetry = Telemetry::enabled();
-    let recovered =
-        RankGroup::new(topo, Some(recoverable(fault_seed, 20, &telemetry)), None).run_once(program);
+    let recovered = RankGroup::new(
+        topo,
+        Some(recoverable(fault_seed, 20, &telemetry)),
+        &Telemetry::disabled(),
+    )
+    .run_once(program);
     let recovered_identical = recovered == plain;
     let injected = injected_faults(&telemetry);
     let retransmits = retry_counter(&telemetry, "comm.retry.retransmits");
@@ -207,7 +211,7 @@ pub fn run_fault_scenarios(collective: Collective, fault_seed: u64) -> FaultRepo
         telemetry: fail_telemetry.clone(),
     };
     let started = Instant::now();
-    let failed = RankGroup::new(topo, Some(fail_cfg), None).run_once(program);
+    let failed = RankGroup::new(topo, Some(fail_cfg), &Telemetry::disabled()).run_once(program);
     let bounded = started.elapsed() < Duration::from_secs(10);
     let failed_typed = failed
         .iter()

@@ -31,6 +31,7 @@
 //!   move the aux loss.
 
 use tutel_experts::ExpertsBlock;
+use tutel_obs::Telemetry;
 use tutel_tensor::{dispatch, Precision};
 
 use crate::dist::run_distributed;
@@ -185,7 +186,7 @@ pub fn run_kernel_matrix(seed: u64) -> Vec<KernelVerdict> {
         runs.push(dispatch::with_simd_mode(Some(cell.simd), || {
             configs
                 .iter()
-                .map(|c| run_distributed(&problem, fixture, c, None))
+                .map(|c| run_distributed(&problem, fixture, c, &Telemetry::disabled()))
                 .collect()
         }));
     }

@@ -6,10 +6,10 @@
 //! harness [--smoke | --full] [--seed N] [--fault-seed N] [--json PATH] [--trace PREFIX]
 //! ```
 //!
-//! `--trace PREFIX` additionally runs the traced 4-rank smoke (per-rank
-//! JSONLs + merged `PREFIX.trace.json`, gated by the trace invariant
-//! checker) and the staged straggler scenario (the analyzer must name
-//! the delayed rank).
+//! `--trace PREFIX` additionally runs the traced 4-rank smoke (the
+//! run's `PREFIX.jsonl` stream + merged `PREFIX.trace.json`, gated by
+//! the trace invariant checker) and the staged straggler scenario (the
+//! analyzer must name the delayed rank).
 //!
 //! Exit code 0 iff every matrix point, every fault scenario, every
 //! serving-grid point (with its fault replay), and (when requested)

@@ -5,6 +5,7 @@
 use crate::dist::run_distributed;
 use crate::reference::{run_reference, Problem, RankResult};
 use crate::{grid, ExecConfig, Worst};
+use tutel_obs::Telemetry;
 
 /// Pipeline degrees.
 pub const DEGREES: [usize; 4] = [1, 2, 4, 8];
@@ -93,7 +94,7 @@ pub fn run_matrix(mode: Mode, seed: u64) -> Vec<Verdict> {
         let fixture = problem.materialize();
         let reference = run_reference(&problem, &fixture);
         for config in configs(mode).into_iter().filter(|c| c.world == world) {
-            let got = run_distributed(&problem, &fixture, &config, None);
+            let got = run_distributed(&problem, &fixture, &config, &Telemetry::disabled());
             verdicts.push(judge(config, &reference, &got));
         }
     }

@@ -4,7 +4,7 @@
 //!
 //! * [`run_trace_smoke`] — a clean 4-rank overlapped run of the full
 //!   MoE forward + backward with every rank traced. It exports the
-//!   per-rank JSONL buffers and the merged Perfetto-loadable
+//!   run's one JSONL stream and the merged Perfetto-loadable
 //!   `.trace.json`, then asserts the structural invariants: every
 //!   flow edge binds exactly one send/recv pair, cross-rank edges
 //!   exist, both overlap streams recorded spans, and the 2DH
@@ -23,7 +23,7 @@ use std::thread;
 use std::time::Duration;
 
 use tutel_comm::{AllToAllAlgo, FaultPlan, RankGroup, ReliableConfig, RetryPolicy};
-use tutel_obs::trace::{TraceHub, TraceInvariants, TRACK_STREAM_COMM, TRACK_STREAM_COMPUTE};
+use tutel_obs::trace::{TraceInvariants, TRACK_STREAM_COMM, TRACK_STREAM_COMPUTE};
 use tutel_obs::{analyze, Analysis, AnalyzerConfig, Telemetry, TraceEvent};
 use tutel_simgpu::Topology;
 
@@ -36,8 +36,8 @@ use crate::{ExecConfig, Parallelism};
 pub struct TraceSmoke {
     /// Structural facts from the invariant checker.
     pub invariants: TraceInvariants,
-    /// Per-rank JSONL paths, rank order.
-    pub rank_paths: Vec<String>,
+    /// The run's JSONL stream (every rank's trace events).
+    pub jsonl_path: String,
     /// The merged Chrome `trace_events` file.
     pub trace_path: String,
     /// The analyzer's text report for the run.
@@ -50,8 +50,8 @@ pub struct TraceSmoke {
 const STRAGGLER_STALL: Duration = Duration::from_millis(12);
 
 /// Runs the 4-rank, 4-thread, degree-2 overlapped conformance
-/// workload traced, writes `{prefix}.rank{r}.jsonl` per rank and the
-/// merged `{prefix}.trace.json`, and checks the trace's structural
+/// workload traced, writes the run's stream to `{prefix}.jsonl` and
+/// the merged `{prefix}.trace.json`, and checks the trace's structural
 /// invariants.
 ///
 /// # Errors
@@ -69,13 +69,13 @@ pub fn run_trace_smoke(prefix: &str) -> Result<TraceSmoke, String> {
         threads: 4,
         dropless: false,
     };
-    let hub = TraceHub::new(cfg.world);
-    run_distributed(&problem, &fixture, &cfg, Some(&hub));
+    let tel = Telemetry::enabled();
+    run_distributed(&problem, &fixture, &cfg, &tel);
 
-    let rank_paths = hub
-        .export_rank_jsonls(prefix)
-        .map_err(|e| format!("exporting rank JSONLs under {prefix}: {e}"))?;
-    let merged = hub.merged();
+    let jsonl_path = format!("{prefix}.jsonl");
+    tel.export_jsonl_to(&jsonl_path)
+        .map_err(|e| format!("exporting {jsonl_path}: {e}"))?;
+    let merged = tel.trace();
     let invariants = merged.check_invariants()?;
     if invariants.cross_rank_edges == 0 {
         return Err("traced run produced no cross-rank flow edges".to_string());
@@ -109,7 +109,7 @@ pub fn run_trace_smoke(prefix: &str) -> Result<TraceSmoke, String> {
     let analysis = analyze(&merged, &AnalyzerConfig::default());
     Ok(TraceSmoke {
         invariants,
-        rank_paths,
+        jsonl_path,
         trace_path,
         report: tutel_obs::analyze::report(&analysis),
     })
@@ -123,7 +123,8 @@ pub fn run_trace_smoke(prefix: &str) -> Result<TraceSmoke, String> {
 /// payloads only flush when it re-enters the runtime. Every rank's
 /// *wall* is equally long (the victims block on the late data), so
 /// only the sender-attributed delivery-latency signal can name the
-/// culprit. The anomalies are recorded into `tel`'s audit ring.
+/// culprit. The ranks are traced on `tel`, which must therefore be
+/// enabled, and the anomalies land in its audit ring.
 ///
 /// # Errors
 ///
@@ -138,7 +139,6 @@ pub fn run_straggler_scenario(
     let topo = Topology::new(2, 2);
     let world = topo.world_size();
     assert!(culprit < world, "culprit must be a rank");
-    let hub = TraceHub::new(world);
     let cfg = ReliableConfig {
         // A timeout far above the stall: the delayed copies themselves
         // are the accepted deliveries, not retransmissions of them.
@@ -150,7 +150,7 @@ pub fn run_straggler_scenario(
         plan: Some(FaultPlan::new(seed).with_delays(100, 2).only_from(culprit)),
         telemetry: tel.clone(),
     };
-    let results = RankGroup::new(topo, Some(cfg), Some(&hub)).run_once(move |mut comm| {
+    let results = RankGroup::new(topo, Some(cfg), tel).run_once(move |mut comm| {
         let sends = (0..world)
             .map(|d| vec![(comm.rank() * world + d) as f32; 2])
             .collect();
@@ -166,7 +166,7 @@ pub fn run_straggler_scenario(
         }
     }
 
-    let merged = hub.merged();
+    let merged = tel.trace();
     merged.check_invariants()?;
     let analysis = analyze(&merged, &AnalyzerConfig::default());
     match analysis.straggler() {
@@ -196,24 +196,15 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("temp dir");
         let prefix = dir.join("smoke").to_string_lossy().into_owned();
         let smoke = run_trace_smoke(&prefix).expect("trace smoke");
-        assert_eq!(smoke.rank_paths.len(), 4);
         assert!(smoke.invariants.cross_rank_edges > 0);
         assert!(!smoke.invariants.truncated, "ring buffers overflowed");
-        // Round trip: the exported JSONLs parse back, re-merge, and
-        // still satisfy every structural invariant.
-        let parsed: Vec<_> = smoke
-            .rank_paths
-            .iter()
-            .enumerate()
-            .map(|(rank, path)| {
-                let text = std::fs::read_to_string(path).expect("rank JSONL");
-                let trace = tutel_obs::trace::parse_rank_trace(&text).expect("parse");
-                assert_eq!(trace.rank, rank);
-                assert!(!trace.events.is_empty());
-                trace
-            })
-            .collect();
-        let remerged = tutel_obs::MergedTrace::from_ranks(parsed);
+        // Round trip: the exported stream parses back into every rank's
+        // trace, which still satisfies every structural invariant.
+        let text = std::fs::read_to_string(&smoke.jsonl_path).expect("run JSONL");
+        let remerged = tutel_obs::MergedTrace::from_jsonl(&text).expect("parse");
+        let ranks: Vec<_> = remerged.ranks.iter().map(|r| r.rank).collect();
+        assert_eq!(ranks, [0, 1, 2, 3]);
+        assert!(remerged.ranks.iter().all(|r| !r.events.is_empty()));
         let reinv = remerged.check_invariants().expect("re-merged invariants");
         assert_eq!(reinv, smoke.invariants);
         // Track ids are stable across ranks: one span name, one track.

@@ -1,9 +1,9 @@
-//! `tutel-trace`: merge per-rank trace JSONLs into one Perfetto-
-//! loadable Chrome `trace_events` JSON and print a critical-path
-//! report.
+//! `tutel-trace`: read one run's telemetry JSONL stream, write its
+//! every-rank trace as one Perfetto-loadable Chrome `trace_events` JSON
+//! and print a critical-path report.
 //!
 //! ```text
-//! tutel-trace <out.trace.json> <rank0.jsonl> [rank1.jsonl ...]
+//! tutel-trace <out.trace.json> <run.jsonl>
 //! ```
 //!
 //! Exit codes: `0` merged and invariants hold, `1` usage or I/O
@@ -15,42 +15,35 @@
 use std::process::ExitCode;
 
 use tutel_obs::analyze::{analyze, report, AnalyzerConfig};
-use tutel_obs::{parse_rank_trace, MergedTrace, RankTrace};
+use tutel_obs::MergedTrace;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.len() < 2 {
-        eprintln!("usage: tutel-trace <out.trace.json> <rank0.jsonl> [rank1.jsonl ...]");
+    let [out_path, path] = args.as_slice() else {
+        eprintln!("usage: tutel-trace <out.trace.json> <run.jsonl>");
         return ExitCode::FAILURE;
-    }
-    let out_path = &args[0];
-    let mut ranks: Vec<RankTrace> = Vec::new();
-    for path in &args[1..] {
-        let text = match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(err) => {
-                eprintln!("tutel-trace: cannot read {path}: {err}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match parse_rank_trace(&text) {
-            Ok(rank) => {
-                if rank.dropped > 0 {
-                    eprintln!(
-                        "tutel-trace: warning: rank {} dropped {} events before export — \
-                         the merged trace is truncated",
-                        rank.rank, rank.dropped
-                    );
-                }
-                ranks.push(rank);
-            }
-            Err(err) => {
-                eprintln!("tutel-trace: {path}: {err}");
-                return ExitCode::FAILURE;
-            }
+    };
+    let text = match std::fs::read_to_string(path) {
+        Ok(text) => text,
+        Err(err) => {
+            eprintln!("tutel-trace: cannot read {path}: {err}");
+            return ExitCode::FAILURE;
         }
+    };
+    let merged = match MergedTrace::from_jsonl(&text) {
+        Ok(merged) => merged,
+        Err(err) => {
+            eprintln!("tutel-trace: {path}: {err}");
+            return ExitCode::FAILURE;
+        }
+    };
+    for rank in merged.ranks.iter().filter(|r| r.dropped > 0) {
+        eprintln!(
+            "tutel-trace: warning: rank {} dropped {} events before export — \
+             the merged trace is truncated",
+            rank.rank, rank.dropped
+        );
     }
-    let merged = MergedTrace::from_ranks(ranks);
     let invariants = match merged.check_invariants() {
         Ok(inv) => inv,
         Err(err) => {

@@ -1,80 +1,12 @@
-//! The telemetry event model: spans, modeled collectives, per-step
-//! training records, and adaptive-decision audit entries.
+//! The telemetry event model: modeled collectives, per-step training
+//! records, adaptive-decision audit entries and analyzer anomalies.
+//! Spans are [`crate::trace::TraceEvent`]s.
 //!
 //! Every event serializes to one self-describing JSON object (a
 //! `"type"` field plus payload) so a JSONL export can be filtered with
 //! `jq 'select(.type == "...")'`.
 
 use crate::json::Value;
-
-/// A tag attached to a span.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TagValue {
-    /// A string tag.
-    Str(String),
-    /// A float tag.
-    F64(f64),
-    /// An integer tag.
-    U64(u64),
-}
-
-impl TagValue {
-    fn to_value(&self) -> Value {
-        match self {
-            TagValue::Str(s) => Value::Str(s.clone()),
-            TagValue::F64(x) => Value::Num(*x),
-            TagValue::U64(n) => Value::Num(*n as f64),
-        }
-    }
-}
-
-impl From<&str> for TagValue {
-    fn from(s: &str) -> TagValue {
-        TagValue::Str(s.to_string())
-    }
-}
-
-impl From<String> for TagValue {
-    fn from(s: String) -> TagValue {
-        TagValue::Str(s)
-    }
-}
-
-impl From<f64> for TagValue {
-    fn from(x: f64) -> TagValue {
-        TagValue::F64(x)
-    }
-}
-
-impl From<u64> for TagValue {
-    fn from(n: u64) -> TagValue {
-        TagValue::U64(n)
-    }
-}
-
-impl From<usize> for TagValue {
-    fn from(n: usize) -> TagValue {
-        TagValue::U64(n as u64)
-    }
-}
-
-/// A completed wall-clock span.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpanRecord {
-    /// Span name (also the stage key it accumulates under).
-    pub name: String,
-    /// Start offset from telemetry creation, seconds.
-    pub start_s: f64,
-    /// Wall-clock duration, seconds.
-    pub dur_s: f64,
-    /// Training step active when the span closed, if any.
-    pub step: Option<u64>,
-    /// Serving request the span worked on behalf of, if any — lets a
-    /// serve-path trace be filtered down to one victim request.
-    pub request_id: Option<u64>,
-    /// Free-form tags.
-    pub tags: Vec<(String, TagValue)>,
-}
 
 /// A priced (modeled) collective: the simulated cluster never moves
 /// real bytes, so instead of a wall-clock span the comm layer records
@@ -113,8 +45,9 @@ pub struct StepRecord {
     pub expert_load: Vec<u64>,
     /// Tokens dropped by the capacity clamp, summed over MoE layers.
     pub dropped: u64,
-    /// Per-stage durations in seconds (`gate`, `encode`, `ffn`,
-    /// `decode` measured; `a2a_dispatch`, `a2a_combine` modeled).
+    /// Per-stage durations in seconds: the caller's own (the modeled
+    /// `a2a_dispatch`, `a2a_combine`), plus, per span name, the sum of
+    /// the step's spans (`gate`, `encode`, `ffn`, `decode`, ...).
     pub stages: Vec<(String, f64)>,
 }
 
@@ -190,8 +123,6 @@ impl AnomalyRecord {
 /// Any recorded event.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event {
-    /// A wall-clock span.
-    Span(SpanRecord),
     /// A modeled collective.
     Collective(CollectiveRecord),
     /// A training step.
@@ -213,30 +144,6 @@ impl Event {
     /// The event as one self-describing JSON object.
     pub fn to_value(&self) -> Value {
         match self {
-            Event::Span(s) => {
-                let mut pairs = vec![
-                    ("type".to_string(), Value::from("span")),
-                    ("name".to_string(), Value::from(s.name.clone())),
-                    ("start_s".to_string(), Value::from(s.start_s)),
-                    ("dur_s".to_string(), Value::from(s.dur_s)),
-                    ("step".to_string(), opt_step(s.step)),
-                ];
-                if let Some(id) = s.request_id {
-                    pairs.push(("request_id".to_string(), Value::from(id)));
-                }
-                if !s.tags.is_empty() {
-                    pairs.push((
-                        "tags".to_string(),
-                        Value::Obj(
-                            s.tags
-                                .iter()
-                                .map(|(k, v)| (k.clone(), v.to_value()))
-                                .collect(),
-                        ),
-                    ));
-                }
-                Value::Obj(pairs)
-            }
             Event::Collective(c) => Value::obj([
                 ("type", Value::from("collective")),
                 ("op", Value::from(c.op.clone())),
@@ -337,19 +244,6 @@ mod tests {
 
     #[test]
     fn events_serialize_with_type_tags() {
-        let span = Event::Span(SpanRecord {
-            name: "gate".into(),
-            start_s: 0.5,
-            dur_s: 0.25,
-            step: Some(3),
-            request_id: None,
-            tags: vec![("algo".into(), TagValue::from("2DH"))],
-        });
-        let json = span.to_value().to_json();
-        assert!(json.starts_with(r#"{"type":"span""#), "{json}");
-        assert!(json.contains(r#""step":3"#), "{json}");
-        assert!(json.contains(r#""algo":"2DH""#), "{json}");
-
         let dec = Event::Decision(DecisionRecord {
             kind: "pipeline".into(),
             capacity_factor: 1.0,
@@ -390,17 +284,6 @@ mod tests {
 
     #[test]
     fn serve_records_carry_the_victim_request_id() {
-        let span = Event::Span(SpanRecord {
-            name: "serve.request".into(),
-            start_s: 0.0,
-            dur_s: 0.001,
-            step: None,
-            request_id: Some(42),
-            tags: Vec::new(),
-        });
-        let json = span.to_value().to_json();
-        assert!(json.contains(r#""request_id":42"#), "{json}");
-
         let a = Event::Anomaly(AnomalyRecord {
             kind: "serve.straggler".into(),
             rank: None,

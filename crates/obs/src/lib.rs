@@ -14,28 +14,31 @@
 //!   is fixed at construction, bucket bounds grow geometrically, and
 //!   two histograms with the same layout merge bucket-by-bucket (used
 //!   to aggregate per-thread or per-run loads).
-//! * **Spans** ([`Telemetry::span`]): wall-clock scopes recorded into
-//!   an in-process [`RingBuffer`] — bounded, oldest-first eviction,
-//!   with a drop counter so truncation is never silent. A span's
-//!   duration also accumulates into the current training step's
-//!   per-stage map (`gate`, `encode`, `ffn`, `decode`, ...).
-//! * **Events** ([`events`]): besides spans, the ring records modeled
+//! * **Spans and causal tracing** ([`trace`]): one recorder. Each rank
+//!   of a run has a [`Tracer`] ([`Telemetry::tracer`]), all on the
+//!   handle's one epoch; a tracer records per-track timeline events
+//!   ([`TraceEvent`]: spans with count `args`, instants and
+//!   `(src, dst, tag, seq)`-stamped flow edges) into a bounded
+//!   [`RingBuffer`] — oldest-first eviction, with a drop counter so
+//!   truncation is never silent. [`Telemetry::span`] is rank 0's
+//!   main-track span, stamped with the active training step as its
+//!   `step` arg. [`MergedTrace`] combines ranks, checks invariants, and
+//!   exports Chrome `trace_events` JSON for Perfetto (see the
+//!   `tutel-trace` CLI).
+//! * **Events** ([`events`]): the event ring records modeled
 //!   collectives ([`CollectiveRecord`]: algorithm, payload bytes, cost
 //!   model's seconds), per-training-step summaries ([`StepRecord`]:
-//!   loss, per-expert load, dropped tokens, per-stage durations), and
+//!   loss, per-expert load, dropped tokens, and per-stage durations
+//!   summed from the step's spans by [`Telemetry::record_step`]), and
 //!   the adaptive-decision audit log ([`DecisionRecord`]: candidate
 //!   strategies, their predicted costs, and the winner).
-//! * **Export** ([`Telemetry::export_jsonl`]): one self-describing
-//!   JSON object per line (`"type"`: `meta`, `span`, `collective`,
-//!   `step`, `adaptive_decision`, `anomaly`, `counter`, `gauge`,
-//!   `histogram`), hand-written by [`json`] because the offline build
-//!   has no serde serialization (the same module also parses, for the
-//!   trace merger).
-//! * **Causal tracing** ([`trace`]): per-rank [`Tracer`]s on a shared
-//!   [`TraceHub`] epoch record per-track timeline events and
-//!   `(src, dst, tag, seq)`-stamped flow edges; [`MergedTrace`]
-//!   combines ranks, checks invariants, and exports Chrome
-//!   `trace_events` JSON for Perfetto (see the `tutel-trace` CLI).
+//! * **Export** ([`Telemetry::export_jsonl`]): a run is one stream of
+//!   self-describing JSON objects, one per line (`"type"`: `meta`,
+//!   `collective`, `step`, `adaptive_decision`, `anomaly`, every rank's
+//!   `span` / `instant` / `flow_send` / `flow_recv` with a `rank`
+//!   field, `counter`, `gauge`, `histogram`), hand-written by [`json`]
+//!   because the offline build has no serde serialization (the same
+//!   module also parses, for [`MergedTrace::from_jsonl`]).
 //! * **Analysis** ([`analyze`]): per-step critical-path extraction,
 //!   straggler detection (wall clock and sender-attributed delivery
 //!   latency), and expert-imbalance alerts, emitted as typed
@@ -43,13 +46,16 @@
 //!
 //! # Cost when disabled
 //!
-//! [`Telemetry`] is an `Option<Arc<...>>`. [`Telemetry::disabled`]
-//! (also its `Default`) holds `None`: cloning copies a `None`, and
-//! every recording call returns after one branch — no clock reads, no
-//! allocation, no locking. Instrumented hot paths are therefore safe
-//! to leave in release builds. `tests/route_allocs.rs` pins this as
-//! exact counts: disabled [`Telemetry`] and [`Tracer`] calls make zero
-//! heap allocations and record zero events. The adaptive decisions
+//! [`Telemetry`] and [`Tracer`] are each an `Option<Arc<...>>`.
+//! [`Telemetry::disabled`] (also its `Default`) holds `None`: cloning
+//! copies a `None`, every recording call returns after one branch — no
+//! clock reads, no allocation, no locking — and its spans and
+//! `tracer(rank)` are disabled [`TraceSpan`]s and [`Tracer`]s, so
+//! tracing a run costs nothing unless its handle is enabled.
+//! Instrumented hot paths are therefore safe to leave in release
+//! builds. `tests/route_allocs.rs` pins this as exact counts: disabled
+//! [`Telemetry`] and [`Tracer`] calls make zero heap allocations and
+//! record zero events. The adaptive decisions
 //! (the P1/P2 `choose`, `best_strategy`, both pipeline searches and the
 //! layer simulator's `step_time`) take the handle as a parameter, with
 //! no untraced twin; the same test pins each under a disabled handle at
@@ -66,15 +72,18 @@
 //! let tel = Telemetry::enabled();
 //! tel.begin_step(0);
 //! {
-//!     let _gate = tel.span("gate").tag("experts", 8u64);
+//!     let _gate = tel.span("gate").arg("experts", 8);
 //!     // ... route tokens ...
 //! }
 //! tel.add_counter("gate.dropped_tokens", 3);
 //! tel.record_step(StepRecord { step: 0, loss: 2.3, ..StepRecord::default() });
+//! assert_eq!(tel.steps()[0].stages[0].0, "gate");
 //!
 //! let mut jsonl = Vec::new();
 //! tel.export_jsonl(&mut jsonl).unwrap();
-//! assert!(String::from_utf8(jsonl).unwrap().contains("\"type\":\"step\""));
+//! let text = String::from_utf8(jsonl).unwrap();
+//! assert!(text.contains("\"type\":\"step\""));
+//! assert_eq!(tutel_obs::MergedTrace::from_jsonl(&text).unwrap().ranks[0].events.len(), 1);
 //! ```
 
 pub mod analyze;
@@ -87,14 +96,11 @@ mod telemetry;
 pub mod trace;
 
 pub use analyze::{analyze, analyze_with_load, Analysis, AnalyzerConfig, CriticalPath};
-pub use events::{
-    AnomalyRecord, CollectiveRecord, DecisionRecord, Event, SpanRecord, StepRecord, TagValue,
-};
+pub use events::{AnomalyRecord, CollectiveRecord, DecisionRecord, Event, StepRecord};
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 pub use ring::RingBuffer;
 pub use runtime::{record_runtime, RuntimeSnapshot};
-pub use telemetry::{Span, Telemetry};
+pub use telemetry::Telemetry;
 pub use trace::{
-    parse_rank_trace, FlowEdge, FlowKind, MergedTrace, RankTrace, TraceEvent, TraceHub,
-    TraceInvariants, Tracer,
+    FlowEdge, FlowKind, MergedTrace, RankTrace, TraceEvent, TraceInvariants, TraceSpan, Tracer,
 };

@@ -56,6 +56,30 @@ impl<T> RingBuffer<T> {
         self.dropped.load(Ordering::Relaxed)
     }
 
+    /// The most items the ring retains.
+    pub fn capacity(&self) -> usize {
+        self.cap
+    }
+
+    /// Items pushed so far, evicted ones included: a mark for
+    /// [`RingBuffer::since`].
+    pub fn pushed(&self) -> u64 {
+        let items = self.items.lock().expect("ring poisoned");
+        items.len() as u64 + self.dropped()
+    }
+
+    /// Visits, oldest first, the retained items pushed after
+    /// [`RingBuffer::pushed`] returned `mark`, without touching older
+    /// ones.
+    pub fn since(&self, mark: u64, f: impl FnMut(&T)) {
+        let items = self.items.lock().expect("ring poisoned");
+        let newer = (items.len() as u64 + self.dropped()).saturating_sub(mark);
+        let start = items
+            .len()
+            .saturating_sub(usize::try_from(newer).unwrap_or(usize::MAX));
+        items.range(start..).for_each(f);
+    }
+
     /// Scans retained items newest-first, applying `f` until it
     /// returns `Some`; that value is returned. Used to patch the most
     /// recent matching record in place (e.g. backfilling a decision's
@@ -102,6 +126,23 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn rejects_zero_capacity() {
         let _ = RingBuffer::<u8>::new(0);
+    }
+
+    #[test]
+    fn since_visits_only_what_followed_the_mark() {
+        let ring = RingBuffer::new(3);
+        ring.push(0);
+        let mark = ring.pushed();
+        for i in 1..5 {
+            ring.push(i);
+        }
+        let mut seen = Vec::new();
+        ring.since(mark, |&x| seen.push(x));
+        // 1 was evicted; what is left of the four pushes, oldest first.
+        assert_eq!(seen, vec![2, 3, 4]);
+        let mark = ring.pushed();
+        ring.since(mark, |&x| seen.push(x));
+        assert_eq!(seen.len(), 3);
     }
 
     #[test]

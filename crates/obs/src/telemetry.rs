@@ -1,17 +1,17 @@
 //! The [`Telemetry`] handle: a cheap-to-clone, no-op-when-disabled
-//! front door to the metrics registry, span tracer, and event ring.
+//! front door to the metrics registry, the event ring, and the run's
+//! per-rank tracers.
 
 use std::io::{self, Write};
-use std::sync::atomic::{AtomicI64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
-use crate::events::{
-    AnomalyRecord, CollectiveRecord, DecisionRecord, Event, SpanRecord, StepRecord, TagValue,
-};
+use crate::events::{AnomalyRecord, CollectiveRecord, DecisionRecord, Event, StepRecord};
 use crate::json::Value;
 use crate::metrics::{Histogram, MetricsRegistry};
 use crate::ring::RingBuffer;
+use crate::trace::{MergedTrace, TraceEvent, TraceSpan, Tracer, TRACK_MAIN};
 
 /// Sentinel for "no training step active".
 const NO_STEP: i64 = -1;
@@ -20,12 +20,16 @@ const NO_STEP: i64 = -1;
 struct Inner {
     metrics: MetricsRegistry,
     events: RingBuffer<Event>,
-    /// Stage-name → accumulated seconds for the current step; drained
-    /// into each [`StepRecord`].
-    stages: Mutex<Vec<(String, f64)>>,
     /// Current training step, or [`NO_STEP`].
     step: AtomicI64,
-    epoch: Instant,
+    /// `main`'s push count when the current step began: how far back
+    /// [`Telemetry::record_step`] looks for the step's spans.
+    step_mark: AtomicU64,
+    /// Rank 0's tracer: the handle's own spans land on its main track,
+    /// and every rank's tracer shares its epoch.
+    main: Tracer,
+    /// The tracers [`Telemetry::tracer`] handed out, `main` first.
+    tracers: Mutex<Vec<Tracer>>,
 }
 
 /// A shared telemetry handle.
@@ -65,15 +69,18 @@ impl Telemetry {
         Telemetry::with_capacity(65_536)
     }
 
-    /// An enabled handle retaining at most `cap` events.
+    /// An enabled handle retaining at most `cap` events in its event
+    /// ring and in each rank's trace.
     pub fn with_capacity(cap: usize) -> Self {
+        let main = Tracer::with_epoch(0, Instant::now(), cap);
         Telemetry {
             inner: Some(Arc::new(Inner {
                 metrics: MetricsRegistry::default(),
                 events: RingBuffer::new(cap),
-                stages: Mutex::new(Vec::new()),
                 step: AtomicI64::new(NO_STEP),
-                epoch: Instant::now(),
+                step_mark: AtomicU64::new(0),
+                tracers: Mutex::new(vec![main.clone()]),
+                main,
             })),
         }
     }
@@ -148,31 +155,44 @@ impl Telemetry {
 
     // --- spans ---
 
-    /// Opens a wall-clock span; it records itself when dropped. The
-    /// span's duration also accumulates into the current step's stage
-    /// map under `name`.
-    pub fn span(&self, name: &str) -> Span {
-        match &self.inner {
-            Some(inner) => Span {
-                inner: Some(SpanState {
-                    telemetry: inner.clone(),
-                    name: name.to_string(),
-                    start: Instant::now(),
-                    request_id: None,
-                    tags: Vec::new(),
-                }),
-            },
-            None => Span { inner: None },
+    /// Opens a wall-clock span on rank 0's main track; it records
+    /// itself when dropped. Inside a training step it carries the step
+    /// as its `step` arg, and [`Telemetry::record_step`] adds its
+    /// duration to that step's stage `name`.
+    pub fn span(&self, name: &str) -> TraceSpan {
+        let Some(inner) = &self.inner else {
+            return Tracer::disabled().span(TRACK_MAIN, name);
+        };
+        let span = inner.main.span(TRACK_MAIN, name);
+        match inner.current_step() {
+            Some(step) => span.arg("step", step),
+            None => span,
         }
     }
 
-    /// Adds `seconds` to the current step's stage `name` without a
-    /// wall-clock span — for stage costs that are *modeled* rather
-    /// than measured (the simulated All-to-All legs).
-    pub fn add_stage(&self, name: &str, seconds: f64) {
-        if let Some(inner) = &self.inner {
-            inner.add_stage(name, seconds);
+    /// Rank `rank`'s tracer on this handle's epoch, sharing one ring
+    /// per rank across calls (rank 0's holds [`Telemetry::span`]'s
+    /// spans); a disabled tracer when the handle is disabled.
+    pub fn tracer(&self, rank: usize) -> Tracer {
+        let Some(inner) = &self.inner else {
+            return Tracer::disabled();
+        };
+        let mut tracers = inner.tracers.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(tracer) = tracers.iter().find(|t| t.rank() == Some(rank)) {
+            return tracer.clone();
         }
+        let tracer = inner.main.for_rank(rank);
+        tracers.push(tracer.clone());
+        tracer
+    }
+
+    /// Every rank's trace so far, merged (empty when disabled).
+    pub fn trace(&self) -> MergedTrace {
+        let Some(inner) = &self.inner else {
+            return MergedTrace::default();
+        };
+        let tracers = inner.tracers.lock().unwrap_or_else(PoisonError::into_inner);
+        MergedTrace::from_ranks(tracers.iter().map(Tracer::rank_trace).collect())
     }
 
     // --- events ---
@@ -229,24 +249,34 @@ impl Telemetry {
     }
 
     /// Marks the start of training step `step`: stamps subsequent
-    /// spans/decisions/collectives and clears the stage accumulator.
+    /// spans/decisions/collectives with it.
     pub fn begin_step(&self, step: u64) {
         if let Some(inner) = &self.inner {
+            inner
+                .step_mark
+                .store(inner.main.pushed(), Ordering::Relaxed);
             inner.step.store(step as i64, Ordering::Relaxed);
-            inner.stages.lock().expect("stages poisoned").clear();
         }
     }
 
-    /// Completes a training step: drains the accumulated stage
-    /// durations into `rec.stages` (modeled stages already in `rec`
-    /// are kept) and records the event.
+    /// Completes a training step: adds the duration of each span the
+    /// step stamped, oldest first, to `rec.stages` under the span's
+    /// name, in seconds (stages already in `rec` are kept), and
+    /// records the event. Only spans recorded since
+    /// [`Telemetry::begin_step`] are visited.
     pub fn record_step(&self, mut rec: StepRecord) {
         if let Some(inner) = &self.inner {
-            let mut acc = inner.stages.lock().expect("stages poisoned");
-            for (name, secs) in acc.drain(..) {
-                merge_stage(&mut rec.stages, &name, secs);
+            if let Some(step) = inner.current_step() {
+                inner
+                    .main
+                    .since(inner.step_mark.load(Ordering::Relaxed), |ev| {
+                        if let TraceEvent::Span { name, dur_us, .. } = ev {
+                            if ev.arg("step") == Some(step) {
+                                merge_stage(&mut rec.stages, name, dur_us / 1e6);
+                            }
+                        }
+                    });
             }
-            drop(acc);
             inner.events.push(Event::Step(rec));
             inner.step.store(NO_STEP, Ordering::Relaxed);
         }
@@ -302,8 +332,12 @@ impl Telemetry {
 
     // --- export ---
 
-    /// Writes the full telemetry state as JSONL: a `meta` header line,
-    /// one line per event (oldest first), then one line per metric.
+    /// Writes the run as one JSONL stream: a `meta` header line (the
+    /// event ring's size and drops, each traced rank's drops), one
+    /// line per event (oldest first), every rank's trace events in
+    /// [`TraceEvent::to_value`]'s schema plus a `rank` field, then one
+    /// line per metric. [`MergedTrace::from_jsonl`] reads the trace
+    /// back.
     ///
     /// # Errors
     ///
@@ -314,14 +348,31 @@ impl Telemetry {
             return Ok(());
         };
         let events = inner.events.snapshot();
+        let trace = self.trace();
+        let ranks = trace.ranks.iter().map(|r| {
+            Value::obj([
+                ("rank", Value::from(r.rank)),
+                ("dropped", Value::from(r.dropped)),
+            ])
+        });
         let meta = Value::obj([
             ("type", Value::from("meta")),
             ("events", Value::from(events.len())),
             ("dropped_events", Value::from(inner.events.dropped())),
+            ("ranks", Value::Arr(ranks.collect())),
         ]);
         writeln!(w, "{}", meta.to_json())?;
         for event in &events {
             writeln!(w, "{}", event.to_value().to_json())?;
+        }
+        for rank in &trace.ranks {
+            for event in &rank.events {
+                let mut line = event.to_value();
+                if let Value::Obj(pairs) = &mut line {
+                    pairs.insert(1, ("rank".to_string(), Value::from(rank.rank)));
+                }
+                writeln!(w, "{}", line.to_json())?;
+            }
         }
         for (name, value) in inner.metrics.counters() {
             let line = Value::obj([
@@ -378,72 +429,12 @@ impl Inner {
             s => Some(s as u64),
         }
     }
-
-    fn add_stage(&self, name: &str, seconds: f64) {
-        let mut acc = self.stages.lock().expect("stages poisoned");
-        merge_stage(&mut acc, name, seconds);
-    }
 }
 
 fn merge_stage(stages: &mut Vec<(String, f64)>, name: &str, seconds: f64) {
     match stages.iter_mut().find(|(k, _)| k == name) {
         Some((_, total)) => *total += seconds,
         None => stages.push((name.to_string(), seconds)),
-    }
-}
-
-struct SpanState {
-    telemetry: Arc<Inner>,
-    name: String,
-    start: Instant,
-    request_id: Option<u64>,
-    tags: Vec<(String, TagValue)>,
-}
-
-/// An open span; closes (and records itself) on drop. No-op when the
-/// telemetry handle that produced it is disabled.
-pub struct Span {
-    inner: Option<SpanState>,
-}
-
-impl Span {
-    /// Attaches a tag.
-    pub fn tag(mut self, key: &str, value: impl Into<TagValue>) -> Self {
-        if let Some(state) = &mut self.inner {
-            state.tags.push((key.to_string(), value.into()));
-        }
-        self
-    }
-
-    /// Attributes the span to a serving request, so a serve-path trace
-    /// can be filtered down to one victim request by id.
-    pub fn request(mut self, id: u64) -> Self {
-        if let Some(state) = &mut self.inner {
-            state.request_id = Some(id);
-        }
-        self
-    }
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        let Some(state) = self.inner.take() else {
-            return;
-        };
-        let dur_s = state.start.elapsed().as_secs_f64();
-        let start_s = state
-            .start
-            .duration_since(state.telemetry.epoch)
-            .as_secs_f64();
-        state.telemetry.add_stage(&state.name, dur_s);
-        state.telemetry.events.push(Event::Span(SpanRecord {
-            name: state.name,
-            start_s,
-            dur_s,
-            step: state.telemetry.current_step(),
-            request_id: state.request_id,
-            tags: state.tags,
-        }));
     }
 }
 
@@ -456,9 +447,10 @@ mod tests {
         let tel = Telemetry::disabled();
         tel.add_counter("c", 5);
         tel.set_gauge("g", 1.0);
-        let _span = tel.span("s");
+        let _span = tel.span("s").arg("k", 1);
         tel.record_step(StepRecord::default());
         assert!(tel.events().is_empty());
+        assert!(!tel.tracer(0).is_enabled());
         assert_eq!(tel.counter_value("c"), None);
         let mut out = Vec::new();
         tel.export_jsonl(&mut out).unwrap();
@@ -466,35 +458,55 @@ mod tests {
     }
 
     #[test]
-    fn spans_feed_events_and_stages() {
+    fn spans_are_step_stamped_and_sum_into_the_stage_map() {
         let tel = Telemetry::enabled();
-        tel.begin_step(7);
-        {
-            let _s = tel.span("gate").tag("experts", 8u64);
+        let unstamped = tel.span("gate");
+        drop(unstamped);
+        for step in [6, 7] {
+            tel.begin_step(step);
+            for _ in 0..2 {
+                let _s = tel.span("gate").arg("experts", 8);
+            }
+            tel.record_step(StepRecord {
+                step,
+                stages: vec![("a2a_dispatch".into(), 0.001)],
+                ..StepRecord::default()
+            });
         }
-        tel.add_stage("a2a_dispatch", 0.001);
-        tel.record_step(StepRecord {
-            step: 7,
-            ..StepRecord::default()
-        });
+        let spans = tel.tracer(0).events();
+        assert_eq!(spans.len(), 5);
+        assert_eq!(spans[0].arg("step"), None, "outside any step");
         let steps = tel.steps();
-        assert_eq!(steps.len(), 1);
-        let stages = &steps[0].stages;
-        assert!(stages.iter().any(|(k, _)| k == "gate"));
-        assert!(stages
-            .iter()
-            .any(|(k, v)| k == "a2a_dispatch" && (*v - 0.001).abs() < 1e-12));
-        // The span itself is also in the ring, stamped with the step.
-        let span = tel
-            .events()
-            .into_iter()
-            .find_map(|e| match e {
-                Event::Span(s) => Some(s),
-                _ => None,
-            })
-            .expect("span recorded");
-        assert_eq!(span.step, Some(7));
-        assert_eq!(span.tags.len(), 1);
+        assert_eq!(steps.len(), 2);
+        for (rec, pair) in steps.iter().zip(spans[1..].chunks(2)) {
+            let mut gate = 0.0;
+            for span in pair {
+                assert_eq!(span.arg("step"), Some(rec.step));
+                assert_eq!(span.arg("experts"), Some(8));
+                if let TraceEvent::Span { dur_us, .. } = span {
+                    gate += dur_us / 1e6;
+                }
+            }
+            // The modeled stage the caller supplied is kept; the span
+            // stage is exactly this step's two spans.
+            assert_eq!(
+                rec.stages,
+                [
+                    ("a2a_dispatch".to_string(), 0.001),
+                    ("gate".to_string(), gate)
+                ]
+            );
+        }
+    }
+
+    #[test]
+    fn tracer_is_total_over_ranks() {
+        let tel = Telemetry::enabled();
+        let far = tel.tracer(usize::MAX);
+        assert_eq!(far.rank(), Some(usize::MAX));
+        far.instant(TRACK_MAIN, "far");
+        let ranks: Vec<_> = tel.trace().ranks.iter().map(|r| r.rank).collect();
+        assert_eq!(ranks, [0, usize::MAX]);
     }
 
     #[test]
@@ -544,7 +556,10 @@ mod tests {
     fn request_ids_survive_the_jsonl_export() {
         let tel = Telemetry::enabled();
         {
-            let _s = tel.span("serve.request").request(42).tag("tokens", 3u64);
+            let _s = tel
+                .span("serve.request")
+                .arg("request", 42)
+                .arg("tokens", 3);
         }
         tel.anomaly(AnomalyRecord {
             kind: "serve.deadline_miss".into(),
@@ -561,7 +576,10 @@ mod tests {
             .lines()
             .find(|l| l.contains(r#""type":"span""#))
             .expect("span exported");
-        assert!(span_line.contains(r#""request_id":42"#), "{span_line}");
+        assert!(
+            span_line.contains(r#""args":{"request":42,"tokens":3}"#),
+            "{span_line}"
+        );
         let anomaly_line = text
             .lines()
             .find(|l| l.contains(r#""type":"anomaly""#))

@@ -7,9 +7,11 @@
 //! Every rank owns a [`Tracer`] — the same `Option<Arc<...>>` shape as
 //! [`crate::Telemetry`], so a disabled tracer costs one branch per
 //! call site. Enabled tracers hand out events into a bounded
-//! [`RingBuffer`]; all tracers built from one [`TraceHub`] share a
-//! single `Instant` epoch, which is what makes cross-rank timestamps
-//! comparable (ranks are OS threads in one process).
+//! [`RingBuffer`]; all tracers of one run come from its telemetry
+//! handle ([`crate::Telemetry::tracer`]) and share its `Instant` epoch,
+//! which is what makes cross-rank timestamps comparable (ranks are OS
+//! threads in one process). The handle's own spans
+//! ([`crate::Telemetry::span`]) are rank 0's [`TRACK_MAIN`] spans.
 //!
 //! Within a rank, events land on small integer **tracks** (rendered as
 //! Perfetto threads): [`TRACK_MAIN`], [`TRACK_COMM`], the two overlap
@@ -23,9 +25,10 @@
 //! from the original send, and duplicate deliveries are visible as
 //! edges into a discarded (`accepted: false`) receive.
 //!
-//! [`MergedTrace`] combines per-rank buffers, matches sends to
-//! receives, checks structural invariants, and exports Chrome
-//! `trace_events` JSON loadable in Perfetto / `chrome://tracing`.
+//! [`MergedTrace`] combines per-rank buffers (from the live handle, or
+//! parsed back from its JSONL export), matches sends to receives,
+//! checks structural invariants, and exports Chrome `trace_events`
+//! JSON loadable in Perfetto / `chrome://tracing`.
 
 use std::collections::HashMap;
 use std::io::{self, Write};
@@ -35,7 +38,8 @@ use std::time::Instant;
 use crate::json::Value;
 use crate::ring::RingBuffer;
 
-/// Track: top-level per-rank activity (steps, harness phases).
+/// Track: top-level per-rank activity (steps, harness phases, and
+/// [`crate::Telemetry::span`]'s spans on rank 0).
 pub const TRACK_MAIN: u32 = 0;
 /// Track: blocking collectives, waits, and the reliability epilogue.
 pub const TRACK_COMM: u32 = 1;
@@ -94,7 +98,7 @@ impl FlowKind {
 }
 
 /// One timeline event on a rank. All timestamps are microseconds from
-/// the hub epoch.
+/// the run's epoch.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceEvent {
     /// A closed interval on a track.
@@ -107,8 +111,9 @@ pub enum TraceEvent {
         t0_us: f64,
         /// Duration, µs.
         dur_us: f64,
-        /// Numeric arguments shown in the Perfetto details pane.
-        args: Vec<(String, f64)>,
+        /// Count arguments (the active `step`, a `request` id, sizes),
+        /// shown in the Perfetto details pane.
+        args: Vec<(String, u64)>,
     },
     /// A point-in-time marker (e.g. 2DH intra→inter promotion).
     Instant {
@@ -227,7 +232,10 @@ impl TraceEvent {
     ///
     /// # Errors
     ///
-    /// Returns a message when the object is not a recognized event.
+    /// Returns a message when the object is not a recognized event, or
+    /// when a count field (`track`, `src`, `dst`, `tag`, `seq`,
+    /// `bytes`, a span arg) is missing, negative, fractional or out of
+    /// its type's range.
     pub fn from_value(v: &Value) -> Result<TraceEvent, String> {
         let kind = v
             .get("type")
@@ -244,16 +252,20 @@ impl TraceEvent {
                 .map(str::to_string)
                 .ok_or_else(|| format!("{kind} event missing string \"{key}\""))
         };
+        let flow_kind =
+            || FlowKind::from_label(&text("kind")?).ok_or_else(|| "unknown flow kind".to_string());
         match kind {
             "span" => {
-                let mut args = Vec::new();
-                if let Some(Value::Obj(pairs)) = v.get("args") {
-                    for (k, val) in pairs {
-                        args.push((k.clone(), val.as_f64().unwrap_or(0.0)));
-                    }
-                }
+                let args = match v.get("args") {
+                    None => Vec::new(),
+                    Some(obj @ Value::Obj(pairs)) => pairs
+                        .iter()
+                        .map(|(k, _)| Ok((k.clone(), count(obj, k)?)))
+                        .collect::<Result<_, String>>()?,
+                    Some(_) => return Err("span \"args\" is not an object".to_string()),
+                };
                 Ok(TraceEvent::Span {
-                    track: num("track")? as u32,
+                    track: count(v, "track")?,
                     name: text("name")?,
                     t0_us: num("t0_us")?,
                     dur_us: num("dur_us")?,
@@ -261,31 +273,51 @@ impl TraceEvent {
                 })
             }
             "instant" => Ok(TraceEvent::Instant {
-                track: num("track")? as u32,
+                track: count(v, "track")?,
                 name: text("name")?,
                 t_us: num("t_us")?,
             }),
             "flow_send" => Ok(TraceEvent::FlowSend {
-                dst: num("dst")? as usize,
-                tag: num("tag")? as u64,
-                seq: num("seq")? as u32,
-                kind: FlowKind::from_label(&text("kind")?)
-                    .ok_or_else(|| "unknown flow kind".to_string())?,
-                bytes: num("bytes")? as u64,
+                dst: count(v, "dst")?,
+                tag: count(v, "tag")?,
+                seq: count(v, "seq")?,
+                kind: flow_kind()?,
+                bytes: count(v, "bytes")?,
                 t_us: num("t_us")?,
             }),
             "flow_recv" => Ok(TraceEvent::FlowRecv {
-                src: num("src")? as usize,
-                tag: num("tag")? as u64,
-                seq: num("seq")? as u32,
-                kind: FlowKind::from_label(&text("kind")?)
-                    .ok_or_else(|| "unknown flow kind".to_string())?,
+                src: count(v, "src")?,
+                tag: count(v, "tag")?,
+                seq: count(v, "seq")?,
+                kind: flow_kind()?,
                 accepted: v.get("accepted").and_then(Value::as_bool).unwrap_or(true),
                 t_us: num("t_us")?,
             }),
             other => Err(format!("unknown trace event type \"{other}\"")),
         }
     }
+
+    /// Span argument `key`; `None` for other events and absent keys.
+    pub fn arg(&self, key: &str) -> Option<u64> {
+        match self {
+            TraceEvent::Span { args, .. } => args.iter().find(|(k, _)| k == key).map(|&(_, v)| v),
+            _ => None,
+        }
+    }
+}
+
+/// Field `key` of `v` as an integer of type `T`: a missing, negative,
+/// fractional or out-of-range number is an error, never a silent cast.
+fn count<T: TryFrom<u64>>(v: &Value, key: &str) -> Result<T, String> {
+    let x = v
+        .get(key)
+        .and_then(Value::as_f64)
+        .ok_or_else(|| format!("missing numeric \"{key}\""))?;
+    // 2^64, the first value past `u64::MAX`, is exact as an f64.
+    let n = (x >= 0.0 && x.fract() == 0.0 && x < 18_446_744_073_709_551_616.0)
+        .then(|| T::try_from(x as u64).ok())
+        .flatten();
+    n.ok_or_else(|| format!("\"{key}\" is {x}, not a count in range"))
 }
 
 #[derive(Debug)]
@@ -295,7 +327,8 @@ struct TracerInner {
     ring: RingBuffer<TraceEvent>,
 }
 
-/// A per-rank trace recorder. Cheap to clone; a disabled tracer (the
+/// A per-rank trace recorder; an enabled one comes from
+/// [`crate::Telemetry::tracer`]. Cheap to clone; a disabled tracer (the
 /// `Default`) records nothing and every call returns after one branch
 /// with no clock read, allocation, or lock.
 #[derive(Clone, Default)]
@@ -318,13 +351,23 @@ impl Tracer {
         Tracer { inner: None }
     }
 
-    fn with_epoch(rank: usize, epoch: Instant, cap: usize) -> Tracer {
+    /// Rank `rank`'s tracer on `epoch`, retaining at most `cap` events.
+    pub(crate) fn with_epoch(rank: usize, epoch: Instant, cap: usize) -> Tracer {
         Tracer {
             inner: Some(Arc::new(TracerInner {
                 rank,
                 epoch,
                 ring: RingBuffer::new(cap),
             })),
+        }
+    }
+
+    /// Rank `rank`'s tracer on this one's epoch and capacity; disabled
+    /// when this one is.
+    pub(crate) fn for_rank(&self, rank: usize) -> Tracer {
+        match &self.inner {
+            Some(inner) => Tracer::with_epoch(rank, inner.epoch, inner.ring.capacity()),
+            None => Tracer::disabled(),
         }
     }
 
@@ -356,6 +399,7 @@ impl Tracer {
                     track,
                     name: name.to_string(),
                     t0_us: inner.epoch.elapsed().as_secs_f64() * 1e6,
+                    args: Vec::new(),
                 }),
             },
             None => TraceSpan { state: None },
@@ -375,7 +419,7 @@ impl Tracer {
         name: &str,
         t0_us: f64,
         t1_us: f64,
-        args: &[(&str, f64)],
+        args: &[(&str, u64)],
     ) {
         if let Some(inner) = &self.inner {
             inner.ring.push(TraceEvent::Span {
@@ -449,58 +493,44 @@ impl Tracer {
         }
     }
 
-    /// Writes this rank's buffer as JSONL: a `trace_meta` header
-    /// carrying the rank and the ring's drop counter, then one event
-    /// per line, oldest first.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from `w`; a disabled tracer writes
-    /// nothing and returns `Ok`.
-    pub fn export_jsonl(&self, w: &mut impl Write) -> io::Result<()> {
-        let Some(inner) = &self.inner else {
-            return Ok(());
-        };
-        let events = inner.ring.snapshot();
-        let meta = Value::obj([
-            ("type", Value::from("trace_meta")),
-            ("rank", Value::from(inner.rank)),
-            ("events", Value::from(events.len())),
-            ("dropped", Value::from(inner.ring.dropped())),
-        ]);
-        writeln!(w, "{}", meta.to_json())?;
-        for event in &events {
-            writeln!(w, "{}", event.to_value().to_json())?;
-        }
-        Ok(())
+    /// Events pushed so far, evicted ones included: a mark for
+    /// [`Tracer::since`].
+    pub(crate) fn pushed(&self) -> u64 {
+        self.inner.as_ref().map_or(0, |i| i.ring.pushed())
     }
 
-    /// [`Tracer::export_jsonl`] to a fresh file at `path`.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from creating or writing the file.
-    pub fn export_jsonl_to(&self, path: &str) -> io::Result<()> {
-        let mut file = io::BufWriter::new(std::fs::File::create(path)?);
-        self.export_jsonl(&mut file)?;
-        file.flush()
+    /// Visits, oldest first, the retained events recorded after
+    /// [`Tracer::pushed`] returned `mark`.
+    pub(crate) fn since(&self, mark: u64, f: impl FnMut(&TraceEvent)) {
+        if let Some(inner) = &self.inner {
+            inner.ring.since(mark, f);
+        }
     }
 }
-
-/// Default per-rank ring capacity (events).
-pub const DEFAULT_TRACE_CAPACITY: usize = 262_144;
 
 struct TraceSpanState {
     inner: Arc<TracerInner>,
     track: u32,
     name: String,
     t0_us: f64,
+    args: Vec<(String, u64)>,
 }
 
 /// An open trace span; records itself on drop. No-op when the tracer
 /// that produced it is disabled.
 pub struct TraceSpan {
     state: Option<TraceSpanState>,
+}
+
+impl TraceSpan {
+    /// Attaches count argument `key` (a size, the active step, a
+    /// request id).
+    pub fn arg(mut self, key: &str, value: u64) -> Self {
+        if let Some(state) = &mut self.state {
+            state.args.push((key.to_string(), value));
+        }
+        self
+    }
 }
 
 impl Drop for TraceSpan {
@@ -514,68 +544,8 @@ impl Drop for TraceSpan {
             name: state.name,
             t0_us: state.t0_us,
             dur_us: t1 - state.t0_us,
-            args: Vec::new(),
+            args: state.args,
         });
-    }
-}
-
-/// A family of per-rank tracers sharing one monotonic epoch — the
-/// shared timebase that makes cross-rank flow-edge latencies and the
-/// merged timeline meaningful.
-#[derive(Debug)]
-pub struct TraceHub {
-    tracers: Vec<Tracer>,
-}
-
-impl TraceHub {
-    /// A hub for `world` ranks with the default per-rank capacity.
-    pub fn new(world: usize) -> TraceHub {
-        TraceHub::with_capacity(world, DEFAULT_TRACE_CAPACITY)
-    }
-
-    /// A hub for `world` ranks retaining at most `cap` events each.
-    pub fn with_capacity(world: usize, cap: usize) -> TraceHub {
-        let epoch = Instant::now();
-        TraceHub {
-            tracers: (0..world)
-                .map(|rank| Tracer::with_epoch(rank, epoch, cap))
-                .collect(),
-        }
-    }
-
-    /// Number of ranks.
-    pub fn world(&self) -> usize {
-        self.tracers.len()
-    }
-
-    /// The tracer for `rank` (a cheap clone sharing the rank's ring).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rank` is out of range.
-    pub fn tracer(&self, rank: usize) -> Tracer {
-        self.tracers[rank].clone()
-    }
-
-    /// Merges all ranks' current buffers (non-destructively).
-    pub fn merged(&self) -> MergedTrace {
-        MergedTrace::from_ranks(self.tracers.iter().map(Tracer::rank_trace).collect())
-    }
-
-    /// Writes each rank's buffer to `{prefix}.rank{r}.jsonl`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first I/O error.
-    pub fn export_rank_jsonls(&self, prefix: &str) -> io::Result<Vec<String>> {
-        let mut paths = Vec::with_capacity(self.tracers.len());
-        for tracer in &self.tracers {
-            let rank = tracer.rank().unwrap_or(0);
-            let path = format!("{prefix}.rank{rank}.jsonl");
-            tracer.export_jsonl_to(&path)?;
-            paths.push(path);
-        }
-        Ok(paths)
     }
 }
 
@@ -588,38 +558,6 @@ pub struct RankTrace {
     pub dropped: u64,
     /// Retained events, oldest first.
     pub events: Vec<TraceEvent>,
-}
-
-/// Parses one rank's JSONL export (the output of
-/// [`Tracer::export_jsonl`]).
-///
-/// # Errors
-///
-/// Returns a message naming the first malformed line.
-pub fn parse_rank_trace(text: &str) -> Result<RankTrace, String> {
-    let mut out = RankTrace::default();
-    let mut saw_meta = false;
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let v = Value::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        match v.get("type").and_then(Value::as_str) {
-            Some("trace_meta") => {
-                out.rank = v.get("rank").and_then(Value::as_u64).unwrap_or(0) as usize;
-                out.dropped = v.get("dropped").and_then(Value::as_u64).unwrap_or(0);
-                saw_meta = true;
-            }
-            Some(_) => out
-                .events
-                .push(TraceEvent::from_value(&v).map_err(|e| format!("line {}: {e}", i + 1))?),
-            None => return Err(format!("line {}: untyped object", i + 1)),
-        }
-    }
-    if !saw_meta {
-        return Err("no trace_meta line found".to_string());
-    }
-    Ok(out)
 }
 
 /// A matched send→recv pair across ranks.
@@ -683,6 +621,60 @@ impl MergedTrace {
     pub fn from_ranks(mut ranks: Vec<RankTrace>) -> MergedTrace {
         ranks.sort_by_key(|r| r.rank);
         MergedTrace { ranks }
+    }
+
+    /// Reads one run's JSONL stream ([`crate::Telemetry::export_jsonl`]):
+    /// the `meta` line's per-rank drop counts and every trace-event
+    /// line, filed under its `rank`. Lines of other types are skipped.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first malformed line (a `rank` or
+    /// count field that is missing, negative, fractional or out of
+    /// range included), or saying the stream has no `meta` line.
+    pub fn from_jsonl(text: &str) -> Result<MergedTrace, String> {
+        fn rank_of(ranks: &mut Vec<RankTrace>, rank: usize) -> &mut RankTrace {
+            let i = ranks
+                .iter()
+                .position(|r| r.rank == rank)
+                .unwrap_or_else(|| {
+                    ranks.push(RankTrace {
+                        rank,
+                        ..RankTrace::default()
+                    });
+                    ranks.len() - 1
+                });
+            &mut ranks[i]
+        }
+        let mut ranks = Vec::new();
+        let mut saw_meta = false;
+        for (i, line) in text.lines().enumerate() {
+            if line.trim().is_empty() {
+                continue;
+            }
+            let at = |e: String| format!("line {}: {e}", i + 1);
+            let v = Value::parse(line).map_err(at)?;
+            match v.get("type").and_then(Value::as_str) {
+                Some("meta") => {
+                    saw_meta = true;
+                    for r in v.get("ranks").and_then(Value::as_arr).unwrap_or_default() {
+                        rank_of(&mut ranks, count(r, "rank").map_err(at)?).dropped =
+                            count(r, "dropped").map_err(at)?;
+                    }
+                }
+                Some("span" | "instant" | "flow_send" | "flow_recv") => {
+                    let rank = count(&v, "rank").map_err(at)?;
+                    let event = TraceEvent::from_value(&v).map_err(at)?;
+                    rank_of(&mut ranks, rank).events.push(event);
+                }
+                Some(_) => {}
+                None => return Err(at("untyped object".to_string())),
+            }
+        }
+        if !saw_meta {
+            return Err("no meta line found".to_string());
+        }
+        Ok(MergedTrace::from_ranks(ranks))
     }
 
     /// Whether any rank's ring dropped events.
@@ -1060,6 +1052,7 @@ impl MergedTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Telemetry;
 
     #[test]
     fn disabled_tracer_is_inert() {
@@ -1069,22 +1062,24 @@ mod tests {
         tr.instant(TRACK_COMM, "mark");
         assert!(tr.events().is_empty());
         assert_eq!(tr.now_us(), 0.0);
-        let mut out = Vec::new();
-        tr.export_jsonl(&mut out).unwrap();
-        assert!(out.is_empty());
+        let off = Telemetry::disabled();
+        assert!(!off.tracer(3).is_enabled());
+        assert!(off.trace().ranks.is_empty());
     }
 
     #[test]
-    fn hub_shares_epoch_and_merges() {
-        let hub = TraceHub::new(2);
-        let t0 = hub.tracer(0);
-        let t1 = hub.tracer(1);
+    fn tracers_of_one_handle_share_its_epoch_and_merge() {
+        let tel = Telemetry::enabled();
+        let t0 = tel.tracer(0);
+        let t1 = tel.tracer(1);
+        // A second call hands out the same rank's ring.
+        assert_eq!(tel.tracer(1).rank(), Some(1));
         t0.flow_send(1, 42, 0, FlowKind::Data, 128);
         t1.flow_recv(0, 42, 0, FlowKind::Data, true);
         {
             let _s = t1.span(TRACK_MAIN, "work");
         }
-        let merged = hub.merged();
+        let merged = tel.trace();
         let edges = merged.flow_edges();
         assert_eq!(edges.len(), 1);
         assert_eq!((edges[0].src, edges[0].dst, edges[0].tag), (0, 1, 42));
@@ -1098,17 +1093,87 @@ mod tests {
 
     #[test]
     fn jsonl_roundtrip_preserves_events() {
-        let tr = TraceHub::new(4).tracer(3);
-        tr.span_at_args(TRACK_STREAM_COMM, "dispatch", 10.0, 25.5, &[("chunk", 2.0)]);
+        let tel = Telemetry::enabled();
+        let tr = tel.tracer(3);
+        tr.span_at_args(TRACK_STREAM_COMM, "dispatch", 10.0, 25.5, &[("chunk", 2)]);
         tr.instant(TRACK_COMM, "2dh.promote");
         tr.flow_send(0, 9, 1, FlowKind::Retry, 16);
         tr.flow_recv(2, 5, 0, FlowKind::Ack, false);
         let mut out = Vec::new();
-        tr.export_jsonl(&mut out).unwrap();
-        let parsed = parse_rank_trace(&String::from_utf8(out).unwrap()).unwrap();
-        assert_eq!(parsed.rank, 3);
-        assert_eq!(parsed.dropped, 0);
-        assert_eq!(parsed.events, tr.events());
+        tel.export_jsonl(&mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        let span = text.lines().find(|l| l.contains("dispatch")).unwrap();
+        assert!(
+            span.starts_with(r#"{"type":"span","rank":3,"track":3,"#),
+            "{span}"
+        );
+        assert!(span.ends_with(r#""args":{"chunk":2}}"#), "{span}");
+        let parsed = MergedTrace::from_jsonl(&text).unwrap();
+        let ranks: Vec<_> = parsed.ranks.iter().map(|r| (r.rank, r.dropped)).collect();
+        assert_eq!(ranks, [(0, 0), (3, 0)]);
+        assert_eq!(parsed.ranks[1].events, tr.events());
+    }
+
+    #[test]
+    fn malformed_counts_are_line_numbered_errors() {
+        // One row per count field: an event line with the field at `@`.
+        let rows = [
+            (
+                "rank",
+                r#"{"type":"instant","rank":@,"track":0,"name":"m","t_us":1}"#,
+            ),
+            (
+                "track",
+                r#"{"type":"instant","rank":0,"track":@,"name":"m","t_us":1}"#,
+            ),
+            (
+                "dst",
+                r#"{"type":"flow_send","rank":0,"dst":@,"tag":1,"seq":0,"kind":"data","bytes":8,"t_us":1}"#,
+            ),
+            (
+                "tag",
+                r#"{"type":"flow_send","rank":0,"dst":1,"tag":@,"seq":0,"kind":"data","bytes":8,"t_us":1}"#,
+            ),
+            (
+                "seq",
+                r#"{"type":"flow_send","rank":0,"dst":1,"tag":1,"seq":@,"kind":"data","bytes":8,"t_us":1}"#,
+            ),
+            (
+                "bytes",
+                r#"{"type":"flow_send","rank":0,"dst":1,"tag":1,"seq":0,"kind":"data","bytes":@,"t_us":1}"#,
+            ),
+            (
+                "src",
+                r#"{"type":"flow_recv","rank":1,"src":@,"tag":1,"seq":0,"kind":"data","t_us":2}"#,
+            ),
+            (
+                "chunk",
+                r#"{"type":"span","rank":0,"track":0,"name":"s","t0_us":0,"dur_us":1,"args":{"chunk":@}}"#,
+            ),
+        ];
+        let meta = r#"{"type":"meta","ranks":[]}"#;
+        for (field, line) in rows {
+            assert!(
+                MergedTrace::from_jsonl(&format!("{meta}\n{}", line.replace('@', "7"))).is_ok()
+            );
+            // Negative, fractional, missing, a string, past 64 bits.
+            for bad in ["-1", "1.5", "null", "\"7\"", "1e20"] {
+                let text = format!("{meta}\n{}", line.replace('@', bad));
+                let err = MergedTrace::from_jsonl(&text).unwrap_err();
+                assert!(
+                    err.starts_with("line 2: ") && err.contains(field),
+                    "{field} = {bad}: {err}"
+                );
+            }
+        }
+        // A `track` past 32 bits is out of range too.
+        let line = rows[1].1.replace('@', "4294967296");
+        assert!(MergedTrace::from_jsonl(&format!("{meta}\n{line}")).is_err());
+        let line = rows[0].1.replace(r#""rank":@,"#, "");
+        let err = MergedTrace::from_jsonl(&format!("{meta}\n{line}")).unwrap_err();
+        assert!(err.contains(r#"missing numeric "rank""#), "{err}");
+        let err = MergedTrace::from_jsonl(&rows[0].1.replace('@', "0")).unwrap_err();
+        assert!(err.contains("meta"), "{err}");
     }
 
     #[test]
@@ -1172,11 +1237,11 @@ mod tests {
 
     #[test]
     fn chrome_export_carries_flows_and_metadata() {
-        let hub = TraceHub::new(2);
-        hub.tracer(0).flow_send(1, 3, 0, FlowKind::Data, 32);
-        hub.tracer(1).flow_recv(0, 3, 0, FlowKind::Data, true);
-        hub.tracer(0).span_at(TRACK_MAIN, "step", 0.0, 10.0);
-        let json = hub.merged().to_chrome().to_json();
+        let tel = Telemetry::enabled();
+        tel.tracer(0).flow_send(1, 3, 0, FlowKind::Data, 32);
+        tel.tracer(1).flow_recv(0, 3, 0, FlowKind::Data, true);
+        tel.tracer(0).span_at(TRACK_MAIN, "step", 0.0, 10.0);
+        let json = tel.trace().to_chrome().to_json();
         assert!(json.contains("\"traceEvents\""), "{json}");
         assert!(json.contains("\"ph\":\"s\""), "{json}");
         assert!(json.contains("\"ph\":\"f\""), "{json}");
@@ -1188,15 +1253,15 @@ mod tests {
 
     #[test]
     fn retransmits_are_distinct_edges() {
-        let hub = TraceHub::new(2);
-        let t0 = hub.tracer(0);
-        let t1 = hub.tracer(1);
+        let tel = Telemetry::enabled();
+        let t0 = tel.tracer(0);
+        let t1 = tel.tracer(1);
         // Original transmission and a retransmission of the same tag.
         t0.flow_send(1, 7, 0, FlowKind::Data, 64);
         t0.flow_send(1, 7, 1, FlowKind::Data, 64);
         t1.flow_recv(0, 7, 0, FlowKind::Data, true);
         t1.flow_recv(0, 7, 1, FlowKind::Data, false);
-        let merged = hub.merged();
+        let merged = tel.trace();
         assert_eq!(merged.flow_edges().len(), 2);
         merged.check_invariants().unwrap();
     }

@@ -305,8 +305,8 @@ impl<'a> Engine<'a> {
         let span = self
             .tel
             .span("serve.step")
-            .tag("tokens", occupancy as u64)
-            .tag("inflight", plan.entries.len() as u64);
+            .arg("tokens", occupancy as u64)
+            .arg("inflight", plan.entries.len() as u64);
         let step_out = self.executor.step(&batch)?;
         drop(span);
         self.a2a_elems += step_out.a2a_elems;
@@ -359,9 +359,9 @@ impl<'a> Engine<'a> {
         let span = self
             .tel
             .span("serve.request")
-            .request(id)
-            .tag("tokens", n as u64)
-            .tag("latency_us", latency);
+            .arg("request", id)
+            .arg("tokens", n as u64)
+            .arg("latency_us", latency);
         drop(span);
         self.tel.record_hist("serve.latency_us", latency as f64);
         self.tel.add_counter("serve.requests.completed", 1);

@@ -201,7 +201,7 @@ impl<'m> StepExecutor<'m> {
         if cfg.degree == 0 {
             return Err(ServeError::Config("pipeline degree must be nonzero".into()));
         }
-        let mut group = RankGroup::new(topology_for(cfg.world), reliable, None);
+        let mut group = RankGroup::new(topology_for(cfg.world), reliable, &Telemetry::disabled());
         let build = |comm: &mut Communicator| {
             with_parallelism_limit(cfg.threads, || {
                 rank_blocks(

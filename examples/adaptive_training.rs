@@ -88,14 +88,6 @@ fn main() {
         let strategy = search.next_strategy(f, &tel);
         let t = time_model.step_time(&dims, strategy);
         search.record(f, strategy, t);
-        // The functional layer never moves real bytes, so the two
-        // All-to-All legs enter the step's stage breakdown from the
-        // time model rather than from wall-clock spans.
-        if tel.is_enabled() {
-            let breakdown = time_model.stage_breakdown(&dims, strategy);
-            tel.add_stage("a2a_dispatch", breakdown.a2a_dispatch);
-            tel.add_stage("a2a_combine", breakdown.a2a_combine);
-        }
 
         // Inline parallelism router decision for a replicated-expert
         // setting (E = 8 experts on 64 GPUs → 8-way groups).
@@ -123,6 +115,10 @@ fn main() {
                 }
                 dropped += lt.dropped as u64;
             }
+            // The functional layer never moves real bytes, so the two
+            // All-to-All legs enter the step's stage breakdown from the
+            // time model rather than from wall-clock spans.
+            let breakdown = time_model.stage_breakdown(&dims, strategy);
             tel.record_step(StepRecord {
                 step,
                 loss: loss as f64,
@@ -132,7 +128,10 @@ fn main() {
                 needed_factors: layer_tel.iter().map(|lt| lt.needed_factor).collect(),
                 expert_load,
                 dropped,
-                stages: Vec::new(),
+                stages: vec![
+                    ("a2a_dispatch".into(), breakdown.a2a_dispatch),
+                    ("a2a_combine".into(), breakdown.a2a_combine),
+                ],
             });
         }
 

@@ -1,9 +1,10 @@
 //! End-to-end observability tests: the adaptive-decision audit log
 //! must agree with the simulator's own cost model, training must leave
 //! a complete per-step record, and the JSONL export must be
-//! well-formed.
+//! well-formed, with each step's stage map the sum of its spans.
 
-use tutel_suite::obs::{Event, Telemetry};
+use tutel_suite::obs::json::Value;
+use tutel_suite::obs::{MergedTrace, Telemetry, TraceEvent};
 use tutel_suite::tensor::Rng;
 use tutel_suite::tutel::adaptive::{FeatureSet, MoeLayerSimulator};
 use tutel_suite::tutel::data::SyntheticVision;
@@ -163,7 +164,10 @@ fn jsonl_export_is_line_delimited_and_typed() {
     }
     assert!(lines[0].contains("\"type\":\"meta\""));
     assert_eq!(text.matches("\"type\":\"step\"").count(), 5);
-    assert!(text.contains("\"type\":\"span\""));
+    // The layer's spans are rank 0's main-track trace events, stamped
+    // with their step.
+    assert!(text.contains(r#"{"type":"span","rank":0,"track":0,"name":"moe.forward","#));
+    assert!(text.contains(r#""args":{"step":4"#));
     assert!(text.contains("\"type\":\"counter\""));
     // Step lines carry the full payload the acceptance criteria name.
     let step_line = lines
@@ -191,18 +195,72 @@ fn spans_are_stamped_with_their_step() {
     };
     train(&mut model, &ds, &cfg, &tel).unwrap();
     let spans: Vec<_> = tel
+        .tracer(0)
         .events()
         .into_iter()
-        .filter_map(|e| match e {
-            Event::Span(s) => Some(s),
+        .filter_map(|e| match &e {
+            TraceEvent::Span { name, .. } => Some((name.clone(), e.arg("step"))),
             _ => None,
         })
         .collect();
     assert!(!spans.is_empty());
     assert!(
-        spans.iter().all(|s| s.step.is_some()),
+        spans.iter().all(|(_, step)| step.is_some_and(|s| s < 3)),
         "all spans inside steps"
     );
-    assert!(spans.iter().any(|s| s.name == "moe.forward"));
-    assert!(spans.iter().any(|s| s.name == "moe.backward"));
+    assert!(spans.iter().any(|(name, _)| name == "moe.forward"));
+    assert!(spans.iter().any(|(name, _)| name == "moe.backward"));
+}
+
+/// A training run's one exported stream parses back into a trace that
+/// passes the structural invariants, and each step's `stages[name]` is
+/// exactly the sum of that step's `name` spans, in seconds.
+#[test]
+fn exported_stages_are_the_sum_of_each_steps_spans() {
+    let (mut model, ds) = tiny_moe_setup();
+    let tel = Telemetry::enabled();
+    let cfg = TrainConfig {
+        steps: 4,
+        batch: 8,
+        ..TrainConfig::default()
+    };
+    train(&mut model, &ds, &cfg, &tel).unwrap();
+    let mut out = Vec::new();
+    tel.export_jsonl(&mut out).unwrap();
+    let text = String::from_utf8(out).unwrap();
+
+    let trace = MergedTrace::from_jsonl(&text).unwrap();
+    let inv = trace.check_invariants().unwrap();
+    assert!(!inv.truncated);
+    assert_eq!(trace.ranks.len(), 1, "one process, rank 0");
+    let steps: Vec<Value> = text
+        .lines()
+        .map(|l| Value::parse(l).unwrap())
+        .filter(|v| v.get("type").and_then(Value::as_str) == Some("step"))
+        .collect();
+    assert_eq!(steps.len(), 4);
+    for line in &steps {
+        let step = line.get("step").and_then(Value::as_u64).unwrap();
+        // Span name → Σ dur_us / 1e6, oldest first.
+        let mut sums: Vec<(String, f64)> = Vec::new();
+        for ev in &trace.ranks[0].events {
+            if let TraceEvent::Span { name, dur_us, .. } = ev {
+                if ev.arg("step") == Some(step) {
+                    match sums.iter_mut().find(|(k, _)| k == name) {
+                        Some((_, total)) => *total += dur_us / 1e6,
+                        None => sums.push((name.clone(), dur_us / 1e6)),
+                    }
+                }
+            }
+        }
+        let Some(Value::Obj(stages)) = line.get("stages") else {
+            panic!("step {step} has no stage map");
+        };
+        let stages: Vec<(String, f64)> = stages
+            .iter()
+            .map(|(k, v)| (k.clone(), v.as_f64().unwrap()))
+            .collect();
+        assert!(sums.iter().any(|(k, _)| k == "ffn"), "{sums:?}");
+        assert_eq!(stages, sums, "step {step}");
+    }
 }

@@ -12,6 +12,7 @@
 use tutel_harness::dist::run_distributed;
 use tutel_harness::reference::Problem;
 use tutel_harness::{cell_label, AllToAllAlgo, ExecConfig, Parallelism};
+use tutel_suite::obs::Telemetry;
 
 const DEGREES: [usize; 3] = [2, 4, 8];
 
@@ -59,10 +60,11 @@ fn overlapped_degrees_are_bitwise_identical_to_serial_under_p1() {
                     threads,
                     dropless: false,
                 };
-                let serial = run_distributed(&problem, &fixture, &at_degree(1), None);
+                let serial =
+                    run_distributed(&problem, &fixture, &at_degree(1), &Telemetry::disabled());
                 for degree in DEGREES {
                     let cfg = at_degree(degree);
-                    let got = run_distributed(&problem, &fixture, &cfg, None);
+                    let got = run_distributed(&problem, &fixture, &cfg, &Telemetry::disabled());
                     assert_ranks_bitwise(&serial, &got, &cell_label(&cfg, true));
                 }
             }
@@ -87,10 +89,10 @@ fn overlap_is_seed_independent_of_degree_ordering() {
         threads: 1,
         dropless: false,
     };
-    let serial = run_distributed(&problem, &fixture, &at_degree(1), None);
+    let serial = run_distributed(&problem, &fixture, &at_degree(1), &Telemetry::disabled());
     for degree in DEGREES.iter().rev() {
         let cfg = at_degree(*degree);
-        let got = run_distributed(&problem, &fixture, &cfg, None);
+        let got = run_distributed(&problem, &fixture, &cfg, &Telemetry::disabled());
         assert_ranks_bitwise(&serial, &got, &cell_label(&cfg, true));
     }
 }

@@ -43,7 +43,7 @@ use tutel_suite::comm::{AllToAllAlgo, CollectiveTiming, World};
 use tutel_suite::experts::{InlineParallelismRouter, MoeDims};
 use tutel_suite::gate::{route, RaggedRouting, RouteConfig};
 use tutel_suite::obs::trace::{FlowKind, Tracer, TRACK_COMM, TRACK_MAIN};
-use tutel_suite::obs::{Event, TagValue, Telemetry};
+use tutel_suite::obs::{Telemetry, TraceEvent};
 use tutel_suite::rt::{arena, parallel_chunks, pool_stats, with_parallelism_limit, Arena};
 use tutel_suite::tensor::{
     grouped_gemm_into, grouped_gemm_nt_into, grouped_gemm_tn, scratch, uniform_offsets, Precision,
@@ -113,13 +113,10 @@ fn allocs_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
 
 const EXPERTS: usize = 64;
 
-/// The `packed_rows` tag of the newest `encode` span in `tel`.
+/// The `packed_rows` arg of the newest `encode` span in `tel`.
 fn packed_rows(tel: &Telemetry) -> Option<u64> {
-    tel.events().into_iter().rev().find_map(|e| match e {
-        Event::Span(s) if s.name == "encode" => s.tags.into_iter().find_map(|(k, v)| match v {
-            TagValue::U64(n) if k == "packed_rows" => Some(n),
-            _ => None,
-        }),
+    tel.tracer(0).events().iter().rev().find_map(|e| match e {
+        TraceEvent::Span { name, .. } if name == "encode" => e.arg("packed_rows"),
         _ => None,
     })
 }
@@ -220,11 +217,12 @@ fn gate_chain_allocations_do_not_scale_with_tokens_and_the_arena_balances() {
                 layer.step(0.01);
                 out
             });
-            // Telemetry is on, and its event ring is a `VecDeque` that
-            // doubles as the steps' events accumulate: one more
-            // allocation at each step whose events cross a power of two.
+            // Telemetry is on, and the ring its spans land in (rank 0's
+            // trace) is a `VecDeque` that doubles as the steps' spans
+            // accumulate: one more allocation at each step whose spans
+            // cross a power of two.
             let expected = match step {
-                1 => 166,
+                1 => 151,
                 2 | 3 | 6 | 11 | 22 => 114,
                 _ => 113,
             };
@@ -265,18 +263,18 @@ fn disabled_instrumentation_and_warm_runtime_paths_are_exact_counts() {
     let tel = Telemetry::disabled();
     let (n, ()) = allocs_in(|| {
         for step in 0..CALLS {
-            let _span = tel.span("gate").tag("experts", 8u64).request(step);
+            let _span = tel.span("gate").arg("experts", 8).arg("request", step);
             tel.add_counter("gate.dropped_tokens", 3);
             tel.set_gauge("rt.arena.hit_rate", 0.5);
             tel.record_hist("step_s", 0.01);
-            tel.add_stage("a2a", 1e-3);
             tel.collective("all_to_all", "linear", 4096.0, 1e-4);
             tel.begin_step(step);
+            drop(tel.tracer(step as usize));
             drop(tel.clone());
         }
     });
     assert_eq!(n, 0, "disabled telemetry allocated {n} times");
-    assert_eq!(tel.events().len(), 0);
+    assert_eq!((tel.events().len(), tel.trace().ranks.len()), (0, 0));
 
     // A disabled `Tracer`, the same contract on the comm hot path.
     let tracer = Tracer::disabled();
