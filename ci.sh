@@ -67,19 +67,21 @@ echo "==> backward stage + FFN child-span attribution (wall-clock bounds, run al
 cargo test -q -p tutel --lib -- --ignored backward_stage_spans_account
 cargo test -q -p tutel-experts --lib -- --ignored ffn_child_spans
 
-echo "==> tanh port: all 2^32 inputs vs the host libm and the AVX2 lanes"
+echo "==> tanh port: all 2^32 inputs vs the host libm and every SIMD table's lanes"
 # GELU's tanh is a port of glibc 2.36's tanhf, the libm every pinned
 # digest was recorded with: on every bit pattern the scalar port must
-# equal f32::tanh, and the AVX2 tanh / gelu / gelu_backward lanes the
-# scalar kernels. Release build, about 4 minutes on 2 cores; the
-# default suite runs an edge table plus every 65 537th pattern.
-cargo test -q --release -p tutel-tensor --lib -- --ignored tanh_port_matches_libm_and_avx2_exhaustively
+# equal f32::tanh, and the tanh / gelu / gelu_backward lanes of every
+# SIMD table the host has (AVX2, and AVX-512 where present) the scalar
+# kernels. Release build, minutes on 2 cores; the default suite runs
+# an edge table plus every 65 537th pattern.
+cargo test -q --release -p tutel-tensor --lib -- --ignored tanh_port_matches_libm_and_simd_lanes_exhaustively
 
-echo "==> GEMM tile edges: every small shape, both SIMD modes"
-# Every m ≤ 2·MR + 1 (13), n ≤ 2·TILE_COLS + 1 (33) and k in 0..=17 or
-# either side of one and two KC panels: the three grouped launches,
-# scalar against AVX2, bit for bit. The default suite samples these
-# edges by proptest; this enumerates them (seconds in release).
+echo "==> GEMM tile edges: every small shape, every kernel table"
+# Every m ≤ 2·MR + 1 (13), n ≤ 2·WIDE_TILE_COLS + 1 (65) and k in
+# 0..=17 or either side of one and two KC panels: the three grouped
+# launches, scalar against every SIMD table the host has, bit for bit.
+# The default suite samples these edges by proptest; this enumerates
+# them (seconds in release).
 cargo test -q --release -p tutel-tensor --lib -- --ignored grouped_launches_match_across_simd_modes_on_every_tile_edge
 
 echo "==> determinism suite: TUTEL_SIMD={0,1} x TUTEL_THREADS={1,4}"
@@ -90,6 +92,10 @@ TUTEL_SIMD=0 TUTEL_THREADS=1 cargo test -q --test determinism
 TUTEL_SIMD=0 TUTEL_THREADS=4 cargo test -q --test determinism
 TUTEL_SIMD=1 TUTEL_THREADS=1 cargo test -q --test determinism
 TUTEL_SIMD=1 TUTEL_THREADS=4 cargo test -q --test determinism
+# Name the table the TUTEL_SIMD=1 cells ran (the widest the host has):
+# "kernel table: avx512" on an AVX-512 host, "avx2" or "scalar" on others.
+TUTEL_SIMD=1 cargo test -q --test determinism -- --nocapture --exact tutel_simd_selects_the_kernel_table \
+    | grep "kernel table:"
 
 echo "==> tensor + gate tests at TUTEL_THREADS=1 and =4 (row-chunked top-k)"
 # `topk_last` runs its rows in fixed chunks on the pool, and `route`

@@ -6,7 +6,7 @@
 //! arithmetic and at what storage precision the expert weights rest —
 //! and holds each axis to its own contract:
 //!
-//! * **scalar vs SIMD is bitwise.** The AVX2 `f32x8` kernels share the
+//! * **scalar vs SIMD is bitwise.** The SIMD kernels share the
 //!   scalar kernels' reduction trees and never emit FMA, so flipping
 //!   `TUTEL_SIMD` may not change a single bit of any output, gradient,
 //!   or aux loss — under *any* strategy configuration. Each `simd/*`
@@ -46,8 +46,9 @@ pub const BF16_ULP_BUDGET: f64 = 131072.0;
 /// One cell of the kernel-mode grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelCell {
-    /// Whether the AVX2 kernel table is forced (clamped to scalar on
-    /// hosts without AVX2+FMA, where the bitwise check is vacuous).
+    /// Whether the widest SIMD kernel table the host has is forced
+    /// (scalar on hosts without AVX2+FMA, where the bitwise check is
+    /// vacuous).
     pub simd: bool,
     /// Expert-weight storage precision.
     pub precision: Precision,

@@ -5,54 +5,59 @@
 //! # Design
 //!
 //! CPU features are detected **once** (a `OnceLock`) and resolved into
-//! one of two static [`KernelTable`]s of plain function pointers — a
-//! scalar table that is the portable reference, and an AVX2 table of
-//! explicit `f32x8` intrinsic kernels. Hot paths fetch the active
-//! table with [`table`] (two relaxed atomic loads, no detection, no
-//! branching beyond the table select) and call through the pointers;
-//! per-call feature checks never happen.
+//! one of three static [`KernelTable`]s of plain function pointers — a
+//! scalar table that is the portable reference, an AVX2 table of
+//! explicit `f32x8` intrinsic kernels, and an AVX-512 table whose GEMM
+//! tiles and GELU are `f32x16` kernels and whose other entries are the
+//! AVX2 ones. Hot paths fetch the active table with [`table`] (two
+//! relaxed atomic loads, no detection, no branching beyond the table
+//! select) and call through the pointers; per-call feature checks
+//! never happen.
 //!
 //! # The bitwise-SIMD contract
 //!
-//! Every AVX2 kernel is **bitwise-identical** to its scalar twin, so
+//! Every SIMD kernel is **bitwise-identical** to its scalar twin, so
 //! the PR-3 determinism contract (results are a pure function of the
 //! problem, never of the worker count) extends to the `TUTEL_SIMD`
-//! axis unchanged. This falls out of three rules:
+//! axis unchanged. This falls out of four rules:
 //!
 //! 1. **No FMA in accumulation.** The scalar microkernel computes
 //!    `acc += a * b` with *two* roundings (multiply, then add); a
 //!    fused multiply-add rounds once and differs in the last bit. The
-//!    AVX2 kernels therefore emit `_mm256_add_ps(_mm256_mul_ps(..))`
-//!    pairs — FMA availability is part of the detection gate (the
-//!    AVX2 table is only installed on AVX2+FMA hosts, matching how
-//!    real deployments ship one fat binary) but the instruction is
-//!    deliberately never used where it would change results.
+//!    SIMD kernels therefore emit `add(mul(..))` pairs — FMA
+//!    availability is part of the detection gate (both SIMD tables are
+//!    only installed on AVX2+FMA hosts, matching how real deployments
+//!    ship one fat binary) but the instruction is deliberately never
+//!    used where it would change results.
 //! 2. **Lane-for-lane identical data flow.** A vector `add`/`mul`/
 //!    `div`/`max` is the same IEEE operation per lane as the scalar
 //!    loop it replaces, so any kernel that is already lane-parallel
-//!    (the micro-tile, `axpy`, lanewise divide) is bitwise for free.
+//!    (the micro-tiles, `axpy`, lanewise divide, GELU) is bitwise for
+//!    free, at 8 lanes or 16.
 //! 3. **Shared reduction trees.** Horizontal reductions (dot, the
-//!    dot tile, row max, row sum) strip-mine into [`NR`] = 8 lanes and
+//!    dot tiles, row max, row sum) strip-mine into [`NR`] = 8 lanes and
 //!    collapse them with one fixed tree — `(l0+l4)+(l1+l5)`,
 //!    `(l2+l6)+(l3+l7)`, then the pair, then the scalar tail — in
-//!    *both* modes; the AVX2 path accumulates the lanes in one register
-//!    per output and extracts them into the very same tree.
+//!    *every* table; the AVX2 kernels accumulate each output's lanes in
+//!    one `ymm`, the AVX-512 dot tile in one half of a `zmm`, and both
+//!    collapse them through the very same tree.
 //! 4. **Transcendentals are ported, not called.** A libm call is
 //!    scalar, branchy, and defined by whichever libm the host links,
-//!    so neither the AVX2 twin nor another host could match it bit
+//!    so neither a SIMD twin nor another host could match it bit
 //!    for bit. The GELU's `tanh` is therefore `dispatch::tanh`, a
 //!    branch-free port of glibc 2.36's `s_tanhf.c` + `s_expm1f.c`
-//!    that computes every path and selects by mask, with an AVX2 twin
-//!    that is the same data flow lane for lane (rule 2 — separate
-//!    `mul`/`add`, truncating `cvtt` for `k`, integer shifts for the
-//!    exponent tricks, `blendv` for the selects). The port equals
-//!    glibc 2.36's `tanhf` on all 2³² inputs, so digests pinned
-//!    against that libm keep their bits, and no digest depends on the
-//!    host's libm any more: elsewhere, the port is the definition.
-//!    (Softmax's `exp` is still a libm call, scalar in both modes.)
+//!    that computes every path and selects by mask, with 8- and
+//!    16-lane twins that are the same data flow lane for lane (rule 2
+//!    — separate `mul`/`add`, truncating `cvtt` for `k`, integer
+//!    shifts for the exponent tricks, `blendv` or a mask-register
+//!    blend for the selects). The port equals glibc 2.36's `tanhf` on
+//!    all 2³² inputs, so digests pinned against that libm keep their
+//!    bits, and no digest depends on the host's libm any more:
+//!    elsewhere, the port is the definition. (Softmax's `exp` is still
+//!    a libm call, scalar in every table.)
 //!
-//! Mode selection: `TUTEL_SIMD=0` forces scalar, unset or `1` uses
-//! AVX2 when the host has it (read once); [`set_simd_override`] flips
+//! Mode selection: `TUTEL_SIMD=0` forces scalar, unset or `1` uses the
+//! widest table the host has (read once); [`set_simd_override`] flips
 //! the mode in-process so differential harnesses can compare both
 //! sides without re-exec.
 
@@ -62,23 +67,34 @@ use std::sync::{Mutex, OnceLock};
 
 /// Rows per register micro-tile.
 pub const MR: usize = 6;
-/// Columns per register micro-tile: two [`NR`]-lane vectors, so a
-/// full tile is `MR × 2` = 12 AVX2 accumulators.
+/// Columns of the scalar and AVX2 micro-tile: two [`NR`]-lane vectors,
+/// so a full tile is `MR × 2` = 12 AVX2 accumulators. Every table ends
+/// its [`KernelTable::micro_tiles`] with a tile this wide.
 pub const TILE_COLS: usize = 16;
+/// Columns of the AVX-512 micro-tile: two 16-lane vectors, 12 `zmm`
+/// accumulators.
+pub const WIDE_TILE_COLS: usize = 32;
 /// The strip-mining width of every lane-tree reduction (one `f32x8`).
 pub const NR: usize = 8;
-/// Rows of A per [`KernelTable::dot_tile`] block.
+/// Rows of A per [`KernelTable::dot_tiles`] block.
 pub const DOT_ROWS: usize = 4;
-/// Rows of B (output columns) per [`KernelTable::dot_tile`] block.
+/// Rows of B (output columns) per scalar and AVX2 dot tile. Every table
+/// ends its [`KernelTable::dot_tiles`] with a tile this wide.
 pub const DOT_COLS: usize = 3;
+/// Rows of B per AVX-512 dot tile: two outputs per `zmm`.
+pub const WIDE_DOT_COLS: usize = 6;
 
-/// Which kernel family the active table dispatches to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Which kernel family the active table dispatches to, narrowest
+/// first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SimdMode {
     /// Portable scalar kernels (the reference semantics).
     Scalar,
     /// Explicit AVX2 `f32x8` kernels (bitwise-identical to scalar).
     Avx2,
+    /// `f32x16` GEMM tiles and GELU over the AVX2 table (also
+    /// bitwise-identical to scalar).
+    Avx512,
 }
 
 impl SimdMode {
@@ -87,17 +103,18 @@ impl SimdMode {
         match self {
             SimdMode::Scalar => "scalar",
             SimdMode::Avx2 => "avx2",
+            SimdMode::Avx512 => "avx512",
         }
     }
 }
 
-/// `out_rows[(ir + r) * n + jc ..][..TILE_COLS] += apanel · b`
-/// micro-tile; see [`KernelTable::micro_tile`].
+/// `out_rows[(ir + r) * n + jc ..][..cols] += apanel · b` micro-tile of
+/// some width `cols`; see [`KernelTable::micro_tiles`].
 pub type MicroTileFn = fn(&[f32], usize, &[f32], usize, usize, usize, &mut [f32], usize, usize);
 /// Strip-mined dot product with the fixed lane tree.
 pub type DotFn = fn(&[f32], &[f32]) -> f32;
-/// `out[r * ldo + j] += dot(a_r, b_j)` over a `DOT_ROWS × DOT_COLS`
-/// block; see [`KernelTable::dot_tile`].
+/// `out[r * ldo + j] += dot(a_r, b_j)` over a `DOT_ROWS × cols`
+/// block; see [`KernelTable::dot_tiles`].
 pub type DotTileFn = fn(&[f32], &[f32], usize, &mut [f32], usize);
 /// `out[i] += a * v[i]`.
 pub type AxpyFn = fn(f32, &[f32], &mut [f32]);
@@ -115,27 +132,30 @@ pub type GeluFn = fn(&mut [f32], Option<(&mut [f32], &mut [f32])>);
 pub type GeluBackwardFn = fn(&[f32], &[f32], &mut [f32]);
 
 /// The resolved kernel set for one [`SimdMode`]. All pointers are
-/// plain safe `fn`s; the AVX2 entries wrap `#[target_feature]` bodies
+/// plain safe `fn`s; the SIMD entries wrap `#[target_feature]` bodies
 /// and are only ever installed after runtime detection succeeded.
 pub struct KernelTable {
     /// Which family this table belongs to.
     pub mode: SimdMode,
-    /// Full `MR × TILE_COLS` GEMM micro-tile:
+    /// Full-width `MR × cols` GEMM micro-tiles as `(cols, kernel)`,
+    /// widest first, the last [`TILE_COLS`] wide. A kernel takes
     /// `(apanel, kc_len, b, n, pc, jc, out_rows, ir, mr_eff)` —
     /// `apanel` is `kc_len × MR` interleaved (zero-padded short
     /// tiles), `b` is the full `k × n` operand read in place at stride
-    /// `n` (`jc + TILE_COLS ≤ n`), and the tile accumulates into
-    /// `out_rows` at block-relative row `ir`. Each element sums its
-    /// `kc_len` products from zero in `p` order, then adds the sum to
-    /// `out_rows`: the order is the element's, not the tile's.
-    pub micro_tile: MicroTileFn,
+    /// `n` (`jc + cols ≤ n`), and the tile accumulates into `out_rows`
+    /// at block-relative row `ir`. Each element sums its `kc_len`
+    /// products from zero in `p` order, then adds the sum to
+    /// `out_rows`: the order is the element's, not the tile's, so the
+    /// tiles of every table are interchangeable bit for bit.
+    pub micro_tiles: &'static [(usize, MicroTileFn)],
     /// 8-lane strip-mined dot product (fixed reduction tree).
     pub dot: DotFn,
-    /// `DOT_ROWS × DOT_COLS` block of [`dot`](Self::dot)s:
-    /// `(a, b, k, out, ldo)` — `a` holds `DOT_ROWS` rows of length `k`
-    /// back to back, `b` holds `DOT_COLS`, and
+    /// `DOT_ROWS × cols` blocks of [`dot`](Self::dot)s as
+    /// `(cols, kernel)`, widest first, the last [`DOT_COLS`] wide: a
+    /// kernel takes `(a, b, k, out, ldo)` — `a` holds `DOT_ROWS` rows
+    /// of length `k` back to back, `b` holds `cols`, and
     /// `out[r * ldo + j] += dot(a_r, b_j)`, bit for bit.
-    pub dot_tile: DotTileFn,
+    pub dot_tiles: &'static [(usize, DotTileFn)],
     /// `out += a * v` over equal-length slices.
     pub axpy: AxpyFn,
     /// `out += v` over equal-length slices.
@@ -162,9 +182,9 @@ pub struct KernelTable {
 
 static SCALAR_TABLE: KernelTable = KernelTable {
     mode: SimdMode::Scalar,
-    micro_tile: scalar::micro_tile,
+    micro_tiles: &[(TILE_COLS, scalar::micro_tile)],
     dot: scalar::dot,
-    dot_tile: scalar::dot_tile,
+    dot_tiles: &[(DOT_COLS, scalar::dot_tile)],
     axpy: scalar::axpy,
     add_assign: scalar::add_assign,
     row_max: scalar::row_max,
@@ -176,24 +196,40 @@ static SCALAR_TABLE: KernelTable = KernelTable {
 };
 
 /// `OVERRIDE` encodes [`set_simd_override`]: 0 = follow the
-/// environment default, 1 = force scalar, 2 = force SIMD.
+/// environment default, otherwise one more than the pinned
+/// [`SimdMode`]'s discriminant.
 static OVERRIDE: AtomicU8 = AtomicU8::new(0);
 
-/// True iff the host supports the AVX2+FMA kernel set. Detected once;
-/// every later call is one `OnceLock` load.
-pub fn simd_available() -> bool {
+/// Every SIMD mode the host supports, narrowest first: AVX2 needs
+/// `avx2 && fma`, AVX-512 needs `avx512f && avx512dq` on top. Detected
+/// once; every later call is one `OnceLock` load.
+pub(crate) fn simd_modes() -> &'static [SimdMode] {
     #[cfg(target_arch = "x86_64")]
     {
-        static DETECTED: OnceLock<bool> = OnceLock::new();
-        *DETECTED.get_or_init(|| {
-            std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("fma")
+        static DETECTED: OnceLock<&'static [SimdMode]> = OnceLock::new();
+        DETECTED.get_or_init(|| {
+            if !(std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("fma"))
+            {
+                &[]
+            } else if std::arch::is_x86_feature_detected!("avx512f")
+                && std::arch::is_x86_feature_detected!("avx512dq")
+            {
+                &[SimdMode::Avx2, SimdMode::Avx512]
+            } else {
+                &[SimdMode::Avx2]
+            }
         })
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        false
+        &[]
     }
+}
+
+/// True iff the host supports the AVX2+FMA kernel set.
+pub fn simd_available() -> bool {
+    !simd_modes().is_empty()
 }
 
 /// The `TUTEL_SIMD` environment default, read once: unset or any
@@ -203,18 +239,27 @@ fn env_enabled() -> bool {
     *ENV.get_or_init(|| std::env::var("TUTEL_SIMD").map_or(true, |v| v != "0"))
 }
 
-/// Overrides the mode in-process: `Some(true)` forces the SIMD table
-/// (clamped to scalar on hosts without AVX2+FMA), `Some(false)` forces
-/// scalar, `None` reverts to the `TUTEL_SIMD` environment default.
-/// Used by the differential harness to run both sides of the
+/// The [`OVERRIDE`] code that pins `mode`.
+fn pin(mode: SimdMode) -> u8 {
+    mode as u8 + 1
+}
+
+/// The [`OVERRIDE`] code for a [`set_simd_override`] argument.
+fn override_code(force: Option<bool>) -> u8 {
+    match force {
+        None => 0,
+        Some(false) => pin(SimdMode::Scalar),
+        Some(true) => pin(SimdMode::Avx512),
+    }
+}
+
+/// Overrides the mode in-process: `Some(true)` forces the widest SIMD
+/// table the host has (scalar on hosts without AVX2+FMA), `Some(false)`
+/// forces scalar, `None` reverts to the `TUTEL_SIMD` environment
+/// default. Used by the differential harness to run both sides of the
 /// scalar-vs-SIMD comparison in one process.
 pub fn set_simd_override(force: Option<bool>) {
-    let code = match force {
-        None => 0,
-        Some(false) => 1,
-        Some(true) => 2,
-    };
-    OVERRIDE.store(code, Ordering::Relaxed);
+    OVERRIDE.store(override_code(force), Ordering::Relaxed);
 }
 
 /// Runs `f` with the SIMD override pinned to `force` (see
@@ -222,8 +267,27 @@ pub fn set_simd_override(force: Option<bool>) {
 /// even on panic. Mode-switching callers are serialized by a global
 /// lock so concurrent switchers can't observe each other's override;
 /// threads that *don't* switch are unaffected either way, because the
-/// two kernel tables are bitwise-identical. Not reentrant.
+/// kernel tables are bitwise-identical. Not reentrant.
 pub fn with_simd_mode<R>(force: Option<bool>, f: impl FnOnce() -> R) -> R {
+    with_override(override_code(force), f)
+}
+
+/// [`with_simd_mode`] pinned to one table: `mode`, or the widest the
+/// host has below it. The differential tests run every table the host
+/// has through this.
+#[cfg(test)]
+pub(crate) fn with_kernel_mode<R>(mode: SimdMode, f: impl FnOnce() -> R) -> R {
+    with_override(pin(mode), f)
+}
+
+/// Scalar, then every SIMD mode the host has: the tables a
+/// differential test compares.
+#[cfg(test)]
+pub(crate) fn kernel_modes() -> impl Iterator<Item = SimdMode> {
+    std::iter::once(SimdMode::Scalar).chain(simd_modes().iter().copied())
+}
+
+fn with_override<R>(code: u8, f: impl FnOnce() -> R) -> R {
     static LOCK: Mutex<()> = Mutex::new(());
     let _serial = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     struct Reset(u8);
@@ -233,41 +297,42 @@ pub fn with_simd_mode<R>(force: Option<bool>, f: impl FnOnce() -> R) -> R {
         }
     }
     let _reset = Reset(OVERRIDE.load(Ordering::Relaxed));
-    set_simd_override(force);
+    OVERRIDE.store(code, Ordering::Relaxed);
     f()
 }
 
-/// The mode the next [`table`] call resolves to.
+/// The mode the next [`table`] call resolves to: the pinned or
+/// environment-selected mode, clamped to the widest the host has.
 pub fn simd_mode() -> SimdMode {
-    let want_simd = match OVERRIDE.load(Ordering::Relaxed) {
-        1 => false,
-        2 => true,
-        _ => env_enabled(),
+    let want = match OVERRIDE.load(Ordering::Relaxed) {
+        0 if env_enabled() => SimdMode::Avx512,
+        0 | 1 => SimdMode::Scalar,
+        2 => SimdMode::Avx2,
+        _ => SimdMode::Avx512,
     };
-    if want_simd && simd_available() {
-        SimdMode::Avx2
-    } else {
-        SimdMode::Scalar
-    }
+    let widest = simd_modes().last().copied().unwrap_or(SimdMode::Scalar);
+    want.min(widest)
 }
 
 /// The active kernel table. Cheap enough for per-chunk use on hot
 /// paths: an atomic load, a `OnceLock` load, and a static ref — no
 /// feature detection, no allocation.
 pub fn table() -> &'static KernelTable {
-    match simd_mode() {
+    table_for(simd_mode())
+}
+
+/// The table of `mode`; callers pass a mode [`simd_modes`] reported.
+#[cfg(target_arch = "x86_64")]
+fn table_for(mode: SimdMode) -> &'static KernelTable {
+    match mode {
         SimdMode::Scalar => &SCALAR_TABLE,
-        SimdMode::Avx2 => simd_table(),
+        SimdMode::Avx2 => &avx2::TABLE,
+        SimdMode::Avx512 => &avx512::TABLE,
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-fn simd_table() -> &'static KernelTable {
-    &avx2::TABLE
-}
-
 #[cfg(not(target_arch = "x86_64"))]
-fn simd_table() -> &'static KernelTable {
+fn table_for(_: SimdMode) -> &'static KernelTable {
     &SCALAR_TABLE
 }
 
@@ -404,7 +469,7 @@ fn expm1_for_tanh(y: f32) -> f32 {
     select(hx < 0x3300_0000, y, r)
 }
 
-/// Portable reference kernels. These define the semantics; the AVX2
+/// Portable reference kernels. These define the semantics; the SIMD
 /// twins must match them bit-for-bit (pinned by the dispatch
 /// proptests and the harness kernel-mode matrix).
 mod scalar {
@@ -556,9 +621,9 @@ mod scalar {
 
 /// Explicit AVX2 `f32x8` kernels. Every entry is a safe wrapper whose
 /// body is a `#[target_feature(enable = "avx2")]` function; the
-/// wrappers are private and only reachable through [`TABLE`], which
-/// [`table`](super::table) returns exclusively after
-/// [`simd_available`](super::simd_available) confirmed AVX2+FMA.
+/// wrappers are only reachable through [`TABLE`] and the AVX-512
+/// table, which [`table`](super::table) returns exclusively after
+/// [`simd_modes`](super::simd_modes) confirmed AVX2+FMA.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::{
@@ -579,9 +644,9 @@ mod avx2 {
 
     pub(super) static TABLE: KernelTable = KernelTable {
         mode: SimdMode::Avx2,
-        micro_tile,
+        micro_tiles: &[(TILE_COLS, micro_tile)],
         dot,
-        dot_tile,
+        dot_tiles: &[(DOT_COLS, dot_tile)],
         axpy,
         add_assign,
         row_max,
@@ -594,7 +659,7 @@ mod avx2 {
 
     /// Loads 8 consecutive `f32`s from a slice of length ≥ `off + 8`.
     #[inline(always)]
-    fn load8(s: &[f32], off: usize) -> __m256 {
+    pub(super) fn load8(s: &[f32], off: usize) -> __m256 {
         debug_assert!(off + NR <= s.len());
         // SAFETY: the caller-checked bound above guarantees 8 in-range
         // f32s at `off`; unaligned loads are permitted by `loadu`.
@@ -603,7 +668,7 @@ mod avx2 {
 
     /// Stores 8 lanes over `s[off .. off + 8]`.
     #[inline(always)]
-    fn store8(s: &mut [f32], off: usize, v: __m256) {
+    pub(super) fn store8(s: &mut [f32], off: usize, v: __m256) {
         debug_assert!(off + NR <= s.len());
         // SAFETY: the bound above guarantees 8 in-range f32s at `off`;
         // unaligned stores are permitted by `storeu`.
@@ -613,7 +678,7 @@ mod avx2 {
     // The 9-ary signature IS the `MicroTileFn` table ABI: both modes
     // must share it exactly so the pointers are interchangeable.
     #[allow(clippy::too_many_arguments)]
-    fn micro_tile(
+    pub(super) fn micro_tile(
         apanel: &[f32],
         kc_len: usize,
         b: &[f32],
@@ -624,8 +689,8 @@ mod avx2 {
         ir: usize,
         mr_eff: usize,
     ) {
-        // SAFETY: this wrapper is reachable only through `TABLE`,
-        // which the dispatcher installs after AVX2+FMA detection.
+        // SAFETY: this wrapper is reachable only through `TABLE` and
+        // the AVX-512 table, installed after AVX2+FMA detection.
         unsafe { micro_tile_body(apanel, kc_len, b, n, pc, jc, out_rows, ir, mr_eff) }
     }
 
@@ -648,12 +713,15 @@ mod avx2 {
         ir: usize,
         mr_eff: usize,
     ) {
+        // With the tile inside a row, these two slices bound every
+        // 8-lane access below.
+        assert!(jc + TILE_COLS <= n, "micro-tile past its row");
+        let (b, out_rows) = (&b[..(pc + kc_len) * n], &mut out_rows[..(ir + mr_eff) * n]);
         // 12 accumulators, two B vectors and one broadcast: 15 of the
         // 16 `ymm` registers.
         let mut acc = [[_mm256_setzero_ps(); TILE_COLS / NR]; MR];
         for (p, avals) in apanel[..kc_len * MR].chunks_exact(MR).enumerate() {
             let boff = (pc + p) * n + jc;
-            debug_assert!(boff + TILE_COLS <= b.len());
             let bv = [load8(b, boff), load8(b, boff + NR)];
             for (accr, &av) in acc.iter_mut().zip(avals) {
                 let av = _mm256_set1_ps(av);
@@ -674,8 +742,8 @@ mod avx2 {
         }
     }
 
-    fn dot(x: &[f32], y: &[f32]) -> f32 {
-        // SAFETY: reachable only through the detection-gated `TABLE`.
+    pub(super) fn dot(x: &[f32], y: &[f32]) -> f32 {
+        // SAFETY: reachable only through the detection-gated tables.
         unsafe { dot_body(x, y) }
     }
 
@@ -706,8 +774,8 @@ mod avx2 {
         sum_lanes_tree(&lanes) + tail
     }
 
-    fn dot_tile(a: &[f32], b: &[f32], k: usize, out: &mut [f32], ldo: usize) {
-        // SAFETY: reachable only through the detection-gated `TABLE`.
+    pub(super) fn dot_tile(a: &[f32], b: &[f32], k: usize, out: &mut [f32], ldo: usize) {
+        // SAFETY: reachable only through the detection-gated tables.
         unsafe { dot_tile_body(a, b, k, out, ldo) }
     }
 
@@ -751,8 +819,8 @@ mod avx2 {
         }
     }
 
-    fn axpy(a: f32, v: &[f32], out: &mut [f32]) {
-        // SAFETY: reachable only through the detection-gated `TABLE`.
+    pub(super) fn axpy(a: f32, v: &[f32], out: &mut [f32]) {
+        // SAFETY: reachable only through the detection-gated tables.
         unsafe { axpy_body(a, v, out) }
     }
 
@@ -777,8 +845,8 @@ mod avx2 {
         }
     }
 
-    fn add_assign(v: &[f32], out: &mut [f32]) {
-        // SAFETY: reachable only through the detection-gated `TABLE`.
+    pub(super) fn add_assign(v: &[f32], out: &mut [f32]) {
+        // SAFETY: reachable only through the detection-gated tables.
         unsafe { add_assign_body(v, out) }
     }
 
@@ -801,8 +869,8 @@ mod avx2 {
         }
     }
 
-    fn row_max(x: &[f32]) -> f32 {
-        // SAFETY: reachable only through the detection-gated `TABLE`.
+    pub(super) fn row_max(x: &[f32]) -> f32 {
+        // SAFETY: reachable only through the detection-gated tables.
         unsafe { row_max_body(x) }
     }
 
@@ -833,8 +901,8 @@ mod avx2 {
         m
     }
 
-    fn row_sum(x: &[f32]) -> f32 {
-        // SAFETY: reachable only through the detection-gated `TABLE`.
+    pub(super) fn row_sum(x: &[f32]) -> f32 {
+        // SAFETY: reachable only through the detection-gated tables.
         unsafe { row_sum_body(x) }
     }
 
@@ -863,8 +931,8 @@ mod avx2 {
         sum_lanes_tree(&lanes) + tail
     }
 
-    fn div_assign(row: &mut [f32], denom: f32) {
-        // SAFETY: reachable only through the detection-gated `TABLE`.
+    pub(super) fn div_assign(row: &mut [f32], denom: f32) {
+        // SAFETY: reachable only through the detection-gated tables.
         unsafe { div_assign_body(row, denom) }
     }
 
@@ -905,8 +973,8 @@ mod avx2 {
         _mm256_srli_epi32::<16>(_mm256_add_epi32(bits, bias))
     }
 
-    fn bf16_round(data: &mut [f32]) {
-        // SAFETY: reachable only through the detection-gated `TABLE`.
+    pub(super) fn bf16_round(data: &mut [f32]) {
+        // SAFETY: reachable only through the detection-gated tables.
         unsafe { bf16_round_body(data) }
     }
 
@@ -1101,7 +1169,7 @@ mod avx2 {
     }
 
     fn gelu(h: &mut [f32], keep: Option<(&mut [f32], &mut [f32])>) {
-        // SAFETY: reachable only through the detection-gated `TABLE`.
+        // SAFETY: reachable only through the detection-gated tables.
         unsafe { gelu_body(h, keep) }
     }
 
@@ -1146,7 +1214,7 @@ mod avx2 {
     }
 
     fn gelu_backward(pre: &[f32], tanh: &[f32], g: &mut [f32]) {
-        // SAFETY: reachable only through the detection-gated `TABLE`.
+        // SAFETY: reachable only through the detection-gated tables.
         unsafe { gelu_backward_body(pre, tanh, g) }
     }
 
@@ -1190,15 +1258,498 @@ mod avx2 {
 
     /// The AVX2 `tanh` lanes over every whole 8-lane block of `xs`
     /// (a tail shorter than 8 is left as is), for the sweeps that
-    /// compare them with the scalar port.
+    /// compare them with the scalar port. Returns how many lanes it
+    /// wrote.
     #[cfg(test)]
-    pub(super) fn tanh_lanes(xs: &mut [f32]) {
+    pub(super) fn tanh_lanes(xs: &mut [f32]) -> usize {
         assert!(super::simd_available(), "AVX2 lanes need an AVX2 host");
         for c in 0..xs.len() / NR {
             // SAFETY: AVX2 was detected just above; `c * NR + NR` is
             // within `xs` by the loop bound.
             unsafe { store8(xs, c * NR, tanh8(load8(xs, c * NR))) }
         }
+        xs.len() / NR * NR
+    }
+}
+
+/// `f32x16` kernels for the four that carry the expert FFN — the
+/// 6 × 32 micro-tile, the 4 × 6 dot tile, `gelu` and `gelu_backward`;
+/// every other entry of [`TABLE`] is the AVX2 one. Every body is a
+/// `#[target_feature(enable = "avx512f,avx512dq")]` function behind a
+/// safe wrapper that is only reachable through [`TABLE`], which
+/// [`table`](super::table) returns exclusively after
+/// [`simd_modes`](super::simd_modes) confirmed AVX2+FMA and
+/// AVX-512F+DQ.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::avx2::{self, load8};
+    use super::{
+        KernelTable, SimdMode, DOT_COLS, DOT_ROWS, EXPM1_Q, INV_LN2, LN2_HI, LN2_LO, MR, NR,
+        TILE_COLS, WIDE_DOT_COLS, WIDE_TILE_COLS,
+    };
+    use crate::ops::{gelu_derivative, gelu_scalar, GELU_CUBIC, SQRT_2_OVER_PI};
+    use core::arch::x86_64::{
+        __m512, __m512i, _mm512_add_epi32, _mm512_add_ps, _mm512_and_ps, _mm512_and_si512,
+        _mm512_broadcast_f32x8, _mm512_castps256_ps512, _mm512_castps_si512, _mm512_castsi512_ps,
+        _mm512_cmpeq_epi32_mask, _mm512_cmpgt_epi32_mask, _mm512_cvtepi32_ps, _mm512_cvttps_epi32,
+        _mm512_div_ps, _mm512_insertf32x8, _mm512_loadu_ps, _mm512_mask_blend_epi32,
+        _mm512_mask_blend_ps, _mm512_maskz_mov_epi32, _mm512_movepi32_mask, _mm512_mul_ps,
+        _mm512_or_si512, _mm512_permute_ps, _mm512_set1_epi32, _mm512_set1_ps, _mm512_setzero_ps,
+        _mm512_shuffle_f32x4, _mm512_slli_epi32, _mm512_srai_epi32, _mm512_srlv_epi32,
+        _mm512_storeu_ps, _mm512_sub_epi32, _mm512_sub_ps, _mm512_xor_ps,
+    };
+
+    /// Lanes per `zmm`.
+    const LANES: usize = 16;
+
+    pub(super) static TABLE: KernelTable = KernelTable {
+        mode: SimdMode::Avx512,
+        micro_tiles: &[(WIDE_TILE_COLS, micro_tile), (TILE_COLS, avx2::micro_tile)],
+        dot: avx2::dot,
+        dot_tiles: &[(WIDE_DOT_COLS, dot_tile), (DOT_COLS, avx2::dot_tile)],
+        axpy: avx2::axpy,
+        add_assign: avx2::add_assign,
+        row_max: avx2::row_max,
+        row_sum: avx2::row_sum,
+        div_assign: avx2::div_assign,
+        bf16_round: avx2::bf16_round,
+        gelu,
+        gelu_backward,
+    };
+
+    /// Loads 16 consecutive `f32`s from a slice of length ≥ `off + 16`.
+    #[inline(always)]
+    fn load16(s: &[f32], off: usize) -> __m512 {
+        debug_assert!(off + LANES <= s.len());
+        // SAFETY: every caller bounds `off + 16` by the slice's length
+        // (checked above in debug builds); `loadu` permits unaligned
+        // loads.
+        unsafe { _mm512_loadu_ps(s.as_ptr().add(off)) }
+    }
+
+    /// Stores 16 lanes over `s[off .. off + 16]`.
+    #[inline(always)]
+    fn store16(s: &mut [f32], off: usize, v: __m512) {
+        debug_assert!(off + LANES <= s.len());
+        // SAFETY: as for `load16`; `storeu` permits unaligned stores.
+        unsafe { _mm512_storeu_ps(s.as_mut_ptr().add(off), v) }
+    }
+
+    // The 9-ary signature IS the `MicroTileFn` table ABI: both modes
+    // must share it exactly so the pointers are interchangeable.
+    #[allow(clippy::too_many_arguments)]
+    fn micro_tile(
+        apanel: &[f32],
+        kc_len: usize,
+        b: &[f32],
+        n: usize,
+        pc: usize,
+        jc: usize,
+        out_rows: &mut [f32],
+        ir: usize,
+        mr_eff: usize,
+    ) {
+        // SAFETY: this wrapper is reachable only through `TABLE`,
+        // which the dispatcher installs after AVX-512F+DQ detection.
+        unsafe { micro_tile_body(apanel, kc_len, b, n, pc, jc, out_rows, ir, mr_eff) }
+    }
+
+    /// # Safety
+    ///
+    /// Requires AVX-512F+DQ (guaranteed by the dispatch table's
+    /// detection gate).
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    // SAFETY: `target_feature` makes this fn unsafe-to-call; the only
+    // caller is the detection-gated wrapper above.
+    unsafe fn micro_tile_body(
+        apanel: &[f32],
+        kc_len: usize,
+        b: &[f32],
+        n: usize,
+        pc: usize,
+        jc: usize,
+        out_rows: &mut [f32],
+        ir: usize,
+        mr_eff: usize,
+    ) {
+        // With the tile inside a row, these two slices bound every
+        // 16-lane access below.
+        assert!(jc + WIDE_TILE_COLS <= n, "micro-tile past its row");
+        let (b, out_rows) = (&b[..(pc + kc_len) * n], &mut out_rows[..(ir + mr_eff) * n]);
+        // 12 accumulators, two B vectors and one broadcast: 15 of the
+        // 32 `zmm` registers.
+        let mut acc = [[_mm512_setzero_ps(); WIDE_TILE_COLS / LANES]; MR];
+        for (p, avals) in apanel[..kc_len * MR].chunks_exact(MR).enumerate() {
+            let boff = (pc + p) * n + jc;
+            let bv = [load16(b, boff), load16(b, boff + LANES)];
+            for (accr, &av) in acc.iter_mut().zip(avals) {
+                let av = _mm512_set1_ps(av);
+                for (accv, &bv) in accr.iter_mut().zip(&bv) {
+                    // Two roundings, as the scalar kernel (rule 1).
+                    *accv = _mm512_add_ps(*accv, _mm512_mul_ps(av, bv));
+                }
+            }
+        }
+        for (r, accr) in acc.iter().enumerate().take(mr_eff) {
+            let ooff = (ir + r) * n + jc;
+            for (h, accv) in accr.iter().enumerate() {
+                let sum = _mm512_add_ps(load16(out_rows, ooff + h * LANES), *accv);
+                store16(out_rows, ooff + h * LANES, sum);
+            }
+        }
+    }
+
+    fn dot_tile(a: &[f32], b: &[f32], k: usize, out: &mut [f32], ldo: usize) {
+        // SAFETY: reachable only through the detection-gated `TABLE`.
+        unsafe { dot_tile_body(a, b, k, out, ldo) }
+    }
+
+    /// # Safety
+    ///
+    /// Requires AVX-512F+DQ (guaranteed by the dispatch table's
+    /// detection gate).
+    #[target_feature(enable = "avx512f,avx512dq")]
+    // SAFETY: `target_feature` makes this fn unsafe-to-call; the only
+    // caller is the detection-gated wrapper above.
+    unsafe fn dot_tile_body(a: &[f32], b: &[f32], k: usize, out: &mut [f32], ldo: usize) {
+        const PAIRS: usize = WIDE_DOT_COLS / 2;
+        let (a, b) = (&a[..DOT_ROWS * k], &b[..WIDE_DOT_COLS * k]);
+        let blocks = k / NR;
+        // `acc[r][q]` is `dot`'s 8-lane accumulator of output
+        // `(r, 2q)` in its low half and of `(r, 2q + 1)` in its high
+        // half: A's block is broadcast to both halves, each B row's
+        // block loaded into its own.
+        let mut acc = [[_mm512_setzero_ps(); PAIRS]; DOT_ROWS];
+        for c in 0..blocks {
+            let mut bv = [_mm512_setzero_ps(); PAIRS];
+            for (q, v) in bv.iter_mut().enumerate() {
+                let lo = _mm512_castps256_ps512(load8(b, 2 * q * k + c * NR));
+                *v = _mm512_insertf32x8::<1>(lo, load8(b, (2 * q + 1) * k + c * NR));
+            }
+            for (r, accr) in acc.iter_mut().enumerate() {
+                let av = _mm512_broadcast_f32x8(load8(a, r * k + c * NR));
+                for (accv, &bv) in accr.iter_mut().zip(&bv) {
+                    *accv = _mm512_add_ps(*accv, _mm512_mul_ps(av, bv));
+                }
+            }
+        }
+        // Row-major over (r, j), two accumulators hold four outputs.
+        let flat = acc.as_flattened();
+        let mut trees = [0.0f32; DOT_ROWS * WIDE_DOT_COLS];
+        for (four, pair) in trees.chunks_exact_mut(4).zip(flat.chunks_exact(2)) {
+            four.copy_from_slice(&collapse4(pair[0], pair[1]));
+        }
+        for (r, row) in trees.chunks_exact(WIDE_DOT_COLS).enumerate() {
+            let arow = &a[r * k..(r + 1) * k];
+            for (j, &tree) in row.iter().enumerate() {
+                let brow = &b[j * k..(j + 1) * k];
+                let mut tail = 0.0f32;
+                for i in blocks * NR..k {
+                    tail += arow[i] * brow[i];
+                }
+                out[r * ldo + j] += tree + tail;
+            }
+        }
+    }
+
+    /// [`super::sum_lanes_tree`] of the four 8-lane accumulators in `x`'s and
+    /// `y`'s halves, in that order, four at once.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512F+DQ.
+    #[target_feature(enable = "avx512f,avx512dq")]
+    // SAFETY: `target_feature` makes this fn unsafe-to-call; callers
+    // are themselves AVX-512-gated bodies. Register-only arithmetic.
+    unsafe fn collapse4(x: __m512, y: __m512) -> [f32; 4] {
+        // 128-bit lane `o` of `lo` / `hi` holds lanes 0..4 / 4..8 of
+        // output `o`.
+        let lo = _mm512_shuffle_f32x4::<0b10_00_10_00>(x, y);
+        let hi = _mm512_shuffle_f32x4::<0b11_01_11_01>(x, y);
+        // [l0+l4, l1+l5, l2+l6, l3+l7] per output.
+        let s = _mm512_add_ps(lo, hi);
+        // Element 0: (l0+l4)+(l1+l5); element 2: (l2+l6)+(l3+l7).
+        let t = _mm512_add_ps(s, _mm512_permute_ps::<0b10_11_00_01>(s));
+        // Element 0: the pair's sum.
+        let u = _mm512_add_ps(t, _mm512_permute_ps::<0b01_00_11_10>(t));
+        let mut lanes = [0.0f32; LANES];
+        store16(&mut lanes, 0, u);
+        [lanes[0], lanes[4], lanes[8], lanes[12]]
+    }
+
+    /// [`super::tanh`] on 16 lanes, the same operations in the same
+    /// order: each scalar `select` is a mask-register blend between
+    /// both computed sides.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512F+DQ.
+    #[target_feature(enable = "avx512f,avx512dq")]
+    // SAFETY: `target_feature` makes this fn unsafe-to-call; callers
+    // are themselves AVX-512-gated bodies. Register-only arithmetic.
+    unsafe fn tanh16(x: __m512) -> __m512 {
+        let ix = _mm512_and_si512(_mm512_castps_si512(x), _mm512_set1_epi32(0x7fff_ffff));
+        let big = _mm512_cmpgt_epi32_mask(ix, _mm512_set1_epi32(0x3f7f_ffff));
+        let ax = _mm512_castsi512_ps(ix);
+        let (one, two, sign) = (
+            _mm512_set1_ps(1.0),
+            _mm512_set1_ps(2.0),
+            _mm512_set1_ps(-0.0),
+        );
+        let y = _mm512_mask_blend_ps(
+            big,
+            _mm512_mul_ps(_mm512_set1_ps(-2.0), ax),
+            _mm512_mul_ps(two, ax),
+        );
+        let t = expm1_for_tanh16(y);
+        let tp2 = _mm512_add_ps(t, two);
+        let z = _mm512_mask_blend_ps(
+            big,
+            _mm512_div_ps(_mm512_xor_ps(t, sign), tp2),
+            _mm512_sub_ps(one, _mm512_div_ps(two, tp2)),
+        );
+        let sat = _mm512_cmpgt_epi32_mask(ix, _mm512_set1_epi32(0x41af_ffff));
+        let z = _mm512_mask_blend_ps(sat, z, one);
+        // `-z` where x is negative: xor in x's sign bit.
+        let z = _mm512_xor_ps(z, _mm512_and_ps(x, sign));
+        let tiny = _mm512_cmpgt_epi32_mask(_mm512_set1_epi32(0x2400_0000), ix);
+        let small = _mm512_mul_ps(x, _mm512_add_ps(one, x));
+        let z = _mm512_mask_blend_ps(tiny, z, small);
+        let nan = _mm512_cmpgt_epi32_mask(ix, _mm512_set1_epi32(0x7f80_0000));
+        _mm512_mask_blend_ps(nan, z, _mm512_add_ps(x, x))
+    }
+
+    /// [`super::expm1_for_tanh`] on 16 lanes.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512F+DQ.
+    #[target_feature(enable = "avx512f,avx512dq")]
+    // SAFETY: `target_feature` makes this fn unsafe-to-call; callers
+    // are themselves AVX-512-gated bodies. Register-only arithmetic.
+    unsafe fn expm1_for_tanh16(y: __m512) -> __m512 {
+        let ybits = _mm512_castps_si512(y);
+        let hx = _mm512_and_si512(ybits, _mm512_set1_epi32(0x7fff_ffff));
+        // The sign bits: `y < 0`, `-0.0` and negative NaNs included.
+        let neg = _mm512_movepi32_mask(ybits);
+        let half = _mm512_mask_blend_ps(neg, _mm512_set1_ps(0.5), _mm512_set1_ps(-0.5));
+        let k_far = _mm512_cvttps_epi32(_mm512_add_ps(
+            _mm512_mul_ps(_mm512_set1_ps(INV_LN2), y),
+            half,
+        ));
+        // ±1 by y's sign: (y >> 31 arithmetic) | 1.
+        let k_one = _mm512_or_si512(_mm512_srai_epi32::<31>(ybits), _mm512_set1_epi32(1));
+        let far = _mm512_cmpgt_epi32_mask(hx, _mm512_set1_epi32(0x3f85_1591));
+        let k = _mm512_mask_blend_epi32(far, k_one, k_far);
+        let reduce = _mm512_cmpgt_epi32_mask(hx, _mm512_set1_epi32(0x3eb1_7218));
+        let k = _mm512_maskz_mov_epi32(reduce, k);
+        let kf = _mm512_cvtepi32_ps(k);
+        let hi = _mm512_sub_ps(y, _mm512_mul_ps(kf, _mm512_set1_ps(LN2_HI)));
+        let lo = _mm512_mul_ps(kf, _mm512_set1_ps(LN2_LO));
+        let x = _mm512_sub_ps(hi, lo);
+        let c = _mm512_sub_ps(_mm512_sub_ps(hi, x), lo);
+        let one = _mm512_set1_ps(1.0);
+        let half = _mm512_set1_ps(0.5);
+        let hfx = _mm512_mul_ps(half, x);
+        let hxs = _mm512_mul_ps(x, hfx);
+        let mut poly = _mm512_set1_ps(EXPM1_Q[4]);
+        for q in [EXPM1_Q[3], EXPM1_Q[2], EXPM1_Q[1], EXPM1_Q[0]] {
+            poly = _mm512_add_ps(_mm512_set1_ps(q), _mm512_mul_ps(hxs, poly));
+        }
+        let r1 = _mm512_add_ps(one, _mm512_mul_ps(hxs, poly));
+        let t = _mm512_sub_ps(_mm512_set1_ps(3.0), _mm512_mul_ps(r1, hfx));
+        let e0 = _mm512_mul_ps(
+            hxs,
+            _mm512_div_ps(
+                _mm512_sub_ps(r1, t),
+                _mm512_sub_ps(_mm512_set1_ps(6.0), _mm512_mul_ps(x, t)),
+            ),
+        );
+        let e = _mm512_sub_ps(
+            _mm512_sub_ps(_mm512_mul_ps(x, _mm512_sub_ps(e0, c)), c),
+            hxs,
+        );
+        let k23 = _mm512_slli_epi32::<23>(k);
+        let r_k0 = _mm512_sub_ps(x, _mm512_sub_ps(_mm512_mul_ps(x, e0), hxs));
+        let r_km1 = _mm512_sub_ps(_mm512_mul_ps(half, _mm512_sub_ps(x, e)), half);
+        let r_far = _mm512_sub_ps(
+            add_exponent(_mm512_sub_ps(one, _mm512_sub_ps(e, x)), k23),
+            one,
+        );
+        let t_small = _mm512_castsi512_ps(_mm512_sub_epi32(
+            _mm512_set1_epi32(0x3f80_0000),
+            _mm512_srlv_epi32(_mm512_set1_epi32(0x0100_0000), k),
+        ));
+        let r_small = add_exponent(_mm512_sub_ps(t_small, _mm512_sub_ps(e, x)), k23);
+        let t_mid = _mm512_castsi512_ps(_mm512_slli_epi32::<23>(_mm512_sub_epi32(
+            _mm512_set1_epi32(0x7f),
+            k,
+        )));
+        let r_mid = add_exponent(
+            _mm512_add_ps(_mm512_sub_ps(x, _mm512_add_ps(e, t_mid)), one),
+            k23,
+        );
+        // The scalar if-chain, applied lowest priority first.
+        let is_far = _mm512_cmpgt_epi32_mask(_mm512_set1_epi32(-1), k)
+            | _mm512_cmpgt_epi32_mask(k, _mm512_set1_epi32(56));
+        let picks = [
+            (r_small, _mm512_cmpgt_epi32_mask(_mm512_set1_epi32(23), k)),
+            (r_far, is_far),
+            (r_km1, _mm512_cmpeq_epi32_mask(k, _mm512_set1_epi32(-1))),
+            (r_k0, _mm512_cmpeq_epi32_mask(k, _mm512_set1_epi32(0))),
+            (
+                y,
+                _mm512_cmpgt_epi32_mask(_mm512_set1_epi32(0x3300_0000), hx),
+            ),
+        ];
+        let mut r = r_mid;
+        for (value, mask) in picks {
+            r = _mm512_mask_blend_ps(mask, r, value);
+        }
+        r
+    }
+
+    /// Adds the pre-shifted `k << 23` to each lane's exponent field.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512F+DQ.
+    #[target_feature(enable = "avx512f,avx512dq")]
+    // SAFETY: `target_feature` makes this fn unsafe-to-call; callers
+    // are themselves AVX-512-gated bodies. Register-only integer add.
+    unsafe fn add_exponent(v: __m512, k23: __m512i) -> __m512 {
+        _mm512_castsi512_ps(_mm512_add_epi32(_mm512_castps_si512(v), k23))
+    }
+
+    /// `ops::gelu_scalar` on 16 lanes: `(gelu, tanh(inner))`.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512F+DQ.
+    #[target_feature(enable = "avx512f,avx512dq")]
+    // SAFETY: `target_feature` makes this fn unsafe-to-call; callers
+    // are themselves AVX-512-gated bodies. Register-only arithmetic.
+    unsafe fn gelu16(x: __m512) -> (__m512, __m512) {
+        let cube = _mm512_mul_ps(
+            _mm512_mul_ps(_mm512_mul_ps(_mm512_set1_ps(GELU_CUBIC), x), x),
+            x,
+        );
+        let th = tanh16(_mm512_mul_ps(
+            _mm512_set1_ps(SQRT_2_OVER_PI),
+            _mm512_add_ps(x, cube),
+        ));
+        let half_x = _mm512_mul_ps(_mm512_set1_ps(0.5), x);
+        (
+            _mm512_mul_ps(half_x, _mm512_add_ps(_mm512_set1_ps(1.0), th)),
+            th,
+        )
+    }
+
+    fn gelu(h: &mut [f32], keep: Option<(&mut [f32], &mut [f32])>) {
+        // SAFETY: reachable only through the detection-gated `TABLE`.
+        unsafe { gelu_body(h, keep) }
+    }
+
+    /// # Safety
+    ///
+    /// Requires AVX-512F+DQ (guaranteed by the dispatch table's
+    /// detection gate).
+    #[target_feature(enable = "avx512f,avx512dq")]
+    // SAFETY: `target_feature` makes this fn unsafe-to-call; the only
+    // caller is the detection-gated wrapper above.
+    unsafe fn gelu_body(h: &mut [f32], keep: Option<(&mut [f32], &mut [f32])>) {
+        match keep {
+            Some((pre, tanh)) => {
+                // The common prefix, as the scalar kernel's `zip`:
+                // every 16-lane access below is then in bounds.
+                let n = h.len().min(pre.len()).min(tanh.len());
+                let (h, pre, tanh) = (&mut h[..n], &mut pre[..n], &mut tanh[..n]);
+                let blocks = n / LANES;
+                for c in 0..blocks {
+                    let x = load16(h, c * LANES);
+                    let (g, t) = gelu16(x);
+                    store16(pre, c * LANES, x);
+                    store16(h, c * LANES, g);
+                    store16(tanh, c * LANES, t);
+                }
+                for i in blocks * LANES..n {
+                    pre[i] = h[i];
+                    (h[i], tanh[i]) = gelu_scalar(h[i]);
+                }
+            }
+            None => {
+                let blocks = h.len() / LANES;
+                for c in 0..blocks {
+                    let (g, _) = gelu16(load16(h, c * LANES));
+                    store16(h, c * LANES, g);
+                }
+                for v in &mut h[blocks * LANES..] {
+                    *v = gelu_scalar(*v).0;
+                }
+            }
+        }
+    }
+
+    fn gelu_backward(pre: &[f32], tanh: &[f32], g: &mut [f32]) {
+        // SAFETY: reachable only through the detection-gated `TABLE`.
+        unsafe { gelu_backward_body(pre, tanh, g) }
+    }
+
+    /// # Safety
+    ///
+    /// Requires AVX-512F+DQ (guaranteed by the dispatch table's
+    /// detection gate).
+    #[target_feature(enable = "avx512f,avx512dq")]
+    // SAFETY: `target_feature` makes this fn unsafe-to-call; the only
+    // caller is the detection-gated wrapper above.
+    unsafe fn gelu_backward_body(pre: &[f32], tanh: &[f32], g: &mut [f32]) {
+        let n = g.len().min(pre.len()).min(tanh.len());
+        let (pre, tanh, g) = (&pre[..n], &tanh[..n], &mut g[..n]);
+        let blocks = n / LANES;
+        let (one, half) = (_mm512_set1_ps(1.0), _mm512_set1_ps(0.5));
+        // `ops::gelu_derivative`'s `3.0 * GELU_CUBIC * x * x` folds
+        // left to right, so the constant product comes first.
+        let cubic3 = _mm512_set1_ps(3.0 * GELU_CUBIC);
+        for c in 0..blocks {
+            let (x, t) = (load16(pre, c * LANES), load16(tanh, c * LANES));
+            let dinner = _mm512_mul_ps(
+                _mm512_set1_ps(SQRT_2_OVER_PI),
+                _mm512_add_ps(one, _mm512_mul_ps(_mm512_mul_ps(cubic3, x), x)),
+            );
+            let d = _mm512_add_ps(
+                _mm512_mul_ps(half, _mm512_add_ps(one, t)),
+                _mm512_mul_ps(
+                    _mm512_mul_ps(
+                        _mm512_mul_ps(half, x),
+                        _mm512_sub_ps(one, _mm512_mul_ps(t, t)),
+                    ),
+                    dinner,
+                ),
+            );
+            store16(g, c * LANES, _mm512_mul_ps(load16(g, c * LANES), d));
+        }
+        for i in blocks * LANES..n {
+            g[i] *= gelu_derivative(pre[i], tanh[i]);
+        }
+    }
+
+    /// The AVX-512 `tanh` lanes over every whole 16-lane block of `xs`
+    /// (a tail shorter than 16 is left as is), for the sweeps that
+    /// compare them with the scalar port. Returns how many lanes it
+    /// wrote.
+    #[cfg(test)]
+    pub(super) fn tanh_lanes(xs: &mut [f32]) -> usize {
+        assert!(
+            super::simd_modes().contains(&SimdMode::Avx512),
+            "AVX-512 lanes need an AVX-512 host"
+        );
+        for c in 0..xs.len() / LANES {
+            // SAFETY: AVX-512F+DQ was detected just above; `c * 16 + 16`
+            // is within `xs` by the loop bound.
+            unsafe { store16(xs, c * LANES, tanh16(load16(xs, c * LANES))) }
+        }
+        xs.len() / LANES * LANES
     }
 }
 
@@ -1211,90 +1762,133 @@ mod tests {
         (0..n).map(|_| rng.normal() * 2.0).collect()
     }
 
+    /// Every SIMD table the host has, narrowest first.
+    fn simd_tables() -> impl Iterator<Item = &'static KernelTable> {
+        simd_modes().iter().map(|&mode| table_for(mode))
+    }
+
+    /// The scalar table's `TILE_COLS`-wide micro-tile over the `cols`
+    /// columns from `jc`, one tile after another: the reference for a
+    /// SIMD tile of any width (each element's order is its own).
+    #[allow(clippy::too_many_arguments)]
+    fn scalar_tiles(
+        cols: usize,
+        apanel: &[f32],
+        kc_len: usize,
+        b: &[f32],
+        n: usize,
+        pc: usize,
+        jc: usize,
+        out_rows: &mut [f32],
+        ir: usize,
+        mr_eff: usize,
+    ) {
+        let tile = SCALAR_TABLE.micro_tiles[0].1;
+        for j in (jc..jc + cols).step_by(TILE_COLS) {
+            tile(apanel, kc_len, b, n, pc, j, out_rows, ir, mr_eff);
+        }
+    }
+
     #[test]
     fn override_selects_tables_and_reverts() {
         with_simd_mode(Some(false), || {
             assert_eq!(simd_mode(), SimdMode::Scalar);
             assert_eq!(table().mode, SimdMode::Scalar);
         });
-        if simd_available() {
-            with_simd_mode(Some(true), || {
-                assert_eq!(simd_mode(), SimdMode::Avx2);
-                assert_eq!(table().mode, SimdMode::Avx2);
+        let widest = simd_modes().last().copied().unwrap_or(SimdMode::Scalar);
+        with_simd_mode(Some(true), || {
+            assert_eq!(simd_mode(), widest);
+            assert_eq!(table().mode, widest);
+        });
+        for mode in kernel_modes() {
+            with_kernel_mode(mode, || {
+                assert_eq!(simd_mode(), mode);
+                assert_eq!(table().mode, mode);
             });
         }
     }
 
     #[test]
-    fn simd_kernels_match_scalar_bitwise() {
-        if !simd_available() {
-            return;
+    fn every_table_ends_with_the_base_tiles() {
+        for kt in std::iter::once(&SCALAR_TABLE).chain(simd_tables()) {
+            let label = kt.mode.label();
+            let tiles: Vec<usize> = kt.micro_tiles.iter().map(|t| t.0).collect();
+            let dots: Vec<usize> = kt.dot_tiles.iter().map(|t| t.0).collect();
+            assert_eq!(tiles.last(), Some(&TILE_COLS), "{label}");
+            assert_eq!(dots.last(), Some(&DOT_COLS), "{label}");
+            assert!(tiles.windows(2).all(|w| w[0] > w[1]), "{label}");
+            assert!(dots.windows(2).all(|w| w[0] > w[1]), "{label}");
+            assert!(tiles.iter().all(|c| c % TILE_COLS == 0), "{label}");
         }
+    }
+
+    #[test]
+    fn simd_kernels_match_scalar_bitwise() {
         let x = ramp(67, 1);
         let y = ramp(67, 2);
         let scalar = &SCALAR_TABLE;
-        let simd = simd_table();
-        assert_eq!(
-            (scalar.dot)(&x, &y).to_bits(),
-            (simd.dot)(&x, &y).to_bits(),
-            "dot"
-        );
-        assert_eq!(
-            (scalar.row_max)(&x).to_bits(),
-            (simd.row_max)(&x).to_bits(),
-            "row_max"
-        );
-        assert_eq!(
-            (scalar.row_sum)(&x).to_bits(),
-            (simd.row_sum)(&x).to_bits(),
-            "row_sum"
-        );
-        let mut a = x.clone();
-        let mut b = x.clone();
-        (scalar.axpy)(0.37, &y, &mut a);
-        (simd.axpy)(0.37, &y, &mut b);
-        assert_eq!(bits(&a), bits(&b), "axpy");
-        (scalar.add_assign)(&y, &mut a);
-        (simd.add_assign)(&y, &mut b);
-        assert_eq!(bits(&a), bits(&b), "add_assign");
-        (scalar.div_assign)(&mut a, 1.7);
-        (simd.div_assign)(&mut b, 1.7);
-        assert_eq!(bits(&a), bits(&b), "div_assign");
+        for simd in simd_tables() {
+            let label = simd.mode.label();
+            assert_eq!(
+                (scalar.dot)(&x, &y).to_bits(),
+                (simd.dot)(&x, &y).to_bits(),
+                "{label} dot"
+            );
+            assert_eq!(
+                (scalar.row_max)(&x).to_bits(),
+                (simd.row_max)(&x).to_bits(),
+                "{label} row_max"
+            );
+            assert_eq!(
+                (scalar.row_sum)(&x).to_bits(),
+                (simd.row_sum)(&x).to_bits(),
+                "{label} row_sum"
+            );
+            let mut a = x.clone();
+            let mut b = x.clone();
+            (scalar.axpy)(0.37, &y, &mut a);
+            (simd.axpy)(0.37, &y, &mut b);
+            assert_eq!(bits(&a), bits(&b), "{label} axpy");
+            (scalar.add_assign)(&y, &mut a);
+            (simd.add_assign)(&y, &mut b);
+            assert_eq!(bits(&a), bits(&b), "{label} add_assign");
+            (scalar.div_assign)(&mut a, 1.7);
+            (simd.div_assign)(&mut b, 1.7);
+            assert_eq!(bits(&a), bits(&b), "{label} div_assign");
+        }
     }
 
     #[test]
     fn bf16_round_matches_scalar() {
-        if !simd_available() {
-            return;
-        }
         let src = ramp(53, 3);
         let mut r_s = src.clone();
-        let mut r_v = src.clone();
         (SCALAR_TABLE.bf16_round)(&mut r_s);
-        (simd_table().bf16_round)(&mut r_v);
-        assert_eq!(bits(&r_s), bits(&r_v), "round");
-        let one: Vec<f32> = src.into_iter().map(bf16_round_one).collect();
+        let one: Vec<f32> = src.iter().copied().map(bf16_round_one).collect();
         assert_eq!(bits(&r_s), bits(&one), "kernel vs bf16_round_one");
+        for simd in simd_tables() {
+            let mut r_v = src.clone();
+            (simd.bf16_round)(&mut r_v);
+            assert_eq!(bits(&r_s), bits(&r_v), "{} round", simd.mode.label());
+        }
     }
 
     #[test]
     fn micro_tile_matches_scalar_bitwise_on_short_tiles() {
-        if !simd_available() {
-            return;
-        }
-        let simd = simd_table();
-        let (n, kc_len) = (TILE_COLS + 5, 9usize);
-        let b = ramp(kc_len * n, 4);
-        let mut apanel = vec![0.0f32; kc_len * MR];
-        for (i, v) in ramp(kc_len * MR, 5).iter().enumerate() {
-            apanel[i] = *v;
-        }
-        for mr_eff in 1..=MR {
-            let mut out_s = ramp(MR * n, 6);
-            let mut out_v = out_s.clone();
-            (SCALAR_TABLE.micro_tile)(&apanel, kc_len, &b, n, 0, 0, &mut out_s, 0, mr_eff);
-            (simd.micro_tile)(&apanel, kc_len, &b, n, 0, 0, &mut out_v, 0, mr_eff);
-            assert_eq!(bits(&out_s), bits(&out_v), "mr_eff {mr_eff}");
+        let kc_len = 9usize;
+        for simd in simd_tables() {
+            for &(cols, tile) in simd.micro_tiles {
+                let n = cols + 5;
+                let b = ramp(kc_len * n, 4);
+                let apanel = ramp(kc_len * MR, 5);
+                for mr_eff in 1..=MR {
+                    let mut out_s = ramp(MR * n, 6);
+                    let mut out_v = out_s.clone();
+                    scalar_tiles(cols, &apanel, kc_len, &b, n, 0, 0, &mut out_s, 0, mr_eff);
+                    tile(&apanel, kc_len, &b, n, 0, 0, &mut out_v, 0, mr_eff);
+                    let label = simd.mode.label();
+                    assert_eq!(bits(&out_s), bits(&out_v), "{label} {cols} mr_eff {mr_eff}");
+                }
+            }
         }
     }
 
@@ -1327,8 +1921,8 @@ mod tests {
     }
 
     /// Panics at the first `x` in `xs` where the scalar `tanh` port
-    /// differs from the host's `f32::tanh` or — on AVX2 hosts — from
-    /// the AVX2 `tanh` lanes. NaN equals NaN.
+    /// differs from the host's `f32::tanh` or from the `tanh` lanes of
+    /// any SIMD table the host has. NaN equals NaN.
     fn check_tanh(xs: &[f32]) {
         let port: Vec<f32> = xs.iter().map(|&x| tanh(x)).collect();
         for (&x, &p) in xs.iter().zip(&port) {
@@ -1341,24 +1935,23 @@ mod tests {
                 x.to_bits()
             );
         }
-        if !simd_available() {
-            return;
-        }
-        let mut lanes = xs.to_vec();
-        avx2::tanh_lanes(&mut lanes);
-        let whole = xs.len() / NR * NR;
-        for ((&x, &p), &v) in xs.iter().zip(&port).zip(&lanes).take(whole) {
-            assert!(same(v, p), "AVX2 tanh({x:e}) = {v:e}, scalar {p:e}");
+        for &mode in simd_modes() {
+            let mut lanes = xs.to_vec();
+            let whole = match mode {
+                SimdMode::Avx512 => avx512::tanh_lanes(&mut lanes),
+                _ => avx2::tanh_lanes(&mut lanes),
+            };
+            for ((&x, &p), &v) in xs.iter().zip(&port).zip(&lanes).take(whole) {
+                let label = mode.label();
+                assert!(same(v, p), "{label} tanh({x:e}) = {v:e}, scalar {p:e}");
+            }
         }
     }
 
-    /// On AVX2 hosts, panics at the first `x` in `xs` where the AVX2
-    /// `gelu` (output, kept input, kept `tanh`) or `gelu_backward`
-    /// entry differs from the scalar one. NaN equals NaN.
+    /// Panics at the first `x` in `xs` where the `gelu` (output, kept
+    /// input, kept `tanh`) or `gelu_backward` entry of any SIMD table
+    /// the host has differs from the scalar one. NaN equals NaN.
     fn check_gelu(xs: &[f32]) {
-        if !simd_available() {
-            return;
-        }
         let run = |kt: &KernelTable| {
             let mut h = xs.to_vec();
             let (mut pre, mut th) = (vec![0.0; xs.len()], vec![0.0; xs.len()]);
@@ -1367,19 +1960,22 @@ mod tests {
             (kt.gelu_backward)(&pre, &th, &mut g);
             [h, pre, th, g]
         };
-        let (scalar, simd) = (run(&SCALAR_TABLE), run(simd_table()));
-        for (what, (s, v)) in ["gelu", "pre", "tanh", "gelu_backward"]
-            .iter()
-            .zip(scalar.iter().zip(&simd))
-        {
-            for ((&x, &s), &v) in xs.iter().zip(s).zip(v) {
-                assert!(same(s, v), "{what} at {x:e}: scalar {s:e}, AVX2 {v:e}");
+        let scalar = run(&SCALAR_TABLE);
+        for kt in simd_tables() {
+            let (simd, label) = (run(kt), kt.mode.label());
+            for (what, (s, v)) in ["gelu", "pre", "tanh", "gelu_backward"]
+                .iter()
+                .zip(scalar.iter().zip(&simd))
+            {
+                for ((&x, &s), &v) in xs.iter().zip(s).zip(v) {
+                    assert!(same(s, v), "{what} at {x:e}: scalar {s:e}, {label} {v:e}");
+                }
             }
         }
     }
 
     #[test]
-    fn tanh_port_matches_libm_and_avx2_on_edges_and_a_stride() {
+    fn tanh_port_matches_libm_and_simd_lanes_on_edges_and_a_stride() {
         // The branch boundaries of both glibc sources, a step either
         // side, both signs: `tanh`'s own thresholds on x, and
         // `expm1`'s on its argument ∓2|x| (so at x of half the size —
@@ -1411,7 +2007,7 @@ mod tests {
 
     #[test]
     #[ignore = "sweeps all 2^32 inputs (minutes in release): ci.sh runs it by name"]
-    fn tanh_port_matches_libm_and_avx2_exhaustively() {
+    fn tanh_port_matches_libm_and_simd_lanes_exhaustively() {
         // Small enough that the checks' scratch vectors stay below
         // the allocator's mmap threshold and are recycled, not faulted.
         const CHUNK: u64 = 1 << 12;
@@ -1494,66 +2090,70 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(256))]
 
-            /// The AVX2 6 × 16 micro-tile equals the scalar one bit for
-            /// bit on every short tile (`mr_eff ∈ 1..=MR`), every panel
-            /// depth from `kc_len = 0`, a panel below the first
-            /// (`pc > 0`) and a tile right of the first (`jc > 0`) of an
-            /// `n` off the tile width, with all four operands at odd
-            /// offsets and `b` / `out_rows` exactly as long as the tile
-            /// reaches.
+            /// Every micro-tile of every SIMD table (6 × 16 on AVX2;
+            /// 6 × 32, then 6 × 16, on AVX-512) equals the scalar tile
+            /// bit for bit on every short tile (`mr_eff ∈ 1..=MR`),
+            /// every panel depth from `kc_len = 0`, a panel below the
+            /// first (`pc > 0`) and a tile right of the first (`jc > 0`)
+            /// of an `n` off the tile width, with all four operands at
+            /// odd offsets and `b` / `out_rows` exactly as long as the
+            /// tile reaches.
             #[test]
             fn micro_tile_agrees_across_modes_on_edges(
                 mr_eff in 1usize..=MR,
                 kc_len in 0usize..20,
                 (pc, ir) in (0usize..3, 0usize..3),
-                (jt, rem) in (1usize..3, 1usize..TILE_COLS),
+                (jt, rem) in (1usize..3, 1usize..WIDE_TILE_COLS),
                 skews in (skew(), skew(), skew()),
                 seed in 0u64..1024,
             ) {
-                if simd_available() {
-                    let (n, jc) = ((jt + 1) * TILE_COLS + rem, jt * TILE_COLS);
-                    let apanel = skewed(kc_len * MR, seed, skews.0);
-                    let b = skewed((pc + kc_len) * n, seed + 1, skews.1);
-                    let out = skewed((ir + mr_eff) * n, seed + 2, skews.2);
-                    let (a_s, b_s) = (&apanel[skews.0..], &b[skews.1..]);
-                    let mut out_s = out.clone();
-                    let mut out_v = out;
-                    let o = skews.2;
-                    (SCALAR_TABLE.micro_tile)(a_s, kc_len, b_s, n, pc, jc, &mut out_s[o..], ir, mr_eff);
-                    (simd_table().micro_tile)(a_s, kc_len, b_s, n, pc, jc, &mut out_v[o..], ir, mr_eff);
-                    prop_assert_eq!(bits(&out_s), bits(&out_v));
+                for simd in simd_tables() {
+                    for &(cols, tile) in simd.micro_tiles {
+                        let (n, jc) = ((jt + 1) * cols + 1 + rem % (cols - 1), jt * cols);
+                        let apanel = skewed(kc_len * MR, seed, skews.0);
+                        let b = skewed((pc + kc_len) * n, seed + 1, skews.1);
+                        let out = skewed((ir + mr_eff) * n, seed + 2, skews.2);
+                        let (a_s, b_s) = (&apanel[skews.0..], &b[skews.1..]);
+                        let mut out_s = out.clone();
+                        let mut out_v = out;
+                        let o = skews.2;
+                        scalar_tiles(cols, a_s, kc_len, b_s, n, pc, jc, &mut out_s[o..], ir, mr_eff);
+                        tile(a_s, kc_len, b_s, n, pc, jc, &mut out_v[o..], ir, mr_eff);
+                        prop_assert_eq!(bits(&out_s), bits(&out_v), "{} {}", simd.mode.label(), cols);
+                    }
                 }
             }
 
-            /// The AVX2 4 × 3 `dot_tile` equals the scalar one — `dot`
-            /// per element — bit for bit for `k ∈ {0, 1..7, 8q + r}`,
-            /// any output stride, with the operands at odd offsets and
-            /// `out` exactly as long as the block reaches.
+            /// Every dot tile of every table (4 × 3; 4 × 6 on AVX-512)
+            /// equals `dot` per element bit for bit for
+            /// `k ∈ {0, 1..7, 8q + r}`, any output stride, with the
+            /// operands at odd offsets and `out` exactly as long as the
+            /// block reaches.
             #[test]
             fn dot_tile_agrees_across_modes_on_edges(
                 (kq, kr) in (0usize..6, 0usize..NR),
-                ldo in DOT_COLS..DOT_COLS + 5,
+                extra in 0usize..5,
                 skews in (skew(), skew(), skew()),
                 seed in 0u64..1024,
             ) {
                 let k = kq * NR + kr;
-                let a = skewed(DOT_ROWS * k, seed, skews.0);
-                let b = skewed(DOT_COLS * k, seed + 1, skews.1);
-                let out = skewed((DOT_ROWS - 1) * ldo + DOT_COLS, seed + 2, skews.2);
-                let (a_s, b_s, o) = (&a[skews.0..], &b[skews.1..], skews.2);
-                let mut want = out[o..].to_vec();
-                for r in 0..DOT_ROWS {
-                    for j in 0..DOT_COLS {
-                        want[r * ldo + j] += (SCALAR_TABLE.dot)(&a_s[r * k..][..k], &b_s[j * k..][..k]);
+                for kt in std::iter::once(&SCALAR_TABLE).chain(simd_tables()) {
+                    for &(cols, tile) in kt.dot_tiles {
+                        let ldo = cols + extra;
+                        let a = skewed(DOT_ROWS * k, seed, skews.0);
+                        let b = skewed(cols * k, seed + 1, skews.1);
+                        let out = skewed((DOT_ROWS - 1) * ldo + cols, seed + 2, skews.2);
+                        let (a_s, b_s, o) = (&a[skews.0..], &b[skews.1..], skews.2);
+                        let mut want = out[o..].to_vec();
+                        for r in 0..DOT_ROWS {
+                            for j in 0..cols {
+                                want[r * ldo + j] += (SCALAR_TABLE.dot)(&a_s[r * k..][..k], &b_s[j * k..][..k]);
+                            }
+                        }
+                        let mut got = out;
+                        tile(a_s, b_s, k, &mut got[o..], ldo);
+                        prop_assert_eq!(bits(&got[o..]), bits(&want), "{} {}", kt.mode.label(), cols);
                     }
-                }
-                let mut out_s = out.clone();
-                (SCALAR_TABLE.dot_tile)(a_s, b_s, k, &mut out_s[o..], ldo);
-                prop_assert_eq!(bits(&out_s[o..]), bits(&want));
-                if simd_available() {
-                    let mut out_v = out;
-                    (simd_table().dot_tile)(a_s, b_s, k, &mut out_v[o..], ldo);
-                    prop_assert_eq!(bits(&out_v), bits(&out_s));
                 }
             }
 
@@ -1579,17 +2179,17 @@ mod tests {
                 prop_assert_eq!(bf16_round_one(v).to_bits(), v.to_bits());
             }
 
-            /// Scalar and AVX2 `bf16_round` agree bit-for-bit on
-            /// arbitrary bit patterns (both are pure integer
-            /// pipelines, so even NaN payloads must match).
+            /// Scalar and every SIMD table's `bf16_round` agree
+            /// bit-for-bit on arbitrary bit patterns (all are pure
+            /// integer pipelines, so even NaN payloads must match).
             #[test]
             fn bf16_round_agrees_across_modes(raws in proptest::collection::vec(any::<u32>(), 1..64)) {
-                if simd_available() {
-                    let mut rs: Vec<f32> = raws.iter().map(|&r| f32::from_bits(r)).collect();
-                    let mut rv = rs.clone();
-                    (SCALAR_TABLE.bf16_round)(&mut rs);
-                    (simd_table().bf16_round)(&mut rv);
-                    prop_assert_eq!(bits(&rs), bits(&rv), "round");
+                let mut rs: Vec<f32> = raws.iter().map(|&r| f32::from_bits(r)).collect();
+                (SCALAR_TABLE.bf16_round)(&mut rs);
+                for simd in simd_tables() {
+                    let mut rv: Vec<f32> = raws.iter().map(|&r| f32::from_bits(r)).collect();
+                    (simd.bf16_round)(&mut rv);
+                    prop_assert_eq!(bits(&rs), bits(&rv), "{} round", simd.mode.label());
                 }
             }
         }

@@ -33,19 +33,22 @@
 //!   never the worker count, so results are **bit-identical for every
 //!   `TUTEL_THREADS`** (a launch parallelizes over `groups ×
 //!   row-blocks`);
-//! * inside a block, the `k` dimension is tiled by [`KC`] and an
-//!   [`MR`]`×`[`TILE_COLS`] (6 × 16) register micro-tile accumulates
-//!   with a fixed, branch-free inner loop kept in vector registers
-//!   (A panels are packed `kc × MR`-interleaved so the microkernel
-//!   reads them contiguously; B is read in place at stride `n`);
-//! * `A·Bᵀ` reads both operands along `k`, so it runs the table's
-//!   [`DOT_ROWS`]`×`[`DOT_COLS`] (4 × 3) `dot_tile`: twelve
-//!   strip-mined dot products at once, each in `dot`'s own order;
+//! * inside a block, the `k` dimension is tiled by [`KC`] and the
+//!   table's register micro-tiles accumulate with a fixed, branch-free
+//!   inner loop kept in vector registers — [`MR`]` × 32` on AVX-512,
+//!   then `MR × `[`TILE_COLS`] (6 × 16) for a remainder that is wide
+//!   enough, then a scalar edge tile (A panels are packed
+//!   `kc × MR`-interleaved so the microkernel reads them contiguously;
+//!   B is read in place at stride `n`);
+//! * `A·Bᵀ` reads both operands along `k`, so it runs the table's dot
+//!   tiles — [`DOT_ROWS`]` × 6` on AVX-512, then `DOT_ROWS × `
+//!   [`DOT_COLS`] (4 × 3) — each output a strip-mined dot product in
+//!   `dot`'s own order, and `dot` itself on the edges;
 //! * there is no value-sparsity branch: on dense operands an
 //!   `av == 0.0` skip costs more than the multiply and blocks
 //!   vectorization.
 
-use crate::dispatch::{self, KernelTable, DOT_COLS, DOT_ROWS, MR, TILE_COLS};
+use crate::dispatch::{self, KernelTable, DOT_ROWS, MR, TILE_COLS};
 use crate::{scratch, Result, Tensor, TensorError};
 
 /// `k`-dimension panel depth: one packed A panel is `KC × MR` floats
@@ -247,8 +250,8 @@ fn nn(
 /// `out` packed `(R, n)`. The backward-input primitive
 /// (`dH = dY · W2ᵀ`): both operands are row-major over `k`, so each
 /// output element is an 8-lane strip-mined dot product with a fixed
-/// horizontal-sum order, computed [`DOT_ROWS`]`×`[`DOT_COLS`] at a time
-/// by the table's `dot_tile`. The product is stored and finished block by
+/// horizontal-sum order, computed [`DOT_ROWS`] rows at a time by the
+/// table's dot tiles. The product is stored and finished block by
 /// block exactly as [`grouped_gemm_into`] does for `a · b` (pass
 /// `|_, _, _| {}` for the bare product).
 #[allow(clippy::too_many_arguments)]
@@ -274,22 +277,32 @@ pub fn grouped_gemm_nt_into(
 }
 
 /// `out += a · bᵀ` for one `rows × n` block: `a` is the block's
-/// `rows × k` rows, `b` the group's `n × k`. Full `DOT_ROWS × DOT_COLS`
-/// tiles go through `dot_tile`, the edges through `dot`; every element
-/// is the same `dot` either way.
+/// `rows × k` rows, `b` the group's `n × k`. Each `DOT_ROWS`-row strip
+/// runs the table's dot tiles left to right, widest first while they
+/// fit, and the edges run `dot`; every element is the same `dot`
+/// either way.
 fn block_dots(kt: &KernelTable, a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
     let rows = out.len() / n;
-    let (full_rows, full_cols) = (rows - rows % DOT_ROWS, n - n % DOT_COLS);
+    let full_rows = rows - rows % DOT_ROWS;
     let dot = |i: usize, j: usize| (kt.dot)(&a[i * k..(i + 1) * k], &b[j * k..(j + 1) * k]);
     for i in (0..full_rows).step_by(DOT_ROWS) {
         let a_tile = &a[i * k..(i + DOT_ROWS) * k];
-        for j in (0..full_cols).step_by(DOT_COLS) {
-            let b_tile = &b[j * k..(j + DOT_COLS) * k];
-            (kt.dot_tile)(a_tile, b_tile, k, &mut out[i * n + j..], n);
+        let mut j = 0;
+        for &(cols, dot_tile) in kt.dot_tiles {
+            while n - j >= cols {
+                dot_tile(
+                    a_tile,
+                    &b[j * k..(j + cols) * k],
+                    k,
+                    &mut out[i * n + j..],
+                    n,
+                );
+                j += cols;
+            }
         }
         for r in i..i + DOT_ROWS {
-            for j in full_cols..n {
-                out[r * n + j] += dot(r, j);
+            for jr in j..n {
+                out[r * n + jr] += dot(r, jr);
             }
         }
     }
@@ -437,7 +450,7 @@ fn block_packed(
     n: usize,
     layout: Layout,
 ) {
-    let micro_tile = dispatch::table().micro_tile;
+    let micro_tiles = dispatch::table().micro_tiles;
     let mut apanel = [0.0f32; KC * MR];
     let mut pc = 0;
     while pc < k {
@@ -473,15 +486,17 @@ fn block_packed(
                     }
                 }
             }
+            // The table's tiles, widest first while they fit; the last
+            // is `TILE_COLS` wide, so the edge is narrower than that.
             let mut jc = 0;
-            while jc < n {
-                let nr_eff = TILE_COLS.min(n - jc);
-                if nr_eff == TILE_COLS {
+            for &(cols, micro_tile) in micro_tiles {
+                while n - jc >= cols {
                     micro_tile(&apanel, kc_len, b, n, pc, jc, out_rows, ir, mr_eff);
-                } else {
-                    micro_tile_edge(&apanel, kc_len, b, n, pc, jc, nr_eff, out_rows, ir, mr_eff);
+                    jc += cols;
                 }
-                jc += TILE_COLS;
+            }
+            if jc < n {
+                micro_tile_edge(&apanel, kc_len, b, n, pc, jc, n - jc, out_rows, ir, mr_eff);
             }
             ir += MR;
         }
@@ -490,9 +505,9 @@ fn block_packed(
 }
 
 /// Ragged right-edge tile (`nr_eff < TILE_COLS` columns). Shared
-/// scalar code in both dispatch modes, so the bitwise contract holds
-/// on the N-remainder for free (the full `MR × TILE_COLS` tile lives
-/// in [`dispatch`]); each element keeps the full tile's order.
+/// scalar code in every dispatch mode, so the bitwise contract holds
+/// on the N-remainder for free (the full-width tiles live in
+/// [`dispatch`]); each element keeps the full tiles' order.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn micro_tile_edge(
@@ -532,6 +547,7 @@ fn micro_tile_edge(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dispatch::{SimdMode, WIDE_TILE_COLS};
 
     /// Naive reference: plain i-j-p triple loop, no blocking.
     fn gemm_ref(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
@@ -846,16 +862,15 @@ mod tests {
         out
     }
 
-    /// Every `m ≤ 2·MR + 1`, `n ≤ 2·TILE_COLS + 1` and `k` at the
+    /// Every `m ≤ 2·MR + 1`, `n ≤ 2·WIDE_TILE_COLS + 1` and `k` at the
     /// small sizes and either side of one and two `KC` panels: the three
-    /// grouped launches over two bins, scalar against AVX2, bit for bit.
+    /// grouped launches over two bins, scalar against every SIMD table
+    /// the host has, bit for bit. `n` covers every edge of the 32- and
+    /// 16-column micro-tiles and of the 6- and 3-column dot tiles.
     #[test]
-    #[ignore = "enumerates ~9 400 shapes × 3 launches × 2 modes (seconds in release): ci.sh runs it by name"]
+    #[ignore = "enumerates ~18 600 shapes × 3 launches × 3 tables (seconds in release): ci.sh runs it by name"]
     fn grouped_launches_match_across_simd_modes_on_every_tile_edge() {
-        if !dispatch::simd_available() {
-            return;
-        }
-        let (max_m, max_n) = (2 * MR + 1, 2 * TILE_COLS + 1);
+        let (max_m, max_n) = (2 * MR + 1, 2 * WIDE_TILE_COLS + 1);
         let ks: Vec<usize> = (0..=17).chain([KC - 1, KC, KC + 1, 2 * KC + 3]).collect();
         let max_k = *ks.iter().max().unwrap();
         let mut rng = crate::Rng::seed(36);
@@ -866,8 +881,8 @@ mod tests {
                 for n in 1..=max_n {
                     let (a, b) = (&a_pool[..2 * m * k], &b_pool[..2 * k * n]);
                     let (rows, reduce) = ([0, m, 2 * m], [0, k, 2 * k]);
-                    let run = |simd: bool| {
-                        dispatch::with_simd_mode(Some(simd), || {
+                    let run = |mode: SimdMode| {
+                        dispatch::with_kernel_mode(mode, || {
                             let mut nn = vec![f32::NAN; 2 * m * n];
                             grouped_gemm_into(a, b, &mut nn, &rows, k, n, |_, _, _| {});
                             let mut nt = vec![f32::NAN; 2 * m * n];
@@ -877,9 +892,14 @@ mod tests {
                             [nn, nt, tn].map(|v| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
                         })
                     };
-                    let (scalar, simd) = (run(false), run(true));
-                    for (what, (s, v)) in ["nn", "nt", "tn"].iter().zip(scalar.iter().zip(&simd)) {
-                        assert_eq!(s, v, "{what} at m {m} n {n} k {k}");
+                    let scalar = run(SimdMode::Scalar);
+                    for &mode in dispatch::simd_modes() {
+                        let simd = run(mode);
+                        for (what, (s, v)) in
+                            ["nn", "nt", "tn"].iter().zip(scalar.iter().zip(&simd))
+                        {
+                            assert_eq!(s, v, "{} {what} at m {m} n {n} k {k}", mode.label());
+                        }
                     }
                 }
             }
@@ -888,7 +908,7 @@ mod tests {
 
     mod properties {
         use super::*;
-        use crate::dispatch::NR;
+        use crate::dispatch::{NR, WIDE_DOT_COLS};
         use proptest::prelude::*;
 
         fn dims() -> impl Strategy<Value = (usize, usize, usize)> {
@@ -903,18 +923,24 @@ mod tests {
 
         /// Shapes guaranteed to leave a nonzero remainder on every
         /// blocking axis: `m % MR ≠ 0`, `k % KC ≠ 0`, and
-        /// `n % TILE_COLS` in either edge regime — at most one vector
-        /// (`1..=NR`) or more (`NR + 1..TILE_COLS`). `m` reaches past
-        /// one `ROW_BLOCK`.
+        /// `n % WIDE_TILE_COLS` in either edge regime — all edge
+        /// (`1..TILE_COLS`) or a 16-column tile first
+        /// (`TILE_COLS..WIDE_TILE_COLS`). `m` reaches past one
+        /// `ROW_BLOCK`.
         fn ragged_dims() -> impl Strategy<Value = (usize, usize, usize)> {
             (
                 (0usize..10, 1usize..MR),
                 (0usize..2, 1usize..KC),
-                (0usize..4, any::<bool>(), 1usize..=NR, NR + 1..TILE_COLS),
+                (
+                    0usize..3,
+                    any::<bool>(),
+                    1usize..TILE_COLS,
+                    TILE_COLS..WIDE_TILE_COLS,
+                ),
             )
                 .prop_map(|((mq, mrr), (kq, krr), (nq, wide, narrow_r, wide_r))| {
                     let nrr = if wide { wide_r } else { narrow_r };
-                    (mq * MR + mrr, kq * KC + krr, nq * TILE_COLS + nrr)
+                    (mq * MR + mrr, kq * KC + krr, nq * WIDE_TILE_COLS + nrr)
                 })
         }
 
@@ -971,41 +997,41 @@ mod tests {
                 assert_close(&nt, &want, k);
             }
 
-            /// The SIMD kernel table produces bit-identical results to
-            /// the scalar table on every GEMM variant, on shapes that
+            /// Every SIMD kernel table produces bit-identical results
+            /// to the scalar table on every GEMM variant, on shapes that
             /// exercise all three remainder tails at once.
             #[test]
             fn simd_gemms_match_scalar_bitwise((m, k, n) in ragged_dims(), seed in 0u64..1024) {
-                if crate::dispatch::simd_available() {
-                    let mut rng = crate::Rng::seed(seed);
-                    let a = rng.normal_tensor(&[m, k], 0.0, 1.0);
-                    let b = rng.normal_tensor(&[k, n], 0.0, 1.0);
-                    let bt = rng.normal_tensor(&[n, k], 0.0, 1.0);
-                    let at = rng.normal_tensor(&[k, m], 0.0, 1.0);
-                    let ba = rng.normal_tensor(&[3, m, k], 0.0, 1.0);
-                    let bb = rng.normal_tensor(&[3, k, n], 0.0, 1.0);
-                    let run = |force: bool| {
-                        crate::dispatch::with_simd_mode(Some(force), || {
-                            (
-                                a.matmul(&b).unwrap(),
-                                a.matmul_nt(&bt).unwrap(),
-                                at.matmul_tn(&b).unwrap(),
-                                ba.bmm(&bb).unwrap(),
-                            )
-                        })
-                    };
-                    let scalar = run(false);
-                    let simd = run(true);
-                    let bits = |s: &[f32]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                    prop_assert_eq!(bits(scalar.0.as_slice()), bits(simd.0.as_slice()), "matmul");
-                    prop_assert_eq!(bits(scalar.1.as_slice()), bits(simd.1.as_slice()), "nt");
-                    prop_assert_eq!(bits(scalar.2.as_slice()), bits(simd.2.as_slice()), "tn");
-                    prop_assert_eq!(bits(scalar.3.as_slice()), bits(simd.3.as_slice()), "bmm");
+                let mut rng = crate::Rng::seed(seed);
+                let a = rng.normal_tensor(&[m, k], 0.0, 1.0);
+                let b = rng.normal_tensor(&[k, n], 0.0, 1.0);
+                let bt = rng.normal_tensor(&[n, k], 0.0, 1.0);
+                let at = rng.normal_tensor(&[k, m], 0.0, 1.0);
+                let ba = rng.normal_tensor(&[3, m, k], 0.0, 1.0);
+                let bb = rng.normal_tensor(&[3, k, n], 0.0, 1.0);
+                let bits = |s: &[f32]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                let run = |mode: SimdMode| {
+                    crate::dispatch::with_kernel_mode(mode, || {
+                        [
+                            a.matmul(&b).unwrap(),
+                            a.matmul_nt(&bt).unwrap(),
+                            at.matmul_tn(&b).unwrap(),
+                            ba.bmm(&bb).unwrap(),
+                        ]
+                        .map(|t| bits(t.as_slice()))
+                    })
+                };
+                let scalar = run(SimdMode::Scalar);
+                for &mode in crate::dispatch::simd_modes() {
+                    let simd = run(mode);
+                    for (what, (s, v)) in ["matmul", "nt", "tn", "bmm"].iter().zip(scalar.iter().zip(&simd)) {
+                        prop_assert_eq!(s, v, "{} {}", mode.label(), what);
+                    }
                 }
             }
 
             /// Grouped GEMM equals the per-expert loop bit for bit on
-            /// arbitrary ragged shapes, in both SIMD modes, at any
+            /// arbitrary ragged shapes, in every kernel table, at any
             /// worker count.
             #[test]
             fn grouped_gemm_bitwise_vs_per_group_loop(
@@ -1024,13 +1050,8 @@ mod tests {
                 let a = rng.normal_tensor(&[total.max(1), k], 0.0, 1.0);
                 let b = rng.normal_tensor(&[groups, k, n], 0.0, 1.0);
                 let a = &a.as_slice()[..total * k];
-                let modes: &[Option<bool>] = if crate::dispatch::simd_available() {
-                    &[Some(false), Some(true)]
-                } else {
-                    &[Some(false)]
-                };
-                for &mode in modes {
-                    crate::dispatch::with_simd_mode(mode, || {
+                for mode in crate::dispatch::kernel_modes() {
+                    crate::dispatch::with_kernel_mode(mode, || {
                         let want = grouped_ref_nn(a, b.as_slice(), &offsets, k, n);
                         let mut got = vec![0.0f32; total * n];
                         grouped_gemm(a, b.as_slice(), &mut got, &offsets, k, n);
@@ -1052,7 +1073,7 @@ mod tests {
             /// zeroed `grouped_gemm` → a bias loop → the table's
             /// `gelu`, and `A·Bᵀ` + GELU′ against the bare product →
             /// `gelu_backward` — over ragged bins with empty ones,
-            /// `k = 0` (bias and GELU still land), both kernel tables
+            /// `k = 0` (bias and GELU still land), every kernel table
             /// and 1 or 4 workers. `out` starts as NaN, so a block the
             /// launch failed to zero-fill shows.
             #[test]
@@ -1072,9 +1093,8 @@ mod tests {
                 let (a, b, bt) = (draw(total * k), draw(groups * k * n), draw(groups * n * k));
                 let (bias, pre) = (draw(groups * n), draw(total * n));
                 let tanh: Vec<f32> = pre.iter().map(|&x| crate::ops::gelu_scalar(x).1).collect();
-                let modes: &[bool] = if crate::dispatch::simd_available() { &[false, true] } else { &[false] };
-                for &simd in modes {
-                    crate::dispatch::with_simd_mode(Some(simd), || {
+                for mode in crate::dispatch::kernel_modes() {
+                    crate::dispatch::with_kernel_mode(mode, || {
                         let kt = crate::dispatch::table();
                         let mut want = vec![0.0f32; total * n];
                         grouped_gemm(&a, &b, &mut want, &offsets, k, n);
@@ -1107,8 +1127,8 @@ mod tests {
                                 (got, got_nt)
                             });
                             let bits = |s: &[f32]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                            assert_eq!(bits(&got), bits(&want), "nn simd={simd} limit {limit}");
-                            assert_eq!(bits(&got_nt), bits(&want_nt), "nt simd={simd} limit {limit}");
+                            assert_eq!(bits(&got), bits(&want), "nn {mode:?} limit {limit}");
+                            assert_eq!(bits(&got_nt), bits(&want_nt), "nt {mode:?} limit {limit}");
                         }
                     });
                 }
@@ -1116,16 +1136,16 @@ mod tests {
 
             /// The tiled `A·Bᵀ` launch equals the per-element `dot`
             /// loop bit for bit over every `rows % DOT_ROWS`,
-            /// `n % DOT_COLS` and `k % NR`, with empty bins, in both
-            /// kernel tables at 1 or 4 workers.
+            /// `n % WIDE_DOT_COLS` and `k % NR`, with empty bins, in
+            /// every kernel table at 1 or 4 workers.
             #[test]
             fn nt_tiles_equal_the_per_element_dot_loop(
                 sizes in nt_bins(),
-                (nq, nr) in (0usize..8, 0usize..DOT_COLS),
+                (nq, nr) in (0usize..5, 0usize..WIDE_DOT_COLS),
                 (kq, kr) in (0usize..6, 0usize..NR),
                 seed in 0u64..1024,
             ) {
-                let (n, k) = (nq * DOT_COLS + nr, kq * NR + kr);
+                let (n, k) = (nq * WIDE_DOT_COLS + nr, kq * NR + kr);
                 let mut offsets = vec![0usize];
                 for s in &sizes {
                     offsets.push(offsets.last().unwrap() + s);
@@ -1134,9 +1154,8 @@ mod tests {
                 let mut rng = crate::Rng::seed(seed);
                 let mut draw = |len: usize| rng.normal_tensor(&[len.max(1)], 0.0, 1.0).as_slice()[..len].to_vec();
                 let (a, b) = (draw(total * k), draw(groups * n * k));
-                let modes: &[bool] = if crate::dispatch::simd_available() { &[false, true] } else { &[false] };
-                for &simd in modes {
-                    crate::dispatch::with_simd_mode(Some(simd), || {
+                for mode in crate::dispatch::kernel_modes() {
+                    crate::dispatch::with_kernel_mode(mode, || {
                         let want = nt_per_element_dots(&a, &b, &offsets, k, n);
                         for limit in [1usize, 4] {
                             let got = tutel_rt::with_parallelism_limit(limit, || {
@@ -1145,7 +1164,7 @@ mod tests {
                                 got
                             });
                             let bits = |s: &[f32]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                            assert_eq!(bits(&got), bits(&want), "simd={simd} limit {limit}");
+                            assert_eq!(bits(&got), bits(&want), "{mode:?} limit {limit}");
                         }
                     });
                 }

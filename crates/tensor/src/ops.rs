@@ -4,7 +4,7 @@
 //! `gelu_scalar` / `gelu_derivative` over the ported `dispatch::tanh`
 //! (no libm call: rule 4 of the [`dispatch`](crate::dispatch) module).
 //! It is reached only through the kernel table's `gelu` /
-//! `gelu_backward` entries, whose AVX2 twins are the same formulas
+//! `gelu_backward` entries, whose SIMD twins are the same formulas
 //! lane for lane; the expert FFN runs them inside its grouped-GEMM
 //! epilogues.
 

@@ -7,13 +7,15 @@
 //! `ci.sh` repeats the whole test binary under `TUTEL_THREADS=1` and
 //! `TUTEL_THREADS=4` to cover the env-var path too.
 //!
-//! The same contract extends along the kernel-table axis: the AVX2
-//! `f32x8` kernels share the scalar kernels' reduction trees and never
-//! emit FMA, so `TUTEL_SIMD=0` and `TUTEL_SIMD=1` must also be
-//! bit-identical — at every worker count simultaneously. The
-//! cross-mode sweep below pins the in-process override path
-//! (`dispatch::with_simd_mode`); `ci.sh` repeats the binary under
-//! `TUTEL_SIMD=0/1` × `TUTEL_THREADS=1/4` for the env-var path.
+//! The same contract extends along the kernel-table axis: the SIMD
+//! kernels (AVX2 `f32x8`, and the AVX-512 `f32x16` GEMM tiles and
+//! GELU) share the scalar kernels' reduction trees and never emit FMA,
+//! so `TUTEL_SIMD=0` and `TUTEL_SIMD=1` (the widest table the host
+//! has) must also be bit-identical — at every worker count
+//! simultaneously. The cross-mode sweep below pins the in-process
+//! override path (`dispatch::with_simd_mode`); `ci.sh` repeats the
+//! binary under `TUTEL_SIMD=0/1` × `TUTEL_THREADS=1/4` for the env-var
+//! path and prints the table its `TUTEL_SIMD=1` cells resolved to.
 
 use tutel_suite::gate::{route, RouteConfig};
 use tutel_suite::kernels::{fast_decode, fast_decode_backward, fast_encode, fast_encode_backward};
@@ -185,6 +187,22 @@ fn gemm_family_is_bit_identical_across_simd_modes() {
     assert_bits_equal(&scalar.0, &simd.0, "matmul (simd)", 1);
     assert_bits_equal(&scalar.1, &simd.1, "matmul_nt (simd)", 1);
     assert_bits_equal(&scalar.2, &simd.2, "matmul_tn (simd)", 1);
+}
+
+/// The env-var path's two meanings: `TUTEL_SIMD=0` is the scalar
+/// table, anything else (or nothing) the widest table the host has —
+/// the one `with_simd_mode(Some(true))` pins. Prints the resolved
+/// table's label, so a CI log names the table its cells ran.
+#[test]
+fn tutel_simd_selects_the_kernel_table() {
+    let env = dispatch::with_simd_mode(None, dispatch::simd_mode);
+    let widest = dispatch::with_simd_mode(Some(true), dispatch::simd_mode);
+    if std::env::var("TUTEL_SIMD").as_deref() == Ok("0") {
+        assert_eq!(env, dispatch::SimdMode::Scalar);
+    } else {
+        assert_eq!(env, widest);
+    }
+    println!("kernel table: {}", env.label());
 }
 
 #[test]
