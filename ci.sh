@@ -125,13 +125,16 @@ trap 'rm -rf "$TRACE_DIR"' EXIT
 REPRO="cargo run --release -q -p tutel-bench --bin repro --"
 
 echo "==> model-only repro experiments vs the committed transcript (repro_output.txt)"
-# These nine experiments print nothing but modelled numbers
+# These fifteen experiments print nothing but modelled numbers
 # (deterministic, no wall clock), so every non-empty stdout line must
 # be a verbatim line of repro_output.txt: a refactor of the pricing
 # stack (PipelineTimeModel, MoeLayerSimulator, the parallelism router,
-# CollectiveTiming) that moves one digit fails here. A deliberate model
-# change regenerates the transcript in the same commit.
-for name in table1 fig3 fig5 table5 table7 fig22 fig23 table8 ablations; do
+# CollectiveTiming, the link models, the Table 4 memory meter) that
+# moves one digit fails here. fig24 stays out: its CPU table is wall
+# clock. A deliberate model change regenerates the transcript in the
+# same commit.
+for name in table1 fig3 fig5 table5 table7 fig22 fig23 table8 ablations \
+    fig6 fig7 fig10 fig20 fig21 table4; do
     $REPRO "$name" > "$TRACE_DIR/$name.txt"
     if [ ! -s "$TRACE_DIR/$name.txt" ]; then
         echo "repro $name printed nothing" >&2
@@ -166,6 +169,17 @@ echo "==> tutel-trace: merge the harness run's stream (standalone path)"
 cargo run --release -q -p tutel-obs --bin tutel-trace -- \
     "$TRACE_DIR/merged.trace.json" "$TRACE_DIR/run.jsonl" > /dev/null
 
+# `pinned` holds a line of this run to the commit before: it must be a
+# verbatim line of repro_output.txt, so bits that move identically in
+# every cell of a sweep fail too. A deliberate numeric change
+# regenerates the line in the same commit.
+pinned() {
+    if ! grep -qxF -- "$1" repro_output.txt; then
+        echo "'$1' is not a line of repro_output.txt" >&2
+        exit 1
+    fi
+}
+
 echo "==> tutel-trace: a training run's stream (stage spans + steps in one file)"
 # The adaptive_training example's --telemetry export carries its step
 # records and rank 0's stage spans in one stream; tutel-trace must parse
@@ -175,6 +189,15 @@ cargo run --release -q --example adaptive_training -- \
 cargo run --release -q -p tutel-obs --bin tutel-trace -- \
     "$TRACE_DIR/train.trace.json" "$TRACE_DIR/train.jsonl" > /dev/null
 
+echo "==> adaptive decisions: the training run's audit records vs repro_output.txt"
+# Every parallelism and online-pipelining decision of that run is a
+# function of its seeded workload and the cost model alone, so its
+# "adaptive_decision" records are byte-identical on every host and at
+# every TUTEL_SIMD x TUTEL_THREADS: moving the pricing code must leave
+# their checksum where it was.
+DECISIONS=$(grep '"type":"adaptive_decision"' "$TRACE_DIR/train.jsonl" | cksum)
+pinned "adaptive_decision cksum: $DECISIONS"
+
 echo "==> conformance harness: replayed fault seed"
 # A second, fixed fault seed so every collective's retry/recovery path
 # is exercised under two distinct injected fault patterns per run.
@@ -182,17 +205,7 @@ cargo run --release -q -p tutel-harness --bin harness -- \
     --fault-seed 0xB0B0 > /dev/null
 
 # The two executed digests below are compared across cells of this run
-# and, through `pinned`, against the commit before: the reference line
-# must be a verbatim line of repro_output.txt, so bits that move
-# identically in every cell fail too. A deliberate numeric change
-# regenerates the line in the same commit.
-pinned() {
-    if ! grep -qxF -- "$1" repro_output.txt; then
-        echo "'$1' is not a line of repro_output.txt" >&2
-        exit 1
-    fi
-}
-
+# and, through `pinned`, against the commit before.
 echo "==> serving: smoke grid + seeded load-gen sweep at TUTEL_THREADS={1,4}"
 # The serving engine runs on a virtual clock, so the whole goodput
 # sweep (continuous vs serial batching over seeded poisson/bursty/
