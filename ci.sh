@@ -128,9 +128,10 @@ echo "==> model-only repro experiments vs the committed transcript (repro_output
 # These fifteen experiments print nothing but modelled numbers
 # (deterministic, no wall clock), so every non-empty stdout line must
 # be a verbatim line of repro_output.txt: a refactor of the pricing
-# stack (PipelineTimeModel, MoeLayerSimulator, the parallelism router,
-# CollectiveTiming, the link models, the Table 4 memory meter) that
-# moves one digit fails here. fig24 stays out: its CPU table is wall
+# stack (tutel::cost::ClusterModel, PipelineTimeModel,
+# MoeLayerSimulator, InlineParallelismRouter, the simgpu link and
+# kernel models, kernels::memory's meter) that moves one digit fails
+# here. fig24 stays out: its CPU table is wall
 # clock. A deliberate model change regenerates the transcript in the
 # same commit.
 for name in table1 fig3 fig5 table5 table7 fig22 fig23 table8 ablations \

@@ -2,8 +2,8 @@
 //! interference-aware search, MSCCL phase fusion, the 3DH extension,
 //! and Algorithm 2's bucket length.
 
+use tutel::cost::{A2aImpl, ClusterModel};
 use tutel::pipeline::{LayerDims, OnlineStrategySearch, PipelineTimeModel};
-use tutel_comm::{A2aImpl, CollectiveTiming, World};
 use tutel_obs::Telemetry;
 use tutel_simgpu::Protocol;
 
@@ -43,9 +43,9 @@ pub fn ablation_interference() -> Table {
     );
     for w in [16usize, 64, 256] {
         for f in [1.0, 4.0, 16.0] {
-            let timing = CollectiveTiming::new(World::azure(w));
-            let aware = PipelineTimeModel::new(timing);
-            let mut blind = PipelineTimeModel::new(timing);
+            let cluster = ClusterModel::azure(w);
+            let aware = PipelineTimeModel::new(cluster);
+            let mut blind = PipelineTimeModel::new(cluster);
             blind.interference = false;
             let dims = fig22_dims(f);
             // Each model picks its best strategy; both are *executed*
@@ -75,12 +75,12 @@ pub fn ablation_msccl_fusion() -> Table {
         &["GPUs", "Size", "NCCL-API", "MSCCL", "Fusion gain"],
     );
     for w in [64usize, 256, 1024, 4096] {
-        let timing = CollectiveTiming::new(World::azure(w));
+        let cluster = ClusterModel::azure(w);
         for s in [MIB, 32.0 * MIB] {
-            let nccl = timing.two_dh_time_impl(s, Protocol::Simple, A2aImpl::NcclApi);
-            let msccl = timing
+            let nccl = cluster.two_dh_time_impl(s, Protocol::Simple, A2aImpl::NcclApi);
+            let msccl = cluster
                 .two_dh_time_impl(s, Protocol::Simple, A2aImpl::Msccl)
-                .min(timing.two_dh_time_impl(s, Protocol::Ll128, A2aImpl::Msccl));
+                .min(cluster.two_dh_time_impl(s, Protocol::Ll128, A2aImpl::Msccl));
             t.row(&[
                 w.to_string(),
                 fmt_bytes(s),
@@ -101,10 +101,10 @@ pub fn ablation_three_dh() -> Table {
         &["GPUs", "Size", "2DH (MSCCL)", "3DH", "3DH gain"],
     );
     for w in [1024usize, 2048, 4096] {
-        let timing = CollectiveTiming::new(World::azure(w));
+        let cluster = ClusterModel::azure(w);
         for s in [0.25 * MIB, 4.0 * MIB, 256.0 * MIB] {
-            let two = timing.two_dh_time_impl(s, Protocol::Simple, A2aImpl::Msccl);
-            let three = timing.three_dh_time(s, Protocol::Simple, 16);
+            let two = cluster.two_dh_time_impl(s, Protocol::Simple, A2aImpl::Msccl);
+            let three = cluster.three_dh_time(s, Protocol::Simple, 16);
             t.row(&[
                 w.to_string(),
                 fmt_bytes(s),
@@ -128,8 +128,8 @@ pub fn ablation_bucket_length() -> Table {
         "Ablation: Algorithm 2 bucket length L (dynamic f schedule, 128 GPUs)",
         &["L", "Suboptimal picks", "Buckets", "Final regret"],
     );
-    let timing = CollectiveTiming::new(World::azure(128));
-    let model = PipelineTimeModel::new(timing);
+    let cluster = ClusterModel::azure(128);
+    let model = PipelineTimeModel::new(cluster);
     // A wandering f schedule with three regimes.
     let schedule: Vec<f64> = (0..90)
         .map(|i| [1.0, 1.3, 4.0, 4.4, 12.0, 13.5][i % 6])

@@ -3,8 +3,8 @@
 //! *where* each strategy spends its time (gate, encode, the two
 //! All-to-All legs, expert GEMM, decode) and how much overlap recovers.
 
+use tutel::cost::ClusterModel;
 use tutel::pipeline::{LayerDims, PipelineStrategy, PipelineTimeModel, StageBreakdown};
-use tutel_comm::{CollectiveTiming, World};
 use tutel_obs::json::Value;
 use tutel_obs::Telemetry;
 
@@ -40,7 +40,7 @@ pub struct BreakdownRow {
 pub fn breakdown_rows(tel: &Telemetry) -> Vec<BreakdownRow> {
     let mut rows = Vec::new();
     for w in [16usize, 64, 256, 1024] {
-        let model = PipelineTimeModel::new(CollectiveTiming::new(World::azure(w)));
+        let model = PipelineTimeModel::new(ClusterModel::azure(w));
         let d = dims();
         let (best, _) = model.best_strategy(&d, tel);
         for strategy in [PipelineStrategy::baseline(), best] {
@@ -143,7 +143,7 @@ mod tests {
     #[test]
     fn breakdown_totals_match_step_time() {
         for w in [16usize, 256] {
-            let model = PipelineTimeModel::new(CollectiveTiming::new(World::azure(w)));
+            let model = PipelineTimeModel::new(ClusterModel::azure(w));
             let d = dims();
             for s in PipelineStrategy::all() {
                 let b = model.stage_breakdown(&d, s);

@@ -2,6 +2,7 @@
 //! Table 8 (end-to-end SwinV2-MoE training/inference speed).
 
 use tutel::adaptive::{FeatureSet, MoeLayerSimulator};
+use tutel::cost::ClusterModel;
 use tutel::pipeline::LayerDims;
 use tutel_experts::ExpertPlacement;
 use tutel_obs::Telemetry;
@@ -28,7 +29,7 @@ pub fn fig23() -> Table {
         ],
     );
     for w in [16usize, 32, 64, 128, 256, 512, 1024, 2048] {
-        let sim = MoeLayerSimulator::azure(w);
+        let sim = MoeLayerSimulator::new(ClusterModel::azure(w));
         let ms = |f: FeatureSet| format!("{:.1}", sim.step_time(&dims, f, &off) * 1e3);
         let ladder = FeatureSet::ladder();
         let base = sim.step_time(&dims, ladder[0].1, &off);
@@ -64,7 +65,7 @@ pub fn fig23_replicated() -> Table {
         ],
     );
     for w in [32usize, 64, 128] {
-        let sim = MoeLayerSimulator::azure(w);
+        let sim = MoeLayerSimulator::new(ClusterModel::azure(w));
         let placement = ExpertPlacement::from_count_per_node(-4, w).expect("divisible");
         for f in [0.25, 1.0, 4.0] {
             let dims = LayerDims {
@@ -137,8 +138,8 @@ impl SwinSpeedModel {
         features: Option<FeatureSet>,
         training: bool,
     ) -> f64 {
-        let sim = MoeLayerSimulator::azure(world);
-        let gpu = sim.timing().world().gpu();
+        let sim = MoeLayerSimulator::new(ClusterModel::azure(world));
+        let gpu = sim.cluster().gpu();
         // Training triples the dense compute (forward + 2× backward)
         // but only ~2.2×'s the MoE layer (its All-to-Alls and
         // encode/decode cost roughly the same in both directions), so

@@ -3,8 +3,9 @@
 //! Figure 10 (expert throughput by layout), Figure 20 (linear vs 2DH
 //! scaling), Figure 21 (NCCL vs MSCCL 2DH), Table 4 (memory).
 
+use tutel::cost::{A2aImpl, ClusterModel};
 use tutel::pipeline::LayerDims;
-use tutel_comm::{A2aImpl, AllToAllAlgo, CollectiveTiming, World};
+use tutel_comm::AllToAllAlgo;
 use tutel_kernels::memory::{fairseq_layer_memory, tutel_layer_memory, MemorySettings};
 use tutel_simgpu::{GpuCostModel, LinkModel, Protocol};
 
@@ -30,8 +31,8 @@ pub fn table1() -> Table {
         ],
     );
     for w in [16usize, 64, 256] {
-        let timing = CollectiveTiming::new(World::azure(w));
-        let gpu = timing.world().gpu();
+        let cluster = ClusterModel::azure(w);
+        let gpu = cluster.gpu();
         let e = w * dims.local_experts;
         let dc = (dims.expert_rows() / e).max(1);
         // Computation: gate + dense encode/decode + expert GEMM (the
@@ -50,7 +51,7 @@ pub fn table1() -> Table {
                 dims.hidden_dim,
                 dims.model_dim,
             );
-        let a2a = 2.0 * timing.linear_time(dims.a2a_bytes(), Protocol::Simple);
+        let a2a = 2.0 * cluster.linear_time(dims.a2a_bytes(), Protocol::Simple);
         let total = comp + a2a;
         let ratio = a2a / total;
         let overlapped = comp.max(a2a);
@@ -99,11 +100,11 @@ pub fn fig6b() -> Table {
         ],
     );
     for w in [64usize, 128, 256, 512, 1024, 2048] {
-        let timing = CollectiveTiming::new(World::azure(w));
+        let cluster = ClusterModel::azure(w);
         let bw = |s: f64| {
             format!(
                 "{:.2}",
-                timing.bus_bandwidth(AllToAllAlgo::Linear, s, Protocol::Simple) / 1e9
+                cluster.bus_bandwidth(AllToAllAlgo::Linear, s, Protocol::Simple) / 1e9
             )
         };
         t.row(&[w.to_string(), bw(MIB), bw(32.0 * MIB), bw(256.0 * MIB)]);
@@ -171,10 +172,10 @@ pub fn fig20() -> Table {
         &["GPUs", "Size", "Linear", "2DH", "2DH speedup"],
     );
     for w in [64usize, 256, 1024, 2048, 4096] {
-        let timing = CollectiveTiming::new(World::azure(w));
+        let cluster = ClusterModel::azure(w);
         for s in [MIB, 32.0 * MIB, 256.0 * MIB] {
-            let linear = timing.linear_time(s, Protocol::Simple);
-            let two_dh = timing.two_dh_time_impl(s, Protocol::Simple, A2aImpl::NcclApi);
+            let linear = cluster.linear_time(s, Protocol::Simple);
+            let two_dh = cluster.two_dh_time_impl(s, Protocol::Simple, A2aImpl::NcclApi);
             t.row(&[
                 w.to_string(),
                 fmt_bytes(s),
@@ -190,7 +191,7 @@ pub fn fig20() -> Table {
 /// Figure 21: 2DH All-to-All, NCCL-API implementation vs
 /// MSCCL-optimized (with per-size protocol choice), at 64 GPUs.
 pub fn fig21() -> Table {
-    let timing = CollectiveTiming::new(World::azure(64));
+    let cluster = ClusterModel::azure(64);
     let mut t = Table::new(
         "Figure 21: 2DH implementation comparison at 64 GPUs",
         &[
@@ -203,10 +204,10 @@ pub fn fig21() -> Table {
         ],
     );
     for s in [MIB, 32.0 * MIB, 256.0 * MIB] {
-        let linear = timing.linear_time(s, Protocol::Simple);
-        let nccl = timing.two_dh_time_impl(s, Protocol::Simple, A2aImpl::NcclApi);
-        let simple = timing.two_dh_time_impl(s, Protocol::Simple, A2aImpl::Msccl);
-        let ll128 = timing.two_dh_time_impl(s, Protocol::Ll128, A2aImpl::Msccl);
+        let linear = cluster.linear_time(s, Protocol::Simple);
+        let nccl = cluster.two_dh_time_impl(s, Protocol::Simple, A2aImpl::NcclApi);
+        let simple = cluster.two_dh_time_impl(s, Protocol::Simple, A2aImpl::Msccl);
+        let ll128 = cluster.two_dh_time_impl(s, Protocol::Ll128, A2aImpl::Msccl);
         let best = if ll128 < simple { "LL128" } else { "Simple" };
         t.row(&[
             fmt_bytes(s),

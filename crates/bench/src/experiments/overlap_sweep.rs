@@ -24,13 +24,13 @@
 //! [`MeasuredStrategySearch`] so the online search ranks strategies
 //! by executed evidence.
 
+use tutel::cost::ClusterModel;
 use tutel::overlap::run_overlapped;
 use tutel::pipeline::{LayerDims, MeasuredStrategySearch, PipelineStrategy, PipelineTimeModel};
 use tutel_comm::runtime::run_threaded;
-use tutel_comm::{CollectiveTiming, World};
+use tutel_comm::Topology;
 use tutel_obs::json::Value;
 use tutel_obs::Telemetry;
-use tutel_simgpu::Topology;
 use tutel_tensor::Tensor;
 
 use crate::report::fmt_time;
@@ -237,7 +237,7 @@ pub fn sweep(tel: &Telemetry) -> Vec<SweepCell> {
     let mut step: u64 = 0;
     for world in WORLDS {
         for tokens in TOKENS {
-            let model = PipelineTimeModel::new(CollectiveTiming::new(World::azure(world)));
+            let model = PipelineTimeModel::new(ClusterModel::azure(world));
             let mut search = MeasuredStrategySearch::new(0.25, model);
             let dims = dims_for(tokens);
             let mut points = Vec::new();
@@ -412,7 +412,7 @@ mod tests {
     fn sweep_chosen_matches_measured_argmin_and_beats_baseline() {
         let tel = Telemetry::enabled();
         // One cell keeps the test fast; the repro binary runs the grid.
-        let model = PipelineTimeModel::new(CollectiveTiming::new(World::azure(2)));
+        let model = PipelineTimeModel::new(ClusterModel::azure(2));
         let mut search = MeasuredStrategySearch::new(0.25, model);
         let dims = dims_for(64);
         let mut points = Vec::new();

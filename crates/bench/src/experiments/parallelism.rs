@@ -1,15 +1,16 @@
 //! Adaptive parallelism switching: Figure 3 (P1 vs P2 preference
 //! landscape) and Table 5 (adaptive improvement).
 
-use tutel_comm::{CollectiveTiming, World};
-use tutel_experts::{InlineParallelismRouter, MoeDims, Parallelism};
+use tutel::adaptive::{InlineParallelismRouter, MoeDims};
+use tutel::cost::ClusterModel;
+use tutel_experts::Parallelism;
 use tutel_obs::Telemetry;
 
 use crate::report::fmt_pct;
 use crate::Table;
 
 fn router(world: usize) -> InlineParallelismRouter {
-    InlineParallelismRouter::new(CollectiveTiming::new(World::azure(world)))
+    InlineParallelismRouter::new(ClusterModel::azure(world))
 }
 
 /// Figure 3: throughput ratio P2/P1 under varying capacity factor and

@@ -4,8 +4,8 @@
 
 use std::collections::HashMap;
 
+use tutel::cost::ClusterModel;
 use tutel::pipeline::{LayerDims, PipelineStrategy, PipelineTimeModel};
-use tutel_comm::{CollectiveTiming, World};
 use tutel_obs::Telemetry;
 
 use crate::report::fmt_pct;
@@ -51,7 +51,7 @@ pub fn table6_settings() -> Vec<LayerDims> {
 pub fn fig5() -> Table {
     let mut histogram: HashMap<PipelineStrategy, usize> = HashMap::new();
     for w in [16usize, 32, 64, 128, 256] {
-        let model = PipelineTimeModel::new(CollectiveTiming::new(World::azure(w)));
+        let model = PipelineTimeModel::new(ClusterModel::azure(w));
         for dims in table6_settings() {
             let (best, _) = model.best_strategy(&dims, &Telemetry::disabled());
             *histogram.entry(best).or_default() += 1;
@@ -88,7 +88,7 @@ pub fn table7(worst: bool) -> Table {
     };
     let mut t = Table::new(title, &["GPUs", "Algo", "d=1", "d=2", "d=4", "d=8"]);
     for w in [16usize, 32, 64, 128, 256] {
-        let model = PipelineTimeModel::new(CollectiveTiming::new(World::azure(w)));
+        let model = PipelineTimeModel::new(ClusterModel::azure(w));
         let settings = table6_settings();
         // Precompute best per setting.
         let bests: Vec<f64> = settings
@@ -129,7 +129,7 @@ pub fn fig22() -> Table {
         &["GPUs", "f=1", "f=4", "f=16"],
     );
     for w in [16usize, 32, 64, 128, 256] {
-        let model = PipelineTimeModel::new(CollectiveTiming::new(World::azure(w)));
+        let model = PipelineTimeModel::new(ClusterModel::azure(w));
         let mut cells = vec![w.to_string()];
         for f in [1.0, 4.0, 16.0] {
             let dims = LayerDims {

@@ -61,10 +61,9 @@
 use std::collections::BTreeMap;
 
 use tutel_comm::sched::run_sched;
-use tutel_comm::AllToAllAlgo;
+use tutel_comm::{AllToAllAlgo, Topology};
 use tutel_explore::{derive_seed, sweep_seeds, Chooser, Finding, SeedRun, SigHash, VClock};
 use tutel_rt::chk::{self, RtEvent, AUTO_THREAD_BASE};
-use tutel_simgpu::Topology;
 
 /// What [`analyze`] extracted from one event log.
 #[derive(Debug)]

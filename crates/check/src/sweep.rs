@@ -13,8 +13,7 @@ use crate::explore::Finding;
 
 use tutel_comm::runtime::Communicator;
 use tutel_comm::sched::run_sched;
-use tutel_comm::{linear_all_to_all, AllToAllAlgo, CommError, RankBuffers};
-use tutel_simgpu::Topology;
+use tutel_comm::{linear_all_to_all, AllToAllAlgo, CommError, RankBuffers, Topology};
 
 /// Sweep parameters: the topology and how many seeds to explore.
 #[derive(Debug, Clone, Copy)]

@@ -37,7 +37,7 @@ use crate::{AllToAllAlgo, CommError};
 ///
 /// ```
 /// use tutel_comm::{flex::flex_all_to_all, run_threaded, AllToAllAlgo};
-/// use tutel_simgpu::Topology;
+/// use tutel_comm::Topology;
 /// use tutel_tensor::Tensor;
 ///
 /// // W = 2, E = 2 experts, ΔC = 2, M = 1.
@@ -88,7 +88,7 @@ pub fn flex_all_to_all(
 mod tests {
     use super::*;
     use crate::run_threaded;
-    use tutel_simgpu::Topology;
+    use crate::Topology;
 
     /// Rank `r`'s `(e, dc, m)` tensor; every element value encodes
     /// (rank, expert, cap, m) uniquely.

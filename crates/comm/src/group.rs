@@ -44,10 +44,10 @@ use std::thread::JoinHandle;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use tutel_obs::Telemetry;
-use tutel_simgpu::Topology;
 
 use crate::error::CommError;
 use crate::runtime::{Communicator, ReliableConfig};
+use crate::Topology;
 
 /// One run as every rank sees it: called with the rank's id and its
 /// communicator slot, which a one-shot run empties.
@@ -74,7 +74,7 @@ type Report = (usize, std::thread::Result<()>);
 /// ```
 /// use tutel_comm::RankGroup;
 /// use tutel_obs::Telemetry;
-/// use tutel_simgpu::Topology;
+/// use tutel_comm::Topology;
 ///
 /// let mut group = RankGroup::new(Topology::new(1, 2), None, &Telemetry::disabled());
 /// for step in 0..3 {
@@ -276,7 +276,7 @@ fn rank_loop(
 ///
 /// ```
 /// use tutel_comm::runtime::run_threaded;
-/// use tutel_simgpu::Topology;
+/// use tutel_comm::Topology;
 ///
 /// let results = run_threaded(Topology::new(2, 2), |mut comm| {
 ///     let rank = comm.rank() as f32;

@@ -1,20 +1,16 @@
 //! Collective communication for the tutel-rs MoE stack.
 //!
-//! Implements the All-to-All family the paper builds on, in two layers:
-//!
-//! * an **executed layer**, [`runtime`], that runs every simulated rank
-//!   on its own thread and moves real `f32`s between them over
-//!   point-to-point channels — bit-exact, and the only code that moves
-//!   data between ranks. Its threads are a [`RankGroup`], the only
-//!   code that spawns rank threads: one parked thread per rank, each
-//!   owning its communicator for the group's life;
-//!   [`RankGroup::run_once`] is a one-shot run (reliable and traced
-//!   runs pass their config and telemetry handle to
-//!   [`RankGroup::new`]) and [`run_threaded`] its plain form; and
-//! * a **timing layer** that prices every collective on a
-//!   [`tutel_simgpu`] cluster (link α–β models, message-size-dependent
-//!   bandwidth, strided-copy penalties) — used by the adaptive
-//!   mechanisms and the scaling benchmarks up to 4,096 simulated GPUs.
+//! Implements the All-to-All family the paper builds on over a
+//! [`Topology`] of simulated ranks (nodes × GPUs per node, node-major).
+//! [`runtime`] runs every rank on its own thread and moves real `f32`s
+//! between them over point-to-point channels — bit-exact, and the only
+//! code that moves data between ranks. Its threads are a [`RankGroup`],
+//! the only code that spawns rank threads: one parked thread per rank,
+//! each owning its communicator for the group's life;
+//! [`RankGroup::run_once`] is a one-shot run (reliable and traced runs
+//! pass their config and telemetry handle to [`RankGroup::new`]) and
+//! [`run_threaded`] its plain form. Nothing here prices a collective:
+//! the cost models live in `tutel::cost`, on top of the data path.
 //!
 //! The executed collectives are each rank's local program:
 //!
@@ -39,8 +35,7 @@ mod linear;
 pub mod runtime;
 #[cfg(feature = "check-sched")]
 pub mod sched;
-mod timing;
-mod world;
+mod topology;
 
 pub use algo::AllToAllAlgo;
 pub use error::CommError;
@@ -48,8 +43,7 @@ pub use fault::{FaultAction, FaultPlan};
 pub use group::RankGroup;
 pub use linear::linear_all_to_all;
 pub use runtime::{run_threaded, CommHandle, ReliableConfig, RetryPolicy};
-pub use timing::{A2aImpl, A2aPhase, CollectiveTiming};
-pub use world::World;
+pub use topology::Topology;
 
 /// Per-rank buffers: `bufs[r]` is the flat row-major payload on rank `r`.
 ///

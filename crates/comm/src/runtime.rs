@@ -80,11 +80,10 @@ use std::time::Duration;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use tutel_obs::trace::{FlowKind, Tracer, TRACK_COMM};
 use tutel_obs::Telemetry;
-use tutel_simgpu::Topology;
 
 use crate::error::CommError;
 use crate::fault::{FaultAction, FaultPlan};
-use crate::AllToAllAlgo;
+use crate::{AllToAllAlgo, Topology};
 
 pub use crate::group::run_threaded;
 

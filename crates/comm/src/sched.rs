@@ -41,12 +41,12 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use tutel_explore::{Chooser, SigHash};
-use tutel_simgpu::Topology;
 
 use crate::error::CommError;
 use crate::fault::{FaultAction, FaultPlan};
 use crate::group::RankGroup;
 use crate::runtime::Communicator;
+use crate::Topology;
 
 /// How long a blocked rank waits before re-auditing the quiescence
 /// accounting. Only reached if the bookkeeping itself is buggy; the

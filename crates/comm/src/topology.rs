@@ -1,7 +1,5 @@
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A two-level cluster topology: `nnodes` nodes of `gpus_per_node` GPUs.
 ///
 /// GPUs within a node are connected by NVLink/NVSwitch; nodes are
@@ -12,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// # Example
 ///
 /// ```
-/// use tutel_simgpu::Topology;
+/// use tutel_comm::Topology;
 ///
 /// let topo = Topology::new(2, 4);
 /// assert_eq!(topo.world_size(), 8);
@@ -21,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(topo.same_node(4, 7));
 /// assert!(!topo.same_node(3, 4));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Topology {
     nnodes: usize,
     gpus_per_node: usize,

@@ -1,12 +1,11 @@
-//! Property-based tests: both routes of the threaded All-to-All must
-//! implement the sequential oracle's exchange, and Flexible All-to-All
-//! must be self-inverse.
+//! Property-based tests: the topology's rank layout is node-major, both
+//! routes of the threaded All-to-All must implement the sequential
+//! oracle's exchange, and Flexible All-to-All must be self-inverse.
 
 use proptest::prelude::*;
 use tutel_comm::{
-    flex::flex_all_to_all, linear_all_to_all, run_threaded, AllToAllAlgo, RankBuffers,
+    flex::flex_all_to_all, linear_all_to_all, run_threaded, AllToAllAlgo, RankBuffers, Topology,
 };
-use tutel_simgpu::Topology;
 use tutel_tensor::Tensor;
 
 /// Random per-rank buffers for an (nnodes × gpn) topology with `chunk`
@@ -23,6 +22,23 @@ fn rank_buffers(nnodes: usize, gpn: usize, chunk: usize, seed: u64) -> RankBuffe
     (0..n)
         .map(|_| (0..n * chunk).map(|_| next()).collect())
         .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn topology_rank_mapping_is_consistent(nnodes in 1usize..16, gpn in 1usize..16) {
+        let t = Topology::new(nnodes, gpn);
+        for rank in 0..t.world_size() {
+            let node = t.node_of(rank);
+            let local = t.local_rank(rank);
+            prop_assert!(node < nnodes);
+            prop_assert!(local < gpn);
+            prop_assert_eq!(node * gpn + local, rank);
+            prop_assert!(t.ranks_on_node(node).contains(&rank));
+        }
+    }
 }
 
 proptest! {

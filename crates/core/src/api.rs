@@ -84,8 +84,7 @@ pub mod net {
 #[cfg(test)]
 mod tests {
     use super::{moe, net};
-    use tutel_comm::run_threaded;
-    use tutel_simgpu::Topology;
+    use tutel_comm::{run_threaded, Topology};
     use tutel_tensor::{Rng, Tensor};
 
     #[test]

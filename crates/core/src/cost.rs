@@ -1,12 +1,15 @@
-//! Timing models for every collective, over a [`World`]'s calibrated
-//! link and kernel models.
+//! The modelled cluster every adaptive decision is priced on.
 //!
-//! These are the costs the adaptive mechanisms (parallelism router,
-//! pipelining search) consult, and what the scaling benchmarks plot.
+//! [`ClusterModel`] is the paper's testbed as one value: a
+//! [`Topology`] of Azure NDm A100 v4 nodes with the calibrated NVLink,
+//! HDR InfiniBand and A100 kernel models of [`tutel_simgpu`]. Its
+//! `*_time` methods price every collective the parallelism router, the
+//! pipelining search and the layer simulator consult, and what the
+//! scaling benchmarks plot. The executed ranks never read it: they need
+//! only the [`Topology`].
 
-use tutel_simgpu::{calib, fabric_contention, Protocol, Seconds};
-
-use crate::{AllToAllAlgo, World};
+use tutel_comm::{AllToAllAlgo, Topology};
+use tutel_simgpu::{calib, fabric_contention, GpuCostModel, LinkModel, Protocol, Seconds};
 
 /// Which leg of the MoE iteration an All-to-All serves. The two legs
 /// carry different payloads under asymmetric capacity, so a priced
@@ -42,7 +45,8 @@ pub enum A2aImpl {
     Msccl,
 }
 
-/// Prices collectives on a given [`World`].
+/// A simulated cluster: topology plus the calibrated link and kernel
+/// cost models, pricing every collective on it.
 ///
 /// All `*_time` methods return the per-iteration wall-clock seconds of
 /// the collective for `bytes` of payload *per GPU*.
@@ -50,33 +54,53 @@ pub enum A2aImpl {
 /// # Example
 ///
 /// ```
-/// use tutel_comm::{AllToAllAlgo, CollectiveTiming, World};
+/// use tutel::cost::ClusterModel;
+/// use tutel_comm::AllToAllAlgo;
 /// use tutel_simgpu::Protocol;
 ///
-/// let t = CollectiveTiming::new(World::azure(2048));
+/// let cluster = ClusterModel::azure(2048);
 /// let s = 1024.0 * 1024.0; // 1 MiB per GPU
-/// let linear = t.all_to_all_time(AllToAllAlgo::Linear, s, Protocol::Simple);
-/// let two_dh = t.all_to_all_time(AllToAllAlgo::TwoDh, s, Protocol::Simple);
+/// let linear = cluster.all_to_all_time(AllToAllAlgo::Linear, s, Protocol::Simple);
+/// let two_dh = cluster.all_to_all_time(AllToAllAlgo::TwoDh, s, Protocol::Simple);
 /// assert!(linear / two_dh > 5.0, "2DH must win big for small messages at scale");
 /// ```
 #[derive(Debug, Clone, Copy)]
-pub struct CollectiveTiming {
-    world: World,
+pub struct ClusterModel {
+    topology: Topology,
+    nvlink: LinkModel,
+    ib: LinkModel,
+    gpu: GpuCostModel,
 }
 
-impl CollectiveTiming {
-    /// Creates a pricer for `world`.
-    pub fn new(world: World) -> Self {
-        CollectiveTiming { world }
+impl ClusterModel {
+    /// The Azure NDm A100 v4 preset used throughout the paper's
+    /// evaluation: nodes of 8 GPUs on NVLink, joined by HDR InfiniBand.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `world_size` is zero, or above 8 and not a multiple
+    /// of 8.
+    pub fn azure(world_size: usize) -> Self {
+        ClusterModel {
+            topology: Topology::azure_ndv4(world_size),
+            nvlink: LinkModel::nvlink(),
+            ib: LinkModel::hdr_infiniband(),
+            gpu: GpuCostModel::a100(),
+        }
     }
 
-    /// The world being priced.
-    pub fn world(&self) -> &World {
-        &self.world
+    /// World size (total GPUs).
+    pub fn size(&self) -> usize {
+        self.topology.world_size()
+    }
+
+    /// Kernel cost model of one GPU.
+    pub fn gpu(&self) -> &GpuCostModel {
+        &self.gpu
     }
 
     /// Dispatch on algorithm. 2DH uses the NCCL-API implementation; use
-    /// [`CollectiveTiming::two_dh_time_impl`] for the MSCCL variant.
+    /// [`ClusterModel::two_dh_time_impl`] for the MSCCL variant.
     pub fn all_to_all_time(&self, algo: AllToAllAlgo, bytes: f64, protocol: Protocol) -> Seconds {
         match algo {
             AllToAllAlgo::Linear => self.linear_time(bytes, protocol),
@@ -91,19 +115,19 @@ impl CollectiveTiming {
     /// `n − m` over its InfiniBand NIC (serialized per NIC). The two
     /// proceed concurrently; the slower side dominates.
     pub fn linear_time(&self, bytes: f64, protocol: Protocol) -> Seconds {
-        let topo = self.world.topology();
+        let topo = &self.topology;
         let n = topo.world_size();
         let m = topo.gpus_per_node();
         if n <= 1 || bytes <= 0.0 {
             return 0.0;
         }
         let chunk = bytes / n as f64;
-        let nv = self.world.nvlink();
+        let nv = &self.nvlink;
         let intra = nv.base_latency() + nv.burst_time(m - 1, chunk, protocol);
         if topo.nnodes() == 1 {
             return intra;
         }
-        let ib = self.world.infiniband();
+        let ib = &self.ib;
         let contention = fabric_contention(topo.nnodes());
         let inter = ib.base_latency() + ib.burst_time(n - m, chunk, protocol) * contention;
         intra.max(inter)
@@ -118,7 +142,7 @@ impl CollectiveTiming {
     /// pinned to the Simple protocol; MSCCL fuses phases and may pick
     /// LL128.
     pub fn two_dh_time_impl(&self, bytes: f64, protocol: Protocol, imp: A2aImpl) -> Seconds {
-        let topo = self.world.topology();
+        let topo = &self.topology;
         let n = topo.world_size();
         let m = topo.gpus_per_node();
         let nnodes = topo.nnodes();
@@ -129,8 +153,8 @@ impl CollectiveTiming {
             A2aImpl::NcclApi => Protocol::Simple,
             A2aImpl::Msccl => protocol,
         };
-        let gpu = self.world.gpu();
-        let nv = self.world.nvlink();
+        let gpu = &self.gpu;
+        let nv = &self.nvlink;
         // 2DH's stride copies are single coalesced kernels: near-peak
         // memory bandwidth independent of n (the whole point of the
         // alignment phases). A 1.25 factor prices the read+write+index
@@ -139,7 +163,7 @@ impl CollectiveTiming {
         let intra_block = bytes / m as f64;
         let intra = nv.base_latency() + nv.burst_time(m - 1, intra_block, protocol);
         let (inter, align2) = if nnodes > 1 {
-            let ib = self.world.infiniband();
+            let ib = &self.ib;
             let inter_block = bytes * m as f64 / n as f64;
             let contention = fabric_contention(nnodes);
             (
@@ -170,7 +194,7 @@ impl CollectiveTiming {
     /// Panics if `nodes_per_group` is zero or does not divide the node
     /// count.
     pub fn three_dh_time(&self, bytes: f64, protocol: Protocol, nodes_per_group: usize) -> Seconds {
-        let topo = self.world.topology();
+        let topo = &self.topology;
         let n = topo.world_size();
         let m = topo.gpus_per_node();
         let nnodes = topo.nnodes();
@@ -186,9 +210,9 @@ impl CollectiveTiming {
             // Degenerates to plain 2DH.
             return self.two_dh_time_impl(bytes, protocol, A2aImpl::Msccl);
         }
-        let gpu = self.world.gpu();
-        let nv = self.world.nvlink();
-        let ib = self.world.infiniband();
+        let gpu = &self.gpu;
+        let nv = &self.nvlink;
+        let ib = &self.ib;
         // Intra-node aggregation (same as 2DH phases 1–3).
         let align = 1.25 * gpu.copy_time(bytes);
         let intra = nv.base_latency() + nv.burst_time(m - 1, bytes / m as f64, protocol);
@@ -219,14 +243,10 @@ impl CollectiveTiming {
         if group <= 1 || shard_bytes <= 0.0 {
             return 0.0;
         }
-        let topo = self.world.topology();
+        let topo = &self.topology;
         // A ring across nodes is bottlenecked by its slowest hop.
         let spans_nodes = group > topo.gpus_per_node() && topo.nnodes() > 1;
-        let link = if spans_nodes {
-            self.world.infiniband()
-        } else {
-            self.world.nvlink()
-        };
+        let link = if spans_nodes { &self.ib } else { &self.nvlink };
         let contention = if spans_nodes {
             fabric_contention(topo.nnodes())
         } else {
@@ -238,7 +258,7 @@ impl CollectiveTiming {
     /// Bus bandwidth (bytes/s) achieved by an All-to-All of `bytes` per
     /// GPU: the standard nccl-tests metric `S·(n−1)/n / t`.
     pub fn bus_bandwidth(&self, algo: AllToAllAlgo, bytes: f64, protocol: Protocol) -> f64 {
-        let n = self.world.size() as f64;
+        let n = self.size() as f64;
         let t = self.all_to_all_time(algo, bytes, protocol);
         if t <= 0.0 {
             return 0.0;
@@ -254,8 +274,16 @@ mod tests {
     const MIB: f64 = 1024.0 * 1024.0;
 
     #[test]
+    fn azure_presets() {
+        assert_eq!(ClusterModel::azure(8).topology.nnodes(), 1);
+        assert_eq!(ClusterModel::azure(16).topology.nnodes(), 2);
+        assert_eq!(ClusterModel::azure(2048).topology.nnodes(), 256);
+        assert_eq!(ClusterModel::azure(2048).size(), 2048);
+    }
+
+    #[test]
     fn two_dh_wins_small_messages_at_scale() {
-        let t = CollectiveTiming::new(World::azure(2048));
+        let t = ClusterModel::azure(2048);
         let linear = t.linear_time(MIB, Protocol::Simple);
         let two_dh = t.two_dh_time_impl(MIB, Protocol::Simple, A2aImpl::NcclApi);
         let speedup = linear / two_dh;
@@ -265,7 +293,7 @@ mod tests {
 
     #[test]
     fn linear_wins_large_messages_at_small_scale() {
-        let t = CollectiveTiming::new(World::azure(64));
+        let t = ClusterModel::azure(64);
         let big = 256.0 * MIB;
         let linear = t.linear_time(big, Protocol::Simple);
         let two_dh = t.two_dh_time_impl(big, Protocol::Simple, A2aImpl::NcclApi);
@@ -276,7 +304,7 @@ mod tests {
 
     #[test]
     fn msccl_beats_ncclapi_two_dh() {
-        let t = CollectiveTiming::new(World::azure(64));
+        let t = ClusterModel::azure(64);
         for &s in &[MIB, 32.0 * MIB, 256.0 * MIB] {
             let nccl = t.two_dh_time_impl(s, Protocol::Simple, A2aImpl::NcclApi);
             let msccl = t.two_dh_time_impl(s, Protocol::Simple, A2aImpl::Msccl);
@@ -286,7 +314,7 @@ mod tests {
 
     #[test]
     fn ll128_helps_small_sizes_under_msccl() {
-        let t = CollectiveTiming::new(World::azure(512));
+        let t = ClusterModel::azure(512);
         let small = t.two_dh_time_impl(MIB, Protocol::Ll128, A2aImpl::Msccl);
         let small_simple = t.two_dh_time_impl(MIB, Protocol::Simple, A2aImpl::Msccl);
         assert!(small < small_simple);
@@ -299,7 +327,7 @@ mod tests {
     fn three_dh_beats_two_dh_for_tiny_messages_at_extreme_scale() {
         // Section 4.3 Extension: with n/m still large, a third level of
         // aggregation pays off for small payloads.
-        let t = CollectiveTiming::new(World::azure(4096));
+        let t = ClusterModel::azure(4096);
         let s = 0.25 * MIB;
         let two = t.two_dh_time_impl(s, Protocol::Simple, A2aImpl::Msccl);
         let three = t.three_dh_time(s, Protocol::Simple, 16);
@@ -313,7 +341,7 @@ mod tests {
     fn three_dh_loses_for_large_messages() {
         // The extra copy + hop costs more than it saves once messages
         // already saturate the links.
-        let t = CollectiveTiming::new(World::azure(1024));
+        let t = ClusterModel::azure(1024);
         let s = 256.0 * MIB;
         let two = t.two_dh_time_impl(s, Protocol::Simple, A2aImpl::Msccl);
         let three = t.three_dh_time(s, Protocol::Simple, 16);
@@ -323,12 +351,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "does not divide")]
     fn three_dh_validates_grouping() {
-        CollectiveTiming::new(World::azure(64)).three_dh_time(1024.0, Protocol::Simple, 3);
+        ClusterModel::azure(64).three_dh_time(1024.0, Protocol::Simple, 3);
     }
 
     #[test]
     fn single_rank_collectives_are_free() {
-        let t = CollectiveTiming::new(World::azure(1));
+        let t = ClusterModel::azure(1);
         assert_eq!(t.linear_time(MIB, Protocol::Simple), 0.0);
         assert_eq!(t.all_gather_time(MIB, 1), 0.0);
     }
@@ -336,16 +364,9 @@ mod tests {
     #[test]
     fn busbw_declines_with_scale_for_fixed_size() {
         let s = MIB;
-        let bw64 = CollectiveTiming::new(World::azure(64)).bus_bandwidth(
-            AllToAllAlgo::Linear,
-            s,
-            Protocol::Simple,
-        );
-        let bw2048 = CollectiveTiming::new(World::azure(2048)).bus_bandwidth(
-            AllToAllAlgo::Linear,
-            s,
-            Protocol::Simple,
-        );
+        let bw64 = ClusterModel::azure(64).bus_bandwidth(AllToAllAlgo::Linear, s, Protocol::Simple);
+        let bw2048 =
+            ClusterModel::azure(2048).bus_bandwidth(AllToAllAlgo::Linear, s, Protocol::Simple);
         assert!(bw64 > 3.0 * bw2048, "bw64 {bw64} bw2048 {bw2048}");
     }
 }

@@ -14,9 +14,13 @@
 //! * [`pipeline`] — adaptive pipelining: token partitioning for
 //!   comm/compute overlap and the online strategy search of
 //!   Algorithm 2;
-//! * [`adaptive`] — the single-MoE-layer time simulator combining
-//!   Tutel kernels, Flexible All-to-All, adaptive pipelining, and
-//!   adaptive parallelism switching (the Figure 23 feature ladder);
+//! * [`cost`] — [`cost::ClusterModel`], the modelled A100/HDR cluster
+//!   every decision below is priced on (topology, link and kernel
+//!   models, and every collective's time);
+//! * [`adaptive`] — the inline parallelism router (P1/P2) and the
+//!   single-MoE-layer time simulator combining Tutel kernels, Flexible
+//!   All-to-All, adaptive pipelining, and adaptive parallelism
+//!   switching (the Figure 23 feature ladder);
 //! * [`model`] / [`data`] / [`trainer`] — SwinLite-MoE, a compact
 //!   MoE classifier trained end-to-end on synthetic clustered data,
 //!   standing in for SwinV2-MoE on ImageNet (see DESIGN.md for the
@@ -43,6 +47,7 @@ mod api;
 mod baseline;
 pub mod checkpoint;
 mod config;
+pub mod cost;
 pub mod data;
 mod layer;
 pub mod model;

@@ -419,7 +419,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use tutel_comm::runtime::run_threaded;
-    use tutel_simgpu::Topology;
+    use tutel_comm::Topology;
 
     /// Ragged per-chunk sends for one rank: the buffer for destination
     /// `d` in chunk `c` has `(rank + 2·d + 3·c) % 4` labeled elements,

@@ -11,8 +11,10 @@
 
 use std::collections::HashMap;
 
-use tutel_comm::{AllToAllAlgo, CollectiveTiming};
+use tutel_comm::AllToAllAlgo;
 use tutel_simgpu::{calib, Protocol, Seconds, StreamId, Timeline};
+
+use crate::cost::ClusterModel;
 
 /// One pipelining strategy: which All-to-All algorithm to run and how
 /// many capacity-dimension partitions to overlap.
@@ -108,7 +110,7 @@ impl LayerDims {
 /// necessary (Section 2.3).
 #[derive(Debug, Clone, Copy)]
 pub struct PipelineTimeModel {
-    timing: CollectiveTiming,
+    cluster: ClusterModel,
     /// Use Tutel's sparse encode/decode (vs the dense Fairseq einsum).
     pub sparse_kernels: bool,
     /// Use Flexible All-to-All output layout (vs the rigid
@@ -127,9 +129,9 @@ pub struct PipelineTimeModel {
 
 impl PipelineTimeModel {
     /// Creates a model with Tutel kernels and flexible layout enabled.
-    pub fn new(timing: CollectiveTiming) -> Self {
+    pub fn new(cluster: ClusterModel) -> Self {
         PipelineTimeModel {
-            timing,
+            cluster,
             sparse_kernels: true,
             flexible_layout: true,
             interference: true,
@@ -144,19 +146,13 @@ impl PipelineTimeModel {
         self
     }
 
-    /// The collective pricer in use.
-    pub fn timing(&self) -> &CollectiveTiming {
-        &self.timing
-    }
-
     /// Prices the pieces of one iteration under `strategy`: the
     /// prologue and one chunk of each partitioned stage, its All-to-All
     /// priced by the NCCL-style collectives.
     fn strategy_schedule(&self, dims: &LayerDims, strategy: PipelineStrategy) -> Schedule {
         let degree = strategy.degree.max(1);
-        let world = self.timing.world();
-        let w = world.size();
-        let gpu = world.gpu();
+        let w = self.cluster.size();
+        let gpu = self.cluster.gpu();
         let e_global = w * dims.local_experts;
 
         // Unpartitioned portions.
@@ -182,7 +178,7 @@ impl PipelineTimeModel {
             degree,
             gate,
             encode_decode,
-            a2a_once: self.timing.all_to_all_time(
+            a2a_once: self.cluster.all_to_all_time(
                 strategy.algo,
                 dims.a2a_bytes() / degree as f64,
                 Protocol::Simple,
@@ -210,7 +206,7 @@ impl PipelineTimeModel {
         } else {
             (world * de, (chunk_rows / (world * de)).max(1))
         };
-        let gpu = self.timing.world().gpu();
+        let gpu = self.cluster.gpu();
         gpu.gemm_time(batch, rows, m, v) + gpu.gemm_time(batch, rows, v, m)
     }
 
@@ -806,11 +802,10 @@ impl MeasuredStrategySearch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tutel_comm::World;
     use tutel_obs::Telemetry;
 
     fn model(world_size: usize) -> PipelineTimeModel {
-        PipelineTimeModel::new(CollectiveTiming::new(World::azure(world_size)))
+        PipelineTimeModel::new(ClusterModel::azure(world_size))
     }
 
     #[test]

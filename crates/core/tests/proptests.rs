@@ -1,8 +1,11 @@
 //! Property-based tests for the core crate: Algorithm 2's search is
-//! total and convergent, and the MoE layer is numerically robust under
-//! arbitrary (valid) dynamic knob settings.
+//! total and convergent, the MoE layer is numerically robust under
+//! arbitrary (valid) dynamic knob settings, and the parallelism
+//! router's choice is consistent with its own costs.
 
 use proptest::prelude::*;
+use tutel::adaptive::{InlineParallelismRouter, MoeDims};
+use tutel::cost::ClusterModel;
 use tutel::pipeline::{OnlineStrategySearch, PipelineStrategy};
 use tutel::{MoeConfig, MoeLayer};
 use tutel_obs::Telemetry;
@@ -88,5 +91,34 @@ proptest! {
         let x = rng.normal_tensor(&[tokens, 5], 0.0, 1.0);
         let out = layer.infer(&x).unwrap();
         prop_assert!(out.output.sq_norm().sqrt() <= 50.0 * (1.0 + x.sq_norm().sqrt()));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn router_choice_minimizes_its_own_costs(
+        experts in 1usize..9,
+        tokens_pow in 8u32..16,
+        f in 0.25f64..16.0,
+        hidden_pow in 10u32..14,
+    ) {
+        let router = InlineParallelismRouter::new(ClusterModel::azure(8));
+        let dims = MoeDims {
+            world: 8,
+            global_experts: experts,
+            tokens: 1 << tokens_pow,
+            k: 2,
+            capacity_factor: f,
+            model_dim: 2048,
+            hidden_dim: 1 << hidden_pow,
+            weight_precision: tutel_tensor::Precision::F32,
+        };
+        let choice = router.choose(&dims, &Telemetry::disabled());
+        let chosen = router.cost_of(choice, &dims);
+        prop_assert!(chosen <= router.p1_cost(&dims) + 1e-15);
+        prop_assert!(chosen <= router.p2_cost(&dims) + 1e-15);
+        prop_assert!(chosen > 0.0);
     }
 }

@@ -13,17 +13,18 @@
 //! * Switchable Expert + Data Parallelism (P1: all-gather parameters,
 //!   keep tokens put) and Switchable Expert + Model Parallelism (P2:
 //!   replicate tokens, keep parameter slices put) as executed on one
-//!   rank: [`rank_blocks`] builds the block(s) a strategy runs there,
-//!   [`shard_sum`] is P2's partial-output reduction;
-//! * [`InlineParallelismRouter`] — the O(1) cost-function router that
-//!   picks P1 or P2 each iteration from communication volume alone.
+//!   rank: [`Parallelism`] names the two, [`rank_blocks`] builds the
+//!   block(s) a strategy runs there, [`shard_sum`] is P2's
+//!   partial-output reduction.
+//!
+//! Which of the two to run is a priced decision, not part of moving
+//! tokens: the inline parallelism router that makes it lives in
+//! `tutel::adaptive`, on top of the cost model.
 
 mod ffn;
 mod placement;
-mod router;
 mod sharded;
 
 pub use ffn::ExpertsBlock;
 pub use placement::ExpertPlacement;
-pub use router::{InlineParallelismRouter, MoeDims, Parallelism};
-pub use sharded::{rank_blocks, shard_sum, ShardedExpertParams};
+pub use sharded::{rank_blocks, shard_sum, Parallelism, ShardedExpertParams};

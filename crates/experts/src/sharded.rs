@@ -12,7 +12,35 @@
 
 use tutel_tensor::{Precision, Rng, Tensor, TensorError};
 
-use crate::{ExpertsBlock, Parallelism};
+use crate::ExpertsBlock;
+
+/// Which switchable parallelism executes the expert.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Parallelism {
+    /// Expert + Data parallelism with ZeRO-sharded weights (Figure 11).
+    P1,
+    /// Expert + Model parallelism with replicated tokens (Figure 12).
+    P2,
+}
+
+impl Parallelism {
+    /// Short label for grids, reports and audit records.
+    pub fn label(&self) -> &'static str {
+        match self {
+            Parallelism::P1 => "P1",
+            Parallelism::P2 => "P2",
+        }
+    }
+}
+
+impl std::fmt::Display for Parallelism {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Parallelism::P1 => write!(f, "P1 (EP+DP)"),
+            Parallelism::P2 => write!(f, "P2 (EP+MP)"),
+        }
+    }
+}
 
 /// Expert parameters sharded across the `R` ranks of one replica group.
 ///
@@ -369,5 +397,12 @@ mod tests {
         let y1 = served(&bank, Parallelism::P1, 1, &rows);
         let y2 = served(&bank, Parallelism::P2, 1, &rows);
         assert_eq!(y1, y2);
+    }
+
+    #[test]
+    fn labels_are_the_grid_spelling() {
+        assert_eq!(Parallelism::P1.label(), "P1");
+        assert_eq!(Parallelism::P2.label(), "P2");
+        assert_eq!(Parallelism::P1.to_string(), "P1 (EP+DP)");
     }
 }

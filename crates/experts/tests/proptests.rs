@@ -1,13 +1,10 @@
 //! Property-based tests: P1/P2 equivalence over random shapes and the
-//! parallelism router's decision consistency.
+//! placement's expert ownership.
 
 use proptest::prelude::*;
-use tutel_comm::{CollectiveTiming, World};
 use tutel_experts::{
-    rank_blocks, shard_sum, ExpertPlacement, ExpertsBlock, InlineParallelismRouter, MoeDims,
-    Parallelism, ShardedExpertParams,
+    rank_blocks, shard_sum, ExpertPlacement, ExpertsBlock, Parallelism, ShardedExpertParams,
 };
-use tutel_obs::Telemetry;
 use tutel_tensor::Rng;
 
 proptest! {
@@ -80,30 +77,5 @@ proptest! {
                 prop_assert!(p.experts_on(r).contains(&e));
             }
         }
-    }
-
-    #[test]
-    fn router_choice_minimizes_its_own_costs(
-        experts in 1usize..9,
-        tokens_pow in 8u32..16,
-        f in 0.25f64..16.0,
-        hidden_pow in 10u32..14,
-    ) {
-        let router = InlineParallelismRouter::new(CollectiveTiming::new(World::azure(8)));
-        let dims = MoeDims {
-            world: 8,
-            global_experts: experts,
-            tokens: 1 << tokens_pow,
-            k: 2,
-            capacity_factor: f,
-            model_dim: 2048,
-            hidden_dim: 1 << hidden_pow,
-            weight_precision: tutel_tensor::Precision::F32,
-        };
-        let choice = router.choose(&dims, &Telemetry::disabled());
-        let chosen = router.cost_of(choice, &dims);
-        prop_assert!(chosen <= router.p1_cost(&dims) + 1e-15);
-        prop_assert!(chosen <= router.p2_cost(&dims) + 1e-15);
-        prop_assert!(chosen > 0.0);
     }
 }

@@ -21,13 +21,12 @@
 use tutel::overlap::exchange_bins;
 use tutel::step;
 use tutel_comm::runtime::Communicator;
-use tutel_comm::RankGroup;
+use tutel_comm::{RankGroup, Topology};
 use tutel_experts::{rank_blocks, shard_sum, ExpertsBlock};
 use tutel_gate::{aux_loss, RaggedRouting};
 use tutel_obs::trace::TRACK_MAIN;
 use tutel_obs::Telemetry;
 use tutel_rt::with_parallelism_limit;
-use tutel_simgpu::Topology;
 use tutel_tensor::Tensor;
 
 use crate::reference::{Fixture, Problem, RankResult};

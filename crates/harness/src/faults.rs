@@ -25,11 +25,10 @@ use std::time::{Duration, Instant};
 
 use tutel_comm::runtime::{run_threaded, Communicator};
 use tutel_comm::sched::run_sched;
-use tutel_comm::{CommError, FaultPlan, RankGroup, ReliableConfig, RetryPolicy};
+use tutel_comm::{CommError, FaultPlan, RankGroup, ReliableConfig, RetryPolicy, Topology};
 use tutel_obs::Telemetry;
 use tutel_serve::exec::{execute_step, reference_rows, StepExecutor};
 use tutel_serve::{ExecConfig, ServeError, ServeModel};
-use tutel_simgpu::Topology;
 use tutel_tensor::Tensor;
 
 use crate::reference::REF_THREADS;

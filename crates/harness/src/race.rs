@@ -17,10 +17,9 @@
 use tutel_check::explore::Finding;
 use tutel_check::race::analyze;
 use tutel_comm::runtime::run_threaded;
-use tutel_comm::{linear_all_to_all, AllToAllAlgo, RankBuffers};
+use tutel_comm::{linear_all_to_all, AllToAllAlgo, RankBuffers, Topology};
 use tutel_obs::Telemetry;
 use tutel_rt::chk;
-use tutel_simgpu::Topology;
 
 /// Outcome of one combined-surface run.
 #[derive(Debug)]

@@ -239,18 +239,18 @@ mod tests {
         // into `ExecConfig` as they are, and each executed probe's wall
         // time goes back into the search. The policies price a paper-
         // scale deployment; the plan runs on the threaded 2-rank world.
+        use tutel::adaptive::{InlineParallelismRouter, MoeDims};
+        use tutel::cost::ClusterModel;
         use tutel::pipeline::{LayerDims, MeasuredStrategySearch, PipelineTimeModel};
-        use tutel_comm::{CollectiveTiming, World};
-        use tutel_experts::{InlineParallelismRouter, MoeDims};
 
         let dims = ModelDims::small(2);
         let model = ServeModel::materialize(dims, 0xC0DE).unwrap();
         let batch = Rng::seed(3).normal_tensor(&[16, dims.model_dim], 0.0, 1.0);
         let reference = reference_rows(&model, &batch).unwrap();
 
-        let timing = CollectiveTiming::new(World::azure(8));
-        let router = InlineParallelismRouter::new(timing);
-        let mut search = MeasuredStrategySearch::new(0.25, PipelineTimeModel::new(timing));
+        let cluster = ClusterModel::azure(8);
+        let router = InlineParallelismRouter::new(cluster);
+        let mut search = MeasuredStrategySearch::new(0.25, PipelineTimeModel::new(cluster));
         let mut executed = std::collections::HashSet::new();
         // The router's crossover (Table 5a): P2 at f = 1, P1 at f = 16.
         for capacity_factor in [1.0, 16.0] {

@@ -22,10 +22,9 @@
 use std::thread;
 use std::time::Duration;
 
-use tutel_comm::{AllToAllAlgo, FaultPlan, RankGroup, ReliableConfig, RetryPolicy};
+use tutel_comm::{AllToAllAlgo, FaultPlan, RankGroup, ReliableConfig, RetryPolicy, Topology};
 use tutel_obs::trace::{TraceInvariants, TRACK_STREAM_COMM, TRACK_STREAM_COMPUTE};
 use tutel_obs::{analyze, Analysis, AnalyzerConfig, Telemetry, TraceEvent};
-use tutel_simgpu::Topology;
 
 use crate::dist::run_distributed;
 use crate::reference::Problem;

@@ -7,7 +7,7 @@
 //! tokens/step (3.7 GiB at 4 Ki tokens → 57.9 GiB at 32 Ki) while
 //! Tutel's stays `O(T·k·M)`.
 
-use tutel_simgpu::MemoryMeter;
+use std::fmt;
 
 /// Static model settings for the memory accounting.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -111,6 +111,93 @@ fn common_activations(mem: &mut MemoryMeter, s: &MemorySettings) {
     mem.alloc("expert_weights", s.local_experts as u64 * 2 * m * v * F32);
 }
 
+/// Tracks simulated device memory usage (current and peak).
+///
+/// Used to reproduce the paper's Table 4 (GPU memory cost of a single
+/// MoE layer: Fairseq's dense dispatch tensors vs Tutel's sparse
+/// encode), without a real allocator: producers call [`MemoryMeter::alloc`]
+/// for every tensor they would materialize on device and
+/// [`MemoryMeter::free`] when it dies.
+///
+/// # Example
+///
+/// ```
+/// use tutel_kernels::memory::MemoryMeter;
+///
+/// let mut mem = MemoryMeter::new();
+/// mem.alloc("activations", 1 << 20);
+/// mem.alloc("weights", 1 << 22);
+/// mem.free(1 << 20);
+/// assert_eq!(mem.current_bytes(), 1 << 22);
+/// assert_eq!(mem.peak_bytes(), (1 << 20) + (1 << 22));
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct MemoryMeter {
+    current: u64,
+    peak: u64,
+    allocations: Vec<(String, u64)>,
+}
+
+impl MemoryMeter {
+    /// Creates an empty meter.
+    pub fn new() -> Self {
+        MemoryMeter::default()
+    }
+
+    /// Records an allocation of `bytes`, labeled for breakdowns.
+    pub fn alloc(&mut self, label: &str, bytes: u64) {
+        self.current += bytes;
+        self.peak = self.peak.max(self.current);
+        self.allocations.push((label.to_string(), bytes));
+    }
+
+    /// Records a free of `bytes` (saturating at zero).
+    pub fn free(&mut self, bytes: u64) {
+        self.current = self.current.saturating_sub(bytes);
+    }
+
+    /// Bytes currently allocated.
+    pub fn current_bytes(&self) -> u64 {
+        self.current
+    }
+
+    /// High-water mark.
+    pub fn peak_bytes(&self) -> u64 {
+        self.peak
+    }
+
+    /// Peak usage in GiB.
+    pub fn peak_gib(&self) -> f64 {
+        self.peak as f64 / (1024.0 * 1024.0 * 1024.0)
+    }
+
+    /// All recorded allocations `(label, bytes)` in order.
+    pub fn allocations(&self) -> &[(String, u64)] {
+        &self.allocations
+    }
+
+    /// Sum of allocations whose label contains `substr`.
+    pub fn total_for(&self, substr: &str) -> u64 {
+        self.allocations
+            .iter()
+            .filter(|(l, _)| l.contains(substr))
+            .map(|(_, b)| *b)
+            .sum()
+    }
+}
+
+impl fmt::Display for MemoryMeter {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "memory: current {:.3} GiB, peak {:.3} GiB ({} allocations)",
+            self.current as f64 / (1024.0 * 1024.0 * 1024.0),
+            self.peak_gib(),
+            self.allocations.len()
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,5 +244,35 @@ mod tests {
         let s = MemorySettings::table4(16384);
         // E = 64, k = 2, f = 1: ΔC = 2·16384/64 = 512.
         assert_eq!(s.capacity(), 512);
+    }
+
+    #[test]
+    fn peak_tracks_high_water_mark() {
+        let mut m = MemoryMeter::new();
+        m.alloc("a", 100);
+        m.alloc("b", 50);
+        m.free(120);
+        m.alloc("c", 10);
+        assert_eq!(m.current_bytes(), 40);
+        assert_eq!(m.peak_bytes(), 150);
+    }
+
+    #[test]
+    fn free_saturates() {
+        let mut m = MemoryMeter::new();
+        m.alloc("a", 10);
+        m.free(100);
+        assert_eq!(m.current_bytes(), 0);
+    }
+
+    #[test]
+    fn label_totals() {
+        let mut m = MemoryMeter::new();
+        m.alloc("dispatch_input", 64);
+        m.alloc("dispatch_mask", 32);
+        m.alloc("weights", 8);
+        assert_eq!(m.total_for("dispatch"), 96);
+        assert_eq!(m.total_for("weights"), 8);
+        assert_eq!(m.total_for("nothing"), 0);
     }
 }

@@ -61,20 +61,19 @@
 use tutel::overlap::exchange_bins;
 use tutel::step;
 use tutel_comm::runtime::{Communicator, ReliableConfig};
-use tutel_comm::{AllToAllAlgo, RankGroup};
+use tutel_comm::{AllToAllAlgo, RankGroup, Topology};
 use tutel_experts::ExpertsBlock;
 use tutel_gate::{route, RaggedRouting, Router};
 use tutel_kernels::{fast_decode, fast_encode};
 use tutel_obs::Telemetry;
 use tutel_rt::with_parallelism_limit;
-use tutel_simgpu::Topology;
 use tutel_tensor::Tensor;
 
 use crate::model::ServeModel;
 use crate::request::ServeError;
 
 /// Expert-parallel strategy of the serving step — what
-/// [`tutel_experts::InlineParallelismRouter::choose`] returns.
+/// [`tutel::adaptive::InlineParallelismRouter::choose`] returns.
 pub use tutel_experts::Parallelism as Strategy;
 /// P1/P2 execution on one rank lives in `tutel_experts`.
 pub use tutel_experts::{rank_blocks, shard_sum};

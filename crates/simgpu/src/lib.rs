@@ -3,10 +3,15 @@
 //! The Tutel paper runs on Azure NDm A100 v4 clusters (8× A100 per node,
 //! 8× HDR InfiniBand NICs, NVLink/NVSwitch intra-node). No such hardware
 //! is reachable from a Rust test process, so this crate provides the
-//! closest synthetic equivalent: a *descriptive* cluster topology plus
-//! *calibrated analytic cost models* for the kernels and transfers the
-//! paper's adaptive mechanisms reason about, and a small discrete-event
+//! closest synthetic equivalent: *calibrated analytic cost models* for
+//! the kernels ([`GpuCostModel`]) and links ([`LinkModel`]) the paper's
+//! adaptive mechanisms reason about, and a small discrete-event
 //! timeline for multi-stream (compute/communication) scheduling.
+//!
+//! This crate is a leaf: it depends on no tutel crate, and only the
+//! pricing layer (`tutel::cost::ClusterModel`, which combines these
+//! models with a `tutel_comm::Topology`) and the paper-figure bench
+//! depend on it. Nothing on the data path does.
 //!
 //! All adaptive decisions in Tutel — parallelism switching, pipelining
 //! degree, All-to-All algorithm selection — depend only on the *relative
@@ -18,10 +23,8 @@
 //! # Example
 //!
 //! ```
-//! use tutel_simgpu::{Topology, GpuCostModel};
+//! use tutel_simgpu::GpuCostModel;
 //!
-//! let topo = Topology::new(4, 8); // 4 nodes × 8 GPUs
-//! assert_eq!(topo.world_size(), 32);
 //! let cost = GpuCostModel::a100();
 //! // A tall GEMM is far more efficient than a tiny-row batched GEMM.
 //! let tall = cost.gemm_time(1, 16384, 2048, 2048);
@@ -32,15 +35,11 @@
 pub mod calib;
 mod cost;
 mod link;
-mod memory;
 mod timeline;
-mod topology;
 
 pub use cost::GpuCostModel;
 pub use link::{fabric_contention, LinkModel, Protocol};
-pub use memory::MemoryMeter;
 pub use timeline::{EventId, StreamId, Timeline};
-pub use topology::Topology;
 
 /// Seconds, the unit of every cost model in this crate.
 pub type Seconds = f64;

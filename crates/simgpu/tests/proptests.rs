@@ -1,23 +1,10 @@
 //! Property-based tests for the simulator's structural invariants.
 
 use proptest::prelude::*;
-use tutel_simgpu::{GpuCostModel, LinkModel, Protocol, StreamId, Timeline, Topology};
+use tutel_simgpu::{GpuCostModel, LinkModel, Protocol, StreamId, Timeline};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn topology_rank_mapping_is_consistent(nnodes in 1usize..16, gpn in 1usize..16) {
-        let t = Topology::new(nnodes, gpn);
-        for rank in 0..t.world_size() {
-            let node = t.node_of(rank);
-            let local = t.local_rank(rank);
-            prop_assert!(node < nnodes);
-            prop_assert!(local < gpn);
-            prop_assert_eq!(node * gpn + local, rank);
-            prop_assert!(t.ranks_on_node(node).contains(&rank));
-        }
-    }
 
     #[test]
     fn effective_bandwidth_is_monotone_in_size(

@@ -12,10 +12,10 @@
 //! expert load, dropped tokens, stage durations, and every adaptive
 //! decision's candidates and winner — as one JSON object per line.
 
-use tutel_suite::comm::{CollectiveTiming, World};
-use tutel_suite::experts::{InlineParallelismRouter, MoeDims};
 use tutel_suite::obs::{StepRecord, Telemetry};
 use tutel_suite::tensor::Rng;
+use tutel_suite::tutel::adaptive::{InlineParallelismRouter, MoeDims};
+use tutel_suite::tutel::cost::ClusterModel;
 use tutel_suite::tutel::data::SyntheticVision;
 use tutel_suite::tutel::model::{cross_entropy, SwinLiteConfig, SwinLiteMoe};
 use tutel_suite::tutel::pipeline::{LayerDims, OnlineStrategySearch, PipelineTimeModel};
@@ -54,10 +54,10 @@ fn main() {
     let dataset = SyntheticVision::new(16, 16, 8, 16, 2);
 
     // The simulated execution environment: 64 GPUs, Figure 22-ish dims.
-    let timing = CollectiveTiming::new(World::azure(64));
-    let time_model = PipelineTimeModel::new(timing);
+    let cluster = ClusterModel::azure(64);
+    let time_model = PipelineTimeModel::new(cluster);
     let mut search = OnlineStrategySearch::new(0.5);
-    let par_router = InlineParallelismRouter::new(timing);
+    let par_router = InlineParallelismRouter::new(cluster);
 
     let mut data_rng = Rng::seed(3);
     println!("step  loss    f_needed  pipeline-strategy   parallelism  sim-time");

@@ -5,10 +5,9 @@
 //! Run with: `cargo run --example quickstart`
 
 use tutel_suite::comm::runtime::Communicator;
-use tutel_suite::comm::{flex::flex_all_to_all, run_threaded, AllToAllAlgo};
+use tutel_suite::comm::{flex::flex_all_to_all, run_threaded, AllToAllAlgo, Topology};
 use tutel_suite::gate::{route, RouteConfig};
 use tutel_suite::kernels::{fast_decode, fast_encode};
-use tutel_suite::simgpu::Topology;
 use tutel_suite::tensor::Rng;
 use tutel_suite::tutel::{MoeConfig, MoeLayer};
 

@@ -4,10 +4,10 @@
 //!
 //! Run with: `cargo run --release --example scale_out_simulation`
 
-use tutel_suite::comm::{A2aImpl, CollectiveTiming, World};
 use tutel_suite::obs::Telemetry;
 use tutel_suite::simgpu::Protocol;
 use tutel_suite::tutel::adaptive::{FeatureSet, MoeLayerSimulator};
+use tutel_suite::tutel::cost::{A2aImpl, ClusterModel};
 use tutel_suite::tutel::pipeline::LayerDims;
 
 fn main() {
@@ -19,9 +19,9 @@ fn main() {
         "GPUs", "linear", "2DH", "speedup"
     );
     for w in [64usize, 256, 1024, 2048, 4096] {
-        let timing = CollectiveTiming::new(World::azure(w));
-        let linear = timing.linear_time(MIB, Protocol::Simple);
-        let two_dh = timing.two_dh_time_impl(MIB, Protocol::Simple, A2aImpl::NcclApi);
+        let cluster = ClusterModel::azure(w);
+        let linear = cluster.linear_time(MIB, Protocol::Simple);
+        let two_dh = cluster.two_dh_time_impl(MIB, Protocol::Simple, A2aImpl::NcclApi);
         println!(
             "{w:>6} {:>10.2}ms {:>10.2}ms {:>8.1}x",
             linear * 1e3,
@@ -37,7 +37,7 @@ fn main() {
         "GPUs", "Fairseq", "+kernels", "+pipeline", "+flex A2A", "speedup"
     );
     for w in [16usize, 64, 256, 1024, 2048] {
-        let sim = MoeLayerSimulator::azure(w);
+        let sim = MoeLayerSimulator::new(ClusterModel::azure(w));
         let base = sim.step_time(
             &dims,
             FeatureSet::fairseq_baseline(),

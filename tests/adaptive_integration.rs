@@ -3,10 +3,11 @@
 //! the parallelism router must track the simulated crossover, and the
 //! feature ladder must hold end-to-end.
 
-use tutel_suite::comm::{CollectiveTiming, World};
-use tutel_suite::experts::{InlineParallelismRouter, MoeDims};
 use tutel_suite::obs::Telemetry;
-use tutel_suite::tutel::adaptive::{FeatureSet, MoeLayerSimulator};
+use tutel_suite::tutel::adaptive::{
+    FeatureSet, InlineParallelismRouter, MoeDims, MoeLayerSimulator,
+};
+use tutel_suite::tutel::cost::ClusterModel;
 use tutel_suite::tutel::pipeline::{
     LayerDims, OnlineStrategySearch, PipelineStrategy, PipelineTimeModel,
 };
@@ -27,7 +28,7 @@ fn online_search_converges_to_simulator_oracle() {
     // Drive Algorithm 2 with a wandering capacity factor; after the
     // exploration phase it must select the oracle strategy (the
     // simulator's argmin) for the factors it has seen.
-    let model = PipelineTimeModel::new(CollectiveTiming::new(World::azure(128)));
+    let model = PipelineTimeModel::new(ClusterModel::azure(128));
     let mut search = OnlineStrategySearch::new(0.5);
     // A periodic f schedule visiting two regimes.
     let schedule: Vec<f64> = (0..80)
@@ -53,7 +54,7 @@ fn online_search_converges_to_simulator_oracle() {
 
 #[test]
 fn online_search_explores_at_most_once_per_bucket() {
-    let model = PipelineTimeModel::new(CollectiveTiming::new(World::azure(64)));
+    let model = PipelineTimeModel::new(ClusterModel::azure(64));
     let mut search = OnlineStrategySearch::new(1.0);
     let mut tried = std::collections::HashMap::<PipelineStrategy, usize>::new();
     // All these factors land in one bucket of length 1.
@@ -79,7 +80,7 @@ fn online_search_explores_at_most_once_per_bucket() {
 
 #[test]
 fn parallelism_router_crossover_is_consistent_with_costs() {
-    let router = InlineParallelismRouter::new(CollectiveTiming::new(World::azure(8)));
+    let router = InlineParallelismRouter::new(ClusterModel::azure(8));
     let dims = |f: f64| MoeDims {
         world: 8,
         global_experts: 2,
@@ -107,7 +108,7 @@ fn parallelism_router_crossover_is_consistent_with_costs() {
 #[test]
 fn feature_ladder_holds_across_the_sweep() {
     for w in [16usize, 256, 2048] {
-        let sim = MoeLayerSimulator::azure(w);
+        let sim = MoeLayerSimulator::new(ClusterModel::azure(w));
         let dims = LayerDims::figure23();
         let ladder = FeatureSet::ladder();
         let mut last = f64::INFINITY;
@@ -128,7 +129,7 @@ fn final_speedups_are_in_the_papers_ballpark() {
     // Our calibrated simulator should land within ~2× of those.
     let dims = LayerDims::figure23();
     for (w, paper) in [(16usize, 4.96f64), (2048, 5.75)] {
-        let sim = MoeLayerSimulator::azure(w);
+        let sim = MoeLayerSimulator::new(ClusterModel::azure(w));
         let ours = sim.step_time(
             &dims,
             FeatureSet::fairseq_baseline(),

@@ -7,11 +7,10 @@
 //! its optimizations are transparent to the model: distribution changes
 //! time, never math.
 
-use tutel_suite::comm::{flex::flex_all_to_all, run_threaded, AllToAllAlgo};
+use tutel_suite::comm::{flex::flex_all_to_all, run_threaded, AllToAllAlgo, Topology};
 use tutel_suite::experts::ExpertsBlock;
 use tutel_suite::gate::{route, RouteConfig, Routing};
 use tutel_suite::kernels::{fast_decode, fast_encode};
-use tutel_suite::simgpu::Topology;
 use tutel_suite::tensor::{Rng, Tensor};
 
 struct RankState {

@@ -7,6 +7,7 @@ use tutel_suite::obs::json::Value;
 use tutel_suite::obs::{MergedTrace, Telemetry, TraceEvent};
 use tutel_suite::tensor::Rng;
 use tutel_suite::tutel::adaptive::{FeatureSet, MoeLayerSimulator};
+use tutel_suite::tutel::cost::ClusterModel;
 use tutel_suite::tutel::data::SyntheticVision;
 use tutel_suite::tutel::model::{SwinLiteConfig, SwinLiteMoe};
 use tutel_suite::tutel::pipeline::{LayerDims, PipelineStrategy};
@@ -18,7 +19,7 @@ use tutel_suite::tutel::MoeConfig;
 /// for every capacity factor in a sweep.
 #[test]
 fn audit_log_matches_exhaustive_strategy_search() {
-    let sim = MoeLayerSimulator::azure(64);
+    let sim = MoeLayerSimulator::new(ClusterModel::azure(64));
     let features = FeatureSet::kernels_pipelining();
     let tel = Telemetry::enabled();
     let factors = [0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0];

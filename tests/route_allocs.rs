@@ -39,8 +39,7 @@ use tutel_serve::{
     BatcherConfig, Engine, EngineConfig, ExecConfig, ModelDims, Request, ServeModel, ServiceModel,
     Strategy,
 };
-use tutel_suite::comm::{AllToAllAlgo, CollectiveTiming, World};
-use tutel_suite::experts::{InlineParallelismRouter, MoeDims};
+use tutel_suite::comm::AllToAllAlgo;
 use tutel_suite::gate::{route, RaggedRouting, RouteConfig};
 use tutel_suite::obs::trace::{FlowKind, Tracer, TRACK_COMM, TRACK_MAIN};
 use tutel_suite::obs::{Telemetry, TraceEvent};
@@ -49,7 +48,10 @@ use tutel_suite::tensor::{
     grouped_gemm_into, grouped_gemm_nt_into, grouped_gemm_tn, scratch, uniform_offsets, Precision,
     Rng,
 };
-use tutel_suite::tutel::adaptive::{FeatureSet, MoeLayerSimulator};
+use tutel_suite::tutel::adaptive::{
+    FeatureSet, InlineParallelismRouter, MoeDims, MoeLayerSimulator,
+};
+use tutel_suite::tutel::cost::ClusterModel;
 use tutel_suite::tutel::data::SyntheticVision;
 use tutel_suite::tutel::model::{cross_entropy, SwinLiteConfig, SwinLiteMoe};
 use tutel_suite::tutel::pipeline::{
@@ -295,7 +297,7 @@ fn disabled_instrumentation_and_warm_runtime_paths_are_exact_counts() {
     // nothing and allocate exactly what their own bookkeeping does:
     // `choose` nothing, `best_strategy` and `step_time` the pricing
     // timelines (44 and 48 per call), the searches their memos.
-    let timing = CollectiveTiming::new(World::azure(16));
+    let cluster = ClusterModel::azure(16);
     let moe_dims = MoeDims {
         world: 16,
         global_experts: 8,
@@ -306,7 +308,7 @@ fn disabled_instrumentation_and_warm_runtime_paths_are_exact_counts() {
         hidden_dim: 2048,
         weight_precision: Precision::F32,
     };
-    let router = InlineParallelismRouter::new(timing);
+    let router = InlineParallelismRouter::new(cluster);
     let (n, ()) = allocs_in(|| {
         for _ in 0..CALLS {
             black_box(router.choose(&moe_dims, &tel));
@@ -314,14 +316,14 @@ fn disabled_instrumentation_and_warm_runtime_paths_are_exact_counts() {
     });
     assert_eq!((n, tel.events().len()), (0, 0), "choose");
     let dims = LayerDims::figure23();
-    let model = PipelineTimeModel::new(timing);
+    let model = PipelineTimeModel::new(cluster);
     let (n, ()) = allocs_in(|| {
         for _ in 0..CALLS {
             black_box(model.best_strategy(&dims, &tel));
         }
     });
     assert_eq!((n, tel.events().len()), (44 * CALLS, 0), "best_strategy");
-    let sim = MoeLayerSimulator::new(timing);
+    let sim = MoeLayerSimulator::new(cluster);
     let (n, ()) = allocs_in(|| {
         for _ in 0..CALLS {
             black_box(sim.step_time(&dims, FeatureSet::full(), &tel));

@@ -6,12 +6,11 @@
 //! the single-process chain written out on the padded kernels.
 
 use tutel_suite::comm::runtime::run_threaded;
-use tutel_suite::comm::AllToAllAlgo;
+use tutel_suite::comm::{AllToAllAlgo, Topology};
 use tutel_suite::experts::ExpertsBlock;
 use tutel_suite::gate::{route, LinearRouter, RaggedRouting, RouteConfig, Router};
 use tutel_suite::kernels::{fast_decode, fast_encode};
 use tutel_suite::obs::Telemetry;
-use tutel_suite::simgpu::Topology;
 use tutel_suite::tensor::{Rng, Tensor};
 use tutel_suite::tutel::overlap::exchange_bins;
 use tutel_suite::tutel::step;
