@@ -76,6 +76,15 @@ echo "==> tanh port: all 2^32 inputs vs the host libm and every SIMD table's lan
 # an edge table plus every 65 537th pattern.
 cargo test -q --release -p tutel-tensor --lib -- --ignored tanh_port_matches_libm_and_simd_lanes_exhaustively
 
+echo "==> exp port: all 2^32 inputs vs the host libm and the AVX2 lanes"
+# Softmax's exp is a port of glibc 2.36's expf as its ifunc resolves on
+# an AVX2+FMA host (e_expf.c with four fused steps): on every bit
+# pattern the scalar port must equal f32::exp, and the 8-lane AVX2
+# body (which the AVX-512 table reuses) the scalar port. Release
+# build, minutes on 2 cores; the default suite runs an edge table plus
+# every 65 537th pattern and checks every table's exp_shift entry.
+cargo test -q --release -p tutel-tensor --lib -- --ignored exp_port_matches_libm_and_simd_lanes_exhaustively
+
 echo "==> GEMM tile edges: every small shape, every kernel table"
 # Every m ≤ 2·MR + 1 (13), n ≤ 2·WIDE_TILE_COLS + 1 (65) and k in
 # 0..=17 or either side of one and two KC panels: the three grouped
@@ -83,6 +92,15 @@ echo "==> GEMM tile edges: every small shape, every kernel table"
 # The default suite samples these edges by proptest; this enumerates
 # them (seconds in release).
 cargo test -q --release -p tutel-tensor --lib -- --ignored grouped_launches_match_across_simd_modes_on_every_tile_edge
+
+echo "==> split-k TN: every panel edge equals the unsplit launch at TUTEL_THREADS=1 and =4"
+# A grouped_gemm_tn bin longer than one KC panel runs each panel as its
+# own pool job into a -0.0-started partial, folded in panel order: the
+# reduction lengths 0, 1, KC - 1 .. 2·KC + 1 and 8192, alone and as
+# the bins of one launch, must equal the serial per-block reduction
+# bit for bit in every table, serial and on the pool.
+TUTEL_THREADS=1 cargo test -q --release -p tutel-tensor --lib -- --exact linalg::tests::split_k_tn_matches_the_unsplit_launch_bit_for_bit
+TUTEL_THREADS=4 cargo test -q --release -p tutel-tensor --lib -- --exact linalg::tests::split_k_tn_matches_the_unsplit_launch_bit_for_bit
 
 echo "==> determinism suite: TUTEL_SIMD={0,1} x TUTEL_THREADS={1,4}"
 # The kernel-table axis crossed with the pool axis: every cell of the
@@ -97,12 +115,18 @@ TUTEL_SIMD=1 TUTEL_THREADS=4 cargo test -q --test determinism
 TUTEL_SIMD=1 cargo test -q --test determinism -- --nocapture --exact tutel_simd_selects_the_kernel_table \
     | grep "kernel table:"
 
-echo "==> tensor + gate tests at TUTEL_THREADS=1 and =4 (row-chunked top-k)"
+echo "==> tensor + gate tests at TUTEL_THREADS=1 and =4 (row-chunked top-k, fused gate)"
 # `topk_last` runs its rows in fixed chunks on the pool, and `route`
 # takes its record from it: both crates' oracles (the full-sort top-k
 # and `naive_route`) must hold on the env-var path at either width.
+# `step::gate` takes softmax and top-k from the router's one launch
+# (the row-block epilogue of the logits GEMM): the fused-gate
+# differentials hold it to `logits -> softmax_last -> route` bit for
+# bit, errors included, at every kernel table.
 TUTEL_THREADS=1 cargo test -q -p tutel-tensor -p tutel-gate
 TUTEL_THREADS=4 cargo test -q -p tutel-tensor -p tutel-gate
+TUTEL_THREADS=1 cargo test -q -p tutel --lib -- step::tests::fused_gate
+TUTEL_THREADS=4 cargo test -q -p tutel --lib -- step::tests::fused_gate
 
 echo "==> resident rank group at TUTEL_THREADS=1 and =4"
 # comm::group: one parked thread per rank for the group's life (same

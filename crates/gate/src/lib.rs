@@ -25,4 +25,4 @@ pub use aux::{aux_loss, aux_loss_grad_row};
 pub use capacity::{expert_capacity, needed_capacity_factor, CapacityPolicy};
 pub use obs::observe_routing;
 pub use router::{CosineRouter, HashRouter, LinearRouter, Router};
-pub use routing::{route, RaggedRouting, RouteConfig, Routing};
+pub use routing::{route, route_top_k, RaggedRouting, RouteConfig, Routing};

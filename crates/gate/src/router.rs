@@ -4,7 +4,9 @@
 //! gradient), so a router's `step` is one [`Param::step`] per matrix
 //! and its parameter count is the sum of their lengths.
 
-use tutel_tensor::{grouped_gemm_tn, scratch, Param, Rng, Tensor, TensorError};
+use tutel_tensor::{grouped_gemm_tn, scratch, Param, Rng, Tensor, TensorError, TopK};
+
+use crate::routing::check_k;
 
 /// A gating router: maps token features `(T, C)` to expert logits
 /// `(T, E)`.
@@ -22,6 +24,28 @@ pub trait Router {
     ///
     /// Returns a [`TensorError`] if `x` has the wrong shape.
     fn logits(&self, x: &Tensor) -> Result<Tensor, TensorError>;
+
+    /// The gate forward in one launch: the probabilities `(T, E)` —
+    /// [`logits`](Self::logits) → [`Tensor::softmax_last`] — and each
+    /// row's top `k` of them as [`Tensor::topk_last`] returns it, every
+    /// bit equal to that unfused chain's, for
+    /// [`route_top_k`](crate::route_top_k). The default takes the
+    /// logits and runs [`Tensor::softmax_top_k_last`] over them in
+    /// place; [`LinearRouter`] runs the same per-row function inside
+    /// its logits GEMM's launch
+    /// ([`Tensor::matmul_softmax_top_k`]).
+    ///
+    /// # Errors
+    ///
+    /// [`route`](crate::route)'s error for a `k` outside `1..=E`, then
+    /// as [`logits`](Self::logits).
+    // check:hot
+    fn softmax_top_k(&self, x: &Tensor, k: usize) -> Result<(Tensor, TopK), TensorError> {
+        check_k(k, self.num_experts())?;
+        let mut probs = self.logits(x)?;
+        let top = probs.softmax_top_k_last(k)?;
+        Ok((probs, top))
+    }
 
     /// Backward pass: given `x` and `d_logits`, accumulates parameter
     /// gradients internally and returns `d_x`.
@@ -75,6 +99,14 @@ impl Router for LinearRouter {
 
     fn logits(&self, x: &Tensor) -> Result<Tensor, TensorError> {
         x.matmul(self.w.w())
+    }
+
+    /// `x · W` and the gate's row function in one launch
+    /// ([`Tensor::matmul_softmax_top_k`]).
+    // check:hot
+    fn softmax_top_k(&self, x: &Tensor, k: usize) -> Result<(Tensor, TopK), TensorError> {
+        check_k(k, self.num_experts())?;
+        x.matmul_softmax_top_k(self.w.w(), k)
     }
 
     // check:hot

@@ -6,7 +6,7 @@
 //! them in a fixed number of allocations, whatever `T`.
 
 use serde::{Deserialize, Serialize};
-use tutel_tensor::{uniform_offsets, Tensor, TensorError};
+use tutel_tensor::{uniform_offsets, Tensor, TensorError, TopK};
 
 use crate::{expert_capacity, needed_capacity_factor, CapacityPolicy};
 
@@ -288,6 +288,44 @@ impl RaggedRouting {
 /// ```
 // check:hot
 pub fn route(probs: &Tensor, cfg: &RouteConfig) -> Result<Routing, TensorError> {
+    let (tokens, experts) = dims_of(probs)?;
+    check(tokens, experts, cfg)?;
+    let top = probs.topk_last(cfg.k)?;
+    finish(probs, top, cfg)
+}
+
+/// [`route`] for probabilities whose per-token top-`cfg.k` was already
+/// taken — by a [`Router::softmax_top_k`](crate::Router::softmax_top_k)
+/// launch, in the order and bits [`Tensor::topk_last`] returns. The
+/// gates are then normalized, checked for NaN and granted capacity
+/// slots exactly as [`route`] does, so the two give equal records.
+///
+/// # Errors
+///
+/// As [`route`]; also a [`TensorError`] if `top` does not hold `k`
+/// experts below `E` and `k` gates per token.
+// check:hot
+pub fn route_top_k(probs: &Tensor, top: TopK, cfg: &RouteConfig) -> Result<Routing, TensorError> {
+    let (tokens, experts) = dims_of(probs)?;
+    check(tokens, experts, cfg)?;
+    let (expert, gate) = (&top.0, &top.1);
+    if expert.len() != tokens * cfg.k
+        || gate.len() != expert.len()
+        || expert.iter().any(|&e| e as usize >= experts)
+    {
+        return Err(TensorError::InvalidArgument(format!(
+            "top-{} selections ({} experts, {} gates) do not fit {tokens} tokens over \
+             {experts} experts",
+            cfg.k,
+            expert.len(),
+            gate.len()
+        )));
+    }
+    finish(probs, top, cfg)
+}
+
+/// `(T, E)` of a probabilities tensor, which must be rank 2.
+fn dims_of(probs: &Tensor) -> Result<(usize, usize), TensorError> {
     if probs.rank() != 2 {
         return Err(TensorError::RankMismatch {
             expected: 2,
@@ -295,13 +333,24 @@ pub fn route(probs: &Tensor, cfg: &RouteConfig) -> Result<Routing, TensorError> 
             op: "route",
         });
     }
-    let (tokens, experts) = (probs.dims()[0], probs.dims()[1]);
-    let k = cfg.k;
+    Ok((probs.dims()[0], probs.dims()[1]))
+}
+
+/// The error [`route`] returns for a `k` outside `1..=experts`.
+pub(crate) fn check_k(k: usize, experts: usize) -> Result<(), TensorError> {
     if k == 0 || k > experts {
         return Err(TensorError::InvalidArgument(format!(
             "top-k with k={k} over {experts} experts"
         )));
     }
+    Ok(())
+}
+
+/// [`route`]'s checks on its configuration, in order: `k`, the record's
+/// `u32` index range, a finite capacity factor.
+fn check(tokens: usize, experts: usize, cfg: &RouteConfig) -> Result<(), TensorError> {
+    let k = cfg.k;
+    check_k(k, experts)?;
     // Experts, slots and assignments are stored as `u32`, the last
     // value being the `DROPPED` / `UNOWNED` marker.
     if experts.max(tokens * k) >= u32::MAX as usize {
@@ -309,7 +358,6 @@ pub fn route(probs: &Tensor, cfg: &RouteConfig) -> Result<Routing, TensorError> 
             "{experts} experts or {tokens}·{k} assignments exceed u32"
         )));
     }
-
     if let CapacityPolicy::Fixed(f) | CapacityPolicy::AutoCapped(f) = cfg.capacity {
         if !f.is_finite() {
             return Err(TensorError::InvalidArgument(format!(
@@ -317,10 +365,17 @@ pub fn route(probs: &Tensor, cfg: &RouteConfig) -> Result<Routing, TensorError> 
             )));
         }
     }
+    Ok(())
+}
 
-    // The top-k lands in the record's own arrays; the gates are then
-    // normalized in place.
-    let (expert, mut gate) = probs.topk_last(k)?;
+/// Everything [`route`] does after the top-k, on checked inputs: the
+/// record takes the top-k arrays as its own, normalizes the gates in
+/// place, rejects a selected NaN gate, and walks the capacity slots.
+// check:hot
+fn finish(probs: &Tensor, top: TopK, cfg: &RouteConfig) -> Result<Routing, TensorError> {
+    let (tokens, experts) = (probs.dims()[0], probs.dims()[1]);
+    let k = cfg.k;
+    let (expert, mut gate) = top;
     let normalized = cfg.normalize_gates && k > 1;
     if normalized {
         for g in gate.chunks_mut(k) {
@@ -401,6 +456,25 @@ pub fn route(probs: &Tensor, cfg: &RouteConfig) -> Result<Routing, TensorError> 
 mod tests {
     use super::*;
     use tutel_tensor::Rng;
+
+    #[test]
+    fn route_top_k_equals_route_and_rejects_selections_that_do_not_fit() {
+        let mut rng = Rng::seed(41);
+        let probs = rng.uniform_tensor(&[9, 5], 0.0, 1.0).softmax_last();
+        let cfg = RouteConfig::top2().with_bpr(true);
+        let top = probs.topk_last(2).unwrap();
+        assert_eq!(
+            route_top_k(&probs, top.clone(), &cfg).unwrap(),
+            route(&probs, &cfg).unwrap()
+        );
+        let (mut experts, gates) = top.clone();
+        experts[3] = 5;
+        assert!(route_top_k(&probs, (experts, gates), &cfg).is_err());
+        let (experts, mut gates) = top.clone();
+        gates.pop();
+        assert!(route_top_k(&probs, (experts, gates), &cfg).is_err());
+        assert!(route_top_k(&probs, top, &RouteConfig::top1()).is_err());
+    }
 
     fn probs_preferring_expert0(tokens: usize, experts: usize) -> Tensor {
         let mut t = Tensor::zeros(&[tokens, experts]);

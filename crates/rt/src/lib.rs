@@ -8,7 +8,7 @@
 //!    available parallelism) and parked between jobs, replacing the
 //!    per-call `std::thread::scope` spawns the GEMM path used before.
 //!    The primitives — [`parallel_for`], [`parallel_chunks`],
-//!    [`parallel_ranges`] — share one **determinism contract**: chunk
+//!    [`parallel_ranges`], [`parallel_ranges_pair`] — share one **determinism contract**: chunk
 //!    boundaries are fixed functions of the problem shape (never of
 //!    the worker count), every chunk is executed exactly once by the
 //!    same serial kernel, and no two chunks share output elements.
@@ -39,6 +39,6 @@ pub mod pool;
 
 pub use arena::{arena, Arena, ArenaStats};
 pub use pool::{
-    parallel_chunks, parallel_for, parallel_ranges, pool_stats, with_parallelism_limit, PoolStats,
-    SameRanges,
+    parallel_chunks, parallel_for, parallel_ranges, parallel_ranges_pair, pool_stats,
+    with_parallelism_limit, PoolStats, SameRanges,
 };

@@ -475,6 +475,48 @@ pub fn parallel_ranges<T: Send>(
     });
 }
 
+/// [`parallel_ranges`] over two buffers in one job: range `i` of
+/// `ranges` lies in `first` for `i < split` and in `second` from
+/// `split` on, and `f(i, chunk)` runs once per range. Each half must be
+/// sorted, in bounds and non-overlapping in its buffer; if one is not,
+/// the call degrades to a serial loop over the valid ranges, as
+/// [`parallel_ranges`] does. A launch whose jobs write either the
+/// output or a scratch partial (a split reduction, say) so stays one
+/// pool job.
+pub fn parallel_ranges_pair<T: Send>(
+    first: &mut [T],
+    second: &mut [T],
+    ranges: &[(usize, usize)],
+    split: usize,
+    f: impl Fn(usize, &mut [T]) + Sync,
+) {
+    let split = split.min(ranges.len());
+    let valid = |rs: &[(usize, usize)], len: usize| {
+        rs.windows(2).all(|w| w[0].1 <= w[1].0) && rs.iter().all(|&(s, e)| s <= e && e <= len)
+    };
+    let (lo, hi) = ranges.split_at(split);
+    if !valid(lo, first.len()) || !valid(hi, second.len()) {
+        for (i, &(s, e)) in ranges.iter().enumerate() {
+            let data = if i < split { &mut *first } else { &mut *second };
+            if s <= e && e <= data.len() {
+                f(i, &mut data[s..e]);
+            }
+        }
+        return;
+    }
+    let bases = [SendPtr(first.as_mut_ptr()), SendPtr(second.as_mut_ptr())];
+    global().run(ranges.len(), usize::MAX, &|i| {
+        let (s, e) = ranges[i];
+        let base = &bases[usize::from(i >= split)];
+        // SAFETY: each half's ranges are validated sorted/non-overlapping/
+        // in-bounds in its own buffer above, the buffers are distinct
+        // `&mut` borrows, and each index `i` is executed exactly once, so
+        // this `&mut` sub-slice aliases nothing.
+        let chunk = unsafe { std::slice::from_raw_parts_mut(base.get().add(s), e - s) };
+        f(i, chunk);
+    });
+}
+
 /// Buffers written *beside* a primary one from inside pool chunks:
 /// [`split`](Self::split) trades a chunk `&mut primary[s..e]` for the
 /// chunk plus `&mut other[s..e]` of every other buffer. A chunk job of
@@ -503,7 +545,11 @@ pub struct SameRanges<'a, T, const N: usize, P = T> {
     /// Address and element length of the primary buffer.
     base: usize,
     len: usize,
-    /// The other buffers, each `len` long, borrowed for `'a`.
+    /// Elements per row of the primary and of every other buffer.
+    primary_row: usize,
+    other_row: usize,
+    /// The other buffers, each `other_row` elements per primary row,
+    /// borrowed for `'a`.
     others: [*mut T; N],
     _borrow: std::marker::PhantomData<&'a mut [T]>,
     /// Only the primary's address is kept, never its elements.
@@ -529,17 +575,44 @@ impl<'a, T, const N: usize, P> SameRanges<'a, T, N, P> {
     /// If an `others` buffer's length differs from `primary`'s, or `T`
     /// or `P` is zero-sized.
     pub fn new(primary: &[P], others: [&'a mut [T]; N]) -> Self {
+        Self::with_rows(primary, 1, others, 1)
+    }
+
+    /// Pairs `others` with `primary` row by row: the primary holds rows
+    /// of `primary_row` elements and each other buffer rows of
+    /// `other_row`, so [`split`](Self::split) trades a chunk of whole
+    /// primary rows for the same rows of every other buffer — a block
+    /// of `(T, E)` probabilities for its `(T, k)` top-k slots, say.
+    ///
+    /// # Panics
+    ///
+    /// If `primary_row` is zero or does not divide `primary`'s length,
+    /// if an `others` buffer does not hold `other_row` elements per
+    /// primary row, or if `T` or `P` is zero-sized.
+    pub fn with_rows(
+        primary: &[P],
+        primary_row: usize,
+        others: [&'a mut [T]; N],
+        other_row: usize,
+    ) -> Self {
         assert!(
             std::mem::size_of::<T>() > 0 && std::mem::size_of::<P>() > 0,
             "SameRanges needs sized elements"
         );
         assert!(
-            others.iter().all(|o| o.len() == primary.len()),
-            "SameRanges buffers must all have the primary's length"
+            primary_row > 0 && primary.len().is_multiple_of(primary_row),
+            "SameRanges: the primary is not whole rows of {primary_row}"
+        );
+        let rows = primary.len() / primary_row;
+        assert!(
+            others.iter().all(|o| o.len() == rows * other_row),
+            "SameRanges buffers must all hold the primary's rows"
         );
         SameRanges {
             base: primary.as_ptr() as usize,
             len: primary.len(),
+            primary_row,
+            other_row,
             others: others.map(|o| o.as_mut_ptr()),
             _borrow: std::marker::PhantomData,
             _primary: std::marker::PhantomData,
@@ -547,11 +620,12 @@ impl<'a, T, const N: usize, P> SameRanges<'a, T, N, P> {
     }
 
     /// `chunk`, a sub-slice of the primary buffer, back along with
-    /// every other buffer's elements over the same range.
+    /// every other buffer's elements over the same rows.
     ///
     /// # Panics
     ///
-    /// If a non-empty `chunk` does not lie on the primary's elements.
+    /// If a non-empty `chunk` does not lie on the primary's elements or
+    /// is not whole rows of it.
     pub fn split<'c>(&'c self, chunk: &'c mut [P]) -> (&'c mut [P], [&'c mut [T]; N]) {
         if chunk.is_empty() {
             return (chunk, std::array::from_fn(|_| <&mut [T]>::default()));
@@ -563,12 +637,22 @@ impl<'a, T, const N: usize, P> SameRanges<'a, T, N, P> {
             offset.is_multiple_of(size) && start <= self.len && chunk.len() <= self.len - start,
             "SameRanges::split: the chunk is not part of the primary buffer"
         );
+        let row = self.primary_row;
+        assert!(
+            start.is_multiple_of(row) && chunk.len().is_multiple_of(row),
+            "SameRanges::split: the chunk is not whole rows of {row}"
+        );
+        let (first, len) = (
+            start / row * self.other_row,
+            chunk.len() / row * self.other_row,
+        );
         let others = self.others.map(|p| {
-            // SAFETY: in bounds by the check above, in a buffer `'a`
-            // keeps borrowed; exclusive because `chunk` is a live `&mut`
-            // over the same range of the primary for `'c` and no other
-            // live chunk overlaps it, so no other `split` hands it out.
-            unsafe { std::slice::from_raw_parts_mut(p.add(start), chunk.len()) }
+            // SAFETY: in bounds by the checks above and in `with_rows`,
+            // in a buffer `'a` keeps borrowed; exclusive because `chunk`
+            // is a live `&mut` over the same rows of the primary for `'c`
+            // and no other live chunk overlaps them, so no other `split`
+            // hands them out.
+            unsafe { std::slice::from_raw_parts_mut(p.add(first), len) }
         });
         (chunk, others)
     }
@@ -686,6 +770,58 @@ mod tests {
         let (mut other, mut stranger) = (vec![0u8; 8], vec![0u8; 8]);
         let beside = SameRanges::new(&primary, [&mut other]);
         beside.split(&mut stranger[2..4]);
+    }
+
+    #[test]
+    fn same_ranges_by_rows_hands_each_chunk_its_rows() {
+        // Rows of 5 in the primary, of 2 beside it: a chunk of primary
+        // rows 3..7 gets rows 3..7 of the other buffer.
+        let mut primary: Vec<f32> = (0..50).map(|v| v as f32).collect();
+        let mut slots = vec![0u32; 20];
+        {
+            let beside = SameRanges::with_rows(&primary, 5, [&mut slots], 2);
+            parallel_ranges(&mut primary, &[(0, 15), (15, 35)], |_, chunk| {
+                let (chunk, [slots]) = beside.split(chunk);
+                assert_eq!(slots.len(), chunk.len() / 5 * 2);
+                for (row, two) in chunk.chunks(5).zip(slots.chunks_mut(2)) {
+                    two.fill(row[0] as u32 / 5);
+                }
+            });
+        }
+        let want: Vec<u32> = (0..20).map(|i| if i < 14 { i / 2 } else { 0 }).collect();
+        assert_eq!(slots, want);
+    }
+
+    #[test]
+    #[should_panic(expected = "not whole rows")]
+    fn same_ranges_by_rows_rejects_a_partial_row() {
+        let mut primary = vec![0u8; 12];
+        let mut other = vec![0u8; 4];
+        let beside = SameRanges::with_rows(&primary, 3, [&mut other], 1);
+        beside.split(&mut primary[3..5]);
+    }
+
+    #[test]
+    fn ranges_pair_runs_each_range_once_in_its_own_buffer() {
+        let (mut first, mut second) = (vec![0u32; 10], vec![0u32; 6]);
+        let ranges = [(0, 4), (4, 10), (0, 2), (2, 6)];
+        parallel_ranges_pair(&mut first, &mut second, &ranges, 2, |i, chunk| {
+            chunk.iter_mut().for_each(|v| *v += i as u32 + 1);
+        });
+        assert_eq!(first, [1, 1, 1, 1, 2, 2, 2, 2, 2, 2]);
+        assert_eq!(second, [3, 3, 4, 4, 4, 4]);
+        // An overlap in one half degrades to the serial loop.
+        parallel_ranges_pair(
+            &mut first,
+            &mut second,
+            &[(0, 3), (2, 4), (0, 6)],
+            2,
+            |_, c| {
+                c.iter_mut().for_each(|v| *v += 10);
+            },
+        );
+        assert_eq!(first[..5], [11, 11, 21, 11, 2]);
+        assert_eq!(second, [13, 13, 14, 14, 14, 14]);
     }
 
     #[test]

@@ -28,7 +28,10 @@
 //!    availability is part of the detection gate (both SIMD tables are
 //!    only installed on AVX2+FMA hosts, matching how real deployments
 //!    ship one fat binary) but the instruction is deliberately never
-//!    used where it would change results.
+//!    used where it would change results. The one place it is used is
+//!    inside a transcendental whose definition fuses (rule 4's `exp`):
+//!    there the scalar body fuses the very same steps with `mul_add`,
+//!    which is exact on every host, and nothing is accumulated.
 //! 2. **Lane-for-lane identical data flow.** A vector `add`/`mul`/
 //!    `div`/`max` is the same IEEE operation per lane as the scalar
 //!    loop it replaces, so any kernel that is already lane-parallel
@@ -53,8 +56,16 @@
 //!    blend for the selects). The port equals glibc 2.36's `tanhf` on
 //!    all 2³² inputs, so digests pinned against that libm keep their
 //!    bits, and no digest depends on the host's libm any more:
-//!    elsewhere, the port is the definition. (Softmax's `exp` is still
-//!    a libm call, scalar in every table.)
+//!    elsewhere, the port is the definition. Softmax's `exp` is
+//!    `dispatch::exp`, a branch-free port of glibc 2.36's `e_expf.c` as
+//!    its ifunc resolves on an AVX2+FMA host (`__expf_fma`): `f64`
+//!    arithmetic with exactly the four fused steps that build contracts
+//!    (`InvLn2N·x − kd`, `C0·r + C1`, `C2·r + 1`, `z·r² + y`), a
+//!    32-entry table of `2^(i/32)`, and the `|x| ≥ 88` filter selected
+//!    last. Its 8-lane twin (two 4-lane `f64` halves, the table read by
+//!    `gather`) is the AVX2 table's `exp_shift` entry, which the
+//!    AVX-512 table reuses; both equal `f32::exp` on all 2³² inputs on
+//!    such a host.
 //!
 //! Mode selection: `TUTEL_SIMD=0` forces scalar, unset or `1` uses the
 //! widest table the host has (read once); [`set_simd_override`] flips
@@ -124,6 +135,8 @@ pub type AddAssignFn = fn(&[f32], &mut [f32]);
 pub type RowReduceFn = fn(&[f32]) -> f32;
 /// `row[i] /= denom`.
 pub type DivAssignFn = fn(&mut [f32], f32);
+/// `row[i] ← exp(row[i] − shift)`; see [`KernelTable::exp_shift`].
+pub type ExpShiftFn = fn(&mut [f32], f32);
 /// In-place rounding of every element to its nearest bf16 value.
 pub type Bf16RoundFn = fn(&mut [f32]);
 /// GELU in place, `h[i] ← gelu(h[i])`; see [`KernelTable::gelu`].
@@ -166,6 +179,10 @@ pub struct KernelTable {
     pub row_sum: RowReduceFn,
     /// Lanewise `row[i] /= denom`.
     pub div_assign: DivAssignFn,
+    /// Lanewise `row[i] ← exp(row[i] − shift)`, the softmax numerator:
+    /// the difference rounded to `f32`, then the ported `exp` (rule
+    /// 4).
+    pub exp_shift: ExpShiftFn,
     /// In-place round-to-nearest-even to the bf16 grid
     /// ([`bf16_round_one`] per element).
     pub bf16_round: Bf16RoundFn,
@@ -190,6 +207,7 @@ static SCALAR_TABLE: KernelTable = KernelTable {
     row_max: scalar::row_max,
     row_sum: scalar::row_sum,
     div_assign: scalar::div_assign,
+    exp_shift: scalar::exp_shift,
     bf16_round: scalar::bf16_round,
     gelu: scalar::gelu,
     gelu_backward: scalar::gelu_backward,
@@ -275,15 +293,13 @@ pub fn with_simd_mode<R>(force: Option<bool>, f: impl FnOnce() -> R) -> R {
 /// [`with_simd_mode`] pinned to one table: `mode`, or the widest the
 /// host has below it. The differential tests run every table the host
 /// has through this.
-#[cfg(test)]
-pub(crate) fn with_kernel_mode<R>(mode: SimdMode, f: impl FnOnce() -> R) -> R {
+pub fn with_kernel_mode<R>(mode: SimdMode, f: impl FnOnce() -> R) -> R {
     with_override(pin(mode), f)
 }
 
 /// Scalar, then every SIMD mode the host has: the tables a
 /// differential test compares.
-#[cfg(test)]
-pub(crate) fn kernel_modes() -> impl Iterator<Item = SimdMode> {
+pub fn kernel_modes() -> impl Iterator<Item = SimdMode> {
     std::iter::once(SimdMode::Scalar).chain(simd_modes().iter().copied())
 }
 
@@ -420,6 +436,97 @@ pub(crate) fn tanh(x: f32) -> f32 {
     // |x| < 2⁻⁵⁵, ±0 included.
     let z = select(ix < 0x2400_0000, x * (1.0 + x), z);
     select(ix > 0x7f80_0000, x + x, z)
+}
+
+/// `e_expf.c`'s `2^(i/32)` table, as `bits(2^(i/32)) − (i << 47)`: adding
+/// `k << 47` for `k ≡ i (mod 32)` gives `2^(k/32)`'s bits.
+const EXP2_TAB: [u64; 32] = [
+    0x3ff0_0000_0000_0000,
+    0x3fef_d9b0_d315_8574,
+    0x3fef_b558_6cf9_890f,
+    0x3fef_9301_d012_5b51,
+    0x3fef_72b8_3c7d_517b,
+    0x3fef_5487_3168_b9aa,
+    0x3fef_387a_6e75_6238,
+    0x3fef_1e9d_f51f_dee1,
+    0x3fef_06fe_0a31_b715,
+    0x3fee_f1a7_373a_a9cb,
+    0x3fee_dea6_4c12_3422,
+    0x3fee_ce08_6061_892d,
+    0x3fee_bfda_d536_2a27,
+    0x3fee_b42b_569d_4f82,
+    0x3fee_ab07_dd48_5429,
+    0x3fee_a47e_b03a_5585,
+    0x3fee_a09e_667f_3bcd,
+    0x3fee_9f75_e8ec_5f74,
+    0x3fee_a114_73eb_0187,
+    0x3fee_a589_994c_ce13,
+    0x3fee_ace5_422a_a0db,
+    0x3fee_b737_b0cd_c5e5,
+    0x3fee_c491_82a3_f090,
+    0x3fee_d503_b23e_255d,
+    0x3fee_e89f_995a_d3ad,
+    0x3fee_ff76_f2fb_5e47,
+    0x3fef_199b_dd85_529c,
+    0x3fef_3720_dcef_9069,
+    0x3fef_5818_dcfb_a487,
+    0x3fef_7c97_337b_9b5f,
+    0x3fef_a4af_a2a4_90da,
+    0x3fef_d076_5b6e_4540,
+];
+/// `32 / ln 2`: `x · EXP_INV_LN2_N = k + r` splits `exp(x) = 2^(k/32) · 2^(r/32)`.
+const EXP_INV_LN2_N: f64 = f64::from_bits(0x4047_1547_652b_82fe);
+/// `1.5 · 2⁵²`: adding it rounds a double to an integer in its low bits.
+const EXP_SHIFT: f64 = f64::from_bits(0x4338_0000_0000_0000);
+/// `e_expf.c`'s scaled `2^(r/32)` polynomial, `C0·r³ + C1·r² + C2·r + 1`.
+const EXP_C: [f64; 3] = [
+    f64::from_bits(0x3ebc_6af8_4b91_2394),
+    f64::from_bits(0x3f2e_bfce_50fa_c4f3),
+    f64::from_bits(0x3f96_2e42_ff0c_52d6),
+];
+/// `x` above this (`0x1.62e42ep6`, `ln 2¹²⁸`) overflows to `+inf`.
+const EXP_OFLOW: f32 = f32::from_bits(0x42b1_7217);
+/// `x` below this (`-0x1.9fe368p6`, `ln 2⁻¹⁵⁰`) underflows to `+0`.
+const EXP_UFLOW: f32 = f32::from_bits(0xc2cf_f1b4);
+/// `x` below this (`-0x1.9d1d9ep6`, `ln 2⁻¹⁴⁹`) rounds to the least
+/// subnormal, glibc's `__math_may_uflowf` result.
+const EXP_MAY_UFLOW: f32 = f32::from_bits(0xc2ce_8ecf);
+
+/// `exp(x)`, bit-identical to glibc 2.36's `expf` as its ifunc resolves
+/// on an AVX2+FMA host (`__expf_fma`: `e_expf.c` compiled with FMA
+/// contraction) on every `f32` — the [module-level](self) rule 4. The
+/// body runs in `f64` like the C source, and exactly its four
+/// contracted steps are fused here: `r = InvLn2N·x − kd`, `C0·r + C1`,
+/// `C2·r + 1` and `z·r² + y`. Those fusions define the transcendental;
+/// nothing is accumulated, so rule 1 does not apply. Branch-free: the
+/// special inputs are selected after the main path, which the 8-lane
+/// twin mirrors with `blendv`. `f64::mul_add` is exact on every host,
+/// so the scalar body is the same function with or without FMA
+/// hardware.
+#[inline(always)]
+pub(crate) fn exp(x: f32) -> f32 {
+    let xd = f64::from(x);
+    // x·N/ln2 = k + r, |r| ≤ 1/2: `kd` is z rounded to an integer, whose
+    // bits `ki` carry k in their low half.
+    let z = EXP_INV_LN2_N * xd;
+    let kd = z + EXP_SHIFT;
+    let ki = kd.to_bits();
+    let kd = kd - EXP_SHIFT;
+    let r = EXP_INV_LN2_N.mul_add(xd, -kd);
+    // 2^(k/N) from the table entry of k mod N, k/N added to its exponent.
+    let s = f64::from_bits(EXP2_TAB[(ki % 32) as usize].wrapping_add(ki << 47));
+    let [c0, c1, c2] = EXP_C;
+    let z = c0.mul_add(r, c1);
+    let r2 = r * r;
+    let y = c2.mul_add(r, 1.0);
+    let y = z.mul_add(r2, y);
+    let e = (y * s) as f32;
+    // glibc's |x| ≥ 88 filter, lowest priority first.
+    let e = select(x < EXP_MAY_UFLOW, f32::from_bits(1), e);
+    let e = select(x < EXP_UFLOW, 0.0, e);
+    let e = select(x > EXP_OFLOW, f32::INFINITY, e);
+    let e = select(x.to_bits() & 0x7fff_ffff >= 0x7f80_0000, x + x, e);
+    select(x == f32::NEG_INFINITY, 0.0, e)
 }
 
 /// `expm1(y)` (`s_expm1f.c`) on the arguments [`tanh`] selects:
@@ -588,6 +695,12 @@ mod scalar {
         }
     }
 
+    pub(super) fn exp_shift(row: &mut [f32], shift: f32) {
+        for v in row.iter_mut() {
+            *v = super::exp(*v - shift);
+        }
+    }
+
     pub(super) fn bf16_round(data: &mut [f32]) {
         for v in data.iter_mut() {
             *v = super::bf16_round_one(*v);
@@ -627,19 +740,24 @@ mod scalar {
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::{
-        max_lanes_tree, maxps, sum_lanes_tree, KernelTable, SimdMode, DOT_COLS, DOT_ROWS, EXPM1_Q,
-        INV_LN2, LN2_HI, LN2_LO, MR, NR, TILE_COLS,
+        max_lanes_tree, maxps, sum_lanes_tree, KernelTable, SimdMode, DOT_COLS, DOT_ROWS, EXP2_TAB,
+        EXPM1_Q, EXP_C, EXP_INV_LN2_N, EXP_MAY_UFLOW, EXP_OFLOW, EXP_SHIFT, EXP_UFLOW, INV_LN2,
+        LN2_HI, LN2_LO, MR, NR, TILE_COLS,
     };
     use crate::ops::{gelu_derivative, gelu_scalar, GELU_CUBIC, SQRT_2_OVER_PI};
     use core::arch::x86_64::{
-        __m256, __m256i, _mm256_add_epi32, _mm256_add_ps, _mm256_and_ps, _mm256_and_si256,
-        _mm256_blendv_epi8, _mm256_blendv_ps, _mm256_castps_si256, _mm256_castsi256_ps,
-        _mm256_cmpeq_epi32, _mm256_cmpgt_epi32, _mm256_cvtepi32_ps, _mm256_cvttps_epi32,
-        _mm256_div_ps, _mm256_loadu_ps, _mm256_loadu_si256, _mm256_max_ps, _mm256_mul_ps,
-        _mm256_or_si256, _mm256_set1_epi32, _mm256_set1_ps, _mm256_setzero_ps,
-        _mm256_setzero_si256, _mm256_slli_epi32, _mm256_srai_epi32, _mm256_srli_epi32,
-        _mm256_srlv_epi32, _mm256_storeu_ps, _mm256_storeu_si256, _mm256_sub_epi32, _mm256_sub_ps,
-        _mm256_xor_ps,
+        __m256, __m256d, __m256i, _mm256_add_epi32, _mm256_add_epi64, _mm256_add_pd, _mm256_add_ps,
+        _mm256_and_ps, _mm256_and_si256, _mm256_blendv_epi8, _mm256_blendv_ps, _mm256_castpd_si256,
+        _mm256_castps256_ps128, _mm256_castps_si256, _mm256_castsi256_pd, _mm256_castsi256_ps,
+        _mm256_cmp_ps, _mm256_cmpeq_epi32, _mm256_cmpgt_epi32, _mm256_cvtepi32_ps, _mm256_cvtpd_ps,
+        _mm256_cvtps_pd, _mm256_cvttps_epi32, _mm256_div_ps, _mm256_extractf128_ps,
+        _mm256_fmadd_pd, _mm256_fmsub_pd, _mm256_i64gather_epi64, _mm256_loadu_ps,
+        _mm256_loadu_si256, _mm256_max_ps, _mm256_mul_pd, _mm256_mul_ps, _mm256_or_si256,
+        _mm256_set1_epi32, _mm256_set1_epi64x, _mm256_set1_pd, _mm256_set1_ps, _mm256_set_m128,
+        _mm256_setzero_ps, _mm256_setzero_si256, _mm256_slli_epi32, _mm256_slli_epi64,
+        _mm256_srai_epi32, _mm256_srli_epi32, _mm256_srlv_epi32, _mm256_storeu_ps,
+        _mm256_storeu_si256, _mm256_sub_epi32, _mm256_sub_pd, _mm256_sub_ps, _mm256_xor_ps,
+        _CMP_GT_OQ, _CMP_LT_OQ,
     };
 
     pub(super) static TABLE: KernelTable = KernelTable {
@@ -652,6 +770,7 @@ mod avx2 {
         row_max,
         row_sum,
         div_assign,
+        exp_shift,
         bf16_round,
         gelu,
         gelu_backward,
@@ -954,6 +1073,108 @@ mod avx2 {
         for v in &mut row[blocks * NR..] {
             *v /= denom;
         }
+    }
+
+    pub(super) fn exp_shift(row: &mut [f32], shift: f32) {
+        // SAFETY: reachable only through the detection-gated tables.
+        unsafe { exp_shift_body(row, shift) }
+    }
+
+    /// # Safety
+    ///
+    /// Requires AVX2+FMA (guaranteed by the dispatch table's detection
+    /// gate).
+    #[target_feature(enable = "avx2,fma")]
+    // SAFETY: `target_feature` makes this fn unsafe-to-call; the only
+    // caller is the detection-gated wrapper above.
+    unsafe fn exp_shift_body(row: &mut [f32], shift: f32) {
+        let blocks = row.len() / NR;
+        // Lanewise IEEE subtract, then the ported `exp` on 8 lanes.
+        let sv = _mm256_set1_ps(shift);
+        for c in 0..blocks {
+            let e = exp8(_mm256_sub_ps(load8(row, c * NR), sv));
+            store8(row, c * NR, e);
+        }
+        for v in &mut row[blocks * NR..] {
+            *v = super::exp(*v - shift);
+        }
+    }
+
+    /// [`super::exp`] on 8 lanes: the `f64` main path on two halves of
+    /// 4, then the special inputs selected with `blendv`, in the same
+    /// order.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2+FMA.
+    #[target_feature(enable = "avx2,fma")]
+    // SAFETY: `target_feature` makes this fn unsafe-to-call; callers
+    // are themselves AVX2+FMA-gated bodies. Register-only arithmetic
+    // plus the in-bounds table gather of `exp4d`.
+    unsafe fn exp8(x: __m256) -> __m256 {
+        let lo = _mm256_cvtpd_ps(exp4d(_mm256_cvtps_pd(_mm256_castps256_ps128(x))));
+        let hi = _mm256_cvtpd_ps(exp4d(_mm256_cvtps_pd(_mm256_extractf128_ps::<1>(x))));
+        let mut e = _mm256_set_m128(hi, lo);
+        let bits = _mm256_castps_si256(x);
+        let abs = _mm256_and_si256(bits, _mm256_set1_epi32(0x7fff_ffff));
+        let picks = [
+            (
+                _mm256_set1_ps(f32::from_bits(1)),
+                _mm256_cmp_ps::<_CMP_LT_OQ>(x, _mm256_set1_ps(EXP_MAY_UFLOW)),
+            ),
+            (
+                _mm256_setzero_ps(),
+                _mm256_cmp_ps::<_CMP_LT_OQ>(x, _mm256_set1_ps(EXP_UFLOW)),
+            ),
+            (
+                _mm256_set1_ps(f32::INFINITY),
+                _mm256_cmp_ps::<_CMP_GT_OQ>(x, _mm256_set1_ps(EXP_OFLOW)),
+            ),
+            (
+                _mm256_add_ps(x, x),
+                _mm256_castsi256_ps(_mm256_cmpgt_epi32(abs, _mm256_set1_epi32(0x7f7f_ffff))),
+            ),
+            (
+                _mm256_setzero_ps(),
+                _mm256_castsi256_ps(_mm256_cmpeq_epi32(
+                    bits,
+                    _mm256_set1_epi32(f32::NEG_INFINITY.to_bits() as i32),
+                )),
+            ),
+        ];
+        for (value, mask) in picks {
+            e = _mm256_blendv_ps(e, value, mask);
+        }
+        e
+    }
+
+    /// [`super::exp`]'s `f64` main path on 4 lanes, `y · s` before the
+    /// narrowing, with its four `vfmadd`/`vfmsub` steps.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2+FMA.
+    #[target_feature(enable = "avx2,fma")]
+    // SAFETY: `target_feature` makes this fn unsafe-to-call; callers
+    // are themselves AVX2+FMA-gated bodies.
+    unsafe fn exp4d(xd: __m256d) -> __m256d {
+        let inv = _mm256_set1_pd(EXP_INV_LN2_N);
+        let shift = _mm256_set1_pd(EXP_SHIFT);
+        let kd = _mm256_add_pd(_mm256_mul_pd(inv, xd), shift);
+        let ki = _mm256_castpd_si256(kd);
+        let kd = _mm256_sub_pd(kd, shift);
+        let r = _mm256_fmsub_pd(inv, xd, kd);
+        let slot = _mm256_and_si256(ki, _mm256_set1_epi64x(31));
+        // SAFETY: every `slot` lane is in 0..32, an index into the
+        // 32-entry table; `gather` reads 8-byte elements at it.
+        let tab = unsafe { _mm256_i64gather_epi64::<8>(EXP2_TAB.as_ptr().cast::<i64>(), slot) };
+        let s = _mm256_castsi256_pd(_mm256_add_epi64(tab, _mm256_slli_epi64::<47>(ki)));
+        let [c0, c1, c2] = EXP_C.map(|c| _mm256_set1_pd(c));
+        let z = _mm256_fmadd_pd(c0, r, c1);
+        let r2 = _mm256_mul_pd(r, r);
+        let y = _mm256_fmadd_pd(c2, r, _mm256_set1_pd(1.0));
+        let y = _mm256_fmadd_pd(z, r2, y);
+        _mm256_mul_pd(y, s)
     }
 
     /// Applies the round-to-nearest-even bias and truncates 8 packed
@@ -1270,6 +1491,19 @@ mod avx2 {
         }
         xs.len() / NR * NR
     }
+
+    /// The AVX2 `exp` lanes over every whole 8-lane block of `xs`, as
+    /// [`tanh_lanes`] does for `tanh`.
+    #[cfg(test)]
+    pub(super) fn exp_lanes(xs: &mut [f32]) -> usize {
+        assert!(super::simd_available(), "AVX2 lanes need an AVX2 host");
+        for c in 0..xs.len() / NR {
+            // SAFETY: AVX2+FMA was detected just above; `c * NR + NR`
+            // is within `xs` by the loop bound.
+            unsafe { store8(xs, c * NR, exp8(load8(xs, c * NR))) }
+        }
+        xs.len() / NR * NR
+    }
 }
 
 /// `f32x16` kernels for the four that carry the expert FFN — the
@@ -1312,6 +1546,7 @@ mod avx512 {
         row_max: avx2::row_max,
         row_sum: avx2::row_sum,
         div_assign: avx2::div_assign,
+        exp_shift: avx2::exp_shift,
         bf16_round: avx2::bf16_round,
         gelu,
         gelu_backward,
@@ -1948,6 +2183,31 @@ mod tests {
         }
     }
 
+    /// Panics at the first `x` in `xs` where the scalar `exp` port
+    /// differs from the host's `f32::exp`, or the AVX2 `exp` lanes
+    /// (which every SIMD table's `exp_shift` runs) from the scalar port.
+    /// NaN equals NaN.
+    fn check_exp(xs: &[f32]) {
+        let port: Vec<f32> = xs.iter().map(|&x| exp(x)).collect();
+        for (&x, &p) in xs.iter().zip(&port) {
+            let libm = x.exp();
+            assert!(
+                same(p, libm),
+                "exp({x:e} = {:#010x}): port {p:e}, host libm {libm:e}. The port \
+                 reproduces glibc 2.36's e_expf.c as built for FMA hosts bit for bit; \
+                 under another libm the port is the definition",
+                x.to_bits()
+            );
+        }
+        if simd_available() {
+            let mut lanes = xs.to_vec();
+            let whole = avx2::exp_lanes(&mut lanes);
+            for ((&x, &p), &v) in xs.iter().zip(&port).zip(&lanes).take(whole) {
+                assert!(same(v, p), "avx2 exp({x:e}) = {v:e}, scalar {p:e}");
+            }
+        }
+    }
+
     /// Panics at the first `x` in `xs` where the `gelu` (output, kept
     /// input, kept `tanh`) or `gelu_backward` entry of any SIMD table
     /// the host has differs from the scalar one. NaN equals NaN.
@@ -2022,6 +2282,73 @@ mod tests {
                             .collect();
                         check_tanh(&xs);
                         check_gelu(&xs);
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn exp_port_matches_libm_and_simd_lanes_on_edges_and_a_stride() {
+        // `e_expf.c`'s filter thresholds (|x| ≥ 88, the overflow and
+        // both underflow bounds, ±inf, NaN), the edges of the `f32`
+        // range, the two inputs where a port without the fused
+        // `InvLn2N·x − kd` differs (32.564632 and −63.09946), and a step
+        // either side of each, both signs.
+        let boundaries = [
+            0u32,
+            1,
+            0x3300_0000,
+            0x3f80_0000,
+            0x4202_422f,
+            0x427c_65d9,
+            0x42b0_0000,
+            0x42b1_7217,
+            0x42ce_8ecf,
+            0x42cf_f1b4,
+            0x7f7f_ffff,
+            0x7f80_0000,
+            0x7fc0_0000,
+        ];
+        let mut xs: Vec<f32> = boundaries
+            .iter()
+            .flat_map(|&b| [b.saturating_sub(1), b, b + 1])
+            .flat_map(|b| [b, b | 0x8000_0000])
+            .map(f32::from_bits)
+            .collect();
+        xs.extend((0..=u32::MAX).step_by(65_537).map(f32::from_bits));
+        check_exp(&xs);
+        // Every table's `exp_shift` entry is the port of the rounded
+        // difference, on whole lanes and the tail alike.
+        let shift = 0.75f32;
+        for kt in std::iter::once(&SCALAR_TABLE).chain(simd_tables()) {
+            let mut row = xs.clone();
+            (kt.exp_shift)(&mut row, shift);
+            for (&x, &v) in xs.iter().zip(&row) {
+                let want = exp(x - shift);
+                let label = kt.mode.label();
+                assert!(
+                    same(v, want),
+                    "{label} exp_shift({x:e}) = {v:e}, port {want:e}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[ignore = "sweeps all 2^32 inputs (a minute or more in release): ci.sh runs it by name"]
+    fn exp_port_matches_libm_and_simd_lanes_exhaustively() {
+        const CHUNK: u64 = 1 << 12;
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
+        let chunks = (1u64 << 32) / CHUNK;
+        std::thread::scope(|s| {
+            for w in 0..workers {
+                s.spawn(move || {
+                    for c in (w..chunks).step_by(workers as usize) {
+                        let xs: Vec<f32> = (c * CHUNK..(c + 1) * CHUNK)
+                            .map(|b| f32::from_bits(b as u32))
+                            .collect();
+                        check_exp(&xs);
                     }
                 });
             }

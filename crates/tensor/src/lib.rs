@@ -36,6 +36,7 @@ pub use init::Rng;
 pub use linalg::{
     grouped_gemm, grouped_gemm_into, grouped_gemm_nt_into, grouped_gemm_tn, uniform_offsets,
 };
+pub use ops::TopK;
 pub use param::Param;
 pub use precision::{quantize, quantize_in_place, Precision};
 pub use shape::Shape;

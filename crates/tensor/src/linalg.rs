@@ -49,6 +49,7 @@
 //!   vectorization.
 
 use crate::dispatch::{self, KernelTable, DOT_ROWS, MR, TILE_COLS};
+use crate::ops::{check_top_k, softmax_top_k_rows, TopK};
 use crate::{scratch, Result, Tensor, TensorError};
 
 /// `k`-dimension panel depth: one packed A panel is `KC × MR` floats
@@ -149,6 +150,38 @@ impl Tensor {
         let (a, b, o) = (self.as_slice(), rhs.as_slice(), out.as_mut_slice());
         grouped_gemm_nt_into(a, b, o, &[0, m], k, n, |_, _, _| {});
         Ok(out)
+    }
+
+    /// The gate forward of a linear router in one launch: `self × rhs`
+    /// (`(T, C) × (C, E)`) as the one-group [`grouped_gemm_into`], whose
+    /// row-block epilogue turns each block of logits into its softmax
+    /// and each row's top `k` of it (the gate's row function)
+    /// while the block is in cache. Returns the probabilities `(T, E)`
+    /// in an arena-backed tensor and the top-k as
+    /// [`Tensor::topk_last`] returns it; every bit equals `matmul` →
+    /// [`Tensor::softmax_last`] → [`Tensor::topk_last`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Tensor::matmul`], then as [`Tensor::topk_last`] on the
+    /// product's last axis.
+    // check:hot
+    pub fn matmul_softmax_top_k(&self, rhs: &Tensor, k: usize) -> Result<(Tensor, TopK)> {
+        check_operands("matmul", self, rhs, 2, &[(1, 0)])?;
+        let (m, c, n) = (self.dims()[0], self.dims()[1], rhs.dims()[1]);
+        check_top_k(k, n)?;
+        let mut probs = scratch::raw(&[m, n]);
+        let (mut idx, mut val) = (vec![0u32; m * k], vec![0.0f32; m * k]);
+        let out = probs.as_mut_slice();
+        let beside_idx = tutel_rt::SameRanges::with_rows(out, n, [idx.as_mut_slice()], k);
+        let beside_val = tutel_rt::SameRanges::with_rows(out, n, [val.as_mut_slice()], k);
+        let (a, b) = (self.as_slice(), rhs.as_slice());
+        grouped_gemm_into(a, b, out, &[0, m], c, n, |_, _, block| {
+            let (block, [idx]) = beside_idx.split(block);
+            let (block, [val]) = beside_val.split(block);
+            softmax_top_k_rows(block, n, idx, val);
+        });
+        Ok((probs, (idx, val)))
     }
 
     /// `selfᵀ × rhs` for rank-2 tensors: `(k, m)ᵀ × (k, n) → (m, n)`.
@@ -344,6 +377,15 @@ fn row_blocks(
 /// weight-gradient primitive (`dW = Xᵀ dY`): each group's row count is
 /// its reduction length, so bins reduce independently and empty bins
 /// leave their `out` slab untouched.
+///
+/// **Split-k.** A group whose reduction is longer than one `KC` (256-row) panel
+/// runs each panel of each of its row blocks as its own job, in the
+/// same launch, into an arena partial that starts at `-0.0` (the exact
+/// additive identity: a `-0.0` panel sum stays `-0.0`). The partials
+/// are then folded into `out` in panel order, the order in which an
+/// unsplit block adds its panel sums, so the result is the same bits
+/// for every worker count — and a long router or heavy-expert
+/// reduction no longer serializes the launch on one worker.
 pub fn grouped_gemm_tn(
     a: &[f32],
     b: &[f32],
@@ -361,37 +403,61 @@ pub fn grouped_gemm_tn(
         return;
     }
     // Output blocks tile the dense (G, ma, n) buffer; the ragged axis
-    // is the per-group reduction length k_g = rows_g.
+    // is the per-group reduction length k_g = rows_g. Whole groups'
+    // blocks come first (ranges of `out`), then every panel of every
+    // block of the split groups (ranges of the partials), block-major.
     let blocks_per = ma.div_ceil(ROW_BLOCK);
-    let mut ranges = Vec::with_capacity(groups * blocks_per);
-    let mut meta = Vec::with_capacity(groups * blocks_per);
-    for g in 0..groups {
-        if offsets[g + 1] == offsets[g] {
-            continue;
-        }
-        for blk in 0..blocks_per {
-            let r0 = blk * ROW_BLOCK;
-            let r1 = (r0 + ROW_BLOCK).min(ma);
+    let k_of = |g: usize| offsets[g + 1] - offsets[g];
+    let split = |g: usize| k_of(g) > KC;
+    let whole_jobs = (0..groups).filter(|&g| k_of(g) > 0 && !split(g)).count() * blocks_per;
+    let panel_jobs: usize = (0..groups)
+        .filter(|&g| split(g))
+        .map(|g| k_of(g).div_ceil(KC) * blocks_per)
+        .sum();
+    let mut ranges = Vec::with_capacity(whole_jobs + panel_jobs);
+    // `(group, row0, first reduction row, reduction rows)` per job.
+    let mut meta = Vec::with_capacity(whole_jobs + panel_jobs);
+    let block = |blk: usize| (blk * ROW_BLOCK, ((blk + 1) * ROW_BLOCK).min(ma));
+    for g in (0..groups).filter(|&g| k_of(g) > 0 && !split(g)) {
+        for (r0, r1) in (0..blocks_per).map(block) {
             ranges.push((g * ma * n + r0 * n, g * ma * n + r1 * n));
-            meta.push((g, r0));
+            meta.push((g, r0, 0, k_of(g)));
         }
     }
-    tutel_rt::parallel_ranges(out, &ranges, |idx, chunk| {
-        let (g, r0) = meta[idx];
-        let k_g = offsets[g + 1] - offsets[g];
-        let a_g = &a[offsets[g] * ma..offsets[g + 1] * ma];
-        let b_g = &b[offsets[g] * n..offsets[g + 1] * n];
-        block_packed(
-            a_g,
-            b_g,
-            chunk,
-            r0,
-            chunk.len() / n,
-            k_g,
-            n,
-            Layout::Tn { m: ma },
-        );
+    let mut at = 0;
+    for g in (0..groups).filter(|&g| split(g)) {
+        for (r0, r1) in (0..blocks_per).map(block) {
+            for pc in (0..k_of(g)).step_by(KC) {
+                ranges.push((at, at + (r1 - r0) * n));
+                meta.push((g, r0, pc, KC.min(k_of(g) - pc)));
+                at += (r1 - r0) * n;
+            }
+        }
+    }
+    let mut partials = if at > 0 {
+        tutel_rt::arena().take_raw(at)
+    } else {
+        Vec::new()
+    };
+    tutel_rt::parallel_ranges_pair(out, &mut partials, &ranges, whole_jobs, |idx, chunk| {
+        let (g, r0, p0, k_len) = meta[idx];
+        if idx >= whole_jobs {
+            chunk.fill(-0.0);
+        }
+        let rows = offsets[g] + p0..offsets[g] + p0 + k_len;
+        let a_g = &a[rows.start * ma..rows.end * ma];
+        let b_g = &b[rows.start * n..rows.end * n];
+        let layout = Layout::Tn { m: ma };
+        block_packed(a_g, b_g, chunk, r0, chunk.len() / n, k_len, n, layout);
     });
+    let add = dispatch::table().add_assign;
+    for (&(s, e), &(g, r0, _, _)) in ranges.iter().zip(&meta).skip(whole_jobs) {
+        let o = g * ma * n + r0 * n;
+        add(&partials[s..e], &mut out[o..o + (e - s)]);
+    }
+    if at > 0 {
+        tutel_rt::arena().put(partials);
+    }
 }
 
 /// Element ranges plus `(group, group-relative row0)` per row block —
@@ -797,6 +863,90 @@ mod tests {
                 n,
             );
             assert_eq!(&out[g * ma * n..(g + 1) * ma * n], &want[..], "g{g}");
+        }
+    }
+
+    /// The launch `grouped_gemm_tn` replaced: one serial job per
+    /// `(group, row block)` adding every `KC` panel's sum into `out` in
+    /// order.
+    fn tn_unsplit(a: &[f32], b: &[f32], out: &mut [f32], offsets: &[usize], ma: usize, n: usize) {
+        for g in 0..offsets.len() - 1 {
+            let rows = offsets[g]..offsets[g + 1];
+            let (a_g, b_g) = (
+                &a[rows.start * ma..rows.end * ma],
+                &b[rows.start * n..rows.end * n],
+            );
+            for r0 in (0..ma).step_by(ROW_BLOCK) {
+                let r1 = (r0 + ROW_BLOCK).min(ma);
+                let blk = &mut out[g * ma * n + r0 * n..g * ma * n + r1 * n];
+                block_packed(
+                    a_g,
+                    b_g,
+                    blk,
+                    r0,
+                    r1 - r0,
+                    rows.len(),
+                    n,
+                    Layout::Tn { m: ma },
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn split_k_tn_matches_the_unsplit_launch_bit_for_bit() {
+        // Reduction lengths either side of one and two `KC` panels, and
+        // a long one, as one-group launches and as the bins of one
+        // launch; accumulators that start non-zero, and a `-0.0` one
+        // whose every product is `-0.0`. Every table, serial and on the
+        // pool (ci.sh reruns it at TUTEL_THREADS=1 and =4).
+        let lengths = [0usize, 1, 255, 256, 257, 511, 512, 513, 8192];
+        let mut launches: Vec<Vec<usize>> = lengths.iter().map(|&k| vec![0, k]).collect();
+        launches.push(
+            std::iter::once(0)
+                .chain(lengths.iter().scan(0, |at, &k| {
+                    *at += k;
+                    Some(*at)
+                }))
+                .collect(),
+        );
+        for (ma, n) in [(5usize, 3usize), (49, 40)] {
+            for offsets in &launches {
+                let total = *offsets.last().unwrap();
+                let groups = offsets.len() - 1;
+                let mut rng = crate::Rng::seed((total + ma) as u64);
+                let mut a = rng.normal_tensor(&[total, ma], 0.0, 1.0).into_vec();
+                let b = rng.uniform_tensor(&[total, n], 0.5, 1.0).into_vec();
+                // Row 0 of every group reads -0.0 in every reduction row.
+                for g in 0..groups {
+                    for p in offsets[g]..offsets[g + 1] {
+                        a[p * ma] = -0.0;
+                    }
+                }
+                let mut init = rng.normal_tensor(&[groups, ma, n], 0.0, 1.0).into_vec();
+                for g in 0..groups {
+                    init[g * ma * n..g * ma * n + n].fill(-0.0);
+                }
+                for mode in crate::dispatch::kernel_modes() {
+                    crate::dispatch::with_kernel_mode(mode, || {
+                        let mut want = init.clone();
+                        tn_unsplit(&a, &b, &mut want, offsets, ma, n);
+                        for limit in [1, usize::MAX] {
+                            let mut got = init.clone();
+                            tutel_rt::with_parallelism_limit(limit, || {
+                                grouped_gemm_tn(&a, &b, &mut got, offsets, ma, n);
+                            });
+                            let bits =
+                                |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                            assert_eq!(
+                                bits(&got),
+                                bits(&want),
+                                "{mode:?} limit {limit} ma {ma} n {n} offsets {offsets:?}"
+                            );
+                        }
+                    });
+                }
+            }
         }
     }
 

@@ -60,6 +60,74 @@ fn topk_key(v: f32, col: u32) -> u64 {
     (u64::from(ordered) << 32) | u64::from(!col)
 }
 
+/// Whether a top-`k` over rows of `cols` is defined: `k` is positive,
+/// at most `cols`, and every index fits a `u32`.
+pub(crate) fn check_top_k(k: usize, cols: usize) -> Result<()> {
+    if k == 0 || k > cols || u32::try_from(cols).is_err() {
+        return Err(TensorError::InvalidArgument(format!(
+            "top-k with k={k} over axis of length {cols}"
+        )));
+    }
+    Ok(())
+}
+
+/// `t`'s last-axis length, if a top-`k` over it is defined
+/// ([`check_top_k`]).
+fn top_k_cols(t: &Tensor, k: usize) -> Result<usize> {
+    let cols = *t.dims().last().unwrap_or(&0);
+    check_top_k(k, cols).map(|()| cols)
+}
+
+/// Rows per parallel chunk of [`Tensor::softmax_last`] and
+/// [`Tensor::softmax_top_k_last`] (fixed, as [`TOPK_ROWS`]).
+const SOFTMAX_ROWS: usize = 64;
+
+/// One row's softmax in place: max, `exp(v − max)`, sum, divide, each
+/// through the kernel table `kt`.
+#[inline(always)]
+fn softmax_row(kt: &crate::dispatch::KernelTable, row: &mut [f32]) {
+    let max = (kt.row_max)(row);
+    (kt.exp_shift)(row, max);
+    let denom = (kt.row_sum)(row);
+    (kt.div_assign)(row, denom);
+}
+
+/// The gate's per-row function over a block of logits `rows` laid out
+/// `(R, E)` with `E = cols`: each row's softmax in place
+/// ([`Tensor::softmax_last`]'s passes), then the top `k` of the
+/// probabilities into that row's slots of `idx` / `val`, each `(R, k)`
+/// ([`Tensor::topk_last`]'s scan and keys). A router runs it in its
+/// logits launch's row-block epilogue; its bits are the unfused
+/// chain's.
+///
+/// # Panics
+///
+/// If `rows` is not whole rows of `cols`, or `idx` and `val` do not
+/// both hold `k` slots per row for one `k` in `1..=cols`.
+pub(crate) fn softmax_top_k_rows(rows: &mut [f32], cols: usize, idx: &mut [u32], val: &mut [f32]) {
+    let n = rows.len().checked_div(cols).unwrap_or(0);
+    let k = idx.len().checked_div(n).unwrap_or(0);
+    assert!(
+        rows.len() == n * cols
+            && idx.len() == n * k
+            && val.len() == idx.len()
+            && (n == 0 || (1..=cols).contains(&k)),
+        "softmax_top_k_rows: {} values, {cols} per row, {} / {} top-k slots",
+        rows.len(),
+        idx.len(),
+        val.len()
+    );
+    if n == 0 {
+        return;
+    }
+    let kt = crate::dispatch::table();
+    let slots = idx.chunks_mut(k).zip(val.chunks_mut(k));
+    for (row, (idx, val)) in rows.chunks_mut(cols).zip(slots) {
+        softmax_row(kt, row);
+        topk_row(row, idx, val);
+    }
+}
+
 /// One row's top `idx.len()`: a single scan that keeps the best columns
 /// so far in `idx`, best first, re-deriving a kept column's key from
 /// the row when an insertion passes it; then the values, read back
@@ -203,12 +271,13 @@ impl Tensor {
     /// routing probabilities of Figure 18 line 2. Rows are processed
     /// in fixed 64-row chunks on the `tutel-rt` pool, and each row in
     /// four passes through the active kernel table: a lane-tree max,
-    /// a scalar `exp` sweep (libm `exp` is scalar in both modes), a
-    /// lane-tree sum, and a lanewise divide. Each row's arithmetic is
-    /// self-contained and every pass is bitwise-identical across
-    /// kernel tables, so results are bit-identical for any worker
-    /// count and any `TUTEL_SIMD` setting (rows shorter than 8 lanes
-    /// degenerate to the sequential tail in both modes).
+    /// `exp(v − max)` through the ported `exp` (8 lanes at a time in
+    /// the SIMD tables), a lane-tree sum, and a lanewise divide. Each
+    /// row's arithmetic is self-contained and every pass is
+    /// bitwise-identical across kernel tables, so results are
+    /// bit-identical for any worker count and any `TUTEL_SIMD` setting.
+    /// [`Tensor::softmax_top_k_last`] and the gate's row function run the
+    /// same passes.
     // check:hot
     pub fn softmax_last(&self) -> Tensor {
         let cols = *self.dims().last().unwrap_or(&1);
@@ -216,18 +285,40 @@ impl Tensor {
         if cols == 0 {
             return out;
         }
-        tutel_rt::parallel_chunks(out.as_mut_slice(), 64 * cols, |_, chunk| {
+        tutel_rt::parallel_chunks(out.as_mut_slice(), SOFTMAX_ROWS * cols, |_, chunk| {
             let kt = crate::dispatch::table();
             for row in chunk.chunks_mut(cols) {
-                let max = (kt.row_max)(row);
-                for v in row.iter_mut() {
-                    *v = (*v - max).exp();
-                }
-                let denom = (kt.row_sum)(row);
-                (kt.div_assign)(row, denom);
+                softmax_row(kt, row);
             }
         });
         out
+    }
+
+    /// The gate's fused forward over the last axis, in place: every row
+    /// becomes its [`softmax_last`](Self::softmax_last) and its top
+    /// `k` of those probabilities are returned as
+    /// [`topk_last`](Self::topk_last) would return them — the same
+    /// bits, from one pass over each row (the gate's row function) in
+    /// one launch of fixed 64-row chunks on the pool.
+    ///
+    /// # Errors
+    ///
+    /// As [`topk_last`](Self::topk_last), checked before any row is
+    /// touched.
+    // check:hot
+    pub fn softmax_top_k_last(&mut self, k: usize) -> Result<TopK> {
+        let cols = top_k_cols(self, k)?;
+        let rows = self.len() / cols;
+        let (mut idxs, mut vals) = (vec![0u32; rows * k], vec![0.0f32; rows * k]);
+        let probs = self.as_mut_slice();
+        let beside_idx = tutel_rt::SameRanges::with_rows(probs, cols, [idxs.as_mut_slice()], k);
+        let beside_val = tutel_rt::SameRanges::with_rows(probs, cols, [vals.as_mut_slice()], k);
+        tutel_rt::parallel_chunks(probs, SOFTMAX_ROWS * cols, |_, chunk| {
+            let (chunk, [idx]) = beside_idx.split(chunk);
+            let (chunk, [val]) = beside_val.split(chunk);
+            softmax_top_k_rows(chunk, cols, idx, val);
+        });
+        Ok((idxs, vals))
     }
 
     /// Backward of [`Tensor::softmax_last`]: given `y = softmax(x)` (this
@@ -275,6 +366,9 @@ impl Tensor {
     /// Each row is one scan keeping its best `k` in order (one code
     /// path for every `k`), and rows run in fixed 64-row chunks on the
     /// `tutel-rt` pool, so the result is the same for any worker count.
+    /// This is the unfused spelling: the gate's forward runs the same
+    /// scan on each row right after its softmax, inside the router's
+    /// launch (the gate's row function, [`Tensor::softmax_top_k_last`]).
     ///
     /// # Errors
     ///
@@ -283,12 +377,7 @@ impl Tensor {
     /// index.
     // check:hot
     pub fn topk_last(&self, k: usize) -> Result<TopK> {
-        let cols = *self.dims().last().unwrap_or(&0);
-        if k == 0 || k > cols || u32::try_from(cols).is_err() {
-            return Err(TensorError::InvalidArgument(format!(
-                "top-k with k={k} over axis of length {cols}"
-            )));
-        }
+        let cols = top_k_cols(self, k)?;
         let rows = self.len() / cols;
         let (mut idxs, mut vals) = (vec![0u32; rows * k], vec![0.0f32; rows * k]);
         let beside = tutel_rt::SameRanges::new(&idxs, [vals.as_mut_slice()]);
