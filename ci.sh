@@ -87,11 +87,28 @@ cargo test -q --release -p tutel-tensor --lib -- --ignored exp_port_matches_libm
 
 echo "==> GEMM tile edges: every small shape, every kernel table"
 # Every m ≤ 2·MR + 1 (13), n ≤ 2·WIDE_TILE_COLS + 1 (65) and k in
-# 0..=17 or either side of one and two KC panels: the three grouped
-# launches, scalar against every SIMD table the host has, bit for bit.
-# The default suite samples these edges by proptest; this enumerates
-# them (seconds in release).
+# 0..=17, either side of 32, 64 and 512, or either side of one and two
+# KC panels, over two bins with an empty one between them and ±0, ±inf,
+# NaN and subnormals among the operands: the three grouped launches, scalar
+# against every SIMD table the host has, bit for bit, and A·Bᵀ against
+# the per-element dot loop in every table. The default suite samples
+# these edges by proptest; this enumerates them (under a minute in release:
+# subnormal products are slow).
 cargo test -q --release -p tutel-tensor --lib -- --ignored grouped_launches_match_across_simd_modes_on_every_tile_edge
+
+echo "==> top-k and slice-kernel differentials at TUTEL_THREADS=1 and =4"
+# Every SIMD table's top-k (one integer-max pass per slot) against the
+# scalar scan, directly and through topk_last's pooled row chunks, for
+# E in 1..=17 and either side of 32 and 64, every k ≤ E, on ties, ±0,
+# NaN of both signs, ±inf, all-NaN rows and subnormals; and the unsafe
+# slice kernels no other sweep covers (axpy, add_assign, row_max,
+# row_sum, div_assign, bf16_round) against scalar on ragged, unaligned
+# and empty slices.
+for threads in 1 4; do
+    TUTEL_THREADS=$threads cargo test -q --release -p tutel-tensor --lib -- --exact \
+        dispatch::tests::topk_agrees_across_tables_on_ties_zeros_nans_and_infs \
+        dispatch::tests::slice_kernels_match_scalar_on_ragged_unaligned_and_empty_slices
+done
 
 echo "==> split-k TN: every panel edge equals the unsplit launch at TUTEL_THREADS=1 and =4"
 # A grouped_gemm_tn bin longer than one KC panel runs each panel as its

@@ -542,11 +542,12 @@ impl ExpertsBlock {
     }
 
     /// Applies accumulated gradients (SGD with per-tensor norm
-    /// clipping, [`Param::step`]) and clears them.
+    /// clipping, [`Param::step`]) and clears them. The four parameters
+    /// are independent, so each steps as its own pool job.
     pub fn step(&mut self, lr: f32) {
-        for p in [&mut self.w1, &mut self.b1, &mut self.w2, &mut self.b2] {
-            p.step(lr);
-        }
+        let mut params = [&mut self.w1, &mut self.b1, &mut self.w2, &mut self.b2];
+        let each = [(0, 1), (1, 2), (2, 3), (3, 4)];
+        tutel_rt::parallel_ranges(&mut params, &each, |_, p| p[0].step(lr));
         // The update itself ran in f32; park the result back on the
         // storage grid (no-op for f32 storage).
         self.round_weights_to_storage();
@@ -560,18 +561,41 @@ impl ExpertsBlock {
     }
 }
 
+/// Pool jobs of [`accumulate_bias`]: a fixed count, so the blocks
+/// depend on the bias's shape alone.
+const BIAS_JOBS: usize = 16;
+
 /// Bias `b (ΔE, cols)`'s gradient `[e] += Σ` of bin `e`'s rows of
-/// `d (R, cols)`, rows in packed order.
+/// `d (R, cols)`, each element adding its rows in packed order. The
+/// gradient's elements run as [`BIAS_JOBS`] contiguous blocks on the
+/// pool (cut on 16-float lines, so no two jobs write one cache line);
+/// an element's sum is the same whichever job runs it.
 fn accumulate_bias(b: &mut Param, d: &[f32], offsets: &[usize]) {
-    let (experts, cols) = (b.w().dims()[0], b.w().dims()[1]);
-    for e in 0..experts {
-        let acc = &mut b.g_mut()[e * cols..(e + 1) * cols];
-        for r in offsets[e]..offsets[e + 1] {
-            for (o, v) in acc.iter_mut().zip(&d[r * cols..(r + 1) * cols]) {
-                *o += v;
-            }
+    let cols = b.w().dims()[1];
+    let g = b.g_mut();
+    let len = g.len();
+    let cut = |j: usize| {
+        if j == BIAS_JOBS {
+            len
+        } else {
+            j * len / BIAS_JOBS / 16 * 16
         }
-    }
+    };
+    let blocks: [(usize, usize); BIAS_JOBS] = std::array::from_fn(|j| (cut(j), cut(j + 1)));
+    let add_assign = dispatch::table().add_assign;
+    tutel_rt::parallel_ranges(g, &blocks, |j, block| {
+        let (mut at, end) = blocks[j];
+        // One run of columns of one expert at a time.
+        while at < end {
+            let (e, c0) = (at / cols, at % cols);
+            let run = (cols - c0).min(end - at);
+            let acc = &mut block[at - blocks[j].0..][..run];
+            for r in offsets[e]..offsets[e + 1] {
+                add_assign(&d[r * cols + c0..][..run], acc);
+            }
+            at += run;
+        }
+    });
 }
 
 #[cfg(test)]

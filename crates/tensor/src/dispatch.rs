@@ -9,10 +9,11 @@
 //! scalar table that is the portable reference, an AVX2 table of
 //! explicit `f32x8` intrinsic kernels, and an AVX-512 table whose GEMM
 //! tiles and GELU are `f32x16` kernels and whose other entries are the
-//! AVX2 ones. Hot paths fetch the active table with [`table`] (two
-//! relaxed atomic loads, no detection, no branching beyond the table
-//! select) and call through the pointers; per-call feature checks
-//! never happen.
+//! AVX2 ones; the SIMD tables' top-k is one plain body
+//! (`ops::topk_by_max`) compiled under each table's target features.
+//! Hot paths fetch the active table with [`table`] (two relaxed atomic
+//! loads, no detection, no branching beyond the table select) and call
+//! through the pointers; per-call feature checks never happen.
 //!
 //! # The bitwise-SIMD contract
 //!
@@ -38,12 +39,15 @@
 //!    (the micro-tiles, `axpy`, lanewise divide, GELU) is bitwise for
 //!    free, at 8 lanes or 16.
 //! 3. **Shared reduction trees.** Horizontal reductions (dot, the
-//!    dot tiles, row max, row sum) strip-mine into [`NR`] = 8 lanes and
-//!    collapse them with one fixed tree — `(l0+l4)+(l1+l5)`,
+//!    `A·Bᵀ` tile, row max, row sum) strip-mine into [`NR`] = 8 lanes
+//!    and collapse them with one fixed tree — `(l0+l4)+(l1+l5)`,
 //!    `(l2+l6)+(l3+l7)`, then the pair, then the scalar tail — in
-//!    *every* table; the AVX2 kernels accumulate each output's lanes in
-//!    one `ymm`, the AVX-512 dot tile in one half of a `zmm`, and both
-//!    collapse them through the very same tree.
+//!    *every* table. `dot` and the row reductions accumulate a row's
+//!    lanes in one `ymm`; the `A·Bᵀ` tile keeps each output's eight
+//!    lanes as eight accumulators whose vector lanes run across output
+//!    columns, so the same tree is one vector add per level. Top-k
+//!    compares unique integer keys, so any lane width finds the same
+//!    maximum.
 //! 4. **Transcendentals are ported, not called.** A libm call is
 //!    scalar, branchy, and defined by whichever libm the host links,
 //!    so neither a SIMD twin nor another host could match it bit
@@ -87,13 +91,12 @@ pub const TILE_COLS: usize = 16;
 pub const WIDE_TILE_COLS: usize = 32;
 /// The strip-mining width of every lane-tree reduction (one `f32x8`).
 pub const NR: usize = 8;
-/// Rows of A per [`KernelTable::dot_tiles`] block.
-pub const DOT_ROWS: usize = 4;
-/// Rows of B (output columns) per scalar and AVX2 dot tile. Every table
-/// ends its [`KernelTable::dot_tiles`] with a tile this wide.
-pub const DOT_COLS: usize = 3;
-/// Rows of B per AVX-512 dot tile: two outputs per `zmm`.
-pub const WIDE_DOT_COLS: usize = 6;
+/// Rows of A per [`KernelTable::nt_tile`].
+pub const NT_ROWS: usize = 3;
+/// Columns of a packed `Bᵀ` panel and of every table's
+/// [`KernelTable::nt_tile`]: the AVX-512 tile is one 16-lane vector
+/// wide, the AVX2 tile runs the panel as two 8-lane halves.
+pub const NT_COLS: usize = 16;
 
 /// Which kernel family the active table dispatches to, narrowest
 /// first.
@@ -124,9 +127,12 @@ impl SimdMode {
 pub type MicroTileFn = fn(&[f32], usize, &[f32], usize, usize, usize, &mut [f32], usize, usize);
 /// Strip-mined dot product with the fixed lane tree.
 pub type DotFn = fn(&[f32], &[f32]) -> f32;
-/// `out[r * ldo + j] += dot(a_r, b_j)` over a `DOT_ROWS × cols`
-/// block; see [`KernelTable::dot_tiles`].
-pub type DotTileFn = fn(&[f32], &[f32], usize, &mut [f32], usize);
+/// `out[r * ldo + j] += dot(a_r, b_j)` over up to `NT_ROWS × NT_COLS`
+/// outputs of one packed `Bᵀ` panel; see [`KernelTable::nt_tile`].
+pub type NtTileFn = fn(&[f32], usize, usize, &[f32], &mut [f32], usize, usize);
+/// One row's top `idx.len()` columns and values; see
+/// [`KernelTable::topk`].
+pub type TopkFn = fn(&[f32], &mut [u32], &mut [f32]);
 /// `out[i] += a * v[i]`.
 pub type AxpyFn = fn(f32, &[f32], &mut [f32]);
 /// `out[i] += v[i]`.
@@ -163,12 +169,24 @@ pub struct KernelTable {
     pub micro_tiles: &'static [(usize, MicroTileFn)],
     /// 8-lane strip-mined dot product (fixed reduction tree).
     pub dot: DotFn,
-    /// `DOT_ROWS × cols` blocks of [`dot`](Self::dot)s as
-    /// `(cols, kernel)`, widest first, the last [`DOT_COLS`] wide: a
-    /// kernel takes `(a, b, k, out, ldo)` — `a` holds `DOT_ROWS` rows
-    /// of length `k` back to back, `b` holds `cols`, and
-    /// `out[r * ldo + j] += dot(a_r, b_j)`, bit for bit.
-    pub dot_tiles: &'static [(usize, DotTileFn)],
+    /// The `A·Bᵀ` tile, `(a, rows, k, panel, out, ldo, cols)`: `a`
+    /// holds `rows ∈ 1..=NT_ROWS` rows of length `k > 0` back to back,
+    /// `panel` is `k × NT_COLS` of `Bᵀ` (row `p` holds element `p` of
+    /// each of `NT_COLS` B rows, zero past the last), and for `r < rows`,
+    /// `j < cols ≤ NT_COLS`, `out[r * ldo + j] += dot(a_r, b_j)` bit for
+    /// bit. Each output keeps [`dot`](Self::dot)'s eight accumulators,
+    /// step `p < k − k % 8` adding into accumulator `p mod 8` (A before
+    /// B, accumulator first), then the shared lane tree and the tail;
+    /// the vector lanes run across the panel's columns, so the tree is
+    /// one vector add per level for a whole row of outputs.
+    pub nt_tile: NtTileFn,
+    /// `(row, idx, val)`: the top `idx.len()` columns of `row`, best
+    /// first, and their values read back from `row` (ties and NaN as
+    /// [`Tensor::topk_last`](crate::Tensor::topk_last) orders them).
+    /// The scalar table runs the one-scan insertion reference; the SIMD
+    /// tables run one branch-free integer-max pass per slot over the
+    /// same unique keys, so every table selects the same columns.
+    pub topk: TopkFn,
     /// `out += a * v` over equal-length slices.
     pub axpy: AxpyFn,
     /// `out += v` over equal-length slices.
@@ -201,7 +219,8 @@ static SCALAR_TABLE: KernelTable = KernelTable {
     mode: SimdMode::Scalar,
     micro_tiles: &[(TILE_COLS, scalar::micro_tile)],
     dot: scalar::dot,
-    dot_tiles: &[(DOT_COLS, scalar::dot_tile)],
+    nt_tile: scalar::nt_tile,
+    topk: crate::ops::topk_scan,
     axpy: scalar::axpy,
     add_assign: scalar::add_assign,
     row_max: scalar::row_max,
@@ -580,7 +599,7 @@ fn expm1_for_tanh(y: f32) -> f32 {
 /// twins must match them bit-for-bit (pinned by the dispatch
 /// proptests and the harness kernel-mode matrix).
 mod scalar {
-    use super::{max_lanes_tree, maxps, sum_lanes_tree, DOT_COLS, DOT_ROWS, MR, NR, TILE_COLS};
+    use super::{max_lanes_tree, maxps, sum_lanes_tree, MR, NR, NT_COLS, TILE_COLS};
     use crate::ops::{gelu_derivative, gelu_scalar};
 
     // The 9-ary signature IS the `MicroTileFn` table ABI: both modes
@@ -634,11 +653,33 @@ mod scalar {
         sum_lanes_tree(&lanes) + tail
     }
 
-    pub(super) fn dot_tile(a: &[f32], b: &[f32], k: usize, out: &mut [f32], ldo: usize) {
-        for r in 0..DOT_ROWS {
-            let arow = &a[r * k..(r + 1) * k];
-            for j in 0..DOT_COLS {
-                out[r * ldo + j] += dot(arow, &b[j * k..(j + 1) * k]);
+    // The 7-ary signature IS the `NtTileFn` table ABI.
+    pub(super) fn nt_tile(
+        a: &[f32],
+        rows: usize,
+        k: usize,
+        panel: &[f32],
+        out: &mut [f32],
+        ldo: usize,
+        cols: usize,
+    ) {
+        let (k8, panel) = (k - k % NR, &panel[..k * NT_COLS]);
+        for (r, arow) in a[..rows * k].chunks_exact(k).enumerate() {
+            // `dot`'s eight accumulators for each of the panel's columns.
+            let mut lanes = [[0.0f32; NT_COLS]; NR];
+            let mut tail = [0.0f32; NT_COLS];
+            for (p, (&av, brow)) in arow.iter().zip(panel.chunks_exact(NT_COLS)).enumerate() {
+                let acc = if p < k8 {
+                    &mut lanes[p % NR]
+                } else {
+                    &mut tail
+                };
+                for (l, &bv) in acc.iter_mut().zip(brow) {
+                    *l += av * bv;
+                }
+            }
+            for (j, o) in out[r * ldo..][..cols].iter_mut().enumerate() {
+                *o += sum_lanes_tree(&std::array::from_fn(|l| lanes[l][j])) + tail[j];
             }
         }
     }
@@ -740,9 +781,9 @@ mod scalar {
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::{
-        max_lanes_tree, maxps, sum_lanes_tree, KernelTable, SimdMode, DOT_COLS, DOT_ROWS, EXP2_TAB,
-        EXPM1_Q, EXP_C, EXP_INV_LN2_N, EXP_MAY_UFLOW, EXP_OFLOW, EXP_SHIFT, EXP_UFLOW, INV_LN2,
-        LN2_HI, LN2_LO, MR, NR, TILE_COLS,
+        max_lanes_tree, maxps, sum_lanes_tree, KernelTable, SimdMode, EXP2_TAB, EXPM1_Q, EXP_C,
+        EXP_INV_LN2_N, EXP_MAY_UFLOW, EXP_OFLOW, EXP_SHIFT, EXP_UFLOW, INV_LN2, LN2_HI, LN2_LO, MR,
+        NR, NT_COLS, NT_ROWS, TILE_COLS,
     };
     use crate::ops::{gelu_derivative, gelu_scalar, GELU_CUBIC, SQRT_2_OVER_PI};
     use core::arch::x86_64::{
@@ -764,7 +805,8 @@ mod avx2 {
         mode: SimdMode::Avx2,
         micro_tiles: &[(TILE_COLS, micro_tile)],
         dot,
-        dot_tiles: &[(DOT_COLS, dot_tile)],
+        nt_tile,
+        topk,
         axpy,
         add_assign,
         row_max,
@@ -893,11 +935,30 @@ mod avx2 {
         sum_lanes_tree(&lanes) + tail
     }
 
-    pub(super) fn dot_tile(a: &[f32], b: &[f32], k: usize, out: &mut [f32], ldo: usize) {
-        // SAFETY: reachable only through the detection-gated tables.
-        unsafe { dot_tile_body(a, b, k, out, ldo) }
+    // The 7-ary signature IS the `NtTileFn` table ABI.
+    fn nt_tile(
+        a: &[f32],
+        rows: usize,
+        k: usize,
+        panel: &[f32],
+        out: &mut [f32],
+        ldo: usize,
+        cols: usize,
+    ) {
+        assert!((1..=NT_ROWS).contains(&rows), "A·Bᵀ tile of {rows} rows");
+        // SAFETY: reachable only through the detection-gated `TABLE`.
+        unsafe {
+            match rows {
+                1 => nt_tile_body::<1>(a, k, panel, out, ldo, cols),
+                2 => nt_tile_body::<2>(a, k, panel, out, ldo, cols),
+                _ => nt_tile_body::<NT_ROWS>(a, k, panel, out, ldo, cols),
+            }
+        }
     }
 
+    /// The `R`-row tile over each 8-column half of the panel that holds
+    /// a column: [`nt_half_tree`] twice, then the tail.
+    ///
     /// # Safety
     ///
     /// Requires AVX2 (guaranteed by the dispatch table's detection
@@ -905,37 +966,98 @@ mod avx2 {
     #[target_feature(enable = "avx2")]
     // SAFETY: `target_feature` makes this fn unsafe-to-call; the only
     // caller is the detection-gated wrapper above.
-    unsafe fn dot_tile_body(a: &[f32], b: &[f32], k: usize, out: &mut [f32], ldo: usize) {
-        let (a, b) = (&a[..DOT_ROWS * k], &b[..DOT_COLS * k]);
-        let blocks = k / NR;
-        // `dot_body`'s lane accumulator for each of the 12 elements,
-        // with each 8-float block of a B row loaded once for 4 rows.
-        let mut acc = [[_mm256_setzero_ps(); DOT_COLS]; DOT_ROWS];
-        for c in 0..blocks {
-            let mut bv = [_mm256_setzero_ps(); DOT_COLS];
-            for (j, v) in bv.iter_mut().enumerate() {
-                *v = load8(b, j * k + c * NR);
-            }
-            for (r, accr) in acc.iter_mut().enumerate() {
-                let av = load8(a, r * k + c * NR);
-                for (accv, &bv) in accr.iter_mut().zip(&bv) {
-                    *accv = _mm256_add_ps(*accv, _mm256_mul_ps(av, bv));
+    unsafe fn nt_tile_body<const R: usize>(
+        a: &[f32],
+        k: usize,
+        panel: &[f32],
+        out: &mut [f32],
+        ldo: usize,
+        cols: usize,
+    ) {
+        // These bounds cover every access below.
+        assert!(
+            R <= NT_ROWS && cols <= NT_COLS && cols <= ldo,
+            "A·Bᵀ tile shape"
+        );
+        let (a, panel) = (&a[..R * k], &panel[..k * NT_COLS]);
+        let out = &mut out[..(R - 1) * ldo + cols];
+        let k8 = k - k % NR;
+        let arows: [&[f32]; R] = std::array::from_fn(|r| &a[r * k..(r + 1) * k]);
+        let ablocks: [&[[f32; NR]]; R] = arows.map(|row| row.as_chunks::<NR>().0);
+        let pblocks = &panel[..k8 * NT_COLS];
+        for h in (0..cols).step_by(NR) {
+            let s0 = nt_half_tree::<R, 0>(&ablocks, pblocks, h);
+            let s1 = nt_half_tree::<R, 2>(&ablocks, pblocks, h);
+            for (r, arow) in arows.iter().enumerate() {
+                let mut tail = _mm256_setzero_ps();
+                for (p, &av) in arow.iter().enumerate().skip(k8) {
+                    let prod = _mm256_mul_ps(_mm256_set1_ps(av), load8(panel, p * NT_COLS + h));
+                    tail = _mm256_add_ps(tail, prod);
+                }
+                let sum = _mm256_add_ps(_mm256_add_ps(s0[r], s1[r]), tail);
+                let (at, n) = (r * ldo + h, NR.min(cols - h));
+                if n == NR {
+                    store8(out, at, _mm256_add_ps(load8(out, at), sum));
+                } else {
+                    let mut lanes = [0.0f32; NR];
+                    store8(&mut lanes, 0, sum);
+                    for (o, &v) in out[at..at + n].iter_mut().zip(&lanes) {
+                        *o += v;
+                    }
                 }
             }
         }
-        for (r, accr) in acc.iter().enumerate() {
-            let arow = &a[r * k..(r + 1) * k];
-            for (j, &accv) in accr.iter().enumerate() {
-                let brow = &b[j * k..(j + 1) * k];
-                let mut lanes = [0.0f32; NR];
-                store8(&mut lanes[..], 0, accv);
-                let mut tail = 0.0f32;
-                for i in blocks * NR..k {
-                    tail += arow[i] * brow[i];
+    }
+
+    /// One half of the lane tree for the 8 columns from `h` of each of
+    /// `R` rows, `(l_I + l_{I+4}) + (l_{I+1} + l_{I+5})`: the reduction
+    /// runs over the accumulators `p mod 8 ∈ {I, I+1, I+4, I+5}` only,
+    /// so `4R` of them are live (three rows fit the 16 `ymm`
+    /// registers), and folds them as it ends.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    // SAFETY: `target_feature` makes this fn unsafe-to-call; callers
+    // are themselves AVX2-gated bodies. `pblocks` is whole 8-row
+    // blocks of the panel and `h + 8 ≤ NT_COLS`, so every load is in
+    // bounds.
+    unsafe fn nt_half_tree<const R: usize, const I: usize>(
+        ablocks: &[&[[f32; NR]]; R],
+        pblocks: &[f32],
+        h: usize,
+    ) -> [__m256; R] {
+        let mut acc = [[_mm256_setzero_ps(); 4]; R];
+        for (c, pblk) in pblocks.chunks_exact(NR * NT_COLS).enumerate() {
+            let ablk: [&[f32; NR]; R] = std::array::from_fn(|r| &ablocks[r][c]);
+            for (q, l) in [I, I + 1, I + 4, I + 5].into_iter().enumerate() {
+                let bv = load8(pblk, l * NT_COLS + h);
+                for (accr, ab) in acc.iter_mut().zip(&ablk) {
+                    accr[q] = _mm256_add_ps(accr[q], _mm256_mul_ps(_mm256_set1_ps(ab[l]), bv));
                 }
-                out[r * ldo + j] += sum_lanes_tree(&lanes) + tail;
             }
         }
+        acc.map(|[li, lj, li4, lj4]| _mm256_add_ps(_mm256_add_ps(li, li4), _mm256_add_ps(lj, lj4)))
+    }
+
+    fn topk(row: &[f32], idx: &mut [u32], val: &mut [f32]) {
+        // SAFETY: reachable only through the detection-gated tables.
+        unsafe { topk_body(row, idx, val) }
+    }
+
+    /// `ops::topk_by_max` compiled for AVX2.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 (guaranteed by the dispatch table's detection
+    /// gate).
+    #[target_feature(enable = "avx2")]
+    // SAFETY: `target_feature` makes this fn unsafe-to-call; the only
+    // caller is the detection-gated wrapper above.
+    unsafe fn topk_body(row: &[f32], idx: &mut [u32], val: &mut [f32]) {
+        crate::ops::topk_by_max(row, idx, val);
     }
 
     pub(super) fn axpy(a: f32, v: &[f32], out: &mut [f32]) {
@@ -1506,9 +1628,10 @@ mod avx2 {
     }
 }
 
-/// `f32x16` kernels for the four that carry the expert FFN — the
-/// 6 × 32 micro-tile, the 4 × 6 dot tile, `gelu` and `gelu_backward`;
-/// every other entry of [`TABLE`] is the AVX2 one. Every body is a
+/// `f32x16` kernels for the five that carry the expert FFN and the
+/// gate — the 6 × 32 micro-tile, the 3 × 16 `A·Bᵀ` tile, `gelu`,
+/// `gelu_backward` and `topk` (the shared body at 512 bits); every
+/// other entry of [`TABLE`] is the AVX2 one. Every body is a
 /// `#[target_feature(enable = "avx512f,avx512dq")]` function behind a
 /// safe wrapper that is only reachable through [`TABLE`], which
 /// [`table`](super::table) returns exclusively after
@@ -1516,21 +1639,21 @@ mod avx2 {
 /// AVX-512F+DQ.
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
-    use super::avx2::{self, load8};
+    use super::avx2;
     use super::{
-        KernelTable, SimdMode, DOT_COLS, DOT_ROWS, EXPM1_Q, INV_LN2, LN2_HI, LN2_LO, MR, NR,
-        TILE_COLS, WIDE_DOT_COLS, WIDE_TILE_COLS,
+        KernelTable, SimdMode, EXPM1_Q, INV_LN2, LN2_HI, LN2_LO, MR, NR, NT_COLS, NT_ROWS,
+        TILE_COLS, WIDE_TILE_COLS,
     };
     use crate::ops::{gelu_derivative, gelu_scalar, GELU_CUBIC, SQRT_2_OVER_PI};
     use core::arch::x86_64::{
-        __m512, __m512i, _mm512_add_epi32, _mm512_add_ps, _mm512_and_ps, _mm512_and_si512,
-        _mm512_broadcast_f32x8, _mm512_castps256_ps512, _mm512_castps_si512, _mm512_castsi512_ps,
-        _mm512_cmpeq_epi32_mask, _mm512_cmpgt_epi32_mask, _mm512_cvtepi32_ps, _mm512_cvttps_epi32,
-        _mm512_div_ps, _mm512_insertf32x8, _mm512_loadu_ps, _mm512_mask_blend_epi32,
-        _mm512_mask_blend_ps, _mm512_maskz_mov_epi32, _mm512_movepi32_mask, _mm512_mul_ps,
-        _mm512_or_si512, _mm512_permute_ps, _mm512_set1_epi32, _mm512_set1_ps, _mm512_setzero_ps,
-        _mm512_shuffle_f32x4, _mm512_slli_epi32, _mm512_srai_epi32, _mm512_srlv_epi32,
-        _mm512_storeu_ps, _mm512_sub_epi32, _mm512_sub_ps, _mm512_xor_ps,
+        __m512, __m512i, __mmask16, _mm512_add_epi32, _mm512_add_ps, _mm512_and_ps,
+        _mm512_and_si512, _mm512_castps_si512, _mm512_castsi512_ps, _mm512_cmpeq_epi32_mask,
+        _mm512_cmpgt_epi32_mask, _mm512_cvtepi32_ps, _mm512_cvttps_epi32, _mm512_div_ps,
+        _mm512_loadu_ps, _mm512_mask_blend_epi32, _mm512_mask_blend_ps, _mm512_mask_storeu_ps,
+        _mm512_maskz_loadu_ps, _mm512_maskz_mov_epi32, _mm512_movepi32_mask, _mm512_mul_ps,
+        _mm512_or_si512, _mm512_set1_epi32, _mm512_set1_ps, _mm512_setzero_ps, _mm512_slli_epi32,
+        _mm512_srai_epi32, _mm512_srlv_epi32, _mm512_storeu_ps, _mm512_sub_epi32, _mm512_sub_ps,
+        _mm512_xor_ps,
     };
 
     /// Lanes per `zmm`.
@@ -1540,7 +1663,8 @@ mod avx512 {
         mode: SimdMode::Avx512,
         micro_tiles: &[(WIDE_TILE_COLS, micro_tile), (TILE_COLS, avx2::micro_tile)],
         dot: avx2::dot,
-        dot_tiles: &[(WIDE_DOT_COLS, dot_tile), (DOT_COLS, avx2::dot_tile)],
+        nt_tile,
+        topk,
         axpy: avx2::axpy,
         add_assign: avx2::add_assign,
         row_max: avx2::row_max,
@@ -1635,11 +1759,31 @@ mod avx512 {
         }
     }
 
-    fn dot_tile(a: &[f32], b: &[f32], k: usize, out: &mut [f32], ldo: usize) {
+    // The 7-ary signature IS the `NtTileFn` table ABI.
+    fn nt_tile(
+        a: &[f32],
+        rows: usize,
+        k: usize,
+        panel: &[f32],
+        out: &mut [f32],
+        ldo: usize,
+        cols: usize,
+    ) {
+        assert!((1..=NT_ROWS).contains(&rows), "A·Bᵀ tile of {rows} rows");
         // SAFETY: reachable only through the detection-gated `TABLE`.
-        unsafe { dot_tile_body(a, b, k, out, ldo) }
+        unsafe {
+            match rows {
+                1 => nt_tile_body::<1>(a, k, panel, out, ldo, cols),
+                2 => nt_tile_body::<2>(a, k, panel, out, ldo, cols),
+                _ => nt_tile_body::<NT_ROWS>(a, k, panel, out, ldo, cols),
+            }
+        }
     }
 
+    /// The `R`-row tile in one pass: `dot`'s eight accumulators of
+    /// each row are eight `zmm`s across the panel's 16 columns, 24 for
+    /// three rows, with A broadcast from its row.
+    ///
     /// # Safety
     ///
     /// Requires AVX-512F+DQ (guaranteed by the dispatch table's
@@ -1647,70 +1791,74 @@ mod avx512 {
     #[target_feature(enable = "avx512f,avx512dq")]
     // SAFETY: `target_feature` makes this fn unsafe-to-call; the only
     // caller is the detection-gated wrapper above.
-    unsafe fn dot_tile_body(a: &[f32], b: &[f32], k: usize, out: &mut [f32], ldo: usize) {
-        const PAIRS: usize = WIDE_DOT_COLS / 2;
-        let (a, b) = (&a[..DOT_ROWS * k], &b[..WIDE_DOT_COLS * k]);
-        let blocks = k / NR;
-        // `acc[r][q]` is `dot`'s 8-lane accumulator of output
-        // `(r, 2q)` in its low half and of `(r, 2q + 1)` in its high
-        // half: A's block is broadcast to both halves, each B row's
-        // block loaded into its own.
-        let mut acc = [[_mm512_setzero_ps(); PAIRS]; DOT_ROWS];
-        for c in 0..blocks {
-            let mut bv = [_mm512_setzero_ps(); PAIRS];
-            for (q, v) in bv.iter_mut().enumerate() {
-                let lo = _mm512_castps256_ps512(load8(b, 2 * q * k + c * NR));
-                *v = _mm512_insertf32x8::<1>(lo, load8(b, (2 * q + 1) * k + c * NR));
-            }
-            for (r, accr) in acc.iter_mut().enumerate() {
-                let av = _mm512_broadcast_f32x8(load8(a, r * k + c * NR));
-                for (accv, &bv) in accr.iter_mut().zip(&bv) {
-                    *accv = _mm512_add_ps(*accv, _mm512_mul_ps(av, bv));
+    unsafe fn nt_tile_body<const R: usize>(
+        a: &[f32],
+        k: usize,
+        panel: &[f32],
+        out: &mut [f32],
+        ldo: usize,
+        cols: usize,
+    ) {
+        // These bounds cover every access below.
+        assert!(
+            R <= NT_ROWS && cols <= NT_COLS && cols <= ldo,
+            "A·Bᵀ tile shape"
+        );
+        let (a, panel) = (&a[..R * k], &panel[..k * NT_COLS]);
+        let out = &mut out[..(R - 1) * ldo + cols];
+        let k8 = k - k % NR;
+        let arows: [&[f32]; R] = std::array::from_fn(|r| &a[r * k..(r + 1) * k]);
+        let ablocks: [&[[f32; NR]]; R] = arows.map(|row| row.as_chunks::<NR>().0);
+        let mut acc = [[_mm512_setzero_ps(); NR]; R];
+        for (c, pblk) in panel[..k8 * NT_COLS].chunks_exact(NR * LANES).enumerate() {
+            let ablk: [&[f32; NR]; R] = std::array::from_fn(|r| &ablocks[r][c]);
+            for l in 0..NR {
+                let bv = load16(pblk, l * LANES);
+                for (accr, ab) in acc.iter_mut().zip(&ablk) {
+                    // Two roundings, as `dot` (rule 1).
+                    accr[l] = _mm512_add_ps(accr[l], _mm512_mul_ps(_mm512_set1_ps(ab[l]), bv));
                 }
             }
         }
-        // Row-major over (r, j), two accumulators hold four outputs.
-        let flat = acc.as_flattened();
-        let mut trees = [0.0f32; DOT_ROWS * WIDE_DOT_COLS];
-        for (four, pair) in trees.chunks_exact_mut(4).zip(flat.chunks_exact(2)) {
-            four.copy_from_slice(&collapse4(pair[0], pair[1]));
-        }
-        for (r, row) in trees.chunks_exact(WIDE_DOT_COLS).enumerate() {
-            let arow = &a[r * k..(r + 1) * k];
-            for (j, &tree) in row.iter().enumerate() {
-                let brow = &b[j * k..(j + 1) * k];
-                let mut tail = 0.0f32;
-                for i in blocks * NR..k {
-                    tail += arow[i] * brow[i];
-                }
-                out[r * ldo + j] += tree + tail;
+        // Only the columns below `cols` are loaded or stored.
+        let mask = ((1u32 << cols) - 1) as __mmask16;
+        for (r, (accr, arow)) in acc.iter().zip(&arows).enumerate() {
+            let mut tail = _mm512_setzero_ps();
+            for p in k8..k {
+                let prod = _mm512_mul_ps(_mm512_set1_ps(arow[p]), load16(panel, p * LANES));
+                tail = _mm512_add_ps(tail, prod);
+            }
+            let [l0, l1, l2, l3, l4, l5, l6, l7] = *accr;
+            let s0 = _mm512_add_ps(_mm512_add_ps(l0, l4), _mm512_add_ps(l1, l5));
+            let s1 = _mm512_add_ps(_mm512_add_ps(l2, l6), _mm512_add_ps(l3, l7));
+            let sum = _mm512_add_ps(_mm512_add_ps(s0, s1), tail);
+            let at = out[r * ldo..].as_mut_ptr();
+            // SAFETY: `out` holds `cols` elements from `r * ldo` (the
+            // slice above), and the mask loads and stores no lane past
+            // them.
+            unsafe {
+                let o = _mm512_maskz_loadu_ps(mask, at);
+                _mm512_mask_storeu_ps(at, mask, _mm512_add_ps(o, sum));
             }
         }
     }
 
-    /// [`super::sum_lanes_tree`] of the four 8-lane accumulators in `x`'s and
-    /// `y`'s halves, in that order, four at once.
+    fn topk(row: &[f32], idx: &mut [u32], val: &mut [f32]) {
+        // SAFETY: reachable only through the detection-gated `TABLE`.
+        unsafe { topk_body(row, idx, val) }
+    }
+
+    /// `ops::topk_by_max` compiled for AVX-512.
     ///
     /// # Safety
     ///
-    /// Requires AVX-512F+DQ.
+    /// Requires AVX-512F+DQ (guaranteed by the dispatch table's
+    /// detection gate).
     #[target_feature(enable = "avx512f,avx512dq")]
-    // SAFETY: `target_feature` makes this fn unsafe-to-call; callers
-    // are themselves AVX-512-gated bodies. Register-only arithmetic.
-    unsafe fn collapse4(x: __m512, y: __m512) -> [f32; 4] {
-        // 128-bit lane `o` of `lo` / `hi` holds lanes 0..4 / 4..8 of
-        // output `o`.
-        let lo = _mm512_shuffle_f32x4::<0b10_00_10_00>(x, y);
-        let hi = _mm512_shuffle_f32x4::<0b11_01_11_01>(x, y);
-        // [l0+l4, l1+l5, l2+l6, l3+l7] per output.
-        let s = _mm512_add_ps(lo, hi);
-        // Element 0: (l0+l4)+(l1+l5); element 2: (l2+l6)+(l3+l7).
-        let t = _mm512_add_ps(s, _mm512_permute_ps::<0b10_11_00_01>(s));
-        // Element 0: the pair's sum.
-        let u = _mm512_add_ps(t, _mm512_permute_ps::<0b01_00_11_10>(t));
-        let mut lanes = [0.0f32; LANES];
-        store16(&mut lanes, 0, u);
-        [lanes[0], lanes[4], lanes[8], lanes[12]]
+    // SAFETY: `target_feature` makes this fn unsafe-to-call; the only
+    // caller is the detection-gated wrapper above.
+    unsafe fn topk_body(row: &[f32], idx: &mut [u32], val: &mut [f32]) {
+        crate::ops::topk_by_max(row, idx, val);
     }
 
     /// [`super::tanh`] on 16 lanes, the same operations in the same
@@ -1989,7 +2137,7 @@ mod avx512 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn ramp(n: usize, seed: u64) -> Vec<f32> {
@@ -2048,11 +2196,8 @@ mod tests {
         for kt in std::iter::once(&SCALAR_TABLE).chain(simd_tables()) {
             let label = kt.mode.label();
             let tiles: Vec<usize> = kt.micro_tiles.iter().map(|t| t.0).collect();
-            let dots: Vec<usize> = kt.dot_tiles.iter().map(|t| t.0).collect();
             assert_eq!(tiles.last(), Some(&TILE_COLS), "{label}");
-            assert_eq!(dots.last(), Some(&DOT_COLS), "{label}");
             assert!(tiles.windows(2).all(|w| w[0] > w[1]), "{label}");
-            assert!(dots.windows(2).all(|w| w[0] > w[1]), "{label}");
             assert!(tiles.iter().all(|c| c % TILE_COLS == 0), "{label}");
         }
     }
@@ -2090,6 +2235,152 @@ mod tests {
             (scalar.div_assign)(&mut a, 1.7);
             (simd.div_assign)(&mut b, 1.7);
             assert_eq!(bits(&a), bits(&b), "{label} div_assign");
+        }
+    }
+
+    /// x86's default NaN: every NaN the arithmetic makes or passes on
+    /// then has these bits, whichever operand order the compiler gives
+    /// an instruction, so results compare bit for bit.
+    const NAN: f32 = f32::from_bits(0xffc0_0000);
+
+    /// `v` with every fifth element, from a seed-chosen start, replaced
+    /// by one of ±0, ±inf, [`NAN`] and the least subnormal in turn.
+    pub(crate) fn sprinkle(mut v: Vec<f32>, seed: u64) -> Vec<f32> {
+        let specials = [
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            NAN,
+            f32::from_bits(1),
+        ];
+        for (i, x) in v.iter_mut().enumerate().skip(seed as usize % 5).step_by(5) {
+            *x = specials[(i / 5 + seed as usize) % specials.len()];
+        }
+        v
+    }
+
+    /// The `unsafe` slice kernels no tile or transcendental sweep
+    /// covers — `axpy`, `add_assign`, `row_max`, `row_sum`,
+    /// `div_assign` and `bf16_round` — equal scalar bit for bit in
+    /// every SIMD table on every length from 0 to past two 8-lane
+    /// blocks and either side of 64 and 128, each at four float
+    /// offsets (so most accesses are unaligned), with ±0, ±inf, NaN and
+    /// subnormals among the values.
+    #[test]
+    fn slice_kernels_match_scalar_on_ragged_unaligned_and_empty_slices() {
+        let scalar = &SCALAR_TABLE;
+        for len in (0..=33).chain([63, 64, 65, 127, 128, 129]) {
+            for skew in 0..4 {
+                let seed = (len * 4 + skew) as u64;
+                let xs = sprinkle(ramp(skew + len, seed), seed);
+                let ys = sprinkle(ramp(skew + len, seed + 1), seed + 3);
+                let (x, y) = (&xs[skew..], &ys[skew..]);
+                for simd in simd_tables() {
+                    let label = format!("{} len {len} skew {skew}", simd.mode.label());
+                    for reduce in [scalar.row_max, scalar.row_sum]
+                        .iter()
+                        .zip([simd.row_max, simd.row_sum])
+                    {
+                        assert_eq!(
+                            reduce.0(x).to_bits(),
+                            reduce.1(x).to_bits(),
+                            "{label} reduce"
+                        );
+                    }
+                    let (mut a, mut b) = (xs.clone(), xs.clone());
+                    (scalar.axpy)(0.37, y, &mut a[skew..]);
+                    (simd.axpy)(0.37, y, &mut b[skew..]);
+                    assert_eq!(bits(&a), bits(&b), "{label} axpy");
+                    (scalar.add_assign)(y, &mut a[skew..]);
+                    (simd.add_assign)(y, &mut b[skew..]);
+                    assert_eq!(bits(&a), bits(&b), "{label} add_assign");
+                    for denom in [1.7, -0.0, f32::INFINITY, NAN] {
+                        let (mut a, mut b) = (a.clone(), b.clone());
+                        (scalar.div_assign)(&mut a[skew..], denom);
+                        (simd.div_assign)(&mut b[skew..], denom);
+                        assert_eq!(bits(&a), bits(&b), "{label} div_assign {denom}");
+                    }
+                    (scalar.bf16_round)(&mut a[skew..]);
+                    (simd.bf16_round)(&mut b[skew..]);
+                    assert_eq!(bits(&a), bits(&b), "{label} bf16_round");
+                }
+            }
+        }
+    }
+
+    /// Every table's `topk` entry equals the scalar scan, indices and
+    /// value bits, for `E ∈ 1..=17 ∪ {31, 32, 33, 63, 64, 65}` and every
+    /// `k ≤ E`, on rows of exact ties, ±0, NaN of both signs, ±inf,
+    /// all-NaN rows, subnormals and random mixes of them.
+    #[test]
+    fn topk_agrees_across_tables_on_ties_zeros_nans_and_infs() {
+        let neg_nan = f32::from_bits(0xffc0_0001);
+        let pool = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            0.5,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            neg_nan,
+            f32::from_bits(1),
+            f32::from_bits(0x8000_0001),
+            f32::MIN_POSITIVE,
+            f32::MAX,
+        ];
+        let mut rng = crate::Rng::seed(44);
+        for e in (1..=17).chain([31, 32, 33, 63, 64, 65]) {
+            let mut rows: Vec<Vec<f32>> = vec![
+                vec![0.5; e],
+                (0..e)
+                    .map(|j| if j % 2 == 0 { 0.0 } else { -0.0 })
+                    .collect(),
+                (0..e)
+                    .map(|j| if j % 2 == 0 { f32::NAN } else { neg_nan })
+                    .collect(),
+                (0..e)
+                    .map(|j| [f32::INFINITY, f32::NEG_INFINITY][j % 2])
+                    .collect(),
+                (0..e)
+                    .map(|j| f32::from_bits(j as u32 % 3) * [1.0, -1.0][j % 2])
+                    .collect(),
+                ramp(e, e as u64),
+            ];
+            for _ in 0..24 {
+                rows.push((0..e).map(|_| pool[rng.below(pool.len())]).collect());
+            }
+            // Three copies: more rows than one of `topk_last`'s chunks.
+            let t = crate::Tensor::from_vec(rows.concat().repeat(3), &[3 * rows.len(), e]).unwrap();
+            for k in 1..=e {
+                for row in &rows {
+                    let run = |kt: &KernelTable| {
+                        let (mut idx, mut val) = (vec![0u32; k], vec![0.0f32; k]);
+                        (kt.topk)(row, &mut idx, &mut val);
+                        (idx, bits(&val))
+                    };
+                    let want = run(&SCALAR_TABLE);
+                    for simd in simd_tables() {
+                        assert_eq!(
+                            run(simd),
+                            want,
+                            "{} E {e} k {k} row {row:?}",
+                            simd.mode.label()
+                        );
+                    }
+                }
+                // And through `topk_last`, whose row chunks run on the pool.
+                let launch = |mode| {
+                    let (idx, val) = with_kernel_mode(mode, || t.topk_last(k)).unwrap();
+                    (idx, bits(&val))
+                };
+                let want = launch(SimdMode::Scalar);
+                for &mode in simd_modes() {
+                    assert_eq!(launch(mode), want, "{} topk_last E {e} k {k}", mode.label());
+                }
+            }
         }
     }
 
@@ -2451,36 +2742,43 @@ mod tests {
                 }
             }
 
-            /// Every dot tile of every table (4 × 3; 4 × 6 on AVX-512)
-            /// equals `dot` per element bit for bit for
-            /// `k ∈ {0, 1..7, 8q + r}`, any output stride, with the
-            /// operands at odd offsets and `out` exactly as long as the
-            /// block reaches.
+            /// Every table's `A·Bᵀ` tile equals `dot` per element bit for
+            /// bit on every short tile (`rows ∈ 1..=NT_ROWS`, `cols ∈
+            /// 1..=NT_COLS`), every `k % 8` from `k = 1` to past eight
+            /// 8-lane blocks and any output stride, with ±0, ±inf, NaN
+            /// and subnormals among the operands, all three at odd
+            /// offsets and `out` exactly as long as the tile reaches.
             #[test]
-            fn dot_tile_agrees_across_modes_on_edges(
-                (kq, kr) in (0usize..6, 0usize..NR),
+            fn nt_tile_agrees_with_dot_on_edges(
+                (rows, cols) in (1usize..=NT_ROWS, 1usize..=NT_COLS),
+                (kq, kr) in (0usize..9, 0usize..NR),
                 extra in 0usize..5,
                 skews in (skew(), skew(), skew()),
                 seed in 0u64..1024,
             ) {
-                let k = kq * NR + kr;
-                for kt in std::iter::once(&SCALAR_TABLE).chain(simd_tables()) {
-                    for &(cols, tile) in kt.dot_tiles {
-                        let ldo = cols + extra;
-                        let a = skewed(DOT_ROWS * k, seed, skews.0);
-                        let b = skewed(cols * k, seed + 1, skews.1);
-                        let out = skewed((DOT_ROWS - 1) * ldo + cols, seed + 2, skews.2);
-                        let (a_s, b_s, o) = (&a[skews.0..], &b[skews.1..], skews.2);
-                        let mut want = out[o..].to_vec();
-                        for r in 0..DOT_ROWS {
-                            for j in 0..cols {
-                                want[r * ldo + j] += (SCALAR_TABLE.dot)(&a_s[r * k..][..k], &b_s[j * k..][..k]);
-                            }
-                        }
-                        let mut got = out;
-                        tile(a_s, b_s, k, &mut got[o..], ldo);
-                        prop_assert_eq!(bits(&got[o..]), bits(&want), "{} {}", kt.mode.label(), cols);
+                let (k, ldo) = ((kq * NR + kr).max(1), cols + extra);
+                let a = sprinkle(skewed(rows * k, seed, skews.0), seed);
+                let b = sprinkle(ramp(cols * k, seed + 1), seed + 2);
+                // The panel as the launch packs it: `Bᵀ`, zero past `cols`.
+                let mut panel = skewed(k * NT_COLS, seed + 3, skews.1);
+                let o = skews.1;
+                for (p, prow) in panel[o..].chunks_exact_mut(NT_COLS).enumerate() {
+                    for (j, v) in prow.iter_mut().enumerate() {
+                        *v = if j < cols { b[j * k + p] } else { 0.0 };
                     }
+                }
+                let out = skewed((rows - 1) * ldo + cols, seed + 4, skews.2);
+                let a_s = &a[skews.0..];
+                for kt in std::iter::once(&SCALAR_TABLE).chain(simd_tables()) {
+                    let mut want = out[skews.2..].to_vec();
+                    for r in 0..rows {
+                        for j in 0..cols {
+                            want[r * ldo + j] += (kt.dot)(&a_s[r * k..][..k], &b[j * k..][..k]);
+                        }
+                    }
+                    let mut got = out.clone();
+                    (kt.nt_tile)(a_s, rows, k, &panel[o..], &mut got[skews.2..], ldo, cols);
+                    prop_assert_eq!(bits(&got[skews.2..]), bits(&want), "{}", kt.mode.label());
                 }
             }
 

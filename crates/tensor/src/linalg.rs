@@ -10,7 +10,7 @@
 //! CSR row bins — [`grouped_gemm`] (`A·B`), [`grouped_gemm_nt_into`]
 //! (`A·Bᵀ`) and [`grouped_gemm_tn`] (`Aᵀ·B`) — and they (with
 //! [`grouped_gemm_into`], `A·B`'s storing form) are the only functions
-//! that touch the packed microkernel or the strip-mined `dot`. A dense
+//! that touch the packed microkernels. A dense
 //! product is the one-group launch: [`Tensor::matmul`],
 //! [`Tensor::matmul_nt`] and [`Tensor::matmul_tn`] pass the single bin
 //! `[0, rows]`, [`Tensor::bmm`] passes [`uniform_offsets`]. A backward
@@ -40,15 +40,19 @@
 //!   enough, then a scalar edge tile (A panels are packed
 //!   `kc × MR`-interleaved so the microkernel reads them contiguously;
 //!   B is read in place at stride `n`);
-//! * `A·Bᵀ` reads both operands along `k`, so it runs the table's dot
-//!   tiles — [`DOT_ROWS`]` × 6` on AVX-512, then `DOT_ROWS × `
-//!   [`DOT_COLS`] (4 × 3) — each output a strip-mined dot product in
-//!   `dot`'s own order, and `dot` itself on the edges;
+//! * `A·Bᵀ` reads both operands along `k`, so each group's B is packed
+//!   once per launch into [`NT_COLS`]-column `Bᵀ` panels (an arena
+//!   buffer, packed in parallel over groups) and the table's
+//!   [`NT_ROWS`]` × NT_COLS` tile runs over them as an `A·B` tile does,
+//!   A broadcast from its row: each output keeps `dot`'s eight
+//!   accumulators (step `p` into accumulator `p mod 8`), its lane tree
+//!   and its tail, so it is `dot` bit for bit, with the vector lanes
+//!   across the panel's columns;
 //! * there is no value-sparsity branch: on dense operands an
 //!   `av == 0.0` skip costs more than the multiply and blocks
 //!   vectorization.
 
-use crate::dispatch::{self, KernelTable, DOT_ROWS, MR, TILE_COLS};
+use crate::dispatch::{self, NtTileFn, MR, NT_COLS, NT_ROWS, TILE_COLS};
 use crate::ops::{check_top_k, softmax_top_k_rows, TopK};
 use crate::{scratch, Result, Tensor, TensorError};
 
@@ -281,12 +285,15 @@ fn nn(
 /// Grouped `out = epilogue(a · bᵀ)` over ragged bins: `a` packed
 /// `(R, k)`, `b` one `(n, k)` matrix per group (row-major over `k`),
 /// `out` packed `(R, n)`. The backward-input primitive
-/// (`dH = dY · W2ᵀ`): both operands are row-major over `k`, so each
-/// output element is an 8-lane strip-mined dot product with a fixed
-/// horizontal-sum order, computed [`DOT_ROWS`] rows at a time by the
-/// table's dot tiles. The product is stored and finished block by
-/// block exactly as [`grouped_gemm_into`] does for `a · b` (pass
-/// `|_, _, _| {}` for the bare product).
+/// (`dH = dY · W2ᵀ`). Each output element is `dot`'s strip-mined sum
+/// in `dot`'s order, bit for bit, computed the way `A·B` is: each
+/// group's `b` is packed once per launch into [`NT_COLS`]-column `Bᵀ`
+/// panels (`k × NT_COLS`, zero past `n`; an arena buffer, packed in
+/// parallel over groups), and each row block runs the table's
+/// [`NT_ROWS`]` × NT_COLS` tiles over them, A read in place. The
+/// product is stored and finished block by block exactly as
+/// [`grouped_gemm_into`] does for `a · b` (pass `|_, _, _| {}` for the
+/// bare product).
 #[allow(clippy::too_many_arguments)]
 pub fn grouped_gemm_nt_into(
     a: &[f32],
@@ -298,50 +305,81 @@ pub fn grouped_gemm_nt_into(
     epilogue: impl Fn(usize, usize, &mut [f32]) + Sync,
 ) {
     let total = offsets.last().copied().unwrap_or(0);
+    let groups = offsets.len().saturating_sub(1);
     debug_assert_eq!(a.len(), total * k);
-    debug_assert_eq!(b.len(), offsets.len().saturating_sub(1) * n * k);
-    row_blocks(out, offsets, n, true, |g, r0, chunk| {
-        let first = offsets[g] + r0;
-        let a_blk = &a[first * k..(first + chunk.len() / n) * k];
-        let b_g = &b[g * n * k..(g + 1) * n * k];
-        block_dots(dispatch::table(), a_blk, b_g, chunk, k, n);
+    debug_assert_eq!(b.len(), groups * n * k);
+    debug_assert_eq!(out.len(), total * n);
+    if groups == 0 || total == 0 || n == 0 {
+        return;
+    }
+    // The pack jobs' ranges ride in the row blocks' schedule, so the
+    // launch allocates no more than `A·B`'s.
+    let (mut ranges, meta) = grouped_ranges(offsets, n, groups);
+    let blocks = ranges.len();
+    let group_len = n.div_ceil(NT_COLS) * k * NT_COLS;
+    let mut panels = Vec::new();
+    if group_len > 0 {
+        panels = tutel_rt::arena().take_raw(groups * group_len);
+        ranges.extend((0..groups).map(|g| (g * group_len, (g + 1) * group_len)));
+        tutel_rt::parallel_ranges(&mut panels, &ranges[blocks..], |g, panels_g| {
+            if offsets[g + 1] > offsets[g] {
+                pack_bt(&b[g * n * k..(g + 1) * n * k], k, n, panels_g);
+            }
+        });
+        ranges.truncate(blocks);
+    }
+    let nt_tile = dispatch::table().nt_tile;
+    run_row_blocks(out, &ranges, &meta, true, |g, r0, chunk| {
+        if group_len > 0 {
+            let (first, rows) = (offsets[g] + r0, chunk.len() / n);
+            let a_blk = &a[first * k..(first + rows) * k];
+            let panels_g = &panels[g * group_len..(g + 1) * group_len];
+            block_nt(nt_tile, a_blk, panels_g, chunk, k, n);
+        }
         epilogue(g, r0, chunk);
     });
+    if group_len > 0 {
+        tutel_rt::arena().put(panels);
+    }
 }
 
-/// `out += a · bᵀ` for one `rows × n` block: `a` is the block's
-/// `rows × k` rows, `b` the group's `n × k`. Each `DOT_ROWS`-row strip
-/// runs the table's dot tiles left to right, widest first while they
-/// fit, and the edges run `dot`; every element is the same `dot`
-/// either way.
-fn block_dots(kt: &KernelTable, a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
-    let rows = out.len() / n;
-    let full_rows = rows - rows % DOT_ROWS;
-    let dot = |i: usize, j: usize| (kt.dot)(&a[i * k..(i + 1) * k], &b[j * k..(j + 1) * k]);
-    for i in (0..full_rows).step_by(DOT_ROWS) {
-        let a_tile = &a[i * k..(i + DOT_ROWS) * k];
-        let mut j = 0;
-        for &(cols, dot_tile) in kt.dot_tiles {
-            while n - j >= cols {
-                dot_tile(
-                    a_tile,
-                    &b[j * k..(j + cols) * k],
-                    k,
-                    &mut out[i * n + j..],
-                    n,
-                );
-                j += cols;
-            }
-        }
-        for r in i..i + DOT_ROWS {
-            for jr in j..n {
-                out[r * n + jr] += dot(r, jr);
+/// Packs one group's `b (n × k)` as `Bᵀ` panels: panel `q` is
+/// `k × NT_COLS`, its row `p` holding element `p` of B rows
+/// `q·NT_COLS ..`, and `0.0` past row `n`.
+fn pack_bt(b: &[f32], k: usize, n: usize, panels: &mut [f32]) {
+    for (q, panel) in panels.chunks_exact_mut(k * NT_COLS).enumerate() {
+        // The panel's B rows, empty past `n`.
+        let rows: [&[f32]; NT_COLS] = std::array::from_fn(|j| match q * NT_COLS + j {
+            row if row < n => &b[row * k..(row + 1) * k],
+            _ => &[],
+        });
+        for (p, prow) in panel.chunks_exact_mut(NT_COLS).enumerate() {
+            for (v, row) in prow.iter_mut().zip(&rows) {
+                *v = row.get(p).copied().unwrap_or(0.0);
             }
         }
     }
-    for r in full_rows..rows {
-        for j in 0..n {
-            out[r * n + j] += dot(r, j);
+}
+
+/// `out += a · bᵀ` for one `rows × n` block (`k > 0`): `a` is the
+/// block's `rows × k` rows, `panels` its group's packed `Bᵀ`. Each
+/// panel runs the tile down the block, [`NT_ROWS`] rows at a time, so
+/// it is read from cache for every row after the first.
+fn block_nt(nt_tile: NtTileFn, a: &[f32], panels: &[f32], out: &mut [f32], k: usize, n: usize) {
+    let rows = out.len() / n;
+    for (q, panel) in panels.chunks_exact(k * NT_COLS).enumerate() {
+        let (jc, cols) = (q * NT_COLS, NT_COLS.min(n - q * NT_COLS));
+        for i in (0..rows).step_by(NT_ROWS) {
+            let r = NT_ROWS.min(rows - i);
+            nt_tile(
+                &a[i * k..(i + r) * k],
+                r,
+                k,
+                panel,
+                &mut out[i * n + jc..],
+                n,
+                cols,
+            );
         }
     }
 }
@@ -362,8 +400,19 @@ fn row_blocks(
     if offsets.len() < 2 || total == 0 || cols == 0 {
         return;
     }
-    let (ranges, meta) = grouped_ranges(offsets, cols);
-    tutel_rt::parallel_ranges(out, &ranges, |idx, chunk| {
+    let (ranges, meta) = grouped_ranges(offsets, cols, 0);
+    run_row_blocks(out, &ranges, &meta, store, job);
+}
+
+/// [`row_blocks`] over a schedule already built.
+fn run_row_blocks(
+    out: &mut [f32],
+    ranges: &[(usize, usize)],
+    meta: &[(usize, usize)],
+    store: bool,
+    job: impl Fn(usize, usize, &mut [f32]) + Sync,
+) {
+    tutel_rt::parallel_ranges(out, ranges, |idx, chunk| {
         let (g, r0) = meta[idx];
         if store {
             chunk.fill(0.0);
@@ -467,15 +516,15 @@ type GroupedSchedule = (Vec<(usize, usize)>, Vec<(usize, usize)>);
 /// Row-block schedule for a packed `(R, cols)` output partitioned by
 /// `offsets`: element ranges plus `(group, group-relative row0)` per
 /// block. Derived from the offsets alone so the grid is identical for
-/// every pool size.
-fn grouped_ranges(offsets: &[usize], cols: usize) -> GroupedSchedule {
+/// every pool size. The range list has room for `spare` more.
+fn grouped_ranges(offsets: &[usize], cols: usize, spare: usize) -> GroupedSchedule {
     let groups = offsets.len() - 1;
     // Sized up front: one allocation per half, whatever the block count.
     let blocks: usize = offsets
         .windows(2)
         .map(|w| (w[1] - w[0]).div_ceil(ROW_BLOCK))
         .sum();
-    let mut ranges = Vec::with_capacity(blocks);
+    let mut ranges = Vec::with_capacity(blocks + spare);
     let mut meta = Vec::with_capacity(blocks);
     for g in 0..groups {
         let rows_g = offsets[g + 1] - offsets[g];
@@ -613,6 +662,7 @@ fn micro_tile_edge(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dispatch::tests::sprinkle;
     use crate::dispatch::{SimdMode, WIDE_TILE_COLS};
 
     /// Naive reference: plain i-j-p triple loop, no blocking.
@@ -988,9 +1038,9 @@ mod tests {
         }
     }
 
-    /// The `A·Bᵀ` launch as it was before `dot_tile`: one `dot` per
-    /// element, row by row, from zero. The oracle the tiled launch must
-    /// equal bit for bit.
+    /// The `A·Bᵀ` launch as a per-element loop: one `dot` per element,
+    /// row by row, from zero. The oracle the tiled launch must equal bit
+    /// for bit.
     fn nt_per_element_dots(
         a: &[f32],
         b: &[f32],
@@ -1013,42 +1063,73 @@ mod tests {
     }
 
     /// Every `m ≤ 2·MR + 1`, `n ≤ 2·WIDE_TILE_COLS + 1` and `k` at the
-    /// small sizes and either side of one and two `KC` panels: the three
-    /// grouped launches over two bins, scalar against every SIMD table
-    /// the host has, bit for bit. `n` covers every edge of the 32- and
-    /// 16-column micro-tiles and of the 6- and 3-column dot tiles.
+    /// small sizes, either side of 32, 64 and 512, and either side of
+    /// one and two `KC` panels: the three grouped launches over two
+    /// bins with an empty one between them, scalar against every SIMD
+    /// table the host has, bit for bit, and `A·Bᵀ` against the
+    /// per-element `dot` loop in every table. `n` covers every edge of
+    /// the 32- and 16-column micro-tiles and of the 16-column `A·Bᵀ`
+    /// tile and its 8-column AVX2 halves; `m` every `m % MR` and
+    /// `m % NT_ROWS`. The operands hold ±0, ±inf, NaN and subnormals.
     #[test]
-    #[ignore = "enumerates ~18 600 shapes × 3 launches × 3 tables (seconds in release): ci.sh runs it by name"]
+    #[ignore = "enumerates ~26 000 shapes × 3 launches × 3 tables (under a minute in release): ci.sh runs it by name"]
     fn grouped_launches_match_across_simd_modes_on_every_tile_edge() {
         let (max_m, max_n) = (2 * MR + 1, 2 * WIDE_TILE_COLS + 1);
-        let ks: Vec<usize> = (0..=17).chain([KC - 1, KC, KC + 1, 2 * KC + 3]).collect();
+        let ks: Vec<usize> = (0..=17)
+            .chain([
+                31,
+                32,
+                33,
+                63,
+                64,
+                65,
+                KC - 1,
+                KC,
+                KC + 1,
+                511,
+                512,
+                513,
+                2 * KC + 3,
+            ])
+            .collect();
         let max_k = *ks.iter().max().unwrap();
         let mut rng = crate::Rng::seed(36);
-        let mut draw = |len: usize| rng.normal_tensor(&[len], 0.0, 1.0).into_vec();
-        let (a_pool, b_pool) = (draw(2 * max_m * max_k), draw(2 * max_k * max_n));
+        let mut draw =
+            |len: usize, seed| sprinkle(rng.normal_tensor(&[len], 0.0, 1.0).into_vec(), seed);
+        let (a_pool, b_pool) = (draw(2 * max_m * max_k, 1), draw(3 * max_k * max_n, 2));
         for &k in &ks {
             for m in 1..=max_m {
                 for n in 1..=max_n {
-                    let (a, b) = (&a_pool[..2 * m * k], &b_pool[..2 * k * n]);
-                    let (rows, reduce) = ([0, m, 2 * m], [0, k, 2 * k]);
+                    let (a, b) = (&a_pool[..2 * m * k], &b_pool[..3 * k * n]);
+                    let (rows, reduce) = ([0, m, m, 2 * m], [0, k, k, 2 * k]);
                     let run = |mode: SimdMode| {
                         dispatch::with_kernel_mode(mode, || {
                             let mut nn = vec![f32::NAN; 2 * m * n];
                             grouped_gemm_into(a, b, &mut nn, &rows, k, n, |_, _, _| {});
                             let mut nt = vec![f32::NAN; 2 * m * n];
                             grouped_gemm_nt_into(a, b, &mut nt, &rows, k, n, |_, _, _| {});
-                            let mut tn = vec![0.0f32; 2 * m * n];
-                            grouped_gemm_tn(&a_pool[..2 * k * m], b, &mut tn, &reduce, m, n);
-                            [nn, nt, tn].map(|v| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+                            let dots = nt_per_element_dots(a, b, &rows, k, n);
+                            let mut tn = vec![0.0f32; 3 * m * n];
+                            grouped_gemm_tn(
+                                &a_pool[..2 * k * m],
+                                &b[..2 * k * n],
+                                &mut tn,
+                                &reduce,
+                                m,
+                                n,
+                            );
+                            [nn, nt, tn, dots]
+                                .map(|v| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
                         })
                     };
                     let scalar = run(SimdMode::Scalar);
-                    for &mode in dispatch::simd_modes() {
-                        let simd = run(mode);
-                        for (what, (s, v)) in
-                            ["nn", "nt", "tn"].iter().zip(scalar.iter().zip(&simd))
+                    for mode in dispatch::kernel_modes() {
+                        let got = run(mode);
+                        let label = mode.label();
+                        assert_eq!(got[1], got[3], "{label} nt vs dot at m {m} n {n} k {k}");
+                        for (what, (s, v)) in ["nn", "nt", "tn"].iter().zip(scalar.iter().zip(&got))
                         {
-                            assert_eq!(s, v, "{} {what} at m {m} n {n} k {k}", mode.label());
+                            assert_eq!(s, v, "{label} {what} at m {m} n {n} k {k}");
                         }
                     }
                 }
@@ -1058,7 +1139,7 @@ mod tests {
 
     mod properties {
         use super::*;
-        use crate::dispatch::{NR, WIDE_DOT_COLS};
+        use crate::dispatch::NR;
         use proptest::prelude::*;
 
         fn dims() -> impl Strategy<Value = (usize, usize, usize)> {
@@ -1094,18 +1175,31 @@ mod tests {
                 })
         }
 
-        /// Bin sizes off every `DOT_ROWS` multiple, with empty bins and
+        /// Bin sizes off every `NT_ROWS` multiple, with empty bins and
         /// bins longer than one `ROW_BLOCK`.
         fn nt_bins() -> impl Strategy<Value = Vec<usize>> {
             // One bin in four is empty.
-            let rows = (0usize..4, 0usize..15, 0usize..DOT_ROWS).prop_map(|(empty, q, r)| {
+            let rows = (0usize..4, 0usize..20, 0usize..NT_ROWS).prop_map(|(empty, q, r)| {
                 if empty == 0 {
                     0
                 } else {
-                    q * DOT_ROWS + r
+                    q * NT_ROWS + r
                 }
             });
             prop::collection::vec(rows, 1..6)
+        }
+
+        /// Reduction lengths below one 8-lane block, at every `k % NR`,
+        /// and either side of 32, 64 and 512.
+        fn nt_depth() -> impl Strategy<Value = usize> {
+            const EDGES: [usize; 9] = [31, 32, 33, 63, 64, 65, 511, 512, 513];
+            (0..=3 * NR + EDGES.len()).prop_map(|i| {
+                if i <= 3 * NR {
+                    i
+                } else {
+                    EDGES[i - 3 * NR - 1]
+                }
+            })
         }
 
         proptest! {
@@ -1285,24 +1379,29 @@ mod tests {
             }
 
             /// The tiled `A·Bᵀ` launch equals the per-element `dot`
-            /// loop bit for bit over every `rows % DOT_ROWS`,
-            /// `n % WIDE_DOT_COLS` and `k % NR`, with empty bins, in
-            /// every kernel table at 1 or 4 workers.
+            /// loop bit for bit over every `rows % NT_ROWS`, `n % 16`
+            /// and `n % 8`, `k` below one 8-lane block, at every `k % 8`
+            /// and either side of 32, 64 and 512, with empty bins and
+            /// ±0, ±inf, NaN and subnormals among the operands, in every
+            /// kernel table at 1 or 4 workers.
             #[test]
             fn nt_tiles_equal_the_per_element_dot_loop(
                 sizes in nt_bins(),
-                (nq, nr) in (0usize..5, 0usize..WIDE_DOT_COLS),
-                (kq, kr) in (0usize..6, 0usize..NR),
+                (nq, nr) in (0usize..3, 0usize..NT_COLS),
+                k in nt_depth(),
                 seed in 0u64..1024,
             ) {
-                let (n, k) = (nq * WIDE_DOT_COLS + nr, kq * NR + kr);
+                let n = nq * NT_COLS + nr;
                 let mut offsets = vec![0usize];
                 for s in &sizes {
                     offsets.push(offsets.last().unwrap() + s);
                 }
                 let (groups, total) = (sizes.len(), *offsets.last().unwrap());
                 let mut rng = crate::Rng::seed(seed);
-                let mut draw = |len: usize| rng.normal_tensor(&[len.max(1)], 0.0, 1.0).as_slice()[..len].to_vec();
+                let mut draw = |len: usize| {
+                    let v = rng.normal_tensor(&[len.max(1)], 0.0, 1.0).as_slice()[..len].to_vec();
+                    sprinkle(v, seed)
+                };
                 let (a, b) = (draw(total * k), draw(groups * n * k));
                 for mode in crate::dispatch::kernel_modes() {
                     crate::dispatch::with_kernel_mode(mode, || {

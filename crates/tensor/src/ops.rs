@@ -30,14 +30,6 @@ pub(crate) fn gelu_derivative(x: f32, t: f32) -> f32 {
     0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
 }
 
-/// `acc[i] += alpha · rhs[i]` over equal-length slices: the one update
-/// loop behind [`Tensor::axpy`] and [`crate::Param::step`].
-pub(crate) fn axpy_slices(acc: &mut [f32], alpha: f32, rhs: &[f32]) {
-    for (a, b) in acc.iter_mut().zip(rhs) {
-        *a += alpha * b;
-    }
-}
-
 /// Per-row top-k result: `(indices, values)`, each a flat row-major
 /// `rows · k` array (row `r`'s selections are `[r·k .. (r+1)·k]`).
 pub type TopK = (Vec<u32>, Vec<f32>);
@@ -96,7 +88,7 @@ fn softmax_row(kt: &crate::dispatch::KernelTable, row: &mut [f32]) {
 /// `(R, E)` with `E = cols`: each row's softmax in place
 /// ([`Tensor::softmax_last`]'s passes), then the top `k` of the
 /// probabilities into that row's slots of `idx` / `val`, each `(R, k)`
-/// ([`Tensor::topk_last`]'s scan and keys). A router runs it in its
+/// ([`Tensor::topk_last`]'s table entry and keys). A router runs it in its
 /// logits launch's row-block epilogue; its bits are the unfused
 /// chain's.
 ///
@@ -124,16 +116,16 @@ pub(crate) fn softmax_top_k_rows(rows: &mut [f32], cols: usize, idx: &mut [u32],
     let slots = idx.chunks_mut(k).zip(val.chunks_mut(k));
     for (row, (idx, val)) in rows.chunks_mut(cols).zip(slots) {
         softmax_row(kt, row);
-        topk_row(row, idx, val);
+        (kt.topk)(row, idx, val);
     }
 }
 
 /// One row's top `idx.len()`: a single scan that keeps the best columns
 /// so far in `idx`, best first, re-deriving a kept column's key from
 /// the row when an insertion passes it; then the values, read back
-/// from the row so they keep its bits.
-#[inline(always)]
-fn topk_row(row: &[f32], idx: &mut [u32], val: &mut [f32]) {
+/// from the row so they keep its bits. The scalar table's `topk`, and
+/// the reference for the SIMD tables' [`topk_by_max`].
+pub(crate) fn topk_scan(row: &[f32], idx: &mut [u32], val: &mut [f32]) {
     let k = idx.len();
     let key_of = |col: u32| topk_key(row[col as usize], col);
     // `filled` columns are kept; once `k` are, a column must beat the
@@ -157,6 +149,48 @@ fn topk_row(row: &[f32], idx: &mut [u32], val: &mut [f32]) {
     }
     for (v, &col) in val.iter_mut().zip(idx.iter()) {
         *v = row[col as usize];
+    }
+}
+
+/// Lanes of one [`topk_by_max`] pass.
+const TOPK_LANES: usize = 16;
+
+/// [`topk_scan`]'s selection as `idx.len()` passes of an integer max:
+/// the top `k` are the `k` largest of the row's unique [`topk_key`]s,
+/// so pass `i` takes the largest key below pass `i − 1`'s, over
+/// [`TOPK_LANES`] `u64` lanes with no branch on the data. The column is
+/// the key's inverted low half and the value is read back from the row.
+/// A max is associative, so every lane width picks the same keys and
+/// the result is `topk_scan`'s bit for bit. Written once: the SIMD
+/// tables' `topk` entries are this body compiled for their features.
+#[inline(always)]
+pub(crate) fn topk_by_max(row: &[f32], idx: &mut [u32], val: &mut [f32]) {
+    let mut below = u64::MAX;
+    for (slot, v) in idx.iter_mut().zip(val.iter_mut()) {
+        let mut best = [0u64; TOPK_LANES];
+        let mut chunks = row.chunks_exact(TOPK_LANES);
+        let mut first = 0u32;
+        for chunk in &mut chunks {
+            max_keys_below(&mut best, chunk, first, below);
+            first += TOPK_LANES as u32;
+        }
+        // The last `E mod 16` columns, in the first lanes.
+        max_keys_below(&mut best, chunks.remainder(), first, below);
+        below = best.into_iter().fold(0, u64::max);
+        *slot = !(below as u32);
+        *v = row[*slot as usize];
+    }
+}
+
+/// `best[l] = max(best[l], key)` for each lane's [`topk_key`] that lies
+/// below `below` (0 otherwise, the lane max's identity: every real key
+/// is above 0, since `!col` is nonzero for a `u32` column below
+/// `u32::MAX`).
+#[inline(always)]
+fn max_keys_below(best: &mut [u64; TOPK_LANES], chunk: &[f32], first: u32, below: u64) {
+    for ((b, &x), col) in best.iter_mut().zip(chunk).zip(first..) {
+        let key = topk_key(x, col);
+        *b = (*b).max(if key < below { key } else { 0 });
     }
 }
 
@@ -202,7 +236,9 @@ impl Tensor {
                 op: "axpy",
             });
         }
-        axpy_slices(self.as_mut_slice(), alpha, rhs.as_slice());
+        for (a, b) in self.as_mut_slice().iter_mut().zip(rhs.as_slice()) {
+            *a += alpha * b;
+        }
         Ok(())
     }
 
@@ -363,11 +399,14 @@ impl Tensor {
     /// only when a row holds fewer than `k` numbers. Values are read
     /// back from the row, bit for bit.
     ///
-    /// Each row is one scan keeping its best `k` in order (one code
-    /// path for every `k`), and rows run in fixed 64-row chunks on the
-    /// `tutel-rt` pool, so the result is the same for any worker count.
+    /// Each row runs the kernel table's `topk` (one code path for every
+    /// `k`): the scalar table scans the row once keeping its best `k` in
+    /// order; the SIMD tables take `k` passes of a branch-free 16-lane
+    /// integer max over the columns' unique keys, which selects the same
+    /// columns. Rows run in fixed 64-row chunks on the `tutel-rt` pool,
+    /// so the result is the same for any worker count and any table.
     /// This is the unfused spelling: the gate's forward runs the same
-    /// scan on each row right after its softmax, inside the router's
+    /// entry on each row right after its softmax, inside the router's
     /// launch (the gate's row function, [`Tensor::softmax_top_k_last`]).
     ///
     /// # Errors
@@ -384,9 +423,12 @@ impl Tensor {
         let x = self.as_slice();
         tutel_rt::parallel_chunks(&mut idxs, TOPK_ROWS * k, |blk, chunk| {
             let (idx, [val]) = beside.split(chunk);
-            let rows = x[blk * TOPK_ROWS * cols..].chunks(cols);
+            let (rows, topk) = (
+                x[blk * TOPK_ROWS * cols..].chunks(cols),
+                crate::dispatch::table().topk,
+            );
             for ((row, idx), val) in rows.zip(idx.chunks_mut(k)).zip(val.chunks_mut(k)) {
-                topk_row(row, idx, val);
+                topk(row, idx, val);
             }
         });
         Ok((idxs, vals))

@@ -1,7 +1,6 @@
 //! A trainable parameter: a weight tensor and the gradient accumulated
 //! against it.
 
-use crate::ops::axpy_slices;
 use crate::{Result, Tensor, TensorError};
 
 /// A weight tensor `w` and its gradient accumulator `g`.
@@ -91,12 +90,25 @@ impl Param {
     }
 
     /// One SGD step: clips the gradient's norm to [`Self::GRAD_CLIP`],
-    /// applies `w -= lr · g` and clears `g` in place. An owner that
+    /// applies `w -= lr · g` and clears `g` in place. After the norm
+    /// (one serial sum: it defines the clip) it is one pass over the
+    /// elements, each scaled, applied and cleared, with the roundings
+    /// of [`Tensor::clip_norm`] then [`Tensor::axpy`]. An owner that
     /// stores `w` on a coarser grid re-rounds it afterwards.
     pub fn step(&mut self, lr: f32) {
-        self.g.clip_norm(Self::GRAD_CLIP);
-        axpy_slices(self.w.as_mut_slice(), -lr, self.g.as_slice());
-        self.zero_grad();
+        let norm = self.g.sq_norm().sqrt();
+        // An unclipped `g · 1.0` is `g`, bit for bit (a NaN quietened,
+        // as the update would quieten it anyway).
+        let scale = if norm > Self::GRAD_CLIP {
+            Self::GRAD_CLIP / norm
+        } else {
+            1.0
+        };
+        let (w, g) = (self.w.as_mut_slice(), self.g.as_mut_slice());
+        for (w, g) in w.iter_mut().zip(g) {
+            *w += -lr * (*g * scale);
+            *g = 0.0;
+        }
     }
 
     /// Clears the gradient in place (no reallocation — this runs every

@@ -164,7 +164,7 @@ fn gate_chain_allocations_do_not_scale_with_tokens_and_the_arena_balances() {
                 layer.backward(&d_out).unwrap();
             });
             // Step 1 also allocates what every later step reuses.
-            let expected = if step == 1 { 68 } else { 53 };
+            let expected = if step == 1 { 70 } else { 53 };
             assert_eq!(n, expected, "step {step} allocated {n} times");
             let stats = arena().stats();
             if step == 8 {
@@ -224,7 +224,7 @@ fn gate_chain_allocations_do_not_scale_with_tokens_and_the_arena_balances() {
             // accumulate: one more allocation at each step whose spans
             // cross a power of two.
             let expected = match step {
-                1 => 150,
+                1 => 154,
                 2 | 3 | 6 | 11 | 22 => 111,
                 _ => 110,
             };
@@ -409,6 +409,12 @@ fn disabled_instrumentation_and_warm_runtime_paths_are_exact_counts() {
     // row-block schedule (two lists) and, on the pool, runs it as one
     // job with one chunk per row block: 6 per 256-row bin for the two
     // row-blocked launches, 3 per 128-row weight slab for `Aᵀ·B`.
+    // `A·Bᵀ` first packs each bin's `Bᵀ` panels into an arena buffer
+    // as one more job, a chunk per bin, whose ranges ride in the
+    // schedule's list: the second job's own bookkeeping is its three
+    // extra allocations. The panels come from the process-global
+    // arena, so this part holds the lock the other two tests hold.
+    let _arena = GLOBAL_ARENA.lock().unwrap_or_else(PoisonError::into_inner);
     let (bins, m, v) = (8usize, 128usize, 512usize);
     let offsets = uniform_offsets(bins, 256);
     let rows = offsets[bins];
@@ -436,11 +442,13 @@ fn disabled_instrumentation_and_warm_runtime_paths_are_exact_counts() {
     launches(4);
     assert_eq!(launches(1), [(2, 0, 0); 3], "serial grouped launches");
     let parallel = if pool_stats().workers >= 2 {
-        [(5, 1, 48), (5, 1, 48), (5, 1, 24)]
+        [(5, 1, 48), (8, 2, 56), (5, 1, 24)]
     } else {
         [(2, 0, 0); 3]
     };
     assert_eq!(launches(4), parallel, "grouped launches at limit 4");
+    // Hand the global arena back as the other two tests expect it.
+    arena().clear();
 }
 
 /// `len` normal draws from `seed`.
