@@ -42,7 +42,7 @@
 //!   B is read in place at stride `n`);
 //! * `A·Bᵀ` reads both operands along `k`, so each group's B is packed
 //!   once per launch into [`NT_COLS`]-column `Bᵀ` panels (an arena
-//!   buffer, packed in parallel over groups) and the table's
+//!   buffer, packed on the calling thread) and the table's
 //!   [`NT_ROWS`]` × NT_COLS` tile runs over them as an `A·B` tile does,
 //!   A broadcast from its row: each output keeps `dot`'s eight
 //!   accumulators (step `p` into accumulator `p mod 8`), its lane tree
@@ -288,8 +288,8 @@ fn nn(
 /// (`dH = dY · W2ᵀ`). Each output element is `dot`'s strip-mined sum
 /// in `dot`'s order, bit for bit, computed the way `A·B` is: each
 /// group's `b` is packed once per launch into [`NT_COLS`]-column `Bᵀ`
-/// panels (`k × NT_COLS`, zero past `n`; an arena buffer, packed in
-/// parallel over groups), and each row block runs the table's
+/// panels (`k × NT_COLS`, zero past `n`; an arena buffer, packed on
+/// the calling thread), and each row block runs the table's
 /// [`NT_ROWS`]` × NT_COLS` tiles over them, A read in place. The
 /// product is stored and finished block by block exactly as
 /// [`grouped_gemm_into`] does for `a · b` (pass `|_, _, _| {}` for the
@@ -312,24 +312,20 @@ pub fn grouped_gemm_nt_into(
     if groups == 0 || total == 0 || n == 0 {
         return;
     }
-    // The pack jobs' ranges ride in the row blocks' schedule, so the
-    // launch allocates no more than `A·B`'s.
-    let (mut ranges, meta) = grouped_ranges(offsets, n, groups);
-    let blocks = ranges.len();
+    // Packed on the calling thread, before the row blocks: one
+    // weight-sized copy, so the launch runs as `A·B`'s one pool job.
     let group_len = n.div_ceil(NT_COLS) * k * NT_COLS;
     let mut panels = Vec::new();
     if group_len > 0 {
         panels = tutel_rt::arena().take_raw(groups * group_len);
-        ranges.extend((0..groups).map(|g| (g * group_len, (g + 1) * group_len)));
-        tutel_rt::parallel_ranges(&mut panels, &ranges[blocks..], |g, panels_g| {
+        for (g, panels_g) in panels.chunks_exact_mut(group_len).enumerate() {
             if offsets[g + 1] > offsets[g] {
                 pack_bt(&b[g * n * k..(g + 1) * n * k], k, n, panels_g);
             }
-        });
-        ranges.truncate(blocks);
+        }
     }
     let nt_tile = dispatch::table().nt_tile;
-    run_row_blocks(out, &ranges, &meta, true, |g, r0, chunk| {
+    row_blocks(out, offsets, n, true, |g, r0, chunk| {
         if group_len > 0 {
             let (first, rows) = (offsets[g] + r0, chunk.len() / n);
             let a_blk = &a[first * k..(first + rows) * k];
@@ -348,14 +344,16 @@ pub fn grouped_gemm_nt_into(
 /// `q·NT_COLS ..`, and `0.0` past row `n`.
 fn pack_bt(b: &[f32], k: usize, n: usize, panels: &mut [f32]) {
     for (q, panel) in panels.chunks_exact_mut(k * NT_COLS).enumerate() {
-        // The panel's B rows, empty past `n`.
-        let rows: [&[f32]; NT_COLS] = std::array::from_fn(|j| match q * NT_COLS + j {
-            row if row < n => &b[row * k..(row + 1) * k],
-            _ => &[],
-        });
+        let cols = NT_COLS.min(n - q * NT_COLS);
+        if cols < NT_COLS {
+            panel.fill(0.0);
+        }
+        // The panel's B rows; the last one repeats past `n`, unread.
+        let rows: [&[f32]; NT_COLS] =
+            std::array::from_fn(|j| &b[(q * NT_COLS + j.min(cols - 1)) * k..][..k]);
         for (p, prow) in panel.chunks_exact_mut(NT_COLS).enumerate() {
-            for (v, row) in prow.iter_mut().zip(&rows) {
-                *v = row.get(p).copied().unwrap_or(0.0);
+            for (v, row) in prow.iter_mut().zip(&rows).take(cols) {
+                *v = row[p];
             }
         }
     }
@@ -400,19 +398,8 @@ fn row_blocks(
     if offsets.len() < 2 || total == 0 || cols == 0 {
         return;
     }
-    let (ranges, meta) = grouped_ranges(offsets, cols, 0);
-    run_row_blocks(out, &ranges, &meta, store, job);
-}
-
-/// [`row_blocks`] over a schedule already built.
-fn run_row_blocks(
-    out: &mut [f32],
-    ranges: &[(usize, usize)],
-    meta: &[(usize, usize)],
-    store: bool,
-    job: impl Fn(usize, usize, &mut [f32]) + Sync,
-) {
-    tutel_rt::parallel_ranges(out, ranges, |idx, chunk| {
+    let (ranges, meta) = grouped_ranges(offsets, cols);
+    tutel_rt::parallel_ranges(out, &ranges, |idx, chunk| {
         let (g, r0) = meta[idx];
         if store {
             chunk.fill(0.0);
@@ -516,15 +503,15 @@ type GroupedSchedule = (Vec<(usize, usize)>, Vec<(usize, usize)>);
 /// Row-block schedule for a packed `(R, cols)` output partitioned by
 /// `offsets`: element ranges plus `(group, group-relative row0)` per
 /// block. Derived from the offsets alone so the grid is identical for
-/// every pool size. The range list has room for `spare` more.
-fn grouped_ranges(offsets: &[usize], cols: usize, spare: usize) -> GroupedSchedule {
+/// every pool size.
+fn grouped_ranges(offsets: &[usize], cols: usize) -> GroupedSchedule {
     let groups = offsets.len() - 1;
     // Sized up front: one allocation per half, whatever the block count.
     let blocks: usize = offsets
         .windows(2)
         .map(|w| (w[1] - w[0]).div_ceil(ROW_BLOCK))
         .sum();
-    let mut ranges = Vec::with_capacity(blocks + spare);
+    let mut ranges = Vec::with_capacity(blocks);
     let mut meta = Vec::with_capacity(blocks);
     for g in 0..groups {
         let rows_g = offsets[g + 1] - offsets[g];

@@ -291,14 +291,23 @@ impl Tensor {
     ///
     /// Panics if `max_norm` is not positive.
     pub fn clip_norm(&mut self, max_norm: f32) {
-        assert!(max_norm > 0.0, "max_norm must be positive");
-        let norm = self.sq_norm().sqrt();
-        if norm > max_norm {
-            let scale = max_norm / norm;
+        if let Some(scale) = self.clip_scale(max_norm) {
             for v in self.as_mut_slice() {
                 *v *= scale;
             }
         }
+    }
+
+    /// The factor [`Self::clip_norm`] scales by, `max_norm / ‖self‖`,
+    /// or `None` when the norm is within `max_norm`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `max_norm` is not positive.
+    pub(crate) fn clip_scale(&self, max_norm: f32) -> Option<f32> {
+        assert!(max_norm > 0.0, "max_norm must be positive");
+        let norm = self.sq_norm().sqrt();
+        (norm > max_norm).then(|| max_norm / norm)
     }
 
     /// Row-wise softmax over the last axis.

@@ -96,14 +96,9 @@ impl Param {
     /// of [`Tensor::clip_norm`] then [`Tensor::axpy`]. An owner that
     /// stores `w` on a coarser grid re-rounds it afterwards.
     pub fn step(&mut self, lr: f32) {
-        let norm = self.g.sq_norm().sqrt();
         // An unclipped `g · 1.0` is `g`, bit for bit (a NaN quietened,
         // as the update would quieten it anyway).
-        let scale = if norm > Self::GRAD_CLIP {
-            Self::GRAD_CLIP / norm
-        } else {
-            1.0
-        };
+        let scale = self.g.clip_scale(Self::GRAD_CLIP).unwrap_or(1.0);
         let (w, g) = (self.w.as_mut_slice(), self.g.as_mut_slice());
         for (w, g) in w.iter_mut().zip(g) {
             *w += -lr * (*g * scale);
