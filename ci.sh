@@ -86,14 +86,18 @@ echo "==> exp port: all 2^32 inputs vs the host libm and the AVX2 lanes"
 cargo test -q --release -p tutel-tensor --lib -- --ignored exp_port_matches_libm_and_simd_lanes_exhaustively
 
 echo "==> GEMM tile edges: every small shape, every kernel table"
-# Every m ≤ 2·MR + 1 (13), n ≤ 2·WIDE_TILE_COLS + 1 (65) and k in
-# 0..=17, either side of 32, 64 and 512, or either side of one and two
-# KC panels, over two bins with an empty one between them and ±0, ±inf,
-# NaN and subnormals among the operands: the three grouped launches, scalar
-# against every SIMD table the host has, bit for bit, and A·Bᵀ against
-# the per-element dot loop in every table. The default suite samples
-# these edges by proptest; this enumerates them (under a minute in release:
-# subnormal products are slow).
+# Every m ≤ 2·MR + 1 (25) and m in {47, 48, 49} (either side of one
+# ROW_BLOCK; Aᵀ·B's ma takes the same values), n ≤ 2·WIDE_TILE_COLS + 1
+# (65) and k in 0..=17, either side of 32, 64 and 512, or either side of
+# one and two KC panels (Aᵀ·B's 2·KC + 3 bin runs split-k), over two
+# bins with an empty one between them and ±0, ±inf, NaN and subnormals
+# among the operands: the three grouped launches, scalar against every
+# SIMD table the host has, bit for bit, A·B and Aᵀ·B against per-element
+# oracles in the documented panel order, and A·Bᵀ against the
+# per-element dot loop, in every table. The default suite samples these
+# edges by proptest; this enumerates them (~5 minutes in release on 2
+# vCPUs, up from ~50 s when m stopped at 13: subnormal products are
+# slow).
 cargo test -q --release -p tutel-tensor --lib -- --ignored grouped_launches_match_across_simd_modes_on_every_tile_edge
 
 echo "==> top-k and slice-kernel differentials at TUTEL_THREADS=1 and =4"

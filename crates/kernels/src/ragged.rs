@@ -15,7 +15,8 @@
 //! With exact bins (`RaggedRouting::from_routing`) no padding row
 //! exists, so compute and All-to-All bytes scale with what was
 //! actually routed; with uniform-capacity bins the rows no assignment
-//! owns are skipped and stay zero.
+//! owns are zero. Each output is an unzeroed arena buffer that its
+//! pass zero-fills chunk by chunk inside the chunk's own pool job.
 //!
 //! # Ownership parallelism
 //!
@@ -55,16 +56,18 @@ pub fn ragged_encode(
 ) -> Result<Tensor, TensorError> {
     let m = check_tokens(x, routing, "ragged_encode")?;
     check_pair(routing, ragged, "ragged_encode")?;
-    let mut out = scratch::zeroed(&[ragged.total(), m]);
+    let mut out = scratch::raw(&[ragged.total(), m]);
     let xs = x.as_slice();
     // Slot-major: each packed row is a copy of its owner token's
-    // feature row, or stays zero. One warp per row on GPU; one memcpy
-    // per owned row here.
+    // feature row, or zero. One warp per row on GPU; one memcpy per
+    // owned row here.
     tutel_rt::parallel_chunks(out.as_mut_slice(), ROW_CHUNK * m, |blk, chunk| {
         let slot0 = blk * ROW_CHUNK;
         for (s, orow) in chunk.chunks_mut(m).enumerate() {
             let a = ragged.slot_owner[slot0 + s];
-            if a != RaggedRouting::UNOWNED {
+            if a == RaggedRouting::UNOWNED {
+                orow.fill(0.0);
+            } else {
                 let (t, _) = routing.assignment(a as usize);
                 orow.copy_from_slice(&xs[t * m..(t + 1) * m]);
             }
@@ -88,12 +91,13 @@ pub fn ragged_encode_backward(
 ) -> Result<Tensor, TensorError> {
     let m = check_packed(d_packed, ragged, "ragged_encode_backward")?;
     check_pair(routing, ragged, "ragged_encode_backward")?;
-    let mut dx = scratch::zeroed(&[tokens, m]);
+    let mut dx = scratch::raw(&[tokens, m]);
     let dd = d_packed.as_slice();
     // Token-major: each token row sums the gradients parked in its own
-    // slots, in selection order, lanewise through the kernel table
-    // (both modes add element-at-a-time, so bits match).
+    // slots from zero, in selection order, lanewise through the kernel
+    // table (both modes add element-at-a-time, so bits match).
     tutel_rt::parallel_chunks(dx.as_mut_slice(), ROW_CHUNK * m, |blk, chunk| {
+        chunk.fill(0.0);
         let add_assign = dispatch::table().add_assign;
         let t0 = blk * ROW_CHUNK;
         for (ti, orow) in chunk.chunks_mut(m).enumerate() {
@@ -124,12 +128,14 @@ pub fn ragged_decode(
 ) -> Result<Tensor, TensorError> {
     let m = check_packed(y, ragged, "ragged_decode")?;
     check_pair(routing, ragged, "ragged_decode")?;
-    let mut out = scratch::zeroed(&[tokens, m]);
+    let mut out = scratch::raw(&[tokens, m]);
     let ys = y.as_slice();
-    // Token-major: gate-weighted sum over the token's ≤ k packed rows
-    // in selection order via the kernel table's axpy (mul then add per
-    // lane in both modes, so scalar and SIMD stay bitwise identical).
+    // Token-major: gate-weighted sum from zero over the token's ≤ k
+    // packed rows in selection order via the kernel table's axpy (mul
+    // then add per lane in both modes, so scalar and SIMD stay bitwise
+    // identical).
     tutel_rt::parallel_chunks(out.as_mut_slice(), ROW_CHUNK * m, |blk, chunk| {
+        chunk.fill(0.0);
         let axpy = dispatch::table().axpy;
         let t0 = blk * ROW_CHUNK;
         for (ti, orow) in chunk.chunks_mut(m).enumerate() {
@@ -173,9 +179,10 @@ pub fn ragged_decode_backward(
     let ds = d_out.as_slice();
     let ys = y.as_slice();
 
-    // Pass 1, slot-major: dy[row] = g · d_out[owner token].
-    let mut dy = scratch::zeroed(&[ragged.total(), m]);
+    // Pass 1, slot-major: dy[row] = 0 + g · d_out[owner token].
+    let mut dy = scratch::raw(&[ragged.total(), m]);
     tutel_rt::parallel_chunks(dy.as_mut_slice(), ROW_CHUNK * m, |blk, chunk| {
+        chunk.fill(0.0);
         let axpy = dispatch::table().axpy;
         let slot0 = blk * ROW_CHUNK;
         for (s, orow) in chunk.chunks_mut(m).enumerate() {

@@ -80,14 +80,19 @@ use std::hint::select_unpredictable as select;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-/// Rows per register micro-tile.
-pub const MR: usize = 6;
+/// Rows of A per micro-tile call: every table's tiles take up to `MR`
+/// rows. The AVX-512 `WIDE_TILE_COLS` tile runs a full call as one
+/// 12 × 32 pass (24 `zmm` accumulators); a shorter call, and every
+/// other tile, runs as [`HALF_MR`]-row passes.
+pub const MR: usize = 12;
+/// Rows of the register pass every SIMD tile has.
+pub const HALF_MR: usize = MR / 2;
 /// Columns of the scalar and AVX2 micro-tile: two [`NR`]-lane vectors,
-/// so a full tile is `MR × 2` = 12 AVX2 accumulators. Every table ends
+/// so a `HALF_MR`-row pass is 12 AVX2 accumulators. Every table ends
 /// its [`KernelTable::micro_tiles`] with a tile this wide.
 pub const TILE_COLS: usize = 16;
 /// Columns of the AVX-512 micro-tile: two 16-lane vectors, 12 `zmm`
-/// accumulators.
+/// accumulators per `HALF_MR` rows.
 pub const WIDE_TILE_COLS: usize = 32;
 /// The strip-mining width of every lane-tree reduction (one `f32x8`).
 pub const NR: usize = 8;
@@ -122,9 +127,9 @@ impl SimdMode {
     }
 }
 
-/// `out_rows[(ir + r) * n + jc ..][..cols] += apanel · b` micro-tile of
-/// some width `cols`; see [`KernelTable::micro_tiles`].
-pub type MicroTileFn = fn(&[f32], usize, &[f32], usize, usize, usize, &mut [f32], usize, usize);
+/// `out[r * n ..][..cols] += A · b` micro-tile of some width `cols`,
+/// A read in place; see [`KernelTable::micro_tiles`].
+pub type MicroTileFn = fn(&[f32], usize, usize, usize, &[f32], &mut [f32], usize, usize);
 /// Strip-mined dot product with the fixed lane tree.
 pub type DotFn = fn(&[f32], &[f32]) -> f32;
 /// `out[r * ldo + j] += dot(a_r, b_j)` over up to `NT_ROWS × NT_COLS`
@@ -158,14 +163,16 @@ pub struct KernelTable {
     pub mode: SimdMode,
     /// Full-width `MR × cols` GEMM micro-tiles as `(cols, kernel)`,
     /// widest first, the last [`TILE_COLS`] wide. A kernel takes
-    /// `(apanel, kc_len, b, n, pc, jc, out_rows, ir, mr_eff)` —
-    /// `apanel` is `kc_len × MR` interleaved (zero-padded short
-    /// tiles), `b` is the full `k × n` operand read in place at stride
-    /// `n` (`jc + cols ≤ n`), and the tile accumulates into `out_rows`
-    /// at block-relative row `ir`. Each element sums its `kc_len`
-    /// products from zero in `p` order, then adds the sum to
-    /// `out_rows`: the order is the element's, not the tile's, so the
-    /// tiles of every table are interchangeable bit for bit.
+    /// `(a, row, step, kc_len, b, out, n, mr_eff)`: A is read in place,
+    /// step `p < kc_len` of row `r < mr_eff ≤ MR` at `a[r * row + p *
+    /// step]` (an `A·B` tile reads rows `k` apart at step 1, an `Aᵀ·B`
+    /// tile adjacent rows at step `m`); `b` holds `kc_len` rows at
+    /// stride `n ≥ cols`, and the tile adds into the `mr_eff` rows of
+    /// `out` at stride `n`. Register rows past `mr_eff` repeat the last
+    /// row and are never stored. Each element sums its `kc_len`
+    /// products from zero in `p` order, then adds the sum to `out`: the
+    /// order is the element's, not the tile's, so the tiles of every
+    /// table are interchangeable bit for bit.
     pub micro_tiles: &'static [(usize, MicroTileFn)],
     /// 8-lane strip-mined dot product (fixed reduction tree).
     pub dot: DotFn,
@@ -419,6 +426,95 @@ fn max_lanes_tree(lanes: &[f32; NR]) -> f32 {
     maxps(m0, m1)
 }
 
+/// A micro-tile's A operand, read where it lies: step `p` of register
+/// row `r` is `a[r * row + p * step]`, and the rows from `rows` on
+/// repeat row `rows − 1` (their sums are computed, never stored), so a
+/// short tile reads nothing past its operand. [`ARows::new`] checks the
+/// largest index any row and step reach, so [`ARows::at`] does not.
+struct ARows<'a, const R: usize> {
+    a: &'a [f32],
+    base: [usize; R],
+    step: usize,
+    steps: usize,
+}
+
+impl<'a, const R: usize> ARows<'a, R> {
+    /// `rows ∈ 1..=R` rows of `steps` steps each.
+    #[inline(always)]
+    fn new(a: &'a [f32], row: usize, step: usize, steps: usize, rows: usize) -> Self {
+        assert!((1..=R).contains(&rows), "micro-tile of {rows} rows");
+        let r = (rows - 1).checked_mul(row);
+        let p = steps.saturating_sub(1).checked_mul(step);
+        let last = r.zip(p).and_then(|(r, p)| r.checked_add(p));
+        let inside = steps == 0 || last.is_some_and(|i| i < a.len());
+        assert!(inside, "micro-tile past its A");
+        let base = std::array::from_fn(|r| r.min(rows - 1) * row);
+        ARows {
+            a,
+            base,
+            step,
+            steps,
+        }
+    }
+
+    /// Step `p` of register row `r`.
+    #[inline(always)]
+    fn at(&self, r: usize, p: usize) -> f32 {
+        assert!(p < self.steps, "step past the micro-tile");
+        // SAFETY: `base[r] ≤ (rows − 1) · row` and `p · step ≤ (steps −
+        // 1) · step`, and `new` checked that their sum is in bounds.
+        unsafe { *self.a.get_unchecked(self.base[r] + p * self.step) }
+    }
+}
+
+/// Elements a `rows × cols` tile at stride `ld` spans.
+fn span(rows: usize, ld: usize, cols: usize) -> usize {
+    rows.checked_sub(1).map_or(0, |r| r * ld + cols)
+}
+
+/// An `mr_eff ≤ MR`-row tile as [`HALF_MR`]-row passes, `(first row,
+/// rows)` each.
+fn halves(mr_eff: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..mr_eff)
+        .step_by(HALF_MR)
+        .map(move |h| (h, HALF_MR.min(mr_eff - h)))
+}
+
+/// The scalar micro-tile at any width `cols ≤ TILE_COLS`, with the
+/// [`MicroTileFn`] arguments: the scalar table's tile, and every
+/// table's right edge (`n % TILE_COLS` columns), so the bitwise
+/// contract holds on the remainder for free.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn micro_tile_edge(
+    a: &[f32],
+    row: usize,
+    step: usize,
+    kc_len: usize,
+    b: &[f32],
+    out: &mut [f32],
+    n: usize,
+    mr_eff: usize,
+    cols: usize,
+) {
+    assert!(cols <= TILE_COLS.min(n), "edge tile of {cols} columns");
+    let a = ARows::<MR>::new(a, row, step, kc_len, mr_eff);
+    let mut acc = [[0.0f32; TILE_COLS]; MR];
+    for p in 0..kc_len {
+        let brow = &b[p * n..][..cols];
+        for (r, accr) in acc.iter_mut().enumerate().take(mr_eff) {
+            let av = a.at(r, p);
+            for (aj, &bv) in accr.iter_mut().zip(brow) {
+                *aj += av * bv;
+            }
+        }
+    }
+    for (r, accr) in acc.iter().enumerate().take(mr_eff) {
+        for (o, &aj) in out[r * n..][..cols].iter_mut().zip(accr) {
+            *o += aj;
+        }
+    }
+}
+
 /// `ln 2` split for the `expm1` argument reduction: `k · LN2_HI` is
 /// exact for every `k` the reduction produces (glibc `s_expm1f.c`).
 const LN2_HI: f32 = f32::from_bits(0x3f31_7180);
@@ -599,40 +695,23 @@ fn expm1_for_tanh(y: f32) -> f32 {
 /// twins must match them bit-for-bit (pinned by the dispatch
 /// proptests and the harness kernel-mode matrix).
 mod scalar {
-    use super::{max_lanes_tree, maxps, sum_lanes_tree, MR, NR, NT_COLS, TILE_COLS};
+    use super::{max_lanes_tree, maxps, sum_lanes_tree, NR, NT_COLS, TILE_COLS};
     use crate::ops::{gelu_derivative, gelu_scalar};
 
-    // The 9-ary signature IS the `MicroTileFn` table ABI: both modes
+    // The 8-ary signature IS the `MicroTileFn` table ABI: every table
     // must share it exactly so the pointers are interchangeable.
     #[allow(clippy::too_many_arguments)]
     pub(super) fn micro_tile(
-        apanel: &[f32],
+        a: &[f32],
+        row: usize,
+        step: usize,
         kc_len: usize,
         b: &[f32],
+        out: &mut [f32],
         n: usize,
-        pc: usize,
-        jc: usize,
-        out_rows: &mut [f32],
-        ir: usize,
         mr_eff: usize,
     ) {
-        let mut acc = [[0.0f32; TILE_COLS]; MR];
-        for (p, avals) in apanel[..kc_len * MR].chunks_exact(MR).enumerate() {
-            let boff = (pc + p) * n + jc;
-            let brow = &b[boff..boff + TILE_COLS];
-            for (accr, &av) in acc.iter_mut().zip(avals) {
-                for (aj, &bv) in accr.iter_mut().zip(brow) {
-                    *aj += av * bv;
-                }
-            }
-        }
-        for (r, accr) in acc.iter().enumerate().take(mr_eff) {
-            let ooff = (ir + r) * n + jc;
-            let orow = &mut out_rows[ooff..ooff + TILE_COLS];
-            for (o, &aj) in orow.iter_mut().zip(accr) {
-                *o += aj;
-            }
-        }
+        super::micro_tile_edge(a, row, step, kc_len, b, out, n, mr_eff, TILE_COLS);
     }
 
     pub(super) fn dot(x: &[f32], y: &[f32]) -> f32 {
@@ -781,9 +860,9 @@ mod scalar {
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::{
-        max_lanes_tree, maxps, sum_lanes_tree, KernelTable, SimdMode, EXP2_TAB, EXPM1_Q, EXP_C,
-        EXP_INV_LN2_N, EXP_MAY_UFLOW, EXP_OFLOW, EXP_SHIFT, EXP_UFLOW, INV_LN2, LN2_HI, LN2_LO, MR,
-        NR, NT_COLS, NT_ROWS, TILE_COLS,
+        halves, max_lanes_tree, maxps, span, sum_lanes_tree, ARows, KernelTable, SimdMode,
+        EXP2_TAB, EXPM1_Q, EXP_C, EXP_INV_LN2_N, EXP_MAY_UFLOW, EXP_OFLOW, EXP_SHIFT, EXP_UFLOW,
+        HALF_MR, INV_LN2, LN2_HI, LN2_LO, NR, NT_COLS, NT_ROWS, TILE_COLS,
     };
     use crate::ops::{gelu_derivative, gelu_scalar, GELU_CUBIC, SQRT_2_OVER_PI};
     use core::arch::x86_64::{
@@ -836,25 +915,29 @@ mod avx2 {
         unsafe { _mm256_storeu_ps(s.as_mut_ptr().add(off), v) }
     }
 
-    // The 9-ary signature IS the `MicroTileFn` table ABI: both modes
+    // The 8-ary signature IS the `MicroTileFn` table ABI: every table
     // must share it exactly so the pointers are interchangeable.
     #[allow(clippy::too_many_arguments)]
     pub(super) fn micro_tile(
-        apanel: &[f32],
+        a: &[f32],
+        row: usize,
+        step: usize,
         kc_len: usize,
         b: &[f32],
+        out: &mut [f32],
         n: usize,
-        pc: usize,
-        jc: usize,
-        out_rows: &mut [f32],
-        ir: usize,
         mr_eff: usize,
     ) {
-        // SAFETY: this wrapper is reachable only through `TABLE` and
-        // the AVX-512 table, installed after AVX2+FMA detection.
-        unsafe { micro_tile_body(apanel, kc_len, b, n, pc, jc, out_rows, ir, mr_eff) }
+        for (h, rows) in halves(mr_eff) {
+            let (a, out) = (&a[h * row..], &mut out[h * n..]);
+            // SAFETY: this wrapper is reachable only through `TABLE` and
+            // the AVX-512 table, installed after AVX2+FMA detection.
+            unsafe { micro_tile_body(a, row, step, kc_len, b, out, n, rows) }
+        }
     }
 
+    /// One `HALF_MR`-row pass of [`micro_tile`].
+    ///
     /// # Safety
     ///
     /// Requires AVX2 (guaranteed by the dispatch table's detection
@@ -864,28 +947,28 @@ mod avx2 {
     // SAFETY: `target_feature` makes this fn unsafe-to-call; the only
     // caller is the detection-gated wrapper above.
     unsafe fn micro_tile_body(
-        apanel: &[f32],
+        a: &[f32],
+        row: usize,
+        step: usize,
         kc_len: usize,
         b: &[f32],
+        out: &mut [f32],
         n: usize,
-        pc: usize,
-        jc: usize,
-        out_rows: &mut [f32],
-        ir: usize,
         mr_eff: usize,
     ) {
         // With the tile inside a row, these two slices bound every
         // 8-lane access below.
-        assert!(jc + TILE_COLS <= n, "micro-tile past its row");
-        let (b, out_rows) = (&b[..(pc + kc_len) * n], &mut out_rows[..(ir + mr_eff) * n]);
+        assert!(TILE_COLS <= n, "micro-tile past its row");
+        let b = &b[..span(kc_len, n, TILE_COLS)];
+        let out = &mut out[..span(mr_eff, n, TILE_COLS)];
+        let a = ARows::<HALF_MR>::new(a, row, step, kc_len, mr_eff);
         // 12 accumulators, two B vectors and one broadcast: 15 of the
         // 16 `ymm` registers.
-        let mut acc = [[_mm256_setzero_ps(); TILE_COLS / NR]; MR];
-        for (p, avals) in apanel[..kc_len * MR].chunks_exact(MR).enumerate() {
-            let boff = (pc + p) * n + jc;
-            let bv = [load8(b, boff), load8(b, boff + NR)];
-            for (accr, &av) in acc.iter_mut().zip(avals) {
-                let av = _mm256_set1_ps(av);
+        let mut acc = [[_mm256_setzero_ps(); TILE_COLS / NR]; HALF_MR];
+        for p in 0..kc_len {
+            let bv = [load8(b, p * n), load8(b, p * n + NR)];
+            for (r, accr) in acc.iter_mut().enumerate() {
+                let av = _mm256_set1_ps(a.at(r, p));
                 for (accv, &bv) in accr.iter_mut().zip(&bv) {
                     // Two roundings (mul, then add) exactly like the
                     // scalar kernel; `_mm256_fmadd_ps` would fuse them
@@ -895,10 +978,9 @@ mod avx2 {
             }
         }
         for (r, accr) in acc.iter().enumerate().take(mr_eff) {
-            let ooff = (ir + r) * n + jc;
             for (h, accv) in accr.iter().enumerate() {
-                let sum = _mm256_add_ps(load8(out_rows, ooff + h * NR), *accv);
-                store8(out_rows, ooff + h * NR, sum);
+                let sum = _mm256_add_ps(load8(out, r * n + h * NR), *accv);
+                store8(out, r * n + h * NR, sum);
             }
         }
     }
@@ -1629,7 +1711,7 @@ mod avx2 {
 }
 
 /// `f32x16` kernels for the five that carry the expert FFN and the
-/// gate — the 6 × 32 micro-tile, the 3 × 16 `A·Bᵀ` tile, `gelu`,
+/// gate — the 12- and 6-row × 32 micro-tile, the 3 × 16 `A·Bᵀ` tile, `gelu`,
 /// `gelu_backward` and `topk` (the shared body at 512 bits); every
 /// other entry of [`TABLE`] is the AVX2 one. Every body is a
 /// `#[target_feature(enable = "avx512f,avx512dq")]` function behind a
@@ -1641,8 +1723,8 @@ mod avx2 {
 mod avx512 {
     use super::avx2;
     use super::{
-        KernelTable, SimdMode, EXPM1_Q, INV_LN2, LN2_HI, LN2_LO, MR, NR, NT_COLS, NT_ROWS,
-        TILE_COLS, WIDE_TILE_COLS,
+        halves, span, ARows, KernelTable, SimdMode, EXPM1_Q, HALF_MR, INV_LN2, LN2_HI, LN2_LO, MR,
+        NR, NT_COLS, NT_ROWS, TILE_COLS, WIDE_TILE_COLS,
     };
     use crate::ops::{gelu_derivative, gelu_scalar, GELU_CUBIC, SQRT_2_OVER_PI};
     use core::arch::x86_64::{
@@ -1694,25 +1776,37 @@ mod avx512 {
         unsafe { _mm512_storeu_ps(s.as_mut_ptr().add(off), v) }
     }
 
-    // The 9-ary signature IS the `MicroTileFn` table ABI: both modes
+    // The 8-ary signature IS the `MicroTileFn` table ABI: every table
     // must share it exactly so the pointers are interchangeable.
     #[allow(clippy::too_many_arguments)]
     fn micro_tile(
-        apanel: &[f32],
+        a: &[f32],
+        row: usize,
+        step: usize,
         kc_len: usize,
         b: &[f32],
+        out: &mut [f32],
         n: usize,
-        pc: usize,
-        jc: usize,
-        out_rows: &mut [f32],
-        ir: usize,
         mr_eff: usize,
     ) {
-        // SAFETY: this wrapper is reachable only through `TABLE`,
-        // which the dispatcher installs after AVX-512F+DQ detection.
-        unsafe { micro_tile_body(apanel, kc_len, b, n, pc, jc, out_rows, ir, mr_eff) }
+        // A full call is one 12-row pass; anything shorter runs as the
+        // 6-row passes, so no row is padded that those would not pad.
+        if mr_eff == MR {
+            // SAFETY: this wrapper is reachable only through `TABLE`,
+            // which the dispatcher installs after AVX-512F+DQ detection.
+            unsafe { micro_tile_body::<MR>(a, row, step, kc_len, b, out, n, MR) }
+        } else {
+            for (h, rows) in halves(mr_eff) {
+                let (a, out) = (&a[h * row..], &mut out[h * n..]);
+                // SAFETY: as above.
+                unsafe { micro_tile_body::<HALF_MR>(a, row, step, kc_len, b, out, n, rows) }
+            }
+        }
     }
 
+    /// The `R`-row pass of [`micro_tile`]: `2·R` accumulators (24 of the
+    /// 32 `zmm` at 12 rows), two B vectors and one broadcast.
+    ///
     /// # Safety
     ///
     /// Requires AVX-512F+DQ (guaranteed by the dispatch table's
@@ -1721,29 +1815,27 @@ mod avx512 {
     #[target_feature(enable = "avx512f,avx512dq")]
     // SAFETY: `target_feature` makes this fn unsafe-to-call; the only
     // caller is the detection-gated wrapper above.
-    unsafe fn micro_tile_body(
-        apanel: &[f32],
+    unsafe fn micro_tile_body<const R: usize>(
+        a: &[f32],
+        row: usize,
+        step: usize,
         kc_len: usize,
         b: &[f32],
+        out: &mut [f32],
         n: usize,
-        pc: usize,
-        jc: usize,
-        out_rows: &mut [f32],
-        ir: usize,
         mr_eff: usize,
     ) {
         // With the tile inside a row, these two slices bound every
         // 16-lane access below.
-        assert!(jc + WIDE_TILE_COLS <= n, "micro-tile past its row");
-        let (b, out_rows) = (&b[..(pc + kc_len) * n], &mut out_rows[..(ir + mr_eff) * n]);
-        // 12 accumulators, two B vectors and one broadcast: 15 of the
-        // 32 `zmm` registers.
-        let mut acc = [[_mm512_setzero_ps(); WIDE_TILE_COLS / LANES]; MR];
-        for (p, avals) in apanel[..kc_len * MR].chunks_exact(MR).enumerate() {
-            let boff = (pc + p) * n + jc;
-            let bv = [load16(b, boff), load16(b, boff + LANES)];
-            for (accr, &av) in acc.iter_mut().zip(avals) {
-                let av = _mm512_set1_ps(av);
+        assert!(WIDE_TILE_COLS <= n, "micro-tile past its row");
+        let b = &b[..span(kc_len, n, WIDE_TILE_COLS)];
+        let out = &mut out[..span(mr_eff, n, WIDE_TILE_COLS)];
+        let a = ARows::<R>::new(a, row, step, kc_len, mr_eff);
+        let mut acc = [[_mm512_setzero_ps(); WIDE_TILE_COLS / LANES]; R];
+        for p in 0..kc_len {
+            let bv = [load16(b, p * n), load16(b, p * n + LANES)];
+            for (r, accr) in acc.iter_mut().enumerate() {
+                let av = _mm512_set1_ps(a.at(r, p));
                 for (accv, &bv) in accr.iter_mut().zip(&bv) {
                     // Two roundings, as the scalar kernel (rule 1).
                     *accv = _mm512_add_ps(*accv, _mm512_mul_ps(av, bv));
@@ -1751,10 +1843,9 @@ mod avx512 {
             }
         }
         for (r, accr) in acc.iter().enumerate().take(mr_eff) {
-            let ooff = (ir + r) * n + jc;
             for (h, accv) in accr.iter().enumerate() {
-                let sum = _mm512_add_ps(load16(out_rows, ooff + h * LANES), *accv);
-                store16(out_rows, ooff + h * LANES, sum);
+                let sum = _mm512_add_ps(load16(out, r * n + h * LANES), *accv);
+                store16(out, r * n + h * LANES, sum);
             }
         }
     }
@@ -2150,25 +2241,29 @@ pub(crate) mod tests {
         simd_modes().iter().map(|&mode| table_for(mode))
     }
 
-    /// The scalar table's `TILE_COLS`-wide micro-tile over the `cols`
-    /// columns from `jc`, one tile after another: the reference for a
-    /// SIMD tile of any width (each element's order is its own).
+    /// A `rows × cols` micro-tile's product element by element, in the
+    /// order [`KernelTable::micro_tiles`] documents: each element sums
+    /// its `kc_len` products from zero in `p` order, then adds the sum
+    /// to `out`. The reference for every table's tiles; it shares no
+    /// code with them.
     #[allow(clippy::too_many_arguments)]
-    fn scalar_tiles(
-        cols: usize,
-        apanel: &[f32],
+    fn tile_ref(
+        (a, row, step): (&[f32], usize, usize),
         kc_len: usize,
         b: &[f32],
+        out: &mut [f32],
         n: usize,
-        pc: usize,
-        jc: usize,
-        out_rows: &mut [f32],
-        ir: usize,
-        mr_eff: usize,
+        rows: usize,
+        cols: usize,
     ) {
-        let tile = SCALAR_TABLE.micro_tiles[0].1;
-        for j in (jc..jc + cols).step_by(TILE_COLS) {
-            tile(apanel, kc_len, b, n, pc, j, out_rows, ir, mr_eff);
+        for r in 0..rows {
+            for j in 0..cols {
+                let mut acc = 0.0f32;
+                for p in 0..kc_len {
+                    acc += a[r * row + p * step] * b[p * n + j];
+                }
+                out[r * n + j] += acc;
+            }
         }
     }
 
@@ -2398,21 +2493,28 @@ pub(crate) mod tests {
         }
     }
 
+    /// Every tile of every table, on every row count `1..=MR`, with A
+    /// laid out as an `A·B` block reads it (rows `k` apart, step 1) and
+    /// as an `Aᵀ·B` block does (adjacent rows, step `m`), equals the
+    /// per-element reference bit for bit.
     #[test]
     fn micro_tile_matches_scalar_bitwise_on_short_tiles() {
-        let kc_len = 9usize;
-        for simd in simd_tables() {
-            for &(cols, tile) in simd.micro_tiles {
+        let (kc_len, k, m) = (9usize, 11usize, MR + 2);
+        let a = ramp(m * k, 5);
+        for kt in std::iter::once(&SCALAR_TABLE).chain(simd_tables()) {
+            for &(cols, tile) in kt.micro_tiles {
                 let n = cols + 5;
                 let b = ramp(kc_len * n, 4);
-                let apanel = ramp(kc_len * MR, 5);
-                for mr_eff in 1..=MR {
-                    let mut out_s = ramp(MR * n, 6);
-                    let mut out_v = out_s.clone();
-                    scalar_tiles(cols, &apanel, kc_len, &b, n, 0, 0, &mut out_s, 0, mr_eff);
-                    tile(&apanel, kc_len, &b, n, 0, 0, &mut out_v, 0, mr_eff);
-                    let label = simd.mode.label();
-                    assert_eq!(bits(&out_s), bits(&out_v), "{label} {cols} mr_eff {mr_eff}");
+                for (row, step) in [(k, 1), (1, m)] {
+                    for mr_eff in 1..=MR {
+                        let mut want = ramp(MR * n, 6);
+                        let mut got = want.clone();
+                        tile_ref((&a, row, step), kc_len, &b, &mut want, n, mr_eff, cols);
+                        tile(&a, row, step, kc_len, &b, &mut got, n, mr_eff);
+                        let label = kt.mode.label();
+                        let at = format!("{label} {cols} rows {mr_eff} strides ({row}, {step})");
+                        assert_eq!(bits(&want), bits(&got), "{at}");
+                    }
                 }
             }
         }
@@ -2708,37 +2810,51 @@ pub(crate) mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(256))]
 
-            /// Every micro-tile of every SIMD table (6 × 16 on AVX2;
-            /// 6 × 32, then 6 × 16, on AVX-512) equals the scalar tile
-            /// bit for bit on every short tile (`mr_eff ∈ 1..=MR`),
-            /// every panel depth from `kc_len = 0`, a panel below the
-            /// first (`pc > 0`) and a tile right of the first (`jc > 0`)
-            /// of an `n` off the tile width, with all four operands at
-            /// odd offsets and `b` / `out_rows` exactly as long as the
-            /// tile reaches.
+            /// Every micro-tile of every table (6 × 16 on AVX2; 12- or
+            /// 6-row × 32, then 6 × 16, on AVX-512; the scalar edge at
+            /// every narrower width) equals the per-element reference
+            /// bit for bit on every row count `1..=MR`, every panel depth
+            /// from `kc_len = 0` and a tile right of the first (`jc > 0`)
+            /// of an `n` off the tile width, with A laid out as an `A·B`
+            /// block or an `Aᵀ·B` block reads it (strides off the tile's
+            /// shape), ±0, ±inf, NaN and subnormals among the operands,
+            /// all three at odd offsets and exactly as long as the tile
+            /// reaches — so a short tile's repeated rows read nothing
+            /// past A.
             #[test]
             fn micro_tile_agrees_across_modes_on_edges(
                 mr_eff in 1usize..=MR,
                 kc_len in 0usize..20,
-                (pc, ir) in (0usize..3, 0usize..3),
+                (transposed, pad) in (any::<bool>(), 0usize..3),
                 (jt, rem) in (1usize..3, 1usize..WIDE_TILE_COLS),
                 skews in (skew(), skew(), skew()),
                 seed in 0u64..1024,
             ) {
-                for simd in simd_tables() {
-                    for &(cols, tile) in simd.micro_tiles {
-                        let (n, jc) = ((jt + 1) * cols + 1 + rem % (cols - 1), jt * cols);
-                        let apanel = skewed(kc_len * MR, seed, skews.0);
-                        let b = skewed((pc + kc_len) * n, seed + 1, skews.1);
-                        let out = skewed((ir + mr_eff) * n, seed + 2, skews.2);
-                        let (a_s, b_s) = (&apanel[skews.0..], &b[skews.1..]);
-                        let mut out_s = out.clone();
-                        let mut out_v = out;
-                        let o = skews.2;
-                        scalar_tiles(cols, a_s, kc_len, b_s, n, pc, jc, &mut out_s[o..], ir, mr_eff);
-                        tile(a_s, kc_len, b_s, n, pc, jc, &mut out_v[o..], ir, mr_eff);
-                        prop_assert_eq!(bits(&out_s), bits(&out_v), "{} {}", simd.mode.label(), cols);
-                    }
+                let tables = std::iter::once(&SCALAR_TABLE).chain(simd_tables());
+                let edges = (1..TILE_COLS).map(|c| (c, None));
+                let tiles = tables.flat_map(|kt| kt.micro_tiles.iter().map(move |&(c, t)| (c, Some((kt, t)))));
+                for (cols, tile) in tiles.chain(edges) {
+                    let (n, jc) = ((jt + 1) * cols + 1 + rem % cols.max(2), jt * cols);
+                    let (row, step) = if transposed { (1, mr_eff + pad) } else { (kc_len + pad, 1) };
+                    let a_len = (mr_eff - 1) * row + kc_len.saturating_sub(1) * step + 1;
+                    let a = sprinkle(skewed(a_len, seed, skews.0), seed);
+                    let b = sprinkle(skewed(jc + span(kc_len, n, cols), seed + 1, skews.1), seed + 2);
+                    let out = skewed(jc + span(mr_eff, n, cols), seed + 2, skews.2);
+                    let (a, b) = (&a[skews.0..], &b[skews.1 + jc..]);
+                    let (mut want, mut got) = (out.clone(), out);
+                    let o = skews.2 + jc;
+                    tile_ref((a, row, step), kc_len, b, &mut want[o..], n, mr_eff, cols);
+                    let label = match tile {
+                        Some((kt, tile)) => {
+                            tile(a, row, step, kc_len, b, &mut got[o..], n, mr_eff);
+                            kt.mode.label()
+                        }
+                        None => {
+                            micro_tile_edge(a, row, step, kc_len, b, &mut got[o..], n, mr_eff, cols);
+                            "edge"
+                        }
+                    };
+                    prop_assert_eq!(bits(&want), bits(&got), "{} {} strides ({}, {})", label, cols, row, step);
                 }
             }
 

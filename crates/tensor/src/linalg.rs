@@ -10,7 +10,7 @@
 //! CSR row bins — [`grouped_gemm`] (`A·B`), [`grouped_gemm_nt_into`]
 //! (`A·Bᵀ`) and [`grouped_gemm_tn`] (`Aᵀ·B`) — and they (with
 //! [`grouped_gemm_into`], `A·B`'s storing form) are the only functions
-//! that touch the packed microkernels. A dense
+//! that touch the microkernels. A dense
 //! product is the one-group launch: [`Tensor::matmul`],
 //! [`Tensor::matmul_nt`] and [`Tensor::matmul_tn`] pass the single bin
 //! `[0, rows]`, [`Tensor::bmm`] passes [`uniform_offsets`]. A backward
@@ -35,11 +35,12 @@
 //!   row-blocks`);
 //! * inside a block, the `k` dimension is tiled by [`KC`] and the
 //!   table's register micro-tiles accumulate with a fixed, branch-free
-//!   inner loop kept in vector registers — [`MR`]` × 32` on AVX-512,
-//!   then `MR × `[`TILE_COLS`] (6 × 16) for a remainder that is wide
-//!   enough, then a scalar edge tile (A panels are packed
-//!   `kc × MR`-interleaved so the microkernel reads them contiguously;
-//!   B is read in place at stride `n`);
+//!   inner loop kept in vector registers, up to [`MR`] (12) rows a
+//!   call — `× 32` on AVX-512, then `× `[`TILE_COLS`] (16) for a
+//!   remainder that is wide enough, then a scalar edge tile. Neither
+//!   operand is copied: A is read in place (an `A·B` tile reads rows
+//!   `k` apart at step 1, an `Aᵀ·B` tile adjacent rows at step `m`) and
+//!   B at stride `n`;
 //! * `A·Bᵀ` reads both operands along `k`, so each group's B is packed
 //!   once per launch into [`NT_COLS`]-column `Bᵀ` panels (an arena
 //!   buffer, packed on the calling thread) and the table's
@@ -52,14 +53,13 @@
 //!   `av == 0.0` skip costs more than the multiply and blocks
 //!   vectorization.
 
-use crate::dispatch::{self, NtTileFn, MR, NT_COLS, NT_ROWS, TILE_COLS};
+use crate::dispatch::{self, NtTileFn, MR, NT_COLS, NT_ROWS};
 use crate::ops::{check_top_k, softmax_top_k_rows, TopK};
 use crate::{scratch, Result, Tensor, TensorError};
 
-/// `k`-dimension panel depth: one packed A panel is `KC × MR` floats
-/// (6 KiB), comfortably L1-resident. Part of every element's
-/// accumulation order (a sum restarts from zero per panel), so it is
-/// fixed.
+/// `k`-dimension panel depth: a tile's A rows span `KC × MR` floats
+/// (12 KiB), L1-resident. Part of every element's accumulation order
+/// (a sum restarts from zero per panel), so it is fixed.
 const KC: usize = 256;
 /// Output rows per parallel chunk, a multiple of [`MR`]. Fixed (never
 /// derived from worker count) so chunk boundaries are identical for
@@ -275,9 +275,8 @@ fn nn(
     debug_assert_eq!(a.len(), total * k);
     debug_assert_eq!(b.len(), offsets.len().saturating_sub(1) * k * n);
     row_blocks(out, offsets, n, store, |g, r0, chunk| {
-        let a_g = &a[offsets[g] * k..offsets[g + 1] * k];
-        let b_g = &b[g * k * n..(g + 1) * k * n];
-        block_packed(a_g, b_g, chunk, r0, chunk.len() / n, k, n, Layout::Nn { k });
+        let a_blk = &a[(offsets[g] + r0) * k..offsets[g + 1] * k];
+        block(a_blk, (k, 1), &b[g * k * n..(g + 1) * k * n], chunk, k, n);
         epilogue(g, r0, chunk);
     });
 }
@@ -453,16 +452,16 @@ pub fn grouped_gemm_tn(
     let mut ranges = Vec::with_capacity(whole_jobs + panel_jobs);
     // `(group, row0, first reduction row, reduction rows)` per job.
     let mut meta = Vec::with_capacity(whole_jobs + panel_jobs);
-    let block = |blk: usize| (blk * ROW_BLOCK, ((blk + 1) * ROW_BLOCK).min(ma));
+    let bounds = |blk: usize| (blk * ROW_BLOCK, ((blk + 1) * ROW_BLOCK).min(ma));
     for g in (0..groups).filter(|&g| k_of(g) > 0 && !split(g)) {
-        for (r0, r1) in (0..blocks_per).map(block) {
+        for (r0, r1) in (0..blocks_per).map(bounds) {
             ranges.push((g * ma * n + r0 * n, g * ma * n + r1 * n));
             meta.push((g, r0, 0, k_of(g)));
         }
     }
     let mut at = 0;
     for g in (0..groups).filter(|&g| split(g)) {
-        for (r0, r1) in (0..blocks_per).map(block) {
+        for (r0, r1) in (0..blocks_per).map(bounds) {
             for pc in (0..k_of(g)).step_by(KC) {
                 ranges.push((at, at + (r1 - r0) * n));
                 meta.push((g, r0, pc, KC.min(k_of(g) - pc)));
@@ -481,10 +480,9 @@ pub fn grouped_gemm_tn(
             chunk.fill(-0.0);
         }
         let rows = offsets[g] + p0..offsets[g] + p0 + k_len;
-        let a_g = &a[rows.start * ma..rows.end * ma];
-        let b_g = &b[rows.start * n..rows.end * n];
-        let layout = Layout::Tn { m: ma };
-        block_packed(a_g, b_g, chunk, r0, chunk.len() / n, k_len, n, layout);
+        let a_blk = &a[rows.start * ma + r0..rows.end * ma];
+        let b_blk = &b[rows.start * n..rows.end * n];
+        block(a_blk, (1, ma), b_blk, chunk, k_len, n);
     });
     let add = dispatch::table().add_assign;
     for (&(s, e), &(g, r0, _, _)) in ranges.iter().zip(&meta).skip(whole_jobs) {
@@ -526,122 +524,32 @@ fn grouped_ranges(offsets: &[usize], cols: usize) -> GroupedSchedule {
     (ranges, meta)
 }
 
-/// How the A operand is laid out relative to the `m × k` iteration
-/// space of one packed block.
-#[derive(Clone, Copy)]
-enum Layout {
-    /// A is `m × k` row-major (stride `k` between rows).
-    Nn { k: usize },
-    /// A is `k × m` row-major — a transposed read (stride `m` between
-    /// consecutive `p`).
-    Tn { m: usize },
-}
-
-/// Serial packed kernel for one `rows × n` output block starting at
-/// absolute row `row0`. Accumulates into `out_rows` (`rows * n`
-/// elements). Same code runs regardless of which pool worker executes
-/// the block, so results never depend on thread count.
-#[allow(clippy::too_many_arguments)]
-fn block_packed(
-    a: &[f32],
-    b: &[f32],
-    out_rows: &mut [f32],
-    row0: usize,
-    rows: usize,
-    k: usize,
-    n: usize,
-    layout: Layout,
-) {
+/// Serial kernel for one `rows × n` output block, `out += A · b`: A's
+/// row `r` step `p` is `a[r * row + p * step]`, read in place, and
+/// `b` is `k × n`. Same code runs regardless of which pool worker
+/// executes the block, so results never depend on thread count.
+fn block(a: &[f32], (row, step): (usize, usize), b: &[f32], out: &mut [f32], k: usize, n: usize) {
     let micro_tiles = dispatch::table().micro_tiles;
-    let mut apanel = [0.0f32; KC * MR];
-    let mut pc = 0;
-    while pc < k {
-        let kc_len = KC.min(k - pc);
-        let mut ir = 0;
-        while ir < rows {
-            let mr_eff = MR.min(rows - ir);
-            // Pack the A micro-panel `kc_len × MR`, interleaved so the
-            // microkernel reads MR values per `p` contiguously. Short
-            // tiles are zero-padded: the padding rows multiply into
-            // accumulators that are never written back.
-            match layout {
-                Layout::Nn { k } => {
-                    for r in 0..MR {
-                        if r < mr_eff {
-                            let arow = &a[(row0 + ir + r) * k + pc..];
-                            for p in 0..kc_len {
-                                apanel[p * MR + r] = arow[p];
-                            }
-                        } else {
-                            for p in 0..kc_len {
-                                apanel[p * MR + r] = 0.0;
-                            }
-                        }
-                    }
-                }
-                Layout::Tn { m } => {
-                    for p in 0..kc_len {
-                        let acol = &a[(pc + p) * m + row0 + ir..];
-                        for r in 0..MR {
-                            apanel[p * MR + r] = if r < mr_eff { acol[r] } else { 0.0 };
-                        }
-                    }
-                }
-            }
+    let rows = out.len() / n;
+    for pc in (0..k).step_by(KC) {
+        let (kc_len, b) = (KC.min(k - pc), &b[pc * n..]);
+        for ir in (0..rows).step_by(MR) {
+            let (mr_eff, a) = (MR.min(rows - ir), &a[ir * row + pc * step..]);
+            let out = &mut out[ir * n..];
             // The table's tiles, widest first while they fit; the last
             // is `TILE_COLS` wide, so the edge is narrower than that.
             let mut jc = 0;
             for &(cols, micro_tile) in micro_tiles {
                 while n - jc >= cols {
-                    micro_tile(&apanel, kc_len, b, n, pc, jc, out_rows, ir, mr_eff);
+                    let (b, out) = (&b[jc..], &mut out[jc..]);
+                    micro_tile(a, row, step, kc_len, b, out, n, mr_eff);
                     jc += cols;
                 }
             }
             if jc < n {
-                micro_tile_edge(&apanel, kc_len, b, n, pc, jc, n - jc, out_rows, ir, mr_eff);
+                let (b, out) = (&b[jc..], &mut out[jc..]);
+                dispatch::micro_tile_edge(a, row, step, kc_len, b, out, n, mr_eff, n - jc);
             }
-            ir += MR;
-        }
-        pc += KC;
-    }
-}
-
-/// Ragged right-edge tile (`nr_eff < TILE_COLS` columns). Shared
-/// scalar code in every dispatch mode, so the bitwise contract holds
-/// on the N-remainder for free (the full-width tiles live in
-/// [`dispatch`]); each element keeps the full tiles' order.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn micro_tile_edge(
-    apanel: &[f32],
-    kc_len: usize,
-    b: &[f32],
-    n: usize,
-    pc: usize,
-    jc: usize,
-    nr_eff: usize,
-    out_rows: &mut [f32],
-    ir: usize,
-    mr_eff: usize,
-) {
-    let mut acc = [[0.0f32; TILE_COLS]; MR];
-    for p in 0..kc_len {
-        let boff = (pc + p) * n + jc;
-        let brow = &b[boff..boff + nr_eff];
-        let avals = &apanel[p * MR..p * MR + MR];
-        for r in 0..MR {
-            let av = avals[r];
-            let accr = &mut acc[r];
-            for (j, &bv) in brow.iter().enumerate() {
-                accr[j] += av * bv;
-            }
-        }
-    }
-    for (r, accr) in acc.iter().enumerate().take(mr_eff) {
-        let ooff = (ir + r) * n + jc;
-        let orow = &mut out_rows[ooff..ooff + nr_eff];
-        for (j, o) in orow.iter_mut().enumerate() {
-            *o += accr[j];
         }
     }
 }
@@ -907,7 +815,7 @@ mod tests {
     /// `(group, row block)` adding every `KC` panel's sum into `out` in
     /// order.
     fn tn_unsplit(a: &[f32], b: &[f32], out: &mut [f32], offsets: &[usize], ma: usize, n: usize) {
-        for g in 0..offsets.len() - 1 {
+        for g in (0..offsets.len() - 1).filter(|&g| offsets[g + 1] > offsets[g]) {
             let rows = offsets[g]..offsets[g + 1];
             let (a_g, b_g) = (
                 &a[rows.start * ma..rows.end * ma],
@@ -916,16 +824,7 @@ mod tests {
             for r0 in (0..ma).step_by(ROW_BLOCK) {
                 let r1 = (r0 + ROW_BLOCK).min(ma);
                 let blk = &mut out[g * ma * n + r0 * n..g * ma * n + r1 * n];
-                block_packed(
-                    a_g,
-                    b_g,
-                    blk,
-                    r0,
-                    r1 - r0,
-                    rows.len(),
-                    n,
-                    Layout::Tn { m: ma },
-                );
+                block(&a_g[r0..], (1, ma), b_g, blk, rows.len(), n);
             }
         }
     }
@@ -1049,19 +948,67 @@ mod tests {
         out
     }
 
-    /// Every `m ≤ 2·MR + 1`, `n ≤ 2·WIDE_TILE_COLS + 1` and `k` at the
-    /// small sizes, either side of 32, 64 and 512, and either side of
-    /// one and two `KC` panels: the three grouped launches over two
-    /// bins with an empty one between them, scalar against every SIMD
-    /// table the host has, bit for bit, and `A·Bᵀ` against the
-    /// per-element `dot` loop in every table. `n` covers every edge of
-    /// the 32- and 16-column micro-tiles and of the 16-column `A·Bᵀ`
-    /// tile and its 8-column AVX2 halves; `m` every `m % MR` and
-    /// `m % NT_ROWS`. The operands hold ±0, ±inf, NaN and subnormals.
+    /// Adds to `o` the panel sums of the products `prod(0..len)`: each
+    /// `KC` panel's products summed from zero in `p` order, the panel
+    /// sums in panel order — the order every `A·B` and `Aᵀ·B` element
+    /// keeps, split-k included.
+    fn add_panel_sums(o: &mut f32, len: usize, prod: impl Fn(usize) -> f32) {
+        for pc in (0..len).step_by(KC) {
+            let mut acc = 0.0f32;
+            for p in pc..(pc + KC).min(len) {
+                acc += prod(p);
+            }
+            *o += acc;
+        }
+    }
+
+    /// The `A·B` launch as a per-element loop in the documented panel
+    /// order, from zero: the oracle every table's tiles must equal bit
+    /// for bit. It shares no code with them.
+    fn nn_per_element(a: &[f32], b: &[f32], offsets: &[usize], k: usize, n: usize) -> Vec<f32> {
+        let mut out = vec![0.0f32; offsets.last().unwrap() * n];
+        for g in 0..offsets.len() - 1 {
+            for row in offsets[g]..offsets[g + 1] {
+                for (j, o) in out[row * n..(row + 1) * n].iter_mut().enumerate() {
+                    add_panel_sums(o, k, |p| a[row * k + p] * b[(g * k + p) * n + j]);
+                }
+            }
+        }
+        out
+    }
+
+    /// The `Aᵀ·B` launch likewise: each bin's rows are its reduction.
+    fn tn_per_element(a: &[f32], b: &[f32], offsets: &[usize], ma: usize, n: usize) -> Vec<f32> {
+        let mut out = vec![0.0f32; (offsets.len() - 1) * ma * n];
+        for (g, out_g) in out.chunks_exact_mut(ma * n).enumerate() {
+            let p0 = offsets[g];
+            for (i, orow) in out_g.chunks_exact_mut(n).enumerate() {
+                for (j, o) in orow.iter_mut().enumerate() {
+                    let prod = |p: usize| a[(p0 + p) * ma + i] * b[(p0 + p) * n + j];
+                    add_panel_sums(o, offsets[g + 1] - p0, prod);
+                }
+            }
+        }
+        out
+    }
+
+    /// Every `m ≤ 2·MR + 1` and either side of one `ROW_BLOCK`, every
+    /// `n ≤ 2·WIDE_TILE_COLS + 1` and `k` at the small sizes, either
+    /// side of 32, 64 and 512, and either side of one and two `KC`
+    /// panels: the three grouped launches over two bins with an empty
+    /// one between them, scalar against every SIMD table the host has,
+    /// bit for bit, and each against its per-element oracle in every
+    /// table (`A·Bᵀ` the `dot` loop). `n` covers every edge of the 32-
+    /// and 16-column micro-tiles and of the 16-column `A·Bᵀ` tile and
+    /// its 8-column AVX2 halves; `m` (`Aᵀ·B`'s `ma` too) every `m % MR`,
+    /// `m % HALF_MR` and `m % NT_ROWS`; `Aᵀ·B`'s longest bin (`2·KC +
+    /// 3`) is split into three panel jobs. The operands hold ±0, ±inf,
+    /// NaN and subnormals.
     #[test]
-    #[ignore = "enumerates ~26 000 shapes × 3 launches × 3 tables (under a minute in release): ci.sh runs it by name"]
+    #[ignore = "enumerates ~57 000 shapes × 3 launches × 3 tables (minutes in release): ci.sh runs it by name"]
     fn grouped_launches_match_across_simd_modes_on_every_tile_edge() {
-        let (max_m, max_n) = (2 * MR + 1, 2 * WIDE_TILE_COLS + 1);
+        let ms: Vec<usize> = (1..=2 * MR + 1).chain([47, 48, 49]).collect();
+        let (max_m, max_n) = (ROW_BLOCK + 1, 2 * WIDE_TILE_COLS + 1);
         let ks: Vec<usize> = (0..=17)
             .chain([
                 31,
@@ -1085,10 +1032,13 @@ mod tests {
             |len: usize, seed| sprinkle(rng.normal_tensor(&[len], 0.0, 1.0).into_vec(), seed);
         let (a_pool, b_pool) = (draw(2 * max_m * max_k, 1), draw(3 * max_k * max_n, 2));
         for &k in &ks {
-            for m in 1..=max_m {
+            for &m in &ms {
                 for n in 1..=max_n {
                     let (a, b) = (&a_pool[..2 * m * k], &b_pool[..3 * k * n]);
                     let (rows, reduce) = ([0, m, m, 2 * m], [0, k, k, 2 * k]);
+                    let bits = |v: Vec<f32>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    let nn_want = bits(nn_per_element(a, b, &rows, k, n));
+                    let tn_want = bits(tn_per_element(a, &b[..2 * k * n], &reduce, m, n));
                     let run = |mode: SimdMode| {
                         dispatch::with_kernel_mode(mode, || {
                             let mut nn = vec![f32::NAN; 2 * m * n];
@@ -1097,23 +1047,17 @@ mod tests {
                             grouped_gemm_nt_into(a, b, &mut nt, &rows, k, n, |_, _, _| {});
                             let dots = nt_per_element_dots(a, b, &rows, k, n);
                             let mut tn = vec![0.0f32; 3 * m * n];
-                            grouped_gemm_tn(
-                                &a_pool[..2 * k * m],
-                                &b[..2 * k * n],
-                                &mut tn,
-                                &reduce,
-                                m,
-                                n,
-                            );
-                            [nn, nt, tn, dots]
-                                .map(|v| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+                            grouped_gemm_tn(a, &b[..2 * k * n], &mut tn, &reduce, m, n);
+                            [nn, nt, tn, dots].map(bits)
                         })
                     };
                     let scalar = run(SimdMode::Scalar);
                     for mode in dispatch::kernel_modes() {
                         let got = run(mode);
                         let label = mode.label();
+                        assert_eq!(got[0], nn_want, "{label} nn vs oracle at m {m} n {n} k {k}");
                         assert_eq!(got[1], got[3], "{label} nt vs dot at m {m} n {n} k {k}");
+                        assert_eq!(got[2], tn_want, "{label} tn vs oracle at m {m} n {n} k {k}");
                         for (what, (s, v)) in ["nn", "nt", "tn"].iter().zip(scalar.iter().zip(&got))
                         {
                             assert_eq!(s, v, "{label} {what} at m {m} n {n} k {k}");
@@ -1126,7 +1070,7 @@ mod tests {
 
     mod properties {
         use super::*;
-        use crate::dispatch::NR;
+        use crate::dispatch::{NR, TILE_COLS};
         use proptest::prelude::*;
 
         fn dims() -> impl Strategy<Value = (usize, usize, usize)> {
