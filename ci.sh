@@ -95,7 +95,7 @@ echo "==> GEMM tile edges: every small shape, every kernel table"
 # SIMD table the host has, bit for bit, A·B and Aᵀ·B against per-element
 # oracles in the documented panel order, and A·Bᵀ against the
 # per-element dot loop, in every table. The default suite samples these
-# edges by proptest; this enumerates them (~5 minutes in release on 2
+# edges by proptest; this enumerates them (~4 minutes in release on 2
 # vCPUs, up from ~50 s when m stopped at 13: subnormal products are
 # slow).
 cargo test -q --release -p tutel-tensor --lib -- --ignored grouped_launches_match_across_simd_modes_on_every_tile_edge

@@ -1053,7 +1053,11 @@ mod tests {
                     };
                     let scalar = run(SimdMode::Scalar);
                     for mode in dispatch::kernel_modes() {
-                        let got = run(mode);
+                        let got = if mode == SimdMode::Scalar {
+                            scalar.clone()
+                        } else {
+                            run(mode)
+                        };
                         let label = mode.label();
                         assert_eq!(got[0], nn_want, "{label} nn vs oracle at m {m} n {n} k {k}");
                         assert_eq!(got[1], got[3], "{label} nt vs dot at m {m} n {n} k {k}");
