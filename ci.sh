@@ -158,6 +158,13 @@ echo "==> resident rank group at TUTEL_THREADS=1 and =4"
 TUTEL_THREADS=1 cargo test -q -p tutel-comm --lib group::
 TUTEL_THREADS=4 cargo test -q -p tutel-comm --lib group::
 
+echo "==> tutel-comm + crossbeam shim in release: the poll-then-park waits"
+# Every rank-thread wait polls its channel, yielding, for up to 50 µs
+# before it parks (comm::wait). The debug runs above mostly take the
+# park path; in release most messages arrive while the wait is still
+# polling, so this build covers the other branch of the same waits.
+cargo test -q --release -p tutel-comm -p crossbeam
+
 echo "==> executed-overlap determinism sweep at TUTEL_THREADS=1 and =4"
 TUTEL_THREADS=1 cargo test -q --test overlap
 TUTEL_THREADS=4 cargo test -q --test overlap

@@ -36,6 +36,7 @@ const ALLOWED: &[(&str, &[&str])] = &[
             "crossbeam::channel::Receiver",
             "crossbeam::channel::RecvError",
             "crossbeam::channel::RecvTimeoutError",
+            "crossbeam::channel::TryRecvError",
             "crossbeam::channel::SendError",
         ],
     ),

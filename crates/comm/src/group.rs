@@ -4,12 +4,18 @@
 //!
 //! A [`RankGroup`] spawns one OS thread per rank of a topology and
 //! gives each its [`Communicator`] for as long as the group lives.
-//! Between runs the threads park on a per-rank channel;
-//! [`RankGroup::run`] lends every rank the same program, wakes them and
-//! blocks until each has reported. What a communicator carries — its
-//! mailbox, tag counter, reliability state and tracer — persists from
-//! run to run, so a run costs one wake per rank instead of a spawn and
-//! a join.
+//! Between runs the threads wait on a per-rank channel;
+//! [`RankGroup::run`] lends every rank the same program, hands it to
+//! them and waits until each has reported. What a communicator carries
+//! — its mailbox, tag counter, reliability state and tracer — persists
+//! from run to run, so a run costs a hand-off per rank instead of a
+//! spawn and a join.
+//!
+//! Every wait here, and every receive of a channel-backed
+//! communicator, polls its channel, yielding between tries, for up to
+//! 50 µs before it parks (`wait::poll_then_park`). Back-to-back runs
+//! therefore hand off without waking a parked thread; a rank idle for
+//! longer parks and costs one wake.
 //!
 //! # Step boundaries
 //!
@@ -47,6 +53,7 @@ use tutel_obs::Telemetry;
 
 use crate::error::CommError;
 use crate::runtime::{Communicator, ReliableConfig};
+use crate::wait::poll_then_park;
 use crate::Topology;
 
 /// One run as every rank sees it: called with the rank's id and its
@@ -222,7 +229,7 @@ impl RankGroup {
             .count();
         let mut panicked: Option<(usize, Box<dyn Any + Send>)> = None;
         for _ in 0..sent {
-            match self.done.recv() {
+            match poll_then_park(&self.done, None) {
                 Ok((rank, Err(payload))) if panicked.as_ref().is_none_or(|(r, _)| rank < *r) => {
                     panicked = Some((rank, payload));
                 }
@@ -257,7 +264,7 @@ fn rank_loop(
     parked: &Receiver<Lent>,
     report: &Sender<Report>,
 ) {
-    while let Ok(Lent(task)) = parked.recv() {
+    while let Ok(Lent(task)) = poll_then_park(parked, None) {
         // SAFETY: `RankGroup::dispatch` keeps the task alive until it
         // has received this rank's report below.
         let task = unsafe { &*task };
@@ -357,6 +364,34 @@ mod tests {
                 assert_eq!((&a, &b), (&expect[rank], &expect[rank]), "step {step}");
                 // Linear: 3 peers × 3; 2DH: two hops of 2 + 2·3.
                 assert_eq!(sent, (step as u64 + 1) * (9 + 16), "step {step}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_rank_late_past_the_poll_budget_is_met_through_the_park() {
+        // One rank sleeps twice the poll budget before its exchange, so
+        // its peers' receives, and the caller's wait for its report,
+        // give up polling and park; every run must still equal the
+        // oracle and leave every communicator clean.
+        for topology in [Topology::new(1, 2), Topology::new(2, 2)] {
+            let n = topology.world_size();
+            let mut group = RankGroup::new(topology, None, &Telemetry::disabled());
+            for step in 0..50 {
+                let bufs = labeled(n, 2, step);
+                let got = group
+                    .run(&|comm| {
+                        if comm.rank() == step % n {
+                            std::thread::sleep(2 * crate::wait::POLL_BEFORE_PARK);
+                        }
+                        let sends = bufs[comm.rank()].chunks(2).map(<[f32]>::to_vec);
+                        comm.all_to_all_v(&sends.collect::<Vec<_>>())
+                    })
+                    .unwrap_or_else(|err| panic!("W = {n} step {step}: {err}"));
+                let expect = linear_all_to_all(&bufs);
+                for (rank, recvd) in got.into_iter().enumerate() {
+                    assert_eq!(recvd.unwrap().concat(), expect[rank], "W = {n} step {step}");
+                }
             }
         }
     }

@@ -36,6 +36,7 @@ pub mod runtime;
 #[cfg(feature = "check-sched")]
 pub mod sched;
 mod topology;
+mod wait;
 
 pub use algo::AllToAllAlgo;
 pub use error::CommError;

@@ -83,6 +83,7 @@ use tutel_obs::Telemetry;
 
 use crate::error::CommError;
 use crate::fault::{FaultAction, FaultPlan};
+use crate::wait::poll_then_park;
 use crate::{AllToAllAlgo, Topology};
 
 pub use crate::group::run_threaded;
@@ -550,10 +551,11 @@ impl Communicator {
         seq
     }
 
-    /// Blocks for the next raw arrival, whatever its source or tag.
+    /// Waits for the next raw arrival, whatever its source or tag:
+    /// polls, then parks (see [`poll_then_park`]).
     fn recv_any(&mut self) -> Result<Message, CommError> {
         match &mut self.endpoint {
-            Endpoint::Channel { receiver, .. } => match receiver.recv() {
+            Endpoint::Channel { receiver, .. } => match poll_then_park(receiver, None) {
                 Ok(m) => Ok(m),
                 Err(_) => self.fail(CommError::Disconnected { rank: self.rank }),
             },
@@ -584,9 +586,12 @@ impl Communicator {
     }
 
     /// Receives the next message from `src` under `tag`, parking any
-    /// other arrivals. Under the reliability layer the wait is bounded
-    /// by the [`RetryPolicy`] and retry requests are issued on
-    /// timeout.
+    /// other arrivals in the mailbox. A channel-backed communicator
+    /// waits by polling its channel, yielding between tries, for up to
+    /// 50 µs, and only then blocks its thread, so a message sent within
+    /// that window costs no wake. Under the reliability layer the wait
+    /// is bounded by the [`RetryPolicy`] and retry requests are issued
+    /// on timeout.
     ///
     /// # Errors
     ///
@@ -614,12 +619,13 @@ impl Communicator {
         }
     }
 
-    /// Blocks up to `timeout` for the next raw arrival; `Ok(None)` on
-    /// timeout. Channel endpoint only in practice (the sched endpoint
-    /// has no clock and falls back to its own blocking recv).
+    /// Waits up to `timeout` for the next raw arrival, polling before
+    /// it parks as [`Self::recv_any`] does; `Ok(None)` on timeout.
+    /// Channel endpoint only in practice (the sched endpoint has no
+    /// clock and falls back to its own blocking recv).
     fn recv_any_timeout(&mut self, timeout: Duration) -> Result<Option<Message>, CommError> {
         match &mut self.endpoint {
-            Endpoint::Channel { receiver, .. } => match receiver.recv_timeout(timeout) {
+            Endpoint::Channel { receiver, .. } => match poll_then_park(receiver, Some(timeout)) {
                 Ok(m) => Ok(Some(m)),
                 Err(RecvTimeoutError::Timeout) => Ok(None),
                 Err(RecvTimeoutError::Disconnected) => {
@@ -647,7 +653,7 @@ impl Communicator {
     /// which the scheduler mediates deterministically.
     fn try_recv_any(&mut self) -> Option<Message> {
         match &mut self.endpoint {
-            Endpoint::Channel { receiver, .. } => receiver.try_recv(),
+            Endpoint::Channel { receiver, .. } => receiver.try_recv().ok(),
             #[cfg(feature = "check-sched")]
             Endpoint::Sched(_) => None,
         }

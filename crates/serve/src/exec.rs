@@ -43,13 +43,15 @@
 //! # Resident ranks
 //!
 //! A [`StepExecutor`] holds what outlives a step: a
-//! [`tutel_comm::RankGroup`] (one parked OS thread per rank, each owning
-//! its communicator) and every rank's expert blocks, which each rank
-//! builds once with [`rank_blocks`] on its own thread. A step wakes the
-//! ranks, runs the rank program on their prebuilt blocks and the
-//! borrowed batch, and parks them again: no thread is spawned and no
-//! weight is sliced. [`crate::Engine`] owns one executor for its life;
-//! [`execute_step`] builds one, runs one step and drops it.
+//! [`tutel_comm::RankGroup`] (one resident OS thread per rank, each
+//! owning its communicator) and every rank's expert blocks, which each
+//! rank builds once with [`rank_blocks`] on its own thread. A step hands
+//! the rank program to the ranks, which run it on their prebuilt blocks
+//! and the borrowed batch and then wait for the next: no thread is
+//! spawned and no weight is sliced. Every wait polls for up to 50 µs
+//! before it parks, so back-to-back steps pay no thread wake.
+//! [`crate::Engine`] owns one executor for its life; [`execute_step`]
+//! builds one, runs one step and drops it.
 //!
 //! After each step every rank audits its communicator. A collective
 //! that failed, or a message nobody consumed, fails the step with

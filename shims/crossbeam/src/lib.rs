@@ -1,13 +1,15 @@
 //! Offline stand-in for `crossbeam`.
 //!
 //! Provides `crossbeam::channel::{unbounded, Sender, Receiver,
-//! RecvTimeoutError}` — the only surface `tutel-comm`'s threaded
-//! runtime uses — as an MPMC unbounded channel over
-//! `Mutex<VecDeque>` + `Condvar`. Semantics match crossbeam where
-//! this workspace relies on them: cloneable senders *and* receivers,
-//! FIFO per queue, `recv` returning `Err(RecvError)` once the queue
-//! is empty and every sender has dropped, and `recv_timeout`
-//! distinguishing `Timeout` from `Disconnected`.
+//! RecvError, RecvTimeoutError, TryRecvError, SendError}` — the only
+//! surface `tutel-comm`'s threaded runtime uses — as an MPMC unbounded
+//! channel over `Mutex<VecDeque>` + `Condvar`. Semantics match
+//! crossbeam where this workspace relies on them: cloneable senders
+//! *and* receivers, FIFO per queue, `recv` returning `Err(RecvError)`
+//! once the queue is empty and every sender has dropped, and
+//! `try_recv` / `recv_timeout` distinguishing `Empty` / `Timeout` from
+//! `Disconnected`. Every wait parks at once; how long a caller polls
+//! before it waits is the caller's policy, not the channel's.
 
 pub mod channel {
     use std::collections::VecDeque;
@@ -89,6 +91,29 @@ pub mod channel {
 
     impl std::error::Error for RecvTimeoutError {}
 
+    /// Error returned by [`Receiver::try_recv`]: either nothing is
+    /// queued yet or the channel is empty and disconnected.
+    #[derive(Debug, PartialEq, Eq, Clone, Copy)]
+    pub enum TryRecvError {
+        /// Nothing is queued, and a sender is still alive.
+        Empty,
+        /// The channel is empty and every sender has dropped.
+        Disconnected,
+    }
+
+    impl fmt::Display for TryRecvError {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            match self {
+                TryRecvError::Empty => write!(f, "receiving on an empty channel"),
+                TryRecvError::Disconnected => {
+                    write!(f, "receiving on an empty and disconnected channel")
+                }
+            }
+        }
+    }
+
+    impl std::error::Error for TryRecvError {}
+
     /// Creates an unbounded MPMC channel.
     pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
         let shared = Arc::new(Shared {
@@ -152,9 +177,16 @@ pub mod channel {
             }
         }
 
-        /// Non-blocking receive; `None` when currently empty.
-        pub fn try_recv(&self) -> Option<T> {
-            self.shared.queue.lock().unwrap().items.pop_front()
+        /// Non-blocking receive: `Empty` while nothing is queued,
+        /// `Disconnected` once the queue is empty and every sender has
+        /// dropped — matching crossbeam's `try_recv`.
+        pub fn try_recv(&self) -> Result<T, TryRecvError> {
+            let mut state = self.shared.queue.lock().unwrap();
+            match state.items.pop_front() {
+                Some(item) => Ok(item),
+                None if state.senders == 0 => Err(TryRecvError::Disconnected),
+                None => Err(TryRecvError::Empty),
+            }
         }
 
         /// Blocks until an item arrives, every sender has dropped, or
@@ -235,6 +267,18 @@ mod tests {
             rx.recv_timeout(Duration::from_millis(5)),
             Err(RecvTimeoutError::Disconnected)
         );
+    }
+
+    #[test]
+    fn try_recv_tells_empty_from_disconnected() {
+        use super::channel::TryRecvError;
+        let (tx, rx) = unbounded::<u32>();
+        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
+        tx.send(3).unwrap();
+        drop(tx);
+        // A queued item outlives its sender.
+        assert_eq!(rx.try_recv(), Ok(3));
+        assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
     }
 
     #[test]
