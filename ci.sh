@@ -9,6 +9,16 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (deny warnings)"
+# Broken, ambiguous or private intra-doc links fail here. The comm
+# crate is documented on its own too: without `check-sched` its docs
+# must not link the feature-gated `sched` module.
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
+RUSTDOCFLAGS="-D warnings" cargo doc -q -p tutel-comm --no-deps
+
+echo "==> non-test line count (reported, not a gate)"
+./count_lines.sh
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -69,11 +79,13 @@ cargo test -q -p tutel-experts --lib -- --ignored ffn_child_spans
 
 echo "==> tanh port: all 2^32 inputs vs the host libm and every SIMD table's lanes"
 # GELU's tanh is a port of glibc 2.36's tanhf, the libm every pinned
-# digest was recorded with: on every bit pattern the scalar port must
-# equal f32::tanh, and the tanh / gelu / gelu_backward lanes of every
-# SIMD table the host has (AVX2, and AVX-512 where present) the scalar
-# kernels. Release build, minutes on 2 cores; the default suite runs
-# an edge table plus every 65 537th pattern.
+# digest was recorded with. It is one generic body, instantiated per
+# lane type (f32, and the __m256 / __m512 vectors): on every bit
+# pattern the f32 instance must equal f32::tanh, and the tanh / gelu /
+# gelu_backward of every SIMD table the host has (AVX2, and AVX-512
+# where present) the scalar table's. Release build, minutes on 2
+# cores; the default suite runs an edge table plus every 65 537th
+# pattern.
 cargo test -q --release -p tutel-tensor --lib -- --ignored tanh_port_matches_libm_and_simd_lanes_exhaustively
 
 echo "==> exp port: all 2^32 inputs vs the host libm and the AVX2 lanes"
@@ -104,14 +116,16 @@ echo "==> top-k and slice-kernel differentials at TUTEL_THREADS=1 and =4"
 # Every SIMD table's top-k (one integer-max pass per slot) against the
 # scalar scan, directly and through topk_last's pooled row chunks, for
 # E in 1..=17 and either side of 32 and 64, every k ≤ E, on ties, ±0,
-# NaN of both signs, ±inf, all-NaN rows and subnormals; and the unsafe
-# slice kernels no other sweep covers (axpy, add_assign, row_max,
-# row_sum, div_assign, bf16_round) against scalar on ragged, unaligned
-# and empty slices.
+# NaN of both signs, ±inf, all-NaN rows and subnormals; and the slice
+# kernels no other sweep covers (axpy, add_assign, row_max, row_sum,
+# dot, div_assign, bf16_round, gelu_backward) on ragged, unaligned and
+# empty slices, against scalar and against per-element oracles that
+# share no code with the kernels.
 for threads in 1 4; do
     TUTEL_THREADS=$threads cargo test -q --release -p tutel-tensor --lib -- --exact \
         dispatch::tests::topk_agrees_across_tables_on_ties_zeros_nans_and_infs \
-        dispatch::tests::slice_kernels_match_scalar_on_ragged_unaligned_and_empty_slices
+        dispatch::tests::slice_kernels_match_scalar_on_ragged_unaligned_and_empty_slices \
+        dispatch::tests::slice_kernels_match_per_element_oracles_on_ragged_unaligned_and_empty_slices
 done
 
 echo "==> split-k TN: every panel edge equals the unsplit launch at TUTEL_THREADS=1 and =4"

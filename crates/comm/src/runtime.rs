@@ -43,7 +43,7 @@
 //! one-shot run over a plain group is [`run_threaded`], re-exported
 //! here); under `feature = "check-sched"` the same `Communicator` can
 //! instead be backed by the adversarial deterministic scheduler in
-//! [`crate::sched`], whose ranks run on a `RankGroup` too.
+//! `crate::sched`, whose ranks run on a `RankGroup` too.
 //!
 //! # Reliability layer
 //!
@@ -229,7 +229,7 @@ enum Endpoint {
 /// Not `Clone`: exactly one communicator exists per rank per group.
 /// Its mailbox must be empty wherever a healthy run ends — a parked
 /// message means some collective sent under a tag nobody consumed. A
-/// resident group audits that after every run ([`Self::audit`]); a
+/// resident group audits that after every run (`Communicator::audit`); a
 /// communicator dropped at the end of a healthy run panics on it.
 pub struct Communicator {
     rank: usize,

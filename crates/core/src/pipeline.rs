@@ -670,7 +670,7 @@ impl MeasuredStrategySearch {
     }
 
     /// Attaches an attributed cause (e.g. a straggler or imbalance
-    /// anomaly found by [`tutel_obs::analyze`]) to the next decision
+    /// anomaly found by [`tutel_obs::analyze`](mod@tutel_obs::analyze)) to the next decision
     /// record emitted by [`MeasuredStrategySearch::next_strategy`] — so
     /// when a
     /// measured regression changes (or fails to change) the chosen

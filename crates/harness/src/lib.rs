@@ -5,7 +5,7 @@
 //! zero-cost *equivalent* execution of the same MoE layer. This crate
 //! proves it differentially:
 //!
-//! * [`reference`] is a single-threaded, single-rank executor for the
+//! * [`reference`](mod@reference) is a single-threaded, single-rank executor for the
 //!   full layer (gate → capacity → dispatch → FFN → combine → aux
 //!   loss, forward **and** backward) with no strategy knobs at all —
 //!   an independent spelling that shares no code with what it judges;

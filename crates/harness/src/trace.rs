@@ -118,7 +118,7 @@ pub fn run_trace_smoke(prefix: &str) -> Result<TraceSmoke, String> {
 ///
 /// Four ranks run a reliable, traced non-blocking All-to-All; the
 /// seeded plan delays every data send from `culprit`, and `culprit`
-/// stalls [`STRAGGLER_STALL`] between issue and wait, so its delayed
+/// stalls `STRAGGLER_STALL` between issue and wait, so its delayed
 /// payloads only flush when it re-enters the runtime. Every rank's
 /// *wall* is equally long (the victims block on the late data), so
 /// only the sender-attributed delivery-latency signal can name the

@@ -26,7 +26,7 @@
 //! most one assignment recorded in the view's `slot_owner`; token-major
 //! passes walk token rows in selection order through
 //! [`Routing::selections`]. Row
-//! blocks are fixed at [`ROW_CHUNK`] rows and all lane arithmetic
+//! blocks are fixed at `ROW_CHUNK` rows and all lane arithmetic
 //! routes through the kernel dispatch table, so results are
 //! bit-identical for every `TUTEL_THREADS` and `TUTEL_SIMD` setting —
 //! and a packed row's bits never depend on how its bin was sized.

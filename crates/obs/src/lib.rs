@@ -39,7 +39,7 @@
 //!   field, `counter`, `gauge`, `histogram`), hand-written by [`json`]
 //!   because the offline build has no serde serialization (the same
 //!   module also parses, for [`MergedTrace::from_jsonl`]).
-//! * **Analysis** ([`analyze`]): per-step critical-path extraction,
+//! * **Analysis** ([`analyze`](mod@analyze)): per-step critical-path extraction,
 //!   straggler detection (wall clock and sender-attributed delivery
 //!   latency), and expert-imbalance alerts, emitted as typed
 //!   [`AnomalyRecord`]s into the decision audit log.

@@ -16,7 +16,7 @@
 //!    which the repo's determinism suite asserts for
 //!    `TUTEL_THREADS ∈ {1, 2, 4, 8}`.
 //!
-//! 2. A **thread-safe buffer arena** ([`arena`]): size-classed
+//! 2. A **thread-safe buffer arena** ([`arena`](mod@arena)): size-classed
 //!    recycling of `Vec<f32>` scratch buffers across iterations. The
 //!    MoE per-iteration path allocates the same shapes every step
 //!    (dispatch buffers, activations, gradients); the arena turns

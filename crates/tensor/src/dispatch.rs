@@ -5,22 +5,24 @@
 //! # Design
 //!
 //! CPU features are detected **once** (a `OnceLock`) and resolved into
-//! one of three static [`KernelTable`]s of plain function pointers — a
-//! scalar table that is the portable reference, an AVX2 table of
-//! explicit `f32x8` intrinsic kernels, and an AVX-512 table whose GEMM
-//! tiles and GELU are `f32x16` kernels and whose other entries are the
-//! AVX2 ones; the SIMD tables' top-k is one plain body
-//! (`ops::topk_by_max`) compiled under each table's target features.
-//! Hot paths fetch the active table with [`table`] (two relaxed atomic
-//! loads, no detection, no branching beyond the table select) and call
-//! through the pointers; per-call feature checks never happen.
+//! one of three static [`KernelTable`]s of plain function pointers:
+//! scalar, AVX2, and AVX-512, whose GEMM tiles and GELU run 16 lanes
+//! and whose other entries are the AVX2 ones. Each kernel is **one
+//! generic body per op** over a private lane trait, instantiated per
+//! lane type: `f32` for the scalar table (and every kernel's tail),
+//! `__m256` for AVX2, `__m512` for AVX-512. A table entry is a
+//! one-line shim that compiles the body under its table's target
+//! features. Hot paths fetch the active table with [`table`] (two
+//! relaxed atomic loads, no detection, no branching beyond the table
+//! select) and call through the pointers; per-call feature checks
+//! never happen.
 //!
 //! # The bitwise-SIMD contract
 //!
-//! Every SIMD kernel is **bitwise-identical** to its scalar twin, so
-//! the PR-3 determinism contract (results are a pure function of the
-//! problem, never of the worker count) extends to the `TUTEL_SIMD`
-//! axis unchanged. This falls out of four rules:
+//! Every table is **bitwise-identical** to every other, so the PR-3
+//! determinism contract (results are a pure function of the problem,
+//! never of the worker count) extends to the `TUTEL_SIMD` axis
+//! unchanged. This falls out of four rules:
 //!
 //! 1. **No FMA in accumulation.** The scalar microkernel computes
 //!    `acc += a * b` with *two* roundings (multiply, then add); a
@@ -33,43 +35,45 @@
 //!    inside a transcendental whose definition fuses (rule 4's `exp`):
 //!    there the scalar body fuses the very same steps with `mul_add`,
 //!    which is exact on every host, and nothing is accumulated.
-//! 2. **Lane-for-lane identical data flow.** A vector `add`/`mul`/
-//!    `div`/`max` is the same IEEE operation per lane as the scalar
-//!    loop it replaces, so any kernel that is already lane-parallel
-//!    (the micro-tiles, `axpy`, lanewise divide, GELU) is bitwise for
-//!    free, at 8 lanes or 16.
+//! 2. **One body, every lane width.** Every op of the lane trait is the
+//!    same IEEE (or bit) operation in each lane, at 1, 8 or 16 lanes, so
+//!    a lane-parallel kernel (the micro-tile pass, `axpy`, the lanewise
+//!    divide, `tanh`, GELU) gives every table the same bits by
+//!    construction.
 //! 3. **Shared reduction trees.** Horizontal reductions (dot, the
 //!    `A·Bᵀ` tile, row max, row sum) strip-mine into [`NR`] = 8 lanes
 //!    and collapse them with one fixed tree — `(l0+l4)+(l1+l5)`,
 //!    `(l2+l6)+(l3+l7)`, then the pair, then the scalar tail — in
-//!    *every* table. `dot` and the row reductions accumulate a row's
-//!    lanes in one `ymm`; the `A·Bᵀ` tile keeps each output's eight
+//!    *every* table. `dot` and the row reductions hold a row's eight
+//!    lanes in eight `f32`s or one `ymm`, never a `zmm` (16 lanes would
+//!    change the tree); the `A·Bᵀ` tile keeps each output's eight
 //!    lanes as eight accumulators whose vector lanes run across output
 //!    columns, so the same tree is one vector add per level. Top-k
 //!    compares unique integer keys, so any lane width finds the same
 //!    maximum.
 //! 4. **Transcendentals are ported, not called.** A libm call is
 //!    scalar, branchy, and defined by whichever libm the host links,
-//!    so neither a SIMD twin nor another host could match it bit
-//!    for bit. The GELU's `tanh` is therefore `dispatch::tanh`, a
-//!    branch-free port of glibc 2.36's `s_tanhf.c` + `s_expm1f.c`
-//!    that computes every path and selects by mask, with 8- and
-//!    16-lane twins that are the same data flow lane for lane (rule 2
-//!    — separate `mul`/`add`, truncating `cvtt` for `k`, integer
-//!    shifts for the exponent tricks, `blendv` or a mask-register
-//!    blend for the selects). The port equals glibc 2.36's `tanhf` on
-//!    all 2³² inputs, so digests pinned against that libm keep their
-//!    bits, and no digest depends on the host's libm any more:
-//!    elsewhere, the port is the definition. Softmax's `exp` is
-//!    `dispatch::exp`, a branch-free port of glibc 2.36's `e_expf.c` as
-//!    its ifunc resolves on an AVX2+FMA host (`__expf_fma`): `f64`
-//!    arithmetic with exactly the four fused steps that build contracts
-//!    (`InvLn2N·x − kd`, `C0·r + C1`, `C2·r + 1`, `z·r² + y`), a
-//!    32-entry table of `2^(i/32)`, and the `|x| ≥ 88` filter selected
-//!    last. Its 8-lane twin (two 4-lane `f64` halves, the table read by
-//!    `gather`) is the AVX2 table's `exp_shift` entry, which the
-//!    AVX-512 table reuses; both equal `f32::exp` on all 2³² inputs on
-//!    such a host.
+//!    so neither a SIMD lane nor another host could match it bit for
+//!    bit. The GELU's `tanh` is therefore a branch-free port of glibc
+//!    2.36's `s_tanhf.c` + `s_expm1f.c` that computes every path and
+//!    selects by mask, one generic body like every other kernel (rule
+//!    2): separate `mul`/`add`, a truncating `cvtt` for `k`, integer
+//!    shifts for the exponent tricks, and a `blend` per select
+//!    (`blendv` on AVX2, a mask-register blend on AVX-512). The port
+//!    equals glibc 2.36's `tanhf` on all 2³² inputs, so digests pinned
+//!    against that libm keep their bits, and no digest depends on the
+//!    host's libm any more: elsewhere, the port is the definition.
+//!    Softmax's `exp` is `dispatch::exp`, a branch-free port of glibc
+//!    2.36's `e_expf.c` as its ifunc resolves on an AVX2+FMA host
+//!    (`__expf_fma`): `f64` arithmetic with exactly the four fused
+//!    steps that build contracts (`InvLn2N·x − kd`, `C0·r + C1`,
+//!    `C2·r + 1`, `z·r² + y`), a 32-entry table of `2^(i/32)`, and the
+//!    `|x| ≥ 88` filter selected last. Its `f64` halves would need a
+//!    second lane type, so it is written twice: the scalar body and an
+//!    8-lane AVX2 body (two 4-lane `f64` halves, the table read by
+//!    `gather`), the AVX2 table's `exp_shift` entry, which the AVX-512
+//!    table reuses; both equal `f32::exp` on all 2³² inputs on such a
+//!    host.
 //!
 //! Mode selection: `TUTEL_SIMD=0` forces scalar, unset or `1` uses the
 //! widest table the host has (read once); [`set_simd_override`] flips
@@ -77,6 +81,7 @@
 //! sides without re-exec.
 
 use std::hint::select_unpredictable as select;
+use std::ops::{Add, Div, Mul, Sub};
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -94,7 +99,7 @@ pub const TILE_COLS: usize = 16;
 /// Columns of the AVX-512 micro-tile: two 16-lane vectors, 12 `zmm`
 /// accumulators per `HALF_MR` rows.
 pub const WIDE_TILE_COLS: usize = 32;
-/// The strip-mining width of every lane-tree reduction (one `f32x8`).
+/// The strip-mining width of every lane-tree reduction (eight lanes).
 pub const NR: usize = 8;
 /// Rows of A per [`KernelTable::nt_tile`].
 pub const NT_ROWS: usize = 3;
@@ -107,11 +112,11 @@ pub const NT_COLS: usize = 16;
 /// first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SimdMode {
-    /// Portable scalar kernels (the reference semantics).
+    /// The kernels on plain `f32`, one lane at a time.
     Scalar,
-    /// Explicit AVX2 `f32x8` kernels (bitwise-identical to scalar).
+    /// The kernels on `__m256` lanes (bitwise-identical to scalar).
     Avx2,
-    /// `f32x16` GEMM tiles and GELU over the AVX2 table (also
+    /// `__m512` GEMM tiles and GELU over the AVX2 table (also
     /// bitwise-identical to scalar).
     Avx512,
 }
@@ -215,28 +220,32 @@ pub struct KernelTable {
     /// `h[i]` by `gelu(h[i])`; with `keep = Some((pre, tanh))`
     /// (training) it also stores the input in `pre[i]` and
     /// `tanh(inner(h[i]))` in `tanh[i]`, equal-length slices. Every
-    /// element is `ops::gelu_scalar` over the ported `tanh` (rule 4).
+    /// element is `0.5·x·(1 + tanh(√(2/π)·(x + 0.044715·x³)))` over the
+    /// ported `tanh` (rule 4).
     pub gelu: GeluFn,
     /// `(pre, tanh, g)`: `g[i] *= gelu'(pre[i])`, reading the `tanh` a
-    /// capturing [`gelu`](Self::gelu) stored (`ops::gelu_derivative`).
+    /// capturing [`gelu`](Self::gelu) stored: `gelu' = 0.5·(1 + t) +
+    /// 0.5·x·(1 − t²)·√(2/π)·(1 + 3·0.044715·x²)`.
     pub gelu_backward: GeluBackwardFn,
 }
 
 static SCALAR_TABLE: KernelTable = KernelTable {
     mode: SimdMode::Scalar,
-    micro_tiles: &[(TILE_COLS, scalar::micro_tile)],
-    dot: scalar::dot,
+    micro_tiles: &[(TILE_COLS, |a, row, step, kc_len, b, out, n, mr_eff| {
+        micro_tile_edge(a, row, step, kc_len, b, out, n, mr_eff, TILE_COLS)
+    })],
+    dot: |x, y| dot(ONE_LANE, x, y),
     nt_tile: scalar::nt_tile,
     topk: crate::ops::topk_scan,
-    axpy: scalar::axpy,
-    add_assign: scalar::add_assign,
-    row_max: scalar::row_max,
-    row_sum: scalar::row_sum,
-    div_assign: scalar::div_assign,
+    axpy: |a, v, out| axpy(ONE_LANE, a, v, out),
+    add_assign: |v, out| add_assign(ONE_LANE, v, out),
+    row_max: |x| row_max(ONE_LANE, x),
+    row_sum: |x| row_sum(ONE_LANE, x),
+    div_assign: |row, denom| div_assign(ONE_LANE, row, denom),
     exp_shift: scalar::exp_shift,
-    bf16_round: scalar::bf16_round,
-    gelu: scalar::gelu,
-    gelu_backward: scalar::gelu_backward,
+    bf16_round: |data| bf16_round(ONE_LANE, data),
+    gelu: |h, keep| gelu(ONE_LANE, h, keep),
+    gelu_backward: |pre, tanh, g| gelu_backward(ONE_LANE, pre, tanh, g),
 };
 
 /// `OVERRIDE` encodes [`set_simd_override`]: 0 = follow the
@@ -379,20 +388,18 @@ fn table_for(_: SimdMode) -> &'static KernelTable {
 }
 
 /// Rounds one `f32` to its nearest bf16-representable value
-/// (round-to-nearest-even on the dropped 16 bits). The scalar
-/// reference both tables' `bf16_round` kernels must match bit-for-bit.
+/// (round-to-nearest-even on the dropped 16 bits): the `bf16_round`
+/// kernel on one lane.
 #[inline]
 pub fn bf16_round_one(v: f32) -> f32 {
-    f32::from_bits((u32::from(bf16_pack_one(v))) << 16)
+    bf16_lanes(v)
 }
 
-/// Packs one `f32` into bf16 storage bits (round-to-nearest-even).
+/// Packs one `f32` into bf16 storage bits (round-to-nearest-even): the
+/// high half of [`bf16_round_one`].
 #[inline]
 pub fn bf16_pack_one(v: f32) -> u16 {
-    let bits = v.to_bits();
-    // Round-to-nearest-even on the truncated 16 low bits.
-    let rounding_bias = 0x7FFF + ((bits >> 16) & 1);
-    (bits.wrapping_add(rounding_bias) >> 16) as u16
+    (bf16_round_one(v).to_bits() >> 16) as u16
 }
 
 /// The scalar maximum with `_mm256_max_ps` lane semantics
@@ -515,6 +522,615 @@ pub(crate) fn micro_tile_edge(
     }
 }
 
+/// A vector of `f32` lanes, the type every kernel body is written
+/// against (the [module-level](self) rule 2): `f32` itself, and on
+/// x86-64 the AVX2 and AVX-512 vectors of [`x86_lanes`]. `splat` and
+/// `load` take a vector as `self`: an x86 vector is first made in a
+/// detection-gated table entry, so holding one shows the host has its
+/// features.
+trait Lane:
+    Copy + Add<Output = Self> + Sub<Output = Self> + Mul<Output = Self> + Div<Output = Self>
+{
+    /// The same lanes as `i32`.
+    type I: Ints<F = Self>;
+    const LANES: usize;
+    fn splat(self, x: f32) -> Self;
+    fn splat_i(self, x: i32) -> Self::I;
+    /// The lanes `s[..LANES]`; panics if `s` is shorter.
+    fn load(self, s: &[f32]) -> Self;
+    /// Writes the lanes over `s[..LANES]`; panics if `s` is shorter.
+    fn store(self, s: &mut [f32]);
+    /// [`maxps`] in every lane.
+    fn maxps(self, o: Self) -> Self;
+    fn and(self, o: Self) -> Self;
+    fn xor(self, o: Self) -> Self;
+    /// The lanes' bits.
+    fn bits(self) -> Self::I;
+    /// Each lane truncated toward zero; unspecified outside `i32`.
+    fn cvtt(self) -> Self::I;
+    /// `t` in the lanes `m` selects, `self` in the others.
+    fn blend(self, m: <Self::I as Ints>::M, t: Self) -> Self;
+}
+
+/// The `i32` lanes of a [`Lane`]. Arithmetic wraps, and a shift count
+/// is below 32.
+trait Ints: Copy {
+    /// The `f32` lanes of the same width.
+    type F;
+    /// A per-lane condition: what the compares return, and what
+    /// [`Lane::blend`] and [`keep`](Ints::keep) take.
+    type M: Copy;
+    fn add(self, o: Self) -> Self;
+    fn sub(self, o: Self) -> Self;
+    fn and(self, o: Self) -> Self;
+    fn shl(self, n: i32) -> Self;
+    /// Logical shift right by `n`.
+    fn shr(self, n: i32) -> Self;
+    /// Logical shift right by each lane of `by`, read as unsigned: 0
+    /// from 32 on.
+    fn srlv(self, by: Self) -> Self;
+    /// `self > o`, signed.
+    fn cmpgt(self, o: Self) -> Self::M;
+    fn cmpeq(self, o: Self) -> Self::M;
+    /// The lanes whose sign bit is set.
+    fn sign(self) -> Self::M;
+    /// `self` in the lanes a compare's `m` selects, 0 in the others.
+    fn keep(self, m: Self::M) -> Self;
+    /// Each lane converted to the nearest `f32`.
+    fn cvt(self) -> Self::F;
+    /// The lanes' bits as `f32`.
+    fn as_f32(self) -> Self::F;
+}
+
+/// One lane: the scalar table's, and every kernel's tail in every
+/// table. `select` makes the blends branch-free.
+const ONE_LANE: f32 = 0.0;
+
+impl Lane for f32 {
+    type I = i32;
+    const LANES: usize = 1;
+    #[inline(always)]
+    fn splat(self, x: f32) -> f32 {
+        x
+    }
+    #[inline(always)]
+    fn splat_i(self, x: i32) -> i32 {
+        x
+    }
+    #[inline(always)]
+    fn load(self, s: &[f32]) -> f32 {
+        s[0]
+    }
+    #[inline(always)]
+    fn store(self, s: &mut [f32]) {
+        s[0] = self;
+    }
+    #[inline(always)]
+    fn maxps(self, o: f32) -> f32 {
+        maxps(self, o)
+    }
+    #[inline(always)]
+    fn and(self, o: f32) -> f32 {
+        f32::from_bits(self.to_bits() & o.to_bits())
+    }
+    #[inline(always)]
+    fn xor(self, o: f32) -> f32 {
+        f32::from_bits(self.to_bits() ^ o.to_bits())
+    }
+    #[inline(always)]
+    fn bits(self) -> i32 {
+        self.to_bits() as i32
+    }
+    #[inline(always)]
+    fn cvtt(self) -> i32 {
+        self as i32
+    }
+    #[inline(always)]
+    fn blend(self, m: bool, t: f32) -> f32 {
+        select(m, t, self)
+    }
+}
+
+impl Ints for i32 {
+    type F = f32;
+    type M = bool;
+    #[inline(always)]
+    fn add(self, o: i32) -> i32 {
+        self.wrapping_add(o)
+    }
+    #[inline(always)]
+    fn sub(self, o: i32) -> i32 {
+        self.wrapping_sub(o)
+    }
+    #[inline(always)]
+    fn and(self, o: i32) -> i32 {
+        self & o
+    }
+    #[inline(always)]
+    fn shl(self, n: i32) -> i32 {
+        self << n
+    }
+    #[inline(always)]
+    fn shr(self, n: i32) -> i32 {
+        (self as u32 >> n) as i32
+    }
+    #[inline(always)]
+    fn srlv(self, by: i32) -> i32 {
+        (self as u32).checked_shr(by as u32).unwrap_or(0) as i32
+    }
+    #[inline(always)]
+    fn cmpgt(self, o: i32) -> bool {
+        self > o
+    }
+    #[inline(always)]
+    fn cmpeq(self, o: i32) -> bool {
+        self == o
+    }
+    #[inline(always)]
+    fn sign(self) -> bool {
+        self < 0
+    }
+    #[inline(always)]
+    fn keep(self, m: bool) -> i32 {
+        select(m, self, 0)
+    }
+    #[inline(always)]
+    fn cvt(self) -> f32 {
+        self as f32
+    }
+    #[inline(always)]
+    fn as_f32(self) -> f32 {
+        f32::from_bits(self as u32)
+    }
+}
+
+/// Defines `$f`, `$lanes` x86 `f32` lanes in a `$fv`, and `$i`, the
+/// same lanes as `i32` in a `$iv`, with `$f::new`, and implements
+/// [`Lane`] and [`Ints`] for them: every op is one intrinsic, or one
+/// `#[target_feature]` adapter where the intrinsic takes its arguments
+/// in another order.
+///
+/// The intrinsics need `$features`, and every `unsafe` below rests on
+/// one argument: a `$f` or `$i` exists only on a host that has them.
+/// Both are newtypes whose field is private to the module that invokes
+/// this macro, and the only way to make one from nothing is `new`, a
+/// `#[target_feature(enable = $features)]` fn: safe code can call it
+/// only from a fn compiled for those features, a table entry of
+/// [`simd_entries`] that [`table`] installs after [`simd_modes`]
+/// detected them. Every other op makes its result from a vector it was
+/// given.
+#[cfg(target_arch = "x86_64")]
+macro_rules! x86_lanes {
+    (
+        $f:ident($fv:ty), $i:ident($iv:ty), mask $m:ty, $lanes:literal, $features:literal;
+        new $zero:ident, splat $splat:ident, splat_i $splat_i:ident,
+        load $load:ident, store $store:ident, blend $blend:ident,
+        sign $sign:ident, keep $keep:ident;
+        ops [$($tr:ident $op:ident $opi:ident),*];
+        f32 [$($fm:ident $fmi:ident),*];
+        to_i32 [$($ti:ident $tii:ident),*];
+        i32 [$($im:ident $imi:ident),*];
+        shifts [$($sm:ident $smi:ident),*];
+        cmp [$($cm:ident $cmi:ident),*];
+        to_f32 [$($tf:ident $tfi:ident),*];
+    ) => {
+        #[derive(Clone, Copy)]
+        pub(super) struct $f($fv);
+        #[derive(Clone, Copy)]
+        pub(super) struct $i($iv);
+
+        impl $f {
+            /// Zeros: a table entry's first vector.
+            #[target_feature(enable = $features)]
+            pub(super) fn new() -> Self {
+                $f($zero())
+            }
+        }
+
+        $(impl core::ops::$tr for $f {
+            type Output = Self;
+            #[inline(always)]
+            fn $op(self, o: Self) -> Self {
+                // SAFETY: `self` shows the host has the intrinsic's
+                // features (see the macro).
+                $f(unsafe { $opi(self.0, o.0) })
+            }
+        })*
+
+        impl super::Lane for $f {
+            type I = $i;
+            const LANES: usize = $lanes;
+            #[inline(always)]
+            fn splat(self, x: f32) -> Self {
+                // SAFETY: as for the operators.
+                $f(unsafe { $splat(x) })
+            }
+            #[inline(always)]
+            fn splat_i(self, x: i32) -> $i {
+                // SAFETY: as for the operators.
+                $i(unsafe { $splat_i(x) })
+            }
+            #[inline(always)]
+            fn load(self, s: &[f32]) -> Self {
+                assert!(s.len() >= $lanes, "load past the slice");
+                // SAFETY: as for the operators, and the `$lanes` floats
+                // read are in `s` (checked above); the load is unaligned.
+                $f(unsafe { $load(s.as_ptr()) })
+            }
+            #[inline(always)]
+            fn store(self, s: &mut [f32]) {
+                assert!(s.len() >= $lanes, "store past the slice");
+                // SAFETY: as for `load`.
+                unsafe { $store(s.as_mut_ptr(), self.0) }
+            }
+            $(#[inline(always)]
+            fn $fm(self, o: Self) -> Self {
+                // SAFETY: as for the operators.
+                $f(unsafe { $fmi(self.0, o.0) })
+            })*
+            $(#[inline(always)]
+            fn $ti(self) -> $i {
+                // SAFETY: as for the operators.
+                $i(unsafe { $tii(self.0) })
+            })*
+            #[inline(always)]
+            fn blend(self, m: $m, t: Self) -> Self {
+                // SAFETY: as for the operators.
+                $f(unsafe { $blend(self.0, m, t.0) })
+            }
+        }
+
+        impl super::Ints for $i {
+            type F = $f;
+            type M = $m;
+            $(#[inline(always)]
+            fn $im(self, o: Self) -> Self {
+                // SAFETY: `self` shows the host has the intrinsic's
+                // features (see the macro).
+                $i(unsafe { $imi(self.0, o.0) })
+            })*
+            $(#[inline(always)]
+            fn $sm(self, n: i32) -> Self {
+                // SAFETY: as above; the count is an SSE2 register, and
+                // SSE2 is part of every x86-64 host.
+                $i(unsafe { $smi(self.0, _mm_cvtsi32_si128(n)) })
+            })*
+            $(#[inline(always)]
+            fn $cm(self, o: Self) -> $m {
+                // SAFETY: as above.
+                unsafe { $cmi(self.0, o.0) }
+            })*
+            #[inline(always)]
+            fn sign(self) -> $m {
+                // SAFETY: as above.
+                unsafe { $sign(self.0) }
+            }
+            #[inline(always)]
+            fn keep(self, m: $m) -> Self {
+                // SAFETY: as above.
+                $i(unsafe { $keep(self.0, m) })
+            }
+            $(#[inline(always)]
+            fn $tf(self) -> $f {
+                // SAFETY: as above.
+                $f(unsafe { $tfi(self.0) })
+            })*
+        }
+    };
+}
+
+/// The safe entries of one SIMD table: each `fn name(args) -> R =
+/// body;` becomes a `fn name(args) -> R` that runs `body(lanes, args…)`
+/// compiled for `$features`, `lanes` being `$lanes`. The signatures are
+/// the [`KernelTable`] ABI.
+#[cfg(target_arch = "x86_64")]
+macro_rules! simd_entries {
+    (
+        $features:literal, $lanes:expr;
+        $($(#[$attr:meta])* fn $name:ident($($arg:ident: $ty:ty),*) $(-> $ret:ty)? = $body:expr;)*
+    ) => {$(
+        $(#[$attr])*
+        #[allow(clippy::too_many_arguments)]
+        pub(super) fn $name($($arg: $ty),*) $(-> $ret)? {
+            #[allow(clippy::too_many_arguments)]
+            #[target_feature(enable = $features)]
+            fn entry($($arg: $ty),*) $(-> $ret)? {
+                $body($lanes, $($arg),*)
+            }
+            // SAFETY: `entry` needs `$features`. This fn is reached only
+            // through its module's table (the AVX-512 table reuses the
+            // AVX2 entries), which `table` returns only after
+            // `simd_modes` detected them, or, under test, for a mode
+            // `simd_modes` listed.
+            unsafe { entry($($arg),*) }
+        }
+    )*};
+}
+
+/// The `MR`-row micro-tile two vectors wide (`2 · L::LANES` columns;
+/// [`KernelTable::micro_tiles`]' arguments): a full call as one
+/// `FULL`-row pass, anything shorter as [`HALF_MR`]-row passes, so no
+/// row is padded that those would not pad.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn micro_tile<L: Lane, const FULL: usize>(
+    l: L,
+    a: &[f32],
+    row: usize,
+    step: usize,
+    kc_len: usize,
+    b: &[f32],
+    out: &mut [f32],
+    n: usize,
+    mr_eff: usize,
+) {
+    if mr_eff == FULL {
+        micro_pass::<L, FULL>(l, a, row, step, kc_len, b, out, n, FULL);
+    } else {
+        for (h, rows) in halves(mr_eff) {
+            let (a, out) = (&a[h * row..], &mut out[h * n..]);
+            micro_pass::<L, HALF_MR>(l, a, row, step, kc_len, b, out, n, rows);
+        }
+    }
+}
+
+/// One `R`-row pass of [`micro_tile`]: `2·R` accumulators (24 `zmm` at
+/// 12 rows, 12 `ymm` at 6), two B vectors and one broadcast.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn micro_pass<L: Lane, const R: usize>(
+    l: L,
+    a: &[f32],
+    row: usize,
+    step: usize,
+    kc_len: usize,
+    b: &[f32],
+    out: &mut [f32],
+    n: usize,
+    mr_eff: usize,
+) {
+    let cols = 2 * L::LANES;
+    assert!(cols <= n, "micro-tile past its row");
+    let b = &b[..span(kc_len, n, cols)];
+    let out = &mut out[..span(mr_eff, n, cols)];
+    let a = ARows::<R>::new(a, row, step, kc_len, mr_eff);
+    let mut acc = [[l.splat(0.0); 2]; R];
+    for p in 0..kc_len {
+        // SAFETY: `b` is `span(kc_len, n, cols)` = `(kc_len − 1)·n + cols`
+        // long (the slice above) and `p < kc_len`, so row `p` is in it.
+        let brow = unsafe { b.get_unchecked(p * n..p * n + cols) };
+        let bv = [l.load(brow), l.load(&brow[L::LANES..])];
+        for (r, accr) in acc.iter_mut().enumerate() {
+            let av = l.splat(a.at(r, p));
+            for (accv, &bv) in accr.iter_mut().zip(&bv) {
+                // Two roundings, mul then add (rule 1).
+                *accv = *accv + av * bv;
+            }
+        }
+    }
+    for (r, accr) in acc.iter().enumerate().take(mr_eff) {
+        for (h, &accv) in accr.iter().enumerate() {
+            let o = &mut out[r * n + h * L::LANES..];
+            (l.load(o) + accv).store(o);
+        }
+    }
+}
+
+/// Rule 3's eight lanes held as `NR / L::LANES` vectors `acc[..]`, in
+/// lane order.
+#[inline(always)]
+fn tree_lanes<L: Lane>(acc: &[L; NR]) -> [f32; NR] {
+    const { assert!(NR.is_multiple_of(L::LANES), "the lane tree is 8 lanes wide") };
+    let mut lanes = [0.0; NR];
+    for (j, v) in acc.iter().take(NR / L::LANES).enumerate() {
+        v.store(&mut lanes[j * L::LANES..]);
+    }
+    lanes
+}
+
+/// The strip-mined dot product (rule 3): lane `p mod 8` sums the
+/// products of the whole 8-lane blocks, the lanes collapse in the
+/// fixed tree, and the tail's products, summed in order, add last.
+#[inline(always)]
+fn dot<L: Lane>(l: L, x: &[f32], y: &[f32]) -> f32 {
+    debug_assert_eq!(x.len(), y.len());
+    let n = x.len().min(y.len());
+    let ((xb, xt), (yb, yt)) = (x[..n].as_chunks::<NR>(), y[..n].as_chunks::<NR>());
+    let mut acc = [l.splat(0.0); NR];
+    for (xb, yb) in xb.iter().zip(yb) {
+        for (j, a) in acc.iter_mut().take(NR / L::LANES).enumerate() {
+            let at = j * L::LANES;
+            *a = *a + l.load(&xb[at..]) * l.load(&yb[at..]);
+        }
+    }
+    let tail = xt.iter().zip(yt).fold(0.0, |t, (&a, &b)| t + a * b);
+    sum_lanes_tree(&tree_lanes(&acc)) + tail
+}
+
+/// [`dot`]'s order with [`maxps`] for the sum, the tail folded into the
+/// tree's result; `-inf` for an empty row.
+#[inline(always)]
+fn row_max<L: Lane>(l: L, x: &[f32]) -> f32 {
+    let (blocks, tail) = x.as_chunks::<NR>();
+    let mut acc = [l.splat(f32::NEG_INFINITY); NR];
+    for b in blocks {
+        for (j, a) in acc.iter_mut().take(NR / L::LANES).enumerate() {
+            *a = a.maxps(l.load(&b[j * L::LANES..]));
+        }
+    }
+    let m = max_lanes_tree(&tree_lanes(&acc));
+    tail.iter().fold(m, |m, &v| maxps(m, v))
+}
+
+/// [`dot`]'s order over the elements themselves.
+#[inline(always)]
+fn row_sum<L: Lane>(l: L, x: &[f32]) -> f32 {
+    let (blocks, tail) = x.as_chunks::<NR>();
+    let mut acc = [l.splat(0.0); NR];
+    for b in blocks {
+        for (j, a) in acc.iter_mut().take(NR / L::LANES).enumerate() {
+            *a = *a + l.load(&b[j * L::LANES..]);
+        }
+    }
+    sum_lanes_tree(&tree_lanes(&acc)) + tail.iter().fold(0.0, |t, &v| t + v)
+}
+
+/// `out[i] += a * v[i]` over the common prefix; the tail runs this body
+/// on one lane.
+#[inline(always)]
+fn axpy<L: Lane>(l: L, a: f32, v: &[f32], out: &mut [f32]) {
+    debug_assert_eq!(v.len(), out.len());
+    let n = v.len().min(out.len());
+    let mut vs = v[..n].chunks_exact(L::LANES);
+    let mut os = out[..n].chunks_exact_mut(L::LANES);
+    for (v, o) in (&mut vs).zip(&mut os) {
+        (l.load(o) + l.splat(a) * l.load(v)).store(o);
+    }
+    if L::LANES > 1 {
+        axpy(ONE_LANE, a, vs.remainder(), os.into_remainder());
+    }
+}
+
+/// `out[i] += v[i]` over the common prefix.
+#[inline(always)]
+fn add_assign<L: Lane>(l: L, v: &[f32], out: &mut [f32]) {
+    debug_assert_eq!(v.len(), out.len());
+    let n = v.len().min(out.len());
+    let mut vs = v[..n].chunks_exact(L::LANES);
+    let mut os = out[..n].chunks_exact_mut(L::LANES);
+    for (v, o) in (&mut vs).zip(&mut os) {
+        (l.load(o) + l.load(v)).store(o);
+    }
+    if L::LANES > 1 {
+        add_assign(ONE_LANE, vs.remainder(), os.into_remainder());
+    }
+}
+
+/// `row[i] /= denom`.
+#[inline(always)]
+fn div_assign<L: Lane>(l: L, row: &mut [f32], denom: f32) {
+    let mut rs = row.chunks_exact_mut(L::LANES);
+    for r in &mut rs {
+        (l.load(r) / l.splat(denom)).store(r);
+    }
+    if L::LANES > 1 {
+        div_assign(ONE_LANE, rs.into_remainder(), denom);
+    }
+}
+
+/// Round-to-nearest-even to the bf16 grid in every lane: the bias
+/// added to the bits, then the low 16 bits dropped.
+#[inline(always)]
+fn bf16_lanes<L: Lane>(v: L) -> L {
+    let bits = v.bits();
+    let bias = v.splat_i(0x7fff).add(bits.shr(16).and(v.splat_i(1)));
+    bits.add(bias).shr(16).shl(16).as_f32()
+}
+
+/// The `bf16_round` entry: [`bf16_lanes`] in place.
+#[inline(always)]
+fn bf16_round<L: Lane>(l: L, data: &mut [f32]) {
+    let mut ds = data.chunks_exact_mut(L::LANES);
+    for d in &mut ds {
+        bf16_lanes(l.load(d)).store(d);
+    }
+    if L::LANES > 1 {
+        bf16_round(ONE_LANE, ds.into_remainder());
+    }
+}
+
+/// `ops::topk_by_max`, one plain body, as a table entry.
+#[inline(always)]
+fn topk<L: Lane>(_: L, row: &[f32], idx: &mut [u32], val: &mut [f32]) {
+    crate::ops::topk_by_max(row, idx, val);
+}
+
+/// `√(2/π)`, the tanh approximation's inner scale.
+const SQRT_2_OVER_PI: f32 = 0.797_884_6;
+/// The tanh approximation's cubic coefficient.
+const GELU_CUBIC: f32 = 0.044715;
+
+/// GELU, tanh approximation, in every lane: `(gelu(x), tanh(inner(x)))`.
+/// The `tanh` is the expensive half and the only part the derivative
+/// shares.
+#[inline(always)]
+fn gelu_lanes<L: Lane>(x: L) -> (L, L) {
+    let th = tanh(x.splat(SQRT_2_OVER_PI) * (x + x.splat(GELU_CUBIC) * x * x * x));
+    (x.splat(0.5) * x * (x.splat(1.0) + th), th)
+}
+
+/// The `gelu` entry: [`gelu_lanes`] over `h` in place, keeping the
+/// input and the `tanh` over the common prefix when asked.
+#[inline(always)]
+fn gelu<L: Lane>(l: L, h: &mut [f32], keep: Option<(&mut [f32], &mut [f32])>) {
+    match keep {
+        Some((pre, tanh)) => {
+            let n = h.len().min(pre.len()).min(tanh.len());
+            let mut hs = h[..n].chunks_exact_mut(L::LANES);
+            let mut ps = pre[..n].chunks_exact_mut(L::LANES);
+            let mut ts = tanh[..n].chunks_exact_mut(L::LANES);
+            for ((h, p), t) in (&mut hs).zip(&mut ps).zip(&mut ts) {
+                let x = l.load(h);
+                let (g, th) = gelu_lanes(x);
+                x.store(p);
+                g.store(h);
+                th.store(t);
+            }
+            if L::LANES > 1 {
+                let keep = Some((ps.into_remainder(), ts.into_remainder()));
+                gelu(ONE_LANE, hs.into_remainder(), keep);
+            }
+        }
+        None => {
+            let mut hs = h.chunks_exact_mut(L::LANES);
+            for h in &mut hs {
+                gelu_lanes(l.load(h)).0.store(h);
+            }
+            if L::LANES > 1 {
+                gelu(ONE_LANE, hs.into_remainder(), None);
+            }
+        }
+    }
+}
+
+/// The `gelu_backward` entry: `g[i] *= gelu'(pre[i])` over the common
+/// prefix, from the `tanh` a capturing [`gelu`] kept.
+#[inline(always)]
+fn gelu_backward<L: Lane>(l: L, pre: &[f32], tanh: &[f32], g: &mut [f32]) {
+    let n = g.len().min(pre.len()).min(tanh.len());
+    let mut ps = pre[..n].chunks_exact(L::LANES);
+    let mut ts = tanh[..n].chunks_exact(L::LANES);
+    let mut gs = g[..n].chunks_exact_mut(L::LANES);
+    let (one, half) = (l.splat(1.0), l.splat(0.5));
+    // `3 · GELU_CUBIC · x · x` folds left to right, so the constant
+    // product comes first.
+    let cubic3 = l.splat(3.0 * GELU_CUBIC);
+    for ((p, t), g) in (&mut ps).zip(&mut ts).zip(&mut gs) {
+        let (x, t) = (l.load(p), l.load(t));
+        let dinner = l.splat(SQRT_2_OVER_PI) * (one + cubic3 * x * x);
+        let d = half * (one + t) + half * x * (one - t * t) * dinner;
+        (l.load(g) * d).store(g);
+    }
+    if L::LANES > 1 {
+        let (pre, tanh) = (ps.remainder(), ts.remainder());
+        gelu_backward(ONE_LANE, pre, tanh, gs.into_remainder());
+    }
+}
+
+/// `xs[i] ← tanh(xs[i])` on `L`'s lanes, the tail on one: the lanes the
+/// `tanh` sweeps compare with the host's libm.
+#[cfg(test)]
+#[inline(always)]
+fn tanh_in_place<L: Lane>(l: L, xs: &mut [f32]) {
+    let mut cs = xs.chunks_exact_mut(L::LANES);
+    for c in &mut cs {
+        tanh(l.load(c)).store(c);
+    }
+    if L::LANES > 1 {
+        tanh_in_place(ONE_LANE, cs.into_remainder());
+    }
+}
+
 /// `ln 2` split for the `expm1` argument reduction: `k · LN2_HI` is
 /// exact for every `k` the reduction produces (glibc `s_expm1f.c`).
 const LN2_HI: f32 = f32::from_bits(0x3f31_7180);
@@ -529,28 +1145,28 @@ const EXPM1_Q: [f32; 5] = [
     f32::from_bits(0xb457_edbb),
 ];
 
-/// `tanh(x)`, bit-identical to glibc 2.36's `tanhf` (`s_tanhf.c` +
-/// `s_expm1f.c`, fdlibm) on every `f32` — the [module-level](self)
-/// rule 4. Branch-free: every path is computed and the result picked
-/// by an unpredictable select, which the AVX2 twin mirrors with
-/// `blendv`; no libm call. NaN in, NaN out. Always inlined, so a plain
-/// loop over it (the scalar table's `gelu`) auto-vectorises: every
-/// step is a lane-wise IEEE operation, so that moves no bit.
+/// `tanh(x)` in every lane, bit-identical to glibc 2.36's `tanhf`
+/// (`s_tanhf.c` + `s_expm1f.c`, fdlibm) on every `f32` — the
+/// [module-level](self) rule 4. Branch-free: every path is computed
+/// and the result picked by a `blend`; no libm call. NaN in, NaN out.
 #[inline(always)]
-pub(crate) fn tanh(x: f32) -> f32 {
-    let ix = x.to_bits() & 0x7fff_ffff;
+fn tanh<L: Lane>(x: L) -> L {
+    let ix = x.bits().and(x.splat_i(0x7fff_ffff));
     // |x| ≥ 1: tanh = 1 − 2/(expm1(2|x|) + 2); below: −t/(t + 2) with
     // t = expm1(−2|x|).
-    let big = ix >= 0x3f80_0000;
-    let ax = f32::from_bits(ix);
-    let t = expm1_for_tanh(select(big, 2.0 * ax, -2.0 * ax));
-    let z = select(big, 1.0 - 2.0 / (t + 2.0), -t / (t + 2.0));
+    let big = ix.cmpgt(x.splat_i(0x3f7f_ffff));
+    let ax = ix.as_f32();
+    let (one, two, sign) = (x.splat(1.0), x.splat(2.0), x.splat(-0.0));
+    let t = expm1_for_tanh((x.splat(-2.0) * ax).blend(big, two * ax));
+    let tp2 = t + two;
+    let z = (t.xor(sign) / tp2).blend(big, one - two / tp2);
     // |x| ≥ 22 (and ±inf): ±1 (`one - tiny` rounds to 1).
-    let z = select(ix >= 0x41b0_0000, 1.0, z);
-    let z = select(x.is_sign_negative(), -z, z);
+    let z = z.blend(ix.cmpgt(x.splat_i(0x41af_ffff)), one);
+    // `-z` where x is negative: xor in x's sign bit.
+    let z = z.xor(x.and(sign));
     // |x| < 2⁻⁵⁵, ±0 included.
-    let z = select(ix < 0x2400_0000, x * (1.0 + x), z);
-    select(ix > 0x7f80_0000, x + x, z)
+    let z = z.blend(x.splat_i(0x2400_0000).cmpgt(ix), x * (one + x));
+    z.blend(ix.cmpgt(x.splat_i(0x7f80_0000)), x + x)
 }
 
 /// `e_expf.c`'s `2^(i/32)` table, as `bits(2^(i/32)) − (i << 47)`: adding
@@ -644,93 +1260,63 @@ pub(crate) fn exp(x: f32) -> f32 {
     select(x == f32::NEG_INFINITY, 0.0, e)
 }
 
-/// `expm1(y)` (`s_expm1f.c`) on the arguments [`tanh`] selects:
-/// `2 ≤ y < 44` or `−2 < y ≤ 0`. That domain never meets the huge or
-/// non-finite filters nor the `k = 1` branch, so those are not ported;
-/// arguments outside it (from lanes [`tanh`] then discards) return an
-/// unspecified value without panicking.
+/// `expm1(y)` (`s_expm1f.c`) in every lane, on the arguments [`tanh`]
+/// selects: `2 ≤ y < 44` or `−2 < y ≤ 0`. That domain never meets the
+/// huge or non-finite filters nor the `k = 1` branch, so those are not
+/// ported; a lane outside it (one [`tanh`] then discards) holds an
+/// unspecified value.
 #[inline(always)]
-fn expm1_for_tanh(y: f32) -> f32 {
-    let hx = y.to_bits() & 0x7fff_ffff;
-    let neg = y.is_sign_negative();
-    // Reduce y = k·ln2 + x, |x| ≤ ln2/2: `k = ±1` on (ln2/2, 3·ln2/2),
-    // 0 below, where the formulas reduce exactly to `x = y`, `c = 0`.
-    // `as` truncates toward zero, as C's float → int conversion.
-    let k_far = (INV_LN2 * y + select(neg, -0.5, 0.5)) as i32;
-    let k = select(hx < 0x3f85_1592, select(neg, -1, 1), k_far);
-    let k = select(hx > 0x3eb1_7218, k, 0);
-    let kf = k as f32;
-    let hi = y - kf * LN2_HI;
-    let lo = kf * LN2_LO;
+fn expm1_for_tanh<L: Lane>(y: L) -> L {
+    let ybits = y.bits();
+    let hx = ybits.and(y.splat_i(0x7fff_ffff));
+    // Reduce y = k·ln2 + x, |x| ≤ ln2/2: `k = ±1` (y's sign, `half +
+    // half`) on (ln2/2, 3·ln2/2), 0 below, where the formulas reduce
+    // exactly to `x = y`, `c = 0`. `cvtt` truncates toward zero, as C's
+    // float → int conversion.
+    let half = y.splat(0.5).blend(ybits.sign(), y.splat(-0.5));
+    let far = hx.cmpgt(y.splat_i(0x3f85_1591));
+    let k = (half + half).blend(far, y.splat(INV_LN2) * y + half).cvtt();
+    let k = k.keep(hx.cmpgt(y.splat_i(0x3eb1_7218)));
+    let kf = k.cvt();
+    let hi = y - kf * y.splat(LN2_HI);
+    let lo = kf * y.splat(LN2_LO);
     let x = hi - lo;
     let c = (hi - x) - lo;
-    let [q1, q2, q3, q4, q5] = EXPM1_Q;
-    let hfx = 0.5 * x;
+    let [q1, q2, q3, q4, q5] = EXPM1_Q.map(|q| y.splat(q));
+    let (one, half) = (y.splat(1.0), y.splat(0.5));
+    let hfx = half * x;
     let hxs = x * hfx;
-    let r1 = 1.0 + hxs * (q1 + hxs * (q2 + hxs * (q3 + hxs * (q4 + hxs * q5))));
-    let t = 3.0 - r1 * hfx;
-    let e0 = hxs * ((r1 - t) / (6.0 - x * t));
+    let r1 = one + hxs * (q1 + hxs * (q2 + hxs * (q3 + hxs * (q4 + hxs * q5))));
+    let t = y.splat(3.0) - r1 * hfx;
+    let e0 = hxs * ((r1 - t) / (y.splat(6.0) - x * t));
     let e = (x * (e0 - c) - c) - hxs;
-    // Adds `k` to a float's exponent field.
-    let scale = |v: f32| f32::from_bits(v.to_bits().wrapping_add((k << 23) as u32));
+    // Adds `k` to a lane's exponent field.
+    let k23 = k.shl(23);
+    let scale = |v: L| v.bits().add(k23).as_f32();
     let r_k0 = x - (x * e0 - hxs);
-    let r_km1 = 0.5 * (x - e) - 0.5;
-    let r_far = scale(1.0 - (e - x)) - 1.0;
-    // 2 ≤ k < 23: t = 1 − 2⁻ᵏ (`checked_shr` is `srlv`'s 0 past 31).
-    let t_small = 0x3f80_0000 - 0x0100_0000u32.checked_shr(k as u32).unwrap_or(0);
-    let r_small = scale(f32::from_bits(t_small) - (e - x));
+    let r_km1 = half * (x - e) - half;
+    let r_far = scale(one - (e - x)) - one;
+    // 2 ≤ k < 23: t = 1 − 2⁻ᵏ (`srlv` gives 0 past 31).
+    let t_small = y.splat_i(0x3f80_0000).sub(y.splat_i(0x0100_0000).srlv(k));
+    let r_small = scale(t_small.as_f32() - (e - x));
     // 23 ≤ k ≤ 56: t = 2⁻ᵏ.
-    let t_mid = (0x7f_i32.wrapping_sub(k) as u32) << 23;
-    let r_mid = scale((x - (e + f32::from_bits(t_mid))) + 1.0);
+    let t_mid = y.splat_i(0x7f).sub(k).shl(23).as_f32();
+    let r_mid = scale((x - (e + t_mid)) + one);
     // The C if-chain, lowest priority first.
-    let r = select(k < 23, r_small, r_mid);
-    let r = select(k <= -2 || k > 56, r_far, r);
-    let r = select(k == -1, r_km1, r);
-    let r = select(k == 0, r_k0, r);
+    let r = r_mid.blend(y.splat_i(23).cmpgt(k), r_small);
+    let r = r.blend(y.splat_i(-1).cmpgt(k), r_far);
+    let r = r.blend(k.cmpgt(y.splat_i(56)), r_far);
+    let r = r.blend(k.cmpeq(y.splat_i(-1)), r_km1);
+    let r = r.blend(k.cmpeq(y.splat_i(0)), r_k0);
     // |y| < 2⁻²⁵: expm1(y) rounds to y.
-    select(hx < 0x3300_0000, y, r)
+    r.blend(y.splat_i(0x3300_0000).cmpgt(hx), y)
 }
 
-/// Portable reference kernels. These define the semantics; the SIMD
-/// twins must match them bit-for-bit (pinned by the dispatch
-/// proptests and the harness kernel-mode matrix).
+/// The scalar table's hand-written entries: the `A·Bᵀ` tile, which
+/// keeps `dot`'s eight accumulators per output, and `exp_shift`, the
+/// [`exp`] port per element.
 mod scalar {
-    use super::{max_lanes_tree, maxps, sum_lanes_tree, NR, NT_COLS, TILE_COLS};
-    use crate::ops::{gelu_derivative, gelu_scalar};
-
-    // The 8-ary signature IS the `MicroTileFn` table ABI: every table
-    // must share it exactly so the pointers are interchangeable.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn micro_tile(
-        a: &[f32],
-        row: usize,
-        step: usize,
-        kc_len: usize,
-        b: &[f32],
-        out: &mut [f32],
-        n: usize,
-        mr_eff: usize,
-    ) {
-        super::micro_tile_edge(a, row, step, kc_len, b, out, n, mr_eff, TILE_COLS);
-    }
-
-    pub(super) fn dot(x: &[f32], y: &[f32]) -> f32 {
-        debug_assert_eq!(x.len(), y.len());
-        let mut lanes = [0.0f32; NR];
-        let blocks = x.len() / NR;
-        for c in 0..blocks {
-            let xb = &x[c * NR..c * NR + NR];
-            let yb = &y[c * NR..c * NR + NR];
-            for l in 0..NR {
-                lanes[l] += xb[l] * yb[l];
-            }
-        }
-        let mut tail = 0.0f32;
-        for i in blocks * NR..x.len() {
-            tail += x[i] * y[i];
-        }
-        sum_lanes_tree(&lanes) + tail
-    }
+    use super::{sum_lanes_tree, NR, NT_COLS};
 
     // The 7-ary signature IS the `NtTileFn` table ABI.
     pub(super) fn nt_tile(
@@ -763,122 +1349,52 @@ mod scalar {
         }
     }
 
-    pub(super) fn axpy(a: f32, v: &[f32], out: &mut [f32]) {
-        debug_assert_eq!(v.len(), out.len());
-        for (o, &x) in out.iter_mut().zip(v) {
-            *o += a * x;
-        }
-    }
-
-    pub(super) fn add_assign(v: &[f32], out: &mut [f32]) {
-        debug_assert_eq!(v.len(), out.len());
-        for (o, &x) in out.iter_mut().zip(v) {
-            *o += x;
-        }
-    }
-
-    pub(super) fn row_max(x: &[f32]) -> f32 {
-        let mut lanes = [f32::NEG_INFINITY; NR];
-        let blocks = x.len() / NR;
-        for c in 0..blocks {
-            let xb = &x[c * NR..c * NR + NR];
-            for l in 0..NR {
-                lanes[l] = maxps(lanes[l], xb[l]);
-            }
-        }
-        let mut m = max_lanes_tree(&lanes);
-        for &v in &x[blocks * NR..] {
-            m = maxps(m, v);
-        }
-        m
-    }
-
-    pub(super) fn row_sum(x: &[f32]) -> f32 {
-        let mut lanes = [0.0f32; NR];
-        let blocks = x.len() / NR;
-        for c in 0..blocks {
-            let xb = &x[c * NR..c * NR + NR];
-            for l in 0..NR {
-                lanes[l] += xb[l];
-            }
-        }
-        let mut tail = 0.0f32;
-        for &v in &x[blocks * NR..] {
-            tail += v;
-        }
-        sum_lanes_tree(&lanes) + tail
-    }
-
-    pub(super) fn div_assign(row: &mut [f32], denom: f32) {
-        for v in row.iter_mut() {
-            *v /= denom;
-        }
-    }
-
     pub(super) fn exp_shift(row: &mut [f32], shift: f32) {
         for v in row.iter_mut() {
             *v = super::exp(*v - shift);
         }
     }
-
-    pub(super) fn bf16_round(data: &mut [f32]) {
-        for v in data.iter_mut() {
-            *v = super::bf16_round_one(*v);
-        }
-    }
-
-    pub(super) fn gelu(h: &mut [f32], keep: Option<(&mut [f32], &mut [f32])>) {
-        match keep {
-            Some((pre, tanh)) => {
-                debug_assert!(pre.len() == h.len() && tanh.len() == h.len());
-                for ((v, p), t) in h.iter_mut().zip(pre).zip(tanh) {
-                    *p = *v;
-                    (*v, *t) = gelu_scalar(*v);
-                }
-            }
-            None => {
-                for v in h {
-                    *v = gelu_scalar(*v).0;
-                }
-            }
-        }
-    }
-
-    pub(super) fn gelu_backward(pre: &[f32], tanh: &[f32], g: &mut [f32]) {
-        debug_assert!(pre.len() == g.len() && tanh.len() == g.len());
-        for ((g, &x), &t) in g.iter_mut().zip(pre).zip(tanh) {
-            *g *= gelu_derivative(x, t);
-        }
-    }
 }
 
-/// Explicit AVX2 `f32x8` kernels. Every entry is a safe wrapper whose
-/// body is a `#[target_feature(enable = "avx2")]` function; the
-/// wrappers are only reachable through [`TABLE`] and the AVX-512
-/// table, which [`table`](super::table) returns exclusively after
-/// [`simd_modes`](super::simd_modes) confirmed AVX2+FMA.
+/// The AVX2 table: the generic bodies on `__m256` lanes, the
+/// hand-written `A·Bᵀ` tile and the `exp` lanes, each entry compiled
+/// for AVX2+FMA.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::{
-        halves, max_lanes_tree, maxps, span, sum_lanes_tree, ARows, KernelTable, SimdMode,
-        EXP2_TAB, EXPM1_Q, EXP_C, EXP_INV_LN2_N, EXP_MAY_UFLOW, EXP_OFLOW, EXP_SHIFT, EXP_UFLOW,
-        HALF_MR, INV_LN2, LN2_HI, LN2_LO, NR, NT_COLS, NT_ROWS, TILE_COLS,
+        KernelTable, SimdMode, EXP2_TAB, EXP_C, EXP_INV_LN2_N, EXP_MAY_UFLOW, EXP_OFLOW, EXP_SHIFT,
+        EXP_UFLOW, HALF_MR, NR, NT_COLS, NT_ROWS, TILE_COLS,
     };
-    use crate::ops::{gelu_derivative, gelu_scalar, GELU_CUBIC, SQRT_2_OVER_PI};
-    use core::arch::x86_64::{
-        __m256, __m256d, __m256i, _mm256_add_epi32, _mm256_add_epi64, _mm256_add_pd, _mm256_add_ps,
-        _mm256_and_ps, _mm256_and_si256, _mm256_blendv_epi8, _mm256_blendv_ps, _mm256_castpd_si256,
-        _mm256_castps256_ps128, _mm256_castps_si256, _mm256_castsi256_pd, _mm256_castsi256_ps,
-        _mm256_cmp_ps, _mm256_cmpeq_epi32, _mm256_cmpgt_epi32, _mm256_cvtepi32_ps, _mm256_cvtpd_ps,
-        _mm256_cvtps_pd, _mm256_cvttps_epi32, _mm256_div_ps, _mm256_extractf128_ps,
-        _mm256_fmadd_pd, _mm256_fmsub_pd, _mm256_i64gather_epi64, _mm256_loadu_ps,
-        _mm256_loadu_si256, _mm256_max_ps, _mm256_mul_pd, _mm256_mul_ps, _mm256_or_si256,
-        _mm256_set1_epi32, _mm256_set1_epi64x, _mm256_set1_pd, _mm256_set1_ps, _mm256_set_m128,
-        _mm256_setzero_ps, _mm256_setzero_si256, _mm256_slli_epi32, _mm256_slli_epi64,
-        _mm256_srai_epi32, _mm256_srli_epi32, _mm256_srlv_epi32, _mm256_storeu_ps,
-        _mm256_storeu_si256, _mm256_sub_epi32, _mm256_sub_pd, _mm256_sub_ps, _mm256_xor_ps,
-        _CMP_GT_OQ, _CMP_LT_OQ,
-    };
+    use core::arch::x86_64::*;
+
+    x86_lanes! {
+        V8(__m256), I8(__m256i), mask __m256i, 8, "avx2,fma";
+        new _mm256_setzero_ps, splat _mm256_set1_ps, splat_i _mm256_set1_epi32,
+        load _mm256_loadu_ps, store _mm256_storeu_ps, blend blendv,
+        sign sign_bits, keep _mm256_and_si256;
+        ops [Add add _mm256_add_ps, Sub sub _mm256_sub_ps, Mul mul _mm256_mul_ps,
+            Div div _mm256_div_ps];
+        f32 [maxps _mm256_max_ps, and _mm256_and_ps, xor _mm256_xor_ps];
+        to_i32 [bits _mm256_castps_si256, cvtt _mm256_cvttps_epi32];
+        i32 [add _mm256_add_epi32, sub _mm256_sub_epi32, and _mm256_and_si256,
+            srlv _mm256_srlv_epi32];
+        shifts [shl _mm256_sll_epi32, shr _mm256_srl_epi32];
+        cmp [cmpgt _mm256_cmpgt_epi32, cmpeq _mm256_cmpeq_epi32];
+        to_f32 [cvt _mm256_cvtepi32_ps, as_f32 _mm256_castsi256_ps];
+    }
+
+    /// `t` in the lanes whose sign bit `m` sets, `f` in the others.
+    #[target_feature(enable = "avx2")]
+    fn blendv(f: __m256, m: __m256i, t: __m256) -> __m256 {
+        _mm256_blendv_ps(f, t, _mm256_castsi256_ps(m))
+    }
+
+    /// [`blendv`] reads only each lane's sign bit, so a lane's bits are
+    /// their own sign mask.
+    #[target_feature(enable = "avx2")]
+    fn sign_bits(v: __m256i) -> __m256i {
+        v
+    }
 
     pub(super) static TABLE: KernelTable = KernelTable {
         mode: SimdMode::Avx2,
@@ -897,9 +1413,38 @@ mod avx2 {
         gelu_backward,
     };
 
+    simd_entries! {
+        "avx2,fma", V8::new();
+        fn micro_tile(
+            a: &[f32], row: usize, step: usize, kc_len: usize, b: &[f32], out: &mut [f32],
+            n: usize, mr_eff: usize
+        ) = super::micro_tile::<V8, HALF_MR>;
+        fn dot(x: &[f32], y: &[f32]) -> f32 = super::dot;
+        fn nt_tile(
+            a: &[f32], rows: usize, k: usize, panel: &[f32], out: &mut [f32], ldo: usize,
+            cols: usize
+        ) = nt_tile_rows;
+        fn topk(row: &[f32], idx: &mut [u32], val: &mut [f32]) = super::topk;
+        fn axpy(a: f32, v: &[f32], out: &mut [f32]) = super::axpy;
+        fn add_assign(v: &[f32], out: &mut [f32]) = super::add_assign;
+        fn row_max(x: &[f32]) -> f32 = super::row_max;
+        fn row_sum(x: &[f32]) -> f32 = super::row_sum;
+        fn div_assign(row: &mut [f32], denom: f32) = super::div_assign;
+        fn exp_shift(row: &mut [f32], shift: f32) = exp_shift_body;
+        fn bf16_round(data: &mut [f32]) = super::bf16_round;
+        fn gelu(h: &mut [f32], keep: Option<(&mut [f32], &mut [f32])>) = super::gelu;
+        fn gelu_backward(pre: &[f32], tanh: &[f32], g: &mut [f32]) = super::gelu_backward;
+        /// The AVX2 `tanh` lanes over all of `xs`, for the sweeps.
+        #[cfg(test)]
+        fn tanh_lanes(xs: &mut [f32]) = super::tanh_in_place;
+        /// The AVX2 `exp` lanes, for the sweeps.
+        #[cfg(test)]
+        fn exp_lanes(xs: &mut [f32]) -> usize = exp_blocks;
+    }
+
     /// Loads 8 consecutive `f32`s from a slice of length ≥ `off + 8`.
     #[inline(always)]
-    pub(super) fn load8(s: &[f32], off: usize) -> __m256 {
+    fn load8(s: &[f32], off: usize) -> __m256 {
         debug_assert!(off + NR <= s.len());
         // SAFETY: the caller-checked bound above guarantees 8 in-range
         // f32s at `off`; unaligned loads are permitted by `loadu`.
@@ -908,117 +1453,18 @@ mod avx2 {
 
     /// Stores 8 lanes over `s[off .. off + 8]`.
     #[inline(always)]
-    pub(super) fn store8(s: &mut [f32], off: usize, v: __m256) {
+    fn store8(s: &mut [f32], off: usize, v: __m256) {
         debug_assert!(off + NR <= s.len());
         // SAFETY: the bound above guarantees 8 in-range f32s at `off`;
         // unaligned stores are permitted by `storeu`.
         unsafe { _mm256_storeu_ps(s.as_mut_ptr().add(off), v) }
     }
 
-    // The 8-ary signature IS the `MicroTileFn` table ABI: every table
-    // must share it exactly so the pointers are interchangeable.
+    /// The `nt_tile` entry: [`nt_tile_body`] at the tile's row count.
     #[allow(clippy::too_many_arguments)]
-    pub(super) fn micro_tile(
-        a: &[f32],
-        row: usize,
-        step: usize,
-        kc_len: usize,
-        b: &[f32],
-        out: &mut [f32],
-        n: usize,
-        mr_eff: usize,
-    ) {
-        for (h, rows) in halves(mr_eff) {
-            let (a, out) = (&a[h * row..], &mut out[h * n..]);
-            // SAFETY: this wrapper is reachable only through `TABLE` and
-            // the AVX-512 table, installed after AVX2+FMA detection.
-            unsafe { micro_tile_body(a, row, step, kc_len, b, out, n, rows) }
-        }
-    }
-
-    /// One `HALF_MR`-row pass of [`micro_tile`].
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2 (guaranteed by the dispatch table's detection
-    /// gate).
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2")]
-    // SAFETY: `target_feature` makes this fn unsafe-to-call; the only
-    // caller is the detection-gated wrapper above.
-    unsafe fn micro_tile_body(
-        a: &[f32],
-        row: usize,
-        step: usize,
-        kc_len: usize,
-        b: &[f32],
-        out: &mut [f32],
-        n: usize,
-        mr_eff: usize,
-    ) {
-        // With the tile inside a row, these two slices bound every
-        // 8-lane access below.
-        assert!(TILE_COLS <= n, "micro-tile past its row");
-        let b = &b[..span(kc_len, n, TILE_COLS)];
-        let out = &mut out[..span(mr_eff, n, TILE_COLS)];
-        let a = ARows::<HALF_MR>::new(a, row, step, kc_len, mr_eff);
-        // 12 accumulators, two B vectors and one broadcast: 15 of the
-        // 16 `ymm` registers.
-        let mut acc = [[_mm256_setzero_ps(); TILE_COLS / NR]; HALF_MR];
-        for p in 0..kc_len {
-            let bv = [load8(b, p * n), load8(b, p * n + NR)];
-            for (r, accr) in acc.iter_mut().enumerate() {
-                let av = _mm256_set1_ps(a.at(r, p));
-                for (accv, &bv) in accr.iter_mut().zip(&bv) {
-                    // Two roundings (mul, then add) exactly like the
-                    // scalar kernel; `_mm256_fmadd_ps` would fuse them
-                    // and break the bitwise contract.
-                    *accv = _mm256_add_ps(*accv, _mm256_mul_ps(av, bv));
-                }
-            }
-        }
-        for (r, accr) in acc.iter().enumerate().take(mr_eff) {
-            for (h, accv) in accr.iter().enumerate() {
-                let sum = _mm256_add_ps(load8(out, r * n + h * NR), *accv);
-                store8(out, r * n + h * NR, sum);
-            }
-        }
-    }
-
-    pub(super) fn dot(x: &[f32], y: &[f32]) -> f32 {
-        // SAFETY: reachable only through the detection-gated tables.
-        unsafe { dot_body(x, y) }
-    }
-
-    /// # Safety
-    ///
-    /// Requires AVX2 (guaranteed by the dispatch table's detection
-    /// gate).
-    #[target_feature(enable = "avx2")]
-    // SAFETY: `target_feature` makes this fn unsafe-to-call; the only
-    // caller is the detection-gated wrapper above.
-    unsafe fn dot_body(x: &[f32], y: &[f32]) -> f32 {
-        debug_assert_eq!(x.len(), y.len());
-        let blocks = x.len() / NR;
-        let lanes_v = {
-            let mut acc = _mm256_setzero_ps();
-            for c in 0..blocks {
-                let prod = _mm256_mul_ps(load8(x, c * NR), load8(y, c * NR));
-                acc = _mm256_add_ps(acc, prod);
-            }
-            acc
-        };
-        let mut lanes = [0.0f32; NR];
-        store8(&mut lanes[..], 0, lanes_v);
-        let mut tail = 0.0f32;
-        for i in blocks * NR..x.len() {
-            tail += x[i] * y[i];
-        }
-        sum_lanes_tree(&lanes) + tail
-    }
-
-    // The 7-ary signature IS the `NtTileFn` table ABI.
-    fn nt_tile(
+    #[target_feature(enable = "avx2,fma")]
+    fn nt_tile_rows(
+        _: V8,
         a: &[f32],
         rows: usize,
         k: usize,
@@ -1028,27 +1474,17 @@ mod avx2 {
         cols: usize,
     ) {
         assert!((1..=NT_ROWS).contains(&rows), "A·Bᵀ tile of {rows} rows");
-        // SAFETY: reachable only through the detection-gated `TABLE`.
-        unsafe {
-            match rows {
-                1 => nt_tile_body::<1>(a, k, panel, out, ldo, cols),
-                2 => nt_tile_body::<2>(a, k, panel, out, ldo, cols),
-                _ => nt_tile_body::<NT_ROWS>(a, k, panel, out, ldo, cols),
-            }
+        match rows {
+            1 => nt_tile_body::<1>(a, k, panel, out, ldo, cols),
+            2 => nt_tile_body::<2>(a, k, panel, out, ldo, cols),
+            _ => nt_tile_body::<NT_ROWS>(a, k, panel, out, ldo, cols),
         }
     }
 
     /// The `R`-row tile over each 8-column half of the panel that holds
     /// a column: [`nt_half_tree`] twice, then the tail.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2 (guaranteed by the dispatch table's detection
-    /// gate).
     #[target_feature(enable = "avx2")]
-    // SAFETY: `target_feature` makes this fn unsafe-to-call; the only
-    // caller is the detection-gated wrapper above.
-    unsafe fn nt_tile_body<const R: usize>(
+    fn nt_tile_body<const R: usize>(
         a: &[f32],
         k: usize,
         panel: &[f32],
@@ -1095,18 +1531,12 @@ mod avx2 {
     /// `R` rows, `(l_I + l_{I+4}) + (l_{I+1} + l_{I+5})`: the reduction
     /// runs over the accumulators `p mod 8 ∈ {I, I+1, I+4, I+5}` only,
     /// so `4R` of them are live (three rows fit the 16 `ymm`
-    /// registers), and folds them as it ends.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2.
+    /// registers), and folds them as it ends. `pblocks` is whole 8-row
+    /// blocks of the panel and `h + 8 ≤ NT_COLS`, so every load is in
+    /// bounds.
     #[inline]
     #[target_feature(enable = "avx2")]
-    // SAFETY: `target_feature` makes this fn unsafe-to-call; callers
-    // are themselves AVX2-gated bodies. `pblocks` is whole 8-row
-    // blocks of the panel and `h + 8 ≤ NT_COLS`, so every load is in
-    // bounds.
-    unsafe fn nt_half_tree<const R: usize, const I: usize>(
+    fn nt_half_tree<const R: usize, const I: usize>(
         ablocks: &[&[[f32; NR]]; R],
         pblocks: &[f32],
         h: usize,
@@ -1124,174 +1554,9 @@ mod avx2 {
         acc.map(|[li, lj, li4, lj4]| _mm256_add_ps(_mm256_add_ps(li, li4), _mm256_add_ps(lj, lj4)))
     }
 
-    fn topk(row: &[f32], idx: &mut [u32], val: &mut [f32]) {
-        // SAFETY: reachable only through the detection-gated tables.
-        unsafe { topk_body(row, idx, val) }
-    }
-
-    /// `ops::topk_by_max` compiled for AVX2.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2 (guaranteed by the dispatch table's detection
-    /// gate).
-    #[target_feature(enable = "avx2")]
-    // SAFETY: `target_feature` makes this fn unsafe-to-call; the only
-    // caller is the detection-gated wrapper above.
-    unsafe fn topk_body(row: &[f32], idx: &mut [u32], val: &mut [f32]) {
-        crate::ops::topk_by_max(row, idx, val);
-    }
-
-    pub(super) fn axpy(a: f32, v: &[f32], out: &mut [f32]) {
-        // SAFETY: reachable only through the detection-gated tables.
-        unsafe { axpy_body(a, v, out) }
-    }
-
-    /// # Safety
-    ///
-    /// Requires AVX2 (guaranteed by the dispatch table's detection
-    /// gate).
-    #[target_feature(enable = "avx2")]
-    // SAFETY: `target_feature` makes this fn unsafe-to-call; the only
-    // caller is the detection-gated wrapper above.
-    unsafe fn axpy_body(a: f32, v: &[f32], out: &mut [f32]) {
-        debug_assert_eq!(v.len(), out.len());
-        let blocks = v.len() / NR;
-        // Lanewise mul+add matches the scalar `*o += a * x` roundings.
-        let av = _mm256_set1_ps(a);
-        for c in 0..blocks {
-            let sum = _mm256_add_ps(load8(out, c * NR), _mm256_mul_ps(av, load8(v, c * NR)));
-            store8(out, c * NR, sum);
-        }
-        for i in blocks * NR..v.len() {
-            out[i] += a * v[i];
-        }
-    }
-
-    pub(super) fn add_assign(v: &[f32], out: &mut [f32]) {
-        // SAFETY: reachable only through the detection-gated tables.
-        unsafe { add_assign_body(v, out) }
-    }
-
-    /// # Safety
-    ///
-    /// Requires AVX2 (guaranteed by the dispatch table's detection
-    /// gate).
-    #[target_feature(enable = "avx2")]
-    // SAFETY: `target_feature` makes this fn unsafe-to-call; the only
-    // caller is the detection-gated wrapper above.
-    unsafe fn add_assign_body(v: &[f32], out: &mut [f32]) {
-        debug_assert_eq!(v.len(), out.len());
-        let blocks = v.len() / NR;
-        for c in 0..blocks {
-            let sum = _mm256_add_ps(load8(out, c * NR), load8(v, c * NR));
-            store8(out, c * NR, sum);
-        }
-        for i in blocks * NR..v.len() {
-            out[i] += v[i];
-        }
-    }
-
-    pub(super) fn row_max(x: &[f32]) -> f32 {
-        // SAFETY: reachable only through the detection-gated tables.
-        unsafe { row_max_body(x) }
-    }
-
-    /// # Safety
-    ///
-    /// Requires AVX2 (guaranteed by the dispatch table's detection
-    /// gate).
-    #[target_feature(enable = "avx2")]
-    // SAFETY: `target_feature` makes this fn unsafe-to-call; the only
-    // caller is the detection-gated wrapper above.
-    unsafe fn row_max_body(x: &[f32]) -> f32 {
-        let blocks = x.len() / NR;
-        // `_mm256_max_ps` has the exact semantics of the scalar
-        // `maxps` helper per lane.
-        let lanes_v = {
-            let mut acc = _mm256_set1_ps(f32::NEG_INFINITY);
-            for c in 0..blocks {
-                acc = _mm256_max_ps(acc, load8(x, c * NR));
-            }
-            acc
-        };
-        let mut lanes = [0.0f32; NR];
-        store8(&mut lanes[..], 0, lanes_v);
-        let mut m = max_lanes_tree(&lanes);
-        for &v in &x[blocks * NR..] {
-            m = maxps(m, v);
-        }
-        m
-    }
-
-    pub(super) fn row_sum(x: &[f32]) -> f32 {
-        // SAFETY: reachable only through the detection-gated tables.
-        unsafe { row_sum_body(x) }
-    }
-
-    /// # Safety
-    ///
-    /// Requires AVX2 (guaranteed by the dispatch table's detection
-    /// gate).
-    #[target_feature(enable = "avx2")]
-    // SAFETY: `target_feature` makes this fn unsafe-to-call; the only
-    // caller is the detection-gated wrapper above.
-    unsafe fn row_sum_body(x: &[f32]) -> f32 {
-        let blocks = x.len() / NR;
-        let lanes_v = {
-            let mut acc = _mm256_setzero_ps();
-            for c in 0..blocks {
-                acc = _mm256_add_ps(acc, load8(x, c * NR));
-            }
-            acc
-        };
-        let mut lanes = [0.0f32; NR];
-        store8(&mut lanes[..], 0, lanes_v);
-        let mut tail = 0.0f32;
-        for &v in &x[blocks * NR..] {
-            tail += v;
-        }
-        sum_lanes_tree(&lanes) + tail
-    }
-
-    pub(super) fn div_assign(row: &mut [f32], denom: f32) {
-        // SAFETY: reachable only through the detection-gated tables.
-        unsafe { div_assign_body(row, denom) }
-    }
-
-    /// # Safety
-    ///
-    /// Requires AVX2 (guaranteed by the dispatch table's detection
-    /// gate).
-    #[target_feature(enable = "avx2")]
-    // SAFETY: `target_feature` makes this fn unsafe-to-call; the only
-    // caller is the detection-gated wrapper above.
-    unsafe fn div_assign_body(row: &mut [f32], denom: f32) {
-        let blocks = row.len() / NR;
-        // Lanewise IEEE divide is identical to the scalar `/=`.
-        let dv = _mm256_set1_ps(denom);
-        for c in 0..blocks {
-            let q = _mm256_div_ps(load8(row, c * NR), dv);
-            store8(row, c * NR, q);
-        }
-        for v in &mut row[blocks * NR..] {
-            *v /= denom;
-        }
-    }
-
-    pub(super) fn exp_shift(row: &mut [f32], shift: f32) {
-        // SAFETY: reachable only through the detection-gated tables.
-        unsafe { exp_shift_body(row, shift) }
-    }
-
-    /// # Safety
-    ///
-    /// Requires AVX2+FMA (guaranteed by the dispatch table's detection
-    /// gate).
+    /// The `exp_shift` entry.
     #[target_feature(enable = "avx2,fma")]
-    // SAFETY: `target_feature` makes this fn unsafe-to-call; the only
-    // caller is the detection-gated wrapper above.
-    unsafe fn exp_shift_body(row: &mut [f32], shift: f32) {
+    fn exp_shift_body(_: V8, row: &mut [f32], shift: f32) {
         let blocks = row.len() / NR;
         // Lanewise IEEE subtract, then the ported `exp` on 8 lanes.
         let sv = _mm256_set1_ps(shift);
@@ -1307,15 +1572,8 @@ mod avx2 {
     /// [`super::exp`] on 8 lanes: the `f64` main path on two halves of
     /// 4, then the special inputs selected with `blendv`, in the same
     /// order.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2+FMA.
     #[target_feature(enable = "avx2,fma")]
-    // SAFETY: `target_feature` makes this fn unsafe-to-call; callers
-    // are themselves AVX2+FMA-gated bodies. Register-only arithmetic
-    // plus the in-bounds table gather of `exp4d`.
-    unsafe fn exp8(x: __m256) -> __m256 {
+    fn exp8(x: __m256) -> __m256 {
         let lo = _mm256_cvtpd_ps(exp4d(_mm256_cvtps_pd(_mm256_castps256_ps128(x))));
         let hi = _mm256_cvtpd_ps(exp4d(_mm256_cvtps_pd(_mm256_extractf128_ps::<1>(x))));
         let mut e = _mm256_set_m128(hi, lo);
@@ -1354,14 +1612,8 @@ mod avx2 {
 
     /// [`super::exp`]'s `f64` main path on 4 lanes, `y · s` before the
     /// narrowing, with its four `vfmadd`/`vfmsub` steps.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2+FMA.
     #[target_feature(enable = "avx2,fma")]
-    // SAFETY: `target_feature` makes this fn unsafe-to-call; callers
-    // are themselves AVX2+FMA-gated bodies.
-    unsafe fn exp4d(xd: __m256d) -> __m256d {
+    fn exp4d(xd: __m256d) -> __m256d {
         let inv = _mm256_set1_pd(EXP_INV_LN2_N);
         let shift = _mm256_set1_pd(EXP_SHIFT);
         let kd = _mm256_add_pd(_mm256_mul_pd(inv, xd), shift);
@@ -1381,362 +1633,56 @@ mod avx2 {
         _mm256_mul_pd(y, s)
     }
 
-    /// Applies the round-to-nearest-even bias and truncates 8 packed
-    /// f32 bit patterns to their high 16 bits (as 32-bit lanes).
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2.
-    #[target_feature(enable = "avx2")]
-    // SAFETY: `target_feature` makes this fn unsafe-to-call; callers
-    // are themselves AVX2-gated bodies. Register-only integer ops
-    // replicating the scalar `bits + 0x7FFF + ((bits >> 16) & 1)`
-    // bias (wrapping) and logical right shift.
-    unsafe fn bf16_bias_shift(bits: __m256i) -> __m256i {
-        let lsb = _mm256_and_si256(_mm256_srli_epi32::<16>(bits), _mm256_set1_epi32(1));
-        let bias = _mm256_add_epi32(_mm256_set1_epi32(0x7FFF), lsb);
-        _mm256_srli_epi32::<16>(_mm256_add_epi32(bits, bias))
-    }
-
-    pub(super) fn bf16_round(data: &mut [f32]) {
-        // SAFETY: reachable only through the detection-gated tables.
-        unsafe { bf16_round_body(data) }
-    }
-
-    /// # Safety
-    ///
-    /// Requires AVX2 (guaranteed by the dispatch table's detection
-    /// gate).
-    #[target_feature(enable = "avx2")]
-    // SAFETY: `target_feature` makes this fn unsafe-to-call; the only
-    // caller is the detection-gated wrapper above.
-    unsafe fn bf16_round_body(data: &mut [f32]) {
-        let blocks = data.len() / NR;
-        for c in 0..blocks {
-            // SAFETY: 8 in-bounds f32s read and rewritten per
-            // iteration; bias-shift-left reproduces the scalar
-            // `((bits + bias) >> 16) << 16` per lane.
-            unsafe {
-                let bits = _mm256_loadu_si256(data.as_ptr().add(c * NR).cast::<__m256i>());
-                let rounded = _mm256_slli_epi32::<16>(bf16_bias_shift(bits));
-                _mm256_storeu_si256(data.as_mut_ptr().add(c * NR).cast::<__m256i>(), rounded);
-            }
-        }
-        for v in &mut data[blocks * NR..] {
-            *v = super::bf16_round_one(*v);
-        }
-    }
-
-    /// [`super::tanh`] on 8 lanes, the same operations in the same
-    /// order: each scalar `select` is a `blendv` between both computed
-    /// sides.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2.
-    #[target_feature(enable = "avx2")]
-    // SAFETY: `target_feature` makes this fn unsafe-to-call; callers
-    // are themselves AVX2-gated bodies. Register-only arithmetic.
-    unsafe fn tanh8(x: __m256) -> __m256 {
-        let ix = _mm256_and_si256(_mm256_castps_si256(x), _mm256_set1_epi32(0x7fff_ffff));
-        let big = _mm256_castsi256_ps(_mm256_cmpgt_epi32(ix, _mm256_set1_epi32(0x3f7f_ffff)));
-        let ax = _mm256_castsi256_ps(ix);
-        let (one, two, sign) = (
-            _mm256_set1_ps(1.0),
-            _mm256_set1_ps(2.0),
-            _mm256_set1_ps(-0.0),
-        );
-        let y = _mm256_blendv_ps(
-            _mm256_mul_ps(_mm256_set1_ps(-2.0), ax),
-            _mm256_mul_ps(two, ax),
-            big,
-        );
-        let t = expm1_for_tanh8(y);
-        let tp2 = _mm256_add_ps(t, two);
-        let z = _mm256_blendv_ps(
-            _mm256_div_ps(_mm256_xor_ps(t, sign), tp2),
-            _mm256_sub_ps(one, _mm256_div_ps(two, tp2)),
-            big,
-        );
-        let sat = _mm256_cmpgt_epi32(ix, _mm256_set1_epi32(0x41af_ffff));
-        let z = _mm256_blendv_ps(z, one, _mm256_castsi256_ps(sat));
-        // `-z` where x is negative: xor in x's sign bit.
-        let z = _mm256_xor_ps(z, _mm256_and_ps(x, sign));
-        let tiny = _mm256_cmpgt_epi32(_mm256_set1_epi32(0x2400_0000), ix);
-        let small = _mm256_mul_ps(x, _mm256_add_ps(one, x));
-        let z = _mm256_blendv_ps(z, small, _mm256_castsi256_ps(tiny));
-        let nan = _mm256_cmpgt_epi32(ix, _mm256_set1_epi32(0x7f80_0000));
-        _mm256_blendv_ps(z, _mm256_add_ps(x, x), _mm256_castsi256_ps(nan))
-    }
-
-    /// [`super::expm1_for_tanh`] on 8 lanes.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2.
-    #[target_feature(enable = "avx2")]
-    // SAFETY: `target_feature` makes this fn unsafe-to-call; callers
-    // are themselves AVX2-gated bodies. Register-only arithmetic.
-    unsafe fn expm1_for_tanh8(y: __m256) -> __m256 {
-        let ybits = _mm256_castps_si256(y);
-        let hx = _mm256_and_si256(ybits, _mm256_set1_epi32(0x7fff_ffff));
-        // `blendv` selects on the mask's sign bit, so `y` itself is
-        // the `y < 0` mask.
-        let half = _mm256_blendv_ps(_mm256_set1_ps(0.5), _mm256_set1_ps(-0.5), y);
-        let k_far = _mm256_cvttps_epi32(_mm256_add_ps(
-            _mm256_mul_ps(_mm256_set1_ps(INV_LN2), y),
-            half,
-        ));
-        // ±1 by y's sign: (y >> 31 arithmetic) | 1.
-        let k_one = _mm256_or_si256(_mm256_srai_epi32::<31>(ybits), _mm256_set1_epi32(1));
-        let far = _mm256_cmpgt_epi32(hx, _mm256_set1_epi32(0x3f85_1591));
-        let k = _mm256_blendv_epi8(k_one, k_far, far);
-        let k = _mm256_and_si256(k, _mm256_cmpgt_epi32(hx, _mm256_set1_epi32(0x3eb1_7218)));
-        let kf = _mm256_cvtepi32_ps(k);
-        let hi = _mm256_sub_ps(y, _mm256_mul_ps(kf, _mm256_set1_ps(LN2_HI)));
-        let lo = _mm256_mul_ps(kf, _mm256_set1_ps(LN2_LO));
-        let x = _mm256_sub_ps(hi, lo);
-        let c = _mm256_sub_ps(_mm256_sub_ps(hi, x), lo);
-        let one = _mm256_set1_ps(1.0);
-        let half = _mm256_set1_ps(0.5);
-        let hfx = _mm256_mul_ps(half, x);
-        let hxs = _mm256_mul_ps(x, hfx);
-        let mut poly = _mm256_set1_ps(EXPM1_Q[4]);
-        for q in [EXPM1_Q[3], EXPM1_Q[2], EXPM1_Q[1], EXPM1_Q[0]] {
-            poly = _mm256_add_ps(_mm256_set1_ps(q), _mm256_mul_ps(hxs, poly));
-        }
-        let r1 = _mm256_add_ps(one, _mm256_mul_ps(hxs, poly));
-        let t = _mm256_sub_ps(_mm256_set1_ps(3.0), _mm256_mul_ps(r1, hfx));
-        let e0 = _mm256_mul_ps(
-            hxs,
-            _mm256_div_ps(
-                _mm256_sub_ps(r1, t),
-                _mm256_sub_ps(_mm256_set1_ps(6.0), _mm256_mul_ps(x, t)),
-            ),
-        );
-        let e = _mm256_sub_ps(
-            _mm256_sub_ps(_mm256_mul_ps(x, _mm256_sub_ps(e0, c)), c),
-            hxs,
-        );
-        let k23 = _mm256_slli_epi32::<23>(k);
-        let r_k0 = _mm256_sub_ps(x, _mm256_sub_ps(_mm256_mul_ps(x, e0), hxs));
-        let r_km1 = _mm256_sub_ps(_mm256_mul_ps(half, _mm256_sub_ps(x, e)), half);
-        let r_far = _mm256_sub_ps(
-            add_exponent(_mm256_sub_ps(one, _mm256_sub_ps(e, x)), k23),
-            one,
-        );
-        let t_small = _mm256_castsi256_ps(_mm256_sub_epi32(
-            _mm256_set1_epi32(0x3f80_0000),
-            _mm256_srlv_epi32(_mm256_set1_epi32(0x0100_0000), k),
-        ));
-        let r_small = add_exponent(_mm256_sub_ps(t_small, _mm256_sub_ps(e, x)), k23);
-        let t_mid = _mm256_castsi256_ps(_mm256_slli_epi32::<23>(_mm256_sub_epi32(
-            _mm256_set1_epi32(0x7f),
-            k,
-        )));
-        let r_mid = add_exponent(
-            _mm256_add_ps(_mm256_sub_ps(x, _mm256_add_ps(e, t_mid)), one),
-            k23,
-        );
-        // The scalar if-chain, applied lowest priority first.
-        let is_far = _mm256_or_si256(
-            _mm256_cmpgt_epi32(_mm256_set1_epi32(-1), k),
-            _mm256_cmpgt_epi32(k, _mm256_set1_epi32(56)),
-        );
-        let picks = [
-            (r_small, _mm256_cmpgt_epi32(_mm256_set1_epi32(23), k)),
-            (r_far, is_far),
-            (r_km1, _mm256_cmpeq_epi32(k, _mm256_set1_epi32(-1))),
-            (r_k0, _mm256_cmpeq_epi32(k, _mm256_setzero_si256())),
-            (y, _mm256_cmpgt_epi32(_mm256_set1_epi32(0x3300_0000), hx)),
-        ];
-        let mut r = r_mid;
-        for (value, mask) in picks {
-            r = _mm256_blendv_ps(r, value, _mm256_castsi256_ps(mask));
-        }
-        r
-    }
-
-    /// Adds the pre-shifted `k << 23` to each lane's exponent field.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2.
-    #[target_feature(enable = "avx2")]
-    // SAFETY: `target_feature` makes this fn unsafe-to-call; callers
-    // are themselves AVX2-gated bodies. Register-only integer add.
-    unsafe fn add_exponent(v: __m256, k23: __m256i) -> __m256 {
-        _mm256_castsi256_ps(_mm256_add_epi32(_mm256_castps_si256(v), k23))
-    }
-
-    /// `ops::gelu_scalar` on 8 lanes: `(gelu, tanh(inner))`.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2.
-    #[target_feature(enable = "avx2")]
-    // SAFETY: `target_feature` makes this fn unsafe-to-call; callers
-    // are themselves AVX2-gated bodies. Register-only arithmetic.
-    unsafe fn gelu8(x: __m256) -> (__m256, __m256) {
-        let cube = _mm256_mul_ps(
-            _mm256_mul_ps(_mm256_mul_ps(_mm256_set1_ps(GELU_CUBIC), x), x),
-            x,
-        );
-        let th = tanh8(_mm256_mul_ps(
-            _mm256_set1_ps(SQRT_2_OVER_PI),
-            _mm256_add_ps(x, cube),
-        ));
-        let half_x = _mm256_mul_ps(_mm256_set1_ps(0.5), x);
-        (
-            _mm256_mul_ps(half_x, _mm256_add_ps(_mm256_set1_ps(1.0), th)),
-            th,
-        )
-    }
-
-    fn gelu(h: &mut [f32], keep: Option<(&mut [f32], &mut [f32])>) {
-        // SAFETY: reachable only through the detection-gated tables.
-        unsafe { gelu_body(h, keep) }
-    }
-
-    /// # Safety
-    ///
-    /// Requires AVX2 (guaranteed by the dispatch table's detection
-    /// gate).
-    #[target_feature(enable = "avx2")]
-    // SAFETY: `target_feature` makes this fn unsafe-to-call; the only
-    // caller is the detection-gated wrapper above.
-    unsafe fn gelu_body(h: &mut [f32], keep: Option<(&mut [f32], &mut [f32])>) {
-        match keep {
-            Some((pre, tanh)) => {
-                // The common prefix, as the scalar kernel's `zip`:
-                // every 8-lane access below is then in bounds.
-                let n = h.len().min(pre.len()).min(tanh.len());
-                let (h, pre, tanh) = (&mut h[..n], &mut pre[..n], &mut tanh[..n]);
-                let blocks = n / NR;
-                for c in 0..blocks {
-                    let x = load8(h, c * NR);
-                    let (g, t) = gelu8(x);
-                    store8(pre, c * NR, x);
-                    store8(h, c * NR, g);
-                    store8(tanh, c * NR, t);
-                }
-                for i in blocks * NR..n {
-                    pre[i] = h[i];
-                    (h[i], tanh[i]) = gelu_scalar(h[i]);
-                }
-            }
-            None => {
-                let blocks = h.len() / NR;
-                for c in 0..blocks {
-                    let (g, _) = gelu8(load8(h, c * NR));
-                    store8(h, c * NR, g);
-                }
-                for v in &mut h[blocks * NR..] {
-                    *v = gelu_scalar(*v).0;
-                }
-            }
-        }
-    }
-
-    fn gelu_backward(pre: &[f32], tanh: &[f32], g: &mut [f32]) {
-        // SAFETY: reachable only through the detection-gated tables.
-        unsafe { gelu_backward_body(pre, tanh, g) }
-    }
-
-    /// # Safety
-    ///
-    /// Requires AVX2 (guaranteed by the dispatch table's detection
-    /// gate).
-    #[target_feature(enable = "avx2")]
-    // SAFETY: `target_feature` makes this fn unsafe-to-call; the only
-    // caller is the detection-gated wrapper above.
-    unsafe fn gelu_backward_body(pre: &[f32], tanh: &[f32], g: &mut [f32]) {
-        let n = g.len().min(pre.len()).min(tanh.len());
-        let (pre, tanh, g) = (&pre[..n], &tanh[..n], &mut g[..n]);
-        let blocks = n / NR;
-        let (one, half) = (_mm256_set1_ps(1.0), _mm256_set1_ps(0.5));
-        // `ops::gelu_derivative`'s `3.0 * GELU_CUBIC * x * x` folds
-        // left to right, so the constant product comes first.
-        let cubic3 = _mm256_set1_ps(3.0 * GELU_CUBIC);
-        for c in 0..blocks {
-            let (x, t) = (load8(pre, c * NR), load8(tanh, c * NR));
-            let dinner = _mm256_mul_ps(
-                _mm256_set1_ps(SQRT_2_OVER_PI),
-                _mm256_add_ps(one, _mm256_mul_ps(_mm256_mul_ps(cubic3, x), x)),
-            );
-            let d = _mm256_add_ps(
-                _mm256_mul_ps(half, _mm256_add_ps(one, t)),
-                _mm256_mul_ps(
-                    _mm256_mul_ps(
-                        _mm256_mul_ps(half, x),
-                        _mm256_sub_ps(one, _mm256_mul_ps(t, t)),
-                    ),
-                    dinner,
-                ),
-            );
-            store8(g, c * NR, _mm256_mul_ps(load8(g, c * NR), d));
-        }
-        for i in blocks * NR..n {
-            g[i] *= gelu_derivative(pre[i], tanh[i]);
-        }
-    }
-
-    /// The AVX2 `tanh` lanes over every whole 8-lane block of `xs`
-    /// (a tail shorter than 8 is left as is), for the sweeps that
-    /// compare them with the scalar port. Returns how many lanes it
+    /// The `exp_lanes` entry: [`exp8`] over every whole 8-lane block of
+    /// `xs` (a shorter tail is left as is); returns how many lanes it
     /// wrote.
     #[cfg(test)]
-    pub(super) fn tanh_lanes(xs: &mut [f32]) -> usize {
-        assert!(super::simd_available(), "AVX2 lanes need an AVX2 host");
+    #[target_feature(enable = "avx2,fma")]
+    fn exp_blocks(_: V8, xs: &mut [f32]) -> usize {
         for c in 0..xs.len() / NR {
-            // SAFETY: AVX2 was detected just above; `c * NR + NR` is
-            // within `xs` by the loop bound.
-            unsafe { store8(xs, c * NR, tanh8(load8(xs, c * NR))) }
-        }
-        xs.len() / NR * NR
-    }
-
-    /// The AVX2 `exp` lanes over every whole 8-lane block of `xs`, as
-    /// [`tanh_lanes`] does for `tanh`.
-    #[cfg(test)]
-    pub(super) fn exp_lanes(xs: &mut [f32]) -> usize {
-        assert!(super::simd_available(), "AVX2 lanes need an AVX2 host");
-        for c in 0..xs.len() / NR {
-            // SAFETY: AVX2+FMA was detected just above; `c * NR + NR`
-            // is within `xs` by the loop bound.
-            unsafe { store8(xs, c * NR, exp8(load8(xs, c * NR))) }
+            store8(xs, c * NR, exp8(load8(xs, c * NR)));
         }
         xs.len() / NR * NR
     }
 }
 
-/// `f32x16` kernels for the five that carry the expert FFN and the
-/// gate — the 12- and 6-row × 32 micro-tile, the 3 × 16 `A·Bᵀ` tile, `gelu`,
-/// `gelu_backward` and `topk` (the shared body at 512 bits); every
-/// other entry of [`TABLE`] is the AVX2 one. Every body is a
-/// `#[target_feature(enable = "avx512f,avx512dq")]` function behind a
-/// safe wrapper that is only reachable through [`TABLE`], which
-/// [`table`](super::table) returns exclusively after
-/// [`simd_modes`](super::simd_modes) confirmed AVX2+FMA and
-/// AVX-512F+DQ.
+/// The AVX-512 table: the micro-tile pass (12 or 6 rows × 32), `gelu`
+/// and `gelu_backward` on `__m512` lanes, `topk` and the hand-written
+/// 3 × 16 `A·Bᵀ` tile, each compiled for AVX-512F+DQ; every other
+/// entry of [`TABLE`] is the AVX2 one.
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
     use super::avx2;
-    use super::{
-        halves, span, ARows, KernelTable, SimdMode, EXPM1_Q, HALF_MR, INV_LN2, LN2_HI, LN2_LO, MR,
-        NR, NT_COLS, NT_ROWS, TILE_COLS, WIDE_TILE_COLS,
-    };
-    use crate::ops::{gelu_derivative, gelu_scalar, GELU_CUBIC, SQRT_2_OVER_PI};
-    use core::arch::x86_64::{
-        __m512, __m512i, __mmask16, _mm512_add_epi32, _mm512_add_ps, _mm512_and_ps,
-        _mm512_and_si512, _mm512_castps_si512, _mm512_castsi512_ps, _mm512_cmpeq_epi32_mask,
-        _mm512_cmpgt_epi32_mask, _mm512_cvtepi32_ps, _mm512_cvttps_epi32, _mm512_div_ps,
-        _mm512_loadu_ps, _mm512_mask_blend_epi32, _mm512_mask_blend_ps, _mm512_mask_storeu_ps,
-        _mm512_maskz_loadu_ps, _mm512_maskz_mov_epi32, _mm512_movepi32_mask, _mm512_mul_ps,
-        _mm512_or_si512, _mm512_set1_epi32, _mm512_set1_ps, _mm512_setzero_ps, _mm512_slli_epi32,
-        _mm512_srai_epi32, _mm512_srlv_epi32, _mm512_storeu_ps, _mm512_sub_epi32, _mm512_sub_ps,
-        _mm512_xor_ps,
-    };
+    use super::{KernelTable, SimdMode, MR, NR, NT_COLS, NT_ROWS, TILE_COLS, WIDE_TILE_COLS};
+    use core::arch::x86_64::*;
+
+    x86_lanes! {
+        V16(__m512), I16(__m512i), mask __mmask16, 16, "avx512f,avx512dq";
+        new _mm512_setzero_ps, splat _mm512_set1_ps, splat_i _mm512_set1_epi32,
+        load _mm512_loadu_ps, store _mm512_storeu_ps, blend mask_blend,
+        sign _mm512_movepi32_mask, keep maskz;
+        ops [Add add _mm512_add_ps, Sub sub _mm512_sub_ps, Mul mul _mm512_mul_ps,
+            Div div _mm512_div_ps];
+        f32 [maxps _mm512_max_ps, and _mm512_and_ps, xor _mm512_xor_ps];
+        to_i32 [bits _mm512_castps_si512, cvtt _mm512_cvttps_epi32];
+        i32 [add _mm512_add_epi32, sub _mm512_sub_epi32, and _mm512_and_si512,
+            srlv _mm512_srlv_epi32];
+        shifts [shl _mm512_sll_epi32, shr _mm512_srl_epi32];
+        cmp [cmpgt _mm512_cmpgt_epi32_mask, cmpeq _mm512_cmpeq_epi32_mask];
+        to_f32 [cvt _mm512_cvtepi32_ps, as_f32 _mm512_castsi512_ps];
+    }
+
+    /// `t` in the lanes `m` sets, `f` in the others.
+    #[target_feature(enable = "avx512f")]
+    fn mask_blend(f: __m512, m: __mmask16, t: __m512) -> __m512 {
+        _mm512_mask_blend_ps(m, f, t)
+    }
+
+    /// `v` in the lanes `m` sets, 0 in the others.
+    #[target_feature(enable = "avx512f")]
+    fn maskz(v: __m512i, m: __mmask16) -> __m512i {
+        _mm512_maskz_mov_epi32(m, v)
+    }
 
     /// Lanes per `zmm`.
     const LANES: usize = 16;
@@ -1758,6 +1704,24 @@ mod avx512 {
         gelu_backward,
     };
 
+    simd_entries! {
+        "avx512f,avx512dq", V16::new();
+        fn micro_tile(
+            a: &[f32], row: usize, step: usize, kc_len: usize, b: &[f32], out: &mut [f32],
+            n: usize, mr_eff: usize
+        ) = super::micro_tile::<V16, MR>;
+        fn nt_tile(
+            a: &[f32], rows: usize, k: usize, panel: &[f32], out: &mut [f32], ldo: usize,
+            cols: usize
+        ) = nt_tile_rows;
+        fn topk(row: &[f32], idx: &mut [u32], val: &mut [f32]) = super::topk;
+        fn gelu(h: &mut [f32], keep: Option<(&mut [f32], &mut [f32])>) = super::gelu;
+        fn gelu_backward(pre: &[f32], tanh: &[f32], g: &mut [f32]) = super::gelu_backward;
+        /// The AVX-512 `tanh` lanes over all of `xs`, for the sweeps.
+        #[cfg(test)]
+        fn tanh_lanes(xs: &mut [f32]) = super::tanh_in_place;
+    }
+
     /// Loads 16 consecutive `f32`s from a slice of length ≥ `off + 16`.
     #[inline(always)]
     fn load16(s: &[f32], off: usize) -> __m512 {
@@ -1768,90 +1732,11 @@ mod avx512 {
         unsafe { _mm512_loadu_ps(s.as_ptr().add(off)) }
     }
 
-    /// Stores 16 lanes over `s[off .. off + 16]`.
-    #[inline(always)]
-    fn store16(s: &mut [f32], off: usize, v: __m512) {
-        debug_assert!(off + LANES <= s.len());
-        // SAFETY: as for `load16`; `storeu` permits unaligned stores.
-        unsafe { _mm512_storeu_ps(s.as_mut_ptr().add(off), v) }
-    }
-
-    // The 8-ary signature IS the `MicroTileFn` table ABI: every table
-    // must share it exactly so the pointers are interchangeable.
-    #[allow(clippy::too_many_arguments)]
-    fn micro_tile(
-        a: &[f32],
-        row: usize,
-        step: usize,
-        kc_len: usize,
-        b: &[f32],
-        out: &mut [f32],
-        n: usize,
-        mr_eff: usize,
-    ) {
-        // A full call is one 12-row pass; anything shorter runs as the
-        // 6-row passes, so no row is padded that those would not pad.
-        if mr_eff == MR {
-            // SAFETY: this wrapper is reachable only through `TABLE`,
-            // which the dispatcher installs after AVX-512F+DQ detection.
-            unsafe { micro_tile_body::<MR>(a, row, step, kc_len, b, out, n, MR) }
-        } else {
-            for (h, rows) in halves(mr_eff) {
-                let (a, out) = (&a[h * row..], &mut out[h * n..]);
-                // SAFETY: as above.
-                unsafe { micro_tile_body::<HALF_MR>(a, row, step, kc_len, b, out, n, rows) }
-            }
-        }
-    }
-
-    /// The `R`-row pass of [`micro_tile`]: `2·R` accumulators (24 of the
-    /// 32 `zmm` at 12 rows), two B vectors and one broadcast.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX-512F+DQ (guaranteed by the dispatch table's
-    /// detection gate).
+    /// The `nt_tile` entry: [`nt_tile_body`] at the tile's row count.
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx512f,avx512dq")]
-    // SAFETY: `target_feature` makes this fn unsafe-to-call; the only
-    // caller is the detection-gated wrapper above.
-    unsafe fn micro_tile_body<const R: usize>(
-        a: &[f32],
-        row: usize,
-        step: usize,
-        kc_len: usize,
-        b: &[f32],
-        out: &mut [f32],
-        n: usize,
-        mr_eff: usize,
-    ) {
-        // With the tile inside a row, these two slices bound every
-        // 16-lane access below.
-        assert!(WIDE_TILE_COLS <= n, "micro-tile past its row");
-        let b = &b[..span(kc_len, n, WIDE_TILE_COLS)];
-        let out = &mut out[..span(mr_eff, n, WIDE_TILE_COLS)];
-        let a = ARows::<R>::new(a, row, step, kc_len, mr_eff);
-        let mut acc = [[_mm512_setzero_ps(); WIDE_TILE_COLS / LANES]; R];
-        for p in 0..kc_len {
-            let bv = [load16(b, p * n), load16(b, p * n + LANES)];
-            for (r, accr) in acc.iter_mut().enumerate() {
-                let av = _mm512_set1_ps(a.at(r, p));
-                for (accv, &bv) in accr.iter_mut().zip(&bv) {
-                    // Two roundings, as the scalar kernel (rule 1).
-                    *accv = _mm512_add_ps(*accv, _mm512_mul_ps(av, bv));
-                }
-            }
-        }
-        for (r, accr) in acc.iter().enumerate().take(mr_eff) {
-            for (h, accv) in accr.iter().enumerate() {
-                let sum = _mm512_add_ps(load16(out, r * n + h * LANES), *accv);
-                store16(out, r * n + h * LANES, sum);
-            }
-        }
-    }
-
-    // The 7-ary signature IS the `NtTileFn` table ABI.
-    fn nt_tile(
+    fn nt_tile_rows(
+        _: V16,
         a: &[f32],
         rows: usize,
         k: usize,
@@ -1861,28 +1746,18 @@ mod avx512 {
         cols: usize,
     ) {
         assert!((1..=NT_ROWS).contains(&rows), "A·Bᵀ tile of {rows} rows");
-        // SAFETY: reachable only through the detection-gated `TABLE`.
-        unsafe {
-            match rows {
-                1 => nt_tile_body::<1>(a, k, panel, out, ldo, cols),
-                2 => nt_tile_body::<2>(a, k, panel, out, ldo, cols),
-                _ => nt_tile_body::<NT_ROWS>(a, k, panel, out, ldo, cols),
-            }
+        match rows {
+            1 => nt_tile_body::<1>(a, k, panel, out, ldo, cols),
+            2 => nt_tile_body::<2>(a, k, panel, out, ldo, cols),
+            _ => nt_tile_body::<NT_ROWS>(a, k, panel, out, ldo, cols),
         }
     }
 
     /// The `R`-row tile in one pass: `dot`'s eight accumulators of
     /// each row are eight `zmm`s across the panel's 16 columns, 24 for
     /// three rows, with A broadcast from its row.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX-512F+DQ (guaranteed by the dispatch table's
-    /// detection gate).
     #[target_feature(enable = "avx512f,avx512dq")]
-    // SAFETY: `target_feature` makes this fn unsafe-to-call; the only
-    // caller is the detection-gated wrapper above.
-    unsafe fn nt_tile_body<const R: usize>(
+    fn nt_tile_body<const R: usize>(
         a: &[f32],
         k: usize,
         panel: &[f32],
@@ -1933,298 +1808,6 @@ mod avx512 {
             }
         }
     }
-
-    fn topk(row: &[f32], idx: &mut [u32], val: &mut [f32]) {
-        // SAFETY: reachable only through the detection-gated `TABLE`.
-        unsafe { topk_body(row, idx, val) }
-    }
-
-    /// `ops::topk_by_max` compiled for AVX-512.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX-512F+DQ (guaranteed by the dispatch table's
-    /// detection gate).
-    #[target_feature(enable = "avx512f,avx512dq")]
-    // SAFETY: `target_feature` makes this fn unsafe-to-call; the only
-    // caller is the detection-gated wrapper above.
-    unsafe fn topk_body(row: &[f32], idx: &mut [u32], val: &mut [f32]) {
-        crate::ops::topk_by_max(row, idx, val);
-    }
-
-    /// [`super::tanh`] on 16 lanes, the same operations in the same
-    /// order: each scalar `select` is a mask-register blend between
-    /// both computed sides.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX-512F+DQ.
-    #[target_feature(enable = "avx512f,avx512dq")]
-    // SAFETY: `target_feature` makes this fn unsafe-to-call; callers
-    // are themselves AVX-512-gated bodies. Register-only arithmetic.
-    unsafe fn tanh16(x: __m512) -> __m512 {
-        let ix = _mm512_and_si512(_mm512_castps_si512(x), _mm512_set1_epi32(0x7fff_ffff));
-        let big = _mm512_cmpgt_epi32_mask(ix, _mm512_set1_epi32(0x3f7f_ffff));
-        let ax = _mm512_castsi512_ps(ix);
-        let (one, two, sign) = (
-            _mm512_set1_ps(1.0),
-            _mm512_set1_ps(2.0),
-            _mm512_set1_ps(-0.0),
-        );
-        let y = _mm512_mask_blend_ps(
-            big,
-            _mm512_mul_ps(_mm512_set1_ps(-2.0), ax),
-            _mm512_mul_ps(two, ax),
-        );
-        let t = expm1_for_tanh16(y);
-        let tp2 = _mm512_add_ps(t, two);
-        let z = _mm512_mask_blend_ps(
-            big,
-            _mm512_div_ps(_mm512_xor_ps(t, sign), tp2),
-            _mm512_sub_ps(one, _mm512_div_ps(two, tp2)),
-        );
-        let sat = _mm512_cmpgt_epi32_mask(ix, _mm512_set1_epi32(0x41af_ffff));
-        let z = _mm512_mask_blend_ps(sat, z, one);
-        // `-z` where x is negative: xor in x's sign bit.
-        let z = _mm512_xor_ps(z, _mm512_and_ps(x, sign));
-        let tiny = _mm512_cmpgt_epi32_mask(_mm512_set1_epi32(0x2400_0000), ix);
-        let small = _mm512_mul_ps(x, _mm512_add_ps(one, x));
-        let z = _mm512_mask_blend_ps(tiny, z, small);
-        let nan = _mm512_cmpgt_epi32_mask(ix, _mm512_set1_epi32(0x7f80_0000));
-        _mm512_mask_blend_ps(nan, z, _mm512_add_ps(x, x))
-    }
-
-    /// [`super::expm1_for_tanh`] on 16 lanes.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX-512F+DQ.
-    #[target_feature(enable = "avx512f,avx512dq")]
-    // SAFETY: `target_feature` makes this fn unsafe-to-call; callers
-    // are themselves AVX-512-gated bodies. Register-only arithmetic.
-    unsafe fn expm1_for_tanh16(y: __m512) -> __m512 {
-        let ybits = _mm512_castps_si512(y);
-        let hx = _mm512_and_si512(ybits, _mm512_set1_epi32(0x7fff_ffff));
-        // The sign bits: `y < 0`, `-0.0` and negative NaNs included.
-        let neg = _mm512_movepi32_mask(ybits);
-        let half = _mm512_mask_blend_ps(neg, _mm512_set1_ps(0.5), _mm512_set1_ps(-0.5));
-        let k_far = _mm512_cvttps_epi32(_mm512_add_ps(
-            _mm512_mul_ps(_mm512_set1_ps(INV_LN2), y),
-            half,
-        ));
-        // ±1 by y's sign: (y >> 31 arithmetic) | 1.
-        let k_one = _mm512_or_si512(_mm512_srai_epi32::<31>(ybits), _mm512_set1_epi32(1));
-        let far = _mm512_cmpgt_epi32_mask(hx, _mm512_set1_epi32(0x3f85_1591));
-        let k = _mm512_mask_blend_epi32(far, k_one, k_far);
-        let reduce = _mm512_cmpgt_epi32_mask(hx, _mm512_set1_epi32(0x3eb1_7218));
-        let k = _mm512_maskz_mov_epi32(reduce, k);
-        let kf = _mm512_cvtepi32_ps(k);
-        let hi = _mm512_sub_ps(y, _mm512_mul_ps(kf, _mm512_set1_ps(LN2_HI)));
-        let lo = _mm512_mul_ps(kf, _mm512_set1_ps(LN2_LO));
-        let x = _mm512_sub_ps(hi, lo);
-        let c = _mm512_sub_ps(_mm512_sub_ps(hi, x), lo);
-        let one = _mm512_set1_ps(1.0);
-        let half = _mm512_set1_ps(0.5);
-        let hfx = _mm512_mul_ps(half, x);
-        let hxs = _mm512_mul_ps(x, hfx);
-        let mut poly = _mm512_set1_ps(EXPM1_Q[4]);
-        for q in [EXPM1_Q[3], EXPM1_Q[2], EXPM1_Q[1], EXPM1_Q[0]] {
-            poly = _mm512_add_ps(_mm512_set1_ps(q), _mm512_mul_ps(hxs, poly));
-        }
-        let r1 = _mm512_add_ps(one, _mm512_mul_ps(hxs, poly));
-        let t = _mm512_sub_ps(_mm512_set1_ps(3.0), _mm512_mul_ps(r1, hfx));
-        let e0 = _mm512_mul_ps(
-            hxs,
-            _mm512_div_ps(
-                _mm512_sub_ps(r1, t),
-                _mm512_sub_ps(_mm512_set1_ps(6.0), _mm512_mul_ps(x, t)),
-            ),
-        );
-        let e = _mm512_sub_ps(
-            _mm512_sub_ps(_mm512_mul_ps(x, _mm512_sub_ps(e0, c)), c),
-            hxs,
-        );
-        let k23 = _mm512_slli_epi32::<23>(k);
-        let r_k0 = _mm512_sub_ps(x, _mm512_sub_ps(_mm512_mul_ps(x, e0), hxs));
-        let r_km1 = _mm512_sub_ps(_mm512_mul_ps(half, _mm512_sub_ps(x, e)), half);
-        let r_far = _mm512_sub_ps(
-            add_exponent(_mm512_sub_ps(one, _mm512_sub_ps(e, x)), k23),
-            one,
-        );
-        let t_small = _mm512_castsi512_ps(_mm512_sub_epi32(
-            _mm512_set1_epi32(0x3f80_0000),
-            _mm512_srlv_epi32(_mm512_set1_epi32(0x0100_0000), k),
-        ));
-        let r_small = add_exponent(_mm512_sub_ps(t_small, _mm512_sub_ps(e, x)), k23);
-        let t_mid = _mm512_castsi512_ps(_mm512_slli_epi32::<23>(_mm512_sub_epi32(
-            _mm512_set1_epi32(0x7f),
-            k,
-        )));
-        let r_mid = add_exponent(
-            _mm512_add_ps(_mm512_sub_ps(x, _mm512_add_ps(e, t_mid)), one),
-            k23,
-        );
-        // The scalar if-chain, applied lowest priority first.
-        let is_far = _mm512_cmpgt_epi32_mask(_mm512_set1_epi32(-1), k)
-            | _mm512_cmpgt_epi32_mask(k, _mm512_set1_epi32(56));
-        let picks = [
-            (r_small, _mm512_cmpgt_epi32_mask(_mm512_set1_epi32(23), k)),
-            (r_far, is_far),
-            (r_km1, _mm512_cmpeq_epi32_mask(k, _mm512_set1_epi32(-1))),
-            (r_k0, _mm512_cmpeq_epi32_mask(k, _mm512_set1_epi32(0))),
-            (
-                y,
-                _mm512_cmpgt_epi32_mask(_mm512_set1_epi32(0x3300_0000), hx),
-            ),
-        ];
-        let mut r = r_mid;
-        for (value, mask) in picks {
-            r = _mm512_mask_blend_ps(mask, r, value);
-        }
-        r
-    }
-
-    /// Adds the pre-shifted `k << 23` to each lane's exponent field.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX-512F+DQ.
-    #[target_feature(enable = "avx512f,avx512dq")]
-    // SAFETY: `target_feature` makes this fn unsafe-to-call; callers
-    // are themselves AVX-512-gated bodies. Register-only integer add.
-    unsafe fn add_exponent(v: __m512, k23: __m512i) -> __m512 {
-        _mm512_castsi512_ps(_mm512_add_epi32(_mm512_castps_si512(v), k23))
-    }
-
-    /// `ops::gelu_scalar` on 16 lanes: `(gelu, tanh(inner))`.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX-512F+DQ.
-    #[target_feature(enable = "avx512f,avx512dq")]
-    // SAFETY: `target_feature` makes this fn unsafe-to-call; callers
-    // are themselves AVX-512-gated bodies. Register-only arithmetic.
-    unsafe fn gelu16(x: __m512) -> (__m512, __m512) {
-        let cube = _mm512_mul_ps(
-            _mm512_mul_ps(_mm512_mul_ps(_mm512_set1_ps(GELU_CUBIC), x), x),
-            x,
-        );
-        let th = tanh16(_mm512_mul_ps(
-            _mm512_set1_ps(SQRT_2_OVER_PI),
-            _mm512_add_ps(x, cube),
-        ));
-        let half_x = _mm512_mul_ps(_mm512_set1_ps(0.5), x);
-        (
-            _mm512_mul_ps(half_x, _mm512_add_ps(_mm512_set1_ps(1.0), th)),
-            th,
-        )
-    }
-
-    fn gelu(h: &mut [f32], keep: Option<(&mut [f32], &mut [f32])>) {
-        // SAFETY: reachable only through the detection-gated `TABLE`.
-        unsafe { gelu_body(h, keep) }
-    }
-
-    /// # Safety
-    ///
-    /// Requires AVX-512F+DQ (guaranteed by the dispatch table's
-    /// detection gate).
-    #[target_feature(enable = "avx512f,avx512dq")]
-    // SAFETY: `target_feature` makes this fn unsafe-to-call; the only
-    // caller is the detection-gated wrapper above.
-    unsafe fn gelu_body(h: &mut [f32], keep: Option<(&mut [f32], &mut [f32])>) {
-        match keep {
-            Some((pre, tanh)) => {
-                // The common prefix, as the scalar kernel's `zip`:
-                // every 16-lane access below is then in bounds.
-                let n = h.len().min(pre.len()).min(tanh.len());
-                let (h, pre, tanh) = (&mut h[..n], &mut pre[..n], &mut tanh[..n]);
-                let blocks = n / LANES;
-                for c in 0..blocks {
-                    let x = load16(h, c * LANES);
-                    let (g, t) = gelu16(x);
-                    store16(pre, c * LANES, x);
-                    store16(h, c * LANES, g);
-                    store16(tanh, c * LANES, t);
-                }
-                for i in blocks * LANES..n {
-                    pre[i] = h[i];
-                    (h[i], tanh[i]) = gelu_scalar(h[i]);
-                }
-            }
-            None => {
-                let blocks = h.len() / LANES;
-                for c in 0..blocks {
-                    let (g, _) = gelu16(load16(h, c * LANES));
-                    store16(h, c * LANES, g);
-                }
-                for v in &mut h[blocks * LANES..] {
-                    *v = gelu_scalar(*v).0;
-                }
-            }
-        }
-    }
-
-    fn gelu_backward(pre: &[f32], tanh: &[f32], g: &mut [f32]) {
-        // SAFETY: reachable only through the detection-gated `TABLE`.
-        unsafe { gelu_backward_body(pre, tanh, g) }
-    }
-
-    /// # Safety
-    ///
-    /// Requires AVX-512F+DQ (guaranteed by the dispatch table's
-    /// detection gate).
-    #[target_feature(enable = "avx512f,avx512dq")]
-    // SAFETY: `target_feature` makes this fn unsafe-to-call; the only
-    // caller is the detection-gated wrapper above.
-    unsafe fn gelu_backward_body(pre: &[f32], tanh: &[f32], g: &mut [f32]) {
-        let n = g.len().min(pre.len()).min(tanh.len());
-        let (pre, tanh, g) = (&pre[..n], &tanh[..n], &mut g[..n]);
-        let blocks = n / LANES;
-        let (one, half) = (_mm512_set1_ps(1.0), _mm512_set1_ps(0.5));
-        // `ops::gelu_derivative`'s `3.0 * GELU_CUBIC * x * x` folds
-        // left to right, so the constant product comes first.
-        let cubic3 = _mm512_set1_ps(3.0 * GELU_CUBIC);
-        for c in 0..blocks {
-            let (x, t) = (load16(pre, c * LANES), load16(tanh, c * LANES));
-            let dinner = _mm512_mul_ps(
-                _mm512_set1_ps(SQRT_2_OVER_PI),
-                _mm512_add_ps(one, _mm512_mul_ps(_mm512_mul_ps(cubic3, x), x)),
-            );
-            let d = _mm512_add_ps(
-                _mm512_mul_ps(half, _mm512_add_ps(one, t)),
-                _mm512_mul_ps(
-                    _mm512_mul_ps(
-                        _mm512_mul_ps(half, x),
-                        _mm512_sub_ps(one, _mm512_mul_ps(t, t)),
-                    ),
-                    dinner,
-                ),
-            );
-            store16(g, c * LANES, _mm512_mul_ps(load16(g, c * LANES), d));
-        }
-        for i in blocks * LANES..n {
-            g[i] *= gelu_derivative(pre[i], tanh[i]);
-        }
-    }
-
-    /// The AVX-512 `tanh` lanes over every whole 16-lane block of `xs`
-    /// (a tail shorter than 16 is left as is), for the sweeps that
-    /// compare them with the scalar port. Returns how many lanes it
-    /// wrote.
-    #[cfg(test)]
-    pub(super) fn tanh_lanes(xs: &mut [f32]) -> usize {
-        assert!(
-            super::simd_modes().contains(&SimdMode::Avx512),
-            "AVX-512 lanes need an AVX-512 host"
-        );
-        for c in 0..xs.len() / LANES {
-            // SAFETY: AVX-512F+DQ was detected just above; `c * 16 + 16`
-            // is within `xs` by the loop bound.
-            unsafe { store16(xs, c * LANES, tanh16(load16(xs, c * LANES))) }
-        }
-        xs.len() / LANES * LANES
-    }
 }
 
 #[cfg(test)]
@@ -2264,6 +1847,64 @@ pub(crate) mod tests {
                 }
                 out[r * n + j] += acc;
             }
+        }
+    }
+
+    /// GELU on one lane, `(gelu(x), tanh(inner(x)))`: the scalar port
+    /// the other crates' tests compare their launches with.
+    pub(crate) fn gelu_one(x: f32) -> (f32, f32) {
+        gelu_lanes(x)
+    }
+
+    /// Rule 3's order, element by element: lane `l` sums `f(i)` for every
+    /// `i ≡ l (mod 8)` of the whole 8-element blocks, in order from 0;
+    /// the lanes fold as `((l0 + l4) + (l1 + l5)) + ((l2 + l6) + (l3 +
+    /// l7))`; the tail's `f(i)`, summed in order from 0, adds last.
+    fn tree_sum_ref(n: usize, f: impl Fn(usize) -> f32) -> f32 {
+        let whole = n / 8 * 8;
+        let mut l = [0.0f32; 8];
+        for i in 0..whole {
+            l[i % 8] += f(i);
+        }
+        let mut tail = 0.0f32;
+        for i in whole..n {
+            tail += f(i);
+        }
+        (((l[0] + l[4]) + (l[1] + l[5])) + ((l[2] + l[6]) + (l[3] + l[7]))) + tail
+    }
+
+    /// `row_max`'s order: [`tree_sum_ref`]'s lanes and tree with `max(a,
+    /// b) = if a > b { a } else { b }` from `-inf`, the tail folded into
+    /// the tree's result one element at a time.
+    fn row_max_ref(x: &[f32]) -> f32 {
+        let max = |a: f32, b: f32| if a > b { a } else { b };
+        let whole = x.len() / 8 * 8;
+        let mut l = [f32::NEG_INFINITY; 8];
+        for (i, &v) in x[..whole].iter().enumerate() {
+            l[i % 8] = max(l[i % 8], v);
+        }
+        let m = max(
+            max(max(l[0], l[4]), max(l[1], l[5])),
+            max(max(l[2], l[6]), max(l[3], l[7])),
+        );
+        x[whole..].iter().fold(m, |m, &v| max(m, v))
+    }
+
+    /// GELU's derivative written out: `gelu'(x)` from `t =
+    /// tanh(inner(x))`.
+    fn gelu_derivative(x: f32, t: f32) -> f32 {
+        let dinner = SQRT_2_OVER_PI * (1.0 + 3.0 * GELU_CUBIC * x * x);
+        0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
+    }
+
+    /// The nearest bf16 value to `v`, by the independent
+    /// round-to-nearest-even reference; ±inf and x86's default NaN are
+    /// their own.
+    fn bf16_ref(v: f32) -> f32 {
+        if v.is_finite() {
+            properties::unpack(properties::bf16_reference(v))
+        } else {
+            v
         }
     }
 
@@ -2355,51 +1996,117 @@ pub(crate) mod tests {
         v
     }
 
-    /// The `unsafe` slice kernels no tile or transcendental sweep
-    /// covers — `axpy`, `add_assign`, `row_max`, `row_sum`,
-    /// `div_assign` and `bf16_round` — equal scalar bit for bit in
-    /// every SIMD table on every length from 0 to past two 8-lane
+    /// `(len, skew, xs, ys)` for every length from 0 to past two 8-lane
     /// blocks and either side of 64 and 128, each at four float
-    /// offsets (so most accesses are unaligned), with ±0, ±inf, NaN and
-    /// subnormals among the values.
-    #[test]
-    fn slice_kernels_match_scalar_on_ragged_unaligned_and_empty_slices() {
-        let scalar = &SCALAR_TABLE;
-        for len in (0..=33).chain([63, 64, 65, 127, 128, 129]) {
-            for skew in 0..4 {
+    /// offsets: `xs` and `ys` hold `skew + len` values, ±0, ±inf, NaN
+    /// and subnormals among them, and a kernel runs on `[skew..]` (so
+    /// most accesses are unaligned).
+    fn ragged_slices() -> impl Iterator<Item = (usize, usize, Vec<f32>, Vec<f32>)> {
+        let lens = (0..=33).chain([63, 64, 65, 127, 128, 129]);
+        lens.flat_map(|len| {
+            (0..4).map(move |skew| {
                 let seed = (len * 4 + skew) as u64;
                 let xs = sprinkle(ramp(skew + len, seed), seed);
                 let ys = sprinkle(ramp(skew + len, seed + 1), seed + 3);
-                let (x, y) = (&xs[skew..], &ys[skew..]);
-                for simd in simd_tables() {
-                    let label = format!("{} len {len} skew {skew}", simd.mode.label());
-                    for reduce in [scalar.row_max, scalar.row_sum]
-                        .iter()
-                        .zip([simd.row_max, simd.row_sum])
-                    {
-                        assert_eq!(
-                            reduce.0(x).to_bits(),
-                            reduce.1(x).to_bits(),
-                            "{label} reduce"
-                        );
-                    }
-                    let (mut a, mut b) = (xs.clone(), xs.clone());
-                    (scalar.axpy)(0.37, y, &mut a[skew..]);
-                    (simd.axpy)(0.37, y, &mut b[skew..]);
-                    assert_eq!(bits(&a), bits(&b), "{label} axpy");
-                    (scalar.add_assign)(y, &mut a[skew..]);
-                    (simd.add_assign)(y, &mut b[skew..]);
-                    assert_eq!(bits(&a), bits(&b), "{label} add_assign");
-                    for denom in [1.7, -0.0, f32::INFINITY, NAN] {
-                        let (mut a, mut b) = (a.clone(), b.clone());
-                        (scalar.div_assign)(&mut a[skew..], denom);
-                        (simd.div_assign)(&mut b[skew..], denom);
-                        assert_eq!(bits(&a), bits(&b), "{label} div_assign {denom}");
-                    }
-                    (scalar.bf16_round)(&mut a[skew..]);
-                    (simd.bf16_round)(&mut b[skew..]);
-                    assert_eq!(bits(&a), bits(&b), "{label} bf16_round");
+                (len, skew, xs, ys)
+            })
+        })
+    }
+
+    /// The slice kernels no tile or transcendental sweep covers —
+    /// `axpy`, `add_assign`, `row_max`, `row_sum`, `div_assign` and
+    /// `bf16_round` — equal scalar bit for bit in every SIMD table on
+    /// [`ragged_slices`].
+    #[test]
+    fn slice_kernels_match_scalar_on_ragged_unaligned_and_empty_slices() {
+        let scalar = &SCALAR_TABLE;
+        for (len, skew, xs, ys) in ragged_slices() {
+            let (x, y) = (&xs[skew..], &ys[skew..]);
+            for simd in simd_tables() {
+                let label = format!("{} len {len} skew {skew}", simd.mode.label());
+                for reduce in [scalar.row_max, scalar.row_sum]
+                    .iter()
+                    .zip([simd.row_max, simd.row_sum])
+                {
+                    assert_eq!(
+                        reduce.0(x).to_bits(),
+                        reduce.1(x).to_bits(),
+                        "{label} reduce"
+                    );
                 }
+                let (mut a, mut b) = (xs.clone(), xs.clone());
+                (scalar.axpy)(0.37, y, &mut a[skew..]);
+                (simd.axpy)(0.37, y, &mut b[skew..]);
+                assert_eq!(bits(&a), bits(&b), "{label} axpy");
+                (scalar.add_assign)(y, &mut a[skew..]);
+                (simd.add_assign)(y, &mut b[skew..]);
+                assert_eq!(bits(&a), bits(&b), "{label} add_assign");
+                for denom in [1.7, -0.0, f32::INFINITY, NAN] {
+                    let (mut a, mut b) = (a.clone(), b.clone());
+                    (scalar.div_assign)(&mut a[skew..], denom);
+                    (simd.div_assign)(&mut b[skew..], denom);
+                    assert_eq!(bits(&a), bits(&b), "{label} div_assign {denom}");
+                }
+                (scalar.bf16_round)(&mut a[skew..]);
+                (simd.bf16_round)(&mut b[skew..]);
+                assert_eq!(bits(&a), bits(&b), "{label} bf16_round");
+            }
+        }
+    }
+
+    /// Every table's slice kernels — `row_sum`, `row_max` and `dot` in
+    /// rule 3's order, `axpy`, `add_assign`, `div_assign` and
+    /// `gelu_backward` lane by lane, `bf16_round` by the independent
+    /// round-to-nearest-even reference — equal per-element oracles that
+    /// share no code with them, on [`ragged_slices`].
+    #[test]
+    fn slice_kernels_match_per_element_oracles_on_ragged_unaligned_and_empty_slices() {
+        for (len, skew, xs, ys) in ragged_slices() {
+            let (x, y) = (&xs[skew..], &ys[skew..]);
+            // Every element `i` of a slice kernel's output against `want(i)`.
+            let lanewise = |what: &str, got: &[f32], want: &dyn Fn(usize) -> f32| {
+                let want: Vec<f32> = (0..len).map(want).collect();
+                assert_eq!(
+                    bits(&got[skew..]),
+                    bits(&want),
+                    "{what} len {len} skew {skew}"
+                );
+            };
+            for kt in std::iter::once(&SCALAR_TABLE).chain(simd_tables()) {
+                let label = kt.mode.label();
+                let reductions = [
+                    ("row_sum", (kt.row_sum)(x), tree_sum_ref(len, |i| x[i])),
+                    ("row_max", (kt.row_max)(x), row_max_ref(x)),
+                    ("dot", (kt.dot)(x, y), tree_sum_ref(len, |i| x[i] * y[i])),
+                ];
+                for (what, got, want) in reductions {
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "{label} {what} len {len} skew {skew}"
+                    );
+                }
+                let mut out = ys.clone();
+                (kt.axpy)(0.37, x, &mut out[skew..]);
+                lanewise(&format!("{label} axpy"), &out, &|i| y[i] + 0.37 * x[i]);
+                let mut out = ys.clone();
+                (kt.add_assign)(x, &mut out[skew..]);
+                lanewise(&format!("{label} add_assign"), &out, &|i| y[i] + x[i]);
+                for denom in [1.7, -0.0, f32::INFINITY, NAN] {
+                    let mut out = xs.clone();
+                    (kt.div_assign)(&mut out[skew..], denom);
+                    lanewise(&format!("{label} div_assign {denom}"), &out, &|i| {
+                        x[i] / denom
+                    });
+                }
+                let mut out = xs.clone();
+                (kt.bf16_round)(&mut out[skew..]);
+                lanewise(&format!("{label} bf16_round"), &out, &|i| bf16_ref(x[i]));
+                // `x` as the kept input, `y` as the kept `tanh`.
+                let mut g = ys.clone();
+                (kt.gelu_backward)(x, y, &mut g[skew..]);
+                let want = |i: usize| y[i] * gelu_derivative(x[i], y[i]);
+                lanewise(&format!("{label} gelu_backward"), &g, &want);
             }
         }
     }
@@ -2565,11 +2272,11 @@ pub(crate) mod tests {
         }
         for &mode in simd_modes() {
             let mut lanes = xs.to_vec();
-            let whole = match mode {
+            match mode {
                 SimdMode::Avx512 => avx512::tanh_lanes(&mut lanes),
                 _ => avx2::tanh_lanes(&mut lanes),
-            };
-            for ((&x, &p), &v) in xs.iter().zip(&port).zip(&lanes).take(whole) {
+            }
+            for ((&x, &p), &v) in xs.iter().zip(&port).zip(&lanes) {
                 let label = mode.label();
                 assert!(same(v, p), "{label} tanh({x:e}) = {v:e}, scalar {p:e}");
             }
@@ -2756,7 +2463,7 @@ pub(crate) mod tests {
         /// the two neighboring bf16 values by exact `f64` distance,
         /// breaking ties toward the even (low-bit-zero) encoding.
         /// Defined for finite inputs only.
-        fn bf16_reference(v: f32) -> u16 {
+        pub(super) fn bf16_reference(v: f32) -> u16 {
             let down = (v.to_bits() >> 16) as u16;
             let lo = unpack(down);
             if lo == v {
@@ -2789,7 +2496,7 @@ pub(crate) mod tests {
         }
 
         /// The exact `f32` that bf16 storage bits denote.
-        fn unpack(h: u16) -> f32 {
+        pub(super) fn unpack(h: u16) -> f32 {
             f32::from_bits(u32::from(h) << 16)
         }
 

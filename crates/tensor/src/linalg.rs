@@ -1271,7 +1271,7 @@ mod tests {
                 let mut draw = |len: usize| rng.normal_tensor(&[len.max(1)], 0.0, 1.0).as_slice()[..len].to_vec();
                 let (a, b, bt) = (draw(total * k), draw(groups * k * n), draw(groups * n * k));
                 let (bias, pre) = (draw(groups * n), draw(total * n));
-                let tanh: Vec<f32> = pre.iter().map(|&x| crate::ops::gelu_scalar(x).1).collect();
+                let tanh: Vec<f32> = pre.iter().map(|&x| crate::dispatch::tests::gelu_one(x).1).collect();
                 for mode in crate::dispatch::kernel_modes() {
                     crate::dispatch::with_kernel_mode(mode, || {
                         let kt = crate::dispatch::table();

@@ -1,34 +1,12 @@
 //! Elementwise and reduction operations used by gating and training.
 //!
-//! GELU (tanh approximation) is defined once, as the scalar pair
-//! `gelu_scalar` / `gelu_derivative` over the ported `dispatch::tanh`
-//! (no libm call: rule 4 of the [`dispatch`](crate::dispatch) module).
-//! It is reached only through the kernel table's `gelu` /
-//! `gelu_backward` entries, whose SIMD twins are the same formulas
-//! lane for lane; the expert FFN runs them inside its grouped-GEMM
-//! epilogues.
+//! GELU (tanh approximation) is defined once, as the kernel table's
+//! `gelu` / `gelu_backward` entries: one generic body each in
+//! [`dispatch`](crate::dispatch), over its ported `tanh` (no libm
+//! call: rule 4 there). The expert FFN runs them inside its
+//! grouped-GEMM epilogues.
 
 use crate::{Result, Tensor, TensorError};
-
-/// `√(2/π)`, the tanh approximation's inner scale.
-pub(crate) const SQRT_2_OVER_PI: f32 = 0.797_884_6;
-/// The tanh approximation's cubic coefficient.
-pub(crate) const GELU_CUBIC: f32 = 0.044715;
-
-/// GELU, tanh approximation: `(gelu(x), tanh(inner(x)))`. The `tanh`
-/// is the expensive half and the only part the derivative shares.
-#[inline(always)]
-pub(crate) fn gelu_scalar(x: f32) -> (f32, f32) {
-    let th = crate::dispatch::tanh(SQRT_2_OVER_PI * (x + GELU_CUBIC * x * x * x));
-    (0.5 * x * (1.0 + th), th)
-}
-
-/// `gelu'(x)` given `t = tanh(inner(x))` from [`gelu_scalar`].
-#[inline(always)]
-pub(crate) fn gelu_derivative(x: f32, t: f32) -> f32 {
-    let dinner = SQRT_2_OVER_PI * (1.0 + 3.0 * GELU_CUBIC * x * x);
-    0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
-}
 
 /// Per-row top-k result: `(indices, values)`, each a flat row-major
 /// `rows · k` array (row `r`'s selections are `[r·k .. (r+1)·k]`).
@@ -487,7 +465,8 @@ mod tests {
                 (kt.gelu)(&mut in_place, None);
                 assert_eq!(in_place, captured);
                 for i in 0..n {
-                    assert_eq!(gelu_scalar(h_pre[i]), (captured[i], tanh[i]), "i={i}");
+                    let one = crate::dispatch::tests::gelu_one(h_pre[i]);
+                    assert_eq!(one, (captured[i], tanh[i]), "i={i}");
                 }
 
                 // The backward scales, elementwise and in place: run on
@@ -646,13 +625,11 @@ mod tests {
     #[test]
     fn gelu_backward_matches_finite_difference() {
         let x = [-2.0f32, -0.5, 0.0, 0.5, 2.0];
-        let tanh = x.map(|v| gelu_scalar(v).1);
+        let gelu = crate::dispatch::tests::gelu_one;
+        let tanh = x.map(|v| gelu(v).1);
         let mut analytic = [1.0f32; 5];
-        x.iter()
-            .zip(&tanh)
-            .zip(&mut analytic)
-            .for_each(|((&x, &t), g)| *g *= gelu_derivative(x, t));
-        let gelu_sum = |x: &[f32]| x.iter().map(|&v| gelu_scalar(v).0).sum::<f32>();
+        (crate::dispatch::table().gelu_backward)(&x, &tanh, &mut analytic);
+        let gelu_sum = |x: &[f32]| x.iter().map(|&v| gelu(v).0).sum::<f32>();
         let eps = 1e-3;
         for i in 0..5 {
             let mut xp = x;

@@ -253,7 +253,7 @@ pub fn any<T: Arbitrary>() -> T::Strategy {
 pub mod collection {
     use super::{Strategy, TestRng};
 
-    /// Element-count specification for [`vec`]: a fixed length or a
+    /// Element-count specification for [`vec`](fn@vec): a fixed length or a
     /// half-open range of lengths.
     #[derive(Debug, Clone)]
     pub struct SizeRange {

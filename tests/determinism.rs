@@ -7,10 +7,10 @@
 //! `ci.sh` repeats the whole test binary under `TUTEL_THREADS=1` and
 //! `TUTEL_THREADS=4` to cover the env-var path too.
 //!
-//! The same contract extends along the kernel-table axis: the SIMD
-//! kernels (AVX2 `f32x8`, and the AVX-512 `f32x16` GEMM tiles and
-//! GELU) share the scalar kernels' reduction trees and never emit FMA,
-//! so `TUTEL_SIMD=0` and `TUTEL_SIMD=1` (the widest table the host
+//! The same contract extends along the kernel-table axis: every table
+//! runs the same generic kernel bodies on its own lane type (`f32`,
+//! AVX2's `__m256`, AVX-512's `__m512`), with one reduction tree and no
+//! FMA, so `TUTEL_SIMD=0` and `TUTEL_SIMD=1` (the widest table the host
 //! has) must also be bit-identical — at every worker count
 //! simultaneously. The cross-mode sweep below pins the in-process
 //! override path (`dispatch::with_simd_mode`); `ci.sh` repeats the
