@@ -195,7 +195,7 @@ echo "==> model-only repro experiments vs the committed transcript (repro_output
 # (deterministic, no wall clock), so every non-empty stdout line must
 # be a verbatim line of repro_output.txt: a refactor of the pricing
 # stack (tutel::cost::ClusterModel, PipelineTimeModel,
-# MoeLayerSimulator, InlineParallelismRouter, the simgpu link and
+# MoeLayerSimulator, InlineParallelismRouter, tutel::cost's link and
 # kernel models, kernels::memory's meter) that moves one digit fails
 # here. fig24 stays out: its CPU table is wall
 # clock. A deliberate model change regenerates the transcript in the

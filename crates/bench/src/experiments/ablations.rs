@@ -2,10 +2,9 @@
 //! interference-aware search, MSCCL phase fusion, the 3DH extension,
 //! and Algorithm 2's bucket length.
 
-use tutel::cost::{A2aImpl, ClusterModel};
+use tutel::cost::{A2aImpl, ClusterModel, Protocol};
 use tutel::pipeline::{LayerDims, OnlineStrategySearch, PipelineTimeModel};
 use tutel_obs::Telemetry;
-use tutel_simgpu::Protocol;
 
 use crate::report::{fmt_bytes, fmt_pct, fmt_time};
 use crate::Table;

@@ -5,9 +5,9 @@
 
 use std::time::Instant;
 
+use tutel::cost::GpuCostModel;
 use tutel_gate::{route, RouteConfig, Routing};
 use tutel_kernels::{fast_decode, fast_encode, DenseCombine};
-use tutel_simgpu::GpuCostModel;
 use tutel_tensor::{Rng, Tensor};
 
 use crate::report::{fmt_speedup, fmt_time};

@@ -3,11 +3,10 @@
 //! Figure 10 (expert throughput by layout), Figure 20 (linear vs 2DH
 //! scaling), Figure 21 (NCCL vs MSCCL 2DH), Table 4 (memory).
 
-use tutel::cost::{A2aImpl, ClusterModel};
+use tutel::cost::{A2aImpl, ClusterModel, GpuCostModel, LinkModel, Protocol};
 use tutel::pipeline::LayerDims;
 use tutel_comm::AllToAllAlgo;
 use tutel_kernels::memory::{fairseq_layer_memory, tutel_layer_memory, MemorySettings};
-use tutel_simgpu::{GpuCostModel, LinkModel, Protocol};
 
 use crate::report::{fmt_bytes, fmt_pct, fmt_speedup, fmt_time};
 use crate::Table;

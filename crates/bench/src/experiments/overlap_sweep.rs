@@ -1,6 +1,6 @@
 //! Executed-overlap degree sweep: the adaptive-pipelining experiment
 //! run through [`tutel::overlap::run_overlapped`] on the threaded
-//! runtime, rather than through the simgpu model.
+//! runtime, rather than through the cost model.
 //!
 //! # The link model
 //!

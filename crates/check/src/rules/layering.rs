@@ -2,8 +2,6 @@
 //!
 //! ```text
 //! tensor → comm → gate → kernels → experts → core → serve → bench
-//!                                             ↑
-//!                                           simgpu
 //! ```
 //!
 //! with the base crates `tutel-obs` and `tutel-rt` reachable from
@@ -12,21 +10,10 @@
 //! upward dependency (say, gate reaching into experts) would let
 //! routing decisions grow hidden couplings to expert placement —
 //! exactly the kind of cycle the paper's layered design forbids.
-//!
-//! `tutel-simgpu` is the modelled testbed, a leaf that only pricing
-//! reads: of the [`STRICT_CRATES`] (the data path and the serving
-//! tier), only `tutel`, whose `cost` module holds every price, may
-//! depend on it. Parsed straight out of each crate's `Cargo.toml`
-//! `[dependencies]` table (dev-dependencies are exempt: test code may
-//! reach sideways).
+//! Parsed straight out of each crate's `Cargo.toml` `[dependencies]`
+//! table (dev-dependencies are exempt: test code may reach sideways).
 
-use super::STRICT_CRATES;
 use crate::diag::Diagnostic;
-
-/// The simulated-cluster cost models.
-const MODEL_CRATE: &str = "tutel-simgpu";
-/// The one strict crate that prices on [`MODEL_CRATE`].
-const PRICING_CRATE: &str = "tutel";
 
 /// Layer index per package; a crate may depend only on strictly lower
 /// layers (plus the base crates).
@@ -35,16 +22,15 @@ const TIERS: &[(&str, u32)] = &[
     ("tutel-rt", 0),
     ("tutel-explore", 0),
     ("tutel-tensor", 1),
-    ("tutel-simgpu", 2),
-    ("tutel-comm", 3),
-    ("tutel-gate", 4),
-    ("tutel-kernels", 5),
-    ("tutel-experts", 6),
-    ("tutel", 7),
-    ("tutel-serve", 8),
-    ("tutel-check", 8),
-    ("tutel-bench", 9),
-    ("tutel-harness", 9),
+    ("tutel-comm", 2),
+    ("tutel-gate", 3),
+    ("tutel-kernels", 4),
+    ("tutel-experts", 5),
+    ("tutel", 6),
+    ("tutel-serve", 7),
+    ("tutel-check", 7),
+    ("tutel-bench", 8),
+    ("tutel-harness", 8),
 ];
 
 /// Crates at the bottom of the DAG: reachable from every layer,
@@ -117,30 +103,19 @@ pub fn check_layering(manifests: &[Manifest]) -> Vec<Diagnostic> {
         for (dep, line) in &m.deps {
             // Workspace-dependency keys map 1:1 to package names here.
             let Some(dep_tier) = tier(dep) else { continue };
-            let message = if BASE_CRATES.contains(&m.name.as_str())
-                || (!BASE_CRATES.contains(&dep.as_str()) && dep_tier >= crate_tier)
+            // Base crates depend on no tutel crate; the rest only
+            // downward.
+            if !BASE_CRATES.contains(&m.name.as_str())
+                && (BASE_CRATES.contains(&dep.as_str()) || dep_tier < crate_tier)
             {
-                // Base crates depend on no tutel crate; the rest only
-                // downward.
-                format!(
-                    "`{}` (layer {crate_tier}) must not depend on `{dep}` (layer \
-                     {dep_tier}): the crate DAG points strictly downward, \
-                     tensor → comm → gate → kernels → experts → core → serve → bench",
-                    m.name
-                )
-            } else if dep == MODEL_CRATE
-                && m.name != PRICING_CRATE
-                && STRICT_CRATES.contains(&m.name.as_str())
-            {
-                format!(
-                    "`{}` must not depend on `{MODEL_CRATE}`: the modelled cluster is \
-                     priced only in `{PRICING_CRATE}` (tutel::cost::ClusterModel), \
-                     so the data path carries no cost model",
-                    m.name
-                )
-            } else {
                 continue;
-            };
+            }
+            let message = format!(
+                "`{}` (layer {crate_tier}) must not depend on `{dep}` (layer \
+                 {dep_tier}): the crate DAG points strictly downward, \
+                 tensor → comm → gate → kernels → experts → core → serve → bench",
+                m.name
+            );
             sink.push(Diagnostic {
                 rule: "layering",
                 file: m.rel_path.clone(),
@@ -191,7 +166,7 @@ mod tests {
     fn downward_deps_are_clean() {
         let ms = vec![
             manifest("tutel-comm", &["tutel-tensor", "tutel-obs"]),
-            manifest("tutel", &["tutel-experts", "tutel-kernels", "tutel-simgpu"]),
+            manifest("tutel", &["tutel-experts", "tutel-kernels"]),
         ];
         assert!(check_layering(&ms).is_empty());
     }
@@ -204,31 +179,6 @@ mod tests {
         assert_eq!(diags[0].rule, "layering");
         assert!(diags[0].message.contains("tutel-gate"));
         assert_eq!(diags[0].line, 5);
-    }
-
-    #[test]
-    fn only_tutel_among_strict_crates_may_depend_on_simgpu() {
-        for name in [
-            "tutel-comm",
-            "tutel-gate",
-            "tutel-kernels",
-            "tutel-experts",
-            "tutel-serve",
-        ] {
-            let diags = check_layering(&[manifest(name, &["tutel-simgpu"])]);
-            assert_eq!(diags.len(), 1, "{name}: {diags:?}");
-            assert!(diags[0].message.contains(name), "{}", diags[0].message);
-            assert!(diags[0].message.contains("tutel-simgpu"));
-            assert_eq!(diags[0].line, 5);
-        }
-        assert!(check_layering(&[manifest("tutel", &["tutel-simgpu"])]).is_empty());
-        // An edge that is also upward is still one diagnostic.
-        assert_eq!(
-            check_layering(&[manifest("tutel-tensor", &["tutel-simgpu"])]).len(),
-            1
-        );
-        // The tool crates above the data path may read the model.
-        assert!(check_layering(&[manifest("tutel-bench", &["tutel-simgpu"])]).is_empty());
     }
 
     #[test]

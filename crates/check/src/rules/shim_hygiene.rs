@@ -40,9 +40,6 @@ const ALLOWED: &[(&str, &[&str])] = &[
             "crossbeam::channel::SendError",
         ],
     ),
-    ("serde", &["serde::Serialize", "serde::Deserialize"]),
-    // Only the serde shim itself may touch the derive crate.
-    ("serde_derive", &[]),
     (
         "proptest",
         &[
@@ -231,7 +228,7 @@ mod tests {
 
     #[test]
     fn documented_surface_is_allowed() {
-        let src = "use rand::rngs::SmallRng;\nuse rand::{Rng, SeedableRng};\nuse crossbeam::channel::{unbounded, Receiver, Sender};\nuse serde::{Deserialize, Serialize};\nuse proptest::prelude::*;\n";
+        let src = "use rand::rngs::SmallRng;\nuse rand::{Rng, SeedableRng};\nuse crossbeam::channel::{unbounded, Receiver, Sender};\nuse proptest::prelude::*;\n";
         assert!(run(src).is_empty());
     }
 
@@ -268,11 +265,6 @@ mod tests {
     #[test]
     fn non_shim_paths_are_ignored() {
         assert!(run("use std::collections::HashMap;\nuse tutel_comm::CommError;\n").is_empty());
-    }
-
-    #[test]
-    fn serde_derive_is_shim_only() {
-        assert_eq!(run("use serde_derive::Serialize;\n").len(), 1);
     }
 
     #[test]

@@ -15,10 +15,9 @@
 //! Everything here is priced on one [`ClusterModel`].
 
 use tutel_experts::{ExpertPlacement, Parallelism};
-use tutel_simgpu::{Protocol, Seconds};
 use tutel_tensor::Precision;
 
-use crate::cost::{A2aPhase, ClusterModel};
+use crate::cost::{A2aPhase, ClusterModel, Protocol, Seconds};
 use crate::pipeline::{LayerDims, PipelineStrategy, PipelineTimeModel};
 
 /// Which Tutel optimizations are active.

@@ -145,14 +145,21 @@ impl StateDict {
                 r.read_exact(&mut b)?;
                 dims.push(u64::from_le_bytes(b) as usize);
             }
-            let len: usize = dims.iter().product();
-            if len > 1 << 30 {
+            // Zero dims count as 1 here, so every product the shape
+            // will ever form is bounded too, not only the element count.
+            let bound = dims
+                .iter()
+                .try_fold(1usize, |n, &d| n.checked_mul(d.max(1)));
+            if bound.is_none_or(|n| n > MAX_ELEMS) {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
                     "unreasonable tensor size",
                 ));
             }
-            let mut data = Vec::with_capacity(len);
+            let len: usize = dims.iter().product();
+            // A header alone does not earn a large reservation: past
+            // this, the buffer grows only as the payload arrives.
+            let mut data = Vec::with_capacity(len.min(1 << 16));
             let mut b = [0u8; 4];
             for _ in 0..len {
                 r.read_exact(&mut b)?;
@@ -165,6 +172,9 @@ impl StateDict {
         Ok(StateDict { entries })
     }
 }
+
+/// The largest tensor a checkpoint may hold, in elements.
+const MAX_ELEMS: usize = 1 << 30;
 
 fn read_u32<R: Read>(r: &mut R) -> io::Result<u32> {
     let mut b = [0u8; 4];
@@ -216,6 +226,54 @@ mod tests {
         sd.insert("x", Tensor::ones(&[8]));
         let bytes = sd.to_bytes();
         assert!(StateDict::from_bytes(&bytes[..bytes.len() - 3]).is_err());
+    }
+
+    #[test]
+    fn dims_whose_product_overflows_are_invalid_data() {
+        // [2³², 2³²] wraps to 0 elements in a plain `usize` product.
+        let mut bytes = MAGIC.to_vec();
+        for word in [1u32, 1] {
+            bytes.extend_from_slice(&word.to_le_bytes());
+        }
+        bytes.push(b'x');
+        bytes.extend_from_slice(&2u32.to_le_bytes());
+        for _ in 0..2 {
+            bytes.extend_from_slice(&(1u64 << 32).to_le_bytes());
+        }
+        let err = StateDict::from_bytes(&bytes).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn truncated_or_corrupt_headers_fail_without_panicking() {
+        let mut rng = Rng::seed(14);
+        let mut sd = StateDict::new();
+        sd.insert("a.weight", rng.normal_tensor(&[3, 4], 0.0, 1.0));
+        sd.insert("b", rng.normal_tensor(&[5], 0.0, 1.0));
+        let bytes = sd.to_bytes();
+        for cut in 0..bytes.len() {
+            assert!(StateDict::from_bytes(&bytes[..cut]).is_err(), "cut {cut}");
+        }
+        // The header bytes: magic and count, then each tensor's name
+        // length, name, rank and dims (its payload follows them).
+        let mut header: Vec<usize> = (0..12).collect();
+        let mut at = 12;
+        for (name, t) in sd.iter() {
+            let len = 8 + name.len() + 8 * t.dims().len();
+            header.extend(at..at + len);
+            at += len + 4 * t.len();
+        }
+        assert_eq!(at, bytes.len());
+        for &i in &header {
+            let seeded = 1 + rng.below(255) as u8;
+            for flip in (0..8).map(|b| 1u8 << b).chain([0xff, seeded]) {
+                let mut corrupt = bytes.clone();
+                corrupt[i] ^= flip;
+                if let Ok(back) = StateDict::from_bytes(&corrupt) {
+                    assert!(back.num_params() <= bytes.len() / 4, "byte {i} ^ {flip:#x}");
+                }
+            }
+        }
     }
 
     #[test]

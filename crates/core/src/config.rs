@@ -1,10 +1,9 @@
 //! Configuration of an MoE layer.
 
-use serde::{Deserialize, Serialize};
 use tutel_gate::{CapacityPolicy, RouteConfig};
 
 /// Which router scores tokens.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum RouterKind {
     /// Linear projection (GShard/Fairseq standard).
     #[default]
@@ -34,7 +33,7 @@ pub enum RouterKind {
 ///     .with_bpr(true);
 /// assert_eq!(cfg.experts, 32);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MoeConfig {
     /// Model (channel) dimension `M`.
     pub model_dim: usize,

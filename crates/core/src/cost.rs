@@ -1,15 +1,31 @@
 //! The modelled cluster every adaptive decision is priced on.
 //!
-//! [`ClusterModel`] is the paper's testbed as one value: a
-//! [`Topology`] of Azure NDm A100 v4 nodes with the calibrated NVLink,
-//! HDR InfiniBand and A100 kernel models of [`tutel_simgpu`]. Its
-//! `*_time` methods price every collective the parallelism router, the
-//! pipelining search and the layer simulator consult, and what the
-//! scaling benchmarks plot. The executed ranks never read it: they need
-//! only the [`Topology`].
+//! The paper runs on Azure NDm A100 v4 nodes (8× A100 on NVLink, 8× HDR
+//! InfiniBand NICs); this module stands in for them with analytic
+//! models calibrated against the paper's published anchors
+//! ([`calib`]): [`GpuCostModel`] for the kernels and [`LinkModel`] for
+//! the links. Tutel's adaptive decisions depend only on the relative
+//! order of costs, so the calibrated models reproduce the decision
+//! landscape: who wins, by roughly what factor, where the crossovers
+//! fall.
+//!
+//! [`ClusterModel`] is the testbed as one value: a [`Topology`] with
+//! those models. Its `*_time` methods price every collective the
+//! parallelism router, the pipelining search and the layer simulator
+//! consult, and what the scaling benchmarks plot. The executed ranks
+//! never read it: they need only the [`Topology`].
 
 use tutel_comm::{AllToAllAlgo, Topology};
-use tutel_simgpu::{calib, fabric_contention, GpuCostModel, LinkModel, Protocol, Seconds};
+
+pub mod calib;
+mod gpu;
+mod link;
+
+pub use gpu::GpuCostModel;
+pub use link::{fabric_contention, LinkModel, Protocol};
+
+/// Seconds, the unit of every cost model.
+pub type Seconds = f64;
 
 /// Which leg of the MoE iteration an All-to-All serves. The two legs
 /// carry different payloads under asymmetric capacity, so a priced
@@ -54,9 +70,8 @@ pub enum A2aImpl {
 /// # Example
 ///
 /// ```
-/// use tutel::cost::ClusterModel;
+/// use tutel::cost::{ClusterModel, Protocol};
 /// use tutel_comm::AllToAllAlgo;
-/// use tutel_simgpu::Protocol;
 ///
 /// let cluster = ClusterModel::azure(2048);
 /// let s = 1024.0 * 1024.0; // 1 MiB per GPU

@@ -1,13 +1,10 @@
-//! Calibration constants for the simulated A100 cluster.
+//! Calibration constants of the modelled A100 cluster.
 //!
 //! Each constant is anchored to a measurement published in the Tutel
 //! paper (or a public A100/HDR spec); the anchor is cited next to the
 //! constant. Changing a constant shifts absolute numbers but the bench
 //! harness only claims *shape* fidelity (orderings, crossover locations,
 //! rough ratios), which is robust to modest calibration error.
-
-/// Bytes per MiB.
-pub const MIB: f64 = 1024.0 * 1024.0;
 
 /// Peak dense GEMM throughput, FLOP/s.
 ///
@@ -32,15 +29,6 @@ pub const GEMM_LAUNCH_OVERHEAD: f64 = 6e-6;
 /// Anchor: A100 80 GB HBM2e peak is ~2.0 TB/s; a copy reads and writes,
 /// so effective copy throughput tops out near 1.0 TB/s.
 pub const HBM_COPY_BW: f64 = 1.0e12;
-
-/// Half-saturation chunk size for strided/non-contiguous device copies,
-/// bytes.
-///
-/// Anchor: Section 3.4 — the naïve local-aggregation intra-node
-/// All-to-All over S = 128 MiB, m = 8 takes ~600 µs at n = 8 (chunk
-/// 16 MiB, near-full bandwidth) and degrades to ~5 ms at n = 2048
-/// (chunk 64 KiB). chunk/(chunk + 512 KiB) reproduces that ~8× slide.
-pub const STRIDED_CHUNK_HALF: f64 = 512.0 * 1024.0;
 
 /// NVLink (3rd gen, NVSwitch) per-GPU unidirectional bandwidth usable by
 /// a collective, bytes/s.

@@ -1,6 +1,4 @@
-use serde::{Deserialize, Serialize};
-
-use crate::{calib, Seconds};
+use super::{calib, Seconds};
 
 /// Analytic cost model of one simulated GPU's kernels.
 ///
@@ -10,17 +8,13 @@ use crate::{calib, Seconds};
 ///   row count is tiny (e.g. `(2048, ΔE, 8, M)` after a rigid All-to-All
 ///   at 2,048 GPUs) achieves a small fraction of peak throughput. This
 ///   is the regression Flexible All-to-All removes.
-/// * **Strided-copy degradation** (Section 3.4): non-contiguous device
-///   copies lose bandwidth as the contiguous chunk shrinks, which is why
-///   the naïve local-aggregation All-to-All does not scale and 2DH's
-///   aligned stride copies do.
 /// * **Encode/decode cost** (Section 4.2): the dense GShard einsum does
 ///   `O(T·E·ΔC·M)` work, the sparse Tutel kernels `O(T·k·M)`.
 ///
 /// # Example
 ///
 /// ```
-/// use tutel_simgpu::GpuCostModel;
+/// use tutel::cost::GpuCostModel;
 ///
 /// let cost = GpuCostModel::a100();
 /// // Rigid layout at 2,048 GPUs: rows per batch collapse to 8.
@@ -29,7 +23,7 @@ use crate::{calib, Seconds};
 /// let flex = cost.gemm_time(1, 16384, 2048, 2048);
 /// assert!(rigid / flex > 5.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuCostModel {
     /// Peak GEMM throughput at ideal shapes, FLOP/s.
     pub gemm_peak_flops: f64,
@@ -39,8 +33,6 @@ pub struct GpuCostModel {
     pub launch_overhead: Seconds,
     /// Contiguous device-copy bandwidth, bytes/s.
     pub copy_bandwidth: f64,
-    /// Half-saturation chunk size for strided copies, bytes.
-    pub strided_chunk_half: f64,
     /// Sparse encode/decode throughput, elements/s.
     pub sparse_encode_rate: f64,
     /// Dense einsum encode/decode throughput, useful elements/s.
@@ -57,7 +49,6 @@ impl GpuCostModel {
             gemm_rows_half: calib::GEMM_ROWS_HALF,
             launch_overhead: calib::GEMM_LAUNCH_OVERHEAD,
             copy_bandwidth: calib::HBM_COPY_BW,
-            strided_chunk_half: calib::STRIDED_CHUNK_HALF,
             sparse_encode_rate: calib::SPARSE_ENCODE_ELEMS_PER_SEC,
             dense_encode_rate: calib::DENSE_ENCODE_ELEMS_PER_SEC,
             gate_cost: calib::GATE_COST_PER_TOKEN_EXPERT,
@@ -89,22 +80,6 @@ impl GpuCostModel {
             return 0.0;
         }
         self.launch_overhead + bytes / self.copy_bandwidth
-    }
-
-    /// Time of a strided device copy moving `bytes` total in contiguous
-    /// chunks of `chunk_bytes`.
-    ///
-    /// Small chunks waste memory bandwidth; this single curve prices
-    /// both 2DH's aligned stride copies (large chunks → near-peak) and
-    /// the naïve local aggregation's scattered accesses (chunks shrink
-    /// as `S/n` → collapse).
-    pub fn strided_copy_time(&self, bytes: f64, chunk_bytes: f64) -> Seconds {
-        if bytes <= 0.0 {
-            return 0.0;
-        }
-        let chunk = chunk_bytes.max(4.0);
-        let eff = chunk / (chunk + self.strided_chunk_half);
-        self.launch_overhead + bytes / (self.copy_bandwidth * eff)
     }
 
     /// Time of the sparse (Tutel) encode or decode over `tokens` tokens,
@@ -167,21 +142,6 @@ mod tests {
     }
 
     #[test]
-    fn strided_copy_degrades_with_small_chunks() {
-        let cost = GpuCostModel::a100();
-        let bytes = 128.0 * 1024.0 * 1024.0;
-        let big_chunks = cost.strided_copy_time(bytes, 16.0 * 1024.0 * 1024.0);
-        let small_chunks = cost.strided_copy_time(bytes, 64.0 * 1024.0);
-        // Section 3.4 anchor: ~600 µs → ~5 ms (≈ 8×).
-        let ratio = small_chunks / big_chunks;
-        assert!(ratio > 5.0 && ratio < 12.0, "ratio = {ratio}");
-        assert!(
-            big_chunks > 100e-6 && big_chunks < 1e-3,
-            "abs = {big_chunks}"
-        );
-    }
-
-    #[test]
     fn sparse_encode_is_cheaper_than_dense() {
         let cost = GpuCostModel::a100();
         // T = 16384 tokens, E = 64, ΔC = k·f·T/E with k=2,f=1 → 512.
@@ -194,8 +154,6 @@ mod tests {
 
     #[test]
     fn zero_byte_copies_are_free() {
-        let cost = GpuCostModel::a100();
-        assert_eq!(cost.copy_time(0.0), 0.0);
-        assert_eq!(cost.strided_copy_time(0.0, 1024.0), 0.0);
+        assert_eq!(GpuCostModel::a100().copy_time(0.0), 0.0);
     }
 }

@@ -1,6 +1,4 @@
-use serde::{Deserialize, Serialize};
-
-use crate::{calib, Seconds};
+use super::{calib, Seconds};
 
 /// NCCL transfer protocol.
 ///
@@ -8,18 +6,13 @@ use crate::{calib, Seconds};
 /// default (`Simple`) protocol and `LL128`: LL128 has much lower
 /// per-message latency but caps bandwidth at 120/128 of line rate, so
 /// the optimal choice depends on message size (Figure 21).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Protocol {
     /// Default NCCL protocol: full bandwidth, higher latency.
     #[default]
     Simple,
     /// Low-latency 128-byte-flit protocol: ~94 % bandwidth, low latency.
     Ll128,
-}
-
-impl Protocol {
-    /// All protocol choices, in search order.
-    pub const ALL: [Protocol; 2] = [Protocol::Simple, Protocol::Ll128];
 }
 
 /// Analytic α–β model of one link class (NVLink or InfiniBand) with a
@@ -34,14 +27,14 @@ impl Protocol {
 /// # Example
 ///
 /// ```
-/// use tutel_simgpu::{LinkModel, Protocol};
+/// use tutel::cost::{LinkModel, Protocol};
 ///
 /// let ib = LinkModel::hdr_infiniband();
 /// let small = ib.effective_bandwidth(4.0 * 1024.0, Protocol::Simple);
 /// let large = ib.effective_bandwidth(256.0 * 1024.0 * 1024.0, Protocol::Simple);
 /// assert!(large > 10.0 * small);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkModel {
     /// Base latency per operation, seconds.
     pub alpha: Seconds,

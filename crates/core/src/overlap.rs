@@ -50,8 +50,8 @@
 //! Each chunk's compute time and the whole schedule's wall-clock are
 //! reported in [`OverlapRun`]; the caller feeds the wall-clock into
 //! [`crate::pipeline::MeasuredStrategySearch`] so Algorithm 2 ranks
-//! strategies by what execution actually cost, not only by the simgpu
-//! prior. The `Instant`s taken here never influence any computed
+//! strategies by what execution actually cost, not only by the
+//! modelled prior. The `Instant`s taken here never influence any computed
 //! value — timing is observed, not consumed.
 
 use std::collections::VecDeque;

@@ -12,9 +12,8 @@
 use std::collections::HashMap;
 
 use tutel_comm::AllToAllAlgo;
-use tutel_simgpu::{calib, Protocol, Seconds, StreamId, Timeline};
 
-use crate::cost::ClusterModel;
+use crate::cost::{calib, ClusterModel, Protocol, Seconds};
 
 /// One pipelining strategy: which All-to-All algorithm to run and how
 /// many capacity-dimension partitions to overlap.
@@ -98,8 +97,8 @@ impl LayerDims {
 
 /// Prices one MoE layer iteration (forward) under a pipelining strategy.
 ///
-/// Schedules, on a two-stream [`Timeline`], the dispatch All-to-All
-/// chunks (communication stream), the expert GEMM chunks (computation
+/// Schedules, on two streams, the dispatch All-to-All chunks
+/// (communication stream), the expert GEMM chunks (computation
 /// stream), and the combine All-to-All chunks, with the dependency
 /// structure of Figure 14. Encode/decode and gating are not partitioned
 /// (the paper partitions only the two All-to-Alls and the expert).
@@ -270,7 +269,7 @@ impl PipelineTimeModel {
 /// One iteration priced piecewise — what every view of
 /// [`PipelineTimeModel`] schedules or sums. Chunk times and inflations
 /// stay separate factors: the breakdown multiplies by `degree` first,
-/// the timeline by the inflation first, and the modeled numbers are
+/// the schedule by the inflation first, and the modeled numbers are
 /// pinned to the bit.
 struct Schedule {
     /// Pipelining degree, ≥ 1.
@@ -300,22 +299,26 @@ impl Schedule {
 
     /// Makespan of Figure 14's dependency structure on two streams:
     /// `degree` dispatch chunks (communication), each feeding an expert
-    /// chunk (computation), each feeding a combine chunk.
+    /// chunk (computation), each feeding a combine chunk queued on the
+    /// communication stream behind every dispatch. A chunk starts when
+    /// both its input and its stream are free (`max`), then runs (`+`);
+    /// the last combine ends last.
     fn makespan(&self) -> Seconds {
-        let comm = StreamId(0);
-        let comp = StreamId(1);
         let a2a = self.a2a_once * self.comm_inflation;
         let expert = self.expert_once * self.comp_inflation;
-        let mut tl = Timeline::new();
-        let dispatched: Vec<_> = (0..self.degree).map(|_| tl.push(comm, a2a, &[])).collect();
-        let computed: Vec<_> = dispatched
-            .iter()
-            .map(|&dep| tl.push(comp, expert, &[dep]))
-            .collect();
-        for &dep in &computed {
-            tl.push(comm, a2a, &[dep]);
+        let mut comm_front = 0.0;
+        for _ in 0..self.degree {
+            comm_front += a2a;
         }
-        tl.makespan()
+        // The dispatch prefix sums again, now feeding the expert and
+        // combine chains.
+        let (mut dispatched, mut computed) = (0.0, 0.0);
+        for _ in 0..self.degree {
+            dispatched += a2a;
+            computed = f64::max(dispatched, computed) + expert;
+            comm_front = f64::max(computed, comm_front) + a2a;
+        }
+        comm_front
     }
 }
 
@@ -623,7 +626,7 @@ const MEASURED_EWMA_ALPHA: f64 = 0.4;
 
 /// Algorithm 2 ranked by **execution**, not by model: strategies are
 /// ordered by the measured wall-clock of the overlapped schedule
-/// ([`crate::overlap::run_overlapped`]), with the simgpu
+/// ([`crate::overlap::run_overlapped`]), with the modelled
 /// [`PipelineTimeModel`] kept only as the cold-start prior that
 /// decides exploration order.
 ///
@@ -802,10 +805,71 @@ impl MeasuredStrategySearch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use tutel_obs::Telemetry;
 
     fn model(world_size: usize) -> PipelineTimeModel {
         PipelineTimeModel::new(ClusterModel::azure(world_size))
+    }
+
+    /// `n` chunks of `d` run back to back on one stream.
+    fn back_to_back(n: usize, d: Seconds, from: Seconds) -> Seconds {
+        (0..n).fold(from, |t, _| t + d)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The schedule is bounded as any two-stream schedule is: below
+        /// by the prologue plus its busier stream's chunks back to back,
+        /// above by every chunk in submission order plus the barrier;
+        /// at degree 1 nothing overlaps and it is that serial sum.
+        /// Float `+` and `max` are monotone, so every bound is exact.
+        #[test]
+        fn step_time_lies_between_the_busier_stream_and_the_serial_sum(
+            world_idx in 0usize..8,
+            tokens in 1usize..65_536,
+            model_dim in 1usize..8192,
+            hidden_dim in 1usize..8192,
+            local_experts in 1usize..8,
+            k in 1usize..4,
+            capacity_factor in 0.05f64..8.0,
+            sparse_kernels in any::<bool>(),
+            flexible_layout in any::<bool>(),
+            interference in any::<bool>(),
+        ) {
+            let world = [1, 2, 4, 8, 16, 64, 256, 2048][world_idx];
+            let m = PipelineTimeModel {
+                sparse_kernels,
+                flexible_layout,
+                interference,
+                ..model(world)
+            };
+            let dims = LayerDims {
+                tokens,
+                model_dim,
+                hidden_dim,
+                local_experts,
+                k,
+                capacity_factor,
+            };
+            for strategy in PipelineStrategy::all() {
+                let t = m.step_time(&dims, strategy);
+                let s = m.strategy_schedule(&dims, strategy);
+                let (n, prologue) = (s.degree, s.gate + s.encode_decode);
+                let a2a = s.a2a_once * s.comm_inflation;
+                let expert = s.expert_once * s.comp_inflation;
+                let comm = back_to_back(2 * n, a2a, 0.0);
+                let comp = back_to_back(n, expert, 0.0);
+                prop_assert!(t >= prologue + comm.max(comp), "{strategy}: {t}");
+                let chunks = back_to_back(n, a2a, back_to_back(n, expert, back_to_back(n, a2a, 0.0)));
+                let barrier = if n > 1 { calib::BARRIER_OVERHEAD } else { 0.0 };
+                prop_assert!(t <= prologue + (chunks + barrier), "{strategy}: {t}");
+                if n == 1 {
+                    prop_assert_eq!(t, s.gate + s.encode_decode + (a2a + expert + a2a));
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Property-based tests for the core crate: Algorithm 2's search is
 //! total and convergent, the MoE layer is numerically robust under
 //! arbitrary (valid) dynamic knob settings, and the parallelism
-//! router's choice is consistent with its own costs.
+//! router's choice is consistent with its own costs, and the link and
+//! kernel models are monotone in message size and GEMM shape.
 
 use proptest::prelude::*;
 use tutel::adaptive::{InlineParallelismRouter, MoeDims};
-use tutel::cost::ClusterModel;
+use tutel::cost::{ClusterModel, GpuCostModel, LinkModel, Protocol};
 use tutel::pipeline::{OnlineStrategySearch, PipelineStrategy};
 use tutel::{MoeConfig, MoeLayer};
 use tutel_obs::Telemetry;
@@ -120,5 +121,38 @@ proptest! {
         prop_assert!(chosen <= router.p1_cost(&dims) + 1e-15);
         prop_assert!(chosen <= router.p2_cost(&dims) + 1e-15);
         prop_assert!(chosen > 0.0);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn effective_bandwidth_is_monotone_in_size(
+        sizes in proptest::collection::vec(1.0f64..1e9, 2..10),
+    ) {
+        let ib = LinkModel::hdr_infiniband();
+        let mut sorted = sizes.clone();
+        sorted.sort_by(f64::total_cmp);
+        let mut last = 0.0;
+        for s in sorted {
+            let bw = ib.effective_bandwidth(s, Protocol::Simple);
+            prop_assert!(bw >= last - 1e-6, "bandwidth decreased at {s}");
+            prop_assert!(bw <= ib.bandwidth);
+            last = bw;
+        }
+    }
+
+    #[test]
+    fn gemm_time_is_monotone_in_every_dimension(
+        b in 1usize..64, r in 1usize..512, k in 1usize..512, n in 1usize..512,
+    ) {
+        let gpu = GpuCostModel::a100();
+        let t = gpu.gemm_time(b, r, k, n);
+        prop_assert!(t > 0.0);
+        prop_assert!(gpu.gemm_time(b + 1, r, k, n) >= t);
+        prop_assert!(gpu.gemm_time(b, r + 1, k, n) >= t);
+        prop_assert!(gpu.gemm_time(b, r, k + 1, n) >= t);
+        prop_assert!(gpu.gemm_time(b, r, k, n + 1) >= t);
     }
 }

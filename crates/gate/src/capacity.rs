@@ -1,8 +1,6 @@
 //! Expert capacity (Equation 1) and the dynamic capacity-factor policy
 //! of Figure 16.
 
-use serde::{Deserialize, Serialize};
-
 /// Expert capacity per Equation 1 of the paper:
 /// `capacity = k · f · T / E`, rounded up, and at least 1.
 ///
@@ -39,7 +37,7 @@ pub fn needed_capacity_factor(counts: &[usize], k: usize, tokens: usize) -> f64 
 
 /// Dynamic capacity-factor policy, mirroring the paper's
 /// `capacity_factor = x` API argument (Figure 16).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CapacityPolicy {
     /// `x > 0`: the value is applied directly as the capacity factor.
     Fixed(f64),

@@ -5,7 +5,6 @@
 //! this file indexes a [`Routing`]'s flat arrays, and [`route`] builds
 //! them in a fixed number of allocations, whatever `T`.
 
-use serde::{Deserialize, Serialize};
 use tutel_tensor::{uniform_offsets, Tensor, TensorError, TopK};
 
 use crate::{expert_capacity, needed_capacity_factor, CapacityPolicy};
@@ -15,7 +14,7 @@ use crate::{expert_capacity, needed_capacity_factor, CapacityPolicy};
 /// Every field may change between iterations — this is the paper's
 /// "Dynamic Top-ANY MoE Gating" (`k` is arbitrary and per-iteration)
 /// and "Dynamic Capacity Factor" (Figure 16).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RouteConfig {
     /// Experts per token (`1 ≤ k ≤ E`), changeable at every iteration.
     pub k: usize,

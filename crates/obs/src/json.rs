@@ -1,7 +1,7 @@
 //! A minimal JSON value, writer, and parser.
 //!
-//! The workspace builds offline without serde's serialization
-//! machinery, so the telemetry exporter hand-writes its JSONL. Only
+//! The workspace builds offline with no serialization crate, so the
+//! telemetry exporter hand-writes its JSONL. Only
 //! what export needs is implemented: objects, arrays, strings,
 //! numbers, booleans, and null. Non-finite floats serialize as `null`
 //! (JSON has no NaN/Infinity). The parser ([`Value::parse`]) is the

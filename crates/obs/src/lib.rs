@@ -37,7 +37,7 @@
 //!   `collective`, `step`, `adaptive_decision`, `anomaly`, every rank's
 //!   `span` / `instant` / `flow_send` / `flow_recv` with a `rank`
 //!   field, `counter`, `gauge`, `histogram`), hand-written by [`json`]
-//!   because the offline build has no serde serialization (the same
+//!   because the offline build has no serialization crate (the same
 //!   module also parses, for [`MergedTrace::from_jsonl`]).
 //! * **Analysis** ([`analyze`](mod@analyze)): per-step critical-path extraction,
 //!   straggler detection (wall clock and sender-attributed delivery

@@ -1445,16 +1445,16 @@ mod avx2 {
     /// Loads 8 consecutive `f32`s from a slice of length ≥ `off + 8`.
     #[inline(always)]
     fn load8(s: &[f32], off: usize) -> __m256 {
-        debug_assert!(off + NR <= s.len());
-        // SAFETY: the caller-checked bound above guarantees 8 in-range
-        // f32s at `off`; unaligned loads are permitted by `loadu`.
+        assert!(NR <= s.len() && off <= s.len() - NR, "load past the slice");
+        // SAFETY: the bound above guarantees 8 in-range f32s at `off`;
+        // unaligned loads are permitted by `loadu`.
         unsafe { _mm256_loadu_ps(s.as_ptr().add(off)) }
     }
 
     /// Stores 8 lanes over `s[off .. off + 8]`.
     #[inline(always)]
     fn store8(s: &mut [f32], off: usize, v: __m256) {
-        debug_assert!(off + NR <= s.len());
+        assert!(NR <= s.len() && off <= s.len() - NR, "store past the slice");
         // SAFETY: the bound above guarantees 8 in-range f32s at `off`;
         // unaligned stores are permitted by `storeu`.
         unsafe { _mm256_storeu_ps(s.as_mut_ptr().add(off), v) }
@@ -1725,10 +1725,12 @@ mod avx512 {
     /// Loads 16 consecutive `f32`s from a slice of length ≥ `off + 16`.
     #[inline(always)]
     fn load16(s: &[f32], off: usize) -> __m512 {
-        debug_assert!(off + LANES <= s.len());
-        // SAFETY: every caller bounds `off + 16` by the slice's length
-        // (checked above in debug builds); `loadu` permits unaligned
-        // loads.
+        assert!(
+            LANES <= s.len() && off <= s.len() - LANES,
+            "load past the slice"
+        );
+        // SAFETY: the bound above guarantees 16 in-range f32s at `off`;
+        // `loadu` permits unaligned loads.
         unsafe { _mm512_loadu_ps(s.as_ptr().add(off)) }
     }
 

@@ -1,7 +1,5 @@
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::TensorError;
 
 /// A row-major tensor shape.
@@ -19,7 +17,7 @@ use crate::TensorError;
 /// assert_eq!(s.len(), 4 * 8 * 16);
 /// assert_eq!(s.strides(), vec![128, 16, 1]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Shape {
     dims: Vec<usize>,
 }

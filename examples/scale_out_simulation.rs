@@ -5,9 +5,8 @@
 //! Run with: `cargo run --release --example scale_out_simulation`
 
 use tutel_suite::obs::Telemetry;
-use tutel_suite::simgpu::Protocol;
 use tutel_suite::tutel::adaptive::{FeatureSet, MoeLayerSimulator};
-use tutel_suite::tutel::cost::{A2aImpl, ClusterModel};
+use tutel_suite::tutel::cost::{A2aImpl, ClusterModel, Protocol};
 use tutel_suite::tutel::pipeline::LayerDims;
 
 fn main() {

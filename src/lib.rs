@@ -10,5 +10,4 @@ pub use tutel_gate as gate;
 pub use tutel_kernels as kernels;
 pub use tutel_obs as obs;
 pub use tutel_rt as rt;
-pub use tutel_simgpu as simgpu;
 pub use tutel_tensor as tensor;

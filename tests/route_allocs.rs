@@ -295,8 +295,8 @@ fn disabled_instrumentation_and_warm_runtime_paths_are_exact_counts() {
 
     // The adaptive decisions under the same disabled handle record
     // nothing and allocate exactly what their own bookkeeping does:
-    // `choose` nothing, `best_strategy` and `step_time` the pricing
-    // timelines (44 and 48 per call), the searches their memos.
+    // `choose`, `best_strategy` and `step_time` nothing (the two-stream
+    // schedule is priced in registers), the searches their memos.
     let cluster = ClusterModel::azure(16);
     let moe_dims = MoeDims {
         world: 16,
@@ -322,14 +322,14 @@ fn disabled_instrumentation_and_warm_runtime_paths_are_exact_counts() {
             black_box(model.best_strategy(&dims, &tel));
         }
     });
-    assert_eq!((n, tel.events().len()), (44 * CALLS, 0), "best_strategy");
+    assert_eq!((n, tel.events().len()), (0, 0), "best_strategy");
     let sim = MoeLayerSimulator::new(cluster);
     let (n, ()) = allocs_in(|| {
         for _ in 0..CALLS {
             black_box(sim.step_time(&dims, FeatureSet::full(), &tel));
         }
     });
-    assert_eq!((n, tel.events().len()), (48 * CALLS, 0), "step_time");
+    assert_eq!((n, tel.events().len()), (0, 0), "step_time");
     // Both searches cycle four capacity factors over two buckets.
     let factors = [1.0, 1.3, 2.5, 4.0];
     let wall = |s: PipelineStrategy| 1e-3 * (1 + s.degree) as f64;
@@ -352,7 +352,7 @@ fn disabled_instrumentation_and_warm_runtime_paths_are_exact_counts() {
             measured.record(f, s, wall(s), &tel);
         }
     });
-    assert_eq!((n, tel.events().len()), (934, 0), "measured search");
+    assert_eq!((n, tel.events().len()), (10, 0), "measured search");
 
     // A warmed private arena: every take is a hit, every put a return.
     let private = Arena::new();
