@@ -105,12 +105,23 @@ echo "==> GEMM tile edges: every small shape, every kernel table"
 # bins with an empty one between them and ±0, ±inf, NaN and subnormals
 # among the operands: the three grouped launches, scalar against every
 # SIMD table the host has, bit for bit, A·B and Aᵀ·B against per-element
-# oracles in the documented panel order, and A·Bᵀ against the
-# per-element dot loop, in every table. The default suite samples these
-# edges by proptest; this enumerates them (~4 minutes in release on 2
-# vCPUs, up from ~50 s when m stopped at 13: subnormal products are
-# slow).
+# oracles in the documented order (a chain of fused multiply-adds from
+# zero per KC panel, the panel sums added in order), and A·Bᵀ against
+# A·B over the transposed B, in every table. The default suite samples
+# these edges by proptest; this enumerates them (minutes in release on
+# 2 vCPUs: subnormal products are slow, and the scalar table's fused
+# steps are libm fmaf calls).
 cargo test -q --release -p tutel-tensor --lib -- --ignored grouped_launches_match_across_simd_modes_on_every_tile_edge
+
+echo "==> GEMM f64 judge at TUTEL_SIMD=0 and =1"
+# Each grouped launch kind against the same product in f64 at the four
+# benchmark workloads' expert shapes and at tile edges: max and median
+# scaled ULP per kind, printed beside the figures before FMA and held
+# to the test's bounds. The tables are bitwise equal, so both cells
+# read the same figures; the scalar cell is the one whose fused steps
+# are libm calls.
+TUTEL_SIMD=0 cargo test -q --release --test gemm_judge
+TUTEL_SIMD=1 cargo test -q --release --test gemm_judge
 
 echo "==> top-k and slice-kernel differentials at TUTEL_THREADS=1 and =4"
 # Every SIMD table's top-k (one integer-max pass per slot) against the

@@ -221,7 +221,7 @@ impl MoeLayer {
             |rows, bins| self.experts.forward_grouped(rows, bins),
         )?;
         self.saved = Some(SavedForward {
-            x: x.clone(),
+            x: scratch::copy_of(x),
             step: saved,
             aux_weight: self.cfg.aux_weight,
         });

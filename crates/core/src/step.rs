@@ -161,6 +161,7 @@ pub fn backward<E: From<TensorError>>(
 
     let _gate = tel.span("gate.backward");
     let d_logits = gate_logits_grad(probs, routing, &d_gates, aux_weight)?;
+    tutel_rt::arena().put(d_gates);
     scratch::recycle(saved.probs);
     let d_x_router = router.backward(x, &d_logits)?;
     scratch::recycle(d_logits);

@@ -7,7 +7,8 @@
 //! and holds each axis to its own contract:
 //!
 //! * **scalar vs SIMD is bitwise.** The SIMD kernels share the
-//!   scalar kernels' reduction trees and never emit FMA, so flipping
+//!   scalar kernels' reduction trees, and fuse a multiply into an add
+//!   exactly where the scalar ones call `mul_add`, so flipping
 //!   `TUTEL_SIMD` may not change a single bit of any output, gradient,
 //!   or aux loss — under *any* strategy configuration. Each `simd/*`
 //!   cell is compared against its `scalar/*` twin with [`max_ulp`]

@@ -154,7 +154,9 @@ pub fn ragged_decode(
 /// where the flat `d_gates[t·k + i]` is the gradient of the `i`-th gate
 /// value of token `t` (`⟨y_row, d_out_row⟩`, Figure 19; zero for a
 /// dropped assignment). Two ownership-parallel passes: slot-major for
-/// `d_y`, token-major for the gate gradients.
+/// `d_y`, token-major for the gate gradients. Both buffers come from
+/// the arena; a caller done with `d_gates` may hand it back with
+/// `tutel_rt::arena().put`.
 ///
 /// # Errors
 ///
@@ -196,10 +198,11 @@ pub fn ragged_decode_backward(
 
     // Pass 2, token-major: dgates[t·k + i] = ⟨y_row, d_out_t⟩ through
     // the kernel table's 8-lane reduction-tree dot (same summation
-    // order in scalar and SIMD modes).
+    // order in scalar and SIMD modes), 0 for a dropped assignment.
     let k = routing.k();
-    let mut dgates = vec![0.0f32; routing.num_tokens() * k];
+    let mut dgates = tutel_rt::arena().take_raw(routing.num_tokens() * k);
     tutel_rt::parallel_chunks(&mut dgates, ROW_CHUNK * k, |blk, chunk| {
+        chunk.fill(0.0);
         let dot = dispatch::table().dot;
         let t0 = blk * ROW_CHUNK;
         for (ti, grow) in chunk.chunks_mut(k).enumerate() {

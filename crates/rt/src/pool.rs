@@ -429,7 +429,9 @@ pub fn parallel_for(n: usize, grain: usize, f: impl Fn(usize, usize) + Sync) {
 /// Splits `data` into fixed chunks of `chunk_len` elements (last one
 /// shorter) and runs `f(chunk_index, chunk)` over them in parallel.
 /// Each chunk is a disjoint `&mut` sub-slice, so the disjointness
-/// half of the determinism contract holds by construction.
+/// half of the determinism contract holds by construction. Chunk `i`'s
+/// bounds are computed where it runs, so the call allocates no range
+/// list.
 pub fn parallel_chunks<T: Send>(
     data: &mut [T],
     chunk_len: usize,
@@ -437,10 +439,16 @@ pub fn parallel_chunks<T: Send>(
 ) {
     let len = data.len();
     let chunk_len = chunk_len.max(1);
-    let ranges: Vec<(usize, usize)> = (0..len.div_ceil(chunk_len))
-        .map(|i| (i * chunk_len, ((i + 1) * chunk_len).min(len)))
-        .collect();
-    parallel_ranges(data, &ranges, f);
+    let base = SendPtr(data.as_mut_ptr());
+    global().run(len.div_ceil(chunk_len), usize::MAX, &|i| {
+        let (s, e) = (i * chunk_len, ((i + 1) * chunk_len).min(len));
+        // SAFETY: chunk `i` is `s..e`, inside `data` since `s < len`
+        // for every `i` below `len.div_ceil(chunk_len)`, the chunks are
+        // disjoint, and each index runs exactly once, so this `&mut`
+        // sub-slice aliases nothing.
+        let chunk = unsafe { std::slice::from_raw_parts_mut(base.get().add(s), e - s) };
+        f(i, chunk);
+    });
 }
 
 /// Runs `f(range_index, &mut data[start..end])` over caller-defined
@@ -659,12 +667,12 @@ impl<'a, T, const N: usize, P> SameRanges<'a, T, N, P> {
 }
 
 /// Raw-pointer wrapper that may cross threads; disjointness is
-/// guaranteed by the caller ([`parallel_ranges`]).
+/// guaranteed by the caller ([`parallel_chunks`], [`parallel_ranges`]).
 struct SendPtr<T>(*mut T);
-// SAFETY: `SendPtr` is only constructed by `parallel_ranges`, which
-// hands each chunk a pointer into ranges proven disjoint before the
-// job is submitted; no two threads ever touch the same elements, and
-// the payload itself is `T: Send`.
+// SAFETY: only the `parallel_*` fns make a `SendPtr`, each handing
+// every chunk a pointer into ranges that are disjoint (by construction
+// or checked before the job is submitted), so no two threads touch the
+// same elements; the payload itself is `T: Send`.
 unsafe impl<T: Send> Send for SendPtr<T> {}
 unsafe impl<T: Send> Sync for SendPtr<T> {}
 

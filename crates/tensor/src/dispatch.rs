@@ -24,33 +24,34 @@
 //! never of the worker count) extends to the `TUTEL_SIMD` axis
 //! unchanged. This falls out of four rules:
 //!
-//! 1. **No FMA in accumulation.** The scalar microkernel computes
-//!    `acc += a * b` with *two* roundings (multiply, then add); a
-//!    fused multiply-add rounds once and differs in the last bit. The
-//!    SIMD kernels therefore emit `add(mul(..))` pairs — FMA
-//!    availability is part of the detection gate (both SIMD tables are
-//!    only installed on AVX2+FMA hosts, matching how real deployments
-//!    ship one fat binary) but the instruction is deliberately never
-//!    used where it would change results. The one place it is used is
-//!    inside a transcendental whose definition fuses (rule 4's `exp`):
-//!    there the scalar body fuses the very same steps with `mul_add`,
-//!    which is exact on every host, and nothing is accumulated.
+//! 1. **FMA in the GEMM tiles, and only there and in `exp`.** Every
+//!    GEMM element is a chain of fused multiply-adds from zero within a
+//!    `KC` panel: step `p` is `acc ← fma(a_p, b_p, acc)`, rounded once.
+//!    The lane trait's `fma` is `f32::mul_add` on one lane (exact on
+//!    every host) and `vfmadd` on eight or sixteen, the same IEEE
+//!    operation, so the tables still agree bit for bit; both SIMD
+//!    tables are only installed on AVX2+FMA hosts, matching how real
+//!    deployments ship one fat binary. The tiles' right edge is a table
+//!    entry too, compiled under its table's features, so its
+//!    `mul_add` is the instruction there and a libm call only in the
+//!    scalar table. Every other kernel (`dot`, `axpy`, GELU, the row
+//!    reductions) keeps a separate multiply and add, each rounded; the
+//!    one other fused body is a transcendental whose definition fuses
+//!    (rule 4's `exp`).
 //! 2. **One body, every lane width.** Every op of the lane trait is the
 //!    same IEEE (or bit) operation in each lane, at 1, 8 or 16 lanes, so
 //!    a lane-parallel kernel (the micro-tile pass, `axpy`, the lanewise
 //!    divide, `tanh`, GELU) gives every table the same bits by
 //!    construction.
-//! 3. **Shared reduction trees.** Horizontal reductions (dot, the
-//!    `A·Bᵀ` tile, row max, row sum) strip-mine into [`NR`] = 8 lanes
-//!    and collapse them with one fixed tree — `(l0+l4)+(l1+l5)`,
-//!    `(l2+l6)+(l3+l7)`, then the pair, then the scalar tail — in
-//!    *every* table. `dot` and the row reductions hold a row's eight
-//!    lanes in eight `f32`s or one `ymm`, never a `zmm` (16 lanes would
-//!    change the tree); the `A·Bᵀ` tile keeps each output's eight
-//!    lanes as eight accumulators whose vector lanes run across output
-//!    columns, so the same tree is one vector add per level. Top-k
-//!    compares unique integer keys, so any lane width finds the same
-//!    maximum.
+//! 3. **Shared reduction trees.** Horizontal reductions (dot, row max,
+//!    row sum) strip-mine into [`NR`] = 8 lanes and collapse them with
+//!    one fixed tree — `(l0+l4)+(l1+l5)`, `(l2+l6)+(l3+l7)`, then the
+//!    pair, then the scalar tail — in *every* table. They hold a row's
+//!    eight lanes in eight `f32`s or one `ymm`, never a `zmm` (16 lanes
+//!    would change the tree). No GEMM reduces across lanes: `A·Bᵀ` runs
+//!    the `A·B` tiles over a transposed B, so a GEMM's vector lanes run
+//!    across output columns. Top-k compares unique integer keys, so any
+//!    lane width finds the same maximum.
 //! 4. **Transcendentals are ported, not called.** A libm call is
 //!    scalar, branchy, and defined by whichever libm the host links,
 //!    so neither a SIMD lane nor another host could match it bit for
@@ -101,12 +102,6 @@ pub const TILE_COLS: usize = 16;
 pub const WIDE_TILE_COLS: usize = 32;
 /// The strip-mining width of every lane-tree reduction (eight lanes).
 pub const NR: usize = 8;
-/// Rows of A per [`KernelTable::nt_tile`].
-pub const NT_ROWS: usize = 3;
-/// Columns of a packed `Bᵀ` panel and of every table's
-/// [`KernelTable::nt_tile`]: the AVX-512 tile is one 16-lane vector
-/// wide, the AVX2 tile runs the panel as two 8-lane halves.
-pub const NT_COLS: usize = 16;
 
 /// Which kernel family the active table dispatches to, narrowest
 /// first.
@@ -135,11 +130,11 @@ impl SimdMode {
 /// `out[r * n ..][..cols] += A · b` micro-tile of some width `cols`,
 /// A read in place; see [`KernelTable::micro_tiles`].
 pub type MicroTileFn = fn(&[f32], usize, usize, usize, &[f32], &mut [f32], usize, usize);
+/// A micro-tile of any width `cols ≤ TILE_COLS`: [`MicroTileFn`]'s
+/// arguments, then `cols`; see [`KernelTable::micro_edge`].
+pub type MicroEdgeFn = fn(&[f32], usize, usize, usize, &[f32], &mut [f32], usize, usize, usize);
 /// Strip-mined dot product with the fixed lane tree.
 pub type DotFn = fn(&[f32], &[f32]) -> f32;
-/// `out[r * ldo + j] += dot(a_r, b_j)` over up to `NT_ROWS × NT_COLS`
-/// outputs of one packed `Bᵀ` panel; see [`KernelTable::nt_tile`].
-pub type NtTileFn = fn(&[f32], usize, usize, &[f32], &mut [f32], usize, usize);
 /// One row's top `idx.len()` columns and values; see
 /// [`KernelTable::topk`].
 pub type TopkFn = fn(&[f32], &mut [u32], &mut [f32]);
@@ -174,24 +169,20 @@ pub struct KernelTable {
     /// tile adjacent rows at step `m`); `b` holds `kc_len` rows at
     /// stride `n ≥ cols`, and the tile adds into the `mr_eff` rows of
     /// `out` at stride `n`. Register rows past `mr_eff` repeat the last
-    /// row and are never stored. Each element sums its `kc_len`
-    /// products from zero in `p` order, then adds the sum to `out`: the
-    /// order is the element's, not the tile's, so the tiles of every
-    /// table are interchangeable bit for bit.
+    /// row and are never stored. Each element is a chain of `kc_len`
+    /// fused multiply-adds from zero in `p` order, `acc ← fma(a_p, b_p,
+    /// acc)`, then the chain's sum is added to `out`: the order is the
+    /// element's, not the tile's, so the tiles of every table are
+    /// interchangeable bit for bit.
     pub micro_tiles: &'static [(usize, MicroTileFn)],
+    /// The tile at any width `cols ≤ TILE_COLS`, one lane at a time,
+    /// each element in [`micro_tiles`](Self::micro_tiles)' order: the
+    /// scalar table's tile, and every table's right edge (`n %
+    /// TILE_COLS` columns). Compiled under the table's features, so its
+    /// fused multiply-add is one instruction there.
+    pub micro_edge: MicroEdgeFn,
     /// 8-lane strip-mined dot product (fixed reduction tree).
     pub dot: DotFn,
-    /// The `A·Bᵀ` tile, `(a, rows, k, panel, out, ldo, cols)`: `a`
-    /// holds `rows ∈ 1..=NT_ROWS` rows of length `k > 0` back to back,
-    /// `panel` is `k × NT_COLS` of `Bᵀ` (row `p` holds element `p` of
-    /// each of `NT_COLS` B rows, zero past the last), and for `r < rows`,
-    /// `j < cols ≤ NT_COLS`, `out[r * ldo + j] += dot(a_r, b_j)` bit for
-    /// bit. Each output keeps [`dot`](Self::dot)'s eight accumulators,
-    /// step `p < k − k % 8` adding into accumulator `p mod 8` (A before
-    /// B, accumulator first), then the shared lane tree and the tail;
-    /// the vector lanes run across the panel's columns, so the tree is
-    /// one vector add per level for a whole row of outputs.
-    pub nt_tile: NtTileFn,
     /// `(row, idx, val)`: the top `idx.len()` columns of `row`, best
     /// first, and their values read back from `row` (ties and NaN as
     /// [`Tensor::topk_last`](crate::Tensor::topk_last) orders them).
@@ -232,17 +223,19 @@ pub struct KernelTable {
 static SCALAR_TABLE: KernelTable = KernelTable {
     mode: SimdMode::Scalar,
     micro_tiles: &[(TILE_COLS, |a, row, step, kc_len, b, out, n, mr_eff| {
-        micro_tile_edge(a, row, step, kc_len, b, out, n, mr_eff, TILE_COLS)
+        micro_edge(ONE_LANE, a, row, step, kc_len, b, out, n, mr_eff, TILE_COLS)
     })],
+    micro_edge: |a, row, step, kc_len, b, out, n, mr_eff, cols| {
+        micro_edge(ONE_LANE, a, row, step, kc_len, b, out, n, mr_eff, cols)
+    },
     dot: |x, y| dot(ONE_LANE, x, y),
-    nt_tile: scalar::nt_tile,
     topk: crate::ops::topk_scan,
     axpy: |a, v, out| axpy(ONE_LANE, a, v, out),
     add_assign: |v, out| add_assign(ONE_LANE, v, out),
     row_max: |x| row_max(ONE_LANE, x),
     row_sum: |x| row_sum(ONE_LANE, x),
     div_assign: |row, denom| div_assign(ONE_LANE, row, denom),
-    exp_shift: scalar::exp_shift,
+    exp_shift: |row, shift| row.iter_mut().for_each(|v| *v = exp(*v - shift)),
     bf16_round: |data| bf16_round(ONE_LANE, data),
     gelu: |h, keep| gelu(ONE_LANE, h, keep),
     gelu_backward: |pre, tanh, g| gelu_backward(ONE_LANE, pre, tanh, g),
@@ -487,12 +480,13 @@ fn halves(mr_eff: usize) -> impl Iterator<Item = (usize, usize)> {
         .map(move |h| (h, HALF_MR.min(mr_eff - h)))
 }
 
-/// The scalar micro-tile at any width `cols ≤ TILE_COLS`, with the
-/// [`MicroTileFn`] arguments: the scalar table's tile, and every
-/// table's right edge (`n % TILE_COLS` columns), so the bitwise
-/// contract holds on the remainder for free.
+/// The `micro_edge` entry: the micro-tile at any width `cols ≤
+/// TILE_COLS` on one lane, whichever lanes its table has, so the
+/// bitwise contract holds on the remainder for free.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn micro_tile_edge(
+#[inline(always)]
+fn micro_edge<L: Lane>(
+    _: L,
     a: &[f32],
     row: usize,
     step: usize,
@@ -511,7 +505,7 @@ pub(crate) fn micro_tile_edge(
         for (r, accr) in acc.iter_mut().enumerate().take(mr_eff) {
             let av = a.at(r, p);
             for (aj, &bv) in accr.iter_mut().zip(brow) {
-                *aj += av * bv;
+                *aj = av.fma(bv, *aj);
             }
         }
     }
@@ -540,6 +534,9 @@ trait Lane:
     fn load(self, s: &[f32]) -> Self;
     /// Writes the lanes over `s[..LANES]`; panics if `s` is shorter.
     fn store(self, s: &mut [f32]);
+    /// `self · b + c` in every lane, rounded once (the module-level
+    /// rule 1).
+    fn fma(self, b: Self, c: Self) -> Self;
     /// [`maxps`] in every lane.
     fn maxps(self, o: Self) -> Self;
     fn and(self, o: Self) -> Self;
@@ -604,6 +601,10 @@ impl Lane for f32 {
     #[inline(always)]
     fn store(self, s: &mut [f32]) {
         s[0] = self;
+    }
+    #[inline(always)]
+    fn fma(self, b: f32, c: f32) -> f32 {
+        self.mul_add(b, c)
     }
     #[inline(always)]
     fn maxps(self, o: f32) -> f32 {
@@ -704,7 +705,7 @@ macro_rules! x86_lanes {
     (
         $f:ident($fv:ty), $i:ident($iv:ty), mask $m:ty, $lanes:literal, $features:literal;
         new $zero:ident, splat $splat:ident, splat_i $splat_i:ident,
-        load $load:ident, store $store:ident, blend $blend:ident,
+        load $load:ident, store $store:ident, fma $fma:ident, blend $blend:ident,
         sign $sign:ident, keep $keep:ident;
         ops [$($tr:ident $op:ident $opi:ident),*];
         f32 [$($fm:ident $fmi:ident),*];
@@ -762,6 +763,11 @@ macro_rules! x86_lanes {
                 assert!(s.len() >= $lanes, "store past the slice");
                 // SAFETY: as for `load`.
                 unsafe { $store(s.as_mut_ptr(), self.0) }
+            }
+            #[inline(always)]
+            fn fma(self, b: Self, c: Self) -> Self {
+                // SAFETY: as for the operators.
+                $f(unsafe { $fma(self.0, b.0, c.0) })
             }
             $(#[inline(always)]
             fn $fm(self, o: Self) -> Self {
@@ -903,8 +909,8 @@ fn micro_pass<L: Lane, const R: usize>(
         for (r, accr) in acc.iter_mut().enumerate() {
             let av = l.splat(a.at(r, p));
             for (accv, &bv) in accr.iter_mut().zip(&bv) {
-                // Two roundings, mul then add (rule 1).
-                *accv = *accv + av * bv;
+                // One rounding per step (rule 1).
+                *accv = av.fma(bv, *accv);
             }
         }
     }
@@ -1312,65 +1318,20 @@ fn expm1_for_tanh<L: Lane>(y: L) -> L {
     r.blend(y.splat_i(0x3300_0000).cmpgt(hx), y)
 }
 
-/// The scalar table's hand-written entries: the `A·Bᵀ` tile, which
-/// keeps `dot`'s eight accumulators per output, and `exp_shift`, the
-/// [`exp`] port per element.
-mod scalar {
-    use super::{sum_lanes_tree, NR, NT_COLS};
-
-    // The 7-ary signature IS the `NtTileFn` table ABI.
-    pub(super) fn nt_tile(
-        a: &[f32],
-        rows: usize,
-        k: usize,
-        panel: &[f32],
-        out: &mut [f32],
-        ldo: usize,
-        cols: usize,
-    ) {
-        let (k8, panel) = (k - k % NR, &panel[..k * NT_COLS]);
-        for (r, arow) in a[..rows * k].chunks_exact(k).enumerate() {
-            // `dot`'s eight accumulators for each of the panel's columns.
-            let mut lanes = [[0.0f32; NT_COLS]; NR];
-            let mut tail = [0.0f32; NT_COLS];
-            for (p, (&av, brow)) in arow.iter().zip(panel.chunks_exact(NT_COLS)).enumerate() {
-                let acc = if p < k8 {
-                    &mut lanes[p % NR]
-                } else {
-                    &mut tail
-                };
-                for (l, &bv) in acc.iter_mut().zip(brow) {
-                    *l += av * bv;
-                }
-            }
-            for (j, o) in out[r * ldo..][..cols].iter_mut().enumerate() {
-                *o += sum_lanes_tree(&std::array::from_fn(|l| lanes[l][j])) + tail[j];
-            }
-        }
-    }
-
-    pub(super) fn exp_shift(row: &mut [f32], shift: f32) {
-        for v in row.iter_mut() {
-            *v = super::exp(*v - shift);
-        }
-    }
-}
-
-/// The AVX2 table: the generic bodies on `__m256` lanes, the
-/// hand-written `A·Bᵀ` tile and the `exp` lanes, each entry compiled
-/// for AVX2+FMA.
+/// The AVX2 table: the generic bodies on `__m256` lanes and the
+/// hand-written `exp` lanes, each entry compiled for AVX2+FMA.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::{
         KernelTable, SimdMode, EXP2_TAB, EXP_C, EXP_INV_LN2_N, EXP_MAY_UFLOW, EXP_OFLOW, EXP_SHIFT,
-        EXP_UFLOW, HALF_MR, NR, NT_COLS, NT_ROWS, TILE_COLS,
+        EXP_UFLOW, HALF_MR, NR, TILE_COLS,
     };
     use core::arch::x86_64::*;
 
     x86_lanes! {
         V8(__m256), I8(__m256i), mask __m256i, 8, "avx2,fma";
         new _mm256_setzero_ps, splat _mm256_set1_ps, splat_i _mm256_set1_epi32,
-        load _mm256_loadu_ps, store _mm256_storeu_ps, blend blendv,
+        load _mm256_loadu_ps, store _mm256_storeu_ps, fma _mm256_fmadd_ps, blend blendv,
         sign sign_bits, keep _mm256_and_si256;
         ops [Add add _mm256_add_ps, Sub sub _mm256_sub_ps, Mul mul _mm256_mul_ps,
             Div div _mm256_div_ps];
@@ -1399,8 +1360,8 @@ mod avx2 {
     pub(super) static TABLE: KernelTable = KernelTable {
         mode: SimdMode::Avx2,
         micro_tiles: &[(TILE_COLS, micro_tile)],
+        micro_edge,
         dot,
-        nt_tile,
         topk,
         axpy,
         add_assign,
@@ -1419,11 +1380,11 @@ mod avx2 {
             a: &[f32], row: usize, step: usize, kc_len: usize, b: &[f32], out: &mut [f32],
             n: usize, mr_eff: usize
         ) = super::micro_tile::<V8, HALF_MR>;
+        fn micro_edge(
+            a: &[f32], row: usize, step: usize, kc_len: usize, b: &[f32], out: &mut [f32],
+            n: usize, mr_eff: usize, cols: usize
+        ) = super::micro_edge;
         fn dot(x: &[f32], y: &[f32]) -> f32 = super::dot;
-        fn nt_tile(
-            a: &[f32], rows: usize, k: usize, panel: &[f32], out: &mut [f32], ldo: usize,
-            cols: usize
-        ) = nt_tile_rows;
         fn topk(row: &[f32], idx: &mut [u32], val: &mut [f32]) = super::topk;
         fn axpy(a: f32, v: &[f32], out: &mut [f32]) = super::axpy;
         fn add_assign(v: &[f32], out: &mut [f32]) = super::add_assign;
@@ -1458,100 +1419,6 @@ mod avx2 {
         // SAFETY: the bound above guarantees 8 in-range f32s at `off`;
         // unaligned stores are permitted by `storeu`.
         unsafe { _mm256_storeu_ps(s.as_mut_ptr().add(off), v) }
-    }
-
-    /// The `nt_tile` entry: [`nt_tile_body`] at the tile's row count.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2,fma")]
-    fn nt_tile_rows(
-        _: V8,
-        a: &[f32],
-        rows: usize,
-        k: usize,
-        panel: &[f32],
-        out: &mut [f32],
-        ldo: usize,
-        cols: usize,
-    ) {
-        assert!((1..=NT_ROWS).contains(&rows), "A·Bᵀ tile of {rows} rows");
-        match rows {
-            1 => nt_tile_body::<1>(a, k, panel, out, ldo, cols),
-            2 => nt_tile_body::<2>(a, k, panel, out, ldo, cols),
-            _ => nt_tile_body::<NT_ROWS>(a, k, panel, out, ldo, cols),
-        }
-    }
-
-    /// The `R`-row tile over each 8-column half of the panel that holds
-    /// a column: [`nt_half_tree`] twice, then the tail.
-    #[target_feature(enable = "avx2")]
-    fn nt_tile_body<const R: usize>(
-        a: &[f32],
-        k: usize,
-        panel: &[f32],
-        out: &mut [f32],
-        ldo: usize,
-        cols: usize,
-    ) {
-        // These bounds cover every access below.
-        assert!(
-            R <= NT_ROWS && cols <= NT_COLS && cols <= ldo,
-            "A·Bᵀ tile shape"
-        );
-        let (a, panel) = (&a[..R * k], &panel[..k * NT_COLS]);
-        let out = &mut out[..(R - 1) * ldo + cols];
-        let k8 = k - k % NR;
-        let arows: [&[f32]; R] = std::array::from_fn(|r| &a[r * k..(r + 1) * k]);
-        let ablocks: [&[[f32; NR]]; R] = arows.map(|row| row.as_chunks::<NR>().0);
-        let pblocks = &panel[..k8 * NT_COLS];
-        for h in (0..cols).step_by(NR) {
-            let s0 = nt_half_tree::<R, 0>(&ablocks, pblocks, h);
-            let s1 = nt_half_tree::<R, 2>(&ablocks, pblocks, h);
-            for (r, arow) in arows.iter().enumerate() {
-                let mut tail = _mm256_setzero_ps();
-                for (p, &av) in arow.iter().enumerate().skip(k8) {
-                    let prod = _mm256_mul_ps(_mm256_set1_ps(av), load8(panel, p * NT_COLS + h));
-                    tail = _mm256_add_ps(tail, prod);
-                }
-                let sum = _mm256_add_ps(_mm256_add_ps(s0[r], s1[r]), tail);
-                let (at, n) = (r * ldo + h, NR.min(cols - h));
-                if n == NR {
-                    store8(out, at, _mm256_add_ps(load8(out, at), sum));
-                } else {
-                    let mut lanes = [0.0f32; NR];
-                    store8(&mut lanes, 0, sum);
-                    for (o, &v) in out[at..at + n].iter_mut().zip(&lanes) {
-                        *o += v;
-                    }
-                }
-            }
-        }
-    }
-
-    /// One half of the lane tree for the 8 columns from `h` of each of
-    /// `R` rows, `(l_I + l_{I+4}) + (l_{I+1} + l_{I+5})`: the reduction
-    /// runs over the accumulators `p mod 8 ∈ {I, I+1, I+4, I+5}` only,
-    /// so `4R` of them are live (three rows fit the 16 `ymm`
-    /// registers), and folds them as it ends. `pblocks` is whole 8-row
-    /// blocks of the panel and `h + 8 ≤ NT_COLS`, so every load is in
-    /// bounds.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn nt_half_tree<const R: usize, const I: usize>(
-        ablocks: &[&[[f32; NR]]; R],
-        pblocks: &[f32],
-        h: usize,
-    ) -> [__m256; R] {
-        let mut acc = [[_mm256_setzero_ps(); 4]; R];
-        for (c, pblk) in pblocks.chunks_exact(NR * NT_COLS).enumerate() {
-            let ablk: [&[f32; NR]; R] = std::array::from_fn(|r| &ablocks[r][c]);
-            for (q, l) in [I, I + 1, I + 4, I + 5].into_iter().enumerate() {
-                let bv = load8(pblk, l * NT_COLS + h);
-                for (accr, ab) in acc.iter_mut().zip(&ablk) {
-                    accr[q] = _mm256_add_ps(accr[q], _mm256_mul_ps(_mm256_set1_ps(ab[l]), bv));
-                }
-            }
-        }
-        acc.map(|[li, lj, li4, lj4]| _mm256_add_ps(_mm256_add_ps(li, li4), _mm256_add_ps(lj, lj4)))
     }
 
     /// The `exp_shift` entry.
@@ -1647,19 +1514,18 @@ mod avx2 {
 }
 
 /// The AVX-512 table: the micro-tile pass (12 or 6 rows × 32), `gelu`
-/// and `gelu_backward` on `__m512` lanes, `topk` and the hand-written
-/// 3 × 16 `A·Bᵀ` tile, each compiled for AVX-512F+DQ; every other
-/// entry of [`TABLE`] is the AVX2 one.
+/// and `gelu_backward` on `__m512` lanes and `topk`, each compiled for
+/// AVX-512F+DQ; every other entry of [`TABLE`] is the AVX2 one.
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
     use super::avx2;
-    use super::{KernelTable, SimdMode, MR, NR, NT_COLS, NT_ROWS, TILE_COLS, WIDE_TILE_COLS};
+    use super::{KernelTable, SimdMode, MR, TILE_COLS, WIDE_TILE_COLS};
     use core::arch::x86_64::*;
 
     x86_lanes! {
         V16(__m512), I16(__m512i), mask __mmask16, 16, "avx512f,avx512dq";
         new _mm512_setzero_ps, splat _mm512_set1_ps, splat_i _mm512_set1_epi32,
-        load _mm512_loadu_ps, store _mm512_storeu_ps, blend mask_blend,
+        load _mm512_loadu_ps, store _mm512_storeu_ps, fma _mm512_fmadd_ps, blend mask_blend,
         sign _mm512_movepi32_mask, keep maskz;
         ops [Add add _mm512_add_ps, Sub sub _mm512_sub_ps, Mul mul _mm512_mul_ps,
             Div div _mm512_div_ps];
@@ -1684,14 +1550,11 @@ mod avx512 {
         _mm512_maskz_mov_epi32(m, v)
     }
 
-    /// Lanes per `zmm`.
-    const LANES: usize = 16;
-
     pub(super) static TABLE: KernelTable = KernelTable {
         mode: SimdMode::Avx512,
         micro_tiles: &[(WIDE_TILE_COLS, micro_tile), (TILE_COLS, avx2::micro_tile)],
+        micro_edge: avx2::micro_edge,
         dot: avx2::dot,
-        nt_tile,
         topk,
         axpy: avx2::axpy,
         add_assign: avx2::add_assign,
@@ -1710,105 +1573,12 @@ mod avx512 {
             a: &[f32], row: usize, step: usize, kc_len: usize, b: &[f32], out: &mut [f32],
             n: usize, mr_eff: usize
         ) = super::micro_tile::<V16, MR>;
-        fn nt_tile(
-            a: &[f32], rows: usize, k: usize, panel: &[f32], out: &mut [f32], ldo: usize,
-            cols: usize
-        ) = nt_tile_rows;
         fn topk(row: &[f32], idx: &mut [u32], val: &mut [f32]) = super::topk;
         fn gelu(h: &mut [f32], keep: Option<(&mut [f32], &mut [f32])>) = super::gelu;
         fn gelu_backward(pre: &[f32], tanh: &[f32], g: &mut [f32]) = super::gelu_backward;
         /// The AVX-512 `tanh` lanes over all of `xs`, for the sweeps.
         #[cfg(test)]
         fn tanh_lanes(xs: &mut [f32]) = super::tanh_in_place;
-    }
-
-    /// Loads 16 consecutive `f32`s from a slice of length ≥ `off + 16`.
-    #[inline(always)]
-    fn load16(s: &[f32], off: usize) -> __m512 {
-        assert!(
-            LANES <= s.len() && off <= s.len() - LANES,
-            "load past the slice"
-        );
-        // SAFETY: the bound above guarantees 16 in-range f32s at `off`;
-        // `loadu` permits unaligned loads.
-        unsafe { _mm512_loadu_ps(s.as_ptr().add(off)) }
-    }
-
-    /// The `nt_tile` entry: [`nt_tile_body`] at the tile's row count.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx512f,avx512dq")]
-    fn nt_tile_rows(
-        _: V16,
-        a: &[f32],
-        rows: usize,
-        k: usize,
-        panel: &[f32],
-        out: &mut [f32],
-        ldo: usize,
-        cols: usize,
-    ) {
-        assert!((1..=NT_ROWS).contains(&rows), "A·Bᵀ tile of {rows} rows");
-        match rows {
-            1 => nt_tile_body::<1>(a, k, panel, out, ldo, cols),
-            2 => nt_tile_body::<2>(a, k, panel, out, ldo, cols),
-            _ => nt_tile_body::<NT_ROWS>(a, k, panel, out, ldo, cols),
-        }
-    }
-
-    /// The `R`-row tile in one pass: `dot`'s eight accumulators of
-    /// each row are eight `zmm`s across the panel's 16 columns, 24 for
-    /// three rows, with A broadcast from its row.
-    #[target_feature(enable = "avx512f,avx512dq")]
-    fn nt_tile_body<const R: usize>(
-        a: &[f32],
-        k: usize,
-        panel: &[f32],
-        out: &mut [f32],
-        ldo: usize,
-        cols: usize,
-    ) {
-        // These bounds cover every access below.
-        assert!(
-            R <= NT_ROWS && cols <= NT_COLS && cols <= ldo,
-            "A·Bᵀ tile shape"
-        );
-        let (a, panel) = (&a[..R * k], &panel[..k * NT_COLS]);
-        let out = &mut out[..(R - 1) * ldo + cols];
-        let k8 = k - k % NR;
-        let arows: [&[f32]; R] = std::array::from_fn(|r| &a[r * k..(r + 1) * k]);
-        let ablocks: [&[[f32; NR]]; R] = arows.map(|row| row.as_chunks::<NR>().0);
-        let mut acc = [[_mm512_setzero_ps(); NR]; R];
-        for (c, pblk) in panel[..k8 * NT_COLS].chunks_exact(NR * LANES).enumerate() {
-            let ablk: [&[f32; NR]; R] = std::array::from_fn(|r| &ablocks[r][c]);
-            for l in 0..NR {
-                let bv = load16(pblk, l * LANES);
-                for (accr, ab) in acc.iter_mut().zip(&ablk) {
-                    // Two roundings, as `dot` (rule 1).
-                    accr[l] = _mm512_add_ps(accr[l], _mm512_mul_ps(_mm512_set1_ps(ab[l]), bv));
-                }
-            }
-        }
-        // Only the columns below `cols` are loaded or stored.
-        let mask = ((1u32 << cols) - 1) as __mmask16;
-        for (r, (accr, arow)) in acc.iter().zip(&arows).enumerate() {
-            let mut tail = _mm512_setzero_ps();
-            for p in k8..k {
-                let prod = _mm512_mul_ps(_mm512_set1_ps(arow[p]), load16(panel, p * LANES));
-                tail = _mm512_add_ps(tail, prod);
-            }
-            let [l0, l1, l2, l3, l4, l5, l6, l7] = *accr;
-            let s0 = _mm512_add_ps(_mm512_add_ps(l0, l4), _mm512_add_ps(l1, l5));
-            let s1 = _mm512_add_ps(_mm512_add_ps(l2, l6), _mm512_add_ps(l3, l7));
-            let sum = _mm512_add_ps(_mm512_add_ps(s0, s1), tail);
-            let at = out[r * ldo..].as_mut_ptr();
-            // SAFETY: `out` holds `cols` elements from `r * ldo` (the
-            // slice above), and the mask loads and stores no lane past
-            // them.
-            unsafe {
-                let o = _mm512_maskz_loadu_ps(mask, at);
-                _mm512_mask_storeu_ps(at, mask, _mm512_add_ps(o, sum));
-            }
-        }
     }
 }
 
@@ -1827,10 +1597,10 @@ pub(crate) mod tests {
     }
 
     /// A `rows × cols` micro-tile's product element by element, in the
-    /// order [`KernelTable::micro_tiles`] documents: each element sums
-    /// its `kc_len` products from zero in `p` order, then adds the sum
-    /// to `out`. The reference for every table's tiles; it shares no
-    /// code with them.
+    /// order [`KernelTable::micro_tiles`] documents: each element is a
+    /// chain of `kc_len` fused multiply-adds from zero in `p` order, then
+    /// the chain's sum is added to `out`. The reference for every
+    /// table's tiles; it shares no code with them.
     #[allow(clippy::too_many_arguments)]
     fn tile_ref(
         (a, row, step): (&[f32], usize, usize),
@@ -1845,7 +1615,7 @@ pub(crate) mod tests {
             for j in 0..cols {
                 let mut acc = 0.0f32;
                 for p in 0..kc_len {
-                    acc += a[r * row + p * step] * b[p * n + j];
+                    acc = a[r * row + p * step].mul_add(b[p * n + j], acc);
                 }
                 out[r * n + j] += acc;
             }
@@ -2202,16 +1972,20 @@ pub(crate) mod tests {
         }
     }
 
-    /// Every tile of every table, on every row count `1..=MR`, with A
-    /// laid out as an `A·B` block reads it (rows `k` apart, step 1) and
-    /// as an `Aᵀ·B` block does (adjacent rows, step `m`), equals the
-    /// per-element reference bit for bit.
+    /// Every tile of every table, and its edge at every width below
+    /// `TILE_COLS`, on every row count `1..=MR`, with A laid out as an
+    /// `A·B` block reads it (rows `k` apart, step 1) and as an `Aᵀ·B`
+    /// block does (adjacent rows, step `m`), equals the per-element
+    /// reference bit for bit.
     #[test]
     fn micro_tile_matches_scalar_bitwise_on_short_tiles() {
         let (kc_len, k, m) = (9usize, 11usize, MR + 2);
         let a = ramp(m * k, 5);
         for kt in std::iter::once(&SCALAR_TABLE).chain(simd_tables()) {
-            for &(cols, tile) in kt.micro_tiles {
+            let edge = kt.micro_edge;
+            let edges = (1..TILE_COLS).map(|c| (c, None));
+            let tiles = kt.micro_tiles.iter().map(|&(c, t)| (c, Some(t)));
+            for (cols, tile) in tiles.chain(edges) {
                 let n = cols + 5;
                 let b = ramp(kc_len * n, 4);
                 for (row, step) in [(k, 1), (1, m)] {
@@ -2219,7 +1993,10 @@ pub(crate) mod tests {
                         let mut want = ramp(MR * n, 6);
                         let mut got = want.clone();
                         tile_ref((&a, row, step), kc_len, &b, &mut want, n, mr_eff, cols);
-                        tile(&a, row, step, kc_len, &b, &mut got, n, mr_eff);
+                        match tile {
+                            Some(tile) => tile(&a, row, step, kc_len, &b, &mut got, n, mr_eff),
+                            None => edge(&a, row, step, kc_len, &b, &mut got, n, mr_eff, cols),
+                        }
                         let label = kt.mode.label();
                         let at = format!("{label} {cols} rows {mr_eff} strides ({row}, {step})");
                         assert_eq!(bits(&want), bits(&got), "{at}");
@@ -2520,7 +2297,7 @@ pub(crate) mod tests {
             #![proptest_config(ProptestConfig::with_cases(256))]
 
             /// Every micro-tile of every table (6 × 16 on AVX2; 12- or
-            /// 6-row × 32, then 6 × 16, on AVX-512; the scalar edge at
+            /// 6-row × 32, then 6 × 16, on AVX-512; each table's edge at
             /// every narrower width) equals the per-element reference
             /// bit for bit on every row count `1..=MR`, every panel depth
             /// from `kc_len = 0` and a tile right of the first (`jc > 0`)
@@ -2539,10 +2316,10 @@ pub(crate) mod tests {
                 skews in (skew(), skew(), skew()),
                 seed in 0u64..1024,
             ) {
-                let tables = std::iter::once(&SCALAR_TABLE).chain(simd_tables());
-                let edges = (1..TILE_COLS).map(|c| (c, None));
-                let tiles = tables.flat_map(|kt| kt.micro_tiles.iter().map(move |&(c, t)| (c, Some((kt, t)))));
-                for (cols, tile) in tiles.chain(edges) {
+                for (cols, kt, tile) in std::iter::once(&SCALAR_TABLE).chain(simd_tables()).flat_map(|kt| {
+                    let edges = (1..TILE_COLS).map(move |c| (c, kt, None));
+                    kt.micro_tiles.iter().map(move |&(c, t)| (c, kt, Some(t))).chain(edges)
+                }) {
                     let (n, jc) = ((jt + 1) * cols + 1 + rem % cols.max(2), jt * cols);
                     let (row, step) = if transposed { (1, mr_eff + pad) } else { (kc_len + pad, 1) };
                     let a_len = (mr_eff - 1) * row + kc_len.saturating_sub(1) * step + 1;
@@ -2553,57 +2330,12 @@ pub(crate) mod tests {
                     let (mut want, mut got) = (out.clone(), out);
                     let o = skews.2 + jc;
                     tile_ref((a, row, step), kc_len, b, &mut want[o..], n, mr_eff, cols);
-                    let label = match tile {
-                        Some((kt, tile)) => {
-                            tile(a, row, step, kc_len, b, &mut got[o..], n, mr_eff);
-                            kt.mode.label()
-                        }
-                        None => {
-                            micro_tile_edge(a, row, step, kc_len, b, &mut got[o..], n, mr_eff, cols);
-                            "edge"
-                        }
-                    };
+                    match tile {
+                        Some(tile) => tile(a, row, step, kc_len, b, &mut got[o..], n, mr_eff),
+                        None => (kt.micro_edge)(a, row, step, kc_len, b, &mut got[o..], n, mr_eff, cols),
+                    }
+                    let label = kt.mode.label();
                     prop_assert_eq!(bits(&want), bits(&got), "{} {} strides ({}, {})", label, cols, row, step);
-                }
-            }
-
-            /// Every table's `A·Bᵀ` tile equals `dot` per element bit for
-            /// bit on every short tile (`rows ∈ 1..=NT_ROWS`, `cols ∈
-            /// 1..=NT_COLS`), every `k % 8` from `k = 1` to past eight
-            /// 8-lane blocks and any output stride, with ±0, ±inf, NaN
-            /// and subnormals among the operands, all three at odd
-            /// offsets and `out` exactly as long as the tile reaches.
-            #[test]
-            fn nt_tile_agrees_with_dot_on_edges(
-                (rows, cols) in (1usize..=NT_ROWS, 1usize..=NT_COLS),
-                (kq, kr) in (0usize..9, 0usize..NR),
-                extra in 0usize..5,
-                skews in (skew(), skew(), skew()),
-                seed in 0u64..1024,
-            ) {
-                let (k, ldo) = ((kq * NR + kr).max(1), cols + extra);
-                let a = sprinkle(skewed(rows * k, seed, skews.0), seed);
-                let b = sprinkle(ramp(cols * k, seed + 1), seed + 2);
-                // The panel as the launch packs it: `Bᵀ`, zero past `cols`.
-                let mut panel = skewed(k * NT_COLS, seed + 3, skews.1);
-                let o = skews.1;
-                for (p, prow) in panel[o..].chunks_exact_mut(NT_COLS).enumerate() {
-                    for (j, v) in prow.iter_mut().enumerate() {
-                        *v = if j < cols { b[j * k + p] } else { 0.0 };
-                    }
-                }
-                let out = skewed((rows - 1) * ldo + cols, seed + 4, skews.2);
-                let a_s = &a[skews.0..];
-                for kt in std::iter::once(&SCALAR_TABLE).chain(simd_tables()) {
-                    let mut want = out[skews.2..].to_vec();
-                    for r in 0..rows {
-                        for j in 0..cols {
-                            want[r * ldo + j] += (kt.dot)(&a_s[r * k..][..k], &b[j * k..][..k]);
-                        }
-                    }
-                    let mut got = out.clone();
-                    (kt.nt_tile)(a_s, rows, k, &panel[o..], &mut got[skews.2..], ldo, cols);
-                    prop_assert_eq!(bits(&got[skews.2..]), bits(&want), "{}", kt.mode.label());
                 }
             }
 

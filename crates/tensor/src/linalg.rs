@@ -37,23 +37,22 @@
 //!   table's register micro-tiles accumulate with a fixed, branch-free
 //!   inner loop kept in vector registers, up to [`MR`] (12) rows a
 //!   call — `× 32` on AVX-512, then `× `[`TILE_COLS`] (16) for a
-//!   remainder that is wide enough, then a scalar edge tile. Neither
-//!   operand is copied: A is read in place (an `A·B` tile reads rows
-//!   `k` apart at step 1, an `Aᵀ·B` tile adjacent rows at step `m`) and
-//!   B at stride `n`;
-//! * `A·Bᵀ` reads both operands along `k`, so each group's B is packed
-//!   once per launch into [`NT_COLS`]-column `Bᵀ` panels (an arena
-//!   buffer, packed on the calling thread) and the table's
-//!   [`NT_ROWS`]` × NT_COLS` tile runs over them as an `A·B` tile does,
-//!   A broadcast from its row: each output keeps `dot`'s eight
-//!   accumulators (step `p` into accumulator `p mod 8`), its lane tree
-//!   and its tail, so it is `dot` bit for bit, with the vector lanes
-//!   across the panel's columns;
+//!   remainder that is wide enough, then the table's edge tile. Each
+//!   element is a chain of fused multiply-adds from zero within a
+//!   panel, and the panel sums add into the output in panel order.
+//!   Neither operand is copied: A is read in place (an `A·B` tile reads
+//!   rows `k` apart at step 1, an `Aᵀ·B` tile adjacent rows at step
+//!   `m`) and B at stride `n`;
+//! * `A·Bᵀ` reads both operands along `k`, so it is `A·B` over a
+//!   transposed B: each group's B is first written out as a row-major
+//!   `Bᵀ` (an arena buffer, one pool job of per-group chunks), then
+//!   `A·B`'s row blocks and epilogue run over it. Its elements take
+//!   `A·B`'s order, so `A·Bᵀ(a, b)` is `A·B(a, bᵀ)` bit for bit;
 //! * there is no value-sparsity branch: on dense operands an
 //!   `av == 0.0` skip costs more than the multiply and blocks
 //!   vectorization.
 
-use crate::dispatch::{self, NtTileFn, MR, NT_COLS, NT_ROWS};
+use crate::dispatch::{self, MR};
 use crate::ops::{check_top_k, softmax_top_k_rows, TopK};
 use crate::{scratch, Result, Tensor, TensorError};
 
@@ -284,15 +283,12 @@ fn nn(
 /// Grouped `out = epilogue(a · bᵀ)` over ragged bins: `a` packed
 /// `(R, k)`, `b` one `(n, k)` matrix per group (row-major over `k`),
 /// `out` packed `(R, n)`. The backward-input primitive
-/// (`dH = dY · W2ᵀ`). Each output element is `dot`'s strip-mined sum
-/// in `dot`'s order, bit for bit, computed the way `A·B` is: each
-/// group's `b` is packed once per launch into [`NT_COLS`]-column `Bᵀ`
-/// panels (`k × NT_COLS`, zero past `n`; an arena buffer, packed on
-/// the calling thread), and each row block runs the table's
-/// [`NT_ROWS`]` × NT_COLS` tiles over them, A read in place. The
-/// product is stored and finished block by block exactly as
-/// [`grouped_gemm_into`] does for `a · b` (pass `|_, _, _| {}` for the
-/// bare product).
+/// (`dH = dY · W2ᵀ`). Each group's `b` is transposed into a `(k, n)`
+/// arena buffer first, in one pool job of one chunk per group (an
+/// empty group's is skipped), and [`grouped_gemm_into`] then runs over
+/// it: every output element is the `A·B` launch's on `bᵀ`, bit for
+/// bit, stored and finished block by block (pass `|_, _, _| {}` for
+/// the bare product).
 #[allow(clippy::too_many_arguments)]
 pub fn grouped_gemm_nt_into(
     a: &[f32],
@@ -305,78 +301,35 @@ pub fn grouped_gemm_nt_into(
 ) {
     let total = offsets.last().copied().unwrap_or(0);
     let groups = offsets.len().saturating_sub(1);
-    debug_assert_eq!(a.len(), total * k);
     debug_assert_eq!(b.len(), groups * n * k);
-    debug_assert_eq!(out.len(), total * n);
-    if groups == 0 || total == 0 || n == 0 {
+    if total == 0 || n == 0 {
         return;
     }
-    // Packed on the calling thread, before the row blocks: one
-    // weight-sized copy, so the launch runs as `A·B`'s one pool job.
-    let group_len = n.div_ceil(NT_COLS) * k * NT_COLS;
-    let mut panels = Vec::new();
-    if group_len > 0 {
-        panels = tutel_rt::arena().take_raw(groups * group_len);
-        for (g, panels_g) in panels.chunks_exact_mut(group_len).enumerate() {
+    let mut bt = Vec::new();
+    if k > 0 {
+        bt = tutel_rt::arena().take_raw(groups * k * n);
+        tutel_rt::parallel_chunks(&mut bt, k * n, |g, bt_g| {
             if offsets[g + 1] > offsets[g] {
-                pack_bt(&b[g * n * k..(g + 1) * n * k], k, n, panels_g);
+                transpose(&b[g * n * k..(g + 1) * n * k], k, n, bt_g);
             }
-        }
+        });
     }
-    let nt_tile = dispatch::table().nt_tile;
-    row_blocks(out, offsets, n, true, |g, r0, chunk| {
-        if group_len > 0 {
-            let (first, rows) = (offsets[g] + r0, chunk.len() / n);
-            let a_blk = &a[first * k..(first + rows) * k];
-            let panels_g = &panels[g * group_len..(g + 1) * group_len];
-            block_nt(nt_tile, a_blk, panels_g, chunk, k, n);
-        }
-        epilogue(g, r0, chunk);
-    });
-    if group_len > 0 {
-        tutel_rt::arena().put(panels);
-    }
+    nn(a, &bt, out, offsets, k, n, true, epilogue);
+    tutel_rt::arena().put(bt);
 }
 
-/// Packs one group's `b (n × k)` as `Bᵀ` panels: panel `q` is
-/// `k × NT_COLS`, its row `p` holding element `p` of B rows
-/// `q·NT_COLS ..`, and `0.0` past row `n`.
-fn pack_bt(b: &[f32], k: usize, n: usize, panels: &mut [f32]) {
-    for (q, panel) in panels.chunks_exact_mut(k * NT_COLS).enumerate() {
-        let cols = NT_COLS.min(n - q * NT_COLS);
-        if cols < NT_COLS {
-            panel.fill(0.0);
-        }
-        // The panel's B rows; the last one repeats past `n`, unread.
-        let rows: [&[f32]; NT_COLS] =
-            std::array::from_fn(|j| &b[(q * NT_COLS + j.min(cols - 1)) * k..][..k]);
-        for (p, prow) in panel.chunks_exact_mut(NT_COLS).enumerate() {
-            for (v, row) in prow.iter_mut().zip(&rows).take(cols) {
-                *v = row[p];
-            }
-        }
-    }
-}
+/// B rows per pass of [`transpose`]: each pass writes runs of this many
+/// adjacent elements and reads as many rows side by side.
+const TRANSPOSE_ROWS: usize = 16;
 
-/// `out += a · bᵀ` for one `rows × n` block (`k > 0`): `a` is the
-/// block's `rows × k` rows, `panels` its group's packed `Bᵀ`. Each
-/// panel runs the tile down the block, [`NT_ROWS`] rows at a time, so
-/// it is read from cache for every row after the first.
-fn block_nt(nt_tile: NtTileFn, a: &[f32], panels: &[f32], out: &mut [f32], k: usize, n: usize) {
-    let rows = out.len() / n;
-    for (q, panel) in panels.chunks_exact(k * NT_COLS).enumerate() {
-        let (jc, cols) = (q * NT_COLS, NT_COLS.min(n - q * NT_COLS));
-        for i in (0..rows).step_by(NT_ROWS) {
-            let r = NT_ROWS.min(rows - i);
-            nt_tile(
-                &a[i * k..(i + r) * k],
-                r,
-                k,
-                panel,
-                &mut out[i * n + jc..],
-                n,
-                cols,
-            );
+/// Writes `b (n × k)` transposed into `bt (k × n)`.
+fn transpose(b: &[f32], k: usize, n: usize, bt: &mut [f32]) {
+    for j0 in (0..n).step_by(TRANSPOSE_ROWS) {
+        let rows = &b[j0 * k..(j0 + TRANSPOSE_ROWS).min(n) * k];
+        for (p, bt_row) in bt.chunks_exact_mut(n).enumerate() {
+            for (v, brow) in bt_row[j0..].iter_mut().zip(rows.chunks_exact(k)) {
+                *v = brow[p];
+            }
         }
     }
 }
@@ -529,7 +482,7 @@ fn grouped_ranges(offsets: &[usize], cols: usize) -> GroupedSchedule {
 /// `b` is `k × n`. Same code runs regardless of which pool worker
 /// executes the block, so results never depend on thread count.
 fn block(a: &[f32], (row, step): (usize, usize), b: &[f32], out: &mut [f32], k: usize, n: usize) {
-    let micro_tiles = dispatch::table().micro_tiles;
+    let kt = dispatch::table();
     let rows = out.len() / n;
     for pc in (0..k).step_by(KC) {
         let (kc_len, b) = (KC.min(k - pc), &b[pc * n..]);
@@ -539,7 +492,7 @@ fn block(a: &[f32], (row, step): (usize, usize), b: &[f32], out: &mut [f32], k: 
             // The table's tiles, widest first while they fit; the last
             // is `TILE_COLS` wide, so the edge is narrower than that.
             let mut jc = 0;
-            for &(cols, micro_tile) in micro_tiles {
+            for &(cols, micro_tile) in kt.micro_tiles {
                 while n - jc >= cols {
                     let (b, out) = (&b[jc..], &mut out[jc..]);
                     micro_tile(a, row, step, kc_len, b, out, n, mr_eff);
@@ -548,7 +501,7 @@ fn block(a: &[f32], (row, step): (usize, usize), b: &[f32], out: &mut [f32], k: 
             }
             if jc < n {
                 let (b, out) = (&b[jc..], &mut out[jc..]);
-                dispatch::micro_tile_edge(a, row, step, kc_len, b, out, n, mr_eff, n - jc);
+                (kt.micro_edge)(a, row, step, kc_len, b, out, n, mr_eff, n - jc);
             }
         }
     }
@@ -924,39 +877,30 @@ mod tests {
         }
     }
 
-    /// The `A·Bᵀ` launch as a per-element loop: one `dot` per element,
-    /// row by row, from zero. The oracle the tiled launch must equal bit
-    /// for bit.
-    fn nt_per_element_dots(
-        a: &[f32],
-        b: &[f32],
-        offsets: &[usize],
-        k: usize,
-        n: usize,
-    ) -> Vec<f32> {
-        let dot = dispatch::table().dot;
-        let mut out = vec![0.0f32; offsets.last().unwrap() * n];
-        for g in 0..offsets.len() - 1 {
-            let b_g = &b[g * n * k..(g + 1) * n * k];
-            for row in offsets[g]..offsets[g + 1] {
-                let arow = &a[row * k..(row + 1) * k];
-                for (j, o) in out[row * n..(row + 1) * n].iter_mut().enumerate() {
-                    *o += dot(arow, &b_g[j * k..(j + 1) * k]);
+    /// `b`'s `groups` row-major `(n, k)` matrices, each transposed to
+    /// `(k, n)`, element by element.
+    fn transposed(b: &[f32], groups: usize, k: usize, n: usize) -> Vec<f32> {
+        let mut bt = vec![0.0f32; groups * k * n];
+        for g in 0..groups {
+            for j in 0..n {
+                for p in 0..k {
+                    bt[(g * k + p) * n + j] = b[(g * n + j) * k + p];
                 }
             }
         }
-        out
+        bt
     }
 
-    /// Adds to `o` the panel sums of the products `prod(0..len)`: each
-    /// `KC` panel's products summed from zero in `p` order, the panel
-    /// sums in panel order — the order every `A·B` and `Aᵀ·B` element
-    /// keeps, split-k included.
-    fn add_panel_sums(o: &mut f32, len: usize, prod: impl Fn(usize) -> f32) {
+    /// Adds to `o` the panel sums of the products of the operand pairs
+    /// `pair(0..len)`: each `KC` panel a chain of fused multiply-adds
+    /// from zero in `p` order, the panel sums added in panel order — the
+    /// order every grouped launch's element keeps, split-k included.
+    fn add_panel_sums(o: &mut f32, len: usize, pair: impl Fn(usize) -> (f32, f32)) {
         for pc in (0..len).step_by(KC) {
             let mut acc = 0.0f32;
             for p in pc..(pc + KC).min(len) {
-                acc += prod(p);
+                let (x, y) = pair(p);
+                acc = x.mul_add(y, acc);
             }
             *o += acc;
         }
@@ -970,7 +914,7 @@ mod tests {
         for g in 0..offsets.len() - 1 {
             for row in offsets[g]..offsets[g + 1] {
                 for (j, o) in out[row * n..(row + 1) * n].iter_mut().enumerate() {
-                    add_panel_sums(o, k, |p| a[row * k + p] * b[(g * k + p) * n + j]);
+                    add_panel_sums(o, k, |p| (a[row * k + p], b[(g * k + p) * n + j]));
                 }
             }
         }
@@ -984,8 +928,8 @@ mod tests {
             let p0 = offsets[g];
             for (i, orow) in out_g.chunks_exact_mut(n).enumerate() {
                 for (j, o) in orow.iter_mut().enumerate() {
-                    let prod = |p: usize| a[(p0 + p) * ma + i] * b[(p0 + p) * n + j];
-                    add_panel_sums(o, offsets[g + 1] - p0, prod);
+                    let pair = |p: usize| (a[(p0 + p) * ma + i], b[(p0 + p) * n + j]);
+                    add_panel_sums(o, offsets[g + 1] - p0, pair);
                 }
             }
         }
@@ -997,13 +941,12 @@ mod tests {
     /// side of 32, 64 and 512, and either side of one and two `KC`
     /// panels: the three grouped launches over two bins with an empty
     /// one between them, scalar against every SIMD table the host has,
-    /// bit for bit, and each against its per-element oracle in every
-    /// table (`A·Bᵀ` the `dot` loop). `n` covers every edge of the 32-
-    /// and 16-column micro-tiles and of the 16-column `A·Bᵀ` tile and
-    /// its 8-column AVX2 halves; `m` (`Aᵀ·B`'s `ma` too) every `m % MR`,
-    /// `m % HALF_MR` and `m % NT_ROWS`; `Aᵀ·B`'s longest bin (`2·KC +
-    /// 3`) is split into three panel jobs. The operands hold ±0, ±inf,
-    /// NaN and subnormals.
+    /// bit for bit, `A·B` and `Aᵀ·B` against their per-element oracles
+    /// and `A·Bᵀ` against `A·B` over the transposed B, in every table.
+    /// `n` covers every edge of the 32- and 16-column micro-tiles and
+    /// the edge tile; `m` (`Aᵀ·B`'s `ma` too) every `m % MR` and `m %
+    /// HALF_MR`; `Aᵀ·B`'s longest bin (`2·KC + 3`) is split into three
+    /// panel jobs. The operands hold ±0, ±inf, NaN and subnormals.
     #[test]
     #[ignore = "enumerates ~57 000 shapes × 3 launches × 3 tables (minutes in release): ci.sh runs it by name"]
     fn grouped_launches_match_across_simd_modes_on_every_tile_edge() {
@@ -1039,16 +982,18 @@ mod tests {
                     let bits = |v: Vec<f32>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                     let nn_want = bits(nn_per_element(a, b, &rows, k, n));
                     let tn_want = bits(tn_per_element(a, &b[..2 * k * n], &reduce, m, n));
+                    let bt = transposed(b, 3, k, n);
                     let run = |mode: SimdMode| {
                         dispatch::with_kernel_mode(mode, || {
                             let mut nn = vec![f32::NAN; 2 * m * n];
                             grouped_gemm_into(a, b, &mut nn, &rows, k, n, |_, _, _| {});
                             let mut nt = vec![f32::NAN; 2 * m * n];
                             grouped_gemm_nt_into(a, b, &mut nt, &rows, k, n, |_, _, _| {});
-                            let dots = nt_per_element_dots(a, b, &rows, k, n);
+                            let mut nn_t = vec![f32::NAN; 2 * m * n];
+                            grouped_gemm_into(a, &bt, &mut nn_t, &rows, k, n, |_, _, _| {});
                             let mut tn = vec![0.0f32; 3 * m * n];
                             grouped_gemm_tn(a, &b[..2 * k * n], &mut tn, &reduce, m, n);
-                            [nn, nt, tn, dots].map(bits)
+                            [nn, nt, tn, nn_t].map(bits)
                         })
                     };
                     let scalar = run(SimdMode::Scalar);
@@ -1060,7 +1005,7 @@ mod tests {
                         };
                         let label = mode.label();
                         assert_eq!(got[0], nn_want, "{label} nn vs oracle at m {m} n {n} k {k}");
-                        assert_eq!(got[1], got[3], "{label} nt vs dot at m {m} n {n} k {k}");
+                        assert_eq!(got[1], got[3], "{label} nt vs nn at m {m} n {n} k {k}");
                         assert_eq!(got[2], tn_want, "{label} tn vs oracle at m {m} n {n} k {k}");
                         for (what, (s, v)) in ["nn", "nt", "tn"].iter().zip(scalar.iter().zip(&got))
                         {
@@ -1110,24 +1055,24 @@ mod tests {
                 })
         }
 
-        /// Bin sizes off every `NT_ROWS` multiple, with empty bins and
-        /// bins longer than one `ROW_BLOCK`.
+        /// Bin sizes off every `MR` and `HALF_MR` multiple, with empty
+        /// bins and bins longer than one `ROW_BLOCK`.
         fn nt_bins() -> impl Strategy<Value = Vec<usize>> {
             // One bin in four is empty.
-            let rows = (0usize..4, 0usize..20, 0usize..NT_ROWS).prop_map(|(empty, q, r)| {
+            let rows = (0usize..4, 0usize..6, 0usize..MR).prop_map(|(empty, q, r)| {
                 if empty == 0 {
                     0
                 } else {
-                    q * NT_ROWS + r
+                    q * MR + r
                 }
             });
             prop::collection::vec(rows, 1..6)
         }
 
-        /// Reduction lengths below one 8-lane block, at every `k % NR`,
-        /// and either side of 32, 64 and 512.
+        /// Reduction lengths from 0 to past three 8-lane blocks, and
+        /// either side of 32, one `KC` panel and two.
         fn nt_depth() -> impl Strategy<Value = usize> {
-            const EDGES: [usize; 9] = [31, 32, 33, 63, 64, 65, 511, 512, 513];
+            const EDGES: [usize; 9] = [31, 32, 33, KC - 1, KC, KC + 1, 511, 512, 513];
             (0..=3 * NR + EDGES.len()).prop_map(|i| {
                 if i <= 3 * NR {
                     i
@@ -1313,20 +1258,20 @@ mod tests {
                 }
             }
 
-            /// The tiled `A·Bᵀ` launch equals the per-element `dot`
-            /// loop bit for bit over every `rows % NT_ROWS`, `n % 16`
-            /// and `n % 8`, `k` below one 8-lane block, at every `k % 8`
-            /// and either side of 32, 64 and 512, with empty bins and
-            /// ±0, ±inf, NaN and subnormals among the operands, in every
-            /// kernel table at 1 or 4 workers.
+            /// `A·Bᵀ(a, b)` equals `A·B(a, bᵀ)` bit for bit over every
+            /// `rows % MR`, `n` on either side of the 32- and 16-column
+            /// tiles, `k` from 0 and either side of one and two `KC`
+            /// panels, with empty bins and ±0, ±inf, NaN and subnormals
+            /// among the operands, in every kernel table at 1 or 4
+            /// workers.
             #[test]
-            fn nt_tiles_equal_the_per_element_dot_loop(
+            fn nt_equals_nn_over_the_transpose(
                 sizes in nt_bins(),
-                (nq, nr) in (0usize..3, 0usize..NT_COLS),
+                (nq, nr) in (0usize..3, 0usize..WIDE_TILE_COLS),
                 k in nt_depth(),
                 seed in 0u64..1024,
             ) {
-                let n = nq * NT_COLS + nr;
+                let n = nq * WIDE_TILE_COLS + nr;
                 let mut offsets = vec![0usize];
                 for s in &sizes {
                     offsets.push(offsets.last().unwrap() + s);
@@ -1338,16 +1283,18 @@ mod tests {
                     sprinkle(v, seed)
                 };
                 let (a, b) = (draw(total * k), draw(groups * n * k));
+                let bt = transposed(&b, groups, k, n);
+                let bits = |s: &[f32]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                 for mode in crate::dispatch::kernel_modes() {
                     crate::dispatch::with_kernel_mode(mode, || {
-                        let want = nt_per_element_dots(&a, &b, &offsets, k, n);
+                        let mut want = vec![f32::NAN; total * n];
+                        grouped_gemm_into(&a, &bt, &mut want, &offsets, k, n, |_, _, _| {});
                         for limit in [1usize, 4] {
                             let got = tutel_rt::with_parallelism_limit(limit, || {
                                 let mut got = vec![f32::NAN; total * n];
                                 grouped_gemm_nt_into(&a, &b, &mut got, &offsets, k, n, |_, _, _| {});
                                 got
                             });
-                            let bits = |s: &[f32]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                             assert_eq!(bits(&got), bits(&want), "{mode:?} limit {limit}");
                         }
                     });

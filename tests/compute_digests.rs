@@ -1,13 +1,14 @@
 //! Bits of the compute core, pinned as FNV-1a digests.
 //!
-//! Every constant below was recorded on the commit *before* the dense
+//! The constants were first recorded on the commit *before* the dense
 //! GEMM trio, the GELU family, the two FFN bodies and the four
 //! hand-written optimizer steps were folded into one implementation
-//! each, and the file passes unchanged after it: a refactor of
-//! `tensor::{linalg, ops}`, `experts::ffn`, `gate::router` or
-//! `tutel::model` that moves one output, gradient or post-step weight
-//! bit fails here. A deliberate numeric change re-records the
-//! constants in the same commit.
+//! each, and re-recorded once since, when every GEMM element became a
+//! chain of fused multiply-adds and `A·Bᵀ` took `A·B`'s order over a
+//! transposed B: a refactor of `tensor::{linalg, ops}`, `experts::ffn`,
+//! `gate::router` or `tutel::model` that moves one output, gradient or
+//! post-step weight bit fails here. A deliberate numeric change
+//! re-records the constants in the same commit.
 //!
 //! Outputs are a pure function of the problem, so each case has *one*
 //! digest, asserted in every `TUTEL_SIMD ∈ {0, 1}` × parallelism-limit
@@ -83,7 +84,7 @@ const GEMM_SHAPES: [(usize, usize, usize); 12] = [
     (4, 5, 0),
 ];
 
-const GEMM_DIGEST: u64 = 0xa8ae_f3a0_1da0_4bbd;
+const GEMM_DIGEST: u64 = 0x48dc_94f8_83bc_ff05;
 
 #[test]
 fn dense_gemm_views_keep_their_bits() {
@@ -105,8 +106,8 @@ fn dense_gemm_views_keep_their_bits() {
     assert_eq!(got, GEMM_DIGEST, "got {got:#018x}");
 }
 
-const FFN_F32_DIGEST: u64 = 0xe7b8_8070_ee67_b361;
-const FFN_BF16_DIGEST: u64 = 0x2a3b_79d8_a9e1_2ab3;
+const FFN_F32_DIGEST: u64 = 0x4b5a_1455_6ddb_3436;
+const FFN_BF16_DIGEST: u64 = 0xc96a_e5c8_415a_8025;
 
 /// `forward_grouped → backward_grouped → step → infer_grouped` over
 /// ragged bins with an empty bin and one that spans two row blocks:
@@ -150,10 +151,10 @@ fn expert_ffn_keeps_its_bits_through_a_train_step() {
 
 /// `(final loss bits, state_dict digest)` after 20 steps, per model.
 const TRAIN_DIGESTS: [(&str, u32, u64); 4] = [
-    ("linear", 0x3fb3_6b86, 0xc3cb_1f6e_6c4d_0fb7),
-    ("cosine", 0x3f96_9b82, 0x79b5_691d_5ce8_592b),
-    ("hash", 0x3fc5_6420, 0xe934_0462_6418_dce4),
-    ("dense", 0x400d_35d9, 0xaf18_b724_ff6c_119f),
+    ("linear", 0x3fb3_6b87, 0xb2be_aa71_cf1f_5004),
+    ("cosine", 0x3f96_c2d6, 0x09ed_38d7_9c1b_c556),
+    ("hash", 0x3fc5_6423, 0x7700_1ab5_e08f_a19c),
+    ("dense", 0x400d_35d4, 0xd49a_e0f5_f060_1e26),
 ];
 
 /// Twenty optimizer steps of a tiny SwinLite model: the only gate on
@@ -219,7 +220,7 @@ fn twenty_training_steps_keep_their_bits_for_every_router() {
     assert_eq!(got, want);
 }
 
-const MANY_EXPERTS_DIGEST: u64 = 0x4714_b50d_2d2d_0668;
+const MANY_EXPERTS_DIGEST: u64 = 0x8e3d_efbc_b173_22be;
 
 /// Three fwd+bwd+step rounds of a many-experts `MoeLayer` (E = 64,
 /// top-2, dropless, tokens from Zipf-weighted clusters so the load is

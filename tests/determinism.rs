@@ -9,8 +9,9 @@
 //!
 //! The same contract extends along the kernel-table axis: every table
 //! runs the same generic kernel bodies on its own lane type (`f32`,
-//! AVX2's `__m256`, AVX-512's `__m512`), with one reduction tree and no
-//! FMA, so `TUTEL_SIMD=0` and `TUTEL_SIMD=1` (the widest table the host
+//! AVX2's `__m256`, AVX-512's `__m512`), with one reduction tree and
+//! one fused multiply-add per GEMM step (`f32::mul_add` on one lane), so
+//! `TUTEL_SIMD=0` and `TUTEL_SIMD=1` (the widest table the host
 //! has) must also be bit-identical — at every worker count
 //! simultaneously. The cross-mode sweep below pins the in-process
 //! override path (`dispatch::with_simd_mode`); `ci.sh` repeats the
