@@ -11,6 +11,8 @@
 //! seed, which is what lets CI assert latency distributions and the
 //! proptests assert admission invariants.
 
+use std::collections::HashMap;
+
 use tutel_obs::{AnomalyRecord, DecisionRecord, Telemetry};
 use tutel_tensor::Tensor;
 
@@ -139,8 +141,10 @@ pub struct Engine<'a> {
     tel: &'a Telemetry,
     queue: IngressQueue,
     batcher: ContinuousBatcher,
-    /// Requests offered to the batcher but not yet finished, by id.
-    tracked: Vec<Tracked>,
+    /// Requests offered to the batcher but not yet finished, by id. No
+    /// code iterates it, so its order cannot reach an output; ids come
+    /// from callers, so it keeps the default (keyed) hasher.
+    tracked: HashMap<RequestId, Tracked>,
     clock_us: u64,
     steps: u64,
     a2a_elems: u64,
@@ -169,7 +173,7 @@ impl<'a> Engine<'a> {
             tel,
             queue: IngressQueue::new(cfg.queue_capacity),
             batcher: ContinuousBatcher::new(cfg.batcher),
-            tracked: Vec::new(),
+            tracked: HashMap::new(),
             clock_us: 0,
             steps: 0,
             a2a_elems: 0,
@@ -262,17 +266,18 @@ impl<'a> Engine<'a> {
             }
             self.batcher
                 .offer(req.id, req.num_tokens(), req.arrival_us, req.deadline_us);
-            self.tracked.push(Tracked {
+            let tracked = Tracked {
                 admitted_us: 0,
                 first_token_us: None,
                 served: 0,
                 steps: 0,
                 out_rows: Vec::with_capacity(req.num_tokens() * self.model.dims.model_dim),
                 req,
-            });
+            };
+            self.tracked.insert(tracked.req.id, tracked);
         }
         for (id, at) in self.batcher.admit(self.clock_us) {
-            if let Some(t) = self.tracked.iter_mut().find(|t| t.req.id == id) {
+            if let Some(t) = self.tracked.get_mut(&id) {
                 t.admitted_us = at;
             }
         }
@@ -287,12 +292,15 @@ impl<'a> Engine<'a> {
         let m = self.model.dims.model_dim;
 
         // Gather the step's token rows in plan order.
+        let gather = self
+            .tel
+            .span("serve.gather")
+            .arg("tokens", occupancy as u64);
         let mut rows = Vec::with_capacity(occupancy * m);
         for &(id, tok) in &plan.entries {
             let t = self
                 .tracked
-                .iter()
-                .find(|t| t.req.id == id)
+                .get(&id)
                 .ok_or_else(|| ServeError::Config(format!("planned unknown request {id}")))?;
             let src = t.req.tokens.as_slice();
             let row = src
@@ -301,6 +309,7 @@ impl<'a> Engine<'a> {
             rows.extend_from_slice(row);
         }
         let batch = Tensor::from_vec(rows, &[occupancy, m])?;
+        drop(gather);
 
         let span = self
             .tel
@@ -323,14 +332,19 @@ impl<'a> Engine<'a> {
         self.clock_us += self.cfg.service.step_cost_us(occupancy);
         let now = self.clock_us;
         let out = step_out.outputs.as_slice();
+        let scatter = self
+            .tel
+            .span("serve.scatter")
+            .arg("tokens", occupancy as u64);
         for (i, &(id, _)) in plan.entries.iter().enumerate() {
-            if let Some(t) = self.tracked.iter_mut().find(|t| t.req.id == id) {
+            if let Some(t) = self.tracked.get_mut(&id) {
                 t.out_rows.extend_from_slice(&out[i * m..(i + 1) * m]);
                 t.served += 1;
                 t.steps += 1;
                 t.first_token_us.get_or_insert(now);
             }
         }
+        drop(scatter);
         for id in finished {
             self.finalize(id, now)?;
         }
@@ -338,12 +352,10 @@ impl<'a> Engine<'a> {
     }
 
     fn finalize(&mut self, id: RequestId, now: u64) -> Result<(), ServeError> {
-        let idx = self
+        let t = self
             .tracked
-            .iter()
-            .position(|t| t.req.id == id)
+            .remove(&id)
             .ok_or_else(|| ServeError::Config(format!("finished unknown request {id}")))?;
-        let t = self.tracked.swap_remove(idx);
         let n = t.req.num_tokens();
         let outcome = RequestOutcome {
             id,
@@ -584,6 +596,51 @@ mod tests {
             serial.goodput_tps
         );
         assert!(continuous.p99_us <= serial.p99_us);
+    }
+
+    /// A traced run shows each step's bookkeeping: one `serve.gather`
+    /// before and one `serve.scatter` after every `serve.step`.
+    #[test]
+    fn every_step_is_framed_by_gather_and_scatter_spans() {
+        let dims = ModelDims::small(1);
+        let model = ServeModel::materialize(dims, 4).unwrap();
+        let tel = Telemetry::enabled();
+        let report = run_trace(
+            &model,
+            &engine_cfg(1, 4),
+            requests(5, 9, dims.model_dim),
+            &tel,
+        )
+        .unwrap();
+        let trace = tel.trace();
+        let spans = |want: &str| -> Vec<(f64, f64)> {
+            let events = trace.ranks.iter().flat_map(|r| &r.events);
+            events
+                .filter_map(|e| match e {
+                    tutel_obs::TraceEvent::Span {
+                        name,
+                        t0_us,
+                        dur_us,
+                        ..
+                    } if name == want => Some((*t0_us, t0_us + dur_us)),
+                    _ => None,
+                })
+                .collect()
+        };
+        let (gather, step, scatter) = (
+            spans("serve.gather"),
+            spans("serve.step"),
+            spans("serve.scatter"),
+        );
+        assert_eq!(step.len() as u64, report.steps);
+        assert_eq!(gather.len(), step.len());
+        assert_eq!(scatter.len(), step.len());
+        for ((g, s), c) in gather.iter().zip(&step).zip(&scatter) {
+            assert!(
+                g.1 <= s.0 && s.1 <= c.0,
+                "gather {g:?}, step {s:?}, scatter {c:?}"
+            );
+        }
     }
 
     #[test]
