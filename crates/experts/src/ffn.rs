@@ -4,8 +4,9 @@
 //! and inference differ only in whether it captures the activations the
 //! backward pass reads. Each layer is one storing grouped-GEMM launch
 //! whose per-row-block epilogue adds the bias and, after the first
-//! layer, applies GELU (the kernel table's `gelu`) while the block is
-//! still in cache; the backward applies GELU′ the same way. Under
+//! layer, applies GELU (the kernel table's `gelu`, `x·σ(2u)` with one
+//! `exp` and one divide per element) while the block is still in cache;
+//! the backward applies GELU′ the same way, from the captured `σ(2u)`. Under
 //! enabled telemetry the two launches are the child spans `ffn.gemm1`
 //! / `ffn.gemm2` of `ffn`. The four parameters are [`Param`]s, so the
 //! optimizer step is one call per parameter.
@@ -19,8 +20,8 @@ use tutel_tensor::{
 
 /// What a training forward keeps for [`ExpertsBlock::backward`]: the
 /// input `x` (in the caller's shape), the pre-activation `h_pre`, the
-/// GELU output `h`, the `tanh` intermediate — so backward never
-/// re-evaluates `tanh` — and the bin offsets the rows were computed
+/// GELU output `h`, the `σ(2u)` intermediate — so backward never
+/// re-evaluates the `exp` — and the bin offsets the rows were computed
 /// under.
 type Saved = (Tensor, Tensor, Tensor, Tensor, Vec<usize>);
 
@@ -344,7 +345,7 @@ impl ExpertsBlock {
     fn forward_rows(&mut self, x: &Tensor, offsets: &[usize]) -> Tensor {
         let (y, kept) = self.ffn(x, offsets, true);
         self.saved =
-            kept.map(|[h_pre, h, tanh]| (scratch::copy_of(x), h_pre, h, tanh, offsets.to_vec()));
+            kept.map(|[h_pre, h, sig]| (scratch::copy_of(x), h_pre, h, sig, offsets.to_vec()));
         y
     }
 
@@ -355,8 +356,8 @@ impl ExpertsBlock {
 
     /// The FFN body, `layer → GELU → layer`: `x` is validated rows of
     /// `M` (either layout) partitioned by `offsets`; the result takes
-    /// `x`'s shape. With `capture` it also returns `[h_pre, h, tanh]` —
-    /// the pre-activation, the GELU output and its `tanh`, which
+    /// `x`'s shape. With `capture` it also returns `[h_pre, h, sig]` —
+    /// the pre-activation, the GELU output and its `σ(2u)`, which
     /// backward would otherwise spend most of its time re-evaluating;
     /// without, the hidden buffer is recycled.
     // check:hot
@@ -369,15 +370,15 @@ impl ExpertsBlock {
             let (w1, b1) = (&self.w1, &self.b1);
             if capture {
                 // GELU in place over the launch's own output; its input
-                // and `tanh` land beside it, in the block's rows.
-                let (mut h_pre, mut tanh) = (scratch::raw(h.dims()), scratch::raw(h.dims()));
+                // and `σ(2u)` land beside it, in the block's rows.
+                let (mut h_pre, mut sig) = (scratch::raw(h.dims()), scratch::raw(h.dims()));
                 let beside =
-                    SameRanges::new(h.as_slice(), [h_pre.as_mut_slice(), tanh.as_mut_slice()]);
+                    SameRanges::new(h.as_slice(), [h_pre.as_mut_slice(), sig.as_mut_slice()]);
                 self.layer(x.as_slice(), w1, b1, offsets, h.as_mut_slice(), |block| {
-                    let (block, [pre, tanh]) = beside.split(block);
-                    gelu(block, Some((pre, tanh)));
+                    let (block, [pre, sig]) = beside.split(block);
+                    gelu(block, Some((pre, sig)));
                 });
-                Some((h_pre, tanh))
+                Some((h_pre, sig))
             } else {
                 self.layer(x.as_slice(), w1, b1, offsets, h.as_mut_slice(), |block| {
                     gelu(block, None)
@@ -392,7 +393,7 @@ impl ExpertsBlock {
             self.layer(h.as_slice(), w2, b2, offsets, y.as_mut_slice(), |_| {});
         }
         let kept = match captured {
-            Some((h_pre, tanh)) => Some([h_pre, h, tanh]),
+            Some((h_pre, sig)) => Some([h_pre, h, sig]),
             None => {
                 scratch::recycle(h);
                 None
@@ -437,7 +438,7 @@ impl ExpertsBlock {
     /// cached activations in place for a corrected retry.
     // check:hot
     pub fn backward(&mut self, d_y: &Tensor) -> Result<Tensor, TensorError> {
-        let (x, h_pre, h, tanh, offsets) = match self.saved.take() {
+        let (x, h_pre, h, sig, offsets) = match self.saved.take() {
             Some(saved) if saved.0.dims() == d_y.dims() => saved,
             Some(saved) => {
                 let err =
@@ -462,12 +463,12 @@ impl ExpertsBlock {
         // GELU′ over its own rows inside the launch.
         let mut dh = h.into_vec();
         let gelu_backward = dispatch::table().gelu_backward;
-        let (pre, th) = (h_pre.as_slice(), tanh.as_slice());
+        let (pre, s) = (h_pre.as_slice(), sig.as_slice());
         let w2 = self.w2.w().as_slice();
         grouped_gemm_nt_into(dys, w2, &mut dh, &offsets, m, v, |g, r0, block| {
             let start = (offsets[g] + r0) * v;
             let rows = start..start + block.len();
-            gelu_backward(&pre[rows.clone()], &th[rows], block);
+            gelu_backward(&pre[rows.clone()], &s[rows], block);
         });
         // dW1 += xᵀ · dh_pre; db1 += Σ rows dh_pre; dx = dh_pre · W1ᵀ.
         grouped_gemm_tn(x.as_slice(), &dh, self.w1.g_mut(), &offsets, m, v);
@@ -478,14 +479,14 @@ impl ExpertsBlock {
         tutel_rt::arena().put(dh);
         scratch::recycle(x);
         scratch::recycle(h_pre);
-        scratch::recycle(tanh);
+        scratch::recycle(sig);
         Ok(dx)
     }
 
     /// Opens the `ffn` (forward) or `ffn.backward` span and counts the
     /// pass's work: two GEMMs over every row of every bin, `4·R·M·V`
     /// multiply-adds — with exact bins that is the routed rows only —
-    /// and, forward only, `R·V` GELU evaluations (one `tanh` each).
+    /// and, forward only, `R·V` GELU evaluations (one exp each).
     fn ffn_span(&self, forward: bool, offsets: &[usize]) -> tutel_obs::TraceSpan {
         let name = if forward { "ffn" } else { "ffn.backward" };
         if !self.obs.is_enabled() {
@@ -651,6 +652,47 @@ mod tests {
                 "i={i} fd={fd} got={}",
                 dx.as_slice()[i]
             );
+        }
+    }
+
+    /// The subnormal trap: pre-activations across [−12, 12], set by the
+    /// bias, one row per expert, so each expert's `db1` is its row's
+    /// `dh`. A GELU whose `σ(2u)` or `gelu'` went subnormal (an uncut
+    /// `σ(2u)` is subnormal for x in about (−10.6, −10)) put subnormals
+    /// into `dh`, and every launch that read it ran slow; after one
+    /// backward no gradient holds one.
+    #[test]
+    fn backward_across_the_far_tail_makes_no_subnormal() {
+        let (e, m, v) = (2, 8, 97);
+        let mut rng = Rng::seed(21);
+        let mut ex = ExpertsBlock::new(e, m, v, &mut rng);
+        ex.w1.w_mut().iter_mut().for_each(|w| *w *= 0.01);
+        for (j, b) in ex.b1.w_mut().iter_mut().enumerate() {
+            *b = -12.0 + 24.0 * (j % v) as f32 / (v - 1) as f32;
+        }
+        let offsets = [0, 1, 2];
+        let x = rng.normal_tensor(&[e, m], 0.0, 1.0);
+        ex.forward_grouped(&x, &offsets).unwrap();
+        let pre = ex.saved.as_ref().unwrap().1.as_slice().to_vec();
+        let lo = pre.iter().copied().fold(f32::INFINITY, f32::min);
+        let hi = pre.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        assert!(lo < -11.5 && hi > 11.5, "pre-activations span [{lo}, {hi}]");
+        let in_band = pre.iter().filter(|&&p| (-10.6..-10.05).contains(&p));
+        assert!(
+            in_band.count() >= 2 * e,
+            "no pre-activation where σ(2u) < 2⁻¹²⁶"
+        );
+        let dy = rng.normal_tensor(&[e, m], 0.0, 1.0);
+        let dx = ex.backward_grouped(&dy).unwrap();
+        let grads = [
+            ("dh", ex.b1.g().as_slice()),
+            ("d_x", dx.as_slice()),
+            ("dW1", ex.w1.g().as_slice()),
+            ("dW2", ex.w2.g().as_slice()),
+        ];
+        for (what, g) in grads {
+            let at = g.iter().position(|v| v.is_subnormal());
+            assert!(at.is_none(), "{what}[{at:?}] is subnormal");
         }
     }
 

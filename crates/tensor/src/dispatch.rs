@@ -24,24 +24,25 @@
 //! never of the worker count) extends to the `TUTEL_SIMD` axis
 //! unchanged. This falls out of four rules:
 //!
-//! 1. **FMA in the GEMM tiles, and only there and in `exp`.** Every
-//!    GEMM element is a chain of fused multiply-adds from zero within a
-//!    `KC` panel: step `p` is `acc ← fma(a_p, b_p, acc)`, rounded once.
-//!    The lane trait's `fma` is `f32::mul_add` on one lane (exact on
-//!    every host) and `vfmadd` on eight or sixteen, the same IEEE
-//!    operation, so the tables still agree bit for bit; both SIMD
-//!    tables are only installed on AVX2+FMA hosts, matching how real
-//!    deployments ship one fat binary. The tiles' right edge is a table
-//!    entry too, compiled under its table's features, so its
-//!    `mul_add` is the instruction there and a libm call only in the
-//!    scalar table. Every other kernel (`dot`, `axpy`, GELU, the row
-//!    reductions) keeps a separate multiply and add, each rounded; the
-//!    one other fused body is a transcendental whose definition fuses
-//!    (rule 4's `exp`).
+//! 1. **FMA in the GEMM tiles, and only there and in the two
+//!    transcendentals.** Every GEMM element is a chain of fused
+//!    multiply-adds from zero within a `KC` panel: step `p` is `acc ←
+//!    fma(a_p, b_p, acc)`, rounded once. The lane trait's `fma` is
+//!    `f32::mul_add` on one lane (exact on every host) and `vfmadd` on
+//!    eight or sixteen, the same IEEE operation, so the tables still
+//!    agree bit for bit; both SIMD tables are only installed on AVX2+FMA
+//!    hosts, matching how real deployments ship one fat binary. The
+//!    tiles' right edge is a table entry too, compiled under its table's
+//!    features, so its `mul_add` is the instruction there and a libm
+//!    call only in the scalar table. Every other kernel (`dot`, `axpy`,
+//!    GELU's own arithmetic, the row reductions) keeps a separate
+//!    multiply and add, each rounded; the other fused bodies are the two
+//!    transcendentals whose definitions fuse (rule 4's `exp` and
+//!    `exp_neg`).
 //! 2. **One body, every lane width.** Every op of the lane trait is the
 //!    same IEEE (or bit) operation in each lane, at 1, 8 or 16 lanes, so
 //!    a lane-parallel kernel (the micro-tile pass, `axpy`, the lanewise
-//!    divide, `tanh`, GELU) gives every table the same bits by
+//!    divide, `exp_neg`, GELU) gives every table the same bits by
 //!    construction.
 //! 3. **Shared reduction trees.** Horizontal reductions (dot, row max,
 //!    row sum) strip-mine into [`NR`] = 8 lanes and collapse them with
@@ -52,18 +53,21 @@
 //!    the `A·B` tiles over a transposed B, so a GEMM's vector lanes run
 //!    across output columns. Top-k compares unique integer keys, so any
 //!    lane width finds the same maximum.
-//! 4. **Transcendentals are ported, not called.** A libm call is
+//! 4. **Transcendentals are defined here, not called.** A libm call is
 //!    scalar, branchy, and defined by whichever libm the host links,
 //!    so neither a SIMD lane nor another host could match it bit for
-//!    bit. The GELU's `tanh` is therefore a branch-free port of glibc
-//!    2.36's `s_tanhf.c` + `s_expm1f.c` that computes every path and
-//!    selects by mask, one generic body like every other kernel (rule
-//!    2): separate `mul`/`add`, a truncating `cvtt` for `k`, integer
-//!    shifts for the exponent tricks, and a `blend` per select
-//!    (`blendv` on AVX2, a mask-register blend on AVX-512). The port
-//!    equals glibc 2.36's `tanhf` on all 2³² inputs, so digests pinned
-//!    against that libm keep their bits, and no digest depends on the
-//!    host's libm any more: elsewhere, the port is the definition.
+//!    bit. GELU is the tanh approximation written as `x·σ(2u)`, and its
+//!    one transcendental is `exp_neg`, `exp(−a)` for `0 ≤ a ≤ 46`:
+//!    cephes `expf`'s method (a `1.5·2²³` shift for `k`, a Cody–Waite
+//!    `ln 2` split, a degree-5 polynomial in fused steps, one add to the
+//!    exponent) as one generic body like every other kernel (rule 2),
+//!    the selects a `blend` each (`blendv` on AVX2, a mask-register
+//!    blend on AVX-512). Clamping `a` at 46 keeps every value it makes a
+//!    normal float, so no lane takes a subnormal slow path, forward or
+//!    backward. This code is the definition on every host; it moved
+//!    every GELU bit once, when it replaced a port of glibc 2.36's
+//!    `tanhf`, whose `1 + tanh` cancelled to errors of up to 4.8e6 ULP
+//!    near x = −5.
 //!    Softmax's `exp` is `dispatch::exp`, a branch-free port of glibc
 //!    2.36's `e_expf.c` as its ifunc resolves on an AVX2+FMA host
 //!    (`__expf_fma`): `f64` arithmetic with exactly the four fused
@@ -208,15 +212,16 @@ pub struct KernelTable {
     /// ([`bf16_round_one`] per element).
     pub bf16_round: Bf16RoundFn,
     /// GELU (tanh approximation) in place: `(h, keep)` replaces each
-    /// `h[i]` by `gelu(h[i])`; with `keep = Some((pre, tanh))`
-    /// (training) it also stores the input in `pre[i]` and
-    /// `tanh(inner(h[i]))` in `tanh[i]`, equal-length slices. Every
-    /// element is `0.5·x·(1 + tanh(√(2/π)·(x + 0.044715·x³)))` over the
-    /// ported `tanh` (rule 4).
+    /// `h[i]` by `gelu(h[i])`; with `keep = Some((pre, sig))` (training)
+    /// it also stores the input in `pre[i]` and `σ(2u)` in `sig[i]`,
+    /// equal-length slices. Every element is `0.5·x·(1 + tanh(u))`, `u =
+    /// √(2/π)·(x + 0.044715·x³)`, evaluated as `x·σ(2u)` with one
+    /// `exp_neg` and one divide, the far negative tail cut to −0 (rule
+    /// 4).
     pub gelu: GeluFn,
-    /// `(pre, tanh, g)`: `g[i] *= gelu'(pre[i])`, reading the `tanh` a
-    /// capturing [`gelu`](Self::gelu) stored: `gelu' = 0.5·(1 + t) +
-    /// 0.5·x·(1 − t²)·√(2/π)·(1 + 3·0.044715·x²)`.
+    /// `(pre, sig, g)`: `g[i] *= gelu'(pre[i])`, reading the `σ(2u)` a
+    /// capturing [`gelu`](Self::gelu) stored: `gelu' = s + x·s·(1 −
+    /// s)·2√(2/π)·(1 + 3·0.044715·x²)`.
     pub gelu_backward: GeluBackwardFn,
 }
 
@@ -238,7 +243,7 @@ static SCALAR_TABLE: KernelTable = KernelTable {
     exp_shift: |row, shift| row.iter_mut().for_each(|v| *v = exp(*v - shift)),
     bf16_round: |data| bf16_round(ONE_LANE, data),
     gelu: |h, keep| gelu(ONE_LANE, h, keep),
-    gelu_backward: |pre, tanh, g| gelu_backward(ONE_LANE, pre, tanh, g),
+    gelu_backward: |pre, sig, g| gelu_backward(ONE_LANE, pre, sig, g),
 };
 
 /// `OVERRIDE` encodes [`set_simd_override`]: 0 = follow the
@@ -539,12 +544,9 @@ trait Lane:
     fn fma(self, b: Self, c: Self) -> Self;
     /// [`maxps`] in every lane.
     fn maxps(self, o: Self) -> Self;
-    fn and(self, o: Self) -> Self;
     fn xor(self, o: Self) -> Self;
     /// The lanes' bits.
     fn bits(self) -> Self::I;
-    /// Each lane truncated toward zero; unspecified outside `i32`.
-    fn cvtt(self) -> Self::I;
     /// `t` in the lanes `m` selects, `self` in the others.
     fn blend(self, m: <Self::I as Ints>::M, t: Self) -> Self;
 }
@@ -555,7 +557,7 @@ trait Ints: Copy {
     /// The `f32` lanes of the same width.
     type F;
     /// A per-lane condition: what the compares return, and what
-    /// [`Lane::blend`] and [`keep`](Ints::keep) take.
+    /// [`Lane::blend`] takes.
     type M: Copy;
     fn add(self, o: Self) -> Self;
     fn sub(self, o: Self) -> Self;
@@ -563,18 +565,10 @@ trait Ints: Copy {
     fn shl(self, n: i32) -> Self;
     /// Logical shift right by `n`.
     fn shr(self, n: i32) -> Self;
-    /// Logical shift right by each lane of `by`, read as unsigned: 0
-    /// from 32 on.
-    fn srlv(self, by: Self) -> Self;
     /// `self > o`, signed.
     fn cmpgt(self, o: Self) -> Self::M;
-    fn cmpeq(self, o: Self) -> Self::M;
     /// The lanes whose sign bit is set.
     fn sign(self) -> Self::M;
-    /// `self` in the lanes a compare's `m` selects, 0 in the others.
-    fn keep(self, m: Self::M) -> Self;
-    /// Each lane converted to the nearest `f32`.
-    fn cvt(self) -> Self::F;
     /// The lanes' bits as `f32`.
     fn as_f32(self) -> Self::F;
 }
@@ -611,20 +605,12 @@ impl Lane for f32 {
         maxps(self, o)
     }
     #[inline(always)]
-    fn and(self, o: f32) -> f32 {
-        f32::from_bits(self.to_bits() & o.to_bits())
-    }
-    #[inline(always)]
     fn xor(self, o: f32) -> f32 {
         f32::from_bits(self.to_bits() ^ o.to_bits())
     }
     #[inline(always)]
     fn bits(self) -> i32 {
         self.to_bits() as i32
-    }
-    #[inline(always)]
-    fn cvtt(self) -> i32 {
-        self as i32
     }
     #[inline(always)]
     fn blend(self, m: bool, t: f32) -> f32 {
@@ -656,28 +642,12 @@ impl Ints for i32 {
         (self as u32 >> n) as i32
     }
     #[inline(always)]
-    fn srlv(self, by: i32) -> i32 {
-        (self as u32).checked_shr(by as u32).unwrap_or(0) as i32
-    }
-    #[inline(always)]
     fn cmpgt(self, o: i32) -> bool {
         self > o
     }
     #[inline(always)]
-    fn cmpeq(self, o: i32) -> bool {
-        self == o
-    }
-    #[inline(always)]
     fn sign(self) -> bool {
         self < 0
-    }
-    #[inline(always)]
-    fn keep(self, m: bool) -> i32 {
-        select(m, self, 0)
-    }
-    #[inline(always)]
-    fn cvt(self) -> f32 {
-        self as f32
     }
     #[inline(always)]
     fn as_f32(self) -> f32 {
@@ -706,7 +676,7 @@ macro_rules! x86_lanes {
         $f:ident($fv:ty), $i:ident($iv:ty), mask $m:ty, $lanes:literal, $features:literal;
         new $zero:ident, splat $splat:ident, splat_i $splat_i:ident,
         load $load:ident, store $store:ident, fma $fma:ident, blend $blend:ident,
-        sign $sign:ident, keep $keep:ident;
+        sign $sign:ident;
         ops [$($tr:ident $op:ident $opi:ident),*];
         f32 [$($fm:ident $fmi:ident),*];
         to_i32 [$($ti:ident $tii:ident),*];
@@ -810,11 +780,6 @@ macro_rules! x86_lanes {
             fn sign(self) -> $m {
                 // SAFETY: as above.
                 unsafe { $sign(self.0) }
-            }
-            #[inline(always)]
-            fn keep(self, m: $m) -> Self {
-                // SAFETY: as above.
-                $i(unsafe { $keep(self.0, m) })
             }
             $(#[inline(always)]
             fn $tf(self) -> $f {
@@ -1053,37 +1018,58 @@ fn topk<L: Lane>(_: L, row: &[f32], idx: &mut [u32], val: &mut [f32]) {
 
 /// `√(2/π)`, the tanh approximation's inner scale.
 const SQRT_2_OVER_PI: f32 = 0.797_884_6;
+/// `2·√(2/π)`, the scale of `2u` (doubling is exact).
+const SQRT_8_OVER_PI: f32 = 2.0 * SQRT_2_OVER_PI;
 /// The tanh approximation's cubic coefficient.
 const GELU_CUBIC: f32 = 0.044715;
+/// Where GELU's tail is cut: `exp(−2|u|)` takes `2|u|` clamped to this,
+/// and `σ(2u)` is 0 past it on the negative side, where `|gelu(x)| ≤
+/// e⁻⁴⁶·|x| ≈ 1e−20·|x|` (x below ≈ −7.78). The clamp keeps every
+/// `exp_neg` value, `σ` and `gelu'` a normal float.
+const GELU_TAIL: f32 = 46.0;
 
-/// GELU, tanh approximation, in every lane: `(gelu(x), tanh(inner(x)))`.
-/// The `tanh` is the expensive half and the only part the derivative
-/// shares.
+/// GELU, tanh approximation, in every lane: `(gelu(x), σ(2u))`.
+///
+/// `0.5·x·(1 + tanh(u))` with `u = √(2/π)·(x + 0.044715·x³)` is
+/// `x·σ(2u)`, and `σ(2u)` is `1/(1 + E)` for `x ≥ 0` and `E/(1 + E)`
+/// below, with `E = exp(−2|u|)` ≤ 1: one [`exp_neg`] and one divide,
+/// and no `1 + tanh` cancellation on the negative side. `σ` is the only
+/// part the derivative shares. `gelu(−inf)` is −0, its limit (−inf is
+/// clamped to the least finite float, whose `σ` is 0); NaN stays NaN and
+/// `+inf` stays `+inf`; a subnormal `x` gives `x·0.5`, rounded.
 #[inline(always)]
 fn gelu_lanes<L: Lane>(x: L) -> (L, L) {
-    let th = tanh(x.splat(SQRT_2_OVER_PI) * (x + x.splat(GELU_CUBIC) * x * x * x));
-    (x.splat(0.5) * x * (x.splat(1.0) + th), th)
+    let one = x.splat(1.0);
+    let u2 = x.splat(SQRT_8_OVER_PI) * (x + x.splat(GELU_CUBIC) * x * x * x);
+    // `2|u|`'s bits: as a non-negative float its integer order is its
+    // order, so one integer compare clamps it (NaN lands in `far`).
+    let a = u2.bits().and(x.splat_i(0x7fff_ffff));
+    let far = a.cmpgt(x.splat_i(GELU_TAIL.to_bits() as i32));
+    let e = exp_neg(a.as_f32().blend(far, x.splat(GELU_TAIL)));
+    let num = one.blend(x.bits().sign(), e.blend(far, x.splat(0.0)));
+    let s = num / (one + e);
+    (x.splat(-f32::MAX).maxps(x) * s, s)
 }
 
 /// The `gelu` entry: [`gelu_lanes`] over `h` in place, keeping the
-/// input and the `tanh` over the common prefix when asked.
+/// input and `σ(2u)` over the common prefix when asked.
 #[inline(always)]
 fn gelu<L: Lane>(l: L, h: &mut [f32], keep: Option<(&mut [f32], &mut [f32])>) {
     match keep {
-        Some((pre, tanh)) => {
-            let n = h.len().min(pre.len()).min(tanh.len());
+        Some((pre, sig)) => {
+            let n = h.len().min(pre.len()).min(sig.len());
             let mut hs = h[..n].chunks_exact_mut(L::LANES);
             let mut ps = pre[..n].chunks_exact_mut(L::LANES);
-            let mut ts = tanh[..n].chunks_exact_mut(L::LANES);
-            for ((h, p), t) in (&mut hs).zip(&mut ps).zip(&mut ts) {
+            let mut ss = sig[..n].chunks_exact_mut(L::LANES);
+            for ((h, p), s) in (&mut hs).zip(&mut ps).zip(&mut ss) {
                 let x = l.load(h);
-                let (g, th) = gelu_lanes(x);
+                let (g, sv) = gelu_lanes(x);
                 x.store(p);
                 g.store(h);
-                th.store(t);
+                sv.store(s);
             }
             if L::LANES > 1 {
-                let keep = Some((ps.into_remainder(), ts.into_remainder()));
+                let keep = Some((ps.into_remainder(), ss.into_remainder()));
                 gelu(ONE_LANE, hs.into_remainder(), keep);
             }
         }
@@ -1100,79 +1086,74 @@ fn gelu<L: Lane>(l: L, h: &mut [f32], keep: Option<(&mut [f32], &mut [f32])>) {
 }
 
 /// The `gelu_backward` entry: `g[i] *= gelu'(pre[i])` over the common
-/// prefix, from the `tanh` a capturing [`gelu`] kept.
+/// prefix, from the `σ(2u)` a capturing [`gelu`] kept: `gelu' = s +
+/// x·s·(1 − s)·2√(2/π)·(1 + 3·0.044715·x²)`, left to right.
 #[inline(always)]
-fn gelu_backward<L: Lane>(l: L, pre: &[f32], tanh: &[f32], g: &mut [f32]) {
-    let n = g.len().min(pre.len()).min(tanh.len());
+fn gelu_backward<L: Lane>(l: L, pre: &[f32], sig: &[f32], g: &mut [f32]) {
+    let n = g.len().min(pre.len()).min(sig.len());
     let mut ps = pre[..n].chunks_exact(L::LANES);
-    let mut ts = tanh[..n].chunks_exact(L::LANES);
+    let mut ss = sig[..n].chunks_exact(L::LANES);
     let mut gs = g[..n].chunks_exact_mut(L::LANES);
-    let (one, half) = (l.splat(1.0), l.splat(0.5));
+    let one = l.splat(1.0);
     // `3 · GELU_CUBIC · x · x` folds left to right, so the constant
     // product comes first.
     let cubic3 = l.splat(3.0 * GELU_CUBIC);
-    for ((p, t), g) in (&mut ps).zip(&mut ts).zip(&mut gs) {
-        let (x, t) = (l.load(p), l.load(t));
-        let dinner = l.splat(SQRT_2_OVER_PI) * (one + cubic3 * x * x);
-        let d = half * (one + t) + half * x * (one - t * t) * dinner;
+    for ((p, s), g) in (&mut ps).zip(&mut ss).zip(&mut gs) {
+        let (x, s) = (l.load(p), l.load(s));
+        let du2 = l.splat(SQRT_8_OVER_PI) * (one + cubic3 * x * x);
+        let d = s + x * s * (one - s) * du2;
         (l.load(g) * d).store(g);
     }
     if L::LANES > 1 {
-        let (pre, tanh) = (ps.remainder(), ts.remainder());
-        gelu_backward(ONE_LANE, pre, tanh, gs.into_remainder());
+        let (pre, sig) = (ps.remainder(), ss.remainder());
+        gelu_backward(ONE_LANE, pre, sig, gs.into_remainder());
     }
 }
 
-/// `xs[i] ← tanh(xs[i])` on `L`'s lanes, the tail on one: the lanes the
-/// `tanh` sweeps compare with the host's libm.
-#[cfg(test)]
-#[inline(always)]
-fn tanh_in_place<L: Lane>(l: L, xs: &mut [f32]) {
-    let mut cs = xs.chunks_exact_mut(L::LANES);
-    for c in &mut cs {
-        tanh(l.load(c)).store(c);
-    }
-    if L::LANES > 1 {
-        tanh_in_place(ONE_LANE, cs.into_remainder());
-    }
-}
-
-/// `ln 2` split for the `expm1` argument reduction: `k · LN2_HI` is
-/// exact for every `k` the reduction produces (glibc `s_expm1f.c`).
-const LN2_HI: f32 = f32::from_bits(0x3f31_7180);
-const LN2_LO: f32 = f32::from_bits(0x3717_f7d1);
-const INV_LN2: f32 = f32::from_bits(0x3fb8_aa3b);
-/// `s_expm1f.c`'s scaled rational coefficients `Q1..Q5`.
-const EXPM1_Q: [f32; 5] = [
-    f32::from_bits(0xbd08_8889),
-    f32::from_bits(0x3ad0_0d01),
-    f32::from_bits(0xb8a6_70cd),
-    f32::from_bits(0x3686_7e54),
-    f32::from_bits(0xb457_edbb),
+/// `log₂ e`, the `k` estimate's scale.
+const LOG2E: f32 = std::f32::consts::LOG2_E;
+/// `1.5 · 2²³`: adding it rounds an `f32` of magnitude below 2²² to an
+/// integer in its low mantissa bits.
+const EXP_NEG_SHIFT: f32 = 12_582_912.0;
+/// The Cody–Waite split `ln 2 = LN2_C1 + LN2_C2`: `LN2_C1` is
+/// 0.693359375, 9 significant bits, so `k · LN2_C1` is exact for every
+/// `k` here (cephes `expf`).
+const LN2_C1: f32 = 0.693_359_4;
+const LN2_C2: f32 = -2.121_944_4e-4;
+/// Cephes `expf`'s degree-5 minimax polynomial: `exp(r) ≈ 1 + r +
+/// r²·P(r)` on `|r| ≤ ln 2 / 2`, highest coefficient first.
+const EXP_NEG_P: [f32; 6] = [
+    1.987_569_1e-4,
+    1.398_199_9e-3,
+    8.333_452e-3,
+    4.166_579_6e-2,
+    1.666_666_6e-1,
+    0.5,
 ];
 
-/// `tanh(x)` in every lane, bit-identical to glibc 2.36's `tanhf`
-/// (`s_tanhf.c` + `s_expm1f.c`, fdlibm) on every `f32` — the
-/// [module-level](self) rule 4. Branch-free: every path is computed
-/// and the result picked by a `blend`; no libm call. NaN in, NaN out.
+/// `exp(−a)` for `0 ≤ a ≤ GELU_TAIL` in every lane: `k = round(−a·log₂
+/// e)` by the shift, `r = −a − k·ln 2` by the Cody–Waite split, cephes
+/// `expf`'s polynomial, then `2ᵏ` added to the exponent once. The `k`
+/// estimate, both reduction steps and the polynomial's steps are fused
+/// multiply-adds: those fusions define the function, like [`exp`]'s
+/// (rule 1). On this domain `k ∈ [−67, 0]` and the result is at least
+/// e⁻⁴⁶, a normal float, so the exponent add is exact; outside it the
+/// result is unspecified.
 #[inline(always)]
-fn tanh<L: Lane>(x: L) -> L {
-    let ix = x.bits().and(x.splat_i(0x7fff_ffff));
-    // |x| ≥ 1: tanh = 1 − 2/(expm1(2|x|) + 2); below: −t/(t + 2) with
-    // t = expm1(−2|x|).
-    let big = ix.cmpgt(x.splat_i(0x3f7f_ffff));
-    let ax = ix.as_f32();
-    let (one, two, sign) = (x.splat(1.0), x.splat(2.0), x.splat(-0.0));
-    let t = expm1_for_tanh((x.splat(-2.0) * ax).blend(big, two * ax));
-    let tp2 = t + two;
-    let z = (t.xor(sign) / tp2).blend(big, one - two / tp2);
-    // |x| ≥ 22 (and ±inf): ±1 (`one - tiny` rounds to 1).
-    let z = z.blend(ix.cmpgt(x.splat_i(0x41af_ffff)), one);
-    // `-z` where x is negative: xor in x's sign bit.
-    let z = z.xor(x.and(sign));
-    // |x| < 2⁻⁵⁵, ±0 included.
-    let z = z.blend(x.splat_i(0x2400_0000).cmpgt(ix), x * (one + x));
-    z.blend(ix.cmpgt(x.splat_i(0x7f80_0000)), x + x)
+fn exp_neg<L: Lane>(a: L) -> L {
+    let x = a.xor(a.splat(-0.0));
+    let shift = a.splat(EXP_NEG_SHIFT);
+    let t = x.fma(a.splat(LOG2E), shift);
+    let k = t.bits().sub(shift.bits());
+    let kf = t - shift;
+    let r = kf.fma(a.splat(-LN2_C1), x);
+    let r = kf.fma(a.splat(-LN2_C2), r);
+    let [p0, ps @ ..] = EXP_NEG_P;
+    let p = ps
+        .into_iter()
+        .fold(a.splat(p0), |p, c| p.fma(r, a.splat(c)));
+    let y = p.fma(r * r, r) + a.splat(1.0);
+    y.bits().add(k.shl(23)).as_f32()
 }
 
 /// `e_expf.c`'s `2^(i/32)` table, as `bits(2^(i/32)) − (i << 47)`: adding
@@ -1266,58 +1247,6 @@ pub(crate) fn exp(x: f32) -> f32 {
     select(x == f32::NEG_INFINITY, 0.0, e)
 }
 
-/// `expm1(y)` (`s_expm1f.c`) in every lane, on the arguments [`tanh`]
-/// selects: `2 ≤ y < 44` or `−2 < y ≤ 0`. That domain never meets the
-/// huge or non-finite filters nor the `k = 1` branch, so those are not
-/// ported; a lane outside it (one [`tanh`] then discards) holds an
-/// unspecified value.
-#[inline(always)]
-fn expm1_for_tanh<L: Lane>(y: L) -> L {
-    let ybits = y.bits();
-    let hx = ybits.and(y.splat_i(0x7fff_ffff));
-    // Reduce y = k·ln2 + x, |x| ≤ ln2/2: `k = ±1` (y's sign, `half +
-    // half`) on (ln2/2, 3·ln2/2), 0 below, where the formulas reduce
-    // exactly to `x = y`, `c = 0`. `cvtt` truncates toward zero, as C's
-    // float → int conversion.
-    let half = y.splat(0.5).blend(ybits.sign(), y.splat(-0.5));
-    let far = hx.cmpgt(y.splat_i(0x3f85_1591));
-    let k = (half + half).blend(far, y.splat(INV_LN2) * y + half).cvtt();
-    let k = k.keep(hx.cmpgt(y.splat_i(0x3eb1_7218)));
-    let kf = k.cvt();
-    let hi = y - kf * y.splat(LN2_HI);
-    let lo = kf * y.splat(LN2_LO);
-    let x = hi - lo;
-    let c = (hi - x) - lo;
-    let [q1, q2, q3, q4, q5] = EXPM1_Q.map(|q| y.splat(q));
-    let (one, half) = (y.splat(1.0), y.splat(0.5));
-    let hfx = half * x;
-    let hxs = x * hfx;
-    let r1 = one + hxs * (q1 + hxs * (q2 + hxs * (q3 + hxs * (q4 + hxs * q5))));
-    let t = y.splat(3.0) - r1 * hfx;
-    let e0 = hxs * ((r1 - t) / (y.splat(6.0) - x * t));
-    let e = (x * (e0 - c) - c) - hxs;
-    // Adds `k` to a lane's exponent field.
-    let k23 = k.shl(23);
-    let scale = |v: L| v.bits().add(k23).as_f32();
-    let r_k0 = x - (x * e0 - hxs);
-    let r_km1 = half * (x - e) - half;
-    let r_far = scale(one - (e - x)) - one;
-    // 2 ≤ k < 23: t = 1 − 2⁻ᵏ (`srlv` gives 0 past 31).
-    let t_small = y.splat_i(0x3f80_0000).sub(y.splat_i(0x0100_0000).srlv(k));
-    let r_small = scale(t_small.as_f32() - (e - x));
-    // 23 ≤ k ≤ 56: t = 2⁻ᵏ.
-    let t_mid = y.splat_i(0x7f).sub(k).shl(23).as_f32();
-    let r_mid = scale((x - (e + t_mid)) + one);
-    // The C if-chain, lowest priority first.
-    let r = r_mid.blend(y.splat_i(23).cmpgt(k), r_small);
-    let r = r.blend(y.splat_i(-1).cmpgt(k), r_far);
-    let r = r.blend(k.cmpgt(y.splat_i(56)), r_far);
-    let r = r.blend(k.cmpeq(y.splat_i(-1)), r_km1);
-    let r = r.blend(k.cmpeq(y.splat_i(0)), r_k0);
-    // |y| < 2⁻²⁵: expm1(y) rounds to y.
-    r.blend(y.splat_i(0x3300_0000).cmpgt(hx), y)
-}
-
 /// The AVX2 table: the generic bodies on `__m256` lanes and the
 /// hand-written `exp` lanes, each entry compiled for AVX2+FMA.
 #[cfg(target_arch = "x86_64")]
@@ -1332,16 +1261,15 @@ mod avx2 {
         V8(__m256), I8(__m256i), mask __m256i, 8, "avx2,fma";
         new _mm256_setzero_ps, splat _mm256_set1_ps, splat_i _mm256_set1_epi32,
         load _mm256_loadu_ps, store _mm256_storeu_ps, fma _mm256_fmadd_ps, blend blendv,
-        sign sign_bits, keep _mm256_and_si256;
+        sign sign_bits;
         ops [Add add _mm256_add_ps, Sub sub _mm256_sub_ps, Mul mul _mm256_mul_ps,
             Div div _mm256_div_ps];
-        f32 [maxps _mm256_max_ps, and _mm256_and_ps, xor _mm256_xor_ps];
-        to_i32 [bits _mm256_castps_si256, cvtt _mm256_cvttps_epi32];
-        i32 [add _mm256_add_epi32, sub _mm256_sub_epi32, and _mm256_and_si256,
-            srlv _mm256_srlv_epi32];
+        f32 [maxps _mm256_max_ps, xor _mm256_xor_ps];
+        to_i32 [bits _mm256_castps_si256];
+        i32 [add _mm256_add_epi32, sub _mm256_sub_epi32, and _mm256_and_si256];
         shifts [shl _mm256_sll_epi32, shr _mm256_srl_epi32];
-        cmp [cmpgt _mm256_cmpgt_epi32, cmpeq _mm256_cmpeq_epi32];
-        to_f32 [cvt _mm256_cvtepi32_ps, as_f32 _mm256_castsi256_ps];
+        cmp [cmpgt _mm256_cmpgt_epi32];
+        to_f32 [as_f32 _mm256_castsi256_ps];
     }
 
     /// `t` in the lanes whose sign bit `m` sets, `f` in the others.
@@ -1394,10 +1322,7 @@ mod avx2 {
         fn exp_shift(row: &mut [f32], shift: f32) = exp_shift_body;
         fn bf16_round(data: &mut [f32]) = super::bf16_round;
         fn gelu(h: &mut [f32], keep: Option<(&mut [f32], &mut [f32])>) = super::gelu;
-        fn gelu_backward(pre: &[f32], tanh: &[f32], g: &mut [f32]) = super::gelu_backward;
-        /// The AVX2 `tanh` lanes over all of `xs`, for the sweeps.
-        #[cfg(test)]
-        fn tanh_lanes(xs: &mut [f32]) = super::tanh_in_place;
+        fn gelu_backward(pre: &[f32], sig: &[f32], g: &mut [f32]) = super::gelu_backward;
         /// The AVX2 `exp` lanes, for the sweeps.
         #[cfg(test)]
         fn exp_lanes(xs: &mut [f32]) -> usize = exp_blocks;
@@ -1526,28 +1451,21 @@ mod avx512 {
         V16(__m512), I16(__m512i), mask __mmask16, 16, "avx512f,avx512dq";
         new _mm512_setzero_ps, splat _mm512_set1_ps, splat_i _mm512_set1_epi32,
         load _mm512_loadu_ps, store _mm512_storeu_ps, fma _mm512_fmadd_ps, blend mask_blend,
-        sign _mm512_movepi32_mask, keep maskz;
+        sign _mm512_movepi32_mask;
         ops [Add add _mm512_add_ps, Sub sub _mm512_sub_ps, Mul mul _mm512_mul_ps,
             Div div _mm512_div_ps];
-        f32 [maxps _mm512_max_ps, and _mm512_and_ps, xor _mm512_xor_ps];
-        to_i32 [bits _mm512_castps_si512, cvtt _mm512_cvttps_epi32];
-        i32 [add _mm512_add_epi32, sub _mm512_sub_epi32, and _mm512_and_si512,
-            srlv _mm512_srlv_epi32];
+        f32 [maxps _mm512_max_ps, xor _mm512_xor_ps];
+        to_i32 [bits _mm512_castps_si512];
+        i32 [add _mm512_add_epi32, sub _mm512_sub_epi32, and _mm512_and_si512];
         shifts [shl _mm512_sll_epi32, shr _mm512_srl_epi32];
-        cmp [cmpgt _mm512_cmpgt_epi32_mask, cmpeq _mm512_cmpeq_epi32_mask];
-        to_f32 [cvt _mm512_cvtepi32_ps, as_f32 _mm512_castsi512_ps];
+        cmp [cmpgt _mm512_cmpgt_epi32_mask];
+        to_f32 [as_f32 _mm512_castsi512_ps];
     }
 
     /// `t` in the lanes `m` sets, `f` in the others.
     #[target_feature(enable = "avx512f")]
     fn mask_blend(f: __m512, m: __mmask16, t: __m512) -> __m512 {
         _mm512_mask_blend_ps(m, f, t)
-    }
-
-    /// `v` in the lanes `m` sets, 0 in the others.
-    #[target_feature(enable = "avx512f")]
-    fn maskz(v: __m512i, m: __mmask16) -> __m512i {
-        _mm512_maskz_mov_epi32(m, v)
     }
 
     pub(super) static TABLE: KernelTable = KernelTable {
@@ -1575,10 +1493,7 @@ mod avx512 {
         ) = super::micro_tile::<V16, MR>;
         fn topk(row: &[f32], idx: &mut [u32], val: &mut [f32]) = super::topk;
         fn gelu(h: &mut [f32], keep: Option<(&mut [f32], &mut [f32])>) = super::gelu;
-        fn gelu_backward(pre: &[f32], tanh: &[f32], g: &mut [f32]) = super::gelu_backward;
-        /// The AVX-512 `tanh` lanes over all of `xs`, for the sweeps.
-        #[cfg(test)]
-        fn tanh_lanes(xs: &mut [f32]) = super::tanh_in_place;
+        fn gelu_backward(pre: &[f32], sig: &[f32], g: &mut [f32]) = super::gelu_backward;
     }
 }
 
@@ -1622,8 +1537,8 @@ pub(crate) mod tests {
         }
     }
 
-    /// GELU on one lane, `(gelu(x), tanh(inner(x)))`: the scalar port
-    /// the other crates' tests compare their launches with.
+    /// GELU on one lane, `(gelu(x), σ(2u))`: the scalar body the other
+    /// crates' tests compare their launches with.
     pub(crate) fn gelu_one(x: f32) -> (f32, f32) {
         gelu_lanes(x)
     }
@@ -1662,11 +1577,10 @@ pub(crate) mod tests {
         x[whole..].iter().fold(m, |m, &v| max(m, v))
     }
 
-    /// GELU's derivative written out: `gelu'(x)` from `t =
-    /// tanh(inner(x))`.
-    fn gelu_derivative(x: f32, t: f32) -> f32 {
-        let dinner = SQRT_2_OVER_PI * (1.0 + 3.0 * GELU_CUBIC * x * x);
-        0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
+    /// GELU's derivative written out: `gelu'(x)` from `s = σ(2u)`.
+    fn gelu_derivative(x: f32, s: f32) -> f32 {
+        let du2 = SQRT_8_OVER_PI * (1.0 + 3.0 * GELU_CUBIC * x * x);
+        s + x * s * (1.0 - s) * du2
     }
 
     /// The nearest bf16 value to `v`, by the independent
@@ -1874,7 +1788,7 @@ pub(crate) mod tests {
                 let mut out = xs.clone();
                 (kt.bf16_round)(&mut out[skew..]);
                 lanewise(&format!("{label} bf16_round"), &out, &|i| bf16_ref(x[i]));
-                // `x` as the kept input, `y` as the kept `tanh`.
+                // `x` as the kept input, `y` as the kept `σ(2u)`.
                 let mut g = ys.clone();
                 (kt.gelu_backward)(x, y, &mut g[skew..]);
                 let want = |i: usize| y[i] * gelu_derivative(x[i], y[i]);
@@ -2034,34 +1948,6 @@ pub(crate) mod tests {
         a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
     }
 
-    /// Panics at the first `x` in `xs` where the scalar `tanh` port
-    /// differs from the host's `f32::tanh` or from the `tanh` lanes of
-    /// any SIMD table the host has. NaN equals NaN.
-    fn check_tanh(xs: &[f32]) {
-        let port: Vec<f32> = xs.iter().map(|&x| tanh(x)).collect();
-        for (&x, &p) in xs.iter().zip(&port) {
-            let libm = x.tanh();
-            assert!(
-                same(p, libm),
-                "tanh({x:e} = {:#010x}): port {p:e}, host libm {libm:e}. The port \
-                 reproduces glibc 2.36's s_tanhf.c + s_expm1f.c bit for bit; under \
-                 another libm the port is the definition",
-                x.to_bits()
-            );
-        }
-        for &mode in simd_modes() {
-            let mut lanes = xs.to_vec();
-            match mode {
-                SimdMode::Avx512 => avx512::tanh_lanes(&mut lanes),
-                _ => avx2::tanh_lanes(&mut lanes),
-            }
-            for ((&x, &p), &v) in xs.iter().zip(&port).zip(&lanes) {
-                let label = mode.label();
-                assert!(same(v, p), "{label} tanh({x:e}) = {v:e}, scalar {p:e}");
-            }
-        }
-    }
-
     /// Panics at the first `x` in `xs` where the scalar `exp` port
     /// differs from the host's `f32::exp`, or the AVX2 `exp` lanes
     /// (which every SIMD table's `exp_shift` runs) from the scalar port.
@@ -2087,22 +1973,27 @@ pub(crate) mod tests {
         }
     }
 
+    /// Runs the `gelu` (capturing) and `gelu_backward` entries of `kt`
+    /// over `xs`: `[gelu, pre, σ(2u), g·gelu']` for upstream `g[i] = 0.5 +
+    /// i mod 7`.
+    fn run_gelu(kt: &KernelTable, xs: &[f32]) -> [Vec<f32>; 4] {
+        let mut h = xs.to_vec();
+        let (mut pre, mut sig) = (vec![0.0; xs.len()], vec![0.0; xs.len()]);
+        (kt.gelu)(&mut h, Some((&mut pre, &mut sig)));
+        let mut g: Vec<f32> = (0..xs.len()).map(|i| 0.5 + (i % 7) as f32).collect();
+        (kt.gelu_backward)(&pre, &sig, &mut g);
+        [h, pre, sig, g]
+    }
+
     /// Panics at the first `x` in `xs` where the `gelu` (output, kept
-    /// input, kept `tanh`) or `gelu_backward` entry of any SIMD table
-    /// the host has differs from the scalar one. NaN equals NaN.
-    fn check_gelu(xs: &[f32]) {
-        let run = |kt: &KernelTable| {
-            let mut h = xs.to_vec();
-            let (mut pre, mut th) = (vec![0.0; xs.len()], vec![0.0; xs.len()]);
-            (kt.gelu)(&mut h, Some((&mut pre, &mut th)));
-            let mut g: Vec<f32> = (0..xs.len()).map(|i| 0.5 + (i % 7) as f32).collect();
-            (kt.gelu_backward)(&pre, &th, &mut g);
-            [h, pre, th, g]
-        };
-        let scalar = run(&SCALAR_TABLE);
+    /// input, kept `σ(2u)`) or `gelu_backward` entry of any SIMD table
+    /// the host has differs from the scalar one. NaN equals NaN. Returns
+    /// the scalar run.
+    fn check_gelu(xs: &[f32]) -> [Vec<f32>; 4] {
+        let scalar = run_gelu(&SCALAR_TABLE, xs);
         for kt in simd_tables() {
-            let (simd, label) = (run(kt), kt.mode.label());
-            for (what, (s, v)) in ["gelu", "pre", "tanh", "gelu_backward"]
+            let (simd, label) = (run_gelu(kt, xs), kt.mode.label());
+            for (what, (s, v)) in ["gelu", "pre", "sig", "gelu_backward"]
                 .iter()
                 .zip(scalar.iter().zip(&simd))
             {
@@ -2111,25 +2002,130 @@ pub(crate) mod tests {
                 }
             }
         }
+        scalar
+    }
+
+    /// `gelu(x)` in `f64` with the exact constants, as `x·σ(2u)`: free of
+    /// the `1 + tanh` cancellation, which at `f64` precision would still
+    /// zero the tail below x ≈ −4.5.
+    fn gelu_f64(x: f32) -> f64 {
+        let x = f64::from(x);
+        let u2 = 2.0 * (2.0 / std::f64::consts::PI).sqrt() * (x + 0.044715 * x * x * x);
+        x / (1.0 + (-u2).exp())
+    }
+
+    /// One `f32` ULP at `v`'s magnitude: the subnormal spacing below the
+    /// normals.
+    fn ulp_f32(v: f64) -> f64 {
+        let e = ((v.abs().to_bits() >> 52) as i32 - 1023).max(-126);
+        2f64.powi(e - 23)
+    }
+
+    /// The GELU that `tanhf`'s port defined, judged against [`gelu_f64`]
+    /// on all 2³² inputs before `x·σ(2u)` replaced it: its worst error
+    /// on x ∈ [−5, 5] in ULP …
+    const PORT_MAX_ULP_CORE: f64 = 4.84e6;
+    /// … and the largest x where it returned 0, −5.157855 (it returned 0
+    /// on every x up to there, where its `tanh` rounded to −1).
+    const PORT_ZERO_UP_TO: f32 = f32::from_bits(0xc0a5_0d26);
+    /// The bound on x > 5, where `σ(2u)` rounds to 1 and `gelu(x) = x`.
+    const TAIL_MAX_ULP: f64 = 0.531;
+
+    /// The judge's regions of x: the cut tail, where `gelu` is −0 by
+    /// definition (x ≤ −7.778842, so the error is the whole value), the
+    /// rest below −5, [−5, 5], and above 5.
+    const REGIONS: [&str; 4] = ["x <= -7.778842 (-0)", "(-7.778842, -5)", "[-5, 5]", "x > 5"];
+
+    fn region(x: f32) -> usize {
+        match x {
+            _ if x <= f32::from_bits(0xc0f8_ec47) => 0,
+            _ if x < -5.0 => 1,
+            _ if x <= 5.0 => 2,
+            _ => 3,
+        }
+    }
+
+    /// GELU's error against [`gelu_f64`] in ULP of the reference, by
+    /// [`REGIONS`].
+    #[derive(Default)]
+    struct GeluJudge {
+        max: [f64; 4],
+        at: [f32; 4],
+        /// Inputs in [−5, 5] above 1, 4 and 16 ULP.
+        above: [u64; 3],
+    }
+
+    impl GeluJudge {
+        /// Judges the scalar run `[gelu, _, σ(2u), _]` of `xs` at every
+        /// finite `x`, and panics at a normal `x` whose `gelu` is ±0 where
+        /// the port's was not, or whose `σ(2u)` or `gelu'` is subnormal.
+        fn add(&mut self, xs: &[f32], [h, _, sig, _]: &[Vec<f32>; 4]) {
+            let mut d = vec![1.0; xs.len()];
+            (SCALAR_TABLE.gelu_backward)(xs, sig, &mut d);
+            for (((&x, &y), &s), &d) in xs.iter().zip(h).zip(sig).zip(&d) {
+                if !x.is_finite() {
+                    continue;
+                }
+                if x.is_normal() {
+                    assert!(y != 0.0 || x <= PORT_ZERO_UP_TO, "gelu({x:e}) = {y:e}");
+                    assert!(!s.is_subnormal(), "σ(2u) at {x:e} = {s:e}");
+                    assert!(!d.is_subnormal(), "gelu'({x:e}) = {d:e}");
+                }
+                let want = gelu_f64(x);
+                let err = (f64::from(y) - want).abs() / ulp_f32(want);
+                let r = region(x);
+                if err > self.max[r] {
+                    (self.max[r], self.at[r]) = (err, x);
+                }
+                if r == 2 {
+                    for (n, bound) in self.above.iter_mut().zip([1.0, 4.0, 16.0]) {
+                        *n += u64::from(err > bound);
+                    }
+                }
+            }
+        }
+
+        fn merge(mut self, o: GeluJudge) -> GeluJudge {
+            for r in 0..REGIONS.len() {
+                if o.max[r] > self.max[r] {
+                    (self.max[r], self.at[r]) = (o.max[r], o.at[r]);
+                }
+            }
+            for (n, o) in self.above.iter_mut().zip(o.above) {
+                *n += o;
+            }
+            self
+        }
+
+        /// Prints the figures and asserts the bounds: no worse than the
+        /// port on [−5, 5], within [`TAIL_MAX_ULP`] above 5.
+        fn assert_bounds(&self) {
+            for (r, name) in REGIONS.iter().enumerate() {
+                let (max, at) = (self.max[r], self.at[r]);
+                println!("gelu vs f64 on {name}: max {max:.3} ULP at {at:e}");
+            }
+            let [a1, a4, a16] = self.above;
+            println!("gelu vs f64 on [-5, 5]: above 1 / 4 / 16 ULP: {a1} / {a4} / {a16}");
+            assert!(self.max[2] <= PORT_MAX_ULP_CORE, "[-5, 5]: {}", self.max[2]);
+            assert!(self.max[3] <= TAIL_MAX_ULP, "x > 5: {}", self.max[3]);
+        }
     }
 
     #[test]
-    fn tanh_port_matches_libm_and_simd_lanes_on_edges_and_a_stride() {
-        // The branch boundaries of both glibc sources, a step either
-        // side, both signs: `tanh`'s own thresholds on x, and
-        // `expm1`'s on its argument ∓2|x| (so at x of half the size —
-        // one less in the exponent field).
+    fn gelu_matches_across_tables_and_the_judge_on_edges_and_a_stride() {
+        // Both sides of 0, of the tail cut (2|u| > 46 from x =
+        // −7.778842), of ±5, of x³'s overflow, the subnormals, ±inf and
+        // NaN.
         let boundaries = [
             0u32,
             1,
-            0x2400_0000,
-            0x3eb1_7218,
-            0x3e31_7218,
-            0x3f85_1592,
-            0x3f05_1592,
-            0x3280_0000,
+            0x007f_ffff,
+            0x0080_0000,
             0x3f80_0000,
-            0x41b0_0000,
+            0x40a0_0000,
+            0x40f8_ec47,
+            0x5590_0000,
+            0x7f7f_ffff,
             0x7f80_0000,
             0x7fc0_0000,
         ];
@@ -2140,31 +2136,93 @@ pub(crate) mod tests {
             .map(f32::from_bits)
             .collect();
         xs.extend((0..=u32::MAX).step_by(65_537).map(f32::from_bits));
-        check_tanh(&xs);
-        check_gelu(&xs);
+        xs.extend((-120_000..120_000).map(|i| i as f32 * 1e-4));
+        let scalar = check_gelu(&xs);
+        let mut judge = GeluJudge::default();
+        judge.add(&xs, &scalar);
+        judge.assert_bounds();
+    }
+
+    /// The edges of GELU's domain, in every table: `gelu(−inf) = −0` (its
+    /// limit), `gelu(+inf) = +inf`, NaN stays NaN, a subnormal `x` gives
+    /// `x·0.5` rounded, ±0 keep their sign, and the far negative tail is
+    /// −0 with a zero derivative.
+    #[test]
+    fn gelu_takes_its_limits_at_infinities_nan_subnormals_and_the_tail() {
+        let tiny = [1u32, 2, 3, 0x0040_0001, 0x007f_ffff];
+        let subnormals = tiny
+            .iter()
+            .flat_map(|&b| [b, b | 0x8000_0000])
+            .map(f32::from_bits);
+        for kt in std::iter::once(&SCALAR_TABLE).chain(simd_tables()) {
+            let label = kt.mode.label();
+            let one = |x: f32| {
+                let [h, _, _, g] = run_gelu(kt, &[x]);
+                (h[0], g[0])
+            };
+            assert_eq!(one(f32::NEG_INFINITY).0.to_bits(), 0x8000_0000, "{label}");
+            assert_eq!(one(f32::INFINITY).0, f32::INFINITY, "{label}");
+            assert!(one(f32::NAN).0.is_nan(), "{label}");
+            assert!(one(NAN).0.is_nan(), "{label}");
+            assert_eq!(one(0.0).0.to_bits(), 0, "{label}");
+            assert_eq!(one(-0.0).0.to_bits(), 0x8000_0000, "{label}");
+            for x in subnormals.clone() {
+                assert_eq!(one(x).0.to_bits(), (x * 0.5).to_bits(), "{label} {x:e}");
+            }
+            for x in [-7.778_842_4, -12.0, -1e3] {
+                let (h, d) = one(x);
+                assert_eq!((h.to_bits(), d), (0x8000_0000, 0.0), "{label} {x:e}");
+            }
+            assert_eq!(one(-f32::MAX).0.to_bits(), 0x8000_0000, "{label}");
+            assert_eq!(one(1e3).0, 1e3, "{label}");
+        }
     }
 
     #[test]
     #[ignore = "sweeps all 2^32 inputs (minutes in release): ci.sh runs it by name"]
-    fn tanh_port_matches_libm_and_simd_lanes_exhaustively() {
+    fn gelu_judge_holds_and_simd_lanes_match_scalar_exhaustively() {
         // Small enough that the checks' scratch vectors stay below
         // the allocator's mmap threshold and are recycled, not faulted.
         const CHUNK: u64 = 1 << 12;
         let workers = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
         let chunks = (1u64 << 32) / CHUNK;
-        std::thread::scope(|s| {
-            for w in 0..workers {
-                s.spawn(move || {
-                    for c in (w..chunks).step_by(workers as usize) {
-                        let xs: Vec<f32> = (c * CHUNK..(c + 1) * CHUNK)
-                            .map(|b| f32::from_bits(b as u32))
-                            .collect();
-                        check_tanh(&xs);
-                        check_gelu(&xs);
-                    }
-                });
-            }
+        let judge = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..workers)
+                .map(|w| {
+                    s.spawn(move || {
+                        let mut judge = GeluJudge::default();
+                        for c in (w..chunks).step_by(workers as usize) {
+                            let xs: Vec<f32> = (c * CHUNK..(c + 1) * CHUNK)
+                                .map(|b| f32::from_bits(b as u32))
+                                .collect();
+                            judge.add(&xs, &check_gelu(&xs));
+                        }
+                        judge
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap())
+                .fold(GeluJudge::default(), GeluJudge::merge)
         });
+        judge.assert_bounds();
+    }
+
+    /// `exp_neg` on one lane against `f64` `exp`, on a stride of its
+    /// domain `[0, 46]`: within 2 ULP, and normal.
+    #[test]
+    fn exp_neg_is_within_two_ulp_and_normal_on_its_domain() {
+        let top = GELU_TAIL.to_bits();
+        for a in (0..=top).step_by(4099).chain([top]).map(f32::from_bits) {
+            let got = exp_neg(a);
+            let want = (-f64::from(a)).exp();
+            let err = (f64::from(got) - want).abs() / ulp_f32(want);
+            assert!(
+                err <= 2.0 && got.is_normal(),
+                "exp_neg({a:e}) = {got:e}, {err} ULP"
+            );
+        }
     }
 
     #[test]

@@ -1216,7 +1216,7 @@ mod tests {
                 let mut draw = |len: usize| rng.normal_tensor(&[len.max(1)], 0.0, 1.0).as_slice()[..len].to_vec();
                 let (a, b, bt) = (draw(total * k), draw(groups * k * n), draw(groups * n * k));
                 let (bias, pre) = (draw(groups * n), draw(total * n));
-                let tanh: Vec<f32> = pre.iter().map(|&x| crate::dispatch::tests::gelu_one(x).1).collect();
+                let sig: Vec<f32> = pre.iter().map(|&x| crate::dispatch::tests::gelu_one(x).1).collect();
                 for mode in crate::dispatch::kernel_modes() {
                     crate::dispatch::with_kernel_mode(mode, || {
                         let kt = crate::dispatch::table();
@@ -1232,7 +1232,7 @@ mod tests {
                         (kt.gelu)(&mut want, None);
                         let mut want_nt = vec![0.0f32; total * n];
                         grouped_gemm_nt_into(&a, &bt, &mut want_nt, &offsets, k, n, |_, _, _| {});
-                        (kt.gelu_backward)(&pre, &tanh, &mut want_nt);
+                        (kt.gelu_backward)(&pre, &sig, &mut want_nt);
                         for limit in [1usize, 4] {
                             let (got, got_nt) = tutel_rt::with_parallelism_limit(limit, || {
                                 let mut got = vec![f32::NAN; total * n];
@@ -1246,7 +1246,7 @@ mod tests {
                                 grouped_gemm_nt_into(&a, &bt, &mut got_nt, &offsets, k, n, |g, r0, block| {
                                     let s = (offsets[g] + r0) * n;
                                     let rows = s..s + block.len();
-                                    (kt.gelu_backward)(&pre[rows.clone()], &tanh[rows], block);
+                                    (kt.gelu_backward)(&pre[rows.clone()], &sig[rows], block);
                                 });
                                 (got, got_nt)
                             });

@@ -2,9 +2,9 @@
 //!
 //! GELU (tanh approximation) is defined once, as the kernel table's
 //! `gelu` / `gelu_backward` entries: one generic body each in
-//! [`dispatch`](crate::dispatch), over its ported `tanh` (no libm
-//! call: rule 4 there). The expert FFN runs them inside its
-//! grouped-GEMM epilogues.
+//! [`dispatch`](crate::dispatch), evaluated as `x·σ(2u)` with one
+//! `exp_neg` and one divide (no libm call: rule 4 there). The expert
+//! FFN runs them inside its grouped-GEMM epilogues.
 
 use crate::{Result, Tensor, TensorError};
 
@@ -458,25 +458,25 @@ mod tests {
             crate::dispatch::with_simd_mode(Some(force), || {
                 let kt = crate::dispatch::table();
                 let mut captured = h_pre.clone();
-                let (mut pre, mut tanh) = (vec![0.0; n], vec![0.0; n]);
-                (kt.gelu)(&mut captured, Some((&mut pre, &mut tanh)));
+                let (mut pre, mut sig) = (vec![0.0; n], vec![0.0; n]);
+                (kt.gelu)(&mut captured, Some((&mut pre, &mut sig)));
                 assert_eq!(pre, h_pre);
                 let mut in_place = h_pre.clone();
                 (kt.gelu)(&mut in_place, None);
                 assert_eq!(in_place, captured);
                 for i in 0..n {
                     let one = crate::dispatch::tests::gelu_one(h_pre[i]);
-                    assert_eq!(one, (captured[i], tanh[i]), "i={i}");
+                    assert_eq!(one, (captured[i], sig[i]), "i={i}");
                 }
 
                 // The backward scales, elementwise and in place: run on
                 // ones it yields the derivative, run on any upstream it
                 // yields that upstream times the same derivative.
                 let mut derivative = vec![1.0; n];
-                (kt.gelu_backward)(&h_pre, &tanh, &mut derivative);
+                (kt.gelu_backward)(&h_pre, &sig, &mut derivative);
                 let upstream: Vec<f32> = (0..n).map(|i| 0.3 + i as f32 * 0.01).collect();
                 let mut scaled = upstream.clone();
-                (kt.gelu_backward)(&h_pre, &tanh, &mut scaled);
+                (kt.gelu_backward)(&h_pre, &sig, &mut scaled);
                 for i in 0..n {
                     assert_eq!(scaled[i], upstream[i] * derivative[i], "i={i}");
                 }
@@ -622,27 +622,22 @@ mod tests {
         assert!(t.topk_last(3).is_ok());
     }
 
+    /// The analytic derivative against central differences, into the
+    /// far negative tail and the saturated positive side; no derivative
+    /// is subnormal there (a subnormal `gelu'` slows every backward lane
+    /// that meets it).
     #[test]
     fn gelu_backward_matches_finite_difference() {
-        let x = [-2.0f32, -0.5, 0.0, 0.5, 2.0];
-        let gelu = crate::dispatch::tests::gelu_one;
-        let tanh = x.map(|v| gelu(v).1);
-        let mut analytic = [1.0f32; 5];
-        (crate::dispatch::table().gelu_backward)(&x, &tanh, &mut analytic);
-        let gelu_sum = |x: &[f32]| x.iter().map(|&v| gelu(v).0).sum::<f32>();
+        let x = [-12.0f32, -7.5, -6.0, -5.0, -3.0, 0.0, 3.0, 6.0, 12.0];
+        let gelu = |v: f32| crate::dispatch::tests::gelu_one(v).0;
+        let sig = x.map(|v| crate::dispatch::tests::gelu_one(v).1);
+        let mut analytic = [1.0f32; 9];
+        (crate::dispatch::table().gelu_backward)(&x, &sig, &mut analytic);
         let eps = 1e-3;
-        for i in 0..5 {
-            let mut xp = x;
-            xp[i] += eps;
-            let mut xm = x;
-            xm[i] -= eps;
-            let fd = (gelu_sum(&xp) - gelu_sum(&xm)) / (2.0 * eps);
-            assert!(
-                (fd - analytic[i]).abs() < 1e-2,
-                "fd {} vs analytic {}",
-                fd,
-                analytic[i]
-            );
+        for (&x, &d) in x.iter().zip(&analytic) {
+            let fd = (gelu(x + eps) - gelu(x - eps)) / (2.0 * eps);
+            assert!((fd - d).abs() < 1e-2, "x {x}: fd {fd} vs analytic {d}");
+            assert!(!d.is_subnormal(), "gelu'({x}) = {d:e}");
         }
     }
 

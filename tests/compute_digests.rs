@@ -3,9 +3,10 @@
 //! The constants were first recorded on the commit *before* the dense
 //! GEMM trio, the GELU family, the two FFN bodies and the four
 //! hand-written optimizer steps were folded into one implementation
-//! each, and re-recorded once since, when every GEMM element became a
+//! each, and re-recorded twice since: when every GEMM element became a
 //! chain of fused multiply-adds and `A·Bᵀ` took `A·B`'s order over a
-//! transposed B: a refactor of `tensor::{linalg, ops}`, `experts::ffn`,
+//! transposed B, and when GELU became `x·σ(2u)` over one `exp_neg`
+//! (`GEMM_DIGEST` has no GELU and did not move): a refactor of `tensor::{linalg, ops}`, `experts::ffn`,
 //! `gate::router` or `tutel::model` that moves one output, gradient or
 //! post-step weight bit fails here. A deliberate numeric change
 //! re-records the constants in the same commit.
@@ -106,8 +107,8 @@ fn dense_gemm_views_keep_their_bits() {
     assert_eq!(got, GEMM_DIGEST, "got {got:#018x}");
 }
 
-const FFN_F32_DIGEST: u64 = 0x4b5a_1455_6ddb_3436;
-const FFN_BF16_DIGEST: u64 = 0xc96a_e5c8_415a_8025;
+const FFN_F32_DIGEST: u64 = 0xf8c5_5bfd_03d0_c38b;
+const FFN_BF16_DIGEST: u64 = 0x84d5_78f6_2d91_1e7d;
 
 /// `forward_grouped → backward_grouped → step → infer_grouped` over
 /// ragged bins with an empty bin and one that spans two row blocks:
@@ -151,10 +152,10 @@ fn expert_ffn_keeps_its_bits_through_a_train_step() {
 
 /// `(final loss bits, state_dict digest)` after 20 steps, per model.
 const TRAIN_DIGESTS: [(&str, u32, u64); 4] = [
-    ("linear", 0x3fb3_6b87, 0xb2be_aa71_cf1f_5004),
-    ("cosine", 0x3f96_c2d6, 0x09ed_38d7_9c1b_c556),
-    ("hash", 0x3fc5_6423, 0x7700_1ab5_e08f_a19c),
-    ("dense", 0x400d_35d4, 0xd49a_e0f5_f060_1e26),
+    ("linear", 0x3fb3_6b88, 0xa0f7_3e5a_fad9_893b),
+    ("cosine", 0x3f96_a5d8, 0x9f6b_cdfc_9c2c_1335),
+    ("hash", 0x3fc5_6422, 0x746e_e5af_e596_273b),
+    ("dense", 0x400d_35d8, 0x69a8_acab_f224_670c),
 ];
 
 /// Twenty optimizer steps of a tiny SwinLite model: the only gate on
@@ -220,7 +221,7 @@ fn twenty_training_steps_keep_their_bits_for_every_router() {
     assert_eq!(got, want);
 }
 
-const MANY_EXPERTS_DIGEST: u64 = 0x8e3d_efbc_b173_22be;
+const MANY_EXPERTS_DIGEST: u64 = 0xa703_66d8_1f93_3775;
 
 /// Three fwd+bwd+step rounds of a many-experts `MoeLayer` (E = 64,
 /// top-2, dropless, tokens from Zipf-weighted clusters so the load is
