@@ -91,13 +91,15 @@ echo "==> GELU judge: all 2^32 inputs, every SIMD table vs scalar and vs an f64 
 cargo test -q --release -p tutel-tensor --lib -- --ignored \
     gelu_judge_holds_and_simd_lanes_match_scalar_exhaustively --nocapture
 
-echo "==> exp port: all 2^32 inputs vs the host libm and the AVX2 lanes"
+echo "==> exp port: all 2^32 inputs vs the host libm and every SIMD table's exp lanes"
 # Softmax's exp is a port of glibc 2.36's expf as its ifunc resolves on
 # an AVX2+FMA host (e_expf.c with four fused steps): on every bit
-# pattern the scalar port must equal f32::exp, and the 8-lane AVX2
-# body (which the AVX-512 table reuses) the scalar port. Release
-# build, minutes on 2 cores; the default suite runs an edge table plus
-# every 65 537th pattern and checks every table's exp_shift entry.
+# pattern the scalar port must equal f32::exp, and each SIMD table's
+# exp lanes (the 8-lane AVX2 body and, where present, the 16-lane
+# AVX-512 body, each through its own exp_lanes entry) the scalar port.
+# Release build, minutes on 2 cores; the default suite runs an edge
+# table plus every 65 537th pattern and checks every table's exp_shift
+# entry.
 cargo test -q --release -p tutel-tensor --lib -- --ignored exp_port_matches_libm_and_simd_lanes_exhaustively
 
 echo "==> GEMM tile edges: every small shape, every kernel table"
@@ -126,20 +128,27 @@ echo "==> GEMM f64 judge at TUTEL_SIMD=0 and =1"
 TUTEL_SIMD=0 cargo test -q --release --test gemm_judge
 TUTEL_SIMD=1 cargo test -q --release --test gemm_judge
 
-echo "==> top-k and slice-kernel differentials at TUTEL_THREADS=1 and =4"
+echo "==> top-k, slice-kernel and row-block differentials at TUTEL_THREADS=1 and =4"
 # Every SIMD table's top-k (one integer-max pass per slot) against the
 # scalar scan, directly and through topk_last's pooled row chunks, for
 # E in 1..=17 and either side of 32 and 64, every k ≤ E, on ties, ±0,
-# NaN of both signs, ±inf, all-NaN rows and subnormals; and the slice
+# NaN of both signs, ±inf, all-NaN rows and subnormals; the slice
 # kernels no other sweep covers (axpy, add_assign, row_max, row_sum,
 # dot, div_assign, bf16_round, gelu_backward) on ragged, unaligned and
 # empty slices, against scalar and against per-element oracles that
-# share no code with the kernels.
+# share no code with the kernels; gelu' at its limits past the
+# backward's ±1e19 clamp; and every row-block entry (softmax_rows,
+# gather_rows, combine_rows, dot_rows, softmax_grad_rows) against the
+# per-row loop it replaced, in every table.
 for threads in 1 4; do
     TUTEL_THREADS=$threads cargo test -q --release -p tutel-tensor --lib -- --exact \
         dispatch::tests::topk_agrees_across_tables_on_ties_zeros_nans_and_infs \
         dispatch::tests::slice_kernels_match_scalar_on_ragged_unaligned_and_empty_slices \
-        dispatch::tests::slice_kernels_match_per_element_oracles_on_ragged_unaligned_and_empty_slices
+        dispatch::tests::slice_kernels_match_per_element_oracles_on_ragged_unaligned_and_empty_slices \
+        dispatch::tests::gelu_backward_takes_its_limits_past_the_clamp \
+        dispatch::tests::softmax_rows_equals_the_per_row_entries_in_every_table \
+        dispatch::tests::dispatch_row_entries_equal_the_per_row_loops_in_every_table \
+        dispatch::tests::softmax_grad_rows_equals_the_per_row_chain_in_every_table
 done
 
 echo "==> split-k TN: every panel edge equals the unsplit launch at TUTEL_THREADS=1 and =4"
@@ -171,7 +180,10 @@ echo "==> tensor + gate tests at TUTEL_THREADS=1 and =4 (row-chunked top-k, fuse
 # `step::gate` takes softmax and top-k from the router's one launch
 # (the row-block epilogue of the logits GEMM): the fused-gate
 # differentials hold it to `logits -> softmax_last -> route` bit for
-# bit, errors included, at every kernel table.
+# bit, errors included, at every kernel table. The gate backward's
+# panel launch is held to the unfused chain (gate_logits_grad ->
+# LinearRouter::backward -> axpy) the same way, in the gate crate's
+# router::tests::fused_gate_backward_*.
 TUTEL_THREADS=1 cargo test -q -p tutel-tensor -p tutel-gate
 TUTEL_THREADS=4 cargo test -q -p tutel-tensor -p tutel-gate
 TUTEL_THREADS=1 cargo test -q -p tutel --lib -- step::tests::fused_gate

@@ -19,16 +19,15 @@
 //!
 //! The routing record is read through [`Routing`]'s accessors only;
 //! gate gradients travel as one flat `(T·k)` array in the record's
-//! order, and the gate backward turns them into logit gradients in one
-//! row-parallel pass. Every `(T, E)` tensor of the gate chain — the
-//! probabilities (the router's launch turns its logits into them in
-//! place) and the logit gradient — is taken from `scratch` and recycled
-//! here, takes equal to puts, so the arena's `(T·E)` class neither
-//! grows nor evicts from step to step.
+//! order, and [`Router::gate_backward`] turns them into the router's
+//! gradients and its `d_x` term (for a linear router, one launch of
+//! 256-row panels in which each block of logit gradients is made and
+//! used in cache). The probabilities, the gate chain's `(T, E)` tensor
+//! (the router's launch turns its logits into them in place), are
+//! taken from `scratch` and recycled here, so the arena's `(T·E)`
+//! class neither grows nor evicts from step to step.
 
-use tutel_gate::{
-    aux_loss_grad_row, observe_routing, route_top_k, RaggedRouting, RouteConfig, Router, Routing,
-};
+use tutel_gate::{observe_routing, route_top_k, RaggedRouting, RouteConfig, Router, Routing};
 use tutel_kernels::{ragged_decode, ragged_decode_backward, ragged_encode, ragged_encode_backward};
 use tutel_obs::{Telemetry, TraceSpan};
 use tutel_tensor::{scratch, Tensor, TensorError};
@@ -130,9 +129,10 @@ pub fn forward<E: From<TensorError>>(
 /// The backward step: retraces decode → `experts_backward` → encode
 /// over the forward's bins, then chains the gate gradients through
 /// gate normalization, the auxiliary loss (`aux_weight`, straight-
-/// through on the fractions), softmax and the router. `x` is the
-/// forward's input; router gradients accumulate in `router`. Returns
-/// `d_x (T, M)`, router term included.
+/// through on the fractions), softmax and the router
+/// ([`Router::gate_backward`], inside the `gate.backward` span). `x`
+/// is the forward's input; router gradients accumulate in `router`.
+/// Returns `d_x (T, M)`, router term included.
 ///
 /// # Errors
 ///
@@ -160,81 +160,10 @@ pub fn backward<E: From<TensorError>>(
     scratch::recycle(d_packed_in);
 
     let _gate = tel.span("gate.backward");
-    let d_logits = gate_logits_grad(probs, routing, &d_gates, aux_weight)?;
+    router.gate_backward(x, probs, routing, &d_gates, aux_weight, &mut d_x)?;
     tutel_rt::arena().put(d_gates);
     scratch::recycle(saved.probs);
-    let d_x_router = router.backward(x, &d_logits)?;
-    scratch::recycle(d_logits);
-    d_x.axpy(1.0, &d_x_router)?;
-    scratch::recycle(d_x_router);
     Ok(d_x)
-}
-
-/// Token rows per parallel chunk of [`gate_logits_grad`] (fixed: part
-/// of the determinism contract, never derived from pool size).
-const GATE_ROWS: usize = 64;
-
-/// The gate chain's backward, `d_gates (T·k)` → `d_logits (T, E)`, in
-/// one row-parallel pass. Per token row: the probability gradient —
-/// the gate term, chained through normalization when the gates were
-/// normalized (`g_i = v_i / Σv`), else the gate gradient itself — plus
-/// `aux_weight ·` the aux loss's constant row (straight-through on the
-/// fractions), then the softmax backward `y ⊙ (g − ⟨y, g⟩)`. Each row
-/// does the unfused chain's arithmetic operation for operation (zeroed
-/// row, gate term, `+= aux_weight · c`, sequential dot), so its bits
-/// are that chain's for every pool width.
-// check:hot
-fn gate_logits_grad(
-    probs: &Tensor,
-    routing: &Routing,
-    d_gates: &[f32],
-    aux_weight: f32,
-) -> Result<Tensor, TensorError> {
-    let mut aux = aux_loss_grad_row(probs, routing)?;
-    let (k, cols) = (routing.k(), routing.experts);
-    if d_gates.len() != routing.num_tokens() * k {
-        return Err(TensorError::shape_mismatch(
-            "gate_logits_grad",
-            &[d_gates.len()],
-            &[routing.num_tokens(), k],
-        ));
-    }
-    aux.iter_mut().for_each(|c| *c *= aux_weight);
-    let mut d_logits = scratch::raw(probs.dims());
-    let ys = probs.as_slice();
-    tutel_rt::parallel_chunks(d_logits.as_mut_slice(), GATE_ROWS * cols, |blk, chunk| {
-        let t0 = blk * GATE_ROWS;
-        for (r, orow) in chunk.chunks_mut(cols).enumerate() {
-            let t = t0 + r;
-            let yrow = &ys[t * cols..(t + 1) * cols];
-            let dg = &d_gates[t * k..(t + 1) * k];
-            let picked = || routing.experts_of(t).iter().map(|&e| e as usize);
-            orow.fill(0.0);
-            if routing.normalized {
-                let s: f32 = picked().map(|e| yrow[e]).sum::<f32>().max(1e-9);
-                let dot: f32 = dg
-                    .iter()
-                    .zip(picked())
-                    .map(|(d, e)| d * (yrow[e] / s))
-                    .sum();
-                for (e, d) in picked().zip(dg) {
-                    orow[e] = (d - dot) / s;
-                }
-            } else {
-                for (e, &d) in picked().zip(dg) {
-                    orow[e] = d;
-                }
-            }
-            for (g, c) in orow.iter_mut().zip(&aux) {
-                *g += c;
-            }
-            let dot: f32 = yrow.iter().zip(orow.iter()).map(|(y, g)| y * g).sum();
-            for (g, y) in orow.iter_mut().zip(yrow) {
-                *g = y * (*g - dot);
-            }
-        }
-    });
-    Ok(d_logits)
 }
 
 #[cfg(test)]

@@ -16,12 +16,14 @@
 //! * the GShard **auxiliary load-balancing loss** ([`aux_loss`]).
 
 mod aux;
+mod backward;
 mod capacity;
 mod obs;
 mod router;
 mod routing;
 
 pub use aux::{aux_loss, aux_loss_grad_row};
+pub use backward::gate_logits_grad;
 pub use capacity::{expert_capacity, needed_capacity_factor, CapacityPolicy};
 pub use obs::observe_routing;
 pub use router::{CosineRouter, HashRouter, LinearRouter, Router};

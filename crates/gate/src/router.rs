@@ -4,9 +4,13 @@
 //! gradient), so a router's `step` is one [`Param::step`] per matrix
 //! and its parameter count is the sum of their lengths.
 
-use tutel_tensor::{grouped_gemm_tn, scratch, Param, Rng, Tensor, TensorError, TopK};
+use tutel_tensor::{
+    grouped_gemm_tn, linear_backward_panels, scratch, Param, Rng, Tensor, TensorError, TopK,
+};
 
+use crate::backward::{gate_logits_grad, logits_grad_rows, scaled_aux_row};
 use crate::routing::check_k;
+use crate::Routing;
 
 /// A gating router: maps token features `(T, C)` to expert logits
 /// `(T, E)`.
@@ -54,6 +58,38 @@ pub trait Router {
     ///
     /// Returns a [`TensorError`] on shape mismatch.
     fn backward(&mut self, x: &Tensor, d_logits: &Tensor) -> Result<Tensor, TensorError>;
+
+    /// The gate's whole backward from the decode's gate gradients
+    /// `d_gates (T·k)`: through gate normalization, `aux_weight ·` the
+    /// aux loss's row, the softmax over `probs (T, E)` and this router,
+    /// accumulating the router's gradients and adding its input
+    /// gradient into `d_x (T, C)`. The default is the unfused chain:
+    /// [`gate_logits_grad`](crate::gate_logits_grad) into a `(T, E)`
+    /// tensor, [`backward`](Self::backward), then `d_x += ` its result
+    /// ([`Tensor::axpy`] at 1). [`LinearRouter`] runs the same arithmetic
+    /// as one launch of 256-row panel jobs, every bit equal.
+    ///
+    /// # Errors
+    ///
+    /// If `probs`, `d_gates` or `x` does not match `routing`, or `d_x`
+    /// does not match `x`.
+    // check:hot
+    fn gate_backward(
+        &mut self,
+        x: &Tensor,
+        probs: &Tensor,
+        routing: &Routing,
+        d_gates: &[f32],
+        aux_weight: f32,
+        d_x: &mut Tensor,
+    ) -> Result<(), TensorError> {
+        let d_logits = gate_logits_grad(probs, routing, d_gates, aux_weight)?;
+        let d_x_router = self.backward(x, &d_logits)?;
+        scratch::recycle(d_logits);
+        d_x.axpy(1.0, &d_x_router)?;
+        scratch::recycle(d_x_router);
+        Ok(())
+    }
 
     /// Applies accumulated gradients with learning rate `lr` and clears
     /// them.
@@ -135,6 +171,50 @@ impl Router for LinearRouter {
             e,
         );
         d_logits.matmul_nt(self.w.w())
+    }
+
+    /// The unfused chain as one launch ([`linear_backward_panels`]):
+    /// each 256-row panel job makes its rows of `d_logits` (the block
+    /// form of [`gate_logits_grad`](crate::gate_logits_grad)), adds their
+    /// `d_logits · Wᵀ` into `d_x` and sums its panel of `xᵀ · d_logits`,
+    /// and the panels fold into `dW` in order. Every shape is checked
+    /// before any gradient moves.
+    // check:hot
+    fn gate_backward(
+        &mut self,
+        x: &Tensor,
+        probs: &Tensor,
+        routing: &Routing,
+        d_gates: &[f32],
+        aux_weight: f32,
+        d_x: &mut Tensor,
+    ) -> Result<(), TensorError> {
+        let aux = scaled_aux_row(probs, routing, d_gates, aux_weight)?;
+        let (c, e) = (self.w.w().dims()[0], self.w.w().dims()[1]);
+        let t = routing.num_tokens();
+        if x.rank() != 2 || x.dims()[0] != t || x.dims()[1] != c || probs.dims()[1] != e {
+            return Err(TensorError::shape_mismatch(
+                "linear_router_backward",
+                x.dims(),
+                probs.dims(),
+            ));
+        }
+        if d_x.dims() != [t, c] {
+            return Err(TensorError::shape_mismatch("axpy", d_x.dims(), &[t, c]));
+        }
+        let ys = probs.as_slice();
+        let (w, d_w) = self.w.w_and_g_mut();
+        let rows =
+            |t0: usize, out: &mut [f32]| logits_grad_rows(ys, routing, d_gates, &aux, t0, out);
+        linear_backward_panels(
+            x.as_slice(),
+            w.as_slice(),
+            (t, c, e),
+            d_x.as_mut_slice(),
+            d_w,
+            rows,
+        );
+        Ok(())
     }
 
     fn step(&mut self, lr: f32) {
@@ -444,6 +524,154 @@ mod tests {
             r.step(1.0);
         }
         assert!(r.tau() >= CosineRouter::MIN_TAU);
+    }
+
+    /// The unfused chain the panel launch replaces, kept as its oracle:
+    /// `gate_logits_grad` → `backward` → `d_x += `.
+    fn unfused_gate_backward(
+        router: &mut dyn Router,
+        x: &Tensor,
+        probs: &Tensor,
+        routing: &Routing,
+        d_gates: &[f32],
+        aux_weight: f32,
+        d_x: &mut Tensor,
+    ) -> Result<(), TensorError> {
+        let d_logits = gate_logits_grad(probs, routing, d_gates, aux_weight)?;
+        let d_x_router = router.backward(x, &d_logits)?;
+        d_x.axpy(1.0, &d_x_router)
+    }
+
+    fn bits(t: &[f32]) -> Vec<u32> {
+        t.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `LinearRouter::gate_backward`'s panel launch equals the unfused
+    /// chain bit for bit — `d_x` and the weight gradient, accumulated
+    /// over a nonzero start — in every kernel table, for T ∈ {0, 1, 255,
+    /// 256, 257, 513, 8192} (either side of one and two 256-row panels),
+    /// E ∈ {1, 2, 8, 17, 64} with k up to E, normalized and unnormalized
+    /// gates, `aux_weight` 0 and 0.01, and dropless and clamped
+    /// routings (the clamped ones drop assignments). The default path
+    /// (Cosine, Hash) is that chain itself.
+    #[test]
+    fn fused_gate_backward_equals_the_unfused_chain_bit_for_bit() {
+        use crate::{route, CapacityPolicy, RouteConfig};
+        use tutel_tensor::dispatch::{kernel_modes, with_kernel_mode};
+        let c = 8;
+        let mut rng = Rng::seed(55);
+        let mut clamped_drops = 0;
+        for e in [1usize, 2, 8, 17, 64] {
+            for t in [0usize, 1, 255, 256, 257, 513, 8192] {
+                let x = rng.normal_tensor(&[t, c], 0.0, 1.0);
+                let d_x0 = rng.normal_tensor(&[t, c], 0.0, 1.0);
+                let probs = rng.normal_tensor(&[t, e], 0.0, 2.0).softmax_last();
+                let mut router = LinearRouter::new(c, e, &mut rng);
+                router
+                    .w
+                    .accumulate(&rng.normal_tensor(&[c, e], 0.0, 1.0))
+                    .unwrap();
+                let ks: Vec<usize> = if t > 513 {
+                    vec![1, 2.min(e), e]
+                } else {
+                    (1..=e.min(3)).chain([e]).collect()
+                };
+                for (i, k) in ks.into_iter().enumerate() {
+                    let normalize_gates = i % 2 == 0;
+                    let capacity = [CapacityPolicy::AutoMin, CapacityPolicy::Fixed(1.0)][i % 2];
+                    let cfg = RouteConfig {
+                        k,
+                        capacity,
+                        bpr: i % 3 == 0,
+                        normalize_gates,
+                    };
+                    let routing = route(&probs, &cfg).unwrap();
+                    clamped_drops += routing.dropped();
+                    let d_gates = rng.normal_tensor(&[t * k], 0.0, 1.0);
+                    for aux_weight in [0.0, 0.01] {
+                        for mode in kernel_modes() {
+                            let run = |fused: bool| {
+                                with_kernel_mode(mode, || {
+                                    let (mut r, mut d_x) = (router.clone(), d_x0.clone());
+                                    let args =
+                                        (&x, &probs, &routing, d_gates.as_slice(), aux_weight);
+                                    if fused {
+                                        r.gate_backward(
+                                            args.0, args.1, args.2, args.3, args.4, &mut d_x,
+                                        )
+                                    } else {
+                                        unfused_gate_backward(
+                                            &mut r, args.0, args.1, args.2, args.3, args.4,
+                                            &mut d_x,
+                                        )
+                                    }
+                                    .unwrap();
+                                    (bits(d_x.as_slice()), bits(r.w.g().as_slice()))
+                                })
+                            };
+                            let at = format!("{mode:?} T {t} E {e} k {k} {cfg:?} aux {aux_weight}");
+                            let (fused, unfused) = (run(true), run(false));
+                            assert!(fused.0 == unfused.0, "{at}: d_x");
+                            assert!(fused.1 == unfused.1, "{at}: dW");
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            clamped_drops > 0,
+            "no clamped routing dropped an assignment"
+        );
+    }
+
+    /// The panel launch's bits do not depend on the worker count, and a
+    /// shape that does not match fails as the unfused chain fails,
+    /// before any gradient moves.
+    #[test]
+    fn fused_gate_backward_is_worker_count_free_and_checks_shapes_first() {
+        use crate::{route, RouteConfig};
+        let mut rng = Rng::seed(56);
+        let (t, c, e) = (1000, 6, 9);
+        let x = rng.normal_tensor(&[t, c], 0.0, 1.0);
+        let probs = rng.normal_tensor(&[t, e], 0.0, 1.0).softmax_last();
+        let routing = route(&probs, &RouteConfig::top2().with_capacity_factor(0.0)).unwrap();
+        let d_gates = rng.normal_tensor(&[t * 2], 0.0, 1.0);
+        let router = LinearRouter::new(c, e, &mut rng);
+        let run = |limit| {
+            tutel_rt::with_parallelism_limit(limit, || {
+                let (mut r, mut d_x) = (router.clone(), Tensor::ones(&[t, c]));
+                r.gate_backward(&x, &probs, &routing, d_gates.as_slice(), 0.01, &mut d_x)
+                    .unwrap();
+                (bits(d_x.as_slice()), bits(r.w.g().as_slice()))
+            })
+        };
+        let one = run(1);
+        for limit in [2, 4] {
+            assert!(run(limit) == one, "limit {limit}");
+        }
+        let bad_inputs = [
+            (x.clone(), Tensor::ones(&[t, c + 1]), d_gates.as_slice()),
+            (
+                Tensor::ones(&[t, c + 1]),
+                Tensor::ones(&[t, c]),
+                d_gates.as_slice(),
+            ),
+            (x.clone(), Tensor::ones(&[t, c]), &d_gates.as_slice()[1..]),
+        ];
+        for (x, mut d_x, d_gates) in bad_inputs {
+            let (mut fused, mut unfused) = (router.clone(), router.clone());
+            let mut d_x2 = d_x.clone();
+            let a = fused.gate_backward(&x, &probs, &routing, d_gates, 0.0, &mut d_x);
+            let b =
+                unfused_gate_backward(&mut unfused, &x, &probs, &routing, d_gates, 0.0, &mut d_x2);
+            assert_eq!(format!("{a:?}"), format!("{b:?}"));
+            assert!(a.is_err());
+            assert_eq!(
+                fused.w.g().max_abs(),
+                0.0,
+                "a gradient moved before the error"
+            );
+        }
     }
 
     #[test]

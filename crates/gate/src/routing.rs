@@ -101,8 +101,9 @@ pub struct Routing {
     slot: Vec<u32>,
 }
 
-/// `slot` marker for an assignment the capacity clamp dropped.
-const DROPPED: u32 = u32::MAX;
+/// `slot` marker for an assignment the capacity clamp dropped: the
+/// kernel table's "no row", as [`RaggedRouting::UNOWNED`] is.
+const DROPPED: u32 = tutel_tensor::dispatch::NO_ROW;
 
 /// A stored slot as a location: `None` for [`DROPPED`].
 fn granted(slot: u32) -> Option<usize> {
@@ -154,6 +155,14 @@ impl Routing {
         (a / self.k, self.gate[a])
     }
 
+    /// The flat `(T·k)` arrays themselves, `(expert, gate, slot)`, for
+    /// the kernel table's row-block entries, which read a block of
+    /// assignments as it lies: a dropped assignment's slot is
+    /// [`NO_ROW`](tutel_tensor::dispatch::NO_ROW).
+    pub fn flat(&self) -> (&[u32], &[f32], &[u32]) {
+        (&self.expert, &self.gate, &self.slot)
+    }
+
     /// Total (token, expert) assignments that were dropped by the
     /// capacity clamp.
     pub fn dropped(&self) -> usize {
@@ -201,8 +210,9 @@ pub struct RaggedRouting {
 }
 
 impl RaggedRouting {
-    /// `slot_owner` marker for a slot no assignment owns.
-    pub const UNOWNED: u32 = u32::MAX;
+    /// `slot_owner` marker for a slot no assignment owns: the kernel
+    /// table's [`NO_ROW`](tutel_tensor::dispatch::NO_ROW).
+    pub const UNOWNED: u32 = tutel_tensor::dispatch::NO_ROW;
 
     /// Exact bins: expert `e`'s bin holds its `counts[e]` routed rows.
     /// Dropped assignments (only possible under a clamping policy)

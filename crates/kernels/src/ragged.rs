@@ -32,7 +32,8 @@
 //! and a packed row's bits never depend on how its bin was sized.
 
 use tutel_gate::{RaggedRouting, Routing};
-use tutel_tensor::{dispatch, scratch, Tensor, TensorError};
+use tutel_tensor::dispatch::{self, Picks};
+use tutel_tensor::{scratch, Tensor, TensorError};
 
 /// Output rows per parallel chunk (fixed: part of the determinism
 /// contract, never derived from pool size).
@@ -57,21 +58,13 @@ pub fn ragged_encode(
     let m = check_tokens(x, routing, "ragged_encode")?;
     check_pair(routing, ragged, "ragged_encode")?;
     let mut out = scratch::raw(&[ragged.total(), m]);
-    let xs = x.as_slice();
+    let (xs, k) = (x.as_slice(), routing.k());
     // Slot-major: each packed row is a copy of its owner token's
-    // feature row, or zero. One warp per row on GPU; one memcpy per
-    // owned row here.
+    // feature row, or zero. One warp per row on GPU; one row-block
+    // entry call per chunk here.
     tutel_rt::parallel_chunks(out.as_mut_slice(), ROW_CHUNK * m, |blk, chunk| {
-        let slot0 = blk * ROW_CHUNK;
-        for (s, orow) in chunk.chunks_mut(m).enumerate() {
-            let a = ragged.slot_owner[slot0 + s];
-            if a == RaggedRouting::UNOWNED {
-                orow.fill(0.0);
-            } else {
-                let (t, _) = routing.assignment(a as usize);
-                orow.copy_from_slice(&xs[t * m..(t + 1) * m]);
-            }
-        }
+        let owner = &ragged.slot_owner[blk * ROW_CHUNK..][..chunk.len() / m];
+        (dispatch::table().gather_rows)(xs, m, owner, k, None, chunk);
     });
     Ok(out)
 }
@@ -91,23 +84,15 @@ pub fn ragged_encode_backward(
 ) -> Result<Tensor, TensorError> {
     let m = check_packed(d_packed, ragged, "ragged_encode_backward")?;
     check_pair(routing, ragged, "ragged_encode_backward")?;
+    check_rows(tokens, routing, "ragged_encode_backward")?;
     let mut dx = scratch::raw(&[tokens, m]);
     let dd = d_packed.as_slice();
     // Token-major: each token row sums the gradients parked in its own
-    // slots from zero, in selection order, lanewise through the kernel
-    // table (both modes add element-at-a-time, so bits match).
+    // slots from zero, in selection order, lanewise (every table adds
+    // element by element, so bits match).
     tutel_rt::parallel_chunks(dx.as_mut_slice(), ROW_CHUNK * m, |blk, chunk| {
-        chunk.fill(0.0);
-        let add_assign = dispatch::table().add_assign;
-        let t0 = blk * ROW_CHUNK;
-        for (ti, orow) in chunk.chunks_mut(m).enumerate() {
-            for (e, _, loc) in routing.selections(t0 + ti) {
-                if let Some(l) = loc {
-                    let s = ragged.offsets[e] + l;
-                    add_assign(&dd[s * m..(s + 1) * m], orow);
-                }
-            }
-        }
+        let (picks, k) = picks_of(routing, ragged, blk, chunk.len() / m);
+        (dispatch::table().combine_rows)(dd, m, picks, k, None, chunk);
     });
     Ok(dx)
 }
@@ -128,24 +113,17 @@ pub fn ragged_decode(
 ) -> Result<Tensor, TensorError> {
     let m = check_packed(y, ragged, "ragged_decode")?;
     check_pair(routing, ragged, "ragged_decode")?;
+    check_rows(tokens, routing, "ragged_decode")?;
     let mut out = scratch::raw(&[tokens, m]);
     let ys = y.as_slice();
+    let (_, gates, _) = routing.flat();
     // Token-major: gate-weighted sum from zero over the token's ≤ k
-    // packed rows in selection order via the kernel table's axpy (mul
-    // then add per lane in both modes, so scalar and SIMD stay bitwise
-    // identical).
+    // packed rows in selection order (mul then add per lane in every
+    // table, so scalar and SIMD stay bitwise identical).
     tutel_rt::parallel_chunks(out.as_mut_slice(), ROW_CHUNK * m, |blk, chunk| {
-        chunk.fill(0.0);
-        let axpy = dispatch::table().axpy;
-        let t0 = blk * ROW_CHUNK;
-        for (ti, orow) in chunk.chunks_mut(m).enumerate() {
-            for (e, g, loc) in routing.selections(t0 + ti) {
-                if let Some(l) = loc {
-                    let s = ragged.offsets[e] + l;
-                    axpy(g, &ys[s * m..(s + 1) * m], orow);
-                }
-            }
-        }
+        let (picks, k) = picks_of(routing, ragged, blk, chunk.len() / m);
+        let gates = &gates[blk * ROW_CHUNK * k..][..picks.slot.len()];
+        (dispatch::table().combine_rows)(ys, m, picks, k, Some(gates), chunk);
     });
     Ok(out)
 }
@@ -182,41 +160,55 @@ pub fn ragged_decode_backward(
     let ys = y.as_slice();
 
     // Pass 1, slot-major: dy[row] = 0 + g · d_out[owner token].
+    let k = routing.k();
+    let (_, gates, _) = routing.flat();
     let mut dy = scratch::raw(&[ragged.total(), m]);
     tutel_rt::parallel_chunks(dy.as_mut_slice(), ROW_CHUNK * m, |blk, chunk| {
-        chunk.fill(0.0);
-        let axpy = dispatch::table().axpy;
-        let slot0 = blk * ROW_CHUNK;
-        for (s, orow) in chunk.chunks_mut(m).enumerate() {
-            let a = ragged.slot_owner[slot0 + s];
-            if a != RaggedRouting::UNOWNED {
-                let (t, g) = routing.assignment(a as usize);
-                axpy(g, &ds[t * m..(t + 1) * m], orow);
-            }
-        }
+        let owner = &ragged.slot_owner[blk * ROW_CHUNK..][..chunk.len() / m];
+        (dispatch::table().gather_rows)(ds, m, owner, k, Some(gates), chunk);
     });
 
     // Pass 2, token-major: dgates[t·k + i] = ⟨y_row, d_out_t⟩ through
-    // the kernel table's 8-lane reduction-tree dot (same summation
-    // order in scalar and SIMD modes), 0 for a dropped assignment.
-    let k = routing.k();
+    // the 8-lane reduction-tree dot (same summation order in every
+    // table), 0 for a dropped assignment.
     let mut dgates = tutel_rt::arena().take_raw(routing.num_tokens() * k);
     tutel_rt::parallel_chunks(&mut dgates, ROW_CHUNK * k, |blk, chunk| {
-        chunk.fill(0.0);
-        let dot = dispatch::table().dot;
-        let t0 = blk * ROW_CHUNK;
-        for (ti, grow) in chunk.chunks_mut(k).enumerate() {
-            let t = t0 + ti;
-            let drow = &ds[t * m..(t + 1) * m];
-            for (g, (e, _, loc)) in grow.iter_mut().zip(routing.selections(t)) {
-                if let Some(l) = loc {
-                    let s = ragged.offsets[e] + l;
-                    *g = dot(&ys[s * m..(s + 1) * m], drow);
-                }
-            }
-        }
+        let rows = chunk.len() / k;
+        let (picks, k) = picks_of(routing, ragged, blk, rows);
+        let d = &ds[blk * ROW_CHUNK * m..][..rows * m];
+        (dispatch::table().dot_rows)(ys, d, m, picks, k, chunk);
     });
     Ok((dy, dgates))
+}
+
+/// The picks of token rows `blk · ROW_CHUNK ..` (`rows` of them), and
+/// `k`.
+fn picks_of<'a>(
+    routing: &'a Routing,
+    ragged: &'a RaggedRouting,
+    blk: usize,
+    rows: usize,
+) -> (Picks<'a>, usize) {
+    let (expert, _, slot) = routing.flat();
+    let k = routing.k();
+    let span = blk * ROW_CHUNK * k..(blk * ROW_CHUNK + rows) * k;
+    let picks = Picks {
+        offsets: &ragged.offsets,
+        expert: &expert[span.clone()],
+        slot: &slot[span],
+    };
+    (picks, k)
+}
+
+/// A token-major pass writes `tokens` rows, each of a routed token.
+fn check_rows(tokens: usize, routing: &Routing, op: &'static str) -> Result<(), TensorError> {
+    if tokens > routing.num_tokens() {
+        return Err(TensorError::InvalidArgument(format!(
+            "{op}: {tokens} token rows for a routing of {}",
+            routing.num_tokens()
+        )));
+    }
+    Ok(())
 }
 
 fn check_tokens(x: &Tensor, routing: &Routing, op: &'static str) -> Result<usize, TensorError> {

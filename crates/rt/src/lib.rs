@@ -39,6 +39,6 @@ pub mod pool;
 
 pub use arena::{arena, Arena, ArenaStats};
 pub use pool::{
-    parallel_chunks, parallel_for, parallel_ranges, parallel_ranges_pair, pool_stats,
-    with_parallelism_limit, PoolStats, SameRanges,
+    parallel_chunks, parallel_chunks_zip, parallel_for, parallel_ranges, parallel_ranges_pair,
+    pool_stats, with_parallelism_limit, PoolStats, SameRanges,
 };

@@ -451,6 +451,47 @@ pub fn parallel_chunks<T: Send>(
     });
 }
 
+/// [`parallel_chunks`] over two buffers in step: chunk `i` of `a`
+/// (`a_len` elements, the last one shorter) and chunk `i` of `b`
+/// (`b_len`, likewise) go to the same `f(i, a_chunk, b_chunk)` call —
+/// a job that writes one buffer's rows and its own slab of another, a
+/// per-job partial sum, say. Disjoint by construction, as
+/// [`parallel_chunks`] is.
+///
+/// # Panics
+///
+/// If the two buffers split into different numbers of chunks.
+pub fn parallel_chunks_zip<A: Send, B: Send>(
+    (a, a_len): (&mut [A], usize),
+    (b, b_len): (&mut [B], usize),
+    f: impl Fn(usize, &mut [A], &mut [B]) + Sync,
+) {
+    let (a_len, b_len) = (a_len.max(1), b_len.max(1));
+    let (na, nb) = (a.len(), b.len());
+    let chunks = na.div_ceil(a_len);
+    assert_eq!(
+        chunks,
+        nb.div_ceil(b_len),
+        "parallel_chunks_zip: {na} / {a_len} and {nb} / {b_len} make different chunk counts"
+    );
+    let (pa, pb) = (SendPtr(a.as_mut_ptr()), SendPtr(b.as_mut_ptr()));
+    global().run(chunks, usize::MAX, &|i| {
+        let (sa, ea) = (i * a_len, ((i + 1) * a_len).min(na));
+        let (sb, eb) = (i * b_len, ((i + 1) * b_len).min(nb));
+        // SAFETY: as in `parallel_chunks`, per buffer: chunk `i` of each
+        // lies inside it (`i` is below both chunk counts, which are
+        // equal), the chunks of one buffer are disjoint, the buffers are
+        // distinct `&mut` borrows, and each index runs exactly once.
+        let (ca, cb) = unsafe {
+            (
+                std::slice::from_raw_parts_mut(pa.get().add(sa), ea - sa),
+                std::slice::from_raw_parts_mut(pb.get().add(sb), eb - sb),
+            )
+        };
+        f(i, ca, cb);
+    });
+}
+
 /// Runs `f(range_index, &mut data[start..end])` over caller-defined
 /// ranges in parallel. Ranges must be sorted, in-bounds, and
 /// non-overlapping; if they are not, the call degrades to a serial

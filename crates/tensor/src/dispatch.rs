@@ -6,8 +6,9 @@
 //!
 //! CPU features are detected **once** (a `OnceLock`) and resolved into
 //! one of three static [`KernelTable`]s of plain function pointers:
-//! scalar, AVX2, and AVX-512, whose GEMM tiles and GELU run 16 lanes
-//! and whose other entries are the AVX2 ones. Each kernel is **one
+//! scalar, AVX2, and AVX-512, whose lanewise work (GEMM tiles, GELU,
+//! `exp`, divides, row copies and combines) runs 16 lanes and whose
+//! reduction trees run the AVX2 eight. Each kernel is **one
 //! generic body per op** over a private lane trait, instantiated per
 //! lane type: `f32` for the scalar table (and every kernel's tail),
 //! `__m256` for AVX2, `__m512` for AVX-512. A table entry is a
@@ -16,6 +17,20 @@
 //! relaxed atomic loads, no detection, no branching beyond the table
 //! select) and call through the pointers; per-call feature checks
 //! never happen.
+//!
+//! The per-token-row passes of a routed step are **row-block
+//! entries**: one call per block of rows — the gate's row function
+//! ([`KernelTable::softmax_rows`]) and the dispatch passes'
+//! [`gather_rows`](KernelTable::gather_rows),
+//! [`combine_rows`](KernelTable::combine_rows) and
+//! [`dot_rows`](KernelTable::dot_rows), and the gate's backward rows
+//! ([`KernelTable::softmax_grad_rows`]) — whose row loops are compiled
+//! under the table's features with the row kernels inlined, instead of
+//! one to five indirect calls per row. Each does the per-row entries'
+//! arithmetic operation for operation, so its bits are theirs; those
+//! per-row entries (`dot`, `axpy`, `row_max`, `row_sum`, `div_assign`,
+//! `exp_shift`) survive only in the test build, as the oracles the
+//! row-block entries are held to.
 //!
 //! # The bitwise-SIMD contract
 //!
@@ -74,11 +89,12 @@
 //!    steps that build contracts (`InvLn2N·x − kd`, `C0·r + C1`,
 //!    `C2·r + 1`, `z·r² + y`), a 32-entry table of `2^(i/32)`, and the
 //!    `|x| ≥ 88` filter selected last. Its `f64` halves would need a
-//!    second lane type, so it is written twice: the scalar body and an
-//!    8-lane AVX2 body (two 4-lane `f64` halves, the table read by
-//!    `gather`), the AVX2 table's `exp_shift` entry, which the AVX-512
-//!    table reuses; both equal `f32::exp` on all 2³² inputs on such a
-//!    host.
+//!    second lane type, so it is written once per lane width, as the
+//!    lane trait's `exp_port`: the scalar body, an 8-lane AVX2 body (two
+//!    4-lane `f64` halves, the table read by `gather`) and a 16-lane
+//!    AVX-512 body (two 8-lane `f64` halves, the table held in four
+//!    registers and read by two permutes and a blend); each equals
+//!    `f32::exp` on all 2³² inputs on such a host.
 //!
 //! Mode selection: `TUTEL_SIMD=0` forces scalar, unset or `1` uses the
 //! widest table the host has (read once); [`set_simd_override`] flips
@@ -115,7 +131,7 @@ pub enum SimdMode {
     Scalar,
     /// The kernels on `__m256` lanes (bitwise-identical to scalar).
     Avx2,
-    /// `__m512` GEMM tiles and GELU over the AVX2 table (also
+    /// `__m512` lanewise kernels over the AVX2 reduction trees (also
     /// bitwise-identical to scalar).
     Avx512,
 }
@@ -138,26 +154,69 @@ pub type MicroTileFn = fn(&[f32], usize, usize, usize, &[f32], &mut [f32], usize
 /// arguments, then `cols`; see [`KernelTable::micro_edge`].
 pub type MicroEdgeFn = fn(&[f32], usize, usize, usize, &[f32], &mut [f32], usize, usize, usize);
 /// Strip-mined dot product with the fixed lane tree.
+#[cfg(test)]
 pub type DotFn = fn(&[f32], &[f32]) -> f32;
 /// One row's top `idx.len()` columns and values; see
 /// [`KernelTable::topk`].
 pub type TopkFn = fn(&[f32], &mut [u32], &mut [f32]);
 /// `out[i] += a * v[i]`.
+#[cfg(test)]
 pub type AxpyFn = fn(f32, &[f32], &mut [f32]);
 /// `out[i] += v[i]`.
 pub type AddAssignFn = fn(&[f32], &mut [f32]);
 /// Lane-tree horizontal reduction of one row.
+#[cfg(test)]
 pub type RowReduceFn = fn(&[f32]) -> f32;
 /// `row[i] /= denom`.
+#[cfg(test)]
 pub type DivAssignFn = fn(&mut [f32], f32);
 /// `row[i] ← exp(row[i] − shift)`; see [`KernelTable::exp_shift`].
+#[cfg(test)]
 pub type ExpShiftFn = fn(&mut [f32], f32);
+/// A block of rows' softmax and top-k; see [`KernelTable::softmax_rows`].
+pub type SoftmaxRowsFn = fn(&mut [f32], usize, &mut [u32], &mut [f32]);
+/// Packed rows gathered from token rows; see [`KernelTable::gather_rows`].
+pub type GatherRowsFn = fn(&[f32], usize, &[u32], usize, Option<&[f32]>, &mut [f32]);
+/// Token rows combined from packed rows; see [`KernelTable::combine_rows`].
+pub type CombineRowsFn = fn(&[f32], usize, Picks<'_>, usize, Option<&[f32]>, &mut [f32]);
+/// Each assignment's row dot; see [`KernelTable::dot_rows`].
+pub type DotRowsFn = fn(&[f32], &[f32], usize, Picks<'_>, usize, &mut [f32]);
+/// The gate chain's backward rows; see [`KernelTable::softmax_grad_rows`].
+pub type SoftmaxGradRowsFn = fn(&[f32], &[u32], &[f32], &[f32], bool, &mut [f32]);
 /// In-place rounding of every element to its nearest bf16 value.
 pub type Bf16RoundFn = fn(&mut [f32]);
 /// GELU in place, `h[i] ← gelu(h[i])`; see [`KernelTable::gelu`].
 pub type GeluFn = fn(&mut [f32], Option<(&mut [f32], &mut [f32])>);
 /// `g[i] *= gelu'(pre[i])`; see [`KernelTable::gelu_backward`].
 pub type GeluBackwardFn = fn(&[f32], &[f32], &mut [f32]);
+
+/// The index that names no row: a packed slot no assignment owns, or a
+/// pick the capacity clamp dropped.
+pub const NO_ROW: u32 = u32::MAX;
+
+/// The picks of a block of token rows, `k` per row in selection order,
+/// as a routing record lays them out: pick `a` reads packed row
+/// `offsets[expert[a]] + slot[a]`, or nothing when `slot[a]` is
+/// [`NO_ROW`]. `expert` and `slot` are the block's `(rows·k)` entries;
+/// `offsets` is every bin's start.
+#[derive(Clone, Copy, Debug)]
+pub struct Picks<'a> {
+    /// Packed-row start of each bin (`E + 1` prefix sums).
+    pub offsets: &'a [usize],
+    /// Each pick's bin.
+    pub expert: &'a [u32],
+    /// Each pick's row within its bin, or [`NO_ROW`].
+    pub slot: &'a [u32],
+}
+
+impl Picks<'_> {
+    /// Pick `a`'s packed row, if it was granted one.
+    #[inline(always)]
+    fn row(&self, a: usize) -> Option<usize> {
+        let slot = self.slot[a];
+        (slot != NO_ROW).then(|| self.offsets[self.expert[a] as usize] + slot as usize)
+    }
+}
 
 /// The resolved kernel set for one [`SimdMode`]. All pointers are
 /// plain safe `fn`s; the SIMD entries wrap `#[target_feature]` bodies
@@ -186,6 +245,7 @@ pub struct KernelTable {
     /// fused multiply-add is one instruction there.
     pub micro_edge: MicroEdgeFn,
     /// 8-lane strip-mined dot product (fixed reduction tree).
+    #[cfg(test)]
     pub dot: DotFn,
     /// `(row, idx, val)`: the top `idx.len()` columns of `row`, best
     /// first, and their values read back from `row` (ties and NaN as
@@ -195,19 +255,62 @@ pub struct KernelTable {
     /// same unique keys, so every table selects the same columns.
     pub topk: TopkFn,
     /// `out += a * v` over equal-length slices.
+    #[cfg(test)]
     pub axpy: AxpyFn,
     /// `out += v` over equal-length slices.
     pub add_assign: AddAssignFn,
     /// Lane-tree maximum of a row (`-inf` for an empty row).
+    #[cfg(test)]
     pub row_max: RowReduceFn,
     /// Lane-tree sum of a row.
+    #[cfg(test)]
     pub row_sum: RowReduceFn,
     /// Lanewise `row[i] /= denom`.
+    #[cfg(test)]
     pub div_assign: DivAssignFn,
     /// Lanewise `row[i] ← exp(row[i] − shift)`, the softmax numerator:
     /// the difference rounded to `f32`, then the ported `exp` (rule
     /// 4).
+    #[cfg(test)]
     pub exp_shift: ExpShiftFn,
+    /// The gate's row function over a block of rows: `(rows, cols, idx,
+    /// val)` replaces each `(R, E = cols)` row of `rows` by its softmax —
+    /// the `row_max` tree, `exp(v − max)` through `exp_port`, the
+    /// `row_sum` tree, a lanewise divide — and, when `idx` and `val`
+    /// hold `k ≥ 1` slots per row (`(R, k)` each), writes the row's top
+    /// `k` of the probabilities there as [`topk`](Self::topk) does;
+    /// empty `idx` and `val` mean softmax only.
+    pub softmax_rows: SoftmaxRowsFn,
+    /// `(src, m, owner, k, gate, out)`: packed row `s` of `out`
+    /// (`(owner.len(), m)`) is row `owner[s] / k` of `src` (`(T, m)`),
+    /// copied, or `0 + gate[owner[s]] · it` lanewise when `gate` (the
+    /// `(T·k)` weights) is given; zero when `owner[s]` is [`NO_ROW`].
+    pub gather_rows: GatherRowsFn,
+    /// `(src, m, picks, k, gate, out)`: token row `t` of `out` (`(rows,
+    /// m)`, `k` picks per row) is the sum from zero, in pick order, of
+    /// the packed rows of `src` (`(R, m)`) its picks name — each added
+    /// lanewise as it is, or times its weight `gate[t·k + i]` (mul,
+    /// then add) when `gate` (the rows' `(rows·k)` weights) is given; a
+    /// dropped pick adds nothing.
+    pub combine_rows: CombineRowsFn,
+    /// `(y, d, m, picks, k, out)`: `out[t·k + i]` is the 8-lane-tree
+    /// dot of pick `i`'s packed row of `y` (`(R, m)`) with token row `t`
+    /// of `d` (`(rows, m)`), and `0` for a dropped pick.
+    pub dot_rows: DotRowsFn,
+    /// The gate chain's backward over a block of token rows, the mirror
+    /// of [`softmax_rows`](Self::softmax_rows): `(y, picks, d_gates, aux,
+    /// normalized, out)` writes each row of `out` (`(R, E)`, `E =
+    /// aux.len()`) from the row's probabilities `y` (`(R, E)`), its `k`
+    /// selected experts `picks` and their gate gradients `d_gates`
+    /// (`(R, k)` each) and the scaled aux row: `g = 0 + aux`, the gate
+    /// term `+ aux` at each pick (through normalization `g_i = v_i / Σv`
+    /// when `normalized`: `s = max(Σ y_pick, 1e-9)`, `dot = Σ d·(y/s)`,
+    /// `(d − dot)/s`), then the softmax backward `y ⊙ (g − ⟨y, g⟩)`.
+    /// Every sum is sequential from `-0.0` (`Iterator::sum`'s start),
+    /// each product rounded then added; the `⟨y, g⟩` chains of eight rows
+    /// advance side by side (the SIMD tables transpose 8 × 8 blocks of
+    /// products so one vector add steps every chain).
+    pub softmax_grad_rows: SoftmaxGradRowsFn,
     /// In-place round-to-nearest-even to the bf16 grid
     /// ([`bf16_round_one`] per element).
     pub bf16_round: Bf16RoundFn,
@@ -233,14 +336,27 @@ static SCALAR_TABLE: KernelTable = KernelTable {
     micro_edge: |a, row, step, kc_len, b, out, n, mr_eff, cols| {
         micro_edge(ONE_LANE, a, row, step, kc_len, b, out, n, mr_eff, cols)
     },
+    #[cfg(test)]
     dot: |x, y| dot(ONE_LANE, x, y),
     topk: crate::ops::topk_scan,
+    #[cfg(test)]
     axpy: |a, v, out| axpy(ONE_LANE, a, v, out),
     add_assign: |v, out| add_assign(ONE_LANE, v, out),
+    #[cfg(test)]
     row_max: |x| row_max(ONE_LANE, x),
+    #[cfg(test)]
     row_sum: |x| row_sum(ONE_LANE, x),
+    #[cfg(test)]
     div_assign: |row, denom| div_assign(ONE_LANE, row, denom),
-    exp_shift: |row, shift| row.iter_mut().for_each(|v| *v = exp(*v - shift)),
+    #[cfg(test)]
+    exp_shift: |row, shift| exp_shift(ONE_LANE, row, shift),
+    softmax_rows: |rows, cols, idx, val| softmax_rows(ONE_PAIR, rows, cols, idx, val),
+    gather_rows: |src, m, owner, k, gate, out| gather_rows(ONE_LANE, src, m, owner, k, gate, out),
+    combine_rows: |src, m, picks, k, gate, out| combine_rows(ONE_LANE, src, m, picks, k, gate, out),
+    dot_rows: |y, d, m, picks, k, out| dot_rows(ONE_LANE, y, d, m, picks, k, out),
+    softmax_grad_rows: |y, picks, d_gates, aux, normalized, out| {
+        softmax_grad_rows(ONE_PAIR, row_dots, y, picks, d_gates, aux, normalized, out)
+    },
     bf16_round: |data| bf16_round(ONE_LANE, data),
     gelu: |h, keep| gelu(ONE_LANE, h, keep),
     gelu_backward: |pre, sig, g| gelu_backward(ONE_LANE, pre, sig, g),
@@ -549,6 +665,8 @@ trait Lane:
     fn bits(self) -> Self::I;
     /// `t` in the lanes `m` selects, `self` in the others.
     fn blend(self, m: <Self::I as Ints>::M, t: Self) -> Self;
+    /// The ported `exp` ([`exp`], rule 4) in every lane.
+    fn exp_port(self) -> Self;
 }
 
 /// The `i32` lanes of a [`Lane`]. Arithmetic wraps, and a shift count
@@ -576,6 +694,9 @@ trait Ints: Copy {
 /// One lane: the scalar table's, and every kernel's tail in every
 /// table. `select` makes the blends branch-free.
 const ONE_LANE: f32 = 0.0;
+/// The scalar table's `(lanewise, tree)` lanes for a body that takes
+/// both (rule 3's trees hold at most eight lanes).
+const ONE_PAIR: (f32, f32) = (ONE_LANE, ONE_LANE);
 
 impl Lane for f32 {
     type I = i32;
@@ -615,6 +736,10 @@ impl Lane for f32 {
     #[inline(always)]
     fn blend(self, m: bool, t: f32) -> f32 {
         select(m, t, self)
+    }
+    #[inline(always)]
+    fn exp_port(self) -> f32 {
+        exp(self)
     }
 }
 
@@ -659,7 +784,7 @@ impl Ints for i32 {
 /// same lanes as `i32` in a `$iv`, with `$f::new`, and implements
 /// [`Lane`] and [`Ints`] for them: every op is one intrinsic, or one
 /// `#[target_feature]` adapter where the intrinsic takes its arguments
-/// in another order.
+/// in another order (and `exp`, the module's hand-written `exp` lanes).
 ///
 /// The intrinsics need `$features`, and every `unsafe` below rests on
 /// one argument: a `$f` or `$i` exists only on a host that has them.
@@ -676,7 +801,7 @@ macro_rules! x86_lanes {
         $f:ident($fv:ty), $i:ident($iv:ty), mask $m:ty, $lanes:literal, $features:literal;
         new $zero:ident, splat $splat:ident, splat_i $splat_i:ident,
         load $load:ident, store $store:ident, fma $fma:ident, blend $blend:ident,
-        sign $sign:ident;
+        sign $sign:ident, exp $exp:ident;
         ops [$($tr:ident $op:ident $opi:ident),*];
         f32 [$($fm:ident $fmi:ident),*];
         to_i32 [$($ti:ident $tii:ident),*];
@@ -753,6 +878,11 @@ macro_rules! x86_lanes {
             fn blend(self, m: $m, t: Self) -> Self {
                 // SAFETY: as for the operators.
                 $f(unsafe { $blend(self.0, m, t.0) })
+            }
+            #[inline(always)]
+            fn exp_port(self) -> Self {
+                // SAFETY: as for the operators.
+                $f(unsafe { $exp(self.0) })
             }
         }
 
@@ -1016,6 +1146,354 @@ fn topk<L: Lane>(_: L, row: &[f32], idx: &mut [u32], val: &mut [f32]) {
     crate::ops::topk_by_max(row, idx, val);
 }
 
+/// `row[i] ← exp(row[i] − shift)`: the difference rounded to `f32`,
+/// then [`Lane::exp_port`].
+#[inline(always)]
+fn exp_shift<L: Lane>(l: L, row: &mut [f32], shift: f32) {
+    let mut rs = row.chunks_exact_mut(L::LANES);
+    for r in &mut rs {
+        (l.load(r) - l.splat(shift)).exp_port().store(r);
+    }
+    if L::LANES > 1 {
+        exp_shift(ONE_LANE, rs.into_remainder(), shift);
+    }
+}
+
+/// The `exp_lanes` test entry: [`Lane::exp_port`] over every whole
+/// `L::LANES` block of `xs` (a shorter tail is left as is); returns how
+/// many lanes it wrote.
+#[cfg(test)]
+#[inline(always)]
+fn exp_lanes<L: Lane>(l: L, xs: &mut [f32]) -> usize {
+    let mut blocks = xs.chunks_exact_mut(L::LANES);
+    for c in &mut blocks {
+        l.load(c).exp_port().store(c);
+    }
+    xs.len() / L::LANES * L::LANES
+}
+
+/// The `softmax_rows` entry: each row's `row_max` (on the tree lanes
+/// `n`), `exp_shift`, `row_sum` (on `n`) and `div_assign`, then its top
+/// `k` — the scalar table's one-scan `topk`, the SIMD tables' key-max
+/// passes — when `idx` holds `k` slots per row.
+#[inline(always)]
+fn softmax_rows<W: Lane, N: Lane>(
+    (w, n): (W, N),
+    rows: &mut [f32],
+    cols: usize,
+    idx: &mut [u32],
+    val: &mut [f32],
+) {
+    let count = rows.len().checked_div(cols).unwrap_or(0);
+    let k = idx.len().checked_div(count).unwrap_or(0);
+    assert!(
+        rows.len() == count * cols && idx.len() == count * k && val.len() == idx.len(),
+        "softmax_rows: {} values in rows of {cols}, {} / {} top-k slots",
+        rows.len(),
+        idx.len(),
+        val.len()
+    );
+    // Each row is one long chain of dependent steps (a reduction feeds
+    // the next pass), so the rows go through each step a few at a time,
+    // giving the core independent work to overlap.
+    let group = SOFTMAX_GROUP * cols.max(1);
+    for (g, rows) in rows.chunks_mut(group).enumerate() {
+        let mut scale = [0.0f32; SOFTMAX_GROUP];
+        for (row, max) in rows.chunks_exact(cols.max(1)).zip(&mut scale) {
+            *max = row_max(n, row);
+        }
+        // The lanewise steps run the wide lanes over a row's whole wide
+        // blocks and the tree lanes over the rest, so a row narrower
+        // than `W` (E = 8, say) still runs in vectors.
+        for (row, &max) in rows.chunks_exact_mut(cols.max(1)).zip(&scale) {
+            let (wide, rest) = row.split_at_mut(cols / W::LANES * W::LANES);
+            exp_shift(w, wide, max);
+            exp_shift(n, rest, max);
+        }
+        for (row, denom) in rows.chunks_exact(cols.max(1)).zip(&mut scale) {
+            *denom = row_sum(n, row);
+        }
+        for (row, &denom) in rows.chunks_exact_mut(cols.max(1)).zip(&scale) {
+            let (wide, rest) = row.split_at_mut(cols / W::LANES * W::LANES);
+            div_assign(w, wide, denom);
+            div_assign(n, rest, denom);
+        }
+        if k == 0 {
+            continue;
+        }
+        let (idx, val) = (
+            &mut idx[g * SOFTMAX_GROUP * k..],
+            &mut val[g * SOFTMAX_GROUP * k..],
+        );
+        if W::LANES == 1 {
+            for (r, row) in rows.chunks_exact(cols.max(1)).enumerate() {
+                crate::ops::topk_scan(row, &mut idx[r * k..][..k], &mut val[r * k..][..k]);
+            }
+            continue;
+        }
+        // The key-max passes: slot `i` of every row of the group before
+        // slot `i + 1` of any, so the rows' passes run side by side.
+        let mut below = [u64::MAX; SOFTMAX_GROUP];
+        for slot in 0..k {
+            for (r, (row, below)) in rows.chunks_exact(cols.max(1)).zip(&mut below).enumerate() {
+                *below = crate::ops::topk_pass(row, *below);
+                (idx[r * k + slot], val[r * k + slot]) = crate::ops::topk_pick(row, *below);
+            }
+        }
+    }
+}
+
+/// Rows [`softmax_rows`] takes through each step together.
+const SOFTMAX_GROUP: usize = 4;
+
+/// `out[i] = v[i]` lanewise.
+#[inline(always)]
+fn copy_row<L: Lane>(l: L, v: &[f32], out: &mut [f32]) {
+    let mut vs = v.chunks_exact(L::LANES);
+    let mut os = out.chunks_exact_mut(L::LANES);
+    for (v, o) in (&mut vs).zip(&mut os) {
+        l.load(v).store(o);
+    }
+    if L::LANES > 1 {
+        copy_row(ONE_LANE, vs.remainder(), os.into_remainder());
+    }
+}
+
+/// `out[i] = 0 + a · v[i]` lanewise: [`axpy`] into a zeroed row, in one
+/// pass.
+#[inline(always)]
+fn scale_row<L: Lane>(l: L, a: f32, v: &[f32], out: &mut [f32]) {
+    let mut vs = v.chunks_exact(L::LANES);
+    let mut os = out.chunks_exact_mut(L::LANES);
+    for (v, o) in (&mut vs).zip(&mut os) {
+        (l.splat(0.0) + l.splat(a) * l.load(v)).store(o);
+    }
+    if L::LANES > 1 {
+        scale_row(ONE_LANE, a, vs.remainder(), os.into_remainder());
+    }
+}
+
+/// `out[i] = 0` lanewise.
+#[inline(always)]
+fn zero_row<L: Lane>(l: L, out: &mut [f32]) {
+    let mut os = out.chunks_exact_mut(L::LANES);
+    for o in &mut os {
+        l.splat(0.0).store(o);
+    }
+    if L::LANES > 1 {
+        zero_row(ONE_LANE, os.into_remainder());
+    }
+}
+
+/// The `gather_rows` entry.
+#[inline(always)]
+fn gather_rows<L: Lane>(
+    l: L,
+    src: &[f32],
+    m: usize,
+    owner: &[u32],
+    k: usize,
+    gate: Option<&[f32]>,
+    out: &mut [f32],
+) {
+    assert!(
+        out.len() == owner.len() * m,
+        "gather_rows: {} rows of {m} for {} owners",
+        out.len(),
+        owner.len()
+    );
+    for (&a, orow) in owner.iter().zip(out.chunks_exact_mut(m.max(1))) {
+        if a == NO_ROW {
+            zero_row(l, orow);
+            continue;
+        }
+        let (a, t) = (a as usize, a as usize / k);
+        let row = &src[t * m..][..m];
+        match gate {
+            None => copy_row(l, row, orow),
+            Some(gate) => scale_row(l, gate[a], row, orow),
+        }
+    }
+}
+
+/// The `combine_rows` entry.
+#[inline(always)]
+fn combine_rows<L: Lane>(
+    l: L,
+    src: &[f32],
+    m: usize,
+    picks: Picks<'_>,
+    k: usize,
+    gate: Option<&[f32]>,
+    out: &mut [f32],
+) {
+    let rows = out.len().checked_div(m).unwrap_or(0);
+    assert!(
+        out.len() == rows * m && picks.expert.len() == rows * k && picks.slot.len() == rows * k,
+        "combine_rows: {} values in rows of {m}, {} picks of {k}",
+        out.len(),
+        picks.slot.len()
+    );
+    for (t, orow) in out.chunks_exact_mut(m.max(1)).enumerate() {
+        zero_row(l, orow);
+        for a in t * k..(t + 1) * k {
+            if let Some(r) = picks.row(a) {
+                let row = &src[r * m..][..m];
+                match gate {
+                    None => add_assign(l, row, orow),
+                    Some(gate) => axpy(l, gate[a], row, orow),
+                }
+            }
+        }
+    }
+}
+
+/// `softmax_grad_rows`' `⟨y_r, g_r⟩` of eight rows of `cols` on one
+/// lane (the scalar table's, and the SIMD ones' tail): each row's chain
+/// a step per column, the eight side by side.
+#[inline(always)]
+fn row_dots(y: &[f32], g: &[f32], cols: usize) -> [f32; NR] {
+    row_dots_from(y, g, cols, 0, [-0.0; NR])
+}
+
+/// The `softmax_grad_rows` entry: the lanewise passes on the wide lanes
+/// `w` over a row's whole wide blocks and the tree lanes `n` over the
+/// rest, eight rows' dots by `dots8`.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn softmax_grad_rows<W: Lane, N: Lane>(
+    (w, n): (W, N),
+    dots8: impl Fn(&[f32], &[f32], usize) -> [f32; NR],
+    y: &[f32],
+    picks: &[u32],
+    d_gates: &[f32],
+    aux: &[f32],
+    normalized: bool,
+    out: &mut [f32],
+) {
+    let e = aux.len();
+    let rows = out.len().checked_div(e).unwrap_or(0);
+    let k = picks.len().checked_div(rows).unwrap_or(0);
+    assert!(
+        out.len() == rows * e
+            && y.len() == out.len()
+            && picks.len() == rows * k
+            && d_gates.len() == picks.len(),
+        "softmax_grad_rows: {} values in rows of {e}, {} probabilities, {} / {} picks",
+        out.len(),
+        y.len(),
+        picks.len(),
+        d_gates.len()
+    );
+    let wide = e / W::LANES * W::LANES;
+    let ((aux_w, aux_n), span) = (aux.split_at(wide), NR * e.max(1));
+    for (r, (yrow, orow)) in y
+        .chunks_exact(e.max(1))
+        .zip(out.chunks_exact_mut(e.max(1)))
+        .enumerate()
+    {
+        let (ow, on) = orow.split_at_mut(wide);
+        scale_row(w, 1.0, aux_w, ow);
+        scale_row(n, 1.0, aux_n, on);
+        let (picks, dg) = (&picks[r * k..][..k], &d_gates[r * k..][..k]);
+        if normalized {
+            let s: f32 = picks
+                .iter()
+                .map(|&p| yrow[p as usize])
+                .sum::<f32>()
+                .max(1e-9);
+            let dot: f32 = dg
+                .iter()
+                .zip(picks)
+                .map(|(d, &p)| d * (yrow[p as usize] / s))
+                .sum();
+            for (&p, d) in picks.iter().zip(dg) {
+                orow[p as usize] = (d - dot) / s + aux[p as usize];
+            }
+        } else {
+            for (&p, &d) in picks.iter().zip(dg) {
+                orow[p as usize] = d + aux[p as usize];
+            }
+        }
+    }
+    for (yb, ob) in y.chunks(span).zip(out.chunks_mut(span)) {
+        let dots = if yb.len() == span {
+            dots8(yb, ob, e)
+        } else {
+            let mut dots = [-0.0f32; NR];
+            for (dot, (y, g)) in dots.iter_mut().zip(yb.chunks(e).zip(ob.chunks(e))) {
+                *dot = y.iter().zip(g).map(|(y, g)| y * g).sum();
+            }
+            dots
+        };
+        for ((yrow, orow), dot) in yb.chunks(e.max(1)).zip(ob.chunks_mut(e.max(1))).zip(dots) {
+            let (yw, yn) = yrow.split_at(wide);
+            let (ow, on) = orow.split_at_mut(wide);
+            softmax_backward_row(w, yw, dot, ow);
+            softmax_backward_row(n, yn, dot, on);
+        }
+    }
+}
+
+/// `g[i] ← y[i] · (g[i] − dot)` lanewise.
+#[inline(always)]
+fn softmax_backward_row<L: Lane>(l: L, y: &[f32], dot: f32, g: &mut [f32]) {
+    let mut ys = y.chunks_exact(L::LANES);
+    let mut gs = g.chunks_exact_mut(L::LANES);
+    for (y, g) in (&mut ys).zip(&mut gs) {
+        (l.load(y) * (l.load(g) - l.splat(dot))).store(g);
+    }
+    if L::LANES > 1 {
+        softmax_backward_row(ONE_LANE, ys.remainder(), dot, gs.into_remainder());
+    }
+}
+
+/// [`row_dots`] from column `first` on, the chains at `dots`.
+#[inline(always)]
+fn row_dots_from(
+    y: &[f32],
+    g: &[f32],
+    cols: usize,
+    first: usize,
+    mut dots: [f32; NR],
+) -> [f32; NR] {
+    let y: [&[f32]; NR] = std::array::from_fn(|r| &y[r * cols..][..cols]);
+    let g: [&[f32]; NR] = std::array::from_fn(|r| &g[r * cols..][..cols]);
+    for j in first..cols {
+        for (r, dot) in dots.iter_mut().enumerate() {
+            *dot += y[r][j] * g[r][j];
+        }
+    }
+    dots
+}
+
+/// The `dot_rows` entry, on the tree lanes `n`.
+#[inline(always)]
+fn dot_rows<N: Lane>(
+    n: N,
+    y: &[f32],
+    d: &[f32],
+    m: usize,
+    picks: Picks<'_>,
+    k: usize,
+    out: &mut [f32],
+) {
+    assert!(
+        out.len() == picks.slot.len()
+            && picks.expert.len() == out.len()
+            && d.len() * k == out.len() * m,
+        "dot_rows: {} gates of {k} per row over {} values in rows of {m}",
+        out.len(),
+        d.len()
+    );
+    for (a, g) in out.iter_mut().enumerate() {
+        *g = match picks.row(a) {
+            Some(r) => dot(n, &y[r * m..][..m], &d[a / k * m..][..m]),
+            None => 0.0,
+        };
+    }
+}
+
 /// `√(2/π)`, the tanh approximation's inner scale.
 const SQRT_2_OVER_PI: f32 = 0.797_884_6;
 /// `2·√(2/π)`, the scale of `2u` (doubling is exact).
@@ -1085,9 +1563,28 @@ fn gelu<L: Lane>(l: L, h: &mut [f32], keep: Option<(&mut [f32], &mut [f32])>) {
     }
 }
 
+/// Where `gelu_backward` clamps `x`: `x²` stays finite up to ≈ 1.8e19,
+/// and past ±1e19 `gelu'` is already its limit (1 above, 0 below).
+const GELU_BACKWARD_CLAMP: f32 = 1e19;
+
+/// `x` clamped to `±GELU_BACKWARD_CLAMP`, NaN kept bit for bit. The
+/// compares are on the magnitude's bits, as in [`gelu_lanes`]: no float
+/// compare or max whose NaN operand order the compiler could change.
+#[inline(always)]
+fn clamp_gelu_x<L: Lane>(x: L) -> L {
+    let (bits, edge) = (x.bits(), x.splat(GELU_BACKWARD_CLAMP));
+    let abs = bits.and(x.splat_i(0x7fff_ffff));
+    let signed_edge = bits.and(x.splat_i(i32::MIN)).as_f32().xor(edge);
+    let big = abs.cmpgt(edge.bits());
+    let nan = abs.cmpgt(x.splat_i(f32::INFINITY.to_bits() as i32));
+    x.blend(big, signed_edge).blend(nan, x)
+}
+
 /// The `gelu_backward` entry: `g[i] *= gelu'(pre[i])` over the common
 /// prefix, from the `σ(2u)` a capturing [`gelu`] kept: `gelu' = s +
-/// x·s·(1 − s)·2√(2/π)·(1 + 3·0.044715·x²)`, left to right.
+/// x·s·(1 − s)·2√(2/π)·(1 + 3·0.044715·x²)`, left to right, with `x`
+/// clamped to ±1e19 first so that `x²` cannot overflow into a `0·inf`
+/// (every `x` inside the clamp keeps its bits).
 #[inline(always)]
 fn gelu_backward<L: Lane>(l: L, pre: &[f32], sig: &[f32], g: &mut [f32]) {
     let n = g.len().min(pre.len()).min(sig.len());
@@ -1099,7 +1596,7 @@ fn gelu_backward<L: Lane>(l: L, pre: &[f32], sig: &[f32], g: &mut [f32]) {
     // product comes first.
     let cubic3 = l.splat(3.0 * GELU_CUBIC);
     for ((p, s), g) in (&mut ps).zip(&mut ss).zip(&mut gs) {
-        let (x, s) = (l.load(p), l.load(s));
+        let (x, s) = (clamp_gelu_x(l.load(p)), l.load(s));
         let du2 = l.splat(SQRT_8_OVER_PI) * (one + cubic3 * x * x);
         let d = s + x * s * (one - s) * du2;
         (l.load(g) * d).store(g);
@@ -1252,8 +1749,8 @@ pub(crate) fn exp(x: f32) -> f32 {
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::{
-        KernelTable, SimdMode, EXP2_TAB, EXP_C, EXP_INV_LN2_N, EXP_MAY_UFLOW, EXP_OFLOW, EXP_SHIFT,
-        EXP_UFLOW, HALF_MR, NR, TILE_COLS,
+        KernelTable, Lane, Picks, SimdMode, EXP2_TAB, EXP_C, EXP_INV_LN2_N, EXP_MAY_UFLOW,
+        EXP_OFLOW, EXP_SHIFT, EXP_UFLOW, HALF_MR, NR, TILE_COLS,
     };
     use core::arch::x86_64::*;
 
@@ -1261,7 +1758,7 @@ mod avx2 {
         V8(__m256), I8(__m256i), mask __m256i, 8, "avx2,fma";
         new _mm256_setzero_ps, splat _mm256_set1_ps, splat_i _mm256_set1_epi32,
         load _mm256_loadu_ps, store _mm256_storeu_ps, fma _mm256_fmadd_ps, blend blendv,
-        sign sign_bits;
+        sign sign_bits, exp exp8;
         ops [Add add _mm256_add_ps, Sub sub _mm256_sub_ps, Mul mul _mm256_mul_ps,
             Div div _mm256_div_ps];
         f32 [maxps _mm256_max_ps, xor _mm256_xor_ps];
@@ -1289,14 +1786,25 @@ mod avx2 {
         mode: SimdMode::Avx2,
         micro_tiles: &[(TILE_COLS, micro_tile)],
         micro_edge,
+        #[cfg(test)]
         dot,
         topk,
+        #[cfg(test)]
         axpy,
         add_assign,
+        #[cfg(test)]
         row_max,
+        #[cfg(test)]
         row_sum,
+        #[cfg(test)]
         div_assign,
+        #[cfg(test)]
         exp_shift,
+        softmax_rows,
+        gather_rows,
+        combine_rows,
+        dot_rows,
+        softmax_grad_rows,
         bf16_round,
         gelu,
         gelu_backward,
@@ -1312,58 +1820,122 @@ mod avx2 {
             a: &[f32], row: usize, step: usize, kc_len: usize, b: &[f32], out: &mut [f32],
             n: usize, mr_eff: usize, cols: usize
         ) = super::micro_edge;
+        #[cfg(test)]
         fn dot(x: &[f32], y: &[f32]) -> f32 = super::dot;
         fn topk(row: &[f32], idx: &mut [u32], val: &mut [f32]) = super::topk;
+        #[cfg(test)]
         fn axpy(a: f32, v: &[f32], out: &mut [f32]) = super::axpy;
         fn add_assign(v: &[f32], out: &mut [f32]) = super::add_assign;
+        #[cfg(test)]
         fn row_max(x: &[f32]) -> f32 = super::row_max;
+        #[cfg(test)]
         fn row_sum(x: &[f32]) -> f32 = super::row_sum;
+        #[cfg(test)]
         fn div_assign(row: &mut [f32], denom: f32) = super::div_assign;
-        fn exp_shift(row: &mut [f32], shift: f32) = exp_shift_body;
+        #[cfg(test)]
+        fn exp_shift(row: &mut [f32], shift: f32) = super::exp_shift;
+        fn gather_rows(
+            src: &[f32], m: usize, owner: &[u32], k: usize, gate: Option<&[f32]>, out: &mut [f32]
+        ) = super::gather_rows;
+        fn combine_rows(
+            src: &[f32], m: usize, picks: Picks<'_>, k: usize, gate: Option<&[f32]>,
+            out: &mut [f32]
+        ) = super::combine_rows;
+        fn dot_rows(
+            y: &[f32], d: &[f32], m: usize, picks: Picks<'_>, k: usize, out: &mut [f32]
+        ) = super::dot_rows;
         fn bf16_round(data: &mut [f32]) = super::bf16_round;
         fn gelu(h: &mut [f32], keep: Option<(&mut [f32], &mut [f32])>) = super::gelu;
         fn gelu_backward(pre: &[f32], sig: &[f32], g: &mut [f32]) = super::gelu_backward;
         /// The AVX2 `exp` lanes, for the sweeps.
         #[cfg(test)]
-        fn exp_lanes(xs: &mut [f32]) -> usize = exp_blocks;
+        fn exp_lanes(xs: &mut [f32]) -> usize = super::exp_lanes;
     }
 
-    /// Loads 8 consecutive `f32`s from a slice of length ≥ `off + 8`.
-    #[inline(always)]
-    fn load8(s: &[f32], off: usize) -> __m256 {
-        assert!(NR <= s.len() && off <= s.len() - NR, "load past the slice");
-        // SAFETY: the bound above guarantees 8 in-range f32s at `off`;
-        // unaligned loads are permitted by `loadu`.
-        unsafe { _mm256_loadu_ps(s.as_ptr().add(off)) }
+    simd_entries! {
+        "avx2,fma", (V8::new(), V8::new());
+        fn softmax_rows(
+            rows: &mut [f32], cols: usize, idx: &mut [u32], val: &mut [f32]
+        ) = super::softmax_rows;
+        fn softmax_grad_rows(
+            y: &[f32], picks: &[u32], d_gates: &[f32], aux: &[f32], normalized: bool,
+            out: &mut [f32]
+        ) = softmax_grad_body;
     }
 
-    /// Stores 8 lanes over `s[off .. off + 8]`.
-    #[inline(always)]
-    fn store8(s: &mut [f32], off: usize, v: __m256) {
-        assert!(NR <= s.len() && off <= s.len() - NR, "store past the slice");
-        // SAFETY: the bound above guarantees 8 in-range f32s at `off`;
-        // unaligned stores are permitted by `storeu`.
-        unsafe { _mm256_storeu_ps(s.as_mut_ptr().add(off), v) }
-    }
-
-    /// The `exp_shift` entry.
+    /// The `softmax_grad_rows` entry: the generic body, its eight-row
+    /// dots [`row_dots8`].
+    #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2,fma")]
-    fn exp_shift_body(_: V8, row: &mut [f32], shift: f32) {
-        let blocks = row.len() / NR;
-        // Lanewise IEEE subtract, then the ported `exp` on 8 lanes.
-        let sv = _mm256_set1_ps(shift);
-        for c in 0..blocks {
-            let e = exp8(_mm256_sub_ps(load8(row, c * NR), sv));
-            store8(row, c * NR, e);
+    fn softmax_grad_body(
+        lanes: (V8, V8),
+        y: &[f32],
+        picks: &[u32],
+        d_gates: &[f32],
+        aux: &[f32],
+        normalized: bool,
+        out: &mut [f32],
+    ) {
+        let dots8 = |y: &[f32], g: &[f32], cols: usize| row_dots8(lanes.1, y, g, cols);
+        super::softmax_grad_rows(lanes, dots8, y, picks, d_gates, aux, normalized, out);
+    }
+
+    /// Eight rows' `⟨y_r, g_r⟩` for `softmax_grad_rows`: per 8 columns,
+    /// the eight rows' products (lanes along the row) transposed so that
+    /// lane `r` of vector `c` is row `r`'s product at that column, then
+    /// added into the chains one column at a time; the last `cols mod 8`
+    /// columns step each chain on one lane.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) fn row_dots8(l: V8, y: &[f32], g: &[f32], cols: usize) -> [f32; NR] {
+        let whole = cols / NR * NR;
+        let mut acc = l.splat(-0.0).0;
+        for j in (0..whole).step_by(NR) {
+            let p: [__m256; NR] = std::array::from_fn(|r| {
+                let at = r * cols + j;
+                _mm256_mul_ps(l.load(&y[at..]).0, l.load(&g[at..]).0)
+            });
+            for column in transpose8(p) {
+                acc = _mm256_add_ps(acc, column);
+            }
         }
-        for v in &mut row[blocks * NR..] {
-            *v = super::exp(*v - shift);
-        }
+        let mut dots = [0.0; NR];
+        V8(acc).store(&mut dots);
+        super::row_dots_from(y, g, cols, whole, dots)
+    }
+
+    /// The 8 × 8 transpose of `rows`: vector `c` of the result holds
+    /// lane `c` of every row, row `r` in lane `r`.
+    #[target_feature(enable = "avx2")]
+    fn transpose8(rows: [__m256; NR]) -> [__m256; NR] {
+        let [r0, r1, r2, r3, r4, r5, r6, r7] = rows;
+        let (t0, t1) = (_mm256_unpacklo_ps(r0, r1), _mm256_unpackhi_ps(r0, r1));
+        let (t2, t3) = (_mm256_unpacklo_ps(r2, r3), _mm256_unpackhi_ps(r2, r3));
+        let (t4, t5) = (_mm256_unpacklo_ps(r4, r5), _mm256_unpackhi_ps(r4, r5));
+        let (t6, t7) = (_mm256_unpacklo_ps(r6, r7), _mm256_unpackhi_ps(r6, r7));
+        let u0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+        let u1 = _mm256_shuffle_ps::<0xee>(t0, t2);
+        let u2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+        let u3 = _mm256_shuffle_ps::<0xee>(t1, t3);
+        let u4 = _mm256_shuffle_ps::<0x44>(t4, t6);
+        let u5 = _mm256_shuffle_ps::<0xee>(t4, t6);
+        let u6 = _mm256_shuffle_ps::<0x44>(t5, t7);
+        let u7 = _mm256_shuffle_ps::<0xee>(t5, t7);
+        [
+            _mm256_permute2f128_ps::<0x20>(u0, u4),
+            _mm256_permute2f128_ps::<0x20>(u1, u5),
+            _mm256_permute2f128_ps::<0x20>(u2, u6),
+            _mm256_permute2f128_ps::<0x20>(u3, u7),
+            _mm256_permute2f128_ps::<0x31>(u0, u4),
+            _mm256_permute2f128_ps::<0x31>(u1, u5),
+            _mm256_permute2f128_ps::<0x31>(u2, u6),
+            _mm256_permute2f128_ps::<0x31>(u3, u7),
+        ]
     }
 
     /// [`super::exp`] on 8 lanes: the `f64` main path on two halves of
-    /// 4, then the special inputs selected with `blendv`, in the same
-    /// order.
+    /// 4, then, when a lane's `|x|` exceeds `EXP_OFLOW` (every special
+    /// input's does), the special inputs selected with `blendv`, in the
+    /// same order.
     #[target_feature(enable = "avx2,fma")]
     fn exp8(x: __m256) -> __m256 {
         let lo = _mm256_cvtpd_ps(exp4d(_mm256_cvtps_pd(_mm256_castps256_ps128(x))));
@@ -1371,6 +1943,10 @@ mod avx2 {
         let mut e = _mm256_set_m128(hi, lo);
         let bits = _mm256_castps_si256(x);
         let abs = _mm256_and_si256(bits, _mm256_set1_epi32(0x7fff_ffff));
+        let special = _mm256_cmpgt_epi32(abs, _mm256_set1_epi32(EXP_OFLOW.to_bits() as i32));
+        if _mm256_testz_si256(special, special) != 0 {
+            return e;
+        }
         let picks = [
             (
                 _mm256_set1_ps(f32::from_bits(1)),
@@ -1424,34 +2000,28 @@ mod avx2 {
         let y = _mm256_fmadd_pd(z, r2, y);
         _mm256_mul_pd(y, s)
     }
-
-    /// The `exp_lanes` entry: [`exp8`] over every whole 8-lane block of
-    /// `xs` (a shorter tail is left as is); returns how many lanes it
-    /// wrote.
-    #[cfg(test)]
-    #[target_feature(enable = "avx2,fma")]
-    fn exp_blocks(_: V8, xs: &mut [f32]) -> usize {
-        for c in 0..xs.len() / NR {
-            store8(xs, c * NR, exp8(load8(xs, c * NR)));
-        }
-        xs.len() / NR * NR
-    }
 }
 
-/// The AVX-512 table: the micro-tile pass (12 or 6 rows × 32), `gelu`
-/// and `gelu_backward` on `__m512` lanes and `topk`, each compiled for
-/// AVX-512F+DQ; every other entry of [`TABLE`] is the AVX2 one.
+/// The AVX-512 table: every lanewise body — the micro-tile pass (12 or
+/// 6 rows × 32), GELU, `exp`, the divide, the row copies and combines —
+/// on `__m512` lanes and `topk`, each compiled for AVX-512F+DQ; the
+/// reductions (`dot_rows`, the softmax's max and sum) keep rule 3's
+/// 8-lane trees on `__m256` lanes, and `micro_edge`, `add_assign` and
+/// `bf16_round` are the AVX2 entries.
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
-    use super::avx2;
-    use super::{KernelTable, SimdMode, MR, TILE_COLS, WIDE_TILE_COLS};
+    use super::avx2::{self, V8};
+    use super::{
+        KernelTable, Picks, SimdMode, EXP2_TAB, EXP_C, EXP_INV_LN2_N, EXP_MAY_UFLOW, EXP_OFLOW,
+        EXP_SHIFT, EXP_UFLOW, MR, TILE_COLS, WIDE_TILE_COLS,
+    };
     use core::arch::x86_64::*;
 
     x86_lanes! {
         V16(__m512), I16(__m512i), mask __mmask16, 16, "avx512f,avx512dq";
         new _mm512_setzero_ps, splat _mm512_set1_ps, splat_i _mm512_set1_epi32,
         load _mm512_loadu_ps, store _mm512_storeu_ps, fma _mm512_fmadd_ps, blend mask_blend,
-        sign _mm512_movepi32_mask;
+        sign _mm512_movepi32_mask, exp exp16;
         ops [Add add _mm512_add_ps, Sub sub _mm512_sub_ps, Mul mul _mm512_mul_ps,
             Div div _mm512_div_ps];
         f32 [maxps _mm512_max_ps, xor _mm512_xor_ps];
@@ -1472,14 +2042,25 @@ mod avx512 {
         mode: SimdMode::Avx512,
         micro_tiles: &[(WIDE_TILE_COLS, micro_tile), (TILE_COLS, avx2::micro_tile)],
         micro_edge: avx2::micro_edge,
+        #[cfg(test)]
         dot: avx2::dot,
         topk,
-        axpy: avx2::axpy,
+        #[cfg(test)]
+        axpy,
         add_assign: avx2::add_assign,
+        #[cfg(test)]
         row_max: avx2::row_max,
+        #[cfg(test)]
         row_sum: avx2::row_sum,
-        div_assign: avx2::div_assign,
-        exp_shift: avx2::exp_shift,
+        #[cfg(test)]
+        div_assign,
+        #[cfg(test)]
+        exp_shift,
+        softmax_rows,
+        gather_rows,
+        combine_rows,
+        dot_rows,
+        softmax_grad_rows,
         bf16_round: avx2::bf16_round,
         gelu,
         gelu_backward,
@@ -1492,8 +2073,136 @@ mod avx512 {
             n: usize, mr_eff: usize
         ) = super::micro_tile::<V16, MR>;
         fn topk(row: &[f32], idx: &mut [u32], val: &mut [f32]) = super::topk;
+        #[cfg(test)]
+        fn axpy(a: f32, v: &[f32], out: &mut [f32]) = super::axpy;
+        #[cfg(test)]
+        fn div_assign(row: &mut [f32], denom: f32) = super::div_assign;
+        #[cfg(test)]
+        fn exp_shift(row: &mut [f32], shift: f32) = super::exp_shift;
+        fn gather_rows(
+            src: &[f32], m: usize, owner: &[u32], k: usize, gate: Option<&[f32]>, out: &mut [f32]
+        ) = super::gather_rows;
+        fn combine_rows(
+            src: &[f32], m: usize, picks: Picks<'_>, k: usize, gate: Option<&[f32]>,
+            out: &mut [f32]
+        ) = super::combine_rows;
         fn gelu(h: &mut [f32], keep: Option<(&mut [f32], &mut [f32])>) = super::gelu;
         fn gelu_backward(pre: &[f32], sig: &[f32], g: &mut [f32]) = super::gelu_backward;
+        /// The AVX-512 `exp` lanes, for the sweeps.
+        #[cfg(test)]
+        fn exp_lanes(xs: &mut [f32]) -> usize = super::exp_lanes;
+    }
+
+    simd_entries! {
+        "avx512f,avx512dq", (V16::new(), V8::new());
+        fn softmax_rows(
+            rows: &mut [f32], cols: usize, idx: &mut [u32], val: &mut [f32]
+        ) = super::softmax_rows;
+        fn softmax_grad_rows(
+            y: &[f32], picks: &[u32], d_gates: &[f32], aux: &[f32], normalized: bool,
+            out: &mut [f32]
+        ) = softmax_grad_body;
+    }
+
+    /// The `softmax_grad_rows` entry: the generic body on `__m512` lanes,
+    /// its eight-row dots the AVX2 table's transpose.
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    fn softmax_grad_body(
+        lanes: (V16, V8),
+        y: &[f32],
+        picks: &[u32],
+        d_gates: &[f32],
+        aux: &[f32],
+        normalized: bool,
+        out: &mut [f32],
+    ) {
+        let dots8 = |y: &[f32], g: &[f32], cols: usize| avx2::row_dots8(lanes.1, y, g, cols);
+        super::softmax_grad_rows(lanes, dots8, y, picks, d_gates, aux, normalized, out);
+    }
+
+    simd_entries! {
+        "avx512f,avx512dq", V8::new();
+        fn dot_rows(
+            y: &[f32], d: &[f32], m: usize, picks: Picks<'_>, k: usize, out: &mut [f32]
+        ) = super::dot_rows;
+    }
+
+    /// [`super::exp`] on 16 lanes: the `f64` main path on two halves of
+    /// 8, then, when a lane's `|x|` exceeds `EXP_OFLOW` (every special
+    /// input's does), the special inputs selected by mask, in the same
+    /// order.
+    #[target_feature(enable = "avx512f,avx512dq")]
+    fn exp16(x: __m512) -> __m512 {
+        let lo = _mm512_cvtpd_ps(exp8d(_mm512_cvtps_pd(_mm512_castps512_ps256(x))));
+        let hi = _mm512_cvtpd_ps(exp8d(_mm512_cvtps_pd(_mm512_extractf32x8_ps::<1>(x))));
+        let mut e = _mm512_insertf32x8::<1>(_mm512_castps256_ps512(lo), hi);
+        let bits = _mm512_castps_si512(x);
+        let abs = _mm512_and_si512(bits, _mm512_set1_epi32(0x7fff_ffff));
+        if _mm512_cmpgt_epi32_mask(abs, _mm512_set1_epi32(EXP_OFLOW.to_bits() as i32)) == 0 {
+            return e;
+        }
+        let picks = [
+            (
+                _mm512_set1_ps(f32::from_bits(1)),
+                _mm512_cmp_ps_mask::<_CMP_LT_OQ>(x, _mm512_set1_ps(EXP_MAY_UFLOW)),
+            ),
+            (
+                _mm512_setzero_ps(),
+                _mm512_cmp_ps_mask::<_CMP_LT_OQ>(x, _mm512_set1_ps(EXP_UFLOW)),
+            ),
+            (
+                _mm512_set1_ps(f32::INFINITY),
+                _mm512_cmp_ps_mask::<_CMP_GT_OQ>(x, _mm512_set1_ps(EXP_OFLOW)),
+            ),
+            (
+                _mm512_add_ps(x, x),
+                _mm512_cmpgt_epi32_mask(abs, _mm512_set1_epi32(0x7f7f_ffff)),
+            ),
+            (
+                _mm512_setzero_ps(),
+                _mm512_cmpeq_epi32_mask(
+                    bits,
+                    _mm512_set1_epi32(f32::NEG_INFINITY.to_bits() as i32),
+                ),
+            ),
+        ];
+        for (value, mask) in picks {
+            e = _mm512_mask_blend_ps(mask, e, value);
+        }
+        e
+    }
+
+    /// Entries `8·q .. 8·q + 8` of `EXP2_TAB`, one per `i64` lane.
+    #[target_feature(enable = "avx512f")]
+    fn tab_quarter(q: usize) -> __m512i {
+        let t: [i64; 8] = std::array::from_fn(|i| EXP2_TAB[8 * q + i] as i64);
+        _mm512_set_epi64(t[7], t[6], t[5], t[4], t[3], t[2], t[1], t[0])
+    }
+
+    /// [`super::exp`]'s `f64` main path on 8 lanes, `y · s` before the
+    /// narrowing, with its four `vfmadd`/`vfmsub` steps. The table is
+    /// four registers of eight entries: two two-register permutes pick
+    /// `i mod 16` from each half and bit 4 of `i` picks the half.
+    #[target_feature(enable = "avx512f,avx512dq")]
+    fn exp8d(xd: __m512d) -> __m512d {
+        let inv = _mm512_set1_pd(EXP_INV_LN2_N);
+        let shift = _mm512_set1_pd(EXP_SHIFT);
+        let kd = _mm512_add_pd(_mm512_mul_pd(inv, xd), shift);
+        let ki = _mm512_castpd_si512(kd);
+        let kd = _mm512_sub_pd(kd, shift);
+        let r = _mm512_fmsub_pd(inv, xd, kd);
+        let low = _mm512_permutex2var_epi64(tab_quarter(0), ki, tab_quarter(1));
+        let high = _mm512_permutex2var_epi64(tab_quarter(2), ki, tab_quarter(3));
+        let upper = _mm512_test_epi64_mask(ki, _mm512_set1_epi64(16));
+        let tab = _mm512_mask_blend_epi64(upper, low, high);
+        let s = _mm512_castsi512_pd(_mm512_add_epi64(tab, _mm512_slli_epi64::<47>(ki)));
+        let [c0, c1, c2] = EXP_C.map(|c| _mm512_set1_pd(c));
+        let z = _mm512_fmadd_pd(c0, r, c1);
+        let r2 = _mm512_mul_pd(r, r);
+        let y = _mm512_fmadd_pd(c2, r, _mm512_set1_pd(1.0));
+        let y = _mm512_fmadd_pd(z, r2, y);
+        _mm512_mul_pd(y, s)
     }
 }
 
@@ -1577,8 +2286,10 @@ pub(crate) mod tests {
         x[whole..].iter().fold(m, |m, &v| max(m, v))
     }
 
-    /// GELU's derivative written out: `gelu'(x)` from `s = σ(2u)`.
+    /// GELU's derivative written out: `gelu'(x)` from `s = σ(2u)`, `x`
+    /// clamped to ±1e19 (NaN kept) as the backward clamps it.
     fn gelu_derivative(x: f32, s: f32) -> f32 {
+        let x = x.clamp(-1e19, 1e19);
         let du2 = SQRT_8_OVER_PI * (1.0 + 3.0 * GELU_CUBIC * x * x);
         s + x * s * (1.0 - s) * du2
     }
@@ -1948,10 +2659,23 @@ pub(crate) mod tests {
         a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
     }
 
+    /// A table's `exp_lanes` entry: `exp_port` over the whole lane
+    /// blocks of a slice; returns how many lanes it wrote.
+    type ExpLanesFn = fn(&mut [f32]) -> usize;
+
+    /// Every SIMD table's `exp_lanes` entry the host has, with its mode
+    /// and lane count.
+    fn exp_lane_entries() -> impl Iterator<Item = (SimdMode, usize, ExpLanesFn)> {
+        simd_modes().iter().map(|&mode| match mode {
+            SimdMode::Avx512 => (mode, 16, avx512::exp_lanes as ExpLanesFn),
+            _ => (mode, NR, avx2::exp_lanes as ExpLanesFn),
+        })
+    }
+
     /// Panics at the first `x` in `xs` where the scalar `exp` port
-    /// differs from the host's `f32::exp`, or the AVX2 `exp` lanes
-    /// (which every SIMD table's `exp_shift` runs) from the scalar port.
-    /// NaN equals NaN.
+    /// differs from the host's `f32::exp`, or a SIMD table's `exp`
+    /// lanes (8 on AVX2, 16 on AVX-512, which its `exp_port` and so its
+    /// softmax run) from the scalar port. NaN equals NaN.
     fn check_exp(xs: &[f32]) {
         let port: Vec<f32> = xs.iter().map(|&x| exp(x)).collect();
         for (&x, &p) in xs.iter().zip(&port) {
@@ -1964,11 +2688,12 @@ pub(crate) mod tests {
                 x.to_bits()
             );
         }
-        if simd_available() {
-            let mut lanes = xs.to_vec();
-            let whole = avx2::exp_lanes(&mut lanes);
+        for (mode, width, exp_lanes) in exp_lane_entries() {
+            let (label, mut lanes) = (mode.label(), xs.to_vec());
+            let whole = exp_lanes(&mut lanes);
+            assert_eq!(whole, xs.len() / width * width, "{label} exp lanes");
             for ((&x, &p), &v) in xs.iter().zip(&port).zip(&lanes).take(whole) {
-                assert!(same(v, p), "avx2 exp({x:e}) = {v:e}, scalar {p:e}");
+                assert!(same(v, p), "{label} exp({x:e}) = {v:e}, scalar {p:e}");
             }
         }
     }
@@ -2175,6 +2900,280 @@ pub(crate) mod tests {
             }
             assert_eq!(one(-f32::MAX).0.to_bits(), 0x8000_0000, "{label}");
             assert_eq!(one(1e3).0, 1e3, "{label}");
+        }
+    }
+
+    /// `gelu'` where `x²` would overflow, in every table, on whole lanes
+    /// and the tail: 1 on the positive side and 0 on the negative (its
+    /// limits), from ±1e19 (the clamp) through ±1e20, ±`f32::MAX` and
+    /// ±inf, and NaN for NaN.
+    #[test]
+    fn gelu_backward_takes_its_limits_past_the_clamp() {
+        let big = [1e19f32, 1e20, f32::MAX, f32::INFINITY];
+        for kt in std::iter::once(&SCALAR_TABLE).chain(simd_tables()) {
+            let label = kt.mode.label();
+            let derivative = |x: f32| {
+                let xs = vec![x; 33];
+                let [_, pre, sig, _] = run_gelu(kt, &xs);
+                let mut d = vec![1.0; xs.len()];
+                (kt.gelu_backward)(&pre, &sig, &mut d);
+                d
+            };
+            for x in big {
+                assert!(
+                    derivative(x).iter().all(|&d| d == 1.0),
+                    "{label} gelu'({x:e})"
+                );
+                assert!(
+                    derivative(-x).iter().all(|&d| d == 0.0),
+                    "{label} gelu'(-{x:e})"
+                );
+            }
+            for nan in [f32::NAN, NAN] {
+                assert!(
+                    derivative(nan).iter().all(|d| d.is_nan()),
+                    "{label} gelu'(NaN)"
+                );
+            }
+        }
+    }
+
+    /// The widths the row-block sweeps take for `M` and `E`: either side
+    /// of every lane count and tree width.
+    const ROW_WIDTHS: [usize; 11] = [1, 4, 7, 8, 15, 16, 17, 31, 32, 33, 64];
+
+    /// `rows × width` values, with ±0, ±inf, NaN and subnormals among
+    /// them when `special`.
+    fn block_of(rows: usize, width: usize, seed: u64, special: bool) -> Vec<f32> {
+        let v = ramp(rows * width, seed);
+        if special {
+            sprinkle(v, seed)
+        } else {
+            v
+        }
+    }
+
+    /// Every table's `softmax_rows` equals the per-row loop of its
+    /// `row_max`, `exp_shift`, `row_sum`, `div_assign` and `topk`
+    /// entries, for every `E` of [`ROW_WIDTHS`], `k` of 0 (softmax
+    /// only), 1, 2 and `E`, on blocks of 0, 1, 3 and 9 rows, plain and
+    /// holding ±0, ±inf, NaN and subnormals.
+    #[test]
+    fn softmax_rows_equals_the_per_row_entries_in_every_table() {
+        for kt in std::iter::once(&SCALAR_TABLE).chain(simd_tables()) {
+            for e in ROW_WIDTHS {
+                for (rows, special) in [0, 1, 3, 9]
+                    .into_iter()
+                    .flat_map(|r| [(r, false), (r, true)])
+                {
+                    let x = block_of(rows, e, (e * 31 + rows) as u64, special);
+                    for k in [0, 1, 2.min(e), e] {
+                        let slots = || (vec![0u32; rows * k], vec![0.0f32; rows * k]);
+                        let (mut got, (mut gi, mut gv)) = (x.clone(), slots());
+                        (kt.softmax_rows)(&mut got, e, &mut gi, &mut gv);
+                        let (mut want, (mut wi, mut wv)) = (x.clone(), slots());
+                        for (r, row) in want.chunks_mut(e).enumerate() {
+                            let max = (kt.row_max)(row);
+                            (kt.exp_shift)(row, max);
+                            let denom = (kt.row_sum)(row);
+                            (kt.div_assign)(row, denom);
+                            if k > 0 {
+                                (kt.topk)(row, &mut wi[r * k..][..k], &mut wv[r * k..][..k]);
+                            }
+                        }
+                        let at = format!("{} E {e} rows {rows} k {k} {special}", kt.mode.label());
+                        assert_eq!(bits(&got), bits(&want), "{at} probabilities");
+                        assert_eq!((gi, bits(&gv)), (wi, bits(&wv)), "{at} top-k");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A routed block for the dispatch sweeps: `tokens` token rows of `k`
+    /// picks over three bins at `offsets` (the middle one empty), every
+    /// fifth pick dropped, and `owner`, packed row → pick, with some
+    /// rows unowned.
+    struct Routed {
+        offsets: Vec<usize>,
+        expert: Vec<u32>,
+        slot: Vec<u32>,
+        owner: Vec<u32>,
+    }
+
+    fn routed(tokens: usize, k: usize) -> Routed {
+        let offsets = vec![0, 5, 5, 13];
+        let picks = tokens * k;
+        let expert: Vec<u32> = (0..picks).map(|a| [0, 2][a % 2]).collect();
+        let slot = (0..picks)
+            .map(|a| {
+                let bin = offsets[expert[a] as usize + 1] - offsets[expert[a] as usize];
+                if a % 5 == 4 {
+                    NO_ROW
+                } else {
+                    (a % bin) as u32
+                }
+            })
+            .collect();
+        let owner = (0..offsets[3])
+            .map(|s| match picks {
+                _ if s % 4 == 3 || picks == 0 => NO_ROW,
+                _ => ((s * 7) % picks) as u32,
+            })
+            .collect();
+        Routed {
+            offsets,
+            expert,
+            slot,
+            owner,
+        }
+    }
+
+    /// Every table's `gather_rows`, `combine_rows` and `dot_rows` equal
+    /// the per-row loops over its `axpy`, `add_assign` and `dot` entries
+    /// (and a copy), with and without gate weights, for every `M` of
+    /// [`ROW_WIDTHS`] and `k` of 1–3, on blocks of 0 and 11 token rows
+    /// whose picks include dropped ones and whose packed rows include
+    /// unowned ones, the values plain and holding ±0, ±inf, NaN and
+    /// subnormals.
+    #[test]
+    fn dispatch_row_entries_equal_the_per_row_loops_in_every_table() {
+        let garbage = |n: usize| vec![f32::from_bits(0x7fa0_0001); n];
+        for kt in std::iter::once(&SCALAR_TABLE).chain(simd_tables()) {
+            for m in ROW_WIDTHS {
+                for (tokens, k, special) in [0, 11]
+                    .into_iter()
+                    .flat_map(|t| (1..=3).flat_map(move |k| [(t, k, false), (t, k, true)]))
+                {
+                    let seed = (m * 7 + tokens * 3 + k) as u64;
+                    let at = format!("{} M {m} T {tokens} k {k} {special}", kt.mode.label());
+                    let r = routed(tokens, k);
+                    let packed_rows = r.offsets[3];
+                    let tok = block_of(tokens, m, seed, special);
+                    let packed = block_of(packed_rows, m, seed + 1, special);
+                    let gates = block_of(tokens, k, seed + 2, special);
+                    let picks = Picks {
+                        offsets: &r.offsets,
+                        expert: &r.expert,
+                        slot: &r.slot,
+                    };
+                    let owners: &[u32] = if tokens == 0 { &[] } else { &r.owner };
+                    for gate in [None, Some(&gates[..])] {
+                        // Slot-major: packed rows from token rows.
+                        let mut got = garbage(owners.len() * m);
+                        (kt.gather_rows)(&tok, m, owners, k, gate, &mut got);
+                        let mut want = garbage(owners.len() * m);
+                        for (&a, orow) in owners.iter().zip(want.chunks_mut(m)) {
+                            orow.fill(0.0);
+                            if a != NO_ROW {
+                                let row = &tok[a as usize / k * m..][..m];
+                                match gate {
+                                    None => orow.copy_from_slice(row),
+                                    Some(g) => (kt.axpy)(g[a as usize], row, orow),
+                                }
+                            }
+                        }
+                        assert_eq!(bits(&got), bits(&want), "{at} gather {}", gate.is_some());
+
+                        // Token-major: token rows from packed rows.
+                        let mut got = garbage(tokens * m);
+                        (kt.combine_rows)(&packed, m, picks, k, gate, &mut got);
+                        let mut want = garbage(tokens * m);
+                        for (t, orow) in want.chunks_mut(m).enumerate() {
+                            orow.fill(0.0);
+                            for a in t * k..(t + 1) * k {
+                                if let Some(s) = picks.row(a) {
+                                    let row = &packed[s * m..][..m];
+                                    match gate {
+                                        None => (kt.add_assign)(row, orow),
+                                        Some(g) => (kt.axpy)(g[a], row, orow),
+                                    }
+                                }
+                            }
+                        }
+                        assert_eq!(bits(&got), bits(&want), "{at} combine {}", gate.is_some());
+                    }
+                    let mut got = garbage(tokens * k);
+                    (kt.dot_rows)(&packed, &tok, m, picks, k, &mut got);
+                    let want: Vec<f32> = (0..tokens * k)
+                        .map(|a| match picks.row(a) {
+                            Some(s) => (kt.dot)(&packed[s * m..][..m], &tok[a / k * m..][..m]),
+                            None => 0.0,
+                        })
+                        .collect();
+                    assert_eq!(bits(&got), bits(&want), "{at} dot");
+                }
+            }
+        }
+    }
+
+    /// Every table's `softmax_grad_rows` equals the gate chain's backward
+    /// written row by row — zeroed row, gate term, `+= aux`, the
+    /// sequential `⟨y, g⟩`, `y ⊙ (g − dot)` — for every `E` of
+    /// [`ROW_WIDTHS`], `k` of 1, 2 and `E`, normalized and not, on blocks
+    /// of 0, 1, 7, 8, 9 and 17 rows (either side of the eight rows whose
+    /// dots run together), plain and holding ±0, ±inf, NaN and
+    /// subnormals.
+    #[test]
+    fn softmax_grad_rows_equals_the_per_row_chain_in_every_table() {
+        for kt in std::iter::once(&SCALAR_TABLE).chain(simd_tables()) {
+            for e in ROW_WIDTHS {
+                for (rows, special) in [0, 1, 7, 8, 9, 17]
+                    .into_iter()
+                    .flat_map(|r| [(r, false), (r, true)])
+                {
+                    let seed = (e * 13 + rows) as u64;
+                    let y = block_of(rows, e, seed, special);
+                    let aux = block_of(1, e, seed + 1, special);
+                    for (k, normalized) in [1, 2.min(e), e]
+                        .into_iter()
+                        .flat_map(|k| [(k, false), (k, true)])
+                    {
+                        let picks: Vec<u32> = (0..rows * k)
+                            .map(|a| ((a / k + a % k) % e) as u32)
+                            .collect();
+                        let d_gates = block_of(rows, k, seed + 2, special);
+                        let mut got = vec![f32::from_bits(0x7fa0_0001); rows * e];
+                        (kt.softmax_grad_rows)(&y, &picks, &d_gates, &aux, normalized, &mut got);
+                        let mut want = vec![0.0f32; rows * e];
+                        for (r, (yrow, orow)) in y.chunks(e).zip(want.chunks_mut(e)).enumerate() {
+                            let (picks, dg) = (&picks[r * k..][..k], &d_gates[r * k..][..k]);
+                            orow.fill(0.0);
+                            if normalized {
+                                let s: f32 = picks
+                                    .iter()
+                                    .map(|&p| yrow[p as usize])
+                                    .sum::<f32>()
+                                    .max(1e-9);
+                                let dot: f32 = dg
+                                    .iter()
+                                    .zip(picks)
+                                    .map(|(d, &p)| d * (yrow[p as usize] / s))
+                                    .sum();
+                                for (&p, d) in picks.iter().zip(dg) {
+                                    orow[p as usize] = (d - dot) / s;
+                                }
+                            } else {
+                                for (&p, &d) in picks.iter().zip(dg) {
+                                    orow[p as usize] = d;
+                                }
+                            }
+                            for (g, c) in orow.iter_mut().zip(&aux) {
+                                *g += c;
+                            }
+                            let dot: f32 = yrow.iter().zip(orow.iter()).map(|(y, g)| y * g).sum();
+                            for (g, y) in orow.iter_mut().zip(yrow) {
+                                *g = y * (*g - dot);
+                            }
+                        }
+                        let at = format!(
+                            "{} E {e} rows {rows} k {k} {normalized} {special}",
+                            kt.mode.label()
+                        );
+                        assert_eq!(bits(&got), bits(&want), "{at}");
+                    }
+                }
+            }
         }
     }
 

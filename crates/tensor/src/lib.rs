@@ -34,7 +34,8 @@ pub use dispatch::{set_simd_override, simd_available, simd_mode, SimdMode};
 pub use error::TensorError;
 pub use init::Rng;
 pub use linalg::{
-    grouped_gemm, grouped_gemm_into, grouped_gemm_nt_into, grouped_gemm_tn, uniform_offsets,
+    grouped_gemm, grouped_gemm_into, grouped_gemm_nt_into, grouped_gemm_tn, linear_backward_panels,
+    uniform_offsets,
 };
 pub use ops::TopK;
 pub use param::Param;

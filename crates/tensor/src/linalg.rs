@@ -447,6 +447,99 @@ pub fn grouped_gemm_tn(
     }
 }
 
+/// The backward of a linear layer `Y = X·W` — `x (T, C)`, `w (C, E)` —
+/// whose upstream rows are made where they are used, in one launch of
+/// 256-row panel jobs (`KC`, the `k`-panel depth). Job `p` owns token
+/// rows `p·KC ..` (at most `KC` of them, `rows`):
+///
+/// 1. `d_y_rows(p·KC, d_y)` writes those rows of `dY`, `d_y` being
+///    `(rows, E)` scratch of the job's own;
+/// 2. `d_x += d_y · wᵀ` on those rows: the product stored from zero
+///    with `A·Bᵀ`'s tiles and chains (`A·B` over a `wᵀ` transposed on
+///    the calling thread), then added — [`Tensor::matmul_nt`] and an
+///    add, bit for bit;
+/// 3. the panel's `Xᵀ·dY` sum into a `-0.0`-started partial with
+///    `Aᵀ·B`'s chains, one panel of [`grouped_gemm_tn`]'s split-k.
+///
+/// The partials are then added into `d_w (C, E)` in panel order, the
+/// order `grouped_gemm_tn` folds them in, so every bit equals making
+/// `dY` first, then `grouped_gemm_tn(x, dY, d_w, [0, T])`, then
+/// `d_x += dY·wᵀ` — for any worker count. `dY` never exists whole: a
+/// job's rows live in the lowest scratch slot free when it starts, so
+/// the slots written are as many as jobs run at once.
+///
+/// # Panics
+///
+/// If a buffer's length disagrees with `(t, c, e)`.
+pub fn linear_backward_panels(
+    x: &[f32],
+    w: &[f32],
+    (t, c, e): (usize, usize, usize),
+    d_x: &mut [f32],
+    d_w: &mut [f32],
+    d_y_rows: impl Fn(usize, &mut [f32]) + Sync,
+) {
+    assert!(
+        x.len() == t * c && d_x.len() == t * c && w.len() == c * e && d_w.len() == c * e,
+        "linear_backward_panels: x {} / d_x {} for (T, C) = ({t}, {c}), w {} / d_w {} for (C, E) = ({c}, {e})",
+        x.len(),
+        d_x.len(),
+        w.len(),
+        d_w.len()
+    );
+    if t == 0 || c == 0 || e == 0 {
+        return;
+    }
+    // One slot per panel, so no job ever waits for one; each job takes
+    // the lowest free slot, so only as many slots as jobs run at once
+    // are ever written (and backed), and they stay in cache.
+    let (panels, slot_len) = (t.div_ceil(KC), KC * (e + c));
+    let arena = tutel_rt::arena();
+    let mut wt = arena.take_raw(c * e);
+    transpose(w, e, c, &mut wt);
+    let mut work = arena.take_raw(panels * (slot_len + c * e));
+    let (slot_bufs, partials) = work.split_at_mut(panels * slot_len);
+    let slot_bufs: Vec<std::sync::Mutex<&mut [f32]>> = slot_bufs
+        .chunks_exact_mut(slot_len)
+        .map(std::sync::Mutex::new)
+        .collect();
+    let add = dispatch::table().add_assign;
+    tutel_rt::parallel_chunks_zip((d_x, KC * c), (partials, c * e), |p, d_x, partial| {
+        let mut slot = claim(&slot_bufs);
+        let rows = d_x.len() / c;
+        let (d_y, dx) = slot.split_at_mut(KC * e);
+        let (d_y, dx) = (&mut d_y[..rows * e], &mut dx[..rows * c]);
+        d_y_rows(p * KC, d_y);
+        dx.fill(0.0);
+        block(d_y, (e, 1), &wt, dx, e, c);
+        add(dx, d_x);
+        partial.fill(-0.0);
+        block(&x[p * KC * c..], (1, c), d_y, partial, rows, e);
+    });
+    drop(slot_bufs);
+    for partial in work[panels * slot_len..].chunks_exact(c * e) {
+        add(partial, d_w);
+    }
+    arena.put(work);
+    arena.put(wt);
+}
+
+/// The first free slot (there is one per job, so the wait never
+/// happens). A slot whose holder panicked is taken as it is: every job
+/// overwrites its slot's rows before reading them.
+fn claim<T>(slots: &[std::sync::Mutex<T>]) -> std::sync::MutexGuard<'_, T> {
+    loop {
+        for slot in slots {
+            match slot.try_lock() {
+                Ok(guard) => return guard,
+                Err(std::sync::TryLockError::Poisoned(held)) => return held.into_inner(),
+                Err(std::sync::TryLockError::WouldBlock) => {}
+            }
+        }
+        std::thread::yield_now();
+    }
+}
+
 /// Element ranges plus `(group, group-relative row0)` per row block —
 /// the two halves of a grouped schedule.
 type GroupedSchedule = (Vec<(usize, usize)>, Vec<(usize, usize)>);

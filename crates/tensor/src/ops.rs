@@ -52,23 +52,13 @@ fn top_k_cols(t: &Tensor, k: usize) -> Result<usize> {
 /// [`Tensor::softmax_top_k_last`] (fixed, as [`TOPK_ROWS`]).
 const SOFTMAX_ROWS: usize = 64;
 
-/// One row's softmax in place: max, `exp(v − max)`, sum, divide, each
-/// through the kernel table `kt`.
-#[inline(always)]
-fn softmax_row(kt: &crate::dispatch::KernelTable, row: &mut [f32]) {
-    let max = (kt.row_max)(row);
-    (kt.exp_shift)(row, max);
-    let denom = (kt.row_sum)(row);
-    (kt.div_assign)(row, denom);
-}
-
 /// The gate's per-row function over a block of logits `rows` laid out
 /// `(R, E)` with `E = cols`: each row's softmax in place
 /// ([`Tensor::softmax_last`]'s passes), then the top `k` of the
 /// probabilities into that row's slots of `idx` / `val`, each `(R, k)`
-/// ([`Tensor::topk_last`]'s table entry and keys). A router runs it in its
-/// logits launch's row-block epilogue; its bits are the unfused
-/// chain's.
+/// ([`Tensor::topk_last`]'s keys) — one call of the kernel table's
+/// `softmax_rows` row-block entry. A router runs it in its logits
+/// launch's row-block epilogue; its bits are the unfused chain's.
 ///
 /// # Panics
 ///
@@ -90,12 +80,7 @@ pub(crate) fn softmax_top_k_rows(rows: &mut [f32], cols: usize, idx: &mut [u32],
     if n == 0 {
         return;
     }
-    let kt = crate::dispatch::table();
-    let slots = idx.chunks_mut(k).zip(val.chunks_mut(k));
-    for (row, (idx, val)) in rows.chunks_mut(cols).zip(slots) {
-        softmax_row(kt, row);
-        (kt.topk)(row, idx, val);
-    }
+    (crate::dispatch::table().softmax_rows)(rows, cols, idx, val);
 }
 
 /// One row's top `idx.len()`: a single scan that keeps the best columns
@@ -135,29 +120,43 @@ const TOPK_LANES: usize = 16;
 
 /// [`topk_scan`]'s selection as `idx.len()` passes of an integer max:
 /// the top `k` are the `k` largest of the row's unique [`topk_key`]s,
-/// so pass `i` takes the largest key below pass `i − 1`'s, over
-/// [`TOPK_LANES`] `u64` lanes with no branch on the data. The column is
-/// the key's inverted low half and the value is read back from the row.
-/// A max is associative, so every lane width picks the same keys and
-/// the result is `topk_scan`'s bit for bit. Written once: the SIMD
-/// tables' `topk` entries are this body compiled for their features.
+/// so pass `i` takes the largest key below pass `i − 1`'s
+/// ([`topk_pass`]). The column is the key's inverted low half and the
+/// value is read back from the row. A max is associative, so every lane
+/// width picks the same keys and the result is `topk_scan`'s bit for
+/// bit. Written once: the SIMD tables' `topk` entries are this body
+/// compiled for their features, and their `softmax_rows` entries run
+/// [`topk_pass`] over a few rows at a time.
 #[inline(always)]
 pub(crate) fn topk_by_max(row: &[f32], idx: &mut [u32], val: &mut [f32]) {
     let mut below = u64::MAX;
     for (slot, v) in idx.iter_mut().zip(val.iter_mut()) {
-        let mut best = [0u64; TOPK_LANES];
-        let mut chunks = row.chunks_exact(TOPK_LANES);
-        let mut first = 0u32;
-        for chunk in &mut chunks {
-            max_keys_below(&mut best, chunk, first, below);
-            first += TOPK_LANES as u32;
-        }
-        // The last `E mod 16` columns, in the first lanes.
-        max_keys_below(&mut best, chunks.remainder(), first, below);
-        below = best.into_iter().fold(0, u64::max);
-        *slot = !(below as u32);
-        *v = row[*slot as usize];
+        below = topk_pass(row, below);
+        (*slot, *v) = topk_pick(row, below);
     }
+}
+
+/// One [`topk_by_max`] pass: the largest key of `row` below `below`,
+/// over [`TOPK_LANES`] `u64` lanes with no branch on the data.
+#[inline(always)]
+pub(crate) fn topk_pass(row: &[f32], below: u64) -> u64 {
+    let mut best = [0u64; TOPK_LANES];
+    let mut chunks = row.chunks_exact(TOPK_LANES);
+    let mut first = 0u32;
+    for chunk in &mut chunks {
+        max_keys_below(&mut best, chunk, first, below);
+        first += TOPK_LANES as u32;
+    }
+    // The last `E mod 16` columns, in the first lanes.
+    max_keys_below(&mut best, chunks.remainder(), first, below);
+    best.into_iter().fold(0, u64::max)
+}
+
+/// The column a pass's key names, and its value read back from `row`.
+#[inline(always)]
+pub(crate) fn topk_pick(row: &[f32], key: u64) -> (u32, f32) {
+    let col = !(key as u32);
+    (col, row[col as usize])
 }
 
 /// `best[l] = max(best[l], key)` for each lane's [`topk_key`] that lies
@@ -292,15 +291,15 @@ impl Tensor {
     ///
     /// For a gating logits tensor of shape `(T, E)` this produces the
     /// routing probabilities of Figure 18 line 2. Rows are processed
-    /// in fixed 64-row chunks on the `tutel-rt` pool, and each row in
-    /// four passes through the active kernel table: a lane-tree max,
-    /// `exp(v − max)` through the ported `exp` (8 lanes at a time in
-    /// the SIMD tables), a lane-tree sum, and a lanewise divide. Each
-    /// row's arithmetic is self-contained and every pass is
-    /// bitwise-identical across kernel tables, so results are
-    /// bit-identical for any worker count and any `TUTEL_SIMD` setting.
-    /// [`Tensor::softmax_top_k_last`] and the gate's row function run the
-    /// same passes.
+    /// in fixed 64-row chunks on the `tutel-rt` pool, one call of the
+    /// active kernel table's `softmax_rows` entry each, and each row in
+    /// four passes: a lane-tree max, `exp(v − max)` through the ported
+    /// `exp` (8 or 16 lanes at a time in the SIMD tables), a lane-tree
+    /// sum, and a lanewise divide. Each row's arithmetic is
+    /// self-contained and every pass is bitwise-identical across kernel
+    /// tables, so results are bit-identical for any worker count and any
+    /// `TUTEL_SIMD` setting. [`Tensor::softmax_top_k_last`] and the
+    /// gate's row function run the same entry.
     // check:hot
     pub fn softmax_last(&self) -> Tensor {
         let cols = *self.dims().last().unwrap_or(&1);
@@ -309,10 +308,7 @@ impl Tensor {
             return out;
         }
         tutel_rt::parallel_chunks(out.as_mut_slice(), SOFTMAX_ROWS * cols, |_, chunk| {
-            let kt = crate::dispatch::table();
-            for row in chunk.chunks_mut(cols) {
-                softmax_row(kt, row);
-            }
+            (crate::dispatch::table().softmax_rows)(chunk, cols, &mut [], &mut []);
         });
         out
     }
