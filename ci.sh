@@ -91,16 +91,19 @@ echo "==> GELU judge: all 2^32 inputs, every SIMD table vs scalar and vs an f64 
 cargo test -q --release -p tutel-tensor --lib -- --ignored \
     gelu_judge_holds_and_simd_lanes_match_scalar_exhaustively --nocapture
 
-echo "==> exp port: all 2^32 inputs vs the host libm and every SIMD table's exp lanes"
-# Softmax's exp is a port of glibc 2.36's expf as its ifunc resolves on
-# an AVX2+FMA host (e_expf.c with four fused steps): on every bit
-# pattern the scalar port must equal f32::exp, and each SIMD table's
-# exp lanes (the 8-lane AVX2 body and, where present, the 16-lane
-# AVX-512 body, each through its own exp_lanes entry) the scalar port.
-# Release build, minutes on 2 cores; the default suite runs an edge
-# table plus every 65 537th pattern and checks every table's exp_shift
-# entry.
-cargo test -q --release -p tutel-tensor --lib -- --ignored exp_port_matches_libm_and_simd_lanes_exhaustively
+echo "==> exp_neg judge: every input up to the cut, every SIMD table vs scalar and vs an f64 exp"
+# Softmax's numerators and GELU's σ(2u) share one exp, exp_neg(a) =
+# exp(-a), one generic body instantiated per lane type. On every
+# non-negative f32 pattern up to the cut (87.33654, the last a whose
+# exp(-a) is a normal float), the cut's neighbours, +inf, both NaNs
+# and ±0: the error against an f64 exp stays within the bound the test
+# states and prints, no value is subnormal, every a past the cut gives
+# +0 and NaN gives NaN, and every SIMD table's softmax_rows over rows
+# carrying those inputs equals the scalar table's bit for bit. Release
+# build, about 1.5 minutes on 2 cores; the default suite runs the edges
+# and every 65 537th pattern.
+cargo test -q --release -p tutel-tensor --lib -- --ignored \
+    exp_neg_judge_holds_and_simd_lanes_match_scalar_exhaustively --nocapture
 
 echo "==> GEMM tile edges: every small shape, every kernel table"
 # Every m ≤ 2·MR + 1 (25) and m in {47, 48, 49} (either side of one
@@ -132,22 +135,23 @@ echo "==> top-k, slice-kernel and row-block differentials at TUTEL_THREADS=1 and
 # Every SIMD table's top-k (one integer-max pass per slot) against the
 # scalar scan, directly and through topk_last's pooled row chunks, for
 # E in 1..=17 and either side of 32 and 64, every k ≤ E, on ties, ±0,
-# NaN of both signs, ±inf, all-NaN rows and subnormals; the slice
-# kernels no other sweep covers (axpy, add_assign, row_max, row_sum,
-# dot, div_assign, bf16_round, gelu_backward) on ragged, unaligned and
+# NaN of both signs, ±inf, all-NaN rows and subnormals; the row
+# kernels (row max, row sum, dot, the softmax numerators and divide,
+# axpy, row copies) through the row-block entries that inline them, and
+# add_assign, bf16_round and gelu_backward, on ragged, unaligned and
 # empty slices, against scalar and against per-element oracles that
 # share no code with the kernels; gelu' at its limits past the
 # backward's ±1e19 clamp; and every row-block entry (softmax_rows,
-# gather_rows, combine_rows, dot_rows, softmax_grad_rows) against the
-# per-row loop it replaced, in every table.
+# gather_rows, combine_rows, dot_rows, softmax_grad_rows) against
+# per-element oracles, in every table.
 for threads in 1 4; do
     TUTEL_THREADS=$threads cargo test -q --release -p tutel-tensor --lib -- --exact \
         dispatch::tests::topk_agrees_across_tables_on_ties_zeros_nans_and_infs \
         dispatch::tests::slice_kernels_match_scalar_on_ragged_unaligned_and_empty_slices \
         dispatch::tests::slice_kernels_match_per_element_oracles_on_ragged_unaligned_and_empty_slices \
         dispatch::tests::gelu_backward_takes_its_limits_past_the_clamp \
-        dispatch::tests::softmax_rows_equals_the_per_row_entries_in_every_table \
-        dispatch::tests::dispatch_row_entries_equal_the_per_row_loops_in_every_table \
+        dispatch::tests::softmax_rows_equals_a_per_element_oracle_in_every_table \
+        dispatch::tests::dispatch_row_entries_equal_per_element_oracles_in_every_table \
         dispatch::tests::softmax_grad_rows_equals_the_per_row_chain_in_every_table
 done
 

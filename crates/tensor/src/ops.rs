@@ -293,8 +293,9 @@ impl Tensor {
     /// routing probabilities of Figure 18 line 2. Rows are processed
     /// in fixed 64-row chunks on the `tutel-rt` pool, one call of the
     /// active kernel table's `softmax_rows` entry each, and each row in
-    /// four passes: a lane-tree max, `exp(v − max)` through the ported
-    /// `exp` (8 or 16 lanes at a time in the SIMD tables), a lane-tree
+    /// four passes: a lane-tree max, `exp(v − max)` as the kernels'
+    /// `exp_neg(max − v)` (8 or 16 lanes at a time in the SIMD tables;
+    /// `+0` where it would be subnormal), a lane-tree
     /// sum, and a lanewise divide. Each row's arithmetic is
     /// self-contained and every pass is bitwise-identical across kernel
     /// tables, so results are bit-identical for any worker count and any
