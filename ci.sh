@@ -297,9 +297,13 @@ pinned "adaptive_decision cksum: $DECISIONS"
 
 echo "==> conformance harness: replayed fault seed"
 # A second, fixed fault seed so every collective's retry/recovery path
-# is exercised under two distinct injected fault patterns per run.
-cargo run --release -q -p tutel-harness --bin harness -- \
-    --fault-seed 0xB0B0 > /dev/null
+# is exercised under two distinct injected fault patterns per run. Its
+# report is kept, and printed on failure, so a failing cell is named.
+if ! cargo run --release -q -p tutel-harness --bin harness -- \
+    --fault-seed 0xB0B0 > "$TRACE_DIR/fault_seed.txt"; then
+    cat "$TRACE_DIR/fault_seed.txt" >&2
+    exit 1
+fi
 
 # The two executed digests below are compared across cells of this run
 # and, through `pinned`, against the commit before.

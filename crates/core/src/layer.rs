@@ -83,14 +83,17 @@ fn pass(
     obs: &Telemetry,
     cfg: &MoeConfig,
     x: &Tensor,
-    experts: impl FnOnce(&Tensor, &[usize]) -> Result<Tensor, TensorError>,
+    experts: impl FnOnce(Tensor, &[usize]) -> Result<Tensor, TensorError>,
 ) -> Result<(MoeOutput, step::Saved), TensorError> {
     let route_cfg = cfg.route_config();
     let (probs, routing) = step::gate(router, x, &route_cfg, obs)?;
     let bins = RaggedRouting::from_routing(&routing);
     let (output, saved) = step::forward(x, probs, routing, bins, obs, experts)?;
     let routing = &saved.routing;
-    let aux = aux_loss(&saved.probs, routing)?;
+    let aux = {
+        let _aux = obs.span("gate.aux");
+        aux_loss(&saved.probs, routing)?
+    };
     obs.set_gauge("gate.aux_loss", aux as f64);
     let out = MoeOutput {
         output,
@@ -218,7 +221,7 @@ impl MoeLayer {
             &self.obs,
             &self.cfg,
             x,
-            |rows, bins| self.experts.forward_grouped(rows, bins),
+            |rows, bins| self.experts.forward_grouped_owned(rows, bins),
         )?;
         self.saved = Some(SavedForward {
             x: scratch::copy_of(x),
@@ -266,7 +269,9 @@ impl MoeLayer {
         let mut cfg = self.cfg;
         cfg.capacity_factor = capacity_factor;
         let (out, saved) = pass(self.router.as_dyn(), &self.obs, &cfg, x, |rows, bins| {
-            self.experts.infer_grouped(rows, bins)
+            let y = self.experts.infer_grouped(&rows, bins);
+            scratch::recycle(rows);
+            y
         })?;
         scratch::recycle(saved.expert_out);
         Ok(out)
@@ -295,7 +300,7 @@ impl MoeLayer {
             d_out,
             fwd.aux_weight,
             &self.obs,
-            |d_packed| self.experts.backward_grouped(d_packed),
+            |d_packed| self.experts.backward_owned(d_packed),
         )?;
         scratch::recycle(fwd.x);
         Ok(d_x)

@@ -15,7 +15,9 @@
 //! the last point where a rank can fail on its own rows alone. Stage
 //! boundaries are span boundaries (`gate`, `encode`, `decode` and
 //! their `.backward` twins; the expert stage opens its own `ffn`
-//! spans): one branch per stage when `tel` is disabled.
+//! spans): one branch per stage when `tel` is disabled. The expert
+//! stages take the packed rows and output gradients by value, to keep
+//! as the saved input or write `d_x` over, or to hand back to `scratch`.
 //!
 //! The routing record is read through [`Routing`]'s accessors only;
 //! gate gradients travel as one flat `(T·k)` array in the record's
@@ -88,8 +90,9 @@ pub fn gate(
 }
 
 /// The forward step after [`gate`]: encode `x (T, M)` into `bins`
-/// (built by the caller from `routing`), run `experts` on the packed
-/// rows and their CSR offsets, decode. Returns the output `(T, M)`.
+/// (built by the caller from `routing`), hand the packed rows and their
+/// CSR offsets to `experts` — which keeps them for its backward or
+/// recycles them — and decode. Returns the output `(T, M)`.
 ///
 /// # Errors
 ///
@@ -102,15 +105,14 @@ pub fn forward<E: From<TensorError>>(
     routing: Routing,
     bins: RaggedRouting,
     tel: &Telemetry,
-    experts: impl FnOnce(&Tensor, &[usize]) -> Result<Tensor, E>,
+    experts: impl FnOnce(Tensor, &[usize]) -> Result<Tensor, E>,
 ) -> Result<(Tensor, Saved), E> {
     let encode = stage_span(tel, "encode", &routing, &bins);
     let packed = ragged_encode(x, &routing, &bins)?;
     tel.add_counter("kernels.encode.elements", packed.len() as u64);
     tel.add_counter("kernels.encode.calls", 1);
     drop(encode);
-    let expert_out = experts(&packed, &bins.offsets)?;
-    scratch::recycle(packed);
+    let expert_out = experts(packed, &bins.offsets)?;
     let decode = stage_span(tel, "decode", &routing, &bins);
     let output = ragged_decode(&expert_out, &routing, &bins, routing.num_tokens())?;
     tel.add_counter("kernels.decode.elements", output.len() as u64);
@@ -127,11 +129,12 @@ pub fn forward<E: From<TensorError>>(
 }
 
 /// The backward step: retraces decode → `experts_backward` → encode
-/// over the forward's bins, then chains the gate gradients through
-/// gate normalization, the auxiliary loss (`aux_weight`, straight-
-/// through on the fractions), softmax and the router
-/// ([`Router::gate_backward`], inside the `gate.backward` span). `x`
-/// is the forward's input; router gradients accumulate in `router`.
+/// over the forward's bins, handing the packed output gradients to
+/// `experts_backward` (whose `d_x` may reuse their buffer), then chains
+/// the gate gradients through gate normalization, the auxiliary loss
+/// (`aux_weight`, straight-through on the fractions), softmax and the
+/// router ([`Router::gate_backward`], inside the `gate.backward` span).
+/// `x` is the forward's input; router gradients accumulate in `router`.
 /// Returns `d_x (T, M)`, router term included.
 ///
 /// # Errors
@@ -145,15 +148,14 @@ pub fn backward<E: From<TensorError>>(
     d_out: &Tensor,
     aux_weight: f32,
     tel: &Telemetry,
-    experts_backward: impl FnOnce(&Tensor) -> Result<Tensor, E>,
+    experts_backward: impl FnOnce(Tensor) -> Result<Tensor, E>,
 ) -> Result<Tensor, E> {
     let (probs, routing, bins) = (&saved.probs, &saved.routing, &saved.bins);
     let decode = stage_span(tel, "decode.backward", routing, bins);
     let (d_packed_out, d_gates) = ragged_decode_backward(d_out, &saved.expert_out, routing, bins)?;
     drop(decode);
     scratch::recycle(saved.expert_out);
-    let d_packed_in = experts_backward(&d_packed_out)?;
-    scratch::recycle(d_packed_out);
+    let d_packed_in = experts_backward(d_packed_out)?;
     let encode = stage_span(tel, "encode.backward", routing, bins);
     let mut d_x = ragged_encode_backward(&d_packed_in, routing, bins, routing.num_tokens())?;
     drop(encode);

@@ -5,11 +5,15 @@
 //! backward pass reads. Each layer is one storing grouped-GEMM launch
 //! whose per-row-block epilogue adds the bias and, after the first
 //! layer, applies GELU (the kernel table's `gelu`, `x·σ(2u)` with one
-//! `exp` and one divide per element) while the block is still in cache;
-//! the backward applies GELU′ the same way, from the captured `σ(2u)`. Under
-//! enabled telemetry the two launches are the child spans `ffn.gemm1`
-//! / `ffn.gemm2` of `ffn`. The four parameters are [`Param`]s, so the
-//! optimizer step is one call per parameter.
+//! `exp` and one divide per element) while the block is still in cache,
+//! storing GELU′ beside it when training: a training forward keeps only
+//! `x`, `h` and GELU′ (`R·M + 2·R·V` floats), and the backward scales
+//! each block of `dh` by GELU′ the same way. Under enabled telemetry the
+//! two launches are the child spans `ffn.gemm1` / `ffn.gemm2` of `ffn`.
+//! The four parameters are [`Param`]s, so the optimizer step is one
+//! call per parameter.
+
+use std::borrow::Cow;
 
 use tutel_obs::Telemetry;
 use tutel_rt::SameRanges;
@@ -19,11 +23,10 @@ use tutel_tensor::{
 };
 
 /// What a training forward keeps for [`ExpertsBlock::backward`]: the
-/// input `x` (in the caller's shape), the pre-activation `h_pre`, the
-/// GELU output `h`, the `σ(2u)` intermediate — so backward never
-/// re-evaluates the `exp` — and the bin offsets the rows were computed
-/// under.
-type Saved = (Tensor, Tensor, Tensor, Tensor, Vec<usize>);
+/// input `x` (in the caller's shape), the GELU output `h`, GELU′ at the
+/// pre-activation — so backward never re-evaluates the `exp` — and the
+/// bin offsets the rows were computed under.
+type Saved = (Tensor, Tensor, Tensor, Vec<usize>);
 
 /// A batch of `ΔE` expert FFNs: for each local expert `e`,
 /// `y = gelu(x · W1_e + b1_e) · W2_e + b2_e` with `W1 (M, V)`,
@@ -286,7 +289,7 @@ impl ExpertsBlock {
     /// Returns a [`TensorError`] if `x` has the wrong shape.
     pub fn forward(&mut self, x: &Tensor) -> Result<Tensor, TensorError> {
         let offsets = self.uniform_bins(x)?;
-        Ok(self.forward_rows(x, &offsets))
+        Ok(self.forward_rows(Cow::Borrowed(x), &offsets))
     }
 
     /// Forward without caching (inference) over padded `x (ΔE, C, M)`.
@@ -316,7 +319,18 @@ impl ExpertsBlock {
         offsets: &[usize],
     ) -> Result<Tensor, TensorError> {
         self.check_grouped(x, offsets)?;
-        Ok(self.forward_rows(x, offsets))
+        Ok(self.forward_rows(Cow::Borrowed(x), offsets))
+    }
+
+    /// [`forward_grouped`](Self::forward_grouped), with its errors, that
+    /// keeps `x` itself for the backward instead of a copy of it.
+    pub fn forward_grouped_owned(
+        &mut self,
+        x: Tensor,
+        offsets: &[usize],
+    ) -> Result<Tensor, TensorError> {
+        self.check_grouped(&x, offsets)?;
+        Ok(self.forward_rows(Cow::Owned(x), offsets))
     }
 
     /// Grouped forward without caching (inference).
@@ -340,45 +354,48 @@ impl ExpertsBlock {
     }
 
     /// Training forward over validated rows: the FFN body with capture
-    /// on, its activations parked for [`Self::backward`] beside a copy
-    /// of the input and the bins.
-    fn forward_rows(&mut self, x: &Tensor, offsets: &[usize]) -> Tensor {
-        let (y, kept) = self.ffn(x, offsets, true);
-        self.saved =
-            kept.map(|[h_pre, h, sig]| (scratch::copy_of(x), h_pre, h, sig, offsets.to_vec()));
+    /// on, its activations parked for [`Self::backward`] beside the
+    /// input (a borrowed one copied) and the bins.
+    fn forward_rows(&mut self, x: Cow<'_, Tensor>, offsets: &[usize]) -> Tensor {
+        let (y, h, d) = self.ffn(&x, offsets, true);
+        let x = match x {
+            Cow::Borrowed(x) => scratch::copy_of(x),
+            Cow::Owned(x) => x,
+        };
+        self.saved = d.map(|d| (x, h, d, offsets.to_vec()));
         y
     }
 
     /// Inference over validated rows: the FFN body with capture off.
     fn infer_rows(&self, x: &Tensor, offsets: &[usize]) -> Tensor {
-        self.ffn(x, offsets, false).0
+        let (y, h, _) = self.ffn(x, offsets, false);
+        scratch::recycle(h);
+        y
     }
 
     /// The FFN body, `layer → GELU → layer`: `x` is validated rows of
     /// `M` (either layout) partitioned by `offsets`; the result takes
-    /// `x`'s shape. With `capture` it also returns `[h_pre, h, sig]` —
-    /// the pre-activation, the GELU output and its `σ(2u)`, which
-    /// backward would otherwise spend most of its time re-evaluating;
-    /// without, the hidden buffer is recycled.
+    /// `x`'s shape. It also returns the GELU output `h` and, with
+    /// `keep`, GELU′ at the pre-activation, which backward would
+    /// otherwise spend most of its time re-evaluating.
     // check:hot
-    fn ffn(&self, x: &Tensor, offsets: &[usize], capture: bool) -> (Tensor, Option<[Tensor; 3]>) {
+    fn ffn(&self, x: &Tensor, offsets: &[usize], keep: bool) -> (Tensor, Tensor, Option<Tensor>) {
         let _span = self.ffn_span(true, offsets);
         let gelu = dispatch::table().gelu;
         let mut h = scratch::raw(&[offsets[self.local_experts], self.hidden_dim]);
-        let captured = {
+        let d = {
             let _stage = self.obs.span("ffn.gemm1");
             let (w1, b1) = (&self.w1, &self.b1);
-            if capture {
-                // GELU in place over the launch's own output; its input
-                // and `σ(2u)` land beside it, in the block's rows.
-                let (mut h_pre, mut sig) = (scratch::raw(h.dims()), scratch::raw(h.dims()));
-                let beside =
-                    SameRanges::new(h.as_slice(), [h_pre.as_mut_slice(), sig.as_mut_slice()]);
+            if keep {
+                // GELU in place over the launch's own output; GELU′
+                // lands beside it, in the block's rows.
+                let mut d = scratch::raw(h.dims());
+                let beside = SameRanges::new(h.as_slice(), [d.as_mut_slice()]);
                 self.layer(x.as_slice(), w1, b1, offsets, h.as_mut_slice(), |block| {
-                    let (block, [pre, sig]) = beside.split(block);
-                    gelu(block, Some((pre, sig)));
+                    let (block, [d]) = beside.split(block);
+                    gelu(block, Some(d));
                 });
-                Some((h_pre, sig))
+                Some(d)
             } else {
                 self.layer(x.as_slice(), w1, b1, offsets, h.as_mut_slice(), |block| {
                     gelu(block, None)
@@ -392,14 +409,7 @@ impl ExpertsBlock {
             let (w2, b2) = (&self.w2, &self.b2);
             self.layer(h.as_slice(), w2, b2, offsets, y.as_mut_slice(), |_| {});
         }
-        let kept = match captured {
-            Some((h_pre, sig)) => Some([h_pre, h, sig]),
-            None => {
-                scratch::recycle(h);
-                None
-            }
-        };
-        (y, kept)
+        (y, h, d)
     }
 
     /// One linear layer over packed rows, stored into `out (R, N)`: bin
@@ -436,9 +446,20 @@ impl ExpertsBlock {
     /// Returns a [`TensorError`] if no forward is cached or `d_y` does
     /// not have the forward input's shape; a rejected `d_y` leaves the
     /// cached activations in place for a corrected retry.
-    // check:hot
     pub fn backward(&mut self, d_y: &Tensor) -> Result<Tensor, TensorError> {
-        let (x, h_pre, h, sig, offsets) = match self.saved.take() {
+        self.backward_rows(Cow::Borrowed(d_y))
+    }
+
+    /// [`backward`](Self::backward), with its errors, that writes `d_x`
+    /// over `d_y`'s buffer once the last launch that reads `d_y` has run.
+    pub fn backward_owned(&mut self, d_y: Tensor) -> Result<Tensor, TensorError> {
+        self.backward_rows(Cow::Owned(d_y))
+    }
+
+    /// The backward body under both entries.
+    // check:hot
+    fn backward_rows(&mut self, d_y: Cow<'_, Tensor>) -> Result<Tensor, TensorError> {
+        let (x, h, d, offsets) = match self.saved.take() {
             Some(saved) if saved.0.dims() == d_y.dims() => saved,
             Some(saved) => {
                 let err =
@@ -463,23 +484,24 @@ impl ExpertsBlock {
         // GELU′ over its own rows inside the launch.
         let mut dh = h.into_vec();
         let gelu_backward = dispatch::table().gelu_backward;
-        let (pre, s) = (h_pre.as_slice(), sig.as_slice());
-        let w2 = self.w2.w().as_slice();
+        let (ds, w2) = (d.as_slice(), self.w2.w().as_slice());
         grouped_gemm_nt_into(dys, w2, &mut dh, &offsets, m, v, |g, r0, block| {
             let start = (offsets[g] + r0) * v;
-            let rows = start..start + block.len();
-            gelu_backward(&pre[rows.clone()], &s[rows], block);
+            gelu_backward(&ds[start..start + block.len()], block);
         });
-        // dW1 += xᵀ · dh_pre; db1 += Σ rows dh_pre; dx = dh_pre · W1ᵀ.
+        // dW1 += xᵀ · dh_pre; db1 += Σ rows dh_pre; dx = dh_pre · W1ᵀ,
+        // over an owned `d_y`, whose last reader has run.
         grouped_gemm_tn(x.as_slice(), &dh, self.w1.g_mut(), &offsets, m, v);
         accumulate_bias(&mut self.b1, &dh, &offsets);
-        let mut dx = scratch::raw(x.dims());
+        let mut dx = match d_y {
+            Cow::Owned(d_y) => d_y,
+            Cow::Borrowed(_) => scratch::raw(x.dims()),
+        };
         let w1 = self.w1.w().as_slice();
         grouped_gemm_nt_into(&dh, w1, dx.as_mut_slice(), &offsets, v, m, |_, _, _| {});
         tutel_rt::arena().put(dh);
         scratch::recycle(x);
-        scratch::recycle(h_pre);
-        scratch::recycle(sig);
+        scratch::recycle(d);
         Ok(dx)
     }
 
@@ -657,10 +679,10 @@ mod tests {
 
     /// The subnormal trap: pre-activations across [−12, 12], set by the
     /// bias, one row per expert, so each expert's `db1` is its row's
-    /// `dh`. A GELU whose `σ(2u)` or `gelu'` went subnormal (an uncut
+    /// `dh`. A GELU whose captured `gelu'` went subnormal (an uncut
     /// `σ(2u)` is subnormal for x in about (−10.6, −10)) put subnormals
-    /// into `dh`, and every launch that read it ran slow; after one
-    /// backward no gradient holds one.
+    /// into `dh`, and every launch that read it ran slow; the captured
+    /// `gelu'` holds none, and after one backward no gradient does.
     #[test]
     fn backward_across_the_far_tail_makes_no_subnormal() {
         let (e, m, v) = (2, 8, 97);
@@ -673,7 +695,17 @@ mod tests {
         let offsets = [0, 1, 2];
         let x = rng.normal_tensor(&[e, m], 0.0, 1.0);
         ex.forward_grouped(&x, &offsets).unwrap();
-        let pre = ex.saved.as_ref().unwrap().1.as_slice().to_vec();
+        // Row `e` is expert `e`'s one row: `x·W1 + b1` written out.
+        let (w1, b1) = (ex.w1.w().as_slice(), ex.b1.w().as_slice());
+        let pre: Vec<f32> = (0..e * v)
+            .map(|i| {
+                let (r, j) = (i / v, i % v);
+                let dot: f32 = (0..m)
+                    .map(|k| x.as_slice()[r * m + k] * w1[(r * m + k) * v + j])
+                    .sum();
+                dot + b1[i]
+            })
+            .collect();
         let lo = pre.iter().copied().fold(f32::INFINITY, f32::min);
         let hi = pre.iter().copied().fold(f32::NEG_INFINITY, f32::max);
         assert!(lo < -11.5 && hi > 11.5, "pre-activations span [{lo}, {hi}]");
@@ -682,6 +714,9 @@ mod tests {
             in_band.count() >= 2 * e,
             "no pre-activation where σ(2u) < 2⁻¹²⁶"
         );
+        let d = ex.saved.as_ref().unwrap().2.as_slice();
+        let at = d.iter().position(|v| v.is_subnormal());
+        assert!(at.is_none(), "gelu'[{at:?}] is subnormal");
         let dy = rng.normal_tensor(&[e, m], 0.0, 1.0);
         let dx = ex.backward_grouped(&dy).unwrap();
         let grads = [
@@ -694,6 +729,40 @@ mod tests {
             let at = g.iter().position(|v| v.is_subnormal());
             assert!(at.is_none(), "{what}[{at:?}] is subnormal");
         }
+    }
+
+    /// A training forward keeps what its backward reads and nothing
+    /// more — `x`, `h` and `gelu'`, `R·M + 2·R·V` floats over `R` rows
+    /// — and its borrowed and owned entries give the same `y`, `d_x` and
+    /// gradients bit for bit.
+    #[test]
+    fn forward_keeps_only_what_backward_reads_through_either_entry() {
+        let (e, m, v, r) = (3, 8, 24, 12);
+        let offsets = [0, 5, 5, r];
+        let mut rng = Rng::seed(31);
+        let block = ExpertsBlock::new(e, m, v, &mut rng);
+        let x = rng.normal_tensor(&[r, m], 0.0, 1.0);
+        let dy = rng.normal_tensor(&[r, m], 0.0, 1.0);
+        let run = |owned: bool| {
+            let mut ex = block.clone();
+            let y = match owned {
+                true => ex.forward_grouped_owned(x.clone(), &offsets),
+                false => ex.forward_grouped(&x, &offsets),
+            };
+            let (kx, h, d, _) = ex.saved.as_ref().unwrap();
+            assert_eq!(kx.len() + h.len() + d.len(), r * m + 2 * r * v);
+            let dx = match owned {
+                true => ex.backward_owned(dy.clone()),
+                false => ex.backward(&dy),
+            };
+            let grads = [ex.w1.g(), ex.b1.g(), ex.w2.g(), ex.b2.g()];
+            [&y.unwrap(), &dx.unwrap()]
+                .into_iter()
+                .chain(grads)
+                .map(|t| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(run(false), run(true));
     }
 
     #[test]

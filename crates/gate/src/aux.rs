@@ -5,7 +5,7 @@
 //! the mean gate probability of expert `e` over the batch. Perfectly
 //! balanced routing yields `l_aux = 1`; concentration raises it.
 
-use tutel_tensor::{Tensor, TensorError};
+use tutel_tensor::{dispatch, Tensor, TensorError};
 
 use crate::Routing;
 
@@ -28,14 +28,11 @@ fn top1_fraction(routing: &Routing) -> Vec<f32> {
 /// token/expert counts.
 // check:hot
 pub fn aux_loss(probs: &Tensor, routing: &Routing) -> Result<f32, TensorError> {
-    let (t, e) = check(probs, routing)?;
+    let (_, e) = check(probs, routing)?;
     let fraction = top1_fraction(routing);
+    // `mean_prob_e`: one pass, each column adding `p / T` in token order.
     let mut mean_prob = vec![0.0f32; e];
-    for row in probs.as_slice().chunks(e) {
-        for (mean, p) in mean_prob.iter_mut().zip(row) {
-            *mean += p / t as f32;
-        }
-    }
+    (dispatch::table().column_means)(probs.as_slice(), &mut mean_prob);
     Ok(e as f32
         * fraction
             .iter()

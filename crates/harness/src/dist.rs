@@ -27,7 +27,7 @@ use tutel_gate::{aux_loss, RaggedRouting};
 use tutel_obs::trace::TRACK_MAIN;
 use tutel_obs::Telemetry;
 use tutel_rt::with_parallelism_limit;
-use tutel_tensor::Tensor;
+use tutel_tensor::{scratch, Tensor};
 
 use crate::reference::{Fixture, Problem, RankResult};
 use crate::ExecConfig;
@@ -88,8 +88,9 @@ fn run_rank(
             let blocks = chunk_state[i].insert(experts.clone());
             shard_sum(blocks, |block| block.forward_grouped(rows, offsets))
         };
-        let combined = exchange_bins(&mut comm, cfg.algo, cfg.degree, packed, offsets, forward)
+        let combined = exchange_bins(&mut comm, cfg.algo, cfg.degree, &packed, offsets, forward)
             .expect("fault-free overlapped forward");
+        scratch::recycle(packed);
         phase_t0 = tracer.now_us();
         combined
     })
@@ -110,9 +111,10 @@ fn run_rank(
             shard_sum(blocks, |block| block.backward(d_rows))
         };
         let d = exchange_bins(
-            &mut comm, cfg.algo, cfg.degree, d_packed, &offsets, backward,
+            &mut comm, cfg.algo, cfg.degree, &d_packed, &offsets, backward,
         )
         .expect("fault-free overlapped backward");
+        scratch::recycle(d_packed);
         phase_t0 = tracer.now_us();
         d
     })

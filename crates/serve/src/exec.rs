@@ -69,7 +69,7 @@ use tutel_gate::{route, RaggedRouting, Router};
 use tutel_kernels::{fast_decode, fast_encode};
 use tutel_obs::Telemetry;
 use tutel_rt::with_parallelism_limit;
-use tutel_tensor::Tensor;
+use tutel_tensor::{scratch, Tensor};
 
 use crate::model::ServeModel;
 use crate::request::ServeError;
@@ -341,14 +341,16 @@ fn run_rank(
     let (probs, routing) = gated?;
     let bins = RaggedRouting::from_routing(&routing);
     let stepped = step::forward(&x, probs, routing, bins, &tel, |packed, offsets| {
-        Ok::<_, ServeError>(exchange_bins(
+        let out = exchange_bins(
             comm,
             cfg.algo,
             cfg.degree,
-            packed,
+            &packed,
             offsets,
             |_, rows, offsets| shard_sum(blocks, |block| block.infer_grouped(rows, offsets)),
-        )??)
+        );
+        scratch::recycle(packed);
+        Ok::<_, ServeError>(out??)
     });
     if let Some(e) = failed {
         return Err(e.into());

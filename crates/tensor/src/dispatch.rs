@@ -77,11 +77,11 @@
 //!    a `blend` each (`blendv` on AVX2, a mask-register blend on
 //!    AVX-512). No value it makes is subnormal, so no lane takes a
 //!    subnormal slow path. GELU is the tanh approximation written as
-//!    `x·σ(2u)` over one `exp_neg` of `a` clamped at 46; softmax's
-//!    numerators are `exp_neg(max − v)`. This code is the definition on
-//!    every host: it moved every GELU bit once, when it replaced a port
-//!    of glibc 2.36's `tanhf`, whose `1 + tanh` cancelled to errors of
-//!    up to 4.8e6 ULP near x = −5.
+//!    `x·σ(2u)` over one `exp_neg` of `a` clamped at 46 (training keeps
+//!    `gelu'` beside it); softmax's numerators are `exp_neg(max − v)`.
+//!    This code is the definition on every host: it moved every GELU bit
+//!    once, when it replaced a port of glibc 2.36's `tanhf`, whose `1 +
+//!    tanh` cancelled to errors of up to 4.8e6 ULP near x = −5.
 //!
 //! Mode selection: `TUTEL_SIMD=0` forces scalar, unset or `1` uses the
 //! widest table the host has (read once); [`set_simd_override`] flips
@@ -157,10 +157,12 @@ pub type DotRowsFn = fn(&[f32], &[f32], usize, Picks<'_>, usize, &mut [f32]);
 pub type SoftmaxGradRowsFn = fn(&[f32], &[u32], &[f32], &[f32], bool, &mut [f32]);
 /// In-place rounding of every element to its nearest bf16 value.
 pub type Bf16RoundFn = fn(&mut [f32]);
+/// Each column's mean over a block of rows; see [`KernelTable::column_means`].
+pub type ColumnMeansFn = fn(&[f32], &mut [f32]);
 /// GELU in place, `h[i] ← gelu(h[i])`; see [`KernelTable::gelu`].
-pub type GeluFn = fn(&mut [f32], Option<(&mut [f32], &mut [f32])>);
-/// `g[i] *= gelu'(pre[i])`; see [`KernelTable::gelu_backward`].
-pub type GeluBackwardFn = fn(&[f32], &[f32], &mut [f32]);
+pub type GeluFn = fn(&mut [f32], Option<&mut [f32]>);
+/// `g[i] *= d[i]`, `d` a captured `gelu'`; see [`KernelTable::gelu_backward`].
+pub type GeluBackwardFn = fn(&[f32], &mut [f32]);
 
 /// The index that names no row: a packed slot no assignment owns, or a
 /// pick the capacity clamp dropped.
@@ -266,17 +268,20 @@ pub struct KernelTable {
     /// In-place round-to-nearest-even to the bf16 grid
     /// ([`bf16_round_one`] per element).
     pub bf16_round: Bf16RoundFn,
+    /// `(rows, means)`: `means[j]` is the mean of column `j` of `rows`
+    /// (`(T, E)`, `E = means.len()`), `Σ_t rows[t][j] / T` from `+0` in
+    /// row order, each quotient rounded, with the lanes across columns.
+    pub column_means: ColumnMeansFn,
     /// GELU (tanh approximation) in place: `(h, keep)` replaces each
-    /// `h[i]` by `gelu(h[i])`; with `keep = Some((pre, sig))` (training)
-    /// it also stores the input in `pre[i]` and `σ(2u)` in `sig[i]`,
-    /// equal-length slices. Every element is `0.5·x·(1 + tanh(u))`, `u =
-    /// √(2/π)·(x + 0.044715·x³)`, evaluated as `x·σ(2u)` with one
-    /// `exp_neg` and one divide, the far negative tail cut to −0 (rule
-    /// 4).
+    /// `h[i]` by `gelu(h[i])`, `0.5·x·(1 + tanh(u))` with `u =
+    /// √(2/π)·(x + 0.044715·x³)`, as `x·σ(2u)` with one `exp_neg` and one divide,
+    /// the far negative tail cut to −0 (rule 4). With `keep = Some(d)`
+    /// (training) it also stores `gelu'(x) = s + x·s·(1 − s)·2√(2/π)·(1 +
+    /// 3·0.044715·x²)` in `d[i]`, from the same `s = σ(2u)`, left to
+    /// right, `x` clamped to ±1e19 so that `x²` stays finite.
     pub gelu: GeluFn,
-    /// `(pre, sig, g)`: `g[i] *= gelu'(pre[i])`, reading the `σ(2u)` a
-    /// capturing [`gelu`](Self::gelu) stored: `gelu' = s + x·s·(1 −
-    /// s)·2√(2/π)·(1 + 3·0.044715·x²)`.
+    /// `(d, g)`: `g[i] *= d[i]`, `d` the `gelu'` a capturing
+    /// [`gelu`](Self::gelu) stored.
     pub gelu_backward: GeluBackwardFn,
 }
 
@@ -298,8 +303,9 @@ static SCALAR_TABLE: KernelTable = KernelTable {
         softmax_grad_rows(ONE_PAIR, row_dots, y, picks, d_gates, aux, normalized, out)
     },
     bf16_round: |data| bf16_round(ONE_LANE, data),
+    column_means: |rows, means| column_means(ONE_LANE, rows, means),
     gelu: |h, keep| gelu(ONE_LANE, h, keep),
-    gelu_backward: |pre, sig, g| gelu_backward(ONE_LANE, pre, sig, g),
+    gelu_backward: |d, g| gelu_backward(ONE_LANE, d, g),
 };
 
 /// `OVERRIDE` encodes [`set_simd_override`]: 0 = follow the
@@ -542,12 +548,14 @@ fn halves(mr_eff: usize) -> impl Iterator<Item = (usize, usize)> {
 }
 
 /// The `micro_edge` entry: the micro-tile at any width `cols ≤
-/// TILE_COLS` on one lane, whichever lanes its table has, so the
-/// bitwise contract holds on the remainder for free.
+/// TILE_COLS`, as [`HALF_MR`]-row passes over each run of up to
+/// `L::LANES` columns in one vector, whose lanes past `cols` are never
+/// stored: each element is the same chain as in [`micro_tile`], so the
+/// bitwise contract holds on the remainder.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn micro_edge<L: Lane>(
-    _: L,
+    l: L,
     a: &[f32],
     row: usize,
     step: usize,
@@ -559,22 +567,44 @@ fn micro_edge<L: Lane>(
     cols: usize,
 ) {
     assert!(cols <= TILE_COLS.min(n), "edge tile of {cols} columns");
-    let a = ARows::<MR>::new(a, row, step, kc_len, mr_eff);
-    let mut acc = [[0.0f32; TILE_COLS]; MR];
-    for p in 0..kc_len {
-        let brow = &b[p * n..][..cols];
-        for (r, accr) in acc.iter_mut().enumerate().take(mr_eff) {
-            let av = a.at(r, p);
-            for (aj, &bv) in accr.iter_mut().zip(brow) {
-                *aj = av.fma(bv, *aj);
+    for (c, (h, rows)) in (0..cols)
+        .step_by(L::LANES)
+        .flat_map(|c| halves(mr_eff).map(move |h| (c, h)))
+    {
+        let w = L::LANES.min(cols - c);
+        let a = ARows::<HALF_MR>::new(&a[h * row..], row, step, kc_len, rows);
+        let mut acc = [l.splat(0.0); HALF_MR];
+        for p in 0..kc_len {
+            let bv = load_at(l, b, p * n + c, w);
+            for (r, accv) in acc.iter_mut().enumerate() {
+                *accv = l.splat(a.at(r, p)).fma(bv, *accv);
             }
         }
-    }
-    for (r, accr) in acc.iter().enumerate().take(mr_eff) {
-        for (o, &aj) in out[r * n..][..cols].iter_mut().zip(accr) {
-            *o += aj;
+        for (r, accv) in acc.iter().enumerate().take(rows) {
+            let o = (h + r) * n + c;
+            store_head(load_at(l, out, o, w) + *accv, &mut out[o..o + w]);
         }
     }
+}
+
+/// The lanes `s[at..at + w]`, `w ≤ L::LANES`; the lanes past `w` read
+/// on in `s`, zeros past its end, for the caller to discard.
+#[inline(always)]
+fn load_at<L: Lane>(l: L, s: &[f32], at: usize, w: usize) -> L {
+    if let Some(lanes) = s.get(at..at + L::LANES) {
+        return l.load(lanes);
+    }
+    let mut lanes = [0.0; 16];
+    lanes[..w].copy_from_slice(&s[at..at + w]);
+    l.load(&lanes)
+}
+
+/// Stores the first `s.len() ≤ L::LANES` lanes of `v` over `s`.
+#[inline(always)]
+fn store_head<L: Lane>(v: L, s: &mut [f32]) {
+    let mut lanes = [0.0; 16];
+    v.store(&mut lanes);
+    s.copy_from_slice(&lanes[..s.len()]);
 }
 
 /// A vector of `f32` lanes, the type every kernel body is written
@@ -1411,6 +1441,29 @@ fn dot_rows<N: Lane>(
     }
 }
 
+/// The `column_means` entry: 16 runs of `L::LANES` columns at a time,
+/// each adding its lanes' quotients row by row.
+#[inline(always)]
+fn column_means<L: Lane>(l: L, rows: &[f32], means: &mut [f32]) {
+    let cols = means.len();
+    let t = rows.len() / cols.max(1);
+    let n = l.splat(t as f32);
+    for c0 in (0..cols).step_by(16 * L::LANES) {
+        let runs = (cols - c0).div_ceil(L::LANES).min(16);
+        let mut acc = [l.splat(0.0); 16];
+        for r in 0..t {
+            for (j, a) in acc.iter_mut().enumerate().take(runs) {
+                let c = c0 + j * L::LANES;
+                *a = *a + load_at(l, rows, r * cols + c, L::LANES.min(cols - c)) / n;
+            }
+        }
+        for (j, a) in acc.iter().enumerate().take(runs) {
+            let c = c0 + j * L::LANES;
+            store_head(*a, &mut means[c..cols.min(c + L::LANES)]);
+        }
+    }
+}
+
 /// `√(2/π)`, the tanh approximation's inner scale.
 const SQRT_2_OVER_PI: f32 = 0.797_884_6;
 /// `2·√(2/π)`, the scale of `2u` (doubling is exact).
@@ -1446,26 +1499,36 @@ fn gelu_lanes<L: Lane>(x: L) -> (L, L) {
     (x.splat(-f32::MAX).maxps(x) * s, s)
 }
 
-/// The `gelu` entry: [`gelu_lanes`] over `h` in place, keeping the
-/// input and `σ(2u)` over the common prefix when asked.
+/// `gelu'(x)` from `s = σ(2u)`: `s + x·s·(1 − s)·2√(2/π)·(1 +
+/// 3·0.044715·x²)`, left to right, with `x` clamped to ±1e19 first so
+/// that `x²` cannot overflow into a `0·inf` (every `x` inside the clamp
+/// keeps its bits).
 #[inline(always)]
-fn gelu<L: Lane>(l: L, h: &mut [f32], keep: Option<(&mut [f32], &mut [f32])>) {
+fn gelu_derivative_lanes<L: Lane>(x: L, s: L) -> L {
+    let x = clamp_gelu_x(x);
+    // `3 · GELU_CUBIC · x · x` folds left to right, so the constant
+    // product comes first.
+    let du2 = x.splat(SQRT_8_OVER_PI) * (x.splat(1.0) + x.splat(3.0 * GELU_CUBIC) * x * x);
+    s + x * s * (x.splat(1.0) - s) * du2
+}
+
+/// The `gelu` entry: [`gelu_lanes`] over `h` in place, keeping
+/// `gelu'(x)` over the common prefix when asked.
+#[inline(always)]
+fn gelu<L: Lane>(l: L, h: &mut [f32], keep: Option<&mut [f32]>) {
     match keep {
-        Some((pre, sig)) => {
-            let n = h.len().min(pre.len()).min(sig.len());
+        Some(d) => {
+            let n = h.len().min(d.len());
             let mut hs = h[..n].chunks_exact_mut(L::LANES);
-            let mut ps = pre[..n].chunks_exact_mut(L::LANES);
-            let mut ss = sig[..n].chunks_exact_mut(L::LANES);
-            for ((h, p), s) in (&mut hs).zip(&mut ps).zip(&mut ss) {
+            let mut ds = d[..n].chunks_exact_mut(L::LANES);
+            for (h, d) in (&mut hs).zip(&mut ds) {
                 let x = l.load(h);
-                let (g, sv) = gelu_lanes(x);
-                x.store(p);
+                let (g, s) = gelu_lanes(x);
                 g.store(h);
-                sv.store(s);
+                gelu_derivative_lanes(x, s).store(d);
             }
             if L::LANES > 1 {
-                let keep = Some((ps.into_remainder(), ss.into_remainder()));
-                gelu(ONE_LANE, hs.into_remainder(), keep);
+                gelu(ONE_LANE, hs.into_remainder(), Some(ds.into_remainder()));
             }
         }
         None => {
@@ -1480,8 +1543,8 @@ fn gelu<L: Lane>(l: L, h: &mut [f32], keep: Option<(&mut [f32], &mut [f32])>) {
     }
 }
 
-/// Where `gelu_backward` clamps `x`: `x²` stays finite up to ≈ 1.8e19,
-/// and past ±1e19 `gelu'` is already its limit (1 above, 0 below).
+/// Where `gelu'` clamps `x`: `x²` stays finite up to ≈ 1.8e19, and past
+/// ±1e19 `gelu'` is already its limit (1 above, 0 below).
 const GELU_BACKWARD_CLAMP: f32 = 1e19;
 
 /// `x` clamped to `±GELU_BACKWARD_CLAMP`, NaN kept bit for bit. The
@@ -1497,30 +1560,18 @@ fn clamp_gelu_x<L: Lane>(x: L) -> L {
     x.blend(big, signed_edge).blend(nan, x)
 }
 
-/// The `gelu_backward` entry: `g[i] *= gelu'(pre[i])` over the common
-/// prefix, from the `σ(2u)` a capturing [`gelu`] kept: `gelu' = s +
-/// x·s·(1 − s)·2√(2/π)·(1 + 3·0.044715·x²)`, left to right, with `x`
-/// clamped to ±1e19 first so that `x²` cannot overflow into a `0·inf`
-/// (every `x` inside the clamp keeps its bits).
+/// The `gelu_backward` entry: `g[i] *= d[i]` over the common prefix,
+/// `d` being the `gelu'` a capturing [`gelu`] kept.
 #[inline(always)]
-fn gelu_backward<L: Lane>(l: L, pre: &[f32], sig: &[f32], g: &mut [f32]) {
-    let n = g.len().min(pre.len()).min(sig.len());
-    let mut ps = pre[..n].chunks_exact(L::LANES);
-    let mut ss = sig[..n].chunks_exact(L::LANES);
+fn gelu_backward<L: Lane>(l: L, d: &[f32], g: &mut [f32]) {
+    let n = g.len().min(d.len());
+    let mut ds = d[..n].chunks_exact(L::LANES);
     let mut gs = g[..n].chunks_exact_mut(L::LANES);
-    let one = l.splat(1.0);
-    // `3 · GELU_CUBIC · x · x` folds left to right, so the constant
-    // product comes first.
-    let cubic3 = l.splat(3.0 * GELU_CUBIC);
-    for ((p, s), g) in (&mut ps).zip(&mut ss).zip(&mut gs) {
-        let (x, s) = (clamp_gelu_x(l.load(p)), l.load(s));
-        let du2 = l.splat(SQRT_8_OVER_PI) * (one + cubic3 * x * x);
-        let d = s + x * s * (one - s) * du2;
-        (l.load(g) * d).store(g);
+    for (d, g) in (&mut ds).zip(&mut gs) {
+        (l.load(g) * l.load(d)).store(g);
     }
     if L::LANES > 1 {
-        let (pre, sig) = (ps.remainder(), ss.remainder());
-        gelu_backward(ONE_LANE, pre, sig, gs.into_remainder());
+        gelu_backward(ONE_LANE, ds.remainder(), gs.into_remainder());
     }
 }
 
@@ -1631,6 +1682,7 @@ mod avx2 {
         dot_rows,
         softmax_grad_rows,
         bf16_round,
+        column_means,
         gelu,
         gelu_backward,
     };
@@ -1658,8 +1710,9 @@ mod avx2 {
             y: &[f32], d: &[f32], m: usize, picks: Picks<'_>, k: usize, out: &mut [f32]
         ) = super::dot_rows;
         fn bf16_round(data: &mut [f32]) = super::bf16_round;
-        fn gelu(h: &mut [f32], keep: Option<(&mut [f32], &mut [f32])>) = super::gelu;
-        fn gelu_backward(pre: &[f32], sig: &[f32], g: &mut [f32]) = super::gelu_backward;
+        fn column_means(rows: &[f32], means: &mut [f32]) = super::column_means;
+        fn gelu(h: &mut [f32], keep: Option<&mut [f32]>) = super::gelu;
+        fn gelu_backward(d: &[f32], g: &mut [f32]) = super::gelu_backward;
     }
 
     simd_entries! {
@@ -1788,6 +1841,7 @@ mod avx512 {
         dot_rows,
         softmax_grad_rows,
         bf16_round: avx2::bf16_round,
+        column_means,
         gelu,
         gelu_backward,
     };
@@ -1806,8 +1860,9 @@ mod avx512 {
             src: &[f32], m: usize, picks: Picks<'_>, k: usize, gate: Option<&[f32]>,
             out: &mut [f32]
         ) = super::combine_rows;
-        fn gelu(h: &mut [f32], keep: Option<(&mut [f32], &mut [f32])>) = super::gelu;
-        fn gelu_backward(pre: &[f32], sig: &[f32], g: &mut [f32]) = super::gelu_backward;
+        fn column_means(rows: &[f32], means: &mut [f32]) = super::column_means;
+        fn gelu(h: &mut [f32], keep: Option<&mut [f32]>) = super::gelu;
+        fn gelu_backward(d: &[f32], g: &mut [f32]) = super::gelu_backward;
     }
 
     simd_entries! {
@@ -1886,10 +1941,11 @@ pub(crate) mod tests {
         }
     }
 
-    /// GELU on one lane, `(gelu(x), σ(2u))`: the scalar body the other
-    /// crates' tests compare their launches with.
+    /// GELU on one lane, `(gelu(x), gelu'(x))`: the scalar body the
+    /// other crates' tests compare their launches with.
     pub(crate) fn gelu_one(x: f32) -> (f32, f32) {
-        gelu_lanes(x)
+        let (g, s) = gelu_lanes(x);
+        (g, gelu_derivative_lanes(x, s))
     }
 
     /// Rule 3's order, element by element: lane `l` sums `f(i)` for every
@@ -1927,11 +1983,32 @@ pub(crate) mod tests {
     }
 
     /// GELU's derivative written out: `gelu'(x)` from `s = σ(2u)`, `x`
-    /// clamped to ±1e19 (NaN kept) as the backward clamps it.
+    /// clamped to ±1e19 (NaN kept) as the capturing `gelu` clamps it.
     fn gelu_derivative(x: f32, s: f32) -> f32 {
         let x = x.clamp(-1e19, 1e19);
         let du2 = SQRT_8_OVER_PI * (1.0 + 3.0 * GELU_CUBIC * x * x);
         s + x * s * (1.0 - s) * du2
+    }
+
+    /// The capturing `gelu` keeps [`gelu_derivative`] of the one-lane
+    /// `σ(2u)`, written out, in every table, on whole lanes and the
+    /// tail: the derivative moved from the backward into the forward's
+    /// epilogue without moving a bit.
+    #[test]
+    fn captured_gelu_derivative_is_the_derivative_written_out() {
+        let mut xs: Vec<f32> = (-2_000..2_000).map(|i| i as f32 * 7e-3).collect();
+        xs.extend([1e19, -1e19, 1e20, -1e20, f32::MAX, -f32::MAX, 0.0, -0.0]);
+        for kt in std::iter::once(&SCALAR_TABLE).chain(simd_tables()) {
+            let [_, d, _] = run_gelu(kt, &xs);
+            for (&x, &d) in xs.iter().zip(&d) {
+                let want = gelu_derivative(x, gelu_lanes(x).1);
+                assert!(
+                    same(d, want),
+                    "{} gelu'({x:e}) = {d:e}, want {want:e}",
+                    kt.mode.label()
+                );
+            }
+        }
     }
 
     /// The nearest bf16 value to `v`, by the independent
@@ -2086,7 +2163,7 @@ pub(crate) mod tests {
         (kt.bf16_round)(&mut o[skew..]);
         out.push(o);
         let mut g = ys.to_vec();
-        (kt.gelu_backward)(x, y, &mut g[skew..]);
+        (kt.gelu_backward)(x, &mut g[skew..]);
         out.push(g);
         out
     }
@@ -2110,7 +2187,7 @@ pub(crate) mod tests {
             after(ys, &|i| 0.0 + 0.37 * x[i]),
             after(ys, &|i| y[i] + x[i]),
             after(xs, &|i| bf16_ref(x[i])),
-            after(ys, &|i| y[i] * gelu_derivative(x[i], y[i])),
+            after(ys, &|i| y[i] * x[i]),
         ]
     }
 
@@ -2420,26 +2497,26 @@ pub(crate) mod tests {
     }
 
     /// Runs the `gelu` (capturing) and `gelu_backward` entries of `kt`
-    /// over `xs`: `[gelu, pre, σ(2u), g·gelu']` for upstream `g[i] = 0.5 +
+    /// over `xs`: `[gelu, gelu', g·gelu']` for upstream `g[i] = 0.5 +
     /// i mod 7`.
-    fn run_gelu(kt: &KernelTable, xs: &[f32]) -> [Vec<f32>; 4] {
+    fn run_gelu(kt: &KernelTable, xs: &[f32]) -> [Vec<f32>; 3] {
         let mut h = xs.to_vec();
-        let (mut pre, mut sig) = (vec![0.0; xs.len()], vec![0.0; xs.len()]);
-        (kt.gelu)(&mut h, Some((&mut pre, &mut sig)));
+        let mut d = vec![0.0; xs.len()];
+        (kt.gelu)(&mut h, Some(&mut d));
         let mut g: Vec<f32> = (0..xs.len()).map(|i| 0.5 + (i % 7) as f32).collect();
-        (kt.gelu_backward)(&pre, &sig, &mut g);
-        [h, pre, sig, g]
+        (kt.gelu_backward)(&d, &mut g);
+        [h, d, g]
     }
 
     /// Panics at the first `x` in `xs` where the `gelu` (output, kept
-    /// input, kept `σ(2u)`) or `gelu_backward` entry of any SIMD table
-    /// the host has differs from the scalar one. NaN equals NaN. Returns
-    /// the scalar run.
-    fn check_gelu(xs: &[f32]) -> [Vec<f32>; 4] {
+    /// `gelu'`) or `gelu_backward` entry of any SIMD table the host has
+    /// differs from the scalar one. NaN equals NaN. Returns the scalar
+    /// run.
+    fn check_gelu(xs: &[f32]) -> [Vec<f32>; 3] {
         let scalar = run_gelu(&SCALAR_TABLE, xs);
         for kt in simd_tables() {
             let (simd, label) = (run_gelu(kt, xs), kt.mode.label());
-            for (what, (s, v)) in ["gelu", "pre", "sig", "gelu_backward"]
+            for (what, (s, v)) in ["gelu", "gelu'", "gelu_backward"]
                 .iter()
                 .zip(scalar.iter().zip(&simd))
             {
@@ -2502,19 +2579,16 @@ pub(crate) mod tests {
     }
 
     impl GeluJudge {
-        /// Judges the scalar run `[gelu, _, σ(2u), _]` of `xs` at every
+        /// Judges the scalar run `[gelu, gelu', _]` of `xs` at every
         /// finite `x`, and panics at a normal `x` whose `gelu` is ±0 where
-        /// the port's was not, or whose `σ(2u)` or `gelu'` is subnormal.
-        fn add(&mut self, xs: &[f32], [h, _, sig, _]: &[Vec<f32>; 4]) {
-            let mut d = vec![1.0; xs.len()];
-            (SCALAR_TABLE.gelu_backward)(xs, sig, &mut d);
-            for (((&x, &y), &s), &d) in xs.iter().zip(h).zip(sig).zip(&d) {
+        /// the port's was not, or whose `gelu'` is subnormal.
+        fn add(&mut self, xs: &[f32], [h, d, _]: &[Vec<f32>; 3]) {
+            for ((&x, &y), &d) in xs.iter().zip(h).zip(d) {
                 if !x.is_finite() {
                     continue;
                 }
                 if x.is_normal() {
                     assert!(y != 0.0 || x <= PORT_ZERO_UP_TO, "gelu({x:e}) = {y:e}");
-                    assert!(!s.is_subnormal(), "σ(2u) at {x:e} = {s:e}");
                     assert!(!d.is_subnormal(), "gelu'({x:e}) = {d:e}");
                 }
                 let want = gelu_f64(x);
@@ -2603,7 +2677,7 @@ pub(crate) mod tests {
         for kt in std::iter::once(&SCALAR_TABLE).chain(simd_tables()) {
             let label = kt.mode.label();
             let one = |x: f32| {
-                let [h, _, _, g] = run_gelu(kt, &[x]);
+                let [h, _, g] = run_gelu(kt, &[x]);
                 (h[0], g[0])
             };
             assert_eq!(one(f32::NEG_INFINITY).0.to_bits(), 0x8000_0000, "{label}");
@@ -2633,13 +2707,7 @@ pub(crate) mod tests {
         let big = [1e19f32, 1e20, f32::MAX, f32::INFINITY];
         for kt in std::iter::once(&SCALAR_TABLE).chain(simd_tables()) {
             let label = kt.mode.label();
-            let derivative = |x: f32| {
-                let xs = vec![x; 33];
-                let [_, pre, sig, _] = run_gelu(kt, &xs);
-                let mut d = vec![1.0; xs.len()];
-                (kt.gelu_backward)(&pre, &sig, &mut d);
-                d
-            };
+            let derivative = |x: f32| run_gelu(kt, &[x; 33])[1].clone();
             for x in big {
                 assert!(
                     derivative(x).iter().all(|&d| d == 1.0),
@@ -2655,6 +2723,33 @@ pub(crate) mod tests {
                     derivative(nan).iter().all(|d| d.is_nan()),
                     "{label} gelu'(NaN)"
                 );
+            }
+        }
+    }
+
+    /// `column_means` in every table equals the serial sum it replaced,
+    /// `mean += p / T` from `+0` in row order, at every [`ROW_WIDTHS`]
+    /// width, through a `-0`, an `inf` and a NaN.
+    #[test]
+    fn column_means_match_the_serial_sum_in_every_table() {
+        for cols in ROW_WIDTHS {
+            for t in [1usize, 3, 37] {
+                let n = t * cols;
+                let mut rows: Vec<f32> = (0..n)
+                    .map(|i| ((i * 7919) % 1000) as f32 * 1e-3 + 1e-7)
+                    .collect();
+                (rows[0], rows[n / 2], rows[n - 1]) = (-0.0, f32::INFINITY, NAN);
+                let mut want = vec![0.0f32; cols];
+                for row in rows.chunks(cols) {
+                    for (m, p) in want.iter_mut().zip(row) {
+                        *m += p / t as f32;
+                    }
+                }
+                for kt in std::iter::once(&SCALAR_TABLE).chain(simd_tables()) {
+                    let mut got = vec![1.0; cols];
+                    (kt.column_means)(&rows, &mut got);
+                    assert_eq!(bits(&got), bits(&want), "{} {t} x {cols}", kt.mode.label());
+                }
             }
         }
     }

@@ -455,27 +455,27 @@ mod tests {
             crate::dispatch::with_simd_mode(Some(force), || {
                 let kt = crate::dispatch::table();
                 let mut captured = h_pre.clone();
-                let (mut pre, mut sig) = (vec![0.0; n], vec![0.0; n]);
-                (kt.gelu)(&mut captured, Some((&mut pre, &mut sig)));
-                assert_eq!(pre, h_pre);
+                let mut d = vec![0.0; n];
+                (kt.gelu)(&mut captured, Some(&mut d));
                 let mut in_place = h_pre.clone();
                 (kt.gelu)(&mut in_place, None);
                 assert_eq!(in_place, captured);
                 for i in 0..n {
                     let one = crate::dispatch::tests::gelu_one(h_pre[i]);
-                    assert_eq!(one, (captured[i], sig[i]), "i={i}");
+                    assert_eq!(one, (captured[i], d[i]), "i={i}");
                 }
 
                 // The backward scales, elementwise and in place: run on
-                // ones it yields the derivative, run on any upstream it
-                // yields that upstream times the same derivative.
+                // ones it yields the captured derivative, run on any
+                // upstream it yields that upstream times the derivative.
                 let mut derivative = vec![1.0; n];
-                (kt.gelu_backward)(&h_pre, &sig, &mut derivative);
+                (kt.gelu_backward)(&d, &mut derivative);
+                assert_eq!(derivative, d);
                 let upstream: Vec<f32> = (0..n).map(|i| 0.3 + i as f32 * 0.01).collect();
                 let mut scaled = upstream.clone();
-                (kt.gelu_backward)(&h_pre, &sig, &mut scaled);
+                (kt.gelu_backward)(&d, &mut scaled);
                 for i in 0..n {
-                    assert_eq!(scaled[i], upstream[i] * derivative[i], "i={i}");
+                    assert_eq!(scaled[i], upstream[i] * d[i], "i={i}");
                 }
             });
         }
@@ -619,7 +619,7 @@ mod tests {
         assert!(t.topk_last(3).is_ok());
     }
 
-    /// The analytic derivative against central differences, into the
+    /// The captured derivative against central differences, into the
     /// far negative tail and the saturated positive side; no derivative
     /// is subnormal there (a subnormal `gelu'` slows every backward lane
     /// that meets it).
@@ -627,9 +627,10 @@ mod tests {
     fn gelu_backward_matches_finite_difference() {
         let x = [-12.0f32, -7.5, -6.0, -5.0, -3.0, 0.0, 3.0, 6.0, 12.0];
         let gelu = |v: f32| crate::dispatch::tests::gelu_one(v).0;
-        let sig = x.map(|v| crate::dispatch::tests::gelu_one(v).1);
+        let (mut h, mut d) = (x, [0.0f32; 9]);
+        (crate::dispatch::table().gelu)(&mut h, Some(&mut d));
         let mut analytic = [1.0f32; 9];
-        (crate::dispatch::table().gelu_backward)(&x, &sig, &mut analytic);
+        (crate::dispatch::table().gelu_backward)(&d, &mut analytic);
         let eps = 1e-3;
         for (&x, &d) in x.iter().zip(&analytic) {
             let fd = (gelu(x + eps) - gelu(x - eps)) / (2.0 * eps);

@@ -11,7 +11,7 @@ use tutel_suite::experts::ExpertsBlock;
 use tutel_suite::gate::{route, LinearRouter, RaggedRouting, RouteConfig, Router};
 use tutel_suite::kernels::{fast_decode, fast_encode};
 use tutel_suite::obs::Telemetry;
-use tutel_suite::tensor::{Rng, Tensor};
+use tutel_suite::tensor::{scratch, Rng, Tensor};
 use tutel_suite::tutel::overlap::exchange_bins;
 use tutel_suite::tutel::step;
 
@@ -63,15 +63,16 @@ fn run_distributed_step(topology: Topology, k: usize, seed: u64) {
         let (probs, routing) = step::gate(router_ref, x, &cfg, &tel).unwrap();
         let bins = RaggedRouting::from_routing(&routing);
         let (out, _) = step::forward(x, probs, routing, bins, &tel, |packed, offsets| {
-            exchange_bins(
+            let out = exchange_bins(
                 &mut comm,
                 AllToAllAlgo::TwoDh,
                 1,
-                packed,
+                &packed,
                 offsets,
                 |_, rows, offsets| local.infer_grouped(rows, offsets),
-            )
-            .unwrap()
+            );
+            scratch::recycle(packed);
+            out.unwrap()
         })
         .unwrap();
         out
