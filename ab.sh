@@ -7,7 +7,7 @@
 # ${TMPDIR:-/tmp}/tutel-ab, one tree per commit hash, reused when its
 # benchmark binary is already built), builds that tree's benchmark
 # there, then runs `<pairs>` (default 10) pairs of single-workload runs,
-# `--seconds ${AB_SECONDS:-10}` each. The side that runs first
+# each as long as its benchmark's default. The side that runs first
 # alternates from pair to pair, so a host that drifts over the session
 # loads both sides alike. For an uncommitted tree, pass
 # `$(git stash create)` as <change>.
@@ -17,8 +17,9 @@
 # medians, the base's interquartile range and the verdict a claimed gain
 # is held to: better on at least 9 pairs in 10 and a median better by
 # more than the base's IQR. The metric's direction comes from the
-# change's BENCHMARK.json. With AB_LOG set, each run's JSON line is
-# appended to that file after its side's name, for the other metrics.
+# change's BENCHMARK.json. Each run's JSON line, after its side's name,
+# goes to a log in $AB_DIR for the other metrics; a run that is not
+# `correct` or has a failed operation stops the script.
 set -euo pipefail
 
 if [ "$#" -lt 4 ]; then
@@ -28,8 +29,9 @@ fi
 base=$1 change=$2 workload=$3 metric=$4 pairs=${5:-10} seed=${6:-1}
 repo=$(cd "$(dirname "$0")" && pwd)
 dir=${AB_DIR:-${TMPDIR:-/tmp}/tutel-ab}
-seconds=${AB_SECONDS:-10}
 mkdir -p "$dir"
+log="$dir/$workload-$(git -C "$repo" rev-parse --short "$base")-$(git -C "$repo" rev-parse --short "$change").jsonl"
+: > "$log"
 
 # Extracts and builds commit $1; prints the benchmark binary's path.
 build() {
@@ -65,8 +67,12 @@ steal() {
 run() {
     local before out value
     before=$(steal)
-    out=$("$1" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 | tail -n 1)
-    echo "$side $out" >> "${AB_LOG:-/dev/null}"
+    out=$("$1" --workload "$workload" --seed "$seed" --trace 0 | tail -n 1)
+    echo "$side $out" >> "$log"
+    case $out in *'"correct":true,'*'"failed":0,'*) ;; *)
+        echo "ab.sh: $side run not correct or has failures: $out" >&2
+        exit 1 ;;
+    esac
     value=$(printf '%s\n' "$out" \
         | sed -n "s/.*\"$metric\":{\"value\":\([^,}]*\).*/\1/p")
     if [ -z "$value" ]; then
@@ -118,3 +124,4 @@ awk -v better="$better" -v metric="$metric" '
         verdict = wins >= need && gain > iqr ? "GAIN" : "no gain"
         printf "verdict: %s (needs %d wins and a median gain above the base IQR)\n", verdict, need
     }' "$results"
+echo "each run's JSON line: $log"

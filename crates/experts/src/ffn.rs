@@ -289,7 +289,7 @@ impl ExpertsBlock {
     /// Returns a [`TensorError`] if `x` has the wrong shape.
     pub fn forward(&mut self, x: &Tensor) -> Result<Tensor, TensorError> {
         let offsets = self.uniform_bins(x)?;
-        Ok(self.forward_rows(Cow::Borrowed(x), &offsets))
+        Ok(self.forward_rows(scratch::copy_of(x), &offsets))
     }
 
     /// Forward without caching (inference) over padded `x (ΔE, C, M)`.
@@ -319,7 +319,7 @@ impl ExpertsBlock {
         offsets: &[usize],
     ) -> Result<Tensor, TensorError> {
         self.check_grouped(x, offsets)?;
-        Ok(self.forward_rows(Cow::Borrowed(x), offsets))
+        Ok(self.forward_rows(scratch::copy_of(x), offsets))
     }
 
     /// [`forward_grouped`](Self::forward_grouped), with its errors, that
@@ -330,7 +330,7 @@ impl ExpertsBlock {
         offsets: &[usize],
     ) -> Result<Tensor, TensorError> {
         self.check_grouped(&x, offsets)?;
-        Ok(self.forward_rows(Cow::Owned(x), offsets))
+        Ok(self.forward_rows(x, offsets))
     }
 
     /// Grouped forward without caching (inference).
@@ -355,13 +355,9 @@ impl ExpertsBlock {
 
     /// Training forward over validated rows: the FFN body with capture
     /// on, its activations parked for [`Self::backward`] beside the
-    /// input (a borrowed one copied) and the bins.
-    fn forward_rows(&mut self, x: Cow<'_, Tensor>, offsets: &[usize]) -> Tensor {
+    /// input and the bins.
+    fn forward_rows(&mut self, x: Tensor, offsets: &[usize]) -> Tensor {
         let (y, h, d) = self.ffn(&x, offsets, true);
-        let x = match x {
-            Cow::Borrowed(x) => scratch::copy_of(x),
-            Cow::Owned(x) => x,
-        };
         self.saved = d.map(|d| (x, h, d, offsets.to_vec()));
         y
     }

@@ -1441,26 +1441,30 @@ fn dot_rows<N: Lane>(
     }
 }
 
-/// The `column_means` entry: 16 runs of `L::LANES` columns at a time,
-/// each adding its lanes' quotients row by row.
+/// The `column_means` entry: `means` from `+0`, then each row's
+/// quotients `p / T` added across the columns, row after row, so the
+/// rows are read once. The last `E mod L::LANES` columns sum in one
+/// vector whose lanes past them read on into the next row and are
+/// never stored.
 #[inline(always)]
 fn column_means<L: Lane>(l: L, rows: &[f32], means: &mut [f32]) {
     let cols = means.len();
-    let t = rows.len() / cols.max(1);
+    let (t, head) = (rows.len() / cols.max(1), cols - cols % L::LANES);
     let n = l.splat(t as f32);
-    for c0 in (0..cols).step_by(16 * L::LANES) {
-        let runs = (cols - c0).div_ceil(L::LANES).min(16);
-        let mut acc = [l.splat(0.0); 16];
-        for r in 0..t {
-            for (j, a) in acc.iter_mut().enumerate().take(runs) {
-                let c = c0 + j * L::LANES;
-                *a = *a + load_at(l, rows, r * cols + c, L::LANES.min(cols - c)) / n;
-            }
+    means.fill(0.0);
+    for row in rows.chunks_exact(cols.max(1)) {
+        for (m, v) in means[..head]
+            .chunks_exact_mut(L::LANES)
+            .zip(row.chunks_exact(L::LANES))
+        {
+            (l.load(m) + l.load(v) / n).store(m);
         }
-        for (j, a) in acc.iter().enumerate().take(runs) {
-            let c = c0 + j * L::LANES;
-            store_head(*a, &mut means[c..cols.min(c + L::LANES)]);
-        }
+    }
+    if head < cols {
+        let acc = (0..t).fold(l.splat(0.0), |acc, r| {
+            acc + load_at(l, rows, r * cols + head, cols - head) / n
+        });
+        store_head(acc, &mut means[head..]);
     }
 }
 
